@@ -82,6 +82,13 @@ pub enum SimError {
         /// Diagnostic description.
         detail: String,
     },
+    /// The schedule refers to a core, program, vec task, AG instance or
+    /// node that the model does not have (a corrupted or hand-edited
+    /// artifact; deserialization checks none of these).
+    InvalidSchedule {
+        /// Diagnostic description.
+        detail: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -93,6 +100,7 @@ impl fmt::Display for SimError {
             SimError::HardwareMismatch { detail } => {
                 write!(f, "artifact/simulator hardware mismatch: {detail}")
             }
+            SimError::InvalidSchedule { detail } => write!(f, "invalid schedule: {detail}"),
         }
     }
 }

@@ -90,7 +90,13 @@ pub struct SimReport {
     pub reload_stall_cycles: u64,
     /// Cores that did any work.
     pub active_cores: usize,
-    /// Per-core busy cycles (bottleneck analysis).
+    /// One entry per core, for bottleneck analysis; what it measures
+    /// depends on the engine. HT: the cycle at which the core's last
+    /// activity ends (its completion time — the maximum is the
+    /// pipeline interval). LL: the sum of the core's recorded busy
+    /// intervals (overlapping units count twice, so it can exceed
+    /// `total_cycles`). Empty on the analytic multi-epoch
+    /// `weight_reload` path.
     pub per_core_busy: Vec<u64>,
 }
 

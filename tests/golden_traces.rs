@@ -16,8 +16,10 @@
 
 use pimcomp_arch::{HardwareConfig, PipelineMode};
 use pimcomp_core::{
-    CompileOptions, CompileSession, CompiledModel, GaParams, Partitioning, Schedule,
+    CompileOptions, CompileSession, CompiledModel, GaParams, PumaCompiler, ReusePolicy, Schedule,
 };
+use pimcomp_ir::models;
+use pimcomp_sim::Simulator;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 
@@ -197,16 +199,17 @@ fn compile_small(mode: PipelineMode, seed: u64) -> (CompiledModel, GaParams) {
     (model, ga)
 }
 
+/// Sizes a PUMA target like the CLI default: 2x headroom over the
+/// single-replica demand.
+fn sized_puma(graph: &pimcomp_ir::Graph) -> HardwareConfig {
+    let normalized = pimcomp_ir::transform::normalize(graph).unwrap();
+    let chips = pimcomp_core::sized_chips(&normalized, &HardwareConfig::puma(), 2.0).unwrap();
+    HardwareConfig::puma_with_chips(chips)
+}
+
 fn compile_resnet(mode: PipelineMode, seed: u64) -> (CompiledModel, GaParams) {
     let graph = pimcomp_ir::models::resnet18();
-    // Size the target like the CLI default: 2x headroom over the
-    // single-replica demand.
-    let base = HardwareConfig::puma();
-    let normalized = pimcomp_ir::transform::normalize(&graph).unwrap();
-    let p = Partitioning::new(&normalized, &base).unwrap();
-    let per_chip = base.cores_per_chip * base.crossbars_per_core;
-    let chips = (2 * p.min_crossbars()).div_ceil(per_chip).max(1);
-    let hw = HardwareConfig::puma_with_chips(chips);
+    let hw = sized_puma(&graph);
     let ga = GaParams {
         population: 8,
         iterations: 6,
@@ -338,4 +341,98 @@ fn traces_are_thread_count_invariant() {
         .run()
         .unwrap();
     assert_eq!(trace_of(&serial, 7, &ga), trace_of(&parallel, 7, &ga));
+}
+
+/// One HT simulation per line of `ht_sim_reports.json`:
+/// `"<model>/<mapping>": <SimReport as compact JSON>`.
+fn ht_report_line(key: &str, hw: &HardwareConfig, model: &CompiledModel) -> String {
+    let report = Simulator::new(hw.clone())
+        .run(model)
+        .unwrap_or_else(|e| panic!("{key}: simulation failed: {e}"));
+    let json = serde_json::to_string(&report).expect("report serializes");
+    format!("\"{key}\": {json}")
+}
+
+/// Every HT report of one model: GA seeds {1, 7, 42} x batch {1, 2} x
+/// the three memory policies, plus the PUMA-like baseline mapping.
+fn ht_report_lines(name: &str, graph: &pimcomp_ir::Graph, hw: &HardwareConfig) -> Vec<String> {
+    let mut lines = Vec::new();
+    for seed in [1u64, 7, 42] {
+        let opts = CompileOptions::new(PipelineMode::HighThroughput).with_ga(GaParams::fast(seed));
+        let scheduled = CompileSession::new(hw.clone(), graph, opts)
+            .and_then(CompileSession::partition)
+            .and_then(|p| p.optimize())
+            .and_then(|o| o.schedule())
+            .unwrap_or_else(|e| panic!("{name} seed {seed}: {e}"));
+        for batch in [1usize, 2] {
+            let rebatched = scheduled.clone().rebatch(batch).expect("valid batch");
+            for policy in ReusePolicy::ALL {
+                let model = rebatched.clone().replan_memory(policy).finish();
+                let key = format!("{name}/seed{seed}/batch{batch}/{policy:?}");
+                lines.push(ht_report_line(&key, hw, &model));
+            }
+        }
+    }
+    let baseline = PumaCompiler::new(hw.clone())
+        .compile(graph, &CompileOptions::new(PipelineMode::HighThroughput))
+        .unwrap_or_else(|e| panic!("{name} baseline: {e}"));
+    lines.push(ht_report_line(&format!("{name}/puma"), hw, &baseline));
+    lines
+}
+
+#[test]
+fn ht_sim_reports_match_golden() {
+    // Pins the HT event engine: the full serialized `SimReport`
+    // (cycles, counters, energy, per-core completion times) of every
+    // zoo mapping below must stay byte-identical across engine
+    // rewrites. Debug builds check the small models only; the release
+    // test job checks (and `UPDATE_GOLDEN=1` regenerates) the zoo.
+    let small = HardwareConfig::small_test();
+    let mut cases: Vec<(&str, pimcomp_ir::Graph, HardwareConfig)> = vec![
+        ("tiny_cnn", models::tiny_cnn(), small.clone()),
+        ("tiny_mlp", models::tiny_mlp(), small.clone()),
+        ("two_branch", models::two_branch(), small),
+    ];
+    let full = !cfg!(debug_assertions);
+    if full {
+        let bert = pimcomp_ir::transform::bind_seq_len(&models::tiny_bert(), 64).unwrap();
+        cases.push(("tiny_bert", bert, HardwareConfig::puma_with_chips(1)));
+        for name in models::PAPER_BENCHMARKS {
+            let graph = models::by_name(name).expect("paper benchmark resolves");
+            let hw = sized_puma(&graph);
+            cases.push((name, graph, hw));
+        }
+    }
+    let actual: Vec<String> = cases
+        .iter()
+        .flat_map(|(name, graph, hw)| ht_report_lines(name, graph, hw))
+        .collect();
+
+    let path = golden_dir().join("ht_sim_reports.json");
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        assert!(full, "regenerate ht_sim_reports.json from a release build");
+        std::fs::write(&path, format!("{{\n{}\n}}\n", actual.join(",\n"))).expect("write fixture");
+        return;
+    }
+    // Fixture lines are in case order, small models first, so a debug
+    // run checks a prefix of them.
+    let fixture = std::fs::read_to_string(&path).expect("tests/golden/ht_sim_reports.json");
+    let expected: Vec<&str> = fixture
+        .lines()
+        .filter(|l| l.starts_with('"'))
+        .map(|l| l.trim_end_matches(','))
+        .collect();
+    assert!(
+        expected.len() >= actual.len() && (!full || expected.len() == actual.len()),
+        "fixture holds {} cases, this run produced {}",
+        expected.len(),
+        actual.len()
+    );
+    for (want, line) in expected.iter().zip(&actual) {
+        assert!(
+            want == line,
+            "HT SimReport drifted from golden fixture {}:\n  fixture {want}\n  actual  {line}",
+            path.display()
+        );
+    }
 }

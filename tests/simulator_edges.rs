@@ -3,14 +3,21 @@
 
 use pimcomp::prelude::*;
 use pimcomp_arch::{CoreConnection, PipelineMode};
-use pimcomp_core::CompileOptions;
+use pimcomp_core::{CompileOptions, HtSchedule, Schedule};
 use pimcomp_ir::models;
+use pimcomp_sim::SimError;
+
+fn compile_tiny_cnn(hw: &HardwareConfig, mode: PipelineMode) -> CompiledModel {
+    PimCompiler::new(hw.clone())
+        .compile(
+            &models::tiny_cnn(),
+            &CompileOptions::new(mode).with_fast_ga(5),
+        )
+        .expect("compiles")
+}
 
 fn compile_and_run(hw: HardwareConfig, mode: PipelineMode) -> SimReport {
-    let graph = models::tiny_cnn();
-    let compiled = PimCompiler::new(hw.clone())
-        .compile(&graph, &CompileOptions::new(mode).with_fast_ga(5))
-        .expect("compiles");
+    let compiled = compile_tiny_cnn(&hw, mode);
     Simulator::new(hw).run(&compiled).expect("simulates")
 }
 
@@ -129,4 +136,91 @@ fn sim_report_serializes() {
     let r = compile_and_run(HardwareConfig::small_test(), PipelineMode::LowLatency);
     let json = serde_json::to_string(&r).unwrap();
     assert!(json.contains("\"total_cycles\""));
+}
+
+fn ht_schedule_mut(compiled: &mut CompiledModel) -> &mut HtSchedule {
+    match &mut compiled.schedule {
+        Schedule::HighThroughput(ht) => ht,
+        Schedule::LowLatency(_) => panic!("compiled in HT mode"),
+    }
+}
+
+#[test]
+fn hostile_ht_schedules_are_rejected_not_indexed() {
+    // Artifacts deserialize unvalidated, so every index the HT engine
+    // follows can be out of range; each must come back as a structured
+    // error, never a panic.
+    type Tamper = fn(&mut CompiledModel);
+    let tampers: [(&str, Tamper); 7] = [
+        ("truncated per_core", |m| {
+            ht_schedule_mut(m).per_core.pop();
+        }),
+        ("truncated spill table", |m| {
+            m.memory.spill_bytes_per_round.pop();
+        }),
+        ("out-of-range AG instance", |m| {
+            let instances = m.mapping.instances.len();
+            ht_schedule_mut(m).programs[0].ag_instances[0] = instances;
+        }),
+        ("send to a core past the last", |m| {
+            let cores = m.hw.total_cores();
+            let p = ht_schedule_mut(m)
+                .programs
+                .iter_mut()
+                .find(|p| !p.sends_per_round.is_empty())
+                .expect("tiny_cnn splits a node across cores");
+            p.sends_per_round[0].to_core = cores;
+        }),
+        ("program id past the last", |m| {
+            let ht = ht_schedule_mut(m);
+            let foreign = ht.programs.len();
+            ht.per_core[0].push(foreign);
+        }),
+        ("another core's program id", |m| {
+            let ht = ht_schedule_mut(m);
+            let foreign = ht.programs.iter().position(|p| p.core != 0).unwrap();
+            ht.per_core[0].push(foreign);
+        }),
+        ("node outside the partitioning", |m| {
+            let nodes = m.partitioning.entries().len();
+            ht_schedule_mut(m).programs[0].mvm = nodes;
+        }),
+    ];
+    let hw = HardwareConfig::small_test();
+    let compiled = compile_tiny_cnn(&hw, PipelineMode::HighThroughput);
+    for (what, tamper) in tampers {
+        let mut hostile = compiled.clone();
+        tamper(&mut hostile);
+        let result = Simulator::new(hw.clone()).run(&hostile);
+        assert!(
+            matches!(result, Err(SimError::InvalidSchedule { .. })),
+            "{what}: {result:?}"
+        );
+    }
+}
+
+#[test]
+fn stuck_owner_is_reported_as_a_deadlock_quickly() {
+    // An owner expecting one partial more than its senders push can
+    // never finish a round: the queue drains and the engine names it.
+    let hw = HardwareConfig::small_test();
+    let mut compiled = compile_tiny_cnn(&hw, PipelineMode::HighThroughput);
+    let ht = ht_schedule_mut(&mut compiled);
+    let owner = ht
+        .programs
+        .iter()
+        .position(|p| p.recvs_per_round > 0)
+        .expect("tiny_cnn splits a node across cores");
+    ht.programs[owner].recvs_per_round += 1;
+    let t0 = std::time::Instant::now();
+    let result = Simulator::new(hw).run(&compiled);
+    let elapsed = t0.elapsed();
+    match result {
+        Err(SimError::Deadlock { detail }) => assert!(
+            detail.starts_with(&format!("program {owner} ")),
+            "deadlock should name program {owner}: {detail}"
+        ),
+        other => panic!("expected a deadlock, got {other:?}"),
+    }
+    assert!(elapsed.as_secs_f64() < 1.0, "took {elapsed:?}");
 }
