@@ -5,20 +5,21 @@
 //! *heuristically to balance the inter-layer pipeline* (replicas
 //! proportional to each layer's sliding-window count, the PUMA/ISAAC
 //! recipe) and a *greedy sequential* core mapping that fills cores one
-//! after another. Scheduling and simulation then reuse exactly the same
-//! machinery as PIMCOMP, so measured differences come from the
+//! after another. The baseline is a *mapping strategy* of the one
+//! [`CompileSession`] pipeline ([`Partitioned::map_with`]): validation,
+//! partitioning, scheduling, memory planning, and simulation are
+//! exactly PIMCOMP's, so measured differences come from the
 //! replication/mapping decisions alone.
+//!
+//! [`Partitioned::map_with`]: crate::Partitioned::map_with
 
-use crate::compiler::{CompileOptions, CompileReport, CompiledModel, StageTimings};
+use crate::compiler::{CompileOptions, CompiledModel};
 use crate::mapping::{Chromosome, CoreMapping, Gene};
-use crate::memory::MemoryPlan;
 use crate::partition::Partitioning;
-use crate::schedule::{HtSchedule, LlSchedule, Schedule};
-use crate::waiting::DepInfo;
-use crate::{fitness, CompileError};
-use pimcomp_arch::{HardwareConfig, PipelineMode};
+use crate::session::CompileSession;
+use crate::CompileError;
+use pimcomp_arch::HardwareConfig;
 use pimcomp_ir::Graph;
-use std::time::Instant;
 
 /// Pipeline-balancing replication + greedy sequential mapping.
 ///
@@ -147,8 +148,11 @@ impl PumaCompiler {
         PumaCompiler { hw }
     }
 
-    /// Compiles `graph` with the PUMA-like pipeline. GA options inside
-    /// `opts` are ignored; pipeline mode, batch and memory policy apply.
+    /// Compiles `graph` with the PUMA-like mapping in place of the GA.
+    /// The GA parameters inside `opts` are validated but unused, and
+    /// `weight_reload` does not apply (the baseline never splits a
+    /// model into epochs); every other option — pipeline mode, batch,
+    /// memory policy, `seq_len` — acts as in [`PimCompiler::compile`].
     ///
     /// # Errors
     ///
@@ -161,102 +165,18 @@ impl PumaCompiler {
         graph: &Graph,
         opts: &CompileOptions,
     ) -> Result<CompiledModel, CompileError> {
-        self.hw
-            .validate()
-            .map_err(|e| CompileError::InvalidHardware {
-                detail: e.to_string(),
-            })?;
-        let graph = if opts.normalize {
-            pimcomp_ir::transform::normalize(graph).map_err(|e| CompileError::InvalidGraph {
-                detail: e.to_string(),
-            })?
-        } else {
-            graph.clone()
-        };
-        graph.validate().map_err(|e| CompileError::InvalidGraph {
-            detail: e.to_string(),
-        })?;
-
-        let t0 = Instant::now();
-        let partitioning = Partitioning::new(&graph, &self.hw)?;
-        let t_partition = t0.elapsed();
-
-        let t1 = Instant::now();
-        let mapping = puma_mapping(&partitioning, &self.hw)?;
-        let t_mapping = t1.elapsed();
-
-        let t2 = Instant::now();
-        let dep = DepInfo::analyze(&graph);
-        let schedule = match opts.mode {
-            PipelineMode::HighThroughput => Schedule::HighThroughput(HtSchedule::build(
-                &graph,
-                &partitioning,
-                &mapping,
-                &dep,
-                &self.hw,
-                opts.batch,
-            )),
-            PipelineMode::LowLatency => Schedule::LowLatency(LlSchedule::build(
-                &graph,
-                &partitioning,
-                &mapping,
-                &dep,
-                &self.hw,
-            )),
-        };
-        let memory = match &schedule {
-            Schedule::HighThroughput(s) => {
-                MemoryPlan::for_ht(s, &partitioning, &mapping, &self.hw, opts.memory_policy)
-            }
-            Schedule::LowLatency(s) => {
-                MemoryPlan::for_ll(&graph, s, &partitioning, &dep, &self.hw, opts.memory_policy)
-            }
-        };
-        let t_schedule = t2.elapsed();
-
-        let estimated = match opts.mode {
-            PipelineMode::HighThroughput => {
-                fitness::ht_fitness_from_mapping(&self.hw, &partitioning, &mapping)
-            }
-            PipelineMode::LowLatency => {
-                fitness::ll_fitness(&self.hw, &graph, &partitioning, &dep, &mapping.replication)
-            }
-        };
-
-        let report = CompileReport {
-            model: graph.name().to_string(),
-            compiler: "PUMA-like".to_string(),
-            mode: opts.mode,
-            timings: StageTimings {
-                node_partitioning: t_partition,
-                replicating_mapping: t_mapping,
-                dataflow_scheduling: t_schedule,
-            },
-            ga: None,
-            replication: mapping.replication.counts().to_vec(),
-            active_cores: mapping.active_cores(),
-            crossbars_used: mapping.replication.total_crossbars(&partitioning),
-            estimated_fitness: estimated,
-        };
-
-        Ok(CompiledModel {
-            graph,
-            hw: self.hw.clone(),
-            mode: opts.mode,
-            partitioning,
-            mapping,
-            dep,
-            schedule,
-            memory,
-            reload: None,
-            report,
-        })
+        Ok(CompileSession::new(self.hw.clone(), graph, opts.clone())?
+            .partition()?
+            .map_with("PUMA-like", puma_mapping)?
+            .schedule()?
+            .finish())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pimcomp_arch::PipelineMode;
     use pimcomp_ir::models;
     use pimcomp_ir::transform::normalize;
 
@@ -305,6 +225,23 @@ mod tests {
             .total_crossbars(&p)
             .div_ceil(hw.crossbar_capacity_per_core());
         assert!(m.active_cores() <= min_cores + 2);
+    }
+
+    #[test]
+    fn baseline_binds_sequence_lengths_and_validates_options() {
+        // Both were drift in the baseline's old private pipeline.
+        let hw = HardwareConfig::puma_with_chips(2);
+        let opts = CompileOptions::new(PipelineMode::HighThroughput);
+        let unbound = PumaCompiler::new(hw.clone()).compile(&models::tiny_bert(), &opts);
+        assert!(matches!(unbound, Err(CompileError::UnboundSeqLen { .. })));
+        let bound = PumaCompiler::new(hw.clone())
+            .compile(&models::tiny_bert(), &opts.clone().with_seq_len(16))
+            .unwrap();
+        assert_eq!(bound.report.compiler, "PUMA-like");
+        let mut zero_batch = opts;
+        zero_batch.batch = 0;
+        let rejected = PumaCompiler::new(hw).compile(&models::tiny_cnn(), &zero_batch);
+        assert!(matches!(rejected, Err(CompileError::InvalidOptions { .. })));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::mapping::CoreMapping;
 use crate::memory::{MemoryPlan, ReusePolicy};
 use crate::partition::{Partitioning, ReloadPlan};
 use crate::schedule::Schedule;
-use crate::session::{CompileObserver, CompileSession};
+use crate::session::CompileSession;
 use crate::waiting::DepInfo;
 use crate::CompileError;
 use pimcomp_arch::{HardwareConfig, PipelineMode};
@@ -323,20 +323,6 @@ impl PimCompiler {
         opts: &CompileOptions,
     ) -> Result<CompiledModel, CompileError> {
         CompileSession::new(self.hw.clone(), graph, opts.clone())?.run()
-    }
-
-    /// [`PimCompiler::compile`] with progress callbacks.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PimCompiler::compile`].
-    pub fn compile_observed(
-        &self,
-        graph: &Graph,
-        opts: &CompileOptions,
-        observer: &mut dyn CompileObserver,
-    ) -> Result<CompiledModel, CompileError> {
-        CompileSession::new(self.hw.clone(), graph, opts.clone())?.run_observed(observer)
     }
 }
 

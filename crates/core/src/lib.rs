@@ -43,8 +43,9 @@
 //! ```
 //!
 //! Progress can be observed live — stage boundaries and per-generation
-//! GA fitness — by passing a [`CompileObserver`] to the `_observed`
-//! stage variants.
+//! GA fitness — by passing a [`CompileObserver`] to
+//! [`CompileSession::run_observed`] (or, stage by stage, to
+//! [`Partitioned::optimize_observed`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,7 +56,6 @@ mod compiler;
 mod error;
 mod fitness;
 mod ga;
-mod lower;
 mod mapping;
 mod memory;
 mod parallel;
@@ -79,7 +79,6 @@ pub use ga::{
     default_max_nodes_per_core, effective_parallelism, optimize, optimize_observed,
     split_stream_seed, GaContext, GaGeneration, GaParams, GaStats,
 };
-pub use lower::{lower_to_ops, CoreOp, OpStream};
 pub use mapping::{AgInstance, Chromosome, CoreMapping, Gene, GENE_RADIX};
 pub use memory::{MemoryPlan, ReusePolicy};
 pub use parallel::run_indexed;

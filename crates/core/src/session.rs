@@ -17,9 +17,11 @@
 //! so that every intermediate result is inspectable and the pipeline is
 //! *re-enterable*: swap GA parameters on a [`Partitioned`] or
 //! re-optimize an [`Optimized`] without repeating partitioning, replan
-//! memory or rebatch a [`Scheduled`] without re-running the GA. Each
-//! stage method has an `_observed` variant that streams progress
-//! through a [`CompileObserver`].
+//! memory or rebatch a [`Scheduled`] without re-running the GA.
+//! [`CompileSession::run_observed`] streams stage and GA progress
+//! through a [`CompileObserver`]; a mapping built by something other
+//! than the GA (the PUMA-like baseline) enters the same pipeline through
+//! [`Partitioned::map_with`].
 //!
 //! # Example
 //!
@@ -99,8 +101,7 @@ pub trait CompileObserver {
     fn on_ga_generation(&mut self, _progress: GaGeneration) {}
 }
 
-/// The do-nothing observer used by the plain (non-`_observed`) stage
-/// methods.
+/// The do-nothing observer behind the unobserved entry points.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullObserver;
 
@@ -233,29 +234,14 @@ impl CompileSession {
     ///
     /// [`CompileError::NoMvmNodes`] when nothing maps to crossbars.
     pub fn partition(self) -> Result<Partitioned, CompileError> {
-        self.partition_observed(&mut NullObserver)
-    }
-
-    /// [`CompileSession::partition`] with progress callbacks.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CompileSession::partition`].
-    pub fn partition_observed(
-        self,
-        observer: &mut dyn CompileObserver,
-    ) -> Result<Partitioned, CompileError> {
-        observer.on_stage_start(CompileStage::NodePartitioning);
         let t0 = Instant::now();
         let partitioning = Partitioning::new(&self.graph, &self.hw)?;
         let dep = DepInfo::analyze(&self.graph);
-        let elapsed = t0.elapsed();
-        observer.on_stage_finish(CompileStage::NodePartitioning, elapsed);
         Ok(Partitioned {
             session: self,
             partitioning,
             dep,
-            elapsed,
+            elapsed: t0.elapsed(),
         })
     }
 
@@ -277,11 +263,14 @@ impl CompileSession {
         self,
         observer: &mut dyn CompileObserver,
     ) -> Result<CompiledModel, CompileError> {
-        Ok(self
-            .partition_observed(observer)?
-            .optimize_observed(observer)?
-            .schedule_observed(observer)?
-            .finish())
+        observer.on_stage_start(CompileStage::NodePartitioning);
+        let partitioned = self.partition()?;
+        observer.on_stage_finish(CompileStage::NodePartitioning, partitioned.elapsed());
+        let optimized = partitioned.optimize_observed(observer)?;
+        observer.on_stage_start(CompileStage::DataflowScheduling);
+        let scheduled = optimized.schedule()?;
+        observer.on_stage_finish(CompileStage::DataflowScheduling, scheduled.elapsed());
+        Ok(scheduled.finish())
     }
 }
 
@@ -365,24 +354,33 @@ impl Partitioned {
         self.optimize_observed(&mut NullObserver)
     }
 
-    /// [`Partitioned::optimize`] at an overridden GA generation budget,
-    /// leaving every other option (seed included) untouched.
-    ///
-    /// Seed-stream discipline is preserved: RNG streams are keyed by
-    /// `(seed, generation, slot)`, so a run at a smaller budget
-    /// evaluates exactly the first `iterations` generations of a
-    /// full-budget run — see [`CompileOptions::with_ga_budget`].
-    /// Budgeted-search drivers (the design-space exploration engine's
-    /// successive-halving rungs) use this to cheaply triage points
-    /// before spending the full budget on survivors.
+    /// Stages 2+3 by a mapping strategy other than the GA: `strategy`
+    /// builds the replication + placement from the partitioning (the
+    /// PUMA-like baseline's [`puma_mapping`](crate::puma_mapping) is
+    /// one), and the result schedules, plans memory, and reports like
+    /// any other — under `compiler` as the report's compiler name, with
+    /// no GA trace and no reload plan. The mapping must be one of the
+    /// partitioning it was handed (as [`CoreMapping::from_chromosome`]
+    /// guarantees); like the GA's own result it is not re-validated.
     ///
     /// # Errors
     ///
-    /// Same as [`Partitioned::optimize`], plus
-    /// [`CompileError::InvalidOptions`] for a zero budget.
-    pub fn optimize_with_budget(self, iterations: usize) -> Result<Optimized, CompileError> {
-        let opts = self.session.opts.clone().with_ga_budget(iterations);
-        self.with_options(opts)?.optimize()
+    /// Whatever `strategy` fails with.
+    pub fn map_with(
+        self,
+        compiler: &'static str,
+        strategy: impl FnOnce(&Partitioning, &HardwareConfig) -> Result<CoreMapping, CompileError>,
+    ) -> Result<Optimized, CompileError> {
+        let t0 = Instant::now();
+        let mapping = strategy(&self.partitioning, &self.session.hw)?;
+        Ok(Optimized {
+            partitioned: self,
+            mapping,
+            compiler,
+            ga_stats: None,
+            reload: None,
+            elapsed: t0.elapsed(),
+        })
     }
 
     /// [`Partitioned::optimize`] with progress callbacks (stage events
@@ -434,6 +432,7 @@ impl Partitioned {
             return Ok(Optimized {
                 partitioned: self,
                 mapping,
+                compiler: PIMCOMP,
                 ga_stats: None,
                 reload: Some(reload),
                 elapsed,
@@ -466,6 +465,7 @@ impl Partitioned {
         Ok(Optimized {
             partitioned: self,
             mapping,
+            compiler: PIMCOMP,
             ga_stats: Some(ga_stats),
             reload,
             elapsed,
@@ -506,6 +506,9 @@ fn resident_reload_plan(
     }
 }
 
+/// The compiler name of GA- and epoch-packer-built mappings.
+const PIMCOMP: &str = "PIMCOMP";
+
 /// Stage-2/3 artifact: the replication + placement result (§IV-C) —
 /// from the GA, or from the epoch packer in over-budget
 /// `weight_reload` compilations.
@@ -513,6 +516,7 @@ fn resident_reload_plan(
 pub struct Optimized {
     partitioned: Partitioned,
     mapping: CoreMapping,
+    compiler: &'static str,
     ga_stats: Option<GaStats>,
     reload: Option<ReloadPlan>,
     elapsed: Duration,
@@ -573,19 +577,6 @@ impl Optimized {
     /// Currently infallible in practice (scheduling total functions),
     /// kept fallible for forward compatibility.
     pub fn schedule(self) -> Result<Scheduled, CompileError> {
-        self.schedule_observed(&mut NullObserver)
-    }
-
-    /// [`Optimized::schedule`] with progress callbacks.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Optimized::schedule`].
-    pub fn schedule_observed(
-        self,
-        observer: &mut dyn CompileObserver,
-    ) -> Result<Scheduled, CompileError> {
-        observer.on_stage_start(CompileStage::DataflowScheduling);
         let t0 = Instant::now();
         let (schedule, memory) = build_schedule_and_memory(
             &self.partitioned.session,
@@ -593,13 +584,11 @@ impl Optimized {
             &self.partitioned.dep,
             &self.mapping,
         );
-        let elapsed = t0.elapsed();
-        observer.on_stage_finish(CompileStage::DataflowScheduling, elapsed);
         Ok(Scheduled {
             optimized: self,
             schedule,
             memory,
-            elapsed,
+            elapsed: t0.elapsed(),
         })
     }
 }
@@ -737,6 +726,7 @@ impl Scheduled {
         let Optimized {
             partitioned,
             mapping,
+            compiler,
             ga_stats,
             reload,
             elapsed: t_mapping,
@@ -770,7 +760,7 @@ impl Scheduled {
 
         let report = CompileReport {
             model: session.graph.name().to_string(),
-            compiler: "PIMCOMP".to_string(),
+            compiler: compiler.to_string(),
             mode: session.opts.mode,
             timings: StageTimings {
                 node_partitioning: t_partition,
@@ -927,31 +917,51 @@ mod tests {
     }
 
     #[test]
-    fn optimize_with_budget_runs_a_prefix_and_rejects_zero() {
+    fn ga_budget_runs_a_prefix_and_rejects_zero() {
         // GaParams::fast runs 24 generations; a 5-generation budget
-        // must walk exactly the first 5 generations of that trajectory.
+        // (`CompileOptions::with_ga_budget`) must walk exactly the
+        // first 5 generations of that trajectory.
+        let budgeted = |iterations| {
+            let partitioned = session(PipelineMode::HighThroughput).partition().unwrap();
+            let opts = partitioned.session().options().clone();
+            partitioned
+                .with_options(opts.with_ga_budget(iterations))
+                .and_then(Partitioned::optimize)
+        };
         let full = session(PipelineMode::HighThroughput)
             .partition()
             .unwrap()
             .optimize()
             .unwrap();
-        let short = session(PipelineMode::HighThroughput)
-            .partition()
-            .unwrap()
-            .optimize_with_budget(5)
-            .unwrap();
+        let short = budgeted(5).unwrap();
         assert_eq!(short.ga_stats().unwrap().history.len(), 5);
         assert_eq!(
             short.ga_stats().unwrap().history[..],
             full.ga_stats().unwrap().history[..5]
         );
         assert!(matches!(
-            session(PipelineMode::HighThroughput)
-                .partition()
-                .unwrap()
-                .optimize_with_budget(0),
+            budgeted(0),
             Err(CompileError::InvalidOptions { .. })
         ));
+    }
+
+    #[test]
+    fn adopted_mappings_run_the_same_pipeline() {
+        let adopted = session(PipelineMode::HighThroughput)
+            .partition()
+            .unwrap()
+            .map_with("PUMA-like", crate::puma_mapping)
+            .unwrap();
+        assert!(adopted.ga_stats().is_none() && adopted.reload().is_none());
+        let compiled = adopted.schedule().unwrap().finish();
+        assert_eq!(compiled.report.compiler, "PUMA-like");
+        assert!(compiled.report.estimated_fitness > 0.0);
+        // A failing strategy fails the stage.
+        let failed = session(PipelineMode::HighThroughput)
+            .partition()
+            .unwrap()
+            .map_with("none", |_, _| Err(CompileError::NoMvmNodes));
+        assert!(matches!(failed, Err(CompileError::NoMvmNodes)));
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! the core worker pool, with per-point artifact caching and an
 //! optional guided (successive-halving) search mode.
 
+use crate::axis::AXES;
 use crate::cache::{self, EvictionStats};
 use crate::report::{PointMetrics, PointRecord, SweepReport};
-use crate::spec::{HalvingSpec, ReloadSetting, SearchStrategy, SweepPoint, SweepSpec};
+use crate::spec::{invalid, HalvingSpec, SearchStrategy, SweepPoint, SweepSpec};
 use crate::{resolve_model, ExploreError};
 use pimcomp_arch::PipelineMode;
 use pimcomp_core::{
@@ -208,7 +209,6 @@ pub struct SweepPlan {
     spec: SweepSpec,
     graphs: Vec<Graph>,
     graph_fps: Vec<u64>,
-    graph_idx: Vec<usize>,
     points: Vec<SweepPoint>,
 }
 
@@ -237,30 +237,10 @@ impl SweepPlan {
         let graph_fps: Vec<u64> = graphs.iter().map(graph_fingerprint).collect();
 
         let points = spec.points_for(&graphs)?;
-        // Pre-resolve each point's graph index so workers never index
-        // blindly; a point naming a model outside the spec cannot come
-        // out of `points()`, but surface a structured error rather than
-        // panicking if that invariant ever breaks.
-        let graph_idx: Vec<usize> = points
-            .iter()
-            .map(|pt| {
-                spec.models
-                    .iter()
-                    .position(|m| m == &pt.model)
-                    .ok_or_else(|| ExploreError::InvalidSpec {
-                        detail: format!(
-                            "point `{}` references a model absent from the spec",
-                            pt.key()
-                        ),
-                    })
-            })
-            .collect::<Result<_, _>>()?;
-
         Ok(SweepPlan {
             spec: spec.clone(),
             graphs,
             graph_fps,
-            graph_idx,
             points,
         })
     }
@@ -286,98 +266,36 @@ impl SweepPlan {
         self.points.is_empty()
     }
 
-    /// Evaluates one point at an explicit GA generation budget,
-    /// optionally replaying from / writing to the artifact cache.
-    ///
-    /// The returned record carries `rung: 0, budget: 0, pruned_at:
-    /// None`; multi-rung drivers stamp provenance themselves (that is
-    /// what [`ExploreEngine`] does). Per-point compile/simulate
-    /// failures are recorded in the record, not raised.
+    /// Evaluates one point exactly as a single-process **exhaustive**
+    /// sweep would: full GA budget, provenance stamped (`rung` 0,
+    /// `budget` charged only when the point compiled), optionally
+    /// replaying from / writing to the artifact cache. Distributed
+    /// workers call this, which is what makes a sharded exhaustive
+    /// sweep reduce to the byte-identical report. Per-point
+    /// compile/simulate failures are recorded in the record, not
+    /// raised; compile-stage progress reaches `observer` (cache hits
+    /// replay without compiling, so a hit observes nothing).
     ///
     /// # Errors
     ///
     /// [`ExploreError::InvalidSpec`] when `index` is out of range.
-    pub fn evaluate(
-        &self,
-        index: usize,
-        iterations: usize,
-        cache_dir: Option<&Path>,
-    ) -> Result<PointOutcome, ExploreError> {
-        self.evaluate_observed(index, iterations, cache_dir, &mut NullObserver)
-    }
-
-    /// [`SweepPlan::evaluate`] with compile-stage progress callbacks
-    /// (cache hits replay without compiling, so a hit observes
-    /// nothing).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SweepPlan::evaluate`].
-    pub fn evaluate_observed(
-        &self,
-        index: usize,
-        iterations: usize,
-        cache_dir: Option<&Path>,
-        observer: &mut dyn CompileObserver,
-    ) -> Result<PointOutcome, ExploreError> {
-        let point = self
-            .points
-            .get(index)
-            .ok_or_else(|| ExploreError::InvalidSpec {
-                detail: format!(
-                    "point index {index} out of range for a {}-point sweep",
-                    self.points.len()
-                ),
-            })?;
-        Ok(evaluate_point(
-            point,
-            &self.graphs[self.graph_idx[index]],
-            self.graph_fps[self.graph_idx[index]],
-            &self.spec,
-            iterations,
-            cache_dir,
-            observer,
-        ))
-    }
-
-    /// Evaluates one point exactly as a single-process **exhaustive**
-    /// sweep would: full GA budget, provenance stamped (`rung` 0,
-    /// `budget` charged only when the point compiled). Distributed
-    /// workers call this, which is what makes a sharded exhaustive
-    /// sweep reduce to the byte-identical report.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SweepPlan::evaluate`].
-    pub fn evaluate_final(
-        &self,
-        index: usize,
-        cache_dir: Option<&Path>,
-    ) -> Result<PointOutcome, ExploreError> {
-        self.evaluate_final_observed(index, cache_dir, &mut NullObserver)
-    }
-
-    /// [`SweepPlan::evaluate_final`] with compile-stage progress
-    /// callbacks.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SweepPlan::evaluate`].
     pub fn evaluate_final_observed(
         &self,
         index: usize,
         cache_dir: Option<&Path>,
         observer: &mut dyn CompileObserver,
     ) -> Result<PointOutcome, ExploreError> {
+        if index >= self.points.len() {
+            return Err(invalid(format!(
+                "point index {index} out of range for a {}-point sweep",
+                self.points.len()
+            )));
+        }
         let iterations = self.spec.ga_iterations;
-        let mut outcome = self.evaluate_observed(index, iterations, cache_dir, observer)?;
-        outcome.record.rung = 0;
-        outcome.record.budget = if outcome.compiled {
-            iterations as u64
-        } else {
-            0
-        };
-        outcome.record.pruned_at = None;
+        let mut outcome = self.evaluate_point(index, iterations, cache_dir, observer);
+        if outcome.compiled {
+            outcome.record.budget = iterations as u64;
+        }
         Ok(outcome)
     }
 
@@ -394,24 +312,20 @@ impl SweepPlan {
     /// journal/spec mismatch, not a recoverable state.
     pub fn reduce(&self, records: Vec<PointRecord>) -> Result<SweepReport, ExploreError> {
         if records.len() != self.points.len() {
-            return Err(ExploreError::InvalidSpec {
-                detail: format!(
-                    "cannot reduce {} records over a {}-point plan",
-                    records.len(),
-                    self.points.len()
-                ),
-            });
+            return Err(invalid(format!(
+                "cannot reduce {} records over a {}-point plan",
+                records.len(),
+                self.points.len()
+            )));
         }
         for (record, point) in records.iter().zip(&self.points) {
             if record.key() != point.key() {
-                return Err(ExploreError::InvalidSpec {
-                    detail: format!(
-                        "record key `{}` does not match plan point `{}` — \
-                         journal and spec disagree",
-                        record.key(),
-                        point.key()
-                    ),
-                });
+                return Err(invalid(format!(
+                    "record key `{}` does not match plan point `{}` — \
+                     journal and spec disagree",
+                    record.key(),
+                    point.key()
+                )));
             }
         }
         Ok(SweepReport::assemble(self.spec.master_seed, records))
@@ -447,9 +361,7 @@ impl ExploreEngine {
     pub fn new() -> Self {
         ExploreEngine {
             threads: 1,
-            cache_dir: None,
-            cache_max_bytes: None,
-            progress: None,
+            ..Self::default()
         }
     }
 
@@ -569,10 +481,9 @@ impl ExploreEngine {
         let spec = &plan.spec;
         let points = &plan.points;
         let n = points.len();
-        let mut latest: Vec<Option<PointRecord>> = (0..n).map(|_| None).collect();
-        let mut rung_of = vec![0u32; n];
-        let mut budget_of = vec![0u64; n];
-        let mut pruned_at: Vec<Option<u32>> = vec![None; n];
+        // Every point is evaluated at rung 0 (the active set starts
+        // full), which replaces these unevaluated records.
+        let mut latest: Vec<PointRecord> = points.iter().map(SweepPoint::record).collect();
         let mut active: Vec<usize> = (0..n).collect();
 
         let mut cache_hits = 0;
@@ -588,15 +499,8 @@ impl ExploreEngine {
             }
             let evaluated = run_indexed(self.threads.min(active.len()), active.len(), |i| {
                 let idx = active[i];
-                let outcome = evaluate_point(
-                    &points[idx],
-                    &plan.graphs[plan.graph_idx[idx]],
-                    plan.graph_fps[plan.graph_idx[idx]],
-                    spec,
-                    iters,
-                    self.cache_dir.as_deref(),
-                    &mut NullObserver,
-                );
+                let cache_dir = self.cache_dir.as_deref();
+                let outcome = plan.evaluate_point(idx, iters, cache_dir, &mut NullObserver);
                 if let Some(sink) = &self.progress {
                     sink(&PointEvent {
                         index: idx,
@@ -616,32 +520,23 @@ impl ExploreEngine {
             let mut failed = 0;
             let mut ga_runs = 0;
             for (i, outcome) in evaluated.into_iter().enumerate() {
-                let PointOutcome {
-                    record,
-                    cache_hit: hit,
-                    compiled,
-                    cache_file,
-                } = outcome;
                 let idx = active[i];
-                if let Some(name) = cache_file {
-                    touched.push(name);
-                }
-                if hit {
-                    cache_hits += 1;
-                } else {
-                    cache_misses += 1;
-                }
-                if !record.ok {
-                    failed += 1;
-                }
-                rung_of[idx] = r as u32;
+                touched.extend(outcome.cache_file);
+                cache_hits += usize::from(outcome.cache_hit);
+                cache_misses += usize::from(!outcome.cache_hit);
+                failed += usize::from(!outcome.record.ok);
+                // Provenance accumulates across the rungs a point runs.
+                let spent = latest[idx].budget;
+                latest[idx] = outcome.record;
+                latest[idx].rung = r as u32;
+                latest[idx].budget = spent;
                 // GA generations are only charged when a model was
                 // obtained: a point that fails to compile never ran its
                 // GA, so neither its provenance row nor the summary may
                 // claim the rung's budget. (Cache replays still charge —
                 // the ledger is deterministic across cache states.)
-                if compiled {
-                    budget_of[idx] += iters as u64;
+                if outcome.compiled {
+                    latest[idx].budget += iters as u64;
                     generations_spent += iters as u64;
                     ga_runs += 1;
                     // Rung 0 sees every point, and compilability does
@@ -651,7 +546,6 @@ impl ExploreEngine {
                         compilable_points += 1;
                     }
                 }
-                latest[idx] = Some(record);
             }
 
             if r + 1 == halving.rungs.len() {
@@ -667,8 +561,11 @@ impl ExploreEngine {
             }
 
             let before = active.len();
-            let (survivors, pruned) =
-                select_survivors(&latest, &active, halving, r as u32, &mut pruned_at);
+            let (survivors, pruned) = select_survivors(&latest, &active, halving);
+            for &idx in &pruned {
+                latest[idx].pruned_at = Some(r as u32);
+            }
+            let pruned = pruned.len();
             rungs.push(RungSummary {
                 budget: iters,
                 evaluated: before,
@@ -679,40 +576,8 @@ impl ExploreEngine {
             active = survivors;
         }
 
-        let records: Vec<PointRecord> = latest
-            .into_iter()
-            .enumerate()
-            .map(|(idx, record)| {
-                // Every point is evaluated at rung 0 (the active set
-                // starts full), so this fallback is unreachable; keep a
-                // structured record rather than an unwrap regardless.
-                let mut record = record.unwrap_or_else(|| PointRecord {
-                    model: points[idx].model.clone(),
-                    mode: points[idx].mode.to_string(),
-                    hardware: points[idx].hw_label.clone(),
-                    policy: crate::policy_spec_name(points[idx].policy).to_string(),
-                    batch: points[idx].batch as u64,
-                    seed: points[idx].seed,
-                    weight_reload: points[idx].reload.label(),
-                    seq_len: points[idx].seq.map(|s| s as u64),
-                    quantization: points[idx].quant.map(u64::from),
-                    rung: 0,
-                    budget: 0,
-                    pruned_at: None,
-                    ok: false,
-                    error: Some("internal: point was never evaluated".to_string()),
-                    metrics: None,
-                    pareto: false,
-                });
-                record.rung = rung_of[idx];
-                record.budget = budget_of[idx];
-                record.pruned_at = pruned_at[idx];
-                record
-            })
-            .collect();
-
         Ok(ExploreOutcome {
-            report: SweepReport::assemble(spec.master_seed, records),
+            report: SweepReport::assemble(spec.master_seed, latest),
             cache_hits,
             cache_misses,
             budget: BudgetSummary {
@@ -731,10 +596,10 @@ impl ExploreEngine {
 
 /// Applies the between-rung filters to the active set: per
 /// (model, mode) group, failed points are dropped, margin-dominated
-/// points are pruned (recorded in `pruned_at`), and the best
-/// `keep_fraction` of the rest — ranked by Pareto rank, then crowding
-/// distance, then index — survives to the next rung. Returns the
-/// ascending survivor list and the pruned count. Fully deterministic:
+/// points are pruned, and the best `keep_fraction` of the rest —
+/// ranked by Pareto rank, then crowding distance, then index —
+/// survives to the next rung. Returns the ascending survivor list and
+/// the pruned points (for `pruned_at`). Fully deterministic:
 /// everything runs over the index-ordered reduction state.
 ///
 /// Any rung failure drops the point, including simulation failures —
@@ -748,15 +613,13 @@ impl ExploreEngine {
 /// trade-off the frontier-subset quality gates bound on the committed
 /// fixtures.
 fn select_survivors(
-    latest: &[Option<PointRecord>],
+    latest: &[PointRecord],
     active: &[usize],
     halving: &HalvingSpec,
-    rung: u32,
-    pruned_at: &mut [Option<u32>],
-) -> (Vec<usize>, usize) {
+) -> (Vec<usize>, Vec<usize>) {
     let mut groups: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
     for &idx in active {
-        let Some(record) = &latest[idx] else { continue };
+        let record = &latest[idx];
         if record.ok && record.metrics.is_some() {
             groups
                 .entry((record.model.as_str(), record.mode.as_str()))
@@ -764,21 +627,17 @@ fn select_survivors(
                 .push(idx);
         }
     }
-    let metrics_of = |idx: usize| -> Option<&PointMetrics> {
-        latest[idx].as_ref().and_then(|r| r.metrics.as_ref())
-    };
 
     let mut survivors = Vec::new();
-    let mut pruned_total = 0;
+    let mut pruned = Vec::new();
     for members in groups.values() {
         // One objective vector per member, computed once — the pairwise
         // pruning scan below must not rebuild them per probe.
         let member_objectives: Vec<[f64; 4]> = members
             .iter()
             .map(|&i| {
-                metrics_of(i)
-                    .map(|m| m.objectives())
-                    .unwrap_or([f64::INFINITY; 4])
+                let metrics = latest[i].metrics.as_ref();
+                metrics.map_or([f64::INFINITY; 4], PointMetrics::objectives)
             })
             .collect();
         // Dominance pruning: drop points decisively dominated inside
@@ -795,8 +654,7 @@ fn select_survivors(
                     )
             });
             if dominated {
-                pruned_at[i] = Some(rung);
-                pruned_total += 1;
+                pruned.push(i);
             } else {
                 candidates.push(i);
                 candidate_objectives.push(member_objectives[k]);
@@ -813,7 +671,7 @@ fn select_survivors(
         survivors.extend(order.into_iter().take(keep).map(|pos| candidates[pos]));
     }
     survivors.sort_unstable();
-    (survivors, pruned_total)
+    (survivors, pruned)
 }
 
 /// NSGA-II-style ordering of objective vectors: positions sorted by
@@ -918,27 +776,19 @@ fn point_options(point: &SweepPoint, spec: &SweepSpec, iterations: usize) -> Com
     let ga = GaParams {
         population: spec.ga_population,
         iterations: spec.ga_iterations,
-        seed: point.seed,
         parallelism: Some(NonZeroUsize::MIN),
         ..GaParams::default()
     };
-    // Point expansion already collapsed the batch axis for LL points
-    // (batch 1), so the options always pass CompileOptions::validate.
-    debug_assert!(point.mode == PipelineMode::HighThroughput || point.batch == 1);
-    let mut opts = CompileOptions::new(point.mode)
+    // Point expansion collapses HT-only knobs on LL points (batch 1),
+    // so the options always pass `CompileOptions::validate`.
+    debug_assert!(point.mode == PipelineMode::HighThroughput || point.knobs.batch == 1);
+    let opts = CompileOptions::new(point.mode)
         .with_ga(ga)
-        .with_policy(point.policy)
-        .with_batch(point.batch)
         // The rung budget overrides the spec's full budget through the
         // same public API any budgeted driver would use.
         .with_ga_budget(iterations);
-    if let ReloadSetting::On(budget) = point.reload {
-        opts = opts.with_weight_reload(budget);
-    }
-    if let Some(seq) = point.seq {
-        opts = opts.with_seq_len(seq);
-    }
-    opts
+    AXES.iter()
+        .fold(opts, |opts, axis| (axis.apply)(&point.knobs, opts))
 }
 
 /// The cache file for a point: keyed by graph fingerprint, hardware
@@ -976,139 +826,121 @@ fn cache_path(dir: &Path, point: &SweepPoint, opts: &CompileOptions, graph_fp: u
     dir.join(format!("{key}.pimc.json"))
 }
 
-/// Evaluates one point at one rung budget. Returns the record plus the
-/// cache/compile bookkeeping ([`PointOutcome`]); compile failures never
-/// ran the GA, so their rung budget must not be charged. Stage
-/// callbacks reach `observer` only when the point actually compiles —
-/// cache hits replay silently.
-fn evaluate_point(
-    point: &SweepPoint,
-    graph: &Graph,
-    graph_fp: u64,
-    spec: &SweepSpec,
-    iterations: usize,
-    cache_dir: Option<&Path>,
-    observer: &mut dyn CompileObserver,
-) -> PointOutcome {
-    let opts = point_options(point, spec, iterations);
-    let record = |ok, error, metrics| PointRecord {
-        model: point.model.clone(),
-        mode: point.mode.to_string(),
-        hardware: point.hw_label.clone(),
-        policy: crate::policy_spec_name(point.policy).to_string(),
-        batch: point.batch as u64,
-        seed: point.seed,
-        weight_reload: point.reload.label(),
-        seq_len: point.seq.map(|s| s as u64),
-        quantization: point.quant.map(u64::from),
-        rung: 0,
-        budget: 0,
-        pruned_at: None,
-        ok,
-        error,
-        metrics,
-        pareto: false,
-    };
+impl SweepPlan {
+    /// Evaluates point `index` (in range — callers check) at one rung
+    /// budget. Returns the record plus the cache/compile bookkeeping
+    /// ([`PointOutcome`]); compile failures never ran the GA, so their
+    /// rung budget must not be charged. Stage callbacks reach `observer`
+    /// only when the point actually compiles — cache hits replay silently.
+    fn evaluate_point(
+        &self,
+        index: usize,
+        iterations: usize,
+        cache_dir: Option<&Path>,
+        observer: &mut dyn CompileObserver,
+    ) -> PointOutcome {
+        let point = &self.points[index];
+        let model = self.spec.models.iter().position(|m| *m == point.model);
+        let model = model.expect("a plan's points name the plan's own models");
+        let (graph, graph_fp) = (&self.graphs[model], self.graph_fps[model]);
+        let opts = point_options(point, &self.spec, iterations);
 
-    // Cache probe: a valid artifact for this exact (hardware, options,
-    // model) key replays instead of recompiling. Any load or
-    // fingerprint problem — including a corrupt or truncated cache
-    // file, which `CompiledArtifact::load` reports as a structured
-    // error, never a panic — silently falls back to compilation.
-    let path = cache_dir.map(|dir| cache_path(dir, point, &opts, graph_fp));
-    let cache_file = path
-        .as_ref()
-        .and_then(|p| p.file_name())
-        .map(|name| name.to_string_lossy().into_owned());
-    let cached: Option<CompiledModel> = path.as_ref().and_then(|p| {
-        let artifact = CompiledArtifact::load(p).ok()?;
-        artifact.verify_hardware(&point.hw).ok()?;
-        Some(artifact.into_model_unchecked())
-    });
-    let hit = cached.is_some();
-    let outcome = |record, compiled| PointOutcome {
-        record,
-        cache_hit: hit,
-        compiled,
-        cache_file: cache_file.clone(),
-    };
-
-    let model = match cached {
-        Some(model) => model,
-        None => {
-            let compiled = CompileSession::new(point.hw.clone(), graph, opts)
-                .and_then(|session| session.run_observed(observer));
-            match compiled {
-                Ok(model) => {
-                    if let Some(p) = &path {
-                        // Best-effort: a failed cache write costs a
-                        // recompile next run, never a wrong result.
-                        let _ = CompiledArtifact::new(model.clone()).save(p);
-                    }
-                    model
+        // Cache probe: a valid artifact for this exact (hardware, options,
+        // model) key replays instead of recompiling. Any load or
+        // fingerprint problem — including a corrupt or truncated cache
+        // file, which `CompiledArtifact::load` reports as a structured
+        // error, never a panic — silently falls back to compilation.
+        let path = cache_dir.map(|dir| cache_path(dir, point, &opts, graph_fp));
+        let cache_file = path
+            .as_ref()
+            .and_then(|p| p.file_name())
+            .map(|name| name.to_string_lossy().into_owned());
+        let cached: Option<CompiledModel> = path.as_ref().and_then(|p| {
+            let artifact = CompiledArtifact::load(p).ok()?;
+            artifact.verify_hardware(&point.hw).ok()?;
+            Some(artifact.into_model_unchecked())
+        });
+        let cache_hit = cached.is_some();
+        let outcome = |compiled: bool, result: Result<PointMetrics, String>| {
+            let mut record = point.record();
+            match result {
+                Ok(metrics) => {
+                    record.ok = true;
+                    record.metrics = Some(metrics);
                 }
-                Err(e) => {
-                    return outcome(record(false, Some(format!("compile: {e}")), None), false)
+                Err(error) => record.error = Some(error),
+            }
+            PointOutcome {
+                record,
+                cache_hit,
+                compiled,
+                cache_file,
+            }
+        };
+
+        let model = match cached {
+            Some(model) => model,
+            None => {
+                let compiled = CompileSession::new(point.hw.clone(), graph, opts)
+                    .and_then(|session| session.run_observed(observer));
+                match compiled {
+                    Ok(model) => {
+                        if let Some(p) = &path {
+                            // Best-effort: a failed cache write costs a
+                            // recompile next run, never a wrong result.
+                            let _ = CompiledArtifact::new(model.clone()).save(p);
+                        }
+                        model
+                    }
+                    Err(e) => return outcome(false, Err(format!("compile: {e}"))),
                 }
             }
+        };
+        outcome(true, measure(point, &model))
+    }
+}
+
+/// Simulates a compiled point and, when the quantization axis asks for
+/// it, runs the mapping through the functional executor for accuracy
+/// metrics (`0` is the unquantized check, anything else the ADC
+/// bit-width). Simulator and executor errors fail the point like
+/// compile errors do.
+fn measure(point: &SweepPoint, model: &CompiledModel) -> Result<PointMetrics, String> {
+    let r = Simulator::new(point.hw.clone())
+        .run(model)
+        .map_err(|e| format!("simulate: {e}"))?;
+    let verified = match point.knobs.quant {
+        None => None,
+        Some(bits) => {
+            let quant = match bits {
+                0 => None,
+                _ => Some(
+                    pimcomp_arch::QuantConfig::for_hardware(&point.hw, bits)
+                        .map_err(|e| format!("verify: {e}"))?,
+                ),
+            };
+            let verdict = pimcomp_exec::verify_model(model, point.knobs.seed, quant);
+            Some(verdict.map_err(|e| format!("verify: {e}"))?)
         }
     };
-
-    let sim = Simulator::new(point.hw.clone());
-    let sim_result = sim.run(&model);
-    match sim_result {
-        Ok(r) => {
-            // Functional verification, when the quantization axis asks
-            // for it: run the compiled mapping through the executor and
-            // record accuracy metrics. `0` is the unquantized check,
-            // anything else the ADC bit-width. Exec errors fail the
-            // point like compile/simulate errors do.
-            let (output_rmse, top1_match) = match point.quant {
-                None => (None, None),
-                Some(bits) => {
-                    let quant = if bits == 0 {
-                        None
-                    } else {
-                        match pimcomp_arch::QuantConfig::for_hardware(&point.hw, bits) {
-                            Ok(q) => Some(q),
-                            Err(e) => {
-                                return outcome(
-                                    record(false, Some(format!("verify: {e}")), None),
-                                    true,
-                                )
-                            }
-                        }
-                    };
-                    match pimcomp_exec::verify_model(&model, point.seed, quant) {
-                        Ok(v) => (Some(v.output_rmse), Some(v.top1_match)),
-                        Err(e) => {
-                            return outcome(record(false, Some(format!("verify: {e}")), None), true)
-                        }
-                    }
-                }
-            };
-            let metrics = PointMetrics {
-                cycles: r.total_cycles,
-                throughput_inf_per_s: r.throughput_inf_per_s,
-                latency_us: r.latency_us,
-                energy_uj: r.energy.total_pj() / 1e6,
-                dynamic_uj: r.energy.dynamic_pj() / 1e6,
-                leakage_uj: r.energy.leakage_pj / 1e6,
-                crossbar_utilization: model.report.crossbars_used as f64
-                    / point.hw.total_crossbars() as f64,
-                core_utilization: r.active_cores as f64 / point.hw.total_cores() as f64,
-                avg_local_kb: r.memory.avg_local_bytes / 1024.0,
-                global_traffic_kb: r.memory.global_traffic_bytes as f64 / 1024.0,
-                active_cores: r.active_cores,
-                crossbars_used: model.report.crossbars_used,
-                reload_stall_cycles: r.reload_stall_cycles,
-                output_rmse,
-                top1_match,
-            };
-            outcome(record(true, None, Some(metrics)), true)
-        }
-        Err(e) => outcome(record(false, Some(format!("simulate: {e}")), None), true),
-    }
+    Ok(PointMetrics {
+        cycles: r.total_cycles,
+        throughput_inf_per_s: r.throughput_inf_per_s,
+        latency_us: r.latency_us,
+        energy_uj: r.energy.total_pj() / 1e6,
+        dynamic_uj: r.energy.dynamic_pj() / 1e6,
+        leakage_uj: r.energy.leakage_pj / 1e6,
+        crossbar_utilization: model.report.crossbars_used as f64
+            / point.hw.total_crossbars() as f64,
+        core_utilization: r.active_cores as f64 / point.hw.total_cores() as f64,
+        avg_local_kb: r.memory.avg_local_bytes / 1024.0,
+        global_traffic_kb: r.memory.global_traffic_bytes as f64 / 1024.0,
+        active_cores: r.active_cores,
+        crossbars_used: model.report.crossbars_used,
+        reload_stall_cycles: r.reload_stall_cycles,
+        output_rmse: verified.as_ref().map(|v| v.output_rmse),
+        top1_match: verified.as_ref().map(|v| v.top1_match),
+    })
 }
 
 #[cfg(test)]

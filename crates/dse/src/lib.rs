@@ -35,10 +35,16 @@
 //!   value); low-latency points always run batch 1, so the axis
 //!   collapses for LL modes instead of duplicating points;
 //! * **seeds** — explicit GA seeds or `num_seeds` split from the
-//!   master seed.
+//!   master seed;
+//! * **weight_reload**, **seq_lens**, **quantization** — crossbar
+//!   budgets, sequence-length bindings, and functional verification,
+//!   each off unless the spec names it.
 //!
-//! `docs/SWEEP_SPEC.md` in the repository documents every spec field,
-//! default, and validation rule.
+//! `docs/SWEEP_SPEC.md` in the repository documents every
+//! spec field, default, and validation rule. The per-point knobs
+//! (everything after hardware) are declared once, in the `axis` module's
+//! table, which parsing, expansion, compile options, the CSV columns,
+//! and the CLI banner all read.
 //!
 //! # Determinism contract
 //!
@@ -94,19 +100,18 @@
 //!         "models": ["tiny_mlp"],
 //!         "modes": ["ht"],
 //!         "hardware": { "base": "small_test", "parallelism": [4, 8] },
-//!         "memory_policies": ["naive", "ag"],
-//!         "ht_batches": [2],
-//!         "seeds": [1],
+//!         "seeds": [1, 2],
 //!         "ga": { "population": 4, "iterations": 2 }
 //!     }"#,
 //! )?;
-//! // 1 model x 1 mode x 2 hardware x 2 policies x 1 batch x 1 seed.
+//! // 1 model x 1 mode x 2 hardware x 2 seeds, every other knob at its
+//! // default (AG-reuse, HT batch 2).
 //! let outcome = ExploreEngine::new().with_threads(2).run(&spec)?;
 //! assert_eq!(outcome.report.points.len(), 4);
 //! assert!(!outcome.report.frontier.is_empty());
 //! // Every record carries its compiler knobs and a stable key.
 //! let p = &outcome.report.points[0];
-//! assert_eq!(p.key(), "tiny_mlp/HT/small_test+par4/naive/b2/seed1");
+//! assert_eq!(p.key(), "tiny_mlp/HT/small_test+par4/ag/b2/seed1");
 //! # Ok(())
 //! # }
 //! ```
@@ -114,11 +119,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod axis;
 pub mod cache;
 mod engine;
 mod report;
 mod spec;
 
+pub use axis::{policy_names, policy_spec_name, Knobs, ReloadSetting};
 pub use cache::{enforce_cache_limit, EvictionStats, CACHE_INDEX_FILE};
 pub use engine::{
     BudgetSummary, ExploreEngine, ExploreOutcome, PointEvent, PointOutcome, ProgressSink,
@@ -126,8 +133,8 @@ pub use engine::{
 };
 pub use report::{PointMetrics, PointRecord, SweepDiff, SweepReport, SWEEP_FORMAT_VERSION};
 pub use spec::{
-    policy_names, policy_spec_name, AutoHardware, HalvingSpec, HardwareAxis, ReloadSetting,
-    SearchStrategy, SweepPoint, SweepSpec, EXAMPLE_SPEC, MAX_SWEEP_POINTS,
+    AutoHardware, HalvingSpec, HardwareAxis, SearchStrategy, SweepPoint, SweepSpec,
+    MAX_SWEEP_POINTS,
 };
 
 use std::fmt;

@@ -1,8 +1,10 @@
 //! Versioned sweep reports: per-point records, the Pareto frontier,
 //! JSON/CSV emission, and report-to-report diffs.
 
+use crate::axis::AXES;
 use crate::ExploreError;
 use serde::{Deserialize, Serialize, Value};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// The report format this build writes (and the only one it reads).
@@ -180,10 +182,14 @@ pub struct PointRecord {
 
 impl PointRecord {
     /// Stable identity (`model/mode/hardware/policy/bBATCH/seedSEED`),
-    /// the key diffs join on. Reload-on points carry a trailing
-    /// `/reload-BUDGET` segment, sequence-bound points a trailing
-    /// `/seqN` segment, and quantized points a final `/qB` segment,
-    /// matching [`SweepPoint::key`](crate::SweepPoint::key).
+    /// the key diffs join on — and, through
+    /// [`SweepPoint::key`](crate::SweepPoint::key), the one place the
+    /// format is written down. Reload-on points append a
+    /// `/reload-BUDGET` segment (`full` for the full-capacity budget),
+    /// sequence-bound points a `/seqN` segment, and quantized points a
+    /// final `/qB` segment; points that leave those knobs at their
+    /// defaults keep the historical six-segment form, so keys from
+    /// older reports still line up in diffs.
     pub fn key(&self) -> String {
         let mut key = format!(
             "{}/{}/{}/{}/b{}/seed{}",
@@ -202,6 +208,12 @@ impl PointRecord {
         key
     }
 }
+
+/// The CSV columns after the identity and knob columns: search
+/// provenance, outcome, every [`PointMetrics`] field, and the error.
+const CSV_TAIL: &str = "rung,budget,pruned_at,ok,pareto,cycles,throughput_inf_per_s,latency_us,\
+    energy_uj,dynamic_uj,leakage_uj,crossbar_utilization,core_utilization,avg_local_kb,\
+    global_traffic_kb,active_cores,crossbars_used,reload_stall_cycles,output_rmse,top1_match,error";
 
 /// A complete sweep result: every point in spec order plus the Pareto
 /// frontier, versioned for persistence.
@@ -301,53 +313,26 @@ impl SweepReport {
     /// Renders the report as CSV, one row per point in spec order.
     /// Deterministic like [`SweepReport::to_json`].
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "model,mode,hardware,policy,batch,seed,weight_reload,seq_len,quantization,rung,\
-             budget,pruned_at,\
-             ok,pareto,cycles,throughput_inf_per_s,latency_us,energy_uj,dynamic_uj,leakage_uj,\
-             crossbar_utilization,core_utilization,avg_local_kb,global_traffic_kb,\
-             active_cores,crossbars_used,reload_stall_cycles,output_rmse,top1_match,error\n",
-        );
+        let knobs: Vec<&str> = AXES.iter().map(|a| a.column).collect();
+        let header = format!("model,mode,hardware,{},{CSV_TAIL}", knobs.join(","));
+        let mut out = header.clone() + "\n";
         for p in &self.points {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},",
-                csv_field(&p.model),
-                csv_field(&p.mode),
-                csv_field(&p.hardware),
-                csv_field(&p.policy),
-                p.batch,
-                p.seed,
-                csv_field(&p.weight_reload),
-                p.seq_len.map(|s| s.to_string()).unwrap_or_default(),
-                p.quantization.map(|q| q.to_string()).unwrap_or_default(),
-                p.rung,
-                p.budget,
-                p.pruned_at.map(|r| r.to_string()).unwrap_or_default(),
-                p.ok,
-                p.pareto
-            ));
-            match &p.metrics {
-                Some(m) => out.push_str(&format!(
-                    "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},",
-                    m.cycles,
-                    m.throughput_inf_per_s,
-                    m.latency_us,
-                    m.energy_uj,
-                    m.dynamic_uj,
-                    m.leakage_uj,
-                    m.crossbar_utilization,
-                    m.core_utilization,
-                    m.avg_local_kb,
-                    m.global_traffic_kb,
-                    m.active_cores,
-                    m.crossbars_used,
-                    m.reload_stall_cycles,
-                    m.output_rmse.map(|v| v.to_string()).unwrap_or_default(),
-                    m.top1_match.map(|v| v.to_string()).unwrap_or_default()
-                )),
-                None => out.push_str(",,,,,,,,,,,,,,,"),
-            }
-            out.push_str(&csv_field(p.error.as_deref().unwrap_or("")));
+            // Every column names a field of the record or of its
+            // metrics, so the serialized record holds the whole row.
+            let record = p.to_value();
+            let cell = |column: &str| {
+                let metric = || record.get("metrics")?.get(column);
+                match record.get(column).or_else(metric) {
+                    Some(Value::Str(s)) => csv_field(s),
+                    Some(Value::Bool(b)) => b.to_string(),
+                    Some(Value::Int(i)) => i.to_string(),
+                    Some(Value::Float(f)) => f.to_string(),
+                    // `null`: an unset option, or a failed point's metrics.
+                    _ => String::new(),
+                }
+            };
+            let row: Vec<String> = header.split(',').map(cell).collect();
+            out.push_str(&row.join(","));
             out.push('\n');
         }
         out
@@ -357,51 +342,43 @@ impl SweepReport {
     /// vanished, changed metrics, changed outcome, or moved on/off the
     /// Pareto frontier. Points are joined on [`PointRecord::key`].
     pub fn diff(&self, newer: &SweepReport) -> SweepDiff {
-        let index = |r: &SweepReport| -> Vec<(String, usize)> {
-            r.points
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (p.key(), i))
-                .collect()
-        };
-        let old_keys = index(self);
-        let new_keys = index(newer);
-        let old_map: std::collections::BTreeMap<&str, usize> =
-            old_keys.iter().map(|(k, i)| (k.as_str(), *i)).collect();
-        let new_map: std::collections::BTreeMap<&str, usize> =
-            new_keys.iter().map(|(k, i)| (k.as_str(), *i)).collect();
+        fn by_key(report: &SweepReport) -> BTreeMap<String, &PointRecord> {
+            report.points.iter().map(|p| (p.key(), p)).collect()
+        }
+        let (old_points, new_points) = (by_key(self), by_key(newer));
 
         let mut diff = SweepDiff::default();
-        for (key, &i) in &new_map {
-            if !old_map.contains_key(key) {
-                diff.added.push((*key).to_string());
+        for (key, new) in &new_points {
+            let Some(old) = old_points.get(key) else {
+                diff.added.push(key.clone());
                 continue;
-            }
-            let old = &self.points[old_map[key]];
-            let new = &newer.points[i];
+            };
             match (old.ok, new.ok) {
-                (true, false) => diff.now_failing.push((*key).to_string()),
-                (false, true) => diff.now_passing.push((*key).to_string()),
+                (true, false) => diff.now_failing.push(key.clone()),
+                (false, true) => diff.now_passing.push(key.clone()),
                 _ => {}
             }
-            if old.metrics != new.metrics && old.ok && new.ok {
-                diff.changed.push(PointChange {
-                    key: (*key).to_string(),
-                    before: old.metrics.clone().expect("ok point has metrics"),
-                    after: new.metrics.clone().expect("ok point has metrics"),
-                });
+            // Reports come from disk: an `ok` point whose metrics are
+            // missing is malformed input, not a reason to panic.
+            if old.ok && new.ok && old.metrics != new.metrics {
+                if let (Some(before), Some(after)) = (&old.metrics, &new.metrics) {
+                    diff.changed.push(PointChange {
+                        key: key.clone(),
+                        before: before.clone(),
+                        after: after.clone(),
+                    });
+                }
             }
             match (old.pareto, new.pareto) {
-                (false, true) => diff.entered_frontier.push((*key).to_string()),
-                (true, false) => diff.left_frontier.push((*key).to_string()),
+                (false, true) => diff.entered_frontier.push(key.clone()),
+                (true, false) => diff.left_frontier.push(key.clone()),
                 _ => {}
             }
         }
-        for key in old_map.keys() {
-            if !new_map.contains_key(key) {
-                diff.removed.push((*key).to_string());
-            }
-        }
+        let gone = old_points
+            .keys()
+            .filter(|key| !new_points.contains_key(*key));
+        diff.removed = gone.cloned().collect();
         diff
     }
 }
@@ -441,13 +418,7 @@ pub struct SweepDiff {
 impl SweepDiff {
     /// `true` when the two reports are equivalent point for point.
     pub fn is_empty(&self) -> bool {
-        self.added.is_empty()
-            && self.removed.is_empty()
-            && self.changed.is_empty()
-            && self.now_passing.is_empty()
-            && self.now_failing.is_empty()
-            && self.entered_frontier.is_empty()
-            && self.left_frontier.is_empty()
+        *self == SweepDiff::default()
     }
 }
 
@@ -514,8 +485,7 @@ impl fmt::Display for SweepDiff {
 /// millions of comparisons instead of ~10⁸.
 pub(crate) fn pareto_frontier(points: &[PointRecord]) -> Vec<usize> {
     let final_rung = points.iter().map(|p| p.rung).max().unwrap_or(0);
-    let mut groups: std::collections::BTreeMap<(&str, &str), Vec<usize>> =
-        std::collections::BTreeMap::new();
+    let mut groups: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
     for (i, p) in points.iter().enumerate() {
         if p.metrics.is_some() && p.rung == final_rung {
             groups
@@ -756,6 +726,22 @@ mod tests {
         // cycles.
         assert!(lines[1].contains("ag,2,1,off,,,0,4,,true,true,100"));
         assert!(lines[2].contains("\"bad, \"\"quoted\"\"\""));
+    }
+
+    #[test]
+    fn diff_survives_ok_points_without_metrics() {
+        // `explore --diff A --against B` loads both reports from disk,
+        // so `"ok": true, "metrics": null` is reachable user input: it
+        // must not panic, whichever side carries it.
+        let whole =
+            SweepReport::assemble(1, vec![record("m", "HT", "a", Some(metrics(9, 1.0, 0.5)))]);
+        let mut hollow = whole.clone();
+        hollow.points[0].metrics = None;
+        let hollow = SweepReport::from_json(&hollow.to_json().unwrap()).unwrap();
+        assert!(hollow.points[0].ok && hollow.points[0].metrics.is_none());
+        for (old, new) in [(&whole, &hollow), (&hollow, &whole), (&hollow, &hollow)] {
+            assert!(old.diff(new).changed.is_empty());
+        }
     }
 
     #[test]

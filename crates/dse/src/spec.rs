@@ -6,6 +6,7 @@
 //! validation rule, and the exact error each malformed shape produces)
 //! lives in `docs/SWEEP_SPEC.md` at the repository root.
 
+use crate::axis::{knob_grid, Axis, Knobs, ReloadSetting, AXES};
 use crate::ExploreError;
 use pimcomp_arch::{preset, preset_names, HardwareConfig, HardwareGrid, PipelineMode};
 use pimcomp_core::{split_stream_seed, ReusePolicy};
@@ -21,43 +22,7 @@ pub const MAX_SWEEP_POINTS: usize = 10_000;
 /// construction because the GA mixes its own master seed, not ours.
 const SEED_STAGE: u64 = 0;
 
-/// A worked sweep spec, kept in sync with README and the test suite.
-///
-/// Axes: 2 models × 2 modes × (2 chips × 2 parallelism = 4 hardware
-/// configurations) × 1 policy × 1 HT batch × 1 seed = 16 points.
-pub const EXAMPLE_SPEC: &str = r#"{
-  "master_seed": 42,
-  "models": ["tiny_cnn", "tiny_mlp"],
-  "modes": ["ht", "ll"],
-  "hardware": {
-    "base": "small_test",
-    "chips": [1, 2],
-    "parallelism": [4, 8]
-  },
-  "memory_policies": ["ag"],
-  "ht_batches": [2],
-  "seeds": [1],
-  "ga": { "population": 8, "iterations": 6 }
-}"#;
-
-/// The spec-file name of a memory-reuse policy (`naive` / `add` /
-/// `ag`): the spelling `memory_policies` accepts and the one point
-/// keys, reports, and CSVs carry.
-pub fn policy_spec_name(policy: ReusePolicy) -> &'static str {
-    match policy {
-        ReusePolicy::Naive => "naive",
-        ReusePolicy::AddReuse => "add",
-        ReusePolicy::AgReuse => "ag",
-    }
-}
-
-/// The policy names a sweep spec accepts, in [`ReusePolicy::ALL`] order.
-pub fn policy_names() -> Vec<&'static str> {
-    ReusePolicy::ALL
-        .iter()
-        .map(|&p| policy_spec_name(p))
-        .collect()
-}
+const HT: PipelineMode = PipelineMode::HighThroughput;
 
 /// How the engine walks the expanded point grid.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,28 +136,6 @@ impl Default for AutoHardware {
     }
 }
 
-/// One value of the `weight_reload` sweep axis: whether a point
-/// compiles in reload mode, and under which crossbar budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReloadSetting {
-    /// Ordinary compilation (the default axis value).
-    Off,
-    /// `weight_reload` mode: `None` uses the target's full crossbar
-    /// count as the budget, `Some(b)` caps it at `b` crossbars.
-    On(Option<usize>),
-}
-
-impl ReloadSetting {
-    /// The value's report/CSV spelling: `off`, `full`, or the budget.
-    pub fn label(&self) -> String {
-        match self {
-            ReloadSetting::Off => "off".to_string(),
-            ReloadSetting::On(None) => "full".to_string(),
-            ReloadSetting::On(Some(b)) => b.to_string(),
-        }
-    }
-}
-
 /// The hardware axis of a sweep: either explicit labelled
 /// configurations (expanded from one or more [`HardwareGrid`]s) or
 /// per-model automatic sizing ([`AutoHardware`]).
@@ -292,119 +235,24 @@ pub struct SweepPoint {
     pub hw_label: String,
     /// The hardware configuration itself.
     pub hw: HardwareConfig,
-    /// Memory-reuse policy for this point.
-    pub policy: ReusePolicy,
-    /// HT transfer batch for this point (always 1 in LL mode).
-    pub batch: usize,
-    /// GA seed for this point.
-    pub seed: u64,
-    /// Weight-reload setting for this point.
-    pub reload: ReloadSetting,
-    /// Sequence length binding for this point (`None` = unbound).
-    pub seq: Option<usize>,
-    /// Quantization setting for this point (`None` = no functional
-    /// verification, `Some(0)` = unquantized check, `Some(b)` = `b`-bit
-    /// ADC model).
-    pub quant: Option<u32>,
+    /// The point's value of every per-point knob.
+    pub knobs: Knobs,
 }
 
 impl SweepPoint {
-    /// Stable identity of the point inside a report
-    /// (`model/mode/hardware/policy/bBATCH/seedSEED`), the key sweep
-    /// diffs join on. Reload-on points append a `/reload-BUDGET`
-    /// segment (`full` for the full-capacity budget); reload-off
-    /// points keep the historical six-segment form, so keys from
-    /// pre-reload reports still line up in diffs. Sequence-bound
-    /// points likewise append a `/seqN` segment, and quantized points
-    /// a final `/qB` segment; points without those axes stay
-    /// unchanged.
+    /// Stable identity of the point inside a report — the
+    /// [`PointRecord::key`](crate::PointRecord::key) of its record,
+    /// which is the one place the key format is written down.
     pub fn key(&self) -> String {
-        let mut key = format!(
-            "{}/{}/{}/{}/b{}/seed{}",
-            self.model,
-            self.mode,
-            self.hw_label,
-            policy_spec_name(self.policy),
-            self.batch,
-            self.seed
-        );
-        if self.reload != ReloadSetting::Off {
-            key.push_str("/reload-");
-            key.push_str(&self.reload.label());
-        }
-        if let Some(seq) = self.seq {
-            key.push_str(&format!("/seq{seq}"));
-        }
-        if let Some(q) = self.quant {
-            key.push_str(&format!("/q{q}"));
-        }
-        key
+        self.record().key()
     }
 }
 
 impl SweepSpec {
-    /// Parses and validates a spec from JSON text.
-    ///
-    /// Recognized fields (unknown fields are rejected so typos fail
-    /// loudly):
-    ///
-    /// * `models` — required, non-empty array of model names: zoo
-    ///   networks, test models, or paths ending in `.onnx` (routed
-    ///   through the ONNX importer when the sweep runs). Non-path names
-    ///   are validated against the zoo at parse time.
-    /// * `hardware` — required: one grid object, an array of grid
-    ///   objects, or the automatic per-model sizing. A grid has an
-    ///   optional `base` preset name (`puma`, `small_test`) and
-    ///   per-knob axes (`chips`, `cores_per_chip`,
-    ///   `crossbars_per_core`, `crossbar_size`, `parallelism`,
-    ///   `local_memory_kb`, `mvm_latency`, `noc_link_bw`), each a
-    ///   scalar or an array. Automatic sizing is the string `"auto"`
-    ///   or `{ "auto": true, "base": "puma", "parallelism": [4, 8],
-    ///   "headroom": 2.0 }` — each model's chip count comes from the
-    ///   bench headroom heuristic ([`pimcomp_core::sized_chips`]).
-    /// * `modes` — optional array of `"ht"` / `"ll"` (default
-    ///   `["ht"]`).
-    /// * `master_seed` — optional integer (default 1).
-    /// * `seeds` — optional array of GA seeds; when omitted,
-    ///   `num_seeds` (default 1) seeds are split from `master_seed`.
-    /// * `ga` — optional `{ "population": P, "iterations": I }`
-    ///   (default 16×24, the fast test configuration).
-    /// * `memory_policies` — optional non-empty array of
-    ///   `"naive"` / `"add"` / `"ag"`, one sweep axis (default
-    ///   `["ag"]`). The scalar `policy` form is still accepted but
-    ///   cannot be combined with the axis.
-    /// * `ht_batches` — optional non-empty array of positive HT
-    ///   transfer batches, one sweep axis (default `[2]`). Requires an
-    ///   `"ht"` entry in `modes`; low-latency points always run
-    ///   batch 1, so for LL modes the axis collapses to a single
-    ///   point. The scalar `batch` form is still accepted but cannot
-    ///   be combined with the axis.
-    /// * `weight_reload` — optional reload axis (default: off for
-    ///   every point). `true` compiles every point in `weight_reload`
-    ///   mode at the target's full crossbar capacity; `false` is the
-    ///   default; the object form
-    ///   `{ "budgets": [2304, 1152], "include_off": true }` sweeps one
-    ///   reload point per crossbar budget, optionally alongside an
-    ///   ordinary compilation of the same point.
-    /// * `seq_lens` — optional non-empty array of positive sequence
-    ///   lengths, one sweep axis (default: unbound). Each entry
-    ///   compiles the point with symbolic `seq` dimensions bound to
-    ///   that many tokens; required for transformer models such as
-    ///   `tiny_bert`, ignored by fixed-shape CNNs.
-    /// * `quantization` — optional non-empty array of integer ADC
-    ///   bit-widths in 0..=32, one sweep axis (default: no functional
-    ///   verification). Each entry runs the compiled mapping through
-    ///   the functional executor and records `output_rmse` /
-    ///   `top1_match` accuracy metrics: `0` verifies unquantized f32
-    ///   numerics, `1..=31` model a that-many-bit ADC, `32` is the
-    ///   ideal converter (weight quantization only).
-    /// * `search` — optional strategy object (default exhaustive):
-    ///   `{ "strategy": "exhaustive" }` or `{ "strategy": "halving",
-    ///   "rungs": [2, 8, 24], "keep_fraction": 0.5,
-    ///   "prune_margin": 0.25 }`. Halving rungs must be strictly
-    ///   increasing GA generation budgets ending at `ga.iterations`;
-    ///   when omitted they default to a divide-by-3 ladder
-    ///   ([`HalvingSpec::default_rungs`]).
+    /// Parses and validates a spec from JSON text. Unknown fields are
+    /// rejected so typos fail loudly; `docs/SWEEP_SPEC.md` is the
+    /// field-by-field reference (defaults, validation rules, and the
+    /// exact error each malformed shape produces).
     ///
     /// # Errors
     ///
@@ -419,7 +267,9 @@ impl SweepSpec {
 
     fn from_value(value: &Value) -> Result<Self, ExploreError> {
         let entries = as_object(value, "sweep spec")?;
-        const KNOWN: [&str; 15] = [
+        // `seeds` keeps its historical place beside `num_seeds`; the
+        // other knobs follow in table order.
+        let head = [
             "master_seed",
             "models",
             "modes",
@@ -427,41 +277,22 @@ impl SweepSpec {
             "seeds",
             "num_seeds",
             "ga",
-            "policy",
-            "memory_policies",
-            "batch",
-            "ht_batches",
-            "weight_reload",
-            "seq_lens",
-            "quantization",
-            "search",
         ];
-        for (key, _) in entries {
-            if !KNOWN.contains(&key.as_str()) {
-                return Err(invalid(format!(
-                    "unknown field `{key}` (known fields: {})",
-                    KNOWN.join(", ")
-                )));
-            }
-        }
+        let knobs = AXES.iter().map(|a| a.field).filter(|&f| f != "seeds");
+        let known: Vec<&str> = head.into_iter().chain(knobs).chain(["search"]).collect();
+        reject_unknown(entries, &known, |key, known| {
+            format!("unknown field `{key}` (known fields: {known})")
+        })?;
 
-        let master_seed = match value.get("master_seed") {
-            Some(v) => as_u64(v, "master_seed")?,
-            None => 1,
-        };
+        let master_seed = field_or(value, "master_seed", "master_seed", as_u64, 1)?;
 
-        let models = match value.get("models") {
-            Some(Value::Seq(items)) if !items.is_empty() => items
-                .iter()
-                .map(|v| as_string(v, "models entry"))
-                .collect::<Result<Vec<_>, _>>()?,
-            Some(_) | None => {
-                return Err(invalid(
-                    "`models` must be a non-empty array of model names or .onnx paths",
-                ))
-            }
-        };
-        reject_duplicates(&models, "models")?;
+        let models = list(
+            "models",
+            value.get("models").unwrap_or(&Value::Null),
+            "model names or .onnx paths",
+            |e, ctx| as_string(e, ctx).map(Some),
+            String::clone,
+        )?;
         // Zoo names are validated at parse time so a typo fails with
         // the full list of alternatives; `.onnx` paths are only read
         // when the sweep runs, resolved against the process working
@@ -477,19 +308,15 @@ impl SweepSpec {
         }
 
         let modes = match value.get("modes") {
-            None => vec![PipelineMode::HighThroughput],
-            Some(Value::Seq(items)) if !items.is_empty() => items
-                .iter()
-                .map(|v| parse_mode(&as_string(v, "modes entry")?))
-                .collect::<Result<Vec<_>, _>>()?,
-            Some(_) => {
-                return Err(invalid(
-                    "`modes` must be a non-empty array of \"ht\"/\"ll\"",
-                ))
-            }
+            None => vec![HT],
+            Some(v) => list(
+                "modes",
+                v,
+                "\"ht\"/\"ll\"",
+                |e, ctx| parse_mode(&as_string(e, ctx)?).map(Some),
+                PipelineMode::to_string,
+            )?,
         };
-        let mode_names: Vec<String> = modes.iter().map(|m| m.to_string()).collect();
-        reject_duplicates(&mode_names, "modes")?;
 
         let hardware = match value.get("hardware") {
             Some(Value::Str(s)) if s == "auto" => HardwareAxis::Auto(AutoHardware::default()),
@@ -503,11 +330,11 @@ impl SweepSpec {
                 HardwareAxis::Auto(parse_auto(v)?)
             }
             Some(Value::Seq(grids)) if !grids.is_empty() => {
-                let mut out = Vec::new();
-                for g in grids {
-                    out.extend(parse_grid(g)?);
-                }
-                HardwareAxis::Explicit(out)
+                let grids = grids
+                    .iter()
+                    .map(parse_grid)
+                    .collect::<Result<Vec<_>, _>>()?;
+                HardwareAxis::Explicit(grids.concat())
             }
             Some(v @ Value::Map(_)) => HardwareAxis::Explicit(parse_grid(v)?),
             Some(_) | None => {
@@ -522,190 +349,35 @@ impl SweepSpec {
             reject_duplicates(&hw_labels, "hardware grid points")?;
         }
 
-        let seeds = match (value.get("seeds"), value.get("num_seeds")) {
-            (Some(_), Some(_)) => {
-                return Err(invalid("give either `seeds` or `num_seeds`, not both"))
-            }
-            (Some(Value::Seq(items)), None) if !items.is_empty() => items
-                .iter()
-                .map(|v| as_u64(v, "seeds entry"))
-                .collect::<Result<Vec<_>, _>>()?,
-            (Some(_), None) => {
-                return Err(invalid("`seeds` must be a non-empty array of integers"))
-            }
-            (None, num) => {
-                let n = match num {
-                    Some(v) => match as_u64(v, "num_seeds")? {
-                        0 => return Err(invalid("`num_seeds` must be at least 1")),
-                        n => n as usize,
-                    },
-                    None => 1,
-                };
-                (0..n as u64)
-                    .map(|i| split_stream_seed(master_seed, SEED_STAGE, i))
-                    .collect()
-            }
-        };
-        let seed_names: Vec<String> = seeds.iter().map(u64::to_string).collect();
-        reject_duplicates(&seed_names, "seeds")?;
-
-        let (ga_population, ga_iterations) = match value.get("ga") {
-            None => (16, 24),
-            Some(v) => {
-                let entries = as_object(v, "`ga`")?;
-                for (key, _) in entries {
-                    if key != "population" && key != "iterations" {
-                        return Err(invalid(format!(
-                            "unknown `ga` field `{key}` (known: population, iterations)"
-                        )));
-                    }
-                }
-                let pop = match v.get("population") {
-                    Some(p) => as_u64(p, "ga.population")? as usize,
-                    None => 16,
-                };
-                let iters = match v.get("iterations") {
-                    Some(i) => as_u64(i, "ga.iterations")? as usize,
-                    None => 24,
-                };
-                if pop == 0 || iters == 0 {
-                    return Err(invalid(
-                        "`ga.population` and `ga.iterations` must be positive",
-                    ));
-                }
-                (pop, iters)
-            }
-        };
-
-        let policies = match (value.get("policy"), value.get("memory_policies")) {
-            (Some(_), Some(_)) => {
-                return Err(invalid(
-                    "give either `policy` or `memory_policies`, not both",
-                ))
-            }
-            (Some(v), None) => vec![parse_policy(&as_string(v, "policy")?)?],
-            (None, Some(Value::Seq(items))) if !items.is_empty() => items
-                .iter()
-                .map(|v| parse_policy(&as_string(v, "memory_policies entry")?))
-                .collect::<Result<Vec<_>, _>>()?,
-            (None, Some(_)) => {
-                return Err(invalid(format!(
-                    "`memory_policies` must be a non-empty array of policy names \
-                     ({})",
-                    policy_names().join(" | ")
-                )))
-            }
-            (None, None) => vec![ReusePolicy::AgReuse],
-        };
-        let policy_labels: Vec<String> = policies
-            .iter()
-            .map(|&p| policy_spec_name(p).to_string())
-            .collect();
-        reject_duplicates(&policy_labels, "memory_policies")?;
-
-        let (batch_field, batches) = match (value.get("batch"), value.get("ht_batches")) {
-            (Some(_), Some(_)) => {
-                return Err(invalid("give either `batch` or `ht_batches`, not both"))
-            }
-            (Some(v), None) => {
-                let b = as_u64(v, "batch")? as usize;
-                if b == 0 {
-                    return Err(invalid("`batch` must be at least 1"));
-                }
-                ("batch", vec![b])
-            }
-            (None, Some(Value::Seq(items))) if !items.is_empty() => {
-                let batches: Vec<usize> = items
-                    .iter()
-                    .map(|v| as_u64(v, "ht_batches entry").map(|b| b as usize))
-                    .collect::<Result<Vec<_>, _>>()?;
-                if batches.contains(&0) {
-                    return Err(invalid("`ht_batches` entries must be at least 1"));
-                }
-                ("ht_batches", batches)
-            }
-            (None, Some(_)) => {
-                return Err(invalid(
-                    "`ht_batches` must be a non-empty array of positive integers",
-                ))
-            }
-            // The default is never validated against the modes: an
-            // LL-only sweep simply collapses it to batch 1.
-            (None, None) => ("", vec![2]),
-        };
-        // Both spellings of the knob validate identically: an explicit
-        // batch above 1 is meaningless without a high-throughput mode.
-        if !batch_field.is_empty()
-            && batches.iter().any(|&b| b > 1)
-            && !modes.contains(&PipelineMode::HighThroughput)
-        {
-            return Err(invalid(format!(
-                "`{batch_field}` only applies to high-throughput mode, but \
-                 `modes` contains no \"ht\" (low-latency points always run batch 1)"
-            )));
+        // The seed axis has no fixed default: unless `seeds` lists
+        // them, `num_seeds` seeds are split from the master seed.
+        if value.get("seeds").is_some() && value.get("num_seeds").is_some() {
+            return Err(invalid("give either `seeds` or `num_seeds`, not both"));
         }
-        let batch_names: Vec<String> = batches.iter().map(usize::to_string).collect();
-        reject_duplicates(&batch_names, "ht_batches")?;
+        let num_seeds = field_or(value, "num_seeds", "num_seeds", as_u64, 1)?;
+        if num_seeds == 0 {
+            return Err(invalid("`num_seeds` must be at least 1"));
+        }
+        let seeds = (0..num_seeds)
+            .map(|i| split_stream_seed(master_seed, SEED_STAGE, i))
+            .collect();
 
-        let weight_reload = match value.get("weight_reload") {
-            None => vec![ReloadSetting::Off],
-            Some(v) => parse_reload(v)?,
-        };
+        let no_ga = Value::Map(Vec::new());
+        let ga = value.get("ga").unwrap_or(&no_ga);
+        reject_unknown(
+            as_object(ga, "`ga`")?,
+            &["population", "iterations"],
+            |key, known| format!("unknown `ga` field `{key}` (known: {known})"),
+        )?;
+        let ga_population = field_or(ga, "population", "ga.population", as_usize, 16)?;
+        let ga_iterations = field_or(ga, "iterations", "ga.iterations", as_usize, 24)?;
+        if ga_population == 0 || ga_iterations == 0 {
+            return Err(invalid(
+                "`ga.population` and `ga.iterations` must be positive",
+            ));
+        }
 
-        let seq_lens: Vec<Option<usize>> = match value.get("seq_lens") {
-            None => vec![None],
-            Some(Value::Seq(items)) if !items.is_empty() => {
-                let lens: Vec<usize> = items
-                    .iter()
-                    .map(|v| as_u64(v, "seq_lens entry").map(|s| s as usize))
-                    .collect::<Result<Vec<_>, _>>()?;
-                if lens.contains(&0) {
-                    return Err(invalid(
-                        "`seq_lens` must be a non-empty array of positive integers",
-                    ));
-                }
-                let len_names: Vec<String> = lens.iter().map(usize::to_string).collect();
-                reject_duplicates(&len_names, "seq_lens")?;
-                lens.into_iter().map(Some).collect()
-            }
-            Some(_) => {
-                return Err(invalid(
-                    "`seq_lens` must be a non-empty array of positive integers",
-                ))
-            }
-        };
-
-        let quantization: Vec<Option<u32>> = match value.get("quantization") {
-            None => vec![None],
-            Some(Value::Seq(items)) if !items.is_empty() => {
-                let bits: Vec<u64> = items
-                    .iter()
-                    .map(|v| as_u64(v, "quantization entry"))
-                    .collect::<Result<Vec<_>, _>>()?;
-                if bits.iter().any(|&b| b > 32) {
-                    return Err(invalid(
-                        "`quantization` must be a non-empty array of integer ADC bit-widths \
-                         in 0..=32",
-                    ));
-                }
-                let bit_names: Vec<String> = bits.iter().map(u64::to_string).collect();
-                reject_duplicates(&bit_names, "quantization")?;
-                bits.into_iter().map(|b| Some(b as u32)).collect()
-            }
-            Some(_) => {
-                return Err(invalid(
-                    "`quantization` must be a non-empty array of integer ADC bit-widths \
-                     in 0..=32",
-                ))
-            }
-        };
-
-        let search = match value.get("search") {
-            None => SearchStrategy::Exhaustive,
-            Some(v) => parse_search(v, ga_iterations)?,
-        };
-
-        let spec = SweepSpec {
+        let mut spec = SweepSpec {
             master_seed,
             models,
             modes,
@@ -713,49 +385,62 @@ impl SweepSpec {
             seeds,
             ga_population,
             ga_iterations,
-            policies,
-            batches,
-            weight_reload,
-            seq_lens,
-            quantization,
-            search,
+            policies: vec![Knobs::DEFAULT.policy],
+            batches: vec![Knobs::DEFAULT.batch],
+            weight_reload: vec![Knobs::DEFAULT.reload],
+            seq_lens: vec![Knobs::DEFAULT.seq],
+            quantization: vec![Knobs::DEFAULT.quant],
+            search: SearchStrategy::Exhaustive,
         };
+        for axis in &AXES {
+            let Some(v) = value.get(axis.field) else {
+                continue;
+            };
+            (axis.parse)(axis.field, v, &mut spec)?;
+            // An HT-only knob the spec names must have an HT mode to
+            // apply to, unless it stays at the value LL points run
+            // anyway. (The default is never held to this: an LL-only
+            // sweep simply collapses it.)
+            let idle = axis.ht_only && !spec.modes.contains(&HT);
+            if idle && !axis.leaves(&spec, Knobs::LOW_LATENCY) {
+                return Err(invalid(format!(
+                    "`{}` only applies to high-throughput mode, but \
+                     `modes` contains no \"ht\" (low-latency points always run batch 1)",
+                    axis.field
+                )));
+            }
+        }
+        if let Some(v) = value.get("search") {
+            spec.search = parse_search(v, ga_iterations)?;
+        }
         // Cheap structural checks at parse time: oversized or empty
         // sweeps are rejected before any model is loaded or sized
         // (`len` never touches the filesystem, unlike `points` for
         // `.onnx` models or auto hardware).
-        if spec.is_empty() {
-            return Err(invalid("sweep has no points (an axis is empty)"));
-        }
-        if spec.len() > MAX_SWEEP_POINTS {
-            return Err(invalid(format!(
-                "sweep expands to {} points, more than the {MAX_SWEEP_POINTS} cap",
-                spec.len()
-            )));
-        }
+        spec.check_size()?;
         Ok(spec)
     }
 
-    /// Number of points the sweep expands to. Low-latency modes
-    /// contribute one point per (model, hardware, policy, seed)
-    /// regardless of the batch axis — LL always runs batch 1, so the
+    /// Rejects empty and oversized expansions.
+    fn check_size(&self) -> Result<(), ExploreError> {
+        match self.len() {
+            0 => Err(invalid("sweep has no points (an axis is empty)")),
+            n if n > MAX_SWEEP_POINTS => Err(invalid(format!(
+                "sweep expands to {n} points, more than the {MAX_SWEEP_POINTS} cap"
+            ))),
+            _ => Ok(()),
+        }
+    }
+
+    /// Number of points the sweep expands to. Low-latency modes skip
+    /// HT-only knobs (the batch axis) — LL always runs batch 1, so the
     /// axis collapses rather than duplicating identical points.
     pub fn len(&self) -> usize {
-        let ht_modes = self
-            .modes
-            .iter()
-            .filter(|&&m| m == PipelineMode::HighThroughput)
-            .count();
-        let ll_modes = self.modes.len() - ht_modes;
-        let mode_batches = ht_modes * self.batches.len() + ll_modes;
-        self.models.len()
-            * self.hardware.len()
-            * self.policies.len()
-            * mode_batches
-            * self.seeds.len()
-            * self.weight_reload.len()
-            * self.seq_lens.len()
-            * self.quantization.len()
+        let knob_points = |&mode: &PipelineMode| -> usize {
+            let swept = AXES.iter().filter(|a| a.applies(mode));
+            swept.map(|a| a.len(self)).product()
+        };
+        self.models.len() * self.hardware.len() * self.modes.iter().map(knob_points).sum::<usize>()
     }
 
     /// `true` when any axis is empty (the sweep has no points).
@@ -764,10 +449,9 @@ impl SweepSpec {
     }
 
     /// Expands the cross-product into points, in the fixed axis order
-    /// models → modes → hardware → policies → batches → seeds →
-    /// weight_reload → seq_lens → quantization. The order is part of
-    /// the determinism
-    /// contract:
+    /// models → modes → hardware → the per-point knobs in table order
+    /// (policies → batches → seeds → weight_reload → seq_lens →
+    /// quantization). The order is part of the determinism contract:
     /// point index, and hence any master-seed derived quantity,
     /// depends only on the spec.
     ///
@@ -783,17 +467,14 @@ impl SweepSpec {
     /// [`ExploreError::UnknownModel`] / [`ExploreError::Onnx`] /
     /// [`ExploreError::Io`] from model resolution under auto hardware.
     pub fn points(&self) -> Result<Vec<SweepPoint>, ExploreError> {
-        match &self.hardware {
-            HardwareAxis::Explicit(_) => self.points_for(&[]),
+        let graphs: Vec<Graph> = match self.hardware {
+            HardwareAxis::Explicit(_) => Vec::new(),
             HardwareAxis::Auto(_) => {
-                let graphs: Vec<Graph> = self
-                    .models
-                    .iter()
-                    .map(|name| crate::resolve_model(name))
-                    .collect::<Result<_, _>>()?;
-                self.points_for(&graphs)
+                let graphs = self.models.iter().map(|name| crate::resolve_model(name));
+                graphs.collect::<Result<_, _>>()?
             }
-        }
+        };
+        self.points_for(&graphs)
     }
 
     /// [`SweepSpec::points`] over already-resolved model graphs
@@ -804,15 +485,7 @@ impl SweepSpec {
     ///
     /// [`ExploreError::InvalidSpec`] as for [`SweepSpec::points`].
     pub fn points_for(&self, graphs: &[Graph]) -> Result<Vec<SweepPoint>, ExploreError> {
-        if self.is_empty() {
-            return Err(invalid("sweep has no points (an axis is empty)"));
-        }
-        if self.len() > MAX_SWEEP_POINTS {
-            return Err(invalid(format!(
-                "sweep expands to {} points, more than the {MAX_SWEEP_POINTS} cap",
-                self.len()
-            )));
-        }
+        self.check_size()?;
         if self.hardware.is_auto() && graphs.len() != self.models.len() {
             return Err(invalid(format!(
                 "auto hardware sizing needs one resolved graph per model \
@@ -821,6 +494,7 @@ impl SweepSpec {
                 graphs.len()
             )));
         }
+        let grids: Vec<Vec<Knobs>> = self.modes.iter().map(|&m| knob_grid(self, m)).collect();
         let mut out = Vec::with_capacity(self.len());
         for (mi, model) in self.models.iter().enumerate() {
             // Explicit configurations are shared by every model —
@@ -834,42 +508,70 @@ impl SweepSpec {
                     &sized
                 }
             };
-            for &mode in &self.modes {
-                let batches: &[usize] = match mode {
-                    PipelineMode::HighThroughput => &self.batches,
-                    // LL always runs batch 1; the axis collapses so the
-                    // grid never holds two identical LL points.
-                    PipelineMode::LowLatency => &[1],
-                };
+            for (&mode, grid) in self.modes.iter().zip(&grids) {
                 for (label, hw) in hw_list {
-                    for &policy in &self.policies {
-                        for &batch in batches {
-                            for &seed in &self.seeds {
-                                for &reload in &self.weight_reload {
-                                    for &seq in &self.seq_lens {
-                                        for &quant in &self.quantization {
-                                            out.push(SweepPoint {
-                                                model: model.clone(),
-                                                mode,
-                                                hw_label: label.clone(),
-                                                hw: hw.clone(),
-                                                policy,
-                                                batch,
-                                                seed,
-                                                reload,
-                                                seq,
-                                                quant,
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
+                    out.extend(grid.iter().map(|&knobs| SweepPoint {
+                        model: model.clone(),
+                        mode,
+                        hw_label: label.clone(),
+                        hw: hw.clone(),
+                        knobs,
+                    }));
                 }
             }
         }
         Ok(out)
+    }
+
+    /// The lines `pimcomp explore` prints before a sweep starts. The
+    /// factors inside the parentheses multiply to [`SweepSpec::len`]:
+    /// HT-only knobs count inside the mode factor (LL modes collapse
+    /// them), and a knob left at its default prints no factor unless
+    /// the banner has always carried it.
+    pub fn banner(&self, threads: usize) -> String {
+        let factors = |ht_only: bool| -> String {
+            let shown = |a: &&Axis| a.always_shown || !a.leaves(self, Knobs::DEFAULT);
+            let axes = AXES.iter().filter(|a| a.ht_only == ht_only).filter(shown);
+            axes.map(|a| format!(" x {} {}", a.len(self), a.noun))
+                .collect()
+        };
+        let (ht_only, rest) = (factors(true), factors(false));
+        let ht = self.modes.iter().filter(|&&m| m == HT).count();
+        let ll = self.modes.len() - ht;
+        let plural = |n: usize| if n == 1 { "" } else { "s" };
+        let modes = match (ht, ll) {
+            (_, 0) => format!("{ht} modes{ht_only}"),
+            (0, _) => format!("{ll} modes"),
+            _ => format!(
+                "({ht} HT mode{}{ht_only} + {ll} LL mode{})",
+                plural(ht),
+                plural(ll)
+            ),
+        };
+        let mut banner = format!(
+            "exploring {} points ({} models x {modes} x {} hardware configs{rest}, \
+             {} search, {threads} threads)...",
+            self.len(),
+            self.models.len(),
+            self.hardware.len(),
+            self.search.name()
+        );
+        if self.hardware.is_auto() {
+            banner.push_str(
+                "\n  hardware: auto — chip counts sized per model by the headroom heuristic \
+                 (labels carry the chosen count)",
+            );
+        }
+        for axis in AXES.iter().filter(|a| a.ht_only) {
+            if ll > 0 && !axis.leaves(self, Knobs::LOW_LATENCY) {
+                banner.push_str(&format!(
+                    "\n  note: `{}` applies to high-throughput points only; \
+                     low-latency points always run batch 1",
+                    axis.field
+                ));
+            }
+        }
+        banner
     }
 }
 
@@ -889,36 +591,26 @@ fn sized_hardware(
     graph: &Graph,
     max_seq: Option<usize>,
 ) -> Result<Vec<(String, HardwareConfig)>, ExploreError> {
-    let base = preset(&auto.base).ok_or_else(|| {
+    let base = known_preset(&auto.base)?;
+    let failed = |why: &dyn std::fmt::Display| {
         invalid(format!(
-            "hardware.base: unknown hardware preset `{}` (available: {})",
-            auto.base,
-            preset_names().join(", ")
+            "hardware auto-sizing failed for model `{model}`: {why}"
         ))
-    })?;
+    };
     let bound;
     let graph = if graph.has_symbolic_dims() {
         let Some(len) = max_seq else {
-            return Err(invalid(format!(
-                "hardware auto-sizing failed for model `{model}`: the model \
-                 has a symbolic sequence dimension; add a `seq_lens` axis to \
-                 the sweep so it can be sized at the largest sequence length"
-            )));
+            return Err(failed(
+                &"the model has a symbolic sequence dimension; add a `seq_lens` axis to \
+                  the sweep so it can be sized at the largest sequence length",
+            ));
         };
-        bound = pimcomp_ir::transform::bind_seq_len(graph, len).map_err(|e| {
-            invalid(format!(
-                "hardware auto-sizing failed for model `{model}`: {e}"
-            ))
-        })?;
+        bound = pimcomp_ir::transform::bind_seq_len(graph, len).map_err(|e| failed(&e))?;
         &bound
     } else {
         graph
     };
-    let chips = pimcomp_core::sized_chips(graph, &base, auto.headroom).map_err(|e| {
-        invalid(format!(
-            "hardware auto-sizing failed for model `{model}`: {e}"
-        ))
-    })?;
+    let chips = pimcomp_core::sized_chips(graph, &base, auto.headroom).map_err(|e| failed(&e))?;
     HardwareGrid::new(format!("auto-{}", auto.base), base)
         .with_chips(vec![chips])
         .with_parallelism(auto.parallelism.clone())
@@ -926,7 +618,17 @@ fn sized_hardware(
         .map_err(|e| invalid(format!("hardware auto-sizing for model `{model}`: {e}")))
 }
 
-fn invalid(detail: impl Into<String>) -> ExploreError {
+/// The base preset auto sizing starts from.
+fn known_preset(name: &str) -> Result<HardwareConfig, ExploreError> {
+    preset(name).ok_or_else(|| {
+        invalid(format!(
+            "hardware.base: unknown hardware preset `{name}` (available: {})",
+            preset_names().join(", ")
+        ))
+    })
+}
+
+pub(crate) fn invalid(detail: impl Into<String>) -> ExploreError {
     ExploreError::InvalidSpec {
         detail: detail.into(),
     }
@@ -942,7 +644,7 @@ fn as_object<'a>(v: &'a Value, ctx: &str) -> Result<&'a [(String, Value)], Explo
     }
 }
 
-fn as_string(v: &Value, ctx: &str) -> Result<String, ExploreError> {
+pub(crate) fn as_string(v: &Value, ctx: &str) -> Result<String, ExploreError> {
     match v {
         Value::Str(s) => Ok(s.clone()),
         other => Err(invalid(format!(
@@ -952,7 +654,7 @@ fn as_string(v: &Value, ctx: &str) -> Result<String, ExploreError> {
     }
 }
 
-fn as_u64(v: &Value, ctx: &str) -> Result<u64, ExploreError> {
+pub(crate) fn as_u64(v: &Value, ctx: &str) -> Result<u64, ExploreError> {
     match v {
         Value::Int(i) => u64::try_from(*i)
             .map_err(|_| invalid(format!("{ctx} must be a non-negative 64-bit integer"))),
@@ -974,28 +676,31 @@ fn as_f64(v: &Value, ctx: &str) -> Result<f64, ExploreError> {
     }
 }
 
+/// `object[key]` through `parse` (`ctx` names the field in errors), or
+/// `default` when the object has no such key.
+fn field_or<T>(
+    object: &Value,
+    key: &str,
+    ctx: &str,
+    parse: fn(&Value, &str) -> Result<T, ExploreError>,
+    default: T,
+) -> Result<T, ExploreError> {
+    object.get(key).map_or(Ok(default), |v| parse(v, ctx))
+}
+
+fn as_usize(v: &Value, ctx: &str) -> Result<usize, ExploreError> {
+    as_u64(v, ctx).map(|n| n as usize)
+}
+
 /// Accepts a scalar or an array for a grid axis.
-fn usize_axis(v: &Value, ctx: &str) -> Result<Vec<usize>, ExploreError> {
+fn scalar_or_seq<T>(
+    v: &Value,
+    ctx: &str,
+    item: fn(&Value, &str) -> Result<T, ExploreError>,
+) -> Result<Vec<T>, ExploreError> {
     match v {
-        Value::Seq(items) => items
-            .iter()
-            .map(|i| as_u64(i, ctx).map(|n| n as usize))
-            .collect(),
-        scalar => Ok(vec![as_u64(scalar, ctx)? as usize]),
-    }
-}
-
-fn u64_axis(v: &Value, ctx: &str) -> Result<Vec<u64>, ExploreError> {
-    match v {
-        Value::Seq(items) => items.iter().map(|i| as_u64(i, ctx)).collect(),
-        scalar => Ok(vec![as_u64(scalar, ctx)?]),
-    }
-}
-
-fn f64_axis(v: &Value, ctx: &str) -> Result<Vec<f64>, ExploreError> {
-    match v {
-        Value::Seq(items) => items.iter().map(|i| as_f64(i, ctx)).collect(),
-        scalar => Ok(vec![as_f64(scalar, ctx)?]),
+        Value::Seq(items) => items.iter().map(|i| item(i, ctx)).collect(),
+        scalar => Ok(vec![item(scalar, ctx)?]),
     }
 }
 
@@ -1009,51 +714,22 @@ fn parse_mode(s: &str) -> Result<PipelineMode, ExploreError> {
     }
 }
 
-fn parse_policy(s: &str) -> Result<ReusePolicy, ExploreError> {
-    match s {
-        "naive" => Ok(ReusePolicy::Naive),
-        "add" => Ok(ReusePolicy::AddReuse),
-        "ag" => Ok(ReusePolicy::AgReuse),
-        other => Err(invalid(format!(
-            "unknown memory policy `{other}` ({})",
-            policy_names().join(" | ")
-        ))),
-    }
-}
-
 fn parse_auto(v: &Value) -> Result<AutoHardware, ExploreError> {
-    let entries = as_object(v, "hardware")?;
-    const KNOWN: [&str; 4] = ["auto", "base", "parallelism", "headroom"];
-    for (key, _) in entries {
-        if !KNOWN.contains(&key.as_str()) {
-            return Err(invalid(format!(
-                "unknown auto-hardware field `{key}` (known fields: {})",
-                KNOWN.join(", ")
-            )));
-        }
+    reject_unknown(
+        as_object(v, "hardware")?,
+        &["auto", "base", "parallelism", "headroom"],
+        |key, known| format!("unknown auto-hardware field `{key}` (known fields: {known})"),
+    )?;
+    if v.get("auto") != Some(&Value::Bool(true)) {
+        return Err(invalid(
+            "`hardware.auto` must be `true` (remove the key for an explicit grid)",
+        ));
     }
-    match v.get("auto") {
-        Some(Value::Bool(true)) => {}
-        Some(_) => {
-            return Err(invalid(
-                "`hardware.auto` must be `true` (remove the key for an explicit grid)",
-            ))
-        }
-        None => unreachable!("parse_auto is only called when `auto` is present"),
-    }
-    let base = match v.get("base") {
-        Some(b) => as_string(b, "hardware.base")?,
-        None => "puma".to_string(),
-    };
-    if preset(&base).is_none() {
-        return Err(invalid(format!(
-            "hardware.base: unknown hardware preset `{base}` (available: {})",
-            preset_names().join(", ")
-        )));
-    }
+    let base = field_or(v, "base", "hardware.base", as_string, "puma".to_string())?;
+    known_preset(&base)?;
     let parallelism = match v.get("parallelism") {
         Some(axis) => {
-            let p = usize_axis(axis, "hardware.parallelism")?;
+            let p = scalar_or_seq(axis, "hardware.parallelism", as_usize)?;
             if p.is_empty() || p.contains(&0) {
                 return Err(invalid(
                     "`hardware.parallelism` must be a non-empty list of positive degrees",
@@ -1065,10 +741,8 @@ fn parse_auto(v: &Value) -> Result<AutoHardware, ExploreError> {
         }
         None => vec![AutoHardware::DEFAULT_PARALLELISM],
     };
-    let headroom = match v.get("headroom") {
-        Some(h) => as_f64(h, "hardware.headroom")?,
-        None => AutoHardware::DEFAULT_HEADROOM,
-    };
+    let default = AutoHardware::DEFAULT_HEADROOM;
+    let headroom = field_or(v, "headroom", "hardware.headroom", as_f64, default)?;
     if !headroom.is_finite() || headroom < 1.0 {
         return Err(invalid("`hardware.headroom` must be a finite number >= 1"));
     }
@@ -1092,117 +766,46 @@ fn parse_grid(v: &Value) -> Result<Vec<(String, HardwareConfig)>, ExploreError> 
         "mvm_latency",
         "noc_link_bw",
     ];
-    for (key, _) in entries {
-        if !KNOWN.contains(&key.as_str()) {
-            return Err(invalid(format!(
-                "unknown hardware field `{key}` (known fields: {})",
-                KNOWN.join(", ")
-            )));
-        }
-    }
-    let base = match v.get("base") {
-        Some(b) => as_string(b, "hardware.base")?,
-        None => "puma".to_string(),
-    };
+    reject_unknown(entries, &KNOWN, |key, known| {
+        format!("unknown hardware field `{key}` (known fields: {known})")
+    })?;
+    let base = field_or(v, "base", "hardware.base", as_string, "puma".to_string())?;
     let mut grid =
         HardwareGrid::over_preset(&base).map_err(|e| invalid(format!("hardware.base: {e}")))?;
     if let Some(axis) = v.get("chips") {
-        grid.chips = usize_axis(axis, "hardware.chips")?;
+        grid.chips = scalar_or_seq(axis, "hardware.chips", as_usize)?;
     }
     if let Some(axis) = v.get("cores_per_chip") {
-        grid.cores_per_chip = usize_axis(axis, "hardware.cores_per_chip")?;
+        grid.cores_per_chip = scalar_or_seq(axis, "hardware.cores_per_chip", as_usize)?;
     }
     if let Some(axis) = v.get("crossbars_per_core") {
-        grid.crossbars_per_core = usize_axis(axis, "hardware.crossbars_per_core")?;
+        grid.crossbars_per_core = scalar_or_seq(axis, "hardware.crossbars_per_core", as_usize)?;
     }
     if let Some(axis) = v.get("crossbar_size") {
-        grid.crossbar_size = usize_axis(axis, "hardware.crossbar_size")?;
+        grid.crossbar_size = scalar_or_seq(axis, "hardware.crossbar_size", as_usize)?;
     }
     if let Some(axis) = v.get("parallelism") {
-        grid.parallelism = usize_axis(axis, "hardware.parallelism")?;
+        grid.parallelism = scalar_or_seq(axis, "hardware.parallelism", as_usize)?;
     }
     if let Some(axis) = v.get("local_memory_kb") {
-        grid.local_memory_kb = usize_axis(axis, "hardware.local_memory_kb")?;
+        grid.local_memory_kb = scalar_or_seq(axis, "hardware.local_memory_kb", as_usize)?;
     }
     if let Some(axis) = v.get("mvm_latency") {
-        grid.mvm_latency = u64_axis(axis, "hardware.mvm_latency")?;
+        grid.mvm_latency = scalar_or_seq(axis, "hardware.mvm_latency", as_u64)?;
     }
     if let Some(axis) = v.get("noc_link_bw") {
-        grid.noc_link_bw = f64_axis(axis, "hardware.noc_link_bw")?;
+        grid.noc_link_bw = scalar_or_seq(axis, "hardware.noc_link_bw", as_f64)?;
     }
     grid.enumerate()
         .map_err(|e| invalid(format!("hardware grid: {e}")))
 }
 
-fn parse_reload(v: &Value) -> Result<Vec<ReloadSetting>, ExploreError> {
-    match v {
-        Value::Bool(false) => Ok(vec![ReloadSetting::Off]),
-        Value::Bool(true) => Ok(vec![ReloadSetting::On(None)]),
-        Value::Map(entries) => {
-            const KNOWN: [&str; 2] = ["budgets", "include_off"];
-            for (key, _) in entries {
-                if !KNOWN.contains(&key.as_str()) {
-                    return Err(invalid(format!(
-                        "unknown `weight_reload` field `{key}` (known fields: {})",
-                        KNOWN.join(", ")
-                    )));
-                }
-            }
-            let budgets: Vec<usize> = match v.get("budgets") {
-                Some(Value::Seq(items)) if !items.is_empty() => items
-                    .iter()
-                    .map(|b| as_u64(b, "weight_reload.budgets entry").map(|b| b as usize))
-                    .collect::<Result<_, _>>()?,
-                Some(_) | None => {
-                    return Err(invalid(
-                        "`weight_reload.budgets` must be a non-empty array of \
-                         positive crossbar budgets",
-                    ))
-                }
-            };
-            if budgets.contains(&0) {
-                return Err(invalid(
-                    "`weight_reload.budgets` entries must be at least 1",
-                ));
-            }
-            let names: Vec<String> = budgets.iter().map(usize::to_string).collect();
-            reject_duplicates(&names, "weight_reload.budgets")?;
-            let include_off = match v.get("include_off") {
-                None => false,
-                Some(Value::Bool(b)) => *b,
-                Some(other) => {
-                    return Err(invalid(format!(
-                        "`weight_reload.include_off` must be a boolean, found {}",
-                        other.kind()
-                    )))
-                }
-            };
-            let mut axis = Vec::new();
-            if include_off {
-                axis.push(ReloadSetting::Off);
-            }
-            axis.extend(budgets.into_iter().map(|b| ReloadSetting::On(Some(b))));
-            Ok(axis)
-        }
-        other => Err(invalid(format!(
-            "`weight_reload` must be `true`, `false`, or an object \
-             {{\"budgets\": [...], \"include_off\": bool}}, found {}",
-            other.kind()
-        ))),
-    }
-}
-
 fn parse_search(v: &Value, ga_iterations: usize) -> Result<SearchStrategy, ExploreError> {
-    let entries = as_object(v, "`search`")?;
-    const KNOWN: [&str; 4] = ["strategy", "rungs", "keep_fraction", "prune_margin"];
-    for (key, _) in entries {
-        if !KNOWN.contains(&key.as_str()) {
-            return Err(invalid(format!(
-                "unknown `search` field `{key}` (known fields: {})",
-                KNOWN.join(", ")
-            )));
-        }
-    }
+    reject_unknown(
+        as_object(v, "`search`")?,
+        &["strategy", "rungs", "keep_fraction", "prune_margin"],
+        |key, known| format!("unknown `search` field `{key}` (known fields: {known})"),
+    )?;
     let strategy = match v.get("strategy") {
         Some(s) => as_string(s, "search.strategy")?,
         None => {
@@ -1226,10 +829,7 @@ fn parse_search(v: &Value, ga_iterations: usize) -> Result<SearchStrategy, Explo
             let rungs = match v.get("rungs") {
                 None => HalvingSpec::default_rungs(ga_iterations),
                 Some(axis) => {
-                    let rungs: Vec<usize> = u64_axis(axis, "search.rungs")?
-                        .into_iter()
-                        .map(|b| b as usize)
-                        .collect();
+                    let rungs = scalar_or_seq(axis, "search.rungs", as_usize)?;
                     if rungs.is_empty() || rungs[0] == 0 {
                         return Err(invalid(
                             "`search.rungs` must be a non-empty array of positive \
@@ -1248,17 +848,14 @@ fn parse_search(v: &Value, ga_iterations: usize) -> Result<SearchStrategy, Explo
                     rungs
                 }
             };
-            let keep_fraction = match v.get("keep_fraction") {
-                None => HalvingSpec::DEFAULT_KEEP_FRACTION,
-                Some(f) => as_f64(f, "search.keep_fraction")?,
-            };
+            let default = HalvingSpec::DEFAULT_KEEP_FRACTION;
+            let keep_fraction =
+                field_or(v, "keep_fraction", "search.keep_fraction", as_f64, default)?;
             if !keep_fraction.is_finite() || keep_fraction <= 0.0 || keep_fraction > 1.0 {
                 return Err(invalid("`search.keep_fraction` must be within (0, 1]"));
             }
-            let prune_margin = match v.get("prune_margin") {
-                None => HalvingSpec::DEFAULT_PRUNE_MARGIN,
-                Some(f) => as_f64(f, "search.prune_margin")?,
-            };
+            let default = HalvingSpec::DEFAULT_PRUNE_MARGIN;
+            let prune_margin = field_or(v, "prune_margin", "search.prune_margin", as_f64, default)?;
             if !prune_margin.is_finite() || prune_margin < 0.0 {
                 return Err(invalid(
                     "`search.prune_margin` must be a non-negative number",
@@ -1276,6 +873,69 @@ fn parse_search(v: &Value, ga_iterations: usize) -> Result<SearchStrategy, Explo
     }
 }
 
+/// Parses a field that must be a non-empty array without repeats:
+/// every entry through `entry` (which gets the `FIELD entry` error
+/// context, and returns `None` for a value outside the field's range).
+pub(crate) fn list<T>(
+    field: &str,
+    v: &Value,
+    expected: &str,
+    entry: impl Fn(&Value, &str) -> Result<Option<T>, ExploreError>,
+    label: impl Fn(&T) -> String,
+) -> Result<Vec<T>, ExploreError> {
+    let shape = || invalid(format!("`{field}` must be a non-empty array of {expected}"));
+    let items = match v {
+        Value::Seq(items) if !items.is_empty() => items,
+        _ => return Err(shape()),
+    };
+    let ctx = format!("{field} entry");
+    let values = items
+        .iter()
+        .map(|e| entry(e, &ctx)?.ok_or_else(shape))
+        .collect::<Result<Vec<T>, _>>()?;
+    reject_duplicates(&values.iter().map(label).collect::<Vec<_>>(), field)?;
+    Ok(values)
+}
+
+/// [`list`] over integers `keep` accepts; any other entry is the
+/// field's shape error.
+pub(crate) fn int_list(
+    field: &str,
+    v: &Value,
+    expected: &str,
+    keep: fn(u64) -> bool,
+) -> Result<Vec<u64>, ExploreError> {
+    let entry = |e: &Value, ctx: &str| as_u64(e, ctx).map(|n| keep(n).then_some(n));
+    list(field, v, expected, entry, u64::to_string)
+}
+
+/// [`list`] over integers that must be at least 1, a zero entry
+/// getting an error of its own.
+pub(crate) fn positive_list(
+    field: &str,
+    v: &Value,
+    expected: &str,
+) -> Result<Vec<usize>, ExploreError> {
+    let entry = |e: &Value, ctx: &str| match as_u64(e, ctx)? {
+        0 => Err(invalid(format!("`{field}` entries must be at least 1"))),
+        n => Ok(Some(n as usize)),
+    };
+    list(field, v, expected, entry, usize::to_string)
+}
+
+/// Rejects the first object key outside `known`, with the message
+/// `message(key, known joined by ", ")` builds.
+pub(crate) fn reject_unknown(
+    entries: &[(String, Value)],
+    known: &[&str],
+    message: impl Fn(&str, &str) -> String,
+) -> Result<(), ExploreError> {
+    match entries.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+        Some((key, _)) => Err(invalid(message(key, &known.join(", ")))),
+        None => Ok(()),
+    }
+}
+
 fn reject_duplicates(items: &[String], what: &str) -> Result<(), ExploreError> {
     let mut seen = std::collections::HashSet::new();
     for item in items {
@@ -1289,6 +949,19 @@ fn reject_duplicates(items: &[String], what: &str) -> Result<(), ExploreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// 2 models × 2 modes × (2 chips × 2 parallelism = 4 hardware
+    /// configurations) × 1 policy × 1 HT batch × 1 seed = 16 points.
+    const EXAMPLE_SPEC: &str = r#"{
+      "master_seed": 42,
+      "models": ["tiny_cnn", "tiny_mlp"],
+      "modes": ["ht", "ll"],
+      "hardware": { "base": "small_test", "chips": [1, 2], "parallelism": [4, 8] },
+      "memory_policies": ["ag"],
+      "ht_batches": [2],
+      "seeds": [1],
+      "ga": { "population": 8, "iterations": 6 }
+    }"#;
 
     #[test]
     fn example_spec_parses_to_sixteen_points() {
@@ -1362,10 +1035,6 @@ mod tests {
                 "must be positive",
             ),
             (
-                r#"{"models":["tiny_mlp"],"hardware":{},"batch":0}"#,
-                "`batch`",
-            ),
-            (
                 r#"{"models":["tiny_mlp"],"hardware":{},"num_seeds":0}"#,
                 "`num_seeds` must be at least 1",
             ),
@@ -1400,11 +1069,6 @@ mod tests {
                 "duplicate entry `ag` in memory_policies",
             ),
             (
-                r#"{"models":["tiny_mlp"],"hardware":{},
-                    "policy":"ag","memory_policies":["naive"]}"#,
-                "either `policy` or `memory_policies`",
-            ),
-            (
                 r#"{"models":["tiny_mlp"],"hardware":{},"ht_batches":[]}"#,
                 "`ht_batches` must be a non-empty array",
             ),
@@ -1417,19 +1081,9 @@ mod tests {
                 "duplicate entry `2` in ht_batches",
             ),
             (
-                r#"{"models":["tiny_mlp"],"hardware":{},
-                    "batch":2,"ht_batches":[1,2]}"#,
-                "either `batch` or `ht_batches`",
-            ),
-            (
                 r#"{"models":["tiny_mlp"],"hardware":{},"modes":["ll"],
                     "ht_batches":[1,2]}"#,
                 "`ht_batches` only applies to high-throughput mode",
-            ),
-            (
-                r#"{"models":["tiny_mlp"],"hardware":{},"modes":["ll"],
-                    "batch":4}"#,
-                "`batch` only applies to high-throughput mode",
             ),
             (
                 r#"{"models":["tiny_mlp"],"hardware":"automatic"}"#,
@@ -1568,8 +1222,8 @@ mod tests {
         assert_eq!(spec.seq_lens, vec![Some(64), Some(128)]);
         assert_eq!(spec.len(), 2);
         let points = spec.points().unwrap();
-        assert_eq!(points[0].seq, Some(64));
-        assert_eq!(points[1].seq, Some(128));
+        assert_eq!(points[0].knobs.seq, Some(64));
+        assert_eq!(points[1].knobs.seq, Some(128));
         assert!(points[0].key().ends_with("/seq64"), "{}", points[0].key());
         assert!(points[1].key().ends_with("/seq128"), "{}", points[1].key());
 
@@ -1580,7 +1234,7 @@ mod tests {
         )
         .unwrap();
         let points = plain.points().unwrap();
-        assert_eq!(points[0].seq, None);
+        assert_eq!(points[0].knobs.seq, None);
         assert!(!points[0].key().contains("/seq"), "{}", points[0].key());
     }
 
@@ -1594,8 +1248,8 @@ mod tests {
         assert_eq!(spec.quantization, vec![Some(0), Some(8)]);
         assert_eq!(spec.len(), 2);
         let points = spec.points().unwrap();
-        assert_eq!(points[0].quant, Some(0));
-        assert_eq!(points[1].quant, Some(8));
+        assert_eq!(points[0].knobs.quant, Some(0));
+        assert_eq!(points[1].knobs.quant, Some(8));
         assert!(points[0].key().ends_with("/q0"), "{}", points[0].key());
         assert!(points[1].key().ends_with("/q8"), "{}", points[1].key());
 
@@ -1606,7 +1260,7 @@ mod tests {
         )
         .unwrap();
         let points = plain.points().unwrap();
-        assert_eq!(points[0].quant, None);
+        assert_eq!(points[0].knobs.quant, None);
         assert!(!points[0].key().contains("/q"), "{}", points[0].key());
     }
 
@@ -1637,14 +1291,32 @@ mod tests {
         assert!(points
             .iter()
             .filter(|p| p.mode == PipelineMode::LowLatency)
-            .all(|p| p.batch == 1));
-        // An explicit batch of 1 is harmless without an HT mode (both
-        // spellings); only values above 1 require one.
-        for json in [
+            .all(|p| p.knobs.batch == 1));
+        // An explicit batch of 1 is harmless without an HT mode; only
+        // values above 1 require one.
+        let ll_only = SweepSpec::from_json(
             r#"{"models":["tiny_mlp"],"hardware":{},"modes":["ll"],"ht_batches":[1]}"#,
-            r#"{"models":["tiny_mlp"],"hardware":{},"modes":["ll"],"batch":1}"#,
-        ] {
-            assert_eq!(SweepSpec::from_json(json).unwrap().batches, vec![1]);
+        )
+        .unwrap();
+        assert_eq!(ll_only.batches, vec![1]);
+    }
+
+    #[test]
+    fn legacy_scalar_spellings_are_unknown_fields() {
+        // `policy` / `batch` were one-element spellings of the two
+        // axes; they now fail like any other typo, and the error names
+        // the fields to use instead.
+        for field in [r#""policy":"ag""#, r#""batch":2"#] {
+            let json = format!(r#"{{"models":["tiny_mlp"],"hardware":{{}},{field}}}"#);
+            let name = field.split('"').nth(1).unwrap();
+            assert_eq!(
+                SweepSpec::from_json(&json).unwrap_err().to_string(),
+                format!(
+                    "invalid sweep spec: unknown field `{name}` (known fields: master_seed, \
+                     models, modes, hardware, seeds, num_seeds, ga, memory_policies, \
+                     ht_batches, weight_reload, seq_lens, quantization, search)"
+                )
+            );
         }
     }
 

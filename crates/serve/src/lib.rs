@@ -27,7 +27,7 @@
 //!   ranges, re-issues leases on worker death or timeout, and reduces
 //!   the journal in canonical point order.
 //! * **Workers** ([`worker`]) evaluate points with
-//!   [`SweepPlan::evaluate_final`](pimcomp_dse::SweepPlan::evaluate_final),
+//!   [`SweepPlan::evaluate_final_observed`](pimcomp_dse::SweepPlan::evaluate_final_observed),
 //!   sharing the content-addressed artifact cache (optionally
 //!   size-bounded) and streaming per-point progress back.
 //!

@@ -47,7 +47,11 @@ fn record(index: u64) -> PointRecord {
         } else {
             Some(32 * (1 + index % 4))
         },
-        quantization: if index.is_multiple_of(4) { Some(8) } else { None },
+        quantization: if index.is_multiple_of(4) {
+            Some(8)
+        } else {
+            None
+        },
         rung: 0,
         budget: 2,
         pruned_at: None,

@@ -168,19 +168,6 @@ impl Simulator {
         }
     }
 
-    /// Executes a batch of compiled models against this target,
-    /// returning one result per model in input order — the
-    /// serve-many-models-on-one-target counterpart of
-    /// [`Simulator::run`]. A failing entry yields its error in place
-    /// without aborting the rest of the batch, so batch drivers
-    /// survive one bad model.
-    pub fn run_batch<'a>(
-        &self,
-        models: impl IntoIterator<Item = &'a CompiledModel>,
-    ) -> Vec<Result<SimReport, SimError>> {
-        models.into_iter().map(|m| self.run(m)).collect()
-    }
-
     /// Executes a persisted [`CompiledArtifact`] after verifying it was
     /// compiled for this simulator's hardware — the serve side of the
     /// compile-once/serve-many flow.
@@ -214,31 +201,6 @@ mod tests {
             .compile(&graph, &CompileOptions::new(mode).with_fast_ga(seed))
             .unwrap();
         Simulator::new(hw).run(&compiled).unwrap()
-    }
-
-    #[test]
-    fn run_batch_preserves_order_and_matches_single_runs() {
-        let graph = models::tiny_cnn();
-        let hw = HardwareConfig::small_test();
-        let compiled: Vec<_> = [PipelineMode::HighThroughput, PipelineMode::LowLatency]
-            .into_iter()
-            .map(|mode| {
-                PimCompiler::new(hw.clone())
-                    .compile(&graph, &CompileOptions::new(mode).with_fast_ga(3))
-                    .unwrap()
-            })
-            .collect();
-        let sim = Simulator::new(hw);
-        let batch = sim.run_batch(compiled.iter());
-        assert_eq!(batch.len(), 2);
-        for (one, model) in batch.iter().zip(&compiled) {
-            assert_eq!(one.as_ref().unwrap(), &sim.run(model).unwrap());
-        }
-        assert_eq!(
-            batch[0].as_ref().unwrap().mode,
-            PipelineMode::HighThroughput
-        );
-        assert_eq!(batch[1].as_ref().unwrap().mode, PipelineMode::LowLatency);
     }
 
     #[test]

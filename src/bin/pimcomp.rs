@@ -277,12 +277,17 @@ fn cmd_compile(opts: &HashMap<String, String>) -> Result<(), String> {
         "ll" | "LL" => PipelineMode::LowLatency,
         other => return Err(format!("unknown mode `{other}` (ht|ll)")),
     };
-    let policy = match opts.get("policy").map(String::as_str).unwrap_or("ag") {
-        "naive" => ReusePolicy::Naive,
-        "add" => ReusePolicy::AddReuse,
-        "ag" => ReusePolicy::AgReuse,
-        other => return Err(format!("unknown policy `{other}` (naive|add|ag)")),
-    };
+    // The policy names are the sweep spec's (one spelling everywhere).
+    let name = opts.get("policy").map(String::as_str).unwrap_or("ag");
+    let policy = ReusePolicy::ALL
+        .into_iter()
+        .find(|&p| pimcomp::dse::policy_spec_name(p) == name)
+        .ok_or_else(|| {
+            format!(
+                "unknown policy `{name}` ({})",
+                pimcomp::dse::policy_names().join("|")
+            )
+        })?;
     let seed: u64 = opts
         .get("seed")
         .map(|s| s.parse().map_err(|_| "bad --seed"))
@@ -808,53 +813,7 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
         }));
     }
 
-    // The mode/batch factor is spelled so the printed product equals
-    // the point count even when LL modes collapse the batch axis.
-    let ht_modes = spec
-        .modes
-        .iter()
-        .filter(|&&m| m == PipelineMode::HighThroughput)
-        .count();
-    let ll_modes = spec.modes.len() - ht_modes;
-    let mode_axis = match (ht_modes, ll_modes) {
-        (_, 0) => format!("{} modes x {} batches", ht_modes, spec.batches.len()),
-        (0, _) => format!("{ll_modes} modes"),
-        _ => format!(
-            "({ht_modes} HT mode{} x {} batches + {ll_modes} LL mode{})",
-            if ht_modes == 1 { "" } else { "s" },
-            spec.batches.len(),
-            if ll_modes == 1 { "" } else { "s" },
-        ),
-    };
-    // The reload axis only shows up when the spec sweeps it; the
-    // historical banner stays untouched for reload-off sweeps.
-    let reload_axis = if spec.weight_reload.as_slice() == [pimcomp::dse::ReloadSetting::Off] {
-        String::new()
-    } else {
-        format!(" x {} reload settings", spec.weight_reload.len())
-    };
-    println!(
-        "exploring {} points ({} models x {mode_axis} x {} hardware configs x {} policies \
-         x {} seeds{reload_axis}, {} search, {threads} threads)...",
-        spec.len(),
-        spec.models.len(),
-        spec.hardware.len(),
-        spec.policies.len(),
-        spec.seeds.len(),
-        spec.search.name()
-    );
-    if spec.hardware.is_auto() {
-        println!(
-            "  hardware: auto — chip counts sized per model by the headroom heuristic \
-             (labels carry the chosen count)"
-        );
-    }
-    if spec.modes.contains(&PipelineMode::LowLatency) && spec.batches.iter().any(|&b| b > 1) {
-        println!(
-            "  note: `ht_batches` applies to high-throughput points only; \
-             low-latency points always run batch 1"
-        );
-    }
+    println!("{}", spec.banner(threads));
     let outcome = engine.run(&spec).map_err(|e| e.to_string())?;
     let report = &outcome.report;
     println!(

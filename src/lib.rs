@@ -57,7 +57,7 @@
 //! still exists and produces identical results for identical inputs.
 //! Live progress (stage boundaries, per-generation GA fitness) streams
 //! through a [`CompileObserver`](prelude::CompileObserver) passed to
-//! the `_observed` stage variants.
+//! [`CompileSession::run_observed`](prelude::CompileSession::run_observed).
 
 pub use pimcomp_arch as arch;
 pub use pimcomp_core as compiler;

@@ -7,9 +7,12 @@
 //! * the report of a fixed tiny sweep matches a committed golden
 //!   fixture (`tests/golden/explore_tiny_sweep.json`; regenerate with
 //!   `UPDATE_GOLDEN=1 cargo test --test explore_determinism`),
+//! * every committed sweep fixture keeps its point keys and cache file
+//!   names (`tests/golden/sweep_keys.tsv`),
 //! * the `pimcomp explore` CLI exhibits the same guarantees.
 
-use pimcomp::dse::{ExploreEngine, SearchStrategy, SweepReport, SweepSpec};
+use pimcomp::compiler::NullObserver;
+use pimcomp::dse::{ExploreEngine, SearchStrategy, SweepPlan, SweepReport, SweepSpec};
 use std::path::PathBuf;
 
 /// The acceptance-grade sweep: 2 models × 2 modes × 3 hardware configs
@@ -386,6 +389,52 @@ fn tiny_sweep_matches_golden_fixture() {
         actual.trim(),
         "sweep report drifted from the golden fixture; regenerate with \
          `UPDATE_GOLDEN=1 cargo test --test explore_determinism` if intentional"
+    );
+}
+
+#[test]
+fn fixture_sweeps_keep_their_keys_and_cache_file_names() {
+    // Pins what reports, journals, and cache directories written by
+    // earlier builds rely on: every committed sweep fixture expands to
+    // the same ordered point keys and addresses the same cache files.
+    // `UPDATE_GOLDEN=1` regenerates — only for a deliberate format
+    // change, which also needs a version bump.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let fixtures = root.join("crates").join("bench").join("fixtures");
+    let mut names: Vec<String> = std::fs::read_dir(&fixtures)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n.contains("sweep") && n.ends_with(".json"))
+        .collect();
+    names.sort();
+    assert!(names.len() >= 8, "fixtures went missing: {names:?}");
+
+    let cache = temp_dir("key-golden");
+    let _ = std::fs::remove_dir_all(&cache);
+    std::fs::create_dir_all(&cache).unwrap();
+    let mut actual = String::new();
+    for name in &names {
+        let json = std::fs::read_to_string(fixtures.join(name)).unwrap();
+        let plan = SweepPlan::new(&SweepSpec::from_json(&json).unwrap()).unwrap();
+        for (i, point) in plan.points().iter().enumerate() {
+            let outcome = plan
+                .evaluate_final_observed(i, Some(&cache), &mut NullObserver)
+                .unwrap();
+            let file = outcome.cache_file.expect("caching is on");
+            actual.push_str(&format!("{name}\t{}\t{file}\n", point.key()));
+        }
+    }
+    std::fs::remove_dir_all(&cache).ok();
+
+    let path = root.join("tests").join("golden").join("sweep_keys.tsv");
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::write(&path, actual).expect("write golden fixture");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).expect("tests/golden/sweep_keys.tsv");
+    assert_eq!(
+        expected, actual,
+        "point keys or cache file names drifted from tests/golden/sweep_keys.tsv"
     );
 }
 

@@ -179,8 +179,8 @@ fn observer_streams_stages_and_ga_progress_end_to_end() {
 
     let graph = pimcomp::ir::models::tiny_cnn();
     let mut events = Events::default();
-    let compiled = PimCompiler::new(hw())
-        .compile_observed(&graph, &opts(PipelineMode::HighThroughput, 3), &mut events)
+    let compiled = CompileSession::new(hw(), &graph, opts(PipelineMode::HighThroughput, 3))
+        .and_then(|session| session.run_observed(&mut events))
         .unwrap();
     assert!(compiled.report.estimated_fitness > 0.0);
 
