@@ -1,7 +1,9 @@
 //! GA throughput: serial vs multi-threaded evaluation engine.
 //!
 //! Runs the identical search (same seed, same parameters) across a
-//! thread sweep and reports wall time, fitness evaluations per second,
+//! thread sweep and reports wall time, the part of it spent building
+//! and evaluating the initial population (`init ms`: wall time until
+//! the first generation callback), fitness evaluations per second,
 //! speedup over the serial run, and the memoization counters — so the
 //! parallel engine's gain is measured, not claimed. The harness also
 //! *verifies* the determinism contract while measuring: every thread
@@ -21,7 +23,7 @@
 
 use pimcomp_arch::{HardwareConfig, PipelineMode};
 use pimcomp_bench::HarnessOptions;
-use pimcomp_core::{optimize, DepInfo, GaContext, GaParams, Partitioning};
+use pimcomp_core::{optimize_observed, DepInfo, GaContext, GaParams, Partitioning};
 use pimcomp_ir::transform::normalize;
 use serde::Serialize;
 use std::num::NonZeroUsize;
@@ -34,6 +36,9 @@ struct Row {
     mode: String,
     threads: usize,
     wall_ms: f64,
+    /// Wall time until the first generation callback: population
+    /// construction plus its from-scratch evaluations.
+    init_ms: f64,
     evaluations: usize,
     evals_per_sec: f64,
     speedup: f64,
@@ -86,11 +91,12 @@ fn main() {
         std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
     );
     println!(
-        "{:<10} {:<4} {:>7} {:>10} {:>7} {:>11} {:>8} {:>7} {:>7} {:>6}",
+        "{:<10} {:<4} {:>7} {:>10} {:>9} {:>7} {:>11} {:>8} {:>7} {:>7} {:>6}",
         "network",
         "mode",
         "threads",
         "wall ms",
+        "init ms",
         "evals",
         "evals/s",
         "speedup",
@@ -143,7 +149,11 @@ fn main() {
                     ..ga_base.clone()
                 };
                 let t0 = Instant::now();
-                let (_, stats) = match optimize(&ctx, &params) {
+                let mut init = None;
+                let run = optimize_observed(&ctx, &params, &mut |_| {
+                    init.get_or_insert_with(|| t0.elapsed());
+                });
+                let (_, stats) = match run {
                     Ok(r) => r,
                     Err(e) => {
                         eprintln!(
@@ -163,6 +173,7 @@ fn main() {
                     mode: mode.to_string(),
                     threads,
                     wall_ms,
+                    init_ms: init.unwrap_or(wall).as_secs_f64() * 1e3,
                     evaluations: stats.evaluations,
                     evals_per_sec,
                     speedup,
@@ -184,11 +195,12 @@ fn main() {
                     }
                 }
                 println!(
-                    "{:<10} {:<4} {:>7} {:>10.1} {:>7} {:>11.0} {:>7.2}x {:>7} {:>7} {:>6.0}",
+                    "{:<10} {:<4} {:>7} {:>10.1} {:>9.1} {:>7} {:>11.0} {:>7.2}x {:>7} {:>7} {:>6.0}",
                     row.network,
                     row.mode,
                     row.threads,
                     row.wall_ms,
+                    row.init_ms,
                     row.evaluations,
                     row.evals_per_sec,
                     row.speedup,

@@ -83,6 +83,7 @@ impl CompileOptions {
     /// * the GA population or generation count is zero,
     /// * the GA tournament size is zero or the elite fraction is
     ///   outside `[0, 1]`,
+    /// * the GA `max_mutations_per_child` is zero,
     /// * `max_nodes_per_core` is pinned to zero,
     /// * a batch larger than 1 is combined with low-latency mode
     ///   (batching is a high-throughput transfer concept),
@@ -108,6 +109,9 @@ impl CompileOptions {
         }
         if !self.ga.elite_fraction.is_finite() || !(0.0..=1.0).contains(&self.ga.elite_fraction) {
             return invalid("GA elite fraction must be within [0, 1]");
+        }
+        if self.ga.max_mutations_per_child == 0 {
+            return invalid("GA `max_mutations_per_child` must be at least 1");
         }
         if self.ga.max_nodes_per_core == Some(0) {
             return invalid("`max_nodes_per_core` cannot be pinned to 0");

@@ -447,10 +447,10 @@ fn static_node_uninterrupted_time(
 /// which a mutated offspring can be re-evaluated incrementally.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct EvalBasis {
-    /// Replica counts per node the evaluation was computed under,
-    /// cached so reuse checks compare against the child's freshly
-    /// derived plan instead of re-walking either chromosome's slots.
-    counts: Vec<usize>,
+    /// The replication plan the evaluation was computed under, kept so
+    /// reuse checks compare replica counts against the child's plan
+    /// instead of re-walking either chromosome's slots.
+    plan: ReplicationPlan,
     detail: EvalDetail,
 }
 
@@ -498,8 +498,6 @@ pub(crate) struct EvalScratch {
     dirty: Vec<usize>,
     /// Membership mask for `dirty` (reset between evaluations).
     dirty_mask: Vec<bool>,
-    /// Per-node replication-count-changed mask (HT incremental).
-    counts_changed: Vec<bool>,
     /// Per-core issue loads (LL floor).
     loads: Vec<u64>,
     /// Per-node chain states (LL).
@@ -508,9 +506,70 @@ pub(crate) struct EvalScratch {
     ll: Option<LlStatic>,
 }
 
-/// Evaluates a chromosome's fitness, incrementally when a parent basis
-/// is supplied. `scratch` provides the reusable buffers; it never
-/// influences the result.
+/// Per-core HT busy times of `chromosome` under `plan`, derived from
+/// the evaluation `basis` of the chromosome it was mutated from.
+/// `touched` lists every core whose slots differ from that parent
+/// (duplicates and unchanged cores are harmless). Only those cores are
+/// recomputed, plus every core hosting a node whose replica count
+/// differs from the basis: its windows-per-replica shifted on *all* of
+/// its cores, not only where AGs moved. (A core that hosted such a node
+/// in the parent only has lost the gene, so it is in `touched`.)
+///
+/// `None` when `basis` is not an HT basis over the same core count.
+pub(crate) fn ht_core_times_from<'s>(
+    ctx: &GaContext<'_>,
+    chromosome: &Chromosome,
+    plan: &ReplicationPlan,
+    basis: &EvalBasis,
+    touched: &[usize],
+    scratch: &'s mut EvalScratch,
+) -> Option<&'s [u64]> {
+    let EvalDetail::Ht { core_times } = &basis.detail else {
+        return None;
+    };
+    if core_times.len() != chromosome.cores() {
+        return None;
+    }
+    scratch.times.clear();
+    scratch.times.extend_from_slice(core_times);
+    scratch.dirty.clear();
+    scratch.dirty_mask.clear();
+    scratch.dirty_mask.resize(chromosome.cores(), false);
+    let mut mark = |core: usize| {
+        if !scratch.dirty_mask[core] {
+            scratch.dirty_mask[core] = true;
+            scratch.dirty.push(core);
+        }
+    };
+    touched.iter().copied().for_each(&mut mark);
+    let counts = basis.plan.counts().iter().zip(plan.counts());
+    for (node, (before, now)) in counts.enumerate() {
+        if before != now {
+            chromosome
+                .slots_of_node(node)
+                .map(|slot| chromosome.core_of_slot(slot))
+                .for_each(&mut mark);
+        }
+    }
+    for i in 0..scratch.dirty.len() {
+        let core = scratch.dirty[i];
+        scratch.times[core] = ht_core_time_of(
+            ctx.hw,
+            ctx.partitioning,
+            chromosome,
+            plan,
+            core,
+            &mut scratch.items,
+        );
+    }
+    Some(&scratch.times)
+}
+
+/// Evaluates a chromosome's fitness under its replication `plan`,
+/// incrementally when the evaluation basis of the chromosome it was
+/// mutated from is supplied together with the cores the mutation
+/// touched (see [`ht_core_times_from`]). `scratch` provides the
+/// reusable buffers; it never influences the result.
 ///
 /// The returned `f64` is bit-identical to the from-scratch estimators
 /// ([`ht_fitness`] / [`ll_fitness_with_issue_floor`]) regardless of the
@@ -520,40 +579,15 @@ pub(crate) struct EvalScratch {
 pub(crate) fn compute_fitness(
     ctx: &GaContext<'_>,
     chromosome: &Chromosome,
-    parent: Option<(&Chromosome, &EvalBasis)>,
+    plan: ReplicationPlan,
+    parent: Option<(&EvalBasis, &[usize])>,
     scratch: &mut EvalScratch,
-) -> Result<(f64, EvalBasis, EvalKind), CompileError> {
-    let plan = chromosome.replication(ctx.partitioning)?;
+) -> (f64, EvalBasis, EvalKind) {
     match ctx.mode {
         PipelineMode::HighThroughput => {
-            let mut kind = EvalKind::Full;
-            let mut incremental = false;
-            if let Some((pc, basis)) = parent {
-                if let EvalDetail::Ht { core_times } = &basis.detail {
-                    if same_grid(pc, chromosome) {
-                        // Batched dirty-core re-eval: diff the grids
-                        // once, collect the distinct dirty cores, then
-                        // recompute only those entries of the parent's
-                        // per-core times.
-                        scratch.times.clear();
-                        scratch.times.extend_from_slice(core_times);
-                        collect_dirty_cores(pc, chromosome, &basis.counts, plan.counts(), scratch);
-                        for i in 0..scratch.dirty.len() {
-                            let core = scratch.dirty[i];
-                            scratch.times[core] = ht_core_time_of(
-                                ctx.hw,
-                                ctx.partitioning,
-                                chromosome,
-                                &plan,
-                                core,
-                                &mut scratch.items,
-                            );
-                        }
-                        kind = EvalKind::Incremental;
-                        incremental = true;
-                    }
-                }
-            }
+            let incremental = parent.is_some_and(|(basis, touched)| {
+                ht_core_times_from(ctx, chromosome, &plan, basis, touched, scratch).is_some()
+            });
             if !incremental {
                 scratch.times.clear();
                 for core in 0..chromosome.cores() {
@@ -569,24 +603,19 @@ pub(crate) fn compute_fitness(
                 }
             }
             let fitness = ht_combine(&scratch.times);
-            Ok((
-                fitness,
-                EvalBasis {
-                    counts: plan.counts().to_vec(),
-                    detail: EvalDetail::Ht {
-                        core_times: scratch.times.clone(),
-                    },
-                },
-                kind,
-            ))
+            let detail = EvalDetail::Ht {
+                core_times: scratch.times.clone(),
+            };
+            let kind = if incremental {
+                EvalKind::Incremental
+            } else {
+                EvalKind::Full
+            };
+            (fitness, EvalBasis { plan, detail }, kind)
         }
         PipelineMode::LowLatency => {
-            let reused = parent.and_then(|(pc, basis)| match &basis.detail {
-                EvalDetail::Ll { chain }
-                    if same_grid(pc, chromosome) && basis.counts.as_slice() == plan.counts() =>
-                {
-                    Some(*chain)
-                }
+            let reused = parent.and_then(|(basis, _)| match &basis.detail {
+                EvalDetail::Ll { chain } if basis.plan == plan => Some(*chain),
                 _ => None,
             });
             let (chain, kind) = match reused {
@@ -609,14 +638,8 @@ pub(crate) fn compute_fitness(
                 &plan,
                 &mut scratch.loads,
             ));
-            Ok((
-                fitness,
-                EvalBasis {
-                    counts: plan.counts().to_vec(),
-                    detail: EvalDetail::Ll { chain },
-                },
-                kind,
-            ))
+            let detail = EvalDetail::Ll { chain };
+            (fitness, EvalBasis { plan, detail }, kind)
         }
     }
 }
@@ -627,52 +650,17 @@ fn same_grid(a: &Chromosome, b: &Chromosome) -> bool {
     a.cores() == b.cores() && a.max_nodes_per_core() == b.max_nodes_per_core()
 }
 
-/// Collects into `scratch.dirty` the cores whose HT busy time may
-/// differ between `parent` and `child`: cores whose slots changed, plus
-/// every core hosting a node whose replication count changed (its
-/// windows-per-replica shifted on *all* of its cores, not only where
-/// AGs moved). Counts come from the already-derived plans, so no extra
-/// slot walk is needed unless a count actually changed.
-fn collect_dirty_cores(
-    parent: &Chromosome,
-    child: &Chromosome,
-    parent_counts: &[usize],
-    child_counts: &[usize],
-    scratch: &mut EvalScratch,
-) {
-    scratch.dirty.clear();
-    scratch.dirty_mask.clear();
-    scratch.dirty_mask.resize(child.cores(), false);
-    let mark = |core: usize, dirty: &mut Vec<usize>, mask: &mut Vec<bool>| {
-        if !mask[core] {
-            mask[core] = true;
-            dirty.push(core);
-        }
-    };
-    for slot in 0..child.len() {
-        if parent.slot_differs(child, slot) {
-            mark(
-                child.core_of_slot(slot),
-                &mut scratch.dirty,
-                &mut scratch.dirty_mask,
-            );
-        }
-    }
-    if parent_counts != child_counts {
-        scratch.counts_changed.clear();
-        scratch
-            .counts_changed
-            .extend(parent_counts.iter().zip(child_counts).map(|(p, c)| p != c));
-        for (slot, gene) in parent.genes().chain(child.genes()) {
-            if *scratch.counts_changed.get(gene.mvm).unwrap_or(&false) {
-                mark(
-                    child.core_of_slot(slot),
-                    &mut scratch.dirty,
-                    &mut scratch.dirty_mask,
-                );
-            }
-        }
-    }
+/// Collects into `out` the core of every slot whose content differs
+/// between `parent` and `child` — the touched set of a mutation nobody
+/// recorded. Only [`FitnessMemo::evaluate_mutated`] needs this grid
+/// diff; the GA's drafts list the cores their operators touched.
+fn collect_dirty_cores(parent: &Chromosome, child: &Chromosome, out: &mut Vec<usize>) {
+    out.clear();
+    out.extend(
+        (0..child.len())
+            .filter(|&slot| parent.slot_differs(child, slot))
+            .map(|slot| child.core_of_slot(slot)),
+    );
 }
 
 /// Entries the memo keeps per unique chromosome.
@@ -743,6 +731,9 @@ pub struct FitnessMemo<'a> {
     ctx: &'a GaContext<'a>,
     entries: HashMap<u128, MemoEntry>,
     scratch: EvalScratch,
+    /// Cores in which a child differs from its parent
+    /// ([`FitnessMemo::evaluate_mutated`]).
+    diff: Vec<usize>,
     hits: usize,
     full: usize,
     incremental: usize,
@@ -755,6 +746,7 @@ impl<'a> FitnessMemo<'a> {
             ctx,
             entries: HashMap::new(),
             scratch: EvalScratch::default(),
+            diff: Vec::new(),
             hits: 0,
             full: 0,
             incremental: 0,
@@ -802,13 +794,16 @@ impl<'a> FitnessMemo<'a> {
             self.hits += 1;
             return Ok(fitness);
         }
-        let parent_entry = parent.and_then(|p| {
-            let basis = self.entries.get(&p.fingerprint())?.basis.clone();
-            Some((p, basis))
+        let plan = chromosome.replication(self.ctx.partitioning)?;
+        let parent = parent
+            .filter(|p| same_grid(p, chromosome))
+            .and_then(|p| Some((p, &self.entries.get(&p.fingerprint())?.basis)));
+        let parent = parent.map(|(p, basis)| {
+            collect_dirty_cores(p, chromosome, &mut self.diff);
+            (basis.as_ref(), self.diff.as_slice())
         });
-        let basis_ref = parent_entry.as_ref().map(|(p, b)| (*p, b.as_ref()));
         let (fitness, basis, kind) =
-            compute_fitness(self.ctx, chromosome, basis_ref, &mut self.scratch)?;
+            compute_fitness(self.ctx, chromosome, plan, parent, &mut self.scratch);
         self.observe(kind);
         self.record(fingerprint, fitness, Arc::new(basis));
         Ok(fitness)

@@ -17,11 +17,25 @@
 //! All operators preserve feasibility (crossbar capacity and per-core
 //! node limits), so no penalty terms are needed.
 //!
-//! # The evaluation engine
+//! # The search engine
 //!
-//! Fitness evaluation dominates compile time, so the engine is built
-//! for parallel, incremental, memoized evaluation while staying
-//! **deterministic to the bit** for a given [`GaParams::seed`]:
+//! The search is nearly all of a compilation's time (98% of a
+//! paper-scale one), and inside it the costs rank differently from what
+//! one would guess: on the widest paper target (vgg16: 2124 cores x 4
+//! slots, population 100 x 200 generations, about 0.5 s on one thread)
+//! the mutation operators take about half, copying a parent's grid for
+//! an offspring a fifth, incremental fitness evaluation a fifth, and
+//! building and evaluating the initial population a tenth. So every
+//! part is built to do work proportional to what a move changes, not
+//! to the gene grid: placement plans all AGs of a call in one pass
+//! over the cores (`place_ags_from`); a `Draft` carries the
+//! per-core occupancy, per-node AG totals and the list of cores its
+//! operators wrote, so nothing re-derives them from the grid; an
+//! offspring copies its parent's grid only when an operator first
+//! writes to it (over half never do); and evaluation recomputes the
+//! cores on that list instead of diffing two grids. On top of that the
+//! engine evaluates in parallel, incrementally and memoized, while
+//! staying **deterministic to the bit** for a given [`GaParams::seed`]:
 //!
 //! * **Seed-stream splitting** — every initial individual and every
 //!   offspring slot of every generation owns a private [`StdRng`]
@@ -43,12 +57,13 @@
 //!   mode) — exactly, not approximately.
 
 use crate::fitness::{
-    compute_fitness, ht_fitness, ll_fitness_with_issue_floor, EvalBasis, EvalKind, EvalScratch,
-    FitnessMemo,
+    compute_fitness, ht_core_times_from, ht_fitness, ll_fitness_with_issue_floor, EvalBasis,
+    EvalKind, EvalScratch, FitnessMemo,
 };
-use crate::mapping::{Chromosome, Gene};
+use crate::mapping::{replication_of_totals, Chromosome, Gene};
 use crate::parallel::run_indexed_with;
 use crate::partition::{MvmIdx, Partitioning};
+use crate::replication::ReplicationPlan;
 use crate::waiting::DepInfo;
 use crate::CompileError;
 use pimcomp_arch::{HardwareConfig, PipelineMode};
@@ -57,6 +72,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::num::NonZeroUsize;
 use std::sync::Arc;
 
@@ -77,7 +93,9 @@ pub struct GaParams {
     pub elite_fraction: f64,
     /// Tournament size for parent selection.
     pub tournament: usize,
-    /// Maximum mutation operators applied to one child.
+    /// Maximum mutation operators applied to one child. At least 1:
+    /// [`CompileOptions::validate`](crate::CompileOptions::validate)
+    /// rejects 0, and a direct [`optimize`] call treats it as 1.
     pub max_mutations_per_child: usize,
     /// Per-core distinct-node limit (`max_node_num_in_core`); `None`
     /// selects a heuristic based on node and core counts.
@@ -296,17 +314,66 @@ impl GaContext<'_> {
 }
 
 /// The mutable state the mutation operators work on: a chromosome plus
-/// the per-core crossbar occupancy they keep in sync.
+/// the summaries of it they would otherwise re-derive from the gene
+/// grid on every move. [`Draft::set_ag_count`] is the only writer of
+/// the chromosome, and keeps all of them current.
 #[derive(Debug, Clone)]
 struct Draft {
     chromosome: Chromosome,
+    /// Crossbars occupied on each core.
     used_crossbars: Vec<usize>,
+    /// AG instances of each node over all cores.
+    ag_totals: Vec<usize>,
+    /// Cores written since the draft was cloned from its parent (with
+    /// repeats), so evaluation recomputes those cores instead of
+    /// diffing two grids. Empty in every population member.
+    touched: Vec<usize>,
 }
 
-/// A population member: a draft plus its evaluation result.
-#[derive(Debug, Clone)]
+impl Draft {
+    fn empty(cores: usize, max_nodes: usize, nodes: usize) -> Self {
+        Draft {
+            chromosome: Chromosome::empty(cores, max_nodes),
+            used_crossbars: vec![0; cores],
+            ag_totals: vec![0; nodes],
+            touched: Vec::new(),
+        }
+    }
+
+    /// Makes `slot` hold `ag_count` AGs of `node` (`xb` crossbars each;
+    /// 0 empties the slot). The slot must be free or already hold
+    /// `node`.
+    fn set_ag_count(&mut self, slot: usize, node: MvmIdx, xb: usize, ag_count: usize) {
+        let gene = (ag_count > 0).then_some(Gene {
+            mvm: node,
+            ag_count,
+        });
+        let prev = self.chromosome.set_gene(slot, gene);
+        debug_assert!(prev.is_none_or(|g| g.mvm == node));
+        let before = prev.map_or(0, |g| g.ag_count);
+        let core = self.chromosome.core_of_slot(slot);
+        self.used_crossbars[core] = self.used_crossbars[core] + ag_count * xb - before * xb;
+        self.ag_totals[node] = self.ag_totals[node] + ag_count - before;
+        self.touched.push(core);
+    }
+
+    /// Adds `n` AGs of `node` to `slot` (free, or already holding it).
+    fn add_ags(&mut self, slot: usize, node: MvmIdx, xb: usize, n: usize) {
+        let cur = self.chromosome.gene(slot).map_or(0, |g| g.ag_count);
+        self.set_ag_count(slot, node, xb, cur + n);
+    }
+
+    /// The replication plan the AG totals imply.
+    fn replication(&self, partitioning: &Partitioning) -> Result<ReplicationPlan, CompileError> {
+        replication_of_totals(partitioning, &self.ag_totals)
+    }
+}
+
+/// A population member: a draft plus its evaluation result. An
+/// offspring no operator managed to change shares its parent's draft.
+#[derive(Debug)]
 struct Individual {
-    draft: Draft,
+    draft: Arc<Draft>,
     fitness: f64,
     fingerprint: u128,
     basis: Arc<EvalBasis>,
@@ -336,7 +403,7 @@ struct MutationTally {
 
 /// One derived-and-evaluated offspring, produced by a worker.
 struct Offspring {
-    draft: Draft,
+    draft: Arc<Draft>,
     fitness: f64,
     fingerprint: u128,
     basis: Arc<EvalBasis>,
@@ -349,14 +416,13 @@ struct Offspring {
 /// offspring slots never changes results.
 #[derive(Default)]
 struct MutScratch {
-    /// Candidate gene lists (spread source genes, merge genes).
-    genes: Vec<(usize, Gene)>,
-    /// Merge target genes.
-    targets: Vec<(usize, Gene)>,
-    /// Shrink slot walk order.
+    /// Placement plan: `(slot, AGs to add)` on cores already hosting
+    /// the node.
+    top_ups: Vec<(usize, usize)>,
+    /// Placement plan: `(free slot, AG room)` on cores not hosting it.
+    fresh: Vec<(usize, usize)>,
+    /// Slot walk order of one node's genes (shrink, merge targets).
     slots: Vec<usize>,
-    /// `(ag_count, cycles)` per-core items for `critical_node`.
-    items: Vec<(usize, usize)>,
 }
 
 /// Everything one evaluation worker reuses across its offspring slots.
@@ -414,16 +480,18 @@ pub fn optimize_observed(
     let threads = effective_parallelism(params);
     let mut memo = FitnessMemo::new(ctx);
     let pop_n = params.population.max(1);
+    let init = InitPlan::new(ctx, cores, max_nodes, capacity);
 
     // Initial population: random replication numbers per node (the
     // paper's initialization), placed big-AGs-first so fragmentation
     // cannot strand them. Individual 0 stays at the minimum plan as a
     // safe anchor. Every individual derives from its own seed stream
     // and is evaluated from scratch across the worker pool.
-    let built = run_indexed_with(threads, pop_n, EvalScratch::default, |scratch, i| {
+    let built = run_indexed_with(threads, pop_n, WorkerScratch::default, |ws, i| {
         let mut rng = StdRng::seed_from_u64(stream_seed(params.seed, 0, i as u64));
-        let draft = initial_draft(ctx, cores, max_nodes, capacity, i > 0, &mut rng)?;
-        let (fitness, basis, _) = compute_fitness(ctx, &draft.chromosome, None, scratch)?;
+        let draft = initial_draft(ctx, &init, i > 0, &mut rng, &mut ws.mutation)?;
+        let plan = draft.replication(ctx.partitioning)?;
+        let (fitness, basis, _) = compute_fitness(ctx, &draft.chromosome, plan, None, &mut ws.eval);
         Ok::<_, CompileError>((draft, fitness, basis))
     });
     let mut population: Vec<Individual> = Vec::with_capacity(pop_n);
@@ -434,7 +502,7 @@ pub fn optimize_observed(
         memo.observe(EvalKind::Full);
         memo.record(fingerprint, fitness, basis.clone());
         population.push(Individual {
-            draft,
+            draft: Arc::new(draft),
             fitness,
             fingerprint,
             basis,
@@ -458,27 +526,28 @@ pub fn optimize_observed(
         // Derive and evaluate the whole offspring batch against the
         // immutable parent population; each slot owns its RNG stream.
         let results = run_indexed_with(threads, offspring_n, WorkerScratch::default, |ws, slot| {
-            let scratch = &mut ws.eval;
             let mut rng =
                 StdRng::seed_from_u64(stream_seed(params.seed, gen as u64 + 1, slot as u64));
             let parent = tournament(&population, params.tournament, &mut rng);
-            let mut draft = parent.draft.clone();
-            let n_mut = rng.gen_range(1..=params.max_mutations_per_child);
+            // Copied from the parent by the first operator that writes.
+            let mut draft = Cow::Borrowed(&*parent.draft);
+            let n_mut = rng.gen_range(1..=params.max_mutations_per_child.max(1));
             let mut changed = false;
             let mut tally = MutationTally::default();
             for _ in 0..n_mut {
                 changed |= mutate(
                     &mut draft,
+                    &parent.basis,
                     ctx,
                     capacity,
                     &mut rng,
                     &mut tally,
-                    &mut ws.mutation,
+                    ws,
                 );
             }
             if !changed {
                 return Ok(Offspring {
-                    draft,
+                    draft: parent.draft.clone(),
                     fitness: parent.fitness,
                     fingerprint: parent.fingerprint,
                     basis: parent.basis.clone(),
@@ -486,10 +555,14 @@ pub fn optimize_observed(
                     tally,
                 });
             }
+            // The touched list has served once the offspring is
+            // evaluated; population members carry none.
+            let mut draft = draft.into_owned();
+            let touched = std::mem::take(&mut draft.touched);
             let fingerprint = draft.chromosome.fingerprint();
             if let Some(entry) = memo.lookup(fingerprint) {
                 return Ok(Offspring {
-                    draft,
+                    draft: Arc::new(draft),
                     fitness: entry.fitness,
                     fingerprint,
                     basis: entry.basis.clone(),
@@ -497,14 +570,16 @@ pub fn optimize_observed(
                     tally,
                 });
             }
+            let plan = draft.replication(ctx.partitioning)?;
             let (fitness, basis, kind) = compute_fitness(
                 ctx,
                 &draft.chromosome,
-                Some((&parent.draft.chromosome, &parent.basis)),
-                scratch,
-            )?;
+                plan,
+                Some((&parent.basis, &touched)),
+                &mut ws.eval,
+            );
             Ok::<_, CompileError>(Offspring {
-                draft,
+                draft: Arc::new(draft),
                 fitness,
                 fingerprint,
                 basis: Arc::new(basis),
@@ -515,7 +590,8 @@ pub fn optimize_observed(
 
         // Index-ordered reduction: tally stats and fill the memo in
         // slot order, so the outcome is independent of thread count.
-        let mut next: Vec<Individual> = population[..elite].to_vec();
+        let mut next = std::mem::take(&mut population);
+        next.truncate(elite);
         for result in results {
             let off = result?;
             grow_successes += off.tally.grow_ok;
@@ -563,7 +639,53 @@ pub fn optimize_observed(
         grow_successes,
         grow_failures,
     };
-    Ok((best.draft.chromosome, stats))
+    Ok((best.draft.chromosome.clone(), stats))
+}
+
+/// What every initial individual of a run shares — pure functions of
+/// the context, computed once per [`optimize_observed`] call instead of
+/// once per individual.
+struct InitPlan {
+    /// The gene grid: cores the search may use, slots per core.
+    cores: usize,
+    max_nodes: usize,
+    /// Crossbars per core.
+    capacity: usize,
+    /// Placement order: wide-AG nodes first, so fragmentation cannot
+    /// strand them.
+    order: Vec<MvmIdx>,
+    /// The largest window count of any node.
+    max_windows: usize,
+    /// The occupancy levels an individual draws one of, as `(crossbar
+    /// budget, smallest window target fitting it)` at 98%, 90% and 75%
+    /// of `total_crossbars`.
+    occupancy: [(usize, usize); 3],
+}
+
+impl InitPlan {
+    fn new(ctx: &GaContext<'_>, cores: usize, max_nodes: usize, capacity: usize) -> Self {
+        let total_crossbars = cores * capacity;
+        let mut order: Vec<MvmIdx> = (0..ctx.partitioning.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(ctx.partitioning.entry(i).crossbars_per_ag));
+        let max_windows = (0..ctx.partitioning.len())
+            .map(|i| ctx.partitioning.entry(i).windows)
+            .max()
+            .unwrap_or(1)
+            .max(1);
+        let occupancy = [98usize, 90, 75].map(|pct| {
+            let budget = total_crossbars * pct / 100;
+            let t_fit = fit_window_target(ctx.partitioning, budget, max_windows);
+            (budget, t_fit)
+        });
+        InitPlan {
+            cores,
+            max_nodes,
+            capacity,
+            order,
+            max_windows,
+            occupancy,
+        }
+    }
 }
 
 /// Builds a feasible draft. With `randomize` set, each node draws
@@ -571,26 +693,21 @@ pub fn optimize_observed(
 /// otherwise every node gets exactly one replica.
 fn initial_draft(
     ctx: &GaContext<'_>,
-    cores: usize,
-    max_nodes: usize,
-    capacity: usize,
+    init: &InitPlan,
     randomize: bool,
     rng: &mut StdRng,
+    ms: &mut MutScratch,
 ) -> Result<Draft, CompileError> {
-    let mut ind = Draft {
-        chromosome: Chromosome::empty(cores, max_nodes),
-        used_crossbars: vec![0; cores],
-    };
+    let (cores, capacity) = (init.cores, init.capacity);
+    let mut ind = Cow::Owned(Draft::empty(cores, init.max_nodes, ctx.partitioning.len()));
     // Pass 1: the mandatory replica of every node, wide-AG nodes first
     // so fragmentation cannot strand them.
-    let mut order: Vec<MvmIdx> = (0..ctx.partitioning.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(ctx.partitioning.entry(i).crossbars_per_ag));
-    for &mvm in &order {
+    for &mvm in &init.order {
         let a = ctx.partitioning.entry(mvm).ags_per_replica;
         // Random start first; deterministic first-fit as the fallback
         // so pass 1 only fails on true capacity exhaustion.
-        if !place_ags(&mut ind, ctx, mvm, a, capacity, rng)
-            && !place_ags_from(&mut ind, ctx, mvm, a, capacity, 0)
+        if !place_ags(&mut ind, ctx, mvm, a, capacity, rng, ms)
+            && !place_ags_from(&mut ind, ctx, mvm, a, capacity, 0, ms)
         {
             return Err(CompileError::InsufficientCapacity {
                 required: ctx.partitioning.min_crossbars(),
@@ -609,21 +726,15 @@ fn initial_draft(
         // A random fraction of individuals draw aggressive targets
         // (up to ~98% occupancy, where the balanced heuristic lives);
         // the rest keep slack so the mutation operators can move.
-        let pct = *[98usize, 90, 75].choose(rng).expect("non-empty");
-        let budget = (cores * capacity) * pct / 100;
-        let max_windows = (0..ctx.partitioning.len())
-            .map(|i| ctx.partitioning.entry(i).windows)
-            .max()
-            .unwrap_or(1)
-            .max(1);
-        let t_fit = fit_window_target(ctx.partitioning, budget, max_windows);
+        let (budget, t_fit) = init.occupancy[rng.gen_range(0..init.occupancy.len())];
+        let max_windows = init.max_windows;
         // Log-uniform sample in [t_fit, max_windows], biased low (more
         // replication) by taking the min of two draws.
         let (lo, hi) = ((t_fit.max(1) as f64).ln(), (max_windows.max(2) as f64).ln());
         let draw = |rng: &mut StdRng| rng.gen_range(lo..=hi).exp().round().max(1.0) as usize;
         let t = draw(rng).min(draw(rng));
         let mut occupied: usize = ind.used_crossbars.iter().sum();
-        for &mvm in &order {
+        for &mvm in &init.order {
             let entry = ctx.partitioning.entry(mvm);
             let a = entry.ags_per_replica;
             let want = entry.windows.div_ceil(t).max(1);
@@ -632,7 +743,7 @@ fn initial_draft(
             let per_replica = entry.crossbars_per_replica().max(1);
             extra = extra.min(budget.saturating_sub(occupied) / per_replica);
             while extra > 0 {
-                if place_ags(&mut ind, ctx, mvm, extra * a, capacity, rng) {
+                if place_ags(&mut ind, ctx, mvm, extra * a, capacity, rng, ms) {
                     occupied += extra * per_replica;
                     break;
                 }
@@ -640,6 +751,8 @@ fn initial_draft(
             }
         }
     }
+    let mut ind = ind.into_owned();
+    ind.touched = Vec::new();
     Ok(ind)
 }
 
@@ -679,7 +792,8 @@ fn tournament<'a>(population: &'a [Individual], k: usize, rng: &mut StdRng) -> &
 }
 
 /// Applies one random mutation operator; returns whether the chromosome
-/// changed.
+/// changed. `parent` is the evaluation basis of the individual the
+/// draft was cloned from.
 ///
 /// Node selection is criticality-biased in HT mode: half of the grow
 /// operations target a node on the current bottleneck core, and half of
@@ -688,22 +802,24 @@ fn tournament<'a>(population: &'a [Individual], k: usize, rng: &mut StdRng) -> &
 /// the `max`-objective plateau; the bias changes which node is drawn,
 /// not what the operators do.
 fn mutate(
-    ind: &mut Draft,
+    ind: &mut Cow<'_, Draft>,
+    parent: &EvalBasis,
     ctx: &GaContext<'_>,
     capacity: usize,
     rng: &mut StdRng,
     tally: &mut MutationTally,
-    ms: &mut MutScratch,
+    ws: &mut WorkerScratch,
 ) -> bool {
     let n = ctx.partitioning.len();
+    let ms = &mut ws.mutation;
     match rng.gen_range(0..4u8) {
         0 => {
             let node = if ctx.mode == PipelineMode::HighThroughput && rng.gen_bool(0.5) {
-                critical_node(ind, ctx, ms).unwrap_or_else(|| rng.gen_range(0..n))
+                critical_node(ind, parent, ctx, &mut ws.eval).unwrap_or_else(|| rng.gen_range(0..n))
             } else {
                 rng.gen_range(0..n)
             };
-            mutate_grow(ind, ctx, node, capacity, rng, tally)
+            mutate_grow(ind, ctx, node, capacity, rng, tally, ms)
         }
         1 => {
             let node = if rng.gen_bool(0.5) {
@@ -713,25 +829,25 @@ fn mutate(
             };
             mutate_shrink(ind, ctx, node, rng, ms)
         }
-        2 => mutate_spread(ind, ctx, capacity, rng, ms),
+        2 => mutate_spread(ind, ctx, capacity, rng),
         _ => mutate_merge(ind, ctx, capacity, rng, ms),
     }
 }
 
 /// A node with AGs on the bottleneck core (largest estimated HT time),
-/// preferring the gene with the largest cycle count there.
-fn critical_node(ind: &Draft, ctx: &GaContext<'_>, ms: &mut MutScratch) -> Option<MvmIdx> {
-    let plan = ind.chromosome.replication(ctx.partitioning).ok()?;
+/// preferring the gene with the largest cycle count there. The core
+/// times are the parent's, recomputed only where earlier mutations of
+/// this offspring moved them.
+fn critical_node(
+    ind: &Draft,
+    parent: &EvalBasis,
+    ctx: &GaContext<'_>,
+    scratch: &mut EvalScratch,
+) -> Option<MvmIdx> {
+    let plan = ind.replication(ctx.partitioning).ok()?;
+    let times = ht_core_times_from(ctx, &ind.chromosome, &plan, parent, &ind.touched, scratch)?;
     let mut worst: Option<(u64, usize)> = None;
-    for core in 0..ind.chromosome.cores() {
-        ms.items.clear();
-        for (_, gene) in ind.chromosome.genes_of_core(core) {
-            ms.items.push((
-                gene.ag_count,
-                plan.windows_per_replica(ctx.partitioning, gene.mvm),
-            ));
-        }
-        let t = crate::fitness::ht_core_time_in_place(ctx.hw, &mut ms.items);
+    for (core, &t) in times.iter().enumerate() {
         if worst.is_none_or(|(w, _)| t > w) {
             worst = Some((t, core));
         }
@@ -746,27 +862,28 @@ fn critical_node(ind: &Draft, ctx: &GaContext<'_>, ms: &mut MutScratch) -> Optio
 /// The replicated node with the smallest windows-per-replica (the most
 /// over-replicated one; shrinking it frees the most useful capacity).
 fn over_replicated_node(ind: &Draft, ctx: &GaContext<'_>) -> Option<MvmIdx> {
-    let plan = ind.chromosome.replication(ctx.partitioning).ok()?;
+    let replicas = |i: MvmIdx| ind.ag_totals[i] / ctx.partitioning.entry(i).ags_per_replica;
     (0..ctx.partitioning.len())
-        .filter(|&i| plan.count(i) > 1)
-        .min_by_key(|&i| plan.windows_per_replica(ctx.partitioning, i))
+        .filter(|&i| replicas(i) > 1)
+        .min_by_key(|&i| ctx.partitioning.entry(i).windows_per_replica(replicas(i)))
 }
 
 /// Operator I: increase `node`'s replication, scattering the new AGs
 /// onto cores with free capacity. The step size is geometric (up to
 /// doubling the current count) so large targets are reachable in few
-/// generations; falls back to +1, rolls back entirely on failure.
+/// generations; falls back to +1, leaves the draft as it was on failure.
 fn mutate_grow(
-    ind: &mut Draft,
+    ind: &mut Cow<'_, Draft>,
     ctx: &GaContext<'_>,
     node: MvmIdx,
     capacity: usize,
     rng: &mut StdRng,
     tally: &mut MutationTally,
+    ms: &mut MutScratch,
 ) -> bool {
     let entry = ctx.partitioning.entry(node);
     let a = entry.ags_per_replica;
-    let cur = ind.chromosome.ag_total(node) / a.max(1);
+    let cur = ind.ag_totals[node] / a.max(1);
     // Replicating beyond one replica per window is pure waste.
     let headroom = entry.windows.saturating_sub(cur);
     if headroom == 0 {
@@ -774,7 +891,7 @@ fn mutate_grow(
     }
     let mut amount = rng.gen_range(1..=cur.max(1)).min(headroom);
     while amount > 0 {
-        if place_ags(ind, ctx, node, amount * a, capacity, rng) {
+        if place_ags(ind, ctx, node, amount * a, capacity, rng, ms) {
             tally.grow_ok += 1;
             return true;
         }
@@ -787,7 +904,7 @@ fn mutate_grow(
 /// Operator II: decrease `node`'s replication (geometric step, at least
 /// one replica remains), recovering the crossbars from its genes.
 fn mutate_shrink(
-    ind: &mut Draft,
+    ind: &mut Cow<'_, Draft>,
     ctx: &GaContext<'_>,
     node: MvmIdx,
     rng: &mut StdRng,
@@ -795,7 +912,7 @@ fn mutate_shrink(
 ) -> bool {
     let entry = ctx.partitioning.entry(node);
     let a = entry.ags_per_replica;
-    let total = ind.chromosome.ag_total(node);
+    let total = ind.ag_totals[node];
     if total < 2 * a {
         return false; // last replica must stay
     }
@@ -804,57 +921,52 @@ fn mutate_shrink(
     let mut to_remove = amount * a;
     // Walk this node's gene slots in random order, shaving counts.
     ms.slots.clear();
-    ms.slots.extend(
-        ind.chromosome
-            .genes()
-            .filter(|(_, g)| g.mvm == node)
-            .map(|(s, _)| s),
-    );
+    ms.slots.extend(ind.chromosome.slots_of_node(node));
     ms.slots.shuffle(rng);
-    for i in 0..ms.slots.len() {
-        let slot = ms.slots[i];
+    let ind = ind.to_mut();
+    for &slot in &ms.slots {
         if to_remove == 0 {
             break;
         }
-        let gene = match ind.chromosome.gene(slot) {
-            Some(g) => g,
-            None => continue,
-        };
+        let gene = ind.chromosome.gene(slot).expect("slot of the node");
         let take = gene.ag_count.min(to_remove);
-        let core = ind.chromosome.core_of_slot(slot);
-        ind.used_crossbars[core] -= take * entry.crossbars_per_ag;
         to_remove -= take;
-        let left = gene.ag_count - take;
-        ind.chromosome.set_gene(
-            slot,
-            (left > 0).then_some(Gene {
-                mvm: node,
-                ag_count: left,
-            }),
-        );
+        ind.set_ag_count(slot, node, entry.crossbars_per_ag, gene.ag_count - take);
     }
     debug_assert_eq!(to_remove, 0);
     true
 }
 
+/// A uniformly random gene — with `splittable`, among those of two or
+/// more AGs: what `choose` returns on the list of them in slot order
+/// (one `gen_range(0..len)` draw, none when there is no such gene)
+/// without building the list.
+fn choose_gene(
+    chromosome: &Chromosome,
+    splittable: bool,
+    rng: &mut StdRng,
+) -> Option<(usize, Gene)> {
+    let len = chromosome.gene_count(splittable);
+    if len == 0 {
+        return None;
+    }
+    chromosome.nth_gene(splittable, rng.gen_range(0..len))
+}
+
 /// Operator III: spread part of a random gene's AGs to another core.
 fn mutate_spread(
-    ind: &mut Draft,
+    ind: &mut Cow<'_, Draft>,
     ctx: &GaContext<'_>,
     capacity: usize,
     rng: &mut StdRng,
-    ms: &mut MutScratch,
 ) -> bool {
-    ms.genes.clear();
-    ms.genes
-        .extend(ind.chromosome.genes().filter(|(_, g)| g.ag_count >= 2));
-    let Some(&(slot, gene)) = ms.genes.choose(rng) else {
+    let Some((slot, gene)) = choose_gene(&ind.chromosome, true, rng) else {
         return false;
     };
-    let entry = ctx.partitioning.entry(gene.mvm);
+    let xb = ctx.partitioning.entry(gene.mvm).crossbars_per_ag;
     let src_core = ind.chromosome.core_of_slot(slot);
     let move_n = rng.gen_range(1..gene.ag_count);
-    let needed = move_n * entry.crossbars_per_ag;
+    let needed = move_n * xb;
 
     let cores = ind.chromosome.cores();
     let start = rng.gen_range(0..cores);
@@ -863,29 +975,14 @@ fn mutate_spread(
         if dst == src_core || ind.used_crossbars[dst] + needed > capacity {
             continue;
         }
-        let dst_slot = ind
-            .chromosome
-            .slot_of_node_on_core(dst, gene.mvm)
-            .or_else(|| ind.chromosome.free_slot_of_core(dst));
-        let Some(dst_slot) = dst_slot else { continue };
+        let (hosting, free) = ind.chromosome.probe_core(dst, gene.mvm);
+        let Some(dst_slot) = hosting.or(free) else {
+            continue;
+        };
         // Commit.
-        let dst_count = ind.chromosome.gene(dst_slot).map_or(0, |g| g.ag_count);
-        ind.chromosome.set_gene(
-            dst_slot,
-            Some(Gene {
-                mvm: gene.mvm,
-                ag_count: dst_count + move_n,
-            }),
-        );
-        ind.chromosome.set_gene(
-            slot,
-            Some(Gene {
-                mvm: gene.mvm,
-                ag_count: gene.ag_count - move_n,
-            }),
-        );
-        ind.used_crossbars[src_core] -= needed;
-        ind.used_crossbars[dst] += needed;
+        let ind = ind.to_mut();
+        ind.add_ags(dst_slot, gene.mvm, xb, move_n);
+        ind.set_ag_count(slot, gene.mvm, xb, gene.ag_count - move_n);
         return true;
     }
     false
@@ -894,46 +991,35 @@ fn mutate_spread(
 /// Operator IV: merge a whole gene into a gene of the same node on
 /// another core.
 fn mutate_merge(
-    ind: &mut Draft,
+    ind: &mut Cow<'_, Draft>,
     ctx: &GaContext<'_>,
     capacity: usize,
     rng: &mut StdRng,
     ms: &mut MutScratch,
 ) -> bool {
-    ms.genes.clear();
-    ms.genes.extend(ind.chromosome.genes());
-    let Some(&(slot, gene)) = ms.genes.choose(rng) else {
+    let Some((slot, gene)) = choose_gene(&ind.chromosome, false, rng) else {
         return false;
     };
-    let entry = ctx.partitioning.entry(gene.mvm);
+    let xb = ctx.partitioning.entry(gene.mvm).crossbars_per_ag;
     let src_core = ind.chromosome.core_of_slot(slot);
-    let needed = gene.ag_count * entry.crossbars_per_ag;
+    let needed = gene.ag_count * xb;
 
     // Candidate targets: other cores already hosting this node.
-    ms.targets.clear();
-    ms.targets.extend(
-        ms.genes
-            .iter()
-            .copied()
-            .filter(|&(s, g)| g.mvm == gene.mvm && ind.chromosome.core_of_slot(s) != src_core),
+    ms.slots.clear();
+    ms.slots.extend(
+        ind.chromosome
+            .slots_of_node(gene.mvm)
+            .filter(|&s| ind.chromosome.core_of_slot(s) != src_core),
     );
-    ms.targets.shuffle(rng);
-    for i in 0..ms.targets.len() {
-        let (dst_slot, dst_gene) = ms.targets[i];
+    ms.slots.shuffle(rng);
+    for &dst_slot in &ms.slots {
         let dst_core = ind.chromosome.core_of_slot(dst_slot);
         if ind.used_crossbars[dst_core] + needed > capacity {
             continue;
         }
-        ind.chromosome.set_gene(
-            dst_slot,
-            Some(Gene {
-                mvm: gene.mvm,
-                ag_count: dst_gene.ag_count + gene.ag_count,
-            }),
-        );
-        ind.chromosome.set_gene(slot, None);
-        ind.used_crossbars[src_core] -= needed;
-        ind.used_crossbars[dst_core] += needed;
+        let ind = ind.to_mut();
+        ind.add_ags(dst_slot, gene.mvm, xb, gene.ag_count);
+        ind.set_ag_count(slot, gene.mvm, xb, 0);
         return true;
     }
     false
@@ -942,88 +1028,88 @@ fn mutate_merge(
 /// Places `count` AGs of `node` on cores with capacity and slot room,
 /// scanning from a random start. Cores already hosting the node are
 /// preferred (they need no fresh slot), which keeps slot pressure low.
-/// All-or-nothing: rolls back on failure.
+/// All-or-nothing: a failed call leaves the draft as it was.
 fn place_ags(
-    ind: &mut Draft,
+    ind: &mut Cow<'_, Draft>,
     ctx: &GaContext<'_>,
     node: MvmIdx,
     count: usize,
     capacity: usize,
     rng: &mut StdRng,
+    ms: &mut MutScratch,
 ) -> bool {
     let cores = ind.chromosome.cores();
     let start = rng.gen_range(0..cores);
-    place_ags_from(ind, ctx, node, count, capacity, start)
+    place_ags_from(ind, ctx, node, count, capacity, start, ms)
 }
 
 /// Deterministic variant of [`place_ags`] scanning from `start`.
+///
+/// Places AG after AG, each on the first core in circular order from
+/// `start` that hosts the node and has room for one more, else on the
+/// first that has room and a free slot — computed per *core*, not per
+/// AG. While some hosting core has room, the first of them keeps being
+/// picked until it is full, and hosting cores never change meanwhile:
+/// that is one sweep topping up each hosting core in scan order. Once
+/// none has room, the first non-hosting core with room and a free slot
+/// is opened; it is then the only hosting core with room, so it is
+/// picked until full, and the next core to open lies strictly later in
+/// scan order: a second sweep over the non-hosting cores. Both sweeps
+/// read disjoint cores of the state before the call, so one read-only
+/// pass plans them (`ms.top_ups`, `ms.fresh`) and nothing is written
+/// unless all `count` AGs fit.
 fn place_ags_from(
-    ind: &mut Draft,
+    ind: &mut Cow<'_, Draft>,
     ctx: &GaContext<'_>,
     node: MvmIdx,
     count: usize,
     capacity: usize,
     start: usize,
+    ms: &mut MutScratch,
 ) -> bool {
-    let entry = ctx.partitioning.entry(node);
-    let xb = entry.crossbars_per_ag;
+    let xb = ctx.partitioning.entry(node).crossbars_per_ag;
     let cores = ind.chromosome.cores();
-    let mut placed: Vec<usize> = Vec::with_capacity(count); // slots touched
-
-    'outer: for _ in 0..count {
-        // First pass: merge into a core already hosting the node.
-        let mut fallback: Option<(usize, usize)> = None;
-        for off in 0..cores {
-            let core = (start + off) % cores;
-            if ind.used_crossbars[core] + xb > capacity {
-                continue;
-            }
-            if let Some(slot) = ind.chromosome.slot_of_node_on_core(core, node) {
-                let cur = ind.chromosome.gene(slot).map_or(0, |g| g.ag_count);
-                ind.chromosome.set_gene(
-                    slot,
-                    Some(Gene {
-                        mvm: node,
-                        ag_count: cur + 1,
-                    }),
-                );
-                ind.used_crossbars[core] += xb;
-                placed.push(slot);
-                continue 'outer;
-            }
-            if fallback.is_none() {
-                if let Some(slot) = ind.chromosome.free_slot_of_core(core) {
-                    fallback = Some((core, slot));
-                }
-            }
+    ms.top_ups.clear();
+    ms.fresh.clear();
+    // AGs still unplaced after the top-ups so far, and the room in the
+    // fresh slots listed so far.
+    let mut left = count;
+    let mut fresh_room = 0usize;
+    for core in (start..cores).chain(0..start) {
+        if left == 0 {
+            break;
         }
-        // Second pass: open a fresh slot.
-        if let Some((core, slot)) = fallback {
-            ind.chromosome.set_gene(
-                slot,
-                Some(Gene {
-                    mvm: node,
-                    ag_count: 1,
-                }),
-            );
-            ind.used_crossbars[core] += xb;
-            placed.push(slot);
-            continue 'outer;
+        if ind.used_crossbars[core] + xb > capacity {
+            continue;
         }
-        // Could not place this AG: roll back everything.
-        for &slot in placed.iter().rev() {
-            let core = ind.chromosome.core_of_slot(slot);
-            let gene = ind.chromosome.gene(slot).expect("just placed");
-            ind.used_crossbars[core] -= xb;
-            ind.chromosome.set_gene(
-                slot,
-                (gene.ag_count > 1).then_some(Gene {
-                    mvm: node,
-                    ag_count: gene.ag_count - 1,
-                }),
-            );
+        let room = (capacity - ind.used_crossbars[core]) / xb;
+        match ind.chromosome.probe_core(core, node) {
+            (Some(slot), _) => {
+                let n = room.min(left);
+                ms.top_ups.push((slot, n));
+                left -= n;
+            }
+            (None, Some(slot)) if fresh_room < left => {
+                ms.fresh.push((slot, room));
+                fresh_room += room;
+            }
+            _ => {}
         }
+    }
+    if fresh_room < left {
         return false;
+    }
+    let ind = ind.to_mut();
+    for &(slot, n) in &ms.top_ups {
+        ind.add_ags(slot, node, xb, n);
+    }
+    for &(slot, room) in &ms.fresh {
+        if left == 0 {
+            break;
+        }
+        let n = room.min(left);
+        ind.add_ags(slot, node, xb, n);
+        left -= n;
     }
     true
 }
@@ -1033,6 +1119,7 @@ mod tests {
     use super::*;
     use pimcomp_ir::models;
     use pimcomp_ir::transform::normalize;
+    use rand::RngCore;
 
     fn setup(mode: PipelineMode) -> (Graph, HardwareConfig) {
         let g = normalize(&models::tiny_cnn()).unwrap();
@@ -1202,6 +1289,281 @@ mod tests {
             full_stats.evals_per_generation[..4]
         );
         assert_eq!(short_stats.initial_fitness, full_stats.initial_fitness);
+    }
+
+    /// The placement kernel as it was before batching, kept as the
+    /// reference oracle: one AG per full circular scan of the cores.
+    fn place_one_ag_per_scan(
+        chromosome: &mut Chromosome,
+        used_crossbars: &mut [usize],
+        (node, xb): (MvmIdx, usize),
+        count: usize,
+        capacity: usize,
+        start: usize,
+    ) -> bool {
+        let cores = chromosome.cores();
+        let mut placed: Vec<usize> = Vec::with_capacity(count); // slots touched
+        'outer: for _ in 0..count {
+            // First pass: merge into a core already hosting the node.
+            let mut fallback: Option<(usize, usize)> = None;
+            for off in 0..cores {
+                let core = (start + off) % cores;
+                if used_crossbars[core] + xb > capacity {
+                    continue;
+                }
+                if let Some(slot) = chromosome.slot_of_node_on_core(core, node) {
+                    let cur = chromosome.gene(slot).map_or(0, |g| g.ag_count);
+                    let ag_count = cur + 1;
+                    chromosome.set_gene(
+                        slot,
+                        Some(Gene {
+                            mvm: node,
+                            ag_count,
+                        }),
+                    );
+                    used_crossbars[core] += xb;
+                    placed.push(slot);
+                    continue 'outer;
+                }
+                if fallback.is_none() {
+                    if let Some(slot) = chromosome.free_slot_of_core(core) {
+                        fallback = Some((core, slot));
+                    }
+                }
+            }
+            // Second pass: open a fresh slot.
+            if let Some((core, slot)) = fallback {
+                chromosome.set_gene(
+                    slot,
+                    Some(Gene {
+                        mvm: node,
+                        ag_count: 1,
+                    }),
+                );
+                used_crossbars[core] += xb;
+                placed.push(slot);
+                continue 'outer;
+            }
+            // Could not place this AG: roll back everything.
+            for &slot in placed.iter().rev() {
+                let core = chromosome.core_of_slot(slot);
+                let gene = chromosome.gene(slot).expect("just placed");
+                used_crossbars[core] -= xb;
+                chromosome.set_gene(
+                    slot,
+                    (gene.ag_count > 1).then_some(Gene {
+                        mvm: node,
+                        ag_count: gene.ag_count - 1,
+                    }),
+                );
+            }
+            return false;
+        }
+        true
+    }
+
+    /// A random feasible draft on a `cores x max_nodes` grid: genes of
+    /// random nodes and sizes dropped on random cores, so some cores
+    /// end up full, some out of slots, and a node sits on no, one or
+    /// many cores.
+    fn random_draft(
+        p: &Partitioning,
+        (cores, max_nodes): (usize, usize),
+        capacity: usize,
+        fill: usize,
+        rng: &mut StdRng,
+    ) -> Draft {
+        let mut draft = Draft::empty(cores, max_nodes, p.len());
+        for _ in 0..fill {
+            let node = rng.gen_range(0..p.len());
+            let xb = p.entry(node).crossbars_per_ag;
+            let core = rng.gen_range(0..cores);
+            let room = (capacity - draft.used_crossbars[core]) / xb;
+            let (hosting, free) = draft.chromosome.probe_core(core, node);
+            let (Some(slot), true) = (hosting.or(free), room > 0) else {
+                continue;
+            };
+            draft.add_ags(slot, node, xb, rng.gen_range(1..=room));
+        }
+        draft.touched.clear();
+        draft
+    }
+
+    #[test]
+    fn batched_placement_matches_one_ag_per_scan() {
+        // resnet18 on PUMA partitions into nodes 1 to 32 crossbars wide.
+        let g = normalize(&models::resnet18()).unwrap();
+        let hw = HardwareConfig::puma();
+        let p = Partitioning::new(&g, &hw).unwrap();
+        let dep = DepInfo::analyze(&g);
+        // A `core_limit` reaches the kernel only as the grid's core
+        // count.
+        let ctx = GaContext {
+            hw: &hw,
+            graph: &g,
+            partitioning: &p,
+            dep: &dep,
+            mode: PipelineMode::HighThroughput,
+            core_limit: Some(5),
+        };
+        let prefix = (ctx.cores(), 3);
+        let capacity = hw.crossbar_capacity_per_core();
+        let mut rng = StdRng::seed_from_u64(0x0D1F);
+        let mut ms = MutScratch::default();
+        let (mut calls, mut failures) = (0usize, 0usize);
+        let (mut fresh_opened, mut topped_up) = (0usize, 0usize);
+        for (shape, fill) in [
+            ((1, 1), 1),
+            ((7, 1), 5),
+            ((6, 2), 12),
+            (prefix, 9),
+            ((9, 4), 40),
+        ] {
+            for _ in 0..12 {
+                let before = random_draft(&p, shape, capacity, fill, &mut rng);
+                let node = rng.gen_range(0..p.len());
+                let xb = p.entry(node).crossbars_per_ag;
+                let free: usize = before
+                    .used_crossbars
+                    .iter()
+                    .map(|used| (capacity - used) / xb)
+                    .sum();
+                for start in 0..shape.0 {
+                    for count in (1..=free + 2).filter(|c| *c < 6 || c % 5 == 0 || *c >= free) {
+                        let mut batched = Cow::Borrowed(&before);
+                        let ok = place_ags_from(
+                            &mut batched,
+                            &ctx,
+                            node,
+                            count,
+                            capacity,
+                            start,
+                            &mut ms,
+                        );
+                        let (mut chromosome, mut used) =
+                            (before.chromosome.clone(), before.used_crossbars.clone());
+                        let expected = place_one_ag_per_scan(
+                            &mut chromosome,
+                            &mut used,
+                            (node, xb),
+                            count,
+                            capacity,
+                            start,
+                        );
+                        let at =
+                            format!("grid {shape:?}, node {node}, start {start}, count {count}");
+                        assert_eq!(ok, expected, "{at}");
+                        assert_eq!(batched.chromosome, chromosome, "{at}");
+                        assert_eq!(batched.chromosome.fingerprint(), chromosome.fingerprint());
+                        assert_eq!(batched.used_crossbars, used, "{at}");
+                        assert_eq!(batched.ag_totals, chromosome.ag_totals(&p), "{at}");
+                        if !ok {
+                            // A failed call writes nothing (and copies nothing).
+                            assert!(matches!(batched, Cow::Borrowed(_)), "{at}");
+                            assert_eq!(chromosome, before.chromosome, "{at}");
+                            assert_eq!(used, before.used_crossbars, "{at}");
+                        }
+                        calls += 1;
+                        failures += usize::from(!ok);
+                        fresh_opened += usize::from(
+                            ok && chromosome.genes().count() > before.chromosome.genes().count(),
+                        );
+                        topped_up += usize::from(
+                            ok && {
+                                let mut grown = before.chromosome.genes();
+                                grown.any(|(slot, g)| chromosome.gene(slot) != Some(g))
+                            },
+                        );
+                    }
+                }
+            }
+        }
+        // The sweep must have exercised every branch, not just agreed
+        // on trivial cases.
+        assert!(calls > 2000, "{calls} calls");
+        assert!(
+            failures > 100 && failures < calls / 2,
+            "{failures} failures"
+        );
+        assert!(fresh_opened > 100, "{fresh_opened} calls opened a slot");
+        assert!(
+            topped_up > 100,
+            "{topped_up} calls topped a hosting core up"
+        );
+    }
+
+    #[test]
+    fn choose_gene_matches_choose_on_the_gene_list() {
+        let g = normalize(&models::tiny_cnn()).unwrap();
+        let p = Partitioning::new(&g, &HardwareConfig::small_test()).unwrap();
+        let mut rng = StdRng::seed_from_u64(0xC400);
+        let (mut picks, mut empties) = (0usize, 0usize);
+        for fill in [0usize, 1, 2, 6, 30, 200] {
+            for _ in 0..20 {
+                // Capacity 2 leaves most genes at one AG, so the
+                // splittable list is sometimes empty and sometimes not.
+                let capacity = 2 * p
+                    .entries()
+                    .iter()
+                    .map(|e| e.crossbars_per_ag)
+                    .max()
+                    .unwrap();
+                let chromosome = random_draft(&p, (23, 3), capacity, fill, &mut rng).chromosome;
+                for splittable in [false, true] {
+                    let min_ags = if splittable { 2 } else { 1 };
+                    let list: Vec<(usize, Gene)> = chromosome
+                        .genes()
+                        .filter(|(_, g)| g.ag_count >= min_ags)
+                        .collect();
+                    for seed in 0..8 {
+                        let mut listed = StdRng::seed_from_u64(seed);
+                        let mut selected = listed.clone();
+                        let expected = list.choose(&mut listed).copied();
+                        assert_eq!(
+                            choose_gene(&chromosome, splittable, &mut selected),
+                            expected
+                        );
+                        // Same draws: both streams continue identically.
+                        assert_eq!(listed.next_u64(), selected.next_u64());
+                        picks += usize::from(expected.is_some());
+                        empties += usize::from(expected.is_none());
+                    }
+                }
+            }
+        }
+        assert!(
+            picks > 500 && empties > 100,
+            "{picks} picks, {empties} empty"
+        );
+    }
+
+    #[test]
+    fn zero_mutations_per_child_does_not_panic() {
+        // `CompileOptions::validate` rejects 0; a direct caller gets the
+        // smallest legal value instead of an empty-range panic.
+        let (g, hw) = setup(PipelineMode::HighThroughput);
+        let p = Partitioning::new(&g, &hw).unwrap();
+        let dep = DepInfo::analyze(&g);
+        let ctx = GaContext {
+            hw: &hw,
+            graph: &g,
+            partitioning: &p,
+            dep: &dep,
+            mode: PipelineMode::HighThroughput,
+            core_limit: None,
+        };
+        let zero = GaParams {
+            max_mutations_per_child: 0,
+            ..GaParams::fast(3)
+        };
+        let one = GaParams {
+            max_mutations_per_child: 1,
+            ..GaParams::fast(3)
+        };
+        assert_eq!(
+            optimize(&ctx, &zero).unwrap(),
+            optimize(&ctx, &one).unwrap()
+        );
     }
 
     #[test]

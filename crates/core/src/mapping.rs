@@ -61,10 +61,12 @@ impl Gene {
 /// communication dominates (paper Section IV-C.1).
 ///
 /// Storage is struct-of-arrays: the node index and AG count of every
-/// slot live in parallel vectors with a bitset marking occupied slots,
-/// so the GA's slot scans walk contiguous words instead of
-/// discriminant-tagged options, and the memoization fingerprint can be
-/// maintained incrementally (XOR in/out one slot's contribution on
+/// slot live in parallel vectors with a bitset marking occupied slots
+/// (and a second one marking genes of two or more AGs, the ones a
+/// spread can split), so the GA's slot scans walk contiguous words
+/// instead of discriminant-tagged options, a uniformly random gene is
+/// a popcount walk over a bitset, and the memoization fingerprint can
+/// be maintained incrementally (XOR in/out one slot's contribution on
 /// every [`Chromosome::set_gene`]) instead of rehashing the whole grid
 /// per offspring. Serialization keeps the original
 /// `{slots, cores, max_nodes_per_core}` shape, so on-disk artifacts
@@ -74,6 +76,8 @@ pub struct Chromosome {
     mvms: Vec<usize>,
     ags: Vec<usize>,
     occupied: Vec<u64>,
+    /// Slots whose gene holds at least two AGs.
+    splittable: Vec<u64>,
     cores: usize,
     max_nodes_per_core: usize,
     fp: u128,
@@ -145,6 +149,7 @@ impl Chromosome {
             mvms: vec![0; slots],
             ags: vec![0; slots],
             occupied: vec![0; slots.div_ceil(64)],
+            splittable: vec![0; slots.div_ceil(64)],
             cores,
             max_nodes_per_core,
             fp: base,
@@ -215,18 +220,24 @@ impl Chromosome {
         if let Some(g) = prev {
             self.fp ^= Self::slot_token(slot, g);
         }
+        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
         match gene {
             Some(g) => {
                 self.fp ^= Self::slot_token(slot, g);
                 self.mvms[slot] = g.mvm;
                 self.ags[slot] = g.ag_count;
-                self.occupied[slot / 64] |= 1u64 << (slot % 64);
+                self.occupied[word] |= bit;
             }
             None => {
                 self.mvms[slot] = 0;
                 self.ags[slot] = 0;
-                self.occupied[slot / 64] &= !(1u64 << (slot % 64));
+                self.occupied[word] &= !bit;
             }
+        }
+        if self.ags[slot] >= 2 {
+            self.splittable[word] |= bit;
+        } else {
+            self.splittable[word] &= !bit;
         }
         prev
     }
@@ -271,8 +282,24 @@ impl Chromosome {
         self.slots_of_core(core).find(|&s| !self.is_occupied(s))
     }
 
+    /// Where a gene of `mvm` lives or could live on `core`, in one walk
+    /// over the core's slots: `(slot already holding the node, first
+    /// free slot)` — [`Chromosome::slot_of_node_on_core`] and
+    /// [`Chromosome::free_slot_of_core`] together.
+    pub(crate) fn probe_core(&self, core: usize, mvm: MvmIdx) -> (Option<usize>, Option<usize>) {
+        let mut free = None;
+        for slot in self.slots_of_core(core) {
+            if !self.is_occupied(slot) {
+                free = free.or(Some(slot));
+            } else if self.mvms[slot] == mvm {
+                return (Some(slot), free);
+            }
+        }
+        (None, free)
+    }
+
     /// Whether `slot` holds different content in `self` and `other`
-    /// (the slot-level diff behind the GA's dirty-core re-evaluation;
+    /// (the slot-level diff behind `FitnessMemo::evaluate_mutated`;
     /// compares the SoA columns directly so no `Option` is built).
     pub(crate) fn slot_differs(&self, other: &Self, slot: usize) -> bool {
         let occ = self.is_occupied(slot);
@@ -282,17 +309,65 @@ impl Chromosome {
 
     /// Slot of a gene of `mvm` on `core`, if present.
     pub fn slot_of_node_on_core(&self, core: usize, mvm: MvmIdx) -> Option<usize> {
-        self.genes_of_core(core)
-            .find(|(_, g)| g.mvm == mvm)
-            .map(|(s, _)| s)
+        self.probe_core(core, mvm).0
+    }
+
+    /// Slots holding a gene of `mvm`, in slot order. Compares the node
+    /// column directly (empty slots hold node 0, so only a match needs
+    /// the occupancy check), which is what lets the GA find one node's
+    /// genes on a multi-thousand-core grid without decoding every gene.
+    pub(crate) fn slots_of_node(&self, mvm: MvmIdx) -> impl Iterator<Item = usize> + '_ {
+        self.mvms
+            .iter()
+            .enumerate()
+            .filter(move |&(slot, &m)| m == mvm && self.is_occupied(slot))
+            .map(|(slot, _)| slot)
+    }
+
+    /// The bitset a random gene is drawn from: every gene, or only the
+    /// `splittable` ones (two or more AGs).
+    fn gene_pool(&self, splittable: bool) -> &[u64] {
+        if splittable {
+            &self.splittable
+        } else {
+            &self.occupied
+        }
+    }
+
+    /// How many genes there are — with `splittable`, how many of two or
+    /// more AGs.
+    pub(crate) fn gene_count(&self, splittable: bool) -> usize {
+        self.gene_pool(splittable)
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
+    }
+
+    /// The `index`-th gene in slot order (with `splittable`, among
+    /// those of two or more AGs): element `index` of the list
+    /// [`Chromosome::genes`] would yield, found by popcount without
+    /// building it.
+    pub(crate) fn nth_gene(&self, splittable: bool, index: usize) -> Option<(usize, Gene)> {
+        let mut skip = index;
+        for (word, &bits) in self.gene_pool(splittable).iter().enumerate() {
+            let here = bits.count_ones() as usize;
+            if skip >= here {
+                skip -= here;
+                continue;
+            }
+            let mut rest = bits;
+            for _ in 0..skip {
+                rest &= rest - 1;
+            }
+            let slot = word * 64 + rest.trailing_zeros() as usize;
+            return self.gene(slot).map(|gene| (slot, gene));
+        }
+        None
     }
 
     /// Total AG instances of `mvm` across all cores.
     pub fn ag_total(&self, mvm: MvmIdx) -> usize {
-        self.genes()
-            .filter(|(_, g)| g.mvm == mvm)
-            .map(|(_, g)| g.ag_count)
-            .sum()
+        self.slots_of_node(mvm).map(|slot| self.ags[slot]).sum()
     }
 
     /// Crossbars used on each core under `partitioning`.
@@ -326,22 +401,7 @@ impl Chromosome {
         &self,
         partitioning: &Partitioning,
     ) -> Result<ReplicationPlan, CompileError> {
-        let totals = self.ag_totals(partitioning);
-        let mut counts = Vec::with_capacity(partitioning.len());
-        for (idx, &total) in totals.iter().enumerate() {
-            let a = partitioning.entry(idx).ags_per_replica;
-            if total == 0 || total % a != 0 {
-                return Err(CompileError::MappingInvariant {
-                    detail: format!(
-                        "node {} ({}) has {total} AGs, not a positive multiple of {a}",
-                        idx,
-                        partitioning.entry(idx).name
-                    ),
-                });
-            }
-            counts.push(total / a);
-        }
-        Ok(ReplicationPlan::from_counts(partitioning, counts))
+        replication_of_totals(partitioning, &self.ag_totals(partitioning))
     }
 
     /// The paper's flat integer encoding of the whole chromosome
@@ -382,6 +442,35 @@ impl Chromosome {
         }
         c
     }
+}
+
+/// The replication plan implied by per-node AG totals
+/// ([`Chromosome::ag_totals`], or the totals a GA draft keeps current
+/// itself).
+///
+/// # Errors
+///
+/// [`CompileError::MappingInvariant`] when some node's AG total is zero
+/// or not a multiple of its AGs-per-replica.
+pub(crate) fn replication_of_totals(
+    partitioning: &Partitioning,
+    totals: &[usize],
+) -> Result<ReplicationPlan, CompileError> {
+    let mut counts = Vec::with_capacity(partitioning.len());
+    for (idx, &total) in totals.iter().enumerate() {
+        let a = partitioning.entry(idx).ags_per_replica;
+        if total == 0 || total % a != 0 {
+            return Err(CompileError::MappingInvariant {
+                detail: format!(
+                    "node {} ({}) has {total} AGs, not a positive multiple of {a}",
+                    idx,
+                    partitioning.entry(idx).name
+                ),
+            });
+        }
+        counts.push(total / a);
+    }
+    Ok(ReplicationPlan::from_counts(partitioning, counts))
 }
 
 /// One AG instance: a concrete `(node, replica, slice)` living on a

@@ -436,3 +436,131 @@ fn ht_sim_reports_match_golden() {
         );
     }
 }
+
+/// The columns of `ga_results.tsv`.
+const GA_RESULTS_HEADER: &str = "# model\tmode\ttarget\tseed\tfingerprint\tinitial_fitness_bits\t\
+     final_fitness_bits\tevaluations\tfull_evals\tincremental_evals\tcache_hits\t\
+     grow_successes\tgrow_failures";
+
+/// One GA run (population 20 x 30 generations) as a `ga_results.tsv`
+/// row: the best chromosome's fingerprint, the fitness endpoints as
+/// `f64::to_bits` hex, and the six `GaStats` counters.
+fn ga_result_line(
+    name: &str,
+    target: &str,
+    ctx: &pimcomp_core::GaContext<'_>,
+    seed: u64,
+) -> String {
+    let params = GaParams {
+        population: 20,
+        iterations: 30,
+        seed,
+        ..GaParams::default()
+    };
+    let (best, s) = pimcomp_core::optimize(ctx, &params)
+        .unwrap_or_else(|e| panic!("{name}/{}/{target}/seed {seed}: {e}", ctx.mode));
+    format!(
+        "{name}\t{}\t{target}\t{seed}\t{:032x}\t{:016x}\t{:016x}\t{}\t{}\t{}\t{}\t{}\t{}",
+        ctx.mode,
+        best.fingerprint(),
+        s.initial_fitness.to_bits(),
+        s.final_fitness.to_bits(),
+        s.evaluations,
+        s.full_evals,
+        s.incremental_evals,
+        s.cache_hits,
+        s.grow_successes,
+        s.grow_failures
+    )
+}
+
+/// Every GA row of one model on its auto-sized PUMA target: {HT, LL} x
+/// GA seeds {1, 7, 42} over every core, plus one HT row restricted to a
+/// `core_limit` prefix holding 1.5x the single-replica demand — the
+/// context a `weight_reload` compilation whose budget fits hands the
+/// GA. (On one chip a model over budget takes the epoch packer, which
+/// runs no GA, and a model that fits is limited to the whole chip, so a
+/// one-chip row would pin no prefix.)
+fn ga_result_lines(name: &str, graph: &pimcomp_ir::Graph) -> Vec<String> {
+    use pimcomp_core::{DepInfo, GaContext, Partitioning};
+    let graph = pimcomp_ir::transform::normalize(graph).unwrap();
+    let hw = sized_puma(&graph);
+    let partitioning = Partitioning::new(&graph, &hw).unwrap();
+    let dep = DepInfo::analyze(&graph);
+    let mut ctx = GaContext {
+        hw: &hw,
+        graph: &graph,
+        partitioning: &partitioning,
+        dep: &dep,
+        mode: PipelineMode::HighThroughput,
+        core_limit: None,
+    };
+    let mut lines = Vec::new();
+    for mode in [PipelineMode::HighThroughput, PipelineMode::LowLatency] {
+        ctx.mode = mode;
+        for seed in [1u64, 7, 42] {
+            lines.push(ga_result_line(name, "auto", &ctx, seed));
+        }
+    }
+    ctx.mode = PipelineMode::HighThroughput;
+    let prefix = (partitioning.min_crossbars() * 3 / 2)
+        .div_ceil(hw.crossbar_capacity_per_core())
+        .min(hw.total_cores());
+    ctx.core_limit = Some(prefix);
+    lines.push(ga_result_line(name, &format!("prefix{prefix}"), &ctx, 7));
+    lines
+}
+
+#[test]
+fn ga_results_match_golden() {
+    // Pins the GA itself — which chromosome wins, at which fitness,
+    // after how many evaluations of which kind — on the wide paper
+    // targets in both modes, so a rewrite of the placement, mutation or
+    // evaluation kernels that draws a different RNG sequence or counts
+    // an evaluation differently fails here, row by row. Debug builds
+    // check the two small models; the release test job checks (and
+    // `UPDATE_GOLDEN=1` regenerates) every row.
+    let full = !cfg!(debug_assertions);
+    let bert = pimcomp_ir::transform::bind_seq_len(&models::tiny_bert(), 64).unwrap();
+    let mut cases: Vec<(&str, pimcomp_ir::Graph)> =
+        vec![("tiny_bert", bert), ("squeezenet", models::squeezenet())];
+    if full {
+        for name in models::PAPER_BENCHMARKS {
+            if name != "squeezenet" {
+                cases.push((
+                    name,
+                    models::by_name(name).expect("paper benchmark resolves"),
+                ));
+            }
+        }
+    }
+    let actual: Vec<String> = cases
+        .iter()
+        .flat_map(|(name, graph)| ga_result_lines(name, graph))
+        .collect();
+
+    let path = golden_dir().join("ga_results.tsv");
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        assert!(full, "regenerate ga_results.tsv from a release build");
+        let body = format!("{GA_RESULTS_HEADER}\n{}\n", actual.join("\n"));
+        std::fs::write(&path, body).expect("write fixture");
+        return;
+    }
+    // Rows are in case order, small models first, so a debug run
+    // checks a prefix of them.
+    let fixture = std::fs::read_to_string(&path).expect("tests/golden/ga_results.tsv");
+    let expected: Vec<&str> = fixture.lines().filter(|l| !l.starts_with('#')).collect();
+    assert!(
+        expected.len() >= actual.len() && (!full || expected.len() == actual.len()),
+        "fixture holds {} rows, this run produced {}",
+        expected.len(),
+        actual.len()
+    );
+    for (want, line) in expected.iter().zip(&actual) {
+        assert!(
+            want == line,
+            "GA result drifted from golden fixture {}:\n  {GA_RESULTS_HEADER}\n  fixture {want}\n  actual  {line}",
+            path.display()
+        );
+    }
+}

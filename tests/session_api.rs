@@ -133,6 +133,8 @@ fn invalid_options_are_rejected_at_session_creation() {
     zero_pop.ga.population = 0;
     let mut zero_iters = opts(PipelineMode::HighThroughput, 1);
     zero_iters.ga.iterations = 0;
+    let mut zero_mutations = opts(PipelineMode::HighThroughput, 1);
+    zero_mutations.ga.max_mutations_per_child = 0;
     let mut ll_batched = opts(PipelineMode::LowLatency, 1);
     ll_batched.batch = 4;
 
@@ -140,6 +142,7 @@ fn invalid_options_are_rejected_at_session_creation() {
         ("zero batch", zero_batch),
         ("zero population", zero_pop),
         ("zero iterations", zero_iters),
+        ("zero mutations per child", zero_mutations),
         ("LL with HT batch", ll_batched),
     ] {
         let err = CompileSession::new(hw(), &graph, bad).unwrap_err();
