@@ -8,13 +8,16 @@
 //! local memory in both worlds and therefore executes through the exact
 //! same kernel code here. The MVM strategy is injected as an
 //! [`MvmBackend`], which receives the unfolded weight matrix and the
-//! im2col'd input rows and returns the pre-bias output rows. This
-//! construction guarantees that any differential disagreement between
-//! the two executors is attributable to the compiled layout.
+//! im2col'd input panels and returns the pre-bias output, computing it
+//! through calls into the one kernel ([`MvmJob::gemm`]). This construction
+//! guarantees that any differential disagreement between the two
+//! executors is attributable to the compiled layout.
 
 use crate::error::ExecError;
+use crate::gemm::{gemm, pack_rows, NR};
 use crate::tensor::Tensor;
 use pimcomp_ir::{infer_output_shape, synth, Activation, Graph, Node, Op, PoolKind, Shape};
+use std::ops::Range;
 
 /// The unfolded stationary weight matrix of one MVM node, stored
 /// column-major so a crossbar column (a row range of one output
@@ -28,14 +31,7 @@ pub struct WeightMatrix {
     pub cols: Vec<f32>,
 }
 
-impl WeightMatrix {
-    /// Column `c` as a contiguous slice.
-    pub fn col(&self, c: usize) -> &[f32] {
-        &self.cols[c * self.height..(c + 1) * self.height]
-    }
-}
-
-/// One MVM computation handed to a backend: input rows (per
+/// One MVM computation handed to a backend: input panels (per
 /// convolution group) times a stationary weight matrix.
 pub struct MvmJob<'a> {
     /// The node being computed.
@@ -48,32 +44,50 @@ pub struct MvmJob<'a> {
     /// Weight-matrix width (total output columns across groups).
     pub width: usize,
     /// Convolution groups (1 for everything else). Output column `c`
-    /// contracts against `rows[c / (width / groups)]`.
+    /// contracts against the panels of group `c / (width / groups)`.
     pub groups: usize,
-    /// Per group: row-major `[windows × height]` input rows.
-    pub rows: &'a [Vec<f32>],
-    /// The unfolded weight matrix.
-    pub weights: &'a WeightMatrix,
+    /// The im2col'd input, `[group][window-block][k][NR]`: per group
+    /// one [`pack_rows`]-layout panel set.
+    pub panels: &'a [f32],
+    /// The unfolded weight matrix, synthesized for this one job: a
+    /// backend that models weight storage rewrites it in place.
+    pub weights: WeightMatrix,
 }
 
 impl MvmJob<'_> {
-    /// The input row for window `w` of group `g`.
-    pub fn row(&self, g: usize, w: usize) -> &[f32] {
-        &self.rows[g][w * self.height..(w + 1) * self.height]
-    }
-
-    /// The group that output column `c` belongs to.
-    pub fn group_of(&self, c: usize) -> usize {
-        c / (self.width / self.groups)
+    /// The kernel over this job: `out[c][w] (= | +=)` the contraction of
+    /// window `w` against weight column `c` over the rows `k`, for
+    /// every column in `cols` (split at convolution group boundaries,
+    /// each piece against its group's panels).
+    pub fn gemm(&self, cols: Range<usize>, k: Range<usize>, out: &mut [f32], accumulate: bool) {
+        let per_group = self.width / self.groups;
+        let group_len = self.windows.div_ceil(NR) * self.height * NR;
+        let mut c = cols.start;
+        while c < cols.end {
+            let g = c / per_group;
+            let piece = c..cols.end.min((g + 1) * per_group);
+            c = piece.end;
+            let panels = &self.panels[g * group_len..(g + 1) * group_len];
+            gemm(
+                &self.weights,
+                piece,
+                panels,
+                self.windows,
+                k.clone(),
+                out,
+                accumulate,
+            );
+        }
     }
 }
 
 /// An MVM computation strategy: direct f32 matmul (reference) or the
 /// compiled per-crossbar layout (mapped).
 pub trait MvmBackend {
-    /// Computes the pre-bias output rows, `[windows × width]`
-    /// row-major.
-    fn mvm(&mut self, job: &MvmJob) -> Result<Vec<f32>, ExecError>;
+    /// Computes the pre-bias output, `[width × windows]`: one
+    /// contiguous row of windows per output column (CHW for a
+    /// convolution).
+    fn mvm(&mut self, job: &mut MvmJob) -> Result<Vec<f32>, ExecError>;
 }
 
 /// Synthesizes the unfolded weight matrix of an MVM node
@@ -183,6 +197,31 @@ fn validate_for_execution(graph: &Graph) -> Result<Vec<usize>, ExecError> {
                     node.output_shape, inferred
                 ),
             });
+        }
+        // Every element count execution allocates, multiplied out
+        // checked: artifact-controlled extents must not wrap a size.
+        let overflow = || ExecError::ShapeMismatch {
+            node: node.name.clone(),
+            detail: "element count overflows usize".to_string(),
+        };
+        let numel = node.output_shape.try_numel().ok_or_else(overflow)?;
+        let groups = match &node.op {
+            Op::Conv2d(c) => {
+                let taps = c.kernel.0.checked_mul(c.kernel.1);
+                taps.and_then(|t| t.checked_mul(c.in_channels))
+                    .ok_or_else(overflow)?;
+                c.groups
+            }
+            _ => 1,
+        };
+        if let Some((height, width)) = node.op.weight_matrix() {
+            // One product bounds the weight matrix, the im2col panels
+            // (windows padded to a block, per group) and the mapped
+            // backend's per-slice partials.
+            (numel / width.max(1))
+                .checked_add(NR)
+                .and_then(|w| w.checked_mul(height)?.checked_mul(width.max(groups)))
+                .ok_or_else(overflow)?;
         }
     }
 
@@ -557,8 +596,9 @@ fn eval_node(
 }
 
 /// Evaluates an MVM node through the backend: unfold the input into
-/// rows, synthesize the weight matrix, multiply, add bias, fold back
-/// into the output layout.
+/// panels, synthesize the weight matrix, multiply, add bias. The
+/// backend's `[column][window]` output is the CHW (or flat) output
+/// layout already; only a token stream needs transposing back.
 fn eval_mvm(
     node: &Node,
     input: &Tensor,
@@ -581,116 +621,82 @@ fn eval_mvm(
     } else {
         vec![0.0; width]
     };
+    // Sliding windows for a convolution, sequence positions for a
+    // matmul, 1 for fully connected.
+    let windows = out_dims.iter().product::<usize>() / width.max(1);
 
-    match &node.op {
+    let (groups, panels) = match &node.op {
         Op::Conv2d(c) => {
             let (ci, ih, iw) = chw(input).map_err(&shape_err)?;
-            if c.groups == 0 || ci % c.groups != 0 || c.out_channels % c.groups != 0 {
-                return Err(shape_err(format!(
-                    "groups {} do not divide channels {ci}/{}",
-                    c.groups, c.out_channels
-                )));
-            }
-            let (oh, ow) = (out_dims[1], out_dims[2]);
-            let windows = oh * ow;
+            let ow = out_dims[2];
             let cpg = ci / c.groups;
             let (kh, kw) = c.kernel;
-            let mut rows = Vec::with_capacity(c.groups);
+            let blocks = windows.div_ceil(NR);
+            let mut panels = vec![0.0f32; c.groups * blocks * height * NR];
             for g in 0..c.groups {
-                let mut m = vec![0.0f32; windows * height];
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let w = oy * ow + ox;
-                        let y0 = (oy * c.stride.0) as isize - c.padding.0 as isize;
-                        let x0 = (ox * c.stride.1) as isize - c.padding.1 as isize;
-                        for cl in 0..cpg {
-                            let ch = g * cpg + cl;
-                            for ky in 0..kh {
-                                let y = y0 + ky as isize;
-                                if y < 0 || y >= ih as isize {
+                for w in 0..windows {
+                    // Window `w` is one lane of its block; row `k` of
+                    // that lane is `k * NR` further on.
+                    let lane = (g * blocks + w / NR) * height * NR + w % NR;
+                    let y0 = (w / ow * c.stride.0) as isize - c.padding.0 as isize;
+                    let x0 = (w % ow * c.stride.1) as isize - c.padding.1 as isize;
+                    for cl in 0..cpg {
+                        let ch = g * cpg + cl;
+                        for ky in 0..kh {
+                            let y = y0 + ky as isize;
+                            if y < 0 || y >= ih as isize {
+                                continue;
+                            }
+                            for kx in 0..kw {
+                                let x = x0 + kx as isize;
+                                if x < 0 || x >= iw as isize {
                                     continue;
                                 }
-                                for kx in 0..kw {
-                                    let x = x0 + kx as isize;
-                                    if x < 0 || x >= iw as isize {
-                                        continue;
-                                    }
-                                    m[w * height + (cl * kh + ky) * kw + kx] =
-                                        input.data[(ch * ih + y as usize) * iw + x as usize];
-                                }
+                                panels[lane + ((cl * kh + ky) * kw + kx) * NR] =
+                                    input.data[(ch * ih + y as usize) * iw + x as usize];
                             }
                         }
                     }
                 }
-                rows.push(m);
             }
-            let job = MvmJob {
-                node,
-                windows,
-                height,
-                width,
-                groups: c.groups,
-                rows: &rows,
-                weights: &weights,
-            };
-            let out = backend.mvm(&job)?;
-            // [window][cout] rows -> CHW, bias per output channel.
-            let mut data = vec![0.0f32; width * windows];
-            for w in 0..windows {
-                for ch in 0..width {
-                    data[ch * windows + w] = out[w * width + ch] + bias[ch];
-                }
-            }
-            Ok(Tensor::new(out_dims, data))
+            (c.groups, panels)
         }
-        Op::Linear(_) => {
-            if input.data.len() != height {
+        Op::Linear(_) | Op::MatMul(_) => {
+            if input.data.len() != windows * height {
                 return Err(shape_err(format!(
-                    "linear input {} != in_features {height}",
+                    "input of {} values is not {windows} rows of {height}",
                     input.data.len()
                 )));
             }
-            let rows = [input.data.clone()];
-            let job = MvmJob {
-                node,
-                windows: 1,
-                height,
-                width,
-                groups: 1,
-                rows: &rows,
-                weights: &weights,
-            };
-            let mut out = backend.mvm(&job)?;
-            for (o, b) in out.iter_mut().zip(&bias) {
-                *o += b;
-            }
-            Ok(Tensor::new(out_dims, out))
-        }
-        Op::MatMul(_) => {
-            let (s, f) = rank2(input).map_err(&shape_err)?;
-            if f != height {
-                return Err(shape_err(format!("matmul input width {f} != {height}")));
-            }
-            let rows = [input.data.clone()];
-            let job = MvmJob {
-                node,
-                windows: s,
-                height,
-                width,
-                groups: 1,
-                rows: &rows,
-                weights: &weights,
-            };
-            let mut out = backend.mvm(&job)?;
-            for w in 0..s {
-                for ch in 0..width {
-                    out[w * width + ch] += bias[ch];
-                }
-            }
-            Ok(Tensor::new(out_dims, out))
+            (1, pack_rows(&input.data, windows, height))
         }
         _ => unreachable!("eval_mvm called on non-MVM op"),
+    };
+    let mut job = MvmJob {
+        node,
+        windows,
+        height,
+        width,
+        groups,
+        panels: &panels,
+        weights,
+    };
+    let mut out = backend.mvm(&mut job)?;
+    for (row, b) in out.chunks_exact_mut(windows.max(1)).zip(&bias) {
+        for v in row {
+            *v += b;
+        }
     }
+    if matches!(node.op, Op::MatMul(_)) {
+        let by_column = out;
+        out = vec![0.0f32; by_column.len()];
+        for (c, row) in by_column.chunks_exact(windows.max(1)).enumerate() {
+            for (w, &v) in row.iter().enumerate() {
+                out[w * width + c] = v;
+            }
+        }
+    }
+    Ok(Tensor::new(out_dims, out))
 }
 
 /// GELU, tanh approximation (the form PIM VFU libraries implement).

@@ -11,13 +11,15 @@
 //!   numerics.
 //! * [`MappedBackend`] — the same inputs pushed through a
 //!   [`CompiledModel`]'s per-crossbar layout: weights split by
-//!   Array-Group row slices and column groups, windows divided across
-//!   replicas, partial sums accumulated per the core mapping, reload
+//!   Array-Group row slices and column groups, partial sums
+//!   accumulated per the core mapping, replica coverage and reload
 //!   epoch plans cross-checked.
 //!
-//! Both run the graph with [`run_graph`]; [`verify_model`]
-//! differentially compares them. Inputs, weights and biases are
-//! synthesized deterministically from a seed
+//! Both run the graph with [`run_graph`] and multiply through the one
+//! register-tiled kernel behind [`MvmJob::gemm`] — the reference over
+//! the whole contraction, the mapped executor one crossbar-height slice
+//! at a time; [`verify_model`] differentially compares them. Inputs,
+//! weights and biases are synthesized deterministically from a seed
 //! ([`pimcomp_ir::synth`]), so a `(graph, seed)` pair fully determines
 //! every tensor — goldens are reproducible bytes.
 //!
@@ -29,8 +31,11 @@
 //! Per the repo's panic policy, artifact-loaded data is never indexed
 //! raw: hostile or truncated artifacts surface as [`ExecError`]s.
 
+#![forbid(unsafe_code)]
+
 mod engine;
 mod error;
+mod gemm;
 mod mapped;
 mod reference;
 mod tensor;
@@ -39,6 +44,7 @@ pub use engine::{
     run_graph, synth_bias, synth_input, synth_weights, MvmBackend, MvmJob, WeightMatrix,
 };
 pub use error::ExecError;
+pub use gemm::{pack_rows, NR};
 pub use mapped::{slice_cells, MappedBackend};
 pub use reference::ReferenceBackend;
 pub use tensor::Tensor;
@@ -108,6 +114,22 @@ pub fn verify_model(
     quant: Option<QuantConfig>,
 ) -> Result<VerifyOutcome, ExecError> {
     let reference = reference_outputs(&model.graph, seed)?;
+    verify_against(&reference, model, seed, quant)
+}
+
+/// [`verify_model`] against an already computed `reference` — the
+/// [`reference_outputs`] of `model.graph` at the same `seed` — so one
+/// reference run serves an unquantized and a quantized check.
+///
+/// # Errors
+///
+/// As [`verify_model`], less the reference run's own.
+pub fn verify_against(
+    reference: &[(String, Tensor)],
+    model: &CompiledModel,
+    seed: u64,
+    quant: Option<QuantConfig>,
+) -> Result<VerifyOutcome, ExecError> {
     let mapped = mapped_outputs(model, seed, quant)?;
     if reference.len() != mapped.len() {
         return Err(ExecError::ShapeMismatch {

@@ -3,41 +3,37 @@
 //!
 //! Each MVM node's weight matrix is split exactly the way the compiled
 //! [`Partitioning`] and [`CoreMapping`] say it is: column groups first,
-//! then replicas (each handling a contiguous window range), then Array
-//! Groups (crossbar-height row slices), each AG's columns living on
-//! physical crossbars. A window's output element is the sum of its
-//! per-slice partial sums, accumulated in ascending slice order at the
-//! replica's owner core — so a missing, duplicated or misplaced AG in
-//! the mapping produces either a structured [`ExecError`] or a wrong
-//! tensor a differential test catches.
+//! then Array Groups (crossbar-height row slices), each AG's columns
+//! living on physical crossbars; replicas hold the same weights and
+//! share the windows, so they are validated but compute nothing
+//! different. Every `(column group, slice)` is one call into the
+//! kernel ([`MvmJob::gemm`]) over that slice's row range, and
+//! a window's output element is the sum of its per-slice partial sums,
+//! accumulated in ascending slice order at the replica's owner core —
+//! so a missing, duplicated or misplaced AG in the mapping produces
+//! either a structured [`ExecError`] or a wrong tensor a differential
+//! test catches.
 //!
 //! With a [`QuantConfig`], the executor additionally models the analog
 //! datapath: weights are rounded to `weight_bits`-bit integers under a
 //! per-node symmetric scale (their base-`2^cell_bits` bit-slice
 //! decomposition is value-exact, see [`slice_cells`]), and every
 //! per-crossbar column sum passes through an ADC that rounds and clips
-//! to a `2^adc_bits`-level grid over a per-node calibrated full scale.
+//! to a `2^adc_bits`-level grid over a per-node calibrated full scale
+//! (the largest magnitude among the node's stored partials).
 //! ADC grids over one full scale are nested in `adc_bits`, so the
 //! per-partial error — and with it the single-layer output RMSE — is
 //! monotone non-increasing in ADC resolution.
 
 use crate::engine::{MvmBackend, MvmJob, WeightMatrix};
 use crate::error::ExecError;
-use crate::reference::dot;
 use pimcomp_arch::QuantConfig;
-use pimcomp_core::{slice_rows, CompiledModel, EpochPlan, NodePartition};
-
-/// Per-MVM-entry Array-Group coverage extracted from a [`CoreMapping`]:
-/// `cores[replica][slice]` is the core holding that AG.
-struct Coverage {
-    cores: Vec<Vec<usize>>,
-}
+use pimcomp_core::{slice_rows, CompiledModel, EpochPlan};
 
 /// Computes MVM nodes through the compiled per-crossbar layout.
 pub struct MappedBackend<'a> {
     model: &'a CompiledModel,
     quant: Option<QuantConfig>,
-    coverage: Vec<Coverage>,
 }
 
 impl<'a> MappedBackend<'a> {
@@ -101,13 +97,15 @@ impl<'a> MappedBackend<'a> {
             }
         }
 
-        let mut coverage: Vec<Vec<Vec<Option<usize>>>> = entries
+        // Coverage: every (entry, replica, slice) is held by exactly
+        // one AG instance on an in-range core.
+        let mut covered: Vec<Vec<Vec<bool>>> = entries
             .iter()
             .enumerate()
-            .map(|(i, e)| vec![vec![None; e.ags_per_replica]; counts[i]])
+            .map(|(i, e)| vec![vec![false; e.ags_per_replica]; counts[i]])
             .collect();
         for inst in &model.mapping.instances {
-            let slot = coverage
+            let slot = covered
                 .get_mut(inst.mvm)
                 .ok_or(ExecError::MappingIncomplete {
                     detail: format!(
@@ -136,7 +134,7 @@ impl<'a> MappedBackend<'a> {
                     total: total_cores,
                 });
             }
-            if slot.replace(inst.core).is_some() {
+            if std::mem::replace(slot, true) {
                 return Err(ExecError::MappingIncomplete {
                     detail: format!(
                         "duplicate AG instance (entry {}, replica {}, slice {})",
@@ -145,30 +143,15 @@ impl<'a> MappedBackend<'a> {
                 });
             }
         }
-        let coverage: Vec<Coverage> = coverage
-            .into_iter()
-            .enumerate()
-            .map(|(i, reps)| {
-                let cores = reps
-                    .into_iter()
-                    .enumerate()
-                    .map(|(r, slices)| {
-                        slices
-                            .into_iter()
-                            .enumerate()
-                            .map(|(s, c)| {
-                                c.ok_or_else(|| ExecError::MappingIncomplete {
-                                    detail: format!(
-                                        "no AG instance for entry {i}, replica {r}, slice {s}"
-                                    ),
-                                })
-                            })
-                            .collect::<Result<Vec<_>, _>>()
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Coverage { cores })
-            })
-            .collect::<Result<_, _>>()?;
+        for (i, replicas) in covered.iter().enumerate() {
+            for (r, slices) in replicas.iter().enumerate() {
+                if let Some(s) = slices.iter().position(|&held| !held) {
+                    return Err(ExecError::MappingIncomplete {
+                        detail: format!("no AG instance for entry {i}, replica {r}, slice {s}"),
+                    });
+                }
+            }
+        }
 
         // Owner table: one accumulation core per replica, in range.
         if model.mapping.owners.len() != entries.len() {
@@ -200,11 +183,7 @@ impl<'a> MappedBackend<'a> {
             }
         }
 
-        let backend = MappedBackend {
-            model,
-            quant,
-            coverage,
-        };
+        let backend = MappedBackend { model, quant };
         backend.check_reload_plan()?;
         Ok(backend)
     }
@@ -323,50 +302,23 @@ impl<'a> MappedBackend<'a> {
         Ok(indices)
     }
 
-    /// Runs the layout over every `(window, slice, column)` partial,
-    /// feeding each partial (and its output cell) to `sink` in the
-    /// deterministic accumulation order.
-    fn for_each_partial(
-        &self,
-        job: &MvmJob,
-        indices: &[usize],
-        weights: &WeightMatrix,
-        mut sink: impl FnMut(usize, f32),
-    ) {
+    /// Runs the layout: one kernel call per `(column group, slice)`
+    /// over that slice's rows. Each call either adds its partial sums
+    /// into the one `[width × windows]` tile `out` is, or — with
+    /// `store_slices` — stores them into tile `s` of the
+    /// `[slice][width × windows]` tiles `out` then holds.
+    fn replay(&self, job: &MvmJob, indices: &[usize], out: &mut [f32], store_slices: bool) {
         let entries = self.model.partitioning.entries();
-        let counts = self.model.mapping.replication.counts();
         let hx = self.model.hw.crossbar_rows;
+        let cells = job.width * job.windows;
         let mut col_base = 0usize;
         for &idx in indices {
-            let e: &NodePartition = &entries[idx];
-            let r = counts[idx];
-            let wpr = e.windows_per_replica(r);
-            for replica in 0..r {
-                let w0 = replica * wpr;
-                let w1 = (w0 + wpr).min(e.windows);
-                if w0 >= w1 {
-                    continue;
-                }
-                // The replica's AGs: cores are validated and fixed, the
-                // owner core accumulates partials in ascending slice
-                // order (coverage lookup asserts the AGs exist).
-                let _ag_cores = &self.coverage[idx].cores[replica];
-                for s in 0..e.ags_per_replica {
-                    let rows = slice_rows(e.weight_height, hx, s);
-                    if rows == 0 {
-                        continue;
-                    }
-                    let r0 = s * hx;
-                    for w in w0..w1 {
-                        for c in 0..e.weight_width {
-                            let gcol = col_base + c;
-                            let g = job.group_of(gcol);
-                            let row = &job.rows[g][w * job.height + r0..w * job.height + r0 + rows];
-                            let wcol = &weights.col(gcol)[r0..r0 + rows];
-                            sink(w * job.width + gcol, dot(row, wcol));
-                        }
-                    }
-                }
+            let e = &entries[idx];
+            let cols = col_base..col_base + e.weight_width;
+            for s in 0..e.ags_per_replica {
+                let k = s * hx..s * hx + slice_rows(e.weight_height, hx, s);
+                let tile = if store_slices { s * cells } else { 0 };
+                job.gemm(cols.clone(), k, &mut out[tile..tile + cells], !store_slices);
             }
             col_base += e.weight_width;
         }
@@ -374,64 +326,53 @@ impl<'a> MappedBackend<'a> {
 }
 
 impl MvmBackend for MappedBackend<'_> {
-    fn mvm(&mut self, job: &MvmJob) -> Result<Vec<f32>, ExecError> {
+    fn mvm(&mut self, job: &mut MvmJob) -> Result<Vec<f32>, ExecError> {
         let indices = self.node_entries(job)?;
-        let mut out = vec![0.0f32; job.windows * job.width];
-        match &self.quant {
-            None => {
-                self.for_each_partial(job, &indices, job.weights, |cell, p| out[cell] += p);
-            }
-            Some(q) if q.is_ideal_adc() => {
-                // Ideal converter: weight quantization is the only
-                // accuracy effect — the ADC-monotonicity baseline.
-                let qw = quantize_weights(job.weights, q);
-                self.for_each_partial(job, &indices, &qw, |cell, p| out[cell] += p);
-            }
+        let mut out = vec![0.0f32; job.width * job.windows];
+        if let Some(q) = &self.quant {
+            quantize_weights(&mut job.weights, q);
+        }
+        match self.quant.filter(|q| !q.is_ideal_adc()) {
+            // Unquantized, or an ideal converter: weight quantization
+            // is then the only accuracy effect — the ADC-monotonicity
+            // baseline.
+            None => self.replay(job, &indices, &mut out, false),
             Some(q) => {
-                let qw = quantize_weights(job.weights, q);
-                // Calibration pass: the ADC full scale is the largest
-                // unclipped partial magnitude of this node — a function
-                // of the quantized weights and the input only, NOT of
+                // Every per-crossbar partial is computed once and
+                // stored. The ADC full scale is the largest unclipped
+                // partial magnitude of this node — a function of the
+                // quantized weights and the input only, NOT of
                 // adc_bits, so grids of different resolutions nest.
-                let mut full_scale = 0.0f32;
-                self.for_each_partial(job, &indices, &qw, |_, p| {
-                    full_scale = full_scale.max(p.abs())
-                });
+                let slices = job.height.div_ceil(self.model.hw.crossbar_rows);
+                let mut partials = vec![0.0f32; slices * out.len()];
+                self.replay(job, &indices, &mut partials, true);
+                let full_scale = partials.iter().fold(0.0f32, |m, p| m.max(p.abs()));
                 let half = q.adc_half_levels();
-                self.for_each_partial(job, &indices, &qw, |cell, p| {
-                    out[cell] += adc_quantize(p, full_scale, half)
-                });
+                for tile in partials.chunks_exact(out.len().max(1)) {
+                    for (o, &p) in out.iter_mut().zip(tile) {
+                        *o += adc_quantize(p, full_scale, half);
+                    }
+                }
             }
         }
         Ok(out)
     }
 }
 
-/// Rounds weights to `weight_bits`-bit signed integers under a
-/// symmetric per-matrix scale, returning the dequantized matrix. The
+/// Rounds weights in place to `weight_bits`-bit signed integers under
+/// a symmetric per-matrix scale, leaving the dequantized values. The
 /// physical bit-slice storage (base-`2^cell_bits` cells) reconstructs
 /// these values exactly, so computing with the dequantized matrix is
 /// the cell-accurate result — see [`slice_cells`].
-fn quantize_weights(w: &WeightMatrix, q: &QuantConfig) -> WeightMatrix {
+fn quantize_weights(w: &mut WeightMatrix, q: &QuantConfig) {
     let qmax = q.weight_qmax() as f32;
     let max_abs = w.cols.iter().fold(0.0f32, |m, v| m.max(v.abs()));
     if max_abs == 0.0 {
-        return WeightMatrix {
-            height: w.height,
-            width: w.width,
-            cols: w.cols.clone(),
-        };
+        return;
     }
     let scale = max_abs / qmax;
-    let cols = w
-        .cols
-        .iter()
-        .map(|&v| (v / scale).round().clamp(-qmax, qmax) * scale)
-        .collect();
-    WeightMatrix {
-        height: w.height,
-        width: w.width,
-        cols,
+    for v in &mut w.cols {
+        *v = (*v / scale).round().clamp(-qmax, qmax) * scale;
     }
 }
 

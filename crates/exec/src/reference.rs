@@ -11,24 +11,9 @@ use crate::error::ExecError;
 pub struct ReferenceBackend;
 
 impl MvmBackend for ReferenceBackend {
-    fn mvm(&mut self, job: &MvmJob) -> Result<Vec<f32>, ExecError> {
-        let mut out = vec![0.0f32; job.windows * job.width];
-        for w in 0..job.windows {
-            for c in 0..job.width {
-                let row = job.row(job.group_of(c), w);
-                out[w * job.width + c] = dot(row, job.weights.col(c));
-            }
-        }
+    fn mvm(&mut self, job: &mut MvmJob) -> Result<Vec<f32>, ExecError> {
+        let mut out = vec![0.0f32; job.width * job.windows];
+        job.gemm(0..job.width, 0..job.height, &mut out, false);
         Ok(out)
     }
-}
-
-/// Ascending-index f32 dot product — the one summation order every
-/// executor path derives from.
-pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
-    let mut acc = 0.0f32;
-    for (x, y) in a.iter().zip(b) {
-        acc += x * y;
-    }
-    acc
 }

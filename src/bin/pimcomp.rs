@@ -581,7 +581,12 @@ fn cmd_verify(opts: &HashMap<String, String>) -> Result<(), String> {
         artifact.format_version(),
         artifact.hw_fingerprint()
     );
-    let exact = pimcomp::exec::verify_model(model, seed, None).map_err(|e| e.to_string())?;
+    let reference =
+        pimcomp::exec::reference_outputs(&model.graph, seed).map_err(|e| e.to_string())?;
+    let verify = |quant| {
+        pimcomp::exec::verify_against(&reference, model, seed, quant).map_err(|e| e.to_string())
+    };
+    let exact = verify(None)?;
     println!(
         "  unquantized: RMSE {:.3e} over {} output values, top-1 {} (seed {seed})",
         exact.output_rmse,
@@ -606,7 +611,7 @@ fn cmd_verify(opts: &HashMap<String, String>) -> Result<(), String> {
             .unwrap_or(8);
         let quant = pimcomp_arch::QuantConfig::for_hardware(&model.hw, adc_bits)
             .map_err(|e| e.to_string())?;
-        let q = pimcomp::exec::verify_model(model, seed, Some(quant)).map_err(|e| e.to_string())?;
+        let q = verify(Some(quant))?;
         println!(
             "  quantized ({}b cells, {}b weights, {}b ADC): RMSE {:.3e}, top-1 {}",
             model.hw.cell_bits,

@@ -384,6 +384,39 @@ fn foreign_node_id_in_loaded_graph_yields_structured_error() {
 }
 
 #[test]
+fn overflowing_element_counts_in_loaded_graph_yield_structured_error() {
+    // Extents are artifact-controlled: a tensor or im2col element count
+    // that multiplies past usize::MAX must be refused, never wrapped
+    // into a small allocation (release) or a panic (debug).
+    let input = |dims: &str| {
+        format!(
+            r#"{{"id":0,"name":"input","op":{{"Input":{{"shape":{dims}}}}},"inputs":[],"output_shape":{dims}}}"#
+        )
+    };
+    // 2^32 cubed: the input tensor itself overflows.
+    let huge_input = format!(
+        r#"{{"name":"hostile","nodes":[{}]}}"#,
+        input("[4294967296,4294967296,4294967296]")
+    );
+    // Every tensor is tiny, but padding admits a 2^32 × 2^32 kernel, so
+    // the contraction length (and with it the im2col) overflows.
+    let huge_kernel = format!(
+        r#"{{"name":"hostile","nodes":[{},{{"id":1,"name":"conv","op":{{"Conv2d":{{"in_channels":1,"out_channels":1,"kernel":[4294967296,4294967296],"stride":[1,1],"padding":[2147483648,2147483648],"groups":1,"bias":false}}}},"inputs":[0],"output_shape":[1,2,2]}}]}}"#,
+        input("[1,1,1]")
+    );
+    for (json, node) in [(huge_input, "input"), (huge_kernel, "conv")] {
+        let hostile: Graph = serde_json::from_str(&json).expect("hostile graph parses");
+        match reference_outputs(&hostile, 1) {
+            Err(ExecError::ShapeMismatch { node: n, detail }) => {
+                assert_eq!(n, node);
+                assert!(detail.contains("overflows"), "{detail}");
+            }
+            other => panic!("expected ShapeMismatch, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn symbolic_graph_yields_structured_error() {
     let graph = pimcomp_ir::models::tiny_bert();
     match reference_outputs(&graph, 1) {

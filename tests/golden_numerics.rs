@@ -13,7 +13,7 @@
 //! UPDATE_GOLDEN=1 cargo test --test golden_numerics
 //! ```
 
-use pimcomp_arch::{HardwareConfig, PipelineMode};
+use pimcomp_arch::{HardwareConfig, PipelineMode, QuantConfig};
 use pimcomp_core::{CompileOptions, CompileSession, CompiledModel, GaParams};
 use pimcomp_exec::{mapped_outputs, Tensor};
 use serde::{Deserialize, Serialize};
@@ -122,6 +122,16 @@ fn run(
         .expect("model compiles")
 }
 
+/// The 8-bit ADC path of the same compiled model. These fixtures were
+/// generated by the two-pass executor (a calibration replay of the
+/// whole layout, then a second replay through the ADC), so they pin the
+/// single-pass stored-partials path to it bit for bit.
+fn check_q8(fixture: &str, name: &str, model: &CompiledModel) {
+    let quant = QuantConfig::for_hardware(&model.hw, 8).expect("8-bit ADC config");
+    let outputs = mapped_outputs(model, 7, Some(quant)).expect("quantized mapped execution");
+    check(fixture, &summarize(name, 7, &outputs));
+}
+
 #[test]
 fn small_numerics_match_golden() {
     let graph = pimcomp_ir::models::tiny_cnn();
@@ -131,6 +141,7 @@ fn small_numerics_match_golden() {
     // element (PREFIX covers the whole tensor).
     assert_eq!(outputs.iter().map(|(_, t)| t.len()).sum::<usize>(), 10);
     check("small_numerics_seed7", &summarize("tiny_cnn", 7, &outputs));
+    check_q8("small_numerics_q8_seed7", "tiny_cnn", &model);
 }
 
 #[test]
@@ -142,4 +153,5 @@ fn tiny_bert_numerics_match_golden() {
         "tiny_bert_numerics_seed7",
         &summarize("tiny_bert", 7, &outputs),
     );
+    check_q8("tiny_bert_numerics_q8_seed7", "tiny_bert", &model);
 }

@@ -561,3 +561,83 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The one GEMM kernel under both backends: for any geometry —
+    /// ragged against the tile, a single window (Linear), contractions
+    /// shorter than a crossbar slice, grouped columns, empty `k` ranges,
+    /// signed zeros in both operands — every output cell is, by
+    /// `to_bits`, the scalar ascending-index dot product it replaces,
+    /// stored or accumulated.
+    #[test]
+    fn gemm_kernel_equals_the_scalar_dot_bit_for_bit(
+        windows in 1usize..40,
+        height in 1usize..200,
+        per_group in 1usize..12,
+        groups in 1usize..4,
+        bounds in (0usize..1000, 0usize..1000, 0usize..1000, 0usize..1000),
+        seed in 0u64..1000,
+        accumulate in any::<bool>(),
+    ) {
+        use pimcomp_exec::{pack_rows, MvmJob, WeightMatrix};
+        let width = per_group * groups;
+        let (k0, k1) = (bounds.0 % (height + 1), bounds.1 % (height + 1));
+        let (c0, c1) = (bounds.2 % (width + 1), bounds.3 % (width + 1));
+        let (k, cols) = (k0.min(k1)..k0.max(k1), c0.min(c1)..c0.max(c1));
+        let signed_zeros = |mut v: Vec<f32>| {
+            for (i, x) in v.iter_mut().enumerate() {
+                match i % 7 {
+                    2 => *x = -0.0,
+                    5 => *x = 0.0,
+                    _ => {}
+                }
+            }
+            v
+        };
+        let rows: Vec<Vec<f32>> = (0..groups)
+            .map(|g| signed_zeros(pimcomp_exec::synth_input(seed, &format!("g{g}"), windows * height)))
+            .collect();
+        let weights = WeightMatrix {
+            height,
+            width,
+            cols: signed_zeros(pimcomp_exec::synth_input(seed, "w", width * height)),
+        };
+        let panels: Vec<f32> = rows.iter().flat_map(|r| pack_rows(r, windows, height)).collect();
+        let graph = pimcomp_ir::models::tiny_mlp();
+        let before = pimcomp_exec::synth_input(seed, "out", width * windows);
+        let mut out = before.clone();
+        let job = MvmJob {
+            node: &graph.nodes()[0],
+            windows,
+            height,
+            width,
+            groups,
+            panels: &panels,
+            weights,
+        };
+        job.gemm(cols.clone(), k.clone(), &mut out, accumulate);
+        for c in 0..width {
+            for w in 0..windows {
+                let row = &rows[c / per_group][w * height..][k.clone()];
+                let mut dot = 0.0f32;
+                for (x, y) in row.iter().zip(&job.weights.cols[c * height..][k.clone()]) {
+                    dot += x * y;
+                }
+                let cell = c * windows + w;
+                let want = match (cols.contains(&c), accumulate) {
+                    (false, _) => before[cell],
+                    (true, false) => dot,
+                    (true, true) => before[cell] + dot,
+                };
+                prop_assert_eq!(
+                    out[cell].to_bits(),
+                    want.to_bits(),
+                    "cell ({}, {}) of {}x{}x{} groups {} cols {:?} k {:?}",
+                    c, w, windows, height, width, groups, cols, k
+                );
+            }
+        }
+    }
+}
