@@ -122,34 +122,6 @@ impl DepInfo {
     pub fn edge(&self, consumer: NodeId, provider: NodeId) -> Option<&EdgeDep> {
         self.edges.get(&(consumer, provider))
     }
-
-    /// Provider windows required before consumer window `j` (0-based)
-    /// can start, for the given edge.
-    ///
-    /// Returns the count of provider windows (prefix length in the
-    /// provider's row-major order).
-    pub fn required_windows(
-        &self,
-        graph: &Graph,
-        consumer: NodeId,
-        provider: NodeId,
-        j: usize,
-    ) -> usize {
-        let dep = match self.edge(consumer, provider) {
-            Some(d) => d,
-            None => return 0,
-        };
-        let c = graph.node(consumer);
-        let p = graph.node(provider);
-        required_windows(
-            dep.rule,
-            j,
-            (c.output_shape.height(), c.output_shape.width()),
-            self.windows_of(consumer),
-            (p.output_shape.height(), p.output_shape.width()),
-            self.windows_of(provider),
-        )
-    }
 }
 
 /// Unit windows and elements-per-window of a node.

@@ -34,8 +34,12 @@ use std::sync::Arc;
 pub struct ExploreOutcome {
     /// The versioned sweep report.
     pub report: SweepReport,
-    /// Points replayed from the artifact cache.
+    /// Points the cache answered, from either entry kind.
     pub cache_hits: usize,
+    /// Of [`ExploreOutcome::cache_hits`], the points a metrics sidecar
+    /// answered — no artifact loaded, no simulation run; the rest
+    /// loaded their artifact and were measured again.
+    pub metrics_hits: usize,
     /// Points compiled from scratch this run.
     pub cache_misses: usize,
     /// Evaluation accounting: what the search strategy spent versus
@@ -184,13 +188,19 @@ pub type ProgressSink = Arc<dyn Fn(&PointEvent) + Send + Sync>;
 pub struct PointOutcome {
     /// The point's report record.
     pub record: PointRecord,
-    /// Whether the artifact cache answered.
+    /// Whether the cache answered (no compile ran).
     pub cache_hit: bool,
+    /// Whether the answer came from the point's metrics sidecar, so
+    /// that neither the artifact was loaded nor the simulator run.
+    /// Implies `cache_hit`.
+    pub metrics_hit: bool,
     /// Whether a compiled model was obtained at all (compile failures
-    /// never ran their GA, so their budget must not be charged).
+    /// never ran their GA, so their budget must not be charged). True
+    /// for every cache hit: only successful compiles are stored.
     pub compiled: bool,
-    /// The cache file name (within the cache dir) this evaluation read
-    /// or wrote; `None` when caching is off.
+    /// The artifact's file name (within the cache dir): the entry this
+    /// evaluation read, wrote, or answered from a sidecar of; `None`
+    /// when caching is off.
     pub cache_file: Option<String>,
 }
 
@@ -373,19 +383,30 @@ impl ExploreEngine {
         self
     }
 
-    /// Enables per-point artifact caching under `dir` (created on
-    /// demand). Re-running the same or a widened sweep replays cached
-    /// points instead of recompiling them; under successive halving,
-    /// every (point, rung budget) pair gets its own entry, so a guided
-    /// rerun — or the final full-budget rung of a sweep whose
-    /// exhaustive twin already ran — replays from cache too.
+    /// Enables per-point caching under `dir` (created on demand).
+    /// Re-running the same or a widened sweep replays cached points
+    /// instead of recompiling them; under successive halving, every
+    /// (point, rung budget) pair gets its own entry, so a guided rerun
+    /// — or the final full-budget rung of a sweep whose exhaustive twin
+    /// already ran — replays from cache too.
     ///
-    /// Entries are keyed by graph + hardware + options fingerprints and
-    /// the artifact format version, which guards against spec changes,
-    /// edited `.onnx` model files, and serialization drift — **not**
-    /// against compiler-behavior changes that keep the artifact shape.
-    /// After upgrading the compiler, clear the directory so warm reruns
-    /// cannot mix old and new results.
+    /// The store holds two kinds of entry ([`crate::cache`]): the
+    /// compiled artifact, and beside it the metrics each point measured
+    /// on it. A point is probed sidecar first (answered without loading
+    /// or simulating anything), then artifact (loaded, re-measured, the
+    /// sidecar rewritten), then compiled.
+    ///
+    /// Artifacts are keyed by graph + hardware + options fingerprints
+    /// and the artifact format version, which guards against spec
+    /// changes, edited `.onnx` model files, and serialization drift —
+    /// **not** against compiler-behavior changes that keep the artifact
+    /// shape. Sidecars add the point's key, the sweep format version
+    /// and the engine's measurement version, which is bumped whenever a
+    /// simulator or executor golden is re-blessed — but a simulator or
+    /// executor change that forgets the bump is just as invisible.
+    /// After upgrading the compiler, the simulator or the executor,
+    /// clear the directory so warm reruns cannot mix old and new
+    /// results.
     #[must_use]
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
@@ -487,6 +508,7 @@ impl ExploreEngine {
         let mut active: Vec<usize> = (0..n).collect();
 
         let mut cache_hits = 0;
+        let mut metrics_hits = 0;
         let mut cache_misses = 0;
         let mut rungs = Vec::with_capacity(halving.rungs.len());
         let mut generations_spent = 0u64;
@@ -523,6 +545,7 @@ impl ExploreEngine {
                 let idx = active[i];
                 touched.extend(outcome.cache_file);
                 cache_hits += usize::from(outcome.cache_hit);
+                metrics_hits += usize::from(outcome.metrics_hit);
                 cache_misses += usize::from(!outcome.cache_hit);
                 failed += usize::from(!outcome.record.ok);
                 // Provenance accumulates across the rungs a point runs.
@@ -579,6 +602,7 @@ impl ExploreEngine {
         Ok(ExploreOutcome {
             report: SweepReport::assemble(spec.master_seed, latest),
             cache_hits,
+            metrics_hits,
             cache_misses,
             budget: BudgetSummary {
                 strategy: spec.search.name().to_string(),
@@ -791,11 +815,13 @@ fn point_options(point: &SweepPoint, spec: &SweepSpec, iterations: usize) -> Com
         .fold(opts, |opts, axis| (axis.apply)(&point.knobs, opts))
 }
 
-/// The cache file for a point: keyed by graph fingerprint, hardware
+/// The artifact file for a point: keyed by graph fingerprint, hardware
 /// fingerprint, options fingerprint (GA seed, iteration budget, memory
 /// policy, and HT batch included; thread count excluded), a sanitized
 /// model tag, and the artifact format version. Distinct rung budgets,
-/// policies, and batches therefore key distinct entries. The version
+/// policies, and batches therefore key distinct entries; knobs the
+/// compiler never sees (`quantization`) do not, and tell the point's
+/// metrics sidecars apart instead ([`cache::metrics_path`]). The version
 /// component rejects entries whose *serialized shape* predates this
 /// build; it cannot detect compiler-behavior changes that keep the
 /// shape — clear the cache directory after upgrading the compiler (see
@@ -803,18 +829,7 @@ fn point_options(point: &SweepPoint, spec: &SweepSpec, iterations: usize) -> Com
 fn cache_path(dir: &Path, point: &SweepPoint, opts: &CompileOptions, graph_fp: u64) -> PathBuf {
     // Model names may be .onnx paths; keep a short human-readable tag
     // in the filename (the fingerprints disambiguate collisions).
-    let tag: String = point
-        .model
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == '-' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .take(48)
-        .collect();
+    let tag: String = cache::sanitized(&point.model).take(48).collect();
     let key = format!(
         "v{}-{}-{:016x}-{:016x}-{:016x}",
         CompiledArtifact::FORMAT_VERSION,
@@ -845,23 +860,14 @@ impl SweepPlan {
         let (graph, graph_fp) = (&self.graphs[model], self.graph_fps[model]);
         let opts = point_options(point, &self.spec, iterations);
 
-        // Cache probe: a valid artifact for this exact (hardware, options,
-        // model) key replays instead of recompiling. Any load or
-        // fingerprint problem — including a corrupt or truncated cache
-        // file, which `CompiledArtifact::load` reports as a structured
-        // error, never a panic — silently falls back to compilation.
+        let key = point.key();
         let path = cache_dir.map(|dir| cache_path(dir, point, &opts, graph_fp));
+        let sidecar = path.as_ref().map(|p| cache::metrics_path(p, &key));
         let cache_file = path
             .as_ref()
             .and_then(|p| p.file_name())
             .map(|name| name.to_string_lossy().into_owned());
-        let cached: Option<CompiledModel> = path.as_ref().and_then(|p| {
-            let artifact = CompiledArtifact::load(p).ok()?;
-            artifact.verify_hardware(&point.hw).ok()?;
-            Some(artifact.into_model_unchecked())
-        });
-        let cache_hit = cached.is_some();
-        let outcome = |compiled: bool, result: Result<PointMetrics, String>| {
+        let record = |result: Result<PointMetrics, String>| {
             let mut record = point.record();
             match result {
                 Ok(metrics) => {
@@ -870,35 +876,89 @@ impl SweepPlan {
                 }
                 Err(error) => record.error = Some(error),
             }
-            PointOutcome {
-                record,
-                cache_hit,
-                compiled,
-                cache_file,
-            }
+            record
         };
 
+        // First probe: the metrics this very point measured on its
+        // artifact before — a pure function of the two names and the
+        // versions the sidecar is stamped with. The artifact must still
+        // be there, so that an evicted entry costs a recompile whichever
+        // of its files eviction reached first.
+        let memoised = sidecar
+            .as_ref()
+            .and_then(|s| cache::load_metrics(s, &key))
+            .filter(|_| path.as_ref().is_some_and(|p| p.is_file()));
+        if let Some(metrics) = memoised {
+            return PointOutcome {
+                record: record(Ok(metrics)),
+                cache_hit: true,
+                metrics_hit: true,
+                compiled: true,
+                cache_file,
+            };
+        }
+
+        // Second probe: a valid artifact for this exact (hardware,
+        // options, model) key replays instead of recompiling. Any load
+        // or fingerprint problem — including a corrupt or truncated cache
+        // file, which `CompiledArtifact::load` reports as a structured
+        // error, never a panic — silently falls back to compilation.
+        let cached: Option<CompiledModel> = path.as_ref().and_then(|p| {
+            let artifact = CompiledArtifact::load(p).ok()?;
+            artifact.verify_hardware(&point.hw).ok()?;
+            Some(artifact.into_model_unchecked())
+        });
+        let cache_hit = cached.is_some();
         let model = match cached {
             Some(model) => model,
             None => {
                 let compiled = CompileSession::new(point.hw.clone(), graph, opts)
                     .and_then(|session| session.run_observed(observer));
-                match compiled {
-                    Ok(model) => {
-                        if let Some(p) = &path {
-                            // Best-effort: a failed cache write costs a
-                            // recompile next run, never a wrong result.
-                            let _ = CompiledArtifact::new(model.clone()).save(p);
+                match (compiled, &path) {
+                    (Ok(model), Some(p)) => {
+                        // Best-effort: a failed cache write costs a
+                        // recompile next run, never a wrong result.
+                        let artifact = CompiledArtifact::new(model);
+                        if let Ok(json) = artifact.to_json() {
+                            let _ = cache::write_atomic(p, &json);
                         }
-                        model
+                        artifact.into_model_unchecked()
                     }
-                    Err(e) => return outcome(false, Err(format!("compile: {e}"))),
+                    (Ok(model), None) => model,
+                    (Err(e), _) => {
+                        return PointOutcome {
+                            record: record(Err(format!("compile: {e}"))),
+                            cache_hit: false,
+                            metrics_hit: false,
+                            compiled: false,
+                            cache_file,
+                        }
+                    }
                 }
             }
         };
-        outcome(true, measure(point, &model))
+
+        // Only a measurement that succeeded is memoised: a failure is
+        // attempted again next run.
+        let result = measure(point, &model);
+        if let (Ok(metrics), Some(s)) = (&result, &sidecar) {
+            cache::store_metrics(s, &key, metrics);
+        }
+        PointOutcome {
+            record: record(result),
+            cache_hit,
+            metrics_hit: false,
+            compiled: true,
+            cache_file,
+        }
     }
 }
+
+/// Version of what [`measure`] computes from a compiled model. Bump it
+/// whenever a simulator or executor golden is re-blessed (any change
+/// that makes the same artifact measure differently), so the metrics
+/// sidecars the old behaviour wrote stop answering.
+pub(crate) const MEASURE_VERSION: u32 = 1;
 
 /// Simulates a compiled point and, when the quantization axis asks for
 /// it, runs the mapping through the functional executor for accuracy
@@ -1263,6 +1323,16 @@ mod tests {
         let stats = warm.eviction.expect("bounded run reports eviction");
         assert!(stats.evicted_files > 0, "{stats:?}");
         assert!(stats.kept_bytes <= 1024, "{stats:?}");
+        // Sidecars count toward the bound and leave with their
+        // artifact: what is left on disk is what the pass says it kept.
+        let left: Vec<u64> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .filter(|e| e.file_name() != cache::CACHE_INDEX_FILE)
+            .map(|e| e.metadata().unwrap().len())
+            .collect();
+        assert_eq!(left.iter().sum::<u64>(), stats.kept_bytes, "{stats:?}");
+        assert_eq!(left.len(), 2 * stats.kept_files, "{stats:?}");
         assert_eq!(
             cold.report.to_json().unwrap(),
             warm.report.to_json().unwrap()

@@ -65,8 +65,11 @@ pub struct WorkerSummary {
     pub worker: String,
     /// Points evaluated and reported.
     pub points_evaluated: usize,
-    /// How many of those replayed from the artifact cache.
+    /// How many of those the cache answered.
     pub cache_hits: usize,
+    /// How many of those hits a metrics sidecar answered, without
+    /// loading the artifact or simulating.
+    pub metrics_hits: usize,
     /// Leases received.
     pub leases: usize,
     /// True when the worker stopped at
@@ -182,6 +185,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, ServeError> {
         worker: cfg.name.clone(),
         points_evaluated: 0,
         cache_hits: 0,
+        metrics_hits: 0,
         leases: 0,
         stopped_early: false,
     };
@@ -217,9 +221,8 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, ServeError> {
                         cfg.cache_dir.as_deref(),
                         &mut observer,
                     )?;
-                    if outcome.cache_hit {
-                        summary.cache_hits += 1;
-                    }
+                    summary.cache_hits += usize::from(outcome.cache_hit);
+                    summary.metrics_hits += usize::from(outcome.metrics_hit);
                     if let Some(name) = &outcome.cache_file {
                         touched.push(name.clone());
                     }

@@ -18,7 +18,7 @@ use crate::report::{EnergyReport, MemoryReport, SimReport};
 use crate::resources::ActivitySpan;
 use crate::SimError;
 use pimcomp_arch::{EnergyModel, NocModel};
-use pimcomp_core::{CompiledModel, LlUnitKind};
+use pimcomp_core::{required_windows, CompiledModel, DepRule, LlUnitKind};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -32,6 +32,47 @@ struct ReplicaRt {
     /// unique within a replica); `u64::MAX` = no previous window.
     /// Crossbar pipelining: next window's MVMs start ≥ prev + T_MVM.
     prev_base: Vec<u64>,
+}
+
+/// One `(unit, provider)` edge as the dependency check reads it,
+/// resolved once instead of through the edge map and both graph nodes
+/// on every check.
+struct Edge {
+    /// Provider node index.
+    provider: usize,
+    /// `None` when the dependency analysis has no such edge: nothing is
+    /// required of the provider.
+    rule: Option<DepRule>,
+    consumer_dims: (usize, usize),
+    consumer_windows: usize,
+    provider_dims: (usize, usize),
+    provider_windows: usize,
+}
+
+impl Edge {
+    /// Provider windows (prefix length) consumer window `j` needs.
+    fn required(&self, j: usize) -> usize {
+        self.rule.map_or(0, |rule| {
+            required_windows(
+                rule,
+                j,
+                self.consumer_dims,
+                self.consumer_windows,
+                self.provider_dims,
+                self.provider_windows,
+            )
+        })
+    }
+}
+
+/// The partial-sum traffic of one window of an MVM replica: every core
+/// but the owner sends its share to the owner.
+struct Remote {
+    /// The slowest of those transfers (0 when the owner holds every AG).
+    cycles: u64,
+    /// Energy of each, in `ags_per_core` order: they are added to the
+    /// run's `f64` total one by one, and the total depends on the order.
+    pj: Vec<f64>,
 }
 
 /// Runs the LL simulation for a compiled model.
@@ -73,6 +114,16 @@ pub(crate) fn run(
     // them on every dependency check and wake-up.
     let node_count = compiled.graph.node_count();
     let mut node_prefix: Vec<usize> = vec![0; node_count];
+    // Prefix invariant: `unit_prefix[u]` is the first window of unit `u`
+    // not yet complete, i.e. every window below it is. Window `p` is
+    // replica `p % R`'s `p / R`-th, so it is complete once that
+    // replica's `done` exceeds `p / R`. A node's prefix is the minimum
+    // over its column-group units. (A unit without replicas never runs
+    // and counts as complete.)
+    let mut unit_prefix: Vec<usize> = units
+        .iter()
+        .map(|u| if u.replicas.is_empty() { u.windows } else { 0 })
+        .collect();
     // Waiters: node index -> (unit, replica, threshold).
     let mut waiters: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); node_count];
     // Dense view of the schedule's units-of-node map, resolved once.
@@ -118,6 +169,66 @@ pub(crate) fn run(
         })
         .collect();
 
+    let graph = &compiled.graph;
+    let dims = |id| {
+        let shape = &graph.node(id).output_shape;
+        (shape.height(), shape.width())
+    };
+    let edges: Vec<Vec<Edge>> = units
+        .iter()
+        .map(|u| {
+            let of = |p: &pimcomp_core::LlProviderRef| Edge {
+                provider: p.node.index(),
+                rule: compiled.dep.edge(u.node, p.node).map(|dep| dep.rule),
+                consumer_dims: dims(u.node),
+                consumer_windows: compiled.dep.windows_of(u.node),
+                provider_dims: dims(p.node),
+                provider_windows: compiled.dep.windows_of(p.node),
+            };
+            u.providers.iter().map(of).collect()
+        })
+        .collect();
+    let remotes: Vec<Vec<Remote>> = units
+        .iter()
+        .map(|u| {
+            let LlUnitKind::Mvm { mvm } = u.kind else {
+                return Vec::new();
+            };
+            let bytes = compiled.partitioning.entry(mvm).weight_width * eb;
+            let of = |r: &pimcomp_core::LlReplica| {
+                let senders = r.ags_per_core.iter().filter(|&&(core, _)| core != r.owner);
+                Remote {
+                    cycles: senders
+                        .clone()
+                        .map(|&(core, _)| noc.transfer_cycles(core, r.owner, bytes))
+                        .max()
+                        .unwrap_or(0),
+                    pj: senders
+                        .map(|&(core, _)| noc.transfer_energy_pj(core, r.owner, bytes))
+                        .collect(),
+                }
+            };
+            u.replicas.iter().map(of).collect()
+        })
+        .collect();
+
+    // Pop budget. Every replica owns one token, which is either queued
+    // or parked in one provider's waiter list. A pop executes a window
+    // or parks the token on the first provider whose prefix is short.
+    // Prefixes only grow, and a parked token is requeued exactly when
+    // its threshold is met, so a window parks at most once per
+    // provider:
+    //   pops <= sum over replicas of windows * (1 + providers),
+    // plus one per replica for a token popped with nothing left to do.
+    let work = units.iter().fold(0u64, |work, u| {
+        let per_window = 1 + u.providers.len() as u64;
+        u.replicas.iter().fold(work, |work, r| {
+            work.saturating_add((r.windows as u64).saturating_mul(per_window))
+                .saturating_add(1)
+        })
+    });
+    let pop_budget = work.saturating_mul(2);
+
     let mut queue: BinaryHeap<Reverse<(u64, usize, usize)>> = BinaryHeap::new();
     for (uid, u) in units.iter().enumerate() {
         for (k, r) in u.replicas.iter().enumerate() {
@@ -128,14 +239,13 @@ pub(crate) fn run(
     }
 
     let mut last_done: u64 = 0;
-    let mut guard: u64 = 0;
-    let guard_limit: u64 = 500_000_000;
+    let mut pops: u64 = 0;
 
     while let Some(Reverse((now, uid, k))) = queue.pop() {
-        guard += 1;
-        if guard > guard_limit {
+        pops += 1;
+        if pops > pop_budget {
             return Err(SimError::Diverged {
-                detail: "LL event budget exceeded".into(),
+                detail: format!("LL event budget of {pop_budget} pops exceeded"),
             });
         }
         let u = &units[uid];
@@ -150,13 +260,10 @@ pub(crate) fn run(
         // Dependency check.
         let ready = now;
         let mut blocked = false;
-        for p in &u.providers {
-            let req = compiled
-                .dep
-                .required_windows(&compiled.graph, u.node, p.node, j);
-            let have = node_prefix[p.node.index()];
-            if have < req {
-                waiters[p.node.index()].push((uid, k, req));
+        for edge in &edges[uid] {
+            let req = edge.required(j);
+            if node_prefix[edge.provider] < req {
+                waiters[edge.provider].push((uid, k, req));
                 blocked = true;
                 break;
             }
@@ -186,14 +293,11 @@ pub(crate) fn run(
                 }
                 // Partial sums from remote cores to the owner.
                 let owner = rep_spec.owner;
-                let mut arrive = mvm_end;
-                for &(core, _) in &rep_spec.ags_per_core {
-                    if core != owner {
-                        let bytes = entry.weight_width * eb;
-                        arrive = arrive.max(mvm_end + noc.transfer_cycles(core, owner, bytes));
-                        noc_bytes += bytes as u64;
-                        noc_pj += noc.transfer_energy_pj(core, owner, bytes);
-                    }
+                let remote = &remotes[uid][k];
+                let arrive = mvm_end + remote.cycles;
+                noc_bytes += (entry.weight_width * eb * remote.pj.len()) as u64;
+                for pj in &remote.pj {
+                    noc_pj += pj;
                 }
                 // Accumulate + activate on the owner's VFU.
                 let w = u.vfu_elems_per_window;
@@ -223,12 +327,30 @@ pub(crate) fn run(
         reps[uid][k].done += 1;
         last_done = last_done.max(t_done);
 
-        // Update the node's production prefix and wake waiters.
-        let prefix = node_prefix_of(units, units_by_node[u.node.index()], &reps);
-        let old = node_prefix[u.node.index()];
-        node_prefix[u.node.index()] = prefix;
+        // Update the node's production prefix and wake waiters. The
+        // unit's prefix moves only when the window that just finished
+        // was the prefix window; it then runs past every later window
+        // already complete — one step per window over the whole run.
+        let node = u.node.index();
+        let old = node_prefix[node];
+        if j == unit_prefix[uid] {
+            let mut p = j;
+            while p < u.windows && reps[uid][p % r_count].done > p / r_count {
+                p += 1;
+            }
+            unit_prefix[uid] = p;
+            let node_units = units_by_node[node].iter();
+            node_prefix[node] = node_units.map(|&v| unit_prefix[v]).min().unwrap_or(0);
+        }
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            node_prefix[node],
+            node_prefix_of(units, units_by_node[node], &reps),
+            "unit {uid} window {j}"
+        );
+        let prefix = node_prefix[node];
         if prefix > old {
-            let list = &mut waiters[u.node.index()];
+            let list = &mut waiters[node];
             let mut kept = 0;
             for i in 0..list.len() {
                 let (wu, wk, thr) = list[i];
@@ -325,9 +447,11 @@ pub(crate) fn run(
     })
 }
 
-/// Prefix-complete window count of a node: the strided minimum across
-/// replicas, then the minimum across the node's column-group units
-/// (`unit_ids`, pre-resolved from the schedule's units-of-node map).
+/// Prefix-complete window count of a node, rescanned from every
+/// replica: the strided minimum across replicas, then the minimum across
+/// the node's column-group units. The oracle debug builds hold the
+/// incremental `unit_prefix` bookkeeping to after every window.
+#[cfg(debug_assertions)]
 fn node_prefix_of(
     units: &[pimcomp_core::LlUnit],
     unit_ids: &[usize],

@@ -155,8 +155,9 @@ OPTIONS (explore):
                           produces a byte-identical report)
   --out FILE.json         write the versioned sweep report as JSON
   --csv FILE.csv          write the sweep report as CSV
-  --cache DIR|off         per-point artifact cache; reruns replay cached
-                          points (default: .pimcomp-cache)
+  --cache DIR|off         per-point cache of compiled artifacts and
+                          measured metrics; reruns replay cached points
+                          (default: .pimcomp-cache)
   --cache-max-mb N        bound the cache directory; least-recently-used
                           artifacts are evicted after the run (default:
                           unbounded)
@@ -186,7 +187,8 @@ OPTIONS (serve):
 OPTIONS (work):
   --connect HOST:PORT     coordinator address (required)
   --name NAME             display name in the coordinator's progress view
-  --cache DIR             shared content-addressed artifact store
+  --cache DIR             shared content-addressed store of artifacts
+                          and measured metrics
   --cache-max-mb N        bound the cache (LRU eviction after each lease)
   --max-points N          stop after N points (CI kill/restart drills)
   --throttle-ms MS        sleep after each point (test interleaving)";
@@ -822,12 +824,15 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
     let outcome = engine.run(&spec).map_err(|e| e.to_string())?;
     let report = &outcome.report;
     println!(
-        "  evaluated {} points: {} ok, {} failed, {} cache hits / {} compiled",
+        "  evaluated {} points: {} ok, {} failed, {} cache hits / {} compiled \
+         (hits: {} from metrics, {} from artifacts)",
         report.points.len(),
         report.points.len() - report.failures(),
         report.failures(),
         outcome.cache_hits,
-        outcome.cache_misses
+        outcome.cache_misses,
+        outcome.metrics_hits,
+        outcome.cache_hits - outcome.metrics_hits
     );
     if let Some(ev) = &outcome.eviction {
         if ev.evicted_files > 0 {
@@ -1009,10 +1014,13 @@ fn cmd_work(opts: &HashMap<String, String>) -> Result<(), String> {
 
     let summary = run_worker(&cfg).map_err(|e| e.to_string())?;
     println!(
-        "worker {} done: {} point(s) evaluated ({} cache hits) over {} lease(s){}",
+        "worker {} done: {} point(s) evaluated ({} cache hits: {} from metrics, \
+         {} from artifacts) over {} lease(s){}",
         summary.worker,
         summary.points_evaluated,
         summary.cache_hits,
+        summary.metrics_hits,
+        summary.cache_hits - summary.metrics_hits,
         summary.leases,
         if summary.stopped_early {
             ", stopped early at --max-points"

@@ -9,6 +9,9 @@
 //!   `UPDATE_GOLDEN=1 cargo test --test explore_determinism`),
 //! * every committed sweep fixture keeps its point keys and cache file
 //!   names (`tests/golden/sweep_keys.tsv`),
+//! * the three cache states — empty, artifacts only, artifacts plus
+//!   metrics sidecars — and every damaged-sidecar fallback give one
+//!   report,
 //! * the `pimcomp explore` CLI exhibits the same guarantees.
 
 use pimcomp::compiler::NullObserver;
@@ -238,6 +241,215 @@ fn new_axes_sweep_is_thread_invariant_and_replays_from_cache() {
         warm.report.to_json().unwrap(),
         "cache replay must not change a single report byte"
     );
+}
+
+/// The cache files under `dir` whose names end in `suffix`, sorted.
+fn cache_files(dir: &std::path::Path, suffix: &str) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.to_str().unwrap().ends_with(suffix))
+        .collect();
+    files.sort();
+    files
+}
+
+const ARTIFACTS: &str = ".pimc.json";
+const SIDECARS: &str = ".metrics.json";
+
+/// Three `quantization` settings of each of two points.
+const QUANT_SPEC: &str = r#"{
+  "master_seed": 29,
+  "models": ["tiny_mlp", "tiny_cnn"],
+  "modes": ["ht"],
+  "hardware": { "base": "small_test", "chips": [1] },
+  "seeds": [1],
+  "ga": { "population": 4, "iterations": 3 },
+  "quantization": [0, 6, 32]
+}"#;
+
+#[test]
+fn empty_artifact_only_and_full_caches_give_one_report() {
+    let dir = temp_dir("states");
+    let _ = std::fs::remove_dir_all(&dir);
+    let onnx = write_tiny_onnx(&dir);
+    let specs = [
+        ("halving", HALVING_SPEC.to_string()),
+        ("reload", RELOAD_SPEC.to_string()),
+        ("auto-hardware", axes_spec(&onnx)),
+        ("quantization", QUANT_SPEC.to_string()),
+    ];
+    for (name, json) in specs {
+        let spec = SweepSpec::from_json(&json).unwrap();
+        let cache = dir.join(name);
+        let engine = ExploreEngine::new().with_threads(1).with_cache_dir(&cache);
+
+        // Empty: nothing answers from a sidecar. (One thread, so the
+        // quantization settings of a point find the artifact the first
+        // of them compiled.)
+        let empty = engine.run(&spec).unwrap();
+        let evaluations = empty.cache_hits + empty.cache_misses;
+        assert_eq!(empty.metrics_hits, 0, "{name}");
+        assert!(empty.cache_misses > 0, "{name}");
+        let json = empty.report.to_json().unwrap();
+        let sidecars = cache_files(&cache, SIDECARS);
+        assert_eq!(empty.report.failures(), 0, "{name}");
+        assert_eq!(sidecars.len(), evaluations, "{name}: one per measurement");
+
+        // Full: every evaluation is answered from its sidecar.
+        let full = engine.run(&spec).unwrap();
+        assert_eq!((full.cache_hits, full.cache_misses), (evaluations, 0));
+        assert_eq!(full.metrics_hits, evaluations, "{name}");
+        assert_eq!(json, full.report.to_json().unwrap(), "{name}: full cache");
+        assert_eq!(empty.budget, full.budget, "{name}");
+
+        // Artifacts only: every evaluation reloads and re-measures, and
+        // puts its sidecar back.
+        for sidecar in &sidecars {
+            std::fs::remove_file(sidecar).unwrap();
+        }
+        let reloaded = engine.with_threads(3).run(&spec).unwrap();
+        assert_eq!(
+            (reloaded.cache_hits, reloaded.cache_misses),
+            (evaluations, 0)
+        );
+        assert_eq!(reloaded.metrics_hits, 0, "{name}");
+        assert_eq!(
+            json,
+            reloaded.report.to_json().unwrap(),
+            "{name}: artifacts"
+        );
+        assert_eq!(sidecars, cache_files(&cache, SIDECARS), "{name}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn quantization_settings_share_an_artifact_but_not_a_sidecar() {
+    let dir = temp_dir("quant-memo");
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = SweepSpec::from_json(
+        r#"{"models":["tiny_mlp"],"modes":["ht"],"hardware":{"base":"small_test"},
+            "seeds":[1],"ga":{"population":4,"iterations":3},"quantization":[0,6,32]}"#,
+    )
+    .unwrap();
+    let engine = ExploreEngine::new().with_cache_dir(&dir);
+    let cold = engine.run(&spec).unwrap();
+    assert_eq!(cache_files(&dir, ARTIFACTS).len(), 1);
+    assert_eq!(cache_files(&dir, SIDECARS).len(), 3);
+    let warm = engine.run(&spec).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(warm.metrics_hits, 3);
+
+    // The accuracy metrics come back from the sidecars bit for bit,
+    // and each setting got its own.
+    let accuracy = |outcome: &pimcomp::dse::ExploreOutcome| -> Vec<(u64, bool)> {
+        let metrics = outcome.report.points.iter().map(|p| p.metrics.as_ref());
+        metrics
+            .map(|m| {
+                let m = m.expect("every setting verifies");
+                (m.output_rmse.unwrap().to_bits(), m.top1_match.unwrap())
+            })
+            .collect()
+    };
+    assert_eq!(accuracy(&cold), accuracy(&warm));
+    assert_ne!(accuracy(&warm)[0].0, accuracy(&warm)[1].0, "q0 vs q6");
+}
+
+#[test]
+fn damaged_or_foreign_sidecars_and_missing_artifacts_fall_back() {
+    let dir = temp_dir("fallback");
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = spec();
+    let engine = ExploreEngine::new().with_threads(2).with_cache_dir(&dir);
+    let json = engine.run(&spec).unwrap().report.to_json().unwrap();
+    let sidecars = cache_files(&dir, SIDECARS);
+    let artifacts = cache_files(&dir, ARTIFACTS);
+    assert_eq!((sidecars.len(), artifacts.len()), (12, 12));
+    let intact = std::fs::read_to_string(&sidecars[0]).unwrap();
+    assert!(intact.contains("\"measure_version\":1,"), "{intact}");
+
+    // (hits, answered from metrics, misses) of a rerun, which must
+    // reproduce the report and heal whatever was damaged.
+    let rerun = |what: &str| {
+        let outcome = engine.run(&spec).unwrap();
+        assert_eq!(json, outcome.report.to_json().unwrap(), "{what}");
+        assert_eq!(intact, std::fs::read_to_string(&sidecars[0]).unwrap());
+        (
+            outcome.cache_hits,
+            outcome.metrics_hits,
+            outcome.cache_misses,
+        )
+    };
+
+    // Torn: re-measured from the artifact.
+    std::fs::write(&sidecars[0], &intact[..intact.len() / 2]).unwrap();
+    assert_eq!(rerun("truncated sidecar"), (12, 11, 0));
+
+    // Measured by another simulator/executor version: likewise.
+    let foreign = intact.replace("\"measure_version\":1,", "\"measure_version\":999,");
+    std::fs::write(&sidecars[0], foreign).unwrap();
+    assert_eq!(rerun("foreign MEASURE_VERSION"), (12, 11, 0));
+
+    // Another point's metrics under this point's name: likewise.
+    std::fs::copy(&sidecars[1], &sidecars[0]).unwrap();
+    assert_eq!(rerun("another point's sidecar"), (12, 11, 0));
+
+    // Artifact gone: its sidecar no longer answers; recompiled.
+    let stem = artifacts[0].to_str().unwrap().trim_end_matches(ARTIFACTS);
+    assert!(sidecars[0].to_str().unwrap().starts_with(stem));
+    std::fs::remove_file(&artifacts[0]).unwrap();
+    assert_eq!(rerun("deleted artifact"), (11, 11, 1));
+    assert_eq!(rerun("healed"), (12, 12, 0));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn failed_measurement_is_attempted_again_not_memoised() {
+    use pimcomp_core::{CompiledArtifact, Schedule};
+    let dir = temp_dir("failed-measure");
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = SweepSpec::from_json(
+        r#"{"models":["tiny_cnn"],"modes":["ll"],"hardware":{"base":"small_test"},
+            "seeds":[1],"ga":{"population":4,"iterations":3}}"#,
+    )
+    .unwrap();
+    let engine = ExploreEngine::new().with_cache_dir(&dir);
+    let json = engine.run(&spec).unwrap().report.to_json().unwrap();
+
+    // Starve the cached schedule's first layer (as `simulator_edges`
+    // does), so the simulation of the artifact deadlocks.
+    let artifact = cache_files(&dir, ARTIFACTS).pop().unwrap();
+    let intact = std::fs::read_to_string(&artifact).unwrap();
+    let mut model = CompiledArtifact::load(&artifact)
+        .unwrap()
+        .into_model_unchecked();
+    let Schedule::LowLatency(ll) = &mut model.schedule else {
+        panic!("compiled in LL mode");
+    };
+    ll.units[0].replicas[0].windows = 0;
+    CompiledArtifact::new(model).save(&artifact).unwrap();
+    std::fs::remove_file(&cache_files(&dir, SIDECARS)[0]).unwrap();
+
+    for attempt in ["first", "second"] {
+        let failed = engine.run(&spec).unwrap();
+        assert_eq!(
+            (failed.cache_hits, failed.metrics_hits),
+            (1, 0),
+            "{attempt}"
+        );
+        let error = failed.report.points[0].error.as_deref().unwrap();
+        assert!(error.starts_with("simulate: "), "{attempt}: {error}");
+        assert!(cache_files(&dir, SIDECARS).is_empty(), "{attempt}");
+    }
+
+    // With the artifact repaired the very next run measures again.
+    std::fs::write(&artifact, intact).unwrap();
+    let repaired = engine.run(&spec).unwrap();
+    assert_eq!((repaired.cache_hits, repaired.metrics_hits), (1, 0));
+    assert_eq!(json, repaired.report.to_json().unwrap());
+    assert_eq!(engine.run(&spec).unwrap().metrics_hits, 1);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A weight-reload sweep over two crossbar budgets plus the

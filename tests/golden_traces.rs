@@ -343,9 +343,9 @@ fn traces_are_thread_count_invariant() {
     assert_eq!(trace_of(&serial, 7, &ga), trace_of(&parallel, 7, &ga));
 }
 
-/// One HT simulation per line of `ht_sim_reports.json`:
+/// One simulation per line of `{ht,ll}_sim_reports.json`:
 /// `"<model>/<mapping>": <SimReport as compact JSON>`.
-fn ht_report_line(key: &str, hw: &HardwareConfig, model: &CompiledModel) -> String {
+fn report_line(key: &str, hw: &HardwareConfig, model: &CompiledModel) -> String {
     let report = Simulator::new(hw.clone())
         .run(model)
         .unwrap_or_else(|e| panic!("{key}: simulation failed: {e}"));
@@ -353,40 +353,58 @@ fn ht_report_line(key: &str, hw: &HardwareConfig, model: &CompiledModel) -> Stri
     format!("\"{key}\": {json}")
 }
 
-/// Every HT report of one model: GA seeds {1, 7, 42} x batch {1, 2} x
-/// the three memory policies, plus the PUMA-like baseline mapping.
-fn ht_report_lines(name: &str, graph: &pimcomp_ir::Graph, hw: &HardwareConfig) -> Vec<String> {
+/// Every report of one model in `mode`: GA seeds {1, 7, 42} x `batches`
+/// x the three memory policies, plus the PUMA-like baseline mapping.
+/// An empty `batches` keeps the scheduled batch and leaves it out of the
+/// key (LL streams one inference).
+fn report_lines(
+    name: &str,
+    graph: &pimcomp_ir::Graph,
+    hw: &HardwareConfig,
+    mode: PipelineMode,
+    batches: &[usize],
+) -> Vec<String> {
     let mut lines = Vec::new();
     for seed in [1u64, 7, 42] {
-        let opts = CompileOptions::new(PipelineMode::HighThroughput).with_ga(GaParams::fast(seed));
+        let opts = CompileOptions::new(mode).with_ga(GaParams::fast(seed));
         let scheduled = CompileSession::new(hw.clone(), graph, opts)
             .and_then(CompileSession::partition)
             .and_then(|p| p.optimize())
             .and_then(|o| o.schedule())
             .unwrap_or_else(|e| panic!("{name} seed {seed}: {e}"));
-        for batch in [1usize, 2] {
-            let rebatched = scheduled.clone().rebatch(batch).expect("valid batch");
+        let rebatched: Vec<_> = if batches.is_empty() {
+            vec![(String::new(), scheduled)]
+        } else {
+            batches
+                .iter()
+                .map(|&b| {
+                    let s = scheduled.clone().rebatch(b).expect("valid batch");
+                    (format!("/batch{b}"), s)
+                })
+                .collect()
+        };
+        for (batch, rebatched) in &rebatched {
             for policy in ReusePolicy::ALL {
                 let model = rebatched.clone().replan_memory(policy).finish();
-                let key = format!("{name}/seed{seed}/batch{batch}/{policy:?}");
-                lines.push(ht_report_line(&key, hw, &model));
+                let key = format!("{name}/seed{seed}{batch}/{policy:?}");
+                lines.push(report_line(&key, hw, &model));
             }
         }
     }
     let baseline = PumaCompiler::new(hw.clone())
-        .compile(graph, &CompileOptions::new(PipelineMode::HighThroughput))
+        .compile(graph, &CompileOptions::new(mode))
         .unwrap_or_else(|e| panic!("{name} baseline: {e}"));
-    lines.push(ht_report_line(&format!("{name}/puma"), hw, &baseline));
+    lines.push(report_line(&format!("{name}/puma"), hw, &baseline));
     lines
 }
 
-#[test]
-fn ht_sim_reports_match_golden() {
-    // Pins the HT event engine: the full serialized `SimReport`
-    // (cycles, counters, energy, per-core completion times) of every
-    // zoo mapping below must stay byte-identical across engine
-    // rewrites. Debug builds check the small models only; the release
-    // test job checks (and `UPDATE_GOLDEN=1` regenerates) the zoo.
+/// Checks (or, under `UPDATE_GOLDEN=1` from a release build, rewrites)
+/// `tests/golden/<file>`: the full serialized `SimReport` (cycles,
+/// counters, energy, per-core busy times) of every zoo mapping of
+/// [`report_lines`] must stay byte-identical across engine rewrites.
+/// Debug builds check the small models only; the release test job
+/// checks the zoo.
+fn check_sim_reports(file: &str, mode: PipelineMode, batches: &[usize]) {
     let small = HardwareConfig::small_test();
     let mut cases: Vec<(&str, pimcomp_ir::Graph, HardwareConfig)> = vec![
         ("tiny_cnn", models::tiny_cnn(), small.clone()),
@@ -405,18 +423,18 @@ fn ht_sim_reports_match_golden() {
     }
     let actual: Vec<String> = cases
         .iter()
-        .flat_map(|(name, graph, hw)| ht_report_lines(name, graph, hw))
+        .flat_map(|(name, graph, hw)| report_lines(name, graph, hw, mode, batches))
         .collect();
 
-    let path = golden_dir().join("ht_sim_reports.json");
+    let path = golden_dir().join(file);
     if std::env::var("UPDATE_GOLDEN").is_ok() {
-        assert!(full, "regenerate ht_sim_reports.json from a release build");
+        assert!(full, "regenerate {file} from a release build");
         std::fs::write(&path, format!("{{\n{}\n}}\n", actual.join(",\n"))).expect("write fixture");
         return;
     }
     // Fixture lines are in case order, small models first, so a debug
     // run checks a prefix of them.
-    let fixture = std::fs::read_to_string(&path).expect("tests/golden/ht_sim_reports.json");
+    let fixture = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{file}: {e}"));
     let expected: Vec<&str> = fixture
         .lines()
         .filter(|l| l.starts_with('"'))
@@ -431,10 +449,24 @@ fn ht_sim_reports_match_golden() {
     for (want, line) in expected.iter().zip(&actual) {
         assert!(
             want == line,
-            "HT SimReport drifted from golden fixture {}:\n  fixture {want}\n  actual  {line}",
+            "{mode} SimReport drifted from golden fixture {}:\n  fixture {want}\n  actual  {line}",
             path.display()
         );
     }
+}
+
+#[test]
+fn ht_sim_reports_match_golden() {
+    // Pins the HT event engine (PR 12's fixture, generated on the
+    // engine it replaced).
+    check_sim_reports("ht_sim_reports.json", PipelineMode::HighThroughput, &[1, 2]);
+}
+
+#[test]
+fn ll_sim_reports_match_golden() {
+    // Pins the LL event engine: generated on the engine that rescanned
+    // every replica after every window, before the per-unit prefix.
+    check_sim_reports("ll_sim_reports.json", PipelineMode::LowLatency, &[]);
 }
 
 /// The columns of `ga_results.tsv`.

@@ -224,3 +224,34 @@ fn stuck_owner_is_reported_as_a_deadlock_quickly() {
     }
     assert!(elapsed.as_secs_f64() < 1.0, "took {elapsed:?}");
 }
+
+#[test]
+fn starved_ll_consumer_is_reported_as_a_deadlock_quickly() {
+    // A provider whose first replica is told it has no windows never
+    // completes window 0, so its prefix stays empty and no consumer
+    // threshold is ever met: the queue drains and the engine names the
+    // first consumer left waiting.
+    let hw = HardwareConfig::small_test();
+    let mut compiled = compile_tiny_cnn(&hw, PipelineMode::LowLatency);
+    let Schedule::LowLatency(ll) = &mut compiled.schedule else {
+        panic!("compiled in LL mode");
+    };
+    let provider = ll.units[0].node;
+    ll.units[0].replicas[0].windows = 0;
+    let consumer = ll
+        .units
+        .iter()
+        .position(|u| u.providers.iter().any(|p| p.node == provider))
+        .expect("tiny_cnn's first layer feeds another");
+    let t0 = std::time::Instant::now();
+    let result = Simulator::new(hw).run(&compiled);
+    let elapsed = t0.elapsed();
+    match result {
+        Err(SimError::Deadlock { detail }) => assert!(
+            detail.starts_with(&format!("unit {consumer} ")),
+            "deadlock should name unit {consumer}: {detail}"
+        ),
+        other => panic!("expected a deadlock, got {other:?}"),
+    }
+    assert!(elapsed.as_secs_f64() < 1.0, "took {elapsed:?}");
+}
