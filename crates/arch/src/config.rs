@@ -263,11 +263,15 @@ impl HardwareConfig {
         (self.input_bits as usize).div_ceil(8)
     }
 
+    /// Element-operations per cycle of a core's VFU array.
+    pub fn vfu_rate(&self) -> f64 {
+        self.vfu_per_core as f64 * self.vfu_lane_throughput
+    }
+
     /// Cycles for the VFU array of a core to process `elements`
     /// element-operations.
     pub fn vfu_cycles(&self, elements: usize) -> u64 {
-        let rate = self.vfu_per_core as f64 * self.vfu_lane_throughput;
-        (elements as f64 / rate).ceil() as u64
+        (elements as f64 / self.vfu_rate()).ceil() as u64
     }
 
     /// Cycles to move `bytes` through the global memory port (bandwidth

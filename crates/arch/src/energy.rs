@@ -72,7 +72,7 @@ impl EnergyModel {
         // (mW = pJ/ns, so power_mw * ns = pJ directly; the *1000/1000
         // pair above cancels and is kept for unit legibility.)
 
-        let vfu_rate_elems_per_ns = hw.vfu_per_core as f64 * hw.vfu_lane_throughput * hw.clock_ghz;
+        let vfu_rate_elems_per_ns = hw.vfu_rate() * hw.clock_ghz;
         let vfu_pj_per_element = lib.vfu.power_mw * dyn_frac / vfu_rate_elems_per_ns;
 
         EnergyModel {

@@ -8,20 +8,14 @@
 //! * `fig9`   — energy breakdown at parallelism 20.
 //! * `fig10`  — local-memory usage and global accesses per reuse policy.
 //! * `table2` — per-stage compile times.
-//! * `ga_throughput` — GA evaluations/sec across a worker-thread sweep
-//!   (serial vs parallel engine), verifying bit-identical results while
-//!   measuring.
-//! * `explore_sweep` — design-space-exploration points/sec across a
-//!   worker-thread sweep, verifying byte-identical reports and
-//!   artifact-cache replay while measuring.
-//! * `search_compare` — guided (successive-halving) vs exhaustive
-//!   exploration on the committed paper sweep: frontier quality,
-//!   budget savings, wall-clock; gates on determinism, cache replay,
-//!   and the guided frontier being a subset of the exhaustive one.
 //!
 //! Each binary prints the paper-style rows and, with `--json PATH`,
 //! writes machine-readable results. `--fast` shrinks the GA and the
 //! benchmark set for smoke runs.
+//!
+//! Nothing here times code or gates on a result: the layered ledger
+//! (`BENCHMARK.json`, `ledger/`) measures, the test suites assert, and
+//! `scripts/perf_ab.sh` compares two commits (`docs/BENCHMARKS.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,14 +46,6 @@ pub struct HarnessOptions {
     pub json_path: Option<String>,
     /// Restrict to one benchmark network.
     pub only: Option<String>,
-    /// Worker-thread sweep (`--threads 1,2,4,8`), used by the
-    /// `ga_throughput` binary.
-    pub threads: Option<Vec<usize>>,
-    /// Fail (exit non-zero) unless every measured configuration reaches
-    /// this speedup over its serial baseline (`--min-speedup 2.0`),
-    /// used by the `ga_throughput` binary to gate on multi-core
-    /// runners.
-    pub min_speedup: Option<f64>,
 }
 
 impl HarnessOptions {
@@ -69,8 +55,6 @@ impl HarnessOptions {
             fast: false,
             json_path: None,
             only: None,
-            threads: None,
-            min_speedup: None,
         };
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
@@ -78,36 +62,6 @@ impl HarnessOptions {
                 "--fast" => opts.fast = true,
                 "--json" => opts.json_path = args.next(),
                 "--only" => opts.only = args.next(),
-                "--threads" => {
-                    let raw = args.next().unwrap_or_default();
-                    let parsed: Result<Vec<usize>, String> = raw
-                        .split(',')
-                        .map(|s| {
-                            s.trim()
-                                .parse::<usize>()
-                                .ok()
-                                .filter(|&n| n >= 1)
-                                .ok_or_else(|| s.trim().to_string())
-                        })
-                        .collect();
-                    match parsed {
-                        Ok(list) if !list.is_empty() => opts.threads = Some(list),
-                        _ => {
-                            eprintln!(
-                                "error: --threads expects a comma-separated list of \
-                                 positive integers, got `{raw}`"
-                            );
-                            std::process::exit(2);
-                        }
-                    }
-                }
-                "--min-speedup" => match args.next().and_then(|s| s.parse().ok()) {
-                    Some(v) => opts.min_speedup = Some(v),
-                    None => {
-                        eprintln!("error: --min-speedup expects a number, e.g. 2.0");
-                        std::process::exit(2);
-                    }
-                },
                 other => eprintln!("ignoring unknown argument `{other}`"),
             }
         }
@@ -270,15 +224,15 @@ pub fn load_network_or_exit(name: &str) -> Graph {
 }
 
 /// The committed smoke sweep spec (2 models × 2 hardware configs on
-/// the small test target): the fixture CI's `explore` smoke job and
-/// the `explore_sweep` harness run by default. Lives on disk at
-/// `crates/bench/fixtures/smoke_sweep.json` so the CLI can consume the
-/// identical spec.
+/// the small test target): the fixture CI's `explore` smoke job runs.
+/// Lives on disk at `crates/bench/fixtures/smoke_sweep.json` so the CLI
+/// can consume the identical spec.
 pub const SMOKE_SWEEP_SPEC: &str = include_str!("../fixtures/smoke_sweep.json");
 
 /// The committed paper-style sweep spec (3 models × 2 modes × 6
-/// hardware configs); the `explore_sweep` harness's full-size input,
-/// on disk at `crates/bench/fixtures/paper_sweep.json`.
+/// hardware configs), on disk at
+/// `crates/bench/fixtures/paper_sweep.json`; with its halving twin one
+/// of the three spec pairs `tests/explore_determinism.rs` gates on.
 pub const PAPER_SWEEP_SPEC: &str = include_str!("../fixtures/paper_sweep.json");
 
 /// The smoke sweep under guided (successive-halving) search — same
@@ -288,8 +242,8 @@ pub const PAPER_SWEEP_SPEC: &str = include_str!("../fixtures/paper_sweep.json");
 pub const SMOKE_SWEEP_HALVING_SPEC: &str = include_str!("../fixtures/smoke_sweep_halving.json");
 
 /// The paper-style sweep under guided search — same axes as
-/// [`PAPER_SWEEP_SPEC`]; the `search_compare` harness's full-size
-/// input, on disk at `crates/bench/fixtures/paper_sweep_halving.json`.
+/// [`PAPER_SWEEP_SPEC`]; on disk at
+/// `crates/bench/fixtures/paper_sweep_halving.json`.
 pub const PAPER_SWEEP_HALVING_SPEC: &str = include_str!("../fixtures/paper_sweep_halving.json");
 
 /// The committed new-axes smoke sweep: memory policies × HT batches ×
@@ -453,7 +407,7 @@ pub fn run_pair(
 }
 
 /// Compiles one network with one compiler (no simulation); used by
-/// `table2` and the criterion benches.
+/// `table2`.
 ///
 /// # Errors
 ///
@@ -497,8 +451,6 @@ mod tests {
                 fast: false,
                 json_path: None,
                 only: Some(name.to_string()),
-                threads: None,
-                min_speedup: None,
             };
             assert_eq!(opts.networks(), vec![*name]);
             load_network(name).unwrap();

@@ -423,7 +423,7 @@ fn static_node_uninterrupted_time(
         let mut u: f64 = 0.0;
         for &(idx, windows, ags_per_replica) in &node.mvm_indices {
             let r = replication.count(idx);
-            let per_window = (ags_per_replica as u64 * hw.issue_interval()).max(hw.mvm_latency);
+            let per_window = hw.operation_cycle_cost(ags_per_replica);
             u = u.max(windows.div_ceil(r) as f64 * per_window as f64);
         }
         u
@@ -434,8 +434,7 @@ fn static_node_uninterrupted_time(
             .map(|&idx| replication.count(idx))
             .max()
             .unwrap_or(1);
-        let vfu_rate = hw.vfu_per_core as f64 * hw.vfu_lane_throughput;
-        node.elems as f64 / (vfu_rate * r_pred as f64)
+        node.elems as f64 / (hw.vfu_rate() * r_pred as f64)
     }
 }
 

@@ -370,7 +370,7 @@ mod tests {
     #[test]
     fn ll_policies_are_ordered() {
         let (g, part, mapping, dep, hw) = setup();
-        let s = LlSchedule::build(&g, &part, &mapping, &dep, &hw);
+        let s = LlSchedule::build(&g, &part, &mapping, &dep);
         let naive = MemoryPlan::for_ll(&g, &s, &part, &dep, &hw, ReusePolicy::Naive);
         let add = MemoryPlan::for_ll(&g, &s, &part, &dep, &hw, ReusePolicy::AddReuse);
         let ag = MemoryPlan::for_ll(&g, &s, &part, &dep, &hw, ReusePolicy::AgReuse);
@@ -396,7 +396,7 @@ mod tests {
     #[test]
     fn ll_traffic_is_boundary_only() {
         let (g, part, mapping, dep, hw) = setup();
-        let s = LlSchedule::build(&g, &part, &mapping, &dep, &hw);
+        let s = LlSchedule::build(&g, &part, &mapping, &dep);
         let plan = MemoryPlan::for_ll(&g, &s, &part, &dep, &hw, ReusePolicy::AgReuse);
         let eb = hw.input_bytes_per_element();
         let expected = (64 * 16 * 16) * eb + (64 * 16 * 16) * eb;

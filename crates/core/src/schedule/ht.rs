@@ -7,11 +7,12 @@
 //! Non-MVM operations (POOL/CONCAT/ELTWISE/…) are distributed among
 //! cores as independent load→VFU→store tasks (Algorithm 1, line 10).
 
+use super::{is_costed_vec, spread_cores};
 use crate::mapping::CoreMapping;
 use crate::partition::Partitioning;
 use crate::waiting::{vfu_window_work, DepInfo};
 use pimcomp_arch::HardwareConfig;
-use pimcomp_ir::{Graph, NodeId, Op};
+use pimcomp_ir::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -249,47 +250,6 @@ impl HtSchedule {
 pub fn slice_rows(total_rows: usize, crossbar_rows: usize, slice: usize) -> usize {
     let start = slice * crossbar_rows;
     total_rows.saturating_sub(start).min(crossbar_rows)
-}
-
-/// Operators with nonzero VFU/memory cost in HT mode (pure reshapes are
-/// free; BN/dropout are assumed folded).
-fn is_costed_vec(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::Pool(_)
-            | Op::GlobalAvgPool
-            | Op::Activation(_)
-            | Op::Concat
-            | Op::Eltwise(_)
-            | Op::Softmax
-            | Op::Lrn(_)
-            | Op::Pad(_)
-            | Op::LayerNorm
-            | Op::Bmm(_)
-            | Op::Attention(_)
-    )
-}
-
-/// Cores a non-MVM node's work spreads over: owner cores of the nearest
-/// MVM provider's replicas, falling back to core 0.
-fn spread_cores(
-    graph: &Graph,
-    partitioning: &Partitioning,
-    mapping: &CoreMapping,
-    node: NodeId,
-) -> Vec<usize> {
-    let mut cores: Vec<usize> = graph
-        .mvm_providers(node)
-        .into_iter()
-        .filter_map(|p| partitioning.index_of(p))
-        .flat_map(|idx| mapping.owners[idx].iter().copied())
-        .collect();
-    cores.sort_unstable();
-    cores.dedup();
-    if cores.is_empty() {
-        cores.push(0);
-    }
-    cores
 }
 
 #[cfg(test)]

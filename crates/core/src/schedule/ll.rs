@@ -6,10 +6,10 @@
 //! Non-MVM operations are divided among cores according to the
 //! replication of their predecessor convolutional layer.
 
+use super::{is_costed_vec, spread_cores};
 use crate::mapping::CoreMapping;
 use crate::partition::{MvmIdx, Partitioning};
 use crate::waiting::{vfu_window_work, DepInfo, DepRule};
-use pimcomp_arch::HardwareConfig;
 use pimcomp_ir::{Graph, NodeId, Op};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -93,9 +93,7 @@ impl LlSchedule {
         partitioning: &Partitioning,
         mapping: &CoreMapping,
         dep: &DepInfo,
-        hw: &HardwareConfig,
     ) -> Self {
-        let _ = hw;
         let mut units: Vec<LlUnit> = Vec::new();
         let mut units_of_node: HashMap<usize, Vec<usize>> = HashMap::new();
 
@@ -159,7 +157,7 @@ impl LlSchedule {
             } else if is_costed_vec(&node.op) {
                 // Divide across the predecessor conv's replicas
                 // (Section IV-D.2), executing on their owner cores.
-                let owner_cores = pred_owner_cores(graph, partitioning, mapping, id);
+                let owner_cores = spread_cores(graph, partitioning, mapping, id);
                 let r = owner_cores.len().max(1);
                 let windows = dep.windows_of(id);
                 let replicas = (0..r.min(windows.max(1)))
@@ -227,51 +225,14 @@ pub(crate) fn strided_windows(windows: usize, r: usize, k: usize) -> usize {
     (windows + r - 1 - k) / r
 }
 
-fn is_costed_vec(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::Pool(_)
-            | Op::GlobalAvgPool
-            | Op::Activation(_)
-            | Op::Concat
-            | Op::Eltwise(_)
-            | Op::Softmax
-            | Op::Lrn(_)
-            | Op::Pad(_)
-            | Op::LayerNorm
-            | Op::Bmm(_)
-            | Op::Attention(_)
-    )
-}
-
-/// Owner cores of the nearest MVM providers' replicas (fallback: core 0).
-fn pred_owner_cores(
-    graph: &Graph,
-    partitioning: &Partitioning,
-    mapping: &CoreMapping,
-    node: NodeId,
-) -> Vec<usize> {
-    let mut cores: Vec<usize> = graph
-        .mvm_providers(node)
-        .into_iter()
-        .filter_map(|p| partitioning.index_of(p))
-        .flat_map(|idx| mapping.owners[idx].iter().copied())
-        .collect();
-    cores.sort_unstable();
-    cores.dedup();
-    if cores.is_empty() {
-        cores.push(0);
-    }
-    cores
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mapping::{Chromosome, Gene};
+    use pimcomp_arch::HardwareConfig;
     use pimcomp_ir::GraphBuilder;
 
-    fn setup() -> (Graph, Partitioning, CoreMapping, DepInfo, HardwareConfig) {
+    fn setup() -> (Graph, Partitioning, CoreMapping, DepInfo) {
         let mut b = GraphBuilder::new("t");
         let x = b.input("x", [16, 8, 8]);
         let c1 = b.conv2d("c1", x, 16, (3, 3), (1, 1), (1, 1)).unwrap();
@@ -299,13 +260,13 @@ mod tests {
         );
         let mapping = CoreMapping::from_chromosome(&c, &part).unwrap();
         let dep = DepInfo::analyze(&g);
-        (g, part, mapping, dep, hw)
+        (g, part, mapping, dep)
     }
 
     #[test]
     fn units_cover_all_non_input_nodes() {
-        let (g, part, mapping, dep, hw) = setup();
-        let s = LlSchedule::build(&g, &part, &mapping, &dep, &hw);
+        let (g, part, mapping, dep) = setup();
+        let s = LlSchedule::build(&g, &part, &mapping, &dep);
         // conv1, relu, conv2, gap.
         assert_eq!(s.units.len(), 4);
     }
@@ -322,8 +283,8 @@ mod tests {
 
     #[test]
     fn mvm_unit_reflects_replication() {
-        let (g, part, mapping, dep, hw) = setup();
-        let s = LlSchedule::build(&g, &part, &mapping, &dep, &hw);
+        let (g, part, mapping, dep) = setup();
+        let s = LlSchedule::build(&g, &part, &mapping, &dep);
         let c1 = &s.units[0];
         assert!(matches!(c1.kind, LlUnitKind::Mvm { mvm: 0 }));
         assert_eq!(c1.replicas.len(), 2);
@@ -333,8 +294,8 @@ mod tests {
 
     #[test]
     fn vector_units_follow_predecessor_owners() {
-        let (g, part, mapping, dep, hw) = setup();
-        let s = LlSchedule::build(&g, &part, &mapping, &dep, &hw);
+        let (g, part, mapping, dep) = setup();
+        let s = LlSchedule::build(&g, &part, &mapping, &dep);
         let relu = s.units.iter().find(|u| u.name == "r").expect("relu unit");
         // c1 has 2 replicas, both owned by core 0 -> one distinct owner.
         assert!(matches!(relu.kind, LlUnitKind::Vector));
@@ -346,8 +307,8 @@ mod tests {
 
     #[test]
     fn providers_skip_graph_inputs() {
-        let (g, part, mapping, dep, hw) = setup();
-        let s = LlSchedule::build(&g, &part, &mapping, &dep, &hw);
+        let (g, part, mapping, dep) = setup();
+        let s = LlSchedule::build(&g, &part, &mapping, &dep);
         assert!(s.units[0].providers.is_empty()); // c1 fed by input only
         assert_eq!(s.units[1].providers.len(), 1); // relu <- c1
         let _ = g;
@@ -355,8 +316,8 @@ mod tests {
 
     #[test]
     fn units_of_maps_back() {
-        let (g, part, mapping, dep, hw) = setup();
-        let s = LlSchedule::build(&g, &part, &mapping, &dep, &hw);
+        let (g, part, mapping, dep) = setup();
+        let s = LlSchedule::build(&g, &part, &mapping, &dep);
         let c2 = g.node_by_name("c2").unwrap().id;
         let ids = s.units_of(c2);
         assert_eq!(ids.len(), 1);

@@ -13,6 +13,9 @@ mod ll;
 pub use ht::{slice_rows, HtNodeProgram, HtSchedule, HtSend, HtVecTask};
 pub use ll::{LlProviderRef, LlReplica, LlSchedule, LlUnit, LlUnitKind};
 
+use crate::mapping::CoreMapping;
+use crate::partition::Partitioning;
+use pimcomp_ir::{Graph, NodeId, Op};
 use serde::{Deserialize, Serialize};
 
 /// A compiled dataflow schedule, one variant per pipeline mode.
@@ -40,4 +43,45 @@ impl Schedule {
             Schedule::HighThroughput(_) => None,
         }
     }
+}
+
+/// Operators with nonzero VFU/memory cost (pure reshapes are free;
+/// BN/dropout are assumed folded).
+fn is_costed_vec(op: &Op) -> bool {
+    matches!(
+        op,
+        Op::Pool(_)
+            | Op::GlobalAvgPool
+            | Op::Activation(_)
+            | Op::Concat
+            | Op::Eltwise(_)
+            | Op::Softmax
+            | Op::Lrn(_)
+            | Op::Pad(_)
+            | Op::LayerNorm
+            | Op::Bmm(_)
+            | Op::Attention(_)
+    )
+}
+
+/// Cores a non-MVM node's work spreads over: owner cores of the nearest
+/// MVM providers' replicas (Section IV-D.2), falling back to core 0.
+fn spread_cores(
+    graph: &Graph,
+    partitioning: &Partitioning,
+    mapping: &CoreMapping,
+    node: NodeId,
+) -> Vec<usize> {
+    let mut cores: Vec<usize> = graph
+        .mvm_providers(node)
+        .into_iter()
+        .filter_map(|p| partitioning.index_of(p))
+        .flat_map(|idx| mapping.owners[idx].iter().copied())
+        .collect();
+    cores.sort_unstable();
+    cores.dedup();
+    if cores.is_empty() {
+        cores.push(0);
+    }
+    cores
 }

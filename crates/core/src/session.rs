@@ -614,7 +614,6 @@ fn build_schedule_and_memory(
             partitioning,
             mapping,
             dep,
-            hw,
         )),
     };
     let memory = MemoryPlan::for_schedule(

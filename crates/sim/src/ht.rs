@@ -40,9 +40,9 @@
 //! since a run spawns more tokens than it consumes, events would grow
 //! quadratically with the work simulated.
 
-use crate::report::{EnergyReport, MemoryReport, SimReport};
+use crate::report::{Counters, SimReport};
 use crate::resources::{ActivitySpan, BandwidthServer};
-use crate::SimError;
+use crate::{invalid, SimError};
 use pimcomp_arch::{EnergyModel, HardwareConfig, NocModel};
 use pimcomp_core::{CompiledModel, HtSchedule};
 use std::cmp::Reverse;
@@ -109,10 +109,6 @@ struct Tables {
     scan: Vec<Vec<Item>>,
     /// Upper bound on scan attempts; see [`Tables::build`].
     attempt_budget: u64,
-}
-
-fn invalid(detail: String) -> SimError {
-    SimError::InvalidSchedule { detail }
 }
 
 impl Tables {
@@ -329,12 +325,7 @@ pub(crate) fn run(
     let mut spans: Vec<ActivitySpan> = vec![ActivitySpan::default(); cores];
     let mut cursor = vec![0usize; cores];
 
-    // Counters.
-    let mut mvm_ops = 0u64;
-    let mut crossbar_mvms = 0u64;
-    let mut vfu_elems = 0u64;
-    let mut noc_bytes = 0u64;
-    let mut noc_pj = 0f64;
+    let mut counted = Counters::default();
 
     // Wake tokens, coalesced: `(time, core, count)` stands for `count`
     // indistinguishable tokens, each entitling `core` to try to run one
@@ -409,7 +400,7 @@ pub(crate) fn run(
                                 let t_vfu =
                                     vfu_free[core].max(start) + hw.vfu_cycles(r.remote_add_elems);
                                 vfu_free[core] = t_vfu;
-                                vfu_elems += r.remote_add_elems as u64;
+                                counted.vfu_elems += r.remote_add_elems as u64;
                                 partials[pid][round] = (0, 0);
                                 spans[core].record(start, t_vfu);
                                 phase[pid] = Phase::StorePending { round, at: t_vfu };
@@ -437,8 +428,8 @@ pub(crate) fn run(
                                     }
                                 }
                                 issue_free[core] = base + k * t_int;
-                                mvm_ops += k;
-                                crossbar_mvms += k * r.crossbars_per_ag;
+                                counted.mvm_ops += k;
+                                counted.crossbar_mvms += k * r.crossbars_per_ag;
                                 // Crossbar input reads.
                                 mem.local_bytes += p.load_bytes_per_round as u64;
 
@@ -448,7 +439,7 @@ pub(crate) fn run(
                                     let t = vfu_free[core].max(t_mvm_end)
                                         + hw.vfu_cycles(r.local_add_elems);
                                     vfu_free[core] = t;
-                                    vfu_elems += r.local_add_elems as u64;
+                                    counted.vfu_elems += r.local_add_elems as u64;
                                     t
                                 } else {
                                     t_mvm_end
@@ -457,8 +448,8 @@ pub(crate) fn run(
 
                                 // 4. Push partials to owner cores.
                                 for s in &r.sends {
-                                    noc_bytes += s.bytes;
-                                    noc_pj += s.energy_pj;
+                                    counted.noc_bytes += s.bytes;
+                                    counted.noc_pj += s.energy_pj;
                                     if let Some(owner) = s.owner {
                                         let arr = t_adds + s.cycles;
                                         let table = &mut partials[owner];
@@ -515,7 +506,7 @@ pub(crate) fn run(
                                 let t_load = mem.transfer(core, now, t.load_bytes);
                                 let t_vfu = vfu_free[core].max(t_load) + hw.vfu_cycles(t.elems);
                                 vfu_free[core] = t_vfu;
-                                vfu_elems += t.elems as u64;
+                                counted.vfu_elems += t.elems as u64;
                                 vec_phase[vid] = VecPhase::StorePending { at: t_vfu };
                                 spans[core].record(now, t_vfu);
                                 queue.push(Reverse((t_vfu.max(now + 1), core, 1)));
@@ -566,20 +557,10 @@ pub(crate) fn run(
         }
     }
 
-    let per_core_busy: Vec<u64> = spans.iter().map(|s| s.last_end()).collect();
-    let pipeline_interval = per_core_busy.iter().copied().max().unwrap_or(0);
-    let active_cores = spans.iter().filter(|s| s.is_active()).count();
+    let busy: Vec<u64> = spans.iter().map(|s| s.last_end()).collect();
+    let interval = busy.iter().copied().max().unwrap_or(0);
+    let active = spans.iter().filter(|s| s.is_active()).count();
 
-    // Energy.
-    let mut energy = EnergyReport {
-        mvm_pj: crossbar_mvms as f64 * energy_model.mvm_pj_per_crossbar,
-        vfu_pj: vfu_elems as f64 * energy_model.vfu_pj_per_element,
-        memory_pj: mem.global_bytes as f64 * energy_model.global_mem_pj_per_byte
-            + mem.local_bytes as f64 * energy_model.local_mem_pj_per_byte,
-        noc_pj,
-        reload_pj: 0.0,
-        leakage_pj: 0.0,
-    };
     // Leakage: each active core leaks over its own activity span (in HT
     // an early-finishing core powers down); global memory and routers
     // leak over the whole makespan.
@@ -594,44 +575,10 @@ pub(crate) fn run(
     }
     leak += energy_model.leakage_pj(
         energy_model.leakage.global_memory_mw * hw.chips as f64,
-        pipeline_interval,
+        interval,
     );
-    energy.leakage_pj = leak;
 
-    // `weight_reload` epochs: the per-inference round reprograms the
-    // time-multiplexed crossbars at each epoch barrier, serializing the
-    // pipeline — the write stalls stretch the steady-state interval and
-    // the cell writes add dynamic energy (both from the compiled
-    // reload schedule; no event-level modeling is needed because every
-    // core stalls at the barrier together).
-    let reload = compiled.reload.as_ref();
-    let reload_stall_cycles = reload.map_or(0, |p| p.total_write_cycles);
-    let total_cycles = pipeline_interval + reload_stall_cycles;
-    energy.reload_pj = reload.map_or(0.0, |p| p.total_write_pj);
-
-    Ok(SimReport {
-        model: compiled.graph.name().to_string(),
-        compiler: compiled.report.compiler.clone(),
-        mode: compiled.mode,
-        total_cycles,
-        throughput_inf_per_s: SimReport::throughput_from_cycles(total_cycles, hw.clock_ghz),
-        latency_us: total_cycles as f64 / (hw.clock_ghz * 1000.0),
-        mvm_ops,
-        crossbar_mvms,
-        vfu_elems,
-        noc_bytes,
-        global_bytes: mem.global_bytes,
-        energy,
-        memory: MemoryReport {
-            avg_local_bytes: compiled.memory.avg_bytes,
-            peak_local_bytes: compiled.memory.peak_bytes,
-            global_traffic_bytes: mem.global_bytes as usize,
-        },
-        reload_epochs: reload.map_or(0, |p| p.epoch_count()),
-        reload_ags_rewritten: reload.map_or(0, |p| p.total_ags_written),
-        reload_cells_rewritten: reload.map_or(0, |p| p.total_cells_written),
-        reload_stall_cycles,
-        active_cores,
-        per_core_busy,
-    })
+    counted.global_bytes = mem.global_bytes;
+    counted.local_bytes = mem.local_bytes;
+    Ok(counted.into_report(compiled, energy_model, interval, leak, active, busy))
 }

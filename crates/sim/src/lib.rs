@@ -107,6 +107,12 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
+/// Artifacts deserialize unvalidated; each engine checks every index it
+/// is about to follow, once, and reports a foreign one through this.
+pub(crate) fn invalid(detail: String) -> SimError {
+    SimError::InvalidSchedule { detail }
+}
+
 /// The simulator front end: dispatches a compiled model to the HT or LL
 /// engine with a consistent energy model.
 #[derive(Debug, Clone)]

@@ -14,11 +14,11 @@
 //! * strided window assignment across replicas, so a node's output
 //!   prefix completes smoothly.
 
-use crate::report::{EnergyReport, MemoryReport, SimReport};
+use crate::report::{makespan_leakage_pj, Counters, SimReport};
 use crate::resources::ActivitySpan;
-use crate::SimError;
+use crate::{invalid, SimError};
 use pimcomp_arch::{EnergyModel, NocModel};
-use pimcomp_core::{required_windows, CompiledModel, DepRule, LlUnitKind};
+use pimcomp_core::{required_windows, CompiledModel, DepRule, LlSchedule, LlUnitKind};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -75,6 +75,49 @@ struct Remote {
     pj: Vec<f64>,
 }
 
+/// Checks every index the event loop follows (artifacts are
+/// deserialized unvalidated), once, before any state is sized from it.
+fn validate(compiled: &CompiledModel, schedule: &LlSchedule) -> Result<(), SimError> {
+    let cores = compiled.hw.total_cores();
+    let nodes = compiled.graph.node_count().min(compiled.dep.windows.len());
+    let entries = compiled.partitioning.entries().len();
+    let units = &schedule.units;
+    let listed = schedule.units_of_node.values().flatten();
+    if let Some(v) = listed.filter(|&&v| v >= units.len()).min() {
+        return Err(invalid(format!("`units_of_node` lists unit {v}")));
+    }
+    for (uid, u) in units.iter().enumerate() {
+        let mut refs = std::iter::once(u.node).chain(u.providers.iter().map(|p| p.node));
+        if let Some(n) = refs.find(|n| n.index() >= nodes) {
+            return Err(invalid(format!("unit {uid} refers to node {}", n.index())));
+        }
+        if matches!(u.kind, LlUnitKind::Mvm { mvm } if mvm >= entries) {
+            return Err(invalid(format!("unit {uid} computes {:?}", u.kind)));
+        }
+        let r_count = u.replicas.len();
+        for (k, r) in u.replicas.iter().enumerate() {
+            // The owner accumulates; every listed core issues >= 1 AG.
+            let mut used = r.ags_per_core.iter().copied().chain([(r.owner, 1)]);
+            if let Some((core, count)) = used.find(|&(core, count)| core >= cores || count == 0) {
+                return Err(invalid(format!(
+                    "unit {uid} replica {k} runs {count} AGs on core {core}"
+                )));
+            }
+            // Window `j` is replica `j % R`'s `j / R`-th, so replica `k`
+            // holds at most `ceil((windows - k) / R)`. (Fewer is not an
+            // index hazard: it starves the consumers and ends in
+            // `Deadlock`.)
+            if r.windows > u.windows.saturating_sub(k).div_ceil(r_count) {
+                return Err(invalid(format!(
+                    "unit {uid} replica {k} claims {} of the unit's {} windows",
+                    r.windows, u.windows
+                )));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Runs the LL simulation for a compiled model.
 pub(crate) fn run(
     compiled: &CompiledModel,
@@ -84,6 +127,7 @@ pub(crate) fn run(
         .schedule
         .as_ll()
         .ok_or(SimError::WrongScheduleKind)?;
+    validate(compiled, schedule)?;
     let hw = &compiled.hw;
     let noc = NocModel::new(hw);
     let cores = hw.total_cores();
@@ -137,13 +181,11 @@ pub(crate) fn run(
         })
         .collect();
 
-    // Counters.
-    let mut mvm_ops = 0u64;
-    let mut crossbar_mvms = 0u64;
-    let mut vfu_elems = 0u64;
-    let mut noc_bytes = 0u64;
-    let mut noc_pj = 0f64;
-    let mut local_bytes = 0u64;
+    let mut counted = Counters {
+        // Boundary global traffic (network inputs + outputs).
+        global_bytes: compiled.memory.global_traffic as u64,
+        ..Counters::default()
+    };
 
     // Pre-computed per-unit inbound forwarding delay (provider owner ->
     // consumer owner, one window's payload).
@@ -288,23 +330,24 @@ pub(crate) fn run(
                     let end = base + (count as u64 - 1) * t_int + t_mvm;
                     mvm_end = mvm_end.max(end);
                     spans[core].record(base, end);
-                    mvm_ops += count as u64;
-                    crossbar_mvms += count as u64 * entry.crossbars_per_ag as u64;
+                    counted.mvm_ops += count as u64;
+                    counted.crossbar_mvms += count as u64 * entry.crossbars_per_ag as u64;
                 }
                 // Partial sums from remote cores to the owner.
                 let owner = rep_spec.owner;
                 let remote = &remotes[uid][k];
                 let arrive = mvm_end + remote.cycles;
-                noc_bytes += (entry.weight_width * eb * remote.pj.len()) as u64;
+                counted.noc_bytes += (entry.weight_width * eb * remote.pj.len()) as u64;
                 for pj in &remote.pj {
-                    noc_pj += pj;
+                    counted.noc_pj += pj;
                 }
                 // Accumulate + activate on the owner's VFU.
                 let w = u.vfu_elems_per_window;
                 let t = vfu_free[owner].max(arrive) + hw.vfu_cycles(w);
                 vfu_free[owner] = t;
-                vfu_elems += w as u64;
-                local_bytes += (entry.weight_height + entry.weight_width) as u64 * eb as u64;
+                counted.vfu_elems += w as u64;
+                counted.local_bytes +=
+                    (entry.weight_height + entry.weight_width) as u64 * eb as u64;
                 spans[owner].record(arrive, t);
                 t
             }
@@ -316,8 +359,8 @@ pub(crate) fn run(
                 } else {
                     let t = vfu_free[owner].max(ready) + hw.vfu_cycles(w);
                     vfu_free[owner] = t;
-                    vfu_elems += w as u64;
-                    local_bytes += (2 * u.elems_per_window * eb) as u64;
+                    counted.vfu_elems += w as u64;
+                    counted.local_bytes += (2 * u.elems_per_window * eb) as u64;
                     spans[owner].record(ready, t);
                     t
                 }
@@ -388,63 +431,13 @@ pub(crate) fn run(
     }
 
     let latency = last_done;
-    let active_cores = spans.iter().filter(|s| s.is_active()).count();
-
-    // Boundary global traffic (network inputs + outputs).
-    let global_bytes = compiled.memory.global_traffic as u64;
-
-    let mut energy = EnergyReport {
-        mvm_pj: crossbar_mvms as f64 * energy_model.mvm_pj_per_crossbar,
-        vfu_pj: vfu_elems as f64 * energy_model.vfu_pj_per_element,
-        memory_pj: global_bytes as f64 * energy_model.global_mem_pj_per_byte
-            + local_bytes as f64 * energy_model.local_mem_pj_per_byte,
-        noc_pj,
-        reload_pj: 0.0,
-        leakage_pj: 0.0,
-    };
+    let active = spans.iter().filter(|s| s.is_active()).count();
     // LL leakage: cores hold live inter-layer state, so every active
     // core leaks over the whole inference (paper §V-B.2: "the active
     // time of each core is related to the overall inference time").
-    energy.leakage_pj = energy_model.leakage_pj(
-        (energy_model.leakage.core_mw + energy_model.leakage.router_mw) * active_cores as f64
-            + energy_model.leakage.global_memory_mw * hw.chips as f64,
-        latency,
-    );
-
-    // `weight_reload` epochs: each epoch barrier reprograms the shared
-    // crossbars before the next layer span can stream, so the write
-    // stalls extend the single-inference latency directly and the cell
-    // writes add dynamic energy (from the compiled reload schedule).
-    let reload = compiled.reload.as_ref();
-    let reload_stall_cycles = reload.map_or(0, |p| p.total_write_cycles);
-    let latency = latency + reload_stall_cycles;
-    energy.reload_pj = reload.map_or(0.0, |p| p.total_write_pj);
-
-    Ok(SimReport {
-        model: compiled.graph.name().to_string(),
-        compiler: compiled.report.compiler.clone(),
-        mode: compiled.mode,
-        total_cycles: latency,
-        throughput_inf_per_s: SimReport::throughput_from_cycles(latency, hw.clock_ghz),
-        latency_us: latency as f64 / (hw.clock_ghz * 1000.0),
-        mvm_ops,
-        crossbar_mvms,
-        vfu_elems,
-        noc_bytes,
-        global_bytes,
-        energy,
-        memory: MemoryReport {
-            avg_local_bytes: compiled.memory.avg_bytes,
-            peak_local_bytes: compiled.memory.peak_bytes,
-            global_traffic_bytes: global_bytes as usize,
-        },
-        reload_epochs: reload.map_or(0, |p| p.epoch_count()),
-        reload_ags_rewritten: reload.map_or(0, |p| p.total_ags_written),
-        reload_cells_rewritten: reload.map_or(0, |p| p.total_cells_written),
-        reload_stall_cycles,
-        active_cores,
-        per_core_busy: spans.iter().map(|s| s.busy_cycles()).collect(),
-    })
+    let leak = makespan_leakage_pj(energy_model, hw, active, latency);
+    let busy = spans.iter().map(|s| s.busy_cycles()).collect();
+    Ok(counted.into_report(compiled, energy_model, latency, leak, active, busy))
 }
 
 /// Prefix-complete window count of a node, rescanned from every

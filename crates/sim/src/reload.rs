@@ -22,8 +22,8 @@
 //! and `per_core_busy` is empty. Single-epoch reload plans (the model
 //! fit its budget) take the ordinary event-driven engines instead.
 
-use crate::report::{EnergyReport, MemoryReport, SimReport};
-use crate::SimError;
+use crate::report::{makespan_leakage_pj, Counters, SimReport};
+use crate::{invalid, SimError};
 use pimcomp_arch::EnergyModel;
 use pimcomp_core::{CompiledModel, ReloadPlan};
 
@@ -33,65 +33,31 @@ pub(crate) fn run(
     energy_model: &EnergyModel,
     plan: &ReloadPlan,
 ) -> Result<SimReport, SimError> {
-    let hw = &compiled.hw;
     let batch = compiled.schedule.as_ht().map_or(1, |s| s.batch).max(1);
 
     // Exact MVM work: replication is 1 on this path, so each AG
     // instance runs its node's full window count per inference.
-    let mut mvm_ops = 0u64;
-    let mut crossbar_mvms = 0u64;
+    let mut counted = Counters::default();
+    let entries = compiled.partitioning.entries();
     for inst in &compiled.mapping.instances {
-        let e = compiled.partitioning.entry(inst.mvm);
-        mvm_ops += (e.windows * batch) as u64;
-        crossbar_mvms += (e.windows * batch * e.crossbars_per_ag) as u64;
+        let e = entries
+            .get(inst.mvm)
+            .ok_or_else(|| invalid(format!("an AG instance computes node {}", inst.mvm)))?;
+        counted.mvm_ops += (e.windows * batch) as u64;
+        counted.crossbar_mvms += (e.windows * batch * e.crossbars_per_ag) as u64;
     }
 
     // The Fig. 5 per-epoch estimates are linear in the operation-cycle
     // count, so batch scales them exactly.
     let compute_cycles = plan.total_compute_cycles * batch as u64;
-    let total_cycles = compute_cycles + plan.total_write_cycles;
 
-    let mut energy = EnergyReport {
-        mvm_pj: crossbar_mvms as f64 * energy_model.mvm_pj_per_crossbar,
-        vfu_pj: 0.0,
-        memory_pj: 0.0,
-        noc_pj: 0.0,
-        reload_pj: plan.total_write_pj,
-        leakage_pj: 0.0,
-    };
     // Serialized epochs keep every active core powered across the whole
-    // makespan (a core hosting epoch-3 weights cannot power down while
-    // epoch 0 runs — it is about to be rewritten).
-    let active_cores = compiled.mapping.active_cores();
-    energy.leakage_pj = energy_model.leakage_pj(
-        (energy_model.leakage.core_mw + energy_model.leakage.router_mw) * active_cores as f64
-            + energy_model.leakage.global_memory_mw * hw.chips as f64,
-        total_cycles,
-    );
-
-    Ok(SimReport {
-        model: compiled.graph.name().to_string(),
-        compiler: compiled.report.compiler.clone(),
-        mode: compiled.mode,
-        total_cycles,
-        throughput_inf_per_s: SimReport::throughput_from_cycles(total_cycles, hw.clock_ghz),
-        latency_us: total_cycles as f64 / (hw.clock_ghz * 1000.0),
-        mvm_ops,
-        crossbar_mvms,
-        vfu_elems: 0,
-        noc_bytes: 0,
-        global_bytes: 0,
-        energy,
-        memory: MemoryReport {
-            avg_local_bytes: compiled.memory.avg_bytes,
-            peak_local_bytes: compiled.memory.peak_bytes,
-            global_traffic_bytes: 0,
-        },
-        reload_epochs: plan.epoch_count(),
-        reload_ags_rewritten: plan.total_ags_written,
-        reload_cells_rewritten: plan.total_cells_written,
-        reload_stall_cycles: plan.total_write_cycles,
-        active_cores,
-        per_core_busy: Vec::new(),
-    })
+    // makespan, write barriers included (a core hosting epoch-3 weights
+    // cannot power down while epoch 0 runs — it is about to be
+    // rewritten).
+    let active = compiled.mapping.active_cores();
+    let makespan = compute_cycles + plan.total_write_cycles;
+    let leak = makespan_leakage_pj(energy_model, &compiled.hw, active, makespan);
+    let busy = Vec::new();
+    Ok(counted.into_report(compiled, energy_model, compute_cycles, leak, active, busy))
 }

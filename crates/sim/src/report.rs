@@ -1,7 +1,8 @@
 //! Simulation results: the quantities behind every figure of the
 //! paper's evaluation.
 
-use pimcomp_arch::PipelineMode;
+use pimcomp_arch::{EnergyModel, HardwareConfig, PipelineMode};
+use pimcomp_core::CompiledModel;
 use serde::{Deserialize, Serialize};
 
 /// Energy breakdown in picojoules (Fig. 9's dynamic/leakage split plus
@@ -100,6 +101,33 @@ pub struct SimReport {
     pub per_core_busy: Vec<u64>,
 }
 
+/// What an engine counted over one run.
+#[derive(Default)]
+pub(crate) struct Counters {
+    pub mvm_ops: u64,
+    pub crossbar_mvms: u64,
+    pub vfu_elems: u64,
+    pub noc_bytes: u64,
+    pub noc_pj: f64,
+    pub global_bytes: u64,
+    pub local_bytes: u64,
+}
+
+/// Leakage of `active_cores` cores (with their routers) and every
+/// chip's global memory, all powered for `cycles`.
+pub(crate) fn makespan_leakage_pj(
+    energy_model: &EnergyModel,
+    hw: &HardwareConfig,
+    active_cores: usize,
+    cycles: u64,
+) -> f64 {
+    energy_model.leakage_pj(
+        (energy_model.leakage.core_mw + energy_model.leakage.router_mw) * active_cores as f64
+            + energy_model.leakage.global_memory_mw * hw.chips as f64,
+        cycles,
+    )
+}
+
 impl SimReport {
     /// Inferences per second for a pipeline interval of `cycles` at
     /// `clock_ghz`.
@@ -108,6 +136,63 @@ impl SimReport {
             return 0.0;
         }
         clock_ghz * 1e9 / cycles as f64
+    }
+}
+
+impl Counters {
+    /// The one report tail of all three engines: prices the counts,
+    /// adds the compiled `weight_reload` schedule's write barriers to
+    /// `cycles` (every core stalls at a barrier together, so the stalls
+    /// stretch the HT interval and the LL latency alike, and the cell
+    /// writes add dynamic energy) and fills in the report. The caller
+    /// computes `leakage_pj`: which cores leak for how long is the
+    /// engine's model.
+    pub(crate) fn into_report(
+        self,
+        compiled: &CompiledModel,
+        energy_model: &EnergyModel,
+        cycles: u64,
+        leakage_pj: f64,
+        active_cores: usize,
+        per_core_busy: Vec<u64>,
+    ) -> SimReport {
+        let reload = compiled.reload.as_ref();
+        let reload_stall_cycles = reload.map_or(0, |p| p.total_write_cycles);
+        let total_cycles = cycles + reload_stall_cycles;
+        let clock_ghz = compiled.hw.clock_ghz;
+        SimReport {
+            model: compiled.graph.name().to_string(),
+            compiler: compiled.report.compiler.clone(),
+            mode: compiled.mode,
+            total_cycles,
+            throughput_inf_per_s: SimReport::throughput_from_cycles(total_cycles, clock_ghz),
+            latency_us: total_cycles as f64 / (clock_ghz * 1000.0),
+            mvm_ops: self.mvm_ops,
+            crossbar_mvms: self.crossbar_mvms,
+            vfu_elems: self.vfu_elems,
+            noc_bytes: self.noc_bytes,
+            global_bytes: self.global_bytes,
+            energy: EnergyReport {
+                mvm_pj: self.crossbar_mvms as f64 * energy_model.mvm_pj_per_crossbar,
+                vfu_pj: self.vfu_elems as f64 * energy_model.vfu_pj_per_element,
+                memory_pj: self.global_bytes as f64 * energy_model.global_mem_pj_per_byte
+                    + self.local_bytes as f64 * energy_model.local_mem_pj_per_byte,
+                noc_pj: self.noc_pj,
+                reload_pj: reload.map_or(0.0, |p| p.total_write_pj),
+                leakage_pj,
+            },
+            memory: MemoryReport {
+                avg_local_bytes: compiled.memory.avg_bytes,
+                peak_local_bytes: compiled.memory.peak_bytes,
+                global_traffic_bytes: self.global_bytes as usize,
+            },
+            reload_epochs: reload.map_or(0, |p| p.epoch_count()),
+            reload_ags_rewritten: reload.map_or(0, |p| p.total_ags_written),
+            reload_cells_rewritten: reload.map_or(0, |p| p.total_cells_written),
+            reload_stall_cycles,
+            active_cores,
+            per_core_busy,
+        }
     }
 }
 

@@ -77,112 +77,148 @@ fn halving_spec() -> SweepSpec {
     SweepSpec::from_json(HALVING_SPEC).unwrap()
 }
 
+fn fixtures_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("crates/bench/fixtures")
+}
+
+/// The three `(exhaustive, halving)` pairs the gates below run on, each
+/// pair the same axes under both strategies: the inline 12-point spec,
+/// the committed 4-point smoke fixtures (what CI's `explore` steps run)
+/// and the committed 36-point paper-style fixtures.
+fn spec_pairs() -> [(SweepSpec, SweepSpec); 3] {
+    let fixture = |name: &str| {
+        let json = std::fs::read_to_string(fixtures_dir().join(name)).unwrap();
+        SweepSpec::from_json(&json).unwrap()
+    };
+    [
+        (spec(), halving_spec()),
+        (
+            fixture("smoke_sweep.json"),
+            fixture("smoke_sweep_halving.json"),
+        ),
+        (
+            fixture("paper_sweep.json"),
+            fixture("paper_sweep_halving.json"),
+        ),
+    ]
+}
+
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("pimcomp-explore-{tag}-{}", std::process::id()))
 }
 
 #[test]
 fn report_json_is_byte_identical_across_thread_counts() {
-    let spec = spec();
-    let one = ExploreEngine::new().with_threads(1).run(&spec).unwrap();
-    let four = ExploreEngine::new().with_threads(4).run(&spec).unwrap();
-    assert_eq!(
-        one.report.to_json().unwrap(),
-        four.report.to_json().unwrap(),
-        "1-thread and 4-thread sweeps must emit identical bytes"
-    );
-    assert_eq!(one.report.points.len(), 12);
-    assert_eq!(one.report.failures(), 0);
-    assert!(!one.report.frontier.is_empty());
+    for (spec, _) in spec_pairs() {
+        let one = ExploreEngine::new().with_threads(1).run(&spec).unwrap();
+        let four = ExploreEngine::new().with_threads(4).run(&spec).unwrap();
+        assert_eq!(
+            one.report.to_json().unwrap(),
+            four.report.to_json().unwrap(),
+            "1-thread and 4-thread sweeps must emit identical bytes"
+        );
+        assert_eq!(one.report.points.len(), spec.len());
+        assert_eq!(one.report.failures(), 0);
+        assert!(!one.report.frontier.is_empty());
+    }
+    assert_eq!(spec().len(), 12);
 }
 
 #[test]
 fn cache_hit_rerun_reproduces_the_identical_frontier() {
-    let dir = temp_dir("cache");
-    let _ = std::fs::remove_dir_all(&dir);
-    let spec = spec();
-    let engine = ExploreEngine::new().with_threads(2).with_cache_dir(&dir);
-    let cold = engine.run(&spec).unwrap();
-    assert_eq!(cold.cache_hits, 0);
-    assert_eq!(cold.cache_misses, 12);
-    let warm = engine.run(&spec).unwrap();
-    std::fs::remove_dir_all(&dir).ok();
-    assert!(warm.cache_hits > 0, "rerun must reuse cached artifacts");
-    assert_eq!(warm.cache_hits, 12);
-    assert_eq!(warm.report.frontier, cold.report.frontier);
-    assert_eq!(
-        warm.report.to_json().unwrap(),
-        cold.report.to_json().unwrap(),
-        "cache replay must not change a single report byte"
-    );
+    for (i, (spec, _)) in spec_pairs().into_iter().enumerate() {
+        let dir = temp_dir(&format!("cache-{i}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = ExploreEngine::new().with_threads(2).with_cache_dir(&dir);
+        let cold = engine.run(&spec).unwrap();
+        assert_eq!(cold.cache_hits, 0);
+        assert_eq!(cold.cache_misses, spec.len());
+        let warm = engine.run(&spec).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(warm.cache_misses, 0, "rerun must reuse cached artifacts");
+        assert_eq!(warm.cache_hits, spec.len());
+        assert_eq!(warm.report.frontier, cold.report.frontier);
+        assert_eq!(
+            warm.report.to_json().unwrap(),
+            cold.report.to_json().unwrap(),
+            "cache replay must not change a single report byte"
+        );
+    }
 }
 
 #[test]
 fn guided_report_is_byte_identical_across_thread_counts() {
-    let spec = halving_spec();
-    let one = ExploreEngine::new().with_threads(1).run(&spec).unwrap();
-    let four = ExploreEngine::new().with_threads(4).run(&spec).unwrap();
-    assert_eq!(
-        one.report.to_json().unwrap(),
-        four.report.to_json().unwrap(),
-        "1-thread and 4-thread guided sweeps must emit identical bytes"
-    );
-    assert_eq!(one.budget, four.budget);
-    // Every point keeps a record even when halved or pruned early.
-    assert_eq!(one.report.points.len(), 12);
-    // Strictly fewer full-budget evaluations than the 12-point grid.
-    assert!(one.budget.full_budget_evaluations < 12);
-    assert!(one.budget.full_budget_evaluations_saved() > 0);
+    for (exhaustive, spec) in spec_pairs() {
+        let one = ExploreEngine::new().with_threads(1).run(&spec).unwrap();
+        let four = ExploreEngine::new().with_threads(4).run(&spec).unwrap();
+        assert_eq!(
+            one.report.to_json().unwrap(),
+            four.report.to_json().unwrap(),
+            "1-thread and 4-thread guided sweeps must emit identical bytes"
+        );
+        assert_eq!(one.budget, four.budget);
+        // Every point keeps a record even when halved or pruned early.
+        assert_eq!(one.report.points.len(), exhaustive.len());
+        // Strictly fewer full-budget evaluations than the exhaustive
+        // sweep runs on the same (compilable) points.
+        assert!(one.budget.full_budget_evaluations < one.budget.compilable_points);
+        assert!(one.budget.full_budget_evaluations_saved() > 0);
+    }
 }
 
 #[test]
 fn guided_warm_cache_replay_is_identical() {
-    let dir = temp_dir("guided-cache");
-    let _ = std::fs::remove_dir_all(&dir);
-    let spec = halving_spec();
-    let engine = ExploreEngine::new().with_threads(2).with_cache_dir(&dir);
-    let cold = engine.run(&spec).unwrap();
-    assert_eq!(cold.cache_hits, 0);
-    let warm = engine.run(&spec).unwrap();
-    std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(warm.cache_misses, 0, "warm guided rerun must fully replay");
-    assert_eq!(warm.cache_hits, cold.cache_misses);
-    assert_eq!(
-        warm.report.to_json().unwrap(),
-        cold.report.to_json().unwrap(),
-        "cache replay must not change a single report byte"
-    );
-    assert_eq!(warm.budget, cold.budget);
+    for (i, (_, spec)) in spec_pairs().into_iter().enumerate() {
+        let dir = temp_dir(&format!("guided-cache-{i}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = ExploreEngine::new().with_threads(2).with_cache_dir(&dir);
+        let cold = engine.run(&spec).unwrap();
+        assert_eq!(cold.cache_hits, 0);
+        let warm = engine.run(&spec).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(warm.cache_misses, 0, "warm guided rerun must fully replay");
+        assert_eq!(warm.cache_hits, cold.cache_misses);
+        assert_eq!(
+            warm.report.to_json().unwrap(),
+            cold.report.to_json().unwrap(),
+            "cache replay must not change a single report byte"
+        );
+        assert_eq!(warm.budget, cold.budget);
+        assert!(warm.budget.full_budget_evaluations < warm.budget.compilable_points);
+    }
 }
 
 #[test]
 fn guided_final_rung_frontier_is_a_subset_of_the_exhaustive_frontier() {
-    let guided = ExploreEngine::new()
-        .with_threads(2)
-        .run(&halving_spec())
-        .unwrap();
-    let exhaustive = ExploreEngine::new().with_threads(2).run(&spec()).unwrap();
-    let exhaustive_keys: Vec<String> = exhaustive
-        .report
-        .frontier_records()
-        .map(|p| p.key())
-        .collect();
-    assert!(!guided.report.frontier.is_empty());
-    for p in guided.report.frontier_records() {
-        assert!(
-            exhaustive_keys.contains(&p.key()),
-            "guided frontier point {} is not on the exhaustive frontier {exhaustive_keys:?}",
-            p.key()
-        );
+    for (exhaustive, halving) in spec_pairs() {
+        assert!(matches!(halving.search, SearchStrategy::Halving(_)));
+        let guided = ExploreEngine::new().with_threads(2).run(&halving).unwrap();
+        let exhaustive = ExploreEngine::new()
+            .with_threads(2)
+            .run(&exhaustive)
+            .unwrap();
+        let exhaustive_keys: Vec<String> = exhaustive
+            .report
+            .frontier_records()
+            .map(|p| p.key())
+            .collect();
+        assert!(!guided.report.frontier.is_empty());
+        for p in guided.report.frontier_records() {
+            assert!(
+                exhaustive_keys.contains(&p.key()),
+                "guided frontier point {} is not on the exhaustive frontier {exhaustive_keys:?}",
+                p.key()
+            );
+        }
     }
-    // This is the acceptance-grade *quality bound* on this committed
-    // spec, not a structural invariant: halving guarantees survivors
+    // This is the acceptance-grade *quality bound* on these committed
+    // specs, not a structural invariant: halving guarantees survivors
     // carry exhaustive-identical full-budget metrics (seed streams are
     // prefixes), but a halved point could in principle have dominated a
     // survivor at full budget. Determinism makes the bound stable — if
-    // the GA or this spec changes and the bound breaks, that is a real
-    // frontier-quality regression to investigate, not flakiness.
-    assert!(matches!(halving_spec().search, SearchStrategy::Halving(_)));
+    // the GA or a spec changes and the bound breaks, that is a real
+    // frontier-quality regression to investigate (retune the fixture's
+    // halving parameters), not flakiness.
 }
 
 #[test]
@@ -612,7 +648,7 @@ fn fixture_sweeps_keep_their_keys_and_cache_file_names() {
     // `UPDATE_GOLDEN=1` regenerates — only for a deliberate format
     // change, which also needs a version bump.
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let fixtures = root.join("crates").join("bench").join("fixtures");
+    let fixtures = fixtures_dir();
     let mut names: Vec<String> = std::fs::read_dir(&fixtures)
         .unwrap()
         .map(|e| e.unwrap().file_name().into_string().unwrap())

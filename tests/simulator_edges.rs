@@ -3,7 +3,7 @@
 
 use pimcomp::prelude::*;
 use pimcomp_arch::{CoreConnection, PipelineMode};
-use pimcomp_core::{CompileOptions, HtSchedule, Schedule};
+use pimcomp_core::{CompileOptions, HtSchedule, LlSchedule, LlUnit, LlUnitKind, Schedule};
 use pimcomp_ir::models;
 use pimcomp_sim::SimError;
 
@@ -145,24 +145,48 @@ fn ht_schedule_mut(compiled: &mut CompiledModel) -> &mut HtSchedule {
     }
 }
 
+fn ll_schedule_mut(compiled: &mut CompiledModel) -> &mut LlSchedule {
+    match &mut compiled.schedule {
+        Schedule::LowLatency(ll) => ll,
+        Schedule::HighThroughput(_) => panic!("compiled in LL mode"),
+    }
+}
+
+/// The first MVM unit of an LL schedule (tiny_cnn's first conv).
+fn first_mvm_unit(compiled: &mut CompiledModel) -> &mut LlUnit {
+    let units = &mut ll_schedule_mut(compiled).units;
+    let mvm = units.iter_mut().find(|u| u.ags_per_replica > 0);
+    mvm.expect("tiny_cnn has a conv")
+}
+
 #[test]
-fn hostile_ht_schedules_are_rejected_not_indexed() {
-    // Artifacts deserialize unvalidated, so every index the HT engine
+fn hostile_schedules_are_rejected_not_indexed() {
+    // Artifacts deserialize unvalidated, so every index an engine
     // follows can be out of range; each must come back as a structured
-    // error, never a panic.
+    // error, never a panic. One table for the three engines: the
+    // compile each tamper applies to is its second column.
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Engine {
+        Ht,
+        Ll,
+        /// The analytic path: HT, `weight_reload` over a budget that
+        /// forces several epochs.
+        Reload,
+    }
+    use Engine::{Ht, Ll, Reload};
     type Tamper = fn(&mut CompiledModel);
-    let tampers: [(&str, Tamper); 7] = [
-        ("truncated per_core", |m| {
+    let tampers: [(&str, Engine, Tamper); 15] = [
+        ("truncated per_core", Ht, |m| {
             ht_schedule_mut(m).per_core.pop();
         }),
-        ("truncated spill table", |m| {
+        ("truncated spill table", Ht, |m| {
             m.memory.spill_bytes_per_round.pop();
         }),
-        ("out-of-range AG instance", |m| {
+        ("out-of-range AG instance", Ht, |m| {
             let instances = m.mapping.instances.len();
             ht_schedule_mut(m).programs[0].ag_instances[0] = instances;
         }),
-        ("send to a core past the last", |m| {
+        ("send to a core past the last", Ht, |m| {
             let cores = m.hw.total_cores();
             let p = ht_schedule_mut(m)
                 .programs
@@ -171,30 +195,86 @@ fn hostile_ht_schedules_are_rejected_not_indexed() {
                 .expect("tiny_cnn splits a node across cores");
             p.sends_per_round[0].to_core = cores;
         }),
-        ("program id past the last", |m| {
+        ("program id past the last", Ht, |m| {
             let ht = ht_schedule_mut(m);
             let foreign = ht.programs.len();
             ht.per_core[0].push(foreign);
         }),
-        ("another core's program id", |m| {
+        ("another core's program id", Ht, |m| {
             let ht = ht_schedule_mut(m);
             let foreign = ht.programs.iter().position(|p| p.core != 0).unwrap();
             ht.per_core[0].push(foreign);
         }),
-        ("node outside the partitioning", |m| {
+        ("node outside the partitioning", Ht, |m| {
             let nodes = m.partitioning.entries().len();
             ht_schedule_mut(m).programs[0].mvm = nodes;
         }),
+        ("owner past the last core", Ll, |m| {
+            let cores = m.hw.total_cores();
+            first_mvm_unit(m).replicas[0].owner = cores;
+        }),
+        ("AGs on a core past the last", Ll, |m| {
+            let cores = m.hw.total_cores();
+            first_mvm_unit(m).replicas[0].ags_per_core[0].0 = cores;
+        }),
+        ("a core issuing zero AGs", Ll, |m| {
+            first_mvm_unit(m).replicas[0].ags_per_core[0].1 = 0;
+        }),
+        ("provider node past the last", Ll, |m| {
+            let foreign = pimcomp_ir::NodeId(m.graph.node_count());
+            let units = &mut ll_schedule_mut(m).units;
+            let consumer = units.iter_mut().find(|u| !u.providers.is_empty());
+            consumer.expect("tiny_cnn chains layers").providers[0].node = foreign;
+        }),
+        ("unit id past the last", Ll, |m| {
+            let ll = ll_schedule_mut(m);
+            let (node, foreign) = (ll.units[0].node.index(), ll.units.len());
+            ll.units_of_node.get_mut(&node).unwrap().push(foreign);
+        }),
+        ("MVM index outside the partitioning", Ll, |m| {
+            let nodes = m.partitioning.entries().len();
+            first_mvm_unit(m).kind = LlUnitKind::Mvm { mvm: nodes };
+        }),
+        (
+            "a replica with more windows than the unit has left",
+            Ll,
+            |m| {
+                first_mvm_unit(m).replicas[0].windows += 1;
+            },
+        ),
+        (
+            "AG instance of a node outside the partitioning",
+            Reload,
+            |m| {
+                let nodes = m.partitioning.entries().len();
+                m.mapping.instances[0].mvm = nodes;
+            },
+        ),
     ];
     let hw = HardwareConfig::small_test();
-    let compiled = compile_tiny_cnn(&hw, PipelineMode::HighThroughput);
-    for (what, tamper) in tampers {
-        let mut hostile = compiled.clone();
+    let compile = |engine| {
+        let opts = match engine {
+            Ht => CompileOptions::new(PipelineMode::HighThroughput),
+            Ll => CompileOptions::new(PipelineMode::LowLatency),
+            Reload => {
+                CompileOptions::new(PipelineMode::HighThroughput).with_weight_reload(Some(32))
+            }
+        };
+        PimCompiler::new(hw.clone())
+            .compile(&models::tiny_cnn(), &opts.with_fast_ga(5))
+            .expect("compiles")
+    };
+    let compiled = [compile(Ht), compile(Ll), compile(Reload)];
+    let reload = compiled[Reload as usize].reload.as_ref();
+    let multi_epoch = reload.is_some_and(|p| !p.is_single_epoch());
+    assert!(multi_epoch, "budget 32 must split tiny_cnn into epochs");
+    for (what, engine, tamper) in tampers {
+        let mut hostile = compiled[engine as usize].clone();
         tamper(&mut hostile);
         let result = Simulator::new(hw.clone()).run(&hostile);
         assert!(
             matches!(result, Err(SimError::InvalidSchedule { .. })),
-            "{what}: {result:?}"
+            "{engine:?}, {what}: {result:?}"
         );
     }
 }
