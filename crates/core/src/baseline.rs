@@ -14,7 +14,7 @@
 //! [`Partitioned::map_with`]: crate::Partitioned::map_with
 
 use crate::compiler::{CompileOptions, CompiledModel};
-use crate::mapping::{Chromosome, CoreMapping, Gene};
+use crate::mapping::{check_gene_limits, Chromosome, CoreMapping, Gene};
 use crate::partition::Partitioning;
 use crate::session::CompileSession;
 use crate::CompileError;
@@ -34,13 +34,16 @@ use pimcomp_ir::Graph;
 /// # Errors
 ///
 /// [`CompileError::InsufficientCapacity`] when one replica of every
-/// node does not fit.
+/// node does not fit; [`CompileError::InvalidGraph`] /
+/// [`CompileError::InvalidHardware`] when a gene of the mapping could
+/// not fit a [`Chromosome`] slot (see [`Chromosome::set_gene`]).
 pub fn puma_mapping(
     partitioning: &Partitioning,
     hw: &HardwareConfig,
 ) -> Result<CoreMapping, CompileError> {
     let cores = hw.total_cores();
     let capacity = hw.crossbar_capacity_per_core();
+    check_gene_limits(partitioning, capacity)?;
     let budget = cores * capacity;
     if partitioning.min_crossbars() > budget {
         return Err(CompileError::InsufficientCapacity {

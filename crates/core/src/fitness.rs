@@ -81,24 +81,41 @@ pub(crate) fn ht_core_time_in_place(hw: &HardwareConfig, items: &mut Vec<(usize,
 /// different maxima wins, but gives the GA a gradient across plateaus.
 pub const HT_TIE_BREAK: f64 = 1e-3;
 
-/// HT busy time of one chromosome core under a replication plan
-/// (the per-core term of `F_HT`). `scratch` is a reusable buffer so
-/// per-core evaluation in the GA's hottest loop does not allocate.
-pub(crate) fn ht_core_time_of(
-    hw: &HardwareConfig,
+/// Fills `out` with every node's windows per replica under
+/// `replication` — computed once per evaluation, so the per-gene loops
+/// index a table instead of dividing.
+fn fill_windows_per_replica(
     partitioning: &Partitioning,
-    chromosome: &Chromosome,
     replication: &ReplicationPlan,
+    out: &mut Vec<usize>,
+) {
+    out.clear();
+    out.extend(
+        partitioning
+            .entries()
+            .iter()
+            .zip(replication.counts())
+            .map(|(entry, &r)| entry.windows_per_replica(r)),
+    );
+}
+
+/// HT busy time of one chromosome core (the per-core term of `F_HT`)
+/// given every node's windows per replica
+/// ([`fill_windows_per_replica`]). `scratch` is a reusable buffer so
+/// per-core evaluation in the GA's hottest loop does not allocate.
+fn ht_core_time_of(
+    hw: &HardwareConfig,
+    chromosome: &Chromosome,
+    windows_per_replica: &[usize],
     core: usize,
     scratch: &mut Vec<(usize, usize)>,
 ) -> u64 {
     scratch.clear();
-    scratch.extend(chromosome.genes_of_core(core).map(|(_, gene)| {
-        (
-            gene.ag_count,
-            replication.windows_per_replica(partitioning, gene.mvm),
-        )
-    }));
+    scratch.extend(
+        chromosome
+            .genes_of_core(core)
+            .map(|(_, gene)| (gene.ag_count, windows_per_replica[gene.mvm])),
+    );
     ht_core_time_in_place(hw, scratch)
 }
 
@@ -127,18 +144,10 @@ pub fn ht_fitness(
     chromosome: &Chromosome,
     replication: &ReplicationPlan,
 ) -> f64 {
-    let mut scratch = Vec::new();
+    let (mut windows, mut scratch) = (Vec::new(), Vec::new());
+    fill_windows_per_replica(partitioning, replication, &mut windows);
     let core_times: Vec<u64> = (0..chromosome.cores())
-        .map(|core| {
-            ht_core_time_of(
-                hw,
-                partitioning,
-                chromosome,
-                replication,
-                core,
-                &mut scratch,
-            )
-        })
+        .map(|core| ht_core_time_of(hw, chromosome, &windows, core, &mut scratch))
         .collect();
     ht_combine(&core_times)
 }
@@ -245,17 +254,18 @@ pub(crate) fn ll_issue_floor(
     chromosome: &Chromosome,
     replication: &ReplicationPlan,
 ) -> f64 {
-    let mut loads = Vec::new();
-    ll_issue_floor_in(hw, partitioning, chromosome, replication, &mut loads)
+    let (mut windows, mut loads) = (Vec::new(), Vec::new());
+    fill_windows_per_replica(partitioning, replication, &mut windows);
+    ll_issue_floor_in(hw, chromosome, &windows, &mut loads)
 }
 
-/// [`ll_issue_floor`] over a caller-owned per-core load buffer, so the
-/// GA's evaluation loop does not allocate it per offspring.
+/// [`ll_issue_floor`] given every node's windows per replica, over a
+/// caller-owned per-core load buffer, so the GA's evaluation loop does
+/// not allocate it per offspring.
 fn ll_issue_floor_in(
     hw: &HardwareConfig,
-    partitioning: &Partitioning,
     chromosome: &Chromosome,
-    replication: &ReplicationPlan,
+    windows_per_replica: &[usize],
     loads: &mut Vec<u64>,
 ) -> f64 {
     let mut worst: u64 = 0;
@@ -263,8 +273,7 @@ fn ll_issue_floor_in(
     loads.resize(chromosome.cores(), 0);
     for (slot, gene) in chromosome.genes() {
         let core = chromosome.core_of_slot(slot);
-        let wpr = replication.windows_per_replica(partitioning, gene.mvm) as u64;
-        loads[core] += gene.ag_count as u64 * wpr;
+        loads[core] += gene.ag_count as u64 * windows_per_replica[gene.mvm] as u64;
         worst = worst.max(loads[core]);
     }
     worst as f64 * hw.issue_interval() as f64
@@ -279,31 +288,34 @@ fn ll_chain_estimate(
     dep: &DepInfo,
     replication: &ReplicationPlan,
 ) -> f64 {
-    let tables = LlStatic::build(graph, partitioning, dep);
+    let tables = LlStatic::build(hw, graph, partitioning, dep);
     let mut states = Vec::new();
-    ll_chain_estimate_in(hw, &tables, replication, &mut states)
+    ll_chain_estimate_in(&tables, replication, &mut states)
 }
 
-/// Everything about the graph the LL chain estimate reads that does
-/// *not* depend on the replication plan, flattened into dense per-node
+/// Everything the LL chain estimate reads that does *not* depend on
+/// the replication plan — graph, partitioning, dependency analysis and
+/// the hardware's cost primitives — flattened into dense per-node
 /// tables so the GA's hottest LL loop does no hash lookups, no
 /// topological sorting and no per-node allocation. Built once per
-/// evaluation context (the tables are only valid for the
-/// `(graph, partitioning, dep)` triple they were built from).
-struct LlStatic {
+/// evaluation context, i.e. once per GA run (the tables are only valid
+/// for the `(hw, graph, partitioning, dep)` they were built from).
+pub(crate) struct LlStatic {
     /// Node ids in the same topological order `Graph::topo_order`
     /// yields, paired with each node's static record.
     topo: Vec<usize>,
     /// Dense by node id.
     nodes: Vec<LlStaticNode>,
+    /// `HardwareConfig::vfu_rate`.
+    vfu_rate: f64,
 }
 
 struct LlStaticNode {
     is_input: bool,
     is_mvm: bool,
-    /// MVM nodes: `(index, windows, ags_per_replica)` per partition
-    /// entry, in `Partitioning::indices_of` order.
-    mvm_indices: Vec<(MvmIdx, usize, usize)>,
+    /// MVM nodes: `(index, windows, operation_cycle_cost(ags_per_replica))`
+    /// per partition entry, in `Partitioning::indices_of` order.
+    mvm_indices: Vec<(MvmIdx, usize, f64)>,
     /// Non-MVM nodes: partition indices of the nearest MVM providers.
     provider_indices: Vec<MvmIdx>,
     /// Non-MVM nodes: `windows_of * vfu_window_work` — total VFU work,
@@ -315,7 +327,14 @@ struct LlStaticNode {
 }
 
 impl LlStatic {
-    fn build(graph: &Graph, partitioning: &Partitioning, dep: &DepInfo) -> Self {
+    fn build(
+        hw: &HardwareConfig,
+        graph: &Graph,
+        partitioning: &Partitioning,
+        dep: &DepInfo,
+    ) -> Self {
+        #[cfg(test)]
+        tests::LL_STATIC_BUILDS.with(|n| n.set(n.get() + 1));
         let nodes = (0..graph.node_count())
             .map(|raw| {
                 let id = NodeId(raw);
@@ -330,7 +349,8 @@ impl LlStatic {
                             .into_iter()
                             .map(|idx| {
                                 let e = partitioning.entry(idx);
-                                (idx, e.windows, e.ags_per_replica)
+                                let per_window = hw.operation_cycle_cost(e.ags_per_replica);
+                                (idx, e.windows, per_window as f64)
                             })
                             .collect()
                     } else {
@@ -357,6 +377,7 @@ impl LlStatic {
         LlStatic {
             topo: graph.topo_order().into_iter().map(|id| id.0).collect(),
             nodes,
+            vfu_rate: hw.vfu_rate(),
         }
     }
 }
@@ -365,7 +386,6 @@ impl LlStatic {
 /// reusable state buffer. Performs the arithmetic in exactly the order
 /// the original hash-map walk did, so the result is bit-identical.
 fn ll_chain_estimate_in(
-    hw: &HardwareConfig,
     tables: &LlStatic,
     replication: &ReplicationPlan,
     states: &mut Vec<LlNodeState>,
@@ -390,7 +410,7 @@ fn ll_chain_estimate_in(
             continue;
         }
 
-        let u = static_node_uninterrupted_time(hw, node, replication);
+        let u = static_node_uninterrupted_time(tables, node, replication);
 
         let mut start: f64 = 0.0;
         let mut providers_finish: f64 = 0.0;
@@ -415,16 +435,15 @@ fn ll_chain_estimate_in(
 /// vector/memory nodes divide their element count by the VFU rate of
 /// the `R_pred` cores the work is distributed over (Section IV-D.2).
 fn static_node_uninterrupted_time(
-    hw: &HardwareConfig,
+    tables: &LlStatic,
     node: &LlStaticNode,
     replication: &ReplicationPlan,
 ) -> f64 {
     if node.is_mvm {
         let mut u: f64 = 0.0;
-        for &(idx, windows, ags_per_replica) in &node.mvm_indices {
+        for &(idx, windows, per_window) in &node.mvm_indices {
             let r = replication.count(idx);
-            let per_window = hw.operation_cycle_cost(ags_per_replica);
-            u = u.max(windows.div_ceil(r) as f64 * per_window as f64);
+            u = u.max(windows.div_ceil(r) as f64 * per_window);
         }
         u
     } else {
@@ -434,7 +453,7 @@ fn static_node_uninterrupted_time(
             .map(|&idx| replication.count(idx))
             .max()
             .unwrap_or(1);
-        node.elems as f64 / (hw.vfu_rate() * r_pred as f64)
+        node.elems as f64 / (tables.vfu_rate * r_pred as f64)
     }
 }
 
@@ -479,19 +498,19 @@ pub(crate) enum EvalKind {
     Incremental,
 }
 
-/// Reusable buffers for the evaluation engine, owned per worker thread
-/// (see `run_indexed_with`) or per [`FitnessMemo`]. Everything in here
-/// is overwritten before being read, so reuse across evaluations is an
-/// allocation optimization only — results stay bit-identical.
-///
-/// A scratch is tied to the first [`GaContext`] it is used with (the
-/// cached LL tables describe that context's graph); the GA creates one
-/// per worker per run, which upholds the contract by construction.
+/// Reusable buffers for the evaluation engine, owned per GA worker for
+/// a whole run (see `run_indexed_on`) or per [`FitnessMemo`].
+/// Everything in here is overwritten before being read, so reuse across
+/// evaluations is an allocation optimization only — results stay
+/// bit-identical.
 #[derive(Default)]
 pub(crate) struct EvalScratch {
     /// `(ag_count, cycles)` buffer for [`ht_core_time_of`].
     items: Vec<(usize, usize)>,
-    /// Per-core busy times under construction (HT).
+    /// Every node's windows per replica under the plan being evaluated.
+    windows: Vec<usize>,
+    /// Per-core busy times of a draft still being mutated
+    /// ([`ht_critical_node`]; an evaluation builds its basis directly).
     times: Vec<u64>,
     /// Batched list of cores to re-evaluate (HT incremental).
     dirty: Vec<usize>,
@@ -501,36 +520,38 @@ pub(crate) struct EvalScratch {
     loads: Vec<u64>,
     /// Per-node chain states (LL).
     states: Vec<LlNodeState>,
-    /// Replication-independent LL tables, built on first LL use.
-    ll: Option<LlStatic>,
 }
 
-/// Per-core HT busy times of `chromosome` under `plan`, derived from
-/// the evaluation `basis` of the chromosome it was mutated from.
+/// Fills `times` with the per-core HT busy times of `chromosome` under
+/// `plan`, derived from the evaluation `basis` of the chromosome it was
+/// mutated from: one copy of the parent's times, patched in place.
 /// `touched` lists every core whose slots differ from that parent
 /// (duplicates and unchanged cores are harmless). Only those cores are
 /// recomputed, plus every core hosting a node whose replica count
 /// differs from the basis: its windows-per-replica shifted on *all* of
 /// its cores, not only where AGs moved. (A core that hosted such a node
 /// in the parent only has lost the gene, so it is in `touched`.)
+/// Leaves the plan's windows per replica in `scratch.windows`.
 ///
-/// `None` when `basis` is not an HT basis over the same core count.
-pub(crate) fn ht_core_times_from<'s>(
+/// `false`, with `times` untouched, when `basis` is not an HT basis
+/// over the same core count.
+fn ht_core_times_from(
     ctx: &GaContext<'_>,
     chromosome: &Chromosome,
     plan: &ReplicationPlan,
-    basis: &EvalBasis,
-    touched: &[usize],
-    scratch: &'s mut EvalScratch,
-) -> Option<&'s [u64]> {
+    (basis, touched): (&EvalBasis, &[usize]),
+    scratch: &mut EvalScratch,
+    times: &mut Vec<u64>,
+) -> bool {
     let EvalDetail::Ht { core_times } = &basis.detail else {
-        return None;
+        return false;
     };
     if core_times.len() != chromosome.cores() {
-        return None;
+        return false;
     }
-    scratch.times.clear();
-    scratch.times.extend_from_slice(core_times);
+    times.clear();
+    times.extend_from_slice(core_times);
+    fill_windows_per_replica(ctx.partitioning, plan, &mut scratch.windows);
     scratch.dirty.clear();
     scratch.dirty_mask.clear();
     scratch.dirty_mask.resize(chromosome.cores(), false);
@@ -550,25 +571,55 @@ pub(crate) fn ht_core_times_from<'s>(
                 .for_each(&mut mark);
         }
     }
-    for i in 0..scratch.dirty.len() {
-        let core = scratch.dirty[i];
-        scratch.times[core] = ht_core_time_of(
+    for &core in &scratch.dirty {
+        times[core] = ht_core_time_of(
             ctx.hw,
-            ctx.partitioning,
             chromosome,
-            plan,
+            &scratch.windows,
             core,
             &mut scratch.items,
         );
     }
-    Some(&scratch.times)
+    true
+}
+
+/// A node with AGs on the bottleneck core (largest estimated HT time)
+/// of a draft under mutation, preferring the gene with the largest
+/// cycle count there. The core times are those of `parent` (the
+/// evaluation basis of the individual the draft was copied from, with
+/// the cores written since), recomputed only where they moved — see
+/// [`ht_core_times_from`]. `None` outside HT mode or on an empty core.
+pub(crate) fn ht_critical_node(
+    ctx: &GaContext<'_>,
+    chromosome: &Chromosome,
+    plan: &ReplicationPlan,
+    parent: (&EvalBasis, &[usize]),
+    scratch: &mut EvalScratch,
+) -> Option<MvmIdx> {
+    let mut times = std::mem::take(&mut scratch.times);
+    let mut worst: Option<(u64, usize)> = None;
+    if ht_core_times_from(ctx, chromosome, plan, parent, scratch, &mut times) {
+        for (core, &t) in times.iter().enumerate() {
+            if worst.is_none_or(|(w, _)| t > w) {
+                worst = Some((t, core));
+            }
+        }
+    }
+    scratch.times = times;
+    let (_, core) = worst?;
+    chromosome
+        .genes_of_core(core)
+        .max_by_key(|(_, g)| scratch.windows[g.mvm])
+        .map(|(_, g)| g.mvm)
 }
 
 /// Evaluates a chromosome's fitness under its replication `plan`,
 /// incrementally when the evaluation basis of the chromosome it was
 /// mutated from is supplied together with the cores the mutation
-/// touched (see [`ht_core_times_from`]). `scratch` provides the
-/// reusable buffers; it never influences the result.
+/// touched (see [`ht_core_times_from`]). `ll` is the context's
+/// [`LlStatic`] tables (`Some` whenever `ctx.mode` is LL — see
+/// [`FitnessMemo::ll_tables`]); `scratch` provides the reusable
+/// buffers and never influences the result.
 ///
 /// The returned `f64` is bit-identical to the from-scratch estimators
 /// ([`ht_fitness`] / [`ll_fitness_with_issue_floor`]) regardless of the
@@ -577,6 +628,7 @@ pub(crate) fn ht_core_times_from<'s>(
 /// equality before reuse.
 pub(crate) fn compute_fitness(
     ctx: &GaContext<'_>,
+    ll: Option<&LlStatic>,
     chromosome: &Chromosome,
     plan: ReplicationPlan,
     parent: Option<(&EvalBasis, &[usize])>,
@@ -584,27 +636,25 @@ pub(crate) fn compute_fitness(
 ) -> (f64, EvalBasis, EvalKind) {
     match ctx.mode {
         PipelineMode::HighThroughput => {
-            let incremental = parent.is_some_and(|(basis, touched)| {
-                ht_core_times_from(ctx, chromosome, &plan, basis, touched, scratch).is_some()
+            // The child's basis: the one copy of the parent's made.
+            let mut core_times = Vec::new();
+            let incremental = parent.is_some_and(|parent| {
+                ht_core_times_from(ctx, chromosome, &plan, parent, scratch, &mut core_times)
             });
             if !incremental {
-                scratch.times.clear();
-                for core in 0..chromosome.cores() {
-                    let t = ht_core_time_of(
+                fill_windows_per_replica(ctx.partitioning, &plan, &mut scratch.windows);
+                core_times.extend((0..chromosome.cores()).map(|core| {
+                    ht_core_time_of(
                         ctx.hw,
-                        ctx.partitioning,
                         chromosome,
-                        &plan,
+                        &scratch.windows,
                         core,
                         &mut scratch.items,
-                    );
-                    scratch.times.push(t);
-                }
+                    )
+                }));
             }
-            let fitness = ht_combine(&scratch.times);
-            let detail = EvalDetail::Ht {
-                core_times: scratch.times.clone(),
-            };
+            let fitness = ht_combine(&core_times);
+            let detail = EvalDetail::Ht { core_times };
             let kind = if incremental {
                 EvalKind::Incremental
             } else {
@@ -620,25 +670,17 @@ pub(crate) fn compute_fitness(
             let (chain, kind) = match reused {
                 Some(chain) => (chain, EvalKind::Incremental),
                 None => {
-                    let EvalScratch { ll, states, .. } = scratch;
-                    let tables = ll.get_or_insert_with(|| {
-                        LlStatic::build(ctx.graph, ctx.partitioning, ctx.dep)
-                    });
+                    let tables = ll.expect("an LL context carries its LL tables");
                     (
-                        ll_chain_estimate_in(ctx.hw, tables, &plan, states),
+                        ll_chain_estimate_in(tables, &plan, &mut scratch.states),
                         EvalKind::Full,
                     )
                 }
             };
-            let fitness = chain.max(ll_issue_floor_in(
-                ctx.hw,
-                ctx.partitioning,
-                chromosome,
-                &plan,
-                &mut scratch.loads,
-            ));
+            fill_windows_per_replica(ctx.partitioning, &plan, &mut scratch.windows);
+            let floor = ll_issue_floor_in(ctx.hw, chromosome, &scratch.windows, &mut scratch.loads);
             let detail = EvalDetail::Ll { chain };
-            (fitness, EvalBasis { plan, detail }, kind)
+            (chain.max(floor), EvalBasis { plan, detail }, kind)
         }
     }
 }
@@ -729,6 +771,9 @@ const MEMO_CAPACITY: usize = 1 << 16;
 pub struct FitnessMemo<'a> {
     ctx: &'a GaContext<'a>,
     entries: HashMap<u128, MemoEntry>,
+    /// The context's LL tables (`None` in HT mode), built with the memo
+    /// and shared by every evaluation under it.
+    ll: Option<LlStatic>,
     scratch: EvalScratch,
     /// Cores in which a child differs from its parent
     /// ([`FitnessMemo::evaluate_mutated`]).
@@ -744,6 +789,8 @@ impl<'a> FitnessMemo<'a> {
         FitnessMemo {
             ctx,
             entries: HashMap::new(),
+            ll: (ctx.mode == PipelineMode::LowLatency)
+                .then(|| LlStatic::build(ctx.hw, ctx.graph, ctx.partitioning, ctx.dep)),
             scratch: EvalScratch::default(),
             diff: Vec::new(),
             hits: 0,
@@ -755,6 +802,12 @@ impl<'a> FitnessMemo<'a> {
     /// The evaluation context.
     pub fn context(&self) -> &GaContext<'a> {
         self.ctx
+    }
+
+    /// The context's LL tables, for [`compute_fitness`] calls made
+    /// beside the memo (the GA's workers).
+    pub(crate) fn ll_tables(&self) -> Option<&LlStatic> {
+        self.ll.as_ref()
     }
 
     /// Evaluates a chromosome, returning the memoized value when its
@@ -801,8 +854,14 @@ impl<'a> FitnessMemo<'a> {
             collect_dirty_cores(p, chromosome, &mut self.diff);
             (basis.as_ref(), self.diff.as_slice())
         });
-        let (fitness, basis, kind) =
-            compute_fitness(self.ctx, chromosome, plan, parent, &mut self.scratch);
+        let (fitness, basis, kind) = compute_fitness(
+            self.ctx,
+            self.ll.as_ref(),
+            chromosome,
+            plan,
+            parent,
+            &mut self.scratch,
+        );
         self.observe(kind);
         self.record(fingerprint, fitness, Arc::new(basis));
         Ok(fitness)
@@ -865,9 +924,15 @@ impl<'a> FitnessMemo<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use pimcomp_ir::GraphBuilder;
+
+    thread_local! {
+        /// How often this thread ran [`LlStatic::build`].
+        pub(crate) static LL_STATIC_BUILDS: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
+    }
 
     fn hw() -> HardwareConfig {
         // T_MVM = 2000, parallelism 20 -> T_interval = 100.

@@ -19,21 +19,31 @@
 //!
 //! # The search engine
 //!
-//! The search is nearly all of a compilation's time (98% of a
-//! paper-scale one), and inside it the costs rank differently from what
-//! one would guess: on the widest paper target (vgg16: 2124 cores x 4
-//! slots, population 100 x 200 generations, about 0.5 s on one thread)
-//! the mutation operators take about half, copying a parent's grid for
-//! an offspring a fifth, incremental fitness evaluation a fifth, and
-//! building and evaluating the initial population a tenth. So every
-//! part is built to do work proportional to what a move changes, not
-//! to the gene grid: placement plans all AGs of a call in one pass
-//! over the cores (`place_ags_from`); a `Draft` carries the
-//! per-core occupancy, per-node AG totals and the list of cores its
-//! operators wrote, so nothing re-derives them from the grid; an
-//! offspring copies its parent's grid only when an operator first
-//! writes to it (over half never do); and evaluation recomputes the
-//! cores on that list instead of diffing two grids. On top of that the
+//! The search is nearly all of a compilation's time (91% of the
+//! ledger's paper-scale pass), and inside it no part dominates: on the
+//! widest paper target (vgg16 in HT mode: 2124 cores x 4 slots,
+//! population 100 x 200 generations, about 0.3 s on one thread; timers
+//! in a scratch copy) the four mutation operators take two fifths
+//! (shrink alone a fifth: half of its moves halve the most replicated
+//! node, rewriting hundreds of genes), incremental fitness evaluation a
+//! quarter, copying a parent's grid on an offspring's first write an
+//! eighth, building and evaluating the initial population a ninth, and
+//! selection, the memo and the reduction the rest. What is left is
+//! proportional to what a move changes, not to the gene grid, and every
+//! part is built to keep it so: the grid is two 16-bit columns, so the
+//! copy an offspring makes when an operator first writes to it (over
+//! half never do) moves 4 bytes a slot; placement plans all AGs of a
+//! call in one pass over the cores (`place_ags_from`), and a failed
+//! call reports the room it found, so a halving retry loop scans once
+//! more at most (`place_halving`); a `Draft` carries the per-core
+//! occupancy, per-node AG totals and the list of cores its operators
+//! wrote, so nothing re-derives them from the grid; one node's genes
+//! are found by a blockwise sweep of the node column; evaluation
+//! recomputes the cores on the draft's list — in the one copy of the
+//! parent's core times that becomes the child's basis — instead of
+//! diffing two grids; and what does not depend on the individual (the
+//! LL chain tables, each worker's scratch buffers) is built once per
+//! run, not once per generation. On top of that the
 //! engine evaluates in parallel, incrementally and memoized, while
 //! staying **deterministic to the bit** for a given [`GaParams::seed`]:
 //!
@@ -57,11 +67,11 @@
 //!   mode) — exactly, not approximately.
 
 use crate::fitness::{
-    compute_fitness, ht_core_times_from, ht_fitness, ll_fitness_with_issue_floor, EvalBasis,
+    compute_fitness, ht_critical_node, ht_fitness, ll_fitness_with_issue_floor, EvalBasis,
     EvalKind, EvalScratch, FitnessMemo,
 };
-use crate::mapping::{replication_of_totals, Chromosome, Gene};
-use crate::parallel::run_indexed_with;
+use crate::mapping::{check_gene_limits, replication_of_totals, Chromosome, Gene};
+use crate::parallel::run_indexed_on;
 use crate::partition::{MvmIdx, Partitioning};
 use crate::replication::ReplicationPlan;
 use crate::waiting::DepInfo;
@@ -320,8 +330,9 @@ impl GaContext<'_> {
 #[derive(Debug, Clone)]
 struct Draft {
     chromosome: Chromosome,
-    /// Crossbars occupied on each core.
-    used_crossbars: Vec<usize>,
+    /// Crossbars occupied on each core (at most a core's capacity,
+    /// which [`check_gene_limits`] holds to 32 bits).
+    used_crossbars: Vec<u32>,
     /// AG instances of each node over all cores.
     ag_totals: Vec<usize>,
     /// Cores written since the draft was cloned from its parent (with
@@ -352,9 +363,15 @@ impl Draft {
         debug_assert!(prev.is_none_or(|g| g.mvm == node));
         let before = prev.map_or(0, |g| g.ag_count);
         let core = self.chromosome.core_of_slot(slot);
-        self.used_crossbars[core] = self.used_crossbars[core] + ag_count * xb - before * xb;
+        let used = self.used(core) + ag_count * xb - before * xb;
+        self.used_crossbars[core] = u32::try_from(used).expect("a core holds at most its capacity");
         self.ag_totals[node] = self.ag_totals[node] + ag_count - before;
         self.touched.push(core);
+    }
+
+    /// Crossbars occupied on `core`.
+    fn used(&self, core: usize) -> usize {
+        self.used_crossbars[core] as usize
     }
 
     /// Adds `n` AGs of `node` to `slot` (free, or already holding it).
@@ -441,8 +458,7 @@ pub fn default_max_nodes_per_core(nodes: usize, cores: usize) -> usize {
 ///
 /// # Errors
 ///
-/// [`CompileError::InsufficientCapacity`] when even one replica of every
-/// node cannot be placed.
+/// As [`optimize_observed`].
 pub fn optimize(
     ctx: &GaContext<'_>,
     params: &GaParams,
@@ -456,7 +472,11 @@ pub fn optimize(
 /// # Errors
 ///
 /// [`CompileError::InsufficientCapacity`] when even one replica of every
-/// node cannot be placed.
+/// node cannot be placed; [`CompileError::InvalidOptions`] when
+/// [`GaParams::max_nodes_per_core`] is pinned to 0 or to a grid whose
+/// slot count overflows; [`CompileError::InvalidGraph`] /
+/// [`CompileError::InvalidHardware`] when a gene could outgrow a
+/// [`Chromosome`] slot (see [`Chromosome::set_gene`]).
 pub fn optimize_observed(
     ctx: &GaContext<'_>,
     params: &GaParams,
@@ -467,6 +487,20 @@ pub fn optimize_observed(
     let max_nodes = params
         .max_nodes_per_core
         .unwrap_or_else(|| default_max_nodes_per_core(ctx.partitioning.len(), cores));
+    if max_nodes == 0 {
+        return Err(CompileError::InvalidOptions {
+            detail: "`max_nodes_per_core` cannot be pinned to 0".into(),
+        });
+    }
+    if cores.checked_mul(max_nodes).is_none() {
+        return Err(CompileError::InvalidOptions {
+            detail: format!(
+                "a gene grid of {cores} cores x {max_nodes} `max_nodes_per_core` slots \
+                 is too large to index"
+            ),
+        });
+    }
+    check_gene_limits(ctx.partitioning, capacity)?;
 
     let required = ctx.partitioning.min_crossbars();
     let available = cores * capacity;
@@ -477,8 +511,12 @@ pub fn optimize_observed(
         });
     }
 
-    let threads = effective_parallelism(params);
+    // Built once per run and lent to the workers of every batch: the
+    // memo with the mode's static tables, and one scratch per worker.
     let mut memo = FitnessMemo::new(ctx);
+    let mut workers: Vec<WorkerScratch> = (0..effective_parallelism(params))
+        .map(|_| WorkerScratch::default())
+        .collect();
     let pop_n = params.population.max(1);
     let init = InitPlan::new(ctx, cores, max_nodes, capacity);
 
@@ -487,11 +525,18 @@ pub fn optimize_observed(
     // cannot strand them. Individual 0 stays at the minimum plan as a
     // safe anchor. Every individual derives from its own seed stream
     // and is evaluated from scratch across the worker pool.
-    let built = run_indexed_with(threads, pop_n, WorkerScratch::default, |ws, i| {
+    let built = run_indexed_on(&mut workers, pop_n, |ws, i| {
         let mut rng = StdRng::seed_from_u64(stream_seed(params.seed, 0, i as u64));
         let draft = initial_draft(ctx, &init, i > 0, &mut rng, &mut ws.mutation)?;
         let plan = draft.replication(ctx.partitioning)?;
-        let (fitness, basis, _) = compute_fitness(ctx, &draft.chromosome, plan, None, &mut ws.eval);
+        let (fitness, basis, _) = compute_fitness(
+            ctx,
+            memo.ll_tables(),
+            &draft.chromosome,
+            plan,
+            None,
+            &mut ws.eval,
+        );
         Ok::<_, CompileError>((draft, fitness, basis))
     });
     let mut population: Vec<Individual> = Vec::with_capacity(pop_n);
@@ -525,7 +570,7 @@ pub fn optimize_observed(
 
         // Derive and evaluate the whole offspring batch against the
         // immutable parent population; each slot owns its RNG stream.
-        let results = run_indexed_with(threads, offspring_n, WorkerScratch::default, |ws, slot| {
+        let results = run_indexed_on(&mut workers, offspring_n, |ws, slot| {
             let mut rng =
                 StdRng::seed_from_u64(stream_seed(params.seed, gen as u64 + 1, slot as u64));
             let parent = tournament(&population, params.tournament, &mut rng);
@@ -573,6 +618,7 @@ pub fn optimize_observed(
             let plan = draft.replication(ctx.partitioning)?;
             let (fitness, basis, kind) = compute_fitness(
                 ctx,
+                memo.ll_tables(),
                 &draft.chromosome,
                 plan,
                 Some((&parent.basis, &touched)),
@@ -704,11 +750,11 @@ fn initial_draft(
     // so fragmentation cannot strand them.
     for &mvm in &init.order {
         let a = ctx.partitioning.entry(mvm).ags_per_replica;
-        // Random start first; deterministic first-fit as the fallback
-        // so pass 1 only fails on true capacity exhaustion.
-        if !place_ags(&mut ind, ctx, mvm, a, capacity, rng, ms)
-            && !place_ags_from(&mut ind, ctx, mvm, a, capacity, 0, ms)
-        {
+        // Whether a call fits does not depend on where its scan starts
+        // (`place_ags_from`), so a failure from the random start is
+        // true capacity or slot exhaustion.
+        let start = rng.gen_range(0..cores);
+        if place_ags_from(&mut ind, ctx, mvm, a, capacity, start, ms).is_err() {
             return Err(CompileError::InsufficientCapacity {
                 required: ctx.partitioning.min_crossbars(),
                 available: cores * capacity,
@@ -733,22 +779,15 @@ fn initial_draft(
         let (lo, hi) = ((t_fit.max(1) as f64).ln(), (max_windows.max(2) as f64).ln());
         let draw = |rng: &mut StdRng| rng.gen_range(lo..=hi).exp().round().max(1.0) as usize;
         let t = draw(rng).min(draw(rng));
-        let mut occupied: usize = ind.used_crossbars.iter().sum();
+        let mut occupied: usize = (0..cores).map(|core| ind.used(core)).sum();
         for &mvm in &init.order {
             let entry = ctx.partitioning.entry(mvm);
-            let a = entry.ags_per_replica;
             let want = entry.windows.div_ceil(t).max(1);
             let mut extra = want.saturating_sub(1).min(entry.windows.saturating_sub(1));
             // Respect the occupancy budget.
             let per_replica = entry.crossbars_per_replica().max(1);
             extra = extra.min(budget.saturating_sub(occupied) / per_replica);
-            while extra > 0 {
-                if place_ags(&mut ind, ctx, mvm, extra * a, capacity, rng, ms) {
-                    occupied += extra * per_replica;
-                    break;
-                }
-                extra /= 2;
-            }
+            occupied += per_replica * place_halving(&mut ind, ctx, mvm, extra, capacity, rng, ms);
         }
     }
     let mut ind = ind.into_owned();
@@ -845,18 +884,7 @@ fn critical_node(
     scratch: &mut EvalScratch,
 ) -> Option<MvmIdx> {
     let plan = ind.replication(ctx.partitioning).ok()?;
-    let times = ht_core_times_from(ctx, &ind.chromosome, &plan, parent, &ind.touched, scratch)?;
-    let mut worst: Option<(u64, usize)> = None;
-    for (core, &t) in times.iter().enumerate() {
-        if worst.is_none_or(|(w, _)| t > w) {
-            worst = Some((t, core));
-        }
-    }
-    let (_, core) = worst?;
-    ind.chromosome
-        .genes_of_core(core)
-        .max_by_key(|(_, g)| plan.windows_per_replica(ctx.partitioning, g.mvm))
-        .map(|(_, g)| g.mvm)
+    ht_critical_node(ctx, &ind.chromosome, &plan, (parent, &ind.touched), scratch)
 }
 
 /// The replicated node with the smallest windows-per-replica (the most
@@ -889,16 +917,14 @@ fn mutate_grow(
     if headroom == 0 {
         return false;
     }
-    let mut amount = rng.gen_range(1..=cur.max(1)).min(headroom);
-    while amount > 0 {
-        if place_ags(ind, ctx, node, amount * a, capacity, rng, ms) {
-            tally.grow_ok += 1;
-            return true;
-        }
-        amount /= 2;
+    let amount = rng.gen_range(1..=cur.max(1)).min(headroom);
+    let grown = place_halving(ind, ctx, node, amount, capacity, rng, ms) > 0;
+    if grown {
+        tally.grow_ok += 1;
+    } else {
+        tally.grow_failed += 1;
     }
-    tally.grow_failed += 1;
-    false
+    grown
 }
 
 /// Operator II: decrease `node`'s replication (geometric step, at least
@@ -972,7 +998,7 @@ fn mutate_spread(
     let start = rng.gen_range(0..cores);
     for off in 0..cores {
         let dst = (start + off) % cores;
-        if dst == src_core || ind.used_crossbars[dst] + needed > capacity {
+        if dst == src_core || ind.used(dst) + needed > capacity {
             continue;
         }
         let (hosting, free) = ind.chromosome.probe_core(dst, gene.mvm);
@@ -1014,7 +1040,7 @@ fn mutate_merge(
     ms.slots.shuffle(rng);
     for &dst_slot in &ms.slots {
         let dst_core = ind.chromosome.core_of_slot(dst_slot);
-        if ind.used_crossbars[dst_core] + needed > capacity {
+        if ind.used(dst_core) + needed > capacity {
             continue;
         }
         let ind = ind.to_mut();
@@ -1025,25 +1051,54 @@ fn mutate_merge(
     false
 }
 
-/// Places `count` AGs of `node` on cores with capacity and slot room,
-/// scanning from a random start. Cores already hosting the node are
-/// preferred (they need no fresh slot), which keeps slot pressure low.
-/// All-or-nothing: a failed call leaves the draft as it was.
-fn place_ags(
+/// Adds the largest of `replicas`, `replicas / 2`, `replicas / 4`, …
+/// whole replicas of `node` that fits, each attempt scanning from its
+/// own random start; returns how many were placed (0 when not even one
+/// fits, leaving the draft as it was).
+///
+/// Every attempt draws its start, but only the first one and the one
+/// that fits scan: the first failure reports the room every later
+/// attempt would find ([`place_ags_from`]), so the doomed ones in
+/// between are decided by a comparison.
+fn place_halving(
     ind: &mut Cow<'_, Draft>,
     ctx: &GaContext<'_>,
     node: MvmIdx,
-    count: usize,
+    mut replicas: usize,
     capacity: usize,
     rng: &mut StdRng,
     ms: &mut MutScratch,
-) -> bool {
+) -> usize {
+    let a = ctx.partitioning.entry(node).ags_per_replica;
     let cores = ind.chromosome.cores();
-    let start = rng.gen_range(0..cores);
-    place_ags_from(ind, ctx, node, count, capacity, start, ms)
+    let mut room = usize::MAX;
+    while replicas > 0 {
+        let start = rng.gen_range(0..cores);
+        if replicas * a > room {
+            debug_assert_eq!(
+                place_ags_from(ind, ctx, node, replicas * a, capacity, start, ms),
+                Err(room),
+                "a rescan finds the reported room"
+            );
+        } else {
+            match place_ags_from(ind, ctx, node, replicas * a, capacity, start, ms) {
+                Ok(()) => return replicas,
+                Err(fits) => {
+                    debug_assert_eq!(room, usize::MAX, "what the reported room admits fits");
+                    room = fits;
+                }
+            }
+        }
+        replicas /= 2;
+    }
+    0
 }
 
-/// Deterministic variant of [`place_ags`] scanning from `start`.
+/// Places `count` AGs of `node` on cores with capacity and slot room,
+/// scanning circularly from `start`. Cores already hosting the node
+/// are preferred (they need no fresh slot), which keeps slot pressure
+/// low. All-or-nothing: a failed call leaves the draft as it was and
+/// reports how many AGs would have fit.
 ///
 /// Places AG after AG, each on the first core in circular order from
 /// `start` that hosts the node and has room for one more, else on the
@@ -1058,6 +1113,14 @@ fn place_ags(
 /// read disjoint cores of the state before the call, so one read-only
 /// pass plans them (`ms.top_ups`, `ms.fresh`) and nothing is written
 /// unless all `count` AGs fit.
+///
+/// A failed call has seen every core, topped every hosting core up to
+/// its room and listed every non-hosting core with room and a free
+/// slot, so `Err` carries the sum of both rooms — a property of the
+/// draft and the node, not of `start`. A call fits exactly when `count`
+/// is within it: the top-ups take `min(count, hosting room)` wherever
+/// the sweep starts, and the fresh list stops early only once it
+/// already covers what is left.
 fn place_ags_from(
     ind: &mut Cow<'_, Draft>,
     ctx: &GaContext<'_>,
@@ -1066,7 +1129,7 @@ fn place_ags_from(
     capacity: usize,
     start: usize,
     ms: &mut MutScratch,
-) -> bool {
+) -> Result<(), usize> {
     let xb = ctx.partitioning.entry(node).crossbars_per_ag;
     let cores = ind.chromosome.cores();
     ms.top_ups.clear();
@@ -1079,10 +1142,10 @@ fn place_ags_from(
         if left == 0 {
             break;
         }
-        if ind.used_crossbars[core] + xb > capacity {
+        if ind.used(core) + xb > capacity {
             continue;
         }
-        let room = (capacity - ind.used_crossbars[core]) / xb;
+        let room = (capacity - ind.used(core)) / xb;
         match ind.chromosome.probe_core(core, node) {
             (Some(slot), _) => {
                 let n = room.min(left);
@@ -1097,7 +1160,7 @@ fn place_ags_from(
         }
     }
     if fresh_room < left {
-        return false;
+        return Err(count - left + fresh_room);
     }
     let ind = ind.to_mut();
     for &(slot, n) in &ms.top_ups {
@@ -1111,7 +1174,7 @@ fn place_ags_from(
         ind.add_ags(slot, node, xb, n);
         left -= n;
     }
-    true
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1378,7 +1441,7 @@ mod tests {
             let node = rng.gen_range(0..p.len());
             let xb = p.entry(node).crossbars_per_ag;
             let core = rng.gen_range(0..cores);
-            let room = (capacity - draft.used_crossbars[core]) / xb;
+            let room = (capacity - draft.used(core)) / xb;
             let (hosting, free) = draft.chromosome.probe_core(core, node);
             let (Some(slot), true) = (hosting.or(free), room > 0) else {
                 continue;
@@ -1423,15 +1486,13 @@ mod tests {
                 let before = random_draft(&p, shape, capacity, fill, &mut rng);
                 let node = rng.gen_range(0..p.len());
                 let xb = p.entry(node).crossbars_per_ag;
-                let free: usize = before
-                    .used_crossbars
-                    .iter()
-                    .map(|used| (capacity - used) / xb)
+                let free: usize = (0..shape.0)
+                    .map(|core| (capacity - before.used(core)) / xb)
                     .sum();
                 for start in 0..shape.0 {
                     for count in (1..=free + 2).filter(|c| *c < 6 || c % 5 == 0 || *c >= free) {
                         let mut batched = Cow::Borrowed(&before);
-                        let ok = place_ags_from(
+                        let placed = place_ags_from(
                             &mut batched,
                             &ctx,
                             node,
@@ -1440,8 +1501,9 @@ mod tests {
                             start,
                             &mut ms,
                         );
-                        let (mut chromosome, mut used) =
-                            (before.chromosome.clone(), before.used_crossbars.clone());
+                        let ok = placed.is_ok();
+                        let mut chromosome = before.chromosome.clone();
+                        let mut used: Vec<usize> = (0..shape.0).map(|c| before.used(c)).collect();
                         let expected = place_one_ag_per_scan(
                             &mut chromosome,
                             &mut used,
@@ -1455,13 +1517,26 @@ mod tests {
                         assert_eq!(ok, expected, "{at}");
                         assert_eq!(batched.chromosome, chromosome, "{at}");
                         assert_eq!(batched.chromosome.fingerprint(), chromosome.fingerprint());
-                        assert_eq!(batched.used_crossbars, used, "{at}");
+                        let batched_used: Vec<usize> =
+                            (0..shape.0).map(|c| batched.used(c)).collect();
+                        assert_eq!(batched_used, used, "{at}");
                         assert_eq!(batched.ag_totals, chromosome.ag_totals(&p), "{at}");
                         if !ok {
                             // A failed call writes nothing (and copies nothing).
                             assert!(matches!(batched, Cow::Borrowed(_)), "{at}");
                             assert_eq!(chromosome, before.chromosome, "{at}");
-                            assert_eq!(used, before.used_crossbars, "{at}");
+                            assert_eq!(batched.used_crossbars, before.used_crossbars, "{at}");
+                            // The reported room is exactly what fits,
+                            // wherever the scan starts.
+                            let room = placed.unwrap_err();
+                            assert!(room < count, "{at}");
+                            for from in [start, 0, shape.0 - 1] {
+                                let mut fits = Cow::Borrowed(&before);
+                                let fit = place_ags_from(
+                                    &mut fits, &ctx, node, room, capacity, from, &mut ms,
+                                );
+                                assert_eq!(fit, Ok(()), "{at}: {room} from {from}");
+                            }
                         }
                         calls += 1;
                         failures += usize::from(!ok);
@@ -1490,6 +1565,199 @@ mod tests {
             topped_up > 100,
             "{topped_up} calls topped a hosting core up"
         );
+    }
+
+    /// The halving loop as it was before a failed scan reported its
+    /// room, kept as the reference oracle: one full scan per step.
+    fn place_halving_scan_per_step(
+        ind: &mut Cow<'_, Draft>,
+        ctx: &GaContext<'_>,
+        node: MvmIdx,
+        mut replicas: usize,
+        capacity: usize,
+        rng: &mut StdRng,
+        ms: &mut MutScratch,
+    ) -> usize {
+        let a = ctx.partitioning.entry(node).ags_per_replica;
+        while replicas > 0 {
+            let start = rng.gen_range(0..ind.chromosome.cores());
+            if place_ags_from(ind, ctx, node, replicas * a, capacity, start, ms).is_ok() {
+                return replicas;
+            }
+            replicas /= 2;
+        }
+        0
+    }
+
+    #[test]
+    fn halving_placement_matches_a_scan_per_step() {
+        let g = normalize(&models::resnet18()).unwrap();
+        let hw = HardwareConfig::puma();
+        let p = Partitioning::new(&g, &hw).unwrap();
+        let dep = DepInfo::analyze(&g);
+        let ctx = GaContext {
+            hw: &hw,
+            graph: &g,
+            partitioning: &p,
+            dep: &dep,
+            mode: PipelineMode::HighThroughput,
+            core_limit: None,
+        };
+        let capacity = hw.crossbar_capacity_per_core();
+        let mut rng = StdRng::seed_from_u64(0x4A1F);
+        let mut ms = MutScratch::default();
+        // Calls that placed the first amount, a halved one, nothing;
+        // and calls whose reported room was exactly a halved amount.
+        let (mut first, mut halved, mut none, mut exact) = (0usize, 0usize, 0usize, 0usize);
+        for (shape, fill) in [((1, 1), 1), ((7, 1), 5), ((6, 2), 12), ((9, 4), 40)] {
+            for _ in 0..40 {
+                let before = random_draft(&p, shape, capacity, fill, &mut rng);
+                let node = rng.gen_range(0..p.len());
+                let a = p.entry(node).ags_per_replica;
+                let mut probe = Cow::Borrowed(&before);
+                let room = place_ags_from(&mut probe, &ctx, node, usize::MAX, capacity, 0, &mut ms)
+                    .unwrap_err();
+                // Amounts around the room, and the two whose first
+                // halving lands on it exactly.
+                let fit = room / a;
+                let amounts = (1..=4).chain(fit.saturating_sub(1)..=fit + 1).chain([
+                    2 * fit,
+                    2 * fit + 1,
+                    4 * fit + 3,
+                    64 * (fit + 1),
+                ]);
+                for replicas in amounts.filter(|&r| r > 0) {
+                    let seed = rng.next_u64();
+                    let (mut fast_rng, mut slow_rng) =
+                        (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                    let (mut fast, mut slow) = (Cow::Borrowed(&before), Cow::Borrowed(&before));
+                    let placed = place_halving(
+                        &mut fast,
+                        &ctx,
+                        node,
+                        replicas,
+                        capacity,
+                        &mut fast_rng,
+                        &mut ms,
+                    );
+                    let expected = place_halving_scan_per_step(
+                        &mut slow,
+                        &ctx,
+                        node,
+                        replicas,
+                        capacity,
+                        &mut slow_rng,
+                        &mut ms,
+                    );
+                    let at =
+                        format!("grid {shape:?}, node {node}, {replicas} replicas, room {room}");
+                    assert_eq!(placed, expected, "{at}");
+                    assert_eq!(fast.chromosome, slow.chromosome, "{at}");
+                    assert_eq!(fast.chromosome.fingerprint(), slow.chromosome.fingerprint());
+                    assert_eq!(fast.used_crossbars, slow.used_crossbars, "{at}");
+                    assert_eq!(fast.ag_totals, slow.ag_totals, "{at}");
+                    assert_eq!(fast.touched, slow.touched, "{at}");
+                    assert_eq!(matches!(fast, Cow::Borrowed(_)), placed == 0, "{at}");
+                    // Same draws: both streams continue identically.
+                    assert_eq!(fast_rng.next_u64(), slow_rng.next_u64(), "{at}");
+                    first += usize::from(placed == replicas);
+                    halved += usize::from(placed > 0 && placed < replicas);
+                    none += usize::from(placed == 0);
+                    exact += usize::from(placed > 0 && placed < replicas && placed * a == room);
+                }
+            }
+        }
+        assert!(
+            first > 100 && halved > 100 && none > 100 && exact > 30,
+            "{first} placed at once, {halved} after halving ({exact} at exactly the room), {none} not"
+        );
+    }
+
+    #[test]
+    fn pinned_grids_that_cannot_exist_are_structured_errors() {
+        // `CompileOptions::validate` rejects a 0 pin; a direct caller
+        // gets the same error instead of `Chromosome::empty`'s assert,
+        // and a pin whose slot count overflows gets one too.
+        let (g, hw) = setup(PipelineMode::HighThroughput);
+        let p = Partitioning::new(&g, &hw).unwrap();
+        let dep = DepInfo::analyze(&g);
+        let ctx = GaContext {
+            hw: &hw,
+            graph: &g,
+            partitioning: &p,
+            dep: &dep,
+            mode: PipelineMode::HighThroughput,
+            core_limit: None,
+        };
+        for (pin, wording) in [
+            (0, "`max_nodes_per_core` cannot be pinned to 0"),
+            (usize::MAX / 2, "too large to index"),
+        ] {
+            let params = GaParams {
+                max_nodes_per_core: Some(pin),
+                ..GaParams::fast(3)
+            };
+            match optimize(&ctx, &params) {
+                Err(CompileError::InvalidOptions { detail }) => {
+                    assert!(detail.contains(wording), "{detail}")
+                }
+                other => panic!("pin {pin}: {:?}", other.map(|(_, stats)| stats)),
+            }
+        }
+    }
+
+    #[test]
+    fn a_core_that_could_outgrow_a_gene_is_a_structured_error() {
+        // 128x128 windows of a one-AG node: on cores of 2^20 crossbars
+        // one gene could reach the radix, which `set_gene` refuses by
+        // panicking — so neither mapping strategy starts.
+        let mut b = pimcomp_ir::GraphBuilder::new("wide");
+        let x = b.input("x", [3, 128, 128]);
+        let _ = b.conv2d("c", x, 16, (3, 3), (1, 1), (1, 1)).unwrap();
+        let g = normalize(&b.finish().unwrap()).unwrap();
+        for (crossbars_per_core, fits) in [(16, true), (1 << 20, false)] {
+            let mut hw = HardwareConfig::small_test();
+            hw.crossbars_per_core = crossbars_per_core;
+            let p = Partitioning::new(&g, &hw).unwrap();
+            let dep = DepInfo::analyze(&g);
+            let ctx = GaContext {
+                hw: &hw,
+                graph: &g,
+                partitioning: &p,
+                dep: &dep,
+                mode: PipelineMode::HighThroughput,
+                core_limit: None,
+            };
+            let searched = optimize(&ctx, &GaParams::fast(3)).map(|(_, stats)| stats.evaluations);
+            let greedy = crate::baseline::puma_mapping(&p, &hw).map(|m| m.active_cores());
+            if fits {
+                assert!(
+                    searched.is_ok() && greedy.is_ok(),
+                    "{searched:?} {greedy:?}"
+                );
+            } else {
+                for result in [searched, greedy] {
+                    assert!(
+                        matches!(result, Err(CompileError::InvalidHardware { .. })),
+                        "{result:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ll_tables_are_built_once_per_run() {
+        use crate::fitness::tests::LL_STATIC_BUILDS;
+        // Serial, so every evaluation of the run happens on this
+        // thread, where the counter is.
+        let before = LL_STATIC_BUILDS.with(|n| n.get());
+        let (_, stats, _) = run_with(PipelineMode::LowLatency, 2, None);
+        assert!(stats.full_evals > GaParams::fast(2).population, "{stats:?}");
+        assert_eq!(LL_STATIC_BUILDS.with(|n| n.get()) - before, 1);
+        // HT evaluation never reads them.
+        run_with(PipelineMode::HighThroughput, 2, None);
+        assert_eq!(LL_STATIC_BUILDS.with(|n| n.get()) - before, 1);
     }
 
     #[test]

@@ -61,7 +61,10 @@ impl Gene {
 /// communication dominates (paper Section IV-C.1).
 ///
 /// Storage is struct-of-arrays: the node index and AG count of every
-/// slot live in parallel vectors with a bitset marking occupied slots
+/// slot live in parallel 16-bit columns (a gene holds fewer than
+/// [`GENE_RADIX`] AGs of one of at most 65 536 nodes — see
+/// [`Chromosome::set_gene`] — so the GA's copy of a parent's grid moves
+/// 4 bytes a slot) with a bitset marking occupied slots
 /// (and a second one marking genes of two or more AGs, the ones a
 /// spread can split), so the GA's slot scans walk contiguous words
 /// instead of discriminant-tagged options, a uniformly random gene is
@@ -73,8 +76,8 @@ impl Gene {
 /// are unaffected by the layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Chromosome {
-    mvms: Vec<usize>,
-    ags: Vec<usize>,
+    mvms: Vec<u16>,
+    ags: Vec<u16>,
     occupied: Vec<u64>,
     /// Slots whose gene holds at least two AGs.
     splittable: Vec<u64>,
@@ -119,11 +122,33 @@ impl Deserialize for Chromosome {
         }
         let mut c = Chromosome::empty(wire.cores, wire.max_nodes_per_core);
         for (slot, gene) in wire.slots.into_iter().enumerate() {
+            if let Some(g) = gene.filter(|g| narrow(*g).is_none()) {
+                return Err(serde::DeError::new(format!(
+                    "slot {slot}: gene of {} AGs of node {} does not fit a chromosome \
+                     (fewer than {GENE_RADIX} AGs, node index at most {})",
+                    g.ag_count,
+                    g.mvm,
+                    u16::MAX
+                )));
+            }
             c.set_gene(slot, gene);
         }
         Ok(c)
     }
 }
+
+/// A gene as the 16-bit `(node, AG count)` pair the slot columns store;
+/// `None` when it holds [`GENE_RADIX`] AGs or more, or its node index
+/// is past `u16::MAX`.
+fn narrow(gene: Gene) -> Option<(u16, u16)> {
+    let ags = u16::try_from(gene.ag_count).ok()?;
+    (u64::from(ags) < GENE_RADIX).then_some((u16::try_from(gene.mvm).ok()?, ags))
+}
+
+/// Slots [`Chromosome::slots_of_node`] rules in or out with one
+/// branch-free sweep of the node column (a multiple of every SIMD
+/// width, and 128 bytes of it).
+const SCAN_BLOCK: usize = 64;
 
 /// SplitMix64 finalizer used to derive the per-slot fingerprint tokens.
 fn mix64(mut z: u64) -> u64 {
@@ -206,15 +231,30 @@ impl Chromosome {
         core * self.max_nodes_per_core..(core + 1) * self.max_nodes_per_core
     }
 
+    /// The stored content of a slot, occupied or not, widened.
+    #[inline]
+    fn stored(&self, slot: usize) -> Gene {
+        Gene {
+            mvm: usize::from(self.mvms[slot]),
+            ag_count: usize::from(self.ags[slot]),
+        }
+    }
+
     /// Gene in a slot.
     pub fn gene(&self, slot: usize) -> Option<Gene> {
-        self.is_occupied(slot).then(|| Gene {
-            mvm: self.mvms[slot],
-            ag_count: self.ags[slot],
-        })
+        self.is_occupied(slot).then(|| self.stored(slot))
     }
 
     /// Replaces a slot's content, returning the previous gene.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the gene does not fit the 16-bit slot columns:
+    /// `ag_count` must be below [`GENE_RADIX`] (the bound
+    /// [`Gene::code`] asserts) and `mvm` at most `u16::MAX`. Nothing is
+    /// ever truncated silently; [`optimize`](crate::optimize) and the
+    /// PUMA-like baseline return an error up front for a target or
+    /// graph on which they could build such a gene.
     pub fn set_gene(&mut self, slot: usize, gene: Option<Gene>) -> Option<Gene> {
         let prev = self.gene(slot);
         if let Some(g) = prev {
@@ -223,9 +263,15 @@ impl Chromosome {
         let (word, bit) = (slot / 64, 1u64 << (slot % 64));
         match gene {
             Some(g) => {
+                let (mvm, ags) = narrow(g).unwrap_or_else(|| {
+                    panic!(
+                        "gene of {} AGs of node {} does not fit a chromosome slot",
+                        g.ag_count, g.mvm
+                    )
+                });
                 self.fp ^= Self::slot_token(slot, g);
-                self.mvms[slot] = g.mvm;
-                self.ags[slot] = g.ag_count;
+                self.mvms[slot] = mvm;
+                self.ags[slot] = ags;
                 self.occupied[word] |= bit;
             }
             None => {
@@ -260,15 +306,7 @@ impl Chromosome {
                     Some(word * 64 + bit)
                 })
             })
-            .map(|slot| {
-                (
-                    slot,
-                    Gene {
-                        mvm: self.mvms[slot],
-                        ag_count: self.ags[slot],
-                    },
-                )
-            })
+            .map(|slot| (slot, self.stored(slot)))
     }
 
     /// Genes of one core.
@@ -291,7 +329,7 @@ impl Chromosome {
         for slot in self.slots_of_core(core) {
             if !self.is_occupied(slot) {
                 free = free.or(Some(slot));
-            } else if self.mvms[slot] == mvm {
+            } else if usize::from(self.mvms[slot]) == mvm {
                 return (Some(slot), free);
             }
         }
@@ -312,16 +350,28 @@ impl Chromosome {
         self.probe_core(core, mvm).0
     }
 
-    /// Slots holding a gene of `mvm`, in slot order. Compares the node
-    /// column directly (empty slots hold node 0, so only a match needs
-    /// the occupancy check), which is what lets the GA find one node's
-    /// genes on a multi-thousand-core grid without decoding every gene.
+    /// Slots holding a gene of `mvm`, in slot order. Sweeps the node
+    /// column a [`SCAN_BLOCK`] at a time with a branch-free "does any
+    /// slot here name the node" reduction (which compiles to vector
+    /// compares over the 16-bit column) and walks slot by slot only the
+    /// blocks that can contain it (empty slots hold node 0, so only a
+    /// match needs the occupancy check) — which is what lets the GA
+    /// find one node's genes on a multi-thousand-core grid without
+    /// testing every slot.
     pub(crate) fn slots_of_node(&self, mvm: MvmIdx) -> impl Iterator<Item = usize> + '_ {
+        // A node index no slot can store has no slots.
+        let node = u16::try_from(mvm).ok();
         self.mvms
-            .iter()
+            .chunks(SCAN_BLOCK)
             .enumerate()
-            .filter(move |&(slot, &m)| m == mvm && self.is_occupied(slot))
-            .map(|(slot, _)| slot)
+            .filter(move |(_, block)| {
+                node.is_some_and(|n| block.iter().fold(false, |hit, &m| hit | (m == n)))
+            })
+            .flat_map(move |(index, block)| {
+                let first = index * SCAN_BLOCK;
+                (first..first + block.len())
+                    .filter(move |&slot| Some(self.mvms[slot]) == node && self.is_occupied(slot))
+            })
     }
 
     /// The bitset a random gene is drawn from: every gene, or only the
@@ -367,7 +417,9 @@ impl Chromosome {
 
     /// Total AG instances of `mvm` across all cores.
     pub fn ag_total(&self, mvm: MvmIdx) -> usize {
-        self.slots_of_node(mvm).map(|slot| self.ags[slot]).sum()
+        self.slots_of_node(mvm)
+            .map(|slot| usize::from(self.ags[slot]))
+            .sum()
     }
 
     /// Crossbars used on each core under `partitioning`.
@@ -433,7 +485,10 @@ impl Chromosome {
     ///
     /// # Panics
     ///
-    /// Panics if `codes` length is not `cores * max_nodes_per_core`.
+    /// Panics if `codes` length is not `cores * max_nodes_per_core`, or
+    /// a code names a node index past `u16::MAX` (see
+    /// [`Chromosome::set_gene`]; the AG field of a code is below
+    /// [`GENE_RADIX`] by construction).
     pub fn from_codes(codes: &[u64], cores: usize, max_nodes_per_core: usize) -> Self {
         assert_eq!(codes.len(), cores * max_nodes_per_core);
         let mut c = Chromosome::empty(cores, max_nodes_per_core);
@@ -442,6 +497,51 @@ impl Chromosome {
         }
         c
     }
+}
+
+/// Rejects, before any gene is written, a compilation whose mapping
+/// strategy (the GA, the PUMA-like baseline) could build a gene that
+/// [`Chromosome::set_gene`] refuses: every node index must fit 16 bits,
+/// a core's crossbar count 32 bits (the GA's per-core occupancy), and
+/// no core may hold [`GENE_RADIX`] AGs of one node. A gene is bounded
+/// by what fits a core (`capacity / crossbars_per_ag`) and by the
+/// node's useful replication (one replica per window).
+///
+/// # Errors
+///
+/// [`CompileError::InvalidGraph`] for too many partitioned nodes,
+/// [`CompileError::InvalidHardware`] for a core that large.
+pub(crate) fn check_gene_limits(
+    partitioning: &Partitioning,
+    capacity: usize,
+) -> Result<(), CompileError> {
+    if partitioning.len() > usize::from(u16::MAX) + 1 {
+        return Err(CompileError::InvalidGraph {
+            detail: format!(
+                "{} partitioned nodes; a gene grid indexes at most {}",
+                partitioning.len(),
+                usize::from(u16::MAX) + 1
+            ),
+        });
+    }
+    let widest_gene = partitioning
+        .entries()
+        .iter()
+        .map(|e| {
+            (capacity / e.crossbars_per_ag.max(1))
+                .min(e.windows.max(1).saturating_mul(e.ags_per_replica))
+        })
+        .max()
+        .unwrap_or(0);
+    if u32::try_from(capacity).is_err() || widest_gene as u64 >= GENE_RADIX {
+        return Err(CompileError::InvalidHardware {
+            detail: format!(
+                "a core of {capacity} crossbars can hold {widest_gene} array groups of one \
+                 node; the gene encoding stops below {GENE_RADIX}"
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// The replication plan implied by per-node AG totals
@@ -907,5 +1007,187 @@ mod tests {
         // panic or a silently corrupted chromosome.
         let bad = r#"{"slots":[null,null],"cores":2,"max_nodes_per_core":2}"#;
         assert!(serde_json::from_str::<Chromosome>(bad).is_err());
+
+        // So is a gene the 16-bit columns cannot hold: nothing is
+        // truncated into a different, valid-looking gene.
+        let with_gene = |mvm: u64, ag_count: u64| {
+            let json = format!(
+                r#"{{"slots":[null,{{"mvm":{mvm},"ag_count":{ag_count}}}],"cores":1,"max_nodes_per_core":2}}"#
+            );
+            serde_json::from_str::<Chromosome>(&json)
+        };
+        for (mvm, ag_count) in [(7, 70_000), (1 << 40, 3), (7, 10_000), (65_536, 3)] {
+            let err = with_gene(mvm, ag_count).expect_err("gene does not fit");
+            assert!(err.to_string().contains("does not fit"), "{err}");
+        }
+        let widest = with_gene(65_535, 9_999).expect("the widest gene fits");
+        assert_eq!(
+            widest.gene(1),
+            Some(Gene {
+                mvm: 65_535,
+                ag_count: 9_999
+            })
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a chromosome slot")]
+    fn set_gene_refuses_an_ag_count_at_the_radix() {
+        Chromosome::empty(1, 1).set_gene(
+            0,
+            Some(Gene {
+                mvm: 0,
+                ag_count: GENE_RADIX as usize,
+            }),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a chromosome slot")]
+    fn from_codes_refuses_a_node_index_past_16_bits() {
+        Chromosome::from_codes(&[65_536 * GENE_RADIX + 1], 1, 1);
+    }
+
+    #[test]
+    fn gene_limits_are_checked_before_any_gene_is_written() {
+        // `part()`'s nodes stop at 28x28 windows x 5 AGs, below the
+        // radix on a core of any size that 32 bits can count.
+        check_gene_limits(&part(), u32::MAX as usize).unwrap();
+        let mut b = GraphBuilder::new("t");
+        let x = b.input("x", [64, 56, 56]);
+        let _ = b.conv2d("c1", x, 64, (3, 3), (1, 1), (1, 1)).unwrap();
+        let p = Partitioning::new(&b.finish().unwrap(), &HardwareConfig::puma()).unwrap();
+        check_gene_limits(&p, HardwareConfig::puma().crossbar_capacity_per_core()).unwrap();
+        // 56x56 windows x 5 AGs of 4 crossbars: a core of 40 000
+        // crossbars could be asked to hold 10 000 AGs of the node.
+        let err = check_gene_limits(&p, 40_000).unwrap_err();
+        assert!(
+            matches!(&err, CompileError::InvalidHardware { detail } if detail.contains("10000")),
+            "{err}"
+        );
+        check_gene_limits(&p, 39_999).unwrap();
+        let err = check_gene_limits(&p, usize::MAX).unwrap_err();
+        assert!(matches!(err, CompileError::InvalidHardware { .. }), "{err}");
+    }
+
+    /// `Chromosome` against the array of options it replaced.
+    struct Model {
+        slots: Vec<Option<Gene>>,
+        max_nodes: usize,
+    }
+
+    impl Model {
+        fn genes(&self) -> Vec<(usize, Gene)> {
+            let genes = self.slots.iter().enumerate();
+            genes.filter_map(|(s, g)| g.map(|g| (s, g))).collect()
+        }
+
+        fn pool(&self, splittable: bool) -> Vec<(usize, Gene)> {
+            let mut genes = self.genes();
+            genes.retain(|(_, g)| !splittable || g.ag_count >= 2);
+            genes
+        }
+
+        fn probe(&self, core: usize, mvm: MvmIdx) -> (Option<usize>, Option<usize>) {
+            let range = core * self.max_nodes..(core + 1) * self.max_nodes;
+            let hosting = range
+                .clone()
+                .find(|&s| self.slots[s].is_some_and(|g| g.mvm == mvm));
+            // A free slot is reported only when the walk met it before
+            // the hosting one.
+            let free = range
+                .take_while(|&s| Some(s) != hosting)
+                .find(|&s| self.slots[s].is_none());
+            (hosting, free)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(96))]
+
+        #[test]
+        fn chromosome_matches_an_array_of_options(
+            cores in 1usize..70,
+            max_nodes in 1usize..5,
+            nodes in 1usize..7,
+            writes in proptest::collection::vec(
+                (0usize..10_000, 0usize..8, 0usize..7, 0usize..40),
+                0..120,
+            ),
+        ) {
+            // Slot counts 1..=276: below, at and past the 64-slot scan
+            // block, mostly not a multiple of it.
+            let len = cores * max_nodes;
+            // Node indices 0..nodes with the last one at the column's
+            // limit; AG counts 0 (which `set_gene` stores as given), 1
+            // (not splittable), small ones and the radix limit.
+            let node = |n: usize| if n % nodes == nodes - 1 { 65_535 } else { n % nodes };
+            let ags = |a: usize| if a == 39 { 9_999 } else { a % 5 };
+            let mut c = Chromosome::empty(cores, max_nodes);
+            let mut model = Model { slots: vec![None; len], max_nodes };
+            for (at, kind, n, a) in writes {
+                let slot = at % len;
+                let gene = (kind > 1).then(|| Gene { mvm: node(n), ag_count: ags(a) });
+                let prev = c.set_gene(slot, gene);
+                proptest::prop_assert_eq!(prev, std::mem::replace(&mut model.slots[slot], gene));
+            }
+
+            for slot in 0..len {
+                proptest::prop_assert_eq!(c.gene(slot), model.slots[slot]);
+            }
+            proptest::prop_assert_eq!(c.genes().collect::<Vec<_>>(), model.genes());
+            proptest::prop_assert_eq!(c.is_empty(), model.genes().is_empty());
+            let probes = (0..nodes).map(node).chain([0, 65_535, 65_536, 70_000]);
+            for mvm in probes {
+                let of_node: Vec<usize> = model
+                    .genes()
+                    .into_iter()
+                    .filter(|(_, g)| g.mvm == mvm)
+                    .map(|(s, _)| s)
+                    .collect();
+                proptest::prop_assert_eq!(c.slots_of_node(mvm).collect::<Vec<_>>(), &of_node[..]);
+                let total: usize = of_node.iter().map(|&s| model.slots[s].unwrap().ag_count).sum();
+                proptest::prop_assert_eq!(c.ag_total(mvm), total);
+                for core in 0..cores {
+                    proptest::prop_assert_eq!(c.probe_core(core, mvm), model.probe(core, mvm));
+                }
+            }
+            for core in 0..cores {
+                let of_core: Vec<(usize, Gene)> = model
+                    .genes()
+                    .into_iter()
+                    .filter(|(s, _)| s / max_nodes == core)
+                    .collect();
+                proptest::prop_assert_eq!(c.genes_of_core(core).collect::<Vec<_>>(), of_core);
+            }
+            for splittable in [false, true] {
+                let pool = model.pool(splittable);
+                proptest::prop_assert_eq!(c.gene_count(splittable), pool.len());
+                for (index, &entry) in pool.iter().enumerate() {
+                    proptest::prop_assert_eq!(c.nth_gene(splittable, index), Some(entry));
+                }
+                proptest::prop_assert_eq!(c.nth_gene(splittable, pool.len()), None);
+            }
+
+            // The same content reached another way is the same value,
+            // fingerprint included: written once in reverse slot order,
+            // through serde, and through the paper's integer codes.
+            let mut rebuilt = Chromosome::empty(cores, max_nodes);
+            for (slot, gene) in model.genes().into_iter().rev() {
+                rebuilt.set_gene(slot, Some(gene));
+            }
+            let json = serde_json::to_string(&c).unwrap();
+            let parsed: Chromosome = serde_json::from_str(&json).unwrap();
+            for other in [&rebuilt, &parsed] {
+                proptest::prop_assert_eq!(other, &c);
+                proptest::prop_assert_eq!(other.fingerprint(), c.fingerprint());
+            }
+            // (A code of 0 AGs decodes to an empty slot.)
+            if model.genes().iter().all(|(_, g)| g.ag_count > 0) {
+                let coded = Chromosome::from_codes(&c.to_codes(), cores, max_nodes);
+                proptest::prop_assert_eq!(coded.fingerprint(), c.fingerprint());
+                proptest::prop_assert_eq!(coded, c);
+            }
+        }
     }
 }

@@ -26,12 +26,15 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_indexed_with(threads, count, || (), |(), index| task(index))
+    run_indexed_on(&mut vec![(); threads.max(1)], count, |(), index| {
+        task(index)
+    })
 }
 
-/// [`run_indexed`] with per-worker scratch state: `init` builds one
-/// `S` per worker thread (once, before its first task) and `task`
-/// receives it mutably alongside the index.
+/// [`run_indexed`] over one worker per element of `scratch`, lending
+/// worker `w` the caller's `scratch[w]` mutably alongside each index —
+/// so state a caller keeps across calls (the GA's per-worker buffers
+/// live for a whole run, not a generation) is built once.
 ///
 /// The scratch is an *allocation cache*, not a communication channel:
 /// `task`'s result must be a pure function of the index exactly as in
@@ -41,29 +44,34 @@ where
 /// buffers, dirty masks, chain states) through here so the hot loop
 /// stops allocating per offspring while staying bit-identical across
 /// thread counts.
-pub fn run_indexed_with<T, S, I, F>(threads: usize, count: usize, init: I, task: F) -> Vec<T>
+///
+/// # Panics
+///
+/// Panics if `scratch` is empty and `count` is not 0.
+pub(crate) fn run_indexed_on<T, S, F>(scratch: &mut [S], count: usize, task: F) -> Vec<T>
 where
     T: Send,
-    I: Fn() -> S + Sync,
+    S: Send,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    if threads <= 1 || count <= 1 {
-        let mut scratch = init();
-        return (0..count).map(|index| task(&mut scratch, index)).collect();
+    let workers = scratch.len().min(count);
+    if workers <= 1 {
+        return (0..count)
+            .map(|index| task(&mut scratch[0], index))
+            .collect();
     }
-    let workers = threads.min(count);
     let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
     std::thread::scope(|scope| {
         let task = &task;
-        let init = &init;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
+        let handles: Vec<_> = scratch[..workers]
+            .iter_mut()
+            .enumerate()
+            .map(|(w, scratch)| {
                 scope.spawn(move || {
-                    let mut scratch = init();
                     let mut out = Vec::with_capacity(count.div_ceil(workers));
                     let mut index = w;
                     while index < count {
-                        out.push((index, task(&mut scratch, index)));
+                        out.push((index, task(scratch, index)));
                         index += workers;
                     }
                     out
@@ -108,16 +116,25 @@ mod tests {
     #[test]
     fn scratch_variant_matches_plain_for_any_thread_count() {
         for threads in [1, 2, 5, 32] {
-            let out = run_indexed_with(threads, 41, Vec::new, |buf: &mut Vec<usize>, i| {
-                // Use the scratch as a buffer; result depends only on i.
-                buf.clear();
-                buf.extend(0..i);
-                buf.iter().sum::<usize>()
-            });
-            assert_eq!(
-                out,
-                (0..41).map(|i| i * (i.max(1) - 1) / 2).collect::<Vec<_>>()
-            );
+            // The scratches outlive a call: the second one reuses them.
+            let mut scratch = vec![Vec::new(); threads];
+            for _ in 0..2 {
+                let out = run_indexed_on(&mut scratch, 41, |buf: &mut Vec<usize>, i| {
+                    // Use the scratch as a buffer; result depends only on i.
+                    buf.clear();
+                    buf.extend(0..i);
+                    buf.iter().sum::<usize>()
+                });
+                assert_eq!(
+                    out,
+                    (0..41).map(|i| i * (i.max(1) - 1) / 2).collect::<Vec<_>>()
+                );
+            }
+            // Worker `w` was lent `scratch[w]`: its last index is the
+            // largest one congruent to `w`.
+            for (w, buf) in scratch.iter().enumerate().take(41) {
+                assert_eq!(buf.len(), (40 - w) / threads * threads + w);
+            }
         }
     }
 }
