@@ -280,11 +280,6 @@ impl HardwareConfig {
         (bytes as f64 / self.global_memory_bw).ceil() as u64
     }
 
-    /// Cycles to move `bytes` through a core's local memory port.
-    pub fn local_memory_cycles(&self, bytes: usize) -> u64 {
-        (bytes as f64 / self.local_memory_bw).ceil() as u64
-    }
-
     /// Cycles to rewrite an array-group slice covering `rows` weight
     /// rows: programming is row-serial but cell- and crossbar-parallel,
     /// so only the row count matters.

@@ -21,13 +21,6 @@ pub struct LeakageBreakdown {
     pub global_memory_mw: f64,
 }
 
-impl LeakageBreakdown {
-    /// Total chip leakage for `cores` active cores, in mW.
-    pub fn chip_total_mw(&self, cores: usize) -> f64 {
-        self.core_mw * cores as f64 + self.router_mw * cores as f64 + self.global_memory_mw
-    }
-}
-
 /// Derived per-event energies (pJ) and per-component leakage (mW).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EnergyModel {
@@ -59,7 +52,7 @@ impl EnergyModel {
     /// * MVM: the PIMMU's dynamic power share divided across its
     ///   crossbars, integrated over `T_MVM`.
     /// * VFU: dynamic power share divided by element throughput.
-    /// * Memories: CACTI-style access energy from [`SramModel`].
+    /// * Memories: CACTI-style access energy from `SramModel`.
     /// * Leakage: `leakage_fraction` of each component's Table I power.
     pub fn derive(hw: &HardwareConfig, lib: &ComponentLibrary) -> Self {
         let dyn_frac = 1.0 - hw.leakage_fraction;
@@ -120,15 +113,6 @@ mod tests {
         assert!(m.global_mem_pj_per_byte > m.local_mem_pj_per_byte);
         // 64× capacity → 8× access energy under √ scaling.
         assert!((m.global_mem_pj_per_byte / m.local_mem_pj_per_byte - 8.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn leakage_breakdown_scales_with_cores() {
-        let m = model();
-        let one = m.leakage.chip_total_mw(1);
-        let ten = m.leakage.chip_total_mw(10);
-        assert!(ten > one);
-        assert!((ten - one - 9.0 * (m.leakage.core_mw + m.leakage.router_mw)).abs() < 1e-9);
     }
 
     #[test]

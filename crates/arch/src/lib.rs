@@ -10,7 +10,7 @@
 //!   size, core/chip counts, connection method, bit widths, bandwidths,
 //!   MVM latency, parallelism degree).
 //! * [`ComponentLibrary`] — the Table I power/area numbers, with
-//!   [`SramModel`] and [`RouterModel`] standing in for CACTI 7 and
+//!   crate-private SRAM and router models standing in for CACTI 7 and
 //!   Orion 3.0 (calibrated to reproduce the published constants).
 //! * [`NocModel`] — 2-D mesh transfer latency/energy.
 //! * [`EnergyModel`] — per-operation dynamic energies and per-component
@@ -42,9 +42,9 @@ mod sweep;
 
 pub use config::{CoreConnection, HardwareConfig, HwError, PipelineMode};
 pub use energy::{EnergyModel, LeakageBreakdown};
-pub use library::{table1, ComponentLibrary, ComponentSpec};
-pub use memory_model::SramModel;
+pub use library::{ComponentLibrary, ComponentSpec};
+pub(crate) use memory_model::SramModel;
 pub use noc::NocModel;
 pub use quant::QuantConfig;
-pub use router::RouterModel;
+pub(crate) use router::RouterModel;
 pub use sweep::{preset, preset_names, HardwareGrid};

@@ -20,8 +20,8 @@ pub struct ComponentSpec {
 /// The full component library of Table I.
 ///
 /// The PIMMU/VFU/control-unit numbers are the published constants; the
-/// memory and router rows are produced by the [`SramModel`] and
-/// [`RouterModel`] stand-ins (CACTI 7 / Orion 3.0 substitutes), which
+/// memory and router rows are produced by the `SramModel` and
+/// `RouterModel` stand-ins (CACTI 7 / Orion 3.0 substitutes), which
 /// are calibrated to return exactly the published values at the
 /// published design points.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -46,49 +46,38 @@ pub struct ComponentLibrary {
     pub chip: ComponentSpec,
 }
 
-/// Table I published constants.
-pub mod table1 {
+/// Table I published constants (the memory and router rows come from
+/// the calibrated [`SramModel`] / [`RouterModel`] instead).
+mod table1 {
     /// PIMMU power (mW) for 64 crossbars.
-    pub const PIMMU_POWER_MW: f64 = 1221.76;
+    pub(crate) const PIMMU_POWER_MW: f64 = 1221.76;
     /// PIMMU area (mm²).
-    pub const PIMMU_AREA_MM2: f64 = 0.77;
+    pub(crate) const PIMMU_AREA_MM2: f64 = 0.77;
     /// VFU power (mW), 12 per core.
-    pub const VFU_POWER_MW: f64 = 22.80;
+    pub(crate) const VFU_POWER_MW: f64 = 22.80;
     /// VFU area (mm²).
-    pub const VFU_AREA_MM2: f64 = 0.048;
-    /// 64 kB local memory power (mW).
-    pub const LOCAL_MEM_POWER_MW: f64 = 18.00;
-    /// 64 kB local memory area (mm²).
-    pub const LOCAL_MEM_AREA_MM2: f64 = 0.085;
+    pub(crate) const VFU_AREA_MM2: f64 = 0.048;
     /// Control unit power (mW).
-    pub const CONTROL_POWER_MW: f64 = 8.00;
+    pub(crate) const CONTROL_POWER_MW: f64 = 8.00;
     /// Control unit area (mm²).
-    pub const CONTROL_AREA_MM2: f64 = 0.11;
+    pub(crate) const CONTROL_AREA_MM2: f64 = 0.11;
     /// Core power (mW) — the sum of the four components above.
-    pub const CORE_POWER_MW: f64 = 1270.56;
+    pub(crate) const CORE_POWER_MW: f64 = 1270.56;
     /// Core area (mm²).
-    pub const CORE_AREA_MM2: f64 = 1.01;
-    /// Router power (mW), 64-bit flits.
-    pub const ROUTER_POWER_MW: f64 = 43.13;
-    /// Router area (mm²).
-    pub const ROUTER_AREA_MM2: f64 = 0.14;
-    /// 4 MB global memory power (mW).
-    pub const GLOBAL_MEM_POWER_MW: f64 = 257.72;
-    /// 4 MB global memory area (mm²).
-    pub const GLOBAL_MEM_AREA_MM2: f64 = 2.42;
+    pub(crate) const CORE_AREA_MM2: f64 = 1.01;
     /// Hyper Transport power (mW).
-    pub const HT_POWER_MW: f64 = 10_400.0;
+    pub(crate) const HT_POWER_MW: f64 = 10_400.0;
     /// Hyper Transport area (mm²).
-    pub const HT_AREA_MM2: f64 = 22.88;
+    pub(crate) const HT_AREA_MM2: f64 = 22.88;
     /// Hyper Transport link bandwidth (GB/s).
-    pub const HT_BANDWIDTH_GBS: f64 = 6.40;
+    pub(crate) const HT_BANDWIDTH_GBS: f64 = 6.40;
     /// Chip power (mW) as published. (The naive sum
     /// `36*(core+router)+global+HT` gives ≈57.95 W; the paper prints
     /// 56.79 k mW — the difference is attributable to rounding in the
     /// per-component rows. We keep the published value.)
-    pub const CHIP_POWER_MW: f64 = 56_790.0;
+    pub(crate) const CHIP_POWER_MW: f64 = 56_790.0;
     /// Chip area (mm²) as published.
-    pub const CHIP_AREA_MM2: f64 = 62.92;
+    pub(crate) const CHIP_AREA_MM2: f64 = 62.92;
 }
 
 impl ComponentLibrary {

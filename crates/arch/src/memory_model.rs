@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 /// Analytic SRAM power/area/access-energy model (CACTI 7 substitute).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SramModel {
+pub(crate) struct SramModel {
     /// Reference capacity in bytes (64 kB).
     ref_bytes: f64,
     /// Power at the reference capacity (mW).
@@ -30,7 +30,7 @@ pub struct SramModel {
 
 impl SramModel {
     /// The model calibrated to the two Table I design points.
-    pub fn calibrated() -> Self {
+    pub(crate) fn calibrated() -> Self {
         let c0: f64 = 64.0 * 1024.0;
         let c1: f64 = 4.0 * 1024.0 * 1024.0;
         let ratio = (c1 / c0).ln();
@@ -46,22 +46,22 @@ impl SramModel {
     }
 
     /// Standby + clocking power for a memory of `bytes` capacity, in mW.
-    pub fn power_mw(&self, bytes: usize) -> f64 {
+    pub(crate) fn power_mw(&self, bytes: usize) -> f64 {
         self.ref_power_mw * (bytes as f64 / self.ref_bytes).powf(self.power_exp)
     }
 
     /// Silicon area for a memory of `bytes` capacity, in mm².
-    pub fn area_mm2(&self, bytes: usize) -> f64 {
+    pub(crate) fn area_mm2(&self, bytes: usize) -> f64 {
         self.ref_area_mm2 * (bytes as f64 / self.ref_bytes).powf(self.area_exp)
     }
 
     /// `(power_mw, area_mm2)` convenience pair.
-    pub fn spec(&self, bytes: usize) -> (f64, f64) {
+    pub(crate) fn spec(&self, bytes: usize) -> (f64, f64) {
         (self.power_mw(bytes), self.area_mm2(bytes))
     }
 
     /// Energy per byte accessed, in pJ (√capacity scaling).
-    pub fn access_pj_per_byte(&self, bytes: usize) -> f64 {
+    pub(crate) fn access_pj_per_byte(&self, bytes: usize) -> f64 {
         self.ref_access_pj_per_byte * (bytes as f64 / self.ref_bytes).sqrt()
     }
 }

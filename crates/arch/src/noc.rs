@@ -41,13 +41,8 @@ impl NocModel {
         }
     }
 
-    /// Mesh dimensions `(cols, rows)` per chip.
-    pub fn mesh_dims(&self) -> (usize, usize) {
-        (self.cols, self.rows)
-    }
-
     /// `(chip, x, y)` coordinates of a global core index.
-    pub fn coords(&self, core: usize) -> (usize, usize, usize) {
+    pub(crate) fn coords(&self, core: usize) -> (usize, usize, usize) {
         let chip = core / self.cores_per_chip;
         let local = core % self.cores_per_chip;
         (chip, local % self.cols, local / self.cols)
@@ -56,7 +51,7 @@ impl NocModel {
     /// Router hops between two cores (Manhattan distance in-mesh; cores
     /// on different chips additionally pay each mesh's path to its edge
     /// port, accounted as the two in-chip distances plus one crossing).
-    pub fn hops(&self, from: usize, to: usize) -> usize {
+    pub(crate) fn hops(&self, from: usize, to: usize) -> usize {
         if from == to {
             return 0;
         }
@@ -72,7 +67,7 @@ impl NocModel {
     }
 
     /// `true` when the two cores sit on different chips.
-    pub fn crosses_chips(&self, from: usize, to: usize) -> bool {
+    pub(crate) fn crosses_chips(&self, from: usize, to: usize) -> bool {
         self.coords(from).0 != self.coords(to).0
     }
 
@@ -122,11 +117,6 @@ mod tests {
 
     fn mesh() -> NocModel {
         NocModel::new(&HardwareConfig::puma())
-    }
-
-    #[test]
-    fn puma_mesh_is_6x6() {
-        assert_eq!(mesh().mesh_dims(), (6, 6));
     }
 
     #[test]

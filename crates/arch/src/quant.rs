@@ -62,12 +62,6 @@ impl QuantConfig {
         Ok(q)
     }
 
-    /// Cells per weight: `ceil(weight_bits / cell_bits)` — must agree
-    /// with [`HardwareConfig::cells_per_weight`] for the same target.
-    pub fn cells_per_weight(&self) -> u32 {
-        self.weight_bits.div_ceil(self.cell_bits)
-    }
-
     /// Largest representable quantized weight magnitude:
     /// `2^(weight_bits - 1) - 1`.
     pub fn weight_qmax(&self) -> i64 {
@@ -128,7 +122,6 @@ mod tests {
         let q = QuantConfig::for_hardware(&hw, 8).unwrap();
         assert_eq!(q.weight_bits, 16);
         assert_eq!(q.cell_bits, 2);
-        assert_eq!(q.cells_per_weight() as usize, hw.cells_per_weight());
         assert_eq!(q.weight_qmax(), 32767);
         assert_eq!(q.adc_half_levels(), 128);
     }

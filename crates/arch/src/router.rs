@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 /// Analytic router power/area/flit-energy model (Orion 3.0 substitute).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RouterModel {
+pub(crate) struct RouterModel {
     power_mw: f64,
     area_mm2: f64,
     flit_bits: u32,
@@ -24,7 +24,7 @@ pub struct RouterModel {
 impl RouterModel {
     /// The model calibrated to the Table I router row (64-bit flits at
     /// 1 GHz, 40% leakage share).
-    pub fn calibrated() -> Self {
+    pub(crate) fn calibrated() -> Self {
         RouterModel {
             power_mw: 43.13,
             area_mm2: 0.14,
@@ -35,27 +35,17 @@ impl RouterModel {
     }
 
     /// Total router power in mW.
-    pub fn power_mw(&self) -> f64 {
+    pub(crate) fn power_mw(&self) -> f64 {
         self.power_mw
     }
 
     /// Router area in mm².
-    pub fn area_mm2(&self) -> f64 {
+    pub(crate) fn area_mm2(&self) -> f64 {
         self.area_mm2
     }
 
-    /// Static (leakage) power in mW.
-    pub fn leakage_power_mw(&self) -> f64 {
-        self.power_mw * self.leakage_fraction
-    }
-
-    /// Flit width in bits.
-    pub fn flit_bits(&self) -> u32 {
-        self.flit_bits
-    }
-
     /// Flit width in bytes (rounded up).
-    pub fn flit_bytes(&self) -> usize {
+    pub(crate) fn flit_bytes(&self) -> usize {
         (self.flit_bits as usize).div_ceil(8)
     }
 
@@ -65,17 +55,17 @@ impl RouterModel {
     /// router moves `clock_ghz` Gflit/s, so energy/flit =
     /// `P_dyn / rate`. For the calibrated model:
     /// `0.6 * 43.13 mW / 1 GHz ≈ 25.9 pJ`.
-    pub fn flit_energy_pj(&self) -> f64 {
+    pub(crate) fn flit_energy_pj(&self) -> f64 {
         self.power_mw * (1.0 - self.leakage_fraction) / self.clock_ghz
     }
 
     /// Flits needed to carry `bytes` of payload.
-    pub fn flits_for(&self, bytes: usize) -> usize {
+    pub(crate) fn flits_for(&self, bytes: usize) -> usize {
         bytes.div_ceil(self.flit_bytes()).max(1)
     }
 
     /// Energy in pJ for `bytes` moved across `hops` routers.
-    pub fn transfer_energy_pj(&self, bytes: usize, hops: usize) -> f64 {
+    pub(crate) fn transfer_energy_pj(&self, bytes: usize, hops: usize) -> f64 {
         self.flits_for(bytes) as f64 * hops.max(1) as f64 * self.flit_energy_pj()
     }
 }
@@ -95,7 +85,7 @@ mod tests {
         let r = RouterModel::calibrated();
         assert_eq!(r.power_mw(), 43.13);
         assert_eq!(r.area_mm2(), 0.14);
-        assert_eq!(r.flit_bits(), 64);
+        assert_eq!(r.flit_bits, 64);
         assert_eq!(r.flit_bytes(), 8);
     }
 

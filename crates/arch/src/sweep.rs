@@ -29,19 +29,21 @@
 //! assert_eq!(points[0].0, "small_test+chips1+par8");
 //! ```
 //!
-//! Every sweepable knob has a builder; values are validated as part of
-//! enumeration, so a bad axis value surfaces before any compilation:
+//! Every sweepable knob is a public field; values are validated as part
+//! of enumeration, so a bad axis value surfaces before any compilation:
 //!
 //! ```
 //! use pimcomp_arch::{HardwareConfig, HardwareGrid};
 //!
-//! let grid = HardwareGrid::new("custom", HardwareConfig::small_test())
-//!     .with_cores_per_chip(vec![8])
-//!     .with_crossbars_per_core(vec![8, 16])
-//!     .with_crossbar_size(vec![64])
-//!     .with_local_memory_kb(vec![64])
-//!     .with_mvm_latency(vec![20])
-//!     .with_noc_link_bw(vec![16.0]);
+//! let grid = HardwareGrid {
+//!     cores_per_chip: vec![8],
+//!     crossbars_per_core: vec![8, 16],
+//!     crossbar_size: vec![64],
+//!     local_memory_kb: vec![64],
+//!     mvm_latency: vec![20],
+//!     noc_link_bw: vec![16.0],
+//!     ..HardwareGrid::new("custom", HardwareConfig::small_test())
+//! };
 //! let points = grid.enumerate().unwrap();
 //! assert_eq!(points.len(), 2);
 //! assert_eq!(points[1].0, "custom+cores8+xbars16+xbar64+mem64k+mvm20+noc16");
@@ -147,20 +149,6 @@ impl HardwareGrid {
         self
     }
 
-    /// Sets the cores-per-chip axis.
-    #[must_use]
-    pub fn with_cores_per_chip(mut self, values: Vec<usize>) -> Self {
-        self.cores_per_chip = values;
-        self
-    }
-
-    /// Sets the crossbars-per-core axis.
-    #[must_use]
-    pub fn with_crossbars_per_core(mut self, values: Vec<usize>) -> Self {
-        self.crossbars_per_core = values;
-        self
-    }
-
     /// Sets the parallelism-degree axis.
     #[must_use]
     pub fn with_parallelism(mut self, values: Vec<usize>) -> Self {
@@ -168,36 +156,8 @@ impl HardwareGrid {
         self
     }
 
-    /// Sets the square-crossbar-size axis.
-    #[must_use]
-    pub fn with_crossbar_size(mut self, values: Vec<usize>) -> Self {
-        self.crossbar_size = values;
-        self
-    }
-
-    /// Sets the local-scratchpad-capacity axis, in kilobytes.
-    #[must_use]
-    pub fn with_local_memory_kb(mut self, values: Vec<usize>) -> Self {
-        self.local_memory_kb = values;
-        self
-    }
-
-    /// Sets the MVM-latency axis, in cycles.
-    #[must_use]
-    pub fn with_mvm_latency(mut self, values: Vec<u64>) -> Self {
-        self.mvm_latency = values;
-        self
-    }
-
-    /// Sets the NoC-link-bandwidth axis, in bytes/cycle.
-    #[must_use]
-    pub fn with_noc_link_bw(mut self, values: Vec<f64>) -> Self {
-        self.noc_link_bw = values;
-        self
-    }
-
     /// Number of grid points the cross-product expands to.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         let axis = |n: usize| n.max(1);
         axis(self.chips.len())
             * axis(self.cores_per_chip.len())
@@ -207,13 +167,6 @@ impl HardwareGrid {
             * axis(self.local_memory_kb.len())
             * axis(self.mvm_latency.len())
             * axis(self.noc_link_bw.len())
-    }
-
-    /// Always `false`: every axis contributes at least its base value,
-    /// so a grid expands to at least one point. Present only to pair
-    /// with [`HardwareGrid::len`].
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// Expands the cross-product into `(label, config)` points, in a
@@ -354,9 +307,10 @@ mod tests {
 
     #[test]
     fn crossbar_size_sets_rows_and_cols() {
-        let g = HardwareGrid::over_preset("small_test")
-            .unwrap()
-            .with_crossbar_size(vec![32]);
+        let g = HardwareGrid {
+            crossbar_size: vec![32],
+            ..HardwareGrid::over_preset("small_test").unwrap()
+        };
         let pts = g.enumerate().unwrap();
         assert_eq!(pts[0].1.crossbar_rows, 32);
         assert_eq!(pts[0].1.crossbar_cols, 32);

@@ -30,7 +30,7 @@ use pimcomp_sim::{SimError, SimReport, Simulator};
 use serde::Serialize;
 
 /// The parallelism degrees of the Fig. 8 sweep.
-pub const PARALLELISM_SWEEP: [usize; 5] = [1, 20, 40, 200, 2000];
+pub(crate) const PARALLELISM_SWEEP: [usize; 5] = [1, 20, 40, 200, 2000];
 
 /// Headroom factor applied when sizing chip counts: capacity ≈
 /// `headroom ×` the single-replica demand, leaving room for weight
@@ -49,38 +49,48 @@ pub struct HarnessOptions {
 }
 
 impl HarnessOptions {
-    /// Parses `--fast`, `--json PATH` and `--only NAME` from args.
+    /// Parses `--fast`, `--json PATH` and `--only NAME` from the process
+    /// arguments; anything else — a typo would otherwise run the full
+    /// paper sweep — prints the three valid arguments and exits with
+    /// status 2.
     pub fn from_args() -> Self {
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|problem| {
+            eprintln!("error: {problem}; arguments: --fast, --json PATH, --only NAME");
+            std::process::exit(2);
+        })
+    }
+
+    fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut opts = HarnessOptions {
             fast: false,
             json_path: None,
             only: None,
         };
-        let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
+            let mut value = || args.next().ok_or(format!("`{a}` needs a value"));
             match a.as_str() {
                 "--fast" => opts.fast = true,
-                "--json" => opts.json_path = args.next(),
-                "--only" => opts.only = args.next(),
-                other => eprintln!("ignoring unknown argument `{other}`"),
+                "--json" => opts.json_path = Some(value()?),
+                "--only" => opts.only = Some(value()?),
+                other => return Err(format!("unknown argument `{other}`")),
             }
         }
-        if let Some(only) = &opts.only {
-            if !available_networks()
-                .iter()
-                .any(|n| n.eq_ignore_ascii_case(only))
+        match &opts.only {
+            Some(only)
+                if !available_networks()
+                    .iter()
+                    .any(|n| n.eq_ignore_ascii_case(only)) =>
             {
-                eprintln!("error: {}", UnknownNetwork { name: only.clone() });
-                std::process::exit(2);
+                Err(UnknownNetwork { name: only.clone() }.to_string())
             }
+            _ => Ok(opts),
         }
-        opts
     }
 
     /// The benchmark set under these options. Default: the five paper
     /// benchmarks (fast mode keeps the two cheapest). `--only` selects
     /// any loadable network — the full zoo, not just the paper set —
-    /// and is validated against [`available_networks`] at parse time,
+    /// and is validated against `available_networks` at parse time,
     /// so this never returns an empty set silently.
     pub fn networks(&self) -> Vec<&'static str> {
         if let Some(only) = &self.only {
@@ -141,14 +151,14 @@ impl HarnessOptions {
 }
 
 /// The benchmark names [`load_network`] resolves (the IR zoo).
-pub fn available_networks() -> &'static [&'static str] {
+pub(crate) fn available_networks() -> &'static [&'static str] {
     &pimcomp_ir::models::ZOO
 }
 
 /// An unknown benchmark name, carrying the full list of valid names so
 /// CLIs can print it instead of making the user guess.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownNetwork {
+pub(crate) struct UnknownNetwork {
     /// The name that did not resolve.
     pub name: String,
 }
@@ -168,7 +178,7 @@ impl std::error::Error for UnknownNetwork {}
 
 /// Why [`load_network`] could not produce a compilable graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LoadError {
+pub(crate) enum LoadError {
     /// The name did not resolve to a zoo model.
     Unknown(UnknownNetwork),
     /// The model resolved but failed graph normalization.
@@ -202,7 +212,7 @@ impl std::error::Error for LoadError {}
 /// `--only`; [`LoadError::Malformed`] if normalization rejects the
 /// model (impossible for the committed zoo, reachable once imported
 /// graphs flow through here).
-pub fn load_network(name: &str) -> Result<Graph, LoadError> {
+pub(crate) fn load_network(name: &str) -> Result<Graph, LoadError> {
     let g = pimcomp_ir::models::by_name(name).ok_or_else(|| {
         LoadError::Unknown(UnknownNetwork {
             name: name.to_string(),
@@ -214,7 +224,7 @@ pub fn load_network(name: &str) -> Result<Graph, LoadError> {
     })
 }
 
-/// [`load_network`] for binaries: prints the error (with the list of
+/// `load_network` for binaries: prints the error (with the list of
 /// valid names) and exits with status 2 on unknown names.
 pub fn load_network_or_exit(name: &str) -> Graph {
     load_network(name).unwrap_or_else(|e| {
@@ -222,44 +232,6 @@ pub fn load_network_or_exit(name: &str) -> Graph {
         std::process::exit(2);
     })
 }
-
-/// The committed smoke sweep spec (2 models × 2 hardware configs on
-/// the small test target): the fixture CI's `explore` smoke job runs.
-/// Lives on disk at `crates/bench/fixtures/smoke_sweep.json` so the CLI
-/// can consume the identical spec.
-pub const SMOKE_SWEEP_SPEC: &str = include_str!("../fixtures/smoke_sweep.json");
-
-/// The committed paper-style sweep spec (3 models × 2 modes × 6
-/// hardware configs), on disk at
-/// `crates/bench/fixtures/paper_sweep.json`; with its halving twin one
-/// of the three spec pairs `tests/explore_determinism.rs` gates on.
-pub const PAPER_SWEEP_SPEC: &str = include_str!("../fixtures/paper_sweep.json");
-
-/// The smoke sweep under guided (successive-halving) search — same
-/// axes as [`SMOKE_SWEEP_SPEC`] so point keys line up for report
-/// diffs; CI runs it and diffs its frontier against the exhaustive
-/// golden. On disk at `crates/bench/fixtures/smoke_sweep_halving.json`.
-pub const SMOKE_SWEEP_HALVING_SPEC: &str = include_str!("../fixtures/smoke_sweep_halving.json");
-
-/// The paper-style sweep under guided search — same axes as
-/// [`PAPER_SWEEP_SPEC`]; on disk at
-/// `crates/bench/fixtures/paper_sweep_halving.json`.
-pub const PAPER_SWEEP_HALVING_SPEC: &str = include_str!("../fixtures/paper_sweep_halving.json");
-
-/// The committed new-axes smoke sweep: memory policies × HT batches ×
-/// auto-sized hardware × one `.onnx` model (the committed
-/// `tiny_mlp.onnx` export) alongside a zoo name. CI's explore-smoke
-/// job runs it from the repository root — the spec's `.onnx` path is
-/// root-relative — and checks thread-count and cold/warm byte
-/// identity. On disk at `crates/bench/fixtures/smoke_sweep_axes.json`.
-pub const SMOKE_SWEEP_AXES_SPEC: &str = include_str!("../fixtures/smoke_sweep_axes.json");
-
-/// The committed weight-reload smoke sweep: one model under two
-/// crossbar budgets plus a reload-off twin of the same point, so CI's
-/// explore-smoke job exercises the `weight_reload` axis end to end —
-/// 1-vs-4-thread byte identity and budget-keyed cache replay. On disk
-/// at `crates/bench/fixtures/smoke_sweep_reload.json`.
-pub const SMOKE_SWEEP_RELOAD_SPEC: &str = include_str!("../fixtures/smoke_sweep_reload.json");
 
 /// A harness step failure: which half of the compile → simulate pair
 /// went wrong. The five committed paper benchmarks always succeed, but
@@ -360,7 +332,7 @@ pub struct RunResult {
 
 impl RunResult {
     /// Converts a simulator report into a harness row.
-    pub fn from_sim(r: &SimReport, parallelism: usize) -> Self {
+    pub(crate) fn from_sim(r: &SimReport, parallelism: usize) -> Self {
         RunResult {
             network: r.model.clone(),
             compiler: r.compiler.clone(),
@@ -441,6 +413,15 @@ mod tests {
     use super::*;
     use pimcomp_core::Partitioning;
 
+    // The committed sweep fixtures (`crates/bench/fixtures/`) the CLI
+    // smoke jobs and `tests/explore_determinism.rs` run from disk.
+    const SMOKE_SWEEP_SPEC: &str = include_str!("../fixtures/smoke_sweep.json");
+    const PAPER_SWEEP_SPEC: &str = include_str!("../fixtures/paper_sweep.json");
+    const SMOKE_SWEEP_HALVING_SPEC: &str = include_str!("../fixtures/smoke_sweep_halving.json");
+    const PAPER_SWEEP_HALVING_SPEC: &str = include_str!("../fixtures/paper_sweep_halving.json");
+    const SMOKE_SWEEP_AXES_SPEC: &str = include_str!("../fixtures/smoke_sweep_axes.json");
+    const SMOKE_SWEEP_RELOAD_SPEC: &str = include_str!("../fixtures/smoke_sweep_reload.json");
+
     #[test]
     fn only_selects_any_loadable_network() {
         // Every name that passes `--only` validation must also select a
@@ -511,6 +492,23 @@ mod tests {
         assert_eq!(ours.compiler, "PIMCOMP");
         assert_eq!(base.compiler, "PUMA-like");
         assert!(ours.cycles > 0 && base.cycles > 0);
+    }
+
+    #[test]
+    fn mistyped_arguments_are_errors_not_a_full_sweep() {
+        let parse = |args: &[&str]| HarnessOptions::parse(args.iter().map(|a| a.to_string()));
+        let opts = parse(&["--fast", "--json", "out.json", "--only", "VGG16"]).unwrap();
+        assert!(opts.fast);
+        assert_eq!(opts.json_path.as_deref(), Some("out.json"));
+        assert_eq!(opts.networks(), vec!["vgg16"]);
+        assert!(parse(&["--fsat"]).unwrap_err().contains("`--fsat`"));
+        assert!(parse(&["--json"]).unwrap_err().contains("needs a value"));
+        assert!(parse(&["--fast", "--only"])
+            .unwrap_err()
+            .contains("needs a value"));
+        assert!(parse(&["--only", "alexnet"])
+            .unwrap_err()
+            .contains("available networks"));
     }
 
     #[test]

@@ -52,33 +52,11 @@ pub fn puma_mapping(
         });
     }
 
-    // Binary search the window target t (smaller t = more replication).
-    let cost = |t: usize| -> usize {
-        (0..partitioning.len())
-            .map(|i| {
-                let e = partitioning.entry(i);
-                e.windows.div_ceil(t) * e.crossbars_per_replica()
-            })
-            .sum()
-    };
-    let max_windows = (0..partitioning.len())
-        .map(|i| partitioning.entry(i).windows)
-        .max()
-        .unwrap_or(1);
-    let (mut lo, mut hi) = (1usize, max_windows.max(1));
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if cost(mid) <= budget {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-
-    // Greedy sequential placement; if per-core fragmentation strands a
-    // tail AG, back off replication (increase the window target) and
-    // retry.
-    let mut target = lo;
+    // Greedy sequential placement from the tightest window target
+    // (smaller = more replication); if per-core fragmentation strands a
+    // tail AG, back off replication (increase the target) and retry.
+    let max_windows = partitioning.max_windows();
+    let mut target = partitioning.fit_window_target(budget);
     loop {
         match try_greedy_placement(partitioning, cores, capacity, target) {
             Some(chrom) => return CoreMapping::from_chromosome(&chrom, partitioning),

@@ -302,11 +302,6 @@ impl PimCompiler {
         PimCompiler { hw }
     }
 
-    /// The hardware target.
-    pub fn hardware(&self) -> &HardwareConfig {
-        &self.hw
-    }
-
     /// Runs the full pipeline: normalize → partition → GA(replicate +
     /// map) → schedule → memory plan.
     ///

@@ -79,7 +79,7 @@ pub(crate) fn ht_core_time_in_place(hw: &HardwareConfig, items: &mut Vec<(usize,
 /// so a pure-max GA stalls. A small fraction of the mean core time is
 /// added as a tie-breaker — it never changes which of two mappings with
 /// different maxima wins, but gives the GA a gradient across plateaus.
-pub const HT_TIE_BREAK: f64 = 1e-3;
+pub(crate) const HT_TIE_BREAK: f64 = 1e-3;
 
 /// Fills `out` with every node's windows per replica under
 /// `replication` — computed once per evaluation, so the per-gene loops
@@ -138,7 +138,7 @@ pub(crate) fn ht_combine(core_times: &[u64]) -> f64 {
 
 /// HT fitness `F_HT = max_i time_i` over all cores (paper Fig. 5),
 /// plus the [`HT_TIE_BREAK`] mean-load term.
-pub fn ht_fitness(
+pub(crate) fn ht_fitness(
     hw: &HardwareConfig,
     partitioning: &Partitioning,
     chromosome: &Chromosome,
@@ -157,7 +157,10 @@ pub fn ht_fitness(
 /// scored on the full cost of time-multiplexing: a tight budget that
 /// forces many epochs loses to a looser one even when their compute
 /// fitness ties. `None` (ordinary compilation) passes through.
-pub fn with_reload_stalls(fitness: f64, reload: Option<&crate::partition::ReloadPlan>) -> f64 {
+pub(crate) fn with_reload_stalls(
+    fitness: f64,
+    reload: Option<&crate::partition::ReloadPlan>,
+) -> f64 {
     fitness + reload.map_or(0.0, |p| p.total_write_cycles as f64)
 }
 
@@ -213,7 +216,7 @@ struct LlNodeState {
 ///   (minimum over column groups folded via the max of group times);
 /// * vector/memory nodes: element count divided by the VFU rate of the
 ///   `R_pred` cores the work is distributed over (Section IV-D.2).
-pub fn ll_fitness(
+pub(crate) fn ll_fitness(
     hw: &HardwareConfig,
     graph: &Graph,
     partitioning: &Partitioning,
@@ -231,7 +234,7 @@ pub fn ll_fitness(
 /// `Σ windows-per-AG × T_interval` on the busiest core. Taking the max
 /// keeps the GA from stacking streaming pipelines onto one core at low
 /// parallelism degrees.
-pub fn ll_fitness_with_issue_floor(
+pub(crate) fn ll_fitness_with_issue_floor(
     hw: &HardwareConfig,
     graph: &Graph,
     partitioning: &Partitioning,
@@ -799,11 +802,6 @@ impl<'a> FitnessMemo<'a> {
         }
     }
 
-    /// The evaluation context.
-    pub fn context(&self) -> &GaContext<'a> {
-        self.ctx
-    }
-
     /// The context's LL tables, for [`compute_fitness`] calls made
     /// beside the memo (the GA's workers).
     pub(crate) fn ll_tables(&self) -> Option<&LlStatic> {
@@ -897,28 +895,18 @@ impl<'a> FitnessMemo<'a> {
         }
     }
 
-    /// Unique chromosomes currently memoized.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether nothing has been memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Evaluations answered from the cache.
     pub fn cache_hits(&self) -> usize {
         self.hits
     }
 
     /// Evaluations computed from scratch.
-    pub fn full_evals(&self) -> usize {
+    pub(crate) fn full_evals(&self) -> usize {
         self.full
     }
 
     /// Evaluations computed incrementally from a parent basis.
-    pub fn incremental_evals(&self) -> usize {
+    pub(crate) fn incremental_evals(&self) -> usize {
         self.incremental
     }
 }

@@ -159,20 +159,13 @@ impl GaParams {
             ..Self::default()
         }
     }
-
-    /// Sets the worker-thread count (see [`GaParams::parallelism`]).
-    #[must_use]
-    pub fn with_parallelism(mut self, threads: Option<NonZeroUsize>) -> Self {
-        self.parallelism = threads;
-        self
-    }
 }
 
 /// The worker-thread count a run will actually use:
 /// [`GaParams::parallelism`] when explicitly set, else the
 /// `PIMCOMP_GA_THREADS` environment default (a positive integer),
 /// else 1.
-pub fn effective_parallelism(params: &GaParams) -> usize {
+pub(crate) fn effective_parallelism(params: &GaParams) -> usize {
     if let Some(n) = params.parallelism {
         return n.get();
     }
@@ -292,7 +285,7 @@ impl GaContext<'_> {
     /// Cores available to the search: the hardware's core count, or the
     /// `core_limit` prefix when one is set (never more than the chip
     /// has).
-    pub fn cores(&self) -> usize {
+    pub(crate) fn cores(&self) -> usize {
         let total = self.hw.total_cores();
         self.core_limit.map_or(total, |l| l.min(total)).max(1)
     }
@@ -450,7 +443,7 @@ struct WorkerScratch {
 }
 
 /// Heuristic `max_node_num_in_core` when the user does not pin one.
-pub fn default_max_nodes_per_core(nodes: usize, cores: usize) -> usize {
+pub(crate) fn default_max_nodes_per_core(nodes: usize, cores: usize) -> usize {
     ((2 * nodes).div_ceil(cores) + 2).clamp(4, nodes.max(4))
 }
 
@@ -713,22 +706,16 @@ impl InitPlan {
         let total_crossbars = cores * capacity;
         let mut order: Vec<MvmIdx> = (0..ctx.partitioning.len()).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(ctx.partitioning.entry(i).crossbars_per_ag));
-        let max_windows = (0..ctx.partitioning.len())
-            .map(|i| ctx.partitioning.entry(i).windows)
-            .max()
-            .unwrap_or(1)
-            .max(1);
         let occupancy = [98usize, 90, 75].map(|pct| {
             let budget = total_crossbars * pct / 100;
-            let t_fit = fit_window_target(ctx.partitioning, budget, max_windows);
-            (budget, t_fit)
+            (budget, ctx.partitioning.fit_window_target(budget))
         });
         InitPlan {
             cores,
             max_nodes,
             capacity,
             order,
-            max_windows,
+            max_windows: ctx.partitioning.max_windows(),
             occupancy,
         }
     }
@@ -793,29 +780,6 @@ fn initial_draft(
     let mut ind = ind.into_owned();
     ind.touched = Vec::new();
     Ok(ind)
-}
-
-/// Smallest window target `t` whose windows-proportional replication
-/// (`R = ceil(windows/t)`) fits the crossbar `budget`.
-fn fit_window_target(partitioning: &Partitioning, budget: usize, max_windows: usize) -> usize {
-    let cost = |t: usize| -> usize {
-        (0..partitioning.len())
-            .map(|i| {
-                let e = partitioning.entry(i);
-                e.windows.div_ceil(t) * e.crossbars_per_replica()
-            })
-            .sum()
-    };
-    let (mut lo, mut hi) = (1usize, max_windows);
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if cost(mid) <= budget {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    lo
 }
 
 /// Tournament selection.
@@ -1211,7 +1175,10 @@ mod tests {
             mode,
             core_limit: None,
         };
-        let params = GaParams::fast(seed).with_parallelism(parallelism);
+        let params = GaParams {
+            parallelism,
+            ..GaParams::fast(seed)
+        };
         let (best, stats) = optimize(&ctx, &params).unwrap();
         (best, stats, p)
     }

@@ -44,8 +44,7 @@
 //!
 //! Progress can be observed live — stage boundaries and per-generation
 //! GA fitness — by passing a [`CompileObserver`] to
-//! [`CompileSession::run_observed`] (or, stage by stage, to
-//! [`Partitioned::optimize_observed`]).
+//! [`CompileSession::run_observed`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -71,13 +70,9 @@ pub use artifact::{
 pub use baseline::{puma_mapping, PumaCompiler};
 pub use compiler::{CompileOptions, CompileReport, CompiledModel, PimCompiler, StageTimings};
 pub use error::CompileError;
-pub use fitness::{
-    ht_core_time, ht_fitness, ht_fitness_from_mapping, ll_fitness, ll_fitness_with_issue_floor,
-    FitnessMemo, HT_TIE_BREAK,
-};
+pub use fitness::{ht_core_time, ht_fitness_from_mapping, FitnessMemo};
 pub use ga::{
-    default_max_nodes_per_core, effective_parallelism, optimize, optimize_observed,
-    split_stream_seed, GaContext, GaGeneration, GaParams, GaStats,
+    optimize, optimize_observed, split_stream_seed, GaContext, GaGeneration, GaParams, GaStats,
 };
 pub use mapping::{AgInstance, Chromosome, CoreMapping, Gene, GENE_RADIX};
 pub use memory::{MemoryPlan, ReusePolicy};
@@ -94,4 +89,4 @@ pub use schedule::{
 pub use session::{
     CompileObserver, CompileSession, CompileStage, NullObserver, Optimized, Partitioned, Scheduled,
 };
-pub use waiting::{required_windows, vfu_window_work, DepInfo, DepRule, EdgeDep};
+pub use waiting::{required_windows, DepInfo, DepRule, EdgeDep};

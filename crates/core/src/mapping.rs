@@ -217,7 +217,7 @@ impl Chromosome {
     }
 
     /// Per-core node limit.
-    pub fn max_nodes_per_core(&self) -> usize {
+    pub(crate) fn max_nodes_per_core(&self) -> usize {
         self.max_nodes_per_core
     }
 
@@ -227,7 +227,7 @@ impl Chromosome {
     }
 
     /// Slot range of a core.
-    pub fn slots_of_core(&self, core: usize) -> std::ops::Range<usize> {
+    pub(crate) fn slots_of_core(&self, core: usize) -> std::ops::Range<usize> {
         core * self.max_nodes_per_core..(core + 1) * self.max_nodes_per_core
     }
 
@@ -422,8 +422,10 @@ impl Chromosome {
             .sum()
     }
 
-    /// Crossbars used on each core under `partitioning`.
-    pub fn used_crossbars(&self, partitioning: &Partitioning) -> Vec<usize> {
+    /// Crossbars used on each core under `partitioning` — the capacity
+    /// oracle of the GA and mapping tests.
+    #[cfg(test)]
+    pub(crate) fn used_crossbars(&self, partitioning: &Partitioning) -> Vec<usize> {
         let mut used = vec![0usize; self.cores];
         for (slot, gene) in self.genes() {
             used[self.core_of_slot(slot)] +=
@@ -433,7 +435,7 @@ impl Chromosome {
     }
 
     /// AG totals per node in a single pass over the genes.
-    pub fn ag_totals(&self, partitioning: &Partitioning) -> Vec<usize> {
+    pub(crate) fn ag_totals(&self, partitioning: &Partitioning) -> Vec<usize> {
         let mut totals = vec![0usize; partitioning.len()];
         for (_, gene) in self.genes() {
             if gene.mvm < totals.len() {
@@ -449,7 +451,7 @@ impl Chromosome {
     ///
     /// [`CompileError::MappingInvariant`] when some node's AG total is
     /// zero or not a multiple of its AGs-per-replica.
-    pub fn replication(
+    pub(crate) fn replication(
         &self,
         partitioning: &Partitioning,
     ) -> Result<ReplicationPlan, CompileError> {
@@ -615,8 +617,8 @@ impl CoreMapping {
     ///
     /// # Errors
     ///
-    /// Propagates [`CompileError::MappingInvariant`] from
-    /// [`Chromosome::replication`].
+    /// [`CompileError::MappingInvariant`] when a node's AG total is not
+    /// a whole number of replicas.
     pub fn from_chromosome(
         chromosome: &Chromosome,
         partitioning: &Partitioning,
@@ -720,7 +722,7 @@ impl CoreMapping {
     /// within each epoch, which [`EpochPlan::new`](crate::partition::EpochPlan::new) guarantees.
     /// Instances are ordered by node then slice, matching
     /// [`CoreMapping::from_chromosome`]'s node/replica/slice order.
-    pub fn from_epoch_plan(
+    pub(crate) fn from_epoch_plan(
         plan: &crate::partition::EpochPlan,
         partitioning: &Partitioning,
         cores: usize,
@@ -765,7 +767,7 @@ impl CoreMapping {
     }
 
     /// Cores (deduplicated, sorted) hosting AGs of `(mvm, replica)`.
-    pub fn replica_cores(&self, mvm: MvmIdx, replica: usize) -> Vec<usize> {
+    pub(crate) fn replica_cores(&self, mvm: MvmIdx, replica: usize) -> Vec<usize> {
         let mut cores: Vec<usize> = self
             .instances
             .iter()

@@ -83,7 +83,7 @@ impl MemoryPlan {
     /// Plans local memory for either schedule kind — the single
     /// dispatch point used by the session, the legacy driver and
     /// [`CompiledModel::replan_memory`](crate::CompiledModel::replan_memory).
-    pub fn for_schedule(
+    pub(crate) fn for_schedule(
         graph: &Graph,
         schedule: &Schedule,
         partitioning: &Partitioning,
@@ -99,7 +99,7 @@ impl MemoryPlan {
     }
 
     /// Plans local memory for an HT schedule.
-    pub fn for_ht(
+    pub(crate) fn for_ht(
         schedule: &HtSchedule,
         partitioning: &Partitioning,
         mapping: &CoreMapping,
@@ -216,7 +216,7 @@ impl MemoryPlan {
     /// In LL mode inter-node data stays on chip; consumers buffer
     /// provider outputs locally. Naive/ADD-reuse retain whole provider
     /// features; AG-reuse retains only the live receptive-window rows.
-    pub fn for_ll(
+    pub(crate) fn for_ll(
         graph: &Graph,
         schedule: &LlSchedule,
         partitioning: &Partitioning,

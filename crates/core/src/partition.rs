@@ -51,7 +51,7 @@ pub struct NodePartition {
 
 impl NodePartition {
     /// Crossbars one replica occupies.
-    pub fn crossbars_per_replica(&self) -> usize {
+    pub(crate) fn crossbars_per_replica(&self) -> usize {
         self.ags_per_replica * self.crossbars_per_ag
     }
 
@@ -59,27 +59,8 @@ impl NodePartition {
     /// replicated `r` times (windows are divided evenly; the last
     /// replica may run fewer, the estimate uses the ceiling as the
     /// paper's Fig. 5 does).
-    pub fn windows_per_replica(&self, r: usize) -> usize {
+    pub(crate) fn windows_per_replica(&self, r: usize) -> usize {
         self.windows.div_ceil(r.max(1))
-    }
-
-    /// Rows of this entry's weight matrix held by AG `slice`: the
-    /// half-open range `[slice * Hxbar, slice * Hxbar + rows)` where
-    /// `rows` is the returned count (`Hxbar` for full slices, the
-    /// remainder for the last, zero past the end). The functional
-    /// executor splits input vectors by exactly this geometry.
-    pub fn slice_rows(&self, crossbar_rows: usize, slice: usize) -> usize {
-        crate::schedule::slice_rows(self.weight_height, crossbar_rows, slice)
-    }
-
-    /// Bytes of input one sliding window consumes.
-    pub fn input_bytes_per_window(&self, hw: &HardwareConfig) -> usize {
-        self.weight_height * hw.input_bytes_per_element()
-    }
-
-    /// Bytes of output one sliding window produces.
-    pub fn output_bytes_per_window(&self, hw: &HardwareConfig) -> usize {
-        self.weight_width * hw.input_bytes_per_element()
     }
 }
 
@@ -187,7 +168,7 @@ impl Partitioning {
     /// First MVM index of a graph node, if it is a partitioned node
     /// (column-split nodes have consecutive indices; see
     /// [`Partitioning::indices_of`]).
-    pub fn index_of(&self, node: NodeId) -> Option<MvmIdx> {
+    pub(crate) fn index_of(&self, node: NodeId) -> Option<MvmIdx> {
         self.by_node.get(&node).copied().or_else(|| {
             // After deserialization the map is rebuilt lazily here.
             self.entries.iter().position(|e| e.node == node)
@@ -208,6 +189,32 @@ impl Partitioning {
     /// Minimum crossbars to hold one replica of every node.
     pub fn min_crossbars(&self) -> usize {
         self.entries.iter().map(|e| e.crossbars_per_replica()).sum()
+    }
+
+    /// The largest window count of any node (at least 1).
+    pub(crate) fn max_windows(&self) -> usize {
+        let most = self.entries.iter().map(|e| e.windows).max();
+        most.unwrap_or(1).max(1)
+    }
+
+    /// Smallest window target `t` whose windows-proportional replication
+    /// (`R = ceil(windows/t)`) fits the crossbar `budget` — the start of
+    /// both the GA's initial population and the PUMA-like baseline.
+    pub(crate) fn fit_window_target(&self, budget: usize) -> usize {
+        let cost = |t: usize| -> usize {
+            let replicated = |e: &NodePartition| e.windows.div_ceil(t) * e.crossbars_per_replica();
+            self.entries.iter().map(replicated).sum()
+        };
+        let (mut lo, mut hi) = (1usize, self.max_windows());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if cost(mid) <= budget {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
     }
 }
 
@@ -364,7 +371,11 @@ impl EpochPlan {
     /// so the simulator sums these instead of event-simulating an
     /// over-committed mapping (which would model all epochs as
     /// physically concurrent).
-    pub fn reload_plan(&self, partitioning: &Partitioning, hw: &HardwareConfig) -> ReloadPlan {
+    pub(crate) fn reload_plan(
+        &self,
+        partitioning: &Partitioning,
+        hw: &HardwareConfig,
+    ) -> ReloadPlan {
         let mut core_epochs = vec![0usize; self.ring_cores];
         for epoch in &self.epochs {
             let mut seen = vec![false; self.ring_cores];
@@ -459,8 +470,8 @@ pub struct EpochReloadCost {
 }
 
 /// The serialized reload schedule of a `weight_reload` compilation:
-/// per-epoch write costs plus totals, derived from an [`EpochPlan`] by
-/// [`EpochPlan::reload_plan`]. Stored in the
+/// per-epoch write costs plus totals, derived from an [`EpochPlan`].
+/// Stored in the
 /// [`CompiledModel`](crate::CompiledModel) so artifacts carry the full
 /// reload story and simulators/reports need no recomputation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

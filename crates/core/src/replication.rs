@@ -28,7 +28,7 @@ impl ReplicationPlan {
     ///
     /// Panics if `counts` length differs from the partitioning size or
     /// any count is zero.
-    pub fn from_counts(partitioning: &Partitioning, counts: Vec<usize>) -> Self {
+    pub(crate) fn from_counts(partitioning: &Partitioning, counts: Vec<usize>) -> Self {
         assert_eq!(
             counts.len(),
             partitioning.len(),
@@ -58,19 +58,8 @@ impl ReplicationPlan {
         self.counts[idx] = count;
     }
 
-    /// `true` when no node is replicated (every count is 1) — the
-    /// duplication-free shape `weight_reload` epoch mapping produces.
-    pub fn is_duplication_free(&self) -> bool {
-        self.counts.iter().all(|&c| c == 1)
-    }
-
-    /// Total AG instances of node `idx` under this plan.
-    pub fn total_ags(&self, partitioning: &Partitioning, idx: MvmIdx) -> usize {
-        self.counts[idx] * partitioning.entry(idx).ags_per_replica
-    }
-
     /// Total crossbars the whole plan occupies.
-    pub fn total_crossbars(&self, partitioning: &Partitioning) -> usize {
+    pub(crate) fn total_crossbars(&self, partitioning: &Partitioning) -> usize {
         self.counts
             .iter()
             .enumerate()
@@ -116,7 +105,6 @@ mod tests {
         plan.set_count(0, 3);
         let grown = plan.total_crossbars(&p);
         assert_eq!(grown - base, 2 * p.entry(0).crossbars_per_replica());
-        assert_eq!(plan.total_ags(&p, 0), 3 * p.entry(0).ags_per_replica);
     }
 
     #[test]

@@ -89,7 +89,7 @@ impl HtSchedule {
     ///
     /// `batch` is the number of sliding windows processed between
     /// global-memory transfer rounds (the paper's evaluation uses 2).
-    pub fn build(
+    pub(crate) fn build(
         graph: &Graph,
         partitioning: &Partitioning,
         mapping: &CoreMapping,
@@ -225,7 +225,7 @@ impl HtSchedule {
 
     /// Total global-memory traffic per inference (loads + stores),
     /// before any spill traffic the memory planner adds.
-    pub fn base_global_traffic(&self) -> usize {
+    pub(crate) fn base_global_traffic(&self) -> usize {
         let mvm: usize = self
             .programs
             .iter()

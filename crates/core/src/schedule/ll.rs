@@ -88,7 +88,7 @@ pub struct LlSchedule {
 
 impl LlSchedule {
     /// Lowers a mapping into the LL schedule.
-    pub fn build(
+    pub(crate) fn build(
         graph: &Graph,
         partitioning: &Partitioning,
         mapping: &CoreMapping,

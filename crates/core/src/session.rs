@@ -86,8 +86,8 @@ impl CompileStage {
 /// Receives progress callbacks while a session compiles.
 ///
 /// All methods have no-op defaults; implement only what you need. The
-/// GA generation callback fires once per generation during
-/// [`Partitioned::optimize_observed`], which for paper-sized runs
+/// GA generation callback fires once per generation of the
+/// replicating + mapping stage, which for paper-sized runs
 /// (population 100 × 200 iterations) is frequent enough for live
 /// progress bars.
 pub trait CompileObserver {
@@ -106,48 +106,6 @@ pub trait CompileObserver {
 pub struct NullObserver;
 
 impl CompileObserver for NullObserver {}
-
-/// Observers forward through mutable references, so a caller can keep
-/// ownership while threading one observer through nested layers (e.g.
-/// a sweep engine handing the same observer to every stage).
-impl<O: CompileObserver + ?Sized> CompileObserver for &mut O {
-    fn on_stage_start(&mut self, stage: CompileStage) {
-        (**self).on_stage_start(stage);
-    }
-    fn on_stage_finish(&mut self, stage: CompileStage, elapsed: Duration) {
-        (**self).on_stage_finish(stage, elapsed);
-    }
-    fn on_ga_generation(&mut self, progress: GaGeneration) {
-        (**self).on_ga_generation(progress);
-    }
-}
-
-/// Boxed observers forward too, so heterogeneous observer pipelines can
-/// be stored and passed around as trait objects.
-impl<O: CompileObserver + ?Sized> CompileObserver for Box<O> {
-    fn on_stage_start(&mut self, stage: CompileStage) {
-        (**self).on_stage_start(stage);
-    }
-    fn on_stage_finish(&mut self, stage: CompileStage, elapsed: Duration) {
-        (**self).on_stage_finish(stage, elapsed);
-    }
-    fn on_ga_generation(&mut self, progress: GaGeneration) {
-        (**self).on_ga_generation(progress);
-    }
-}
-
-/// [`StageTimings`] doubles as an observer that accumulates per-stage
-/// wall-clock durations — the observer-based replacement for threading
-/// timing code through the compiler.
-impl CompileObserver for StageTimings {
-    fn on_stage_finish(&mut self, stage: CompileStage, elapsed: Duration) {
-        match stage {
-            CompileStage::NodePartitioning => self.node_partitioning += elapsed,
-            CompileStage::ReplicatingMapping => self.replicating_mapping += elapsed,
-            CompileStage::DataflowScheduling => self.dataflow_scheduling += elapsed,
-        }
-    }
-}
 
 /// A validated compilation session: hardware target + normalized graph
 /// + options, ready to enter the pipeline.
@@ -213,21 +171,6 @@ impl CompileSession {
         Ok(CompileSession { hw, graph, opts })
     }
 
-    /// The hardware target.
-    pub fn hardware(&self) -> &HardwareConfig {
-        &self.hw
-    }
-
-    /// The (possibly normalized) graph this session compiles.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    /// The session's options.
-    pub fn options(&self) -> &CompileOptions {
-        &self.opts
-    }
-
     /// Stage 1 (§IV-B): node partitioning + dependency analysis.
     ///
     /// # Errors
@@ -290,18 +233,8 @@ impl Partitioned {
         &self.partitioning
     }
 
-    /// The inter-node dependency analysis.
-    pub fn dep(&self) -> &DepInfo {
-        &self.dep
-    }
-
-    /// The session inputs (hardware, graph, options).
-    pub fn session(&self) -> &CompileSession {
-        &self.session
-    }
-
     /// Wall-clock time partitioning took.
-    pub fn elapsed(&self) -> Duration {
+    pub(crate) fn elapsed(&self) -> Duration {
         self.elapsed
     }
 
@@ -314,7 +247,7 @@ impl Partitioned {
     /// [`CompileError::InvalidOptions`] when the new options are
     /// malformed or change `normalize` (normalization already happened
     /// at session creation, so it cannot be revised here).
-    pub fn with_options(mut self, opts: CompileOptions) -> Result<Self, CompileError> {
+    pub(crate) fn with_options(mut self, opts: CompileOptions) -> Result<Self, CompileError> {
         opts.validate()?;
         if opts.normalize != self.session.opts.normalize {
             return Err(CompileError::InvalidOptions {
@@ -333,7 +266,7 @@ impl Partitioned {
     /// # Errors
     ///
     /// [`CompileError::InvalidOptions`] when the parameters are malformed.
-    pub fn with_ga(self, ga: GaParams) -> Result<Self, CompileError> {
+    pub(crate) fn with_ga(self, ga: GaParams) -> Result<Self, CompileError> {
         let opts = self.session.opts.clone().with_ga(ga);
         self.with_options(opts)
     }
@@ -366,7 +299,7 @@ impl Partitioned {
     /// # Errors
     ///
     /// Whatever `strategy` fails with.
-    pub fn map_with(
+    pub(crate) fn map_with(
         self,
         compiler: &'static str,
         strategy: impl FnOnce(&Partitioning, &HardwareConfig) -> Result<CoreMapping, CompileError>,
@@ -389,7 +322,7 @@ impl Partitioned {
     /// # Errors
     ///
     /// Same as [`Partitioned::optimize`].
-    pub fn optimize_observed(
+    pub(crate) fn optimize_observed(
         self,
         observer: &mut dyn CompileObserver,
     ) -> Result<Optimized, CompileError> {
@@ -535,26 +468,15 @@ impl Optimized {
         self.ga_stats.as_ref()
     }
 
-    /// The reload schedule (`Some` for every `weight_reload`
-    /// compilation; zero-cost single epoch when the model fits).
-    pub fn reload(&self) -> Option<&ReloadPlan> {
-        self.reload.as_ref()
-    }
-
     /// The upstream partitioning artifact.
     pub fn partitioned(&self) -> &Partitioned {
         &self.partitioned
     }
 
-    /// Wall-clock time the GA took.
-    pub fn elapsed(&self) -> Duration {
-        self.elapsed
-    }
-
     /// Discards this mapping and steps back to the partitioning
     /// artifact (e.g. to change the pipeline mode, which invalidates
     /// the GA's objective).
-    pub fn into_partitioned(self) -> Partitioned {
+    pub(crate) fn into_partitioned(self) -> Partitioned {
         self.partitioned
     }
 
@@ -649,13 +571,8 @@ impl Scheduled {
         &self.memory
     }
 
-    /// The upstream optimization artifact.
-    pub fn optimized(&self) -> &Optimized {
-        &self.optimized
-    }
-
     /// Wall-clock time scheduling took.
-    pub fn elapsed(&self) -> Duration {
+    pub(crate) fn elapsed(&self) -> Duration {
         self.elapsed
     }
 
@@ -875,15 +792,6 @@ mod tests {
     }
 
     #[test]
-    fn stage_timings_collect_via_observer() {
-        let mut timings = StageTimings::default();
-        let _ = session(PipelineMode::LowLatency)
-            .run_observed(&mut timings)
-            .unwrap();
-        assert!(timings.total() > Duration::ZERO);
-    }
-
-    #[test]
     fn reoptimize_reuses_partitioning() {
         let o = session(PipelineMode::HighThroughput)
             .partition()
@@ -922,7 +830,7 @@ mod tests {
         // first 5 generations of that trajectory.
         let budgeted = |iterations| {
             let partitioned = session(PipelineMode::HighThroughput).partition().unwrap();
-            let opts = partitioned.session().options().clone();
+            let opts = partitioned.session.opts.clone();
             partitioned
                 .with_options(opts.with_ga_budget(iterations))
                 .and_then(Partitioned::optimize)
@@ -951,7 +859,7 @@ mod tests {
             .unwrap()
             .map_with("PUMA-like", crate::puma_mapping)
             .unwrap();
-        assert!(adopted.ga_stats().is_none() && adopted.reload().is_none());
+        assert!(adopted.ga_stats().is_none() && adopted.reload.is_none());
         let compiled = adopted.schedule().unwrap().finish();
         assert_eq!(compiled.report.compiler, "PUMA-like");
         assert!(compiled.report.estimated_fitness > 0.0);

@@ -114,7 +114,7 @@ impl DepInfo {
     }
 
     /// Elements per window of a node.
-    pub fn elems_of(&self, id: NodeId) -> usize {
+    pub(crate) fn elems_of(&self, id: NodeId) -> usize {
         self.elems_per_window[id.index()]
     }
 
@@ -148,7 +148,7 @@ fn unit_windows(graph: &Graph, id: NodeId) -> (usize, usize) {
 /// length, and fused attention prices the full `QKᵀ → softmax → ·V`
 /// chain per query row, so transformer vector work scales with
 /// `seq × hidden` instead of just the output footprint.
-pub fn vfu_window_work(graph: &Graph, id: NodeId) -> usize {
+pub(crate) fn vfu_window_work(graph: &Graph, id: NodeId) -> usize {
     let node = graph.node(id);
     let (_, elems) = unit_windows(graph, id);
     match &node.op {

@@ -47,7 +47,7 @@ pub enum ReloadSetting {
 
 impl ReloadSetting {
     /// The value's report/CSV spelling: `off`, `full`, or the budget.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             ReloadSetting::Off => "off".to_string(),
             ReloadSetting::On(None) => "full".to_string(),
@@ -214,18 +214,18 @@ fn each<T: Copy>(list: &[T], set: impl Fn(T) -> Knobs) -> Vec<Knobs> {
 
 impl Axis {
     /// Whether points of `mode` sweep the knob at all.
-    pub fn applies(&self, mode: PipelineMode) -> bool {
+    pub(crate) fn applies(&self, mode: PipelineMode) -> bool {
         !(self.ht_only && mode == PipelineMode::LowLatency)
     }
 
     /// How many values the spec sweeps.
-    pub fn len(&self, spec: &SweepSpec) -> usize {
+    pub(crate) fn len(&self, spec: &SweepSpec) -> usize {
         (self.values)(spec, Knobs::DEFAULT).len()
     }
 
     /// Whether every value the spec sweeps is the one `base` already
     /// has — the knob, seen from `base`, is left alone.
-    pub fn leaves(&self, spec: &SweepSpec, base: Knobs) -> bool {
+    pub(crate) fn leaves(&self, spec: &SweepSpec, base: Knobs) -> bool {
         (self.values)(spec, base).iter().all(|k| *k == base)
     }
 }

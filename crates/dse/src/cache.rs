@@ -27,7 +27,7 @@
 //! Left alone, the store grows without bound (every new model, budget,
 //! or hardware point adds files forever). [`enforce_cache_limit`]
 //! bounds it with LRU eviction: a small JSON index
-//! ([`CACHE_INDEX_FILE`]) records a logical last-used tick per artifact
+//! (`cache_index.json`) records a logical last-used tick per artifact
 //! — a monotonic counter bumped once per sweep, deliberately not the
 //! filesystem atime, which `noatime`/`relatime` mounts make useless —
 //! and when the store exceeds the byte budget, the least-recently-used
@@ -47,7 +47,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The recency index maintained next to the cached artifacts.
-pub const CACHE_INDEX_FILE: &str = "cache_index.json";
+pub(crate) const CACHE_INDEX_FILE: &str = "cache_index.json";
 
 /// Index format version; bump on any breaking change to the schema.
 /// An index written by an *older* version is discarded and rebuilt

@@ -116,7 +116,7 @@ impl BudgetSummary {
     /// Net GA generations saved versus the exhaustive sweep. Negative
     /// when the cheap rungs cost more than the halving recovered
     /// (e.g. `keep_fraction` 1.0 with no pruning).
-    pub fn generations_saved(&self) -> i64 {
+    pub(crate) fn generations_saved(&self) -> i64 {
         self.exhaustive_generations as i64 - self.generations_spent as i64
     }
 }
@@ -253,11 +253,6 @@ impl SweepPlan {
             graph_fps,
             points,
         })
-    }
-
-    /// The spec this plan was resolved from.
-    pub fn spec(&self) -> &SweepSpec {
-        &self.spec
     }
 
     /// The expanded point grid, in canonical spec-expansion order.

@@ -126,16 +126,13 @@ mod report;
 mod spec;
 
 pub use axis::{policy_names, policy_spec_name, Knobs, ReloadSetting};
-pub use cache::{enforce_cache_limit, EvictionStats, CACHE_INDEX_FILE};
+pub use cache::{enforce_cache_limit, EvictionStats};
 pub use engine::{
     BudgetSummary, ExploreEngine, ExploreOutcome, PointEvent, PointOutcome, ProgressSink,
     RungSummary, SweepPlan,
 };
 pub use report::{PointMetrics, PointRecord, SweepDiff, SweepReport, SWEEP_FORMAT_VERSION};
-pub use spec::{
-    AutoHardware, HalvingSpec, HardwareAxis, SearchStrategy, SweepPoint, SweepSpec,
-    MAX_SWEEP_POINTS,
-};
+pub use spec::{AutoHardware, HalvingSpec, HardwareAxis, SearchStrategy, SweepPoint, SweepSpec};
 
 use std::fmt;
 
@@ -219,7 +216,7 @@ impl std::error::Error for ExploreError {}
 /// networks plus the small synthetic test models. Paths ending in
 /// `.onnx` are additionally accepted and resolved through the ONNX
 /// importer.
-pub fn available_models() -> Vec<String> {
+pub(crate) fn available_models() -> Vec<String> {
     pimcomp_ir::models::ZOO
         .iter()
         .chain(pimcomp_ir::models::TEST_MODELS.iter())
@@ -233,8 +230,8 @@ pub fn available_models() -> Vec<String> {
 ///
 /// # Errors
 ///
-/// * [`ExploreError::UnknownModel`] listing [`available_models`] for an
-///   unresolvable name,
+/// * [`ExploreError::UnknownModel`] listing every zoo and test model
+///   for an unresolvable name,
 /// * [`ExploreError::Io`] when an `.onnx` path cannot be read,
 /// * [`ExploreError::Onnx`] when the file is not a loadable ONNX model.
 pub fn resolve_model(name: &str) -> Result<pimcomp_ir::Graph, ExploreError> {

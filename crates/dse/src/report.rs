@@ -94,29 +94,24 @@ impl PointMetrics {
 
     /// `true` when `self` Pareto-dominates `other`: no objective worse,
     /// at least one strictly better.
-    pub fn dominates(&self, other: &PointMetrics) -> bool {
+    pub(crate) fn dominates(&self, other: &PointMetrics) -> bool {
         let a = self.objectives();
         let b = other.objectives();
         a.iter().zip(&b).all(|(x, y)| x <= y) && a.iter().zip(&b).any(|(x, y)| x < y)
     }
-
-    /// `true` when `self` dominates `other` *decisively*: on every
-    /// objective, `self` is better by at least `margin` relative to
-    /// `other`'s magnitude (and [`PointMetrics::dominates`] holds).
-    ///
-    /// The guided-search engine prunes with this rather than plain
-    /// dominance because cheap-rung metrics are noisy proxies for the
-    /// full-budget result — a borderline-dominated point may still win
-    /// at the full budget, but one dominated with slack rarely does.
-    /// `margin = 0.0` degenerates to [`PointMetrics::dominates`].
-    pub fn dominates_with_margin(&self, other: &PointMetrics, margin: f64) -> bool {
-        margin_dominates(&self.objectives(), &other.objectives(), margin)
-    }
 }
 
-/// [`PointMetrics::dominates_with_margin`] on pre-computed objective
-/// vectors, for hot loops (the engine's per-rung pruning scan computes
-/// each point's objectives once instead of per pairwise probe).
+/// `true` when objective vector `a` dominates `b` *decisively*: on
+/// every objective, `a` is better by at least `margin` relative to `b`'s
+/// magnitude (and plain dominance holds).
+///
+/// The guided-search engine prunes with this rather than plain
+/// dominance because cheap-rung metrics are noisy proxies for the
+/// full-budget result — a borderline-dominated point may still win at
+/// the full budget, but one dominated with slack rarely does.
+/// `margin = 0.0` degenerates to [`PointMetrics::dominates`]. Takes
+/// pre-computed vectors because the per-rung pruning scan computes each
+/// point's objectives once instead of per pairwise probe.
 pub(crate) fn margin_dominates(a: &[f64; 4], b: &[f64; 4], margin: f64) -> bool {
     if !margin.is_finite() || margin < 0.0 {
         return false;
@@ -232,7 +227,7 @@ pub struct SweepReport {
 impl SweepReport {
     /// Assembles a report from evaluated points: computes each
     /// (model, mode) group's Pareto frontier and flags the members.
-    pub fn assemble(master_seed: u64, mut points: Vec<PointRecord>) -> Self {
+    pub(crate) fn assemble(master_seed: u64, mut points: Vec<PointRecord>) -> Self {
         let frontier = pareto_frontier(&points);
         for &i in &frontier {
             points[i].pareto = true;
@@ -596,19 +591,19 @@ mod tests {
 
     #[test]
     fn margin_dominance_needs_slack_on_every_objective() {
-        let a = metrics(100, 1.0, 0.5);
-        let b = metrics(200, 2.0, 0.25);
-        assert!(a.dominates_with_margin(&b, 0.0));
+        let (a, b) = (metrics(100, 1.0, 0.5), metrics(200, 2.0, 0.25));
+        let (a, b) = (a.objectives(), b.objectives());
+        assert!(margin_dominates(&a, &b, 0.0));
         // cycles 100 vs 200 is 50% slack, but utilization 0.5 vs 0.25
         // (objective -0.5 vs -0.25) is exactly 100% — margin 0.4 passes
         // on every axis, margin 2.0 fails the cycles axis.
-        assert!(a.dominates_with_margin(&b, 0.4));
-        assert!(!a.dominates_with_margin(&b, 2.0));
+        assert!(margin_dominates(&a, &b, 0.4));
+        assert!(!margin_dominates(&a, &b, 2.0));
         // Margin-dominance implies dominance.
-        assert!(!b.dominates_with_margin(&a, 0.0));
+        assert!(!margin_dominates(&b, &a, 0.0));
         // Degenerate margins never prune.
-        assert!(!a.dominates_with_margin(&b, -1.0));
-        assert!(!a.dominates_with_margin(&b, f64::NAN));
+        assert!(!margin_dominates(&a, &b, -1.0));
+        assert!(!margin_dominates(&a, &b, f64::NAN));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use serde::Value;
 
 /// Hard cap on the number of points one sweep may expand to, so a typo
 /// in a grid axis fails fast instead of queueing years of compilation.
-pub const MAX_SWEEP_POINTS: usize = 10_000;
+pub(crate) const MAX_SWEEP_POINTS: usize = 10_000;
 
 /// Seed-split stage tag for the seed axis (`split_stream_seed(master,
 /// SEED_STAGE, i)`); distinct from every GA-internal stage by
@@ -39,7 +39,7 @@ pub enum SearchStrategy {
 
 impl SearchStrategy {
     /// The strategy's spec-file name (`exhaustive` / `halving`).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             SearchStrategy::Exhaustive => "exhaustive",
             SearchStrategy::Halving(_) => "halving",
@@ -77,15 +77,15 @@ pub struct HalvingSpec {
 
 impl HalvingSpec {
     /// Default keep fraction (top half of each group survives a rung).
-    pub const DEFAULT_KEEP_FRACTION: f64 = 0.5;
+    pub(crate) const DEFAULT_KEEP_FRACTION: f64 = 0.5;
     /// Default prune margin (points must be dominated with 25% slack on
     /// every objective before the cheap rung is trusted to drop them).
-    pub const DEFAULT_PRUNE_MARGIN: f64 = 0.25;
+    pub(crate) const DEFAULT_PRUNE_MARGIN: f64 = 0.25;
 
     /// The default rung ladder for a full budget of `iterations`
     /// generations: divide by 3 until the budget bottoms out at 1, e.g.
     /// 24 → `[2, 8, 24]`, 6 → `[2, 6]`, 1 → `[1]`.
-    pub fn default_rungs(iterations: usize) -> Vec<usize> {
+    pub(crate) fn default_rungs(iterations: usize) -> Vec<usize> {
         let mut rungs = vec![iterations.max(1)];
         let mut budget = iterations / 3;
         while budget >= 1 {
@@ -121,9 +121,9 @@ pub struct AutoHardware {
 
 impl AutoHardware {
     /// Default headroom, matching the bench harness (`CHIP_HEADROOM`).
-    pub const DEFAULT_HEADROOM: f64 = 2.0;
+    pub(crate) const DEFAULT_HEADROOM: f64 = 2.0;
     /// Default parallelism list (the paper's default degree).
-    pub const DEFAULT_PARALLELISM: usize = 20;
+    pub(crate) const DEFAULT_PARALLELISM: usize = 20;
 }
 
 impl Default for AutoHardware {
@@ -149,17 +149,11 @@ pub enum HardwareAxis {
 
 impl HardwareAxis {
     /// Number of hardware configurations each model is swept over.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             HardwareAxis::Explicit(list) => list.len(),
             HardwareAxis::Auto(auto) => auto.parallelism.len(),
         }
-    }
-
-    /// `true` when the axis holds no configurations (never for a
-    /// parsed spec — parsing rejects empty axes).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// `true` for the per-model automatic sizing variant.
@@ -457,13 +451,13 @@ impl SweepSpec {
     ///
     /// With `hardware: "auto"` this resolves every model (loading
     /// `.onnx` paths from disk) to size its configurations; the engine
-    /// uses [`SweepSpec::points_for`] with its already-resolved graphs
-    /// instead, so each model is read exactly once per sweep.
+    /// expands from its already-resolved graphs instead, so each model
+    /// is read exactly once per sweep.
     ///
     /// # Errors
     ///
     /// [`ExploreError::InvalidSpec`] when an axis is empty, the
-    /// expansion exceeds [`MAX_SWEEP_POINTS`], or auto sizing fails;
+    /// expansion exceeds 10 000 points, or auto sizing fails;
     /// [`ExploreError::UnknownModel`] / [`ExploreError::Onnx`] /
     /// [`ExploreError::Io`] from model resolution under auto hardware.
     pub fn points(&self) -> Result<Vec<SweepPoint>, ExploreError> {
@@ -484,7 +478,7 @@ impl SweepSpec {
     /// # Errors
     ///
     /// [`ExploreError::InvalidSpec`] as for [`SweepSpec::points`].
-    pub fn points_for(&self, graphs: &[Graph]) -> Result<Vec<SweepPoint>, ExploreError> {
+    pub(crate) fn points_for(&self, graphs: &[Graph]) -> Result<Vec<SweepPoint>, ExploreError> {
         self.check_size()?;
         if self.hardware.is_auto() && graphs.len() != self.models.len() {
             return Err(invalid(format!(

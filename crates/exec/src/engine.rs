@@ -94,7 +94,7 @@ pub trait MvmBackend {
 /// (column-major; element `(r, c)` has synthesis index `c*height + r`
 /// under tag `"<node>/w"`), scaled by `1/sqrt(height)` so activations
 /// stay O(1) through deep networks.
-pub fn synth_weights(seed: u64, name: &str, height: usize, width: usize) -> WeightMatrix {
+pub(crate) fn synth_weights(seed: u64, name: &str, height: usize, width: usize) -> WeightMatrix {
     let scale = 1.0 / (height.max(1) as f32).sqrt();
     let cols = synth::values(seed, &format!("{name}/w"), height * width, scale);
     WeightMatrix {
@@ -105,7 +105,7 @@ pub fn synth_weights(seed: u64, name: &str, height: usize, width: usize) -> Weig
 }
 
 /// Synthesizes an MVM node's bias vector (tag `"<node>/b"`).
-pub fn synth_bias(seed: u64, name: &str, width: usize) -> Vec<f32> {
+pub(crate) fn synth_bias(seed: u64, name: &str, width: usize) -> Vec<f32> {
     synth::values(seed, &format!("{name}/b"), width, 0.1)
 }
 

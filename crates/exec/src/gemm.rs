@@ -12,7 +12,7 @@ use crate::engine::WeightMatrix;
 use std::ops::Range;
 
 /// Windows per packed input panel: the tile's lane dimension.
-pub const NR: usize = 8;
+pub(crate) const NR: usize = 8;
 /// Weight columns per tile.
 const MR: usize = 4;
 

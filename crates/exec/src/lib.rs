@@ -40,11 +40,9 @@ mod mapped;
 mod reference;
 mod tensor;
 
-pub use engine::{
-    run_graph, synth_bias, synth_input, synth_weights, MvmBackend, MvmJob, WeightMatrix,
-};
+pub use engine::{run_graph, synth_input, MvmBackend, MvmJob, WeightMatrix};
 pub use error::ExecError;
-pub use gemm::{pack_rows, NR};
+pub use gemm::pack_rows;
 pub use mapped::{slice_cells, MappedBackend};
 pub use reference::ReferenceBackend;
 pub use tensor::Tensor;

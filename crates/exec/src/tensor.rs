@@ -17,13 +17,13 @@ pub struct Tensor {
 impl Tensor {
     /// A new tensor; panics only on an internal executor bug (the
     /// element count is computed from validated shapes).
-    pub fn new(dims: Vec<usize>, data: Vec<f32>) -> Self {
+    pub(crate) fn new(dims: Vec<usize>, data: Vec<f32>) -> Self {
         debug_assert_eq!(dims.iter().product::<usize>(), data.len());
         Tensor { dims, data }
     }
 
     /// A zero-filled tensor.
-    pub fn zeros(dims: Vec<usize>) -> Self {
+    pub(crate) fn zeros(dims: Vec<usize>) -> Self {
         let len = dims.iter().product();
         Tensor {
             dims,

@@ -49,11 +49,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Number of nodes added so far.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Output shape of an already-added node.
     ///
     /// # Panics
@@ -280,15 +275,6 @@ impl GraphBuilder {
         self.add(name, Op::LayerNorm, vec![input])
     }
 
-    /// Adds a GELU activation (transformer feed-forward blocks).
-    ///
-    /// # Errors
-    ///
-    /// Fails only on duplicate names.
-    pub fn gelu(&mut self, name: impl Into<String>, input: NodeId) -> Result<NodeId, IrError> {
-        self.activation(name, input, Activation::Gelu)
-    }
-
     /// Adds a transpose of the last two dimensions.
     ///
     /// # Errors
@@ -343,22 +329,6 @@ impl GraphBuilder {
         padding: (usize, usize),
     ) -> Result<NodeId, IrError> {
         self.pool(name, input, PoolKind::Max, kernel, stride, padding, false)
-    }
-
-    /// Adds an average-pooling layer.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the kernel does not fit the input.
-    pub fn avg_pool(
-        &mut self,
-        name: impl Into<String>,
-        input: NodeId,
-        kernel: (usize, usize),
-        stride: (usize, usize),
-        padding: (usize, usize),
-    ) -> Result<NodeId, IrError> {
-        self.pool(name, input, PoolKind::Avg, kernel, stride, padding, false)
     }
 
     /// Adds a pooling layer with full attribute control.
@@ -471,8 +441,8 @@ impl GraphBuilder {
         self.add(name, Op::Softmax, vec![input])
     }
 
-    /// Adds an inference-time batch-norm node (foldable by
-    /// [`transform::fold_batch_norm`](crate::transform::fold_batch_norm)).
+    /// Adds an inference-time batch-norm node (folded into its producer
+    /// by [`transform::normalize`](crate::transform::normalize)).
     ///
     /// # Errors
     ///

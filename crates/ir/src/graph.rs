@@ -2,7 +2,7 @@
 
 use crate::{IrError, Op, Shape};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::fmt;
 
 /// Identifier of a node within one [`Graph`].
@@ -94,7 +94,7 @@ impl Graph {
     /// Returns an error if node ids are not dense insertion-order ids, if
     /// names are duplicated, if any input reference is out of range, or
     /// if the graph is cyclic or lacks an input node.
-    pub fn from_nodes(name: impl Into<String>, nodes: Vec<Node>) -> Result<Self, IrError> {
+    pub(crate) fn from_nodes(name: impl Into<String>, nodes: Vec<Node>) -> Result<Self, IrError> {
         let mut g = Graph {
             name: name.into(),
             nodes,
@@ -148,7 +148,7 @@ impl Graph {
     }
 
     /// Consumers of `id`'s output.
-    pub fn successors(&self, id: NodeId) -> &[NodeId] {
+    pub(crate) fn successors(&self, id: NodeId) -> &[NodeId] {
         &self.successors[id.0]
     }
 
@@ -298,11 +298,6 @@ impl Graph {
         }
         self.successors = succ;
     }
-
-    /// Returns a mapping from node name to id.
-    pub fn name_index(&self) -> HashMap<&str, NodeId> {
-        self.nodes.iter().map(|n| (n.name.as_str(), n.id)).collect()
-    }
 }
 
 impl fmt::Display for Graph {
@@ -323,6 +318,7 @@ impl fmt::Display for Graph {
 mod tests {
     use super::*;
     use crate::GraphBuilder;
+    use std::collections::HashMap;
 
     fn diamond() -> Graph {
         // input -> conv_a -> {conv_b, conv_c} -> add -> out

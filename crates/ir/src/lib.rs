@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 
 mod builder;
-mod dot;
 mod error;
 mod graph;
 mod op;
@@ -54,7 +53,6 @@ pub mod synth;
 pub mod transform;
 
 pub use builder::GraphBuilder;
-pub use dot::to_dot;
 pub use error::IrError;
 pub use graph::{Graph, Node, NodeId};
 pub use op::{

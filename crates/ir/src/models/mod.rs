@@ -20,7 +20,8 @@ mod vgg;
 
 pub use googlenet::googlenet;
 pub use inception::inception_v3;
-pub use resnet::{resnet18, resnet34, resnet50};
+pub use resnet::resnet18;
+pub(crate) use resnet::{resnet34, resnet50};
 pub use small::{linear_chain, tiny_cnn, tiny_mlp, two_branch};
 pub use squeezenet::squeezenet;
 pub use tiny_bert::tiny_bert;
@@ -85,19 +86,16 @@ pub fn by_name(name: &str) -> Option<Graph> {
     }
 }
 
-/// Builds all five paper benchmarks.
-pub fn paper_benchmarks() -> Vec<Graph> {
-    PAPER_BENCHMARKS
-        .iter()
-        .map(|n| by_name(n).expect("all benchmark names resolve"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::transform::normalize;
     use crate::GraphStats;
+
+    fn paper_benchmarks() -> Vec<Graph> {
+        let build = |n: &&str| by_name(n).expect("all benchmark names resolve");
+        PAPER_BENCHMARKS.iter().map(build).collect()
+    }
 
     #[test]
     fn all_benchmarks_build_and_validate() {

@@ -15,7 +15,7 @@ pub fn resnet18() -> Graph {
 }
 
 /// Builds ResNet-34 (basic blocks, [3, 4, 6, 3]).
-pub fn resnet34() -> Graph {
+pub(crate) fn resnet34() -> Graph {
     resnet_basic("resnet34", [3, 4, 6, 3])
 }
 
@@ -36,7 +36,7 @@ fn resnet_basic(name: &str, blocks: [usize; 4]) -> Graph {
 }
 
 /// Builds ResNet-50 (bottleneck blocks, [3, 4, 6, 3], expansion 4).
-pub fn resnet50() -> Graph {
+pub(crate) fn resnet50() -> Graph {
     let mut b = GraphBuilder::new("resnet50");
     let mut cur = stem(&mut b);
 

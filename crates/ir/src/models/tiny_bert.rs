@@ -12,7 +12,7 @@
 //! compilable after the session binds a sequence length
 //! (`CompileOptions::with_seq_len` / `--seq-len`).
 
-use crate::{Graph, GraphBuilder, NodeId};
+use crate::{Activation, Graph, GraphBuilder, NodeId};
 
 /// Hidden width of the encoder.
 const HIDDEN: usize = 128;
@@ -44,7 +44,7 @@ fn encoder_block(b: &mut GraphBuilder, t: NodeId, i: usize) -> NodeId {
     let res1 = b.eltwise_add(n("res1"), proj, t).expect(e);
     let ln1 = b.layer_norm(n("ln1"), res1).expect(e);
     let ff1 = b.matmul(n("ff1"), ln1, FFN).expect(e);
-    let act = b.gelu(n("gelu"), ff1).expect(e);
+    let act = b.activation(n("gelu"), ff1, Activation::Gelu).expect(e);
     let ff2 = b.matmul(n("ff2"), act, HIDDEN).expect(e);
     let res2 = b.eltwise_add(n("res2"), ff2, ln1).expect(e);
     b.layer_norm(n("ln2"), res2).expect(e)

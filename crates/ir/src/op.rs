@@ -47,7 +47,7 @@ impl Conv2d {
     }
 
     /// Total weight element count.
-    pub fn weight_count(&self) -> usize {
+    pub(crate) fn weight_count(&self) -> usize {
         self.weight_matrix_height() * self.weight_matrix_width() * self.groups
     }
 }
@@ -303,36 +303,6 @@ impl Op {
         matches!(self, Op::Conv2d(_) | Op::Linear(_) | Op::MatMul(_))
     }
 
-    /// `true` for operators executed by the vector functional unit.
-    pub fn is_vector(&self) -> bool {
-        matches!(
-            self,
-            Op::Pool(_)
-                | Op::GlobalAvgPool
-                | Op::Activation(_)
-                | Op::Eltwise(_)
-                | Op::Softmax
-                | Op::BatchNorm
-                | Op::Lrn(_)
-                | Op::Bmm(_)
-                | Op::LayerNorm
-                | Op::Attention(_)
-        )
-    }
-
-    /// `true` for pure data-movement operators handled in local memory.
-    pub fn is_memory(&self) -> bool {
-        matches!(
-            self,
-            Op::Concat
-                | Op::Flatten
-                | Op::Pad(_)
-                | Op::Dropout
-                | Op::Transpose
-                | Op::Reshape { .. }
-        )
-    }
-
     /// The `(height, width)` of the stationary weight matrix an MVM
     /// operator maps onto crossbars (the unfolded matrix the
     /// node-partitioning stage slices); `None` for non-MVM operators.
@@ -424,71 +394,6 @@ mod tests {
             bias: false,
         };
         assert_eq!(c.weight_matrix_height(), 9 * 32);
-    }
-
-    #[test]
-    fn classification_predicates_are_disjoint() {
-        let ops = [
-            Op::Conv2d(Conv2d {
-                in_channels: 1,
-                out_channels: 1,
-                kernel: (1, 1),
-                stride: (1, 1),
-                padding: (0, 0),
-                groups: 1,
-                bias: false,
-            }),
-            Op::Linear(Linear {
-                in_features: 1,
-                out_features: 1,
-                bias: false,
-            }),
-            Op::Pool(Pool {
-                kind: PoolKind::Max,
-                kernel: (2, 2),
-                stride: (2, 2),
-                padding: (0, 0),
-                ceil_mode: false,
-            }),
-            Op::GlobalAvgPool,
-            Op::Activation(Activation::Relu),
-            Op::Concat,
-            Op::Eltwise(EltwiseKind::Add),
-            Op::Flatten,
-            Op::Softmax,
-            Op::BatchNorm,
-            Op::Dropout,
-            Op::Lrn(Lrn {
-                size: 5,
-                alpha: 1e-4,
-                beta: 0.75,
-            }),
-            Op::Pad(Pad2d {
-                height: 1,
-                width: 1,
-            }),
-            Op::MatMul(MatMul {
-                in_features: 1,
-                out_features: 1,
-                bias: false,
-            }),
-            Op::Bmm(Bmm {
-                transpose_b: true,
-                scaled: true,
-            }),
-            Op::LayerNorm,
-            Op::Transpose,
-            Op::Reshape {
-                shape: crate::Shape::flat(1),
-            },
-            Op::Attention(Attention { heads: 1 }),
-        ];
-        for op in &ops {
-            let classes = usize::from(op.is_mvm())
-                + usize::from(op.is_vector())
-                + usize::from(op.is_memory());
-            assert_eq!(classes, 1, "op {op} must belong to exactly one class");
-        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub struct GraphStats {
 
 impl NodeStats {
     /// Computes statistics for a single node.
-    pub fn of(node: &Node) -> Self {
+    pub(crate) fn of(node: &Node) -> Self {
         let (params, macs, windows) = match &node.op {
             Op::Conv2d(c) => {
                 let windows = node.output_shape.height() * node.output_shape.width();

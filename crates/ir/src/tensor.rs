@@ -19,7 +19,7 @@ pub enum Dim {
 
 impl Dim {
     /// The concrete extent, or `None` while still symbolic.
-    pub fn fixed(self) -> Option<usize> {
+    pub(crate) fn fixed(self) -> Option<usize> {
         match self {
             Dim::Fixed(n) => Some(n),
             Dim::Seq => None,
@@ -189,13 +189,8 @@ impl Shape {
     }
 
     /// `true` when this is a fully fixed `[C, H, W]` feature map.
-    pub fn is_chw(&self) -> bool {
+    pub(crate) fn is_chw(&self) -> bool {
         self.0.len() == 3 && !self.is_symbolic()
-    }
-
-    /// `true` when this is a fixed flat `[F]` vector.
-    pub fn is_flat(&self) -> bool {
-        self.0.len() == 1 && !self.is_symbolic()
     }
 
     fn fixed_at(&self, i: usize, role: &str) -> usize {
@@ -280,7 +275,6 @@ mod tests {
         assert_eq!(s.width(), 224);
         assert_eq!(s.numel(), 3 * 224 * 224);
         assert!(s.is_chw());
-        assert!(!s.is_flat());
         assert!(!s.is_symbolic());
     }
 
@@ -290,7 +284,6 @@ mod tests {
         assert_eq!(s.channels(), 4096);
         assert_eq!(s.height(), 1);
         assert_eq!(s.width(), 1);
-        assert!(s.is_flat());
     }
 
     #[test]
@@ -298,7 +291,6 @@ mod tests {
         let s = Shape::seq_features(128);
         assert!(s.is_symbolic());
         assert!(!s.is_chw());
-        assert!(!s.is_flat());
         assert_eq!(s.rank(), 2);
         assert_eq!(s.try_numel(), None);
 

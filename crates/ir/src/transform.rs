@@ -20,7 +20,7 @@ use std::collections::{HashMap, HashSet};
 /// model — e.g. [`IrError::MissingInput`] when removal leaves no nodes.
 /// Every error here is reachable from an imported graph, never from a
 /// well-formed model zoo network.
-pub fn eliminate_dropout(graph: &Graph) -> Result<Graph, IrError> {
+pub(crate) fn eliminate_dropout(graph: &Graph) -> Result<Graph, IrError> {
     remove_identity_nodes(graph, |n| matches!(n.op, Op::Dropout))
 }
 
@@ -32,7 +32,7 @@ pub fn eliminate_dropout(graph: &Graph) -> Result<Graph, IrError> {
 ///
 /// Returns [`IrError`] when the spliced graph no longer forms a valid
 /// model (see [`eliminate_dropout`]).
-pub fn fold_batch_norm(graph: &Graph) -> Result<Graph, IrError> {
+pub(crate) fn fold_batch_norm(graph: &Graph) -> Result<Graph, IrError> {
     remove_identity_nodes(graph, |n| matches!(n.op, Op::BatchNorm))
 }
 
@@ -45,7 +45,7 @@ pub fn fold_batch_norm(graph: &Graph) -> Result<Graph, IrError> {
 /// Returns [`IrError::MissingInput`] when nothing survives — an imported
 /// graph whose only compute is dropout/BN collapses to bare inputs,
 /// which are then orphaned sinks and pruned here.
-pub fn eliminate_dead_nodes(graph: &Graph) -> Result<Graph, IrError> {
+pub(crate) fn eliminate_dead_nodes(graph: &Graph) -> Result<Graph, IrError> {
     // Mark everything reachable walking backwards from sinks.
     let mut live: HashSet<NodeId> = HashSet::new();
     let mut stack: Vec<NodeId> = graph

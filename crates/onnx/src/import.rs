@@ -11,10 +11,11 @@ use crate::OnnxError;
 use pimcomp_ir::{Activation, Dim, EltwiseKind, Graph, GraphBuilder, NodeId, Op, PoolKind, Shape};
 use std::collections::{HashMap, HashSet};
 
-/// Imports a decoded ONNX model into a validated IR graph.
+/// Imports raw `.onnx` bytes into a validated IR graph.
 ///
 /// # Errors
 ///
+/// * Wire-format failures from decoding the bytes.
 /// * [`OnnxError::MissingGraph`] — model without a graph.
 /// * [`OnnxError::UnsupportedOp`] — operator outside the supported
 ///   DNN-inference subset.
@@ -22,18 +23,14 @@ use std::collections::{HashMap, HashSet};
 ///   unsupported attribute combinations, shape conflicts).
 /// * [`OnnxError::InvalidGraph`] — the converted graph failed final
 ///   validation (no input, cycle, …).
-pub fn import_model(model: &ModelProto) -> Result<Graph, OnnxError> {
-    let graph = model.graph.as_ref().ok_or(OnnxError::MissingGraph)?;
-    import_graph(graph)
-}
-
-/// Imports raw `.onnx` bytes.
-///
-/// # Errors
-///
-/// Wire-format and import failures as in [`import_model`].
 pub fn import_bytes(bytes: &[u8]) -> Result<Graph, OnnxError> {
     import_model(&ModelProto::decode(bytes)?)
+}
+
+/// [`import_bytes`] from an already decoded model.
+pub(crate) fn import_model(model: &ModelProto) -> Result<Graph, OnnxError> {
+    let graph = model.graph.as_ref().ok_or(OnnxError::MissingGraph)?;
+    import_graph(graph)
 }
 
 fn import_graph(g: &GraphProto) -> Result<Graph, OnnxError> {

@@ -2,9 +2,10 @@
 //!
 //! The paper's front end "loads DNN model in ONNX format" (Section
 //! IV-A). This crate implements the required slice of ONNX without any
-//! protobuf dependency: a hand-rolled wire-format codec ([`wire`]), the
-//! message subset inference graphs use ([`proto`]), and converters
-//! to/from the PIMCOMP IR ([`import_bytes`], [`export_graph`]).
+//! protobuf dependency: a hand-rolled wire-format codec (the private
+//! `wire` module), the message subset inference graphs use ([`proto`]),
+//! and converters to/from the PIMCOMP IR ([`import_bytes`],
+//! [`export_graph`]).
 //!
 //! Weight *values* are never materialized — the compiler consumes only
 //! shapes and topology — so exported models carry initializer dims with
@@ -30,10 +31,10 @@
 mod export;
 mod import;
 pub mod proto;
-pub mod wire;
+mod wire;
 
 pub use export::{export_graph, EXPORT_OPSET};
-pub use import::{import_bytes, import_model};
+pub use import::import_bytes;
 
 use std::fmt;
 
@@ -41,7 +42,7 @@ use std::fmt;
 ///
 /// [`OnnxError::UnsupportedOp`] lists these so users of foreign models
 /// can see at a glance what the supported inference subset is.
-pub const SUPPORTED_OPS: [&str; 24] = [
+pub(crate) const SUPPORTED_OPS: [&str; 24] = [
     "Add",
     "Attention",
     "AveragePool",
@@ -80,8 +81,8 @@ pub enum OnnxError {
     /// The model has no graph.
     MissingGraph,
     /// The graph uses an operator outside the supported inference
-    /// subset. The display form lists every supported `op_type`
-    /// ([`SUPPORTED_OPS`]) so the valid alternatives are never a guess.
+    /// subset. The display form lists every supported `op_type`, so
+    /// the valid alternatives are never a guess.
     UnsupportedOp {
         /// The offending `op_type`.
         op_type: String,

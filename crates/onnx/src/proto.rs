@@ -67,7 +67,7 @@ pub struct AttributeProto {
 
 impl AttributeProto {
     /// Convenience constructor for an INT attribute.
-    pub fn int(name: &str, v: i64) -> Self {
+    pub(crate) fn int(name: &str, v: i64) -> Self {
         AttributeProto {
             name: name.into(),
             r#type: AttributeType::Int,
@@ -77,7 +77,7 @@ impl AttributeProto {
     }
 
     /// Convenience constructor for an INTS attribute.
-    pub fn ints(name: &str, v: Vec<i64>) -> Self {
+    pub(crate) fn ints(name: &str, v: Vec<i64>) -> Self {
         AttributeProto {
             name: name.into(),
             r#type: AttributeType::Ints,
@@ -87,7 +87,7 @@ impl AttributeProto {
     }
 
     /// Convenience constructor for a FLOAT attribute.
-    pub fn float(name: &str, v: f32) -> Self {
+    pub(crate) fn float(name: &str, v: f32) -> Self {
         AttributeProto {
             name: name.into(),
             r#type: AttributeType::Float,
@@ -348,17 +348,17 @@ pub struct NodeProto {
 
 impl NodeProto {
     /// Finds an attribute by name.
-    pub fn attr(&self, name: &str) -> Option<&AttributeProto> {
+    pub(crate) fn attr(&self, name: &str) -> Option<&AttributeProto> {
         self.attribute.iter().find(|a| a.name == name)
     }
 
     /// INT attribute value with a default.
-    pub fn attr_i(&self, name: &str, default: i64) -> i64 {
+    pub(crate) fn attr_i(&self, name: &str, default: i64) -> i64 {
         self.attr(name).map_or(default, |a| a.i)
     }
 
     /// INTS attribute values (empty slice when missing).
-    pub fn attr_ints(&self, name: &str) -> &[i64] {
+    pub(crate) fn attr_ints(&self, name: &str) -> &[i64] {
         self.attr(name).map_or(&[], |a| a.ints.as_slice())
     }
 

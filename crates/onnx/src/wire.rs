@@ -8,7 +8,7 @@ use crate::OnnxError;
 
 /// Wire types of the protobuf encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireType {
+pub(crate) enum WireType {
     /// Varint-encoded integer (wire type 0).
     Varint,
     /// Little-endian 64-bit (wire type 1).
@@ -44,19 +44,19 @@ impl WireType {
 
 /// A streaming reader over a protobuf-encoded buffer.
 #[derive(Debug, Clone)]
-pub struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
     /// Wraps a buffer.
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
 
     /// `true` when the buffer is exhausted.
-    pub fn is_at_end(&self) -> bool {
+    pub(crate) fn is_at_end(&self) -> bool {
         self.pos >= self.buf.len()
     }
 
@@ -65,7 +65,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// Fails on truncated input or an unsupported wire type.
-    pub fn key(&mut self) -> Result<(u64, WireType), OnnxError> {
+    pub(crate) fn key(&mut self) -> Result<(u64, WireType), OnnxError> {
         let key = self.varint()?;
         Ok((key >> 3, WireType::from_bits(key & 0x7)?))
     }
@@ -75,7 +75,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// Fails on truncation or a varint longer than 10 bytes.
-    pub fn varint(&mut self) -> Result<u64, OnnxError> {
+    pub(crate) fn varint(&mut self) -> Result<u64, OnnxError> {
         let mut value: u64 = 0;
         for shift in (0..64).step_by(7) {
             let byte = self.byte()?;
@@ -94,7 +94,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// Same failure modes as [`Reader::varint`].
-    pub fn int64(&mut self) -> Result<i64, OnnxError> {
+    pub(crate) fn int64(&mut self) -> Result<i64, OnnxError> {
         Ok(self.varint()? as i64)
     }
 
@@ -103,7 +103,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// Fails when the declared length overruns the buffer.
-    pub fn bytes(&mut self) -> Result<&'a [u8], OnnxError> {
+    pub(crate) fn bytes(&mut self) -> Result<&'a [u8], OnnxError> {
         let len = self.varint()? as usize;
         if self.pos + len > self.buf.len() {
             return Err(OnnxError::Malformed {
@@ -123,7 +123,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// Same failure modes as [`Reader::bytes`].
-    pub fn string(&mut self) -> Result<String, OnnxError> {
+    pub(crate) fn string(&mut self) -> Result<String, OnnxError> {
         Ok(String::from_utf8_lossy(self.bytes()?).into_owned())
     }
 
@@ -132,7 +132,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// Fails on truncation.
-    pub fn float(&mut self) -> Result<f32, OnnxError> {
+    pub(crate) fn float(&mut self) -> Result<f32, OnnxError> {
         let mut le = [0u8; 4];
         for b in &mut le {
             *b = self.byte()?;
@@ -140,25 +140,12 @@ impl<'a> Reader<'a> {
         Ok(f32::from_le_bytes(le))
     }
 
-    /// Reads a 64-bit double (fixed64).
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncation.
-    pub fn double(&mut self) -> Result<f64, OnnxError> {
-        let mut le = [0u8; 8];
-        for b in &mut le {
-            *b = self.byte()?;
-        }
-        Ok(f64::from_le_bytes(le))
-    }
-
     /// Skips a field of the given wire type.
     ///
     /// # Errors
     ///
     /// Fails on truncation.
-    pub fn skip(&mut self, wire: WireType) -> Result<(), OnnxError> {
+    pub(crate) fn skip(&mut self, wire: WireType) -> Result<(), OnnxError> {
         match wire {
             WireType::Varint => {
                 self.varint()?;
@@ -194,33 +181,23 @@ impl<'a> Reader<'a> {
 
 /// An append-only protobuf writer.
 #[derive(Debug, Clone, Default)]
-pub struct Writer {
+pub(crate) struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
     /// Creates an empty writer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Writer::default()
     }
 
     /// Finishes and returns the encoded bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
-    /// Current encoded length.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Writes a raw varint.
-    pub fn varint(&mut self, mut v: u64) -> &mut Self {
+    pub(crate) fn varint(&mut self, mut v: u64) -> &mut Self {
         loop {
             let byte = (v & 0x7f) as u8;
             v >>= 7;
@@ -238,7 +215,7 @@ impl Writer {
 
     /// Writes a varint field (skipped when `v == 0`, per proto3
     /// default-elision).
-    pub fn field_varint(&mut self, field: u64, v: u64) -> &mut Self {
+    pub(crate) fn field_varint(&mut self, field: u64, v: u64) -> &mut Self {
         if v != 0 {
             self.key(field, WireType::Varint).varint(v);
         }
@@ -247,12 +224,12 @@ impl Writer {
 
     /// Writes an int64 field (always emitted, including zero, because
     /// readers of ONNX attributes distinguish present-zero from absent).
-    pub fn field_int64_always(&mut self, field: u64, v: i64) -> &mut Self {
+    pub(crate) fn field_int64_always(&mut self, field: u64, v: i64) -> &mut Self {
         self.key(field, WireType::Varint).varint(v as u64)
     }
 
     /// Writes a length-delimited bytes field.
-    pub fn field_bytes(&mut self, field: u64, bytes: &[u8]) -> &mut Self {
+    pub(crate) fn field_bytes(&mut self, field: u64, bytes: &[u8]) -> &mut Self {
         self.key(field, WireType::LengthDelimited)
             .varint(bytes.len() as u64);
         self.buf.extend_from_slice(bytes);
@@ -260,31 +237,23 @@ impl Writer {
     }
 
     /// Writes a string field (skipped when empty).
-    pub fn field_string(&mut self, field: u64, s: &str) -> &mut Self {
+    pub(crate) fn field_string(&mut self, field: u64, s: &str) -> &mut Self {
         if !s.is_empty() {
             self.field_bytes(field, s.as_bytes());
         }
         self
     }
 
-    /// Writes a float field.
-    pub fn field_float(&mut self, field: u64, v: f32) -> &mut Self {
-        if v != 0.0 {
-            self.field_float_always(field, v);
-        }
-        self
-    }
-
     /// Writes a float field including zero values (ONNX attribute
     /// payloads must be explicit).
-    pub fn field_float_always(&mut self, field: u64, v: f32) -> &mut Self {
+    pub(crate) fn field_float_always(&mut self, field: u64, v: f32) -> &mut Self {
         self.key(field, WireType::Fixed32);
         self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
     /// Writes a nested message field from another writer's bytes.
-    pub fn field_message(&mut self, field: u64, inner: &Writer) -> &mut Self {
+    pub(crate) fn field_message(&mut self, field: u64, inner: &Writer) -> &mut Self {
         self.field_bytes(field, &inner.buf)
     }
 }
@@ -341,7 +310,7 @@ mod tests {
     #[test]
     fn float_round_trip() {
         let mut w = Writer::new();
-        w.field_float(2, 0.75);
+        w.field_float_always(2, 0.75);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         let (field, wire) = r.key().unwrap();
@@ -385,7 +354,6 @@ mod tests {
         let mut w = Writer::new();
         w.field_varint(1, 0);
         w.field_string(2, "");
-        w.field_float(3, 0.0);
-        assert!(w.is_empty());
+        assert!(w.into_bytes().is_empty());
     }
 }

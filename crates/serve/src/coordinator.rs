@@ -464,7 +464,7 @@ fn handle_worker(shared: &Shared, conn: u64, stream: TcpStream) -> Result<(), Se
     let mut reader = BufReader::new(reader_stream);
     let mut writer = BufWriter::new(stream);
 
-    let worker = match read_msg::<WorkerMsg, _>(&mut reader)? {
+    let worker = match read_msg::<WorkerMsg>(&mut reader)? {
         None => return Ok(()),
         Some(WorkerMsg::Hello { protocol, worker }) => {
             if protocol != PROTOCOL_VERSION {
@@ -507,7 +507,7 @@ fn handle_worker(shared: &Shared, conn: u64, stream: TcpStream) -> Result<(), Se
     shared.progress(&format!("worker {worker} connected"));
 
     loop {
-        let msg = match read_msg::<WorkerMsg, _>(&mut reader)? {
+        let msg = match read_msg::<WorkerMsg>(&mut reader)? {
             None => return Ok(()), // disconnect; caller reclaims
             Some(msg) => msg,
         };

@@ -75,7 +75,7 @@ pub use coordinator::{Coordinator, CoordinatorConfig, ServeOutcome};
 pub use journal::{
     replay, spec_fingerprint, Journal, JournalEntry, JournalHeader, Replayed, JOURNAL_VERSION,
 };
-pub use protocol::{CoordMsg, WorkerMsg, PROTOCOL_VERSION};
+pub use protocol::PROTOCOL_VERSION;
 pub use worker::{run_worker, WorkerConfig, WorkerSummary};
 
 use pimcomp_dse::ExploreError;

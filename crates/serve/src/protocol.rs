@@ -35,7 +35,7 @@ pub const PROTOCOL_VERSION: u32 = 1;
 // these values are short-lived and never stored in bulk.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum WorkerMsg {
+pub(crate) enum WorkerMsg {
     /// Opens the session; must be the first message on the connection.
     Hello {
         /// The worker's [`PROTOCOL_VERSION`].
@@ -78,7 +78,7 @@ pub enum WorkerMsg {
 
 /// Messages the coordinator sends to a worker.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum CoordMsg {
+pub(crate) enum CoordMsg {
     /// Accepts the handshake and ships the job.
     HelloAck {
         /// The coordinator's [`PROTOCOL_VERSION`].
@@ -120,7 +120,7 @@ pub enum CoordMsg {
 ///
 /// [`ServeError::Io`] when the stream write fails (a dead peer),
 /// [`ServeError::Protocol`] when the message cannot be encoded.
-pub fn write_msg<T: Serialize, W: Write>(writer: &mut W, msg: &T) -> Result<(), ServeError> {
+pub(crate) fn write_msg<T: Serialize, W: Write>(writer: &mut W, msg: &T) -> Result<(), ServeError> {
     let line = serde_json::to_string(msg).map_err(|e| ServeError::Protocol {
         detail: format!("encoding message: {e}"),
     })?;
@@ -140,7 +140,7 @@ pub fn write_msg<T: Serialize, W: Write>(writer: &mut W, msg: &T) -> Result<(), 
 ///
 /// [`ServeError::Io`] when the read fails, [`ServeError::Protocol`]
 /// when a line is not valid JSON for `T` — wire bytes never panic.
-pub fn read_msg<T: Deserialize, R: BufRead>(reader: &mut R) -> Result<Option<T>, ServeError> {
+pub(crate) fn read_msg<T: Deserialize>(reader: &mut impl BufRead) -> Result<Option<T>, ServeError> {
     let mut line = String::new();
     loop {
         line.clear();
@@ -221,21 +221,21 @@ mod tests {
     #[test]
     fn malformed_line_is_a_structured_error() {
         let mut reader = BufReader::new(&b"{definitely not json\n"[..]);
-        let err = read_msg::<CoordMsg, _>(&mut reader).unwrap_err();
+        let err = read_msg::<CoordMsg>(&mut reader).unwrap_err();
         assert!(matches!(err, ServeError::Protocol { .. }), "{err:?}");
     }
 
     #[test]
     fn wrong_variant_shape_is_a_structured_error() {
         let mut reader = BufReader::new(&b"{\"Lease\":{\"start\":\"zero\"}}\n"[..]);
-        let err = read_msg::<CoordMsg, _>(&mut reader).unwrap_err();
+        let err = read_msg::<CoordMsg>(&mut reader).unwrap_err();
         assert!(matches!(err, ServeError::Protocol { .. }), "{err:?}");
     }
 
     #[test]
     fn eof_between_messages_is_clean() {
         let mut reader = BufReader::new(&b""[..]);
-        assert!(read_msg::<WorkerMsg, _>(&mut reader).unwrap().is_none());
+        assert!(read_msg::<WorkerMsg>(&mut reader).unwrap().is_none());
     }
 
     #[test]

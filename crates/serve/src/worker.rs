@@ -131,7 +131,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, ServeError> {
             worker: cfg.name.clone(),
         },
     )?;
-    let (points, spec_json) = match read_msg::<CoordMsg, _>(&mut reader)? {
+    let (points, spec_json) = match read_msg::<CoordMsg>(&mut reader)? {
         Some(CoordMsg::HelloAck {
             protocol,
             points,
@@ -191,7 +191,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, ServeError> {
     };
     'session: loop {
         write_msg(&mut writer, &WorkerMsg::NeedWork)?;
-        match read_msg::<CoordMsg, _>(&mut reader)? {
+        match read_msg::<CoordMsg>(&mut reader)? {
             Some(CoordMsg::Lease { start, end }) => {
                 summary.leases += 1;
                 let mut touched = Vec::new();

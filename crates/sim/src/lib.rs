@@ -51,7 +51,6 @@ mod report;
 mod resources;
 
 pub use report::{EnergyReport, MemoryReport, SimReport};
-pub use resources::{ActivitySpan, BandwidthServer};
 
 use pimcomp_arch::{ComponentLibrary, EnergyModel, HardwareConfig};
 use pimcomp_core::{CompiledArtifact, CompiledModel};
@@ -129,38 +128,24 @@ impl Simulator {
         Simulator { hw, energy }
     }
 
-    /// Creates a simulator with an explicit energy model.
-    pub fn with_energy_model(hw: HardwareConfig, energy: EnergyModel) -> Self {
-        Simulator { hw, energy }
-    }
-
-    /// The hardware target this simulator models. Report consumers use
-    /// this to normalize counters (e.g. utilization over
-    /// [`HardwareConfig::total_cores`]) against the exact target the
-    /// run used, and the DSE engine pairs it with the functional
-    /// executor (`pimcomp-exec`), which verifies *what* the compiled
-    /// mapping computes while the simulator reports *how fast* it runs.
-    pub fn hardware(&self) -> &HardwareConfig {
-        &self.hw
-    }
-
-    /// The energy model in use.
-    pub fn energy_model(&self) -> &EnergyModel {
-        &self.energy
-    }
-
     /// Executes a compiled model cycle-accurately.
     ///
     /// # Errors
     ///
+    /// [`SimError::HardwareMismatch`] when the model was compiled for a
+    /// target other than this simulator's (timing would come from one
+    /// description and energy from the other).
     /// [`SimError::Diverged`] / [`SimError::Deadlock`] indicate a
     /// schedule that cannot complete (these are asserted against in the
     /// test suite and indicate compiler bugs).
     pub fn run(&self, compiled: &CompiledModel) -> Result<SimReport, SimError> {
-        debug_assert_eq!(
-            self.hw, compiled.hw,
-            "simulator and compilation should target the same hardware"
-        );
+        if self.hw != compiled.hw {
+            return Err(SimError::HardwareMismatch {
+                detail: "the model was compiled for a different `HardwareConfig` than \
+                         this simulator was built for"
+                    .to_string(),
+            });
+        }
         // Multi-epoch `weight_reload` models execute their epochs
         // serially; the event engines would model the over-committed
         // mapping as concurrent, so they take the analytic path (see

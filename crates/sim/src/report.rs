@@ -131,7 +131,7 @@ pub(crate) fn makespan_leakage_pj(
 impl SimReport {
     /// Inferences per second for a pipeline interval of `cycles` at
     /// `clock_ghz`.
-    pub fn throughput_from_cycles(cycles: u64, clock_ghz: f64) -> f64 {
+    pub(crate) fn throughput_from_cycles(cycles: u64, clock_ghz: f64) -> f64 {
         if cycles == 0 {
             return 0.0;
         }

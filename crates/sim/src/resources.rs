@@ -3,40 +3,28 @@
 /// A serially-shared bandwidth resource (global memory port, bus): FCFS
 /// service, one request at a time.
 #[derive(Debug, Clone, Default)]
-pub struct BandwidthServer {
+pub(crate) struct BandwidthServer {
     free_at: u64,
-    busy_cycles: u64,
 }
 
 impl BandwidthServer {
     /// Creates an idle server.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Requests `cycles` of service no earlier than `now`; returns the
     /// completion time.
-    pub fn acquire(&mut self, now: u64, cycles: u64) -> u64 {
+    pub(crate) fn acquire(&mut self, now: u64, cycles: u64) -> u64 {
         let start = self.free_at.max(now);
         self.free_at = start + cycles;
-        self.busy_cycles += cycles;
         self.free_at
-    }
-
-    /// Earliest time a new request could start.
-    pub fn free_at(&self) -> u64 {
-        self.free_at
-    }
-
-    /// Total cycles of service delivered.
-    pub fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
     }
 }
 
 /// Tracks a core's activity span for leakage integration.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ActivitySpan {
+pub(crate) struct ActivitySpan {
     first: Option<u64>,
     last: u64,
     busy: u64,
@@ -44,7 +32,7 @@ pub struct ActivitySpan {
 
 impl ActivitySpan {
     /// Records activity over `[start, end)`.
-    pub fn record(&mut self, start: u64, end: u64) {
+    pub(crate) fn record(&mut self, start: u64, end: u64) {
         if self.first.is_none() {
             self.first = Some(start);
         }
@@ -54,12 +42,12 @@ impl ActivitySpan {
     }
 
     /// `true` if anything was recorded.
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.first.is_some()
     }
 
     /// First-activity to last-activity span (0 when idle).
-    pub fn span(&self) -> u64 {
+    pub(crate) fn span(&self) -> u64 {
         match self.first {
             Some(f) => self.last.saturating_sub(f),
             None => 0,
@@ -67,13 +55,13 @@ impl ActivitySpan {
     }
 
     /// End of the last recorded activity.
-    pub fn last_end(&self) -> u64 {
+    pub(crate) fn last_end(&self) -> u64 {
         self.last
     }
 
     /// Sum of recorded busy intervals (may exceed span if overlapping
     /// units are recorded; used as a utilization indicator only).
-    pub fn busy_cycles(&self) -> u64 {
+    pub(crate) fn busy_cycles(&self) -> u64 {
         self.busy
     }
 }
@@ -90,7 +78,6 @@ mod tests {
         assert_eq!(s.acquire(5, 10), 20);
         // Idle gap: starts at `now`.
         assert_eq!(s.acquire(100, 5), 105);
-        assert_eq!(s.busy_cycles(), 25);
     }
 
     #[test]

@@ -3,18 +3,29 @@
 //! ```text
 //! pimcomp compile  --model resnet18 [--mode ht|ll] [--chips N] [--parallelism P]
 //!                  [--policy naive|add|ag] [--ga POPxITERS] [--seed S]
-//!                  [--artifact out.pimc.json] [--progress]
+//!                  [--weight-reload [--reload-budget N]] [--seq-len N]
+//!                  [--threads N|auto] [--artifact out.pimc.json] [--progress]
 //!                  [--simulate] [--report out.json]
-//! pimcomp simulate --artifact model.pimc.json [--report out.json]
+//! pimcomp simulate --artifact model.pimc.json [--chips N] [--parallelism P]
+//!                  [--report out.json]
+//! pimcomp verify   --artifact model.pimc.json [--seed S] [--tolerance T]
+//!                  [--quantized [--adc-bits B]]
 //! pimcomp inspect  --model model.onnx           # graph + workload stats
 //! pimcomp inspect  --artifact model.pimc.json   # compiled-stage summary
 //! pimcomp export   --model vgg16 --out vgg16.onnx
 //! pimcomp models                                # list the zoo
-//! pimcomp explore  sweep.json [--threads N] [--out report.json]
+//! pimcomp explore  sweep.json [--threads N|auto] [--out report.json] [--csv FILE]
+//!                  [--cache DIR|off] [--cache-max-mb N] [--budget-summary] [--progress]
 //! pimcomp explore  --diff old.json --against new.json
-//! pimcomp serve    --spec sweep.json [--out report.json] [--journal FILE]
-//! pimcomp work     --connect host:port [--cache DIR]
+//! pimcomp serve    --spec sweep.json [--out report.json] [--journal FILE] ...
+//! pimcomp work     --connect host:port [--cache DIR] ...
+//! pimcomp help                                  # every command and flag
 //! ```
+//!
+//! Every command, its flags and their help lines live in one table,
+//! [`COMMANDS`]: `pimcomp help` renders it and the one parser
+//! ([`parse_args`]) accepts exactly what it declares — a flag the
+//! command's row does not list is an error naming the row's flags.
 //!
 //! `--model` accepts either a zoo name (`vgg16`, `resnet18`,
 //! `googlenet`, `inception_v3`, `squeezenet`, `tiny_cnn`, …) or a path
@@ -26,53 +37,194 @@
 //! `--chips`/`--parallelism` to `simulate` to pin the serving target —
 //! the artifact's hardware fingerprint is then checked against it.
 
+use pimcomp::dse::SweepReport;
 use pimcomp::prelude::*;
-use pimcomp_arch::PipelineMode;
-use pimcomp_core::{CompileStage, GaParams, ReusePolicy};
+use pimcomp_core::{GaParams, ReloadPlan, ReusePolicy};
 use pimcomp_ir::transform::normalize;
 use pimcomp_ir::{Graph, GraphStats};
 use std::collections::HashMap;
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
+
+/// Every library error (and a plain message) behind one `?`.
+type CliResult<T = ()> = Result<T, Box<dyn std::error::Error>>;
+
+/// A flag is its own help line: `--name VALUE`, two spaces, the help
+/// text; a switch has no `VALUE`. The parser reads the first half, the
+/// usage text prints both.
+type Flag = &'static str;
+
+/// `(--name, value placeholder — empty for a switch, help)` of a row.
+fn parts(flag: Flag) -> (&'static str, &'static str, &'static str) {
+    let (head, help) = flag.split_once("  ").unwrap_or((flag, ""));
+    let (name, value) = head.split_once(' ').unwrap_or((head, ""));
+    (name, value, help)
+}
+
+/// One subcommand: everything the parser, the help text and the
+/// dispatcher know about it.
+struct Command {
+    name: &'static str,
+    /// Placeholder of the one optional positional argument, if any.
+    positional: Option<&'static str>,
+    about: &'static str,
+    flags: &'static [Flag],
+    run: fn(&Args) -> CliResult,
+}
+
+// Flags more than one command takes, defined once.
+const MODEL: Flag = "--model NAME|FILE.onnx  zoo model name or ONNX file";
+const ARTIFACT: Flag = "--artifact FILE  versioned artifact: `compile` writes it, the rest read it";
+const CHIPS: Flag = "--chips N  chip count (compile default: sized to fit with 2x headroom)";
+const PARALLELISM: Flag = "--parallelism P  parallelism degree (compile default: 20)";
+const SEED: Flag = "--seed S  GA seed (compile) or synthetic-data seed (verify); default: 1";
+const THREADS: Flag = "--threads N|auto  worker threads; results never depend on the count";
+const REPORT: Flag = "--report FILE.json  write a JSON report";
+const SPEC: Flag = "--spec SPEC.json  the sweep spec (docs/SWEEP_SPEC.md)";
+const OUT: Flag = "--out FILE  write the ONNX file (export) or the JSON sweep report";
+const CSV: Flag = "--csv FILE.csv  write the sweep report as CSV";
+const CACHE: Flag = "--cache DIR  artifact + metrics cache (explore: `off` disables)";
+const CACHE_MAX_MB: Flag = "--cache-max-mb N  bound the cache; LRU artifacts are evicted";
+const PROGRESS: Flag = "--progress  stream progress to stderr; stdout is unchanged";
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "compile",
+        positional: None,
+        about: "compile a model (GA threads default to $PIMCOMP_GA_THREADS, else 1)",
+        flags: &[
+            MODEL,
+            "--mode ht|ll  pipeline mode (default: ht)",
+            CHIPS,
+            PARALLELISM,
+            "--policy naive|add|ag  memory-reuse policy (default: ag)",
+            "--ga POPxITERS  GA size (default: 100x200)",
+            SEED,
+            "--weight-reload  time-multiplex the crossbars: oversized models compile into epochs",
+            "--seq-len N  bind symbolic sequence dimensions to N tokens (tiny_bert)",
+            "--reload-budget N  cap the resident crossbars (requires --weight-reload)",
+            THREADS,
+            ARTIFACT,
+            PROGRESS,
+            "--simulate  run the cycle-accurate simulator on the result",
+            REPORT,
+        ],
+        run: cmd_compile,
+    },
+    Command {
+        name: "simulate",
+        positional: None,
+        about: "simulate a saved artifact (--chips/--parallelism pin the target it must match)",
+        flags: &[ARTIFACT, CHIPS, PARALLELISM, REPORT],
+        run: cmd_simulate,
+    },
+    Command {
+        name: "verify",
+        positional: None,
+        about: "functionally execute a saved artifact and check its numerics",
+        flags: &[
+            ARTIFACT,
+            SEED,
+            "--tolerance T  max unquantized output RMSE (default: 1e-4)",
+            "--quantized  also run bit-sliced weights + ADC clipping; fails if top-1 flips",
+            "--adc-bits B  ADC resolution for --quantized (default: 8; 32 is ideal)",
+        ],
+        run: cmd_verify,
+    },
+    Command {
+        name: "inspect",
+        positional: None,
+        about: "print a model's graph statistics or a saved artifact's stages",
+        flags: &[MODEL, ARTIFACT],
+        run: cmd_inspect,
+    },
+    Command {
+        name: "export",
+        positional: None,
+        about: "export a zoo model as ONNX",
+        flags: &[MODEL, OUT],
+        run: cmd_export,
+    },
+    Command {
+        name: "models",
+        positional: None,
+        about: "list zoo models",
+        flags: &[],
+        run: cmd_models,
+    },
+    Command {
+        name: "explore",
+        positional: Some("SPEC.json"),
+        about: "run a design-space sweep (default: all cores, cache .pimcomp-cache)",
+        flags: &[
+            SPEC,
+            THREADS,
+            OUT,
+            CSV,
+            CACHE,
+            CACHE_MAX_MB,
+            "--budget-summary  print per-rung evaluations and the savings vs exhaustive",
+            PROGRESS,
+            "--diff OLD.json  compare two sweep reports instead of running",
+            "--against NEW.json  the report `--diff OLD.json` is compared with",
+        ],
+        run: cmd_explore,
+    },
+    Command {
+        name: "serve",
+        positional: None,
+        about: "coordinate a distributed sweep (exhaustive specs only)",
+        flags: &[
+            SPEC,
+            "--listen HOST:PORT  listen address (default: 127.0.0.1:0, any free port)",
+            "--port-file FILE  write the bound host:port to FILE once listening",
+            "--journal FILE  crash-resume journal; the same spec + journal resumes",
+            "--lease-size N  points per worker lease (default: 4)",
+            "--lease-timeout-secs S  reclaim leases older than this (default: 60)",
+            OUT,
+            CSV,
+            PROGRESS,
+        ],
+        run: cmd_serve,
+    },
+    Command {
+        name: "work",
+        positional: None,
+        about: "join a sweep as a worker",
+        flags: &[
+            "--connect HOST:PORT  the coordinator's address (required)",
+            "--name NAME  display name in the coordinator's progress view",
+            CACHE,
+            CACHE_MAX_MB,
+            "--max-points N  stop after N points (CI kill/restart drills)",
+            "--throttle-ms MS  sleep after each point (test interleaving)",
+        ],
+        run: cmd_work,
+    },
+];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
-        eprintln!("{USAGE}");
+        eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    // `explore` takes a positional spec path; handle it before the
-    // flag-only parser.
-    if cmd == "explore" {
-        return match cmd_explore(rest) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let opts = match parse_flags(rest) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match cmd.as_str() {
-        "compile" => cmd_compile(&opts),
-        "simulate" => cmd_simulate(&opts),
-        "verify" => cmd_verify(&opts),
-        "inspect" => cmd_inspect(&opts),
-        "export" => cmd_export(&opts),
-        "models" => cmd_models(),
-        "serve" => cmd_serve(&opts),
-        "work" => cmd_work(&opts),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
+    let result = match COMMANDS.iter().find(|c| c.name == cmd) {
+        Some(command) => parse_args(command, rest).and_then(|args| (command.run)(&args)),
+        None if matches!(cmd.as_str(), "help" | "--help" | "-h") => {
+            println!("{}", usage());
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`")),
+        None => {
+            let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+            Err(format!(
+                "unknown command `{cmd}`; commands: {}, help",
+                names.join(", ")
+            )
+            .into())
+        }
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -83,204 +235,286 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "pimcomp — compilation framework for crossbar-based PIM DNN accelerators
-
-USAGE:
-  pimcomp compile  --model <NAME|FILE.onnx> [options]  compile (and optionally simulate)
-  pimcomp simulate --artifact <FILE.pimc.json>         simulate a saved artifact
-  pimcomp verify   --artifact <FILE.pimc.json>         functionally execute a saved
-                                                       artifact and check its numerics
-  pimcomp inspect  --model <NAME|FILE.onnx>            print graph and workload statistics
-  pimcomp inspect  --artifact <FILE.pimc.json>         summarize a saved artifact's stages
-  pimcomp export   --model <NAME> --out <FILE.onnx>    export a zoo model as ONNX
-  pimcomp models                                       list zoo models
-  pimcomp explore  <SPEC.json> [options]               run a design-space sweep
-  pimcomp explore  --diff <OLD.json> --against <NEW.json>
-                                                       diff two sweep reports
-  pimcomp serve    --spec <SPEC.json> [options]        coordinate a distributed sweep
-  pimcomp work     --connect <HOST:PORT> [options]     join a sweep as a worker
-
-OPTIONS (compile):
-  --mode ht|ll            pipeline mode (default: ht)
-  --chips N               chip count (default: sized to fit with 2x headroom)
-  --parallelism P         parallelism degree (default: 20)
-  --policy naive|add|ag   memory-reuse policy (default: ag)
-  --ga POPxITERS          GA size (default: 100x200)
-  --seed S                GA seed (default: 1)
-  --weight-reload         allow time-multiplexing the crossbars: models
-                          larger than the target compile into mapping
-                          epochs whose weights are rewritten between
-                          phases (reload stalls appear in the report)
-  --seq-len N             bind symbolic sequence dimensions to N tokens
-                          (required for transformer models such as
-                          tiny_bert; ignored by fixed-shape CNNs)
-  --reload-budget N       cap the resident crossbar budget at N
-                          (default: the target's full crossbar count;
-                          requires --weight-reload)
-  --threads N|auto        GA worker threads (`auto` uses all cores; any
-                          value compiles bit-identically; default: the
-                          PIMCOMP_GA_THREADS env var, else 1)
-  --artifact FILE         save the compiled model as a versioned artifact
-  --progress              stream stage + GA-generation progress to stderr
-  --simulate              run the cycle-accurate simulator on the result
-  --report FILE.json      write a JSON report
-
-OPTIONS (simulate):
-  --artifact FILE         artifact produced by `compile --artifact`
-  --chips N, --parallelism P
-                          pin the serving target; the artifact's hardware
-                          fingerprint is checked against it (default: the
-                          artifact's own embedded hardware)
-  --report FILE.json      write the simulation report as JSON
-
-OPTIONS (verify):
-  --artifact FILE         artifact produced by `compile --artifact`
-  --seed S                synthetic weight/input seed (default: 1); must
-                          match a seed the caller wants to reproduce —
-                          verification is self-contained, any seed works
-  --tolerance T           max acceptable output RMSE for the unquantized
-                          check (default: 1e-4)
-  --quantized             also execute with crossbar quantization (weight
-                          bit-slicing into cells plus ADC clipping) and
-                          report the accuracy degradation; the run fails
-                          only if the quantized top-1 prediction flips
-  --adc-bits B            ADC resolution for --quantized (default: 8;
-                          32 means an ideal converter)
-
-OPTIONS (explore):
-  (the sweep spec JSON — models incl. .onnx paths, modes, hardware grids
-  or \"auto\" per-model sizing, memory_policies, ht_batches, seeds,
-  search — is documented field by field in docs/SWEEP_SPEC.md)
-  --threads N|auto        sweep worker threads (default: auto; any value
-                          produces a byte-identical report)
-  --out FILE.json         write the versioned sweep report as JSON
-  --csv FILE.csv          write the sweep report as CSV
-  --cache DIR|off         per-point cache of compiled artifacts and
-                          measured metrics; reruns replay cached points
-                          (default: .pimcomp-cache)
-  --cache-max-mb N        bound the cache directory; least-recently-used
-                          artifacts are evicted after the run (default:
-                          unbounded)
-  --budget-summary        print per-rung evaluation accounting and the
-                          evaluations saved vs an exhaustive sweep (the
-                          spec's `search` section selects the strategy)
-  --progress              stream per-point completions (key, rung, cache
-                          hit/miss) to stderr; stdout is unchanged
-  --diff OLD --against NEW
-                          compare two sweep reports instead of running
-
-OPTIONS (serve):
-  --spec SPEC.json        the sweep spec (exhaustive search only)
-  --listen HOST:PORT      listen address (default: 127.0.0.1:0 — any free
-                          port; see --port-file)
-  --port-file FILE        write the bound address (host:port) to FILE once
-                          listening, for scripted worker launches
-  --journal FILE          append-only crash-resume journal; rerunning with
-                          the same spec and journal resumes completed points
-  --lease-size N          points per worker lease (default: 4)
-  --lease-timeout-secs S  reclaim leases older than this (default: 60)
-  --out FILE.json         write the report — byte-identical to a
-                          single-process `pimcomp explore --out` run
-  --csv FILE.csv          write the report as CSV
-  --progress              stream lease/point/worker events to stderr
-
-OPTIONS (work):
-  --connect HOST:PORT     coordinator address (required)
-  --name NAME             display name in the coordinator's progress view
-  --cache DIR             shared content-addressed store of artifacts
-                          and measured metrics
-  --cache-max-mb N        bound the cache (LRU eviction after each lease)
-  --max-points N          stop after N points (CI kill/restart drills)
-  --throttle-ms MS        sleep after each point (test interleaving)";
-
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut map = HashMap::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let Some(key) = a.strip_prefix("--") else {
-            return Err(format!("unexpected argument `{a}`"));
-        };
-        match key {
-            "simulate" | "progress" | "weight-reload" | "quantized" => {
-                map.insert(key.to_string(), "true".to_string());
-            }
-            _ => {
-                let v = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-                map.insert(key.to_string(), v.clone());
-            }
+/// The help text, rendered from [`COMMANDS`].
+fn usage() -> String {
+    let mut text = String::from(
+        "pimcomp — compilation framework for crossbar-based PIM DNN accelerators\n\nUSAGE:\n",
+    );
+    for c in COMMANDS {
+        let operands = c.positional.map_or(String::new(), |p| format!("[{p}] "))
+            + if c.flags.is_empty() { "" } else { "[flags]" };
+        text += &format!("  pimcomp {:<8} {operands:<19} {}\n", c.name, c.about);
+    }
+    text += "  pimcomp help                         print this text\n";
+    for c in COMMANDS.iter().filter(|c| !c.flags.is_empty()) {
+        text += &format!("\nFLAGS ({}):\n", c.name);
+        for (name, value, help) in c.flags.iter().copied().map(parts) {
+            text += &format!("  {:<24} {help}\n", format!("{name} {value}"));
         }
     }
-    Ok(map)
+    text.trim_end().to_string()
 }
 
-fn load_model(opts: &HashMap<String, String>) -> Result<Graph, String> {
-    let spec = opts
-        .get("model")
-        .ok_or("`--model` is required (zoo name or .onnx path)")?;
-    if spec.ends_with(".onnx") {
-        let bytes = std::fs::read(spec).map_err(|e| format!("cannot read {spec}: {e}"))?;
-        return pimcomp_onnx::import_bytes(&bytes).map_err(|e| e.to_string());
-    }
-    pimcomp::ir::models::test_model(spec)
-        .or_else(|| pimcomp::ir::models::by_name(spec))
-        .ok_or_else(|| {
-            format!(
-                "unknown model `{spec}`; available models: {}",
-                pimcomp::ir::models::ZOO
-                    .iter()
-                    .chain(pimcomp::ir::models::TEST_MODELS.iter())
-                    .copied()
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )
-        })
+/// A command line checked against its command's table row; values are
+/// keyed by the flag as typed (`--chips`).
+struct Args {
+    command: &'static Command,
+    positional: Option<String>,
+    values: HashMap<&'static str, String>,
 }
 
-fn hardware(opts: &HashMap<String, String>, graph: &Graph) -> Result<HardwareConfig, String> {
-    let parallelism: usize = opts
-        .get("parallelism")
-        .map(|s| s.parse().map_err(|_| "bad --parallelism"))
-        .transpose()?
-        .unwrap_or(20);
-    let chips = match opts.get("chips") {
-        Some(s) => s.parse().map_err(|_| "bad --chips")?,
-        // The shared headroom heuristic (also behind `hardware: "auto"`
-        // in sweep specs and the bench harness's sizing).
-        None => pimcomp_core::sized_chips(graph, &HardwareConfig::puma(), 2.0)
-            .map_err(|e| e.to_string())?,
+/// The one place the argument list becomes flags: every `--name` must
+/// be declared by `command`, a valued flag consumes the next argument,
+/// and a bare word is the command's positional (at most one).
+fn parse_args(command: &'static Command, args: &[String]) -> CliResult<Args> {
+    let mut parsed = Args {
+        command,
+        positional: None,
+        values: HashMap::new(),
     };
-    let hw = HardwareConfig::puma_with_chips(chips).with_parallelism(parallelism);
-    hw.validate().map_err(|e| e.to_string())?;
-    Ok(hw)
+    let declared = command.flags.iter().copied().map(parts);
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if !a.starts_with("--") {
+            if command.positional.is_none() || parsed.positional.is_some() {
+                return Err(format!("unexpected argument `{a}`").into());
+            }
+            parsed.positional = Some(a.clone());
+            continue;
+        }
+        let Some((name, placeholder, _)) = declared.clone().find(|(name, ..)| name == a) else {
+            let names: Vec<&str> = declared.map(|(name, ..)| name).collect();
+            let names = if names.is_empty() {
+                "(none)".to_string()
+            } else {
+                names.join(", ")
+            };
+            return Err(
+                format!("`{a}` is not a flag of `{}`; flags: {names}", command.name).into(),
+            );
+        };
+        let value = match placeholder {
+            "" => "true",
+            _ => it
+                .next()
+                .ok_or_else(|| format!("{a} needs a value ({placeholder})"))?,
+        };
+        parsed.values.insert(name, value.to_string());
+    }
+    Ok(parsed)
 }
 
-fn cmd_compile(opts: &HashMap<String, String>) -> Result<(), String> {
+impl Args {
+    fn get(&self, flag: &str) -> Option<&str> {
+        // A handler asking for a flag its row lacks is the handler-side
+        // twin of the typo the parser rejects.
+        debug_assert!(
+            self.command.flags.iter().any(|f| parts(f).0 == flag),
+            "`{}` does not declare {flag}",
+            self.command.name
+        );
+        self.values.get(flag).map(String::as_str)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.get(flag).is_some()
+    }
+
+    fn require(&self, flag: &str) -> CliResult<&str> {
+        Ok(self
+            .get(flag)
+            .ok_or_else(|| format!("`{flag}` is required"))?)
+    }
+
+    /// `flag` parsed as a `T` the check accepts.
+    fn parsed<T: FromStr>(
+        &self,
+        flag: &str,
+        expects: &str,
+        accept: impl Fn(&T) -> bool,
+    ) -> CliResult<Option<T>> {
+        let Some(raw) = self.get(flag) else {
+            return Ok(None);
+        };
+        let value = raw.parse().ok().filter(accept);
+        Ok(Some(value.ok_or_else(|| {
+            format!("{flag} expects {expects}, got `{raw}`")
+        })?))
+    }
+
+    fn number<T: FromStr>(&self, flag: &str) -> CliResult<Option<T>> {
+        self.parsed(flag, "a number", |_| true)
+    }
+
+    fn positive<T: FromStr + PartialOrd + From<u8>>(&self, flag: &str) -> CliResult<Option<T>> {
+        self.parsed(flag, "a positive integer", |n: &T| *n >= T::from(1))
+    }
+
+    /// `--threads N|auto`; `None` when absent (each command has its own
+    /// default) or when `auto` cannot read the core count.
+    fn threads(&self) -> CliResult<Option<NonZeroUsize>> {
+        match self.get("--threads") {
+            Some("auto") => Ok(std::thread::available_parallelism().ok()),
+            _ => self.parsed("--threads", "a positive integer or `auto`", |_| true),
+        }
+    }
+
+    /// `--ga POPxITERS`.
+    fn ga(&self) -> CliResult<Option<(usize, usize)>> {
+        let Some(spec) = self.get("--ga") else {
+            return Ok(None);
+        };
+        let sizes = spec
+            .split_once('x')
+            .and_then(|(pop, iters)| Some((pop.parse().ok()?, iters.parse().ok()?)));
+        Ok(Some(sizes.ok_or_else(|| {
+            format!("--ga expects POPxITERS (100x200), got `{spec}`")
+        })?))
+    }
+
+    /// The PUMA target `--chips`/`--parallelism` describe, each falling
+    /// back to the given default when absent.
+    fn puma(
+        &self,
+        chips: impl FnOnce() -> CliResult<usize>,
+        parallelism: usize,
+    ) -> CliResult<HardwareConfig> {
+        let chips = self.number("--chips")?.map_or_else(chips, Ok)?;
+        let parallelism = self.number("--parallelism")?.unwrap_or(parallelism);
+        Ok(HardwareConfig::puma_with_chips(chips).with_parallelism(parallelism))
+    }
+}
+
+fn load_model(args: &Args) -> CliResult<Graph> {
+    Ok(pimcomp::dse::resolve_model(args.require("--model")?)?)
+}
+
+/// `--artifact`, loaded, with the `loaded …` line `simulate` and
+/// `verify` open with.
+fn open_artifact(args: &Args) -> CliResult<CompiledArtifact> {
+    let path = args.require("--artifact")?;
+    let artifact = CompiledArtifact::load(path)?;
+    let model = artifact.model();
+    println!(
+        "loaded {path}: {} ({} mode, {})",
+        model.report.model,
+        model.mode,
+        stamp(&artifact)
+    );
+    Ok(artifact)
+}
+
+/// The version + fingerprint every artifact line ends with.
+fn stamp(artifact: &CompiledArtifact) -> String {
+    format!(
+        "format v{}, hw fingerprint {:#018x}",
+        artifact.format_version(),
+        artifact.hw_fingerprint()
+    )
+}
+
+fn reload_summary(plan: &ReloadPlan) -> String {
+    if plan.is_single_epoch() {
+        return format!(
+            "weight reload: fits the {}-crossbar budget in one epoch (no reload cost)",
+            plan.budget
+        );
+    }
+    format!(
+        "weight reload: {} epochs over a {}-crossbar budget, {} AGs rewritten, \
+         {} write-stall cycles, {:.1} uJ write energy",
+        plan.epoch_count(),
+        plan.budget,
+        plan.total_ags_written,
+        plan.total_write_cycles,
+        plan.total_write_pj / 1e6
+    )
+}
+
+fn print_simulation(mode: PipelineMode, report: &SimReport) {
+    match mode {
+        PipelineMode::HighThroughput => println!(
+            "  simulated: {} cycles/inference -> {:.0} inf/s",
+            report.total_cycles, report.throughput_inf_per_s
+        ),
+        PipelineMode::LowLatency => println!(
+            "  simulated: {} cycles latency ({:.1} us)",
+            report.total_cycles, report.latency_us
+        ),
+    }
+    println!(
+        "  energy {:.1} uJ (dyn {:.1} + leak {:.1}), avg local mem {:.1} kB",
+        report.energy.total_pj() / 1e6,
+        report.energy.dynamic_pj() / 1e6,
+        report.energy.leakage_pj / 1e6,
+        report.memory.avg_local_bytes / 1024.0
+    );
+    if report.reload_stall_cycles > 0 {
+        println!(
+            "  reload: {} epochs, {} AGs rewritten, {} stall cycles, {:.1} uJ write energy",
+            report.reload_epochs,
+            report.reload_ags_rewritten,
+            report.reload_stall_cycles,
+            report.energy.reload_pj / 1e6
+        );
+    }
+}
+
+fn write_file(path: &str, bytes: impl AsRef<[u8]>) -> CliResult {
+    Ok(std::fs::write(path, bytes).map_err(|e| format!("writing {path}: {e}"))?)
+}
+
+/// `--report FILE.json` of `compile` and `simulate`.
+fn write_json_report(args: &Args, payload: &impl serde::Serialize) -> CliResult {
+    if let Some(path) = args.get("--report") {
+        let json = serde_json::to_string_pretty(payload)?;
+        write_file(path, json)?;
+        println!("  wrote {path}");
+    }
+    Ok(())
+}
+
+/// `--out` / `--csv` of `explore` and `serve`: the same bytes from
+/// both (the determinism gate `cmp`s the two files).
+fn write_sweep_report(args: &Args, report: &SweepReport, indent: &str) -> CliResult {
+    if let Some(path) = args.get("--out") {
+        write_file(path, report.to_json()? + "\n")?;
+        println!(
+            "{indent}wrote {path} (report format v{})",
+            report.format_version
+        );
+    }
+    if let Some(path) = args.get("--csv") {
+        write_file(path, report.to_csv())?;
+        println!("{indent}wrote {path}");
+    }
+    Ok(())
+}
+
+fn cmd_compile(args: &Args) -> CliResult {
     let graph =
-        normalize(&load_model(opts)?).map_err(|e| format!("model failed normalization: {e}"))?;
-    let seq_len = opts
-        .get("seq-len")
-        .map(|s| {
-            s.parse::<usize>()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or("--seq-len expects a positive integer")
-        })
-        .transpose()?;
+        normalize(&load_model(args)?).map_err(|e| format!("model failed normalization: {e}"))?;
+    let seq_len = args.positive::<usize>("--seq-len")?;
     // Hardware sizing needs fixed shapes; the session re-binds (a
     // no-op on the already-bound graph) through the same options path
     // API users take.
     let sizing_graph = match seq_len {
-        Some(n) => pimcomp::ir::transform::bind_seq_len(&graph, n).map_err(|e| e.to_string())?,
+        Some(n) => pimcomp::ir::transform::bind_seq_len(&graph, n)?,
         None => graph.clone(),
     };
-    let hw = hardware(opts, &sizing_graph)?;
-    let mode = match opts.get("mode").map(String::as_str).unwrap_or("ht") {
+    // The shared headroom heuristic (also behind `hardware: "auto"` in
+    // sweep specs and the bench harness's sizing).
+    let puma = HardwareConfig::puma();
+    let sized = || Ok(pimcomp_core::sized_chips(&sizing_graph, &puma, 2.0)?);
+    let hw = args.puma(sized, 20)?;
+    hw.validate()?;
+    let mode = match args.get("--mode").unwrap_or("ht") {
         "ht" | "HT" => PipelineMode::HighThroughput,
         "ll" | "LL" => PipelineMode::LowLatency,
-        other => return Err(format!("unknown mode `{other}` (ht|ll)")),
+        other => return Err(format!("unknown mode `{other}` (ht|ll)").into()),
     };
     // The policy names are the sweep spec's (one spelling everywhere).
-    let name = opts.get("policy").map(String::as_str).unwrap_or("ag");
+    let name = args.get("--policy").unwrap_or("ag");
     let policy = ReusePolicy::ALL
         .into_iter()
         .find(|&p| pimcomp::dse::policy_spec_name(p) == name)
@@ -290,40 +524,14 @@ fn cmd_compile(opts: &HashMap<String, String>) -> Result<(), String> {
                 pimcomp::dse::policy_names().join("|")
             )
         })?;
-    let seed: u64 = opts
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| "bad --seed"))
-        .transpose()?
-        .unwrap_or(1);
-    let parallelism = match opts.get("threads").map(String::as_str) {
-        None => None,
-        Some("auto") => std::thread::available_parallelism().ok(),
-        Some(raw) => {
-            let n: usize = raw
-                .parse()
-                .map_err(|_| "--threads expects a positive integer or `auto`")?;
-            Some(std::num::NonZeroUsize::new(n).ok_or("--threads must be at least 1 (or `auto`)")?)
-        }
+    let mut ga = GaParams {
+        seed: args.number("--seed")?.unwrap_or(1),
+        parallelism: args.threads()?,
+        ..GaParams::default()
     };
-    let ga = match opts.get("ga").map(String::as_str) {
-        Some(spec) => {
-            let (pop, iters) = spec
-                .split_once('x')
-                .ok_or("--ga expects POPxITERS, e.g. 100x200")?;
-            GaParams {
-                population: pop.parse().map_err(|_| "bad GA population")?,
-                iterations: iters.parse().map_err(|_| "bad GA iterations")?,
-                seed,
-                parallelism,
-                ..GaParams::default()
-            }
-        }
-        None => GaParams {
-            seed,
-            parallelism,
-            ..GaParams::default()
-        },
-    };
+    if let Some((population, iterations)) = args.ga()? {
+        (ga.population, ga.iterations) = (population, iterations);
+    }
 
     println!(
         "compiling {} for {} chips x {} cores (parallelism {}, {mode} mode)...",
@@ -332,27 +540,22 @@ fn cmd_compile(opts: &HashMap<String, String>) -> Result<(), String> {
         hw.cores_per_chip,
         hw.parallelism
     );
-    let reload_budget = opts
-        .get("reload-budget")
-        .map(|s| s.parse::<usize>().map_err(|_| "bad --reload-budget"))
-        .transpose()?;
+    let reload_budget = args.number::<usize>("--reload-budget")?;
     let mut compile_opts = CompileOptions::new(mode).with_ga(ga).with_policy(policy);
     if let Some(n) = seq_len {
         compile_opts = compile_opts.with_seq_len(n);
     }
-    if opts.contains_key("weight-reload") {
+    if args.has("--weight-reload") {
         compile_opts = compile_opts.with_weight_reload(reload_budget);
     } else if reload_budget.is_some() {
-        return Err("--reload-budget requires --weight-reload".to_string());
+        return Err("--reload-budget requires --weight-reload".into());
     }
-    let session =
-        CompileSession::new(hw.clone(), &graph, compile_opts).map_err(|e| e.to_string())?;
-    let compiled = if opts.contains_key("progress") {
+    let session = CompileSession::new(hw.clone(), &graph, compile_opts)?;
+    let compiled = if args.has("--progress") {
         session.run_observed(&mut ProgressPrinter::default())
     } else {
         session.run()
-    }
-    .map_err(|e| e.to_string())?;
+    }?;
 
     let r = &compiled.report;
     println!(
@@ -373,84 +576,36 @@ fn cmd_compile(opts: &HashMap<String, String>) -> Result<(), String> {
         r.estimated_fitness
     );
     if let Some(plan) = &compiled.reload {
-        if plan.is_single_epoch() {
-            println!(
-                "  weight reload: fits the {}-crossbar budget in one epoch (no reload cost)",
-                plan.budget
-            );
-        } else {
-            println!(
-                "  weight reload: {} epochs over a {}-crossbar budget, {} AGs rewritten, \
-                 {} write-stall cycles, {:.1} uJ write energy",
-                plan.epoch_count(),
-                plan.budget,
-                plan.total_ags_written,
-                plan.total_write_cycles,
-                plan.total_write_pj / 1e6
-            );
-        }
+        println!("  {}", reload_summary(plan));
     }
 
-    let sim_report = if opts.contains_key("simulate") {
-        let report = Simulator::new(hw)
-            .run(&compiled)
-            .map_err(|e| e.to_string())?;
-        match mode {
-            PipelineMode::HighThroughput => println!(
-                "  simulated: {} cycles/inference -> {:.0} inf/s",
-                report.total_cycles, report.throughput_inf_per_s
-            ),
-            PipelineMode::LowLatency => println!(
-                "  simulated: {} cycles latency ({:.1} us)",
-                report.total_cycles, report.latency_us
-            ),
-        }
-        println!(
-            "  energy {:.1} uJ (dyn {:.1} + leak {:.1}), avg local mem {:.1} kB",
-            report.energy.total_pj() / 1e6,
-            report.energy.dynamic_pj() / 1e6,
-            report.energy.leakage_pj / 1e6,
-            report.memory.avg_local_bytes / 1024.0
-        );
-        if report.reload_stall_cycles > 0 {
-            println!(
-                "  reload: {} epochs, {} AGs rewritten, {} stall cycles, {:.1} uJ write energy",
-                report.reload_epochs,
-                report.reload_ags_rewritten,
-                report.reload_stall_cycles,
-                report.energy.reload_pj / 1e6
-            );
-        }
+    let sim_report = if args.has("--simulate") {
+        let report = Simulator::new(hw).run(&compiled)?;
+        print_simulation(mode, &report);
         Some(report)
     } else {
         None
     };
 
-    if let Some(path) = opts.get("report") {
-        #[derive(serde::Serialize)]
-        struct FullReport<'a> {
-            compile: &'a pimcomp_core::CompileReport,
-            simulation: Option<&'a pimcomp_sim::SimReport>,
-        }
-        let payload = FullReport {
+    #[derive(serde::Serialize)]
+    struct FullReport<'a> {
+        compile: &'a pimcomp_core::CompileReport,
+        simulation: Option<&'a SimReport>,
+    }
+    write_json_report(
+        args,
+        &FullReport {
             compile: r,
             simulation: sim_report.as_ref(),
-        };
-        let json = serde_json::to_string_pretty(&payload).map_err(|e| e.to_string())?;
-        std::fs::write(path, json).map_err(|e| e.to_string())?;
-        println!("  wrote {path}");
-    }
+        },
+    )?;
 
     // Last, so the model can be moved into the artifact without a
     // deep copy (compiled models for large networks are megabytes).
-    if let Some(path) = opts.get("artifact") {
+    if let Some(path) = args.get("--artifact") {
         let artifact = CompiledArtifact::new(compiled);
-        artifact.save(path).map_err(|e| e.to_string())?;
-        println!(
-            "  wrote artifact {path} (format v{}, hw fingerprint {:#018x})",
-            artifact.format_version(),
-            artifact.hw_fingerprint()
-        );
+        artifact.save(path)?;
+        println!("  wrote artifact {path} ({})", stamp(&artifact));
     }
     Ok(())
 }
@@ -459,15 +614,6 @@ fn cmd_compile(opts: &HashMap<String, String>) -> Result<(), String> {
 #[derive(Default)]
 struct ProgressPrinter {
     last_reported: usize,
-}
-
-/// Whether `GA_DEBUG` is set, read **once** per process. The mutation
-/// diagnostics it unlocks flow through the [`GaGeneration`] observer
-/// snapshot (the library tallies them into `GaStats` instead of
-/// printing to stderr from the hot mutation loop).
-fn ga_debug() -> bool {
-    static GA_DEBUG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *GA_DEBUG.get_or_init(|| std::env::var_os("GA_DEBUG").is_some())
 }
 
 impl CompileObserver for ProgressPrinter {
@@ -492,127 +638,56 @@ impl CompileObserver for ProgressPrinter {
                 p.evaluations,
                 p.cache_hits
             );
-            if ga_debug() {
-                eprintln!(
-                    "[ga]   grow mutations so far: {} placed, {} failed (wedged \
-                     against capacity when failures dominate)",
-                    p.grow_successes, p.grow_failures
-                );
-            }
+            eprintln!(
+                "[ga]   grow mutations so far: {} placed, {} failed (wedged \
+                 against capacity when failures dominate)",
+                p.grow_successes, p.grow_failures
+            );
         }
     }
 }
 
-fn cmd_simulate(opts: &HashMap<String, String>) -> Result<(), String> {
-    let path = opts
-        .get("artifact")
-        .ok_or("`--artifact FILE` is required (produced by `compile --artifact`)")?;
-    let artifact = CompiledArtifact::load(path).map_err(|e| e.to_string())?;
+fn cmd_simulate(args: &Args) -> CliResult {
+    let artifact = open_artifact(args)?;
     let model = artifact.model();
-    println!(
-        "loaded {path}: {} ({} mode, format v{}, hw fingerprint {:#018x})",
-        model.report.model,
-        model.mode,
-        artifact.format_version(),
-        artifact.hw_fingerprint()
-    );
     // With --chips/--parallelism the caller pins the serving target and
     // the fingerprint check is meaningful; otherwise the artifact's own
     // embedded hardware is the target (trivially matching).
-    let target = if opts.contains_key("chips") || opts.contains_key("parallelism") {
-        let chips = match opts.get("chips") {
-            Some(s) => s.parse().map_err(|_| "bad --chips")?,
-            None => model.hw.chips,
-        };
-        let parallelism = match opts.get("parallelism") {
-            Some(s) => s.parse().map_err(|_| "bad --parallelism")?,
-            None => model.hw.parallelism,
-        };
-        HardwareConfig::puma_with_chips(chips).with_parallelism(parallelism)
+    let target = if args.has("--chips") || args.has("--parallelism") {
+        args.puma(|| Ok(model.hw.chips), model.hw.parallelism)?
     } else {
         model.hw.clone()
     };
-    let report = Simulator::new(target)
-        .run_artifact(&artifact)
-        .map_err(|e| e.to_string())?;
-    match model.mode {
-        PipelineMode::HighThroughput => println!(
-            "  simulated: {} cycles/inference -> {:.0} inf/s",
-            report.total_cycles, report.throughput_inf_per_s
-        ),
-        PipelineMode::LowLatency => println!(
-            "  simulated: {} cycles latency ({:.1} us)",
-            report.total_cycles, report.latency_us
-        ),
-    }
-    println!(
-        "  energy {:.1} uJ (dyn {:.1} + leak {:.1}), avg local mem {:.1} kB",
-        report.energy.total_pj() / 1e6,
-        report.energy.dynamic_pj() / 1e6,
-        report.energy.leakage_pj / 1e6,
-        report.memory.avg_local_bytes / 1024.0
-    );
-    if let Some(out) = opts.get("report") {
-        let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-        std::fs::write(out, json).map_err(|e| e.to_string())?;
-        println!("  wrote {out}");
-    }
-    Ok(())
+    let report = Simulator::new(target).run_artifact(&artifact)?;
+    print_simulation(model.mode, &report);
+    write_json_report(args, &report)
 }
 
-fn cmd_verify(opts: &HashMap<String, String>) -> Result<(), String> {
-    let path = opts
-        .get("artifact")
-        .ok_or("`--artifact FILE` is required (produced by `compile --artifact`)")?;
-    let artifact = CompiledArtifact::load(path).map_err(|e| e.to_string())?;
+fn cmd_verify(args: &Args) -> CliResult {
+    let seed: u64 = args.number("--seed")?.unwrap_or(1);
+    let tolerance: f64 = args.number("--tolerance")?.unwrap_or(1e-4);
+    let adc_bits: u32 = args.number("--adc-bits")?.unwrap_or(8);
+    let artifact = open_artifact(args)?;
     let model = artifact.model();
-    let seed: u64 = opts
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| "bad --seed"))
-        .transpose()?
-        .unwrap_or(1);
-    let tolerance: f64 = opts
-        .get("tolerance")
-        .map(|s| s.parse().map_err(|_| "bad --tolerance"))
-        .transpose()?
-        .unwrap_or(1e-4);
-    println!(
-        "loaded {path}: {} ({} mode, format v{}, hw fingerprint {:#018x})",
-        model.report.model,
-        model.mode,
-        artifact.format_version(),
-        artifact.hw_fingerprint()
-    );
-    let reference =
-        pimcomp::exec::reference_outputs(&model.graph, seed).map_err(|e| e.to_string())?;
-    let verify = |quant| {
-        pimcomp::exec::verify_against(&reference, model, seed, quant).map_err(|e| e.to_string())
-    };
+    let reference = pimcomp::exec::reference_outputs(&model.graph, seed)?;
+    let verify = |quant| pimcomp::exec::verify_against(&reference, model, seed, quant);
+    let top1 = |matched| if matched { "match" } else { "MISMATCH" };
     let exact = verify(None)?;
     println!(
         "  unquantized: RMSE {:.3e} over {} output values, top-1 {} (seed {seed})",
         exact.output_rmse,
         exact.output_len,
-        if exact.top1_match {
-            "match"
-        } else {
-            "MISMATCH"
-        }
+        top1(exact.top1_match)
     );
     if exact.output_rmse > tolerance {
         return Err(format!(
             "mapped execution diverges from the reference: RMSE {:.3e} exceeds tolerance {tolerance:.1e}",
             exact.output_rmse
-        ));
+        )
+        .into());
     }
-    if opts.contains_key("quantized") {
-        let adc_bits: u32 = opts
-            .get("adc-bits")
-            .map(|s| s.parse().map_err(|_| "bad --adc-bits"))
-            .transpose()?
-            .unwrap_or(8);
-        let quant = pimcomp_arch::QuantConfig::for_hardware(&model.hw, adc_bits)
-            .map_err(|e| e.to_string())?;
+    if args.has("--quantized") {
+        let quant = pimcomp_arch::QuantConfig::for_hardware(&model.hw, adc_bits)?;
         let q = verify(Some(quant))?;
         println!(
             "  quantized ({}b cells, {}b weights, {}b ADC): RMSE {:.3e}, top-1 {}",
@@ -620,29 +695,26 @@ fn cmd_verify(opts: &HashMap<String, String>) -> Result<(), String> {
             model.hw.weight_bits,
             adc_bits,
             q.output_rmse,
-            if q.top1_match { "match" } else { "MISMATCH" }
+            top1(q.top1_match)
         );
         if !q.top1_match {
             return Err(format!(
                 "quantization at {adc_bits} ADC bits flips the top-1 prediction \
                  (RMSE {:.3e}); raise --adc-bits or the cell precision",
                 q.output_rmse
-            ));
+            )
+            .into());
         }
     }
     println!("  verification passed");
     Ok(())
 }
 
-fn inspect_artifact(path: &str) -> Result<(), String> {
-    let artifact = CompiledArtifact::load(path).map_err(|e| e.to_string())?;
+fn inspect_artifact(path: &str) -> CliResult {
+    let artifact = CompiledArtifact::load(path)?;
     let m = artifact.model();
     let r = &m.report;
-    println!(
-        "artifact {path} (format v{}, hw fingerprint {:#018x})",
-        artifact.format_version(),
-        artifact.hw_fingerprint()
-    );
+    println!("artifact {path} ({})", stamp(&artifact));
     println!(
         "model: {} compiled by {} in {} mode",
         r.model, r.compiler, r.mode
@@ -676,39 +748,23 @@ fn inspect_artifact(path: &str) -> Result<(), String> {
     println!(
         "  scheduling   : {:?} ({} schedule, {} policy, peak local {:.1} kB)",
         r.timings.dataflow_scheduling,
-        match &m.schedule {
-            pimcomp_core::Schedule::HighThroughput(_) => "HT",
-            pimcomp_core::Schedule::LowLatency(_) => "LL",
-        },
+        m.mode,
         m.memory.policy.label(),
         m.memory.peak_bytes as f64 / 1024.0
     );
     println!("replication: {:?}", r.replication);
-    match &m.reload {
-        Some(plan) if plan.is_single_epoch() => println!(
-            "weight reload: single epoch within a {}-crossbar budget (resident, no reload cost)",
-            plan.budget
-        ),
-        Some(plan) => println!(
-            "weight reload: {} epochs over a {}-crossbar budget ({} AGs rewritten, \
-             {} write-stall cycles, {:.1} uJ)",
-            plan.epoch_count(),
-            plan.budget,
-            plan.total_ags_written,
-            plan.total_write_cycles,
-            plan.total_write_pj / 1e6
-        ),
-        None => {}
+    if let Some(plan) = &m.reload {
+        println!("{}", reload_summary(plan));
     }
     println!("estimated fitness: {:.0} cycles", r.estimated_fitness);
     Ok(())
 }
 
-fn cmd_inspect(opts: &HashMap<String, String>) -> Result<(), String> {
-    if let Some(path) = opts.get("artifact") {
+fn cmd_inspect(args: &Args) -> CliResult {
+    if let Some(path) = args.get("--artifact") {
         return inspect_artifact(path);
     }
-    let graph = load_model(opts)?;
+    let graph = load_model(args)?;
     let stats = GraphStats::of(&graph);
     println!("model: {} ({} nodes)", stats.model, stats.nodes);
     println!(
@@ -717,10 +773,8 @@ fn cmd_inspect(opts: &HashMap<String, String>) -> Result<(), String> {
         stats.params as f64 / 1e6,
         stats.macs as f64 / 1e9
     );
-    println!(
-        "\n{:<28} {:<10} {:>12} {:>14} {:>10}",
-        "node", "op", "params", "MACs", "windows"
-    );
+    // Padded to the column widths of the rows below.
+    println!("\nnode                         op               params           MACs    windows");
     for n in &stats.per_node {
         if n.macs == 0 && n.params == 0 {
             continue;
@@ -733,78 +787,49 @@ fn cmd_inspect(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_export(opts: &HashMap<String, String>) -> Result<(), String> {
-    let graph = load_model(opts)?;
-    let out = opts.get("out").ok_or("`--out FILE.onnx` is required")?;
+fn cmd_export(args: &Args) -> CliResult {
+    let graph = load_model(args)?;
+    let out = args.require("--out")?;
     let bytes = pimcomp_onnx::export_graph(&graph).encode();
-    std::fs::write(out, &bytes).map_err(|e| e.to_string())?;
+    write_file(out, &bytes)?;
     println!("wrote {out} ({} bytes)", bytes.len());
     Ok(())
 }
 
-fn cmd_explore(args: &[String]) -> Result<(), String> {
-    use pimcomp::dse::{ExploreEngine, SweepReport, SweepSpec};
-
-    // One positional (the spec path) plus --key value flags.
-    let mut spec_path: Option<String> = None;
-    let mut flags: HashMap<String, String> = HashMap::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if let Some(key) = a.strip_prefix("--") {
-            if key == "budget-summary" || key == "progress" {
-                flags.insert(key.to_string(), "true".to_string());
-                continue;
-            }
-            let v = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-            flags.insert(key.to_string(), v.clone());
-        } else if spec_path.is_none() {
-            spec_path = Some(a.clone());
-        } else {
-            return Err(format!("unexpected argument `{a}`"));
-        }
-    }
+fn cmd_explore(args: &Args) -> CliResult {
+    use pimcomp::dse::{ExploreEngine, SweepSpec};
 
     // Diff mode: compare two saved reports instead of running.
-    if let Some(old) = flags.get("diff") {
-        let new = flags
-            .get("against")
-            .ok_or("`--diff OLD` needs `--against NEW`")?;
-        let old_report = SweepReport::load(old).map_err(|e| e.to_string())?;
-        let new_report = SweepReport::load(new).map_err(|e| e.to_string())?;
+    if let Some(old) = args.get("--diff") {
+        let new = args.require("--against")?;
+        let old_report = SweepReport::load(old)?;
+        let new_report = SweepReport::load(new)?;
         print!("{}", old_report.diff(&new_report));
         return Ok(());
     }
 
-    let spec_path = spec_path
-        .or_else(|| flags.get("spec").cloned())
-        .ok_or("`pimcomp explore` needs a sweep spec path (JSON)")?;
-    let json =
-        std::fs::read_to_string(&spec_path).map_err(|e| format!("cannot read {spec_path}: {e}"))?;
-    let spec = SweepSpec::from_json(&json).map_err(|e| e.to_string())?;
-
-    let threads = match flags.get("threads").map(String::as_str) {
-        None | Some("auto") => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        Some(raw) => raw
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or("--threads expects a positive integer or `auto`")?,
+    let spec_path = match &args.positional {
+        Some(path) => path.as_str(),
+        None => args.require("--spec")?,
     };
+    let json =
+        std::fs::read_to_string(spec_path).map_err(|e| format!("cannot read {spec_path}: {e}"))?;
+    let spec = SweepSpec::from_json(&json)?;
+
+    let threads = args
+        .threads()?
+        .or_else(|| std::thread::available_parallelism().ok())
+        .map_or(1, NonZeroUsize::get);
     let mut engine = ExploreEngine::new().with_threads(threads);
-    match flags.get("cache").map(String::as_str) {
+    match args.get("--cache") {
         Some("off") => {}
         Some(dir) => engine = engine.with_cache_dir(dir),
         None => engine = engine.with_cache_dir(".pimcomp-cache"),
     }
-    if let Some(raw) = flags.get("cache-max-mb") {
-        let max_mb: u64 = raw
-            .parse()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or("--cache-max-mb expects a positive integer (megabytes)")?;
+    if let Some(max_mb) = args.positive("--cache-max-mb")? {
         engine = engine.with_cache_limit_mb(max_mb);
     }
-    if flags.contains_key("progress") {
+    if args.has("--progress") {
         // Per-point completions go to stderr; stdout (the summary and
         // frontier table) is byte-for-byte what a silent run prints.
         engine = engine.with_progress(std::sync::Arc::new(|e: &pimcomp::dse::PointEvent| {
@@ -821,7 +846,7 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
     }
 
     println!("{}", spec.banner(threads));
-    let outcome = engine.run(&spec).map_err(|e| e.to_string())?;
+    let outcome = engine.run(&spec)?;
     let report = &outcome.report;
     println!(
         "  evaluated {} points: {} ok, {} failed, {} cache hits / {} compiled \
@@ -834,18 +859,16 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
         outcome.metrics_hits,
         outcome.cache_hits - outcome.metrics_hits
     );
-    if let Some(ev) = &outcome.eviction {
-        if ev.evicted_files > 0 {
-            println!(
-                "  cache bound: evicted {} artifact(s) ({:.1} MB), kept {} ({:.1} MB)",
-                ev.evicted_files,
-                ev.evicted_bytes as f64 / (1024.0 * 1024.0),
-                ev.kept_files,
-                ev.kept_bytes as f64 / (1024.0 * 1024.0)
-            );
-        }
+    if let Some(ev) = outcome.eviction.iter().find(|ev| ev.evicted_files > 0) {
+        println!(
+            "  cache bound: evicted {} artifact(s) ({:.1} MB), kept {} ({:.1} MB)",
+            ev.evicted_files,
+            ev.evicted_bytes as f64 / (1024.0 * 1024.0),
+            ev.kept_files,
+            ev.kept_bytes as f64 / (1024.0 * 1024.0)
+        );
     }
-    if flags.contains_key("budget-summary") {
+    if args.has("--budget-summary") {
         println!();
         print!("{}", outcome.budget);
     }
@@ -855,19 +878,8 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
         report.frontier.len(),
         report.points.len()
     );
-    println!(
-        "  {:<10} {:<4} {:<28} {:<6} {:>5} {:>20} {:>12} {:>12} {:>11} {:>6}",
-        "model",
-        "mode",
-        "hardware",
-        "policy",
-        "batch",
-        "seed",
-        "cycles",
-        "energy(uJ)",
-        "inf/s",
-        "xbar%"
-    );
+    // Padded to the column widths of the rows below.
+    println!("  model      mode hardware                     policy batch                 seed       cycles   energy(uJ)       inf/s  xbar%");
     for p in report.frontier_records() {
         let m = p.metrics.as_ref().expect("frontier points succeeded");
         println!(
@@ -892,48 +904,31 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
         );
     }
 
-    if let Some(path) = flags.get("out") {
-        std::fs::write(path, report.to_json().map_err(|e| e.to_string())? + "\n")
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("\nwrote {path} (report format v{})", report.format_version);
+    if args.has("--out") {
+        println!();
     }
-    if let Some(path) = flags.get("csv") {
-        std::fs::write(path, report.to_csv()).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote {path}");
-    }
-    Ok(())
+    write_sweep_report(args, report, "")
 }
 
-fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_serve(args: &Args) -> CliResult {
     use pimcomp::serve::{Coordinator, CoordinatorConfig};
 
-    let spec_path = opts
-        .get("spec")
-        .ok_or("`--spec SPEC.json` is required (an exhaustive sweep spec)")?;
+    let spec_path = args.require("--spec")?;
     let json =
         std::fs::read_to_string(spec_path).map_err(|e| format!("cannot read {spec_path}: {e}"))?;
 
     let mut cfg = CoordinatorConfig::default();
-    if let Some(listen) = opts.get("listen") {
-        cfg.listen = listen.clone();
+    if let Some(listen) = args.get("--listen") {
+        cfg.listen = listen.to_string();
     }
-    if let Some(raw) = opts.get("lease-size") {
-        cfg.lease_size = raw
-            .parse()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or("--lease-size expects a positive integer")?;
+    if let Some(n) = args.positive("--lease-size")? {
+        cfg.lease_size = n;
     }
-    if let Some(raw) = opts.get("lease-timeout-secs") {
-        let secs: u64 = raw
-            .parse()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or("--lease-timeout-secs expects a positive integer")?;
+    if let Some(secs) = args.positive("--lease-timeout-secs")? {
         cfg.lease_timeout = Duration::from_secs(secs);
     }
-    cfg.journal = opts.get("journal").map(std::path::PathBuf::from);
-    cfg.progress = opts.contains_key("progress");
+    cfg.journal = args.get("--journal").map(std::path::PathBuf::from);
+    cfg.progress = args.has("--progress");
     // Label the job by the spec's file stem so journal headers and
     // progress lines say which sweep this is.
     if let Some(stem) = std::path::Path::new(spec_path)
@@ -943,15 +938,15 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
         cfg.job = stem.to_string();
     }
 
-    let coordinator = Coordinator::bind(&json, cfg).map_err(|e| e.to_string())?;
-    let addr = coordinator.local_addr().map_err(|e| e.to_string())?;
+    let coordinator = Coordinator::bind(&json, cfg)?;
+    let addr = coordinator.local_addr()?;
     println!("coordinating sweep {spec_path} on {addr}");
-    if let Some(path) = opts.get("port-file") {
-        std::fs::write(path, format!("{addr}\n")).map_err(|e| format!("writing {path}: {e}"))?;
+    if let Some(path) = args.get("--port-file") {
+        write_file(path, format!("{addr}\n"))?;
         println!("  wrote {path}");
     }
 
-    let outcome = coordinator.run().map_err(|e| e.to_string())?;
+    let outcome = coordinator.run()?;
     let report = &outcome.report;
     println!(
         "  evaluated {} points ({} resumed from the journal): {} ok, {} failed",
@@ -964,55 +959,22 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
         "  {} worker connection(s), {} lease(s) issued, {} reclaimed",
         outcome.workers_seen, outcome.leases_issued, outcome.leases_reclaimed
     );
-    if let Some(path) = opts.get("out") {
-        // Same bytes as `pimcomp explore --out` — the determinism gate
-        // `cmp`s the two files.
-        std::fs::write(path, report.to_json().map_err(|e| e.to_string())? + "\n")
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("  wrote {path} (report format v{})", report.format_version);
-    }
-    if let Some(path) = opts.get("csv") {
-        std::fs::write(path, report.to_csv()).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("  wrote {path}");
-    }
-    Ok(())
+    write_sweep_report(args, report, "  ")
 }
 
-fn cmd_work(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_work(args: &Args) -> CliResult {
     use pimcomp::serve::{run_worker, WorkerConfig};
 
-    let connect = opts
-        .get("connect")
-        .ok_or("`--connect HOST:PORT` is required (the coordinator's address)")?;
-    let mut cfg = WorkerConfig::connect_to(connect.as_str());
-    if let Some(name) = opts.get("name") {
-        cfg.name = name.clone();
+    let mut cfg = WorkerConfig::connect_to(args.require("--connect")?);
+    if let Some(name) = args.get("--name") {
+        cfg.name = name.to_string();
     }
-    cfg.cache_dir = opts.get("cache").map(std::path::PathBuf::from);
-    if let Some(raw) = opts.get("cache-max-mb") {
-        let max_mb: u64 = raw
-            .parse()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or("--cache-max-mb expects a positive integer (megabytes)")?;
-        cfg.cache_max_mb = Some(max_mb);
-    }
-    if let Some(raw) = opts.get("max-points") {
-        cfg.max_points = Some(
-            raw.parse()
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or("--max-points expects a positive integer")?,
-        );
-    }
-    if let Some(raw) = opts.get("throttle-ms") {
-        let ms: u64 = raw
-            .parse()
-            .map_err(|_| "--throttle-ms expects milliseconds")?;
-        cfg.throttle = Some(Duration::from_millis(ms));
-    }
+    cfg.cache_dir = args.get("--cache").map(std::path::PathBuf::from);
+    cfg.cache_max_mb = args.positive("--cache-max-mb")?;
+    cfg.max_points = args.positive("--max-points")?;
+    cfg.throttle = args.number("--throttle-ms")?.map(Duration::from_millis);
 
-    let summary = run_worker(&cfg).map_err(|e| e.to_string())?;
+    let summary = run_worker(&cfg)?;
     println!(
         "worker {} done: {} point(s) evaluated ({} cache hits: {} from metrics, \
          {} from artifacts) over {} lease(s){}",
@@ -1031,46 +993,29 @@ fn cmd_work(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_models() -> Result<(), String> {
-    println!("paper benchmarks:");
-    for m in pimcomp::ir::models::PAPER_BENCHMARKS {
-        let g = pimcomp::ir::models::by_name(m).expect("zoo model");
+fn cmd_models(_: &Args) -> CliResult {
+    use pimcomp::ir::models::{by_name, PAPER_BENCHMARKS, TEST_MODELS, ZOO};
+
+    let row = |m: &&str| {
+        let g = by_name(m).expect("zoo model");
         let s = GraphStats::of(&g);
-        println!(
-            "  {:<14} {:>3} nodes {:>7.2}M params {:>6.2}G MACs",
+        print!(
+            "  {:<14} {:>3} nodes {:>7.2}M params ",
             m,
             s.nodes,
-            s.params as f64 / 1e6,
-            s.macs as f64 / 1e9
+            s.params as f64 / 1e6
         );
-    }
-    println!("other zoo models:");
-    for m in pimcomp::ir::models::ZOO {
-        if pimcomp::ir::models::PAPER_BENCHMARKS.contains(&m) {
-            continue;
-        }
-        let g = pimcomp::ir::models::by_name(m).expect("zoo model");
-        let s = GraphStats::of(&g);
         if g.has_symbolic_dims() {
-            println!(
-                "  {:<14} {:>3} nodes {:>7.2}M params   symbolic seq (bind with --seq-len)",
-                m,
-                s.nodes,
-                s.params as f64 / 1e6
-            );
+            println!("  symbolic seq (bind with --seq-len)");
         } else {
-            println!(
-                "  {:<14} {:>3} nodes {:>7.2}M params {:>6.2}G MACs",
-                m,
-                s.nodes,
-                s.params as f64 / 1e6,
-                s.macs as f64 / 1e9
-            );
+            println!("{:>6.2}G MACs", s.macs as f64 / 1e9);
         }
-    }
-    println!(
-        "test models: {}",
-        pimcomp::ir::models::TEST_MODELS.join(", ")
-    );
+    };
+    println!("paper benchmarks:");
+    PAPER_BENCHMARKS.iter().for_each(row);
+    println!("other zoo models:");
+    let others = ZOO.iter().filter(|m| !PAPER_BENCHMARKS.contains(m));
+    others.for_each(row);
+    println!("test models: {}", TEST_MODELS.join(", "));
     Ok(())
 }

@@ -138,6 +138,21 @@ fn sim_report_serializes() {
     assert!(json.contains("\"total_cycles\""));
 }
 
+/// `Simulator::run` takes timing from the model's hardware and energy
+/// from its own: two descriptions must be an error in every build, not
+/// a debug panic and a silently mixed release report.
+#[test]
+fn a_model_compiled_for_other_hardware_is_a_structured_error() {
+    let hw = HardwareConfig::small_test();
+    let other = hw.clone().with_parallelism(hw.parallelism + 1);
+    for mode in [PipelineMode::HighThroughput, PipelineMode::LowLatency] {
+        let compiled = compile_tiny_cnn(&hw, mode);
+        let err = Simulator::new(other.clone()).run(&compiled).unwrap_err();
+        assert!(matches!(err, SimError::HardwareMismatch { .. }), "{err}");
+        assert!(Simulator::new(hw.clone()).run(&compiled).is_ok());
+    }
+}
+
 fn ht_schedule_mut(compiled: &mut CompiledModel) -> &mut HtSchedule {
     match &mut compiled.schedule {
         Schedule::HighThroughput(ht) => ht,
