@@ -118,7 +118,8 @@ pub struct HardwareConfig {
     pub clock_ghz: f64,
     /// Fraction of each component's Table I power that is static
     /// (leakage) rather than activity-proportional. Calibration knob for
-    /// the Fig. 9 energy split; see DESIGN.md.
+    /// the Fig. 9 energy split (the `fig9.*` claims of "The paper
+    /// scoreboard" in `docs/BENCHMARKS.md`).
     pub leakage_fraction: f64,
     /// Cycles to program one crossbar row of NVM cells. Writes proceed
     /// row by row but are parallel across the cells of a row and across

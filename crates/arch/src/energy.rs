@@ -46,8 +46,8 @@ pub struct EnergyModel {
 impl EnergyModel {
     /// Derives the model from a hardware config and the Table I library.
     ///
-    /// Accounting identities (standard practice, documented in
-    /// DESIGN.md):
+    /// Accounting identities (standard practice; what they add up to
+    /// is Fig. 9, see "The paper scoreboard" in `docs/BENCHMARKS.md`):
     ///
     /// * MVM: the PIMMU's dynamic power share divided across its
     ///   crossbars, integrated over `T_MVM`.

@@ -3,7 +3,9 @@
 //! Produces a structurally complete `ModelProto`: nodes with canonical
 //! ONNX operator names and attributes, value infos for graph inputs and
 //! outputs, and weight initializers carrying correct *dims* with empty
-//! payloads (compilation never reads weight values; see DESIGN.md).
+//! payloads (compilation never reads weight values, and the executor
+//! synthesizes them from a seed: "Functional execution & quantization"
+//! in `docs/ARCHITECTURE.md`).
 
 use crate::proto::{
     AttributeProto, GraphProto, ModelProto, NodeProto, TensorProto, TensorShapeProto,

@@ -126,8 +126,10 @@ fn ga_history_is_monotonically_non_increasing() {
 
 #[test]
 fn max_nodes_per_core_bounds_scattering_without_breaking_feasibility() {
-    // DESIGN.md ablation: the chromosome capacity knob trades mapping
-    // freedom against on-chip communication locality (paper §IV-C.1).
+    // Ablation of the chromosome capacity knob (the per-core slot grid
+    // of "GA placement kernel" in docs/ARCHITECTURE.md): it trades
+    // mapping freedom against on-chip communication locality (paper
+    // §IV-C.1).
     let graph = normalize(&pimcomp_ir::models::tiny_cnn()).unwrap();
     let hw = HardwareConfig::small_test();
     let partitioning = Partitioning::new(&graph, &hw).unwrap();
