@@ -313,6 +313,25 @@ impl HardwareConfig {
                 });
             }
         }
+        // Every later stage sizes its tables by these two products.
+        let Some(cores) = self.cores_per_chip.checked_mul(self.chips) else {
+            return Err(HwError::InvalidParameter {
+                name: "total_cores",
+                detail: format!(
+                    "{} chips x {} cores per chip overflows the core count",
+                    self.chips, self.cores_per_chip
+                ),
+            });
+        };
+        if cores.checked_mul(self.crossbars_per_core).is_none() {
+            return Err(HwError::InvalidParameter {
+                name: "total_crossbars",
+                detail: format!(
+                    "{cores} cores x {} crossbars per core overflows the crossbar count",
+                    self.crossbars_per_core
+                ),
+            });
+        }
         if self.cell_bits == 0 || self.weight_bits == 0 || self.input_bits == 0 {
             return Err(HwError::InvalidParameter {
                 name: "bit widths",
@@ -444,6 +463,30 @@ mod tests {
         let mut hw = HardwareConfig::puma();
         hw.xbar_write_pj_per_cell = -1.0;
         assert!(hw.validate().is_err());
+    }
+
+    #[test]
+    fn overflowing_totals_are_rejected_not_wrapped() {
+        // 2^62 chips x 36 cores wraps to exactly 0 cores unchecked.
+        let hw = HardwareConfig::puma_with_chips(1 << 62);
+        assert_eq!(
+            hw.validate().unwrap_err().to_string(),
+            "invalid hardware parameter `total_cores`: 4611686018427387904 chips x 36 \
+             cores per chip overflows the core count"
+        );
+        // The cores fit, the crossbars do not.
+        let hw = HardwareConfig::puma_with_chips(usize::MAX / 36);
+        let err = hw.validate().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                HwError::InvalidParameter {
+                    name: "total_crossbars",
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]

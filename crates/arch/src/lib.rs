@@ -38,7 +38,6 @@ mod memory_model;
 mod noc;
 mod quant;
 mod router;
-mod sweep;
 
 pub use config::{CoreConnection, HardwareConfig, HwError, PipelineMode};
 pub use energy::{EnergyModel, LeakageBreakdown};
@@ -47,4 +46,3 @@ pub(crate) use memory_model::SramModel;
 pub use noc::NocModel;
 pub use quant::QuantConfig;
 pub(crate) use router::RouterModel;
-pub use sweep::{preset, preset_names, HardwareGrid};

@@ -1,17 +1,21 @@
-//! The per-point sweep knobs, declared once.
+//! The sweep knobs, declared once.
 //!
-//! [`AXES`] is the closed table every consumer of a knob reads instead
-//! of re-spelling it: spec parsing and the known-fields list, `len` and
-//! point expansion, `CompileOptions` construction, the CSV columns, and
-//! the `explore` banner. The table's order is the nesting order of the
-//! expansion (first row outermost) and so part of the determinism
-//! contract. `docs/ARCHITECTURE.md` ("Adding a sweep axis") lists what a
-//! new row needs beside it.
+//! [`AXES`] is the closed table every consumer of a per-point knob reads
+//! instead of re-spelling it: spec parsing and the known-fields list,
+//! `len` and point expansion, `CompileOptions` construction, the CSV
+//! columns, and the `explore` banner. [`HW_AXES`] is its twin for the
+//! knobs of a `hardware` grid object: the grid's known fields, its
+//! cross-product, and its labels. Each table's order is the nesting
+//! order of its expansion (first row outermost) and so part of the
+//! determinism contract. `docs/ARCHITECTURE.md` ("Adding a sweep axis")
+//! lists what a new row needs beside it.
 
 use crate::report::PointRecord;
-use crate::spec::{as_string, int_list, invalid, list, positive_list, reject_unknown};
+use crate::spec::{
+    as_f64, as_string, as_u64, as_usize, int_list, invalid, list, positive_list, reject_unknown,
+};
 use crate::{ExploreError, SweepPoint, SweepSpec};
-use pimcomp_arch::PipelineMode;
+use pimcomp_arch::{HardwareConfig, PipelineMode};
 use pimcomp_core::{CompileOptions, ReusePolicy};
 use serde::Value;
 
@@ -239,6 +243,121 @@ pub(crate) fn knob_grid(spec: &SweepSpec, mode: PipelineMode) -> Vec<Knobs> {
     })
 }
 
+/// One row of [`HW_AXES`]: a [`HardwareConfig`] knob a `hardware` grid
+/// object sweeps.
+pub(crate) struct HwAxis {
+    /// The grid field that sweeps the knob.
+    pub field: &'static str,
+    /// The label tag: a swept value adds `+{tag}{value}` to the label.
+    tag: &'static str,
+    /// Parses one value of the field (the second argument names it in
+    /// errors), applies it to the configuration with checked
+    /// arithmetic, and returns the value as the label shows it.
+    set: fn(&Value, &str, &mut HardwareConfig) -> Result<String, ExploreError>,
+}
+
+/// The hardware knobs, in nesting order.
+pub(crate) static HW_AXES: [HwAxis; 8] = [
+    HwAxis {
+        field: "chips",
+        tag: "chips",
+        set: |v, ctx, hw| shown(as_usize(v, ctx)?, &mut hw.chips),
+    },
+    HwAxis {
+        field: "cores_per_chip",
+        tag: "cores",
+        set: |v, ctx, hw| shown(as_usize(v, ctx)?, &mut hw.cores_per_chip),
+    },
+    HwAxis {
+        field: "crossbars_per_core",
+        tag: "xbars",
+        set: |v, ctx, hw| shown(as_usize(v, ctx)?, &mut hw.crossbars_per_core),
+    },
+    // Square crossbars: one value sets rows and columns together.
+    HwAxis {
+        field: "crossbar_size",
+        tag: "xbar",
+        set: |v, ctx, hw| {
+            hw.crossbar_cols = as_usize(v, ctx)?;
+            shown(hw.crossbar_cols, &mut hw.crossbar_rows)
+        },
+    },
+    HwAxis {
+        field: "parallelism",
+        tag: "par",
+        set: |v, ctx, hw| shown(as_usize(v, ctx)?, &mut hw.parallelism),
+    },
+    HwAxis {
+        field: "local_memory_kb",
+        tag: "mem",
+        set: |v, ctx, hw| {
+            let kb = as_usize(v, ctx)?;
+            hw.local_memory_bytes = kb
+                .checked_mul(1024)
+                .ok_or_else(|| invalid(format!("{ctx}: {kb} kB overflows the byte count")))?;
+            Ok(format!("{kb}k"))
+        },
+    },
+    HwAxis {
+        field: "mvm_latency",
+        tag: "mvm",
+        set: |v, ctx, hw| shown(as_u64(v, ctx)?, &mut hw.mvm_latency),
+    },
+    HwAxis {
+        field: "noc_link_bw",
+        tag: "noc",
+        set: |v, ctx, hw| shown(as_f64(v, ctx)?, &mut hw.noc_link_bw),
+    },
+];
+
+/// Stores `value` in `slot` and returns it as a label shows it.
+fn shown<T: Copy + ToString>(value: T, slot: &mut T) -> Result<String, ExploreError> {
+    *slot = value;
+    Ok(value.to_string())
+}
+
+/// The labelled configurations a hardware grid object sweeps: `base`
+/// crossed with each row the grid names (one value or a non-empty
+/// array), in nesting order ([`HW_AXES`]' first row outermost). A label
+/// is `name` plus one `+{tag}{value}` per named row; every
+/// configuration is validated before any is returned.
+pub(crate) fn hardware_grid(
+    name: &str,
+    base: HardwareConfig,
+    grid: &Value,
+) -> Result<Vec<(String, HardwareConfig)>, ExploreError> {
+    let unswept = vec![(name.to_string(), base)];
+    let points = HW_AXES.iter().try_fold(unswept, |points, axis| {
+        let Some(v) = grid.get(axis.field) else {
+            return Ok(points);
+        };
+        let ctx = &format!("hardware.{}", axis.field);
+        let values = match v {
+            Value::Seq(values) if values.is_empty() => {
+                return Err(invalid(format!(
+                    "`{ctx}` must be a number or a non-empty array of numbers"
+                )))
+            }
+            Value::Seq(values) => values.as_slice(),
+            scalar => std::slice::from_ref(scalar),
+        };
+        let point = |(label, hw): &(String, HardwareConfig), v| {
+            let mut hw = hw.clone();
+            let shown = (axis.set)(v, ctx, &mut hw)?;
+            Ok((format!("{label}+{}{shown}", axis.tag), hw))
+        };
+        let crossed = points
+            .iter()
+            .flat_map(|p| values.iter().map(move |v| point(p, v)));
+        crossed.collect()
+    })?;
+    for (_, hw) in &points {
+        hw.validate()
+            .map_err(|e| invalid(format!("hardware grid: {e}")))?;
+    }
+    Ok(points)
+}
+
 impl SweepPoint {
     /// The point's report record before evaluation: identity filled
     /// in, no outcome yet. The one place knob values become record
@@ -419,6 +538,56 @@ mod tests {
             .banner(1)
             .contains("(1 models x 1 modes x 1 hardware"));
         assert_eq!(banner_product(&ll_only), ll_only.len());
+    }
+
+    /// A two-value JSON sample per hardware knob, by grid field, with
+    /// the `HardwareConfig` fields it moves: a new row in [`HW_AXES`]
+    /// fails the test below until it gets one.
+    const HW_TWO_VALUES: [(&str, &str, &[&str]); 8] = [
+        ("chips", "[2,3]", &["chips"]),
+        ("cores_per_chip", "[8,12]", &["cores_per_chip"]),
+        ("crossbars_per_core", "[8,12]", &["crossbars_per_core"]),
+        (
+            "crossbar_size",
+            "[32,128]",
+            &["crossbar_rows", "crossbar_cols"],
+        ),
+        ("parallelism", "[2,4]", &["parallelism"]),
+        ("local_memory_kb", "[32,64]", &["local_memory_bytes"]),
+        ("mvm_latency", "[20,32]", &["mvm_latency"]),
+        ("noc_link_bw", "[2.5,16]", &["noc_link_bw"]),
+    ];
+
+    /// The serialized fields in which two configurations differ.
+    fn moved_fields(a: &HardwareConfig, b: &HardwareConfig) -> Vec<String> {
+        let fields = |hw| match serde_json::parse_value(&serde_json::to_string(hw).unwrap()) {
+            Ok(Value::Map(entries)) => entries,
+            other => panic!("a config serializes to an object, got {other:?}"),
+        };
+        let (a, b) = (fields(a), fields(b));
+        a.iter()
+            .zip(&b)
+            .filter(|(x, y)| x != y)
+            .map(|((field, _), _)| field.clone())
+            .collect()
+    }
+
+    #[test]
+    fn every_hardware_knob_moves_its_own_fields_alone() {
+        let base = HardwareConfig::small_test();
+        for axis in &HW_AXES {
+            let sample = HW_TWO_VALUES.iter().find(|(f, ..)| *f == axis.field);
+            let (field, values, moves) =
+                sample.unwrap_or_else(|| panic!("no sample for {}", axis.field));
+            let grid = serde_json::parse_value(&format!(r#"{{"{field}":{values}}}"#)).unwrap();
+            let points = hardware_grid("small_test", base.clone(), &grid).unwrap();
+            assert_eq!(points.len(), 2, "{field}");
+            for (label, hw) in &points {
+                assert!(label.starts_with(&format!("small_test+{}", axis.tag)));
+                assert_eq!(moved_fields(&base, hw), *moves, "{label}");
+            }
+            assert_eq!(moved_fields(&points[0].1, &points[1].1), *moves, "{field}");
+        }
     }
 
     #[test]

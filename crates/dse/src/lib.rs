@@ -25,8 +25,9 @@
 //!   `.onnx` files (imported with [`pimcomp_onnx`], so any exporter's
 //!   models sweep exactly like the built-ins);
 //! * **modes** — high-throughput / low-latency;
-//! * **hardware** — explicit [`HardwareGrid`](pimcomp_arch::HardwareGrid)
-//!   cross-products, or `"auto"` per-model sizing via the shared
+//! * **hardware** — explicit grids over a named preset, crossed into
+//!   labelled [`HardwareConfig`](pimcomp_arch::HardwareConfig)s, or
+//!   `"auto"` per-model sizing via the shared
 //!   headroom heuristic ([`pimcomp_core::sized_chips`]) with a
 //!   sweepable parallelism list ([`AutoHardware`]);
 //! * **memory_policies** — the paper's reuse-policy ablation
@@ -44,7 +45,8 @@
 //! spec field, default, and validation rule. The per-point knobs
 //! (everything after hardware) are declared once, in the `axis` module's
 //! table, which parsing, expansion, compile options, the CSV columns,
-//! and the CLI banner all read.
+//! and the CLI banner all read; the hardware knobs are the rows of its
+//! second table, which grid parsing, expansion and labels read.
 //!
 //! # Determinism contract
 //!

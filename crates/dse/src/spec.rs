@@ -6,9 +6,9 @@
 //! validation rule, and the exact error each malformed shape produces)
 //! lives in `docs/SWEEP_SPEC.md` at the repository root.
 
-use crate::axis::{knob_grid, Axis, Knobs, ReloadSetting, AXES};
+use crate::axis::{hardware_grid, knob_grid, Axis, Knobs, ReloadSetting, AXES, HW_AXES};
 use crate::ExploreError;
-use pimcomp_arch::{preset, preset_names, HardwareConfig, HardwareGrid, PipelineMode};
+use pimcomp_arch::{HardwareConfig, PipelineMode};
 use pimcomp_core::{split_stream_seed, ReusePolicy};
 use pimcomp_ir::Graph;
 use serde::Value;
@@ -137,7 +137,7 @@ impl Default for AutoHardware {
 }
 
 /// The hardware axis of a sweep: either explicit labelled
-/// configurations (expanded from one or more [`HardwareGrid`]s) or
+/// configurations (the cross-products of one or more grid objects) or
 /// per-model automatic sizing ([`AutoHardware`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum HardwareAxis {
@@ -570,8 +570,8 @@ impl SweepSpec {
 }
 
 /// Expands an [`AutoHardware`] axis for one model: sizes the chip
-/// count with the shared headroom heuristic, then enumerates the
-/// parallelism list through a [`HardwareGrid`] so labels
+/// count with the shared headroom heuristic, then expands the sized
+/// count and the parallelism list through the grid fold, so labels
 /// (`auto-puma+chips3+par4`) and validation match explicit grids.
 ///
 /// A model with a symbolic sequence dimension is sized at `max_seq`
@@ -605,21 +605,27 @@ fn sized_hardware(
         graph
     };
     let chips = pimcomp_core::sized_chips(graph, &base, auto.headroom).map_err(|e| failed(&e))?;
-    HardwareGrid::new(format!("auto-{}", auto.base), base)
-        .with_chips(vec![chips])
-        .with_parallelism(auto.parallelism.clone())
-        .enumerate()
-        .map_err(|e| invalid(format!("hardware auto-sizing for model `{model}`: {e}")))
+    let int = |n: usize| Value::Int(n as i128);
+    let grid = Value::Map(vec![
+        ("chips".to_string(), int(chips)),
+        (
+            "parallelism".to_string(),
+            Value::Seq(auto.parallelism.iter().map(|&p| int(p)).collect()),
+        ),
+    ]);
+    hardware_grid(&format!("auto-{}", auto.base), base, &grid)
 }
 
-/// The base preset auto sizing starts from.
+/// The named base configuration a `hardware.base` picks: `puma` (the
+/// paper's Table I target) or `small_test` / `small`.
 fn known_preset(name: &str) -> Result<HardwareConfig, ExploreError> {
-    preset(name).ok_or_else(|| {
-        invalid(format!(
-            "hardware.base: unknown hardware preset `{name}` (available: {})",
-            preset_names().join(", ")
-        ))
-    })
+    match name {
+        "puma" => Ok(HardwareConfig::puma()),
+        "small_test" | "small" => Ok(HardwareConfig::small_test()),
+        _ => Err(invalid(format!(
+            "hardware.base: unknown hardware preset `{name}` (available: puma, small_test)"
+        ))),
+    }
 }
 
 pub(crate) fn invalid(detail: impl Into<String>) -> ExploreError {
@@ -659,7 +665,7 @@ pub(crate) fn as_u64(v: &Value, ctx: &str) -> Result<u64, ExploreError> {
     }
 }
 
-fn as_f64(v: &Value, ctx: &str) -> Result<f64, ExploreError> {
+pub(crate) fn as_f64(v: &Value, ctx: &str) -> Result<f64, ExploreError> {
     match v {
         Value::Float(f) => Ok(*f),
         Value::Int(i) => Ok(*i as f64),
@@ -682,7 +688,7 @@ fn field_or<T>(
     object.get(key).map_or(Ok(default), |v| parse(v, ctx))
 }
 
-fn as_usize(v: &Value, ctx: &str) -> Result<usize, ExploreError> {
+pub(crate) fn as_usize(v: &Value, ctx: &str) -> Result<usize, ExploreError> {
     as_u64(v, ctx).map(|n| n as usize)
 }
 
@@ -748,50 +754,15 @@ fn parse_auto(v: &Value) -> Result<AutoHardware, ExploreError> {
 }
 
 fn parse_grid(v: &Value) -> Result<Vec<(String, HardwareConfig)>, ExploreError> {
-    let entries = as_object(v, "hardware grid")?;
-    const KNOWN: [&str; 9] = [
-        "base",
-        "chips",
-        "cores_per_chip",
-        "crossbars_per_core",
-        "crossbar_size",
-        "parallelism",
-        "local_memory_kb",
-        "mvm_latency",
-        "noc_link_bw",
-    ];
-    reject_unknown(entries, &KNOWN, |key, known| {
+    let known: Vec<&str> = ["base"]
+        .into_iter()
+        .chain(HW_AXES.iter().map(|a| a.field))
+        .collect();
+    reject_unknown(as_object(v, "hardware grid")?, &known, |key, known| {
         format!("unknown hardware field `{key}` (known fields: {known})")
     })?;
     let base = field_or(v, "base", "hardware.base", as_string, "puma".to_string())?;
-    let mut grid =
-        HardwareGrid::over_preset(&base).map_err(|e| invalid(format!("hardware.base: {e}")))?;
-    if let Some(axis) = v.get("chips") {
-        grid.chips = scalar_or_seq(axis, "hardware.chips", as_usize)?;
-    }
-    if let Some(axis) = v.get("cores_per_chip") {
-        grid.cores_per_chip = scalar_or_seq(axis, "hardware.cores_per_chip", as_usize)?;
-    }
-    if let Some(axis) = v.get("crossbars_per_core") {
-        grid.crossbars_per_core = scalar_or_seq(axis, "hardware.crossbars_per_core", as_usize)?;
-    }
-    if let Some(axis) = v.get("crossbar_size") {
-        grid.crossbar_size = scalar_or_seq(axis, "hardware.crossbar_size", as_usize)?;
-    }
-    if let Some(axis) = v.get("parallelism") {
-        grid.parallelism = scalar_or_seq(axis, "hardware.parallelism", as_usize)?;
-    }
-    if let Some(axis) = v.get("local_memory_kb") {
-        grid.local_memory_kb = scalar_or_seq(axis, "hardware.local_memory_kb", as_usize)?;
-    }
-    if let Some(axis) = v.get("mvm_latency") {
-        grid.mvm_latency = scalar_or_seq(axis, "hardware.mvm_latency", as_u64)?;
-    }
-    if let Some(axis) = v.get("noc_link_bw") {
-        grid.noc_link_bw = scalar_or_seq(axis, "hardware.noc_link_bw", as_f64)?;
-    }
-    grid.enumerate()
-        .map_err(|e| invalid(format!("hardware grid: {e}")))
+    hardware_grid(&base, known_preset(&base)?, v)
 }
 
 fn parse_search(v: &Value, ga_iterations: usize) -> Result<SearchStrategy, ExploreError> {
@@ -1577,5 +1548,36 @@ mod tests {
         assert_eq!(hardware.len(), 3);
         assert_eq!(hardware[0].0, "small_test+chips1");
         assert_eq!(hardware[2].1.parallelism, 8);
+    }
+
+    fn explicit_hardware(grid: &str) -> Vec<(String, HardwareConfig)> {
+        let json = format!(r#"{{"models":["tiny_mlp"],"hardware":{grid}}}"#);
+        match SweepSpec::from_json(&json).unwrap().hardware {
+            HardwareAxis::Explicit(list) => list,
+            other => panic!("expected explicit hardware, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn hardware_grid_crosses_its_rows_in_table_order_over_a_preset() {
+        // No swept row: the preset itself, under the name it was given.
+        let puma = explicit_hardware(r#"{"base":"puma"}"#);
+        assert_eq!(puma, [("puma".to_string(), HardwareConfig::puma())]);
+        assert_eq!(explicit_hardware("{}"), puma);
+        let small = explicit_hardware(r#"{"base":"small"}"#);
+        assert_eq!(small, [("small".to_string(), HardwareConfig::small_test())]);
+        // Rows nest in table order, whatever order the object lists them.
+        let grid = explicit_hardware(r#"{"parallelism":[4,8],"base":"small_test","chips":[1,2]}"#);
+        let labels: Vec<&str> = grid.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "small_test+chips1+par4",
+                "small_test+chips1+par8",
+                "small_test+chips2+par4",
+                "small_test+chips2+par8",
+            ]
+        );
+        assert_eq!((grid[3].1.chips, grid[3].1.parallelism), (2, 8));
     }
 }

@@ -224,6 +224,27 @@ fn malformed_command_lines_stay_rejected() {
     }
 }
 
+#[test]
+fn overflowing_chip_count_is_an_error_not_a_panic() {
+    // 2^62 chips x 36 cores per chip used to wrap to 0 cores and die
+    // indexing the schedule (exit 101).
+    let out = pimcomp(&[
+        "compile",
+        "--model",
+        "tiny_mlp",
+        "--chips",
+        "4611686018427387904",
+        "--ga",
+        "2x1",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert_eq!(
+        stderr(&out),
+        "error: invalid hardware parameter `total_cores`: 4611686018427387904 chips x 36 \
+         cores per chip overflows the core count\n"
+    );
+}
+
 /// The values below were recorded from the binary of the commit before
 /// the command table existed.
 #[test]

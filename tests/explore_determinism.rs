@@ -785,9 +785,31 @@ fn invalid_specs_and_unknown_models_are_structured_cli_errors() {
             r#"{"models":["resnet999"],"hardware":{}}"#,
             "available models",
         ),
+        // One text for an unknown preset, whichever shape names it.
         (
             r#"{"models":["tiny_mlp"],"hardware":{"base":"tpu"}}"#,
-            "unknown hardware preset",
+            "error: invalid sweep spec: hardware.base: unknown hardware preset `tpu` \
+             (available: puma, small_test)\n",
+        ),
+        (
+            r#"{"models":["tiny_mlp"],"hardware":{"auto":true,"base":"tpu"}}"#,
+            "error: invalid sweep spec: hardware.base: unknown hardware preset `tpu` \
+             (available: puma, small_test)\n",
+        ),
+        // Hardware values the grid used to mis-size: an empty axis, a
+        // kB count whose bytes overflow, a chip count whose cores do.
+        (
+            r#"{"models":["tiny_mlp"],"hardware":{"chips":[]}}"#,
+            "`hardware.chips` must be a number or a non-empty array of numbers",
+        ),
+        (
+            r#"{"models":["tiny_mlp"],"hardware":{"local_memory_kb":18014398509481985}}"#,
+            "hardware.local_memory_kb: 18014398509481985 kB overflows the byte count",
+        ),
+        (
+            r#"{"models":["tiny_mlp"],"hardware":{"chips":4611686018427387904}}"#,
+            "hardware grid: invalid hardware parameter `total_cores`: \
+             4611686018427387904 chips x 36 cores per chip overflows the core count",
         ),
         // One case per new axis: zero batch, batch > 1 without an HT
         // mode, unknown policy (listing the alternatives), missing
@@ -820,7 +842,11 @@ fn invalid_specs_and_unknown_models_are_structured_cli_errors() {
             .args(["explore", path.to_str().unwrap(), "--cache", "off"])
             .output()
             .expect("spawn pimcomp explore");
-        assert!(!out.status.success(), "bad spec {i} should fail");
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "bad spec {i} should fail, not panic"
+        );
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
             stderr.contains(needle),
