@@ -21,7 +21,7 @@
 //!   miss.
 //!
 //! Both kinds are written through a temporary file and a rename, so
-//! concurrent worker processes pointed at the same directory never read
+//! concurrent processes pointed at the same directory never read
 //! a half-written entry.
 //!
 //! Left alone, the store grows without bound (every new model, budget,
@@ -137,7 +137,7 @@ pub(crate) fn store_metrics(path: &Path, point_key: &str, metrics: &PointMetrics
 }
 
 /// Writes `text` to `path` through a temporary file in the same
-/// directory and a rename, so a reader — another worker sharing the
+/// directory and a rename, so a reader — another process sharing the
 /// directory — sees the old entry, no entry, or the whole new one. The
 /// temporary name is unique per write: two threads or processes storing
 /// the same entry must not share it.
@@ -157,7 +157,9 @@ pub(crate) fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
     written
 }
 
-/// What one [`enforce_cache_limit`] pass deleted and kept.
+/// What one cache-bounding pass
+/// ([`ExploreEngine::with_cache_limit_mb`](crate::ExploreEngine::with_cache_limit_mb))
+/// deleted and kept.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvictionStats {
     /// Artifacts deleted this pass (each with its metrics sidecars).
@@ -190,7 +192,7 @@ pub struct EvictionStats {
 ///   is not actually a cache; delete the file to rebuild it,
 /// * [`ExploreError::Io`] when the directory cannot be scanned or the
 ///   index cannot be rewritten.
-pub fn enforce_cache_limit(
+pub(crate) fn enforce_cache_limit(
     dir: &Path,
     max_bytes: u64,
     touched: &[String],
@@ -242,7 +244,7 @@ pub fn enforce_cache_limit(
             detail: format!("scanning cache dir {}: {e}", dir.display()),
         })?;
         let name = entry.file_name().to_string_lossy().into_owned();
-        // A file deleted by a concurrent worker between the scan and
+        // A file deleted by a concurrent process between the scan and
         // the stat is simply no longer part of the store.
         let Some(meta) = entry.metadata().ok().filter(|m| m.is_file()) else {
             continue;
@@ -288,7 +290,7 @@ pub fn enforce_cache_limit(
             }
             let size = sizes.remove(&name).unwrap_or(0);
             last_used.remove(&name);
-            // A remove that failed (e.g. a concurrent worker already
+            // A remove that failed (e.g. a concurrent process already
             // evicted it) still leaves the file out of this pass's
             // accounting; the next pass re-scans. Sidecars go first: a
             // sidecar without its artifact is a miss, the reverse is

@@ -152,10 +152,9 @@ impl fmt::Display for BudgetSummary {
 }
 
 /// One point's per-evaluation completion event, streamed through
-/// [`ExploreEngine::with_progress`] (and over the wire by the
-/// distributed sweep service) as soon as the evaluation finishes.
+/// [`ExploreEngine::with_progress`] as soon as the evaluation finishes.
 ///
-/// Events fire from worker threads in completion order, so their
+/// Events fire from pool threads in completion order, so their
 /// *sequence* is scheduling-dependent — only the report reduction is
 /// ordered. Consumers must treat them as advisory progress, never as
 /// data.
@@ -177,13 +176,12 @@ pub struct PointEvent {
     pub cache_hit: bool,
 }
 
-/// A per-point progress callback; invoked from worker threads, so it
+/// A per-point progress callback; invoked from pool threads, so it
 /// must be `Send + Sync`.
 pub type ProgressSink = Arc<dyn Fn(&PointEvent) + Send + Sync>;
 
 /// The result of evaluating a single sweep point: the record plus the
-/// cache/bookkeeping facts the engine's counters (and the distributed
-/// coordinator's journal) are built from.
+/// cache/bookkeeping facts the engine's counters are built from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointOutcome {
     /// The point's report record.
@@ -205,16 +203,15 @@ pub struct PointOutcome {
 }
 
 /// A resolved sweep: the spec plus every model graph, fingerprint, and
-/// expanded point — the unit of work the distributed sweep service
-/// shards across workers.
+/// expanded point.
 ///
 /// [`ExploreEngine::run`] builds one of these internally; building it
-/// directly exposes the engine's per-point execution so an external
-/// driver (the `pimcomp-serve` coordinator/worker, a notebook, a
-/// custom scheduler) can evaluate points one at a time and still
-/// reduce to the byte-identical report via [`SweepPlan::reduce`].
-/// Determinism carries over: a point's record depends only on the spec
-/// and the point's index, never on which process evaluated it.
+/// directly exposes the engine's per-point execution so a caller (a
+/// profiler, a notebook) can evaluate points one at a time, in any
+/// order, and still reduce to the byte-identical report via
+/// [`SweepPlan::reduce`]. Determinism carries over: a point's record
+/// depends only on the spec and the point's index, never on when it
+/// was evaluated.
 pub struct SweepPlan {
     spec: SweepSpec,
     graphs: Vec<Graph>,
@@ -274,9 +271,9 @@ impl SweepPlan {
     /// Evaluates one point exactly as a single-process **exhaustive**
     /// sweep would: full GA budget, provenance stamped (`rung` 0,
     /// `budget` charged only when the point compiled), optionally
-    /// replaying from / writing to the artifact cache. Distributed
-    /// workers call this, which is what makes a sharded exhaustive
-    /// sweep reduce to the byte-identical report. Per-point
+    /// replaying from / writing to the artifact cache — so the records
+    /// of every point reduce to the report an exhaustive
+    /// [`ExploreEngine::run`] writes, byte for byte. Per-point
     /// compile/simulate failures are recorded in the record, not
     /// raised; compile-stage progress reaches `observer` (cache hits
     /// replay without compiling, so a hit observes nothing).
@@ -304,17 +301,17 @@ impl SweepPlan {
         Ok(outcome)
     }
 
-    /// Reduces per-point records — e.g. replayed from a coordinator's
-    /// journal — to the sweep report, in canonical point order. Given
-    /// the records an exhaustive [`ExploreEngine::run`] would produce,
-    /// the report is byte-identical to the engine's, regardless of who
-    /// evaluated which point.
+    /// Reduces per-point records, given in canonical point order, to
+    /// the sweep report. Given the records an exhaustive
+    /// [`ExploreEngine::run`] would produce, the report is
+    /// byte-identical to the engine's, whatever order the points were
+    /// evaluated in.
     ///
     /// # Errors
     ///
     /// [`ExploreError::InvalidSpec`] when the record count does not
-    /// match the plan or a record's key does not match its point — a
-    /// journal/spec mismatch, not a recoverable state.
+    /// match the plan or a record's key does not match its point — the
+    /// records belong to another sweep or are out of order.
     pub fn reduce(&self, records: Vec<PointRecord>) -> Result<SweepReport, ExploreError> {
         if records.len() != self.points.len() {
             return Err(invalid(format!(
@@ -327,7 +324,7 @@ impl SweepPlan {
             if record.key() != point.key() {
                 return Err(invalid(format!(
                     "record key `{}` does not match plan point `{}` — \
-                     journal and spec disagree",
+                     the records are out of order or from another sweep",
                     record.key(),
                     point.key()
                 )));
@@ -385,7 +382,7 @@ impl ExploreEngine {
     /// — or the final full-budget rung of a sweep whose exhaustive twin
     /// already ran — replays from cache too.
     ///
-    /// The store holds two kinds of entry ([`crate::cache`]): the
+    /// The store holds two kinds of entry: the
     /// compiled artifact, and beside it the metrics each point measured
     /// on it. A point is probed sidecar first (answered without loading
     /// or simulating anything), then artifact (loaded, re-measured, the
@@ -410,7 +407,7 @@ impl ExploreEngine {
 
     /// Bounds the cache directory to `max_mb` megabytes: after each
     /// run the least-recently-used entries beyond the budget are
-    /// evicted ([`crate::cache::enforce_cache_limit`]). No effect
+    /// evicted ([`ExploreOutcome::eviction`] says how many). No effect
     /// without [`ExploreEngine::with_cache_dir`]. Eviction changes
     /// wall-clock time on later runs only, never report bytes.
     #[must_use]

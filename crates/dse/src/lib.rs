@@ -122,13 +122,13 @@
 #![warn(missing_docs)]
 
 mod axis;
-pub mod cache;
+mod cache;
 mod engine;
 mod report;
 mod spec;
 
 pub use axis::{policy_names, policy_spec_name, Knobs, ReloadSetting};
-pub use cache::{enforce_cache_limit, EvictionStats};
+pub use cache::EvictionStats;
 pub use engine::{
     BudgetSummary, ExploreEngine, ExploreOutcome, PointEvent, PointOutcome, ProgressSink,
     RungSummary, SweepPlan,

@@ -17,8 +17,6 @@
 //! pimcomp explore  sweep.json [--threads N|auto] [--out report.json] [--csv FILE]
 //!                  [--cache DIR|off] [--cache-max-mb N] [--budget-summary] [--progress]
 //! pimcomp explore  --diff old.json --against new.json
-//! pimcomp serve    --spec sweep.json [--out report.json] [--journal FILE] ...
-//! pimcomp work     --connect host:port [--cache DIR] ...
 //! pimcomp help                                  # every command and flag
 //! ```
 //!
@@ -82,11 +80,7 @@ const PARALLELISM: Flag = "--parallelism P  parallelism degree (compile default:
 const SEED: Flag = "--seed S  GA seed (compile) or synthetic-data seed (verify); default: 1";
 const THREADS: Flag = "--threads N|auto  worker threads; results never depend on the count";
 const REPORT: Flag = "--report FILE.json  write a JSON report";
-const SPEC: Flag = "--spec SPEC.json  the sweep spec (docs/SWEEP_SPEC.md)";
 const OUT: Flag = "--out FILE  write the ONNX file (export) or the JSON sweep report";
-const CSV: Flag = "--csv FILE.csv  write the sweep report as CSV";
-const CACHE: Flag = "--cache DIR  artifact + metrics cache (explore: `off` disables)";
-const CACHE_MAX_MB: Flag = "--cache-max-mb N  bound the cache; LRU artifacts are evicted";
 const PROGRESS: Flag = "--progress  stream progress to stderr; stdout is unchanged";
 
 const COMMANDS: &[Command] = &[
@@ -159,49 +153,18 @@ const COMMANDS: &[Command] = &[
         positional: Some("SPEC.json"),
         about: "run a design-space sweep (default: all cores, cache .pimcomp-cache)",
         flags: &[
-            SPEC,
+            "--spec SPEC.json  the sweep spec (docs/SWEEP_SPEC.md), if not given as SPEC.json",
             THREADS,
             OUT,
-            CSV,
-            CACHE,
-            CACHE_MAX_MB,
+            "--csv FILE.csv  write the sweep report as CSV",
+            "--cache DIR|off  artifact + metrics cache; `off` disables it",
+            "--cache-max-mb N  bound the cache; LRU artifacts are evicted",
             "--budget-summary  print per-rung evaluations and the savings vs exhaustive",
             PROGRESS,
             "--diff OLD.json  compare two sweep reports instead of running",
             "--against NEW.json  the report `--diff OLD.json` is compared with",
         ],
         run: cmd_explore,
-    },
-    Command {
-        name: "serve",
-        positional: None,
-        about: "coordinate a distributed sweep (exhaustive specs only)",
-        flags: &[
-            SPEC,
-            "--listen HOST:PORT  listen address (default: 127.0.0.1:0, any free port)",
-            "--port-file FILE  write the bound host:port to FILE once listening",
-            "--journal FILE  crash-resume journal; the same spec + journal resumes",
-            "--lease-size N  points per worker lease (default: 4)",
-            "--lease-timeout-secs S  reclaim leases older than this (default: 60)",
-            OUT,
-            CSV,
-            PROGRESS,
-        ],
-        run: cmd_serve,
-    },
-    Command {
-        name: "work",
-        positional: None,
-        about: "join a sweep as a worker",
-        flags: &[
-            "--connect HOST:PORT  the coordinator's address (required)",
-            "--name NAME  display name in the coordinator's progress view",
-            CACHE,
-            CACHE_MAX_MB,
-            "--max-points N  stop after N points (CI kill/restart drills)",
-            "--throttle-ms MS  sleep after each point (test interleaving)",
-        ],
-        run: cmd_work,
     },
 ];
 
@@ -474,19 +437,15 @@ fn write_json_report(args: &Args, payload: &impl serde::Serialize) -> CliResult 
     Ok(())
 }
 
-/// `--out` / `--csv` of `explore` and `serve`: the same bytes from
-/// both (the determinism gate `cmp`s the two files).
-fn write_sweep_report(args: &Args, report: &SweepReport, indent: &str) -> CliResult {
+/// `--out` / `--csv` of `explore`.
+fn write_sweep_report(args: &Args, report: &SweepReport) -> CliResult {
     if let Some(path) = args.get("--out") {
         write_file(path, report.to_json()? + "\n")?;
-        println!(
-            "{indent}wrote {path} (report format v{})",
-            report.format_version
-        );
+        println!("wrote {path} (report format v{})", report.format_version);
     }
     if let Some(path) = args.get("--csv") {
         write_file(path, report.to_csv())?;
-        println!("{indent}wrote {path}");
+        println!("wrote {path}");
     }
     Ok(())
 }
@@ -799,19 +758,37 @@ fn cmd_export(args: &Args) -> CliResult {
 fn cmd_explore(args: &Args) -> CliResult {
     use pimcomp::dse::{ExploreEngine, SweepSpec};
 
+    // Inputs that contradict each other are refused before anything is
+    // read or compiled, instead of one of them going unread.
+    let spec_path = match (args.positional.as_deref(), args.get("--spec")) {
+        (Some(a), Some(b)) => {
+            return Err(format!("two sweep specs, `{a}` and `--spec {b}`; give one").into())
+        }
+        (a, b) => a.or(b),
+    };
+
     // Diff mode: compare two saved reports instead of running.
     if let Some(old) = args.get("--diff") {
+        let mut flags = args.command.flags.iter().map(|f| parts(f).0);
+        let sweep_flag = flags.find(|&f| f != "--diff" && f != "--against" && args.has(f));
+        if let Some(input) = sweep_flag.or(spec_path) {
+            let why = "`--diff` compares two saved reports and runs no sweep";
+            return Err(format!("{why}; drop `{input}`").into());
+        }
         let new = args.require("--against")?;
         let old_report = SweepReport::load(old)?;
         let new_report = SweepReport::load(new)?;
         print!("{}", old_report.diff(&new_report));
         return Ok(());
     }
+    if args.has("--against") {
+        return Err("`--against` is only read together with `--diff OLD.json`".into());
+    }
+    if args.get("--cache") == Some("off") && args.has("--cache-max-mb") {
+        return Err("`--cache-max-mb` bounds the cache, but `--cache off` disables it".into());
+    }
 
-    let spec_path = match &args.positional {
-        Some(path) => path.as_str(),
-        None => args.require("--spec")?,
-    };
+    let spec_path = spec_path.ok_or("`--spec` is required")?;
     let json =
         std::fs::read_to_string(spec_path).map_err(|e| format!("cannot read {spec_path}: {e}"))?;
     let spec = SweepSpec::from_json(&json)?;
@@ -907,90 +884,7 @@ fn cmd_explore(args: &Args) -> CliResult {
     if args.has("--out") {
         println!();
     }
-    write_sweep_report(args, report, "")
-}
-
-fn cmd_serve(args: &Args) -> CliResult {
-    use pimcomp::serve::{Coordinator, CoordinatorConfig};
-
-    let spec_path = args.require("--spec")?;
-    let json =
-        std::fs::read_to_string(spec_path).map_err(|e| format!("cannot read {spec_path}: {e}"))?;
-
-    let mut cfg = CoordinatorConfig::default();
-    if let Some(listen) = args.get("--listen") {
-        cfg.listen = listen.to_string();
-    }
-    if let Some(n) = args.positive("--lease-size")? {
-        cfg.lease_size = n;
-    }
-    if let Some(secs) = args.positive("--lease-timeout-secs")? {
-        cfg.lease_timeout = Duration::from_secs(secs);
-    }
-    cfg.journal = args.get("--journal").map(std::path::PathBuf::from);
-    cfg.progress = args.has("--progress");
-    // Label the job by the spec's file stem so journal headers and
-    // progress lines say which sweep this is.
-    if let Some(stem) = std::path::Path::new(spec_path)
-        .file_stem()
-        .and_then(|s| s.to_str())
-    {
-        cfg.job = stem.to_string();
-    }
-
-    let coordinator = Coordinator::bind(&json, cfg)?;
-    let addr = coordinator.local_addr()?;
-    println!("coordinating sweep {spec_path} on {addr}");
-    if let Some(path) = args.get("--port-file") {
-        write_file(path, format!("{addr}\n"))?;
-        println!("  wrote {path}");
-    }
-
-    let outcome = coordinator.run()?;
-    let report = &outcome.report;
-    println!(
-        "  evaluated {} points ({} resumed from the journal): {} ok, {} failed",
-        outcome.evaluated_points,
-        outcome.resumed_points,
-        report.points.len() - report.failures(),
-        report.failures()
-    );
-    println!(
-        "  {} worker connection(s), {} lease(s) issued, {} reclaimed",
-        outcome.workers_seen, outcome.leases_issued, outcome.leases_reclaimed
-    );
-    write_sweep_report(args, report, "  ")
-}
-
-fn cmd_work(args: &Args) -> CliResult {
-    use pimcomp::serve::{run_worker, WorkerConfig};
-
-    let mut cfg = WorkerConfig::connect_to(args.require("--connect")?);
-    if let Some(name) = args.get("--name") {
-        cfg.name = name.to_string();
-    }
-    cfg.cache_dir = args.get("--cache").map(std::path::PathBuf::from);
-    cfg.cache_max_mb = args.positive("--cache-max-mb")?;
-    cfg.max_points = args.positive("--max-points")?;
-    cfg.throttle = args.number("--throttle-ms")?.map(Duration::from_millis);
-
-    let summary = run_worker(&cfg)?;
-    println!(
-        "worker {} done: {} point(s) evaluated ({} cache hits: {} from metrics, \
-         {} from artifacts) over {} lease(s){}",
-        summary.worker,
-        summary.points_evaluated,
-        summary.cache_hits,
-        summary.metrics_hits,
-        summary.cache_hits - summary.metrics_hits,
-        summary.leases,
-        if summary.stopped_early {
-            ", stopped early at --max-points"
-        } else {
-            ""
-        }
-    );
-    Ok(())
+    write_sweep_report(args, report)
 }
 
 fn cmd_models(_: &Args) -> CliResult {

@@ -14,10 +14,6 @@
 //! * [`sim`] — the cycle-accurate simulator ([`pimcomp_sim`]).
 //! * [`dse`] — deterministic design-space exploration over compiler +
 //!   simulator ([`pimcomp_dse`]).
-//! * [`serve`] — the distributed, resumable sweep service: a
-//!   coordinator/worker fan-out over TCP with a journaled crash-resume
-//!   whose reports stay byte-identical to single-process runs
-//!   ([`pimcomp_serve`]).
 //!
 //! # Quickstart: staged compilation sessions
 //!
@@ -65,7 +61,6 @@ pub use pimcomp_dse as dse;
 pub use pimcomp_exec as exec;
 pub use pimcomp_ir as ir;
 pub use pimcomp_onnx as onnx;
-pub use pimcomp_serve as serve;
 pub use pimcomp_sim as sim;
 
 /// The most commonly used items, importable with one `use`.
@@ -78,6 +73,5 @@ pub mod prelude {
     };
     pub use pimcomp_dse::{ExploreEngine, ExploreError, SweepReport, SweepSpec};
     pub use pimcomp_ir::{Graph, GraphBuilder};
-    pub use pimcomp_serve::{run_worker, Coordinator, CoordinatorConfig, ServeError, WorkerConfig};
     pub use pimcomp_sim::{SimReport, Simulator};
 }

@@ -20,9 +20,9 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// The flags CI, `scripts/serve_smoke.sh`, the README and `docs/` rely
-/// on, per command: the contract the table must keep.
-const CONTRACT: [(&str, &[&str]); 9] = [
+/// The flags CI, the README and `docs/` rely on, per command: the
+/// contract the table must keep.
+const CONTRACT: [(&str, &[&str]); 7] = [
     (
         "compile",
         &[
@@ -73,31 +73,6 @@ const CONTRACT: [(&str, &[&str]); 9] = [
             "--progress",
             "--diff",
             "--against",
-        ],
-    ),
-    (
-        "serve",
-        &[
-            "--spec",
-            "--listen",
-            "--port-file",
-            "--journal",
-            "--lease-size",
-            "--lease-timeout-secs",
-            "--out",
-            "--csv",
-            "--progress",
-        ],
-    ),
-    (
-        "work",
-        &[
-            "--connect",
-            "--name",
-            "--cache",
-            "--cache-max-mb",
-            "--max-points",
-            "--throttle-ms",
         ],
     ),
 ];
@@ -203,6 +178,13 @@ fn every_command_rejects_flags_its_row_does_not_declare() {
 
 #[test]
 fn malformed_command_lines_stay_rejected() {
+    // A spec that runs if a conflict goes unnoticed; `--cache off`
+    // keeps such a run from leaving a cache behind.
+    let spec = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/crates/bench/fixtures/smoke_sweep.json"
+    );
+    let diff = ["explore", "--diff", "old.json", "--against", "new.json"];
     for (args, expect) in [
         (&["compile", "--model"][..], "--model needs a value"),
         (&["simulate", "stray"][..], "unexpected argument `stray`"),
@@ -210,17 +192,57 @@ fn malformed_command_lines_stay_rejected() {
             &["explore", "a.json", "b.json"][..],
             "unexpected argument `b.json`",
         ),
-        (&["frobnicate"][..], "unknown command `frobnicate`"),
         (&[][..], "USAGE:"),
+        // `explore` inputs that contradict each other: refused, where
+        // one of them used to go unread.
+        (
+            &[
+                "explore",
+                spec,
+                "--spec",
+                "/nonexistent.json",
+                "--cache",
+                "off",
+            ][..],
+            "two sweep specs",
+        ),
+        (
+            &["explore", spec, "--against", "x.json", "--cache", "off"][..],
+            "`--against` is only read together with `--diff",
+        ),
+        (
+            &["explore", spec, "--cache", "off", "--cache-max-mb", "5"][..],
+            "`--cache off` disables it",
+        ),
+        (
+            &[&diff[..], &["--spec", spec]].concat()[..],
+            "drop `--spec`",
+        ),
+        (&[&diff[..], &[spec]].concat()[..], "runs no sweep; drop `"),
     ] {
         let out = pimcomp(args);
-        assert!(!out.status.success(), "{args:?} was accepted");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
         assert!(stderr(&out).contains(expect), "{args:?}: {}", stderr(&out));
+        assert_eq!(stdout(&out), "", "{args:?} ran before the rejection");
     }
-    // An unknown command names the ones that exist.
-    let err = stderr(&pimcomp(&["frobnicate"]));
-    for (command, _) in CONTRACT {
-        assert!(err.contains(command), "{err}");
+    // An unknown command, the retired `serve` and `work` among them,
+    // names the ones that exist.
+    let commands: Vec<&str> = CONTRACT.iter().map(|(command, _)| *command).collect();
+    for args in [
+        &["frobnicate"][..],
+        &["serve", "--spec", "s.json"],
+        &["work", "--connect", "127.0.0.1:1"],
+    ] {
+        let out = pimcomp(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert_eq!(
+            stderr(&out),
+            format!(
+                "error: unknown command `{}`; commands: {}, help\n",
+                args[0],
+                commands.join(", ")
+            )
+        );
     }
 }
 

@@ -12,10 +12,14 @@
 //! * the three cache states — empty, artifacts only, artifacts plus
 //!   metrics sidecars — and every damaged-sidecar fallback give one
 //!   report,
+//! * points evaluated one at a time through `SweepPlan`, in any order,
+//!   reduce to the engine's report,
 //! * the `pimcomp explore` CLI exhibits the same guarantees.
 
 use pimcomp::compiler::NullObserver;
-use pimcomp::dse::{ExploreEngine, SearchStrategy, SweepPlan, SweepReport, SweepSpec};
+use pimcomp::dse::{
+    ExploreEngine, ExploreError, SearchStrategy, SweepPlan, SweepReport, SweepSpec,
+};
 use std::path::PathBuf;
 
 /// The acceptance-grade sweep: 2 models × 2 modes × 3 hardware configs
@@ -642,8 +646,8 @@ fn tiny_sweep_matches_golden_fixture() {
 
 #[test]
 fn fixture_sweeps_keep_their_keys_and_cache_file_names() {
-    // Pins what reports, journals, and cache directories written by
-    // earlier builds rely on: every committed sweep fixture expands to
+    // Pins what reports and cache directories written by earlier
+    // builds rely on: every committed sweep fixture expands to
     // the same ordered point keys and addresses the same cache files.
     // `UPDATE_GOLDEN=1` regenerates — only for a deliberate format
     // change, which also needs a version bump.
@@ -684,6 +688,47 @@ fn fixture_sweeps_keep_their_keys_and_cache_file_names() {
         expected, actual,
         "point keys or cache file names drifted from tests/golden/sweep_keys.tsv"
     );
+}
+
+#[test]
+fn points_evaluated_backwards_reduce_to_the_engine_report() {
+    // A point's record depends only on the spec and its index, so
+    // records gathered in any order reduce to the engine's bytes; what
+    // `reduce` must refuse is a record list that is short or out of
+    // order.
+    for name in ["smoke_sweep.json", "smoke_sweep_axes.json"] {
+        let json = std::fs::read_to_string(fixtures_dir().join(name)).unwrap();
+        let spec = SweepSpec::from_json(&json).unwrap();
+        let plan = SweepPlan::new(&spec).unwrap();
+        let mut records: Vec<_> = (0..plan.len())
+            .rev()
+            .map(|i| {
+                let outcome = plan.evaluate_final_observed(i, None, &mut NullObserver);
+                outcome.unwrap().record
+            })
+            .collect();
+        records.reverse();
+
+        let reduced = plan.reduce(records.clone()).unwrap();
+        let engine = ExploreEngine::new().run(&spec).unwrap();
+        assert_eq!(
+            reduced.to_json().unwrap(),
+            engine.report.to_json().unwrap(),
+            "{name}"
+        );
+
+        let mut dropped = records.clone();
+        dropped.remove(plan.len() / 2);
+        let mut swapped = records;
+        swapped.swap(0, 1);
+        for bad in [dropped, swapped] {
+            let err = plan.reduce(bad).unwrap_err();
+            assert!(
+                matches!(err, ExploreError::InvalidSpec { .. }),
+                "{name}: {err}"
+            );
+        }
+    }
 }
 
 #[test]
