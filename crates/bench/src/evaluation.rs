@@ -3,7 +3,7 @@
 
 use crate::{hardware_for, load_network, HarnessError, HarnessOptions};
 use pimcomp_arch::PipelineMode;
-use pimcomp_core::{CompileOptions, MemoryPlan, ReusePolicy, StageTimings};
+use pimcomp_core::{CompileOptions, CompileSession, MemoryPlan, ReusePolicy, StageTimings};
 use pimcomp_sim::SimReport;
 use serde::{Deserialize, Serialize};
 
@@ -178,7 +178,7 @@ pub struct Evaluation {
 ///
 /// [`HarnessError`] naming the step that failed.
 pub fn evaluate(opts: &HarnessOptions, seed: u64) -> Result<Evaluation, HarnessError> {
-    use pimcomp_core::{PimCompiler, PumaCompiler};
+    use pimcomp_core::PumaCompiler;
     use pimcomp_sim::Simulator;
     let ga = opts.ga(seed);
     let mut local_memory_bytes = 0;
@@ -191,7 +191,9 @@ pub fn evaluate(opts: &HarnessOptions, seed: u64) -> Result<Evaluation, HarnessE
             let compile = CompileOptions::new(mode).with_ga(ga.clone());
             for &parallelism in opts.parallelisms() {
                 let hw = sized.clone().with_parallelism(parallelism);
-                let ours = PimCompiler::new(hw.clone()).compile(&graph, &compile)?;
+                let mut timings = StageTimings::default();
+                let ours = CompileSession::new(hw.clone(), &graph, compile.clone())?
+                    .run_observed(&mut timings)?;
                 let base = PumaCompiler::new(hw.clone()).compile(&graph, &compile)?;
                 let sim = Simulator::new(hw);
                 let plan = |policy| PlanSummary::of(&ours.replan_memory(policy));
@@ -205,7 +207,7 @@ pub fn evaluate(opts: &HarnessOptions, seed: u64) -> Result<Evaluation, HarnessE
                         naive: plan(ReusePolicy::Naive),
                         add_reuse: plan(ReusePolicy::AddReuse),
                         ag_reuse: plan(ReusePolicy::AgReuse),
-                        timings: ours.report.timings,
+                        timings,
                     }),
                 });
             }

@@ -113,7 +113,11 @@ impl CompiledArtifact {
     /// optional (epoch-packed compilations skip the GA), and
     /// [`HardwareConfig`] gained the crossbar write cost model
     /// (`xbar_write_row_cycles`, `xbar_write_pj_per_cell`).
-    pub const FORMAT_VERSION: u32 = 4;
+    ///
+    /// v5: [`CompileReport`](crate::CompileReport) keeps only `compiler`,
+    /// `ga` and `estimated_fitness` — no wall-clock `timings`, so two
+    /// compiles of one input serialize to the same bytes.
+    pub const FORMAT_VERSION: u32 = 5;
 
     /// Packages a compiled model, fingerprinting its hardware target.
     #[must_use]

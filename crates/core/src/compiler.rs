@@ -15,7 +15,6 @@ use crate::CompileError;
 use pimcomp_arch::{HardwareConfig, PipelineMode};
 use pimcomp_ir::Graph;
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
 
 /// User-facing compilation options (the "User Input" of paper Fig. 3
 /// that is not part of the hardware description).
@@ -177,9 +176,10 @@ impl CompileOptions {
         self
     }
 
-    /// Sets the HT transfer batch.
+    /// Sets the HT transfer batch, as given: a zero batch is rejected by
+    /// [`CompileOptions::validate`], never silently raised.
     pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch.max(1);
+        self.batch = batch;
         self
     }
 
@@ -199,45 +199,16 @@ impl CompileOptions {
     }
 }
 
-/// Wall-clock time of each compilation stage (Table II rows).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub struct StageTimings {
-    /// Node partitioning.
-    pub node_partitioning: Duration,
-    /// Weight replicating + core mapping (the GA, or the baseline
-    /// heuristic).
-    pub replicating_mapping: Duration,
-    /// Dataflow scheduling (including dependency analysis and memory
-    /// planning).
-    pub dataflow_scheduling: Duration,
-}
-
-impl StageTimings {
-    /// Total compile time.
-    pub fn total(&self) -> Duration {
-        self.node_partitioning + self.replicating_mapping + self.dataflow_scheduling
-    }
-}
-
-/// Summary of one compilation, including the Table II timings.
+/// What a compilation decided that the compiled model itself does not
+/// record: who built the mapping, the GA's trace and the mapping's
+/// analytic fitness. Everything else (model name, mode, replication,
+/// active cores, crossbars) is read from the [`CompiledModel`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompileReport {
-    /// Model name.
-    pub model: String,
     /// Which compiler produced this (`PIMCOMP` or `PUMA-like`).
     pub compiler: String,
-    /// Pipeline mode.
-    pub mode: PipelineMode,
-    /// Per-stage wall-clock times.
-    pub timings: StageTimings,
     /// GA trace (absent for the baseline).
     pub ga: Option<GaStats>,
-    /// Final replica count per partitioned node.
-    pub replication: Vec<usize>,
-    /// Cores hosting at least one AG.
-    pub active_cores: usize,
-    /// Crossbars occupied by weights.
-    pub crossbars_used: usize,
     /// The mode's analytic fitness of the final mapping (cycles).
     pub estimated_fitness: f64,
 }
@@ -287,6 +258,11 @@ impl CompiledModel {
             &self.hw,
             policy,
         )
+    }
+
+    /// Crossbars occupied by weights.
+    pub fn crossbars_used(&self) -> usize {
+        self.mapping.replication.total_crossbars(&self.partitioning)
     }
 }
 
@@ -343,7 +319,6 @@ mod tests {
         assert!(c.schedule.as_ht().is_some());
         assert!(c.report.ga.is_some());
         assert!(c.report.estimated_fitness > 0.0);
-        assert!(c.report.timings.total() > Duration::ZERO);
     }
 
     #[test]
@@ -356,7 +331,6 @@ mod tests {
     fn compilation_is_deterministic_per_seed() {
         let a = compile(PipelineMode::HighThroughput);
         let b = compile(PipelineMode::HighThroughput);
-        assert_eq!(a.report.replication, b.report.replication);
         assert_eq!(a.mapping, b.mapping);
     }
 

@@ -451,7 +451,12 @@ pub(crate) fn default_max_nodes_per_core(nodes: usize, cores: usize) -> usize {
 ///
 /// # Errors
 ///
-/// As [`optimize_observed`].
+/// [`CompileError::InsufficientCapacity`] when even one replica of every
+/// node cannot be placed; [`CompileError::InvalidOptions`] when
+/// [`GaParams::max_nodes_per_core`] is pinned to 0 or to a grid whose
+/// slot count overflows; [`CompileError::InvalidGraph`] /
+/// [`CompileError::InvalidHardware`] when a gene could outgrow a
+/// [`Chromosome`] slot (see [`Chromosome::set_gene`]).
 pub fn optimize(
     ctx: &GaContext<'_>,
     params: &GaParams,
@@ -464,13 +469,8 @@ pub fn optimize(
 ///
 /// # Errors
 ///
-/// [`CompileError::InsufficientCapacity`] when even one replica of every
-/// node cannot be placed; [`CompileError::InvalidOptions`] when
-/// [`GaParams::max_nodes_per_core`] is pinned to 0 or to a grid whose
-/// slot count overflows; [`CompileError::InvalidGraph`] /
-/// [`CompileError::InvalidHardware`] when a gene could outgrow a
-/// [`Chromosome`] slot (see [`Chromosome::set_gene`]).
-pub fn optimize_observed(
+/// As [`optimize`].
+pub(crate) fn optimize_observed(
     ctx: &GaContext<'_>,
     params: &GaParams,
     on_generation: &mut dyn FnMut(GaGeneration),

@@ -68,12 +68,10 @@ pub use artifact::{
     graph_fingerprint, hardware_fingerprint, options_fingerprint, ArtifactError, CompiledArtifact,
 };
 pub use baseline::{puma_mapping, PumaCompiler};
-pub use compiler::{CompileOptions, CompileReport, CompiledModel, PimCompiler, StageTimings};
+pub use compiler::{CompileOptions, CompileReport, CompiledModel, PimCompiler};
 pub use error::CompileError;
 pub use fitness::{ht_core_time, ht_fitness_from_mapping, FitnessMemo};
-pub use ga::{
-    optimize, optimize_observed, split_stream_seed, GaContext, GaGeneration, GaParams, GaStats,
-};
+pub use ga::{optimize, split_stream_seed, GaContext, GaGeneration, GaParams, GaStats};
 pub use mapping::{AgInstance, Chromosome, CoreMapping, Gene, GENE_RADIX};
 pub use memory::{MemoryPlan, ReusePolicy};
 pub use parallel::run_indexed;
@@ -88,5 +86,6 @@ pub use schedule::{
 };
 pub use session::{
     CompileObserver, CompileSession, CompileStage, NullObserver, Optimized, Partitioned, Scheduled,
+    StageTimings,
 };
 pub use waiting::{required_windows, DepInfo, DepRule, EdgeDep};

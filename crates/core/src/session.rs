@@ -48,7 +48,7 @@
 //! # }
 //! ```
 
-use crate::compiler::{CompileOptions, CompileReport, CompiledModel, StageTimings};
+use crate::compiler::{CompileOptions, CompileReport, CompiledModel};
 use crate::ga::{optimize_observed, GaContext, GaGeneration, GaParams, GaStats};
 use crate::mapping::CoreMapping;
 use crate::memory::{MemoryPlan, ReusePolicy};
@@ -106,6 +106,39 @@ pub trait CompileObserver {
 pub struct NullObserver;
 
 impl CompileObserver for NullObserver {}
+
+/// Wall-clock time of each compilation stage (Table II rows): an
+/// observer that records what [`CompileSession::run_observed`] timed.
+/// Timings describe a run, not its result, so they are never part of a
+/// [`CompiledModel`] or its artifact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StageTimings {
+    /// Node partitioning.
+    pub node_partitioning: Duration,
+    /// Weight replicating + core mapping (the GA, the epoch packer, or
+    /// the baseline heuristic).
+    pub replicating_mapping: Duration,
+    /// Dataflow scheduling (including memory planning).
+    pub dataflow_scheduling: Duration,
+}
+
+impl StageTimings {
+    /// Total compile time.
+    pub fn total(&self) -> Duration {
+        self.node_partitioning + self.replicating_mapping + self.dataflow_scheduling
+    }
+}
+
+impl CompileObserver for StageTimings {
+    fn on_stage_finish(&mut self, stage: CompileStage, elapsed: Duration) {
+        let slot = match stage {
+            CompileStage::NodePartitioning => &mut self.node_partitioning,
+            CompileStage::ReplicatingMapping => &mut self.replicating_mapping,
+            CompileStage::DataflowScheduling => &mut self.dataflow_scheduling,
+        };
+        *slot = elapsed;
+    }
+}
 
 /// A validated compilation session: hardware target + normalized graph
 /// + options, ready to enter the pipeline.
@@ -177,14 +210,12 @@ impl CompileSession {
     ///
     /// [`CompileError::NoMvmNodes`] when nothing maps to crossbars.
     pub fn partition(self) -> Result<Partitioned, CompileError> {
-        let t0 = Instant::now();
         let partitioning = Partitioning::new(&self.graph, &self.hw)?;
         let dep = DepInfo::analyze(&self.graph);
         Ok(Partitioned {
             session: self,
             partitioning,
             dep,
-            elapsed: t0.elapsed(),
         })
     }
 
@@ -197,7 +228,10 @@ impl CompileSession {
         self.run_observed(&mut NullObserver)
     }
 
-    /// [`CompileSession::run`] with progress callbacks.
+    /// [`CompileSession::run`] with progress callbacks: each stage is
+    /// bracketed by a start and a finish event, and the finish carries
+    /// the wall-clock time of the stage call. This is the one place the
+    /// pipeline is timed; a stage that fails gets no finish event.
     ///
     /// # Errors
     ///
@@ -207,12 +241,17 @@ impl CompileSession {
         observer: &mut dyn CompileObserver,
     ) -> Result<CompiledModel, CompileError> {
         observer.on_stage_start(CompileStage::NodePartitioning);
+        let t0 = Instant::now();
         let partitioned = self.partition()?;
-        observer.on_stage_finish(CompileStage::NodePartitioning, partitioned.elapsed());
+        observer.on_stage_finish(CompileStage::NodePartitioning, t0.elapsed());
+        observer.on_stage_start(CompileStage::ReplicatingMapping);
+        let t0 = Instant::now();
         let optimized = partitioned.optimize_observed(observer)?;
+        observer.on_stage_finish(CompileStage::ReplicatingMapping, t0.elapsed());
         observer.on_stage_start(CompileStage::DataflowScheduling);
+        let t0 = Instant::now();
         let scheduled = optimized.schedule()?;
-        observer.on_stage_finish(CompileStage::DataflowScheduling, scheduled.elapsed());
+        observer.on_stage_finish(CompileStage::DataflowScheduling, t0.elapsed());
         Ok(scheduled.finish())
     }
 }
@@ -224,18 +263,12 @@ pub struct Partitioned {
     session: CompileSession,
     partitioning: Partitioning,
     dep: DepInfo,
-    elapsed: Duration,
 }
 
 impl Partitioned {
     /// The node partitioning (one entry per MVM node).
     pub fn partitioning(&self) -> &Partitioning {
         &self.partitioning
-    }
-
-    /// Wall-clock time partitioning took.
-    pub(crate) fn elapsed(&self) -> Duration {
-        self.elapsed
     }
 
     /// Re-enters this stage with different options — e.g. new GA
@@ -304,7 +337,6 @@ impl Partitioned {
         compiler: &'static str,
         strategy: impl FnOnce(&Partitioning, &HardwareConfig) -> Result<CoreMapping, CompileError>,
     ) -> Result<Optimized, CompileError> {
-        let t0 = Instant::now();
         let mapping = strategy(&self.partitioning, &self.session.hw)?;
         Ok(Optimized {
             partitioned: self,
@@ -312,12 +344,12 @@ impl Partitioned {
             compiler,
             ga_stats: None,
             reload: None,
-            elapsed: t0.elapsed(),
         })
     }
 
-    /// [`Partitioned::optimize`] with progress callbacks (stage events
-    /// plus one [`GaGeneration`] per GA generation).
+    /// [`Partitioned::optimize`] reporting one [`GaGeneration`] per GA
+    /// generation to `observer` (stage events are
+    /// [`CompileSession::run_observed`]'s).
     ///
     /// # Errors
     ///
@@ -326,8 +358,6 @@ impl Partitioned {
         self,
         observer: &mut dyn CompileObserver,
     ) -> Result<Optimized, CompileError> {
-        observer.on_stage_start(CompileStage::ReplicatingMapping);
-        let t0 = Instant::now();
         let hw = &self.session.hw;
         let capacity = hw.crossbar_capacity_per_core();
 
@@ -360,15 +390,12 @@ impl Partitioned {
         if let Some(plan) = epoch_plan {
             let mapping = CoreMapping::from_epoch_plan(&plan, &self.partitioning, hw.total_cores());
             let reload = plan.reload_plan(&self.partitioning, hw);
-            let elapsed = t0.elapsed();
-            observer.on_stage_finish(CompileStage::ReplicatingMapping, elapsed);
             return Ok(Optimized {
                 partitioned: self,
                 mapping,
                 compiler: PIMCOMP,
                 ga_stats: None,
                 reload: Some(reload),
-                elapsed,
             });
         }
 
@@ -393,15 +420,12 @@ impl Partitioned {
                 core_limit.unwrap_or_else(|| self.session.hw.total_cores()),
             )
         });
-        let elapsed = t0.elapsed();
-        observer.on_stage_finish(CompileStage::ReplicatingMapping, elapsed);
         Ok(Optimized {
             partitioned: self,
             mapping,
             compiler: PIMCOMP,
             ga_stats: Some(ga_stats),
             reload,
-            elapsed,
         })
     }
 }
@@ -452,7 +476,6 @@ pub struct Optimized {
     compiler: &'static str,
     ga_stats: Option<GaStats>,
     reload: Option<ReloadPlan>,
-    elapsed: Duration,
 }
 
 impl Optimized {
@@ -499,7 +522,6 @@ impl Optimized {
     /// Currently infallible in practice (scheduling total functions),
     /// kept fallible for forward compatibility.
     pub fn schedule(self) -> Result<Scheduled, CompileError> {
-        let t0 = Instant::now();
         let (schedule, memory) = build_schedule_and_memory(
             &self.partitioned.session,
             &self.partitioned.partitioning,
@@ -510,7 +532,6 @@ impl Optimized {
             optimized: self,
             schedule,
             memory,
-            elapsed: t0.elapsed(),
         })
     }
 }
@@ -557,7 +578,6 @@ pub struct Scheduled {
     optimized: Optimized,
     schedule: Schedule,
     memory: MemoryPlan,
-    elapsed: Duration,
 }
 
 impl Scheduled {
@@ -571,11 +591,6 @@ impl Scheduled {
         &self.memory
     }
 
-    /// Wall-clock time scheduling took.
-    pub(crate) fn elapsed(&self) -> Duration {
-        self.elapsed
-    }
-
     /// Discards the schedule and steps back to the mapping artifact.
     pub fn into_optimized(self) -> Optimized {
         self.optimized
@@ -585,7 +600,6 @@ impl Scheduled {
     /// the schedule (the Fig. 10 sweep).
     #[must_use]
     pub fn replan_memory(mut self, policy: ReusePolicy) -> Self {
-        let t0 = Instant::now();
         self.optimized.partitioned.session.opts.memory_policy = policy;
         let partitioned = &self.optimized.partitioned;
         self.memory = MemoryPlan::for_schedule(
@@ -597,7 +611,6 @@ impl Scheduled {
             &partitioned.session.hw,
             policy,
         );
-        self.elapsed += t0.elapsed();
         self
     }
 
@@ -609,12 +622,14 @@ impl Scheduled {
     /// [`CompileError::InvalidOptions`] for a zero batch or when the
     /// session is in low-latency mode (batching is an HT concept).
     pub fn rebatch(mut self, batch: usize) -> Result<Self, CompileError> {
-        // Set the batch directly: `with_batch` clamps zero to 1, which
-        // would silently defeat the documented zero-batch rejection.
-        let mut opts = self.optimized.partitioned.session.opts.clone();
-        opts.batch = batch;
+        let opts = self
+            .optimized
+            .partitioned
+            .session
+            .opts
+            .clone()
+            .with_batch(batch);
         opts.validate()?;
-        let t0 = Instant::now();
         self.optimized.partitioned.session.opts = opts;
         let partitioned = &self.optimized.partitioned;
         let (schedule, memory) = build_schedule_and_memory(
@@ -625,7 +640,6 @@ impl Scheduled {
         );
         self.schedule = schedule;
         self.memory = memory;
-        self.elapsed += t0.elapsed();
         Ok(self)
     }
 
@@ -637,7 +651,6 @@ impl Scheduled {
             optimized,
             schedule,
             memory,
-            elapsed: t_schedule,
         } = self;
         let Optimized {
             partitioned,
@@ -645,13 +658,11 @@ impl Scheduled {
             compiler,
             ga_stats,
             reload,
-            elapsed: t_mapping,
         } = optimized;
         let Partitioned {
             session,
             partitioning,
             dep,
-            elapsed: t_partition,
         } = partitioned;
 
         // Multi-epoch reload plans execute serially, so their analytic
@@ -675,18 +686,8 @@ impl Scheduled {
         let estimated = fitness::with_reload_stalls(estimated, reload.as_ref());
 
         let report = CompileReport {
-            model: session.graph.name().to_string(),
             compiler: compiler.to_string(),
-            mode: session.opts.mode,
-            timings: StageTimings {
-                node_partitioning: t_partition,
-                replicating_mapping: t_mapping,
-                dataflow_scheduling: t_schedule,
-            },
             ga: ga_stats,
-            replication: mapping.replication.counts().to_vec(),
-            active_cores: mapping.active_cores(),
-            crossbars_used: mapping.replication.total_crossbars(&partitioning),
             estimated_fitness: estimated,
         };
 
@@ -738,7 +739,6 @@ mod tests {
         assert_eq!(staged.mapping, legacy.mapping);
         assert_eq!(staged.schedule, legacy.schedule);
         assert_eq!(staged.memory, legacy.memory);
-        assert_eq!(staged.report.replication, legacy.report.replication);
         assert_eq!(
             staged.report.estimated_fitness,
             legacy.report.estimated_fitness
@@ -789,6 +789,15 @@ mod tests {
         assert_eq!(rec.started, all);
         assert_eq!(rec.finished, all);
         assert_eq!(rec.generations, GaParams::fast(11).iterations);
+
+        // `StageTimings` records one duration per stage.
+        let mut timings = StageTimings::default();
+        let _ = session(PipelineMode::HighThroughput)
+            .run_observed(&mut timings)
+            .unwrap();
+        assert!(timings.node_partitioning > Duration::ZERO);
+        assert!(timings.replicating_mapping > Duration::ZERO);
+        assert!(timings.dataflow_scheduling > Duration::ZERO);
     }
 
     #[test]
@@ -920,6 +929,13 @@ mod tests {
         let hw = HardwareConfig::small_test();
         let mut opts = CompileOptions::new(PipelineMode::HighThroughput).with_fast_ga(1);
         opts.batch = 0;
+        assert!(matches!(
+            CompileSession::new(hw.clone(), &graph, opts),
+            Err(CompileError::InvalidOptions { .. })
+        ));
+        let opts = CompileOptions::new(PipelineMode::HighThroughput)
+            .with_fast_ga(1)
+            .with_batch(0);
         assert!(matches!(
             CompileSession::new(hw.clone(), &graph, opts),
             Err(CompileError::InvalidOptions { .. })

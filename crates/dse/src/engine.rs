@@ -982,13 +982,12 @@ fn measure(point: &SweepPoint, model: &CompiledModel) -> Result<PointMetrics, St
         energy_uj: r.energy.total_pj() / 1e6,
         dynamic_uj: r.energy.dynamic_pj() / 1e6,
         leakage_uj: r.energy.leakage_pj / 1e6,
-        crossbar_utilization: model.report.crossbars_used as f64
-            / point.hw.total_crossbars() as f64,
+        crossbar_utilization: model.crossbars_used() as f64 / point.hw.total_crossbars() as f64,
         core_utilization: r.active_cores as f64 / point.hw.total_cores() as f64,
         avg_local_kb: r.memory.avg_local_bytes / 1024.0,
         global_traffic_kb: r.memory.global_traffic_bytes as f64 / 1024.0,
         active_cores: r.active_cores,
-        crossbars_used: model.report.crossbars_used,
+        crossbars_used: model.crossbars_used(),
         reload_stall_cycles: r.reload_stall_cycles,
         output_rmse: verified.as_ref().map(|v| v.output_rmse),
         top1_match: verified.as_ref().map(|v| v.top1_match),

@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "{:<12} {:>14} {:>12} {:>14}",
             label,
             r.total_cycles,
-            format!("{:?}", c.report.replication),
+            format!("{:?}", c.mapping.replication.counts()),
             r.active_cores
         );
     }

@@ -54,10 +54,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let compiled = optimized.schedule()?.finish();
         let report = Simulator::new(hw.clone()).run(&compiled)?;
 
-        println!("  replication plan: {:?}", compiled.report.replication);
+        println!(
+            "  replication plan: {:?}",
+            compiled.mapping.replication.counts()
+        );
         println!(
             "  {} active cores, {} crossbars holding weights",
-            compiled.report.active_cores, compiled.report.crossbars_used
+            compiled.mapping.active_cores(),
+            compiled.crossbars_used()
         );
         match mode {
             PipelineMode::HighThroughput => println!(

@@ -37,7 +37,7 @@
 
 use pimcomp::dse::SweepReport;
 use pimcomp::prelude::*;
-use pimcomp_core::{GaParams, ReloadPlan, ReusePolicy};
+use pimcomp_core::{GaParams, GaStats, ReloadPlan, ReusePolicy, StageTimings};
 use pimcomp_ir::transform::normalize;
 use pimcomp_ir::{Graph, GraphStats};
 use std::collections::HashMap;
@@ -360,7 +360,7 @@ fn open_artifact(args: &Args) -> CliResult<CompiledArtifact> {
     let model = artifact.model();
     println!(
         "loaded {path}: {} ({} mode, {})",
-        model.report.model,
+        model.graph.name(),
         model.mode,
         stamp(&artifact)
     );
@@ -510,29 +510,30 @@ fn cmd_compile(args: &Args) -> CliResult {
         return Err("--reload-budget requires --weight-reload".into());
     }
     let session = CompileSession::new(hw.clone(), &graph, compile_opts)?;
+    let mut timings = StageTimings::default();
     let compiled = if args.has("--progress") {
-        session.run_observed(&mut ProgressPrinter::default())
+        session.run_observed(&mut ProgressPrinter(&mut timings))
     } else {
-        session.run()
+        session.run_observed(&mut timings)
     }?;
 
-    let r = &compiled.report;
     println!(
         "  stages: partition {:?}, replicate+map {:?}, schedule {:?}",
-        r.timings.node_partitioning, r.timings.replicating_mapping, r.timings.dataflow_scheduling
+        timings.node_partitioning, timings.replicating_mapping, timings.dataflow_scheduling
     );
-    println!("  replication: {:?}", r.replication);
+    let summary = CompileSummary::of(&compiled);
+    println!("  replication: {:?}", summary.replication);
     println!(
         "  {} active cores, {} / {} crossbars, estimated {} = {:.0} cycles",
-        r.active_cores,
-        r.crossbars_used,
+        summary.active_cores,
+        summary.crossbars_used,
         hw.total_crossbars(),
         if mode == PipelineMode::HighThroughput {
             "F_HT"
         } else {
             "F_LL"
         },
-        r.estimated_fitness
+        summary.estimated_fitness
     );
     if let Some(plan) = &compiled.reload {
         println!("  {}", reload_summary(plan));
@@ -548,13 +549,13 @@ fn cmd_compile(args: &Args) -> CliResult {
 
     #[derive(serde::Serialize)]
     struct FullReport<'a> {
-        compile: &'a pimcomp_core::CompileReport,
+        compile: CompileSummary<'a>,
         simulation: Option<&'a SimReport>,
     }
     write_json_report(
         args,
         &FullReport {
-            compile: r,
+            compile: summary,
             simulation: sim_report.as_ref(),
         },
     )?;
@@ -569,26 +570,56 @@ fn cmd_compile(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// Observer streaming stage + GA progress to stderr (`--progress`).
-#[derive(Default)]
-struct ProgressPrinter {
-    last_reported: usize,
+/// `compile --report`'s `compile` object: the model's
+/// [`CompileReport`](pimcomp_core::CompileReport) beside what the model
+/// records about its mapping.
+#[derive(serde::Serialize)]
+struct CompileSummary<'a> {
+    model: &'a str,
+    compiler: &'a str,
+    mode: PipelineMode,
+    ga: &'a Option<GaStats>,
+    replication: &'a [usize],
+    active_cores: usize,
+    crossbars_used: usize,
+    estimated_fitness: f64,
 }
 
-impl CompileObserver for ProgressPrinter {
+impl<'a> CompileSummary<'a> {
+    fn of(m: &'a CompiledModel) -> Self {
+        CompileSummary {
+            model: m.graph.name(),
+            compiler: &m.report.compiler,
+            mode: m.mode,
+            ga: &m.report.ga,
+            replication: m.mapping.replication.counts(),
+            active_cores: m.mapping.active_cores(),
+            crossbars_used: m.crossbars_used(),
+            estimated_fitness: m.report.estimated_fitness,
+        }
+    }
+}
+
+/// Observer streaming stage + GA progress to stderr (`--progress`),
+/// recording the stage times into the [`StageTimings`] it wraps.
+struct ProgressPrinter<'a>(&'a mut StageTimings);
+
+impl CompileObserver for ProgressPrinter<'_> {
     fn on_stage_start(&mut self, stage: CompileStage) {
         eprintln!("[stage] {} ...", stage.label());
     }
 
     fn on_stage_finish(&mut self, stage: CompileStage, elapsed: Duration) {
+        self.0.on_stage_finish(stage, elapsed);
         eprintln!("[stage] {} done in {elapsed:?}", stage.label());
     }
 
     fn on_ga_generation(&mut self, p: GaGeneration) {
-        // Report ~20 times per run to keep stderr readable.
+        // Report every `step`-th generation (~20 times per run, to keep
+        // stderr readable) and the last one.
         let step = (p.total_generations / 20).max(1);
-        if p.generation >= self.last_reported + step || p.generation + 1 == p.total_generations {
-            self.last_reported = p.generation;
+        let last = p.generation + 1 == p.total_generations;
+        if (p.generation > 0 && p.generation.is_multiple_of(step)) || last {
             eprintln!(
                 "[ga] generation {}/{}: best fitness {:.0} ({} evaluations, {} cache hits)",
                 p.generation + 1,
@@ -672,27 +703,25 @@ fn cmd_verify(args: &Args) -> CliResult {
 fn inspect_artifact(path: &str) -> CliResult {
     let artifact = CompiledArtifact::load(path)?;
     let m = artifact.model();
-    let r = &m.report;
+    let s = CompileSummary::of(m);
     println!("artifact {path} ({})", stamp(&artifact));
     println!(
         "model: {} compiled by {} in {} mode",
-        r.model, r.compiler, r.mode
+        s.model, s.compiler, s.mode
     );
     println!(
         "hardware: {} chips x {} cores, parallelism {}",
         m.hw.chips, m.hw.cores_per_chip, m.hw.parallelism
     );
     println!("stages:");
-    println!(
-        "  partitioning : {:?} ({} MVM nodes)",
-        r.timings.node_partitioning,
-        m.partitioning.len()
-    );
+    println!("  partitioning : {} MVM nodes", m.partitioning.len());
     print!(
-        "  replicate+map: {:?} ({} active cores, {} crossbars",
-        r.timings.replicating_mapping, r.active_cores, r.crossbars_used
+        "  replicate+map: {} AG instances ({} active cores, {} crossbars",
+        m.mapping.instances.len(),
+        s.active_cores,
+        s.crossbars_used
     );
-    match &r.ga {
+    match s.ga {
         Some(ga) => println!(
             "; GA {:.0} -> {:.0} over {} generations, {} evals ({} incremental), {} cache hits)",
             ga.initial_fitness,
@@ -705,17 +734,16 @@ fn inspect_artifact(path: &str) -> CliResult {
         None => println!(")"),
     }
     println!(
-        "  scheduling   : {:?} ({} schedule, {} policy, peak local {:.1} kB)",
-        r.timings.dataflow_scheduling,
+        "  scheduling   : {} schedule, {} policy, peak local {:.1} kB",
         m.mode,
         m.memory.policy.label(),
         m.memory.peak_bytes as f64 / 1024.0
     );
-    println!("replication: {:?}", r.replication);
+    println!("replication: {:?}", s.replication);
     if let Some(plan) = &m.reload {
         println!("{}", reload_summary(plan));
     }
-    println!("estimated fitness: {:.0} cycles", r.estimated_fitness);
+    println!("estimated fitness: {:.0} cycles", s.estimated_fitness);
     Ok(())
 }
 

@@ -207,7 +207,7 @@ fn squeezenet_compiles_on_the_paper_target() {
         ..pimcomp_core::GaParams::fast(1)
     });
     let compiled = PimCompiler::new(hw.clone()).compile(&graph, &opts).unwrap();
-    assert!(compiled.report.crossbars_used <= hw.total_crossbars());
+    assert!(compiled.crossbars_used() <= hw.total_crossbars());
     let report = Simulator::new(hw).run(&compiled).unwrap();
     assert!(report.total_cycles > 0);
     assert!(report.active_cores <= 36);

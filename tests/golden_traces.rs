@@ -97,7 +97,7 @@ fn trace_of(model: &CompiledModel, seed: u64, ga: &GaParams) -> Trace {
         },
     };
     Trace {
-        model: model.report.model.clone(),
+        model: model.graph.name().to_string(),
         mode: model.mode.to_string(),
         seed,
         ga_population: ga.population,
@@ -108,9 +108,9 @@ fn trace_of(model: &CompiledModel, seed: u64, ga: &GaParams) -> Trace {
         ga_evaluations: stats.map(|s| s.evaluations),
         ga_incremental_evals: stats.map(|s| s.incremental_evals),
         ga_cache_hits: stats.map(|s| s.cache_hits),
-        replication: model.report.replication.clone(),
-        active_cores: model.report.active_cores,
-        crossbars_used: model.report.crossbars_used,
+        replication: model.mapping.replication.counts().to_vec(),
+        active_cores: model.mapping.active_cores(),
+        crossbars_used: model.crossbars_used(),
         per_core_ag_counts: model.mapping.per_core.iter().map(Vec::len).collect(),
         schedule,
         memory_peak_bytes: model.memory.peak_bytes,

@@ -35,7 +35,7 @@ fn onnx_round_trip_compiles_identically() {
         assert_eq!(x.windows, y.windows);
     }
     // ...same GA decisions (the seed drives everything downstream)...
-    assert_eq!(a.report.replication, b.report.replication);
+    assert_eq!(a.mapping.replication, b.mapping.replication);
     // ...and identical simulated performance.
     let sim = Simulator::new(hw);
     assert_eq!(

@@ -77,31 +77,51 @@ fn explicit_parallelism_one_equals_default_serial() {
 
 #[test]
 fn full_compilation_is_thread_count_invariant() {
-    // End to end through the session API: the entire compiled artifact
-    // (mapping, schedule, memory plan, report) must match, not just the
-    // GA output.
-    use pimcomp_core::{CompileOptions, CompileSession};
+    // End to end through the session API: the whole artifact (mapping,
+    // schedule, memory plan, reload plan, report) must serialize to the
+    // same bytes run after run, at any GA thread count — in both modes
+    // and on the multi-epoch reload path.
+    use pimcomp_core::{CompileOptions, CompileSession, CompiledArtifact};
     let graph = pimcomp_ir::models::tiny_cnn();
     let hw = HardwareConfig::small_test();
-    let compile = |threads: Option<usize>| {
-        let opts = CompileOptions::new(PipelineMode::HighThroughput)
-            .with_fast_ga(7)
-            .with_parallelism(threads.and_then(NonZeroUsize::new));
-        CompileSession::new(hw.clone(), &graph, opts)
-            .unwrap()
-            .run()
-            .unwrap()
-    };
-    let serial = compile(None);
-    let parallel = compile(Some(4));
-    assert_eq!(serial.mapping, parallel.mapping);
-    assert_eq!(serial.schedule, parallel.schedule);
-    assert_eq!(serial.memory, parallel.memory);
-    assert_eq!(serial.report.ga, parallel.report.ga);
-    assert_eq!(
-        serial.report.estimated_fitness.to_bits(),
-        parallel.report.estimated_fitness.to_bits()
-    );
+    let cases = [
+        ("HT", CompileOptions::new(PipelineMode::HighThroughput)),
+        ("LL", CompileOptions::new(PipelineMode::LowLatency)),
+        (
+            "HT reload",
+            CompileOptions::new(PipelineMode::HighThroughput).with_weight_reload(Some(32)),
+        ),
+    ];
+    for (label, base) in cases {
+        let compile = |threads: Option<usize>| {
+            let opts = base
+                .clone()
+                .with_fast_ga(7)
+                .with_parallelism(threads.and_then(NonZeroUsize::new));
+            let model = CompileSession::new(hw.clone(), &graph, opts)
+                .unwrap()
+                .run()
+                .unwrap();
+            CompiledArtifact::new(model)
+        };
+        let serial = compile(None);
+        if let Some(plan) = &serial.model().reload {
+            assert!(plan.epoch_count() >= 2, "{label}: budget must force epochs");
+        }
+        let bytes = serial.to_json().unwrap();
+        // `assert!`, not `assert_eq!`: a failure must not print two
+        // whole artifacts.
+        for (run, threads) in [
+            ("second serial", None),
+            ("1-thread", Some(1)),
+            ("4-thread", Some(4)),
+        ] {
+            assert!(
+                compile(threads).to_json().unwrap() == bytes,
+                "{label}: {run} artifact JSON differs from the first serial compile"
+            );
+        }
+    }
 }
 
 #[test]

@@ -38,10 +38,6 @@ fn staged_session_matches_legacy_compile_for_the_same_seed() {
         assert_eq!(staged.schedule, legacy.schedule, "{mode}");
         assert_eq!(staged.memory, legacy.memory, "{mode}");
         assert_eq!(
-            staged.report.replication, legacy.report.replication,
-            "{mode}"
-        );
-        assert_eq!(
             staged.report.estimated_fitness, legacy.report.estimated_fitness,
             "{mode}"
         );
@@ -181,27 +177,37 @@ fn observer_streams_stages_and_ga_progress_end_to_end() {
     }
 
     let graph = pimcomp::ir::models::tiny_cnn();
+    // Start/finish pairs in pipeline order, whichever path builds the
+    // mapping.
+    let pipeline = vec![
+        (CompileStage::NodePartitioning, false),
+        (CompileStage::NodePartitioning, true),
+        (CompileStage::ReplicatingMapping, false),
+        (CompileStage::ReplicatingMapping, true),
+        (CompileStage::DataflowScheduling, false),
+        (CompileStage::DataflowScheduling, true),
+    ];
+
     let mut events = Events::default();
     let compiled = CompileSession::new(hw(), &graph, opts(PipelineMode::HighThroughput, 3))
         .and_then(|session| session.run_observed(&mut events))
         .unwrap();
     assert!(compiled.report.estimated_fitness > 0.0);
-
-    // Start/finish pairs in pipeline order.
-    assert_eq!(
-        events.stages,
-        vec![
-            (CompileStage::NodePartitioning, false),
-            (CompileStage::NodePartitioning, true),
-            (CompileStage::ReplicatingMapping, false),
-            (CompileStage::ReplicatingMapping, true),
-            (CompileStage::DataflowScheduling, false),
-            (CompileStage::DataflowScheduling, true),
-        ]
-    );
+    assert_eq!(events.stages, pipeline);
     // One callback per GA generation, in order.
     let expect: Vec<usize> = (0..GaParams::fast(3).iterations).collect();
     assert_eq!(events.generations, expect);
+
+    // Over its crossbar budget, `weight_reload` maps by the epoch packer:
+    // the same six events, and no GA generation.
+    let mut events = Events::default();
+    let reload = opts(PipelineMode::HighThroughput, 3).with_weight_reload(Some(32));
+    let compiled = CompileSession::new(hw(), &graph, reload)
+        .and_then(|session| session.run_observed(&mut events))
+        .unwrap();
+    assert!(compiled.reload.unwrap().epoch_count() >= 2);
+    assert_eq!(events.stages, pipeline);
+    assert!(events.generations.is_empty());
 }
 
 #[test]
