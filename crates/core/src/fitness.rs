@@ -19,7 +19,12 @@
 //!   against the state at batch start and records new results at the
 //!   index-ordered reduction — so duplicate offspring of the same
 //!   batch are each computed; that is what keeps the result
-//!   independent of worker scheduling.
+//!   independent of worker scheduling. An entry is a fitness plus a
+//!   *weak* pointer to its basis: the memo remembers every fitness of
+//!   a run, but a basis lives only while a population member holds it,
+//!   so the GA's memory follows its population, not its evaluation
+//!   count. A hit whose basis is gone rebuilds it from the chromosome
+//!   (a pure function of it), which is not counted as an evaluation.
 //!
 //! Both paths are *exact*: an incremental or memoized evaluation
 //! returns the bit-identical `f64` the from-scratch estimator would,
@@ -34,7 +39,7 @@ use crate::CompileError;
 use pimcomp_arch::{HardwareConfig, PipelineMode};
 use pimcomp_ir::{Graph, NodeId, Op};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Estimated busy time of one core in HT mode (paper Fig. 5).
 ///
@@ -712,14 +717,17 @@ fn collect_dirty_cores(parent: &Chromosome, child: &Chromosome, out: &mut Vec<us
 pub(crate) struct MemoEntry {
     /// The memoized fitness.
     pub fitness: f64,
-    /// The evaluation basis, shared so descendants can re-evaluate
-    /// incrementally without recomputing it.
-    pub basis: Arc<EvalBasis>,
+    /// The evaluation basis while some holder of it (a population
+    /// member) is alive, so descendants can re-evaluate incrementally
+    /// without recomputing it; once it is gone, whoever needs it
+    /// rebuilds it from the chromosome.
+    pub basis: Weak<EvalBasis>,
 }
 
-/// Default cap on memoized chromosomes; beyond it, new results are
-/// still returned but no longer recorded (deterministic: the insertion
-/// order is the GA's deterministic evaluation order).
+/// Cap on memoized chromosomes (an entry is a fitness plus a weak
+/// pointer); beyond it, new results are still returned but no longer
+/// recorded (deterministic: the insertion order is the GA's
+/// deterministic evaluation order).
 const MEMO_CAPACITY: usize = 1 << 16;
 
 /// A fitness memoization cache over chromosome fingerprints, exact by
@@ -821,6 +829,8 @@ impl<'a> FitnessMemo<'a> {
     /// Evaluates `child` incrementally against a previously evaluated
     /// `parent` (falling back to a full evaluation when the parent was
     /// never seen), returning the memoized value on a fingerprint hit.
+    /// The memo holds no basis itself, so a parent whose basis is gone
+    /// has it rebuilt from `parent` first; that rebuild is not counted.
     ///
     /// # Errors
     ///
@@ -845,10 +855,11 @@ impl<'a> FitnessMemo<'a> {
             return Ok(fitness);
         }
         let plan = chromosome.replication(self.ctx.partitioning)?;
-        let parent = parent
-            .filter(|p| same_grid(p, chromosome))
-            .and_then(|p| Some((p, &self.entries.get(&p.fingerprint())?.basis)));
-        let parent = parent.map(|(p, basis)| {
+        let parent = match parent.filter(|p| same_grid(p, chromosome)) {
+            Some(p) => self.basis_of(p)?.map(|basis| (p, basis)),
+            None => None,
+        };
+        let parent = parent.as_ref().map(|(p, basis)| {
             collect_dirty_cores(p, chromosome, &mut self.diff);
             (basis.as_ref(), self.diff.as_slice())
         });
@@ -861,8 +872,39 @@ impl<'a> FitnessMemo<'a> {
             &mut self.scratch,
         );
         self.observe(kind);
-        self.record(fingerprint, fitness, Arc::new(basis));
+        self.record(fingerprint, fitness, &Arc::new(basis));
         Ok(fitness)
+    }
+
+    /// The evaluation basis of a memoized chromosome: the live one, else
+    /// rebuilt from `chromosome` from scratch — not counted, the memo
+    /// already holds its fitness. `None` for a chromosome never seen.
+    fn basis_of(
+        &mut self,
+        chromosome: &Chromosome,
+    ) -> Result<Option<Arc<EvalBasis>>, CompileError> {
+        let Some(entry) = self.lookup(chromosome.fingerprint()) else {
+            return Ok(None);
+        };
+        if let Some(basis) = entry.basis.upgrade() {
+            return Ok(Some(basis));
+        }
+        let memoized = entry.fitness;
+        let plan = chromosome.replication(self.ctx.partitioning)?;
+        let (fitness, basis, _) = compute_fitness(
+            self.ctx,
+            self.ll.as_ref(),
+            chromosome,
+            plan,
+            None,
+            &mut self.scratch,
+        );
+        debug_assert_eq!(
+            fitness.to_bits(),
+            memoized.to_bits(),
+            "a rebuilt basis reproduces the memoized fitness"
+        );
+        Ok(Some(Arc::new(basis)))
     }
 
     /// Cached entry for a fingerprint, if present.
@@ -870,14 +912,16 @@ impl<'a> FitnessMemo<'a> {
         self.entries.get(&fingerprint)
     }
 
-    /// Records an evaluation result (no-op once the cap is reached, and
-    /// first-write-wins for duplicate fingerprints — both deterministic
-    /// because callers insert in evaluation order).
-    pub(crate) fn record(&mut self, fingerprint: u128, fitness: f64, basis: Arc<EvalBasis>) {
+    /// Records an evaluation result with a weak pointer to its basis
+    /// (no-op once the cap is reached, and first-write-wins for
+    /// duplicate fingerprints — both deterministic because callers
+    /// insert in evaluation order).
+    pub(crate) fn record(&mut self, fingerprint: u128, fitness: f64, basis: &Arc<EvalBasis>) {
         if self.entries.len() < MEMO_CAPACITY {
-            self.entries
-                .entry(fingerprint)
-                .or_insert(MemoEntry { fitness, basis });
+            self.entries.entry(fingerprint).or_insert(MemoEntry {
+                fitness,
+                basis: Arc::downgrade(basis),
+            });
         }
     }
 
@@ -1049,5 +1093,104 @@ pub(crate) mod tests {
         let u2 = 256.0 * cfg.mvm_latency as f64;
         assert!(total < 0.8 * (u1 + u2), "{total} vs {}", u1 + u2);
         assert!(total >= u1.max(u2));
+    }
+
+    /// `tiny_cnn` on the small test target: one replica of every node
+    /// placed first-fit (the parent), and the same chromosome with its
+    /// first gene moved whole to another core (the child: same
+    /// replication, so LL reuses the parent's chain too).
+    fn parent_and_child() -> (Graph, HardwareConfig, Chromosome, Chromosome) {
+        let graph = pimcomp_ir::transform::normalize(&pimcomp_ir::models::tiny_cnn()).unwrap();
+        let hw = HardwareConfig::small_test();
+        let p = Partitioning::new(&graph, &hw).unwrap();
+        let capacity = hw.crossbar_capacity_per_core();
+        let mut parent = Chromosome::empty(hw.total_cores(), 4);
+        let mut used = vec![0; hw.total_cores()];
+        for idx in 0..p.len() {
+            let entry = p.entry(idx);
+            for _ in 0..entry.ags_per_replica {
+                let core = (0..used.len())
+                    .find(|&c| used[c] + entry.crossbars_per_ag <= capacity)
+                    .unwrap();
+                used[core] += entry.crossbars_per_ag;
+                let slot = parent
+                    .slot_of_node_on_core(core, idx)
+                    .or_else(|| parent.free_slot_of_core(core))
+                    .unwrap();
+                let ag_count = parent.gene(slot).map_or(0, |g| g.ag_count) + 1;
+                parent.set_gene(slot, Some(crate::Gene { mvm: idx, ag_count }));
+            }
+        }
+        let (slot, gene) = parent.genes().next().unwrap();
+        let need = gene.ag_count * p.entry(gene.mvm).crossbars_per_ag;
+        let to = (0..used.len())
+            .find(|&c| c != parent.core_of_slot(slot) && used[c] + need <= capacity)
+            .unwrap();
+        let mut child = parent.clone();
+        child.set_gene(slot, None);
+        child.set_gene(child.free_slot_of_core(to).unwrap(), Some(gene));
+        (graph, hw, parent, child)
+    }
+
+    #[test]
+    fn a_dropped_basis_leaves_its_fitness_in_the_memo() {
+        let (graph, hw, parent, _) = parent_and_child();
+        let p = Partitioning::new(&graph, &hw).unwrap();
+        let dep = DepInfo::analyze(&graph);
+        let ctx = GaContext {
+            hw: &hw,
+            graph: &graph,
+            partitioning: &p,
+            dep: &dep,
+            mode: PipelineMode::HighThroughput,
+            core_limit: None,
+        };
+        let mut memo = FitnessMemo::new(&ctx);
+        let plan = parent.replication(&p).unwrap();
+        let mut scratch = EvalScratch::default();
+        let (fitness, basis, _) = compute_fitness(&ctx, None, &parent, plan, None, &mut scratch);
+        let basis = Arc::new(basis);
+        let fingerprint = parent.fingerprint();
+        memo.record(fingerprint, fitness, &basis);
+        assert!(memo.lookup(fingerprint).unwrap().basis.upgrade().is_some());
+        drop(basis);
+        let entry = memo.lookup(fingerprint).unwrap();
+        assert_eq!(entry.fitness.to_bits(), fitness.to_bits());
+        assert!(entry.basis.upgrade().is_none());
+    }
+
+    #[test]
+    fn a_parent_without_its_basis_still_evaluates_a_child_incrementally() {
+        let (graph, hw, parent, child) = parent_and_child();
+        let p = Partitioning::new(&graph, &hw).unwrap();
+        let dep = DepInfo::analyze(&graph);
+        for mode in [PipelineMode::HighThroughput, PipelineMode::LowLatency] {
+            let ctx = GaContext {
+                hw: &hw,
+                graph: &graph,
+                partitioning: &p,
+                dep: &dep,
+                mode,
+                core_limit: None,
+            };
+            let mut memo = FitnessMemo::new(&ctx);
+            // `evaluate` keeps no holder of the basis it records.
+            memo.evaluate(&parent).unwrap();
+            let entry = memo.lookup(parent.fingerprint()).unwrap();
+            assert!(entry.basis.upgrade().is_none(), "{mode}");
+            let fitness = memo.evaluate_mutated(&parent, &child).unwrap();
+            assert_eq!(
+                fitness.to_bits(),
+                ctx.fitness(&child).unwrap().to_bits(),
+                "{mode}"
+            );
+            // The parent's rebuild is not an evaluation.
+            let counts = (
+                memo.full_evals(),
+                memo.incremental_evals(),
+                memo.cache_hits(),
+            );
+            assert_eq!(counts, (1, 1, 0), "{mode}");
+        }
     }
 }

@@ -64,7 +64,11 @@
 //!   ([`FitnessMemo`](crate::FitnessMemo)), and offspring that differ
 //!   from their parent in a few genes are re-evaluated incrementally
 //!   (per-core recomputation in HT mode, chain-estimate reuse in LL
-//!   mode) — exactly, not approximately.
+//!   mode) — exactly, not approximately. The memo keeps every fitness
+//!   but only a weak pointer to each evaluation basis, so the bases
+//!   alive at any time are the population's: memory is about population
+//!   × (grid + per-core times), not evaluations × cores. A hit whose
+//!   basis is gone rebuilds it from its parent's, as a miss would.
 
 use crate::fitness::{
     compute_fitness, ht_critical_node, ht_fitness, ll_fitness_with_issue_floor, EvalBasis,
@@ -222,8 +226,10 @@ pub struct GaStats {
     /// Evaluations computed incrementally from the parent's basis
     /// (dirty-core recomputation in HT mode, chain reuse in LL mode).
     pub incremental_evals: usize,
-    /// Offspring answered from the fitness memo cache without any
-    /// computation.
+    /// Offspring whose fitness the memo cache answered. A hit whose
+    /// evaluation basis no population member holds any more rebuilds
+    /// the basis (for its own offspring to build on); that is not an
+    /// evaluation, and the fitness is the memo's.
     pub cache_hits: usize,
     /// Fitness evaluations computed in each generation (the initial
     /// population is excluded; it accounts for
@@ -538,7 +544,7 @@ pub(crate) fn optimize_observed(
         let fingerprint = draft.chromosome.fingerprint();
         let basis = Arc::new(basis);
         memo.observe(EvalKind::Full);
-        memo.record(fingerprint, fitness, basis.clone());
+        memo.record(fingerprint, fitness, &basis);
         population.push(Individual {
             draft: Arc::new(draft),
             fitness,
@@ -598,31 +604,42 @@ pub(crate) fn optimize_observed(
             let mut draft = draft.into_owned();
             let touched = std::mem::take(&mut draft.touched);
             let fingerprint = draft.chromosome.fingerprint();
-            if let Some(entry) = memo.lookup(fingerprint) {
-                return Ok(Offspring {
-                    draft: Arc::new(draft),
-                    fitness: entry.fitness,
-                    fingerprint,
-                    basis: entry.basis.clone(),
-                    source: OffspringSource::CacheHit,
-                    tally,
-                });
-            }
-            let plan = draft.replication(ctx.partitioning)?;
-            let (fitness, basis, kind) = compute_fitness(
-                ctx,
-                memo.ll_tables(),
-                &draft.chromosome,
-                plan,
-                Some((&parent.basis, &touched)),
-                &mut ws.eval,
-            );
+            let memoized = memo.lookup(fingerprint);
+            let live = memoized.and_then(|e| Some((e.fitness, e.basis.upgrade()?)));
+            let (fitness, basis, source) = match live {
+                Some((fitness, basis)) => (fitness, basis, OffspringSource::CacheHit),
+                None => {
+                    let plan = draft.replication(ctx.partitioning)?;
+                    let (fitness, basis, kind) = compute_fitness(
+                        ctx,
+                        memo.ll_tables(),
+                        &draft.chromosome,
+                        plan,
+                        Some((&parent.basis, &touched)),
+                        &mut ws.eval,
+                    );
+                    match memoized {
+                        // A hit whose basis no population member holds
+                        // any more: rebuilt as a miss computes it, and
+                        // still a hit, not an evaluation.
+                        Some(entry) => {
+                            debug_assert_eq!(
+                                fitness.to_bits(),
+                                entry.fitness.to_bits(),
+                                "a rebuilt basis reproduces the memoized fitness"
+                            );
+                            (entry.fitness, Arc::new(basis), OffspringSource::CacheHit)
+                        }
+                        None => (fitness, Arc::new(basis), OffspringSource::Evaluated(kind)),
+                    }
+                }
+            };
             Ok::<_, CompileError>(Offspring {
                 draft: Arc::new(draft),
                 fitness,
                 fingerprint,
-                basis: Arc::new(basis),
-                source: OffspringSource::Evaluated(kind),
+                basis,
+                source,
                 tally,
             })
         });
@@ -640,7 +657,7 @@ pub(crate) fn optimize_observed(
                 OffspringSource::CacheHit => memo.observe_hit(),
                 OffspringSource::Evaluated(kind) => {
                     memo.observe(kind);
-                    memo.record(off.fingerprint, off.fitness, off.basis.clone());
+                    memo.record(off.fingerprint, off.fitness, &off.basis);
                 }
             }
             next.push(Individual {

@@ -492,13 +492,6 @@ fn cmd_compile(args: &Args) -> CliResult {
         (ga.population, ga.iterations) = (population, iterations);
     }
 
-    println!(
-        "compiling {} for {} chips x {} cores (parallelism {}, {mode} mode)...",
-        graph.name(),
-        hw.chips,
-        hw.cores_per_chip,
-        hw.parallelism
-    );
     let reload_budget = args.number::<usize>("--reload-budget")?;
     let mut compile_opts = CompileOptions::new(mode).with_ga(ga).with_policy(policy);
     if let Some(n) = seq_len {
@@ -509,7 +502,15 @@ fn cmd_compile(args: &Args) -> CliResult {
     } else if reload_budget.is_some() {
         return Err("--reload-budget requires --weight-reload".into());
     }
+    // Every option is checked before anything is printed.
     let session = CompileSession::new(hw.clone(), &graph, compile_opts)?;
+    println!(
+        "compiling {} for {} chips x {} cores (parallelism {}, {mode} mode)...",
+        graph.name(),
+        hw.chips,
+        hw.cores_per_chip,
+        hw.parallelism
+    );
     let mut timings = StageTimings::default();
     let compiled = if args.has("--progress") {
         session.run_observed(&mut ProgressPrinter(&mut timings))

@@ -219,6 +219,26 @@ fn malformed_command_lines_stay_rejected() {
             "drop `--spec`",
         ),
         (&[&diff[..], &[spec]].concat()[..], "runs no sweep; drop `"),
+        // `compile` checks its options before it prints its banner.
+        (
+            &["compile", "--model", "tiny_mlp", "--reload-budget", "5"][..],
+            "--reload-budget requires --weight-reload",
+        ),
+        (
+            &["compile", "--model", "tiny_mlp", "--ga", "0x10"][..],
+            "GA population must be at least 1",
+        ),
+        (
+            &[
+                "compile",
+                "--model",
+                "tiny_mlp",
+                "--weight-reload",
+                "--reload-budget",
+                "0",
+            ][..],
+            "`reload_budget` must be at least 1 crossbar",
+        ),
     ] {
         let out = pimcomp(args);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
