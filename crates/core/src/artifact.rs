@@ -1,13 +1,18 @@
 //! Versioned, serializable compiled models — the compile-once /
 //! serve-many deployment artifact.
 //!
-//! A [`CompiledArtifact`] wraps a [`CompiledModel`] with a format
-//! version and a fingerprint of the hardware configuration it was
-//! compiled for. Artifacts serialize to JSON, survive a round trip
-//! bit-for-bit (including every float in the model), and refuse to load
-//! against a different format version or execute against mismatched
-//! hardware — so a compilation service can persist them and simulator /
-//! runtime instances can consume them later without recompiling.
+//! A [`CompiledArtifact`] stores what a compilation *decided* and
+//! nothing derivable from it: the compiled (normalized, sequence-bound)
+//! graph, the hardware, the pipeline mode, HT batch and memory policy,
+//! the `weight_reload` budget, the AG placement, and what the mapping
+//! strategy reported (compiler name, GA trace). Loading checks those
+//! facts and re-runs partitioning, dependency analysis, scheduling and
+//! memory planning on them — the code compilation runs — so a loaded
+//! model is one a compile could have produced, and the simulator and
+//! executor need not re-validate it. Artifacts serialize to JSON,
+//! survive a round trip bit-for-bit (every float of the rebuilt model
+//! included), and refuse to load from another format version or to
+//! execute against mismatched hardware.
 //!
 //! # Example
 //!
@@ -32,8 +37,14 @@
 //! # }
 //! ```
 
-use crate::compiler::CompiledModel;
-use pimcomp_arch::HardwareConfig;
+use crate::compiler::{CompileOptions, CompiledModel};
+use crate::ga::GaStats;
+use crate::mapping::AgInstance;
+use crate::memory::ReusePolicy;
+use crate::session::CompileSession;
+use crate::CompileError;
+use pimcomp_arch::{HardwareConfig, PipelineMode};
+use pimcomp_ir::Graph;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::Path;
@@ -54,11 +65,16 @@ pub enum ArtifactError {
     HardwareMismatch {
         /// Fingerprint of the hardware the caller provided.
         expected: u64,
-        /// Fingerprint recorded in the artifact.
+        /// Fingerprint of the hardware in the artifact.
         found: u64,
     },
     /// JSON (de)serialization failed.
     Serialization(String),
+    /// The artifact parsed, but its facts are not a compilation: invalid
+    /// hardware, graph or options, or an AG placement that is not a
+    /// mapping of the graph's partitioning (or, over a `weight_reload`
+    /// budget, not the epoch packer's).
+    Invalid(String),
     /// Filesystem I/O failed.
     Io(String),
 }
@@ -78,6 +94,7 @@ impl fmt::Display for ArtifactError {
             ArtifactError::Serialization(detail) => {
                 write!(f, "artifact serialization failed: {detail}")
             }
+            ArtifactError::Invalid(detail) => write!(f, "invalid artifact: {detail}"),
             ArtifactError::Io(detail) => write!(f, "artifact I/O failed: {detail}"),
         }
     }
@@ -85,26 +102,62 @@ impl fmt::Display for ArtifactError {
 
 impl std::error::Error for ArtifactError {}
 
-/// A compiled model packaged for persistence: format version +
-/// hardware fingerprint + the full [`CompiledModel`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A compiled model packaged for persistence. Only its decisions are
+/// written ([`CompiledArtifact::to_json`]); everything else is derived
+/// again on load ([`CompiledArtifact::from_json`]).
+#[derive(Debug, Clone)]
 pub struct CompiledArtifact {
-    format_version: u32,
-    hw_fingerprint: u64,
     model: CompiledModel,
+}
+
+/// The serialized shape of an artifact: the facts no other field can
+/// recompute.
+#[derive(Serialize, Deserialize)]
+struct Facts {
+    format_version: u32,
+    graph: Graph,
+    hw: HardwareConfig,
+    mode: PipelineMode,
+    batch: usize,
+    memory_policy: ReusePolicy,
+    /// The `weight_reload` crossbar budget, if the compile had one.
+    reload_budget: Option<usize>,
+    instances: Vec<AgInstance>,
+    compiler: String,
+    ga: Option<GaStats>,
+}
+
+impl Facts {
+    /// Runs the compile pipeline's own stages on the stored decisions:
+    /// partitioning, dependency analysis, the reload rule, scheduling,
+    /// memory planning and the report — not normalization, which the
+    /// stored graph has been through.
+    fn rebuild(self) -> Result<CompiledModel, CompileError> {
+        let opts = CompileOptions {
+            batch: self.batch,
+            memory_policy: self.memory_policy,
+            weight_reload: self.reload_budget.is_some(),
+            reload_budget: self.reload_budget,
+            ..CompileOptions::new(self.mode)
+        };
+        Ok(CompileSession::reopen(self.hw, self.graph, opts)?
+            .partition()?
+            .adopt(self.instances, self.compiler, self.ga)?
+            .schedule()?
+            .finish())
+    }
 }
 
 impl CompiledArtifact {
     /// The artifact format this build writes (and the only one it
-    /// reads). Bump on any breaking change to the serialized shape of
-    /// [`CompiledModel`] or its components.
+    /// reads). Bump on any breaking change to the serialized shape.
     ///
-    /// v2: [`GaStats`](crate::GaStats) gained the evaluation-engine
-    /// counters (`full_evals`, `incremental_evals`, `cache_hits`,
+    /// v2: [`GaStats`] gained the evaluation-engine counters
+    /// (`full_evals`, `incremental_evals`, `cache_hits`,
     /// `evals_per_generation`).
     ///
-    /// v3: [`GaStats`](crate::GaStats) gained the mutation-operator
-    /// tallies (`grow_successes`, `grow_failures`), replacing the old
+    /// v3: [`GaStats`] gained the mutation-operator tallies
+    /// (`grow_successes`, `grow_failures`), replacing the old
     /// `GA_DEBUG` stderr diagnostics.
     ///
     /// v4: `weight_reload` support — [`CompiledModel`] gained the
@@ -117,27 +170,23 @@ impl CompiledArtifact {
     /// v5: [`CompileReport`](crate::CompileReport) keeps only `compiler`,
     /// `ga` and `estimated_fitness` — no wall-clock `timings`, so two
     /// compiles of one input serialize to the same bytes.
-    pub const FORMAT_VERSION: u32 = 5;
+    ///
+    /// v6: decisions only — graph, hardware, mode, batch, memory policy,
+    /// reload budget, AG instances, compiler name and GA trace. The
+    /// partitioning, dependency analysis, schedule, memory and reload
+    /// plans, the mapping's derived tables, the estimated fitness and
+    /// the hardware fingerprint are rebuilt on load.
+    pub const FORMAT_VERSION: u32 = 6;
 
-    /// Packages a compiled model, fingerprinting its hardware target.
+    /// Packages a compiled model.
     #[must_use]
     pub fn new(model: CompiledModel) -> Self {
-        let hw_fingerprint = hardware_fingerprint(&model.hw);
-        CompiledArtifact {
-            format_version: Self::FORMAT_VERSION,
-            hw_fingerprint,
-            model,
-        }
-    }
-
-    /// The format version recorded in this artifact.
-    pub fn format_version(&self) -> u32 {
-        self.format_version
+        CompiledArtifact { model }
     }
 
     /// The fingerprint of the hardware the model was compiled for.
     pub fn hw_fingerprint(&self) -> u64 {
-        self.hw_fingerprint
+        hardware_fingerprint(&self.model.hw)
     }
 
     /// Read-only view of the packaged model.
@@ -152,12 +201,9 @@ impl CompiledArtifact {
     ///
     /// [`ArtifactError::HardwareMismatch`] when the fingerprints differ.
     pub fn verify_hardware(&self, hw: &HardwareConfig) -> Result<(), ArtifactError> {
-        let expected = hardware_fingerprint(hw);
-        if expected != self.hw_fingerprint {
-            return Err(ArtifactError::HardwareMismatch {
-                expected,
-                found: self.hw_fingerprint,
-            });
+        let (expected, found) = (hardware_fingerprint(hw), self.hw_fingerprint());
+        if expected != found {
+            return Err(ArtifactError::HardwareMismatch { expected, found });
         }
         Ok(())
     }
@@ -180,23 +226,36 @@ impl CompiledArtifact {
         self.model
     }
 
-    /// Serializes the artifact as JSON.
+    /// Serializes the artifact's decisions as JSON.
     ///
     /// # Errors
     ///
     /// [`ArtifactError::Serialization`] when encoding fails.
     pub fn to_json(&self) -> Result<String, ArtifactError> {
-        serde_json::to_string(self).map_err(|e| ArtifactError::Serialization(e.to_string()))
+        let m = &self.model;
+        let facts = Facts {
+            format_version: Self::FORMAT_VERSION,
+            graph: m.graph.clone(),
+            hw: m.hw.clone(),
+            mode: m.mode,
+            batch: m.schedule.as_ht().map_or(1, |s| s.batch),
+            memory_policy: m.memory.policy,
+            reload_budget: m.reload.as_ref().map(|plan| plan.budget),
+            instances: m.mapping.instances.clone(),
+            compiler: m.report.compiler.clone(),
+            ga: m.report.ga.clone(),
+        };
+        serde_json::to_string(&facts).map_err(|e| ArtifactError::Serialization(e.to_string()))
     }
 
-    /// Deserializes an artifact from JSON, checking the format version
-    /// *before* decoding the full model so version mismatches produce a
-    /// clean error instead of a shape mismatch.
+    /// Deserializes an artifact from JSON and rebuilds its model. The
+    /// format version is checked *before* anything else is decoded, so
+    /// a version mismatch is a clean error instead of a shape mismatch.
     ///
     /// # Errors
     ///
     /// [`ArtifactError::UnsupportedVersion`] /
-    /// [`ArtifactError::Serialization`].
+    /// [`ArtifactError::Serialization`] / [`ArtifactError::Invalid`].
     pub fn from_json(json: &str) -> Result<Self, ArtifactError> {
         let value = serde_json::parse_value(json)
             .map_err(|e| ArtifactError::Serialization(e.to_string()))?;
@@ -215,8 +274,12 @@ impl CompiledArtifact {
                 supported: Self::FORMAT_VERSION,
             });
         }
-        serde::Deserialize::from_value(&value)
-            .map_err(|e| ArtifactError::Serialization(e.to_string()))
+        let facts =
+            Facts::from_value(&value).map_err(|e| ArtifactError::Serialization(e.to_string()))?;
+        let model = facts
+            .rebuild()
+            .map_err(|e| ArtifactError::Invalid(e.to_string()))?;
+        Ok(CompiledArtifact { model })
     }
 
     /// Writes the artifact as JSON to `path`.
@@ -235,7 +298,7 @@ impl CompiledArtifact {
     /// # Errors
     ///
     /// [`ArtifactError::Io`] / [`ArtifactError::UnsupportedVersion`] /
-    /// [`ArtifactError::Serialization`].
+    /// [`ArtifactError::Serialization`] / [`ArtifactError::Invalid`].
     pub fn load(path: impl AsRef<Path>) -> Result<Self, ArtifactError> {
         let json = std::fs::read_to_string(path.as_ref())
             .map_err(|e| ArtifactError::Io(format!("reading {}: {e}", path.as_ref().display())))?;
@@ -309,19 +372,43 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_preserves_the_model() {
+    fn json_round_trip_rebuilds_the_model() {
         let m = model();
-        let artifact = CompiledArtifact::new(m.clone());
-        let json = artifact.to_json().unwrap();
+        let json = CompiledArtifact::new(m.clone()).to_json().unwrap();
         let back = CompiledArtifact::from_json(&json).unwrap();
-        assert_eq!(back.format_version(), CompiledArtifact::FORMAT_VERSION);
-        assert_eq!(back.hw_fingerprint(), artifact.hw_fingerprint());
+        assert_eq!(back.to_json().unwrap(), json);
         let restored = back.into_model(&m.hw).unwrap();
         assert_eq!(restored.graph, m.graph);
+        assert_eq!(restored.partitioning, m.partitioning);
         assert_eq!(restored.mapping, m.mapping);
+        assert_eq!(restored.dep, m.dep);
         assert_eq!(restored.schedule, m.schedule);
         assert_eq!(restored.memory, m.memory);
         assert_eq!(restored.report, m.report);
+    }
+
+    #[test]
+    fn the_wire_holds_decisions_only() {
+        let json = CompiledArtifact::new(model()).to_json().unwrap();
+        let serde::Value::Map(fields) = serde_json::parse_value(&json).unwrap() else {
+            panic!("an artifact is a JSON object");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "format_version",
+                "graph",
+                "hw",
+                "mode",
+                "batch",
+                "memory_policy",
+                "reload_budget",
+                "instances",
+                "compiler",
+                "ga"
+            ]
+        );
     }
 
     #[test]
@@ -363,7 +450,7 @@ mod tests {
         let path = dir.join("m.pimc.json");
         artifact.save(&path).unwrap();
         let back = CompiledArtifact::load(&path).unwrap();
-        assert_eq!(back.model().report, artifact.model().report);
+        assert_eq!(back.to_json(), artifact.to_json());
         std::fs::remove_file(&path).ok();
     }
 

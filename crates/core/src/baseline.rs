@@ -133,14 +133,12 @@ impl PumaCompiler {
     /// The GA parameters inside `opts` are validated but unused, and
     /// `weight_reload` does not apply (the baseline never splits a
     /// model into epochs); every other option — pipeline mode, batch,
-    /// memory policy, `seq_len` — acts as in [`PimCompiler::compile`].
+    /// memory policy, `seq_len` — acts as in [`CompileSession::run`].
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`PimCompiler::compile`]
-    /// (invalid inputs, insufficient capacity).
-    ///
-    /// [`PimCompiler::compile`]: crate::PimCompiler::compile
+    /// Same failure modes as [`CompileSession::new`] and
+    /// [`CompileSession::run`] (invalid inputs, insufficient capacity).
     pub fn compile(
         &self,
         graph: &Graph,
@@ -179,12 +177,11 @@ mod tests {
     }
 
     #[test]
-    fn puma_mapping_is_feasible_and_valid() {
+    fn puma_mapping_respects_core_capacity() {
         let g = normalize(&models::tiny_cnn()).unwrap();
         let hw = HardwareConfig::small_test();
         let p = Partitioning::new(&g, &hw).unwrap();
         let m = puma_mapping(&p, &hw).unwrap();
-        m.validate(&p).unwrap();
         // Per-core capacity respected.
         let mut used = vec![0usize; hw.total_cores()];
         for inst in &m.instances {

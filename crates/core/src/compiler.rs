@@ -1,15 +1,12 @@
-//! The top-level PIMCOMP compiler driver (paper Fig. 3).
-//!
-//! [`PimCompiler::compile`] is a thin wrapper over the staged
-//! [`CompileSession`](crate::CompileSession) API — both produce
-//! identical results for identical inputs (same GA seed).
+//! What a compilation takes and what it produces (paper Fig. 3): the
+//! [`CompileOptions`] a [`CompileSession`](crate::CompileSession) runs
+//! under and the [`CompiledModel`] it finishes with.
 
 use crate::ga::{GaParams, GaStats};
 use crate::mapping::CoreMapping;
 use crate::memory::{MemoryPlan, ReusePolicy};
 use crate::partition::{Partitioning, ReloadPlan};
 use crate::schedule::Schedule;
-use crate::session::CompileSession;
 use crate::waiting::DepInfo;
 use crate::CompileError;
 use pimcomp_arch::{HardwareConfig, PipelineMode};
@@ -71,8 +68,8 @@ impl CompileOptions {
     }
 
     /// Checks internal consistency. Run automatically when a
-    /// [`CompileSession`] is created, so stage code never sees
-    /// malformed options.
+    /// [`CompileSession`](crate::CompileSession) is created, so stage
+    /// code never sees malformed options.
     ///
     /// # Errors
     ///
@@ -203,7 +200,7 @@ impl CompileOptions {
 /// record: who built the mapping, the GA's trace and the mapping's
 /// analytic fitness. Everything else (model name, mode, replication,
 /// active cores, crossbars) is read from the [`CompiledModel`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompileReport {
     /// Which compiler produced this (`PIMCOMP` or `PUMA-like`).
     pub compiler: String,
@@ -215,10 +212,13 @@ pub struct CompileReport {
 
 /// Everything the simulator needs to execute a compiled model.
 ///
-/// Serializable: wrap in a
-/// [`CompiledArtifact`](crate::CompiledArtifact) for versioned,
-/// fingerprint-checked persistence.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Only [`Scheduled::finish`](crate::Scheduled::finish) builds one, so
+/// every derived structure agrees with the graph, hardware and mapping
+/// it was derived from. Wrap it in a
+/// [`CompiledArtifact`](crate::CompiledArtifact) for versioned
+/// persistence: the artifact keeps the decisions, and loading derives
+/// the rest again.
+#[derive(Debug, Clone)]
 pub struct CompiledModel {
     /// The normalized graph that was compiled.
     pub graph: Graph,
@@ -266,51 +266,20 @@ impl CompiledModel {
     }
 }
 
-/// The PIMCOMP compiler: four stages driven by the GA optimizer.
-#[derive(Debug, Clone)]
-pub struct PimCompiler {
-    hw: HardwareConfig,
-}
-
-impl PimCompiler {
-    /// Creates a compiler for the given hardware target.
-    pub fn new(hw: HardwareConfig) -> Self {
-        PimCompiler { hw }
-    }
-
-    /// Runs the full pipeline: normalize → partition → GA(replicate +
-    /// map) → schedule → memory plan.
-    ///
-    /// Thin wrapper over [`CompileSession`]: equivalent to
-    /// `CompileSession::new(hw, graph, opts)?.run()`, stage by stage
-    /// and bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// * [`CompileError::InvalidHardware`] / [`CompileError::InvalidGraph`]
-    ///   / [`CompileError::InvalidOptions`] for malformed inputs,
-    /// * [`CompileError::NoMvmNodes`] when nothing maps to crossbars,
-    /// * [`CompileError::InsufficientCapacity`] when the model cannot
-    ///   fit even without replication.
-    pub fn compile(
-        &self,
-        graph: &Graph,
-        opts: &CompileOptions,
-    ) -> Result<CompiledModel, CompileError> {
-        CompileSession::new(self.hw.clone(), graph, opts.clone())?.run()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CompileSession;
     use pimcomp_ir::models;
 
     fn compile(mode: PipelineMode) -> CompiledModel {
         let graph = models::tiny_cnn();
         let hw = HardwareConfig::small_test();
         let opts = CompileOptions::new(mode).with_fast_ga(11);
-        PimCompiler::new(hw).compile(&graph, &opts).unwrap()
+        CompileSession::new(hw, &graph, opts)
+            .unwrap()
+            .run()
+            .unwrap()
     }
 
     #[test]
@@ -355,7 +324,10 @@ mod tests {
             },
             ..CompileOptions::new(PipelineMode::HighThroughput)
         };
-        let out = PimCompiler::new(hw).compile(&graph, &opts).unwrap();
+        let out = CompileSession::new(hw, &graph, opts)
+            .unwrap()
+            .run()
+            .unwrap();
         assert!(out
             .graph
             .nodes()
@@ -367,12 +339,8 @@ mod tests {
     fn invalid_hardware_is_rejected() {
         let mut hw = HardwareConfig::small_test();
         hw.parallelism = 0;
-        let err = PimCompiler::new(hw)
-            .compile(
-                &models::tiny_mlp(),
-                &CompileOptions::new(PipelineMode::HighThroughput).with_fast_ga(1),
-            )
-            .unwrap_err();
+        let opts = CompileOptions::new(PipelineMode::HighThroughput).with_fast_ga(1);
+        let err = CompileSession::new(hw, &models::tiny_mlp(), opts).unwrap_err();
         assert!(matches!(err, CompileError::InvalidHardware { .. }));
     }
 }

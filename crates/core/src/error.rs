@@ -25,8 +25,10 @@ pub enum CompileError {
     /// The graph has no convolution or fully connected node, so there is
     /// nothing to map onto the crossbars.
     NoMvmNodes,
-    /// An invariant of the genetic-algorithm state was violated
-    /// (indicates an internal bug; included for diagnosability).
+    /// A mapping invariant was violated: by the genetic algorithm's
+    /// state (an internal bug), or by an AG placement handed to
+    /// [`CoreMapping::from_instances`](crate::CoreMapping::from_instances)
+    /// — e.g. one loaded from a tampered artifact.
     MappingInvariant {
         /// Description of the violated invariant.
         detail: String,

@@ -1255,7 +1255,7 @@ mod tests {
         let plan = best.replication(&p).unwrap();
         assert!(plan.counts().iter().all(|&r| r >= 1));
         let mapping = crate::mapping::CoreMapping::from_chromosome(&best, &p).unwrap();
-        mapping.validate(&p).unwrap();
+        assert_eq!(mapping.replication, plan);
     }
 
     #[test]

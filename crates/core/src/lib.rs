@@ -11,10 +11,10 @@
 //!
 //! The primary entry point is the staged [`CompileSession`], whose
 //! typed artifacts ([`Partitioned`] → [`Optimized`] → [`Scheduled`] →
-//! [`CompiledModel`]) make every stage inspectable and re-enterable.
-//! [`PimCompiler::compile`] remains as a one-call wrapper over the same
-//! pipeline. A finished model wraps into a versioned, serializable
-//! [`CompiledArtifact`] for the compile-once/serve-many flow.
+//! [`CompiledModel`]) make every stage inspectable and re-enterable;
+//! [`CompileSession::run`] walks them all in one call. A finished model
+//! wraps into a versioned, serializable [`CompiledArtifact`] for the
+//! compile-once/serve-many flow.
 //!
 //! # Example: staged compilation
 //!
@@ -68,7 +68,7 @@ pub use artifact::{
     graph_fingerprint, hardware_fingerprint, options_fingerprint, ArtifactError, CompiledArtifact,
 };
 pub use baseline::{puma_mapping, PumaCompiler};
-pub use compiler::{CompileOptions, CompileReport, CompiledModel, PimCompiler};
+pub use compiler::{CompileOptions, CompileReport, CompiledModel};
 pub use error::CompileError;
 pub use fitness::{ht_core_time, ht_fitness_from_mapping, FitnessMemo};
 pub use ga::{optimize, split_stream_seed, GaContext, GaGeneration, GaParams, GaStats};

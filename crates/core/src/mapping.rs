@@ -8,7 +8,7 @@
 //! [`CoreMapping`]: concrete AG instances `(node, replica, slice)`
 //! assigned to cores, with per-replica accumulation owners.
 
-use crate::partition::{MvmIdx, Partitioning};
+use crate::partition::{EpochPlan, MvmIdx, Partitioning};
 use crate::replication::ReplicationPlan;
 use crate::CompileError;
 use serde::{Deserialize, Serialize};
@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 pub const GENE_RADIX: u64 = 10_000;
 
 /// Several AGs of one node on one core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Gene {
     /// Which partitioned node.
     pub mvm: MvmIdx,
@@ -71,9 +71,7 @@ impl Gene {
 /// a popcount walk over a bitset, and the memoization fingerprint can
 /// be maintained incrementally (XOR in/out one slot's contribution on
 /// every [`Chromosome::set_gene`]) instead of rehashing the whole grid
-/// per offspring. Serialization keeps the original
-/// `{slots, cores, max_nodes_per_core}` shape, so on-disk artifacts
-/// are unaffected by the layout.
+/// per offspring.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Chromosome {
     mvms: Vec<u16>,
@@ -84,57 +82,6 @@ pub struct Chromosome {
     cores: usize,
     max_nodes_per_core: usize,
     fp: u128,
-}
-
-/// The serialized shape of a [`Chromosome`] (its original
-/// array-of-options layout, kept stable across the SoA refactor).
-#[derive(Serialize, Deserialize)]
-struct ChromosomeWire {
-    slots: Vec<Option<Gene>>,
-    cores: usize,
-    max_nodes_per_core: usize,
-}
-
-impl Serialize for Chromosome {
-    fn to_value(&self) -> serde::Value {
-        ChromosomeWire {
-            slots: (0..self.len()).map(|s| self.gene(s)).collect(),
-            cores: self.cores,
-            max_nodes_per_core: self.max_nodes_per_core,
-        }
-        .to_value()
-    }
-}
-
-impl Deserialize for Chromosome {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let wire = ChromosomeWire::from_value(v)?;
-        if wire.cores == 0
-            || wire.max_nodes_per_core == 0
-            || wire.slots.len() != wire.cores * wire.max_nodes_per_core
-        {
-            return Err(serde::DeError::new(format!(
-                "chromosome grid {}x{} does not match {} slots",
-                wire.cores,
-                wire.max_nodes_per_core,
-                wire.slots.len()
-            )));
-        }
-        let mut c = Chromosome::empty(wire.cores, wire.max_nodes_per_core);
-        for (slot, gene) in wire.slots.into_iter().enumerate() {
-            if let Some(g) = gene.filter(|g| narrow(*g).is_none()) {
-                return Err(serde::DeError::new(format!(
-                    "slot {slot}: gene of {} AGs of node {} does not fit a chromosome \
-                     (fewer than {GENE_RADIX} AGs, node index at most {})",
-                    g.ag_count,
-                    g.mvm,
-                    u16::MAX
-                )));
-            }
-            c.set_gene(slot, gene);
-        }
-        Ok(c)
-    }
 }
 
 /// A gene as the 16-bit `(node, AG count)` pair the slot columns store;
@@ -593,7 +540,7 @@ pub struct AgInstance {
 
 /// The decoded mapping: concrete AG instances per core plus replica
 /// accumulation owners.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoreMapping {
     /// Replication plan the mapping realizes.
     pub replication: ReplicationPlan,
@@ -604,6 +551,8 @@ pub struct CoreMapping {
     /// `owners[mvm][replica]` = core of the replica's first AG, where
     /// partial sums accumulate (paper Algorithm 1, line 7).
     pub owners: Vec<Vec<usize>>,
+    /// Index of each node's first instance.
+    first: Vec<usize>,
 }
 
 impl CoreMapping {
@@ -618,97 +567,41 @@ impl CoreMapping {
     /// # Errors
     ///
     /// [`CompileError::MappingInvariant`] when a node's AG total is not
-    /// a whole number of replicas.
+    /// a whole, positive number of replicas.
     pub fn from_chromosome(
         chromosome: &Chromosome,
         partitioning: &Partitioning,
     ) -> Result<Self, CompileError> {
-        let replication = chromosome.replication(partitioning)?;
-        let cores = chromosome.cores();
         let mut instances = Vec::new();
-        let mut per_core = vec![Vec::new(); cores];
-        let mut owners: Vec<Vec<usize>> = Vec::with_capacity(partitioning.len());
-
         for mvm in 0..partitioning.len() {
             let a = partitioning.entry(mvm).ags_per_replica;
-            let r = replication.count(mvm);
-            // Gene capacities in slot order.
-            let gene_cores: Vec<(usize, usize)> = chromosome
-                .genes()
-                .filter(|(_, g)| g.mvm == mvm)
-                .map(|(slot, g)| (chromosome.core_of_slot(slot), g.ag_count))
-                .collect();
-            let mut node_owners = vec![usize::MAX; r];
-            let mut replica = 0usize;
-            let push = |core: usize,
-                        replica: usize,
-                        slice: usize,
-                        instances: &mut Vec<AgInstance>,
-                        per_core: &mut Vec<Vec<usize>>,
-                        node_owners: &mut Vec<usize>| {
-                if slice == 0 {
-                    node_owners[replica] = core;
+            // The node's `k`-th AG is slice `k % A` of replica `k / A`.
+            let mut placed = 0usize;
+            let mut place = |core: usize, count: usize| {
+                for k in placed..placed + count {
+                    instances.push(AgInstance {
+                        mvm,
+                        replica: k / a,
+                        slice: k % a,
+                        core,
+                    });
                 }
-                let id = instances.len();
-                instances.push(AgInstance {
-                    mvm,
-                    replica,
-                    slice,
-                    core,
-                });
-                per_core[core].push(id);
+                placed += count;
             };
-            // Pass 1: whole replicas within single genes.
+            // Pass 1: whole replicas within single genes, in slot order.
             let mut leftovers: Vec<(usize, usize)> = Vec::new(); // (core, count)
-            for &(core, count) in &gene_cores {
-                let whole = count / a;
-                for _ in 0..whole {
-                    for slice in 0..a {
-                        push(
-                            core,
-                            replica,
-                            slice,
-                            &mut instances,
-                            &mut per_core,
-                            &mut node_owners,
-                        );
-                    }
-                    replica += 1;
-                }
-                if count % a > 0 {
-                    leftovers.push((core, count % a));
-                }
+            for slot in chromosome.slots_of_node(mvm) {
+                let core = chromosome.core_of_slot(slot);
+                let count = chromosome.gene(slot).map_or(0, |g| g.ag_count);
+                place(core, count - count % a);
+                leftovers.push((core, count % a));
             }
             // Pass 2: pool leftovers into split replicas.
-            let mut slice = 0usize;
             for (core, count) in leftovers {
-                for _ in 0..count {
-                    push(
-                        core,
-                        replica,
-                        slice,
-                        &mut instances,
-                        &mut per_core,
-                        &mut node_owners,
-                    );
-                    slice += 1;
-                    if slice == a {
-                        slice = 0;
-                        replica += 1;
-                    }
-                }
+                place(core, count);
             }
-            debug_assert_eq!(replica, r);
-            debug_assert_eq!(slice, 0);
-            owners.push(node_owners);
         }
-
-        Ok(CoreMapping {
-            replication,
-            instances,
-            per_core,
-            owners,
-        })
+        Self::from_instances(instances, partitioning, chromosome.cores())
     }
 
     /// Materializes an epoch plan (`weight_reload` mode) into the same
@@ -719,46 +612,114 @@ impl CoreMapping {
     ///
     /// Cores shared by several epochs are *physically* over-committed
     /// here — that is the point of weight reloading; capacity holds
-    /// within each epoch, which [`EpochPlan::new`](crate::partition::EpochPlan::new) guarantees.
-    /// Instances are ordered by node then slice, matching
-    /// [`CoreMapping::from_chromosome`]'s node/replica/slice order.
+    /// within each epoch, which [`EpochPlan::new`] guarantees. The
+    /// packer visits AGs in `(node, slice)` order, so its epochs read
+    /// back to back are already in instance order.
+    ///
+    /// # Errors
+    ///
+    /// [`CompileError::MappingInvariant`] when the plan misses an AG.
     pub(crate) fn from_epoch_plan(
-        plan: &crate::partition::EpochPlan,
+        plan: &EpochPlan,
         partitioning: &Partitioning,
         cores: usize,
-    ) -> Self {
-        let mut core_of = vec![Vec::new(); partitioning.len()];
-        for (mvm, e) in partitioning.entries().iter().enumerate() {
-            core_of[mvm] = vec![usize::MAX; e.ags_per_replica];
-        }
-        for epoch in &plan.epochs {
-            for a in epoch {
-                core_of[a.mvm][a.slice] = a.core;
-            }
-        }
-        let mut instances = Vec::new();
+    ) -> Result<Self, CompileError> {
+        let instances = plan.epochs.iter().flatten().map(|a| AgInstance {
+            mvm: a.mvm,
+            replica: 0,
+            slice: a.slice,
+            core: a.core,
+        });
+        Self::from_instances(instances.collect(), partitioning, cores)
+    }
+
+    /// Assembles a mapping from its AG instances — the one constructor
+    /// every mapping goes through, whether the GA, the epoch packer or
+    /// a loaded artifact placed them. The instances must enumerate
+    /// every `(node, replica, slice)` exactly once and in that order:
+    /// node by node, each node's replicas `0..R` (`R ≥ 1`), each
+    /// replica's slices `0..A`. The replication plan, the per-core
+    /// index and the owners (each replica's slice-0 core) are derived.
+    ///
+    /// # Errors
+    ///
+    /// [`CompileError::MappingInvariant`] naming the first instance with
+    /// a foreign node, slice or core, the first repeated one, or the
+    /// first missing `(node, replica, slice)`.
+    pub fn from_instances(
+        instances: Vec<AgInstance>,
+        partitioning: &Partitioning,
+        cores: usize,
+    ) -> Result<Self, CompileError> {
+        let fail = |detail: String| Err(CompileError::MappingInvariant { detail });
+        let entries = partitioning.entries();
         let mut per_core = vec![Vec::new(); cores];
-        let mut owners = Vec::with_capacity(partitioning.len());
-        for (mvm, slices) in core_of.iter().enumerate() {
-            debug_assert!(!slices.contains(&usize::MAX), "epoch plan covers all AGs");
-            owners.push(vec![slices[0]]);
-            for (slice, &core) in slices.iter().enumerate() {
-                let id = instances.len();
-                instances.push(AgInstance {
-                    mvm,
-                    replica: 0,
-                    slice,
-                    core,
-                });
-                per_core[core].push(id);
+        let mut owners: Vec<Vec<usize>> = vec![Vec::new(); entries.len()];
+        let mut first = Vec::with_capacity(entries.len());
+        // The `(node, replica, slice)` the enumeration expects next; once
+        // a node holds a whole replica, the next node may start instead.
+        let mut next = (0, 0, 0);
+        let node_done = |(_, replica, slice): (usize, usize, usize)| replica > 0 && slice == 0;
+        for (id, inst) in instances.iter().enumerate() {
+            let at = (inst.mvm, inst.replica, inst.slice);
+            if node_done(next) && at.0 > next.0 {
+                next = (next.0 + 1, 0, 0);
             }
+            let Some(entry) = entries.get(inst.mvm) else {
+                return fail(format!(
+                    "AG instance {id} names node {} of {}",
+                    inst.mvm,
+                    entries.len()
+                ));
+            };
+            if inst.slice >= entry.ags_per_replica || inst.core >= cores {
+                return fail(format!(
+                    "AG instance {id} places slice {} of node {} ({} per replica) on core {} \
+                     of {cores}",
+                    inst.slice, inst.mvm, entry.ags_per_replica, inst.core
+                ));
+            }
+            if at != next {
+                let (what, (n, r, s)) = if at < next {
+                    ("repeats", at)
+                } else {
+                    ("skips", next)
+                };
+                return fail(format!(
+                    "AG instance {id} {what} node {n}, replica {r}, slice {s}"
+                ));
+            }
+            if inst.slice == 0 {
+                owners[inst.mvm].push(inst.core);
+                if inst.replica == 0 {
+                    first.push(id);
+                }
+            }
+            per_core[inst.core].push(id);
+            next = if inst.slice + 1 == entry.ags_per_replica {
+                (inst.mvm, inst.replica + 1, 0)
+            } else {
+                (inst.mvm, inst.replica, inst.slice + 1)
+            };
         }
-        CoreMapping {
-            replication: ReplicationPlan::ones(partitioning),
+        if !(node_done(next) && next.0 + 1 == entries.len()) {
+            let (n, r, s) = if node_done(next) {
+                (next.0 + 1, 0, 0)
+            } else {
+                next
+            };
+            return fail(format!(
+                "no AG instance for node {n}, replica {r}, slice {s}"
+            ));
+        }
+        let counts = owners.iter().map(Vec::len).collect();
+        Ok(CoreMapping {
+            replication: ReplicationPlan::from_counts(partitioning, counts),
             instances,
             per_core,
             owners,
-        }
+            first,
+        })
     }
 
     /// Number of cores that host at least one AG.
@@ -766,51 +727,26 @@ impl CoreMapping {
         self.per_core.iter().filter(|v| !v.is_empty()).count()
     }
 
+    /// The AG instances of `(mvm, replica)`, slice by slice: instances
+    /// run node by node and replica by replica
+    /// ([`CoreMapping::from_instances`]), so a replica's are one run.
+    pub(crate) fn replica_instances(&self, mvm: MvmIdx, replica: usize) -> &[AgInstance] {
+        let end = self.first.get(mvm + 1).map_or(self.instances.len(), |&e| e);
+        let per_replica = (end - self.first[mvm]) / self.replication.count(mvm);
+        let start = self.first[mvm] + replica * per_replica;
+        &self.instances[start..start + per_replica]
+    }
+
     /// Cores (deduplicated, sorted) hosting AGs of `(mvm, replica)`.
     pub(crate) fn replica_cores(&self, mvm: MvmIdx, replica: usize) -> Vec<usize> {
         let mut cores: Vec<usize> = self
-            .instances
+            .replica_instances(mvm, replica)
             .iter()
-            .filter(|i| i.mvm == mvm && i.replica == replica)
             .map(|i| i.core)
             .collect();
         cores.sort_unstable();
         cores.dedup();
         cores
-    }
-
-    /// Checks internal consistency (every replica fully placed, owners
-    /// defined, per-core index coherent).
-    ///
-    /// # Errors
-    ///
-    /// [`CompileError::MappingInvariant`] describing the first violation.
-    pub fn validate(&self, partitioning: &Partitioning) -> Result<(), CompileError> {
-        let fail = |detail: String| Err(CompileError::MappingInvariant { detail });
-        for (mvm, node_owners) in self.owners.iter().enumerate() {
-            if node_owners.len() != self.replication.count(mvm) {
-                return fail(format!("node {mvm}: owner count != replica count"));
-            }
-            if node_owners.contains(&usize::MAX) {
-                return fail(format!("node {mvm}: replica without owner"));
-            }
-            let a = partitioning.entry(mvm).ags_per_replica;
-            let n = self.instances.iter().filter(|i| i.mvm == mvm).count();
-            if n != a * self.replication.count(mvm) {
-                return fail(format!(
-                    "node {mvm}: {n} instances, expected {}",
-                    a * self.replication.count(mvm)
-                ));
-            }
-        }
-        for (core, ids) in self.per_core.iter().enumerate() {
-            for &id in ids {
-                if self.instances[id].core != core {
-                    return fail(format!("instance {id} mis-indexed on core {core}"));
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -909,7 +845,6 @@ mod tests {
     fn mapping_materializes_instances_and_owners() {
         let (c, p) = filled();
         let m = CoreMapping::from_chromosome(&c, &p).unwrap();
-        m.validate(&p).unwrap();
         // Node 0: replica 0 entirely on core 0 (6 >= 5); replica 1
         // split: slice 0 on core 0 (the 6th AG), slices 1-4 on core 1.
         assert_eq!(m.owners[0], vec![0, 0]);
@@ -917,6 +852,39 @@ mod tests {
         assert_eq!(m.replica_cores(0, 1), vec![0, 1]);
         assert_eq!(m.owners[1], vec![2]);
         assert_eq!(m.active_cores(), 3);
+    }
+
+    #[test]
+    fn instances_are_checked_where_they_enter() {
+        let (c, p) = filled();
+        let m = CoreMapping::from_chromosome(&c, &p).unwrap();
+        let again = CoreMapping::from_instances(m.instances.clone(), &p, 4).unwrap();
+        assert_eq!(again, m);
+        let rejects = |edit: &dyn Fn(&mut Vec<AgInstance>), needle: &str| {
+            let mut instances = m.instances.clone();
+            edit(&mut instances);
+            let err = CoreMapping::from_instances(instances, &p, 4).unwrap_err();
+            assert!(err.to_string().contains(needle), "{needle}: {err}");
+        };
+        rejects(&|i| i[0].mvm = 2, "names node 2 of 2");
+        rejects(&|i| i[0].slice = 5, "slice 5");
+        rejects(&|i| i[0].core = 4, "core 4 of 4");
+        rejects(&|i| i[3].replica = 2, "skips node 0, replica 0, slice 3");
+        rejects(&|i| i.push(i[0]), "repeats node 0, replica 0, slice 0");
+        rejects(
+            &|i| i.truncate(10),
+            "no AG instance for node 1, replica 0, slice 0",
+        );
+        rejects(
+            &|i| i.truncate(12),
+            "no AG instance for node 1, replica 0, slice 2",
+        );
+        rejects(&|i| i.swap(0, 1), "skips node 0, replica 0, slice 0");
+        // Node 0's AG total must be a whole number of replicas.
+        rejects(
+            &|i| i.truncate(9),
+            "no AG instance for node 0, replica 1, slice 4",
+        );
     }
 
     #[test]
@@ -984,52 +952,6 @@ mod tests {
             }),
         );
         assert_ne!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
-    fn serde_keeps_the_array_of_options_wire_format() {
-        let mut c = Chromosome::empty(2, 2);
-        c.set_gene(
-            2,
-            Some(Gene {
-                mvm: 7,
-                ag_count: 3,
-            }),
-        );
-        let json = serde_json::to_string(&c).unwrap();
-        assert_eq!(
-            json,
-            r#"{"slots":[null,null,{"mvm":7,"ag_count":3},null],"cores":2,"max_nodes_per_core":2}"#
-        );
-        let back: Chromosome = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, c);
-        assert_eq!(back.fingerprint(), c.fingerprint());
-
-        // A grid/slot-count mismatch is a deserialization error, not a
-        // panic or a silently corrupted chromosome.
-        let bad = r#"{"slots":[null,null],"cores":2,"max_nodes_per_core":2}"#;
-        assert!(serde_json::from_str::<Chromosome>(bad).is_err());
-
-        // So is a gene the 16-bit columns cannot hold: nothing is
-        // truncated into a different, valid-looking gene.
-        let with_gene = |mvm: u64, ag_count: u64| {
-            let json = format!(
-                r#"{{"slots":[null,{{"mvm":{mvm},"ag_count":{ag_count}}}],"cores":1,"max_nodes_per_core":2}}"#
-            );
-            serde_json::from_str::<Chromosome>(&json)
-        };
-        for (mvm, ag_count) in [(7, 70_000), (1 << 40, 3), (7, 10_000), (65_536, 3)] {
-            let err = with_gene(mvm, ag_count).expect_err("gene does not fit");
-            assert!(err.to_string().contains("does not fit"), "{err}");
-        }
-        let widest = with_gene(65_535, 9_999).expect("the widest gene fits");
-        assert_eq!(
-            widest.gene(1),
-            Some(Gene {
-                mvm: 65_535,
-                ag_count: 9_999
-            })
-        );
     }
 
     #[test]
@@ -1173,17 +1095,13 @@ mod tests {
 
             // The same content reached another way is the same value,
             // fingerprint included: written once in reverse slot order,
-            // through serde, and through the paper's integer codes.
+            // and through the paper's integer codes.
             let mut rebuilt = Chromosome::empty(cores, max_nodes);
             for (slot, gene) in model.genes().into_iter().rev() {
                 rebuilt.set_gene(slot, Some(gene));
             }
-            let json = serde_json::to_string(&c).unwrap();
-            let parsed: Chromosome = serde_json::from_str(&json).unwrap();
-            for other in [&rebuilt, &parsed] {
-                proptest::prop_assert_eq!(other, &c);
-                proptest::prop_assert_eq!(other.fingerprint(), c.fingerprint());
-            }
+            proptest::prop_assert_eq!(&rebuilt, &c);
+            proptest::prop_assert_eq!(rebuilt.fingerprint(), c.fingerprint());
             // (A code of 0 AGs decodes to an empty slot.)
             if model.genes().iter().all(|(_, g)| g.ag_count > 0) {
                 let coded = Chromosome::from_codes(&c.to_codes(), cores, max_nodes);

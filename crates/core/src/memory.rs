@@ -55,7 +55,7 @@ impl ReusePolicy {
 }
 
 /// The memory planner's result for one compiled model and policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryPlan {
     /// Policy this plan was computed for.
     pub policy: ReusePolicy,

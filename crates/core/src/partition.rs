@@ -11,7 +11,6 @@
 use crate::CompileError;
 use pimcomp_arch::HardwareConfig;
 use pimcomp_ir::{Graph, NodeId, Op};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 /// Index of an MVM node within a [`Partitioning`] (topological order of
@@ -21,7 +20,7 @@ pub type MvmIdx = usize;
 /// Partitioning result for one convolution / fully connected node (or
 /// one *column group* of it, when `Cout` is too wide for a single-core
 /// AG — see [`Partitioning::new`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodePartition {
     /// The graph node this entry describes.
     pub node: NodeId,
@@ -66,10 +65,9 @@ impl NodePartition {
 
 /// The node-partitioning stage output: one entry per MVM node, in
 /// topological order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partitioning {
     entries: Vec<NodePartition>,
-    #[serde(skip)]
     by_node: HashMap<NodeId, MvmIdx>,
 }
 
@@ -169,10 +167,7 @@ impl Partitioning {
     /// (column-split nodes have consecutive indices; see
     /// [`Partitioning::indices_of`]).
     pub(crate) fn index_of(&self, node: NodeId) -> Option<MvmIdx> {
-        self.by_node.get(&node).copied().or_else(|| {
-            // After deserialization the map is rebuilt lazily here.
-            self.entries.iter().position(|e| e.node == node)
-        })
+        self.by_node.get(&node).copied()
     }
 
     /// All MVM indices belonging to a graph node (more than one for
@@ -221,7 +216,7 @@ impl Partitioning {
 /// Placement of one Array-Group instance within a mapping epoch
 /// (`weight_reload` mode; replication is fixed at 1, so an AG instance
 /// is identified by `(mvm, slice)` alone).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochAssignment {
     /// Which partitioned node.
     pub mvm: MvmIdx,
@@ -238,7 +233,7 @@ pub struct EpochAssignment {
 /// cores shared by several epochs are reprogrammed with the next
 /// epoch's weights. A model that fits its budget yields a single epoch
 /// and a zero-cost [`ReloadPlan`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EpochPlan {
     /// AG placements per epoch, in `(mvm, slice)` order within each.
     pub epochs: Vec<Vec<EpochAssignment>>,
@@ -448,7 +443,7 @@ impl EpochPlan {
 }
 
 /// Reload cost of one epoch of a [`ReloadPlan`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EpochReloadCost {
     /// AGs whose crossbars are reprogrammed entering this epoch.
     pub ags_written: usize,
@@ -469,12 +464,10 @@ pub struct EpochReloadCost {
     pub compute_cycles: u64,
 }
 
-/// The serialized reload schedule of a `weight_reload` compilation:
-/// per-epoch write costs plus totals, derived from an [`EpochPlan`].
-/// Stored in the
-/// [`CompiledModel`](crate::CompiledModel) so artifacts carry the full
-/// reload story and simulators/reports need no recomputation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The reload schedule of a `weight_reload` compilation: per-epoch
+/// write costs plus totals, derived from an [`EpochPlan`] (or, for a
+/// model that fits its budget, from the resident mapping).
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReloadPlan {
     /// The crossbar budget the schedule respects.
     pub budget: usize,

@@ -6,10 +6,9 @@
 //! the genetic algorithm mutates it jointly with the core mapping.
 
 use crate::partition::{MvmIdx, Partitioning};
-use serde::{Deserialize, Serialize};
 
 /// Replica counts per partitioned node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplicationPlan {
     counts: Vec<usize>,
 }

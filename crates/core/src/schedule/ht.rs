@@ -13,11 +13,10 @@ use crate::partition::Partitioning;
 use crate::waiting::{vfu_window_work, DepInfo};
 use pimcomp_arch::HardwareConfig;
 use pimcomp_ir::{Graph, NodeId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A per-round partial-sum message to a replica's owner core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HtSend {
     /// Destination core (the replica's accumulation owner).
     pub to_core: usize,
@@ -27,7 +26,7 @@ pub struct HtSend {
 
 /// The per-(core, node) program: all AG instances of one node living on
 /// one core, executed in rounds of `batch` sliding windows.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HtNodeProgram {
     /// The partitioned node.
     pub mvm: crate::MvmIdx,
@@ -54,7 +53,7 @@ pub struct HtNodeProgram {
 }
 
 /// A distributed non-MVM task (pool/concat/eltwise/…): one core's share.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HtVecTask {
     /// The graph node.
     pub node: NodeId,
@@ -69,7 +68,7 @@ pub struct HtVecTask {
 }
 
 /// The complete HT schedule.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HtSchedule {
     /// Sliding windows per transfer round (`2` in the paper's Fig. 10
     /// evaluation protocol).

@@ -11,11 +11,10 @@ use crate::mapping::CoreMapping;
 use crate::partition::{MvmIdx, Partitioning};
 use crate::waiting::{vfu_window_work, DepInfo, DepRule};
 use pimcomp_ir::{Graph, NodeId, Op};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// What kind of work a pipeline unit performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LlUnitKind {
     /// Crossbar MVMs of one partitioned node (column group).
     Mvm {
@@ -32,7 +31,7 @@ pub enum LlUnitKind {
 /// Windows are assigned to replicas **strided** (`replica k` handles
 /// windows `k, k+R, k+2R, …`), so the node's output prefix completes
 /// smoothly — exactly what downstream receptive windows consume.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LlReplica {
     /// `(core, ag_count)` pairs for MVM units; a single `(core, 1)` for
     /// vector units.
@@ -44,7 +43,7 @@ pub struct LlReplica {
 }
 
 /// Reference to a provider node with the dependency rule of the edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LlProviderRef {
     /// Provider graph node.
     pub node: NodeId,
@@ -54,7 +53,7 @@ pub struct LlProviderRef {
 
 /// One pipeline unit: a partitioned MVM node (column group) or a
 /// non-MVM node's VFU work.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LlUnit {
     /// MVM or vector.
     pub kind: LlUnitKind,
@@ -78,7 +77,7 @@ pub struct LlUnit {
 }
 
 /// The complete LL schedule: the set of pipeline units.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LlSchedule {
     /// All units in topological order of their graph nodes.
     pub units: Vec<LlUnit>,
@@ -118,19 +117,12 @@ impl LlSchedule {
                     let r = mapping.replication.count(idx);
                     let replicas = (0..r)
                         .map(|k| {
-                            let mut per_core: HashMap<usize, usize> = HashMap::new();
-                            for inst in mapping
-                                .instances
-                                .iter()
-                                .filter(|i| i.mvm == idx && i.replica == k)
-                            {
-                                *per_core.entry(inst.core).or_default() += 1;
-                            }
-                            let mut ags_per_core: Vec<(usize, usize)> =
-                                per_core.into_iter().collect();
-                            ags_per_core.sort_unstable();
+                            let instances = mapping.replica_instances(idx, k);
+                            let mut cores: Vec<usize> = instances.iter().map(|i| i.core).collect();
+                            cores.sort_unstable();
+                            let ags_per_core = cores.chunk_by(|a, b| a == b);
                             LlReplica {
-                                ags_per_core,
+                                ags_per_core: ags_per_core.map(|run| (run[0], run.len())).collect(),
                                 owner: mapping.owners[idx][k],
                                 windows: strided_windows(entry.windows, r, k),
                             }

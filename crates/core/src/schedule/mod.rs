@@ -16,10 +16,9 @@ pub use ll::{LlProviderRef, LlReplica, LlSchedule, LlUnit, LlUnitKind};
 use crate::mapping::CoreMapping;
 use crate::partition::Partitioning;
 use pimcomp_ir::{Graph, NodeId, Op};
-use serde::{Deserialize, Serialize};
 
 /// A compiled dataflow schedule, one variant per pipeline mode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Schedule {
     /// Layer-by-layer pipeline over different inferences (Algorithm 1).
     HighThroughput(HtSchedule),

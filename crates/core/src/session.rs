@@ -1,9 +1,8 @@
 //! Staged compilation sessions: the paper's four-stage pipeline
 //! (Fig. 3) exposed as typestate artifacts.
 //!
-//! [`PimCompiler::compile`](crate::PimCompiler::compile) runs the whole
-//! pipeline in one opaque call. A [`CompileSession`] instead walks the
-//! stages one typed artifact at a time,
+//! [`CompileSession::run`] runs the whole pipeline in one call; the
+//! stage methods walk it one typed artifact at a time,
 //!
 //! ```text
 //! CompileSession ──partition()──► Partitioned ──optimize()──► Optimized
@@ -21,7 +20,10 @@
 //! [`CompileSession::run_observed`] streams stage and GA progress
 //! through a [`CompileObserver`]; a mapping built by something other
 //! than the GA (the PUMA-like baseline) enters the same pipeline through
-//! [`Partitioned::map_with`].
+//! [`Partitioned::map_with`], and a loaded
+//! [`CompiledArtifact`](crate::CompiledArtifact)'s stored placement
+//! through `Partitioned::adopt`, so partitioning, scheduling and memory
+//! planning are the same code whichever way a model was made.
 //!
 //! # Example
 //!
@@ -50,7 +52,7 @@
 
 use crate::compiler::{CompileOptions, CompileReport, CompiledModel};
 use crate::ga::{optimize_observed, GaContext, GaGeneration, GaParams, GaStats};
-use crate::mapping::CoreMapping;
+use crate::mapping::{AgInstance, CoreMapping};
 use crate::memory::{MemoryPlan, ReusePolicy};
 use crate::partition::{EpochPlan, EpochReloadCost, Partitioning, ReloadPlan};
 use crate::schedule::{HtSchedule, LlSchedule, Schedule};
@@ -172,32 +174,54 @@ impl CompileSession {
         graph: &Graph,
         opts: CompileOptions,
     ) -> Result<Self, CompileError> {
+        let invalid = |e: pimcomp_ir::IrError| CompileError::InvalidGraph {
+            detail: e.to_string(),
+        };
+        Self::open(hw, opts, |opts| {
+            // Bind the symbolic sequence length before anything computes
+            // shapes; fully fixed graphs pass through untouched.
+            let graph = match opts.seq_len {
+                Some(len) => pimcomp_ir::transform::bind_seq_len(graph, len).map_err(invalid)?,
+                None if graph.has_symbolic_dims() => {
+                    return Err(CompileError::UnboundSeqLen {
+                        model: graph.name().to_string(),
+                    })
+                }
+                None => graph.clone(),
+            };
+            if opts.normalize {
+                pimcomp_ir::transform::normalize(&graph).map_err(invalid)
+            } else {
+                Ok(graph)
+            }
+        })
+    }
+
+    /// Reopens a session on the graph of a compiled model, which is
+    /// already bound and normalized, so neither step runs again.
+    ///
+    /// # Errors
+    ///
+    /// As [`CompileSession::new`].
+    pub(crate) fn reopen(
+        hw: HardwareConfig,
+        graph: Graph,
+        opts: CompileOptions,
+    ) -> Result<Self, CompileError> {
+        Self::open(hw, opts, |_| Ok(graph))
+    }
+
+    /// Validates `hw` and `opts`, then builds the graph and validates it.
+    fn open(
+        hw: HardwareConfig,
+        opts: CompileOptions,
+        graph: impl FnOnce(&CompileOptions) -> Result<Graph, CompileError>,
+    ) -> Result<Self, CompileError> {
         hw.validate().map_err(|e| CompileError::InvalidHardware {
             detail: e.to_string(),
         })?;
         opts.validate()?;
-        // Bind the symbolic sequence length before anything computes
-        // shapes; fully fixed graphs pass through untouched.
-        let graph = match opts.seq_len {
-            Some(len) => pimcomp_ir::transform::bind_seq_len(graph, len).map_err(|e| {
-                CompileError::InvalidGraph {
-                    detail: e.to_string(),
-                }
-            })?,
-            None if graph.has_symbolic_dims() => {
-                return Err(CompileError::UnboundSeqLen {
-                    model: graph.name().to_string(),
-                })
-            }
-            None => graph.clone(),
-        };
-        let graph = if opts.normalize {
-            pimcomp_ir::transform::normalize(&graph).map_err(|e| CompileError::InvalidGraph {
-                detail: e.to_string(),
-            })?
-        } else {
-            graph
-        };
+        let graph = graph(&opts)?;
         graph.validate().map_err(|e| CompileError::InvalidGraph {
             detail: e.to_string(),
         })?;
@@ -341,10 +365,97 @@ impl Partitioned {
         Ok(Optimized {
             partitioned: self,
             mapping,
-            compiler,
+            compiler: compiler.to_string(),
             ga_stats: None,
             reload: None,
         })
+    }
+
+    /// Stages 2+3 replayed from a stored placement (artifact loading):
+    /// the instances enter through [`CoreMapping::from_instances`], and
+    /// the `weight_reload` rule decides, as it did at compile time,
+    /// whether they are time-multiplexed — in which case they must be
+    /// exactly the epoch packer's — or resident, in which case every
+    /// core holds at most its capacity and, under a budget, the
+    /// instances stay on the budget's core prefix.
+    ///
+    /// # Errors
+    ///
+    /// [`CompileError::MappingInvariant`] for a placement no compile of
+    /// these options could have made; the reload rule's own errors.
+    pub(crate) fn adopt(
+        self,
+        instances: Vec<AgInstance>,
+        compiler: String,
+        ga_stats: Option<GaStats>,
+    ) -> Result<Optimized, CompileError> {
+        let hw = &self.session.hw;
+        let rule = self.reload_rule()?;
+        let cores = match &rule {
+            Some(ReloadRule::Resident { ring_cores, .. }) => *ring_cores,
+            _ => hw.total_cores(),
+        };
+        let mapping = CoreMapping::from_instances(instances, &self.partitioning, cores)?;
+        let fail = |detail: String| Err(CompileError::MappingInvariant { detail });
+        if let Some(ReloadRule::Epochs(plan)) = &rule {
+            if CoreMapping::from_epoch_plan(plan, &self.partitioning, cores)? != mapping {
+                return fail(format!(
+                    "the AG instances of a {}-epoch reload compile are not the epoch packer's",
+                    plan.epoch_count()
+                ));
+            }
+        } else {
+            let capacity = hw.crossbar_capacity_per_core();
+            for (core, ids) in mapping.per_core.iter().enumerate() {
+                let ags = ids.iter().map(|&id| mapping.instances[id].mvm);
+                let used: usize = ags
+                    .map(|mvm| self.partitioning.entry(mvm).crossbars_per_ag)
+                    .sum();
+                if used > capacity {
+                    return fail(format!(
+                        "core {core} holds {used} crossbars of weights; it has {capacity}"
+                    ));
+                }
+            }
+        }
+        let reload = rule.map(|rule| rule.plan(&self.partitioning, &mapping, hw));
+        Ok(Optimized {
+            partitioned: self,
+            mapping,
+            compiler,
+            ga_stats,
+            reload,
+        })
+    }
+
+    /// The `weight_reload` rule, shared by compilation and loading:
+    /// `None` outside reload mode; otherwise the budget (defaulting to,
+    /// and clamped at, the hardware's crossbars) and whether the model
+    /// fits it on a core prefix or needs the epoch packer.
+    ///
+    /// # Errors
+    ///
+    /// [`CompileError::ReloadBudgetTooSmall`] when the budget cannot
+    /// hold even one Array Group.
+    fn reload_rule(&self) -> Result<Option<ReloadRule>, CompileError> {
+        let (hw, opts) = (&self.session.hw, &self.session.opts);
+        if !opts.weight_reload {
+            return Ok(None);
+        }
+        let total = hw.total_crossbars();
+        let budget = opts.reload_budget.unwrap_or(total).min(total);
+        let capacity = hw.crossbar_capacity_per_core();
+        let usable = (budget / capacity).min(hw.total_cores());
+        Ok(Some(
+            if usable >= 1 && self.partitioning.min_crossbars() <= usable * capacity {
+                ReloadRule::Resident {
+                    budget,
+                    ring_cores: usable,
+                }
+            } else {
+                ReloadRule::Epochs(EpochPlan::new(&self.partitioning, hw, budget)?)
+            },
+        ))
     }
 
     /// [`Partitioned::optimize`] reporting one [`GaGeneration`] per GA
@@ -358,108 +469,95 @@ impl Partitioned {
         self,
         observer: &mut dyn CompileObserver,
     ) -> Result<Optimized, CompileError> {
+        // Over its budget a `weight_reload` model takes the
+        // deterministic epoch packer: the crossbars are time-multiplexed,
+        // so replication is pointless and the GA's search space
+        // collapses — a next-fit pass is both deterministic and
+        // sufficient. A model that fits runs the GA on the budget's
+        // core prefix, with zero reload cost.
         let hw = &self.session.hw;
-        let capacity = hw.crossbar_capacity_per_core();
-
-        // `weight_reload` mode: resolve the budget and decide between
-        // the GA (model fits the budgeted core prefix; reload cost is
-        // zero) and the deterministic epoch packer (over budget; the
-        // crossbars are time-multiplexed, so replication is pointless
-        // and the GA's search space collapses — a next-fit pass is
-        // both deterministic and sufficient).
-        let budget = self.session.opts.weight_reload.then(|| {
-            self.session
-                .opts
-                .reload_budget
-                .unwrap_or_else(|| hw.total_crossbars())
-                .min(hw.total_crossbars())
-        });
-        let (core_limit, epoch_plan) = match budget {
-            None => (None, None),
-            Some(b) => {
-                let usable = (b / capacity).min(hw.total_cores());
-                if usable >= 1 && self.partitioning.min_crossbars() <= usable * capacity {
-                    (Some(usable), None)
-                } else {
-                    let plan = EpochPlan::new(&self.partitioning, hw, b)?;
-                    (None, Some(plan))
-                }
+        let rule = self.reload_rule()?;
+        let (mapping, ga_stats) = match &rule {
+            Some(ReloadRule::Epochs(plan)) => (
+                CoreMapping::from_epoch_plan(plan, &self.partitioning, hw.total_cores())?,
+                None,
+            ),
+            _ => {
+                let core_limit = match rule {
+                    Some(ReloadRule::Resident { ring_cores, .. }) => Some(ring_cores),
+                    _ => None,
+                };
+                let ctx = GaContext {
+                    hw,
+                    graph: &self.session.graph,
+                    partitioning: &self.partitioning,
+                    dep: &self.dep,
+                    mode: self.session.opts.mode,
+                    core_limit,
+                };
+                let (chromosome, stats) =
+                    optimize_observed(&ctx, &self.session.opts.ga, &mut |p| {
+                        observer.on_ga_generation(p);
+                    })?;
+                let mapping = CoreMapping::from_chromosome(&chromosome, &self.partitioning)?;
+                (mapping, Some(stats))
             }
         };
-
-        if let Some(plan) = epoch_plan {
-            let mapping = CoreMapping::from_epoch_plan(&plan, &self.partitioning, hw.total_cores());
-            let reload = plan.reload_plan(&self.partitioning, hw);
-            return Ok(Optimized {
-                partitioned: self,
-                mapping,
-                compiler: PIMCOMP,
-                ga_stats: None,
-                reload: Some(reload),
-            });
-        }
-
-        let ctx = GaContext {
-            hw: &self.session.hw,
-            graph: &self.session.graph,
-            partitioning: &self.partitioning,
-            dep: &self.dep,
-            mode: self.session.opts.mode,
-            core_limit,
-        };
-        let (chromosome, ga_stats) = optimize_observed(&ctx, &self.session.opts.ga, &mut |p| {
-            observer.on_ga_generation(p);
-        })?;
-        let mapping = CoreMapping::from_chromosome(&chromosome, &self.partitioning)?;
-        let reload = budget.map(|b| {
-            resident_reload_plan(
-                &self.partitioning,
-                &mapping,
-                &self.session.hw,
-                b,
-                core_limit.unwrap_or_else(|| self.session.hw.total_cores()),
-            )
-        });
+        let reload = rule.map(|rule| rule.plan(&self.partitioning, &mapping, hw));
         Ok(Optimized {
             partitioned: self,
             mapping,
-            compiler: PIMCOMP,
-            ga_stats: Some(ga_stats),
+            compiler: PIMCOMP.to_string(),
+            ga_stats,
             reload,
         })
     }
 }
 
-/// The [`ReloadPlan`] of a reload-mode model that fits its budget: one
-/// epoch, every weight resident, zero reload cost — kept (rather than
-/// `None`) so artifacts record that the compilation was
-/// budget-constrained.
-fn resident_reload_plan(
-    partitioning: &Partitioning,
-    mapping: &CoreMapping,
-    hw: &HardwareConfig,
-    budget: usize,
-    ring_cores: usize,
-) -> ReloadPlan {
-    let cells_per_weight = hw.cells_per_weight();
-    let mut resident = 0u64;
-    for inst in &mapping.instances {
-        let e = partitioning.entry(inst.mvm);
-        let rows = crate::schedule::slice_rows(e.weight_height, hw.crossbar_rows, inst.slice);
-        resident += (rows * e.weight_width * cells_per_weight) as u64;
-    }
-    ReloadPlan {
-        budget,
-        ring_cores,
-        epochs: vec![EpochReloadCost {
-            resident_cells: resident,
-            ..EpochReloadCost::default()
-        }],
-        total_ags_written: 0,
-        total_cells_written: 0,
-        total_write_cycles: 0,
-        total_write_pj: 0.0,
-        total_compute_cycles: 0,
+/// Where the `weight_reload` rule puts a model's Array Groups.
+enum ReloadRule {
+    /// The model fits `budget` crossbars: every AG stays resident on
+    /// cores `0..ring_cores`, the GA's whole search space.
+    Resident { budget: usize, ring_cores: usize },
+    /// It does not: the epoch packer time-multiplexes the crossbars.
+    Epochs(EpochPlan),
+}
+
+impl ReloadRule {
+    /// The [`ReloadPlan`] of `mapping` under this rule. A resident
+    /// model's is one epoch, every weight resident, zero reload cost —
+    /// kept (rather than `None`) so the compile records that it was
+    /// budget-constrained.
+    fn plan(
+        self,
+        partitioning: &Partitioning,
+        mapping: &CoreMapping,
+        hw: &HardwareConfig,
+    ) -> ReloadPlan {
+        let (budget, ring_cores) = match self {
+            ReloadRule::Resident { budget, ring_cores } => (budget, ring_cores),
+            ReloadRule::Epochs(plan) => return plan.reload_plan(partitioning, hw),
+        };
+        let cells_per_weight = hw.cells_per_weight();
+        let mut resident = 0u64;
+        for inst in &mapping.instances {
+            let e = partitioning.entry(inst.mvm);
+            let rows = crate::schedule::slice_rows(e.weight_height, hw.crossbar_rows, inst.slice);
+            resident += (rows * e.weight_width * cells_per_weight) as u64;
+        }
+        ReloadPlan {
+            budget,
+            ring_cores,
+            epochs: vec![EpochReloadCost {
+                resident_cells: resident,
+                ..EpochReloadCost::default()
+            }],
+            total_ags_written: 0,
+            total_cells_written: 0,
+            total_write_cycles: 0,
+            total_write_pj: 0.0,
+            total_compute_cycles: 0,
+        }
     }
 }
 
@@ -473,7 +571,7 @@ const PIMCOMP: &str = "PIMCOMP";
 pub struct Optimized {
     partitioned: Partitioned,
     mapping: CoreMapping,
-    compiler: &'static str,
+    compiler: String,
     ga_stats: Option<GaStats>,
     reload: Option<ReloadPlan>,
 }
@@ -686,7 +784,7 @@ impl Scheduled {
         let estimated = fitness::with_reload_stalls(estimated, reload.as_ref());
 
         let report = CompileReport {
-            compiler: compiler.to_string(),
+            compiler,
             ga: ga_stats,
             estimated_fitness: estimated,
         };
@@ -721,7 +819,7 @@ mod tests {
     }
 
     #[test]
-    fn staged_pipeline_matches_legacy_compile() {
+    fn staged_pipeline_matches_run() {
         let staged = session(PipelineMode::HighThroughput)
             .partition()
             .unwrap()
@@ -730,12 +828,7 @@ mod tests {
             .schedule()
             .unwrap()
             .finish();
-        let legacy = crate::PimCompiler::new(HardwareConfig::small_test())
-            .compile(
-                &models::tiny_cnn(),
-                &CompileOptions::new(PipelineMode::HighThroughput).with_fast_ga(11),
-            )
-            .unwrap();
+        let legacy = session(PipelineMode::HighThroughput).run().unwrap();
         assert_eq!(staged.mapping, legacy.mapping);
         assert_eq!(staged.schedule, legacy.schedule);
         assert_eq!(staged.memory, legacy.memory);
@@ -807,13 +900,14 @@ mod tests {
             .unwrap()
             .optimize()
             .unwrap();
-        let first = o.mapping().clone();
+        let partitioning = o.partitioned().partitioning().clone();
         let o2 = o.reoptimize(GaParams::fast(99)).unwrap();
-        // Different seed explores differently but stays feasible.
-        o2.mapping()
-            .validate(o2.partitioned().partitioning())
-            .unwrap();
-        let _ = first;
+        assert_eq!(o2.partitioned().partitioning(), &partitioning);
+        // Different seed explores differently but stays a mapping.
+        let cores = HardwareConfig::small_test().total_cores();
+        let instances = o2.mapping().instances.clone();
+        let rebuilt = CoreMapping::from_instances(instances, &partitioning, cores).unwrap();
+        assert_eq!(&rebuilt, o2.mapping());
     }
 
     #[test]

@@ -17,11 +17,10 @@
 //! iterates over (paper Fig. 6).
 
 use pimcomp_ir::{Graph, NodeId, Op};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// How a consumer's windows depend on one provider's windows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DepRule {
     /// Sliding-window operators (conv, pool): output `(r, c)` needs the
     /// provider prefix up to `(rd, cd)` per the formula above.
@@ -43,7 +42,7 @@ pub enum DepRule {
 }
 
 /// Dependency metadata of one graph edge.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdgeDep {
     /// The dependency rule.
     pub rule: DepRule,
@@ -56,7 +55,7 @@ pub struct EdgeDep {
 
 /// Per-graph dependency analysis: unit window counts, window sizes and
 /// per-edge waiting percentages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DepInfo {
     /// Unit windows per node (indexed by `NodeId` index): spatial
     /// positions for feature ops, 1 for full-feature ops.

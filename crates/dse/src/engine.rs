@@ -390,15 +390,16 @@ impl ExploreEngine {
     ///
     /// Artifacts are keyed by graph + hardware + options fingerprints
     /// and the artifact format version, which guards against spec
-    /// changes, edited `.onnx` model files, and serialization drift —
-    /// **not** against compiler-behavior changes that keep the artifact
-    /// shape. Sidecars add the point's key, the sweep format version
+    /// changes, edited `.onnx` model files, and serialization drift. A
+    /// replayed artifact derives its schedule and memory plan with this
+    /// build, so what a compiler change can leave stale is only its
+    /// stored placement — the GA's or the epoch packer's. Sidecars add the point's key, the sweep format version
     /// and the engine's measurement version, which is bumped whenever a
     /// simulator or executor golden is re-blessed — but a simulator or
     /// executor change that forgets the bump is just as invisible.
-    /// After upgrading the compiler, the simulator or the executor,
-    /// clear the directory so warm reruns cannot mix old and new
-    /// results.
+    /// After changing the GA, the packer, the simulator or the
+    /// executor, clear the directory so warm reruns cannot mix old and
+    /// new results.
     #[must_use]
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
@@ -815,9 +816,9 @@ fn point_options(point: &SweepPoint, spec: &SweepSpec, iterations: usize) -> Com
 /// compiler never sees (`quantization`) do not, and tell the point's
 /// metrics sidecars apart instead ([`cache::metrics_path`]). The version
 /// component rejects entries whose *serialized shape* predates this
-/// build; it cannot detect compiler-behavior changes that keep the
-/// shape — clear the cache directory after upgrading the compiler (see
-/// [`ExploreEngine::with_cache_dir`]).
+/// build; it cannot detect a changed GA or epoch packer, whose stored
+/// placement a replay reuses — clear the cache directory after changing
+/// either (see [`ExploreEngine::with_cache_dir`]).
 fn cache_path(dir: &Path, point: &SweepPoint, opts: &CompileOptions, graph_fp: u64) -> PathBuf {
     // Model names may be .onnx paths; keep a short human-readable tag
     // in the filename (the fingerprints disambiguate collisions).

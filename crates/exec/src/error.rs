@@ -1,10 +1,10 @@
 //! Structured functional-execution errors.
 //!
-//! The executor consumes artifact-loaded data (graphs, partitionings,
-//! mappings) that may come from disk or the network; per the repo's
-//! panic policy it never indexes such data raw. Every inconsistency a
-//! hostile or truncated artifact can exhibit surfaces as an
-//! [`ExecError`].
+//! The executor runs graphs that may come from disk or the network;
+//! per the repo's panic policy it never indexes such data raw. Every
+//! defect of a graph it is handed surfaces as an [`ExecError`]. A
+//! compiled model's partitioning and mapping are derived from its own
+//! graph (a loaded artifact re-derives them), so they are trusted.
 
 use std::fmt;
 
@@ -49,31 +49,11 @@ pub enum ExecError {
         /// Operator mnemonic.
         op: String,
     },
-    /// An MVM node has no partition entry in the compiled model.
+    /// An MVM node of the executed graph has no partition entry in the
+    /// compiled model (the graph is not the model's own).
     MissingPartition {
         /// Node name.
         node: String,
-    },
-    /// The compiled mapping does not cover the partitioning: a
-    /// replica/slice with no Array-Group instance, a duplicate
-    /// instance, an out-of-range index, or a geometry field that
-    /// disagrees with the hardware (truncated or tampered artifact).
-    MappingIncomplete {
-        /// Description of the hole or inconsistency.
-        detail: String,
-    },
-    /// A mapped Array Group names a core outside the target.
-    CoreOutOfRange {
-        /// The core index.
-        core: usize,
-        /// Cores on the target.
-        total: usize,
-    },
-    /// A multi-epoch `weight_reload` artifact whose epoch plan cannot
-    /// be reconstructed or disagrees with its mapping.
-    ReloadPlanMismatch {
-        /// Description of the disagreement.
-        detail: String,
     },
     /// The quantization configuration is invalid.
     InvalidQuant {
@@ -105,18 +85,6 @@ impl fmt::Display for ExecError {
             }
             ExecError::MissingPartition { node } => {
                 write!(f, "MVM node `{node}` has no partition entry")
-            }
-            ExecError::MappingIncomplete { detail } => {
-                write!(f, "mapping does not cover the partitioning: {detail}")
-            }
-            ExecError::CoreOutOfRange { core, total } => {
-                write!(
-                    f,
-                    "mapped core {core} is outside the target ({total} cores)"
-                )
-            }
-            ExecError::ReloadPlanMismatch { detail } => {
-                write!(f, "weight-reload epoch plan mismatch: {detail}")
             }
             ExecError::InvalidQuant { detail } => {
                 write!(f, "invalid quantization configuration: {detail}")

@@ -12,8 +12,7 @@
 //! * [`MappedBackend`] — the same inputs pushed through a
 //!   [`CompiledModel`]'s per-crossbar layout: weights split by
 //!   Array-Group row slices and column groups, partial sums
-//!   accumulated per the core mapping, replica coverage and reload
-//!   epoch plans cross-checked.
+//!   accumulated per the core mapping.
 //!
 //! Both run the graph with [`run_graph`] and multiply through the one
 //! register-tiled kernel behind [`MvmJob::gemm`] — the reference over
@@ -28,8 +27,10 @@
 //! reports `output_rmse` / `top1_match`, which the DSE sweep exposes
 //! as accuracy metrics.
 //!
-//! Per the repo's panic policy, artifact-loaded data is never indexed
-//! raw: hostile or truncated artifacts surface as [`ExecError`]s.
+//! Per the repo's panic policy, a hostile graph surfaces as an
+//! [`ExecError`], never a panic; hostile or truncated artifacts are
+//! refused when they load
+//! ([`CompiledArtifact::from_json`](pimcomp_core::CompiledArtifact::from_json)).
 
 #![forbid(unsafe_code)]
 
@@ -68,8 +69,7 @@ pub fn reference_outputs(graph: &Graph, seed: u64) -> Result<Vec<(String, Tensor
 ///
 /// # Errors
 ///
-/// Any [`ExecError`], including the mapping-coverage and reload-plan
-/// validation errors of [`MappedBackend::new`].
+/// Any [`ExecError`] of the graph run or of [`MappedBackend::new`].
 pub fn mapped_outputs(
     model: &CompiledModel,
     seed: u64,

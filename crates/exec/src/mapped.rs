@@ -2,17 +2,18 @@
 //! layout numerically.
 //!
 //! Each MVM node's weight matrix is split exactly the way the compiled
-//! [`Partitioning`] and [`CoreMapping`] say it is: column groups first,
-//! then Array Groups (crossbar-height row slices), each AG's columns
-//! living on physical crossbars; replicas hold the same weights and
-//! share the windows, so they are validated but compute nothing
-//! different. Every `(column group, slice)` is one call into the
-//! kernel ([`MvmJob::gemm`]) over that slice's row range, and
-//! a window's output element is the sum of its per-slice partial sums,
-//! accumulated in ascending slice order at the replica's owner core —
-//! so a missing, duplicated or misplaced AG in the mapping produces
-//! either a structured [`ExecError`] or a wrong tensor a differential
-//! test catches.
+//! partitioning and mapping say it is: column groups first, then Array
+//! Groups (crossbar-height row slices), each AG's columns living on
+//! physical crossbars; replicas hold the same weights and share the
+//! windows, so they compute nothing different. Every `(column group,
+//! slice)` is one call into the kernel ([`MvmJob::gemm`]) over that
+//! slice's row range, and a window's output element is the sum of its
+//! per-slice partial sums, accumulated in ascending slice order at the
+//! replica's owner core — so a wrong row range or column offset shows
+//! as a wrong tensor a differential test catches. The model is trusted:
+//! only [`Scheduled::finish`](pimcomp_core::Scheduled::finish) builds
+//! one, and a loaded artifact is checked where it enters
+//! ([`CompiledArtifact::from_json`](pimcomp_core::CompiledArtifact::from_json)).
 //!
 //! With a [`QuantConfig`], the executor additionally models the analog
 //! datapath: weights are rounded to `weight_bits`-bit integers under a
@@ -28,7 +29,7 @@
 use crate::engine::{MvmBackend, MvmJob, WeightMatrix};
 use crate::error::ExecError;
 use pimcomp_arch::QuantConfig;
-use pimcomp_core::{slice_rows, CompiledModel, EpochPlan};
+use pimcomp_core::{slice_rows, CompiledModel};
 
 /// Computes MVM nodes through the compiled per-crossbar layout.
 pub struct MappedBackend<'a> {
@@ -37,17 +38,11 @@ pub struct MappedBackend<'a> {
 }
 
 impl<'a> MappedBackend<'a> {
-    /// Builds the executor, validating everything it will index: the
-    /// replication counts, every AG instance's `(mvm, replica, slice,
-    /// core)`, the owner table, per-entry geometry against the
-    /// hardware, and (for multi-epoch `weight_reload` artifacts) the
-    /// reconstructed epoch plan.
+    /// Builds the executor for `model`, optionally modelling the analog
+    /// datapath under `quant`.
     ///
     /// # Errors
     ///
-    /// [`ExecError::MappingIncomplete`] / [`ExecError::CoreOutOfRange`]
-    /// / [`ExecError::ReloadPlanMismatch`] on any inconsistency a
-    /// truncated or tampered artifact could exhibit, and
     /// [`ExecError::InvalidQuant`] for bad quantization knobs.
     pub fn new(model: &'a CompiledModel, quant: Option<QuantConfig>) -> Result<Self, ExecError> {
         if let Some(q) = &quant {
@@ -55,247 +50,29 @@ impl<'a> MappedBackend<'a> {
                 detail: e.to_string(),
             })?;
         }
-        let entries = model.partitioning.entries();
-        let counts = model.mapping.replication.counts();
-        if counts.len() != entries.len() {
-            return Err(ExecError::MappingIncomplete {
-                detail: format!(
-                    "replication plan covers {} nodes, partitioning has {}",
-                    counts.len(),
-                    entries.len()
-                ),
-            });
-        }
-        let total_cores = model.hw.total_cores();
-        let hx = model.hw.crossbar_rows;
-        let wcc = model.hw.weight_cols_per_crossbar();
-        if hx == 0 || wcc == 0 {
-            return Err(ExecError::MappingIncomplete {
-                detail: "hardware has zero crossbar rows or weight columns".to_string(),
-            });
-        }
-        for (i, e) in entries.iter().enumerate() {
-            if counts[i] == 0 {
-                return Err(ExecError::MappingIncomplete {
-                    detail: format!("entry {i} (`{}`) has replication 0", e.name),
-                });
-            }
-            if e.ags_per_replica != e.weight_height.div_ceil(hx)
-                || e.crossbars_per_ag != e.weight_width.div_ceil(wcc)
-            {
-                return Err(ExecError::MappingIncomplete {
-                    detail: format!(
-                        "entry {i} (`{}`) geometry ({} AGs × {} crossbars) disagrees with \
-                         a {}×{} weight matrix on {hx}-row, {wcc}-weight-column crossbars",
-                        e.name,
-                        e.ags_per_replica,
-                        e.crossbars_per_ag,
-                        e.weight_height,
-                        e.weight_width
-                    ),
-                });
-            }
-        }
-
-        // Coverage: every (entry, replica, slice) is held by exactly
-        // one AG instance on an in-range core.
-        let mut covered: Vec<Vec<Vec<bool>>> = entries
-            .iter()
-            .enumerate()
-            .map(|(i, e)| vec![vec![false; e.ags_per_replica]; counts[i]])
-            .collect();
-        for inst in &model.mapping.instances {
-            let slot = covered
-                .get_mut(inst.mvm)
-                .ok_or(ExecError::MappingIncomplete {
-                    detail: format!(
-                        "AG instance names MVM entry {} of {}",
-                        inst.mvm,
-                        entries.len()
-                    ),
-                })?
-                .get_mut(inst.replica)
-                .ok_or_else(|| ExecError::MappingIncomplete {
-                    detail: format!(
-                        "AG instance names replica {} of entry {} (replication {})",
-                        inst.replica, inst.mvm, counts[inst.mvm]
-                    ),
-                })?
-                .get_mut(inst.slice)
-                .ok_or_else(|| ExecError::MappingIncomplete {
-                    detail: format!(
-                        "AG instance names slice {} of entry {} ({} AGs per replica)",
-                        inst.slice, inst.mvm, entries[inst.mvm].ags_per_replica
-                    ),
-                })?;
-            if inst.core >= total_cores {
-                return Err(ExecError::CoreOutOfRange {
-                    core: inst.core,
-                    total: total_cores,
-                });
-            }
-            if std::mem::replace(slot, true) {
-                return Err(ExecError::MappingIncomplete {
-                    detail: format!(
-                        "duplicate AG instance (entry {}, replica {}, slice {})",
-                        inst.mvm, inst.replica, inst.slice
-                    ),
-                });
-            }
-        }
-        for (i, replicas) in covered.iter().enumerate() {
-            for (r, slices) in replicas.iter().enumerate() {
-                if let Some(s) = slices.iter().position(|&held| !held) {
-                    return Err(ExecError::MappingIncomplete {
-                        detail: format!("no AG instance for entry {i}, replica {r}, slice {s}"),
-                    });
-                }
-            }
-        }
-
-        // Owner table: one accumulation core per replica, in range.
-        if model.mapping.owners.len() != entries.len() {
-            return Err(ExecError::MappingIncomplete {
-                detail: format!(
-                    "owner table covers {} nodes, partitioning has {}",
-                    model.mapping.owners.len(),
-                    entries.len()
-                ),
-            });
-        }
-        for (i, owners) in model.mapping.owners.iter().enumerate() {
-            if owners.len() != counts[i] {
-                return Err(ExecError::MappingIncomplete {
-                    detail: format!(
-                        "entry {i} has {} owners for {} replicas",
-                        owners.len(),
-                        counts[i]
-                    ),
-                });
-            }
-            for &core in owners {
-                if core >= total_cores {
-                    return Err(ExecError::CoreOutOfRange {
-                        core,
-                        total: total_cores,
-                    });
-                }
-            }
-        }
-
-        let backend = MappedBackend { model, quant };
-        backend.check_reload_plan()?;
-        Ok(backend)
+        Ok(MappedBackend { model, quant })
     }
 
-    /// Multi-epoch `weight_reload` artifacts: reconstruct the
-    /// (deterministic) epoch plan from the stored budget and insist it
-    /// covers every Array Group exactly once with replication 1 — the
-    /// duplication-free time-multiplexing contract that only numerics
-    /// can falsify.
-    fn check_reload_plan(&self) -> Result<(), ExecError> {
-        let Some(plan) = self.model.reload.as_ref().filter(|p| !p.is_single_epoch()) else {
-            return Ok(());
-        };
-        let entries = self.model.partitioning.entries();
-        let counts = self.model.mapping.replication.counts();
-        if counts.iter().any(|&c| c != 1) {
-            return Err(ExecError::ReloadPlanMismatch {
-                detail: "multi-epoch reload mapping must be duplication-free (replication 1)"
-                    .to_string(),
-            });
-        }
-        let rebuilt = EpochPlan::new(&self.model.partitioning, &self.model.hw, plan.budget)
-            .map_err(|e| ExecError::ReloadPlanMismatch {
-                detail: format!("cannot rebuild epoch plan for budget {}: {e}", plan.budget),
-            })?;
-        if rebuilt.epoch_count() != plan.epoch_count() {
-            return Err(ExecError::ReloadPlanMismatch {
-                detail: format!(
-                    "stored plan has {} epochs, rebuilt plan has {}",
-                    plan.epoch_count(),
-                    rebuilt.epoch_count()
-                ),
-            });
-        }
-        let mut seen: Vec<Vec<bool>> = entries
-            .iter()
-            .map(|e| vec![false; e.ags_per_replica])
-            .collect();
-        for epoch in &rebuilt.epochs {
-            for a in epoch {
-                let slot = seen
-                    .get_mut(a.mvm)
-                    .and_then(|s| s.get_mut(a.slice))
-                    .ok_or_else(|| ExecError::ReloadPlanMismatch {
-                        detail: format!(
-                            "epoch assignment (entry {}, slice {}) is out of range",
-                            a.mvm, a.slice
-                        ),
-                    })?;
-                if *slot {
-                    return Err(ExecError::ReloadPlanMismatch {
-                        detail: format!(
-                            "entry {} slice {} is written in two epochs",
-                            a.mvm, a.slice
-                        ),
-                    });
-                }
-                *slot = true;
-            }
-        }
-        if let Some((i, s)) = seen
-            .iter()
-            .enumerate()
-            .find_map(|(i, v)| v.iter().position(|&b| !b).map(|s| (i, s)))
-        {
-            return Err(ExecError::ReloadPlanMismatch {
-                detail: format!("entry {i} slice {s} is never scheduled in any epoch"),
-            });
-        }
-        Ok(())
-    }
-
-    /// The node's partition entries in column-group order, validated
-    /// against the job geometry.
+    /// The node's partition entries, in column-group order. A graph
+    /// other than the model's own can name a node the partitioning has
+    /// no entry for, or one of another shape.
     fn node_entries(&self, job: &MvmJob) -> Result<Vec<usize>, ExecError> {
-        let mut indices = self.model.partitioning.indices_of(job.node.id);
-        if indices.is_empty() {
+        let indices = self.model.partitioning.indices_of(job.node.id);
+        let entries = self.model.partitioning.entries();
+        let Some(&first) = indices.first() else {
             return Err(ExecError::MissingPartition {
                 node: job.node.name.clone(),
             });
-        }
-        let entries = self.model.partitioning.entries();
-        indices.sort_by_key(|&i| entries[i].col_group);
-        let mut width = 0usize;
-        for (pos, &i) in indices.iter().enumerate() {
-            let e = &entries[i];
-            if e.col_group != pos || e.col_groups != indices.len() {
-                return Err(ExecError::MappingIncomplete {
-                    detail: format!(
-                        "column groups of `{}` are not consecutive (group {} of {})",
-                        job.node.name, e.col_group, e.col_groups
-                    ),
-                });
-            }
-            if e.weight_height != job.height || e.windows != job.windows {
-                return Err(ExecError::ShapeMismatch {
-                    node: job.node.name.clone(),
-                    detail: format!(
-                        "partition entry expects {}×? over {} windows, kernel computes {}×{} \
-                         over {} windows",
-                        e.weight_height, e.windows, job.height, job.width, job.windows
-                    ),
-                });
-            }
-            width += e.weight_width;
-        }
-        if width != job.width {
+        };
+        let e = &entries[first];
+        let width: usize = indices.iter().map(|&i| entries[i].weight_width).sum();
+        if (e.weight_height, e.windows, width) != (job.height, job.windows, job.width) {
             return Err(ExecError::ShapeMismatch {
                 node: job.node.name.clone(),
                 detail: format!(
-                    "column groups cover {width} columns, weight matrix has {}",
-                    job.width
+                    "partition entry expects {}×{width} over {} windows, kernel computes {}×{} \
+                     over {} windows",
+                    e.weight_height, e.windows, job.height, job.width, job.windows
                 ),
             });
         }

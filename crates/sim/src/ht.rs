@@ -42,7 +42,7 @@
 
 use crate::report::{Counters, SimReport};
 use crate::resources::{ActivitySpan, BandwidthServer};
-use crate::{invalid, SimError};
+use crate::SimError;
 use pimcomp_arch::{EnergyModel, HardwareConfig, NocModel};
 use pimcomp_core::{CompiledModel, HtSchedule};
 use std::cmp::Reverse;
@@ -101,7 +101,7 @@ struct Round {
     sends: Vec<Send>,
 }
 
-/// Everything the event loop reads, validated and computed once.
+/// Everything the event loop reads, computed once.
 struct Tables {
     rounds: Vec<Round>,
     /// Per core: its unfinished programs, then its vec tasks, in
@@ -112,46 +112,13 @@ struct Tables {
 }
 
 impl Tables {
-    /// Checks every index the event loop follows (artifacts are
-    /// deserialized unvalidated) and hoists what it would otherwise
-    /// recompute every round.
-    fn build(
-        compiled: &CompiledModel,
-        schedule: &HtSchedule,
-        noc: &NocModel,
-    ) -> Result<Self, SimError> {
+    /// Hoists what the event loop would otherwise recompute every
+    /// round. The schedule is the compiler's own derivation (a loaded
+    /// artifact rebuilds it), so its indices are not re-checked here.
+    fn build(compiled: &CompiledModel, schedule: &HtSchedule, noc: &NocModel) -> Self {
         let cores = compiled.hw.total_cores();
         let spill = &compiled.memory.spill_bytes_per_round;
-        for (list, len) in [
-            ("per_core", schedule.per_core.len()),
-            ("vec_per_core", schedule.vec_per_core.len()),
-            ("spill_bytes_per_round", spill.len()),
-        ] {
-            if len != cores {
-                return Err(invalid(format!(
-                    "`{list}` covers {len} cores, the hardware has {cores}"
-                )));
-            }
-        }
         let entries = compiled.partitioning.entries();
-        let instances = compiled.mapping.instances.len();
-        for (pid, p) in schedule.programs.iter().enumerate() {
-            if p.core >= cores {
-                return Err(invalid(format!("program {pid} runs on core {}", p.core)));
-            }
-            if p.mvm >= entries.len() {
-                return Err(invalid(format!("program {pid} computes node {}", p.mvm)));
-            }
-            if let Some(inst) = p.ag_instances.iter().find(|&&i| i >= instances) {
-                return Err(invalid(format!("program {pid} uses AG instance {inst}")));
-            }
-            if let Some(s) = p.sends_per_round.iter().find(|s| s.to_core >= cores) {
-                return Err(invalid(format!(
-                    "program {pid} sends to core {}",
-                    s.to_core
-                )));
-            }
-        }
 
         // Owner-program index: (core, mvm) -> program id, dense.
         let mvm_stride = entries.len();
@@ -160,31 +127,17 @@ impl Tables {
             prog_at[p.core * mvm_stride + p.mvm] = Some(pid);
         }
 
-        let mut scan = Vec::with_capacity(cores);
-        for core in 0..cores {
-            let mut items = Vec::new();
-            for &pid in &schedule.per_core[core] {
-                match schedule.programs.get(pid) {
-                    Some(p) if p.core == core => {
-                        if p.rounds > 0 {
-                            items.push(Item::Program(pid));
-                        }
-                    }
-                    _ => {
-                        return Err(invalid(format!(
-                            "core {core} lists program {pid}, which is not one of its programs"
-                        )))
-                    }
-                }
-            }
-            for &vid in &schedule.vec_per_core[core] {
-                if vid >= schedule.vec_tasks.len() {
-                    return Err(invalid(format!("core {core} lists vec task {vid}")));
-                }
-                items.push(Item::VecTask(vid));
-            }
-            scan.push(items);
-        }
+        let scan = (0..cores)
+            .map(|core| {
+                let programs = schedule.per_core[core].iter().copied();
+                let programs = programs.filter(|&pid| schedule.programs[pid].rounds > 0);
+                let vec_tasks = schedule.vec_per_core[core].iter().copied();
+                programs
+                    .map(Item::Program)
+                    .chain(vec_tasks.map(Item::VecTask))
+                    .collect()
+            })
+            .collect();
 
         let rounds = schedule
             .programs
@@ -243,11 +196,11 @@ impl Tables {
                 u64::saturating_add,
             );
 
-        Ok(Tables {
+        Tables {
             rounds,
             scan,
             attempt_budget: work.saturating_mul(4),
-        })
+        }
     }
 }
 
@@ -290,7 +243,7 @@ pub(crate) fn run(
         rounds,
         mut scan,
         attempt_budget,
-    } = Tables::build(compiled, schedule, &NocModel::new(hw))?;
+    } = Tables::build(compiled, schedule, &NocModel::new(hw));
 
     let mut phase: Vec<Phase> = schedule
         .programs

@@ -81,13 +81,6 @@ pub enum SimError {
         /// Diagnostic description.
         detail: String,
     },
-    /// The schedule refers to a core, program, vec task, AG instance or
-    /// node that the model does not have (a corrupted or hand-edited
-    /// artifact; deserialization checks none of these).
-    InvalidSchedule {
-        /// Diagnostic description.
-        detail: String,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -99,18 +92,11 @@ impl fmt::Display for SimError {
             SimError::HardwareMismatch { detail } => {
                 write!(f, "artifact/simulator hardware mismatch: {detail}")
             }
-            SimError::InvalidSchedule { detail } => write!(f, "invalid schedule: {detail}"),
         }
     }
 }
 
 impl std::error::Error for SimError {}
-
-/// Artifacts deserialize unvalidated; each engine checks every index it
-/// is about to follow, once, and reports a foreign one through this.
-pub(crate) fn invalid(detail: String) -> SimError {
-    SimError::InvalidSchedule { detail }
-}
 
 /// The simulator front end: dispatches a compiled model to the HT or LL
 /// engine with a consistent energy model.
@@ -151,7 +137,7 @@ impl Simulator {
         // mapping as concurrent, so they take the analytic path (see
         // the `reload` module docs).
         if let Some(plan) = compiled.reload.as_ref().filter(|p| !p.is_single_epoch()) {
-            return reload::run(compiled, &self.energy, plan);
+            return Ok(reload::run(compiled, &self.energy, plan));
         }
         match compiled.mode {
             pimcomp_arch::PipelineMode::HighThroughput => ht::run(compiled, &self.energy),
@@ -182,15 +168,18 @@ impl Simulator {
 mod tests {
     use super::*;
     use pimcomp_arch::PipelineMode;
-    use pimcomp_core::{CompileOptions, PimCompiler, PumaCompiler, ReusePolicy};
-    use pimcomp_ir::models;
+    use pimcomp_core::{CompileOptions, CompileSession, PumaCompiler, ReusePolicy};
+    use pimcomp_ir::{models, Graph};
+
+    fn compile(hw: &HardwareConfig, graph: &Graph, opts: CompileOptions) -> CompiledModel {
+        let session = CompileSession::new(hw.clone(), graph, opts).unwrap();
+        session.run().unwrap()
+    }
 
     fn sim(mode: PipelineMode, seed: u64) -> SimReport {
         let graph = models::tiny_cnn();
         let hw = HardwareConfig::small_test();
-        let compiled = PimCompiler::new(hw.clone())
-            .compile(&graph, &CompileOptions::new(mode).with_fast_ga(seed))
-            .unwrap();
+        let compiled = compile(&hw, &graph, CompileOptions::new(mode).with_fast_ga(seed));
         Simulator::new(hw).run(&compiled).unwrap()
     }
 
@@ -221,12 +210,8 @@ mod tests {
         // total under the strided assignment).
         let graph = models::tiny_cnn();
         let hw = HardwareConfig::small_test();
-        let compiled = PimCompiler::new(hw.clone())
-            .compile(
-                &graph,
-                &CompileOptions::new(PipelineMode::LowLatency).with_fast_ga(5),
-            )
-            .unwrap();
+        let opts = CompileOptions::new(PipelineMode::LowLatency).with_fast_ga(5);
+        let compiled = compile(&hw, &graph, opts);
         let r = Simulator::new(hw).run(&compiled).unwrap();
         let expect: usize = compiled
             .partitioning
@@ -259,7 +244,7 @@ mod tests {
                 iterations: 80,
                 ..pimcomp_core::GaParams::fast(9)
             });
-        let ours = PimCompiler::new(hw.clone()).compile(&graph, &opts).unwrap();
+        let ours = compile(&hw, &graph, opts.clone());
         let base = PumaCompiler::new(hw.clone())
             .compile(&graph, &opts)
             .unwrap();
@@ -286,12 +271,8 @@ mod tests {
         let mut prev = u64::MAX;
         for par in [1, 4, 16] {
             let hw = HardwareConfig::small_test().with_parallelism(par);
-            let compiled = PimCompiler::new(hw.clone())
-                .compile(
-                    &graph,
-                    &CompileOptions::new(PipelineMode::HighThroughput).with_fast_ga(13),
-                )
-                .unwrap();
+            let opts = CompileOptions::new(PipelineMode::HighThroughput).with_fast_ga(13);
+            let compiled = compile(&hw, &graph, opts);
             let r = Simulator::new(hw).run(&compiled).unwrap();
             assert!(
                 r.total_cycles <= prev,
@@ -308,14 +289,10 @@ mod tests {
         let mut hw = HardwareConfig::small_test();
         hw.local_memory_bytes = 2 * 1024; // force spills for naive
         let mk = |policy| {
-            let compiled = PimCompiler::new(hw.clone())
-                .compile(
-                    &graph,
-                    &CompileOptions::new(PipelineMode::HighThroughput)
-                        .with_fast_ga(21)
-                        .with_policy(policy),
-                )
-                .unwrap();
+            let opts = CompileOptions::new(PipelineMode::HighThroughput)
+                .with_fast_ga(21)
+                .with_policy(policy);
+            let compiled = compile(&hw, &graph, opts);
             Simulator::new(hw.clone()).run(&compiled).unwrap()
         };
         let naive = mk(ReusePolicy::Naive);
@@ -335,14 +312,10 @@ mod tests {
         // barriers), not the event engines.
         let graph = models::tiny_cnn();
         let hw = HardwareConfig::small_test();
-        let compiled = PimCompiler::new(hw.clone())
-            .compile(
-                &graph,
-                &CompileOptions::new(PipelineMode::HighThroughput)
-                    .with_fast_ga(5)
-                    .with_weight_reload(Some(32)),
-            )
-            .unwrap();
+        let opts = CompileOptions::new(PipelineMode::HighThroughput)
+            .with_fast_ga(5)
+            .with_weight_reload(Some(32));
+        let compiled = compile(&hw, &graph, opts);
         let plan = compiled.reload.as_ref().unwrap();
         assert!(plan.epoch_count() > 1);
         let r = Simulator::new(hw).run(&compiled).unwrap();
@@ -375,7 +348,7 @@ mod tests {
             if reload {
                 opts = opts.with_weight_reload(None);
             }
-            PimCompiler::new(hw.clone()).compile(&graph, &opts).unwrap()
+            compile(&hw, &graph, opts)
         };
         let plain = Simulator::new(hw.clone()).run(&compile(false)).unwrap();
         let resident = compile(true);

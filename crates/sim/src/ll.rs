@@ -16,9 +16,9 @@
 
 use crate::report::{makespan_leakage_pj, Counters, SimReport};
 use crate::resources::ActivitySpan;
-use crate::{invalid, SimError};
+use crate::SimError;
 use pimcomp_arch::{EnergyModel, NocModel};
-use pimcomp_core::{required_windows, CompiledModel, DepRule, LlSchedule, LlUnitKind};
+use pimcomp_core::{required_windows, CompiledModel, DepRule, LlUnitKind};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -75,49 +75,6 @@ struct Remote {
     pj: Vec<f64>,
 }
 
-/// Checks every index the event loop follows (artifacts are
-/// deserialized unvalidated), once, before any state is sized from it.
-fn validate(compiled: &CompiledModel, schedule: &LlSchedule) -> Result<(), SimError> {
-    let cores = compiled.hw.total_cores();
-    let nodes = compiled.graph.node_count().min(compiled.dep.windows.len());
-    let entries = compiled.partitioning.entries().len();
-    let units = &schedule.units;
-    let listed = schedule.units_of_node.values().flatten();
-    if let Some(v) = listed.filter(|&&v| v >= units.len()).min() {
-        return Err(invalid(format!("`units_of_node` lists unit {v}")));
-    }
-    for (uid, u) in units.iter().enumerate() {
-        let mut refs = std::iter::once(u.node).chain(u.providers.iter().map(|p| p.node));
-        if let Some(n) = refs.find(|n| n.index() >= nodes) {
-            return Err(invalid(format!("unit {uid} refers to node {}", n.index())));
-        }
-        if matches!(u.kind, LlUnitKind::Mvm { mvm } if mvm >= entries) {
-            return Err(invalid(format!("unit {uid} computes {:?}", u.kind)));
-        }
-        let r_count = u.replicas.len();
-        for (k, r) in u.replicas.iter().enumerate() {
-            // The owner accumulates; every listed core issues >= 1 AG.
-            let mut used = r.ags_per_core.iter().copied().chain([(r.owner, 1)]);
-            if let Some((core, count)) = used.find(|&(core, count)| core >= cores || count == 0) {
-                return Err(invalid(format!(
-                    "unit {uid} replica {k} runs {count} AGs on core {core}"
-                )));
-            }
-            // Window `j` is replica `j % R`'s `j / R`-th, so replica `k`
-            // holds at most `ceil((windows - k) / R)`. (Fewer is not an
-            // index hazard: it starves the consumers and ends in
-            // `Deadlock`.)
-            if r.windows > u.windows.saturating_sub(k).div_ceil(r_count) {
-                return Err(invalid(format!(
-                    "unit {uid} replica {k} claims {} of the unit's {} windows",
-                    r.windows, u.windows
-                )));
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Runs the LL simulation for a compiled model.
 pub(crate) fn run(
     compiled: &CompiledModel,
@@ -127,7 +84,6 @@ pub(crate) fn run(
         .schedule
         .as_ll()
         .ok_or(SimError::WrongScheduleKind)?;
-    validate(compiled, schedule)?;
     let hw = &compiled.hw;
     let noc = NocModel::new(hw);
     let cores = hw.total_cores();

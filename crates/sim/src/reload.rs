@@ -23,7 +23,6 @@
 //! fit its budget) take the ordinary event-driven engines instead.
 
 use crate::report::{makespan_leakage_pj, Counters, SimReport};
-use crate::{invalid, SimError};
 use pimcomp_arch::EnergyModel;
 use pimcomp_core::{CompiledModel, ReloadPlan};
 
@@ -32,17 +31,14 @@ pub(crate) fn run(
     compiled: &CompiledModel,
     energy_model: &EnergyModel,
     plan: &ReloadPlan,
-) -> Result<SimReport, SimError> {
+) -> SimReport {
     let batch = compiled.schedule.as_ht().map_or(1, |s| s.batch).max(1);
 
     // Exact MVM work: replication is 1 on this path, so each AG
     // instance runs its node's full window count per inference.
     let mut counted = Counters::default();
-    let entries = compiled.partitioning.entries();
     for inst in &compiled.mapping.instances {
-        let e = entries
-            .get(inst.mvm)
-            .ok_or_else(|| invalid(format!("an AG instance computes node {}", inst.mvm)))?;
+        let e = compiled.partitioning.entry(inst.mvm);
         counted.mvm_ops += (e.windows * batch) as u64;
         counted.crossbar_mvms += (e.windows * batch * e.crossbars_per_ag) as u64;
     }
@@ -59,5 +55,5 @@ pub(crate) fn run(
     let makespan = compute_cycles + plan.total_write_cycles;
     let leak = makespan_leakage_pj(energy_model, &compiled.hw, active, makespan);
     let busy = Vec::new();
-    Ok(counted.into_report(compiled, energy_model, compute_cycles, leak, active, busy))
+    counted.into_report(compiled, energy_model, compute_cycles, leak, active, busy)
 }

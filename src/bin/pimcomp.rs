@@ -371,7 +371,7 @@ fn open_artifact(args: &Args) -> CliResult<CompiledArtifact> {
 fn stamp(artifact: &CompiledArtifact) -> String {
     format!(
         "format v{}, hw fingerprint {:#018x}",
-        artifact.format_version(),
+        CompiledArtifact::FORMAT_VERSION,
         artifact.hw_fingerprint()
     )
 }

@@ -49,9 +49,8 @@
 //! # }
 //! ```
 //!
-//! The one-call [`PimCompiler::compile`](prelude::PimCompiler) wrapper
-//! still exists and produces identical results for identical inputs.
-//! Live progress (stage boundaries, per-generation GA fitness) streams
+//! [`CompileSession::run`](prelude::CompileSession::run) walks every
+//! stage in one call. Live progress (stage boundaries, per-generation GA fitness) streams
 //! through a [`CompileObserver`](prelude::CompileObserver) passed to
 //! [`CompileSession::run_observed`](prelude::CompileSession::run_observed).
 
@@ -69,7 +68,7 @@ pub mod prelude {
     pub use pimcomp_core::{
         ArtifactError, CompileError, CompileObserver, CompileOptions, CompileSession, CompileStage,
         CompiledArtifact, CompiledModel, GaGeneration, GaParams, Optimized, Partitioned,
-        PimCompiler, ReusePolicy, Scheduled,
+        ReusePolicy, Scheduled,
     };
     pub use pimcomp_dse::{ExploreEngine, ExploreError, SweepReport, SweepSpec};
     pub use pimcomp_ir::{Graph, GraphBuilder};

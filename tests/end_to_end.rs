@@ -3,7 +3,7 @@
 
 use pimcomp::prelude::*;
 use pimcomp_arch::PipelineMode;
-use pimcomp_core::{CompileOptions, PumaCompiler};
+use pimcomp_core::{CompileOptions, CoreMapping, PumaCompiler};
 use pimcomp_ir::models;
 
 fn modes() -> [PipelineMode; 2] {
@@ -21,8 +21,8 @@ fn every_small_model_compiles_and_simulates_in_both_modes() {
     ] {
         for mode in modes() {
             let opts = CompileOptions::new(mode).with_fast_ga(3);
-            let compiled = PimCompiler::new(hw.clone())
-                .compile(&graph, &opts)
+            let compiled = CompileSession::new(hw.clone(), &graph, opts.clone())
+                .and_then(CompileSession::run)
                 .unwrap_or_else(|e| panic!("{} {mode}: {e}", graph.name()));
             let report = Simulator::new(hw.clone())
                 .run(&compiled)
@@ -48,8 +48,8 @@ fn tiny_bert_compiles_and_simulates_in_every_mode() {
     ];
     for opts in opt_sets.drain(..) {
         let opts = opts.with_seq_len(64);
-        let compiled = PimCompiler::new(hw.clone())
-            .compile(&graph, &opts)
+        let compiled = CompileSession::new(hw.clone(), &graph, opts.clone())
+            .and_then(CompileSession::run)
             .unwrap_or_else(|e| panic!("tiny_bert {}: {e}", opts.mode));
         assert!(!compiled.graph.has_symbolic_dims());
         let report = Simulator::new(hw.clone())
@@ -64,8 +64,8 @@ fn tiny_bert_compiles_and_simulates_in_every_mode() {
 fn unbound_sequence_length_is_a_structured_error() {
     let hw = HardwareConfig::puma_with_chips(1);
     let opts = CompileOptions::new(PipelineMode::HighThroughput).with_fast_ga(3);
-    let err = PimCompiler::new(hw)
-        .compile(&models::tiny_bert(), &opts)
+    let err = CompileSession::new(hw, &models::tiny_bert(), opts.clone())
+        .and_then(CompileSession::run)
         .unwrap_err();
     assert!(
         matches!(&err, pimcomp_core::CompileError::UnboundSeqLen { model } if model == "tiny_bert"),
@@ -98,7 +98,9 @@ fn crossbar_capacity_is_respected_end_to_end() {
     let hw = HardwareConfig::small_test();
     let graph = models::tiny_cnn();
     let opts = CompileOptions::new(PipelineMode::HighThroughput).with_fast_ga(11);
-    let compiled = PimCompiler::new(hw.clone()).compile(&graph, &opts).unwrap();
+    let compiled = CompileSession::new(hw.clone(), &graph, opts.clone())
+        .and_then(CompileSession::run)
+        .unwrap();
     let mut used = vec![0usize; hw.total_cores()];
     for inst in &compiled.mapping.instances {
         used[inst.core] += compiled.partitioning.entry(inst.mvm).crossbars_per_ag;
@@ -119,8 +121,12 @@ fn ag_instances_are_conserved() {
     let hw = HardwareConfig::small_test();
     let graph = models::two_branch();
     let opts = CompileOptions::new(PipelineMode::LowLatency).with_fast_ga(13);
-    let compiled = PimCompiler::new(hw.clone()).compile(&graph, &opts).unwrap();
-    compiled.mapping.validate(&compiled.partitioning).unwrap();
+    let compiled = CompileSession::new(hw.clone(), &graph, opts.clone())
+        .and_then(CompileSession::run)
+        .unwrap();
+    let instances = compiled.mapping.instances.clone();
+    let rebuilt = CoreMapping::from_instances(instances, &compiled.partitioning, hw.total_cores());
+    assert_eq!(rebuilt.as_ref(), Ok(&compiled.mapping));
     for (mvm, entry) in compiled.partitioning.entries().iter().enumerate() {
         let r = compiled.mapping.replication.count(mvm);
         for replica in 0..r {
@@ -143,8 +149,12 @@ fn compilation_is_reproducible_across_runs() {
     let hw = HardwareConfig::small_test();
     let graph = models::tiny_cnn();
     let opts = CompileOptions::new(PipelineMode::HighThroughput).with_fast_ga(99);
-    let a = PimCompiler::new(hw.clone()).compile(&graph, &opts).unwrap();
-    let b = PimCompiler::new(hw.clone()).compile(&graph, &opts).unwrap();
+    let a = CompileSession::new(hw.clone(), &graph, opts.clone())
+        .and_then(CompileSession::run)
+        .unwrap();
+    let b = CompileSession::new(hw.clone(), &graph, opts.clone())
+        .and_then(CompileSession::run)
+        .unwrap();
     assert_eq!(a.mapping, b.mapping);
     let sim = Simulator::new(hw);
     assert_eq!(
@@ -160,7 +170,9 @@ fn simulated_mvm_work_is_independent_of_mapping() {
     let hw = HardwareConfig::small_test();
     let graph = models::tiny_cnn();
     let opts = CompileOptions::new(PipelineMode::LowLatency).with_fast_ga(7);
-    let ours = PimCompiler::new(hw.clone()).compile(&graph, &opts).unwrap();
+    let ours = CompileSession::new(hw.clone(), &graph, opts.clone())
+        .and_then(CompileSession::run)
+        .unwrap();
     let base = PumaCompiler::new(hw.clone())
         .compile(&graph, &opts)
         .unwrap();
@@ -185,7 +197,9 @@ fn memory_policies_are_monotone_end_to_end() {
     let graph = models::tiny_cnn();
     for mode in modes() {
         let opts = CompileOptions::new(mode).with_fast_ga(5);
-        let compiled = PimCompiler::new(hw.clone()).compile(&graph, &opts).unwrap();
+        let compiled = CompileSession::new(hw.clone(), &graph, opts.clone())
+            .and_then(CompileSession::run)
+            .unwrap();
         let naive = compiled.replan_memory(ReusePolicy::Naive);
         let add = compiled.replan_memory(ReusePolicy::AddReuse);
         let ag = compiled.replan_memory(ReusePolicy::AgReuse);
@@ -206,7 +220,9 @@ fn squeezenet_compiles_on_the_paper_target() {
         iterations: 4,
         ..pimcomp_core::GaParams::fast(1)
     });
-    let compiled = PimCompiler::new(hw.clone()).compile(&graph, &opts).unwrap();
+    let compiled = CompileSession::new(hw.clone(), &graph, opts.clone())
+        .and_then(CompileSession::run)
+        .unwrap();
     assert!(compiled.crossbars_used() <= hw.total_crossbars());
     let report = Simulator::new(hw).run(&compiled).unwrap();
     assert!(report.total_cycles > 0);

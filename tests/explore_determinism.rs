@@ -446,29 +446,36 @@ fn damaged_or_foreign_sidecars_and_missing_artifacts_fall_back() {
 
 #[test]
 fn failed_measurement_is_attempted_again_not_memoised() {
-    use pimcomp_core::{CompiledArtifact, Schedule};
+    use serde::Value;
     let dir = temp_dir("failed-measure");
     let _ = std::fs::remove_dir_all(&dir);
     let spec = SweepSpec::from_json(
         r#"{"models":["tiny_cnn"],"modes":["ll"],"hardware":{"base":"small_test"},
-            "seeds":[1],"ga":{"population":4,"iterations":3}}"#,
+            "seeds":[1],"ga":{"population":4,"iterations":3},"quantization":[0]}"#,
     )
     .unwrap();
     let engine = ExploreEngine::new().with_cache_dir(&dir);
     let json = engine.run(&spec).unwrap().report.to_json().unwrap();
 
-    // Starve the cached schedule's first layer (as `simulator_edges`
-    // does), so the simulation of the artifact deadlocks.
+    // A loaded artifact derives its schedule again, so no edit makes the
+    // simulation of one fail; the executor checks every recorded shape,
+    // though, and the compiler takes them as given. Record a width one
+    // short for the first ReLU: the artifact still loads and simulates,
+    // and its verification fails.
     let artifact = cache_files(&dir, ARTIFACTS).pop().unwrap();
     let intact = std::fs::read_to_string(&artifact).unwrap();
-    let mut model = CompiledArtifact::load(&artifact)
-        .unwrap()
-        .into_model_unchecked();
-    let Schedule::LowLatency(ll) = &mut model.schedule else {
-        panic!("compiled in LL mode");
+    let mut value = serde_json::parse_value(&intact).unwrap();
+    fn field<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+        let Value::Map(fields) = v else {
+            panic!("expected a JSON object")
+        };
+        &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1
+    }
+    let Value::Seq(nodes) = field(field(&mut value, "graph"), "nodes") else {
+        panic!("graph nodes are an array")
     };
-    ll.units[0].replicas[0].windows = 0;
-    CompiledArtifact::new(model).save(&artifact).unwrap();
+    *field(&mut nodes[2], "output_shape") = Value::Seq([16, 32, 31].map(Value::Int).to_vec());
+    std::fs::write(&artifact, serde_json::to_string(&value).unwrap()).unwrap();
     std::fs::remove_file(&cache_files(&dir, SIDECARS)[0]).unwrap();
 
     for attempt in ["first", "second"] {
@@ -479,7 +486,7 @@ fn failed_measurement_is_attempted_again_not_memoised() {
             "{attempt}"
         );
         let error = failed.report.points[0].error.as_deref().unwrap();
-        assert!(error.starts_with("simulate: "), "{attempt}: {error}");
+        assert!(error.starts_with("verify: "), "{attempt}: {error}");
         assert!(cache_files(&dir, SIDECARS).is_empty(), "{attempt}");
     }
 

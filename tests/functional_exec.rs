@@ -14,9 +14,13 @@
 //! release test job (`cargo test --release -- --include-ignored`).
 
 use pimcomp_arch::{HardwareConfig, PipelineMode};
-use pimcomp_core::{CompileOptions, CompileSession, CompiledModel, GaParams, Partitioning};
+use pimcomp_core::{
+    ArtifactError, CompileOptions, CompileSession, CompiledArtifact, CompiledModel, GaParams,
+    Partitioning,
+};
 use pimcomp_exec::{mapped_outputs, reference_outputs, rmse, verify_model, ExecError, Tensor};
 use pimcomp_ir::Graph;
+use serde::Value;
 
 /// Summation-order tolerance: the mapped layout reassociates f32 sums.
 const TOL: f64 = 1e-4;
@@ -265,83 +269,81 @@ fn quantized_verification_reports_finite_metrics() {
 }
 
 // ---------------------------------------------------------------------------
-// Hostile artifacts: tampered or truncated compiled models must fail
-// with structured errors, never panic.
+// Hostile artifacts: an artifact stores the AG placement and derives
+// everything else again, so a tampered or truncated one is refused where
+// it loads — with a structured error, never a panic — and the executor
+// never sees it.
 // ---------------------------------------------------------------------------
+
+/// The value of `key` in a JSON object.
+fn field<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
+    let Value::Map(fields) = value else {
+        panic!("expected a JSON object");
+    };
+    let found = fields.iter_mut().find(|(k, _)| k == key);
+    &mut found.unwrap_or_else(|| panic!("no field `{key}`")).1
+}
+
+/// `model`'s artifact JSON with `edit` applied to its AG instances,
+/// loaded again: the error it is refused with.
+fn refused(model: CompiledModel, edit: impl FnOnce(&mut Vec<Value>)) -> String {
+    let json = CompiledArtifact::new(model).to_json().unwrap();
+    let mut value = serde_json::parse_value(&json).unwrap();
+    let Value::Seq(instances) = field(&mut value, "instances") else {
+        panic!("instances are a JSON array");
+    };
+    edit(instances);
+    let tampered = serde_json::to_string(&value).unwrap();
+    match CompiledArtifact::from_json(&tampered) {
+        Err(ArtifactError::Invalid(detail)) => detail,
+        other => panic!("expected ArtifactError::Invalid, got {other:?}"),
+    }
+}
+
+fn tiny_mlp_ht() -> CompiledModel {
+    let graph = pimcomp_ir::models::tiny_mlp();
+    let hw = HardwareConfig::small_test();
+    compile(&graph, hw, PipelineMode::HighThroughput, 1, None, None)
+}
 
 #[test]
 fn truncated_mapping_instances_yield_structured_error() {
-    let graph = pimcomp_ir::models::tiny_mlp();
-    let mut model = compile(
-        &graph,
-        HardwareConfig::small_test(),
-        PipelineMode::HighThroughput,
-        1,
-        None,
-        None,
-    );
-    model.mapping.instances.pop();
-    match mapped_outputs(&model, 1, None) {
-        Err(ExecError::MappingIncomplete { .. }) => {}
-        other => panic!("expected MappingIncomplete, got {other:?}"),
-    }
+    let detail = refused(tiny_mlp_ht(), |instances| {
+        instances.pop();
+    });
+    assert!(detail.contains("no AG instance for node"), "{detail}");
 }
 
 #[test]
 fn out_of_range_core_yields_structured_error() {
-    let graph = pimcomp_ir::models::tiny_mlp();
-    let mut model = compile(
-        &graph,
-        HardwareConfig::small_test(),
-        PipelineMode::HighThroughput,
-        1,
-        None,
-        None,
-    );
-    model.mapping.instances[0].core = 1_000_000;
-    match mapped_outputs(&model, 1, None) {
-        Err(ExecError::CoreOutOfRange {
-            core: 1_000_000, ..
-        }) => {}
-        other => panic!("expected CoreOutOfRange, got {other:?}"),
-    }
+    let detail = refused(tiny_mlp_ht(), |instances| {
+        *field(&mut instances[0], "core") = Value::Int(1_000_000);
+    });
+    assert!(detail.contains("on core 1000000 of 16"), "{detail}");
 }
 
 #[test]
 fn duplicate_ag_instance_yields_structured_error() {
-    let graph = pimcomp_ir::models::tiny_mlp();
-    let mut model = compile(
-        &graph,
-        HardwareConfig::small_test(),
-        PipelineMode::HighThroughput,
-        1,
-        None,
-        None,
+    let detail = refused(tiny_mlp_ht(), |instances| {
+        instances.push(instances[0].clone());
+    });
+    assert!(
+        detail.contains("repeats node 0, replica 0, slice 0"),
+        "{detail}"
     );
-    let dup = model.mapping.instances[0];
-    model.mapping.instances.push(dup);
-    match mapped_outputs(&model, 1, None) {
-        Err(ExecError::MappingIncomplete { .. }) => {}
-        other => panic!("expected MappingIncomplete, got {other:?}"),
-    }
 }
 
+/// Owners are derived: each replica accumulates on its slice-0 core, so
+/// a replica whose slice 0 is gone has no owner and is refused.
 #[test]
 fn truncated_owner_table_yields_structured_error() {
-    let graph = pimcomp_ir::models::tiny_mlp();
-    let mut model = compile(
-        &graph,
-        HardwareConfig::small_test(),
-        PipelineMode::HighThroughput,
-        1,
-        None,
-        None,
+    let detail = refused(tiny_mlp_ht(), |instances| {
+        instances.remove(0);
+    });
+    assert!(
+        detail.contains("skips node 0, replica 0, slice 0"),
+        "{detail}"
     );
-    model.mapping.owners.pop();
-    match mapped_outputs(&model, 1, None) {
-        Err(ExecError::MappingIncomplete { .. }) => {}
-        other => panic!("expected MappingIncomplete, got {other:?}"),
-    }
 }
 
 #[test]
@@ -349,7 +351,8 @@ fn tampered_reload_budget_yields_structured_error() {
     let graph = pimcomp_ir::models::tiny_cnn();
     let hw = HardwareConfig::small_test();
     let budget = min_ag_budget(&graph, &hw);
-    let mut model = compile(
+    let two_cores = 2 * hw.crossbar_capacity_per_core();
+    let model = compile(
         &graph,
         hw,
         PipelineMode::HighThroughput,
@@ -357,14 +360,29 @@ fn tampered_reload_budget_yields_structured_error() {
         Some(Some(budget)),
         None,
     );
-    let reload = model.reload.as_mut().expect("reload plan present");
+    let reload = model.reload.as_ref().expect("reload plan present");
     assert!(reload.epoch_count() > 1, "precondition: multi-epoch plan");
-    // A different budget reconstructs a different epoch plan.
-    reload.budget = reload.budget.saturating_mul(4096);
-    match mapped_outputs(&model, 1, None) {
-        Err(ExecError::ReloadPlanMismatch { .. }) => {}
-        other => panic!("expected ReloadPlanMismatch, got {other:?}"),
-    }
+    let json = CompiledArtifact::new(model).to_json().unwrap();
+    let tampered = |budget: usize| {
+        let mut value = serde_json::parse_value(&json).unwrap();
+        *field(&mut value, "reload_budget") = Value::Int(budget as i128);
+        match CompiledArtifact::from_json(&serde_json::to_string(&value).unwrap()) {
+            Err(ArtifactError::Invalid(detail)) => detail,
+            other => panic!("budget {budget}: expected ArtifactError::Invalid, got {other:?}"),
+        }
+    };
+    // Two cores' worth packs the epochs over both; 4096 times the
+    // budget holds the model resident, but not on the one core the
+    // packer filled; none is no budget at all.
+    let detail = tampered(two_cores);
+    assert!(detail.contains("not the epoch packer's"), "{detail}");
+    let detail = tampered(budget * 4096);
+    assert!(detail.contains("core 0 holds"), "{detail}");
+    let detail = tampered(0);
+    assert!(
+        detail.contains("`reload_budget` must be at least 1"),
+        "{detail}"
+    );
 }
 
 #[test]

@@ -15,11 +15,11 @@ fn onnx_round_trip_compiles_identically() {
     let native = models::tiny_cnn();
     let imported = import_bytes(&export_graph(&native).encode()).unwrap();
 
-    let a = PimCompiler::new(hw.clone())
-        .compile(&native, &opts)
+    let a = CompileSession::new(hw.clone(), &native, opts.clone())
+        .and_then(CompileSession::run)
         .unwrap();
-    let b = PimCompiler::new(hw.clone())
-        .compile(&imported, &opts)
+    let b = CompileSession::new(hw.clone(), &imported, opts.clone())
+        .and_then(CompileSession::run)
         .unwrap();
 
     // Same partitioning structure...

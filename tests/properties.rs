@@ -307,7 +307,10 @@ proptest! {
             }
         }
         let mapping = CoreMapping::from_chromosome(&c, &p).unwrap();
-        mapping.validate(&p).unwrap();
+        for idx in 0..p.len() {
+            let r = seed_counts[idx % seed_counts.len()];
+            prop_assert_eq!(mapping.replication.count(idx), r);
+        }
         // Whole-replica preference: every owner hosts slice 0.
         for (mvm, owners) in mapping.owners.iter().enumerate() {
             for (replica, &owner) in owners.iter().enumerate() {

@@ -4,7 +4,7 @@
 
 use pimcomp::prelude::*;
 use pimcomp_arch::PipelineMode;
-use pimcomp_core::ReusePolicy;
+use pimcomp_core::{CoreMapping, PumaCompiler, ReusePolicy};
 use std::time::Duration;
 
 fn hw() -> HardwareConfig {
@@ -28,8 +28,8 @@ fn staged_session_matches_legacy_compile_for_the_same_seed() {
             .schedule()
             .unwrap()
             .finish();
-        let legacy = PimCompiler::new(hw())
-            .compile(&graph, &opts(mode, 77))
+        let legacy = CompileSession::new(hw(), &graph, opts(mode, 77))
+            .and_then(CompileSession::run)
             .unwrap();
 
         assert_eq!(staged.graph, legacy.graph, "{mode}");
@@ -81,19 +81,70 @@ fn artifact_disk_round_trip_preserves_simulation_bit_for_bit() {
     }
 }
 
+/// `from_json(to_json(model))` rebuilds `model` field for field, and
+/// serializing the rebuilt model writes the same bytes again.
+fn assert_round_trip(model: CompiledModel, what: &str) {
+    let json = CompiledArtifact::new(model.clone()).to_json().unwrap();
+    let back = CompiledArtifact::from_json(&json).unwrap();
+    assert_eq!(back.to_json().unwrap(), json, "{what}: bytes");
+    let back = back.into_model(&model.hw).unwrap();
+    assert_eq!(back.graph, model.graph, "{what}: graph");
+    assert_eq!(back.mode, model.mode, "{what}: mode");
+    assert_eq!(
+        back.partitioning, model.partitioning,
+        "{what}: partitioning"
+    );
+    assert_eq!(back.mapping, model.mapping, "{what}: mapping");
+    assert_eq!(back.dep, model.dep, "{what}: dep");
+    assert_eq!(back.schedule, model.schedule, "{what}: schedule");
+    assert_eq!(back.memory, model.memory, "{what}: memory");
+    assert_eq!(back.reload, model.reload, "{what}: reload");
+    assert_eq!(
+        back.report.compiler, model.report.compiler,
+        "{what}: compiler"
+    );
+    assert_eq!(back.report.ga, model.report.ga, "{what}: GA trace");
+    assert_eq!(
+        back.report.estimated_fitness.to_bits(),
+        model.report.estimated_fitness.to_bits(),
+        "{what}: estimated fitness"
+    );
+}
+
 #[test]
 fn artifact_json_round_trip_is_lossless_twice() {
-    // Serialize -> deserialize -> serialize must be a fixed point.
-    let graph = pimcomp::ir::models::two_branch();
-    let compiled = CompileSession::new(hw(), &graph, opts(PipelineMode::LowLatency, 13))
-        .unwrap()
-        .run()
-        .unwrap();
-    let a = CompiledArtifact::new(compiled);
-    let json1 = a.to_json().unwrap();
-    let b = CompiledArtifact::from_json(&json1).unwrap();
-    let json2 = b.to_json().unwrap();
-    assert_eq!(json1, json2);
+    // An artifact stores the decisions and rebuilds the rest: for every
+    // way a model is made, the rebuilt model is the compiled one.
+    let compile = |graph: &Graph, hw: HardwareConfig, opts: CompileOptions| {
+        CompileSession::new(hw, graph, opts)
+            .and_then(CompileSession::run)
+            .unwrap()
+    };
+    let (tiny_cnn, two_branch) = (
+        pimcomp::ir::models::tiny_cnn(),
+        pimcomp::ir::models::two_branch(),
+    );
+    for mode in [PipelineMode::HighThroughput, PipelineMode::LowLatency] {
+        assert_round_trip(
+            compile(&two_branch, hw(), opts(mode, 13)),
+            &format!("{mode}"),
+        );
+        let puma = PumaCompiler::new(hw()).compile(&tiny_cnn, &opts(mode, 13));
+        assert_round_trip(puma.unwrap(), &format!("PUMA-like {mode}"));
+    }
+    let ht = opts(PipelineMode::HighThroughput, 13);
+    let resident = compile(&tiny_cnn, hw(), ht.clone().with_weight_reload(None));
+    assert!(resident.reload.as_ref().unwrap().is_single_epoch());
+    assert_round_trip(resident, "weight_reload, resident");
+    let epochs = compile(&tiny_cnn, hw(), ht.clone().with_weight_reload(Some(32)));
+    assert!(epochs.reload.as_ref().unwrap().epoch_count() > 1);
+    assert_round_trip(epochs, "weight_reload, multi-epoch");
+    let bert = pimcomp::ir::models::tiny_bert();
+    let chip = HardwareConfig::puma_with_chips(1);
+    assert_round_trip(
+        compile(&bert, chip, ht.with_seq_len(64)),
+        "tiny_bert, 64 tokens",
+    );
 }
 
 #[test]
@@ -147,14 +198,6 @@ fn invalid_options_are_rejected_at_session_creation() {
             "{label}: {err}"
         );
     }
-
-    // The legacy wrapper rejects them too (it routes through the session).
-    let mut bad = opts(PipelineMode::HighThroughput, 1);
-    bad.ga.population = 0;
-    assert!(matches!(
-        PimCompiler::new(hw()).compile(&graph, &bad),
-        Err(CompileError::InvalidOptions { .. })
-    ));
 }
 
 #[test]
@@ -233,15 +276,15 @@ fn session_reentry_swaps_policy_and_ga_without_recompiling_upstream() {
     let partitioning_before = optimized.partitioned().partitioning().clone();
     let re = optimized.reoptimize(GaParams::fast(22)).unwrap();
     assert_eq!(re.partitioned().partitioning(), &partitioning_before);
-    re.mapping()
-        .validate(re.partitioned().partitioning())
-        .unwrap();
+    let instances = re.mapping().instances.clone();
+    let rebuilt = CoreMapping::from_instances(instances, &partitioning_before, hw().total_cores());
+    assert_eq!(rebuilt.as_ref(), Ok(re.mapping()));
 
     // Re-entering with the same seed reproduces the same mapping as a
     // fresh end-to-end compilation with that seed.
     let re_same = re.reoptimize(GaParams::fast(21)).unwrap();
-    let fresh = PimCompiler::new(hw())
-        .compile(&graph, &opts(PipelineMode::HighThroughput, 21))
+    let fresh = CompileSession::new(hw(), &graph, opts(PipelineMode::HighThroughput, 21))
+        .and_then(CompileSession::run)
         .unwrap();
     assert_eq!(re_same.mapping(), &fresh.mapping);
 }

@@ -3,17 +3,19 @@
 
 use pimcomp::prelude::*;
 use pimcomp_arch::{CoreConnection, PipelineMode};
-use pimcomp_core::{CompileOptions, HtSchedule, LlSchedule, LlUnit, LlUnitKind, Schedule};
+use pimcomp_core::{CompileOptions, HtSchedule, Schedule};
 use pimcomp_ir::models;
 use pimcomp_sim::SimError;
+use serde::Value;
 
 fn compile_tiny_cnn(hw: &HardwareConfig, mode: PipelineMode) -> CompiledModel {
-    PimCompiler::new(hw.clone())
-        .compile(
-            &models::tiny_cnn(),
-            &CompileOptions::new(mode).with_fast_ga(5),
-        )
-        .expect("compiles")
+    CompileSession::new(
+        hw.clone(),
+        &models::tiny_cnn(),
+        CompileOptions::new(mode).with_fast_ga(5),
+    )
+    .and_then(CompileSession::run)
+    .expect("compiles")
 }
 
 fn compile_and_run(hw: HardwareConfig, mode: PipelineMode) -> SimReport {
@@ -57,7 +59,9 @@ fn batch_choice_preserves_total_work() {
         let opts = CompileOptions::new(PipelineMode::HighThroughput)
             .with_fast_ga(9)
             .with_batch(batch);
-        let compiled = PimCompiler::new(hw.clone()).compile(&graph, &opts).unwrap();
+        let compiled = CompileSession::new(hw.clone(), &graph, opts.clone())
+            .and_then(CompileSession::run)
+            .unwrap();
         let r = Simulator::new(hw.clone()).run(&compiled).unwrap();
         mvm_ops.push(r.mvm_ops);
     }
@@ -92,9 +96,13 @@ fn single_node_model_on_single_core_island() {
     let graph = models::tiny_mlp();
     let hw = HardwareConfig::small_test();
     for mode in [PipelineMode::HighThroughput, PipelineMode::LowLatency] {
-        let compiled = PimCompiler::new(hw.clone())
-            .compile(&graph, &CompileOptions::new(mode).with_fast_ga(1))
-            .unwrap();
+        let compiled = CompileSession::new(
+            hw.clone(),
+            &graph,
+            CompileOptions::new(mode).with_fast_ga(1),
+        )
+        .and_then(CompileSession::run)
+        .unwrap();
         let r = Simulator::new(hw.clone()).run(&compiled).unwrap();
         assert!(r.active_cores >= 1);
         assert!(r.active_cores <= hw.total_cores());
@@ -107,12 +115,13 @@ fn deep_chain_streams_in_ll_mode() {
     // sooner than running the layers back to back.
     let graph = models::linear_chain(12);
     let hw = HardwareConfig::small_test();
-    let compiled = PimCompiler::new(hw.clone())
-        .compile(
-            &graph,
-            &CompileOptions::new(PipelineMode::LowLatency).with_fast_ga(3),
-        )
-        .unwrap();
+    let compiled = CompileSession::new(
+        hw.clone(),
+        &graph,
+        CompileOptions::new(PipelineMode::LowLatency).with_fast_ga(3),
+    )
+    .and_then(CompileSession::run)
+    .unwrap();
     let r = Simulator::new(hw.clone()).run(&compiled).unwrap();
     // Upper bound: fully serial layer-by-layer execution at one window
     // per T_MVM per layer.
@@ -160,136 +169,111 @@ fn ht_schedule_mut(compiled: &mut CompiledModel) -> &mut HtSchedule {
     }
 }
 
-fn ll_schedule_mut(compiled: &mut CompiledModel) -> &mut LlSchedule {
-    match &mut compiled.schedule {
-        Schedule::LowLatency(ll) => ll,
-        Schedule::HighThroughput(_) => panic!("compiled in LL mode"),
-    }
+/// The value of `key` in a JSON object.
+fn field<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
+    let Value::Map(fields) = value else {
+        panic!("expected a JSON object");
+    };
+    let found = fields.iter_mut().find(|(k, _)| k == key);
+    &mut found.unwrap_or_else(|| panic!("no field `{key}`")).1
 }
 
-/// The first MVM unit of an LL schedule (tiny_cnn's first conv).
-fn first_mvm_unit(compiled: &mut CompiledModel) -> &mut LlUnit {
-    let units = &mut ll_schedule_mut(compiled).units;
-    let mvm = units.iter_mut().find(|u| u.ags_per_replica > 0);
-    mvm.expect("tiny_cnn has a conv")
+/// Element `index` of a JSON array.
+fn item(value: &mut Value, index: usize) -> &mut Value {
+    let Value::Seq(items) = value else {
+        panic!("expected a JSON array");
+    };
+    &mut items[index]
+}
+
+/// Field `key` of the artifact's first AG instance.
+fn first_instance<'a>(artifact: &'a mut Value, key: &str) -> &'a mut Value {
+    field(item(field(artifact, "instances"), 0), key)
 }
 
 #[test]
 fn hostile_schedules_are_rejected_not_indexed() {
-    // Artifacts deserialize unvalidated, so every index an engine
-    // follows can be out of range; each must come back as a structured
-    // error, never a panic. One table for the three engines: the
-    // compile each tamper applies to is its second column.
+    // An artifact stores decisions and derives its schedule again on
+    // load, so no hostile schedule reaches an engine: each edit of the
+    // artifact JSON below must fail `from_json` with a structured
+    // `ArtifactError::Invalid`, never a panic. The compile each edit
+    // applies to is its second column.
     #[derive(Clone, Copy, PartialEq, Debug)]
-    enum Engine {
+    enum Compile {
         Ht,
         Ll,
-        /// The analytic path: HT, `weight_reload` over a budget that
-        /// forces several epochs.
+        /// HT, `weight_reload` over a budget that forces several epochs.
         Reload,
     }
-    use Engine::{Ht, Ll, Reload};
-    type Tamper = fn(&mut CompiledModel);
-    let tampers: [(&str, Engine, Tamper); 15] = [
-        ("truncated per_core", Ht, |m| {
-            ht_schedule_mut(m).per_core.pop();
+    use Compile::{Ht, Ll, Reload};
+    type Tamper = fn(&mut Value);
+    let tampers: [(&str, Compile, Tamper); 11] = [
+        ("a foreign node", Ht, |v| {
+            *first_instance(v, "mvm") = Value::Int(99);
         }),
-        ("truncated spill table", Ht, |m| {
-            m.memory.spill_bytes_per_round.pop();
+        ("a foreign replica", Ht, |v| {
+            *first_instance(v, "replica") = Value::Int(99);
         }),
-        ("out-of-range AG instance", Ht, |m| {
-            let instances = m.mapping.instances.len();
-            ht_schedule_mut(m).programs[0].ag_instances[0] = instances;
+        ("a foreign slice", Ht, |v| {
+            *first_instance(v, "slice") = Value::Int(99);
         }),
-        ("send to a core past the last", Ht, |m| {
-            let cores = m.hw.total_cores();
-            let p = ht_schedule_mut(m)
-                .programs
-                .iter_mut()
-                .find(|p| !p.sends_per_round.is_empty())
-                .expect("tiny_cnn splits a node across cores");
-            p.sends_per_round[0].to_core = cores;
+        ("a core past the last", Ll, |v| {
+            *first_instance(v, "core") = Value::Int(16);
         }),
-        ("program id past the last", Ht, |m| {
-            let ht = ht_schedule_mut(m);
-            let foreign = ht.programs.len();
-            ht.per_core[0].push(foreign);
+        ("a missing slice", Ll, |v| {
+            let Value::Seq(instances) = field(v, "instances") else {
+                panic!("instances are an array");
+            };
+            instances.pop();
         }),
-        ("another core's program id", Ht, |m| {
-            let ht = ht_schedule_mut(m);
-            let foreign = ht.programs.iter().position(|p| p.core != 0).unwrap();
-            ht.per_core[0].push(foreign);
+        ("a dangling graph predecessor", Ht, |v| {
+            let node = item(field(field(v, "graph"), "nodes"), 1);
+            *field(node, "inputs") = Value::Seq(vec![Value::Int(999)]);
         }),
-        ("node outside the partitioning", Ht, |m| {
-            let nodes = m.partitioning.entries().len();
-            ht_schedule_mut(m).programs[0].mvm = nodes;
+        ("invalid hardware", Ht, |v| {
+            *field(field(v, "hw"), "parallelism") = Value::Int(0);
         }),
-        ("owner past the last core", Ll, |m| {
-            let cores = m.hw.total_cores();
-            first_mvm_unit(m).replicas[0].owner = cores;
+        ("batch 0", Ht, |v| *field(v, "batch") = Value::Int(0)),
+        ("LL with batch 2", Ll, |v| {
+            *field(v, "batch") = Value::Int(2)
         }),
-        ("AGs on a core past the last", Ll, |m| {
-            let cores = m.hw.total_cores();
-            first_mvm_unit(m).replicas[0].ags_per_core[0].0 = cores;
+        ("reload budget 0", Reload, |v| {
+            *field(v, "reload_budget") = Value::Int(0);
         }),
-        ("a core issuing zero AGs", Ll, |m| {
-            first_mvm_unit(m).replicas[0].ags_per_core[0].1 = 0;
+        ("instances the epoch packer did not place", Reload, |v| {
+            let core = first_instance(v, "core");
+            let moved = if *core == Value::Int(0) { 1 } else { 0 };
+            *core = Value::Int(moved);
         }),
-        ("provider node past the last", Ll, |m| {
-            let foreign = pimcomp_ir::NodeId(m.graph.node_count());
-            let units = &mut ll_schedule_mut(m).units;
-            let consumer = units.iter_mut().find(|u| !u.providers.is_empty());
-            consumer.expect("tiny_cnn chains layers").providers[0].node = foreign;
-        }),
-        ("unit id past the last", Ll, |m| {
-            let ll = ll_schedule_mut(m);
-            let (node, foreign) = (ll.units[0].node.index(), ll.units.len());
-            ll.units_of_node.get_mut(&node).unwrap().push(foreign);
-        }),
-        ("MVM index outside the partitioning", Ll, |m| {
-            let nodes = m.partitioning.entries().len();
-            first_mvm_unit(m).kind = LlUnitKind::Mvm { mvm: nodes };
-        }),
-        (
-            "a replica with more windows than the unit has left",
-            Ll,
-            |m| {
-                first_mvm_unit(m).replicas[0].windows += 1;
-            },
-        ),
-        (
-            "AG instance of a node outside the partitioning",
-            Reload,
-            |m| {
-                let nodes = m.partitioning.entries().len();
-                m.mapping.instances[0].mvm = nodes;
-            },
-        ),
     ];
     let hw = HardwareConfig::small_test();
-    let compile = |engine| {
-        let opts = match engine {
+    let compile = |kind| {
+        let opts = match kind {
             Ht => CompileOptions::new(PipelineMode::HighThroughput),
             Ll => CompileOptions::new(PipelineMode::LowLatency),
             Reload => {
                 CompileOptions::new(PipelineMode::HighThroughput).with_weight_reload(Some(32))
             }
         };
-        PimCompiler::new(hw.clone())
-            .compile(&models::tiny_cnn(), &opts.with_fast_ga(5))
-            .expect("compiles")
+        let session = CompileSession::new(hw.clone(), &models::tiny_cnn(), opts.with_fast_ga(5));
+        let compiled = session.and_then(CompileSession::run).expect("compiles");
+        CompiledArtifact::new(compiled).to_json().unwrap()
     };
-    let compiled = [compile(Ht), compile(Ll), compile(Reload)];
-    let reload = compiled[Reload as usize].reload.as_ref();
-    let multi_epoch = reload.is_some_and(|p| !p.is_single_epoch());
+    let artifacts = [compile(Ht), compile(Ll), compile(Reload)];
+    let reload = CompiledArtifact::from_json(&artifacts[Reload as usize]).unwrap();
+    let multi_epoch = reload
+        .model()
+        .reload
+        .as_ref()
+        .is_some_and(|p| !p.is_single_epoch());
     assert!(multi_epoch, "budget 32 must split tiny_cnn into epochs");
-    for (what, engine, tamper) in tampers {
-        let mut hostile = compiled[engine as usize].clone();
-        tamper(&mut hostile);
-        let result = Simulator::new(hw.clone()).run(&hostile);
+    for (what, kind, tamper) in tampers {
+        let mut value = serde_json::parse_value(&artifacts[kind as usize]).unwrap();
+        tamper(&mut value);
+        let result = CompiledArtifact::from_json(&serde_json::to_string(&value).unwrap());
         assert!(
-            matches!(result, Err(SimError::InvalidSchedule { .. })),
-            "{engine:?}, {what}: {result:?}"
+            matches!(result, Err(ArtifactError::Invalid(_))),
+            "{kind:?}, {what}: {result:?}"
         );
     }
 }
