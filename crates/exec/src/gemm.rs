@@ -7,6 +7,15 @@
 //! its products in ascending `k` — and runs `MR × NR` of them side by
 //! side. Per cell the arithmetic is therefore literally that of a
 //! scalar ascending-index dot product, bit for bit, for any tile shape.
+//!
+//! The body is compiled twice: once for the crate's baseline target
+//! (SSE2 on x86-64, four lanes per instruction) and once inside
+//! `gemm_avx2`, a `#[target_feature(enable = "avx2")]` copy that
+//! [`gemm`] calls when the running CPU has AVX2 (eight lanes: a whole
+//! `NR`-wide step in one register). Only the lane count differs. Every
+//! lane is still one cell's chain of a separately rounded multiply and
+//! add — AVX2 without FMA, no `mul_add`, no intrinsics — so the outputs
+//! are bit-identical across CPUs as well as across tile shapes.
 
 use crate::engine::WeightMatrix;
 use std::ops::Range;
@@ -38,7 +47,44 @@ pub fn pack_rows(rows: &[f32], windows: usize, height: usize) -> Vec<f32> {
 /// column (only the rows of `cols` are touched). Each cell's sum starts
 /// at `0.0` and ascends through `k`; `accumulate` adds that sum to
 /// `out` instead of storing it.
+#[allow(unsafe_code)]
 pub(crate) fn gemm(
+    weights: &WeightMatrix,
+    cols: Range<usize>,
+    panels: &[f32],
+    windows: usize,
+    k: Range<usize>,
+    out: &mut [f32],
+    accumulate: bool,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: the running CPU supports AVX2, checked on the line above.
+        return unsafe { gemm_avx2(weights, cols, panels, windows, k, out, accumulate) };
+    }
+    gemm_body(weights, cols, panels, windows, k, out, accumulate)
+}
+
+/// [`gemm_body`] compiled with AVX2 enabled: call it only on a CPU that
+/// has AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_avx2(
+    weights: &WeightMatrix,
+    cols: Range<usize>,
+    panels: &[f32],
+    windows: usize,
+    k: Range<usize>,
+    out: &mut [f32],
+    accumulate: bool,
+) {
+    gemm_body(weights, cols, panels, windows, k, out, accumulate)
+}
+
+/// The kernel itself, inlined into each of its callers so that it is
+/// compiled at each caller's target features.
+#[inline(always)]
+fn gemm_body(
     weights: &WeightMatrix,
     cols: Range<usize>,
     panels: &[f32],
@@ -109,6 +155,12 @@ mod tests {
             .collect()
     }
 
+    type Kernel = fn(&WeightMatrix, Range<usize>, &[f32], usize, Range<usize>, &mut [f32], bool);
+
+    /// The baseline-target body and whatever `gemm` dispatches to on
+    /// this CPU (the AVX2 copy, on an AVX2 host).
+    const PATHS: [(&str, Kernel); 2] = [("portable", gemm_body), ("dispatched", gemm)];
+
     #[test]
     fn every_cell_is_the_scalar_dot_bit_for_bit() {
         let mut state = 7u64;
@@ -130,27 +182,30 @@ mod tests {
                 (0..width.min(3), 0..height.min(128)),
             ] {
                 let seed = values(width * windows, &mut state);
-                for accumulate in [false, true] {
-                    let mut out = seed.clone();
-                    let (c2, k2) = (cols.clone(), k.clone());
-                    gemm(&weights, c2, &panels, windows, k2, &mut out, accumulate);
-                    for c in 0..width {
-                        for w in 0..windows {
-                            let cell = c * windows + w;
-                            let p = dot(
-                                &rows[w * height..][k.clone()],
-                                &weights.cols[c * height..][k.clone()],
-                            );
-                            let want = match (cols.contains(&c), accumulate) {
-                                (false, _) => seed[cell],
-                                (true, false) => p,
-                                (true, true) => seed[cell] + p,
-                            };
-                            assert_eq!(
-                                out[cell].to_bits(),
-                                want.to_bits(),
-                                "{windows}x{height}x{width} cols {cols:?} k {k:?} cell ({c},{w})"
-                            );
+                for (path, kernel) in PATHS {
+                    for accumulate in [false, true] {
+                        let mut out = seed.clone();
+                        let (c2, k2) = (cols.clone(), k.clone());
+                        kernel(&weights, c2, &panels, windows, k2, &mut out, accumulate);
+                        for c in 0..width {
+                            for w in 0..windows {
+                                let cell = c * windows + w;
+                                let p = dot(
+                                    &rows[w * height..][k.clone()],
+                                    &weights.cols[c * height..][k.clone()],
+                                );
+                                let want = match (cols.contains(&c), accumulate) {
+                                    (false, _) => seed[cell],
+                                    (true, false) => p,
+                                    (true, true) => seed[cell] + p,
+                                };
+                                assert_eq!(
+                                    out[cell].to_bits(),
+                                    want.to_bits(),
+                                    "{path}: {windows}x{height}x{width} cols {cols:?} k {k:?} \
+                                     cell ({c},{w})"
+                                );
+                            }
                         }
                     }
                 }

@@ -22,6 +22,14 @@
 //! ([`pimcomp_ir::synth`]), so a `(graph, seed)` pair fully determines
 //! every tensor — goldens are reproducible bytes.
 //!
+//! The same bytes on every CPU: the kernel and the quantized path's two
+//! per-element passes are compiled for the baseline target and again
+//! with AVX2 enabled, and pick the AVX2 copy at run time when the CPU
+//! has it. Only the number of output cells per instruction changes;
+//! every cell's chain of separately rounded operations is the same (see
+//! the `gemm` module). Those three dispatch calls are the crate's only
+//! `unsafe` code, each under its feature check.
+//!
 //! With a [`QuantConfig`] the mapped executor also models the analog
 //! datapath (weight bit-slicing, ADC clipping); [`verify_model`] then
 //! reports `output_rmse` / `top1_match`, which the DSE sweep exposes
@@ -32,7 +40,8 @@
 //! refused when they load
 //! ([`CompiledArtifact::from_json`](pimcomp_core::CompiledArtifact::from_json)).
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod engine;
 mod error;
@@ -181,11 +190,13 @@ pub fn rmse(a: &[f32], b: &[f32]) -> f64 {
 }
 
 /// Index of the first strict maximum (ties resolve to the lowest
-/// index); `None` for an empty slice.
+/// index). NaN elements are skipped, so a NaN can neither be the
+/// maximum nor displace it; `None` when no element is a number.
 pub fn top1(v: &[f32]) -> Option<usize> {
     let mut best: Option<(usize, f32)> = None;
     for (i, &x) in v.iter().enumerate() {
         match best {
+            _ if x.is_nan() => {}
             Some((_, bx)) if x <= bx => {}
             _ => best = Some((i, x)),
         }
@@ -211,5 +222,8 @@ mod tests {
         assert_eq!(top1(&[1.0]), Some(0));
         assert_eq!(top1(&[1.0, 3.0, 3.0, 2.0]), Some(1));
         assert_eq!(top1(&[-5.0, -2.0, -3.0]), Some(1));
+        assert_eq!(top1(&[1.0, f32::NAN, 0.5]), Some(0));
+        assert_eq!(top1(&[f32::NAN, -1.0, f32::NAN]), Some(1));
+        assert_eq!(top1(&[f32::NAN]), None);
     }
 }

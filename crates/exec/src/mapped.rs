@@ -26,7 +26,7 @@
 //! per-partial error — and with it the single-layer output RMSE — is
 //! monotone non-increasing in ADC resolution.
 
-use crate::engine::{MvmBackend, MvmJob, WeightMatrix};
+use crate::engine::{MvmBackend, MvmJob};
 use crate::error::ExecError;
 use pimcomp_arch::QuantConfig;
 use pimcomp_core::{slice_rows, CompiledModel};
@@ -107,7 +107,7 @@ impl MvmBackend for MappedBackend<'_> {
         let indices = self.node_entries(job)?;
         let mut out = vec![0.0f32; job.width * job.windows];
         if let Some(q) = &self.quant {
-            quantize_weights(&mut job.weights, q);
+            quantize_weights(&mut job.weights.cols, q.weight_qmax() as f32);
         }
         match self.quant.filter(|q| !q.is_ideal_adc()) {
             // Unquantized, or an ideal converter: weight quantization
@@ -116,40 +116,89 @@ impl MvmBackend for MappedBackend<'_> {
             None => self.replay(job, &indices, &mut out, false),
             Some(q) => {
                 // Every per-crossbar partial is computed once and
-                // stored. The ADC full scale is the largest unclipped
-                // partial magnitude of this node — a function of the
-                // quantized weights and the input only, NOT of
-                // adc_bits, so grids of different resolutions nest.
+                // stored, then converted and summed.
                 let slices = job.height.div_ceil(self.model.hw.crossbar_rows);
                 let mut partials = vec![0.0f32; slices * out.len()];
                 self.replay(job, &indices, &mut partials, true);
-                let full_scale = partials.iter().fold(0.0f32, |m, p| m.max(p.abs()));
-                let half = q.adc_half_levels();
-                for tile in partials.chunks_exact(out.len().max(1)) {
-                    for (o, &p) in out.iter_mut().zip(tile) {
-                        *o += adc_quantize(p, full_scale, half);
-                    }
-                }
+                adc_accumulate(&partials, &mut out, q.adc_half_levels());
             }
         }
         Ok(out)
     }
 }
 
-/// Rounds weights in place to `weight_bits`-bit signed integers under
-/// a symmetric per-matrix scale, leaving the dequantized values. The
-/// physical bit-slice storage (base-`2^cell_bits` cells) reconstructs
-/// these values exactly, so computing with the dequantized matrix is
-/// the cell-accurate result — see [`slice_cells`].
-fn quantize_weights(w: &mut WeightMatrix, q: &QuantConfig) {
-    let qmax = q.weight_qmax() as f32;
-    let max_abs = w.cols.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+// The two per-element passes of the quantized path take the kernel's
+// shape (see `gemm`): a portable `#[inline(always)]` body, an AVX2 copy
+// of it, and a dispatcher. Under AVX2, `f32::round` is inline vector
+// code instead of a `roundf` call per element, with the same
+// round-half-away-from-zero result.
+
+/// Rounds the column-major weights `cols` in place to signed integers
+/// in `[-qmax, qmax]` under a symmetric per-matrix scale, leaving the
+/// dequantized values. The physical bit-slice storage
+/// (base-`2^cell_bits` cells) reconstructs these values exactly, so
+/// computing with the dequantized matrix is the cell-accurate result —
+/// see [`slice_cells`].
+#[allow(unsafe_code)]
+fn quantize_weights(cols: &mut [f32], qmax: f32) {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: the running CPU supports AVX2, checked on the line above.
+        return unsafe { quantize_weights_avx2(cols, qmax) };
+    }
+    quantize_weights_body(cols, qmax)
+}
+
+/// [`quantize_weights_body`] compiled with AVX2 enabled: call it only on
+/// a CPU that has AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn quantize_weights_avx2(cols: &mut [f32], qmax: f32) {
+    quantize_weights_body(cols, qmax)
+}
+
+#[inline(always)]
+fn quantize_weights_body(cols: &mut [f32], qmax: f32) {
+    let max_abs = cols.iter().fold(0.0f32, |m, v| m.max(v.abs()));
     if max_abs == 0.0 {
         return;
     }
     let scale = max_abs / qmax;
-    for v in &mut w.cols {
+    for v in cols {
         *v = (*v / scale).round().clamp(-qmax, qmax) * scale;
+    }
+}
+
+/// Passes the stored per-crossbar partials, `[slice][out.len()]`,
+/// through the ADC and adds them into `out` in ascending slice order.
+/// The full scale is the largest partial magnitude of the node — a
+/// function of the quantized weights and the input only, NOT of
+/// `adc_bits`, so grids of different resolutions nest.
+#[allow(unsafe_code)]
+fn adc_accumulate(partials: &[f32], out: &mut [f32], half_levels: i64) {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: the running CPU supports AVX2, checked on the line above.
+        return unsafe { adc_accumulate_avx2(partials, out, half_levels) };
+    }
+    adc_accumulate_body(partials, out, half_levels)
+}
+
+/// [`adc_accumulate_body`] compiled with AVX2 enabled: call it only on a
+/// CPU that has AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn adc_accumulate_avx2(partials: &[f32], out: &mut [f32], half_levels: i64) {
+    adc_accumulate_body(partials, out, half_levels)
+}
+
+#[inline(always)]
+fn adc_accumulate_body(partials: &[f32], out: &mut [f32], half_levels: i64) {
+    let full_scale = partials.iter().fold(0.0f32, |m, p| m.max(p.abs()));
+    for tile in partials.chunks_exact(out.len().max(1)) {
+        for (o, &p) in out.iter_mut().zip(tile) {
+            *o += adc_quantize(p, full_scale, half_levels);
+        }
     }
 }
 
@@ -158,6 +207,7 @@ fn quantize_weights(w: &mut WeightMatrix, q: &QuantConfig) {
 /// of increasing resolution over one full scale are nested (every
 /// coarse level is a fine level and the clip range only widens), so
 /// `|x - adc(x)|` is non-increasing in `adc_bits`.
+#[inline(always)]
 fn adc_quantize(x: f32, full_scale: f32, half_levels: i64) -> f32 {
     if full_scale <= 0.0 {
         return 0.0;
@@ -239,5 +289,69 @@ mod tests {
         );
         assert_eq!(adc_quantize(-10.0, fs, half), -1.0);
         assert_eq!(adc_quantize(0.0, fs, half), 0.0);
+    }
+
+    #[test]
+    fn dispatched_passes_match_the_portable_bits() {
+        // The `_body` fns called here are the baseline-target passes;
+        // the dispatchers run the AVX2 copies on an AVX2 host. Inputs
+        // are cycled to odd lengths so that vector loops and their
+        // scalar tails both see every value.
+        let cycle = |pattern: &[f32], n: usize| -> Vec<f32> {
+            pattern.iter().copied().cycle().take(n).collect()
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        // A max |w| of qmax makes the scale 1, so `k + 0.5` are exact
+        // ties, which round away from zero.
+        let ties: Vec<f32> = (-6..6).map(|k| k as f32 + 0.5).collect();
+        let signed = [&ties[..], &[127.0, -127.0, 0.0, -0.0, 3.0, -126.5]].concat();
+        for (cols, qmax) in [
+            (cycle(&signed, 131), 127.0),
+            (cycle(&[0.3, -0.7, 1.1, -2.9, 0.05, -0.0], 45), 7.0),
+            (cycle(&[0.0, -0.0], 37), 127.0), // an all-zero matrix stays as it is
+        ] {
+            let mut portable = cols.clone();
+            quantize_weights_body(&mut portable, qmax);
+            let mut dispatched = cols.clone();
+            quantize_weights(&mut dispatched, qmax);
+            assert_eq!(bits(&portable), bits(&dispatched), "weights {cols:?}");
+        }
+        let mut rounded = signed.clone();
+        quantize_weights(&mut rounded, 127.0);
+        assert_eq!(rounded[..4], [-6.0, -5.0, -4.0, -3.0]);
+        assert_eq!(rounded[8..12], [3.0, 4.0, 5.0, 6.0]);
+        assert_eq!(rounded[15].to_bits(), (-0.0f32).to_bits());
+
+        // Full scale 4 over 128 half levels is a step of 1/32, so odd
+        // multiples of 1/64 are ties; +4 lies beyond the top level
+        // (127/32). At one half level every partial from 2 up lies
+        // beyond the top level (0). A subnormal full scale underflows
+        // the step to 0, so every partial lies beyond one clip end.
+        let adc_ties: Vec<f32> = (-9..9).map(|k| (2 * k + 1) as f32 / 64.0).collect();
+        let adc = [&adc_ties[..], &[4.0, -4.0, 0.0, -0.0, 3.99, -3.99]].concat();
+        let ulp = f32::from_bits(1);
+        let tiny = [3.0 * ulp, -2.0 * ulp, ulp, -3.0 * ulp];
+        for (partials, half) in [
+            (cycle(&adc, 2 * 67), 128),
+            (cycle(&adc, 2 * 67), 1),
+            (cycle(&[0.0, -0.0, -0.0], 2 * 19), 128), // full scale 0
+            (cycle(&tiny, 2 * 19), 128),
+        ] {
+            let seed = cycle(&[1.5, -0.0, 0.0, -2.25, 0.1], partials.len() / 2);
+            let mut portable = seed.clone();
+            adc_accumulate_body(&partials, &mut portable, half);
+            let mut dispatched = seed.clone();
+            adc_accumulate(&partials, &mut dispatched, half);
+            assert_eq!(
+                bits(&portable),
+                bits(&dispatched),
+                "half {half}: {partials:?}"
+            );
+        }
+        let mut out = vec![0.0; adc.len()];
+        adc_accumulate(&adc, &mut out, 128);
+        assert_eq!(out[..2], [-9.0 / 32.0, -8.0 / 32.0]);
+        assert_eq!(out[16..20], [8.0 / 32.0, 9.0 / 32.0, 127.0 / 32.0, -4.0]);
     }
 }

@@ -121,7 +121,7 @@ const COMMANDS: &[Command] = &[
         flags: &[
             ARTIFACT,
             SEED,
-            "--tolerance T  max unquantized output RMSE (default: 1e-4)",
+            "--tolerance T  max unquantized output RMSE, finite and >= 0 (default: 1e-4)",
             "--quantized  also run bit-sliced weights + ADC clipping; fails if top-1 flips",
             "--adc-bits B  ADC resolution for --quantized (default: 8; 32 is ideal)",
         ],
@@ -656,7 +656,11 @@ fn cmd_simulate(args: &Args) -> CliResult {
 
 fn cmd_verify(args: &Args) -> CliResult {
     let seed: u64 = args.number("--seed")?.unwrap_or(1);
-    let tolerance: f64 = args.number("--tolerance")?.unwrap_or(1e-4);
+    let tolerance: f64 = args
+        .parsed("--tolerance", "a finite non-negative number", |t: &f64| {
+            t.is_finite() && *t >= 0.0
+        })?
+        .unwrap_or(1e-4);
     let adc_bits: u32 = args.number("--adc-bits")?.unwrap_or(8);
     let artifact = open_artifact(args)?;
     let model = artifact.model();
@@ -670,9 +674,18 @@ fn cmd_verify(args: &Args) -> CliResult {
         exact.output_len,
         top1(exact.top1_match)
     );
-    if exact.output_rmse > tolerance {
+    // Written so that a NaN RMSE fails.
+    let within_tolerance = exact.output_rmse <= tolerance;
+    if !within_tolerance {
         return Err(format!(
             "mapped execution diverges from the reference: RMSE {:.3e} exceeds tolerance {tolerance:.1e}",
+            exact.output_rmse
+        )
+        .into());
+    }
+    if !exact.top1_match {
+        return Err(format!(
+            "mapped execution flips the reference's top-1 prediction (RMSE {:.3e})",
             exact.output_rmse
         )
         .into());

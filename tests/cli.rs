@@ -239,6 +239,20 @@ fn malformed_command_lines_stay_rejected() {
             ][..],
             "`reload_budget` must be at least 1 crossbar",
         ),
+        // A tolerance no RMSE can fail (NaN, ∞) or none can pass (< 0)
+        // is refused before the artifact loads.
+        (
+            &["verify", "--artifact", "a.json", "--tolerance", "nan"][..],
+            "--tolerance expects a finite non-negative number, got `nan`",
+        ),
+        (
+            &["verify", "--artifact", "a.json", "--tolerance", "inf"][..],
+            "--tolerance expects a finite non-negative number, got `inf`",
+        ),
+        (
+            &["verify", "--artifact", "a.json", "--tolerance", "-1"][..],
+            "--tolerance expects a finite non-negative number, got `-1`",
+        ),
     ] {
         let out = pimcomp(args);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
