@@ -270,13 +270,15 @@ impl HardwareConfig {
     }
 
     /// Cycles for the VFU array of a core to process `elements`
-    /// element-operations.
+    /// element-operations, saturating at `u64::MAX` (the float-to-integer
+    /// `as` saturates; a throughput near zero validates).
     pub fn vfu_cycles(&self, elements: usize) -> u64 {
         (elements as f64 / self.vfu_rate()).ceil() as u64
     }
 
     /// Cycles to move `bytes` through the global memory port (bandwidth
-    /// only; contention is the simulator's job).
+    /// only; contention is the simulator's job), saturating at
+    /// `u64::MAX` like [`HardwareConfig::vfu_cycles`].
     pub fn global_memory_cycles(&self, bytes: usize) -> u64 {
         (bytes as f64 / self.global_memory_bw).ceil() as u64
     }
@@ -463,6 +465,18 @@ mod tests {
         let mut hw = HardwareConfig::puma();
         hw.xbar_write_pj_per_cell = -1.0;
         assert!(hw.validate().is_err());
+    }
+
+    #[test]
+    fn near_zero_rates_saturate_the_cycle_counts() {
+        let mut hw = HardwareConfig::puma();
+        hw.global_memory_bw = 1e-300;
+        hw.vfu_lane_throughput = 1e-300;
+        hw.validate().unwrap();
+        assert_eq!(hw.global_memory_cycles(64), u64::MAX);
+        assert_eq!(hw.vfu_cycles(64), u64::MAX);
+        assert_eq!(hw.global_memory_cycles(0), 0);
+        assert_eq!(hw.vfu_cycles(0), 0);
     }
 
     #[test]

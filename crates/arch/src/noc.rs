@@ -72,28 +72,31 @@ impl NocModel {
     }
 
     /// Cycles for `bytes` to travel from core `from` to core `to`:
-    /// head-flit routing latency plus body serialization.
+    /// head-flit routing latency plus body serialization, saturating at
+    /// `u64::MAX` (a bandwidth near zero validates).
     pub fn transfer_cycles(&self, from: usize, to: usize, bytes: usize) -> u64 {
         if from == to {
             return 0;
         }
+        // `as` saturates: an infinite quotient is `u64::MAX`.
         let serialization = (bytes as f64 / self.link_bw).ceil() as u64;
+        let hop = |hops: u64| hops.saturating_mul(self.hop_latency);
         match self.connection {
             CoreConnection::Mesh => {
-                let hops = self.hops(from, to) as u64;
-                let mut t = hops * self.hop_latency + serialization;
+                let t = hop(self.hops(from, to) as u64).saturating_add(serialization);
                 if self.crosses_chips(from, to) {
-                    t += self.chip_crossing_latency;
+                    t.saturating_add(self.chip_crossing_latency)
+                } else {
+                    t
                 }
-                t
             }
             CoreConnection::Bus => {
                 // Uniform two-hop cost; the simulator serializes bus use.
-                2 * self.hop_latency + serialization
+                hop(2).saturating_add(serialization)
             }
             CoreConnection::GlobalMemoryOnly => {
                 // Store + load through global memory: double move.
-                2 * serialization + 2 * self.hop_latency
+                serialization.saturating_mul(2).saturating_add(hop(2))
             }
         }
     }
@@ -146,6 +149,26 @@ mod tests {
         assert!(m.crosses_chips(0, 36));
         assert!(!m.crosses_chips(0, 35));
         assert!(m.transfer_cycles(0, 36, 64) > m.transfer_cycles(0, 35, 64));
+    }
+
+    #[test]
+    fn near_zero_bandwidth_saturates_instead_of_wrapping() {
+        for connection in [
+            CoreConnection::Mesh,
+            CoreConnection::Bus,
+            CoreConnection::GlobalMemoryOnly,
+        ] {
+            let mut hw = HardwareConfig::puma_with_chips(2);
+            hw.connection = connection;
+            hw.noc_link_bw = 1e-300;
+            hw.validate().unwrap();
+            let m = NocModel::new(&hw);
+            assert_eq!(m.transfer_cycles(0, 36, 64), u64::MAX, "{connection:?}");
+            hw.noc_link_bw = 8.0;
+            hw.noc_hop_latency = u64::MAX;
+            let m = NocModel::new(&hw);
+            assert_eq!(m.transfer_cycles(0, 36, 64), u64::MAX, "{connection:?}");
+        }
     }
 
     #[test]

@@ -32,21 +32,29 @@
 //! pending store, or retires if there is none.
 //!
 //! Tokens are anonymous and a failed attempt changes no state, so the
-//! tokens of one `(time, core)` are interchangeable. The heap therefore
+//! tokens of one `(time, core)` are interchangeable. The queue therefore
 //! stores them as one `(time, core, count)` group: the group runs items
 //! one token at a time until an attempt fails, and what is left of it
 //! sleeps as a single entry. Kept apart, every sleeping token would be
 //! popped, rescan the core and be pushed back at every wake time — and
 //! since a run spawns more tokens than it consumes, events would grow
 //! quadratically with the work simulated.
+//!
+//! The queue is the monotone radix heap both engines share
+//! ([`EventQueue`]), keyed by time with `(core, count)` breaking ties,
+//! so it pops in the order of a `(time, core, count)` min-heap. That
+//! needs every push at or after the time just popped, and a run at
+//! `now` pushes strictly later: its own core at `now + 1` or later, a
+//! message at its round's end plus the NoC, a sleeping group at a store
+//! due after `now`. The coalescing loop peeks only at events of `now`.
+//! Every duration reaches the clock through [`later`], so a time that
+//! would pass `u64::MAX` is [`SimError::Diverged`], never a wrap.
 
 use crate::report::{Counters, SimReport};
-use crate::resources::{ActivitySpan, BandwidthServer};
+use crate::resources::{later, ActivitySpan, BandwidthServer, EventQueue};
 use crate::SimError;
 use pimcomp_arch::{EnergyModel, HardwareConfig, NocModel};
 use pimcomp_core::{CompiledModel, HtSchedule};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Per-program execution phase.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,6 +101,11 @@ struct Round {
     /// core's spill write-out/read-back traffic.
     load_bytes: usize,
     crossbars_per_ag: u64,
+    /// A bound on how long after its first issue slot the round's last
+    /// MVM ends: `k × T_interval + batch × T_MVM` for its `k` MVMs (the
+    /// `batch` MVMs of one AG may queue behind each other; the program's
+    /// previous round ended before the store that let this one start).
+    mvm_span: u64,
     /// VFU element-operations once every partial arrived (remote adds
     /// + activation); zero for programs that own no remote slices.
     remote_add_elems: usize,
@@ -116,7 +129,9 @@ impl Tables {
     /// round. The schedule is the compiler's own derivation (a loaded
     /// artifact rebuilds it), so its indices are not re-checked here.
     fn build(compiled: &CompiledModel, schedule: &HtSchedule, noc: &NocModel) -> Self {
-        let cores = compiled.hw.total_cores();
+        let hw = &compiled.hw;
+        let cores = hw.total_cores();
+        let batch = schedule.batch as u64;
         let spill = &compiled.memory.spill_bytes_per_round;
         let entries = compiled.partitioning.entries();
 
@@ -154,6 +169,9 @@ impl Tables {
                 Round {
                     load_bytes: p.load_bytes_per_round + spill_share,
                     crossbars_per_ag: entry.crossbars_per_ag as u64,
+                    mvm_span: (batch.saturating_mul(p.ag_instances.len() as u64))
+                        .saturating_mul(hw.issue_interval())
+                        .saturating_add(batch.saturating_mul(hw.mvm_latency)),
                     remote_add_elems,
                     local_add_elems: p.vec_elems_per_round.saturating_sub(remote_add_elems),
                     sends: p
@@ -216,9 +234,9 @@ struct GlobalMemory<'a> {
 impl GlobalMemory<'_> {
     /// Moves `bytes` between `core`'s local memory and its chip's
     /// global memory, acquired at `now`; returns the completion time.
-    fn transfer(&mut self, core: usize, now: u64, bytes: usize) -> u64 {
+    fn transfer(&mut self, core: usize, now: u64, bytes: usize) -> Result<u64, SimError> {
         if bytes == 0 {
-            return now;
+            return Ok(now);
         }
         self.global_bytes += bytes as u64;
         self.local_bytes += bytes as u64;
@@ -283,20 +301,20 @@ pub(crate) fn run(
     // Wake tokens, coalesced: `(time, core, count)` stands for `count`
     // indistinguishable tokens, each entitling `core` to try to run one
     // item at `time`. Cores with work start with one token at t=0.
-    let mut queue: BinaryHeap<Reverse<(u64, usize, u64)>> = BinaryHeap::new();
+    let mut queue: EventQueue<(usize, u64)> = EventQueue::new();
     for (core, items) in scan.iter().enumerate() {
         if !items.is_empty() {
-            queue.push(Reverse((0, core, 1)));
+            queue.push(0, (core, 1));
         }
     }
     let mut attempts: u64 = 0;
 
-    while let Some(Reverse((now, core, mut tokens))) = queue.pop() {
+    while let Some((now, (core, mut tokens))) = queue.pop() {
         // Every token for (now, core) is already queued: runs at `now`
         // only push later times (own core: `max(now + 1)`; messages: a
         // round's MVM latency plus the NoC away).
-        while let Some(&Reverse((t, c, n))) = queue.peek() {
-            if (t, c) != (now, core) {
+        while let Some((c, n)) = queue.peek() {
+            if c != core {
                 break;
             }
             tokens += n;
@@ -332,7 +350,7 @@ pub(crate) fn run(
                                     wake_at = wake_at.min(at);
                                     continue;
                                 }
-                                let t_store = mem.transfer(core, now, p.store_bytes_per_round);
+                                let t_store = mem.transfer(core, now, p.store_bytes_per_round)?;
                                 spans[core].record(now, t_store);
                                 phase[pid] = if round + 1 >= p.rounds {
                                     items.remove(pick);
@@ -341,7 +359,7 @@ pub(crate) fn run(
                                 } else {
                                     Phase::Compute { round: round + 1 }
                                 };
-                                queue.push(Reverse((t_store.max(now + 1), core, 1)));
+                                queue.push(t_store.max(now + 1), (core, 1));
                             }
                             Phase::AwaitPartials { round, ready } => {
                                 let got = partials[pid].get(round).copied().unwrap_or((0, 0));
@@ -350,24 +368,30 @@ pub(crate) fn run(
                                 }
                                 // Remote adds + activation.
                                 let start = ready.max(got.1).max(now);
-                                let t_vfu =
-                                    vfu_free[core].max(start) + hw.vfu_cycles(r.remote_add_elems);
+                                let t_vfu = later(
+                                    vfu_free[core].max(start),
+                                    hw.vfu_cycles(r.remote_add_elems),
+                                    "a VFU pass",
+                                )?;
                                 vfu_free[core] = t_vfu;
                                 counted.vfu_elems += r.remote_add_elems as u64;
                                 partials[pid][round] = (0, 0);
                                 spans[core].record(start, t_vfu);
                                 phase[pid] = Phase::StorePending { round, at: t_vfu };
-                                queue.push(Reverse((t_vfu.max(now + 1), core, 1)));
+                                queue.push(t_vfu.max(now + 1), (core, 1));
                             }
                             Phase::Compute { round } => {
                                 // 1. Load inputs (plus this core's spill
                                 //    share), acquired at the current
                                 //    event time.
-                                let t_load = mem.transfer(core, now, r.load_bytes);
+                                let t_load = mem.transfer(core, now, r.load_bytes)?;
                                 // 2. MVMs: batch per AG, issued at
                                 //    T_interval spacing, serialized per
                                 //    AG's crossbars.
                                 let base = issue_free[core].max(t_load);
+                                // Every time the loop computes is at most
+                                // `bound`, so this one check covers them.
+                                let bound = later(base, r.mvm_span, "an MVM round")?;
                                 let mut t_mvm_end = base;
                                 let mut k = 0u64;
                                 for _b in 0..schedule.batch {
@@ -380,6 +404,7 @@ pub(crate) fn run(
                                         k += 1;
                                     }
                                 }
+                                debug_assert!(t_mvm_end <= bound && base + k * t_int <= bound);
                                 issue_free[core] = base + k * t_int;
                                 counted.mvm_ops += k;
                                 counted.crossbar_mvms += k * r.crossbars_per_ag;
@@ -389,8 +414,11 @@ pub(crate) fn run(
                                 // 3. Local adds (owner's remote adds +
                                 //    act are costed in AwaitPartials).
                                 let t_adds = if r.local_add_elems > 0 {
-                                    let t = vfu_free[core].max(t_mvm_end)
-                                        + hw.vfu_cycles(r.local_add_elems);
+                                    let t = later(
+                                        vfu_free[core].max(t_mvm_end),
+                                        hw.vfu_cycles(r.local_add_elems),
+                                        "a VFU pass",
+                                    )?;
                                     vfu_free[core] = t;
                                     counted.vfu_elems += r.local_add_elems as u64;
                                     t
@@ -404,7 +432,7 @@ pub(crate) fn run(
                                     counted.noc_bytes += s.bytes;
                                     counted.noc_pj += s.energy_pj;
                                     if let Some(owner) = s.owner {
-                                        let arr = t_adds + s.cycles;
+                                        let arr = later(t_adds, s.cycles, "a NoC transfer")?;
                                         let table = &mut partials[owner];
                                         if table.len() <= round {
                                             table.resize(round + 1, (0, 0));
@@ -412,7 +440,7 @@ pub(crate) fn run(
                                         let e = &mut table[round];
                                         e.0 += 1;
                                         e.1 = e.1.max(arr);
-                                        queue.push(Reverse((arr, s.to_core, 1)));
+                                        queue.push(arr, (s.to_core, 1));
                                     }
                                 }
 
@@ -429,13 +457,13 @@ pub(crate) fn run(
                                 };
                                 // The program's own chain resumes at
                                 // t_adds...
-                                queue.push(Reverse((t_adds.max(now + 1), core, 1)));
+                                queue.push(t_adds.max(now + 1), (core, 1));
                                 // ...but the control unit is free to
                                 // issue the next program's MVMs as soon
                                 // as the issue bandwidth clears —
                                 // crossbars of different programs crunch
                                 // concurrently (Fig. 5's f(n)).
-                                queue.push(Reverse((issue_free[core].max(now + 1), core, 1)));
+                                queue.push(issue_free[core].max(now + 1), (core, 1));
                             }
                         }
                     }
@@ -448,25 +476,29 @@ pub(crate) fn run(
                                     wake_at = wake_at.min(at);
                                     continue;
                                 }
-                                let t_store = mem.transfer(core, now, t.store_bytes);
+                                let t_store = mem.transfer(core, now, t.store_bytes)?;
                                 spans[core].record(now, t_store);
                                 vec_phase[vid] = VecPhase::Done;
                                 items.remove(pick);
                                 next = pick;
-                                queue.push(Reverse((t_store.max(now + 1), core, 1)));
+                                queue.push(t_store.max(now + 1), (core, 1));
                             }
                             VecPhase::NotStarted => {
-                                let t_load = mem.transfer(core, now, t.load_bytes);
-                                let t_vfu = vfu_free[core].max(t_load) + hw.vfu_cycles(t.elems);
+                                let t_load = mem.transfer(core, now, t.load_bytes)?;
+                                let t_vfu = later(
+                                    vfu_free[core].max(t_load),
+                                    hw.vfu_cycles(t.elems),
+                                    "a VFU pass",
+                                )?;
                                 vfu_free[core] = t_vfu;
                                 counted.vfu_elems += t.elems as u64;
                                 vec_phase[vid] = VecPhase::StorePending { at: t_vfu };
                                 spans[core].record(now, t_vfu);
-                                queue.push(Reverse((t_vfu.max(now + 1), core, 1)));
+                                queue.push(t_vfu.max(now + 1), (core, 1));
                                 // The VFU work runs on its own unit; the
                                 // core may continue with other programs
                                 // meanwhile.
-                                queue.push(Reverse((t_load.max(now + 1), core, 1)));
+                                queue.push(t_load.max(now + 1), (core, 1));
                             }
                         }
                     }
@@ -482,7 +514,7 @@ pub(crate) fn run(
                 // pending store (blocked owners are woken by the
                 // arriving message's own token).
                 if wake_at != u64::MAX {
-                    queue.push(Reverse((wake_at, core, tokens)));
+                    queue.push(wake_at, (core, tokens));
                 }
                 break;
             };

@@ -13,14 +13,23 @@
 //! * NoC delay for partial-sum accumulation and inter-node forwarding;
 //! * strided window assignment across replicas, so a node's output
 //!   prefix completes smoothly.
+//!
+//! Replica tokens `(time, unit, replica)` wait in the monotone radix
+//! heap both engines share ([`EventQueue`]), keyed by time with
+//! `(unit, replica)` breaking ties — the order of a min-heap of the
+//! triples, because no push is earlier than the time just popped: a
+//! window popped at `now` completes at `t_done ≥ now`, and its replica
+//! and its woken waiters are queued at `t_done` and `t_done` plus a
+//! forwarding delay. A push at `now` may carry a smaller `(unit,
+//! replica)` than the one just popped; it pops next. Every duration
+//! reaches the clock through [`later`], so a time that would pass
+//! `u64::MAX` is [`SimError::Diverged`], never a wrap.
 
 use crate::report::{makespan_leakage_pj, Counters, SimReport};
-use crate::resources::ActivitySpan;
+use crate::resources::{later, ActivitySpan, EventQueue};
 use crate::SimError;
 use pimcomp_arch::{EnergyModel, NocModel};
 use pimcomp_core::{required_windows, CompiledModel, DepRule, LlUnitKind};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Per-replica runtime state.
 #[derive(Debug, Clone)]
@@ -227,11 +236,11 @@ pub(crate) fn run(
     });
     let pop_budget = work.saturating_mul(2);
 
-    let mut queue: BinaryHeap<Reverse<(u64, usize, usize)>> = BinaryHeap::new();
+    let mut queue: EventQueue<(usize, usize)> = EventQueue::new();
     for (uid, u) in units.iter().enumerate() {
         for (k, r) in u.replicas.iter().enumerate() {
             if r.windows > 0 {
-                queue.push(Reverse((0, uid, k)));
+                queue.push(0, (uid, k));
             }
         }
     }
@@ -239,7 +248,7 @@ pub(crate) fn run(
     let mut last_done: u64 = 0;
     let mut pops: u64 = 0;
 
-    while let Some(Reverse((now, uid, k))) = queue.pop() {
+    while let Some((now, (uid, k))) = queue.pop() {
         pops += 1;
         if pops > pop_budget {
             return Err(SimError::Diverged {
@@ -279,27 +288,33 @@ pub(crate) fn run(
                     let prev = reps[uid][k].prev_base[pos];
                     let mut base = ready.max(issue_free[core]);
                     if prev != u64::MAX {
+                        // At most that window's checked `end`.
                         base = base.max(prev + t_mvm);
                     }
-                    issue_free[core] = base + count as u64 * t_int;
+                    let count = count as u64;
+                    issue_free[core] = later(base, count.saturating_mul(t_int), "an MVM window")?;
                     reps[uid][k].prev_base[pos] = base;
-                    let end = base + (count as u64 - 1) * t_int + t_mvm;
+                    let end = later(
+                        base,
+                        (count - 1).saturating_mul(t_int).saturating_add(t_mvm),
+                        "an MVM window",
+                    )?;
                     mvm_end = mvm_end.max(end);
                     spans[core].record(base, end);
-                    counted.mvm_ops += count as u64;
-                    counted.crossbar_mvms += count as u64 * entry.crossbars_per_ag as u64;
+                    counted.mvm_ops += count;
+                    counted.crossbar_mvms += count * entry.crossbars_per_ag as u64;
                 }
                 // Partial sums from remote cores to the owner.
                 let owner = rep_spec.owner;
                 let remote = &remotes[uid][k];
-                let arrive = mvm_end + remote.cycles;
+                let arrive = later(mvm_end, remote.cycles, "a NoC transfer")?;
                 counted.noc_bytes += (entry.weight_width * eb * remote.pj.len()) as u64;
                 for pj in &remote.pj {
                     counted.noc_pj += pj;
                 }
                 // Accumulate + activate on the owner's VFU.
                 let w = u.vfu_elems_per_window;
-                let t = vfu_free[owner].max(arrive) + hw.vfu_cycles(w);
+                let t = later(vfu_free[owner].max(arrive), hw.vfu_cycles(w), "a VFU pass")?;
                 vfu_free[owner] = t;
                 counted.vfu_elems += w as u64;
                 counted.local_bytes +=
@@ -313,7 +328,7 @@ pub(crate) fn run(
                 if w == 0 {
                     ready
                 } else {
-                    let t = vfu_free[owner].max(ready) + hw.vfu_cycles(w);
+                    let t = later(vfu_free[owner].max(ready), hw.vfu_cycles(w), "a VFU pass")?;
                     vfu_free[owner] = t;
                     counted.vfu_elems += w as u64;
                     counted.local_bytes += (2 * u.elems_per_window * eb) as u64;
@@ -357,7 +372,7 @@ pub(crate) fn run(
                     // Forwarding latency applies once per wake; the
                     // transfers of subsequent ready windows overlap
                     // with compute (wormhole pipelining).
-                    queue.push(Reverse((t_done + dep_delay[wu], wu, wk)));
+                    queue.push(later(t_done, dep_delay[wu], "a NoC transfer")?, (wu, wk));
                 } else {
                     list[kept] = (wu, wk, thr);
                     kept += 1;
@@ -368,7 +383,7 @@ pub(crate) fn run(
 
         // Next window of this replica.
         if reps[uid][k].done < rep_spec.windows {
-            queue.push(Reverse((t_done, uid, k)));
+            queue.push(t_done, (uid, k));
         }
     }
 

@@ -1,5 +1,103 @@
 //! Shared-resource timing primitives used by both simulators.
 
+use crate::SimError;
+use std::collections::VecDeque;
+
+/// `time + cycles` on the simulated clock: where a duration enters an
+/// event time, both engines add it here. `u64::MAX` is no time at all
+/// (the engines' "never", and `now + 1` must stay representable), so a
+/// sum that reaches it is [`SimError::Diverged`], naming `what` overflowed.
+pub(crate) fn later(time: u64, cycles: u64, what: &str) -> Result<u64, SimError> {
+    match time.checked_add(cycles) {
+        Some(t) if t < u64::MAX => Ok(t),
+        _ => Err(SimError::Diverged {
+            detail: format!(
+                "the simulated clock overflows u64 at {what}: cycle {time} + {cycles} cycles"
+            ),
+        }),
+    }
+}
+
+/// The event queue of both engines: a radix heap of `(time, S)` events.
+///
+/// It pops in exactly the `(time, S)` order of a min-heap, provided no
+/// push is earlier than the time last popped — which holds because both
+/// engines only schedule forward. An event at the time last popped
+/// (`now`) waits in `current`, sorted by `S`; a later one waits in the
+/// bucket of the highest bit in which its time differs from `now`. That
+/// bit is set in the event's time and clear in `now`, so every time in a
+/// bucket is below every time in the buckets above it. A pop with
+/// `current` empty takes the lowest non-empty bucket, makes its least
+/// time `now` and files each of its events again — into `current`, or
+/// into a strictly lower bucket — so an event moves at most 64 times.
+#[derive(Debug)]
+pub(crate) struct EventQueue<S> {
+    now: u64,
+    /// Events at `now`, in ascending `S` order.
+    current: VecDeque<S>,
+    /// `buckets[i]`: events whose time first differs from `now` in bit `i`.
+    buckets: [Vec<(u64, S)>; 64],
+}
+
+impl<S: Ord + Copy> EventQueue<S> {
+    /// An empty queue at time 0.
+    pub(crate) fn new() -> Self {
+        Self {
+            now: 0,
+            current: VecDeque::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+        }
+    }
+
+    /// Queues `s` at `time`, which must not be earlier than the time
+    /// last popped.
+    pub(crate) fn push(&mut self, time: u64, s: S) {
+        debug_assert!(
+            time >= self.now,
+            "event at {time} queued after {} was popped",
+            self.now
+        );
+        if time == self.now {
+            let at = self.current.partition_point(|&queued| queued <= s);
+            self.current.insert(at, s);
+        } else {
+            self.buckets[bucket(time, self.now)].push((time, s));
+        }
+    }
+
+    /// The least event left at the time last popped. It never looks
+    /// further: moving `now` ahead to the next pending time would file a
+    /// later push that falls before that time in the wrong bucket.
+    pub(crate) fn peek(&self) -> Option<S> {
+        self.current.front().copied()
+    }
+
+    /// Removes and returns the least `(time, S)` event.
+    pub(crate) fn pop(&mut self) -> Option<(u64, S)> {
+        if self.current.is_empty() {
+            let i = self.buckets.iter().position(|b| !b.is_empty())?;
+            let mut events = std::mem::take(&mut self.buckets[i]);
+            self.now = events.iter().map(|&(time, _)| time).min()?;
+            for (time, s) in events.drain(..) {
+                if time == self.now {
+                    self.current.push_back(s);
+                } else {
+                    self.buckets[bucket(time, self.now)].push((time, s));
+                }
+            }
+            // Hand the emptied bucket back, so it keeps its capacity.
+            self.buckets[i] = events;
+            self.current.make_contiguous().sort_unstable();
+        }
+        self.current.pop_front().map(|s| (self.now, s))
+    }
+}
+
+/// The bucket of an event at `time > now`: the highest differing bit.
+fn bucket(time: u64, now: u64) -> usize {
+    (u64::BITS - 1 - (time ^ now).leading_zeros()) as usize
+}
+
 /// A serially-shared bandwidth resource (global memory port, bus): FCFS
 /// service, one request at a time.
 #[derive(Debug, Clone, Default)]
@@ -15,10 +113,10 @@ impl BandwidthServer {
 
     /// Requests `cycles` of service no earlier than `now`; returns the
     /// completion time.
-    pub(crate) fn acquire(&mut self, now: u64, cycles: u64) -> u64 {
+    pub(crate) fn acquire(&mut self, now: u64, cycles: u64) -> Result<u64, SimError> {
         let start = self.free_at.max(now);
-        self.free_at = start + cycles;
-        self.free_at
+        self.free_at = later(start, cycles, "a global-memory transfer")?;
+        Ok(self.free_at)
     }
 }
 
@@ -38,7 +136,7 @@ impl ActivitySpan {
         }
         self.first = Some(self.first.unwrap().min(start));
         self.last = self.last.max(end);
-        self.busy += end.saturating_sub(start);
+        self.busy = self.busy.saturating_add(end.saturating_sub(start));
     }
 
     /// `true` if anything was recorded.
@@ -69,15 +167,37 @@ impl ActivitySpan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     #[test]
     fn bandwidth_server_serializes_fcfs() {
         let mut s = BandwidthServer::new();
-        assert_eq!(s.acquire(0, 10), 10);
+        assert_eq!(s.acquire(0, 10), Ok(10));
         // Second request waits for the first.
-        assert_eq!(s.acquire(5, 10), 20);
+        assert_eq!(s.acquire(5, 10), Ok(20));
         // Idle gap: starts at `now`.
-        assert_eq!(s.acquire(100, 5), 105);
+        assert_eq!(s.acquire(100, 5), Ok(105));
+        // A completion time the clock cannot hold is an error.
+        assert!(matches!(
+            s.acquire(106, u64::MAX - 106),
+            Err(SimError::Diverged { .. })
+        ));
+    }
+
+    #[test]
+    fn the_clock_stops_short_of_never() {
+        assert_eq!(later(5, 7, "x"), Ok(12));
+        assert_eq!(later(0, u64::MAX - 1, "x"), Ok(u64::MAX - 1));
+        let Err(SimError::Diverged { detail }) = later(1, u64::MAX - 1, "a NoC transfer") else {
+            panic!("u64::MAX is not a time");
+        };
+        assert_eq!(
+            detail,
+            "the simulated clock overflows u64 at a NoC transfer: \
+             cycle 1 + 18446744073709551614 cycles"
+        );
+        assert!(later(u64::MAX - 1, u64::MAX, "x").is_err());
     }
 
     #[test]
@@ -92,5 +212,172 @@ mod tests {
         assert_eq!(a.span(), 55); // 60 - 5
         assert_eq!(a.last_end(), 60);
         assert_eq!(a.busy_cycles(), 23);
+    }
+
+    /// The queue next to the heap both engines used to pop from, driven
+    /// through the same operations: every pop and every HT-style merge
+    /// must see the same events.
+    struct Twin {
+        queue: EventQueue<(usize, u64)>,
+        heap: BinaryHeap<Reverse<(u64, (usize, u64))>>,
+        now: u64,
+        popped: Vec<(u64, (usize, u64))>,
+    }
+
+    impl Twin {
+        fn new() -> Self {
+            Self {
+                queue: EventQueue::new(),
+                heap: BinaryHeap::new(),
+                now: 0,
+                popped: Vec::new(),
+            }
+        }
+
+        fn push(&mut self, time: u64, s: (usize, u64)) {
+            self.queue.push(time, s);
+            self.heap.push(Reverse((time, s)));
+        }
+
+        /// The least event at the time last popped, as the heap sees it.
+        fn heap_peek_now(&self) -> Option<(usize, u64)> {
+            let &Reverse((time, s)) = self.heap.peek()?;
+            (time == self.now).then_some(s)
+        }
+
+        fn pop(&mut self) -> Option<(u64, (usize, u64))> {
+            let got = self.queue.pop();
+            assert_eq!(got, self.heap.pop().map(|Reverse(e)| e));
+            if let Some((time, s)) = got {
+                self.now = time;
+                self.popped.push((time, s));
+            }
+            got
+        }
+
+        /// The HT engine's coalescing step: pop one group and fold in
+        /// every event of the same time and core.
+        fn pop_group(&mut self) -> Option<(u64, usize, u64)> {
+            let (now, (core, mut tokens)) = self.pop()?;
+            loop {
+                let next = self.queue.peek();
+                assert_eq!(next, self.heap_peek_now(), "peek at {now}");
+                match next {
+                    Some((c, n)) if c == core => {
+                        tokens += n;
+                        self.pop();
+                    }
+                    _ => return Some((now, core, tokens)),
+                }
+            }
+        }
+
+        /// Pops everything left, checking order against the heap.
+        fn drain(&mut self) {
+            while self.pop().is_some() {}
+            assert!(self.queue.peek().is_none());
+            assert!(self.popped.windows(2).all(|w| w[0].0 <= w[1].0));
+        }
+    }
+
+    /// SplitMix64: a seeded, dependency-free stream for the loop below.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn pops_in_the_heaps_order_under_random_monotone_pushes() {
+        for seed in 0..64u64 {
+            let mut rng = seed;
+            let mut twin = Twin::new();
+            for _ in 0..2_000 {
+                let r = splitmix(&mut rng);
+                let now = twin.now;
+                let s = ((r >> 8) as usize % 6, (r >> 16) % 3);
+                match r % 16 {
+                    // At the current time, the secondary key possibly
+                    // below the one just popped.
+                    0 | 1 => twin.push(now, s),
+                    2 | 3 => twin.push(now.saturating_add(1), s),
+                    4 | 5 => twin.push(now.saturating_add(r >> 54), s),
+                    6 => twin.push(now.saturating_add(r >> 20), s),
+                    7 => twin.push(u64::MAX, s),
+                    // Between now and the next pending time, after a
+                    // peek that found nothing left at now.
+                    8 => {
+                        if let Some(&Reverse((next, _))) = twin.heap.peek() {
+                            if twin.queue.peek().is_none() && next - now > 1 {
+                                twin.push(now + 1 + (r >> 8) % (next - now - 1), s);
+                            }
+                        }
+                    }
+                    9..=12 => {
+                        twin.pop_group();
+                    }
+                    _ => {
+                        twin.pop();
+                    }
+                }
+            }
+            twin.drain();
+        }
+    }
+
+    #[test]
+    fn a_peek_that_finds_nothing_at_now_does_not_advance_it() {
+        let mut twin = Twin::new();
+        twin.push(4, (0, 1));
+        twin.push(4, (1, 1));
+        twin.push(100, (0, 1));
+        assert_eq!(twin.pop_group(), Some((4, 0, 1)));
+        assert_eq!(twin.pop_group(), Some((4, 1, 1)));
+        // Nothing is left at 4; the next event waits at 100. A push in
+        // between must still come out first.
+        assert_eq!(twin.queue.peek(), None);
+        twin.push(9, (3, 1));
+        twin.push(5, (2, 1));
+        twin.drain();
+        assert_eq!(
+            twin.popped,
+            [
+                (4, (0, 1)),
+                (4, (1, 1)),
+                (5, (2, 1)),
+                (9, (3, 1)),
+                (100, (0, 1))
+            ]
+        );
+    }
+
+    #[test]
+    fn a_push_at_now_below_the_last_key_pops_next() {
+        let mut twin = Twin::new();
+        for s in [(5, 0), (7, 0), (9, 0)] {
+            twin.push(3, s);
+        }
+        twin.push(3, (6, 0));
+        assert_eq!(twin.pop(), Some((3, (5, 0))));
+        twin.push(3, (1, 0));
+        twin.push(3, (5, 0));
+        assert_eq!(twin.pop(), Some((3, (1, 0))));
+        assert_eq!(twin.pop(), Some((3, (5, 0))));
+        // HT's groups: equal cores merge whatever their counts.
+        twin.push(3, (6, 2));
+        assert_eq!(twin.pop_group(), Some((3, 6, 2)));
+        twin.drain();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "queued after")]
+    fn a_push_into_the_past_is_caught() {
+        let mut queue = EventQueue::new();
+        queue.push(10, 0u8);
+        queue.pop();
+        queue.push(9, 0u8);
     }
 }

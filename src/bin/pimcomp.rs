@@ -353,18 +353,18 @@ fn load_model(args: &Args) -> CliResult<Graph> {
 }
 
 /// `--artifact`, loaded, with the `loaded …` line `simulate` and
-/// `verify` open with.
-fn open_artifact(args: &Args) -> CliResult<CompiledArtifact> {
+/// `verify` open with; each prints it once it has something to report.
+fn open_artifact(args: &Args) -> CliResult<(CompiledArtifact, String)> {
     let path = args.require("--artifact")?;
     let artifact = CompiledArtifact::load(path)?;
     let model = artifact.model();
-    println!(
+    let loaded = format!(
         "loaded {path}: {} ({} mode, {})",
         model.graph.name(),
         model.mode,
         stamp(&artifact)
     );
-    Ok(artifact)
+    Ok((artifact, loaded))
 }
 
 /// The version + fingerprint every artifact line ends with.
@@ -639,7 +639,7 @@ impl CompileObserver for ProgressPrinter<'_> {
 }
 
 fn cmd_simulate(args: &Args) -> CliResult {
-    let artifact = open_artifact(args)?;
+    let (artifact, loaded) = open_artifact(args)?;
     let model = artifact.model();
     // With --chips/--parallelism the caller pins the serving target and
     // the fingerprint check is meaningful; otherwise the artifact's own
@@ -650,6 +650,7 @@ fn cmd_simulate(args: &Args) -> CliResult {
         model.hw.clone()
     };
     let report = Simulator::new(target).run_artifact(&artifact)?;
+    println!("{loaded}");
     print_simulation(model.mode, &report);
     write_json_report(args, &report)
 }
@@ -662,7 +663,8 @@ fn cmd_verify(args: &Args) -> CliResult {
         })?
         .unwrap_or(1e-4);
     let adc_bits: u32 = args.number("--adc-bits")?.unwrap_or(8);
-    let artifact = open_artifact(args)?;
+    let (artifact, loaded) = open_artifact(args)?;
+    println!("{loaded}");
     let model = artifact.model();
     let reference = pimcomp::exec::reference_outputs(&model.graph, seed)?;
     let verify = |quant| pimcomp::exec::verify_against(&reference, model, seed, quant);

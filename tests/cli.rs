@@ -388,5 +388,32 @@ fn artifact_workflow_prints_the_recorded_numbers() {
         "{}",
         stderr(&pinned)
     );
+
+    // Any positive rate validates, but one near zero makes a duration
+    // the simulated clock cannot hold: one line, exit 1, where the clock
+    // used to wrap into a report and exit 0 (or panic, exit 101).
+    let saved = serde_json::parse_value(&std::fs::read_to_string(artifact).unwrap()).unwrap();
+    for rate in ["global_memory_bw", "noc_link_bw", "vfu_lane_throughput"] {
+        let mut value = saved.clone();
+        let serde::Value::Map(fields) = &mut value else {
+            panic!("an artifact is a JSON object");
+        };
+        let hw = &mut fields.iter_mut().find(|(k, _)| k == "hw").unwrap().1;
+        let serde::Value::Map(knobs) = hw else {
+            panic!("`hw` is a JSON object");
+        };
+        knobs.iter_mut().find(|(k, _)| k == rate).unwrap().1 = serde::Value::Float(1e-300);
+        let tampered = dir.join(format!("{rate}.pimc.json"));
+        std::fs::write(&tampered, serde_json::to_string(&value).unwrap()).unwrap();
+        let out = pimcomp(&["simulate", "--artifact", tampered.to_str().unwrap()]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{rate}: {err}");
+        assert_eq!(stdout(&out), "", "{rate}");
+        assert_eq!(err.lines().count(), 1, "{rate}: {err}");
+        assert!(
+            err.starts_with("error: simulation diverged: the simulated clock overflows u64 at "),
+            "{rate}: {err}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -499,6 +499,34 @@ fn failed_measurement_is_attempted_again_not_memoised() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A NoC bandwidth near zero validates, but no simulated clock holds its
+/// transfers: the point fails with the overflow, where it used to be
+/// reported `ok` at a wrapped cycle count and placed on the frontier.
+#[test]
+fn a_point_whose_clock_overflows_is_reported_failed() {
+    let spec = SweepSpec::from_json(
+        r#"{"models":["tiny_cnn"],"modes":["ht","ll"],
+            "hardware":{"base":"small_test","noc_link_bw":[1e-300]},
+            "seeds":[1],"ga":{"population":4,"iterations":3}}"#,
+    )
+    .unwrap();
+    let run = ExploreEngine::new().run(&spec).unwrap();
+    assert_eq!(run.report.points.len(), 2);
+    assert_eq!(run.report.failures(), 2);
+    assert!(run.report.frontier.is_empty());
+    for point in &run.report.points {
+        let error = point.error.as_deref().unwrap();
+        assert!(
+            error.starts_with(
+                "simulate: simulation diverged: the simulated clock overflows u64 at a NoC transfer: "
+            ),
+            "{}: {error}",
+            point.mode
+        );
+        assert!(point.metrics.is_none() && !point.pareto);
+    }
+}
+
 /// A weight-reload sweep over two crossbar budgets plus the
 /// unconstrained baseline of the same point.
 const RELOAD_SPEC: &str = r#"{

@@ -278,6 +278,54 @@ fn hostile_schedules_are_rejected_not_indexed() {
     }
 }
 
+/// Any positive rate validates, so a rate near zero makes a duration
+/// the clock cannot hold. Each engine must say so — release builds used
+/// to wrap the time and print a plausible report, debug builds panicked.
+#[test]
+fn near_zero_rates_overflow_into_an_error_not_a_wrapped_clock() {
+    let hw = HardwareConfig::small_test();
+    let rates: [(&str, PipelineMode, &str); 5] = [
+        (
+            "global_memory_bw",
+            PipelineMode::HighThroughput,
+            "a global-memory transfer",
+        ),
+        (
+            "noc_link_bw",
+            PipelineMode::HighThroughput,
+            "a NoC transfer",
+        ),
+        (
+            "vfu_lane_throughput",
+            PipelineMode::HighThroughput,
+            "a VFU pass",
+        ),
+        ("noc_link_bw", PipelineMode::LowLatency, "a NoC transfer"),
+        (
+            "vfu_lane_throughput",
+            PipelineMode::LowLatency,
+            "a VFU pass",
+        ),
+    ];
+    for (rate, mode, what) in rates {
+        let json = CompiledArtifact::new(compile_tiny_cnn(&hw, mode))
+            .to_json()
+            .unwrap();
+        let mut value = serde_json::parse_value(&json).unwrap();
+        *field(field(&mut value, "hw"), rate) = Value::Float(1e-300);
+        let artifact = CompiledArtifact::from_json(&serde_json::to_string(&value).unwrap())
+            .unwrap_or_else(|e| panic!("{mode} {rate}: a positive rate validates: {e}"));
+        let result = Simulator::new(artifact.model().hw.clone()).run_artifact(&artifact);
+        match result {
+            Err(SimError::Diverged { detail }) => assert!(
+                detail.starts_with(&format!("the simulated clock overflows u64 at {what}: ")),
+                "{mode} {rate}: {detail}"
+            ),
+            other => panic!("{mode} {rate}: expected an overflow, got {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn stuck_owner_is_reported_as_a_deadlock_quickly() {
     // An owner expecting one partial more than its senders push can
