@@ -254,9 +254,12 @@ impl HardwareConfig {
 
     /// Cost in cycles of one *operation cycle* (one sliding window
     /// across `n` concurrently-active AGs in a core): the paper's
-    /// `f(n) = max(n*T_interval, T_MVM)`.
+    /// `f(n) = max(n*T_interval, T_MVM)`, saturating at `u64::MAX` (a
+    /// latency near `u64::MAX` validates).
     pub fn operation_cycle_cost(&self, n_ags: usize) -> u64 {
-        (n_ags as u64 * self.issue_interval()).max(self.mvm_latency)
+        (n_ags as u64)
+            .saturating_mul(self.issue_interval())
+            .max(self.mvm_latency)
     }
 
     /// Bytes occupied by one activation element.
@@ -285,9 +288,10 @@ impl HardwareConfig {
 
     /// Cycles to rewrite an array-group slice covering `rows` weight
     /// rows: programming is row-serial but cell- and crossbar-parallel,
-    /// so only the row count matters.
+    /// so only the row count matters. Saturates at `u64::MAX` like
+    /// [`HardwareConfig::operation_cycle_cost`].
     pub fn xbar_write_cycles(&self, rows: usize) -> u64 {
-        rows as u64 * self.xbar_write_row_cycles
+        (rows as u64).saturating_mul(self.xbar_write_row_cycles)
     }
 
     /// Validates parameter domains.

@@ -69,7 +69,7 @@ pub(crate) fn ht_core_time_in_place(hw: &HardwareConfig, items: &mut Vec<(usize,
     for &(ags, cycles) in items.iter() {
         let span = (cycles - done_cycles) as u64;
         if span > 0 {
-            time += span * hw.operation_cycle_cost(live);
+            time = time.saturating_add(span.saturating_mul(hw.operation_cycle_cost(live)));
             done_cycles = cycles;
         }
         live -= ags;
@@ -134,7 +134,7 @@ pub(crate) fn ht_combine(core_times: &[u64]) -> f64 {
     for &t in core_times {
         worst = worst.max(t);
         if t > 0 {
-            sum += t;
+            sum = sum.saturating_add(t);
             active += 1;
         }
     }

@@ -19,33 +19,39 @@
 //!
 //! # The search engine
 //!
-//! The search is nearly all of a compilation's time (91% of the
-//! ledger's paper-scale pass), and inside it no part dominates: on the
-//! widest paper target (vgg16 in HT mode: 2124 cores x 4 slots,
-//! population 100 x 200 generations, about 0.3 s on one thread; timers
-//! in a scratch copy) the four mutation operators take two fifths
-//! (shrink alone a fifth: half of its moves halve the most replicated
-//! node, rewriting hundreds of genes), incremental fitness evaluation a
-//! quarter, copying a parent's grid on an offspring's first write an
-//! eighth, building and evaluating the initial population a ninth, and
-//! selection, the memo and the reduction the rest. What is left is
-//! proportional to what a move changes, not to the gene grid, and every
-//! part is built to keep it so: the grid is two 16-bit columns, so the
-//! copy an offspring makes when an operator first writes to it (over
-//! half never do) moves 4 bytes a slot; placement plans all AGs of a
-//! call in one pass over the cores (`place_ags_from`), and a failed
-//! call reports the room it found, so a halving retry loop scans once
-//! more at most (`place_halving`); a `Draft` carries the per-core
-//! occupancy, per-node AG totals and the list of cores its operators
-//! wrote, so nothing re-derives them from the grid; one node's genes
-//! are found by a blockwise sweep of the node column; evaluation
-//! recomputes the cores on the draft's list — in the one copy of the
-//! parent's core times that becomes the child's basis — instead of
-//! diffing two grids; and what does not depend on the individual (the
-//! LL chain tables, each worker's scratch buffers) is built once per
-//! run, not once per generation. On top of that the
-//! engine evaluates in parallel, incrementally and memoized, while
-//! staying **deterministic to the bit** for a given [`GaParams::seed`]:
+//! The search is nearly all of a compilation's time (94% of the
+//! ledger's traced paper-scale pass), and inside it no part dominates:
+//! on the widest paper target (vgg16 in HT mode: 2124 cores x 4 slots,
+//! population 100 x 200 generations, about 0.25 s on one thread; timers
+//! in a scratch copy) the four mutation operators take half (shrink
+//! alone a quarter: half of its moves halve the most replicated node,
+//! rewriting hundreds of genes; merge a seventh), and copying a parent's
+//! grid on an offspring's first write is a tenth of that half;
+//! incremental fitness evaluation takes three tenths, building and
+//! evaluating the initial population a tenth, and selection, the memo
+//! and the reduction the rest. What is left is proportional to what a
+//! move changes, not to the gene grid, and every part is built to keep
+//! it so: the grid is two 16-bit columns, so the copy an offspring
+//! makes when an operator first writes to it (over half never do) moves
+//! 4 bytes a slot; placement plans all AGs of a call in one pass over
+//! the cores (`place_ags_from`), and a failed call reports the room it
+//! found, so a halving retry loop scans once more at most
+//! (`place_halving`); a `Draft` carries the per-core occupancy, the
+//! least occupancy of each block of 64 cores, per-node AG totals and
+//! the list of cores its operators wrote, so nothing re-derives them
+//! from the grid; the placement and spread scans step over every block
+//! in which no core has room for the request, and a placement whose
+//! fresh slots already cover what is left finds its remaining top-ups
+//! by one sweep of the node column instead of core by core (on vgg16
+//! the two scans visited 35 M cores in a search, and now visit 0.7 M);
+//! one node's genes are found by a blockwise sweep of the node column;
+//! evaluation recomputes the cores on the draft's list — in the one copy
+//! of the parent's core times that becomes the child's basis — instead
+//! of diffing two grids; and what does not depend on the individual
+//! (the LL chain tables, each worker's scratch buffers) is built once
+//! per run, not once per generation. On top of that the engine
+//! evaluates in parallel, incrementally and memoized, while staying
+//! **deterministic to the bit** for a given [`GaParams::seed`]:
 //!
 //! * **Seed-stream splitting** — every initial individual and every
 //!   offspring slot of every generation owns a private [`StdRng`]
@@ -88,6 +94,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Genetic-algorithm hyper-parameters.
@@ -322,6 +329,11 @@ impl GaContext<'_> {
     }
 }
 
+/// Cores a [`Draft`] summarizes together: a scan for a core with room
+/// steps over a whole block of them when its least-occupied core has
+/// none.
+const CORE_BLOCK: usize = 64;
+
 /// The mutable state the mutation operators work on: a chromosome plus
 /// the summaries of it they would otherwise re-derive from the gene
 /// grid on every move. [`Draft::set_ag_count`] is the only writer of
@@ -332,6 +344,9 @@ struct Draft {
     /// Crossbars occupied on each core (at most a core's capacity,
     /// which [`check_gene_limits`] holds to 32 bits).
     used_crossbars: Vec<u32>,
+    /// For each [`CORE_BLOCK`] of cores, the crossbars occupied on its
+    /// least-occupied core.
+    block_floor: Vec<u32>,
     /// AG instances of each node over all cores.
     ag_totals: Vec<usize>,
     /// Cores written since the draft was cloned from its parent (with
@@ -345,6 +360,7 @@ impl Draft {
         Draft {
             chromosome: Chromosome::empty(cores, max_nodes),
             used_crossbars: vec![0; cores],
+            block_floor: vec![0; cores.div_ceil(CORE_BLOCK)],
             ag_totals: vec![0; nodes],
             touched: Vec::new(),
         }
@@ -362,8 +378,23 @@ impl Draft {
         debug_assert!(prev.is_none_or(|g| g.mvm == node));
         let before = prev.map_or(0, |g| g.ag_count);
         let core = self.chromosome.core_of_slot(slot);
-        let used = self.used(core) + ag_count * xb - before * xb;
-        self.used_crossbars[core] = u32::try_from(used).expect("a core holds at most its capacity");
+        let was = self.used_crossbars[core];
+        let used = u32::try_from(self.used(core) + ag_count * xb - before * xb)
+            .expect("a core holds at most its capacity");
+        self.used_crossbars[core] = used;
+        // Only a fall below the floor, or a rise of the core that held
+        // it, moves a block's floor.
+        let block = core / CORE_BLOCK;
+        if used < self.block_floor[block] {
+            self.block_floor[block] = used;
+        } else if used > was && was == self.block_floor[block] {
+            self.block_floor[block] = self.recomputed_floor(block);
+        }
+        debug_assert_eq!(
+            self.block_floor[block],
+            self.recomputed_floor(block),
+            "the block floor of core {core} is current"
+        );
         self.ag_totals[node] = self.ag_totals[node] + ag_count - before;
         self.touched.push(core);
     }
@@ -371,6 +402,31 @@ impl Draft {
     /// Crossbars occupied on `core`.
     fn used(&self, core: usize) -> usize {
         self.used_crossbars[core] as usize
+    }
+
+    /// The crossbars occupied on the least-occupied core of `block`,
+    /// from the per-core counts.
+    fn recomputed_floor(&self, block: usize) -> u32 {
+        let end = ((block + 1) * CORE_BLOCK).min(self.used_crossbars.len());
+        let cores = &self.used_crossbars[block * CORE_BLOCK..end];
+        cores.iter().copied().min().expect("a block holds a core")
+    }
+
+    /// The cores of `cores`, in order, except those of blocks in which
+    /// no core has `needed` crossbars free — a scan that `continue`s on
+    /// every core without that room sees the same cores it acts on.
+    fn cores_with_room(
+        &self,
+        cores: Range<usize>,
+        needed: usize,
+        capacity: usize,
+    ) -> impl Iterator<Item = usize> + '_ {
+        let Range { start, end } = cores;
+        (start / CORE_BLOCK..end.div_ceil(CORE_BLOCK))
+            .filter(move |&block| self.block_floor[block] as usize + needed <= capacity)
+            .flat_map(move |block| {
+                (block * CORE_BLOCK).max(start)..((block + 1) * CORE_BLOCK).min(end)
+            })
     }
 
     /// Adds `n` AGs of `node` to `slot` (free, or already holding it).
@@ -437,7 +493,8 @@ struct MutScratch {
     top_ups: Vec<(usize, usize)>,
     /// Placement plan: `(free slot, AG room)` on cores not hosting it.
     fresh: Vec<(usize, usize)>,
-    /// Slot walk order of one node's genes (shrink, merge targets).
+    /// One node's gene slots: the walk order of shrink and merge, and
+    /// the hosting cores a placement tops up last.
     slots: Vec<usize>,
 }
 
@@ -975,24 +1032,26 @@ fn mutate_spread(
     let move_n = rng.gen_range(1..gene.ag_count);
     let needed = move_n * xb;
 
+    // The first core in circular order from a random start, other than
+    // the source, with room for the AGs and a slot for the node.
     let cores = ind.chromosome.cores();
     let start = rng.gen_range(0..cores);
-    for off in 0..cores {
-        let dst = (start + off) % cores;
-        if dst == src_core || ind.used(dst) + needed > capacity {
-            continue;
-        }
-        let (hosting, free) = ind.chromosome.probe_core(dst, gene.mvm);
-        let Some(dst_slot) = hosting.or(free) else {
-            continue;
-        };
-        // Commit.
-        let ind = ind.to_mut();
-        ind.add_ags(dst_slot, gene.mvm, xb, move_n);
-        ind.set_ag_count(slot, gene.mvm, xb, gene.ag_count - move_n);
-        return true;
-    }
-    false
+    let draft: &Draft = ind;
+    let dst_slot = draft
+        .cores_with_room(start..cores, needed, capacity)
+        .chain(draft.cores_with_room(0..start, needed, capacity))
+        .filter(|&dst| dst != src_core && draft.used(dst) + needed <= capacity)
+        .find_map(|dst| {
+            let (hosting, free) = draft.chromosome.probe_core(dst, gene.mvm);
+            hosting.or(free)
+        });
+    let Some(dst_slot) = dst_slot else {
+        return false;
+    };
+    let ind = ind.to_mut();
+    ind.add_ags(dst_slot, gene.mvm, xb, move_n);
+    ind.set_ag_count(slot, gene.mvm, xb, gene.ag_count - move_n);
+    true
 }
 
 /// Operator IV: merge a whole gene into a gene of the same node on
@@ -1102,6 +1161,15 @@ fn place_halving(
 /// is within it: the top-ups take `min(count, hosting room)` wherever
 /// the sweep starts, and the fresh list stops early only once it
 /// already covers what is left.
+///
+/// Two rules skip cores the pass would only `continue` on. The scan
+/// steps over every block of cores none of which has room for one AG
+/// ([`Draft::cores_with_room`]). And once the fresh slots cover what
+/// is left, no further fresh slot is listed (`left` only falls), so
+/// only top-ups can still change the plan: one sweep of the node column
+/// ([`Chromosome::slots_of_node`]) finds the remaining hosting cores in
+/// scan order ([`top_up_hosts`]). A failing call never gets there, so
+/// its reported room is the full scan's.
 fn place_ags_from(
     ind: &mut Cow<'_, Draft>,
     ctx: &GaContext<'_>,
@@ -1112,28 +1180,43 @@ fn place_ags_from(
     ms: &mut MutScratch,
 ) -> Result<(), usize> {
     let xb = ctx.partitioning.entry(node).crossbars_per_ag;
-    let cores = ind.chromosome.cores();
+    let draft: &Draft = ind;
+    let cores = draft.chromosome.cores();
     ms.top_ups.clear();
     ms.fresh.clear();
     // AGs still unplaced after the top-ups so far, and the room in the
     // fresh slots listed so far.
     let mut left = count;
     let mut fresh_room = 0usize;
-    for core in (start..cores).chain(0..start) {
+    let scan = draft
+        .cores_with_room(start..cores, xb, capacity)
+        .chain(draft.cores_with_room(0..start, xb, capacity));
+    for core in scan {
         if left == 0 {
             break;
         }
-        if ind.used(core) + xb > capacity {
+        if fresh_room >= left {
+            // What the scan has not reached: the rest of its segment,
+            // and the whole second segment if this is the first.
+            let rest = if core >= start {
+                [core..cores, 0..start]
+            } else {
+                [core..start, 0..0]
+            };
+            top_up_hosts(draft, node, xb, capacity, rest, &mut left, ms);
+            break;
+        }
+        if draft.used(core) + xb > capacity {
             continue;
         }
-        let room = (capacity - ind.used(core)) / xb;
-        match ind.chromosome.probe_core(core, node) {
+        let room = (capacity - draft.used(core)) / xb;
+        match draft.chromosome.probe_core(core, node) {
             (Some(slot), _) => {
                 let n = room.min(left);
                 ms.top_ups.push((slot, n));
                 left -= n;
             }
-            (None, Some(slot)) if fresh_room < left => {
+            (None, Some(slot)) => {
                 ms.fresh.push((slot, room));
                 fresh_room += room;
             }
@@ -1156,6 +1239,42 @@ fn place_ags_from(
         left -= n;
     }
     Ok(())
+}
+
+/// The rest of [`place_ags_from`]'s plan once its fresh slots cover
+/// `left`: a top-up of each core of `rest` (in order) that hosts `node`
+/// and has room, until nothing is left. The node's genes come from one
+/// sweep of its column, in slot and therefore core order.
+fn top_up_hosts(
+    draft: &Draft,
+    node: MvmIdx,
+    xb: usize,
+    capacity: usize,
+    rest: [Range<usize>; 2],
+    left: &mut usize,
+    ms: &mut MutScratch,
+) {
+    let chromosome = &draft.chromosome;
+    ms.slots.clear();
+    ms.slots.extend(chromosome.slots_of_node(node));
+    let first_on = |core: usize| {
+        ms.slots
+            .partition_point(|&s| chromosome.core_of_slot(s) < core)
+    };
+    for cores in rest {
+        for &slot in &ms.slots[first_on(cores.start)..first_on(cores.end)] {
+            if *left == 0 {
+                return;
+            }
+            let core = chromosome.core_of_slot(slot);
+            if draft.used(core) + xb > capacity {
+                continue;
+            }
+            let n = ((capacity - draft.used(core)) / xb).min(*left);
+            ms.top_ups.push((slot, n));
+            *left -= n;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1436,13 +1555,160 @@ mod tests {
         draft
     }
 
-    #[test]
-    fn batched_placement_matches_one_ag_per_scan() {
-        // resnet18 on PUMA partitions into nodes 1 to 32 crossbars wide.
+    /// The node of the narrowest AGs.
+    fn narrowest(p: &Partitioning) -> MvmIdx {
+        (0..p.len())
+            .min_by_key(|&i| p.entry(i).crossbars_per_ag)
+            .unwrap()
+    }
+
+    /// A draft on a `cores x max_nodes` grid whose blocks of cores are
+    /// packed to a random level each: every core full, every core a few
+    /// crossbars short of full (the room the narrowest node fills), or
+    /// as [`random_draft`] left it. So a scan meets whole blocks without
+    /// room for its request next to blocks with some.
+    fn packed_draft(
+        p: &Partitioning,
+        (cores, max_nodes): (usize, usize),
+        capacity: usize,
+        rng: &mut StdRng,
+    ) -> Draft {
+        let narrow = narrowest(p);
+        let xb = p.entry(narrow).crossbars_per_ag;
+        let mut draft = random_draft(p, (cores, max_nodes), capacity, cores / 2, rng);
+        let loose = rng.gen_range(0..3);
+        for block in 0..cores.div_ceil(CORE_BLOCK) {
+            let slack = match rng.gen_range(0..4) {
+                kind if kind < loose => continue,
+                0 | 1 => 0,
+                _ => rng.gen_range(1..=3usize) * xb,
+            };
+            for core in block * CORE_BLOCK..((block + 1) * CORE_BLOCK).min(cores) {
+                let ags = capacity.saturating_sub(draft.used(core) + slack) / xb;
+                let (hosting, free) = draft.chromosome.probe_core(core, narrow);
+                if let (Some(slot), true) = (hosting.or(free), ags > 0) {
+                    draft.add_ags(slot, narrow, xb, ags);
+                }
+            }
+        }
+        draft.touched.clear();
+        draft
+    }
+
+    /// Grids whose scans cross, start on and end inside blocks of
+    /// cores: one short of a block, one block, one past it, two blocks
+    /// and a core, and a partial fourth block.
+    const BLOCK_GRIDS: [(usize, usize); 5] = [(63, 3), (64, 2), (65, 3), (129, 4), (200, 3)];
+
+    /// Scan starts on a grid of `cores`: the first core, cores inside a
+    /// block, on either side of each block edge, and the last core.
+    fn block_starts(cores: usize) -> impl Iterator<Item = usize> {
+        [0, 1, 37, 63, 64, 65, 127, 128, 129, 150, cores - 1]
+            .into_iter()
+            .filter(move |&start| start < cores)
+    }
+
+    /// Asserts that every block floor of `draft` is its least-occupied
+    /// core's count, recomputed from the per-core counts.
+    fn assert_floors_current(draft: &Draft, at: &str) {
+        let floors: Vec<u32> = draft
+            .used_crossbars
+            .chunks(CORE_BLOCK)
+            .map(|block| *block.iter().min().unwrap())
+            .collect();
+        assert_eq!(draft.block_floor, floors, "{at}");
+    }
+
+    /// What the placement calls a test checked did.
+    #[derive(Debug, Default)]
+    struct PlacementTally {
+        calls: usize,
+        failures: usize,
+        fresh_opened: usize,
+        topped_up: usize,
+    }
+
+    /// Places `count` AGs of `node` on `before` from `start` with
+    /// [`place_ags_from`] and asserts the outcome is
+    /// [`place_one_ag_per_scan`]'s: the same chromosome, occupancy and
+    /// totals, and for a failed call nothing written and a reported
+    /// room that is exactly what the oracle fits.
+    fn check_placement(
+        ctx: &GaContext<'_>,
+        before: &Draft,
+        (node, start, count): (MvmIdx, usize, usize),
+        ms: &mut MutScratch,
+        tally: &mut PlacementTally,
+    ) {
+        let p = ctx.partitioning;
+        let capacity = ctx.hw.crossbar_capacity_per_core();
+        let cores = before.chromosome.cores();
+        let xb = p.entry(node).crossbars_per_ag;
+        let oracle = |count: usize| {
+            let mut chromosome = before.chromosome.clone();
+            let mut used: Vec<usize> = (0..cores).map(|c| before.used(c)).collect();
+            let ok = place_one_ag_per_scan(
+                &mut chromosome,
+                &mut used,
+                (node, xb),
+                count,
+                capacity,
+                start,
+            );
+            (ok, chromosome, used)
+        };
+        let mut batched = Cow::Borrowed(before);
+        let placed = place_ags_from(&mut batched, ctx, node, count, capacity, start, ms);
+        let ok = placed.is_ok();
+        let (expected, chromosome, used) = oracle(count);
+        let at = format!("{cores} cores, node {node}, start {start}, count {count}");
+        assert_eq!(ok, expected, "{at}");
+        assert_eq!(batched.chromosome, chromosome, "{at}");
+        assert_eq!(batched.chromosome.fingerprint(), chromosome.fingerprint());
+        let batched_used: Vec<usize> = (0..cores).map(|c| batched.used(c)).collect();
+        assert_eq!(batched_used, used, "{at}");
+        assert_eq!(batched.ag_totals, chromosome.ag_totals(p), "{at}");
+        assert_floors_current(&batched, &at);
+        if !ok {
+            // A failed call writes nothing (and copies nothing).
+            assert!(matches!(batched, Cow::Borrowed(_)), "{at}");
+            assert_eq!(chromosome, before.chromosome, "{at}");
+            assert_eq!(batched.used_crossbars, before.used_crossbars, "{at}");
+            // The reported room is exactly what fits, wherever the scan
+            // starts.
+            let room = placed.unwrap_err();
+            assert!(room < count, "{at}");
+            assert!(oracle(room).0 && !oracle(room + 1).0, "{at}: room {room}");
+            for from in [start, 0, cores - 1] {
+                let mut fits = Cow::Borrowed(before);
+                let fit = place_ags_from(&mut fits, ctx, node, room, capacity, from, ms);
+                assert_eq!(fit, Ok(()), "{at}: {room} from {from}");
+            }
+        }
+        tally.calls += 1;
+        tally.failures += usize::from(!ok);
+        tally.fresh_opened +=
+            usize::from(ok && chromosome.genes().count() > before.chromosome.genes().count());
+        tally.topped_up += usize::from(
+            ok && {
+                let mut grown = before.chromosome.genes();
+                grown.any(|(slot, g)| chromosome.gene(slot) != Some(g))
+            },
+        );
+    }
+
+    /// resnet18 on PUMA partitions into nodes 1 to 32 crossbars wide.
+    fn resnet18_on_puma() -> (Graph, HardwareConfig, Partitioning, DepInfo) {
         let g = normalize(&models::resnet18()).unwrap();
         let hw = HardwareConfig::puma();
         let p = Partitioning::new(&g, &hw).unwrap();
         let dep = DepInfo::analyze(&g);
+        (g, hw, p, dep)
+    }
+
+    #[test]
+    fn batched_placement_matches_one_ag_per_scan() {
+        let (g, hw, p, dep) = resnet18_on_puma();
         // A `core_limit` reaches the kernel only as the grid's core
         // count.
         let ctx = GaContext {
@@ -1455,10 +1721,16 @@ mod tests {
         };
         let prefix = (ctx.cores(), 3);
         let capacity = hw.crossbar_capacity_per_core();
+        // AGs of `node` the cores of `draft` have crossbars for.
+        let room_for = |draft: &Draft, node: MvmIdx| -> usize {
+            let xb = p.entry(node).crossbars_per_ag;
+            let cores = 0..draft.chromosome.cores();
+            cores.map(|core| (capacity - draft.used(core)) / xb).sum()
+        };
         let mut rng = StdRng::seed_from_u64(0x0D1F);
         let mut ms = MutScratch::default();
-        let (mut calls, mut failures) = (0usize, 0usize);
-        let (mut fresh_opened, mut topped_up) = (0usize, 0usize);
+        let mut tally = PlacementTally::default();
+        // Small grids filled at random: every start, most counts.
         for (shape, fill) in [
             ((1, 1), 1),
             ((7, 1), 5),
@@ -1469,84 +1741,52 @@ mod tests {
             for _ in 0..12 {
                 let before = random_draft(&p, shape, capacity, fill, &mut rng);
                 let node = rng.gen_range(0..p.len());
-                let xb = p.entry(node).crossbars_per_ag;
-                let free: usize = (0..shape.0)
-                    .map(|core| (capacity - before.used(core)) / xb)
-                    .sum();
+                let free = room_for(&before, node);
                 for start in 0..shape.0 {
                     for count in (1..=free + 2).filter(|c| *c < 6 || c % 5 == 0 || *c >= free) {
-                        let mut batched = Cow::Borrowed(&before);
-                        let placed = place_ags_from(
-                            &mut batched,
-                            &ctx,
-                            node,
-                            count,
-                            capacity,
-                            start,
-                            &mut ms,
-                        );
-                        let ok = placed.is_ok();
-                        let mut chromosome = before.chromosome.clone();
-                        let mut used: Vec<usize> = (0..shape.0).map(|c| before.used(c)).collect();
-                        let expected = place_one_ag_per_scan(
-                            &mut chromosome,
-                            &mut used,
-                            (node, xb),
-                            count,
-                            capacity,
-                            start,
-                        );
-                        let at =
-                            format!("grid {shape:?}, node {node}, start {start}, count {count}");
-                        assert_eq!(ok, expected, "{at}");
-                        assert_eq!(batched.chromosome, chromosome, "{at}");
-                        assert_eq!(batched.chromosome.fingerprint(), chromosome.fingerprint());
-                        let batched_used: Vec<usize> =
-                            (0..shape.0).map(|c| batched.used(c)).collect();
-                        assert_eq!(batched_used, used, "{at}");
-                        assert_eq!(batched.ag_totals, chromosome.ag_totals(&p), "{at}");
-                        if !ok {
-                            // A failed call writes nothing (and copies nothing).
-                            assert!(matches!(batched, Cow::Borrowed(_)), "{at}");
-                            assert_eq!(chromosome, before.chromosome, "{at}");
-                            assert_eq!(batched.used_crossbars, before.used_crossbars, "{at}");
-                            // The reported room is exactly what fits,
-                            // wherever the scan starts.
-                            let room = placed.unwrap_err();
-                            assert!(room < count, "{at}");
-                            for from in [start, 0, shape.0 - 1] {
-                                let mut fits = Cow::Borrowed(&before);
-                                let fit = place_ags_from(
-                                    &mut fits, &ctx, node, room, capacity, from, &mut ms,
-                                );
-                                assert_eq!(fit, Ok(()), "{at}: {room} from {from}");
-                            }
-                        }
-                        calls += 1;
-                        failures += usize::from(!ok);
-                        fresh_opened += usize::from(
-                            ok && chromosome.genes().count() > before.chromosome.genes().count(),
-                        );
-                        topped_up += usize::from(
-                            ok && {
-                                let mut grown = before.chromosome.genes();
-                                grown.any(|(slot, g)| chromosome.gene(slot) != Some(g))
-                            },
-                        );
+                        check_placement(&ctx, &before, (node, start, count), &mut ms, &mut tally);
+                    }
+                }
+            }
+        }
+        // Packed grids of several blocks of cores, from starts around
+        // the block edges. Half the calls place the node that fills the
+        // packed cores, so hosting cores with room sit in every block.
+        let narrow = narrowest(&p);
+        for shape in BLOCK_GRIDS {
+            for _ in 0..10 {
+                let before = packed_draft(&p, shape, capacity, &mut rng);
+                assert_floors_current(&before, "packed");
+                let node = if rng.gen_bool(0.5) {
+                    narrow
+                } else {
+                    rng.gen_range(0..p.len())
+                };
+                let free = room_for(&before, node);
+                let counts = (1..=3).chain([free / 4, free / 2, free.max(1) - 1, free, free + 1]);
+                for start in block_starts(shape.0) {
+                    for count in counts.clone().filter(|&c| c > 0) {
+                        check_placement(&ctx, &before, (node, start, count), &mut ms, &mut tally);
                     }
                 }
             }
         }
         // The sweep must have exercised every branch, not just agreed
         // on trivial cases.
-        assert!(calls > 2000, "{calls} calls");
+        let PlacementTally {
+            calls,
+            failures,
+            fresh_opened,
+            topped_up,
+        } = tally;
+        assert!(calls > 3000, "{calls} calls");
         assert!(
-            failures > 100 && failures < calls / 2,
+            failures > 200 && failures < calls / 2,
             "{failures} failures"
         );
-        assert!(fresh_opened > 100, "{fresh_opened} calls opened a slot");
+        assert!(fresh_opened > 200, "{fresh_opened} calls opened a slot");
         assert!(
-            topped_up > 100,
+            topped_up > 200,
             "{topped_up} calls topped a hosting core up"
         );
     }
@@ -1575,10 +1815,7 @@ mod tests {
 
     #[test]
     fn halving_placement_matches_a_scan_per_step() {
-        let g = normalize(&models::resnet18()).unwrap();
-        let hw = HardwareConfig::puma();
-        let p = Partitioning::new(&g, &hw).unwrap();
-        let dep = DepInfo::analyze(&g);
+        let (g, hw, p, dep) = resnet18_on_puma();
         let ctx = GaContext {
             hw: &hw,
             graph: &g,
@@ -1593,9 +1830,17 @@ mod tests {
         // Calls that placed the first amount, a halved one, nothing;
         // and calls whose reported room was exactly a halved amount.
         let (mut first, mut halved, mut none, mut exact) = (0usize, 0usize, 0usize, 0usize);
-        for (shape, fill) in [((1, 1), 1), ((7, 1), 5), ((6, 2), 12), ((9, 4), 40)] {
+        // Small grids filled at random, and packed ones of several
+        // blocks of cores (`None`).
+        let small = [((1, 1), 1), ((7, 1), 5), ((6, 2), 12), ((9, 4), 40)];
+        let grids = (small.map(|(shape, fill)| (shape, Some(fill))).into_iter())
+            .chain(BLOCK_GRIDS.map(|shape| (shape, None)));
+        for (shape, fill) in grids {
             for _ in 0..40 {
-                let before = random_draft(&p, shape, capacity, fill, &mut rng);
+                let before = match fill {
+                    Some(fill) => random_draft(&p, shape, capacity, fill, &mut rng),
+                    None => packed_draft(&p, shape, capacity, &mut rng),
+                };
                 let node = rng.gen_range(0..p.len());
                 let a = p.entry(node).ags_per_replica;
                 let mut probe = Cow::Borrowed(&before);
@@ -1641,6 +1886,7 @@ mod tests {
                     assert_eq!(fast.used_crossbars, slow.used_crossbars, "{at}");
                     assert_eq!(fast.ag_totals, slow.ag_totals, "{at}");
                     assert_eq!(fast.touched, slow.touched, "{at}");
+                    assert_floors_current(&fast, &at);
                     assert_eq!(matches!(fast, Cow::Borrowed(_)), placed == 0, "{at}");
                     // Same draws: both streams continue identically.
                     assert_eq!(fast_rng.next_u64(), slow_rng.next_u64(), "{at}");
@@ -1655,6 +1901,85 @@ mod tests {
             first > 100 && halved > 100 && none > 100 && exact > 30,
             "{first} placed at once, {halved} after halving ({exact} at exactly the room), {none} not"
         );
+    }
+
+    /// The spread operator as it was before the block floors, kept as
+    /// the reference oracle: a destination search that visits every
+    /// core in circular order.
+    fn mutate_spread_core_by_core(
+        ind: &mut Cow<'_, Draft>,
+        ctx: &GaContext<'_>,
+        capacity: usize,
+        rng: &mut StdRng,
+    ) -> bool {
+        let Some((slot, gene)) = choose_gene(&ind.chromosome, true, rng) else {
+            return false;
+        };
+        let xb = ctx.partitioning.entry(gene.mvm).crossbars_per_ag;
+        let src_core = ind.chromosome.core_of_slot(slot);
+        let move_n = rng.gen_range(1..gene.ag_count);
+        let needed = move_n * xb;
+
+        let cores = ind.chromosome.cores();
+        let start = rng.gen_range(0..cores);
+        for off in 0..cores {
+            let dst = (start + off) % cores;
+            if dst == src_core || ind.used(dst) + needed > capacity {
+                continue;
+            }
+            let (hosting, free) = ind.chromosome.probe_core(dst, gene.mvm);
+            let Some(dst_slot) = hosting.or(free) else {
+                continue;
+            };
+            let ind = ind.to_mut();
+            ind.add_ags(dst_slot, gene.mvm, xb, move_n);
+            ind.set_ag_count(slot, gene.mvm, xb, gene.ag_count - move_n);
+            return true;
+        }
+        false
+    }
+
+    #[test]
+    fn spread_matches_a_core_by_core_search() {
+        let (g, hw, p, dep) = resnet18_on_puma();
+        let ctx = GaContext {
+            hw: &hw,
+            graph: &g,
+            partitioning: &p,
+            dep: &dep,
+            mode: PipelineMode::HighThroughput,
+            core_limit: None,
+        };
+        let capacity = hw.crossbar_capacity_per_core();
+        let mut rng = StdRng::seed_from_u64(0x5F12);
+        let (mut moved, mut stuck) = (0usize, 0usize);
+        let grids = [(1, 2), (7, 1), (9, 4)].into_iter().chain(BLOCK_GRIDS);
+        for shape in grids {
+            for _ in 0..30 {
+                let before = packed_draft(&p, shape, capacity, &mut rng);
+                for _ in 0..20 {
+                    let seed = rng.next_u64();
+                    let (mut fast_rng, mut slow_rng) =
+                        (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                    let (mut fast, mut slow) = (Cow::Borrowed(&before), Cow::Borrowed(&before));
+                    let spread = mutate_spread(&mut fast, &ctx, capacity, &mut fast_rng);
+                    let expected =
+                        mutate_spread_core_by_core(&mut slow, &ctx, capacity, &mut slow_rng);
+                    let at = format!("grid {shape:?}, seed {seed}");
+                    assert_eq!(spread, expected, "{at}");
+                    assert_eq!(fast.chromosome, slow.chromosome, "{at}");
+                    assert_eq!(fast.used_crossbars, slow.used_crossbars, "{at}");
+                    assert_eq!(fast.touched, slow.touched, "{at}");
+                    assert_floors_current(&fast, &at);
+                    assert_eq!(matches!(fast, Cow::Borrowed(_)), !spread, "{at}");
+                    // Same draws: both streams continue identically.
+                    assert_eq!(fast_rng.next_u64(), slow_rng.next_u64(), "{at}");
+                    moved += usize::from(spread);
+                    stuck += usize::from(!spread);
+                }
+            }
+        }
+        assert!(moved > 1000 && stuck > 300, "{moved} moved, {stuck} not");
     }
 
     #[test]

@@ -405,7 +405,8 @@ impl EpochPlan {
                 } else {
                     cost.ags_written += 1;
                     cost.cells_written += cells;
-                    per_core_cycles[a.core] += hw.xbar_write_cycles(rows);
+                    per_core_cycles[a.core] =
+                        per_core_cycles[a.core].saturating_add(hw.xbar_write_cycles(rows));
                     cost.write_pj += cells as f64 * hw.xbar_write_pj_per_cell;
                 }
                 *per_core_items[a.core].entry(a.mvm).or_default() += 1;
@@ -424,9 +425,9 @@ impl EpochPlan {
                 .unwrap_or(0);
             total_ags += cost.ags_written;
             total_cells += cost.cells_written;
-            total_cycles += cost.write_cycles;
+            total_cycles = total_cycles.saturating_add(cost.write_cycles);
             total_pj += cost.write_pj;
-            total_compute += cost.compute_cycles;
+            total_compute = total_compute.saturating_add(cost.compute_cycles);
             epochs.push(cost);
         }
         ReloadPlan {

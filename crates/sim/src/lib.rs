@@ -137,7 +137,7 @@ impl Simulator {
         // mapping as concurrent, so they take the analytic path (see
         // the `reload` module docs).
         if let Some(plan) = compiled.reload.as_ref().filter(|p| !p.is_single_epoch()) {
-            return Ok(reload::run(compiled, &self.energy, plan));
+            return reload::run(compiled, &self.energy, plan);
         }
         match compiled.mode {
             pimcomp_arch::PipelineMode::HighThroughput => ht::run(compiled, &self.energy),

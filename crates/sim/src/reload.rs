@@ -23,15 +23,22 @@
 //! fit its budget) take the ordinary event-driven engines instead.
 
 use crate::report::{makespan_leakage_pj, Counters, SimReport};
+use crate::resources::later;
+use crate::SimError;
 use pimcomp_arch::EnergyModel;
 use pimcomp_core::{CompiledModel, ReloadPlan};
 
 /// Assembles the analytic report for a multi-epoch reload model.
+///
+/// # Errors
+///
+/// [`SimError::Diverged`] when the makespan does not fit the simulated
+/// clock (the plan's cycle sums saturate at `u64::MAX`).
 pub(crate) fn run(
     compiled: &CompiledModel,
     energy_model: &EnergyModel,
     plan: &ReloadPlan,
-) -> SimReport {
+) -> Result<SimReport, SimError> {
     let batch = compiled.schedule.as_ht().map_or(1, |s| s.batch).max(1);
 
     // Exact MVM work: replication is 1 on this path, so each AG
@@ -45,15 +52,27 @@ pub(crate) fn run(
 
     // The Fig. 5 per-epoch estimates are linear in the operation-cycle
     // count, so batch scales them exactly.
-    let compute_cycles = plan.total_compute_cycles * batch as u64;
+    let compute_cycles = plan
+        .total_compute_cycles
+        .checked_mul(batch as u64)
+        .ok_or_else(|| SimError::Diverged {
+            detail: format!(
+                "the simulated clock overflows u64 at the reload epochs of a batch: {} cycles x {batch}",
+                plan.total_compute_cycles
+            ),
+        })?;
 
     // Serialized epochs keep every active core powered across the whole
     // makespan, write barriers included (a core hosting epoch-3 weights
     // cannot power down while epoch 0 runs — it is about to be
     // rewritten).
     let active = compiled.mapping.active_cores();
-    let makespan = compute_cycles + plan.total_write_cycles;
+    let makespan = later(
+        compute_cycles,
+        plan.total_write_cycles,
+        "a reload write barrier",
+    )?;
     let leak = makespan_leakage_pj(energy_model, &compiled.hw, active, makespan);
     let busy = Vec::new();
-    counted.into_report(compiled, energy_model, compute_cycles, leak, active, busy)
+    Ok(counted.into_report(compiled, energy_model, compute_cycles, leak, active, busy))
 }

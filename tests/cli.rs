@@ -415,5 +415,52 @@ fn artifact_workflow_prints_the_recorded_numbers() {
             "{rate}: {err}"
         );
     }
+    // Likewise a huge latency: `inspect` prints the estimate, saturated
+    // where it exceeds a `u64`, and `simulate` refuses, where a debug
+    // build used to panic (exit 101) and a release build printed a
+    // wrapped estimate.
+    for (latency, estimate) in [
+        // The bottleneck core's issue-bound cycle: 64 AGs at
+        // ceil(2^62 / 20) cycles each, which still fits a `u64`.
+        (1u64 << 62, "14757395258967642112"),
+        (u64::MAX, "18446744073709551616"),
+    ] {
+        let mut value = saved.clone();
+        let serde::Value::Map(fields) = &mut value else {
+            panic!("an artifact is a JSON object");
+        };
+        let hw = &mut fields.iter_mut().find(|(k, _)| k == "hw").unwrap().1;
+        let serde::Value::Map(knobs) = hw else {
+            panic!("`hw` is a JSON object");
+        };
+        knobs
+            .iter_mut()
+            .find(|(k, _)| k == "mvm_latency")
+            .unwrap()
+            .1 = serde::Value::Int(latency.into());
+        let tampered = dir.join(format!("mvm_latency-{latency}.pimc.json"));
+        std::fs::write(&tampered, serde_json::to_string(&value).unwrap()).unwrap();
+        let tampered = tampered.to_str().unwrap();
+        let inspect = pimcomp(&["inspect", "--artifact", tampered]);
+        assert_eq!(
+            inspect.status.code(),
+            Some(0),
+            "{latency}: {}",
+            stderr(&inspect)
+        );
+        has_line(
+            &stdout(&inspect),
+            &format!("estimated fitness: {estimate} cycles"),
+        );
+        let out = pimcomp(&["simulate", "--artifact", tampered]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{latency}: {err}");
+        assert_eq!(stdout(&out), "", "{latency}");
+        assert_eq!(err.lines().count(), 1, "{latency}: {err}");
+        assert!(
+            err.starts_with("error: simulation diverged: the simulated clock overflows u64 at "),
+            "{latency}: {err}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -326,6 +326,57 @@ fn near_zero_rates_overflow_into_an_error_not_a_wrapped_clock() {
     }
 }
 
+/// Any positive latency validates, so one near `u64::MAX` makes an
+/// operation cycle (or a reload write) the clock cannot hold. Loading
+/// re-derives the estimate and the reload plan, which must saturate —
+/// debug builds used to panic on the multiply and release builds
+/// wrapped it into a small number — and simulating must say the clock
+/// overflows.
+#[test]
+fn a_huge_latency_saturates_the_estimate_and_diverges_the_clock() {
+    let hw = HardwareConfig::small_test();
+    let reload = CompileSession::new(
+        hw.clone(),
+        &models::tiny_cnn(),
+        CompileOptions::new(PipelineMode::HighThroughput)
+            .with_weight_reload(Some(32))
+            .with_fast_ga(5),
+    )
+    .and_then(CompileSession::run)
+    .expect("compiles");
+    let artifacts = [
+        ("HT", compile_tiny_cnn(&hw, PipelineMode::HighThroughput)),
+        ("LL", compile_tiny_cnn(&hw, PipelineMode::LowLatency)),
+        ("reload", reload),
+    ]
+    .map(|(kind, model)| (kind, CompiledArtifact::new(model).to_json().unwrap()));
+    for (kind, json) in &artifacts {
+        for knob in ["mvm_latency", "xbar_write_row_cycles"] {
+            for latency in [1u64 << 62, u64::MAX] {
+                let at = format!("{kind} {knob} {latency}");
+                let mut value = serde_json::parse_value(json).unwrap();
+                *field(field(&mut value, "hw"), knob) = Value::Int(latency.into());
+                let artifact = CompiledArtifact::from_json(&serde_json::to_string(&value).unwrap())
+                    .unwrap_or_else(|e| panic!("{at}: a positive latency validates: {e}"));
+                let estimate = artifact.model().report.estimated_fitness;
+                if *kind != "LL" && knob == "mvm_latency" {
+                    assert!(estimate >= u64::MAX as f64, "{at}: {estimate}");
+                }
+                let result = Simulator::new(artifact.model().hw.clone()).run_artifact(&artifact);
+                match result {
+                    Err(SimError::Diverged { detail }) => assert!(
+                        detail.starts_with("the simulated clock overflows u64 at "),
+                        "{at}: {detail}"
+                    ),
+                    // Only a multi-epoch plan rewrites weights.
+                    Ok(_) if knob == "xbar_write_row_cycles" && *kind != "reload" => {}
+                    other => panic!("{at}: expected an overflow, got {other:?}"),
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn stuck_owner_is_reported_as_a_deadlock_quickly() {
     // An owner expecting one partial more than its senders push can
