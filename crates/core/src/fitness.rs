@@ -5,10 +5,11 @@
 //! *evaluation engine* the GA runs on:
 //!
 //! * [`EvalBasis`] — the mode-specific intermediate data an evaluation
-//!   leaves behind (per-core busy times in HT mode, the chain estimate
-//!   in LL mode) from which a mutated offspring can be re-evaluated
-//!   incrementally: `F_HT` is a max over cores, so only cores touched
-//!   by a mutation need recomputation, and the LL chain estimate
+//!   leaves behind (per-core busy times in HT mode; the chain estimate
+//!   and per-core issue loads in LL mode) from which a mutated
+//!   offspring can be re-evaluated incrementally: `F_HT` and the LL
+//!   issue floor are maxima over per-core integers, so only the cores a
+//!   mutation dirtied need recomputation, and the LL chain estimate
 //!   depends only on replication counts, so placement-only mutations
 //!   reuse it verbatim.
 //! * [`FitnessMemo`] — a fitness cache keyed by the chromosome
@@ -28,7 +29,9 @@
 //!
 //! Both paths are *exact*: an incremental or memoized evaluation
 //! returns the bit-identical `f64` the from-scratch estimator would,
-//! which the property tests in `tests/properties.rs` assert.
+//! which the property tests in `tests/properties.rs` assert (and, in
+//! builds with debug assertions, every LL evaluation checks its issue
+//! floor against [`ll_issue_floor`] from scratch).
 
 use crate::ga::GaContext;
 use crate::mapping::Chromosome;
@@ -254,36 +257,47 @@ pub(crate) fn ll_fitness_with_issue_floor(
 /// The per-core issue-capacity floor of
 /// [`ll_fitness_with_issue_floor`]: `max_core Σ windows-per-AG` scaled
 /// by the issue interval. The only placement-dependent part of the LL
-/// fitness, recomputed on every evaluation (the chain term is
-/// replication-only and can be reused incrementally).
+/// fitness: the GA keeps every core's load in its evaluation basis and
+/// recomputes only the cores a mutation dirtied (the chain term is
+/// replication-only and can be reused verbatim). This from-scratch walk
+/// over the genes is the reference the incremental loads must match.
 pub(crate) fn ll_issue_floor(
     hw: &HardwareConfig,
     partitioning: &Partitioning,
     chromosome: &Chromosome,
     replication: &ReplicationPlan,
 ) -> f64 {
-    let (mut windows, mut loads) = (Vec::new(), Vec::new());
+    let mut windows = Vec::new();
     fill_windows_per_replica(partitioning, replication, &mut windows);
-    ll_issue_floor_in(hw, chromosome, &windows, &mut loads)
+    let mut loads = vec![0u64; chromosome.cores()];
+    for (slot, gene) in chromosome.genes() {
+        let load = &mut loads[chromosome.core_of_slot(slot)];
+        *load = load.saturating_add(gene_issue_load(gene.ag_count, windows[gene.mvm]));
+    }
+    issue_floor_of(hw, &loads)
 }
 
-/// [`ll_issue_floor`] given every node's windows per replica, over a
-/// caller-owned per-core load buffer, so the GA's evaluation loop does
-/// not allocate it per offspring.
-fn ll_issue_floor_in(
-    hw: &HardwareConfig,
-    chromosome: &Chromosome,
-    windows_per_replica: &[usize],
-    loads: &mut Vec<u64>,
-) -> f64 {
-    let mut worst: u64 = 0;
-    loads.clear();
-    loads.resize(chromosome.cores(), 0);
-    for (slot, gene) in chromosome.genes() {
-        let core = chromosome.core_of_slot(slot);
-        loads[core] += gene.ag_count as u64 * windows_per_replica[gene.mvm] as u64;
-        worst = worst.max(loads[core]);
-    }
+/// One gene's issue load: its AGs times the node's windows per replica.
+fn gene_issue_load(ag_count: usize, windows_per_replica: usize) -> u64 {
+    (ag_count as u64).saturating_mul(windows_per_replica as u64)
+}
+
+/// LL issue load of one chromosome core (the per-core term of the issue
+/// floor) given every node's windows per replica; saturating, like
+/// [`ht_core_time_in_place`].
+fn ll_core_load(chromosome: &Chromosome, windows_per_replica: &[usize], core: usize) -> u64 {
+    chromosome.genes_of_core(core).fold(0, |load, (_, gene)| {
+        load.saturating_add(gene_issue_load(
+            gene.ag_count,
+            windows_per_replica[gene.mvm],
+        ))
+    })
+}
+
+/// The issue floor of per-core loads: the largest, scaled by the issue
+/// interval.
+fn issue_floor_of(hw: &HardwareConfig, loads: &[u64]) -> f64 {
+    let worst = loads.iter().copied().max().unwrap_or(0);
     worst as f64 * hw.issue_interval() as f64
 }
 
@@ -488,12 +502,16 @@ enum EvalDetail {
         /// Per-core busy times in core order.
         core_times: Vec<u64>,
     },
-    /// LL mode: the Fig. 6 chain estimate. It depends only on the
-    /// replication counts, so placement-only mutations reuse it and
-    /// just recompute the per-core issue floor.
+    /// LL mode: the Fig. 6 chain estimate beside the issue load of every
+    /// core. The chain depends only on the replication counts, so
+    /// placement-only mutations reuse it; the issue floor is the largest
+    /// load, and a child recomputes only the loads of the cores its
+    /// mutation dirtied.
     Ll {
         /// The topological chain estimate.
         chain: f64,
+        /// Per-core issue loads in core order.
+        loads: Vec<u64>,
     },
 }
 
@@ -524,41 +542,59 @@ pub(crate) struct EvalScratch {
     dirty: Vec<usize>,
     /// Membership mask for `dirty` (reset between evaluations).
     dirty_mask: Vec<bool>,
-    /// Per-core issue loads (LL floor).
-    loads: Vec<u64>,
     /// Per-node chain states (LL).
     states: Vec<LlNodeState>,
 }
 
-/// Fills `times` with the per-core HT busy times of `chromosome` under
-/// `plan`, derived from the evaluation `basis` of the chromosome it was
-/// mutated from: one copy of the parent's times, patched in place.
-/// `touched` lists every core whose slots differ from that parent
-/// (duplicates and unchanged cores are harmless). Only those cores are
-/// recomputed, plus every core hosting a node whose replica count
-/// differs from the basis: its windows-per-replica shifted on *all* of
-/// its cores, not only where AGs moved. (A core that hosted such a node
-/// in the parent only has lost the gene, so it is in `touched`.)
-/// Leaves the plan's windows per replica in `scratch.windows`.
+/// The mode's per-core fitness term of one chromosome core given every
+/// node's windows per replica: the HT busy time, or the LL issue load.
+fn core_term(
+    ctx: &GaContext<'_>,
+    chromosome: &Chromosome,
+    windows_per_replica: &[usize],
+    core: usize,
+    items: &mut Vec<(usize, usize)>,
+) -> u64 {
+    match ctx.mode {
+        PipelineMode::HighThroughput => {
+            ht_core_time_of(ctx.hw, chromosome, windows_per_replica, core, items)
+        }
+        PipelineMode::LowLatency => ll_core_load(chromosome, windows_per_replica, core),
+    }
+}
+
+/// Fills `terms` with the per-core fitness terms ([`core_term`]) of
+/// `chromosome` under `plan`, derived from the evaluation `basis` of the
+/// chromosome it was mutated from: one copy of the parent's terms,
+/// patched in place. `touched` lists every core whose slots differ from
+/// that parent (duplicates and unchanged cores are harmless). Only those
+/// cores are recomputed, plus every core hosting a node whose replica
+/// count differs from the basis: its windows-per-replica shifted on
+/// *all* of its cores, not only where AGs moved. (A core that hosted
+/// such a node in the parent only has lost the gene, so it is in
+/// `touched`.) Leaves the plan's windows per replica in
+/// `scratch.windows`.
 ///
-/// `false`, with `times` untouched, when `basis` is not an HT basis
-/// over the same core count.
-fn ht_core_times_from(
+/// `false`, with `terms` untouched, when `basis` is not a basis of the
+/// context's mode over the same core count.
+fn core_terms_from(
     ctx: &GaContext<'_>,
     chromosome: &Chromosome,
     plan: &ReplicationPlan,
     (basis, touched): (&EvalBasis, &[usize]),
     scratch: &mut EvalScratch,
-    times: &mut Vec<u64>,
+    terms: &mut Vec<u64>,
 ) -> bool {
-    let EvalDetail::Ht { core_times } = &basis.detail else {
-        return false;
+    let parent = match (&basis.detail, ctx.mode) {
+        (EvalDetail::Ht { core_times }, PipelineMode::HighThroughput) => core_times,
+        (EvalDetail::Ll { loads, .. }, PipelineMode::LowLatency) => loads,
+        _ => return false,
     };
-    if core_times.len() != chromosome.cores() {
+    if parent.len() != chromosome.cores() {
         return false;
     }
-    times.clear();
-    times.extend_from_slice(core_times);
+    terms.clear();
+    terms.extend_from_slice(parent);
     fill_windows_per_replica(ctx.partitioning, plan, &mut scratch.windows);
     scratch.dirty.clear();
     scratch.dirty_mask.clear();
@@ -580,13 +616,7 @@ fn ht_core_times_from(
         }
     }
     for &core in &scratch.dirty {
-        times[core] = ht_core_time_of(
-            ctx.hw,
-            chromosome,
-            &scratch.windows,
-            core,
-            &mut scratch.items,
-        );
+        terms[core] = core_term(ctx, chromosome, &scratch.windows, core, &mut scratch.items);
     }
     true
 }
@@ -596,7 +626,7 @@ fn ht_core_times_from(
 /// cycle count there. The core times are those of `parent` (the
 /// evaluation basis of the individual the draft was copied from, with
 /// the cores written since), recomputed only where they moved — see
-/// [`ht_core_times_from`]. `None` outside HT mode or on an empty core.
+/// [`core_terms_from`]. `None` outside HT mode or on an empty core.
 pub(crate) fn ht_critical_node(
     ctx: &GaContext<'_>,
     chromosome: &Chromosome,
@@ -606,7 +636,8 @@ pub(crate) fn ht_critical_node(
 ) -> Option<MvmIdx> {
     let mut times = std::mem::take(&mut scratch.times);
     let mut worst: Option<(u64, usize)> = None;
-    if ht_core_times_from(ctx, chromosome, plan, parent, scratch, &mut times) {
+    let ht = ctx.mode == PipelineMode::HighThroughput;
+    if ht && core_terms_from(ctx, chromosome, plan, parent, scratch, &mut times) {
         for (core, &t) in times.iter().enumerate() {
             if worst.is_none_or(|(w, _)| t > w) {
                 worst = Some((t, core));
@@ -624,16 +655,16 @@ pub(crate) fn ht_critical_node(
 /// Evaluates a chromosome's fitness under its replication `plan`,
 /// incrementally when the evaluation basis of the chromosome it was
 /// mutated from is supplied together with the cores the mutation
-/// touched (see [`ht_core_times_from`]). `ll` is the context's
+/// touched (see [`core_terms_from`]). `ll` is the context's
 /// [`LlStatic`] tables (`Some` whenever `ctx.mode` is LL — see
 /// [`FitnessMemo::ll_tables`]); `scratch` provides the reusable
 /// buffers and never influences the result.
 ///
 /// The returned `f64` is bit-identical to the from-scratch estimators
 /// ([`ht_fitness`] / [`ll_fitness_with_issue_floor`]) regardless of the
-/// path taken: HT recombines exact per-core integers, and the LL chain
-/// is a pure function of the replication counts that are checked for
-/// equality before reuse.
+/// path taken: both modes recombine exact per-core integers, and the LL
+/// chain is a pure function of the replication counts that are checked
+/// for equality before reuse.
 pub(crate) fn compute_fitness(
     ctx: &GaContext<'_>,
     ll: Option<&LlStatic>,
@@ -642,28 +673,22 @@ pub(crate) fn compute_fitness(
     parent: Option<(&EvalBasis, &[usize])>,
     scratch: &mut EvalScratch,
 ) -> (f64, EvalBasis, EvalKind) {
+    // The child's per-core terms: the one copy of the parent's made.
+    let mut terms = Vec::new();
+    let patched = parent
+        .is_some_and(|parent| core_terms_from(ctx, chromosome, &plan, parent, scratch, &mut terms));
+    if !patched {
+        fill_windows_per_replica(ctx.partitioning, &plan, &mut scratch.windows);
+        terms
+            .extend((0..chromosome.cores()).map(|core| {
+                core_term(ctx, chromosome, &scratch.windows, core, &mut scratch.items)
+            }));
+    }
     match ctx.mode {
         PipelineMode::HighThroughput => {
-            // The child's basis: the one copy of the parent's made.
-            let mut core_times = Vec::new();
-            let incremental = parent.is_some_and(|parent| {
-                ht_core_times_from(ctx, chromosome, &plan, parent, scratch, &mut core_times)
-            });
-            if !incremental {
-                fill_windows_per_replica(ctx.partitioning, &plan, &mut scratch.windows);
-                core_times.extend((0..chromosome.cores()).map(|core| {
-                    ht_core_time_of(
-                        ctx.hw,
-                        chromosome,
-                        &scratch.windows,
-                        core,
-                        &mut scratch.items,
-                    )
-                }));
-            }
-            let fitness = ht_combine(&core_times);
-            let detail = EvalDetail::Ht { core_times };
-            let kind = if incremental {
+            let fitness = ht_combine(&terms);
+            let detail = EvalDetail::Ht { core_times: terms };
+            let kind = if patched {
                 EvalKind::Incremental
             } else {
                 EvalKind::Full
@@ -672,7 +697,7 @@ pub(crate) fn compute_fitness(
         }
         PipelineMode::LowLatency => {
             let reused = parent.and_then(|(basis, _)| match &basis.detail {
-                EvalDetail::Ll { chain } if basis.plan == plan => Some(*chain),
+                EvalDetail::Ll { chain, .. } if basis.plan == plan => Some(*chain),
                 _ => None,
             });
             let (chain, kind) = match reused {
@@ -685,9 +710,16 @@ pub(crate) fn compute_fitness(
                     )
                 }
             };
-            fill_windows_per_replica(ctx.partitioning, &plan, &mut scratch.windows);
-            let floor = ll_issue_floor_in(ctx.hw, chromosome, &scratch.windows, &mut scratch.loads);
-            let detail = EvalDetail::Ll { chain };
+            let floor = issue_floor_of(ctx.hw, &terms);
+            debug_assert_eq!(
+                floor.to_bits(),
+                ll_issue_floor(ctx.hw, ctx.partitioning, chromosome, &plan).to_bits(),
+                "the issue floor of the kept loads is the floor from scratch"
+            );
+            let detail = EvalDetail::Ll {
+                chain,
+                loads: terms,
+            };
             (chain.max(floor), EvalBasis { plan, detail }, kind)
         }
     }
@@ -1130,6 +1162,42 @@ pub(crate) mod tests {
         child.set_gene(slot, None);
         child.set_gene(child.free_slot_of_core(to).unwrap(), Some(gene));
         (graph, hw, parent, child)
+    }
+
+    #[test]
+    fn a_basis_patched_from_the_parent_equals_one_from_scratch() {
+        // A placement-only move: only the cores it touched differ, and
+        // every per-core term (not just the largest) must be current.
+        let (graph, hw, parent, child) = parent_and_child();
+        let p = Partitioning::new(&graph, &hw).unwrap();
+        let dep = DepInfo::analyze(&graph);
+        let mut touched = Vec::new();
+        collect_dirty_cores(&parent, &child, &mut touched);
+        for mode in [PipelineMode::HighThroughput, PipelineMode::LowLatency] {
+            let ctx = GaContext {
+                hw: &hw,
+                graph: &graph,
+                partitioning: &p,
+                dep: &dep,
+                mode,
+                core_limit: None,
+            };
+            let tables = LlStatic::build(&hw, &graph, &p, &dep);
+            let mut scratch = EvalScratch::default();
+            let mut evaluate = |c: &Chromosome, parent| {
+                let plan = c.replication(&p).unwrap();
+                compute_fitness(&ctx, Some(&tables), c, plan, parent, &mut scratch)
+            };
+            let (_, basis, _) = evaluate(&parent, None);
+            let patched = evaluate(&child, Some((&basis, &touched)));
+            let fresh = evaluate(&child, None);
+            assert_eq!(patched.1, fresh.1, "{mode}");
+            assert_eq!(patched.0.to_bits(), fresh.0.to_bits(), "{mode}");
+            assert_eq!(
+                (patched.2, fresh.2),
+                (EvalKind::Incremental, EvalKind::Full)
+            );
+        }
     }
 
     #[test]

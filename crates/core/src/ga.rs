@@ -19,17 +19,17 @@
 //!
 //! # The search engine
 //!
-//! The search is nearly all of a compilation's time (94% of the
+//! The search is nearly all of a compilation's time (92% of the
 //! ledger's traced paper-scale pass), and inside it no part dominates:
 //! on the widest paper target (vgg16 in HT mode: 2124 cores x 4 slots,
 //! population 100 x 200 generations, about 0.25 s on one thread; timers
 //! in a scratch copy) the four mutation operators take half (shrink
 //! alone a quarter: half of its moves halve the most replicated node,
-//! rewriting hundreds of genes; merge a seventh), and copying a parent's
-//! grid on an offspring's first write is a tenth of that half;
+//! rewriting hundreds of genes; merge an eighth), and copying a parent's
+//! draft on an offspring's first write is a fifth of that half;
 //! incremental fitness evaluation takes three tenths, building and
 //! evaluating the initial population a tenth, and selection, the memo
-//! and the reduction the rest. What is left is proportional to what a
+//! and the reduction the rest. Most of that is proportional to what a
 //! move changes, not to the gene grid, and every part is built to keep
 //! it so: the grid is two 16-bit columns, so the copy an offspring
 //! makes when an operator first writes to it (over half never do) moves
@@ -42,14 +42,21 @@
 //! from the grid; the placement and spread scans step over every block
 //! in which no core has room for the request, and a placement whose
 //! fresh slots already cover what is left finds its remaining top-ups
-//! by one sweep of the node column instead of core by core (on vgg16
-//! the two scans visited 35 M cores in a search, and now visit 0.7 M);
-//! one node's genes are found by a blockwise sweep of the node column;
-//! evaluation recomputes the cores on the draft's list — in the one copy
-//! of the parent's core times that becomes the child's basis — instead
-//! of diffing two grids; and what does not depend on the individual
-//! (the LL chain tables, each worker's scratch buffers) is built once
-//! per run, not once per generation. On top of that the engine
+//! among the node's genes instead of core by core (on vgg16 the two
+//! scans visited 35 M cores in a search, and now visit 0.7 M); one
+//! node's genes are found through the chromosome's per-node index of
+//! the 64-slot blocks holding them (26 k lookups in a vgg16 search read
+//! 0.29 M of 3.5 M blocks); evaluation recomputes the cores on the
+//! draft's list and those hosting a node whose replica count changed —
+//! in the one copy of the parent's per-core terms (HT busy times, LL
+//! issue loads) that becomes the child's basis — instead of diffing two
+//! grids or walking every gene; and what does not depend on the
+//! individual (the LL chain tables, each worker's scratch buffers) is
+//! built once per run, not once per generation. What is still
+//! grid-sized is the draft copy and, per evaluation, the copy of the
+//! parent's per-core terms and their fold into the fitness (HT's
+//! `ht_combine`, the LL floor's maximum): flat passes over contiguous
+//! words. On top of that the engine
 //! evaluates in parallel, incrementally and memoized, while staying
 //! **deterministic to the bit** for a given [`GaParams::seed`]:
 //!
@@ -69,11 +76,11 @@
 //!   [chromosome fingerprint](Chromosome::fingerprint)
 //!   ([`FitnessMemo`](crate::FitnessMemo)), and offspring that differ
 //!   from their parent in a few genes are re-evaluated incrementally
-//!   (per-core recomputation in HT mode, chain-estimate reuse in LL
+//!   (per-core recomputation in both modes, chain-estimate reuse in LL
 //!   mode) — exactly, not approximately. The memo keeps every fitness
 //!   but only a weak pointer to each evaluation basis, so the bases
 //!   alive at any time are the population's: memory is about population
-//!   × (grid + per-core times), not evaluations × cores. A hit whose
+//!   × (grid + per-core terms), not evaluations × cores. A hit whose
 //!   basis is gone rebuilds it from its parent's, as a miss would.
 
 use crate::fitness::{
@@ -119,7 +126,9 @@ pub struct GaParams {
     /// rejects 0, and a direct [`optimize`] call treats it as 1.
     pub max_mutations_per_child: usize,
     /// Per-core distinct-node limit (`max_node_num_in_core`); `None`
-    /// selects a heuristic based on node and core counts.
+    /// selects a heuristic based on node and core counts. A pin past the
+    /// partitioned node count acts as the node count (a core holds at
+    /// most one gene per node).
     pub max_nodes_per_core: Option<usize>,
     /// Worker threads for offspring construction and fitness
     /// evaluation. `None` (the default) runs serially on the calling
@@ -556,6 +565,13 @@ pub(crate) fn optimize_observed(
             ),
         });
     }
+    // A core holds at most one gene per node, so a pin past the node
+    // count would only add slots no gene can use. (The heuristic's floor
+    // of 4 stays: it fixes the grid, and so the search, of a small graph.)
+    let max_nodes = match params.max_nodes_per_core {
+        Some(_) => max_nodes.min(ctx.partitioning.len().max(1)),
+        None => max_nodes,
+    };
     check_gene_limits(ctx.partitioning, capacity)?;
 
     let required = ctx.partitioning.min_crossbars();
@@ -1166,8 +1182,8 @@ fn place_halving(
 /// steps over every block of cores none of which has room for one AG
 /// ([`Draft::cores_with_room`]). And once the fresh slots cover what
 /// is left, no further fresh slot is listed (`left` only falls), so
-/// only top-ups can still change the plan: one sweep of the node column
-/// ([`Chromosome::slots_of_node`]) finds the remaining hosting cores in
+/// only top-ups can still change the plan: the node's genes
+/// ([`Chromosome::slots_of_node`]) give the remaining hosting cores in
 /// scan order ([`top_up_hosts`]). A failing call never gets there, so
 /// its reported room is the full scan's.
 fn place_ags_from(
@@ -1243,8 +1259,8 @@ fn place_ags_from(
 
 /// The rest of [`place_ags_from`]'s plan once its fresh slots cover
 /// `left`: a top-up of each core of `rest` (in order) that hosts `node`
-/// and has room, until nothing is left. The node's genes come from one
-/// sweep of its column, in slot and therefore core order.
+/// and has room, until nothing is left. The node's genes come from
+/// [`Chromosome::slots_of_node`], in slot and therefore core order.
 fn top_up_hosts(
     draft: &Draft,
     node: MvmIdx,
@@ -2016,6 +2032,38 @@ mod tests {
     }
 
     #[test]
+    fn a_pin_past_the_node_count_searches_the_node_count_grid() {
+        // Slots past the node count can never hold a gene: a pin there
+        // used to allocate them all (2^40 aborted the process).
+        let (g, hw) = setup(PipelineMode::HighThroughput);
+        let p = Partitioning::new(&g, &hw).unwrap();
+        let dep = DepInfo::analyze(&g);
+        let ctx = GaContext {
+            hw: &hw,
+            graph: &g,
+            partitioning: &p,
+            dep: &dep,
+            mode: PipelineMode::HighThroughput,
+            core_limit: None,
+        };
+        let search = |pin: usize| {
+            let params = GaParams {
+                max_nodes_per_core: Some(pin),
+                ..GaParams::fast(1)
+            };
+            let (best, stats) = optimize(&ctx, &params).unwrap();
+            let plan = best.replication(&p).unwrap();
+            let mapping = crate::mapping::CoreMapping::from_chromosome(&best, &p).unwrap();
+            (plan, mapping, stats)
+        };
+        let nodes = p.len();
+        let at_the_node_count = search(nodes);
+        for pin in [1 << 40, usize::MAX / ctx.cores(), 100 * nodes] {
+            assert_eq!(search(pin), at_the_node_count, "pin {pin}");
+        }
+    }
+
+    #[test]
     fn a_core_that_could_outgrow_a_gene_is_a_structured_error() {
         // 128x128 windows of a one-AG node: on cores of 2^20 crossbars
         // one gene could reach the radix, which `set_gene` refuses by
@@ -2067,6 +2115,44 @@ mod tests {
         // HT evaluation never reads them.
         run_with(PipelineMode::HighThroughput, 2, None);
         assert_eq!(LL_STATIC_BUILDS.with(|n| n.get()) - before, 1);
+    }
+
+    #[test]
+    fn ll_issue_loads_stay_exact_on_a_multi_block_grid() {
+        // 80 cores: replica-count changes dirty hosting cores in several
+        // blocks of the node-block index and of the draft's floors. With
+        // debug assertions on, every evaluation checks its incremental
+        // issue floor against the floor from scratch.
+        let g = normalize(&models::tiny_cnn()).unwrap();
+        let mut hw = HardwareConfig::small_test();
+        hw.chips = 5;
+        let p = Partitioning::new(&g, &hw).unwrap();
+        let dep = DepInfo::analyze(&g);
+        let ctx = GaContext {
+            hw: &hw,
+            graph: &g,
+            partitioning: &p,
+            dep: &dep,
+            mode: PipelineMode::LowLatency,
+            core_limit: None,
+        };
+        assert!(ctx.cores() >= 65);
+        let (best, stats) = optimize(&ctx, &GaParams::fast(5)).unwrap();
+        assert!(
+            stats.grow_successes > 0 && stats.incremental_evals > 0,
+            "{stats:?}"
+        );
+        let spans_blocks = |node| {
+            let mut blocks = best.slots_of_node(node).map(|slot| slot / 64);
+            blocks
+                .next()
+                .is_some_and(|first| blocks.any(|b| b != first))
+        };
+        assert!((0..p.len()).any(spans_blocks));
+        assert_eq!(
+            stats.final_fitness.to_bits(),
+            ctx.fitness(&best).unwrap().to_bits()
+        );
     }
 
     #[test]

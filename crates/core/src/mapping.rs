@@ -71,18 +71,42 @@ impl Gene {
 /// a popcount walk over a bitset, and the memoization fingerprint can
 /// be maintained incrementally (XOR in/out one slot's contribution on
 /// every [`Chromosome::set_gene`]) instead of rehashing the whole grid
-/// per offspring.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// per offspring. A per-node index of the 64-slot blocks holding each
+/// node's genes lets the GA find one node's genes by reading only those
+/// blocks of the node column.
+#[derive(Debug, Clone)]
 pub struct Chromosome {
     mvms: Vec<u16>,
     ags: Vec<u16>,
     occupied: Vec<u64>,
     /// Slots whose gene holds at least two AGs.
     splittable: Vec<u64>,
+    /// The node-block index: one row per node index ever written, in the
+    /// order of first writes, of one count per [`SCAN_BLOCK`] (how many
+    /// of its slots hold a gene of the node).
+    node_blocks: Vec<u8>,
+    /// `row_of[node]` is the node's row in `node_blocks` plus one (0: no
+    /// row); as long as the largest node index written.
+    row_of: Vec<u32>,
     cores: usize,
     max_nodes_per_core: usize,
     fp: u128,
 }
+
+/// Equal grids are equal chromosomes, whatever order their genes were
+/// written in: the node-block index (whose rows follow that order) and
+/// the fields derived from the grid are left out.
+impl PartialEq for Chromosome {
+    fn eq(&self, other: &Self) -> bool {
+        self.cores == other.cores
+            && self.max_nodes_per_core == other.max_nodes_per_core
+            && self.occupied == other.occupied
+            && self.mvms == other.mvms
+            && self.ags == other.ags
+    }
+}
+
+impl Eq for Chromosome {}
 
 /// A gene as the 16-bit `(node, AG count)` pair the slot columns store;
 /// `None` when it holds [`GENE_RADIX`] AGs or more, or its node index
@@ -92,10 +116,21 @@ fn narrow(gene: Gene) -> Option<(u16, u16)> {
     (u64::from(ags) < GENE_RADIX).then_some((u16::try_from(gene.mvm).ok()?, ags))
 }
 
-/// Slots [`Chromosome::slots_of_node`] rules in or out with one
-/// branch-free sweep of the node column (a multiple of every SIMD
-/// width, and 128 bytes of it).
+/// Slots the node-block index summarizes together: one word of the
+/// occupancy bitset, so a block's genes of a node are one 64-lane
+/// compare of the node column ANDed with that word.
 const SCAN_BLOCK: usize = 64;
+
+/// The set bits of `word`, lowest first.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
+}
 
 /// SplitMix64 finalizer used to derive the per-slot fingerprint tokens.
 fn mix64(mut z: u64) -> u64 {
@@ -122,6 +157,8 @@ impl Chromosome {
             ags: vec![0; slots],
             occupied: vec![0; slots.div_ceil(64)],
             splittable: vec![0; slots.div_ceil(64)],
+            node_blocks: Vec::new(),
+            row_of: Vec::new(),
             cores,
             max_nodes_per_core,
             fp: base,
@@ -204,10 +241,12 @@ impl Chromosome {
     /// graph on which they could build such a gene.
     pub fn set_gene(&mut self, slot: usize, gene: Option<Gene>) -> Option<Gene> {
         let prev = self.gene(slot);
+        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
         if let Some(g) = prev {
             self.fp ^= Self::slot_token(slot, g);
+            let row = self.row_start(g.mvm).expect("a stored node has a row");
+            self.node_blocks[row + word] -= 1;
         }
-        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
         match gene {
             Some(g) => {
                 let (mvm, ags) = narrow(g).unwrap_or_else(|| {
@@ -220,6 +259,8 @@ impl Chromosome {
                 self.mvms[slot] = mvm;
                 self.ags[slot] = ags;
                 self.occupied[word] |= bit;
+                let row = self.row_start(g.mvm).unwrap_or_else(|| self.add_row(g.mvm));
+                self.node_blocks[row + word] += 1;
             }
             None => {
                 self.mvms[slot] = 0;
@@ -232,7 +273,58 @@ impl Chromosome {
         } else {
             self.splittable[word] &= !bit;
         }
+        for node in [prev, gene].into_iter().flatten().map(|g| g.mvm) {
+            debug_assert_eq!(
+                u32::from(self.node_row(node).expect("a written node has a row")[word]),
+                self.node_mask(node as u16, word).count_ones(),
+                "the node-block index of node {node} matches block {word} of the column"
+            );
+        }
         prev
+    }
+
+    /// Gives `node` a row of the node-block index, all blocks empty,
+    /// and returns where it starts.
+    fn add_row(&mut self, node: MvmIdx) -> usize {
+        if self.row_of.len() <= node {
+            self.row_of.resize(node + 1, 0);
+        }
+        let start = self.node_blocks.len();
+        self.node_blocks.resize(start + self.occupied.len(), 0);
+        let rows = self.node_blocks.len() / self.occupied.len();
+        self.row_of[node] = u32::try_from(rows).expect("a row per 16-bit node index");
+        start
+    }
+
+    /// Where `node`'s row of the node-block index starts, if it has one.
+    fn row_start(&self, node: MvmIdx) -> Option<usize> {
+        let row = *self.row_of.get(node).filter(|&&row| row > 0)?;
+        Some((row as usize - 1) * self.occupied.len())
+    }
+
+    /// `node`'s row of the node-block index, if it has one.
+    fn node_row(&self, node: MvmIdx) -> Option<&[u8]> {
+        let start = self.row_start(node)?;
+        Some(&self.node_blocks[start..start + self.occupied.len()])
+    }
+
+    /// The slots of `block` holding a gene of `node`, as a bit mask over
+    /// the block's occupancy word: one byte-wide compare per lane (which
+    /// compiles to vector compares over the 16-bit column), then each
+    /// 8 bytes of 0/1 packed into 8 bits by one multiply, which moves
+    /// byte `i`'s low bit to bit `56 + i` with no carries between them.
+    fn node_mask(&self, node: u16, block: usize) -> u64 {
+        let first = block * SCAN_BLOCK;
+        let column = &self.mvms[first..self.len().min(first + SCAN_BLOCK)];
+        let mut lanes = [0u8; SCAN_BLOCK];
+        for (lane, &m) in lanes.iter_mut().zip(column) {
+            *lane = u8::from(m == node);
+        }
+        let matches = lanes.chunks_exact(8).rev().fold(0u64, |mask, bytes| {
+            let bytes = u64::from_le_bytes(bytes.try_into().expect("8 lanes"));
+            mask << 8 | bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56
+        });
+        matches & self.occupied[block]
     }
 
     /// All `(slot, gene)` pairs in slot order. Iterates the occupancy
@@ -242,17 +334,7 @@ impl Chromosome {
         self.occupied
             .iter()
             .enumerate()
-            .flat_map(move |(word, &bits)| {
-                let mut rest = bits;
-                std::iter::from_fn(move || {
-                    if rest == 0 {
-                        return None;
-                    }
-                    let bit = rest.trailing_zeros() as usize;
-                    rest &= rest - 1;
-                    Some(word * 64 + bit)
-                })
-            })
+            .flat_map(|(word, &bits)| set_bits(bits).map(move |bit| word * 64 + bit))
             .map(|slot| (slot, self.stored(slot)))
     }
 
@@ -297,28 +379,20 @@ impl Chromosome {
         self.probe_core(core, mvm).0
     }
 
-    /// Slots holding a gene of `mvm`, in slot order. Sweeps the node
-    /// column a [`SCAN_BLOCK`] at a time with a branch-free "does any
-    /// slot here name the node" reduction (which compiles to vector
-    /// compares over the 16-bit column) and walks slot by slot only the
-    /// blocks that can contain it (empty slots hold node 0, so only a
-    /// match needs the occupancy check) — which is what lets the GA
-    /// find one node's genes on a multi-thousand-core grid without
-    /// testing every slot.
+    /// Slots holding a gene of `mvm`, in slot order. Visits only the
+    /// blocks the node-block index lists for the node, and takes a
+    /// block's slots from one match mask ([`Chromosome::node_mask`]),
+    /// so the GA finds one node's genes on a multi-thousand-core grid
+    /// without reading the rest of the node column.
     pub(crate) fn slots_of_node(&self, mvm: MvmIdx) -> impl Iterator<Item = usize> + '_ {
-        // A node index no slot can store has no slots.
-        let node = u16::try_from(mvm).ok();
-        self.mvms
-            .chunks(SCAN_BLOCK)
-            .enumerate()
-            .filter(move |(_, block)| {
-                node.is_some_and(|n| block.iter().fold(false, |hit, &m| hit | (m == n)))
+        // A node index no slot can store has no row.
+        let row = u16::try_from(mvm).ok().zip(self.node_row(mvm));
+        row.into_iter().flat_map(move |(node, counts)| {
+            let blocks = counts.iter().enumerate().filter(|&(_, &n)| n > 0);
+            blocks.flat_map(move |(block, _)| {
+                set_bits(self.node_mask(node, block)).map(move |bit| block * SCAN_BLOCK + bit)
             })
-            .flat_map(move |(index, block)| {
-                let first = index * SCAN_BLOCK;
-                (first..first + block.len())
-                    .filter(move |&slot| Some(self.mvms[slot]) == node && self.is_occupied(slot))
-            })
+        })
     }
 
     /// The bitset a random gene is drawn from: every gene, or only the
@@ -379,6 +453,15 @@ impl Chromosome {
                 gene.ag_count * partitioning.entry(gene.mvm).crossbars_per_ag;
         }
         used
+    }
+
+    /// `mvm`'s gene count per block as the node-block index holds it
+    /// (all zero for a node without a row) — what the mapping tests
+    /// check against the column.
+    #[cfg(test)]
+    fn indexed_counts(&self, mvm: MvmIdx) -> Vec<u8> {
+        let row = self.node_row(mvm).map(<[u8]>::to_vec);
+        row.unwrap_or_else(|| vec![0; self.occupied.len()])
     }
 
     /// AG totals per node in a single pass over the genes.
@@ -1012,6 +1095,15 @@ mod tests {
             genes
         }
 
+        /// Genes of `mvm` per block of 64 slots.
+        fn block_counts(&self, mvm: MvmIdx) -> Vec<u8> {
+            let mut counts = vec![0; self.slots.len().div_ceil(64)];
+            for (slot, _) in self.genes().into_iter().filter(|(_, g)| g.mvm == mvm) {
+                counts[slot / 64] += 1;
+            }
+            counts
+        }
+
         fn probe(&self, core: usize, mvm: MvmIdx) -> (Option<usize>, Option<usize>) {
             let range = core * self.max_nodes..(core + 1) * self.max_nodes;
             let hosting = range
@@ -1038,6 +1130,7 @@ mod tests {
                 (0usize..10_000, 0usize..8, 0usize..7, 0usize..40),
                 0..120,
             ),
+            hostile_at in 0usize..10_000,
         ) {
             // Slot counts 1..=276: below, at and past the 64-slot scan
             // block, mostly not a multiple of it.
@@ -1049,11 +1142,30 @@ mod tests {
             let ags = |a: usize| if a == 39 { 9_999 } else { a % 5 };
             let mut c = Chromosome::empty(cores, max_nodes);
             let mut model = Model { slots: vec![None; len], max_nodes };
-            for (at, kind, n, a) in writes {
-                let slot = at % len;
-                let gene = (kind > 1).then(|| Gene { mvm: node(n), ag_count: ags(a) });
+            let mut write = |slot: usize, gene: Option<Gene>| {
                 let prev = c.set_gene(slot, gene);
                 proptest::prop_assert_eq!(prev, std::mem::replace(&mut model.slots[slot], gene));
+            };
+            for (at, kind, n, a) in writes {
+                let gene = (kind > 1).then(|| Gene { mvm: node(n), ag_count: ags(a) });
+                write(at % len, gene);
+            }
+            // Write orders the node-block index must survive, on nodes
+            // 7 and 8, which the random writes never name. Node 7's row
+            // is added after node 65 535's.
+            let gene = |mvm, ag_count| Some(Gene { mvm, ag_count });
+            let at = hostile_at % len;
+            write((at + 2) % len, gene(65_535, 1));
+            write((at + 3) % len, gene(7, 2));
+            // A gene rewritten in place with a new AG count.
+            write((at + 5) % len, gene(7, 1));
+            write((at + 5) % len, gene(7, 3));
+            // A removal that empties node 8's only block while node 7
+            // stays in it (`at ^ 1` is in the same block of 64).
+            if at ^ 1 < len {
+                write(at, gene(8, 2));
+                write(at ^ 1, gene(7, 1));
+                write(at, None);
             }
 
             for slot in 0..len {
@@ -1061,8 +1173,9 @@ mod tests {
             }
             proptest::prop_assert_eq!(c.genes().collect::<Vec<_>>(), model.genes());
             proptest::prop_assert_eq!(c.is_empty(), model.genes().is_empty());
-            let probes = (0..nodes).map(node).chain([0, 65_535, 65_536, 70_000]);
-            for mvm in probes {
+            let probes = (0..nodes).map(node).chain([0, 7, 8, 9, 40_000, 65_535, 65_536, 70_000]);
+            for mvm in probes.clone() {
+                proptest::prop_assert_eq!(c.indexed_counts(mvm), model.block_counts(mvm));
                 let of_node: Vec<usize> = model
                     .genes()
                     .into_iter()
@@ -1094,18 +1207,29 @@ mod tests {
             }
 
             // The same content reached another way is the same value,
-            // fingerprint included: written once in reverse slot order,
-            // and through the paper's integer codes.
+            // fingerprint included, though its index rows differ: written
+            // in reverse slot order, each gene over a transient one of a
+            // node the grid ends without, and through the paper's
+            // integer codes.
             let mut rebuilt = Chromosome::empty(cores, max_nodes);
             for (slot, gene) in model.genes().into_iter().rev() {
+                rebuilt.set_gene(slot, Some(Gene { mvm: 40_000, ag_count: 1 }));
                 rebuilt.set_gene(slot, Some(gene));
+            }
+            if let Some(free) = model.slots.iter().position(Option::is_none) {
+                rebuilt.set_gene(free, Some(Gene { mvm: 9, ag_count: 2 }));
+                rebuilt.set_gene(free, None);
             }
             proptest::prop_assert_eq!(&rebuilt, &c);
             proptest::prop_assert_eq!(rebuilt.fingerprint(), c.fingerprint());
+            for mvm in probes {
+                proptest::prop_assert_eq!(rebuilt.indexed_counts(mvm), model.block_counts(mvm));
+            }
             // (A code of 0 AGs decodes to an empty slot.)
             if model.genes().iter().all(|(_, g)| g.ag_count > 0) {
                 let coded = Chromosome::from_codes(&c.to_codes(), cores, max_nodes);
                 proptest::prop_assert_eq!(coded.fingerprint(), c.fingerprint());
+                proptest::prop_assert_eq!(&coded, &rebuilt);
                 proptest::prop_assert_eq!(coded, c);
             }
         }
