@@ -85,7 +85,9 @@ impl QuantConfig {
     /// # Errors
     ///
     /// [`HwError::InvalidParameter`] when a bit width is zero, exceeds
-    /// 32, or `cell_bits > weight_bits`.
+    /// 32, `weight_bits` is 1 (a symmetric quantizer at one bit has no
+    /// nonzero level: [`QuantConfig::weight_qmax`] is 0), or
+    /// `cell_bits > weight_bits`.
     pub fn validate(&self) -> Result<(), HwError> {
         let range = |name: &'static str, v: u32| {
             if v == 0 || v > 32 {
@@ -99,6 +101,15 @@ impl QuantConfig {
         range("weight_bits", self.weight_bits)?;
         range("cell_bits", self.cell_bits)?;
         range("adc_bits", self.adc_bits)?;
+        if self.weight_bits < 2 {
+            return Err(HwError::InvalidParameter {
+                name: "weight_bits",
+                detail: format!(
+                    "a symmetric {}-bit quantizer has no nonzero level; use at least 2",
+                    self.weight_bits
+                ),
+            });
+        }
         if self.cell_bits > self.weight_bits {
             return Err(HwError::InvalidParameter {
                 name: "cell_bits",
@@ -138,5 +149,18 @@ mod tests {
         };
         let e = bad.validate().unwrap_err();
         assert!(e.to_string().contains("cell_bits"));
+        let one_bit = QuantConfig {
+            weight_bits: 1,
+            cell_bits: 1,
+            adc_bits: 8,
+        };
+        let e = one_bit.validate().unwrap_err();
+        assert!(e.to_string().contains("weight_bits"), "{e}");
+        let two_bit = QuantConfig {
+            weight_bits: 2,
+            ..one_bit
+        };
+        assert_eq!(two_bit.validate(), Ok(()));
+        assert_eq!(two_bit.weight_qmax(), 1);
     }
 }

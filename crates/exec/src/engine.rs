@@ -14,9 +14,9 @@
 //! executors is attributable to the compiled layout.
 
 use crate::error::ExecError;
-use crate::gemm::{gemm, pack_rows, NR};
+use crate::gemm::{gemm, pack_rows, Tier, NR};
 use crate::tensor::Tensor;
-use pimcomp_ir::{infer_output_shape, synth, Activation, Graph, Node, Op, PoolKind, Shape};
+use pimcomp_ir::{infer_output_shape, synth, Activation, Conv2d, Graph, Node, Op, PoolKind, Shape};
 use std::ops::Range;
 
 /// The unfolded stationary weight matrix of one MVM node, stored
@@ -46,8 +46,9 @@ pub struct MvmJob<'a> {
     /// Convolution groups (1 for everything else). Output column `c`
     /// contracts against the panels of group `c / (width / groups)`.
     pub groups: usize,
-    /// The im2col'd input, `[group][window-block][k][NR]`: per group
-    /// one [`pack_rows`]-layout panel set.
+    /// The im2col'd input, `[group][window-block][k][32]`: per group
+    /// one [`pack_rows`]-layout panel set (32 windows a block, the last
+    /// block zero-padded).
     pub panels: &'a [f32],
     /// The unfolded weight matrix, synthesized for this one job: a
     /// backend that models weight storage rewrites it in place.
@@ -62,6 +63,7 @@ impl MvmJob<'_> {
     pub fn gemm(&self, cols: Range<usize>, k: Range<usize>, out: &mut [f32], accumulate: bool) {
         let per_group = self.width / self.groups;
         let group_len = self.windows.div_ceil(NR) * self.height * NR;
+        let tier = Tier::widest();
         let mut c = cols.start;
         while c < cols.end {
             let g = c / per_group;
@@ -69,6 +71,7 @@ impl MvmJob<'_> {
             c = piece.end;
             let panels = &self.panels[g * group_len..(g + 1) * group_len];
             gemm(
+                tier,
                 &self.weights,
                 piece,
                 panels,
@@ -96,12 +99,51 @@ pub trait MvmBackend {
 /// stay O(1) through deep networks.
 pub(crate) fn synth_weights(seed: u64, name: &str, height: usize, width: usize) -> WeightMatrix {
     let scale = 1.0 / (height.max(1) as f32).sqrt();
-    let cols = synth::values(seed, &format!("{name}/w"), height * width, scale);
+    let mut cols = vec![0.0; height * width];
+    synth_fill(Tier::widest(), seed, &format!("{name}/w"), scale, &mut cols);
     WeightMatrix {
         height,
         width,
         cols,
     }
+}
+
+/// [`synth::fill`] run on `tier` (or the widest narrower tier the CPU
+/// has): the same bits as [`synth::values`] on every tier. AVX-512DQ
+/// brings the 64-bit vector multiply the hash is made of; AVX2
+/// emulates it from 32-bit ones.
+#[allow(unsafe_code)]
+fn synth_fill(tier: Tier, seed: u64, tag: &str, scale: f32, out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if tier == Tier::Avx512
+        && std::is_x86_feature_detected!("avx512f")
+        && std::is_x86_feature_detected!("avx512dq")
+    {
+        // SAFETY: the running CPU supports AVX-512F and AVX-512DQ, checked above.
+        return unsafe { synth_fill_avx512(seed, tag, scale, out) };
+    }
+    #[cfg(target_arch = "x86_64")]
+    if tier >= Tier::Avx2 && std::is_x86_feature_detected!("avx2") {
+        // SAFETY: the running CPU supports AVX2, checked on the line above.
+        return unsafe { synth_fill_avx2(seed, tag, scale, out) };
+    }
+    synth::fill(seed, tag, scale, out)
+}
+
+/// [`synth::fill`] with AVX-512F and AVX-512DQ enabled: call it only on a
+/// CPU that has both.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+fn synth_fill_avx512(seed: u64, tag: &str, scale: f32, out: &mut [f32]) {
+    synth::fill(seed, tag, scale, out)
+}
+
+/// [`synth::fill`] with AVX2 enabled: call it only on a CPU that has
+/// AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn synth_fill_avx2(seed: u64, tag: &str, scale: f32, out: &mut [f32]) {
+    synth::fill(seed, tag, scale, out)
 }
 
 /// Synthesizes an MVM node's bias vector (tag `"<node>/b"`).
@@ -627,38 +669,8 @@ fn eval_mvm(
 
     let (groups, panels) = match &node.op {
         Op::Conv2d(c) => {
-            let (ci, ih, iw) = chw(input).map_err(&shape_err)?;
-            let ow = out_dims[2];
-            let cpg = ci / c.groups;
-            let (kh, kw) = c.kernel;
-            let blocks = windows.div_ceil(NR);
-            let mut panels = vec![0.0f32; c.groups * blocks * height * NR];
-            for g in 0..c.groups {
-                for w in 0..windows {
-                    // Window `w` is one lane of its block; row `k` of
-                    // that lane is `k * NR` further on.
-                    let lane = (g * blocks + w / NR) * height * NR + w % NR;
-                    let y0 = (w / ow * c.stride.0) as isize - c.padding.0 as isize;
-                    let x0 = (w % ow * c.stride.1) as isize - c.padding.1 as isize;
-                    for cl in 0..cpg {
-                        let ch = g * cpg + cl;
-                        for ky in 0..kh {
-                            let y = y0 + ky as isize;
-                            if y < 0 || y >= ih as isize {
-                                continue;
-                            }
-                            for kx in 0..kw {
-                                let x = x0 + kx as isize;
-                                if x < 0 || x >= iw as isize {
-                                    continue;
-                                }
-                                panels[lane + ((cl * kh + ky) * kw + kx) * NR] =
-                                    input.data[(ch * ih + y as usize) * iw + x as usize];
-                            }
-                        }
-                    }
-                }
-            }
+            let (_, ih, iw) = chw(input).map_err(&shape_err)?;
+            let panels = im2col(c, &input.data, (ih, iw), (out_dims[1], out_dims[2]));
             (c.groups, panels)
         }
         Op::Linear(_) | Op::MatMul(_) => {
@@ -699,6 +711,65 @@ fn eval_mvm(
     Ok(Tensor::new(out_dims, out))
 }
 
+/// Unfolds the CHW `input` (`ih × iw` per channel) of convolution
+/// `conv` with an `oh × ow` output into the kernel's panels,
+/// `[group][window-block][k][NR]`: row `k = (channel, ky, kx)` of window
+/// `(oy, ox)` holds `input[channel][oy·sy + ky − py][ox·sx + kx − px]`,
+/// or stays 0 where that lies in the padding.
+///
+/// It fills one panel row at a time. Per `kx` the in-bounds `ox` are
+/// one range, so an output row's share of a panel row is one strided
+/// run of an input row, copied in pieces that stay inside one block.
+fn im2col(
+    conv: &Conv2d,
+    input: &[f32],
+    (ih, iw): (usize, usize),
+    (oh, ow): (usize, usize),
+) -> Vec<f32> {
+    let ((kh, kw), (sy, sx), (py, px)) = (conv.kernel, conv.stride, conv.padding);
+    let cpg = conv.in_channels / conv.groups;
+    let height = conv.weight_matrix_height();
+    let group_len = (oh * ow).div_ceil(NR) * height * NR;
+    let mut panels = vec![0.0f32; conv.groups * group_len];
+    for (g, group) in panels.chunks_exact_mut(group_len.max(1)).enumerate() {
+        for cl in 0..cpg {
+            let plane = &input[(g * cpg + cl) * ih * iw..][..ih * iw];
+            for ky in 0..kh {
+                for kx in 0..kw {
+                    let r = (cl * kh + ky) * kw + kx;
+                    // `0 <= ox·sx + kx − px < iw` for `ox` in `lo..hi`.
+                    let lo = px.saturating_sub(kx).div_ceil(sx);
+                    let hi = (iw + px).saturating_sub(kx).div_ceil(sx).min(ow);
+                    for oy in 0..oh {
+                        // A row in the top padding wraps past `ih`.
+                        let y = (oy * sy + ky).wrapping_sub(py);
+                        if y >= ih {
+                            continue;
+                        }
+                        let src = &plane[y * iw..(y + 1) * iw];
+                        let mut ox = lo;
+                        while ox < hi {
+                            let w = oy * ow + ox;
+                            let n = (hi - ox).min(NR - w % NR);
+                            let dst = &mut group[(w / NR * height + r) * NR + w % NR..][..n];
+                            let x = ox * sx + kx - px;
+                            if sx == 1 {
+                                dst.copy_from_slice(&src[x..x + n]);
+                            } else {
+                                for (d, s) in dst.iter_mut().zip(src[x..].iter().step_by(sx)) {
+                                    *d = *s;
+                                }
+                            }
+                            ox += n;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    panels
+}
+
 /// GELU, tanh approximation (the form PIM VFU libraries implement).
 fn gelu(x: f32) -> f32 {
     const C: f32 = 0.797_884_6; // sqrt(2/pi)
@@ -733,5 +804,117 @@ fn rank2(t: &Tensor) -> Result<(usize, usize), String> {
     match t.dims[..] {
         [r, c] => Ok((r, c)),
         _ => Err(format!("expected rank-2 tensor, got {:?}", t.dims)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_tier_synthesizes_the_scalar_bits() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Odd lengths, so that vector loops and their scalar tails both
+        // run, and the scales the walker uses.
+        for (seed, tag, len, scale) in [
+            (1, "conv1/w", 1, 1.0),
+            (7, "layer1.0.conv1/w", 31, 1.0 / 576f32.sqrt()),
+            (7, "fc/b", 33, 0.1),
+            (u64::MAX, "input/x", 257, 1.0),
+            (3, "", 1001, 1.0 / 3f32.sqrt()),
+        ] {
+            let scalar: Vec<f32> = (0..len)
+                .map(|i| scale * synth::unit(seed, tag, i))
+                .collect();
+            assert_eq!(bits(&synth::values(seed, tag, len, scale)), bits(&scalar));
+            for tier in Tier::available() {
+                let mut out = vec![f32::NAN; len];
+                synth_fill(tier, seed, tag, scale, &mut out);
+                assert_eq!(bits(&out), bits(&scalar), "{tier:?}: {tag} x {len}");
+            }
+        }
+    }
+
+    /// The panels of [`im2col`] built element by element: per group,
+    /// one row-major `[window][k]` matrix, then [`pack_rows`].
+    fn naive_im2col(
+        conv: &Conv2d,
+        input: &[f32],
+        ih: usize,
+        iw: usize,
+        oh: usize,
+        ow: usize,
+    ) -> Vec<f32> {
+        let ((kh, kw), (sy, sx), (py, px)) = (conv.kernel, conv.stride, conv.padding);
+        let cpg = conv.in_channels / conv.groups;
+        let height = cpg * kh * kw;
+        let mut panels = Vec::new();
+        for g in 0..conv.groups {
+            let mut rows = vec![0.0f32; oh * ow * height];
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    for cl in 0..cpg {
+                        for ky in 0..kh {
+                            for kx in 0..kw {
+                                let y = (oy * sy + ky) as isize - py as isize;
+                                let x = (ox * sx + kx) as isize - px as isize;
+                                if (0..ih as isize).contains(&y) && (0..iw as isize).contains(&x) {
+                                    let k = (cl * kh + ky) * kw + kx;
+                                    rows[(oy * ow + ox) * height + k] =
+                                        input[((g * cpg + cl) * ih + y as usize) * iw + x as usize];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            panels.extend(pack_rows(&rows, oh * ow, height));
+        }
+        panels
+    }
+
+    #[test]
+    fn im2col_matches_a_per_element_unfold() {
+        for stride in [1, 2] {
+            for padding in [0, 1, 3] {
+                for kernel in [1, 3, 7] {
+                    for groups in [1, 2] {
+                        // Output widths 7, 14 and 33 make runs that end
+                        // mid-block and cross block boundaries; 3 × 7 is
+                        // a layer of fewer than 32 windows.
+                        for (oh, ow) in [(3, 7), (2, 14), (3, 33), (1, 33)] {
+                            // The input extent that gives `o` outputs, or
+                            // one pixel where the padding alone covers
+                            // the kernel (its output is then taller).
+                            let extent = |o: usize| {
+                                ((o - 1) * stride + kernel)
+                                    .saturating_sub(2 * padding)
+                                    .max(1)
+                            };
+                            let (ih, iw) = (extent(oh), extent(ow));
+                            let oh = (ih + 2 * padding - kernel) / stride + 1;
+                            assert_eq!((iw + 2 * padding - kernel) / stride + 1, ow);
+                            let conv = Conv2d {
+                                in_channels: 2 * groups,
+                                out_channels: 2 * groups,
+                                kernel: (kernel, kernel),
+                                stride: (stride, stride),
+                                padding: (padding, padding),
+                                groups,
+                                bias: false,
+                            };
+                            let input: Vec<f32> =
+                                (0..2 * groups * ih * iw).map(|i| i as f32 + 1.0).collect();
+                            assert_eq!(
+                                im2col(&conv, &input, (ih, iw), (oh, ow)),
+                                naive_im2col(&conv, &input, ih, iw, oh, ow),
+                                "stride {stride} padding {padding} kernel {kernel} groups {groups} \
+                                 input {ih}x{iw} output {oh}x{ow}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

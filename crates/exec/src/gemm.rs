@@ -8,26 +8,70 @@
 //! side. Per cell the arithmetic is therefore literally that of a
 //! scalar ascending-index dot product, bit for bit, for any tile shape.
 //!
-//! The body is compiled twice: once for the crate's baseline target
-//! (SSE2 on x86-64, four lanes per instruction) and once inside
-//! `gemm_avx2`, a `#[target_feature(enable = "avx2")]` copy that
-//! [`gemm`] calls when the running CPU has AVX2 (eight lanes: a whole
-//! `NR`-wide step in one register). Only the lane count differs. Every
-//! lane is still one cell's chain of a separately rounded multiply and
-//! add — AVX2 without FMA, no `mul_add`, no intrinsics — so the outputs
-//! are bit-identical across CPUs as well as across tile shapes.
+//! The panels are `NR` = 32 windows wide for every [`Tier`]; only the
+//! tile's column count `MR` differs, chosen so that each tier holds
+//! eight vector accumulators: one column (eight SSE2 registers) in the
+//! portable body, two columns (eight ymm) in `gemm_avx2`, four columns
+//! (eight zmm) in `gemm_avx512`. Those two are
+//! `#[target_feature]` copies of the one body that [`gemm`] calls when
+//! the running CPU has the feature. Every lane is still one cell's
+//! chain of a separately rounded multiply and add — no FMA, no
+//! `mul_add`, no intrinsics — so the outputs are bit-identical across
+//! CPUs as well as across tile shapes.
 
 use crate::engine::WeightMatrix;
 use std::ops::Range;
 
 /// Windows per packed input panel: the tile's lane dimension.
-pub(crate) const NR: usize = 8;
-/// Weight columns per tile.
-const MR: usize = 4;
+pub(crate) const NR: usize = 32;
+
+/// The instruction-set tiers the executor's hot loops are compiled
+/// for, narrowest first. Every tier computes the same bits. The
+/// dispatchers take the tier to run, so that the tests can run each
+/// one; the executor passes [`Tier::widest`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Tier {
+    /// The crate's baseline target (SSE2 on x86-64).
+    Portable,
+    /// AVX2.
+    Avx2,
+    /// AVX-512F with AVX-512DQ.
+    Avx512,
+}
+
+impl Tier {
+    /// The widest tier the running CPU executes (std caches the
+    /// feature checks, so this is a few loads).
+    pub(crate) fn widest() -> Tier {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::is_x86_feature_detected!("avx512f") && std::is_x86_feature_detected!("avx512dq")
+            {
+                return Tier::Avx512;
+            }
+            if std::is_x86_feature_detected!("avx2") {
+                return Tier::Avx2;
+            }
+        }
+        Tier::Portable
+    }
+
+    /// Every tier the running CPU executes: what the bit-identity
+    /// tests compare.
+    #[cfg(test)]
+    pub(crate) fn available() -> Vec<Tier> {
+        let widest = Tier::widest();
+        [Tier::Portable, Tier::Avx2, Tier::Avx512]
+            .into_iter()
+            .filter(|&t| t <= widest)
+            .collect()
+    }
+}
 
 /// Packs row-major `[windows × height]` input rows into the kernel's
-/// `[window-block][k][NR]` panels, so one `k` step of a tile is one
-/// contiguous load. The last block is zero-padded.
+/// `[window-block][k][NR]` panels (`NR` = 32 windows a block), so one
+/// `k` step of a tile is one contiguous load. The last block is
+/// zero-padded.
 pub fn pack_rows(rows: &[f32], windows: usize, height: usize) -> Vec<f32> {
     let mut panels = vec![0.0f32; windows.div_ceil(NR) * height * NR];
     for (w, row) in rows.chunks_exact(height.max(1)).take(windows).enumerate() {
@@ -40,7 +84,8 @@ pub fn pack_rows(rows: &[f32], windows: usize, height: usize) -> Vec<f32> {
 }
 
 /// `out[c][w] (= | +=) Σ_{k ∈ k} panels[w][k] · weights[c][k]` for every
-/// column `c` in `cols` and every window.
+/// column `c` in `cols` and every window, run on `tier` (or the widest
+/// narrower tier the CPU has).
 ///
 /// `panels` is one [`pack_rows`]-layout panel set over the height of
 /// `weights`, and `out` is `[column][window]` with `windows` cells per
@@ -48,7 +93,9 @@ pub fn pack_rows(rows: &[f32], windows: usize, height: usize) -> Vec<f32> {
 /// at `0.0` and ascends through `k`; `accumulate` adds that sum to
 /// `out` instead of storing it.
 #[allow(unsafe_code)]
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm(
+    tier: Tier,
     weights: &WeightMatrix,
     cols: Range<usize>,
     panels: &[f32],
@@ -58,15 +105,36 @@ pub(crate) fn gemm(
     accumulate: bool,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if std::is_x86_feature_detected!("avx2") {
+    if tier == Tier::Avx512 && std::is_x86_feature_detected!("avx512f") {
+        // SAFETY: the running CPU supports AVX-512F, checked on the line above.
+        return unsafe { gemm_avx512(weights, cols, panels, windows, k, out, accumulate) };
+    }
+    #[cfg(target_arch = "x86_64")]
+    if tier >= Tier::Avx2 && std::is_x86_feature_detected!("avx2") {
         // SAFETY: the running CPU supports AVX2, checked on the line above.
         return unsafe { gemm_avx2(weights, cols, panels, windows, k, out, accumulate) };
     }
-    gemm_body(weights, cols, panels, windows, k, out, accumulate)
+    gemm_body::<1>(weights, cols, panels, windows, k, out, accumulate)
 }
 
-/// [`gemm_body`] compiled with AVX2 enabled: call it only on a CPU that
-/// has AVX2.
+/// [`gemm_body`] with AVX-512F enabled, four columns a tile: call it
+/// only on a CPU that has AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn gemm_avx512(
+    weights: &WeightMatrix,
+    cols: Range<usize>,
+    panels: &[f32],
+    windows: usize,
+    k: Range<usize>,
+    out: &mut [f32],
+    accumulate: bool,
+) {
+    gemm_body::<4>(weights, cols, panels, windows, k, out, accumulate)
+}
+
+/// [`gemm_body`] with AVX2 enabled, two columns a tile: call it only on
+/// a CPU that has AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn gemm_avx2(
@@ -78,13 +146,36 @@ fn gemm_avx2(
     out: &mut [f32],
     accumulate: bool,
 ) {
-    gemm_body(weights, cols, panels, windows, k, out, accumulate)
+    gemm_body::<2>(weights, cols, panels, windows, k, out, accumulate)
 }
 
-/// The kernel itself, inlined into each of its callers so that it is
-/// compiled at each caller's target features.
+/// The pattern of one step of [`tile!`]'s zip, `((xk, &a), &b)…`.
+macro_rules! zipped {
+    ($p:pat) => { $p };
+    ($p:pat, $w:ident $(, $rest:ident)*) => { zipped!(($p, &$w) $(, $rest)*) };
+}
+
+/// One tile's `k` loop: the panel steps zipped with one weight column
+/// per name, so the loop indexes nothing, and each step adds
+/// `step[lane] · w` into accumulator row `i` for the `i`-th column `w`.
+macro_rules! tile {
+    ($acc:ident, $steps:expr; $($w:ident = $col:expr),+) => {{
+        let steps = $steps.iter();
+        $(let steps = steps.zip($col);)+
+        for zipped!(xk $(, $w)+) in steps {
+            for (tile, wv) in $acc.iter_mut().zip([$($w),+]) {
+                for (cell, xv) in tile.iter_mut().zip(xk) {
+                    *cell += xv * wv;
+                }
+            }
+        }
+    }};
+}
+
+/// The kernel itself at `MR` columns a tile, inlined into each of its
+/// callers so that it is compiled at each caller's target features.
 #[inline(always)]
-fn gemm_body(
+fn gemm_body<const MR: usize>(
     weights: &WeightMatrix,
     cols: Range<usize>,
     panels: &[f32],
@@ -93,12 +184,14 @@ fn gemm_body(
     out: &mut [f32],
     accumulate: bool,
 ) {
+    const { assert!(MR == 1 || MR == 2 || MR == 4) };
     let Some(last) = cols.end.checked_sub(1) else {
         return;
     };
     let height = weights.height;
     for w0 in (0..windows).step_by(NR) {
         let x = &panels[(w0 / NR * height + k.start) * NR..(w0 / NR * height + k.end) * NR];
+        let steps = x.as_chunks::<NR>().0;
         for c in cols.clone().step_by(MR) {
             // A ragged last tile recomputes the last column in its
             // spare rows; only `cols.end - c` rows are stored.
@@ -110,14 +203,10 @@ fn gemm_body(
             // compile-time constants and the accumulators stay in
             // vector registers.
             let mut acc = [[0.0f32; NR]; MR];
-            let steps = x.as_chunks::<NR>().0.iter();
-            let steps = steps.zip(col(0)).zip(col(1)).zip(col(2)).zip(col(3));
-            for ((((xk, &a), &b), &cc), &d) in steps {
-                for (tile, wv) in acc.iter_mut().zip([a, b, cc, d]) {
-                    for (cell, xv) in tile.iter_mut().zip(xk) {
-                        *cell += xv * wv;
-                    }
-                }
+            match MR {
+                1 => tile!(acc, steps; a = col(0)),
+                2 => tile!(acc, steps; a = col(0), b = col(1)),
+                _ => tile!(acc, steps; a = col(0), b = col(1), cc = col(2), d = col(3)),
             }
             for (i, tile) in acc.iter().enumerate().take(cols.end - c) {
                 let row = &mut out[(c + i) * windows + w0..(c + i + 1) * windows];
@@ -155,19 +244,22 @@ mod tests {
             .collect()
     }
 
-    type Kernel = fn(&WeightMatrix, Range<usize>, &[f32], usize, Range<usize>, &mut [f32], bool);
-
-    /// The baseline-target body and whatever `gemm` dispatches to on
-    /// this CPU (the AVX2 copy, on an AVX2 host).
-    const PATHS: [(&str, Kernel); 2] = [("portable", gemm_body), ("dispatched", gemm)];
-
     #[test]
-    fn every_cell_is_the_scalar_dot_bit_for_bit() {
+    fn every_tier_computes_the_scalar_dot_bit_for_bit() {
+        let tiers = Tier::available();
         let mut state = 7u64;
-        // Ragged against MR and NR, a single window (Linear), heights
-        // below a crossbar slice, and empty / partial / full k ranges.
-        for (windows, height, width) in [(1, 5, 1), (1, 300, 7), (9, 3, 4), (17, 130, 6), (8, 1, 9)]
-        {
+        // Windows ragged against NR (1 for Linear, 31, 33, 65), widths
+        // ragged against every tier's MR, heights below a crossbar
+        // slice, and empty / partial / full k ranges.
+        for (windows, height, width) in [
+            (1, 5, 1),
+            (1, 300, 7),
+            (31, 3, 4),
+            (33, 130, 6),
+            (65, 1, 9),
+            (32, 17, 5),
+            (65, 40, 3),
+        ] {
             let rows = values(windows * height, &mut state);
             let weights = WeightMatrix {
                 height,
@@ -180,13 +272,16 @@ mod tests {
                 (0..width, height / 2..height / 2),
                 (width / 2..width, 1.min(height)..height),
                 (0..width.min(3), 0..height.min(128)),
+                (1.min(width)..width, height / 3..height - height / 4),
             ] {
                 let seed = values(width * windows, &mut state);
-                for (path, kernel) in PATHS {
+                for &tier in &tiers {
                     for accumulate in [false, true] {
                         let mut out = seed.clone();
                         let (c2, k2) = (cols.clone(), k.clone());
-                        kernel(&weights, c2, &panels, windows, k2, &mut out, accumulate);
+                        gemm(
+                            tier, &weights, c2, &panels, windows, k2, &mut out, accumulate,
+                        );
                         for c in 0..width {
                             for w in 0..windows {
                                 let cell = c * windows + w;
@@ -202,7 +297,7 @@ mod tests {
                                 assert_eq!(
                                     out[cell].to_bits(),
                                     want.to_bits(),
-                                    "{path}: {windows}x{height}x{width} cols {cols:?} k {k:?} \
+                                    "{tier:?}: {windows}x{height}x{width} cols {cols:?} k {k:?} \
                                      cell ({c},{w})"
                                 );
                             }
@@ -222,12 +317,23 @@ mod tests {
             width,
             cols: vec![1.0; height * width],
         };
-        let mut out = [1.0f32; 3];
-        gemm(&matrix(0, 3), 0..3, &[], 1, 0..0, &mut out, true);
-        assert_eq!(out, [1.0; 3]);
-        gemm(&matrix(0, 3), 0..3, &[], 1, 0..0, &mut out, false);
-        assert_eq!(out, [0.0; 3]);
-        gemm(&matrix(4, 1), 0..0, &[1.0; 32], 1, 0..4, &mut out, true);
-        assert_eq!(out, [0.0; 3]);
+        for tier in Tier::available() {
+            let mut out = [1.0f32; 3];
+            gemm(tier, &matrix(0, 3), 0..3, &[], 1, 0..0, &mut out, true);
+            assert_eq!(out, [1.0; 3]);
+            gemm(tier, &matrix(0, 3), 0..3, &[], 1, 0..0, &mut out, false);
+            assert_eq!(out, [0.0; 3]);
+            gemm(
+                tier,
+                &matrix(4, 1),
+                0..0,
+                &[1.0; 4 * NR],
+                1,
+                0..4,
+                &mut out,
+                true,
+            );
+            assert_eq!(out, [0.0; 3]);
+        }
     }
 }

@@ -22,13 +22,15 @@
 //! ([`pimcomp_ir::synth`]), so a `(graph, seed)` pair fully determines
 //! every tensor — goldens are reproducible bytes.
 //!
-//! The same bytes on every CPU: the kernel and the quantized path's two
-//! per-element passes are compiled for the baseline target and again
-//! with AVX2 enabled, and pick the AVX2 copy at run time when the CPU
-//! has it. Only the number of output cells per instruction changes;
-//! every cell's chain of separately rounded operations is the same (see
-//! the `gemm` module). Those three dispatch calls are the crate's only
-//! `unsafe` code, each under its feature check.
+//! The same bytes on every CPU: the kernel and weight synthesis are
+//! compiled for the baseline target and again with AVX2 and with
+//! AVX-512 enabled, the quantized path's two per-element passes for the
+//! baseline and AVX2, and each picks the widest copy the CPU runs. Only
+//! the number of output cells per instruction (and the kernel's tile
+//! shape) changes; every cell's chain of separately rounded operations
+//! is the same (see the `gemm` module), and synthesis is integer
+//! arithmetic with one exact conversion. Those six dispatch calls are
+//! the crate's only `unsafe` code, each under its feature check.
 //!
 //! With a [`QuantConfig`] the mapped executor also models the analog
 //! datapath (weight bit-slicing, ADC clipping); [`verify_model`] then

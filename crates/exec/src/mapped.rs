@@ -28,6 +28,7 @@
 
 use crate::engine::{MvmBackend, MvmJob};
 use crate::error::ExecError;
+use crate::gemm::Tier;
 use pimcomp_arch::QuantConfig;
 use pimcomp_core::{slice_rows, CompiledModel};
 
@@ -106,8 +107,9 @@ impl MvmBackend for MappedBackend<'_> {
     fn mvm(&mut self, job: &mut MvmJob) -> Result<Vec<f32>, ExecError> {
         let indices = self.node_entries(job)?;
         let mut out = vec![0.0f32; job.width * job.windows];
+        let tier = Tier::widest();
         if let Some(q) = &self.quant {
-            quantize_weights(&mut job.weights.cols, q.weight_qmax() as f32);
+            quantize_weights(tier, &mut job.weights.cols, q.weight_qmax() as f32);
         }
         match self.quant.filter(|q| !q.is_ideal_adc()) {
             // Unquantized, or an ideal converter: weight quantization
@@ -120,7 +122,7 @@ impl MvmBackend for MappedBackend<'_> {
                 let slices = job.height.div_ceil(self.model.hw.crossbar_rows);
                 let mut partials = vec![0.0f32; slices * out.len()];
                 self.replay(job, &indices, &mut partials, true);
-                adc_accumulate(&partials, &mut out, q.adc_half_levels());
+                adc_accumulate(tier, &partials, &mut out, q.adc_half_levels());
             }
         }
         Ok(out)
@@ -129,9 +131,9 @@ impl MvmBackend for MappedBackend<'_> {
 
 // The two per-element passes of the quantized path take the kernel's
 // shape (see `gemm`): a portable `#[inline(always)]` body, an AVX2 copy
-// of it, and a dispatcher. Under AVX2, `f32::round` is inline vector
-// code instead of a `roundf` call per element, with the same
-// round-half-away-from-zero result.
+// of it, and a dispatcher that runs the copy on any tier from AVX2 up.
+// Under AVX2, `f32::round` is inline vector code instead of a `roundf`
+// call per element, with the same round-half-away-from-zero result.
 
 /// Rounds the column-major weights `cols` in place to signed integers
 /// in `[-qmax, qmax]` under a symmetric per-matrix scale, leaving the
@@ -140,9 +142,9 @@ impl MvmBackend for MappedBackend<'_> {
 /// computing with the dequantized matrix is the cell-accurate result —
 /// see [`slice_cells`].
 #[allow(unsafe_code)]
-fn quantize_weights(cols: &mut [f32], qmax: f32) {
+fn quantize_weights(tier: Tier, cols: &mut [f32], qmax: f32) {
     #[cfg(target_arch = "x86_64")]
-    if std::is_x86_feature_detected!("avx2") {
+    if tier >= Tier::Avx2 && std::is_x86_feature_detected!("avx2") {
         // SAFETY: the running CPU supports AVX2, checked on the line above.
         return unsafe { quantize_weights_avx2(cols, qmax) };
     }
@@ -175,9 +177,9 @@ fn quantize_weights_body(cols: &mut [f32], qmax: f32) {
 /// function of the quantized weights and the input only, NOT of
 /// `adc_bits`, so grids of different resolutions nest.
 #[allow(unsafe_code)]
-fn adc_accumulate(partials: &[f32], out: &mut [f32], half_levels: i64) {
+fn adc_accumulate(tier: Tier, partials: &[f32], out: &mut [f32], half_levels: i64) {
     #[cfg(target_arch = "x86_64")]
-    if std::is_x86_feature_detected!("avx2") {
+    if tier >= Tier::Avx2 && std::is_x86_feature_detected!("avx2") {
         // SAFETY: the running CPU supports AVX2, checked on the line above.
         return unsafe { adc_accumulate_avx2(partials, out, half_levels) };
     }
@@ -292,11 +294,12 @@ mod tests {
     }
 
     #[test]
-    fn dispatched_passes_match_the_portable_bits() {
+    fn every_tier_matches_the_portable_bits() {
         // The `_body` fns called here are the baseline-target passes;
-        // the dispatchers run the AVX2 copies on an AVX2 host. Inputs
-        // are cycled to odd lengths so that vector loops and their
-        // scalar tails both see every value.
+        // the dispatchers run the AVX2 copies on every tier from AVX2
+        // up. Inputs are cycled to odd lengths so that vector loops and
+        // their scalar tails both see every value.
+        let tiers = Tier::available();
         let cycle = |pattern: &[f32], n: usize| -> Vec<f32> {
             pattern.iter().copied().cycle().take(n).collect()
         };
@@ -313,12 +316,14 @@ mod tests {
         ] {
             let mut portable = cols.clone();
             quantize_weights_body(&mut portable, qmax);
-            let mut dispatched = cols.clone();
-            quantize_weights(&mut dispatched, qmax);
-            assert_eq!(bits(&portable), bits(&dispatched), "weights {cols:?}");
+            for &tier in &tiers {
+                let mut dispatched = cols.clone();
+                quantize_weights(tier, &mut dispatched, qmax);
+                assert_eq!(bits(&portable), bits(&dispatched), "{tier:?}: {cols:?}");
+            }
         }
         let mut rounded = signed.clone();
-        quantize_weights(&mut rounded, 127.0);
+        quantize_weights(Tier::widest(), &mut rounded, 127.0);
         assert_eq!(rounded[..4], [-6.0, -5.0, -4.0, -3.0]);
         assert_eq!(rounded[8..12], [3.0, 4.0, 5.0, 6.0]);
         assert_eq!(rounded[15].to_bits(), (-0.0f32).to_bits());
@@ -341,16 +346,18 @@ mod tests {
             let seed = cycle(&[1.5, -0.0, 0.0, -2.25, 0.1], partials.len() / 2);
             let mut portable = seed.clone();
             adc_accumulate_body(&partials, &mut portable, half);
-            let mut dispatched = seed.clone();
-            adc_accumulate(&partials, &mut dispatched, half);
-            assert_eq!(
-                bits(&portable),
-                bits(&dispatched),
-                "half {half}: {partials:?}"
-            );
+            for &tier in &tiers {
+                let mut dispatched = seed.clone();
+                adc_accumulate(tier, &partials, &mut dispatched, half);
+                assert_eq!(
+                    bits(&portable),
+                    bits(&dispatched),
+                    "{tier:?}, half {half}: {partials:?}"
+                );
+            }
         }
         let mut out = vec![0.0; adc.len()];
-        adc_accumulate(&adc, &mut out, 128);
+        adc_accumulate(Tier::widest(), &adc, &mut out, 128);
         assert_eq!(out[..2], [-9.0 / 32.0, -8.0 / 32.0]);
         assert_eq!(out[16..20], [8.0 / 32.0, 9.0 / 32.0, 127.0 / 32.0, -4.0]);
     }

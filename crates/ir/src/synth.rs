@@ -16,6 +16,7 @@
 //! for weights, so activations stay O(1) through deep networks).
 
 /// SplitMix64 finalizer: a high-quality 64-bit mixing function.
+#[inline(always)]
 fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -39,6 +40,7 @@ pub fn unit(seed: u64, tag: &str, index: usize) -> f32 {
     unit_hashed(seed, tag_hash(tag), index)
 }
 
+#[inline(always)]
 fn unit_hashed(seed: u64, tag: u64, index: usize) -> f32 {
     let word =
         mix64(seed ^ tag.rotate_left(17) ^ (index as u64).wrapping_mul(0x2545_f491_4f6c_dd1d));
@@ -49,8 +51,24 @@ fn unit_hashed(seed: u64, tag: u64, index: usize) -> f32 {
 
 /// A synthesized tensor of `len` elements in `[-scale, scale)`.
 pub fn values(seed: u64, tag: &str, len: usize, scale: f32) -> Vec<f32> {
+    let mut out = vec![0.0; len];
+    fill(seed, tag, scale, &mut out);
+    out
+}
+
+/// Writes elements `0..out.len()` of the tensor [`values`] synthesizes.
+///
+/// The one synthesis loop: integer arithmetic per element and one
+/// exact conversion, with no dependence between elements, so a caller
+/// compiled with wider vector features (the executor's AVX2 and
+/// AVX-512 copies) vectorises it to the same bits. `#[inline(always)]`
+/// so that it is compiled at each caller's target features.
+#[inline(always)]
+pub fn fill(seed: u64, tag: &str, scale: f32, out: &mut [f32]) {
     let h = tag_hash(tag);
-    (0..len).map(|i| scale * unit_hashed(seed, h, i)).collect()
+    for (i, v) in out.iter_mut().enumerate() {
+        *v = scale * unit_hashed(seed, h, i);
+    }
 }
 
 #[cfg(test)]

@@ -268,6 +268,44 @@ fn quantized_verification_reports_finite_metrics() {
     assert_eq!(quant.top1_match, again.top1_match);
 }
 
+#[test]
+fn one_bit_weights_are_refused_not_quantized_to_nan() {
+    // At one bit a symmetric quantizer's largest level is 2^0 - 1 = 0:
+    // the weight scale would be max|w| / 0 and every weight NaN, which
+    // ReLU and max-pool then hide as 0.
+    let graph = pimcomp_ir::models::tiny_cnn();
+    let hw = HardwareConfig {
+        weight_bits: 1,
+        cell_bits: 1,
+        ..HardwareConfig::small_test()
+    };
+    let model = compile(
+        &graph,
+        hw.clone(),
+        PipelineMode::HighThroughput,
+        1,
+        None,
+        None,
+    );
+    let repro = || -> Result<_, Box<dyn std::error::Error>> {
+        let q = pimcomp_arch::QuantConfig::for_hardware(&hw, 8)?;
+        Ok(verify_model(&model, 1, Some(q))?)
+    };
+    let err = repro().expect_err("1-bit weights have no nonzero level");
+    assert!(err.to_string().contains("weight_bits"), "{err}");
+
+    let one_bit = pimcomp_arch::QuantConfig {
+        weight_bits: 1,
+        cell_bits: 1,
+        adc_bits: 8,
+    };
+    match pimcomp_exec::MappedBackend::new(&model, Some(one_bit)) {
+        Err(ExecError::InvalidQuant { detail }) => assert!(detail.contains("weight_bits")),
+        Err(e) => panic!("wrong error: {e}"),
+        Ok(_) => panic!("a 1-bit quantizer was accepted"),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Hostile artifacts: an artifact stores the AG placement and derives
 // everything else again, so a tampered or truncated one is refused where
