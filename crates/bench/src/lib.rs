@@ -30,11 +30,6 @@ use pimcomp_ir::Graph;
 use pimcomp_sim::SimError;
 use serde::Serialize;
 
-/// Headroom factor applied when sizing chip counts: capacity ≈
-/// `headroom ×` the single-replica demand, leaving room for weight
-/// replication.
-pub const CHIP_HEADROOM: f64 = 2.0;
-
 /// Harness-wide options parsed from the binary's command line.
 #[derive(Debug, Clone)]
 pub struct HarnessOptions {
@@ -215,10 +210,10 @@ impl From<SimError> for HarnessError {
 }
 
 /// Sizes a PUMA-like target for `graph`: enough chips for
-/// [`CHIP_HEADROOM`]× the single-replica crossbar demand. The
-/// heuristic itself lives in core ([`pimcomp_core::sized_chips`]) so
-/// the sweep engine's `hardware: "auto"` option and this harness size
-/// targets identically.
+/// [`DEFAULT_HEADROOM`](pimcomp_core::DEFAULT_HEADROOM)× the
+/// single-replica crossbar demand. The heuristic itself lives in core
+/// ([`pimcomp_core::sized_chips`]) so the sweep engine's `hardware:
+/// "auto"` option and this harness size targets identically.
 ///
 /// # Errors
 ///
@@ -227,7 +222,7 @@ impl From<SimError> for HarnessError {
 /// partition must not bring a sweep down.
 pub fn hardware_for(graph: &Graph, parallelism: usize) -> Result<HardwareConfig, CompileError> {
     let base = HardwareConfig::puma();
-    let chips = pimcomp_core::sized_chips(graph, &base, CHIP_HEADROOM)?;
+    let chips = pimcomp_core::sized_chips(graph, &base, pimcomp_core::DEFAULT_HEADROOM)?;
     Ok(HardwareConfig::puma_with_chips(chips).with_parallelism(parallelism))
 }
 

@@ -5,7 +5,8 @@
 use crate::ga::{GaParams, GaStats};
 use crate::mapping::CoreMapping;
 use crate::memory::{MemoryPlan, ReusePolicy};
-use crate::partition::{Partitioning, ReloadPlan};
+use crate::partition::Partitioning;
+use crate::reload::ReloadPlan;
 use crate::schedule::Schedule;
 use crate::waiting::DepInfo;
 use crate::CompileError;

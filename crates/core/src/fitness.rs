@@ -80,6 +80,18 @@ pub(crate) fn ht_core_time_in_place(hw: &HardwareConfig, items: &mut Vec<(usize,
     time
 }
 
+/// [`ht_core_time`] of one core from the windows each of its AGs runs,
+/// one entry per AG. A core's AGs need no grouping by node first: the
+/// Fig. 5 model only sees how many AGs are still live at each window
+/// count, so equal-window entries merge exactly.
+pub(crate) fn ht_core_time_of_ags(
+    hw: &HardwareConfig,
+    windows: impl Iterator<Item = usize>,
+) -> u64 {
+    let mut items: Vec<(usize, usize)> = windows.map(|w| (1, w)).collect();
+    ht_core_time_in_place(hw, &mut items)
+}
+
 /// Weight of the mean-load tie-breaker added to the `max` objective.
 ///
 /// `F_HT = max_i time_i` is a plateau-heavy landscape: replicating one
@@ -160,18 +172,6 @@ pub(crate) fn ht_fitness(
     ht_combine(&core_times)
 }
 
-/// Adds the reload-barrier stalls of a `weight_reload` plan to a mode
-/// fitness estimate (both in cycles), so reload-aware compilations are
-/// scored on the full cost of time-multiplexing: a tight budget that
-/// forces many epochs loses to a looser one even when their compute
-/// fitness ties. `None` (ordinary compilation) passes through.
-pub(crate) fn with_reload_stalls(
-    fitness: f64,
-    reload: Option<&crate::partition::ReloadPlan>,
-) -> f64 {
-    fitness + reload.map_or(0.0, |p| p.total_write_cycles as f64)
-}
-
 /// HT fitness computed from a materialized [`CoreMapping`] instead of a
 /// chromosome (used for baseline mappings built without the GA). The
 /// `max` objective only — no tie-breaker — so reported values compare
@@ -183,28 +183,12 @@ pub fn ht_fitness_from_mapping(
     partitioning: &Partitioning,
     mapping: &crate::mapping::CoreMapping,
 ) -> f64 {
-    let mut worst = 0u64;
-    for ids in &mapping.per_core {
-        if ids.is_empty() {
-            continue;
-        }
-        // Collapse instances to (ag_count, cycles) per node.
-        let mut per_node: HashMap<usize, usize> = HashMap::new();
-        for &id in ids {
-            *per_node.entry(mapping.instances[id].mvm).or_default() += 1;
-        }
-        let items: Vec<(usize, usize)> = per_node
-            .into_iter()
-            .map(|(mvm, ags)| {
-                (
-                    ags,
-                    mapping.replication.windows_per_replica(partitioning, mvm),
-                )
-            })
-            .collect();
-        worst = worst.max(ht_core_time(hw, &items));
-    }
-    worst as f64
+    let core_time = |ids: &Vec<usize>| {
+        let mvms = ids.iter().map(|&id| mapping.instances[id].mvm);
+        let windows = mvms.map(|mvm| mapping.replication.windows_per_replica(partitioning, mvm));
+        ht_core_time_of_ags(hw, windows)
+    };
+    mapping.per_core.iter().map(core_time).max().unwrap_or(0) as f64
 }
 
 /// Per-node quantities for the LL estimate.

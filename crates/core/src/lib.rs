@@ -59,6 +59,7 @@ mod mapping;
 mod memory;
 mod parallel;
 mod partition;
+mod reload;
 mod replication;
 mod schedule;
 mod session;
@@ -75,10 +76,8 @@ pub use ga::{optimize, split_stream_seed, GaContext, GaGeneration, GaParams, GaS
 pub use mapping::{AgInstance, Chromosome, CoreMapping, Gene, GENE_RADIX};
 pub use memory::{MemoryPlan, ReusePolicy};
 pub use parallel::run_indexed;
-pub use partition::{
-    sized_chips, EpochAssignment, EpochPlan, EpochReloadCost, MvmIdx, NodePartition, Partitioning,
-    ReloadPlan,
-};
+pub use partition::{sized_chips, MvmIdx, NodePartition, Partitioning, DEFAULT_HEADROOM};
+pub use reload::ReloadPlan;
 pub use replication::ReplicationPlan;
 pub use schedule::{
     slice_rows, HtNodeProgram, HtSchedule, HtSend, HtVecTask, LlProviderRef, LlReplica, LlSchedule,

@@ -8,7 +8,7 @@
 //! [`CoreMapping`]: concrete AG instances `(node, replica, slice)`
 //! assigned to cores, with per-replica accumulation owners.
 
-use crate::partition::{EpochPlan, MvmIdx, Partitioning};
+use crate::partition::{MvmIdx, Partitioning};
 use crate::replication::ReplicationPlan;
 use crate::CompileError;
 use serde::{Deserialize, Serialize};
@@ -685,35 +685,6 @@ impl CoreMapping {
             }
         }
         Self::from_instances(instances, partitioning, chromosome.cores())
-    }
-
-    /// Materializes an epoch plan (`weight_reload` mode) into the same
-    /// mapping shape the GA produces, overlaying all epochs: every AG
-    /// instance keeps the core its epoch assigned it, and replication
-    /// is fixed at 1 (duplication-free placement — time-multiplexed
-    /// crossbars leave no room for replicas).
-    ///
-    /// Cores shared by several epochs are *physically* over-committed
-    /// here — that is the point of weight reloading; capacity holds
-    /// within each epoch, which [`EpochPlan::new`] guarantees. The
-    /// packer visits AGs in `(node, slice)` order, so its epochs read
-    /// back to back are already in instance order.
-    ///
-    /// # Errors
-    ///
-    /// [`CompileError::MappingInvariant`] when the plan misses an AG.
-    pub(crate) fn from_epoch_plan(
-        plan: &EpochPlan,
-        partitioning: &Partitioning,
-        cores: usize,
-    ) -> Result<Self, CompileError> {
-        let instances = plan.epochs.iter().flatten().map(|a| AgInstance {
-            mvm: a.mvm,
-            replica: 0,
-            slice: a.slice,
-            core: a.core,
-        });
-        Self::from_instances(instances.collect(), partitioning, cores)
     }
 
     /// Assembles a mapping from its AG instances — the one constructor

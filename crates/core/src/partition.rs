@@ -11,7 +11,7 @@
 use crate::CompileError;
 use pimcomp_arch::HardwareConfig;
 use pimcomp_ir::{Graph, NodeId, Op};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Index of an MVM node within a [`Partitioning`] (topological order of
 /// conv/fc nodes).
@@ -213,301 +213,17 @@ impl Partitioning {
     }
 }
 
-/// Placement of one Array-Group instance within a mapping epoch
-/// (`weight_reload` mode; replication is fixed at 1, so an AG instance
-/// is identified by `(mvm, slice)` alone).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EpochAssignment {
-    /// Which partitioned node.
-    pub mvm: MvmIdx,
-    /// AG index within the node's single replica.
-    pub slice: usize,
-    /// Core holding this AG's crossbars during its epoch.
-    pub core: usize,
-}
-
-/// Epoch decomposition of a model under a fixed crossbar budget
-/// (`weight_reload` mode, COMPASS-style).
-///
-/// Execution proceeds epoch by epoch; between epochs the crossbars of
-/// cores shared by several epochs are reprogrammed with the next
-/// epoch's weights. A model that fits its budget yields a single epoch
-/// and a zero-cost [`ReloadPlan`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EpochPlan {
-    /// AG placements per epoch, in `(mvm, slice)` order within each.
-    pub epochs: Vec<Vec<EpochAssignment>>,
-    /// The crossbar budget the plan respects (clamped to the hardware's
-    /// total crossbars).
-    pub budget: usize,
-    /// Cores `0..ring_cores` form the placement ring; no AG is placed
-    /// outside it.
-    pub ring_cores: usize,
-}
-
-impl EpochPlan {
-    /// Packs every AG instance (replication 1) into capacity-feasible
-    /// epochs over a fixed ring of cores.
-    ///
-    /// The ring spans cores `0..ceil(budget / capacity)` (clamped to
-    /// the core count), each capped at the per-core capacity except the
-    /// last, which absorbs the budget remainder. AG instances are
-    /// visited in `(mvm, slice)` order and placed next-fit: a rotating
-    /// pointer sticks to its current core until an AG no longer fits,
-    /// then advances around the ring; when a full lap finds no room the
-    /// epoch closes, every core's occupancy resets, and packing
-    /// continues in a fresh epoch (the pointer persists so adjacent
-    /// epochs start filling where the previous one stopped). The
-    /// procedure is deterministic — no search, no randomness — so
-    /// epoch plans are bit-identical across runs by construction.
-    ///
-    /// # Errors
-    ///
-    /// [`CompileError::ReloadBudgetTooSmall`] when `budget` cannot hold
-    /// the widest single AG (the atomic placement unit).
-    pub fn new(
-        partitioning: &Partitioning,
-        hw: &HardwareConfig,
-        budget: usize,
-    ) -> Result<Self, CompileError> {
-        let capacity = hw.crossbar_capacity_per_core();
-        let budget = budget.min(hw.total_crossbars());
-        let min_ag = partitioning
-            .entries()
-            .iter()
-            .map(|e| e.crossbars_per_ag)
-            .max()
-            .unwrap_or(0);
-        if budget < min_ag {
-            return Err(CompileError::ReloadBudgetTooSmall { budget, min_ag });
-        }
-        let ring_cores = budget.div_ceil(capacity).min(hw.total_cores());
-        let cap_of = |core: usize| {
-            if core + 1 == ring_cores && budget < ring_cores * capacity {
-                budget - (ring_cores - 1) * capacity
-            } else {
-                capacity
-            }
-        };
-
-        let mut epochs = Vec::new();
-        let mut current: Vec<EpochAssignment> = Vec::new();
-        let mut used = vec![0usize; ring_cores];
-        let mut ptr = 0usize;
-        for (mvm, entry) in partitioning.entries().iter().enumerate() {
-            let w = entry.crossbars_per_ag;
-            for slice in 0..entry.ags_per_replica {
-                let mut placed = false;
-                for step in 0..ring_cores {
-                    let core = (ptr + step) % ring_cores;
-                    if used[core] + w <= cap_of(core) {
-                        used[core] += w;
-                        ptr = core;
-                        current.push(EpochAssignment { mvm, slice, core });
-                        placed = true;
-                        break;
-                    }
-                }
-                if !placed {
-                    // Close the epoch and retry in a fresh one; the
-                    // widest-AG check above guarantees it fits there.
-                    epochs.push(std::mem::take(&mut current));
-                    used.iter_mut().for_each(|u| *u = 0);
-                    for step in 0..ring_cores {
-                        let core = (ptr + step) % ring_cores;
-                        if used[core] + w <= cap_of(core) {
-                            used[core] += w;
-                            ptr = core;
-                            current.push(EpochAssignment { mvm, slice, core });
-                            placed = true;
-                            break;
-                        }
-                    }
-                    debug_assert!(placed, "AG must fit an empty epoch");
-                }
-            }
-        }
-        if !current.is_empty() {
-            epochs.push(current);
-        }
-        Ok(EpochPlan {
-            epochs,
-            budget,
-            ring_cores,
-        })
-    }
-
-    /// Number of epochs.
-    pub fn epoch_count(&self) -> usize {
-        self.epochs.len()
-    }
-
-    /// Derives the reload cost of this plan.
-    ///
-    /// Residency rule: a core shared by several epochs has its contents
-    /// rewritten at every epoch boundary, so *all* its AGs are charged
-    /// — including epoch 0's, because in steady state (one reload pass
-    /// per inference round) even the first epoch's weights were
-    /// overwritten by the previous pass. A core hosting AGs of exactly
-    /// one epoch keeps its weights resident and is never rewritten; a
-    /// single-epoch plan therefore costs nothing, matching ordinary
-    /// compilation.
-    ///
-    /// Per AG, programming is row-serial but cell- and
-    /// crossbar-parallel ([`HardwareConfig::xbar_write_cycles`]); cores
-    /// write serially within themselves but in parallel with each
-    /// other, so an epoch's stall is the maximum per-core write-cycle
-    /// sum, and the plan total is the sum over epochs.
-    ///
-    /// Each epoch also carries an analytic per-inference compute
-    /// estimate (`compute_cycles`): the Fig. 5 per-core busy-time model
-    /// ([`ht_core_time`](crate::ht_fitness)'s kernel) applied to the
-    /// epoch's resident AGs, maxed over cores. Epochs execute serially,
-    /// so the simulator sums these instead of event-simulating an
-    /// over-committed mapping (which would model all epochs as
-    /// physically concurrent).
-    pub(crate) fn reload_plan(
-        &self,
-        partitioning: &Partitioning,
-        hw: &HardwareConfig,
-    ) -> ReloadPlan {
-        let mut core_epochs = vec![0usize; self.ring_cores];
-        for epoch in &self.epochs {
-            let mut seen = vec![false; self.ring_cores];
-            for a in epoch {
-                if !seen[a.core] {
-                    seen[a.core] = true;
-                    core_epochs[a.core] += 1;
-                }
-            }
-        }
-        let resident_core = |core: usize| core_epochs[core] <= 1;
-
-        let cells_per_weight = hw.cells_per_weight();
-        let mut epochs = Vec::with_capacity(self.epochs.len());
-        let mut total_ags = 0usize;
-        let mut total_cells = 0u64;
-        let mut total_cycles = 0u64;
-        let mut total_pj = 0.0f64;
-        let mut total_compute = 0u64;
-        for epoch in &self.epochs {
-            let mut cost = EpochReloadCost::default();
-            let mut per_core_cycles = vec![0u64; self.ring_cores];
-            // (ag_count, windows) per (core, mvm) for the Fig. 5 model.
-            let mut per_core_items: Vec<BTreeMap<MvmIdx, usize>> =
-                vec![BTreeMap::new(); self.ring_cores];
-            for a in epoch {
-                let e = partitioning.entry(a.mvm);
-                let rows = crate::schedule::slice_rows(e.weight_height, hw.crossbar_rows, a.slice);
-                let cells = (rows * e.weight_width * cells_per_weight) as u64;
-                if resident_core(a.core) {
-                    cost.resident_cells += cells;
-                } else {
-                    cost.ags_written += 1;
-                    cost.cells_written += cells;
-                    per_core_cycles[a.core] =
-                        per_core_cycles[a.core].saturating_add(hw.xbar_write_cycles(rows));
-                    cost.write_pj += cells as f64 * hw.xbar_write_pj_per_cell;
-                }
-                *per_core_items[a.core].entry(a.mvm).or_default() += 1;
-            }
-            cost.write_cycles = per_core_cycles.iter().copied().max().unwrap_or(0);
-            cost.compute_cycles = per_core_items
-                .iter()
-                .map(|items| {
-                    let items: Vec<(usize, usize)> = items
-                        .iter()
-                        .map(|(&mvm, &ags)| (ags, partitioning.entry(mvm).windows))
-                        .collect();
-                    crate::fitness::ht_core_time(hw, &items)
-                })
-                .max()
-                .unwrap_or(0);
-            total_ags += cost.ags_written;
-            total_cells += cost.cells_written;
-            total_cycles = total_cycles.saturating_add(cost.write_cycles);
-            total_pj += cost.write_pj;
-            total_compute = total_compute.saturating_add(cost.compute_cycles);
-            epochs.push(cost);
-        }
-        ReloadPlan {
-            budget: self.budget,
-            ring_cores: self.ring_cores,
-            epochs,
-            total_ags_written: total_ags,
-            total_cells_written: total_cells,
-            total_write_cycles: total_cycles,
-            total_write_pj: total_pj,
-            total_compute_cycles: total_compute,
-        }
-    }
-}
-
-/// Reload cost of one epoch of a [`ReloadPlan`].
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct EpochReloadCost {
-    /// AGs whose crossbars are reprogrammed entering this epoch.
-    pub ags_written: usize,
-    /// NVM cells those writes touch.
-    pub cells_written: u64,
-    /// Cells of this epoch's AGs that stay resident (single-epoch
-    /// cores) and are never rewritten.
-    pub resident_cells: u64,
-    /// Stall cycles of the reload barrier: max per-core write time
-    /// (cores program in parallel, rows within a core serially).
-    pub write_cycles: u64,
-    /// Write energy in pJ (`cells_written × xbar_write_pj_per_cell`).
-    pub write_pj: f64,
-    /// Analytic per-inference compute estimate for this epoch (Fig. 5
-    /// per-core busy-time model, maxed over cores). Only consumed by
-    /// multi-epoch plans — single-epoch models run the event-driven
-    /// simulator instead (and resident plans record zero here).
-    pub compute_cycles: u64,
-}
-
-/// The reload schedule of a `weight_reload` compilation: per-epoch
-/// write costs plus totals, derived from an [`EpochPlan`] (or, for a
-/// model that fits its budget, from the resident mapping).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReloadPlan {
-    /// The crossbar budget the schedule respects.
-    pub budget: usize,
-    /// Cores forming the placement ring.
-    pub ring_cores: usize,
-    /// Per-epoch write costs, in execution order.
-    pub epochs: Vec<EpochReloadCost>,
-    /// Total AG rewrites per inference round.
-    pub total_ags_written: usize,
-    /// Total cells written per inference round.
-    pub total_cells_written: u64,
-    /// Total reload stall cycles per inference round (sum of the
-    /// per-epoch barriers).
-    pub total_write_cycles: u64,
-    /// Total write energy per inference round, in pJ.
-    pub total_write_pj: f64,
-    /// Sum of the per-epoch analytic compute estimates (epochs execute
-    /// serially). Zero in single-epoch plans.
-    pub total_compute_cycles: u64,
-}
-
-impl ReloadPlan {
-    /// Number of epochs.
-    pub fn epoch_count(&self) -> usize {
-        self.epochs.len()
-    }
-
-    /// `true` when the model fit its budget in one epoch (no reload
-    /// cost; the compilation is equivalent to an ordinary one).
-    pub fn is_single_epoch(&self) -> bool {
-        self.epochs.len() <= 1
-    }
-}
+/// The default headroom of [`sized_chips`], used by `pimcomp compile`
+/// without `--chips`, the bench harness and a sweep's `hardware:
+/// "auto"`: twice the single-replica demand, leaving room for weight
+/// replication.
+pub const DEFAULT_HEADROOM: f64 = 2.0;
 
 /// Sizes a chip count for `graph` on the `base` target: enough chips
 /// for `headroom ×` the single-replica crossbar demand, leaving room
 /// for weight replication. This is the headroom heuristic the bench
 /// harness (`hardware_for`) and the sweep engine's `hardware: "auto"`
-/// option share; `headroom` 2.0 is the harness default.
+/// option share; [`DEFAULT_HEADROOM`] is their default.
 ///
 /// # Errors
 ///
@@ -630,118 +346,5 @@ mod tests {
         assert_eq!(fc6.ags_per_replica, 196);
         assert_eq!(fc6.crossbars_per_ag, 64);
         assert_eq!(fc6.col_groups, 4);
-    }
-
-    fn small_partitioning() -> (Partitioning, HardwareConfig) {
-        let hw = HardwareConfig::small_test();
-        let g = pimcomp_ir::transform::normalize(&models::tiny_cnn()).unwrap();
-        let p = Partitioning::new(&g, &hw).unwrap();
-        (p, hw)
-    }
-
-    #[test]
-    fn epoch_plan_places_every_ag_exactly_once_within_budget() {
-        let (p, hw) = small_partitioning();
-        let budget = 32;
-        let plan = EpochPlan::new(&p, &hw, budget).unwrap();
-        assert!(
-            plan.epoch_count() > 1,
-            "tiny_cnn must overflow 32 crossbars"
-        );
-        // Every (mvm, slice) instance appears exactly once across all
-        // epochs, on a ring core, and each epoch respects the budget.
-        let mut seen = std::collections::BTreeSet::new();
-        for epoch in &plan.epochs {
-            let mut used = vec![0usize; plan.ring_cores];
-            for a in epoch {
-                assert!(a.core < plan.ring_cores);
-                assert!(seen.insert((a.mvm, a.slice)), "duplicate placement");
-                used[a.core] += p.entry(a.mvm).crossbars_per_ag;
-            }
-            assert!(used.iter().sum::<usize>() <= budget);
-            for (core, &u) in used.iter().enumerate() {
-                assert!(
-                    u <= hw.crossbar_capacity_per_core(),
-                    "core {core} over capacity"
-                );
-            }
-        }
-        let total: usize = p.entries().iter().map(|e| e.ags_per_replica).sum();
-        assert_eq!(seen.len(), total);
-    }
-
-    #[test]
-    fn epoch_plan_is_deterministic() {
-        let (p, hw) = small_partitioning();
-        let a = EpochPlan::new(&p, &hw, 32).unwrap();
-        let b = EpochPlan::new(&p, &hw, 32).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn budget_below_widest_ag_is_a_structured_error() {
-        let (p, hw) = small_partitioning();
-        let min_ag = p
-            .entries()
-            .iter()
-            .map(|e| e.crossbars_per_ag)
-            .max()
-            .unwrap();
-        match EpochPlan::new(&p, &hw, min_ag - 1) {
-            Err(CompileError::ReloadBudgetTooSmall { budget, min_ag: m }) => {
-                assert_eq!((budget, m), (min_ag - 1, min_ag));
-            }
-            other => panic!("expected ReloadBudgetTooSmall, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn fitting_budget_yields_single_zero_cost_epoch() {
-        let (p, hw) = small_partitioning();
-        let plan = EpochPlan::new(&p, &hw, hw.total_crossbars()).unwrap();
-        assert_eq!(plan.epoch_count(), 1);
-        let reload = plan.reload_plan(&p, &hw);
-        assert!(reload.is_single_epoch());
-        // Every core hosts AGs of exactly one epoch, so nothing is
-        // ever rewritten (the analytic compute estimate is still
-        // populated, but single-epoch models use the event-driven
-        // simulator instead).
-        assert_eq!(reload.total_ags_written, 0);
-        assert_eq!(reload.total_cells_written, 0);
-        assert_eq!(reload.total_write_cycles, 0);
-        assert_eq!(reload.total_write_pj, 0.0);
-    }
-
-    #[test]
-    fn multi_epoch_reload_cost_totals_are_the_epoch_sums() {
-        let (p, hw) = small_partitioning();
-        let plan = EpochPlan::new(&p, &hw, 32).unwrap();
-        let reload = plan.reload_plan(&p, &hw);
-        assert_eq!(reload.epoch_count(), plan.epoch_count());
-        assert!(reload.total_write_cycles > 0);
-        assert!(reload.total_write_pj > 0.0);
-        // Serial epochs: every epoch contributes nonzero compute, and
-        // the totals are exactly the per-epoch sums.
-        assert!(reload.epochs.iter().all(|e| e.compute_cycles > 0));
-        assert_eq!(
-            reload.total_write_cycles,
-            reload.epochs.iter().map(|e| e.write_cycles).sum::<u64>()
-        );
-        assert_eq!(
-            reload.total_compute_cycles,
-            reload.epochs.iter().map(|e| e.compute_cycles).sum::<u64>()
-        );
-        assert_eq!(
-            reload.total_cells_written,
-            reload.epochs.iter().map(|e| e.cells_written).sum::<u64>()
-        );
-    }
-
-    #[test]
-    fn oversized_budget_clamps_to_the_hardware() {
-        let (p, hw) = small_partitioning();
-        let plan = EpochPlan::new(&p, &hw, usize::MAX).unwrap();
-        assert_eq!(plan.budget, hw.total_crossbars());
-        assert_eq!(plan.epoch_count(), 1);
     }
 }

@@ -54,7 +54,8 @@ use crate::compiler::{CompileOptions, CompileReport, CompiledModel};
 use crate::ga::{optimize_observed, GaContext, GaGeneration, GaParams, GaStats};
 use crate::mapping::{AgInstance, CoreMapping};
 use crate::memory::{MemoryPlan, ReusePolicy};
-use crate::partition::{EpochPlan, EpochReloadCost, Partitioning, ReloadPlan};
+use crate::partition::Partitioning;
+use crate::reload::{Reload, ReloadPlan};
 use crate::schedule::{HtSchedule, LlSchedule, Schedule};
 use crate::waiting::DepInfo;
 use crate::{fitness, CompileError};
@@ -330,8 +331,9 @@ impl Partitioned {
 
     /// Stages 2+3 (§IV-C): joint weight replication + core mapping via
     /// the genetic algorithm — or, in `weight_reload` mode when the
-    /// model exceeds its crossbar budget, the deterministic epoch
-    /// packer (COMPASS-style time multiplexing, no GA).
+    /// model does not fit its crossbar budget's whole cores, the
+    /// deterministic epoch packer (COMPASS-style time multiplexing, no
+    /// GA).
     ///
     /// # Errors
     ///
@@ -390,15 +392,12 @@ impl Partitioned {
         ga_stats: Option<GaStats>,
     ) -> Result<Optimized, CompileError> {
         let hw = &self.session.hw;
-        let rule = self.reload_rule()?;
-        let cores = match &rule {
-            Some(ReloadRule::Resident { ring_cores, .. }) => *ring_cores,
-            _ => hw.total_cores(),
-        };
+        let reload = Reload::new(&self.partitioning, hw, &self.session.opts)?;
+        let cores = reload.core_limit().unwrap_or(hw.total_cores());
         let mapping = CoreMapping::from_instances(instances, &self.partitioning, cores)?;
         let fail = |detail: String| Err(CompileError::MappingInvariant { detail });
-        if let Some(ReloadRule::Epochs(plan)) = &rule {
-            if CoreMapping::from_epoch_plan(plan, &self.partitioning, cores)? != mapping {
+        if let (Some(packed), Some(plan)) = (&reload.packed, &reload.plan) {
+            if mapping.instances != *packed {
                 return fail(format!(
                     "the AG instances of a {}-epoch reload compile are not the epoch packer's",
                     plan.epoch_count()
@@ -418,44 +417,13 @@ impl Partitioned {
                 }
             }
         }
-        let reload = rule.map(|rule| rule.plan(&self.partitioning, &mapping, hw));
         Ok(Optimized {
             partitioned: self,
             mapping,
             compiler,
             ga_stats,
-            reload,
+            reload: reload.plan,
         })
-    }
-
-    /// The `weight_reload` rule, shared by compilation and loading:
-    /// `None` outside reload mode; otherwise the budget (defaulting to,
-    /// and clamped at, the hardware's crossbars) and whether the model
-    /// fits it on a core prefix or needs the epoch packer.
-    ///
-    /// # Errors
-    ///
-    /// [`CompileError::ReloadBudgetTooSmall`] when the budget cannot
-    /// hold even one Array Group.
-    fn reload_rule(&self) -> Result<Option<ReloadRule>, CompileError> {
-        let (hw, opts) = (&self.session.hw, &self.session.opts);
-        if !opts.weight_reload {
-            return Ok(None);
-        }
-        let total = hw.total_crossbars();
-        let budget = opts.reload_budget.unwrap_or(total).min(total);
-        let capacity = hw.crossbar_capacity_per_core();
-        let usable = (budget / capacity).min(hw.total_cores());
-        Ok(Some(
-            if usable >= 1 && self.partitioning.min_crossbars() <= usable * capacity {
-                ReloadRule::Resident {
-                    budget,
-                    ring_cores: usable,
-                }
-            } else {
-                ReloadRule::Epochs(EpochPlan::new(&self.partitioning, hw, budget)?)
-            },
-        ))
     }
 
     /// [`Partitioned::optimize`] reporting one [`GaGeneration`] per GA
@@ -469,24 +437,17 @@ impl Partitioned {
         self,
         observer: &mut dyn CompileObserver,
     ) -> Result<Optimized, CompileError> {
-        // Over its budget a `weight_reload` model takes the
-        // deterministic epoch packer: the crossbars are time-multiplexed,
-        // so replication is pointless and the GA's search space
-        // collapses — a next-fit pass is both deterministic and
-        // sufficient. A model that fits runs the GA on the budget's
-        // core prefix, with zero reload cost.
         let hw = &self.session.hw;
-        let rule = self.reload_rule()?;
-        let (mapping, ga_stats) = match &rule {
-            Some(ReloadRule::Epochs(plan)) => (
-                CoreMapping::from_epoch_plan(plan, &self.partitioning, hw.total_cores())?,
+        // The reload rule may have packed the model already; otherwise
+        // the GA places it, on the budget's core prefix if it has one.
+        let reload = Reload::new(&self.partitioning, hw, &self.session.opts)?;
+        let core_limit = reload.core_limit();
+        let (mapping, ga_stats) = match reload.packed {
+            Some(instances) => (
+                CoreMapping::from_instances(instances, &self.partitioning, hw.total_cores())?,
                 None,
             ),
-            _ => {
-                let core_limit = match rule {
-                    Some(ReloadRule::Resident { ring_cores, .. }) => Some(ring_cores),
-                    _ => None,
-                };
+            None => {
                 let ctx = GaContext {
                     hw,
                     graph: &self.session.graph,
@@ -503,61 +464,13 @@ impl Partitioned {
                 (mapping, Some(stats))
             }
         };
-        let reload = rule.map(|rule| rule.plan(&self.partitioning, &mapping, hw));
         Ok(Optimized {
             partitioned: self,
             mapping,
             compiler: PIMCOMP.to_string(),
             ga_stats,
-            reload,
+            reload: reload.plan,
         })
-    }
-}
-
-/// Where the `weight_reload` rule puts a model's Array Groups.
-enum ReloadRule {
-    /// The model fits `budget` crossbars: every AG stays resident on
-    /// cores `0..ring_cores`, the GA's whole search space.
-    Resident { budget: usize, ring_cores: usize },
-    /// It does not: the epoch packer time-multiplexes the crossbars.
-    Epochs(EpochPlan),
-}
-
-impl ReloadRule {
-    /// The [`ReloadPlan`] of `mapping` under this rule. A resident
-    /// model's is one epoch, every weight resident, zero reload cost —
-    /// kept (rather than `None`) so the compile records that it was
-    /// budget-constrained.
-    fn plan(
-        self,
-        partitioning: &Partitioning,
-        mapping: &CoreMapping,
-        hw: &HardwareConfig,
-    ) -> ReloadPlan {
-        let (budget, ring_cores) = match self {
-            ReloadRule::Resident { budget, ring_cores } => (budget, ring_cores),
-            ReloadRule::Epochs(plan) => return plan.reload_plan(partitioning, hw),
-        };
-        let cells_per_weight = hw.cells_per_weight();
-        let mut resident = 0u64;
-        for inst in &mapping.instances {
-            let e = partitioning.entry(inst.mvm);
-            let rows = crate::schedule::slice_rows(e.weight_height, hw.crossbar_rows, inst.slice);
-            resident += (rows * e.weight_width * cells_per_weight) as u64;
-        }
-        ReloadPlan {
-            budget,
-            ring_cores,
-            epochs: vec![EpochReloadCost {
-                resident_cells: resident,
-                ..EpochReloadCost::default()
-            }],
-            total_ags_written: 0,
-            total_cells_written: 0,
-            total_write_cycles: 0,
-            total_write_pj: 0.0,
-            total_compute_cycles: 0,
-        }
     }
 }
 
@@ -763,25 +676,19 @@ impl Scheduled {
             dep,
         } = partitioned;
 
-        // Multi-epoch reload plans execute serially, so their analytic
-        // per-epoch compute sum replaces the mapping-based estimate
-        // (which would treat all epochs as concurrently resident).
-        let estimated = match reload.as_ref().filter(|p| !p.is_single_epoch()) {
-            Some(plan) => plan.total_compute_cycles as f64,
-            None => match session.opts.mode {
-                PipelineMode::HighThroughput => {
-                    fitness::ht_fitness_from_mapping(&session.hw, &partitioning, &mapping)
-                }
-                PipelineMode::LowLatency => fitness::ll_fitness(
-                    &session.hw,
-                    &session.graph,
-                    &partitioning,
-                    &dep,
-                    &mapping.replication,
-                ),
-            },
-        };
-        let estimated = fitness::with_reload_stalls(estimated, reload.as_ref());
+        let estimated = reload.as_ref().and_then(ReloadPlan::serial_estimate);
+        let estimated = estimated.unwrap_or_else(|| match session.opts.mode {
+            PipelineMode::HighThroughput => {
+                fitness::ht_fitness_from_mapping(&session.hw, &partitioning, &mapping)
+            }
+            PipelineMode::LowLatency => fitness::ll_fitness(
+                &session.hw,
+                &session.graph,
+                &partitioning,
+                &dep,
+                &mapping.replication,
+            ),
+        });
 
         let report = CompileReport {
             compiler,

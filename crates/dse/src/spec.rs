@@ -114,14 +114,11 @@ pub struct AutoHardware {
     /// Parallelism degrees to sweep at the sized chip count.
     pub parallelism: Vec<usize>,
     /// Capacity headroom over the single-replica crossbar demand
-    /// (`>= 1`; the bench harness default is 2.0, leaving room for
-    /// weight replication).
+    /// (`>= 1`; default [`pimcomp_core::DEFAULT_HEADROOM`]).
     pub headroom: f64,
 }
 
 impl AutoHardware {
-    /// Default headroom, matching the bench harness (`CHIP_HEADROOM`).
-    pub(crate) const DEFAULT_HEADROOM: f64 = 2.0;
     /// Default parallelism list (the paper's default degree).
     pub(crate) const DEFAULT_PARALLELISM: usize = 20;
 }
@@ -131,7 +128,7 @@ impl Default for AutoHardware {
         AutoHardware {
             base: "puma".to_string(),
             parallelism: vec![Self::DEFAULT_PARALLELISM],
-            headroom: Self::DEFAULT_HEADROOM,
+            headroom: pimcomp_core::DEFAULT_HEADROOM,
         }
     }
 }
@@ -741,7 +738,7 @@ fn parse_auto(v: &Value) -> Result<AutoHardware, ExploreError> {
         }
         None => vec![AutoHardware::DEFAULT_PARALLELISM],
     };
-    let default = AutoHardware::DEFAULT_HEADROOM;
+    let default = pimcomp_core::DEFAULT_HEADROOM;
     let headroom = field_or(v, "headroom", "hardware.headroom", as_f64, default)?;
     if !headroom.is_finite() || headroom < 1.0 {
         return Err(invalid("`hardware.headroom` must be a finite number >= 1"));
@@ -1315,7 +1312,7 @@ mod tests {
             HardwareAxis::Auto(a) => {
                 assert_eq!(a.base, "puma");
                 assert_eq!(a.parallelism, vec![AutoHardware::DEFAULT_PARALLELISM]);
-                assert_eq!(a.headroom, AutoHardware::DEFAULT_HEADROOM);
+                assert_eq!(a.headroom, pimcomp_core::DEFAULT_HEADROOM);
             }
             other => panic!("expected auto hardware, got {other:?}"),
         }

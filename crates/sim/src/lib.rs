@@ -319,10 +319,9 @@ mod tests {
         let plan = compiled.reload.as_ref().unwrap();
         assert!(plan.epoch_count() > 1);
         let r = Simulator::new(hw).run(&compiled).unwrap();
-        let batch = compiled.schedule.as_ht().map_or(1, |s| s.batch) as u64;
         assert_eq!(
             r.total_cycles,
-            plan.total_compute_cycles * batch + plan.total_write_cycles
+            plan.total_compute_cycles + plan.total_write_cycles
         );
         assert_eq!(r.reload_epochs, plan.epoch_count());
         assert_eq!(r.reload_ags_rewritten, plan.total_ags_written);
@@ -334,6 +333,27 @@ mod tests {
         assert!(r.mvm_ops > 0);
         // Event-level counters are out of scope on the analytic path.
         assert!(r.per_core_busy.is_empty());
+    }
+
+    #[test]
+    fn multi_epoch_reload_work_does_not_scale_with_the_ht_batch() {
+        // The HT batch is windows per global-memory round: an AG still
+        // runs its node's windows once per inference, whatever the batch.
+        let graph = models::tiny_cnn();
+        let hw = HardwareConfig::small_test();
+        let report = |batch| {
+            let opts = CompileOptions::new(PipelineMode::HighThroughput)
+                .with_fast_ga(5)
+                .with_weight_reload(Some(32))
+                .with_batch(batch);
+            let compiled = compile(&hw, &graph, opts);
+            assert!(compiled.reload.as_ref().unwrap().epoch_count() > 1);
+            let r = Simulator::new(hw.clone()).run(&compiled).unwrap();
+            (r.total_cycles, r.mvm_ops, r.crossbar_mvms, r.energy.mvm_pj)
+        };
+        let one = report(1);
+        assert_eq!(report(2), one);
+        assert_eq!(report(4), one);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! assembles the report analytically from the compiled
 //! [`ReloadPlan`](pimcomp_core::ReloadPlan):
 //!
-//! * **cycles** — the plan's per-epoch Fig. 5 compute estimates
-//!   (scaled by the HT batch) plus the reload write barriers;
+//! * **cycles** — the plan's per-epoch Fig. 5 compute estimates plus
+//!   the reload write barriers (the HT batch is windows per
+//!   global-memory round, so it moves no per-inference work);
 //! * **MVM work/energy** — exact counts from the mapping (every AG
 //!   processes its node's windows once per inference);
 //! * **leakage** — active cores and global memory leak over the whole
@@ -19,8 +20,8 @@
 //!
 //! Event-level effects — NoC transfers, global-memory port contention,
 //! VFU chains — are not modeled on this path; their counters read zero
-//! and `per_core_busy` is empty. Single-epoch reload plans (the model
-//! fit its budget) take the ordinary event-driven engines instead.
+//! and `per_core_busy` is empty. Single-epoch reload plans (one epoch
+//! holds every AG) take the ordinary event-driven engines instead.
 
 use crate::report::{makespan_leakage_pj, Counters, SimReport};
 use crate::resources::later;
@@ -39,28 +40,23 @@ pub(crate) fn run(
     energy_model: &EnergyModel,
     plan: &ReloadPlan,
 ) -> Result<SimReport, SimError> {
-    let batch = compiled.schedule.as_ht().map_or(1, |s| s.batch).max(1);
-
     // Exact MVM work: replication is 1 on this path, so each AG
     // instance runs its node's full window count per inference.
     let mut counted = Counters::default();
     for inst in &compiled.mapping.instances {
         let e = compiled.partitioning.entry(inst.mvm);
-        counted.mvm_ops += (e.windows * batch) as u64;
-        counted.crossbar_mvms += (e.windows * batch * e.crossbars_per_ag) as u64;
+        counted.mvm_ops += e.windows as u64;
+        counted.crossbar_mvms += (e.windows * e.crossbars_per_ag) as u64;
     }
 
-    // The Fig. 5 per-epoch estimates are linear in the operation-cycle
-    // count, so batch scales them exactly.
-    let compute_cycles = plan
-        .total_compute_cycles
-        .checked_mul(batch as u64)
-        .ok_or_else(|| SimError::Diverged {
-            detail: format!(
-                "the simulated clock overflows u64 at the reload epochs of a batch: {} cycles x {batch}",
-                plan.total_compute_cycles
-            ),
-        })?;
+    // The plan's sums saturate, and a saturated estimate is no clock.
+    let compute_cycles = plan.total_compute_cycles;
+    if compute_cycles == u64::MAX {
+        return Err(SimError::Diverged {
+            detail: "the simulated clock overflows u64 at the reload epochs' compute estimate"
+                .to_string(),
+        });
+    }
 
     // Serialized epochs keep every active core powered across the whole
     // makespan, write barriers included (a core hosting epoch-3 weights

@@ -37,7 +37,7 @@
 
 use pimcomp::dse::SweepReport;
 use pimcomp::prelude::*;
-use pimcomp_core::{GaParams, GaStats, ReloadPlan, ReusePolicy, StageTimings};
+use pimcomp_core::{GaParams, GaStats, ReloadPlan, ReusePolicy, StageTimings, DEFAULT_HEADROOM};
 use pimcomp_ir::transform::normalize;
 use pimcomp_ir::{Graph, GraphStats};
 use std::collections::HashMap;
@@ -464,8 +464,14 @@ fn cmd_compile(args: &Args) -> CliResult {
     // The shared headroom heuristic (also behind `hardware: "auto"` in
     // sweep specs and the bench harness's sizing).
     let puma = HardwareConfig::puma();
-    let sized = || Ok(pimcomp_core::sized_chips(&sizing_graph, &puma, 2.0)?);
-    let hw = args.puma(sized, 20)?;
+    let sized = || {
+        Ok(pimcomp_core::sized_chips(
+            &sizing_graph,
+            &puma,
+            DEFAULT_HEADROOM,
+        )?)
+    };
+    let hw = args.puma(sized, puma.parallelism)?;
     hw.validate()?;
     let mode = match args.get("--mode").unwrap_or("ht") {
         "ht" | "HT" => PipelineMode::HighThroughput,

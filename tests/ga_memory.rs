@@ -42,7 +42,12 @@ fn vgg16_ht_search_memory_stays_with_the_population() {
     let graph = pimcomp_ir::models::vgg16();
     let normalized = pimcomp_ir::transform::normalize(&graph).unwrap();
     // The CLI's sizing: 2x headroom over the single-replica demand.
-    let chips = pimcomp_core::sized_chips(&normalized, &HardwareConfig::puma(), 2.0).unwrap();
+    let chips = pimcomp_core::sized_chips(
+        &normalized,
+        &HardwareConfig::puma(),
+        pimcomp_core::DEFAULT_HEADROOM,
+    )
+    .unwrap();
     let ga = GaParams {
         population: 100,
         iterations: 600,

@@ -203,7 +203,12 @@ fn compile_small(mode: PipelineMode, seed: u64) -> (CompiledModel, GaParams) {
 /// single-replica demand.
 fn sized_puma(graph: &pimcomp_ir::Graph) -> HardwareConfig {
     let normalized = pimcomp_ir::transform::normalize(graph).unwrap();
-    let chips = pimcomp_core::sized_chips(&normalized, &HardwareConfig::puma(), 2.0).unwrap();
+    let chips = pimcomp_core::sized_chips(
+        &normalized,
+        &HardwareConfig::puma(),
+        pimcomp_core::DEFAULT_HEADROOM,
+    )
+    .unwrap();
     HardwareConfig::puma_with_chips(chips)
 }
 

@@ -253,6 +253,40 @@ fn observer_streams_stages_and_ga_progress_end_to_end() {
     assert!(events.generations.is_empty());
 }
 
+/// A budget short of a whole core sends a model that fits it to the
+/// epoch packer (the GA only places on whole cores), and one epoch
+/// holds it: the simulator's event engine runs it, and nothing stalls.
+#[test]
+fn a_budget_of_part_cores_packs_one_epoch_for_the_event_engine() {
+    let graph = pimcomp::ir::models::tiny_cnn();
+    let capacity = hw().crossbar_capacity_per_core();
+    let min = CompileSession::new(hw(), &graph, opts(PipelineMode::HighThroughput, 3))
+        .and_then(CompileSession::partition)
+        .unwrap()
+        .partitioning()
+        .min_crossbars();
+    let budget = min.next_multiple_of(capacity) - 1;
+    assert!(!budget.is_multiple_of(capacity) && budget / capacity * capacity < min);
+    for mode in [PipelineMode::HighThroughput, PipelineMode::LowLatency] {
+        let packed = opts(mode, 3).with_weight_reload(Some(budget));
+        let compiled = CompileSession::new(hw(), &graph, packed)
+            .and_then(CompileSession::run)
+            .unwrap();
+        assert!(compiled.report.ga.is_none(), "{mode}: the packer maps it");
+        let plan = compiled.reload.clone().unwrap();
+        assert!(plan.is_single_epoch(), "{mode}");
+        assert_eq!(plan.total_write_cycles, 0, "{mode}");
+        assert!(plan.total_compute_cycles > 0, "{mode}");
+        let report = Simulator::new(hw()).run(&compiled).unwrap();
+        assert!(
+            !report.per_core_busy.is_empty(),
+            "{mode}: the event engine ran"
+        );
+        assert_eq!(report.reload_stall_cycles, 0, "{mode}");
+        assert_eq!(report.reload_epochs, 1, "{mode}");
+    }
+}
+
 #[test]
 fn session_reentry_swaps_policy_and_ga_without_recompiling_upstream() {
     let graph = pimcomp::ir::models::tiny_cnn();
