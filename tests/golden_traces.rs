@@ -409,20 +409,33 @@ fn report_lines(
 /// [`report_lines`] must stay byte-identical across engine rewrites.
 /// With `full` off only the small models are checked (debug builds;
 /// the release test job checks the zoo).
+///
+/// The zoo runs at the default parallelism, then the `sweep_zoo` models
+/// again at parallelism 1 and 200: at 1 an MVM issue takes the whole
+/// `T_MVM`, so event times run more than 2^14 cycles ahead of the clock
+/// (the event queue's high buckets); at 200 many events share one time
+/// (its current-time ordering).
 fn check_sim_reports(file: &str, mode: PipelineMode, batches: &[usize], full: bool) {
     let small = HardwareConfig::small_test();
-    let mut cases: Vec<(&str, pimcomp_ir::Graph, HardwareConfig)> = vec![
-        ("tiny_cnn", models::tiny_cnn(), small.clone()),
-        ("tiny_mlp", models::tiny_mlp(), small.clone()),
-        ("two_branch", models::two_branch(), small),
+    let mut cases: Vec<(String, pimcomp_ir::Graph, HardwareConfig)> = vec![
+        ("tiny_cnn".into(), models::tiny_cnn(), small.clone()),
+        ("tiny_mlp".into(), models::tiny_mlp(), small.clone()),
+        ("two_branch".into(), models::two_branch(), small),
     ];
     if full {
         let bert = pimcomp_ir::transform::bind_seq_len(&models::tiny_bert(), 64).unwrap();
-        cases.push(("tiny_bert", bert, HardwareConfig::puma_with_chips(1)));
+        cases.push(("tiny_bert".into(), bert, HardwareConfig::puma_with_chips(1)));
         for name in models::PAPER_BENCHMARKS {
             let graph = models::by_name(name).expect("paper benchmark resolves");
             let hw = sized_puma(&graph);
-            cases.push((name, graph, hw));
+            cases.push((name.into(), graph, hw));
+        }
+        for name in ["squeezenet", "resnet18", "googlenet"] {
+            for parallelism in [1, 200] {
+                let graph = models::by_name(name).expect("zoo model resolves");
+                let hw = sized_puma(&graph).with_parallelism(parallelism);
+                cases.push((format!("{name}/parallelism{parallelism}"), graph, hw));
+            }
         }
     }
     let actual: Vec<String> = cases
