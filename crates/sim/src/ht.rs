@@ -33,22 +33,29 @@
 //!
 //! Tokens are anonymous and a failed attempt changes no state, so the
 //! tokens of one `(time, core)` are interchangeable. The queue therefore
-//! stores them as one `(time, core, count)` group: the group runs items
-//! one token at a time until an attempt fails, and what is left of it
-//! sleeps as a single entry. Kept apart, every sleeping token would be
-//! popped, rescan the core and be pushed back at every wake time — and
-//! since a run spawns more tokens than it consumes, events would grow
-//! quadratically with the work simulated.
+//! stores them as `(time, core, count)` groups: the group runs items one
+//! token at a time until an attempt fails. Kept apart, every sleeping
+//! token would be popped, rescan the core and be pushed back at every
+//! wake time — and since a run spawns more tokens than it consumes,
+//! events would grow quadratically with the work simulated.
+//!
+//! What is left of a failed group is not queued again. Its tokens wait
+//! on a per-core list under their wake time, the earliest store due
+//! after `now`, and join the group popped at that `(time, core)`. That
+//! group is always queued: the run that made the store pending, at some
+//! `t0 <= now`, queued its core at `max(at, t0 + 1)`, which is `at`
+//! because `at > now`. Debug builds check that no sleeping tokens are
+//! passed over and none are left at the end.
 //!
 //! The queue is the monotone radix heap both engines share
 //! ([`EventQueue`]), keyed by time with `(core, count)` breaking ties,
 //! so it pops in the order of a `(time, core, count)` min-heap. That
 //! needs every push at or after the time just popped, and a run at
 //! `now` pushes strictly later: its own core at `now + 1` or later, a
-//! message at its round's end plus the NoC, a sleeping group at a store
-//! due after `now`. The coalescing loop peeks only at events of `now`.
-//! Every duration reaches the clock through [`later`], so a time that
-//! would pass `u64::MAX` is [`SimError::Diverged`], never a wrap.
+//! message at its round's end plus the NoC. The coalescing loop peeks
+//! only at events of `now`. Every duration reaches the clock through
+//! [`later`], so a time that would pass `u64::MAX` is
+//! [`SimError::Diverged`], never a wrap.
 
 use crate::report::{Counters, SimReport};
 use crate::resources::{later, ActivitySpan, BandwidthServer, EventQueue};
@@ -95,11 +102,29 @@ struct Send {
     energy_pj: f64,
 }
 
+/// The bytes of one global-memory transfer and the port cycles they take.
+#[derive(Clone, Copy)]
+struct Transfer {
+    bytes: usize,
+    cycles: u64,
+}
+
+impl Transfer {
+    fn new(hw: &HardwareConfig, bytes: usize) -> Self {
+        Self {
+            bytes,
+            cycles: hw.global_memory_cycles(bytes),
+        }
+    }
+}
+
 /// The per-round constants of one program.
 struct Round {
     /// Global-memory load: the inputs plus the program's share of its
     /// core's spill write-out/read-back traffic.
-    load_bytes: usize,
+    load: Transfer,
+    /// Global-memory store of the round's results.
+    store: Transfer,
     crossbars_per_ag: u64,
     /// A bound on how long after its first issue slot the round's last
     /// MVM ends: `k × T_interval + batch × T_MVM` for its `k` MVMs (the
@@ -109,8 +134,10 @@ struct Round {
     /// VFU element-operations once every partial arrived (remote adds
     /// + activation); zero for programs that own no remote slices.
     remote_add_elems: usize,
+    remote_add_cycles: u64,
     /// VFU element-operations right after the MVMs (intra-core adds).
     local_add_elems: usize,
+    local_add_cycles: u64,
     sends: Vec<Send>,
 }
 
@@ -166,14 +193,18 @@ impl Tables {
                     0
                 };
                 let spill_share = 2 * spill[p.core] / schedule.per_core[p.core].len().max(1);
+                let local_add_elems = p.vec_elems_per_round.saturating_sub(remote_add_elems);
                 Round {
-                    load_bytes: p.load_bytes_per_round + spill_share,
+                    load: Transfer::new(hw, p.load_bytes_per_round + spill_share),
+                    store: Transfer::new(hw, p.store_bytes_per_round),
                     crossbars_per_ag: entry.crossbars_per_ag as u64,
                     mvm_span: (batch.saturating_mul(p.ag_instances.len() as u64))
                         .saturating_mul(hw.issue_interval())
                         .saturating_add(batch.saturating_mul(hw.mvm_latency)),
                     remote_add_elems,
-                    local_add_elems: p.vec_elems_per_round.saturating_sub(remote_add_elems),
+                    remote_add_cycles: hw.vfu_cycles(remote_add_elems),
+                    local_add_elems,
+                    local_add_cycles: hw.vfu_cycles(local_add_elems),
                     sends: p
                         .sends_per_round
                         .iter()
@@ -198,9 +229,9 @@ impl Tables {
         //             2 + sends, a vec-task start 2, any other run 1)
         // A group fails at most once. Groups that ran something first
         // number <= runs; a group that ran nothing holds a token that
-        // was never popped before (a group made only of sleepers wakes
-        // when a store of its core falls due, so it runs), and there
-        // are <= tokens of those. Hence
+        // was never popped before (sleepers are never queued, only
+        // added to a group of queued tokens), and there are <= tokens
+        // of those. Hence
         //   attempts <= 2 * runs + tokens <= 4 * work,
         //   work = sum(rounds * (3 + sends)) + 2 * vec tasks + cores.
         // Exceeding it means a scheduling loop — or wake-ups that have
@@ -232,15 +263,15 @@ struct GlobalMemory<'a> {
 }
 
 impl GlobalMemory<'_> {
-    /// Moves `bytes` between `core`'s local memory and its chip's
+    /// Moves `t`'s bytes between `core`'s local memory and its chip's
     /// global memory, acquired at `now`; returns the completion time.
-    fn transfer(&mut self, core: usize, now: u64, bytes: usize) -> Result<u64, SimError> {
-        if bytes == 0 {
+    fn transfer(&mut self, core: usize, now: u64, t: Transfer) -> Result<u64, SimError> {
+        if t.bytes == 0 {
             return Ok(now);
         }
-        self.global_bytes += bytes as u64;
-        self.local_bytes += bytes as u64;
-        self.ports[core / self.hw.cores_per_chip].acquire(now, self.hw.global_memory_cycles(bytes))
+        self.global_bytes += t.bytes as u64;
+        self.local_bytes += t.bytes as u64;
+        self.ports[core / self.hw.cores_per_chip].acquire(now, t.cycles)
     }
 }
 
@@ -307,6 +338,10 @@ pub(crate) fn run(
             queue.push(0, (core, 1));
         }
     }
+    // Sleeping tokens, per core: `(wake_at, count)`. They are not queued:
+    // a group is queued at every `(wake_at, core)` already (see the
+    // `StorePending` pushes), and they join it when it pops.
+    let mut asleep: Vec<Vec<(u64, u64)>> = vec![Vec::new(); cores];
     let mut attempts: u64 = 0;
 
     while let Some((now, (core, mut tokens))) = queue.pop() {
@@ -320,6 +355,17 @@ pub(crate) fn run(
             tokens += n;
             queue.pop();
         }
+        let sleepers = &mut asleep[core];
+        debug_assert!(
+            sleepers.iter().all(|&(at, _)| at >= now),
+            "core {core} popped at {now} past a sleeping group: {sleepers:?}"
+        );
+        sleepers.retain(|&(at, n)| {
+            if at == now {
+                tokens += n;
+            }
+            at != now
+        });
 
         let items = &mut scan[core];
         while tokens > 0 {
@@ -350,7 +396,7 @@ pub(crate) fn run(
                                     wake_at = wake_at.min(at);
                                     continue;
                                 }
-                                let t_store = mem.transfer(core, now, p.store_bytes_per_round)?;
+                                let t_store = mem.transfer(core, now, r.store)?;
                                 spans[core].record(now, t_store);
                                 phase[pid] = if round + 1 >= p.rounds {
                                     items.remove(pick);
@@ -370,7 +416,7 @@ pub(crate) fn run(
                                 let start = ready.max(got.1).max(now);
                                 let t_vfu = later(
                                     vfu_free[core].max(start),
-                                    hw.vfu_cycles(r.remote_add_elems),
+                                    r.remote_add_cycles,
                                     "a VFU pass",
                                 )?;
                                 vfu_free[core] = t_vfu;
@@ -378,13 +424,17 @@ pub(crate) fn run(
                                 partials[pid][round] = (0, 0);
                                 spans[core].record(start, t_vfu);
                                 phase[pid] = Phase::StorePending { round, at: t_vfu };
+                                // Queued at exactly `at` whenever a later
+                                // attempt can see the store not yet due
+                                // (`now < at` makes `max` return `at`):
+                                // the group sleepers join.
                                 queue.push(t_vfu.max(now + 1), (core, 1));
                             }
                             Phase::Compute { round } => {
                                 // 1. Load inputs (plus this core's spill
                                 //    share), acquired at the current
                                 //    event time.
-                                let t_load = mem.transfer(core, now, r.load_bytes)?;
+                                let t_load = mem.transfer(core, now, r.load)?;
                                 // 2. MVMs: batch per AG, issued at
                                 //    T_interval spacing, serialized per
                                 //    AG's crossbars.
@@ -416,7 +466,7 @@ pub(crate) fn run(
                                 let t_adds = if r.local_add_elems > 0 {
                                     let t = later(
                                         vfu_free[core].max(t_mvm_end),
-                                        hw.vfu_cycles(r.local_add_elems),
+                                        r.local_add_cycles,
                                         "a VFU pass",
                                     )?;
                                     vfu_free[core] = t;
@@ -456,7 +506,9 @@ pub(crate) fn run(
                                     Phase::StorePending { round, at: t_adds }
                                 };
                                 // The program's own chain resumes at
-                                // t_adds...
+                                // t_adds — exactly `at` of a store a
+                                // later attempt finds not yet due, so
+                                // sleepers have a group to join there...
                                 queue.push(t_adds.max(now + 1), (core, 1));
                                 // ...but the control unit is free to
                                 // issue the next program's MVMs as soon
@@ -476,7 +528,8 @@ pub(crate) fn run(
                                     wake_at = wake_at.min(at);
                                     continue;
                                 }
-                                let t_store = mem.transfer(core, now, t.store_bytes)?;
+                                let t_store =
+                                    mem.transfer(core, now, Transfer::new(hw, t.store_bytes))?;
                                 spans[core].record(now, t_store);
                                 vec_phase[vid] = VecPhase::Done;
                                 items.remove(pick);
@@ -484,7 +537,8 @@ pub(crate) fn run(
                                 queue.push(t_store.max(now + 1), (core, 1));
                             }
                             VecPhase::NotStarted => {
-                                let t_load = mem.transfer(core, now, t.load_bytes)?;
+                                let t_load =
+                                    mem.transfer(core, now, Transfer::new(hw, t.load_bytes))?;
                                 let t_vfu = later(
                                     vfu_free[core].max(t_load),
                                     hw.vfu_cycles(t.elems),
@@ -494,6 +548,9 @@ pub(crate) fn run(
                                 counted.vfu_elems += t.elems as u64;
                                 vec_phase[vid] = VecPhase::StorePending { at: t_vfu };
                                 spans[core].record(now, t_vfu);
+                                // Exactly `at` whenever a later attempt
+                                // finds the store not yet due: the group
+                                // sleepers join.
                                 queue.push(t_vfu.max(now + 1), (core, 1));
                                 // The VFU work runs on its own unit; the
                                 // core may continue with other programs
@@ -512,9 +569,16 @@ pub(crate) fn run(
                 // nothing, so every remaining token of the group would
                 // see the same: they sleep together until the earliest
                 // pending store (blocked owners are woken by the
-                // arriving message's own token).
+                // arriving message's own token). The run that made that
+                // store pending, at some `t0 <= now < wake_at`, queued
+                // its core at `max(wake_at, t0 + 1) = wake_at`, so the
+                // sleepers ride with the group popped there.
                 if wake_at != u64::MAX {
-                    queue.push(wake_at, (core, tokens));
+                    let sleepers = &mut asleep[core];
+                    match sleepers.iter_mut().find(|(at, _)| *at == wake_at) {
+                        Some((_, n)) => *n += tokens,
+                        None => sleepers.push((wake_at, tokens)),
+                    }
                 }
                 break;
             };
@@ -522,6 +586,11 @@ pub(crate) fn run(
             cursor[core] = if next < items.len() { next } else { 0 };
         }
     }
+
+    debug_assert!(
+        asleep.iter().all(Vec::is_empty),
+        "sleeping tokens outlived the queue: {asleep:?}"
+    );
 
     // Verify completion (a stuck owner would show up here).
     for (pid, st) in phase.iter().enumerate() {
@@ -566,4 +635,35 @@ pub(crate) fn run(
     counted.global_bytes = mem.global_bytes;
     counted.local_bytes = mem.local_bytes;
     Ok(counted.into_report(compiled, energy_model, interval, leak, active, busy))
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::Simulator;
+    use pimcomp_arch::{HardwareConfig, PipelineMode};
+    use pimcomp_core::{CompileOptions, CompileSession};
+    use pimcomp_ir::models;
+
+    /// Sleeping tokens join the group queued at their wake time, and none
+    /// outlive the run: in a debug build the `debug_assert!`s in [`run`]
+    /// check both on every pop and at the end. Parallelism 1 spaces a
+    /// core's events far apart, 200 piles many onto one time.
+    #[test]
+    fn sleeping_tokens_ride_with_the_group_due_at_their_wake_time() {
+        for graph in [models::tiny_cnn(), models::two_branch(), models::tiny_mlp()] {
+            for parallelism in [1, 20, 200] {
+                let hw = HardwareConfig::small_test().with_parallelism(parallelism);
+                for batch in [1, 2] {
+                    let opts = CompileOptions::new(PipelineMode::HighThroughput)
+                        .with_fast_ga(3)
+                        .with_batch(batch);
+                    let compiled = CompileSession::new(hw.clone(), &graph, opts)
+                        .and_then(CompileSession::run)
+                        .unwrap_or_else(|e| panic!("{} p{parallelism}: {e}", graph.name()));
+                    let report = Simulator::new(hw.clone()).run(&compiled).unwrap();
+                    assert!(report.total_cycles > 0 && report.mvm_ops > 0);
+                }
+            }
+        }
+    }
 }

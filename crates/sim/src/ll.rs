@@ -30,6 +30,8 @@ use crate::resources::{later, ActivitySpan, EventQueue};
 use crate::SimError;
 use pimcomp_arch::{EnergyModel, NocModel};
 use pimcomp_core::{required_windows, CompiledModel, DepRule, LlUnitKind};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Per-replica runtime state.
 #[derive(Debug, Clone)]
@@ -133,8 +135,12 @@ pub(crate) fn run(
         .iter()
         .map(|u| if u.replicas.is_empty() { u.windows } else { 0 })
         .collect();
-    // Waiters: node index -> (unit, replica, threshold).
-    let mut waiters: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); node_count];
+    // Waiters: node index -> a min-heap of (threshold, unit, replica), so
+    // a prefix advance pops exactly the waiters it satisfies. The order
+    // they are re-queued in cannot matter: each replica owns one token,
+    // so no two queued events share a `(unit, replica)` key.
+    let mut waiters: Vec<BinaryHeap<Reverse<(usize, usize, usize)>>> =
+        vec![BinaryHeap::new(); node_count];
     // Dense view of the schedule's units-of-node map, resolved once.
     let empty_units: Vec<usize> = Vec::new();
     let units_by_node: Vec<&[usize]> = (0..node_count)
@@ -245,6 +251,12 @@ pub(crate) fn run(
         }
     }
 
+    // One window's VFU pass per unit.
+    let vfu_cycles: Vec<u64> = units
+        .iter()
+        .map(|u| hw.vfu_cycles(u.vfu_elems_per_window))
+        .collect();
+
     let mut last_done: u64 = 0;
     let mut pops: u64 = 0;
 
@@ -270,7 +282,7 @@ pub(crate) fn run(
         for edge in &edges[uid] {
             let req = edge.required(j);
             if node_prefix[edge.provider] < req {
-                waiters[edge.provider].push((uid, k, req));
+                waiters[edge.provider].push(Reverse((req, uid, k)));
                 blocked = true;
                 break;
             }
@@ -314,7 +326,7 @@ pub(crate) fn run(
                 }
                 // Accumulate + activate on the owner's VFU.
                 let w = u.vfu_elems_per_window;
-                let t = later(vfu_free[owner].max(arrive), hw.vfu_cycles(w), "a VFU pass")?;
+                let t = later(vfu_free[owner].max(arrive), vfu_cycles[uid], "a VFU pass")?;
                 vfu_free[owner] = t;
                 counted.vfu_elems += w as u64;
                 counted.local_bytes +=
@@ -328,7 +340,7 @@ pub(crate) fn run(
                 if w == 0 {
                     ready
                 } else {
-                    let t = later(vfu_free[owner].max(ready), hw.vfu_cycles(w), "a VFU pass")?;
+                    let t = later(vfu_free[owner].max(ready), vfu_cycles[uid], "a VFU pass")?;
                     vfu_free[owner] = t;
                     counted.vfu_elems += w as u64;
                     counted.local_bytes += (2 * u.elems_per_window * eb) as u64;
@@ -364,21 +376,17 @@ pub(crate) fn run(
         );
         let prefix = node_prefix[node];
         if prefix > old {
-            let list = &mut waiters[node];
-            let mut kept = 0;
-            for i in 0..list.len() {
-                let (wu, wk, thr) = list[i];
-                if thr <= prefix {
-                    // Forwarding latency applies once per wake; the
-                    // transfers of subsequent ready windows overlap
-                    // with compute (wormhole pipelining).
-                    queue.push(later(t_done, dep_delay[wu], "a NoC transfer")?, (wu, wk));
-                } else {
-                    list[kept] = (wu, wk, thr);
-                    kept += 1;
+            let heap = &mut waiters[node];
+            while let Some(&Reverse((thr, wu, wk))) = heap.peek() {
+                if thr > prefix {
+                    break;
                 }
+                heap.pop();
+                // Forwarding latency applies once per wake; the
+                // transfers of subsequent ready windows overlap with
+                // compute (wormhole pipelining).
+                queue.push(later(t_done, dep_delay[wu], "a NoC transfer")?, (wu, wk));
             }
-            list.truncate(kept);
         }
 
         // Next window of this replica.

@@ -30,6 +30,8 @@ pub(crate) fn later(time: u64, cycles: u64, what: &str) -> Result<u64, SimError>
 /// `current` empty takes the lowest non-empty bucket, makes its least
 /// time `now` and files each of its events again — into `current`, or
 /// into a strictly lower bucket — so an event moves at most 64 times.
+/// Each bucket's least time and a mask of the non-empty buckets are kept
+/// as events are filed, so that pop reads both instead of scanning.
 #[derive(Debug)]
 pub(crate) struct EventQueue<S> {
     now: u64,
@@ -37,6 +39,10 @@ pub(crate) struct EventQueue<S> {
     current: VecDeque<S>,
     /// `buckets[i]`: events whose time first differs from `now` in bit `i`.
     buckets: [Vec<(u64, S)>; 64],
+    /// `least[i]`: the least time in `buckets[i]`; `u64::MAX` when empty.
+    least: [u64; 64],
+    /// Bit `i` is set exactly when `buckets[i]` is non-empty.
+    filled: u64,
 }
 
 impl<S: Ord + Copy> EventQueue<S> {
@@ -46,6 +52,8 @@ impl<S: Ord + Copy> EventQueue<S> {
             now: 0,
             current: VecDeque::new(),
             buckets: std::array::from_fn(|_| Vec::new()),
+            least: [u64::MAX; 64],
+            filled: 0,
         }
     }
 
@@ -61,8 +69,16 @@ impl<S: Ord + Copy> EventQueue<S> {
             let at = self.current.partition_point(|&queued| queued <= s);
             self.current.insert(at, s);
         } else {
-            self.buckets[bucket(time, self.now)].push((time, s));
+            self.file(time, s);
         }
+    }
+
+    /// Files an event later than `now` into its bucket.
+    fn file(&mut self, time: u64, s: S) {
+        let i = bucket(time, self.now);
+        self.buckets[i].push((time, s));
+        self.least[i] = self.least[i].min(time);
+        self.filled |= 1 << i;
     }
 
     /// The least event left at the time last popped. It never looks
@@ -75,14 +91,18 @@ impl<S: Ord + Copy> EventQueue<S> {
     /// Removes and returns the least `(time, S)` event.
     pub(crate) fn pop(&mut self) -> Option<(u64, S)> {
         if self.current.is_empty() {
-            let i = self.buckets.iter().position(|b| !b.is_empty())?;
+            if self.filled == 0 {
+                return None;
+            }
+            let i = self.filled.trailing_zeros() as usize;
+            self.filled &= !(1 << i);
             let mut events = std::mem::take(&mut self.buckets[i]);
-            self.now = events.iter().map(|&(time, _)| time).min()?;
+            self.now = std::mem::replace(&mut self.least[i], u64::MAX);
             for (time, s) in events.drain(..) {
                 if time == self.now {
                     self.current.push_back(s);
                 } else {
-                    self.buckets[bucket(time, self.now)].push((time, s));
+                    self.file(time, s);
                 }
             }
             // Hand the emptied bucket back, so it keeps its capacity.
@@ -369,6 +389,44 @@ mod tests {
         twin.push(3, (6, 2));
         assert_eq!(twin.pop_group(), Some((3, 6, 2)));
         twin.drain();
+    }
+
+    #[test]
+    fn a_drained_bucket_forgets_its_least_time() {
+        let mut twin = Twin::new();
+        twin.push(100, (0, 1));
+        assert_eq!(twin.pop(), Some((100, (0, 1))));
+        // Bucket 6 (times 64..128 from 0) is empty again; 130 lands in
+        // bucket 7 and, once popped, leaves bit 6 of `now` clear.
+        twin.push(130, (0, 1));
+        assert_eq!(twin.pop(), Some((130, (0, 1))));
+        // 200 and 250 first differ from 130 in bit 6: bucket 6 refills,
+        // and its least time must be 200, not the 100 it once held.
+        twin.push(250, (1, 1));
+        twin.push(200, (2, 1));
+        assert_eq!(twin.queue.least[6], 200);
+        twin.push(140, (3, 1));
+        twin.drain();
+        let times: Vec<u64> = twin.popped.iter().map(|&(time, _)| time).collect();
+        assert_eq!(times, [100, 130, 140, 200, 250]);
+    }
+
+    #[test]
+    fn a_push_below_a_refiled_buckets_least_time_pops_first() {
+        let mut twin = Twin::new();
+        // 1000 and 1010 share bucket 9. Popping 1000 refiles 1010 into
+        // bucket 4 (1010 ^ 1000 = 0b11010), whose least time is then 1010.
+        twin.push(1010, (0, 1));
+        twin.push(1000, (0, 1));
+        twin.push(1023, (1, 1));
+        assert_eq!(twin.pop(), Some((1000, (0, 1))));
+        assert_eq!(twin.queue.least[4], 1010);
+        // 1008 also first differs from 1000 in bit 4, below that least.
+        twin.push(1008, (2, 1));
+        assert_eq!(twin.queue.least[4], 1008);
+        twin.drain();
+        let times: Vec<u64> = twin.popped.iter().map(|&(time, _)| time).collect();
+        assert_eq!(times, [1000, 1008, 1010, 1023]);
     }
 
     #[test]
