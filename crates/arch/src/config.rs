@@ -39,6 +39,9 @@ impl fmt::Display for PipelineMode {
     }
 }
 
+/// The most cores a target may have (see [`HardwareConfig::validate`]).
+const MAX_TOTAL_CORES: usize = 1 << 16;
+
 /// Configuration errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -294,7 +297,11 @@ impl HardwareConfig {
         (rows as u64).saturating_mul(self.xbar_write_row_cycles)
     }
 
-    /// Validates parameter domains.
+    /// Validates parameter domains. The total core count is at most
+    /// 65 536 (2^16), thirty times the 2 124 cores the widest paper model
+    /// (vgg16) is sized to: every later stage sizes per-core tables by
+    /// it, so a count of hundreds of millions would abort the process on
+    /// an allocation instead of failing here.
     ///
     /// # Errors
     ///
@@ -335,6 +342,16 @@ impl HardwareConfig {
                 detail: format!(
                     "{cores} cores x {} crossbars per core overflows the crossbar count",
                     self.crossbars_per_core
+                ),
+            });
+        }
+        if cores > MAX_TOTAL_CORES {
+            return Err(HwError::InvalidParameter {
+                name: "total_cores",
+                detail: format!(
+                    "{} chips x {} cores per chip is {cores} cores; at most {MAX_TOTAL_CORES} \
+                     are supported",
+                    self.chips, self.cores_per_chip
                 ),
             });
         }
@@ -505,6 +522,25 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_core_count_past_the_bound_is_rejected() {
+        // 10^7 chips: 3.6e8 cores, whose per-core tables alone would take
+        // gigabytes.
+        let hw = HardwareConfig::puma_with_chips(10_000_000);
+        assert_eq!(
+            hw.validate().unwrap_err().to_string(),
+            "invalid hardware parameter `total_cores`: 10000000 chips x 36 cores per chip is \
+             360000000 cores; at most 65536 are supported"
+        );
+        // The bound itself is a valid target; one chip past it is not.
+        let mut hw = HardwareConfig::puma();
+        hw.cores_per_chip = 1;
+        hw.chips = MAX_TOTAL_CORES;
+        hw.validate().unwrap();
+        hw.chips += 1;
+        assert!(hw.validate().is_err());
     }
 
     #[test]

@@ -14,6 +14,9 @@ use pimcomp_arch::{HardwareConfig, PipelineMode};
 use pimcomp_ir::Graph;
 use serde::{Deserialize, Serialize};
 
+/// The largest HT transfer batch [`CompileOptions::validate`] accepts.
+const MAX_BATCH: usize = 1 << 16;
+
 /// User-facing compilation options (the "User Input" of paper Fig. 3
 /// that is not part of the hardware description).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -23,7 +26,8 @@ pub struct CompileOptions {
     /// Genetic-algorithm hyper-parameters.
     pub ga: GaParams,
     /// HT transfer batch: sliding windows processed between
-    /// global-memory rounds (the paper's Fig. 10 protocol uses 2).
+    /// global-memory rounds (the paper's Fig. 10 protocol uses 2). At
+    /// most 65 536 ([`CompileOptions::validate`]).
     pub batch: usize,
     /// Local-memory allocation policy.
     pub memory_policy: ReusePolicy,
@@ -76,7 +80,10 @@ impl CompileOptions {
     ///
     /// [`CompileError::InvalidOptions`] when:
     ///
-    /// * `batch` is zero,
+    /// * `batch` is zero, or above 65 536 (2^16): more windows than any
+    ///   layer of the model zoo has (224 × 224 = 50 176), where the HT
+    ///   simulator would issue `batch` MVMs per array group each round
+    ///   and run for hours,
     /// * the GA population or generation count is zero,
     /// * the GA tournament size is zero or the elite fraction is
     ///   outside `[0, 1]`,
@@ -94,6 +101,11 @@ impl CompileOptions {
         };
         if self.batch == 0 {
             return invalid("`batch` must be at least 1");
+        }
+        if self.batch > MAX_BATCH {
+            return Err(CompileError::InvalidOptions {
+                detail: format!("`batch` must be at most {MAX_BATCH}, not {}", self.batch),
+            });
         }
         if self.ga.population == 0 {
             return invalid("GA population must be at least 1");

@@ -11,7 +11,9 @@
 //!   issue floor are maxima over per-core integers, so only the cores a
 //!   mutation dirtied need recomputation, and the LL chain estimate
 //!   depends only on replication counts, so placement-only mutations
-//!   reuse it verbatim.
+//!   reuse it verbatim. The per-core terms sit in shared blocks of 64
+//!   cores, each with its fold ([`CoreTerms`]), so a child copies and
+//!   folds again only the blocks whose terms moved.
 //! * [`FitnessMemo`] — a fitness cache keyed by the chromosome
 //!   [fingerprint](crate::Chromosome::fingerprint), so re-visiting a
 //!   chromosome evaluated in an *earlier* generation (grow-then-shrink
@@ -34,7 +36,7 @@
 //! floor against [`ll_issue_floor`] from scratch).
 
 use crate::ga::GaContext;
-use crate::mapping::Chromosome;
+use crate::mapping::{Chromosome, CORE_BLOCK};
 use crate::partition::{MvmIdx, Partitioning};
 use crate::replication::ReplicationPlan;
 use crate::waiting::DepInfo;
@@ -139,21 +141,49 @@ fn ht_core_time_of(
     ht_core_time_in_place(hw, scratch)
 }
 
-/// Folds per-core busy times into the HT fitness scalar
-/// (`max + tie-break`). Pure and order-insensitive (integer max/sum),
-/// so incremental and from-scratch evaluations combine bit-identically.
-pub(crate) fn ht_combine(core_times: &[u64]) -> f64 {
-    let mut worst = 0u64;
-    let mut sum = 0u64;
-    let mut active = 0u64;
-    for &t in core_times {
-        worst = worst.max(t);
-        if t > 0 {
-            sum = sum.saturating_add(t);
-            active += 1;
+/// What the fitness reads of a run of per-core terms: the largest, and
+/// for HT the saturating sum and how many are non-zero (0 and 0 for LL,
+/// whose issue floor reads the largest alone). Integer max, the
+/// saturating sum of non-negative integers and a count are associative,
+/// so the fold of blocks' folds is the fold of all their terms, bit for
+/// bit, whichever way the terms are grouped.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct TermFold {
+    worst: u64,
+    sum: u64,
+    active: u64,
+}
+
+impl TermFold {
+    /// The fold of `terms`, with their sum and count of non-zero ones
+    /// when `ht`, in one pass.
+    pub(crate) fn of(terms: &[u64], ht: bool) -> Self {
+        let mut fold = TermFold::default();
+        for &t in terms {
+            fold.worst = fold.worst.max(t);
+            if ht {
+                fold.sum = fold.sum.saturating_add(t);
+                fold.active += u64::from(t > 0);
+            }
+        }
+        fold
+    }
+
+    /// The fold of two runs' terms from the fold of each.
+    fn merge(self, other: Self) -> Self {
+        TermFold {
+            worst: self.worst.max(other.worst),
+            sum: self.sum.saturating_add(other.sum),
+            active: self.active + other.active,
         }
     }
-    worst as f64 + HT_TIE_BREAK * sum as f64 / active.max(1) as f64
+}
+
+/// Folds per-core busy times into the HT fitness scalar
+/// (`max + tie-break`). The fold is order-insensitive ([`TermFold`]), so
+/// incremental and from-scratch evaluations combine bit-identically.
+fn ht_combine(fold: TermFold) -> f64 {
+    fold.worst as f64 + HT_TIE_BREAK * fold.sum as f64 / fold.active.max(1) as f64
 }
 
 /// HT fitness `F_HT = max_i time_i` over all cores (paper Fig. 5),
@@ -169,7 +199,7 @@ pub(crate) fn ht_fitness(
     let core_times: Vec<u64> = (0..chromosome.cores())
         .map(|core| ht_core_time_of(hw, chromosome, &windows, core, &mut scratch))
         .collect();
-    ht_combine(&core_times)
+    ht_combine(TermFold::of(&core_times, true))
 }
 
 /// HT fitness computed from a materialized [`CoreMapping`] instead of a
@@ -258,7 +288,7 @@ pub(crate) fn ll_issue_floor(
         let load = &mut loads[chromosome.core_of_slot(slot)];
         *load = load.saturating_add(gene_issue_load(gene.ag_count, windows[gene.mvm]));
     }
-    issue_floor_of(hw, &loads)
+    issue_floor_of(hw, TermFold::of(&loads, false))
 }
 
 /// One gene's issue load: its AGs times the node's windows per replica.
@@ -278,11 +308,10 @@ fn ll_core_load(chromosome: &Chromosome, windows_per_replica: &[usize], core: us
     })
 }
 
-/// The issue floor of per-core loads: the largest, scaled by the issue
-/// interval.
-fn issue_floor_of(hw: &HardwareConfig, loads: &[u64]) -> f64 {
-    let worst = loads.iter().copied().max().unwrap_or(0);
-    worst as f64 * hw.issue_interval() as f64
+/// The issue floor of per-core loads from their fold: the largest,
+/// scaled by the issue interval.
+fn issue_floor_of(hw: &HardwareConfig, loads: TermFold) -> f64 {
+    loads.worst as f64 * hw.issue_interval() as f64
 }
 
 /// The Fig. 6 topological chain estimate (from-scratch entry point:
@@ -483,8 +512,8 @@ enum EvalDetail {
     /// HT mode: the busy time of every core. `F_HT` is a max over
     /// cores, so a child only recomputes the cores its mutation dirtied.
     Ht {
-        /// Per-core busy times in core order.
-        core_times: Vec<u64>,
+        /// Per-core busy times.
+        core_times: CoreTerms,
     },
     /// LL mode: the Fig. 6 chain estimate beside the issue load of every
     /// core. The chain depends only on the replication counts, so
@@ -494,8 +523,8 @@ enum EvalDetail {
     Ll {
         /// The topological chain estimate.
         chain: f64,
-        /// Per-core issue loads in core order.
-        loads: Vec<u64>,
+        /// Per-core issue loads.
+        loads: CoreTerms,
     },
 }
 
@@ -506,6 +535,193 @@ pub(crate) enum EvalKind {
     Full,
     /// A parent basis was reused; only dirtied state was recomputed.
     Incremental,
+}
+
+/// The per-core fitness terms of a chromosome (HT busy times, LL issue
+/// loads), in blocks of [`CORE_BLOCK`] cores behind `Arc`s, each block
+/// with the fold of its terms. A child's terms share its parent's
+/// blocks: a block in which a term changes is copied with the new
+/// terms, and only the blocks so copied are folded again.
+/// The fitness then reads one fold per block (34 on vgg16's 2124 cores),
+/// and a population member holds only the blocks its mutations moved.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct CoreTerms {
+    blocks: Vec<Arc<TermBlock>>,
+    cores: usize,
+    /// HT busy times, whose folds carry a sum and a count (else LL
+    /// issue loads, whose folds carry the largest alone).
+    ht: bool,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+struct TermBlock {
+    /// The terms of the block's cores; 0 past the grid's last core,
+    /// which no fold, maximum or count of non-zero terms sees.
+    terms: [u64; CORE_BLOCK],
+    /// The fold of `terms`.
+    fold: TermFold,
+}
+
+impl CoreTerms {
+    /// The terms `term(core)` of `cores` cores (HT busy times when
+    /// `ht`, else LL issue loads).
+    fn from_fn(cores: usize, ht: bool, mut term: impl FnMut(usize) -> u64) -> Self {
+        let blocks = (0..cores.div_ceil(CORE_BLOCK))
+            .map(|block| {
+                let mut terms = [0; CORE_BLOCK];
+                let first = block * CORE_BLOCK;
+                let real = (cores - first).min(CORE_BLOCK);
+                for (core, t) in (first..first + real).zip(&mut terms) {
+                    *t = term(core);
+                }
+                // The terms past the last core are 0, which no fold sees.
+                let fold = TermFold::of(&terms[..real], ht);
+                Arc::new(TermBlock { terms, fold })
+            })
+            .collect();
+        CoreTerms { blocks, cores, ht }
+    }
+
+    /// Core `core`'s term.
+    fn get(&self, core: usize) -> u64 {
+        self.blocks[core / CORE_BLOCK].terms[core % CORE_BLOCK]
+    }
+
+    /// These terms with `patches` (`(core, term)` pairs in core order)
+    /// in place of the terms of their cores: a table sharing every block
+    /// in which no term changes, and holding a new block, folded again,
+    /// for each block in which one does.
+    fn patched(&self, patches: &[(usize, u64)]) -> CoreTerms {
+        let mut rest = patches;
+        let blocks = self.blocks.iter().enumerate().map(|(index, block)| {
+            let first = index * CORE_BLOCK;
+            let split = rest.partition_point(|&(core, _)| core < first + CORE_BLOCK);
+            let (here, later) = rest.split_at(split);
+            rest = later;
+            if here
+                .iter()
+                .all(|&(core, term)| block.terms[core - first] == term)
+            {
+                return Arc::clone(block);
+            }
+            let mut terms = block.terms;
+            for &(core, term) in here {
+                terms[core - first] = term;
+            }
+            let real = (self.cores - first).min(CORE_BLOCK);
+            let fold = TermFold::of(&terms[..real], self.ht);
+            Arc::new(TermBlock { terms, fold })
+        });
+        CoreTerms {
+            blocks: blocks.collect(),
+            cores: self.cores,
+            ht: self.ht,
+        }
+    }
+
+    /// The fold of every term, from the blocks' folds.
+    fn fold(&self) -> TermFold {
+        let folds = self.blocks.iter().map(|block| block.fold);
+        folds.fold(TermFold::default(), TermFold::merge)
+    }
+
+    /// The first core holding the largest term once `patches` (`(core,
+    /// term)` pairs in core order) replace the terms of their cores,
+    /// without copying a block: a block no patch lands in offers its
+    /// fold's largest term (and, when that is a new largest, the first
+    /// of its cores holding it); a block a patch lands in is scanned
+    /// core by core.
+    pub(crate) fn critical_core(&self, patches: &[(usize, u64)]) -> Option<usize> {
+        let mut worst: Option<(u64, usize)> = None;
+        let mut rest = patches;
+        for (index, block) in self.blocks.iter().enumerate() {
+            let first = index * CORE_BLOCK;
+            let split = rest.partition_point(|&(core, _)| core < first + CORE_BLOCK);
+            let (here, later) = rest.split_at(split);
+            rest = later;
+            if here.is_empty() {
+                let w = block.fold.worst;
+                if worst.is_none_or(|(best, _)| w > best) {
+                    let at = block.terms.iter().position(|&t| t == w)?;
+                    worst = Some((w, first + at));
+                }
+                continue;
+            }
+            let mut terms = block.terms;
+            for &(core, term) in here {
+                terms[core - first] = term;
+            }
+            for (at, &t) in terms.iter().enumerate() {
+                if worst.is_none_or(|(best, _)| t > best) {
+                    worst = Some((t, first + at));
+                }
+            }
+        }
+        worst.map(|(_, core)| core)
+    }
+
+    /// Whether every block's fold is the fold of its terms and no term
+    /// past the last core is set — what the `debug_assert!`s check.
+    fn folds_current(&self) -> bool {
+        if self.blocks.len() != self.cores.div_ceil(CORE_BLOCK) {
+            return false;
+        }
+        let past_last = self.blocks.len() * CORE_BLOCK - self.cores;
+        let padding = self
+            .blocks
+            .last()
+            .map_or(&[][..], |b| &b.terms[CORE_BLOCK - past_last..]);
+        padding.iter().all(|&t| t == 0)
+            && self
+                .blocks
+                .iter()
+                .all(|b| b.fold == TermFold::of(&b.terms, self.ht))
+    }
+}
+
+#[cfg(test)]
+impl CoreTerms {
+    /// Every core's term, in core order.
+    pub(crate) fn flat(&self) -> Vec<u64> {
+        (0..self.cores).map(|core| self.get(core)).collect()
+    }
+
+    /// Each block's fold, as the block keeps it.
+    pub(crate) fn block_folds(&self) -> Vec<TermFold> {
+        self.blocks.iter().map(|block| block.fold).collect()
+    }
+
+    /// Whether `self` and `other` hold block `block` in one shared
+    /// allocation.
+    pub(crate) fn shares_block(&self, other: &Self, block: usize) -> bool {
+        Arc::ptr_eq(&self.blocks[block], &other.blocks[block])
+    }
+}
+
+#[cfg(test)]
+impl EvalBasis {
+    /// The per-core terms of the evaluation.
+    pub(crate) fn terms(&self) -> &CoreTerms {
+        match &self.detail {
+            EvalDetail::Ht { core_times } => core_times,
+            EvalDetail::Ll { loads, .. } => loads,
+        }
+    }
+}
+
+/// The mode's per-core terms of `chromosome` under `plan`, computed core
+/// by core into one flat vector: the oracle of the block storage.
+#[cfg(test)]
+pub(crate) fn flat_core_terms(
+    ctx: &GaContext<'_>,
+    chromosome: &Chromosome,
+    plan: &ReplicationPlan,
+) -> Vec<u64> {
+    let (mut windows, mut items) = (Vec::new(), Vec::new());
+    fill_windows_per_replica(ctx.partitioning, plan, &mut windows);
+    (0..chromosome.cores())
+        .map(|core| core_term(ctx, chromosome, &windows, core, &mut items))
+        .collect()
 }
 
 /// Reusable buffers for the evaluation engine, owned per GA worker for
@@ -519,13 +735,12 @@ pub(crate) struct EvalScratch {
     items: Vec<(usize, usize)>,
     /// Every node's windows per replica under the plan being evaluated.
     windows: Vec<usize>,
-    /// Per-core busy times of a draft still being mutated
-    /// ([`ht_critical_node`]; an evaluation builds its basis directly).
-    times: Vec<u64>,
-    /// Batched list of cores to re-evaluate (HT incremental).
+    /// The cores to re-evaluate (incremental evaluation), and a
+    /// membership mask for them (both reset between evaluations).
     dirty: Vec<usize>,
-    /// Membership mask for `dirty` (reset between evaluations).
     dirty_mask: Vec<bool>,
+    /// The recomputed terms of the `dirty` cores, in core order.
+    patches: Vec<(usize, u64)>,
     /// Per-node chain states (LL).
     states: Vec<LlNodeState>,
 }
@@ -547,11 +762,11 @@ fn core_term(
     }
 }
 
-/// Fills `terms` with the per-core fitness terms ([`core_term`]) of
-/// `chromosome` under `plan`, derived from the evaluation `basis` of the
-/// chromosome it was mutated from: one copy of the parent's terms,
-/// patched in place. `touched` lists every core whose slots differ from
-/// that parent (duplicates and unchanged cores are harmless). Only those
+/// The per-core fitness terms of the evaluation `basis` of the
+/// chromosome `chromosome` was mutated from, with the terms that moved
+/// recomputed into `scratch.patches` (`(core, term)` pairs in core
+/// order). `touched` lists every core whose slots differ from that
+/// parent (duplicates and unchanged cores are harmless). Only those
 /// cores are recomputed, plus every core hosting a node whose replica
 /// count differs from the basis: its windows-per-replica shifted on
 /// *all* of its cores, not only where AGs moved. (A core that hosted
@@ -559,26 +774,23 @@ fn core_term(
 /// `touched`.) Leaves the plan's windows per replica in
 /// `scratch.windows`.
 ///
-/// `false`, with `terms` untouched, when `basis` is not a basis of the
-/// context's mode over the same core count.
-fn core_terms_from(
+/// `None` when `basis` is not a basis of the context's mode over the
+/// same core count.
+fn patches_from<'b>(
     ctx: &GaContext<'_>,
     chromosome: &Chromosome,
     plan: &ReplicationPlan,
-    (basis, touched): (&EvalBasis, &[usize]),
+    (basis, touched): (&'b EvalBasis, &[usize]),
     scratch: &mut EvalScratch,
-    terms: &mut Vec<u64>,
-) -> bool {
+) -> Option<&'b CoreTerms> {
     let parent = match (&basis.detail, ctx.mode) {
         (EvalDetail::Ht { core_times }, PipelineMode::HighThroughput) => core_times,
         (EvalDetail::Ll { loads, .. }, PipelineMode::LowLatency) => loads,
-        _ => return false,
+        _ => return None,
     };
-    if parent.len() != chromosome.cores() {
-        return false;
+    if parent.cores != chromosome.cores() {
+        return None;
     }
-    terms.clear();
-    terms.extend_from_slice(parent);
     fill_windows_per_replica(ctx.partitioning, plan, &mut scratch.windows);
     scratch.dirty.clear();
     scratch.dirty_mask.clear();
@@ -599,10 +811,13 @@ fn core_terms_from(
                 .for_each(&mut mark);
         }
     }
+    scratch.dirty.sort_unstable();
+    scratch.patches.clear();
     for &core in &scratch.dirty {
-        terms[core] = core_term(ctx, chromosome, &scratch.windows, core, &mut scratch.items);
+        let term = core_term(ctx, chromosome, &scratch.windows, core, &mut scratch.items);
+        scratch.patches.push((core, term));
     }
-    true
+    Some(parent)
 }
 
 /// A node with AGs on the bottleneck core (largest estimated HT time)
@@ -610,7 +825,8 @@ fn core_terms_from(
 /// cycle count there. The core times are those of `parent` (the
 /// evaluation basis of the individual the draft was copied from, with
 /// the cores written since), recomputed only where they moved — see
-/// [`core_terms_from`]. `None` outside HT mode or on an empty core.
+/// [`patches_from`] — and the bottleneck is found from the block folds
+/// without copying a block. `None` outside HT mode or on an empty core.
 pub(crate) fn ht_critical_node(
     ctx: &GaContext<'_>,
     chromosome: &Chromosome,
@@ -618,18 +834,11 @@ pub(crate) fn ht_critical_node(
     parent: (&EvalBasis, &[usize]),
     scratch: &mut EvalScratch,
 ) -> Option<MvmIdx> {
-    let mut times = std::mem::take(&mut scratch.times);
-    let mut worst: Option<(u64, usize)> = None;
-    let ht = ctx.mode == PipelineMode::HighThroughput;
-    if ht && core_terms_from(ctx, chromosome, plan, parent, scratch, &mut times) {
-        for (core, &t) in times.iter().enumerate() {
-            if worst.is_none_or(|(w, _)| t > w) {
-                worst = Some((t, core));
-            }
-        }
+    if ctx.mode != PipelineMode::HighThroughput {
+        return None;
     }
-    scratch.times = times;
-    let (_, core) = worst?;
+    let terms = patches_from(ctx, chromosome, plan, parent, scratch)?;
+    let core = terms.critical_core(&scratch.patches)?;
     chromosome
         .genes_of_core(core)
         .max_by_key(|(_, g)| scratch.windows[g.mvm])
@@ -639,7 +848,7 @@ pub(crate) fn ht_critical_node(
 /// Evaluates a chromosome's fitness under its replication `plan`,
 /// incrementally when the evaluation basis of the chromosome it was
 /// mutated from is supplied together with the cores the mutation
-/// touched (see [`core_terms_from`]). `ll` is the context's
+/// touched (see [`patches_from`]). `ll` is the context's
 /// [`LlStatic`] tables (`Some` whenever `ctx.mode` is LL — see
 /// [`FitnessMemo::ll_tables`]); `scratch` provides the reusable
 /// buffers and never influences the result.
@@ -657,22 +866,38 @@ pub(crate) fn compute_fitness(
     parent: Option<(&EvalBasis, &[usize])>,
     scratch: &mut EvalScratch,
 ) -> (f64, EvalBasis, EvalKind) {
-    // The child's per-core terms: the one copy of the parent's made.
-    let mut terms = Vec::new();
+    // The child's per-core terms: the parent's blocks, those its
+    // mutation moved copied.
     let patched = parent
-        .is_some_and(|parent| core_terms_from(ctx, chromosome, &plan, parent, scratch, &mut terms));
-    if !patched {
+        .and_then(|parent| patches_from(ctx, chromosome, &plan, parent, scratch))
+        .map(|terms| terms.patched(&scratch.patches));
+    let incremental = patched.is_some();
+    let ht = ctx.mode == PipelineMode::HighThroughput;
+    let terms = patched.unwrap_or_else(|| {
         fill_windows_per_replica(ctx.partitioning, &plan, &mut scratch.windows);
-        terms
-            .extend((0..chromosome.cores()).map(|core| {
-                core_term(ctx, chromosome, &scratch.windows, core, &mut scratch.items)
-            }));
-    }
+        CoreTerms::from_fn(chromosome.cores(), ht, |core| {
+            core_term(ctx, chromosome, &scratch.windows, core, &mut scratch.items)
+        })
+    });
+    debug_assert!(
+        terms.folds_current(),
+        "every block of per-core terms holds the fold of its terms"
+    );
+    debug_assert_eq!(
+        terms.fold(),
+        TermFold::of(
+            &(0..terms.cores)
+                .map(|core| terms.get(core))
+                .collect::<Vec<_>>(),
+            ht
+        ),
+        "the blocks' folds fold to the fold of every term"
+    );
     match ctx.mode {
         PipelineMode::HighThroughput => {
-            let fitness = ht_combine(&terms);
+            let fitness = ht_combine(terms.fold());
             let detail = EvalDetail::Ht { core_times: terms };
-            let kind = if patched {
+            let kind = if incremental {
                 EvalKind::Incremental
             } else {
                 EvalKind::Full
@@ -694,7 +919,7 @@ pub(crate) fn compute_fitness(
                     )
                 }
             };
-            let floor = issue_floor_of(ctx.hw, &terms);
+            let floor = issue_floor_of(ctx.hw, terms.fold());
             debug_assert_eq!(
                 floor.to_bits(),
                 ll_issue_floor(ctx.hw, ctx.partitioning, chromosome, &plan).to_bits(),
@@ -722,8 +947,8 @@ fn same_grid(a: &Chromosome, b: &Chromosome) -> bool {
 fn collect_dirty_cores(parent: &Chromosome, child: &Chromosome, out: &mut Vec<usize>) {
     out.clear();
     out.extend(
-        (0..child.len())
-            .filter(|&slot| parent.slot_differs(child, slot))
+        parent
+            .differing_slots(child)
             .map(|slot| child.core_of_slot(slot)),
     );
 }

@@ -31,34 +31,35 @@
 //! evaluating the initial population a tenth, and selection, the memo
 //! and the reduction the rest. Most of that is proportional to what a
 //! move changes, not to the gene grid, and every part is built to keep
-//! it so: the grid is two 16-bit columns, so the copy an offspring
-//! makes when an operator first writes to it (over half never do) moves
-//! 4 bytes a slot; placement plans all AGs of a call in one pass over
-//! the cores (`place_ags_from`), and a failed call reports the room it
-//! found, so a halving retry loop scans once more at most
-//! (`place_halving`); a `Draft` carries the per-core occupancy, the
-//! least occupancy of each block of 64 cores, per-node AG totals and
-//! the list of cores its operators wrote, so nothing re-derives them
-//! from the grid; the placement and spread scans step over every block
-//! in which no core has room for the request, and a placement whose
-//! fresh slots already cover what is left finds its remaining top-ups
+//! it so: the grid is stored in blocks of 64 cores, each behind an
+//! `Arc`, so the copy an offspring makes when an operator first writes
+//! to it shares every block and copies, on a write, only the block the
+//! write lands in (about 2.5 of vgg16's 34 on average); placement plans
+//! all AGs of a call in one pass over the cores (`place_ags_from`), and
+//! a failed call reports the room it found, so a halving retry loop
+//! scans once more at most (`place_halving`); a `Draft` carries the
+//! per-core occupancy and the least occupancy of each block (both in
+//! the chromosome's blocks), per-node AG totals and the list of cores
+//! its operators wrote, so nothing re-derives them from the grid; the
+//! placement and spread scans step over every block in which no core
+//! has room for the request, and a placement whose fresh slots already
+//! cover what is left finds its remaining top-ups
 //! among the node's genes instead of core by core (on vgg16 the two
 //! scans visited 35 M cores in a search, and now visit 0.7 M); one
 //! node's genes are found through the chromosome's per-node index of
 //! the 64-slot blocks holding them (26 k lookups in a vgg16 search read
 //! 0.29 M of 3.5 M blocks); evaluation recomputes the cores on the
 //! draft's list and those hosting a node whose replica count changed —
-//! in the one copy of the parent's per-core terms (HT busy times, LL
-//! issue loads) that becomes the child's basis — instead of diffing two
-//! grids or walking every gene; and what does not depend on the
-//! individual (the LL chain tables, each worker's scratch buffers) is
-//! built once per run, not once per generation. What is still
-//! grid-sized is the draft copy and, per evaluation, the copy of the
-//! parent's per-core terms and their fold into the fitness (HT's
-//! `ht_combine`, the LL floor's maximum): flat passes over contiguous
-//! words. On top of that the engine
-//! evaluates in parallel, incrementally and memoized, while staying
-//! **deterministic to the bit** for a given [`GaParams::seed`]:
+//! in the parent's per-core terms (HT busy times, LL issue loads), kept
+//! in 64-core blocks with each block's fold, of which the child copies
+//! and folds again only the blocks whose terms moved — instead of
+//! diffing two grids or walking every gene, and folds the fitness (and
+//! finds the bottleneck core) from one fold per block; and what does
+//! not depend on the individual (the LL chain tables, each worker's
+//! scratch buffers) is built once per run, not once per generation. On
+//! top of that the engine evaluates in parallel, incrementally and
+//! memoized, while staying **deterministic to the bit** for a given
+//! [`GaParams::seed`]:
 //!
 //! * **Seed-stream splitting** — every initial individual and every
 //!   offspring slot of every generation owns a private [`StdRng`]
@@ -80,14 +81,15 @@
 //!   mode) — exactly, not approximately. The memo keeps every fitness
 //!   but only a weak pointer to each evaluation basis, so the bases
 //!   alive at any time are the population's: memory is about population
-//!   × (grid + per-core terms), not evaluations × cores. A hit whose
+//!   × (grid + per-core terms) — less, for the blocks relatives share —
+//!   not evaluations × cores. A hit whose
 //!   basis is gone rebuilds it from its parent's, as a miss would.
 
 use crate::fitness::{
     compute_fitness, ht_critical_node, ht_fitness, ll_fitness_with_issue_floor, EvalBasis,
     EvalKind, EvalScratch, FitnessMemo,
 };
-use crate::mapping::{check_gene_limits, replication_of_totals, Chromosome, Gene};
+use crate::mapping::{check_gene_limits, replication_of_totals, Chromosome, Gene, CORE_BLOCK};
 use crate::parallel::run_indexed_on;
 use crate::partition::{MvmIdx, Partitioning};
 use crate::replication::ReplicationPlan;
@@ -338,24 +340,23 @@ impl GaContext<'_> {
     }
 }
 
-/// Cores a [`Draft`] summarizes together: a scan for a core with room
-/// steps over a whole block of them when its least-occupied core has
-/// none.
-const CORE_BLOCK: usize = 64;
-
 /// The mutable state the mutation operators work on: a chromosome plus
 /// the summaries of it they would otherwise re-derive from the gene
 /// grid on every move. [`Draft::set_ag_count`] is the only writer of
 /// the chromosome, and keeps all of them current.
+///
+/// The per-core state lives in the chromosome's blocks of
+/// [`CORE_BLOCK`] cores behind `Arc`s: each core's slots and, as the
+/// core's tally ([`Chromosome::tally`]), the crossbars it occupies (at
+/// most a core's capacity, which [`check_gene_limits`] holds to 32
+/// bits). So the copy an offspring makes of its parent's draft shares
+/// every block, and a write copies only the block it lands in, slots
+/// and count together: an offspring holds its own copy of the few
+/// blocks it wrote (about 2.5 of vgg16's 34 on average) and shares the
+/// rest.
 #[derive(Debug, Clone)]
 struct Draft {
     chromosome: Chromosome,
-    /// Crossbars occupied on each core (at most a core's capacity,
-    /// which [`check_gene_limits`] holds to 32 bits).
-    used_crossbars: Vec<u32>,
-    /// For each [`CORE_BLOCK`] of cores, the crossbars occupied on its
-    /// least-occupied core.
-    block_floor: Vec<u32>,
     /// AG instances of each node over all cores.
     ag_totals: Vec<usize>,
     /// Cores written since the draft was cloned from its parent (with
@@ -368,8 +369,6 @@ impl Draft {
     fn empty(cores: usize, max_nodes: usize, nodes: usize) -> Self {
         Draft {
             chromosome: Chromosome::empty(cores, max_nodes),
-            used_crossbars: vec![0; cores],
-            block_floor: vec![0; cores.div_ceil(CORE_BLOCK)],
             ag_totals: vec![0; nodes],
             touched: Vec::new(),
         }
@@ -383,42 +382,16 @@ impl Draft {
             mvm: node,
             ag_count,
         });
-        let prev = self.chromosome.set_gene(slot, gene);
+        let prev = self.chromosome.set_gene_weighted(slot, gene, xb);
         debug_assert!(prev.is_none_or(|g| g.mvm == node));
         let before = prev.map_or(0, |g| g.ag_count);
-        let core = self.chromosome.core_of_slot(slot);
-        let was = self.used_crossbars[core];
-        let used = u32::try_from(self.used(core) + ag_count * xb - before * xb)
-            .expect("a core holds at most its capacity");
-        self.used_crossbars[core] = used;
-        // Only a fall below the floor, or a rise of the core that held
-        // it, moves a block's floor.
-        let block = core / CORE_BLOCK;
-        if used < self.block_floor[block] {
-            self.block_floor[block] = used;
-        } else if used > was && was == self.block_floor[block] {
-            self.block_floor[block] = self.recomputed_floor(block);
-        }
-        debug_assert_eq!(
-            self.block_floor[block],
-            self.recomputed_floor(block),
-            "the block floor of core {core} is current"
-        );
         self.ag_totals[node] = self.ag_totals[node] + ag_count - before;
-        self.touched.push(core);
+        self.touched.push(self.chromosome.core_of_slot(slot));
     }
 
     /// Crossbars occupied on `core`.
     fn used(&self, core: usize) -> usize {
-        self.used_crossbars[core] as usize
-    }
-
-    /// The crossbars occupied on the least-occupied core of `block`,
-    /// from the per-core counts.
-    fn recomputed_floor(&self, block: usize) -> u32 {
-        let end = ((block + 1) * CORE_BLOCK).min(self.used_crossbars.len());
-        let cores = &self.used_crossbars[block * CORE_BLOCK..end];
-        cores.iter().copied().min().expect("a block holds a core")
+        self.chromosome.tally(core) as usize
     }
 
     /// The cores of `cores`, in order, except those of blocks in which
@@ -432,7 +405,7 @@ impl Draft {
     ) -> impl Iterator<Item = usize> + '_ {
         let Range { start, end } = cores;
         (start / CORE_BLOCK..end.div_ceil(CORE_BLOCK))
-            .filter(move |&block| self.block_floor[block] as usize + needed <= capacity)
+            .filter(move |&block| self.chromosome.least_tally(block) as usize + needed <= capacity)
             .flat_map(move |block| {
                 (block * CORE_BLOCK).max(start)..((block + 1) * CORE_BLOCK).min(end)
             })
@@ -1624,15 +1597,24 @@ mod tests {
             .filter(move |&start| start < cores)
     }
 
+    /// Crossbars occupied on each core of `draft`, as it keeps them.
+    fn used_of(draft: &Draft) -> Vec<usize> {
+        (0..draft.chromosome.cores())
+            .map(|c| draft.used(c))
+            .collect()
+    }
+
     /// Asserts that every block floor of `draft` is its least-occupied
     /// core's count, recomputed from the per-core counts.
     fn assert_floors_current(draft: &Draft, at: &str) {
-        let floors: Vec<u32> = draft
-            .used_crossbars
+        let floors: Vec<u32> = used_of(draft)
             .chunks(CORE_BLOCK)
-            .map(|block| *block.iter().min().unwrap())
+            .map(|block| *block.iter().min().unwrap() as u32)
             .collect();
-        assert_eq!(draft.block_floor, floors, "{at}");
+        let kept: Vec<u32> = (0..floors.len())
+            .map(|block| draft.chromosome.least_tally(block))
+            .collect();
+        assert_eq!(kept, floors, "{at}");
     }
 
     /// What the placement calls a test checked did.
@@ -1689,7 +1671,7 @@ mod tests {
             // A failed call writes nothing (and copies nothing).
             assert!(matches!(batched, Cow::Borrowed(_)), "{at}");
             assert_eq!(chromosome, before.chromosome, "{at}");
-            assert_eq!(batched.used_crossbars, before.used_crossbars, "{at}");
+            assert_eq!(used_of(&batched), used_of(before), "{at}");
             // The reported room is exactly what fits, wherever the scan
             // starts.
             let room = placed.unwrap_err();
@@ -1899,7 +1881,7 @@ mod tests {
                     assert_eq!(placed, expected, "{at}");
                     assert_eq!(fast.chromosome, slow.chromosome, "{at}");
                     assert_eq!(fast.chromosome.fingerprint(), slow.chromosome.fingerprint());
-                    assert_eq!(fast.used_crossbars, slow.used_crossbars, "{at}");
+                    assert_eq!(used_of(&fast), used_of(&slow), "{at}");
                     assert_eq!(fast.ag_totals, slow.ag_totals, "{at}");
                     assert_eq!(fast.touched, slow.touched, "{at}");
                     assert_floors_current(&fast, &at);
@@ -1984,7 +1966,7 @@ mod tests {
                     let at = format!("grid {shape:?}, seed {seed}");
                     assert_eq!(spread, expected, "{at}");
                     assert_eq!(fast.chromosome, slow.chromosome, "{at}");
-                    assert_eq!(fast.used_crossbars, slow.used_crossbars, "{at}");
+                    assert_eq!(used_of(&fast), used_of(&slow), "{at}");
                     assert_eq!(fast.touched, slow.touched, "{at}");
                     assert_floors_current(&fast, &at);
                     assert_eq!(matches!(fast, Cow::Borrowed(_)), !spread, "{at}");
@@ -1996,6 +1978,152 @@ mod tests {
             }
         }
         assert!(moved > 1000 && stuck > 300, "{moved} moved, {stuck} not");
+    }
+
+    #[test]
+    fn offspring_share_the_blocks_they_do_not_write() {
+        use crate::fitness::{flat_core_terms, TermFold};
+        // resnet18 on a 200-core prefix: three full blocks of 64 cores
+        // and a partial fourth of 8.
+        let g = normalize(&models::resnet18()).unwrap();
+        let hw = HardwareConfig::puma_with_chips(6);
+        let p = Partitioning::new(&g, &hw).unwrap();
+        let dep = DepInfo::analyze(&g);
+        let capacity = hw.crossbar_capacity_per_core();
+        let mut rng = StdRng::seed_from_u64(0xB10C);
+        for mode in [PipelineMode::HighThroughput, PipelineMode::LowLatency] {
+            let ctx = GaContext {
+                hw: &hw,
+                graph: &g,
+                partitioning: &p,
+                dep: &dep,
+                mode,
+                core_limit: Some(200),
+            };
+            let cores = ctx.cores();
+            let blocks = cores.div_ceil(CORE_BLOCK);
+            assert_eq!((cores, blocks), (200, 4));
+            let memo = FitnessMemo::new(&ctx);
+            let init = InitPlan::new(&ctx, cores, 3, capacity);
+            let mut ws = WorkerScratch::default();
+            let mut tally = MutationTally::default();
+            // Offspring that wrote something, that wrote two blocks or
+            // more, that wrote the partial block, and term blocks shared.
+            let (mut written, mut wide, mut last, mut kept) = (0usize, 0usize, 0usize, 0usize);
+            for _ in 0..12 {
+                let parent = initial_draft(&ctx, &init, true, &mut rng, &mut ws.mutation).unwrap();
+                let plan = parent.replication(&p).unwrap();
+                let (_, basis, _) = compute_fitness(
+                    &ctx,
+                    memo.ll_tables(),
+                    &parent.chromosome,
+                    plan,
+                    None,
+                    &mut ws.eval,
+                );
+                for _ in 0..16 {
+                    let mut child = Cow::Borrowed(&parent);
+                    for _ in 0..rng.gen_range(1..=3) {
+                        mutate(
+                            &mut child, &basis, &ctx, capacity, &mut rng, &mut tally, &mut ws,
+                        );
+                        // Every block of slots and of occupancy the
+                        // offspring did not write is its parent's.
+                        let wrote = |block: usize| {
+                            child.touched.iter().any(|&core| core / CORE_BLOCK == block)
+                        };
+                        for block in 0..blocks {
+                            let at = format!("{mode}, block {block}, touched {:?}", child.touched);
+                            let shared = child.chromosome.shares_block(&parent.chromosome, block);
+                            assert_eq!(shared, !wrote(block), "{at}");
+                        }
+                        // The crossbar counts kept in the blocks are the
+                        // chromosome's.
+                        assert_eq!(used_of(&child), child.chromosome.used_crossbars(&p));
+                    }
+                    let Cow::Owned(child) = child else { continue };
+                    let touched_blocks =
+                        |block: usize| child.touched.iter().any(|&core| core / CORE_BLOCK == block);
+                    written += 1;
+                    wide += usize::from((0..blocks).filter(|&b| touched_blocks(b)).count() > 1);
+                    last += usize::from(touched_blocks(blocks - 1));
+                    // The child's terms, patched from the parent's, against
+                    // a flat recomputation: every term, every block's
+                    // fold, the fitness, and the first core holding the
+                    // largest term.
+                    let plan = child.replication(&p).unwrap();
+                    let flat = flat_core_terms(&ctx, &child.chromosome, &plan);
+                    let ht = mode == PipelineMode::HighThroughput;
+                    if mode == PipelineMode::HighThroughput {
+                        let windows = |mvm: MvmIdx| plan.windows_per_replica(&p, mvm);
+                        let first_max = (0..cores).rev().max_by_key(|&c| flat[c]).unwrap();
+                        let node = child
+                            .chromosome
+                            .genes_of_core(first_max)
+                            .max_by_key(|(_, g)| windows(g.mvm));
+                        let critical = ht_critical_node(
+                            &ctx,
+                            &child.chromosome,
+                            &plan,
+                            (&basis, &child.touched),
+                            &mut ws.eval,
+                        );
+                        assert_eq!(critical, node.map(|(_, g)| g.mvm), "{mode}");
+                    }
+                    let (fitness, patched, kind) = compute_fitness(
+                        &ctx,
+                        memo.ll_tables(),
+                        &child.chromosome,
+                        plan,
+                        Some((&basis, &child.touched)),
+                        &mut ws.eval,
+                    );
+                    if mode == PipelineMode::HighThroughput {
+                        // (LL recomputes its chain when the plan moved.)
+                        assert_eq!(kind, EvalKind::Incremental);
+                    }
+                    let terms = patched.terms();
+                    assert_eq!(terms.flat(), flat, "{mode}");
+                    let mut padded = flat.clone();
+                    padded.resize(blocks * CORE_BLOCK, 0);
+                    let folds: Vec<TermFold> = padded
+                        .chunks(CORE_BLOCK)
+                        .map(|terms| TermFold::of(terms, ht))
+                        .collect();
+                    assert_eq!(terms.block_folds(), folds, "{mode}");
+                    let first_max = (0..cores).rev().max_by_key(|&c| flat[c]);
+                    assert_eq!(terms.critical_core(&[]), first_max, "{mode}");
+                    assert_eq!(
+                        fitness.to_bits(),
+                        ctx.fitness(&child.chromosome).unwrap().to_bits()
+                    );
+                    // A block of terms is copied exactly when one of its
+                    // terms moved.
+                    for block in 0..blocks {
+                        let same = padded[block * CORE_BLOCK..][..CORE_BLOCK]
+                            == basis
+                                .terms()
+                                .flat()
+                                .iter()
+                                .copied()
+                                .chain([0; CORE_BLOCK])
+                                .skip(block * CORE_BLOCK)
+                                .take(CORE_BLOCK)
+                                .collect::<Vec<_>>()[..];
+                        assert_eq!(
+                            terms.shares_block(basis.terms(), block),
+                            same,
+                            "{mode}, block {block}"
+                        );
+                        kept += usize::from(same);
+                    }
+                }
+            }
+            assert!(
+                written > 120 && wide > 60 && last > 8 && kept > 200,
+                "{mode}: {written} written, {wide} over two blocks, {last} in the last, {kept} term blocks kept"
+            );
+        }
     }
 
     #[test]
@@ -2120,7 +2248,7 @@ mod tests {
     #[test]
     fn ll_issue_loads_stay_exact_on_a_multi_block_grid() {
         // 80 cores: replica-count changes dirty hosting cores in several
-        // blocks of the node-block index and of the draft's floors. With
+        // blocks of the node-block index and of the least tallies. With
         // debug assertions on, every evaluation checks its incremental
         // issue floor against the floor from scratch.
         let g = normalize(&models::tiny_cnn()).unwrap();

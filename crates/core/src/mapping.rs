@@ -12,6 +12,8 @@ use crate::partition::{MvmIdx, Partitioning};
 use crate::replication::ReplicationPlan;
 use crate::CompileError;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// The paper's gene radix: `code = node_index * 10000 + ag_count`.
 pub const GENE_RADIX: u64 = 10_000;
@@ -54,33 +56,178 @@ impl Gene {
     }
 }
 
+/// Cores one block of the GA's per-core state covers: a [`Chromosome`]
+/// keeps the slots (and the GA's crossbar count) of each such block of
+/// cores, and the GA's evaluation bases their fitness terms, each block
+/// behind its own `Arc`. A copy shares every block, and a write copies
+/// only the block it lands in (`Arc::make_mut`), so an offspring holds
+/// its own copy of the few blocks its mutations touched and shares the
+/// rest with its parent.
+pub(crate) const CORE_BLOCK: usize = 64;
+
+/// One block's slots: the node column and the AG-count column, one
+/// 16-bit word a slot each, then a bitset marking occupied slots and one
+/// marking genes of two or more AGs (each 64-bit word as four 16-bit
+/// quarters, lowest first). A block holds [`CORE_BLOCK`] cores, a whole
+/// number of 64-slot words, so every block starts on a word of the grid
+/// and a slot keeps its bit position in it; the last block holds the
+/// cores left.
+#[derive(Clone, Copy)]
+struct SlotBlock<'a> {
+    data: &'a [u16],
+    slots: usize,
+}
+
+/// The `u16`s a block of `cores` cores and `slots` slots takes: the two
+/// halves of a tally for each core, two columns and two bitsets of
+/// `slots.div_ceil(64)` words.
+fn block_len(cores: usize, slots: usize) -> usize {
+    2 * cores + bits_at(slots, true) + 4 * slots.div_ceil(64)
+}
+
+/// Where a block's bitsets start: the occupancy one, then (one bitset
+/// later) the splittable one.
+fn bits_at(slots: usize, splittable: bool) -> usize {
+    2 * slots + usize::from(splittable) * 4 * slots.div_ceil(64)
+}
+
+impl<'a> SlotBlock<'a> {
+    /// The node column.
+    fn column(self) -> &'a [u16] {
+        &self.data[..self.slots]
+    }
+
+    /// Word `word` of the occupancy bitset, or with `splittable` of the
+    /// bitset of genes of two or more AGs.
+    #[inline]
+    fn word(self, splittable: bool, word: usize) -> u64 {
+        let at = bits_at(self.slots, splittable) + 4 * word;
+        let quarters = &self.data[at..at + 4];
+        quarters
+            .iter()
+            .rev()
+            .fold(0, |word, &q| word << 16 | u64::from(q))
+    }
+
+    /// Every word of a bitset, in order.
+    fn words(self, splittable: bool) -> impl Iterator<Item = u64> + 'a {
+        (0..self.slots.div_ceil(64)).map(move |word| self.word(splittable, word))
+    }
+
+    #[inline]
+    fn is_occupied(self, local: usize) -> bool {
+        self.data[2 * self.slots + local / 16] & (1 << (local % 16)) != 0
+    }
+
+    /// The node stored in a slot, occupied or not.
+    #[inline]
+    fn mvm(self, local: usize) -> u16 {
+        self.data[local]
+    }
+
+    /// The stored content of a slot, occupied or not, widened.
+    #[inline]
+    fn stored(self, local: usize) -> Gene {
+        Gene {
+            mvm: usize::from(self.data[local]),
+            ag_count: usize::from(self.data[self.slots + local]),
+        }
+    }
+
+    /// Whether `local` holds different content in `self` and `other`.
+    fn slot_differs(self, other: Self, local: usize) -> bool {
+        let occ = self.is_occupied(local);
+        occ != other.is_occupied(local)
+            || (occ
+                && (self.data[local] != other.data[local]
+                    || self.data[self.slots + local] != other.data[self.slots + local]))
+    }
+
+    /// The slots of word `word` holding a gene of `node`, as a bit mask
+    /// over the word: one byte-wide compare per lane (which compiles to
+    /// vector compares over the node column), then each 8 bytes of 0/1
+    /// packed into 8 bits by one multiply, which moves byte `i`'s low bit
+    /// to bit `56 + i` with no carries between them.
+    fn node_mask(self, node: u16, word: usize) -> u64 {
+        let first = word * SCAN_BLOCK;
+        let column = &self.column()[first..self.slots.min(first + SCAN_BLOCK)];
+        let mut lanes = [0u8; SCAN_BLOCK];
+        for (lane, &m) in lanes.iter_mut().zip(column) {
+            *lane = u8::from(m == node);
+        }
+        let matches = lanes.chunks_exact(8).rev().fold(0u64, |mask, bytes| {
+            let bytes = u64::from_le_bytes(bytes.try_into().expect("8 lanes"));
+            mask << 8 | bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56
+        });
+        matches & self.word(false, word)
+    }
+}
+
+/// Stores `(node, AG count)` in slot `local` of a block of `slots` slots
+/// and marks it occupied or not.
+fn write_slot(data: &mut [u16], slots: usize, local: usize, stored: (u16, u16), occupied: bool) {
+    (data[local], data[slots + local]) = stored;
+    let bit = 1u16 << (local % 16);
+    for (splittable, set) in [(false, occupied), (true, stored.1 >= 2)] {
+        let at = bits_at(slots, splittable) + local / 16;
+        if set {
+            data[at] |= bit;
+        } else {
+            data[at] &= !bit;
+        }
+    }
+}
+
+/// One block of a [`Chromosome`]: its data, shared until written, and
+/// what the chromosome keeps of it beside it, current after every
+/// write.
+#[derive(Debug, Clone)]
+struct Block {
+    /// The block's cores' tallies ([`Chromosome::tally`]) as two runs
+    /// of 16-bit halves, every core's low half and then every core's
+    /// high half (so a scan for the least reads two contiguous runs),
+    /// then the block's slots ([`SlotBlock`]), in one allocation, so a
+    /// block is one allocation to copy and a gene and its core's tally
+    /// are written in one copy.
+    data: Arc<[u16]>,
+    /// How many of the block's slots hold a gene, and how many a gene of
+    /// two or more AGs: a random gene's block is found from these.
+    genes: [u32; 2],
+    /// The least tally of the block's cores ([`Chromosome::least_tally`]),
+    /// and how many of them hold it.
+    least_tally: u32,
+    holding_least: u32,
+}
+
 /// A fixed grid of gene slots: `core_num × max_node_num_in_core`.
 ///
 /// `max_node_num_in_core` bounds how many distinct nodes one core may
 /// host, which keeps the mapping from scattering so far that on-chip
 /// communication dominates (paper Section IV-C.1).
 ///
-/// Storage is struct-of-arrays: the node index and AG count of every
-/// slot live in parallel 16-bit columns (a gene holds fewer than
-/// [`GENE_RADIX`] AGs of one of at most 65 536 nodes — see
-/// [`Chromosome::set_gene`] — so the GA's copy of a parent's grid moves
-/// 4 bytes a slot) with a bitset marking occupied slots
-/// (and a second one marking genes of two or more AGs, the ones a
-/// spread can split), so the GA's slot scans walk contiguous words
-/// instead of discriminant-tagged options, a uniformly random gene is
-/// a popcount walk over a bitset, and the memoization fingerprint can
-/// be maintained incrementally (XOR in/out one slot's contribution on
+/// Storage is one shared block per 64 cores, each behind an `Arc`: the
+/// node index and AG count of every slot, in two 16-bit columns (a gene
+/// holds fewer than [`GENE_RADIX`] AGs of one of at most 65 536 nodes —
+/// see [`Chromosome::set_gene`]), with a bitset
+/// marking occupied slots (and a second one marking genes of two or
+/// more AGs, the ones a spread can split), so the GA's slot scans walk
+/// contiguous words instead of discriminant-tagged options, a uniformly
+/// random gene is a popcount walk over a bitset (after a walk over
+/// per-block gene counts), and the memoization fingerprint can be
+/// maintained incrementally (XOR in/out one slot's contribution on
 /// every [`Chromosome::set_gene`]) instead of rehashing the whole grid
-/// per offspring. A per-node index of the 64-slot blocks holding each
-/// node's genes lets the GA find one node's genes by reading only those
-/// blocks of the node column.
+/// per offspring. A clone shares every block with the original, and a
+/// write copies the one block it lands in while another chromosome
+/// still holds it (`Arc::make_mut`), so the GA's offspring copies the
+/// blocks its mutations touch and nothing of the rest. A per-node index
+/// of the 64-slot words holding each node's genes lets the GA find one
+/// node's genes by reading only those words of the slot column.
 #[derive(Debug, Clone)]
 pub struct Chromosome {
-    mvms: Vec<u16>,
-    ags: Vec<u16>,
-    occupied: Vec<u64>,
-    /// Slots whose gene holds at least two AGs.
-    splittable: Vec<u64>,
+    /// The blocks, of `block_slots` slots each but the last.
+    blocks: Vec<Block>,
+    /// Slots per full block.
+    block_slots: usize,
     /// The node-block index: one row per node index ever written, in the
     /// order of first writes, of one count per [`SCAN_BLOCK`] (how many
     /// of its slots hold a gene of the node).
@@ -91,24 +238,34 @@ pub struct Chromosome {
     cores: usize,
     max_nodes_per_core: usize,
     fp: u128,
+    /// Whether every write went through [`Chromosome::set_gene_weighted`],
+    /// so the tallies are current: what the `debug_assert!`s on reading
+    /// them check.
+    tallied: bool,
 }
 
 /// Equal grids are equal chromosomes, whatever order their genes were
 /// written in: the node-block index (whose rows follow that order) and
-/// the fields derived from the grid are left out.
+/// the fields derived from the grid are left out, and blocks the two
+/// share are equal without a look.
 impl PartialEq for Chromosome {
     fn eq(&self, other: &Self) -> bool {
         self.cores == other.cores
             && self.max_nodes_per_core == other.max_nodes_per_core
-            && self.occupied == other.occupied
-            && self.mvms == other.mvms
-            && self.ags == other.ags
+            && (0..self.blocks.len()).all(|b| {
+                // The two columns and the occupancy bitset (the
+                // splittable one and the tallies are left out).
+                let (mine, theirs) = (self.block(b), other.block(b));
+                let grid = bits_at(mine.slots, true);
+                Arc::ptr_eq(&self.blocks[b].data, &other.blocks[b].data)
+                    || mine.data[..grid] == theirs.data[..grid]
+            })
     }
 }
 
 impl Eq for Chromosome {}
 
-/// A gene as the 16-bit `(node, AG count)` pair the slot columns store;
+/// A gene as the 16-bit `(node, AG count)` pair a slot stores;
 /// `None` when it holds [`GENE_RADIX`] AGs or more, or its node index
 /// is past `u16::MAX`.
 fn narrow(gene: Gene) -> Option<(u16, u16)> {
@@ -118,7 +275,7 @@ fn narrow(gene: Gene) -> Option<(u16, u16)> {
 
 /// Slots the node-block index summarizes together: one word of the
 /// occupancy bitset, so a block's genes of a node are one 64-lane
-/// compare of the node column ANDed with that word.
+/// compare of the slot column's node halves ANDed with that word.
 const SCAN_BLOCK: usize = 64;
 
 /// The set bits of `word`, lowest first.
@@ -149,19 +306,36 @@ impl Chromosome {
     /// Panics if either dimension is zero.
     pub fn empty(cores: usize, max_nodes_per_core: usize) -> Self {
         assert!(cores > 0 && max_nodes_per_core > 0);
-        let slots = cores * max_nodes_per_core;
+        let block_slots = CORE_BLOCK * max_nodes_per_core;
         let base = u128::from(mix64(cores as u64 ^ 0x5049_4D43_4F4D_5031))
             | (u128::from(mix64(max_nodes_per_core as u64 ^ 0x6368_726f_6d6f_736f)) << 64);
+        // Every full block starts as one shared empty block.
+        let full: Arc<[u16]> = Arc::from(vec![0; block_len(CORE_BLOCK, block_slots)]);
+        let blocks = (0..cores.div_ceil(CORE_BLOCK))
+            .map(|block| {
+                let here = (cores - block * CORE_BLOCK).min(CORE_BLOCK);
+                let data = if here == CORE_BLOCK {
+                    Arc::clone(&full)
+                } else {
+                    Arc::from(vec![0; block_len(here, here * max_nodes_per_core)])
+                };
+                Block {
+                    data,
+                    genes: [0; 2],
+                    least_tally: 0,
+                    holding_least: here as u32,
+                }
+            })
+            .collect();
         Chromosome {
-            mvms: vec![0; slots],
-            ags: vec![0; slots],
-            occupied: vec![0; slots.div_ceil(64)],
-            splittable: vec![0; slots.div_ceil(64)],
+            blocks,
+            block_slots,
             node_blocks: Vec::new(),
             row_of: Vec::new(),
             cores,
             max_nodes_per_core,
             fp: base,
+            tallied: true,
         }
     }
 
@@ -180,19 +354,51 @@ impl Chromosome {
         u128::from(lo) | (u128::from(hi) << 64)
     }
 
+    /// The block holding `slot` and the slot's index in it.
     #[inline]
-    fn is_occupied(&self, slot: usize) -> bool {
-        self.occupied[slot / 64] & (1u64 << (slot % 64)) != 0
+    fn locate(&self, slot: usize) -> (usize, usize) {
+        let block = self.core_of_slot(slot) / CORE_BLOCK;
+        (block, slot - block * self.block_slots)
+    }
+
+    /// Words of the occupancy bitset over the grid.
+    fn words(&self) -> usize {
+        self.len().div_ceil(64)
+    }
+
+    /// Block `block`'s slots.
+    #[inline]
+    fn block(&self, block: usize) -> SlotBlock<'_> {
+        let cores = self.block_cores(block);
+        SlotBlock {
+            data: &self.blocks[block].data[2 * cores..],
+            slots: cores * self.max_nodes_per_core,
+        }
+    }
+
+    /// How many cores block `block` holds.
+    #[inline]
+    fn block_cores(&self, block: usize) -> usize {
+        (self.cores - block * CORE_BLOCK).min(CORE_BLOCK)
+    }
+
+    /// The block holding `core`'s slots, the index of its first slot in
+    /// the block, and the grid index of that slot.
+    #[inline]
+    fn core_block(&self, core: usize) -> (SlotBlock<'_>, usize, usize) {
+        let first = core * self.max_nodes_per_core;
+        let local = core % CORE_BLOCK * self.max_nodes_per_core;
+        (self.block(core / CORE_BLOCK), local, first)
     }
 
     /// Total slot count (`cores × max_node_num_in_core`).
     pub fn len(&self) -> usize {
-        self.mvms.len()
+        self.cores * self.max_nodes_per_core
     }
 
     /// `true` if no slot is occupied.
     pub fn is_empty(&self) -> bool {
-        self.occupied.iter().all(|&w| w == 0)
+        (0..self.blocks.len()).all(|b| self.block(b).words(false).all(|w| w == 0))
     }
 
     /// Core count.
@@ -206,11 +412,13 @@ impl Chromosome {
     }
 
     /// The core a slot index belongs to.
+    #[inline]
     pub fn core_of_slot(&self, slot: usize) -> usize {
         slot / self.max_nodes_per_core
     }
 
     /// Slot range of a core.
+    #[cfg(test)]
     pub(crate) fn slots_of_core(&self, core: usize) -> std::ops::Range<usize> {
         core * self.max_nodes_per_core..(core + 1) * self.max_nodes_per_core
     }
@@ -218,18 +426,21 @@ impl Chromosome {
     /// The stored content of a slot, occupied or not, widened.
     #[inline]
     fn stored(&self, slot: usize) -> Gene {
-        Gene {
-            mvm: usize::from(self.mvms[slot]),
-            ag_count: usize::from(self.ags[slot]),
-        }
+        let (block, local) = self.locate(slot);
+        self.block(block).stored(local)
     }
 
     /// Gene in a slot.
+    #[inline]
     pub fn gene(&self, slot: usize) -> Option<Gene> {
-        self.is_occupied(slot).then(|| self.stored(slot))
+        let (block, local) = self.locate(slot);
+        let block = self.block(block);
+        block.is_occupied(local).then(|| block.stored(local))
     }
 
-    /// Replaces a slot's content, returning the previous gene.
+    /// Replaces a slot's content, returning the previous gene. A slot in
+    /// a block this chromosome shares with a copy copies that block
+    /// first.
     ///
     /// # Panics
     ///
@@ -240,43 +451,154 @@ impl Chromosome {
     /// PUMA-like baseline return an error up front for a target or
     /// graph on which they could build such a gene.
     pub fn set_gene(&mut self, slot: usize, gene: Option<Gene>) -> Option<Gene> {
-        let prev = self.gene(slot);
-        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+        self.tallied = false;
+        self.write(slot, gene, None)
+    }
+
+    /// The tally of `core`: a 32-bit count kept at the head of the block
+    /// of the core's slots, the AGs of its genes weighted by the weight
+    /// their writer gave each node ([`Chromosome::set_gene_weighted`];
+    /// the GA gives a node's crossbars per AG, so the tally is the
+    /// crossbars the core occupies). A write of a gene and of its core's
+    /// count so copies one block, not two. It is current only in a
+    /// chromosome every write of which went through
+    /// [`Chromosome::set_gene_weighted`] — the GA's drafts; after a
+    /// [`Chromosome::set_gene`] it is stale, and reading it is a
+    /// `debug_assert!` failure. Equality, the fingerprint and the mapping
+    /// leave it out.
+    #[inline]
+    pub(crate) fn tally(&self, core: usize) -> u32 {
+        debug_assert!(self.tallied, "a tally read after an unweighted write");
+        let block = core / CORE_BLOCK;
+        let (data, at) = (&self.blocks[block].data, core % CORE_BLOCK);
+        u32::from(data[at]) | u32::from(data[self.block_cores(block) + at]) << 16
+    }
+
+    /// The least tally of the cores of block `block` (of
+    /// [`CORE_BLOCK`] cores): the GA's scans for a core with room step
+    /// over a block whose least-occupied core has none. Current as the
+    /// tallies are ([`Chromosome::tally`]).
+    #[inline]
+    pub(crate) fn least_tally(&self, block: usize) -> u32 {
+        debug_assert!(self.tallied, "a tally read after an unweighted write");
+        self.blocks[block].least_tally
+    }
+
+    /// The least tally of block `block`'s cores and how many of them
+    /// hold it, from the tallies.
+    fn recomputed_least_tally(&self, block: usize) -> (u32, u32) {
+        let cores = self.block_cores(block);
+        let (low, high) = self.blocks[block].data[..2 * cores].split_at(cores);
+        let tallies = low.iter().zip(high);
+        let tallies = tallies.map(|(&low, &high)| u32::from(low) | u32::from(high) << 16);
+        tallies.fold((u32::MAX, 0), |(least, holding), tally| {
+            match tally.cmp(&least) {
+                Ordering::Less => (tally, 1),
+                Ordering::Equal => (least, holding + 1),
+                Ordering::Greater => (least, holding),
+            }
+        })
+    }
+
+    /// [`Chromosome::set_gene`], also moving the tally of the slot's core
+    /// by `weight` per AG the slot gains or loses.
+    ///
+    /// # Panics
+    ///
+    /// As [`Chromosome::set_gene`], and when the tally leaves `0..2^32`.
+    pub(crate) fn set_gene_weighted(
+        &mut self,
+        slot: usize,
+        gene: Option<Gene>,
+        weight: usize,
+    ) -> Option<Gene> {
+        debug_assert!(self.tallied, "a weighted write after an unweighted one");
+        self.write(slot, gene, Some(weight))
+    }
+
+    /// Writes a slot and, given a weight, moves the tally of its core
+    /// ([`Chromosome::set_gene_weighted`]).
+    fn write(&mut self, slot: usize, gene: Option<Gene>, weight: Option<usize>) -> Option<Gene> {
+        let stored = gene.map_or((0, 0), |g| {
+            narrow(g).unwrap_or_else(|| {
+                panic!(
+                    "gene of {} AGs of node {} does not fit a chromosome slot",
+                    g.ag_count, g.mvm
+                )
+            })
+        });
+        let core = self.core_of_slot(slot);
+        let block = core / CORE_BLOCK;
+        let local = slot - block * self.block_slots;
+        let here = self.block(block);
+        let slots = here.slots;
+        let prev = here.is_occupied(local).then(|| here.stored(local));
+        let word = slot / 64;
         if let Some(g) = prev {
             self.fp ^= Self::slot_token(slot, g);
             let row = self.row_start(g.mvm).expect("a stored node has a row");
             self.node_blocks[row + word] -= 1;
         }
-        match gene {
-            Some(g) => {
-                let (mvm, ags) = narrow(g).unwrap_or_else(|| {
-                    panic!(
-                        "gene of {} AGs of node {} does not fit a chromosome slot",
-                        g.ag_count, g.mvm
-                    )
-                });
-                self.fp ^= Self::slot_token(slot, g);
-                self.mvms[slot] = mvm;
-                self.ags[slot] = ags;
-                self.occupied[word] |= bit;
-                let row = self.row_start(g.mvm).unwrap_or_else(|| self.add_row(g.mvm));
-                self.node_blocks[row + word] += 1;
-            }
-            None => {
-                self.mvms[slot] = 0;
-                self.ags[slot] = 0;
-                self.occupied[word] &= !bit;
-            }
+        if let Some(g) = gene {
+            self.fp ^= Self::slot_token(slot, g);
+            let row = self.row_start(g.mvm).unwrap_or_else(|| self.add_row(g.mvm));
+            self.node_blocks[row + word] += 1;
         }
-        if self.ags[slot] >= 2 {
-            self.splittable[word] |= bit;
-        } else {
-            self.splittable[word] &= !bit;
+        let tally = weight.map(|weight| {
+            let was = self.tally(core);
+            let ags = |g: Option<Gene>| g.map_or(0, |g| g.ag_count) * weight;
+            let now = u32::try_from(was as usize + ags(gene) - ags(prev))
+                .expect("a core's tally fits 32 bits");
+            (was, now)
+        });
+        let tallies = 2 * self.block_cores(block);
+        let entry = &mut self.blocks[block];
+        let splits = |g: Option<Gene>| u32::from(g.is_some_and(|g| g.ag_count >= 2));
+        let counts = &mut entry.genes;
+        counts[0] = counts[0] + u32::from(gene.is_some()) - u32::from(prev.is_some());
+        counts[1] = counts[1] + splits(gene) - splits(prev);
+        let data = Arc::make_mut(&mut entry.data);
+        write_slot(&mut data[tallies..], slots, local, stored, gene.is_some());
+        if let Some((was, now)) = tally {
+            let at = core % CORE_BLOCK;
+            (data[at], data[tallies / 2 + at]) = (now as u16, (now >> 16) as u16);
+            // The least tally moves only when a core falls below it, or
+            // when the last core holding it rises: only then are the
+            // block's tallies read again.
+            let least = entry.least_tally;
+            if now < least {
+                (entry.least_tally, entry.holding_least) = (now, 1);
+            } else if now == least && was != least {
+                entry.holding_least += 1;
+            } else if now > least && was == least {
+                entry.holding_least -= 1;
+                if entry.holding_least == 0 {
+                    let least = self.recomputed_least_tally(block);
+                    let entry = &mut self.blocks[block];
+                    (entry.least_tally, entry.holding_least) = least;
+                }
+            }
+            let entry = &self.blocks[block];
+            debug_assert_eq!(
+                (entry.least_tally, entry.holding_least),
+                self.recomputed_least_tally(block),
+                "the least tally of block {block} and its holders are current"
+            );
         }
+        debug_assert_eq!(
+            self.blocks[block].genes,
+            [false, true].map(|splittable| {
+                let words = self.block(block).words(splittable);
+                words.map(u64::count_ones).sum::<u32>()
+            }),
+            "the gene counts of block {block} match its bitsets"
+        );
         for node in [prev, gene].into_iter().flatten().map(|g| g.mvm) {
             debug_assert_eq!(
                 u32::from(self.node_row(node).expect("a written node has a row")[word]),
-                self.node_mask(node as u16, word).count_ones(),
+                self.block(block)
+                    .node_mask(node as u16, local / SCAN_BLOCK)
+                    .count_ones(),
                 "the node-block index of node {node} matches block {word} of the column"
             );
         }
@@ -290,8 +612,8 @@ impl Chromosome {
             self.row_of.resize(node + 1, 0);
         }
         let start = self.node_blocks.len();
-        self.node_blocks.resize(start + self.occupied.len(), 0);
-        let rows = self.node_blocks.len() / self.occupied.len();
+        self.node_blocks.resize(start + self.words(), 0);
+        let rows = self.node_blocks.len() / self.words();
         self.row_of[node] = u32::try_from(rows).expect("a row per 16-bit node index");
         start
     }
@@ -299,54 +621,44 @@ impl Chromosome {
     /// Where `node`'s row of the node-block index starts, if it has one.
     fn row_start(&self, node: MvmIdx) -> Option<usize> {
         let row = *self.row_of.get(node).filter(|&&row| row > 0)?;
-        Some((row as usize - 1) * self.occupied.len())
+        Some((row as usize - 1) * self.words())
     }
 
     /// `node`'s row of the node-block index, if it has one.
     fn node_row(&self, node: MvmIdx) -> Option<&[u8]> {
         let start = self.row_start(node)?;
-        Some(&self.node_blocks[start..start + self.occupied.len()])
-    }
-
-    /// The slots of `block` holding a gene of `node`, as a bit mask over
-    /// the block's occupancy word: one byte-wide compare per lane (which
-    /// compiles to vector compares over the 16-bit column), then each
-    /// 8 bytes of 0/1 packed into 8 bits by one multiply, which moves
-    /// byte `i`'s low bit to bit `56 + i` with no carries between them.
-    fn node_mask(&self, node: u16, block: usize) -> u64 {
-        let first = block * SCAN_BLOCK;
-        let column = &self.mvms[first..self.len().min(first + SCAN_BLOCK)];
-        let mut lanes = [0u8; SCAN_BLOCK];
-        for (lane, &m) in lanes.iter_mut().zip(column) {
-            *lane = u8::from(m == node);
-        }
-        let matches = lanes.chunks_exact(8).rev().fold(0u64, |mask, bytes| {
-            let bytes = u64::from_le_bytes(bytes.try_into().expect("8 lanes"));
-            mask << 8 | bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56
-        });
-        matches & self.occupied[block]
+        Some(&self.node_blocks[start..start + self.words()])
     }
 
     /// All `(slot, gene)` pairs in slot order. Iterates the occupancy
     /// bitset word-wise (skipping empty regions), so scans over sparse
     /// grids touch only occupied slots.
     pub fn genes(&self) -> impl Iterator<Item = (usize, Gene)> + '_ {
-        self.occupied
-            .iter()
-            .enumerate()
-            .flat_map(|(word, &bits)| set_bits(bits).map(move |bit| word * 64 + bit))
-            .map(|slot| (slot, self.stored(slot)))
+        let block_slots = self.block_slots;
+        (0..self.blocks.len()).flat_map(move |b| {
+            let block = self.block(b);
+            let words = block.words(false).enumerate();
+            words
+                .flat_map(|(word, bits)| set_bits(bits).map(move |bit| word * 64 + bit))
+                .map(move |local| (b * block_slots + local, block.stored(local)))
+        })
     }
 
     /// Genes of one core.
     pub fn genes_of_core(&self, core: usize) -> impl Iterator<Item = (usize, Gene)> + '_ {
-        self.slots_of_core(core)
-            .filter_map(|s| self.gene(s).map(|g| (s, g)))
+        let (block, local, first) = self.core_block(core);
+        (0..self.max_nodes_per_core).filter_map(move |i| {
+            let at = local + i;
+            block.is_occupied(at).then(|| (first + i, block.stored(at)))
+        })
     }
 
     /// First free slot of a core, if any.
     pub fn free_slot_of_core(&self, core: usize) -> Option<usize> {
-        self.slots_of_core(core).find(|&s| !self.is_occupied(s))
+        let (block, local, first) = self.core_block(core);
+        (0..self.max_nodes_per_core)
+            .find(|&i| !block.is_occupied(local + i))
+            .map(|i| first + i)
     }
 
     /// Where a gene of `mvm` lives or could live on `core`, in one walk
@@ -354,24 +666,37 @@ impl Chromosome {
     /// free slot)` — [`Chromosome::slot_of_node_on_core`] and
     /// [`Chromosome::free_slot_of_core`] together.
     pub(crate) fn probe_core(&self, core: usize, mvm: MvmIdx) -> (Option<usize>, Option<usize>) {
+        let (block, local, first) = self.core_block(core);
         let mut free = None;
-        for slot in self.slots_of_core(core) {
-            if !self.is_occupied(slot) {
-                free = free.or(Some(slot));
-            } else if usize::from(self.mvms[slot]) == mvm {
-                return (Some(slot), free);
+        for i in 0..self.max_nodes_per_core {
+            if !block.is_occupied(local + i) {
+                free = free.or(Some(first + i));
+            } else if usize::from(block.mvm(local + i)) == mvm {
+                return (Some(first + i), free);
             }
         }
         (None, free)
     }
 
-    /// Whether `slot` holds different content in `self` and `other`
-    /// (the slot-level diff behind `FitnessMemo::evaluate_mutated`;
-    /// compares the SoA columns directly so no `Option` is built).
-    pub(crate) fn slot_differs(&self, other: &Self, slot: usize) -> bool {
-        let occ = self.is_occupied(slot);
-        occ != other.is_occupied(slot)
-            || (occ && (self.mvms[slot] != other.mvms[slot] || self.ags[slot] != other.ags[slot]))
+    /// The slots whose content differs between `self` and `other`, in
+    /// slot order (the slot-level diff behind
+    /// `FitnessMemo::evaluate_mutated`). Blocks the two share are
+    /// skipped unread; the others compare the columns directly, so no
+    /// `Option` is built.
+    pub(crate) fn differing_slots<'a>(
+        &'a self,
+        other: &'a Self,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let block_slots = self.block_slots;
+        let shared = |b: &usize| Arc::ptr_eq(&self.blocks[*b].data, &other.blocks[*b].data);
+        (0..self.blocks.len())
+            .filter(move |b| !shared(b))
+            .flat_map(move |b| {
+                let (mine, theirs) = (self.block(b), other.block(b));
+                (0..mine.slots)
+                    .filter(move |&local| mine.slot_differs(theirs, local))
+                    .map(move |local| b * block_slots + local)
+            })
     }
 
     /// Slot of a gene of `mvm` on `core`, if present.
@@ -380,38 +705,30 @@ impl Chromosome {
     }
 
     /// Slots holding a gene of `mvm`, in slot order. Visits only the
-    /// blocks the node-block index lists for the node, and takes a
-    /// block's slots from one match mask ([`Chromosome::node_mask`]),
+    /// words the node-block index lists for the node, and takes a
+    /// word's slots from one match mask (`SlotBlock::node_mask`),
     /// so the GA finds one node's genes on a multi-thousand-core grid
     /// without reading the rest of the node column.
     pub(crate) fn slots_of_node(&self, mvm: MvmIdx) -> impl Iterator<Item = usize> + '_ {
         // A node index no slot can store has no row.
         let row = u16::try_from(mvm).ok().zip(self.node_row(mvm));
         row.into_iter().flat_map(move |(node, counts)| {
-            let blocks = counts.iter().enumerate().filter(|&(_, &n)| n > 0);
-            blocks.flat_map(move |(block, _)| {
-                set_bits(self.node_mask(node, block)).map(move |bit| block * SCAN_BLOCK + bit)
+            let words = counts.iter().enumerate().filter(|&(_, &n)| n > 0);
+            words.flat_map(move |(word, _)| {
+                // A full block's slots are `max_nodes_per_core` words.
+                let block = word / self.max_nodes_per_core;
+                let local = word - block * self.max_nodes_per_core;
+                let slots = set_bits(self.block(block).node_mask(node, local));
+                slots.map(move |bit| word * SCAN_BLOCK + bit)
             })
         })
-    }
-
-    /// The bitset a random gene is drawn from: every gene, or only the
-    /// `splittable` ones (two or more AGs).
-    fn gene_pool(&self, splittable: bool) -> &[u64] {
-        if splittable {
-            &self.splittable
-        } else {
-            &self.occupied
-        }
     }
 
     /// How many genes there are — with `splittable`, how many of two or
     /// more AGs.
     pub(crate) fn gene_count(&self, splittable: bool) -> usize {
-        self.gene_pool(splittable)
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
+        let counts = self.blocks.iter().map(|b| b.genes[usize::from(splittable)]);
+        counts.map(|c| c as usize).sum()
     }
 
     /// The `index`-th gene in slot order (with `splittable`, among
@@ -420,18 +737,26 @@ impl Chromosome {
     /// building it.
     pub(crate) fn nth_gene(&self, splittable: bool, index: usize) -> Option<(usize, Gene)> {
         let mut skip = index;
-        for (word, &bits) in self.gene_pool(splittable).iter().enumerate() {
-            let here = bits.count_ones() as usize;
-            if skip >= here {
-                skip -= here;
+        for (b, block) in self.blocks.iter().enumerate() {
+            let in_block = block.genes[usize::from(splittable)] as usize;
+            if skip >= in_block {
+                skip -= in_block;
                 continue;
             }
-            let mut rest = bits;
-            for _ in 0..skip {
-                rest &= rest - 1;
+            for (word, bits) in self.block(b).words(splittable).enumerate() {
+                let here = bits.count_ones() as usize;
+                if skip >= here {
+                    skip -= here;
+                    continue;
+                }
+                let mut rest = bits;
+                for _ in 0..skip {
+                    rest &= rest - 1;
+                }
+                // A marked slot is occupied.
+                let local = word * 64 + rest.trailing_zeros() as usize;
+                return Some((b * self.block_slots + local, self.block(b).stored(local)));
             }
-            let slot = word * 64 + rest.trailing_zeros() as usize;
-            return self.gene(slot).map(|gene| (slot, gene));
         }
         None
     }
@@ -439,7 +764,7 @@ impl Chromosome {
     /// Total AG instances of `mvm` across all cores.
     pub fn ag_total(&self, mvm: MvmIdx) -> usize {
         self.slots_of_node(mvm)
-            .map(|slot| usize::from(self.ags[slot]))
+            .map(|slot| self.stored(slot).ag_count)
             .sum()
     }
 
@@ -461,7 +786,14 @@ impl Chromosome {
     #[cfg(test)]
     fn indexed_counts(&self, mvm: MvmIdx) -> Vec<u8> {
         let row = self.node_row(mvm).map(<[u8]>::to_vec);
-        row.unwrap_or_else(|| vec![0; self.occupied.len()])
+        row.unwrap_or_else(|| vec![0; self.words()])
+    }
+
+    /// Whether `self` and `other` hold block `block` of slots in one
+    /// shared allocation — what the GA's sharing tests check.
+    #[cfg(test)]
+    pub(crate) fn shares_block(&self, other: &Self, block: usize) -> bool {
+        Arc::ptr_eq(&self.blocks[block].data, &other.blocks[block].data)
     }
 
     /// AG totals per node in a single pass over the genes.
@@ -840,6 +1172,44 @@ mod tests {
         assert_eq!(c.core_of_slot(2), 0);
         assert_eq!(c.core_of_slot(3), 1);
         assert_eq!(c.slots_of_core(2), 6..9);
+    }
+
+    #[test]
+    fn tallies_follow_weighted_writes_across_blocks() {
+        // 130 cores of 3 slots: two full blocks and a third of 2 cores.
+        let mut c = Chromosome::empty(130, 3);
+        let gene = |mvm, ag_count| Some(Gene { mvm, ag_count });
+        c.set_gene_weighted(3 * 129 + 1, gene(7, 5), 2);
+        c.set_gene_weighted(3 * 64, gene(7, 1), 3);
+        assert_eq!((c.tally(129), c.tally(64), c.tally(0)), (10, 3, 0));
+        assert_eq!((0..3).map(|b| c.least_tally(b)).collect::<Vec<_>>(), [0; 3]);
+        // Both cores of the last block occupied: its least tally rises.
+        c.set_gene_weighted(3 * 128, gene(8, 2), 4);
+        assert_eq!(c.least_tally(2), 8);
+        c.set_gene_weighted(3 * 129 + 1, None, 2);
+        assert_eq!((c.tally(129), c.least_tally(2)), (0, 0));
+        // A tally past 16 bits keeps its high half.
+        c.set_gene_weighted(0, gene(1, 3), 70_000);
+        assert_eq!((c.tally(0), c.least_tally(0)), (210_000, 0));
+        // The tallies are no part of the grid.
+        let plain = Chromosome::from_codes(&c.to_codes(), 130, 3);
+        assert_eq!(plain, c);
+        assert_eq!(plain.fingerprint(), c.fingerprint());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a tally read after an unweighted write")]
+    fn a_tally_read_after_an_unweighted_write_panics() {
+        let mut c = Chromosome::empty(2, 2);
+        c.set_gene(
+            0,
+            Some(Gene {
+                mvm: 1,
+                ag_count: 1,
+            }),
+        );
+        c.tally(0);
     }
 
     fn filled() -> (Chromosome, Partitioning) {

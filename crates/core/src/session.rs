@@ -950,8 +950,28 @@ mod tests {
         let mut opts = CompileOptions::new(PipelineMode::HighThroughput).with_fast_ga(1);
         opts.ga.iterations = 0;
         assert!(matches!(
-            CompileSession::new(hw, &graph, opts),
+            CompileSession::new(hw.clone(), &graph, opts),
             Err(CompileError::InvalidOptions { .. })
+        ));
+        // The largest batch is accepted, one more is not.
+        for (batch, accepted) in [(1 << 16, true), ((1 << 16) + 1, false)] {
+            let opts = CompileOptions::new(PipelineMode::HighThroughput)
+                .with_fast_ga(1)
+                .with_batch(batch);
+            let session = CompileSession::new(hw.clone(), &graph, opts);
+            assert_eq!(session.is_ok(), accepted, "batch {batch}");
+            if !accepted {
+                assert!(matches!(session, Err(CompileError::InvalidOptions { .. })));
+            }
+        }
+        let opts = CompileOptions::new(PipelineMode::HighThroughput).with_fast_ga(1);
+        let hostile = HardwareConfig {
+            chips: 10_000_000,
+            ..hw
+        };
+        assert!(matches!(
+            CompileSession::new(hostile, &graph, opts),
+            Err(CompileError::InvalidHardware { .. })
         ));
     }
 }

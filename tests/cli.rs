@@ -299,6 +299,18 @@ fn overflowing_chip_count_is_an_error_not_a_panic() {
         "error: invalid hardware parameter `total_cores`: 4611686018427387904 chips x 36 \
          cores per chip overflows the core count\n"
     );
+    // A count that fits a `usize` but no machine's memory: refused by
+    // the same check, in place of an abort allocating per-core tables.
+    let out = pimcomp(&[
+        "compile", "--model", "tiny_mlp", "--chips", "10000000", "--ga", "2x1",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert_eq!(stdout(&out), "");
+    assert_eq!(
+        stderr(&out),
+        "error: invalid hardware parameter `total_cores`: 10000000 chips x 36 cores per chip \
+         is 360000000 cores; at most 65536 are supported\n"
+    );
 }
 
 /// The values below were recorded from the binary of the commit before
@@ -461,6 +473,46 @@ fn artifact_workflow_prints_the_recorded_numbers() {
             err.starts_with("error: simulation diverged: the simulated clock overflows u64 at "),
             "{latency}: {err}"
         );
+    }
+    // A batch past the bound kept the HT engine issuing a trillion MVMs
+    // per array group (no exit within minutes), and 10^7 chips aborted
+    // the process allocating per-core tables (exit 134): loading the
+    // artifact now refuses both, in one line.
+    for (field, value, refusal) in [
+        (
+            "batch",
+            1_000_000_000_000u64,
+            "error: invalid artifact: invalid compile options: `batch` must be at most 65536, \
+             not 1000000000000",
+        ),
+        (
+            "chips",
+            10_000_000,
+            "error: invalid artifact: invalid hardware configuration: invalid hardware \
+             parameter `total_cores`: 10000000 chips x 36 cores per chip is 360000000 cores; \
+             at most 65536 are supported",
+        ),
+    ] {
+        let mut value_of = saved.clone();
+        let serde::Value::Map(fields) = &mut value_of else {
+            panic!("an artifact is a JSON object");
+        };
+        let knobs = if field == "batch" {
+            fields
+        } else {
+            let hw = &mut fields.iter_mut().find(|(k, _)| k == "hw").unwrap().1;
+            let serde::Value::Map(knobs) = hw else {
+                panic!("`hw` is a JSON object");
+            };
+            knobs
+        };
+        knobs.iter_mut().find(|(k, _)| k == field).unwrap().1 = serde::Value::Int(value.into());
+        let tampered = dir.join(format!("{field}-{value}.pimc.json"));
+        std::fs::write(&tampered, serde_json::to_string(&value_of).unwrap()).unwrap();
+        let out = pimcomp(&["simulate", "--artifact", tampered.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{field}: {}", stderr(&out));
+        assert_eq!(stdout(&out), "", "{field}");
+        assert_eq!(stderr(&out), format!("{refusal}\n"), "{field}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

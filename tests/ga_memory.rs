@@ -1,7 +1,10 @@
 //! The GA's memory follows its population, not its evaluation count:
 //! its fitness memo keeps every fitness of a run but only a weak
 //! pointer to each per-core evaluation basis, so a paper-scale search
-//! three times the paper's length stays small.
+//! three times the paper's length stays small. And an offspring shares
+//! with its parent every 64-core block of slots and per-core terms it
+//! does not write, so a generation of offspring costs a few blocks
+//! each, not a copy of the grid each.
 //!
 //! This binary holds exactly one test, so the process's peak resident
 //! set (`VmHWM`) is that test's alone. It is `#[ignore]`d because an
@@ -30,7 +33,9 @@ fn peak_rss_mb() -> f64 {
 
 /// vgg16 in HT mode is the paper's widest grid (2124 cores on the size
 /// `pimcomp compile` picks). Holding every evaluated basis, GA 100 × 600
-/// peaked at about 314 MB; holding the population's, at about 15 MB.
+/// peaked at about 314 MB; holding the population's, at about 15 MB;
+/// sharing the blocks an offspring does not write, at about 12 MB, which
+/// the bound holds to within 17%.
 #[cfg(target_os = "linux")]
 #[test]
 #[ignore = "a paper-scale search: run optimised with --include-ignored"]
@@ -66,5 +71,5 @@ fn vgg16_ht_search_memory_stays_with_the_population() {
         "vgg16 HT, GA 100x600 on {chips} chips: {} evaluations, {} memo hits, VmHWM {peak:.1} MB",
         stats.evaluations, stats.cache_hits
     );
-    assert!(peak < 64.0, "VmHWM {peak:.1} MB is not below 64 MB");
+    assert!(peak < 14.0, "VmHWM {peak:.1} MB is not below 14 MB");
 }

@@ -207,7 +207,7 @@ fn hostile_schedules_are_rejected_not_indexed() {
     }
     use Compile::{Ht, Ll, Reload};
     type Tamper = fn(&mut Value);
-    let tampers: [(&str, Compile, Tamper); 11] = [
+    let tampers: [(&str, Compile, Tamper); 13] = [
         ("a foreign node", Ht, |v| {
             *first_instance(v, "mvm") = Value::Int(99);
         }),
@@ -234,6 +234,15 @@ fn hostile_schedules_are_rejected_not_indexed() {
             *field(field(v, "hw"), "parallelism") = Value::Int(0);
         }),
         ("batch 0", Ht, |v| *field(v, "batch") = Value::Int(0)),
+        // A trillion MVMs per array group and round: the HT engine ran
+        // for hours.
+        ("a batch past the bound", Ht, |v| {
+            *field(v, "batch") = Value::Int(1_000_000_000_000)
+        }),
+        // 3.6e8 cores: per-core tables of gigabytes aborted the process.
+        ("a chip count past the bound", Ht, |v| {
+            *field(field(v, "hw"), "chips") = Value::Int(10_000_000);
+        }),
         ("LL with batch 2", Ll, |v| {
             *field(v, "batch") = Value::Int(2)
         }),
