@@ -14,8 +14,9 @@ use pimcomp_arch::{HardwareConfig, PipelineMode};
 use pimcomp_ir::Graph;
 use serde::{Deserialize, Serialize};
 
-/// The largest HT transfer batch [`CompileOptions::validate`] accepts.
-const MAX_BATCH: usize = 1 << 16;
+/// The largest HT transfer batch [`CompileOptions::validate`] accepts
+/// (a sweep spec's `ht_batches` holds the same bound).
+pub const MAX_BATCH: usize = 1 << 16;
 
 /// User-facing compilation options (the "User Input" of paper Fig. 3
 /// that is not part of the hardware description).

@@ -35,6 +35,7 @@
 //! builds with debug assertions, every LL evaluation checks its issue
 //! floor against [`ll_issue_floor`] from scratch).
 
+use crate::cost::ht_core_time_in_place;
 use crate::ga::GaContext;
 use crate::mapping::{Chromosome, CORE_BLOCK};
 use crate::partition::{MvmIdx, Partitioning};
@@ -45,54 +46,6 @@ use pimcomp_arch::{HardwareConfig, PipelineMode};
 use pimcomp_ir::{Graph, NodeId, Op};
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
-
-/// Estimated busy time of one core in HT mode (paper Fig. 5).
-///
-/// `items` holds `(ag_count, cycles)` pairs: a node contributing
-/// `ag_count` AGs, each of which must run `cycles` operation cycles
-/// (sliding windows). AGs start in turn at `T_interval` spacing; each
-/// operation cycle over `n` live AGs costs
-/// `f(n) = max(n·T_interval, T_MVM)`. As nodes complete, `n` drops —
-/// the piecewise rearrangement of Fig. 5(b)/(c).
-pub fn ht_core_time(hw: &HardwareConfig, items: &[(usize, usize)]) -> u64 {
-    let mut items: Vec<(usize, usize)> = items.to_vec();
-    ht_core_time_in_place(hw, &mut items)
-}
-
-/// [`ht_core_time`] over a caller-owned buffer (filtered and sorted in
-/// place), so the GA's hottest loop can reuse one scratch allocation
-/// across cores.
-pub(crate) fn ht_core_time_in_place(hw: &HardwareConfig, items: &mut Vec<(usize, usize)>) -> u64 {
-    items.retain(|&(a, c)| a > 0 && c > 0);
-    if items.is_empty() {
-        return 0;
-    }
-    items.sort_by_key(|&(_, cycles)| cycles);
-    let mut live: usize = items.iter().map(|&(a, _)| a).sum();
-    let mut done_cycles = 0usize;
-    let mut time = 0u64;
-    for &(ags, cycles) in items.iter() {
-        let span = (cycles - done_cycles) as u64;
-        if span > 0 {
-            time = time.saturating_add(span.saturating_mul(hw.operation_cycle_cost(live)));
-            done_cycles = cycles;
-        }
-        live -= ags;
-    }
-    time
-}
-
-/// [`ht_core_time`] of one core from the windows each of its AGs runs,
-/// one entry per AG. A core's AGs need no grouping by node first: the
-/// Fig. 5 model only sees how many AGs are still live at each window
-/// count, so equal-window entries merge exactly.
-pub(crate) fn ht_core_time_of_ags(
-    hw: &HardwareConfig,
-    windows: impl Iterator<Item = usize>,
-) -> u64 {
-    let mut items: Vec<(usize, usize)> = windows.map(|w| (1, w)).collect();
-    ht_core_time_in_place(hw, &mut items)
-}
 
 /// Weight of the mean-load tie-breaker added to the `max` objective.
 ///
@@ -121,11 +74,12 @@ fn fill_windows_per_replica(
     );
 }
 
-/// HT busy time of one chromosome core (the per-core term of `F_HT`)
-/// given every node's windows per replica
-/// ([`fill_windows_per_replica`]). `scratch` is a reusable buffer so
+/// HT busy time of one chromosome core (the per-core term of `F_HT`):
+/// its genes' `(ag_count, windows per replica)` pairs
+/// ([`fill_windows_per_replica`]), priced by
+/// [`ht_core_time_in_place`]. `scratch` is a reusable buffer so
 /// per-core evaluation in the GA's hottest loop does not allocate.
-fn ht_core_time_of(
+fn ht_core_term(
     hw: &HardwareConfig,
     chromosome: &Chromosome,
     windows_per_replica: &[usize],
@@ -197,7 +151,7 @@ pub(crate) fn ht_fitness(
     let (mut windows, mut scratch) = (Vec::new(), Vec::new());
     fill_windows_per_replica(partitioning, replication, &mut windows);
     let core_times: Vec<u64> = (0..chromosome.cores())
-        .map(|core| ht_core_time_of(hw, chromosome, &windows, core, &mut scratch))
+        .map(|core| ht_core_term(hw, chromosome, &windows, core, &mut scratch))
         .collect();
     ht_combine(TermFold::of(&core_times, true))
 }
@@ -216,7 +170,7 @@ pub fn ht_fitness_from_mapping(
     let core_time = |ids: &Vec<usize>| {
         let mvms = ids.iter().map(|&id| mapping.instances[id].mvm);
         let windows = mvms.map(|mvm| mapping.replication.windows_per_replica(partitioning, mvm));
-        ht_core_time_of_ags(hw, windows)
+        ht_core_time_in_place(hw, &mut windows.map(|w| (1, w)).collect())
     };
     mapping.per_core.iter().map(core_time).max().unwrap_or(0) as f64
 }
@@ -238,6 +192,8 @@ struct LlNodeState {
 ///   (minimum over column groups folded via the max of group times);
 /// * vector/memory nodes: element count divided by the VFU rate of the
 ///   `R_pred` cores the work is distributed over (Section IV-D.2).
+///
+/// From scratch: builds the [`LlStatic`] tables the GA builds once.
 pub(crate) fn ll_fitness(
     hw: &HardwareConfig,
     graph: &Graph,
@@ -245,7 +201,8 @@ pub(crate) fn ll_fitness(
     dep: &DepInfo,
     replication: &ReplicationPlan,
 ) -> f64 {
-    ll_chain_estimate(hw, graph, partitioning, dep, replication)
+    let tables = LlStatic::build(hw, graph, partitioning, dep);
+    ll_chain_estimate_in(&tables, replication, &mut Vec::new())
 }
 
 /// LL fitness including a per-core issue-capacity floor.
@@ -264,7 +221,7 @@ pub(crate) fn ll_fitness_with_issue_floor(
     chromosome: &Chromosome,
     replication: &ReplicationPlan,
 ) -> f64 {
-    let chain = ll_chain_estimate(hw, graph, partitioning, dep, replication);
+    let chain = ll_fitness(hw, graph, partitioning, dep, replication);
     chain.max(ll_issue_floor(hw, partitioning, chromosome, replication))
 }
 
@@ -312,20 +269,6 @@ fn ll_core_load(chromosome: &Chromosome, windows_per_replica: &[usize], core: us
 /// scaled by the issue interval.
 fn issue_floor_of(hw: &HardwareConfig, loads: TermFold) -> f64 {
     loads.worst as f64 * hw.issue_interval() as f64
-}
-
-/// The Fig. 6 topological chain estimate (from-scratch entry point:
-/// builds the static tables and state buffer per call).
-fn ll_chain_estimate(
-    hw: &HardwareConfig,
-    graph: &Graph,
-    partitioning: &Partitioning,
-    dep: &DepInfo,
-    replication: &ReplicationPlan,
-) -> f64 {
-    let tables = LlStatic::build(hw, graph, partitioning, dep);
-    let mut states = Vec::new();
-    ll_chain_estimate_in(&tables, replication, &mut states)
 }
 
 /// Everything the LL chain estimate reads that does *not* depend on
@@ -731,7 +674,7 @@ pub(crate) fn flat_core_terms(
 /// bit-identical.
 #[derive(Default)]
 pub(crate) struct EvalScratch {
-    /// `(ag_count, cycles)` buffer for [`ht_core_time_of`].
+    /// `(ag_count, cycles)` buffer for [`ht_core_term`].
     items: Vec<(usize, usize)>,
     /// Every node's windows per replica under the plan being evaluated.
     windows: Vec<usize>,
@@ -756,7 +699,7 @@ fn core_term(
 ) -> u64 {
     match ctx.mode {
         PipelineMode::HighThroughput => {
-            ht_core_time_of(ctx.hw, chromosome, windows_per_replica, core, items)
+            ht_core_term(ctx.hw, chromosome, windows_per_replica, core, items)
         }
         PipelineMode::LowLatency => ll_core_load(chromosome, windows_per_replica, core),
     }
@@ -1199,6 +1142,7 @@ impl<'a> FitnessMemo<'a> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::cost::ht_core_time;
     use pimcomp_ir::GraphBuilder;
 
     thread_local! {
@@ -1210,35 +1154,6 @@ pub(crate) mod tests {
     fn hw() -> HardwareConfig {
         // T_MVM = 2000, parallelism 20 -> T_interval = 100.
         HardwareConfig::puma()
-    }
-
-    #[test]
-    fn fig5_example_reproduces() {
-        // Fig. 5: 4 nodes with (2 AGs, 3000), (2, 1000), (1, 500),
-        // (3, 300) on one core. time = 300·f(8) + 200·f(5) + 500·f(4)
-        // + 2000·f(2). With T_int=100, T_MVM=2000:
-        // f(8)=2000, f(5)=2000, f(4)=2000, f(2)=2000 (all latency-bound
-        // at parallelism 20) -> use parallelism 1 to match the paper's
-        // issue-bound regime instead.
-        let mut cfg = hw().with_parallelism(1);
-        cfg.mvm_latency = 2000; // T_interval = 2000
-        let items = [(2usize, 3000usize), (2, 1000), (1, 500), (3, 300)];
-        // All segments issue-bound: f(n) = n * 2000.
-        let expect: u64 = 300 * 8 * 2000 + 200 * 5 * 2000 + 500 * 4 * 2000 + 2000 * 2 * 2000;
-        assert_eq!(ht_core_time(&cfg, &items), expect);
-    }
-
-    #[test]
-    fn ht_core_time_latency_bound_regime() {
-        // One AG: every operation cycle costs T_MVM.
-        let cfg = hw();
-        assert_eq!(ht_core_time(&cfg, &[(1, 10)]), 10 * 2000);
-    }
-
-    #[test]
-    fn ht_core_time_empty_is_zero() {
-        assert_eq!(ht_core_time(&hw(), &[]), 0);
-        assert_eq!(ht_core_time(&hw(), &[(0, 100), (2, 0)]), 0);
     }
 
     #[test]

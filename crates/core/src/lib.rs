@@ -52,6 +52,7 @@
 mod artifact;
 mod baseline;
 mod compiler;
+mod cost;
 mod error;
 mod fitness;
 mod ga;
@@ -69,9 +70,13 @@ pub use artifact::{
     graph_fingerprint, hardware_fingerprint, options_fingerprint, ArtifactError, CompiledArtifact,
 };
 pub use baseline::{puma_mapping, PumaCompiler};
-pub use compiler::{CompileOptions, CompileReport, CompiledModel};
+pub use compiler::{CompileOptions, CompileReport, CompiledModel, MAX_BATCH};
+pub use cost::{
+    ht_core_time, HtCosts, HtRoundCost, HtSendCost, HtVecCost, LlCosts, LlEdge, LlRemote,
+    LlUnitCost, Transfer,
+};
 pub use error::CompileError;
-pub use fitness::{ht_core_time, ht_fitness_from_mapping, FitnessMemo};
+pub use fitness::{ht_fitness_from_mapping, FitnessMemo};
 pub use ga::{optimize, split_stream_seed, GaContext, GaGeneration, GaParams, GaStats};
 pub use mapping::{AgInstance, Chromosome, CoreMapping, Gene, GENE_RADIX};
 pub use memory::{MemoryPlan, ReusePolicy};

@@ -16,7 +16,7 @@ use crate::compiler::CompileOptions;
 use crate::mapping::AgInstance;
 use crate::partition::Partitioning;
 use crate::schedule::slice_rows;
-use crate::{fitness, CompileError};
+use crate::{cost, CompileError};
 use pimcomp_arch::HardwareConfig;
 
 /// The reload schedule of a `weight_reload` compilation: its budget,
@@ -258,7 +258,7 @@ impl EpochPlan {
     /// sum, and the plan total is the sum over epochs.
     ///
     /// Each epoch also gets an analytic per-inference compute estimate:
-    /// the Fig. 5 per-core busy-time model ([`fitness::ht_core_time`])
+    /// the Fig. 5 per-core busy-time model ([`crate::cost::ht_core_time`])
     /// applied to the epoch's AGs, maxed over cores. Epochs execute
     /// serially, so the simulator sums these instead of event-simulating
     /// an over-committed mapping (which would model all epochs as
@@ -292,7 +292,7 @@ impl EpochPlan {
             windows_on.iter_mut().for_each(Vec::clear);
             for a in epoch {
                 let e = partitioning.entry(a.mvm);
-                windows_on[a.core].push(e.windows);
+                windows_on[a.core].push((1, e.windows));
                 if core_epochs[a.core] > 1 {
                     let rows = slice_rows(e.weight_height, hw.crossbar_rows, a.slice);
                     let cells = (rows * e.weight_width * hw.cells_per_weight()) as u64;
@@ -305,8 +305,8 @@ impl EpochPlan {
             }
             let barrier = write_cycles_on.into_iter().max().unwrap_or(0);
             let compute = windows_on
-                .iter()
-                .map(|windows| fitness::ht_core_time_of_ags(hw, windows.iter().copied()));
+                .iter_mut()
+                .map(|items| cost::ht_core_time_in_place(hw, items));
             plan.total_write_cycles = plan.total_write_cycles.saturating_add(barrier);
             plan.total_write_pj += write_pj;
             plan.total_compute_cycles = plan
@@ -445,7 +445,7 @@ mod tests {
                         .iter()
                         .map(|(&mvm, &ags)| (ags, p.entry(mvm).windows))
                         .collect();
-                    fitness::ht_core_time(&hw, &items)
+                    crate::cost::ht_core_time(&hw, &items)
                 });
                 let write = write.into_iter().max().unwrap();
                 (write, compute.max().unwrap(), cells)

@@ -252,12 +252,14 @@ pub fn slice_rows(total_rows: usize, crossbar_rows: usize, slice: usize) -> usiz
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::mapping::{Chromosome, Gene};
     use pimcomp_ir::GraphBuilder;
 
-    fn setup() -> (Graph, Partitioning, CoreMapping, DepInfo, HardwareConfig) {
+    /// A conv whose one replica is split over two cores (3 AGs on core
+    /// 0, 2 on core 1), followed by a ReLU and a max pool, on `puma`.
+    pub(crate) fn setup() -> (Graph, Partitioning, CoreMapping, DepInfo, HardwareConfig) {
         let mut b = GraphBuilder::new("t");
         let x = b.input("x", [64, 8, 8]);
         // 576 rows -> 5 AGs @128; 64 cols -> 4 xbars/AG.

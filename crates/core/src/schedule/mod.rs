@@ -84,3 +84,6 @@ fn spread_cores(
     }
     cores
 }
+
+#[cfg(test)]
+pub(crate) use ht::tests::setup as split_replica_fixture;

@@ -108,7 +108,7 @@ impl DepInfo {
     }
 
     /// Window count of a node.
-    pub fn windows_of(&self, id: NodeId) -> usize {
+    pub(crate) fn windows_of(&self, id: NodeId) -> usize {
         self.windows[id.index()]
     }
 

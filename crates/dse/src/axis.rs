@@ -16,7 +16,7 @@ use crate::spec::{
 };
 use crate::{ExploreError, SweepPoint, SweepSpec};
 use pimcomp_arch::{HardwareConfig, PipelineMode};
-use pimcomp_core::{CompileOptions, ReusePolicy};
+use pimcomp_core::{CompileOptions, ReusePolicy, MAX_BATCH};
 use serde::Value;
 
 /// The spec-file name of a memory-reuse policy (`naive` / `add` /
@@ -146,7 +146,9 @@ pub(crate) static AXES: [Axis; 6] = [
         noun: "batches",
         always_shown: true,
         ht_only: true,
-        parse: |f, v, spec| positive_list(f, v, "positive integers").map(|l| spec.batches = l),
+        parse: |f, v, spec| {
+            positive_list(f, v, "positive integers", MAX_BATCH).map(|l| spec.batches = l)
+        },
         values: |spec, k| each(&spec.batches, |batch| Knobs { batch, ..k }),
         apply: |k, opts| opts.with_batch(k.batch),
     },
@@ -408,6 +410,7 @@ fn parse_reload(field: &str, v: &Value) -> Result<Vec<ReloadSetting>, ExploreErr
                 &format!("{field}.budgets"),
                 v.get("budgets").unwrap_or(&Value::Null),
                 "positive crossbar budgets",
+                usize::MAX,
             )?;
             let include_off = match v.get("include_off") {
                 None => false,

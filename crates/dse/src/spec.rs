@@ -871,15 +871,19 @@ pub(crate) fn int_list(
     list(field, v, expected, entry, u64::to_string)
 }
 
-/// [`list`] over integers that must be at least 1, a zero entry
-/// getting an error of its own.
+/// [`list`] over integers in `1..=max`, a zero entry and one above
+/// `max` each getting an error of its own.
 pub(crate) fn positive_list(
     field: &str,
     v: &Value,
     expected: &str,
+    max: usize,
 ) -> Result<Vec<usize>, ExploreError> {
     let entry = |e: &Value, ctx: &str| match as_u64(e, ctx)? {
         0 => Err(invalid(format!("`{field}` entries must be at least 1"))),
+        n if n > max as u64 => Err(invalid(format!(
+            "`{field}` entries must be at most {max}, not {n}"
+        ))),
         n => Ok(Some(n as usize)),
     };
     list(field, v, expected, entry, usize::to_string)
@@ -1043,6 +1047,10 @@ mod tests {
                 "duplicate entry `2` in ht_batches",
             ),
             (
+                r#"{"models":["tiny_mlp"],"hardware":{},"ht_batches":[2,70000]}"#,
+                "`ht_batches` entries must be at most 65536, not 70000",
+            ),
+            (
                 r#"{"models":["tiny_mlp"],"hardware":{},"modes":["ll"],
                     "ht_batches":[1,2]}"#,
                 "`ht_batches` only applies to high-throughput mode",
@@ -1151,6 +1159,9 @@ mod tests {
                 "spec {json} gave `{msg}`, expected to contain `{needle}`"
             );
         }
+        // The bound itself is a batch `CompileOptions::validate` accepts.
+        let json = r#"{"models":["tiny_mlp"],"hardware":{},"ht_batches":[65536]}"#;
+        assert_eq!(SweepSpec::from_json(json).unwrap().batches, [65536]);
     }
 
     #[test]

@@ -20,6 +20,13 @@
 //! interval is the bottleneck core's completion time, and throughput is
 //! its reciprocal.
 //!
+//! The engine prices nothing itself. Every duration it adds is read
+//! from the [`HtCosts`] table `pimcomp_core` builds once at run start —
+//! per program, one round's global-memory load (with its spill share)
+//! and store, the span of its MVMs, its VFU passes and its partial-sum
+//! sends with their NoC cycles and energy; per vec task, its transfers
+//! and VFU pass — so the engine keeps only state, queues and the clock.
+//!
 //! # Event model
 //!
 //! The queue holds *wake tokens*. A token `(time, core)` entitles
@@ -58,10 +65,10 @@
 //! [`SimError::Diverged`], never a wrap.
 
 use crate::report::{Counters, SimReport};
-use crate::resources::{later, ActivitySpan, BandwidthServer, EventQueue};
+use crate::resources::{later, ActivitySpan, EventQueue, Server, VFU};
 use crate::SimError;
-use pimcomp_arch::{EnergyModel, HardwareConfig, NocModel};
-use pimcomp_core::{CompiledModel, HtSchedule};
+use pimcomp_arch::{EnergyModel, HardwareConfig};
+use pimcomp_core::{CompiledModel, HtCosts, HtSchedule, Transfer};
 
 /// Per-program execution phase.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,172 +99,56 @@ enum Item {
     VecTask(usize),
 }
 
-/// A per-round partial-sum message with its NoC cost.
-struct Send {
-    to_core: usize,
-    /// The program on `to_core` accumulating this node, if any.
-    owner: Option<usize>,
-    bytes: u64,
-    cycles: u64,
-    energy_pj: f64,
+/// Per core: its unfinished programs, then its vec tasks, in schedule
+/// order — the round-robin scan list. Finished items are removed as the
+/// run proceeds.
+fn scan_lists(schedule: &HtSchedule, cores: usize) -> Vec<Vec<Item>> {
+    (0..cores)
+        .map(|core| {
+            let programs = schedule.per_core[core].iter().copied();
+            let programs = programs.filter(|&pid| schedule.programs[pid].rounds > 0);
+            let vec_tasks = schedule.vec_per_core[core].iter().copied();
+            programs
+                .map(Item::Program)
+                .chain(vec_tasks.map(Item::VecTask))
+                .collect()
+        })
+        .collect()
 }
 
-/// The bytes of one global-memory transfer and the port cycles they take.
-#[derive(Clone, Copy)]
-struct Transfer {
-    bytes: usize,
-    cycles: u64,
-}
-
-impl Transfer {
-    fn new(hw: &HardwareConfig, bytes: usize) -> Self {
-        Self {
-            bytes,
-            cycles: hw.global_memory_cycles(bytes),
-        }
-    }
-}
-
-/// The per-round constants of one program.
-struct Round {
-    /// Global-memory load: the inputs plus the program's share of its
-    /// core's spill write-out/read-back traffic.
-    load: Transfer,
-    /// Global-memory store of the round's results.
-    store: Transfer,
-    crossbars_per_ag: u64,
-    /// A bound on how long after its first issue slot the round's last
-    /// MVM ends: `k × T_interval + batch × T_MVM` for its `k` MVMs (the
-    /// `batch` MVMs of one AG may queue behind each other; the program's
-    /// previous round ended before the store that let this one start).
-    mvm_span: u64,
-    /// VFU element-operations once every partial arrived (remote adds
-    /// + activation); zero for programs that own no remote slices.
-    remote_add_elems: usize,
-    remote_add_cycles: u64,
-    /// VFU element-operations right after the MVMs (intra-core adds).
-    local_add_elems: usize,
-    local_add_cycles: u64,
-    sends: Vec<Send>,
-}
-
-/// Everything the event loop reads, computed once.
-struct Tables {
-    rounds: Vec<Round>,
-    /// Per core: its unfinished programs, then its vec tasks, in
-    /// schedule order. Finished items are removed as the run proceeds.
-    scan: Vec<Vec<Item>>,
-    /// Upper bound on scan attempts; see [`Tables::build`].
-    attempt_budget: u64,
-}
-
-impl Tables {
-    /// Hoists what the event loop would otherwise recompute every
-    /// round. The schedule is the compiler's own derivation (a loaded
-    /// artifact rebuilds it), so its indices are not re-checked here.
-    fn build(compiled: &CompiledModel, schedule: &HtSchedule, noc: &NocModel) -> Self {
-        let hw = &compiled.hw;
-        let cores = hw.total_cores();
-        let batch = schedule.batch as u64;
-        let spill = &compiled.memory.spill_bytes_per_round;
-        let entries = compiled.partitioning.entries();
-
-        // Owner-program index: (core, mvm) -> program id, dense.
-        let mvm_stride = entries.len();
-        let mut prog_at: Vec<Option<usize>> = vec![None; cores * mvm_stride];
-        for (pid, p) in schedule.programs.iter().enumerate() {
-            prog_at[p.core * mvm_stride + p.mvm] = Some(pid);
-        }
-
-        let scan = (0..cores)
-            .map(|core| {
-                let programs = schedule.per_core[core].iter().copied();
-                let programs = programs.filter(|&pid| schedule.programs[pid].rounds > 0);
-                let vec_tasks = schedule.vec_per_core[core].iter().copied();
-                programs
-                    .map(Item::Program)
-                    .chain(vec_tasks.map(Item::VecTask))
-                    .collect()
-            })
-            .collect();
-
-        let rounds = schedule
-            .programs
-            .iter()
-            .map(|p| {
-                let entry = &entries[p.mvm];
-                let recvs = p.recvs_per_round;
-                let remote_add_elems = if recvs > 0 {
-                    (recvs + 1) * entry.weight_width * schedule.batch
-                } else {
-                    0
-                };
-                let spill_share = 2 * spill[p.core] / schedule.per_core[p.core].len().max(1);
-                let local_add_elems = p.vec_elems_per_round.saturating_sub(remote_add_elems);
-                Round {
-                    load: Transfer::new(hw, p.load_bytes_per_round + spill_share),
-                    store: Transfer::new(hw, p.store_bytes_per_round),
-                    crossbars_per_ag: entry.crossbars_per_ag as u64,
-                    mvm_span: (batch.saturating_mul(p.ag_instances.len() as u64))
-                        .saturating_mul(hw.issue_interval())
-                        .saturating_add(batch.saturating_mul(hw.mvm_latency)),
-                    remote_add_elems,
-                    remote_add_cycles: hw.vfu_cycles(remote_add_elems),
-                    local_add_elems,
-                    local_add_cycles: hw.vfu_cycles(local_add_elems),
-                    sends: p
-                        .sends_per_round
-                        .iter()
-                        .map(|s| Send {
-                            to_core: s.to_core,
-                            owner: prog_at[s.to_core * mvm_stride + p.mvm],
-                            bytes: s.bytes as u64,
-                            cycles: noc.transfer_cycles(p.core, s.to_core, s.bytes),
-                            energy_pj: noc.transfer_energy_pj(p.core, s.to_core, s.bytes),
-                        })
-                        .collect(),
-                }
-            })
-            .collect();
-
-        // Attempt budget. An attempt either runs an item or fails and
-        // ends its token group.
-        //   runs   <= sum(3 * rounds) + 2 * vec tasks
-        //             (compute, accumulate, store; load+VFU, store)
-        //   tokens <= cores + sum(rounds * (4 + sends)) + 3 * vec tasks
-        //             (one per core at t=0; a compute run spawns
-        //             2 + sends, a vec-task start 2, any other run 1)
-        // A group fails at most once. Groups that ran something first
-        // number <= runs; a group that ran nothing holds a token that
-        // was never popped before (sleepers are never queued, only
-        // added to a group of queued tokens), and there are <= tokens
-        // of those. Hence
-        //   attempts <= 2 * runs + tokens <= 4 * work,
-        //   work = sum(rounds * (3 + sends)) + 2 * vec tasks + cores.
-        // Exceeding it means a scheduling loop — or wake-ups that have
-        // gone quadratic again.
-        let work = schedule
-            .programs
-            .iter()
-            .map(|p| (p.rounds as u64).saturating_mul(3 + p.sends_per_round.len() as u64))
-            .fold(
-                2 * schedule.vec_tasks.len() as u64 + cores as u64,
-                u64::saturating_add,
-            );
-
-        Tables {
-            rounds,
-            scan,
-            attempt_budget: work.saturating_mul(4),
-        }
-    }
+/// Upper bound on scan attempts. An attempt either runs an item or
+/// fails and ends its token group.
+fn attempt_budget(schedule: &HtSchedule, cores: usize) -> u64 {
+    //   runs   <= sum(3 * rounds) + 2 * vec tasks
+    //             (compute, accumulate, store; load+VFU, store)
+    //   tokens <= cores + sum(rounds * (4 + sends)) + 3 * vec tasks
+    //             (one per core at t=0; a compute run spawns
+    //             2 + sends, a vec-task start 2, any other run 1)
+    // A group fails at most once. Groups that ran something first
+    // number <= runs; a group that ran nothing holds a token that
+    // was never popped before (sleepers are never queued, only
+    // added to a group of queued tokens), and there are <= tokens
+    // of those. Hence
+    //   attempts <= 2 * runs + tokens <= 4 * work,
+    //   work = sum(rounds * (3 + sends)) + 2 * vec tasks + cores.
+    // Exceeding it means a scheduling loop — or wake-ups that have
+    // gone quadratic again.
+    let work = schedule
+        .programs
+        .iter()
+        .map(|p| (p.rounds as u64).saturating_mul(3 + p.sends_per_round.len() as u64))
+        .fold(
+            2 * schedule.vec_tasks.len() as u64 + cores as u64,
+            u64::saturating_add,
+        );
+    work.saturating_mul(4)
 }
 
 /// The per-chip global memories (Table I: 4 MB per chip, one FCFS port
 /// the chip's cores contend for) and the traffic through them.
 struct GlobalMemory<'a> {
     hw: &'a HardwareConfig,
-    ports: Vec<BandwidthServer>,
+    ports: Vec<Server>,
     global_bytes: u64,
     local_bytes: u64,
 }
@@ -271,7 +162,7 @@ impl GlobalMemory<'_> {
         }
         self.global_bytes += t.bytes as u64;
         self.local_bytes += t.bytes as u64;
-        self.ports[core / self.hw.cores_per_chip].acquire(now, t.cycles)
+        self.ports[core / self.hw.cores_per_chip].acquire(now, t.cycles, "a global-memory transfer")
     }
 }
 
@@ -286,13 +177,11 @@ pub(crate) fn run(
         .ok_or(SimError::WrongScheduleKind)?;
     let hw = &compiled.hw;
     let cores = hw.total_cores();
-    let t_int = hw.issue_interval();
-    let t_mvm = hw.mvm_latency;
-    let Tables {
-        rounds,
-        mut scan,
-        attempt_budget,
-    } = Tables::build(compiled, schedule, &NocModel::new(hw));
+    let spill = &compiled.memory.spill_bytes_per_round;
+    let costs = HtCosts::new(hw, &compiled.partitioning, schedule, spill);
+    let (t_int, t_mvm) = (costs.t_interval, hw.mvm_latency);
+    let mut scan = scan_lists(schedule, cores);
+    let attempt_budget = attempt_budget(schedule, cores);
 
     let mut phase: Vec<Phase> = schedule
         .programs
@@ -317,12 +206,12 @@ pub(crate) fn run(
 
     let mut mem = GlobalMemory {
         hw,
-        ports: vec![BandwidthServer::new(); hw.chips],
+        ports: vec![Server::default(); hw.chips],
         global_bytes: 0,
         local_bytes: 0,
     };
     let mut issue_free = vec![0u64; cores];
-    let mut vfu_free = vec![0u64; cores];
+    let mut vfu = vec![Server::default(); cores];
     let mut ag_free: Vec<u64> = vec![0; compiled.mapping.instances.len()];
     let mut spans: Vec<ActivitySpan> = vec![ActivitySpan::default(); cores];
     let mut cursor = vec![0usize; cores];
@@ -388,7 +277,7 @@ pub(crate) fn run(
                 match items[pick] {
                     Item::Program(pid) => {
                         let p = &schedule.programs[pid];
-                        let r = &rounds[pid];
+                        let r = &costs.rounds[pid];
                         match phase[pid] {
                             Phase::Done => continue,
                             Phase::StorePending { round, at } => {
@@ -414,12 +303,7 @@ pub(crate) fn run(
                                 }
                                 // Remote adds + activation.
                                 let start = ready.max(got.1).max(now);
-                                let t_vfu = later(
-                                    vfu_free[core].max(start),
-                                    r.remote_add_cycles,
-                                    "a VFU pass",
-                                )?;
-                                vfu_free[core] = t_vfu;
+                                let t_vfu = vfu[core].acquire(start, r.remote_add_cycles, VFU)?;
                                 counted.vfu_elems += r.remote_add_elems as u64;
                                 partials[pid][round] = (0, 0);
                                 spans[core].record(start, t_vfu);
@@ -464,14 +348,8 @@ pub(crate) fn run(
                                 // 3. Local adds (owner's remote adds +
                                 //    act are costed in AwaitPartials).
                                 let t_adds = if r.local_add_elems > 0 {
-                                    let t = later(
-                                        vfu_free[core].max(t_mvm_end),
-                                        r.local_add_cycles,
-                                        "a VFU pass",
-                                    )?;
-                                    vfu_free[core] = t;
                                     counted.vfu_elems += r.local_add_elems as u64;
-                                    t
+                                    vfu[core].acquire(t_mvm_end, r.local_add_cycles, VFU)?
                                 } else {
                                     t_mvm_end
                                 };
@@ -520,7 +398,7 @@ pub(crate) fn run(
                         }
                     }
                     Item::VecTask(vid) => {
-                        let t = &schedule.vec_tasks[vid];
+                        let (t, c) = (&schedule.vec_tasks[vid], &costs.vec_tasks[vid]);
                         match vec_phase[vid] {
                             VecPhase::Done => continue,
                             VecPhase::StorePending { at } => {
@@ -528,8 +406,7 @@ pub(crate) fn run(
                                     wake_at = wake_at.min(at);
                                     continue;
                                 }
-                                let t_store =
-                                    mem.transfer(core, now, Transfer::new(hw, t.store_bytes))?;
+                                let t_store = mem.transfer(core, now, c.store)?;
                                 spans[core].record(now, t_store);
                                 vec_phase[vid] = VecPhase::Done;
                                 items.remove(pick);
@@ -537,14 +414,8 @@ pub(crate) fn run(
                                 queue.push(t_store.max(now + 1), (core, 1));
                             }
                             VecPhase::NotStarted => {
-                                let t_load =
-                                    mem.transfer(core, now, Transfer::new(hw, t.load_bytes))?;
-                                let t_vfu = later(
-                                    vfu_free[core].max(t_load),
-                                    hw.vfu_cycles(t.elems),
-                                    "a VFU pass",
-                                )?;
-                                vfu_free[core] = t_vfu;
+                                let t_load = mem.transfer(core, now, c.load)?;
+                                let t_vfu = vfu[core].acquire(t_load, c.vfu_pass, VFU)?;
                                 counted.vfu_elems += t.elems as u64;
                                 vec_phase[vid] = VecPhase::StorePending { at: t_vfu };
                                 spans[core].record(now, t_vfu);

@@ -14,6 +14,13 @@
 //! * strided window assignment across replicas, so a node's output
 //!   prefix completes smoothly.
 //!
+//! The engine prices nothing itself. It reads the [`LlCosts`] table
+//! `pimcomp_core` builds once at run start — per unit, one window's VFU
+//! pass, each replica's partial-sum transfers to its owner (the slowest
+//! one's cycles and every one's energy, in order), the inbound
+//! forwarding delay and the provider edges — and keeps only state,
+//! queues and the clock.
+//!
 //! Replica tokens `(time, unit, replica)` wait in the monotone radix
 //! heap both engines share ([`EventQueue`]), keyed by time with
 //! `(unit, replica)` breaking ties — the order of a min-heap of the
@@ -26,10 +33,11 @@
 //! `u64::MAX` is [`SimError::Diverged`], never a wrap.
 
 use crate::report::{makespan_leakage_pj, Counters, SimReport};
-use crate::resources::{later, ActivitySpan, EventQueue};
+use crate::resources::{later, ActivitySpan, EventQueue, Server, VFU};
 use crate::SimError;
-use pimcomp_arch::{EnergyModel, NocModel};
-use pimcomp_core::{required_windows, CompiledModel, DepRule, LlUnitKind};
+use pimcomp_arch::EnergyModel;
+use pimcomp_core::{CompiledModel, LlCosts, LlUnitKind};
+use pimcomp_ir::NodeId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -45,47 +53,6 @@ struct ReplicaRt {
     prev_base: Vec<u64>,
 }
 
-/// One `(unit, provider)` edge as the dependency check reads it,
-/// resolved once instead of through the edge map and both graph nodes
-/// on every check.
-struct Edge {
-    /// Provider node index.
-    provider: usize,
-    /// `None` when the dependency analysis has no such edge: nothing is
-    /// required of the provider.
-    rule: Option<DepRule>,
-    consumer_dims: (usize, usize),
-    consumer_windows: usize,
-    provider_dims: (usize, usize),
-    provider_windows: usize,
-}
-
-impl Edge {
-    /// Provider windows (prefix length) consumer window `j` needs.
-    fn required(&self, j: usize) -> usize {
-        self.rule.map_or(0, |rule| {
-            required_windows(
-                rule,
-                j,
-                self.consumer_dims,
-                self.consumer_windows,
-                self.provider_dims,
-                self.provider_windows,
-            )
-        })
-    }
-}
-
-/// The partial-sum traffic of one window of an MVM replica: every core
-/// but the owner sends its share to the owner.
-struct Remote {
-    /// The slowest of those transfers (0 when the owner holds every AG).
-    cycles: u64,
-    /// Energy of each, in `ags_per_core` order: they are added to the
-    /// run's `f64` total one by one, and the total depends on the order.
-    pj: Vec<f64>,
-}
-
 /// Runs the LL simulation for a compiled model.
 pub(crate) fn run(
     compiled: &CompiledModel,
@@ -96,11 +63,11 @@ pub(crate) fn run(
         .as_ll()
         .ok_or(SimError::WrongScheduleKind)?;
     let hw = &compiled.hw;
-    let noc = NocModel::new(hw);
     let cores = hw.total_cores();
     let eb = hw.input_bytes_per_element();
-    let t_int = hw.issue_interval();
-    let t_mvm = hw.mvm_latency;
+    let graph = &compiled.graph;
+    let costs = LlCosts::new(hw, graph, &compiled.partitioning, &compiled.dep, schedule);
+    let (t_int, t_mvm, costs) = (costs.t_interval, hw.mvm_latency, costs.units);
     let units = &schedule.units;
 
     // Runtime state.
@@ -117,13 +84,13 @@ pub(crate) fn run(
         })
         .collect();
     let mut issue_free = vec![0u64; cores];
-    let mut vfu_free = vec![0u64; cores];
+    let mut vfu = vec![Server::default(); cores];
     let mut spans: Vec<ActivitySpan> = vec![ActivitySpan::default(); cores];
 
     // Node production prefixes (windows complete in row-major prefix)
     // and waiter lists, both dense by node index — the event loop hits
     // them on every dependency check and wake-up.
-    let node_count = compiled.graph.node_count();
+    let node_count = graph.node_count();
     let mut node_prefix: Vec<usize> = vec![0; node_count];
     // Prefix invariant: `unit_prefix[u]` is the first window of unit `u`
     // not yet complete, i.e. every window below it is. Window `p` is
@@ -142,14 +109,8 @@ pub(crate) fn run(
     let mut waiters: Vec<BinaryHeap<Reverse<(usize, usize, usize)>>> =
         vec![BinaryHeap::new(); node_count];
     // Dense view of the schedule's units-of-node map, resolved once.
-    let empty_units: Vec<usize> = Vec::new();
     let units_by_node: Vec<&[usize]> = (0..node_count)
-        .map(|i| {
-            schedule
-                .units_of_node
-                .get(&i)
-                .map_or(empty_units.as_slice(), |v| v.as_slice())
-        })
+        .map(|i| schedule.units_of(NodeId(i)))
         .collect();
 
     let mut counted = Counters {
@@ -157,73 +118,6 @@ pub(crate) fn run(
         global_bytes: compiled.memory.global_traffic as u64,
         ..Counters::default()
     };
-
-    // Pre-computed per-unit inbound forwarding delay (provider owner ->
-    // consumer owner, one window's payload).
-    let dep_delay: Vec<u64> = units
-        .iter()
-        .map(|u| {
-            let dst = u.replicas.first().map_or(0, |r| r.owner);
-            u.providers
-                .iter()
-                .map(|p| {
-                    let p_units = schedule.units_of(p.node);
-                    let src = p_units
-                        .first()
-                        .and_then(|&pu| units[pu].replicas.first())
-                        .map_or(dst, |r| r.owner);
-                    let bytes = p_units
-                        .first()
-                        .map_or(0, |&pu| units[pu].elems_per_window * eb);
-                    noc.transfer_cycles(src, dst, bytes)
-                })
-                .max()
-                .unwrap_or(0)
-        })
-        .collect();
-
-    let graph = &compiled.graph;
-    let dims = |id| {
-        let shape = &graph.node(id).output_shape;
-        (shape.height(), shape.width())
-    };
-    let edges: Vec<Vec<Edge>> = units
-        .iter()
-        .map(|u| {
-            let of = |p: &pimcomp_core::LlProviderRef| Edge {
-                provider: p.node.index(),
-                rule: compiled.dep.edge(u.node, p.node).map(|dep| dep.rule),
-                consumer_dims: dims(u.node),
-                consumer_windows: compiled.dep.windows_of(u.node),
-                provider_dims: dims(p.node),
-                provider_windows: compiled.dep.windows_of(p.node),
-            };
-            u.providers.iter().map(of).collect()
-        })
-        .collect();
-    let remotes: Vec<Vec<Remote>> = units
-        .iter()
-        .map(|u| {
-            let LlUnitKind::Mvm { mvm } = u.kind else {
-                return Vec::new();
-            };
-            let bytes = compiled.partitioning.entry(mvm).weight_width * eb;
-            let of = |r: &pimcomp_core::LlReplica| {
-                let senders = r.ags_per_core.iter().filter(|&&(core, _)| core != r.owner);
-                Remote {
-                    cycles: senders
-                        .clone()
-                        .map(|&(core, _)| noc.transfer_cycles(core, r.owner, bytes))
-                        .max()
-                        .unwrap_or(0),
-                    pj: senders
-                        .map(|&(core, _)| noc.transfer_energy_pj(core, r.owner, bytes))
-                        .collect(),
-                }
-            };
-            u.replicas.iter().map(of).collect()
-        })
-        .collect();
 
     // Pop budget. Every replica owns one token, which is either queued
     // or parked in one provider's waiter list. A pop executes a window
@@ -251,12 +145,6 @@ pub(crate) fn run(
         }
     }
 
-    // One window's VFU pass per unit.
-    let vfu_cycles: Vec<u64> = units
-        .iter()
-        .map(|u| hw.vfu_cycles(u.vfu_elems_per_window))
-        .collect();
-
     let mut last_done: u64 = 0;
     let mut pops: u64 = 0;
 
@@ -278,16 +166,10 @@ pub(crate) fn run(
 
         // Dependency check.
         let ready = now;
-        let mut blocked = false;
-        for edge in &edges[uid] {
-            let req = edge.required(j);
-            if node_prefix[edge.provider] < req {
-                waiters[edge.provider].push(Reverse((req, uid, k)));
-                blocked = true;
-                break;
-            }
-        }
-        if blocked {
+        let edges = costs[uid].edges.iter();
+        let mut needs = edges.map(|e| (e.provider, e.required(j)));
+        if let Some((provider, req)) = needs.find(|&(p, req)| node_prefix[p] < req) {
+            waiters[provider].push(Reverse((req, uid, k)));
             continue;
         }
 
@@ -318,17 +200,15 @@ pub(crate) fn run(
                 }
                 // Partial sums from remote cores to the owner.
                 let owner = rep_spec.owner;
-                let remote = &remotes[uid][k];
+                let remote = &costs[uid].remotes[k];
                 let arrive = later(mvm_end, remote.cycles, "a NoC transfer")?;
                 counted.noc_bytes += (entry.weight_width * eb * remote.pj.len()) as u64;
                 for pj in &remote.pj {
                     counted.noc_pj += pj;
                 }
                 // Accumulate + activate on the owner's VFU.
-                let w = u.vfu_elems_per_window;
-                let t = later(vfu_free[owner].max(arrive), vfu_cycles[uid], "a VFU pass")?;
-                vfu_free[owner] = t;
-                counted.vfu_elems += w as u64;
+                let t = vfu[owner].acquire(arrive, costs[uid].vfu_pass, VFU)?;
+                counted.vfu_elems += u.vfu_elems_per_window as u64;
                 counted.local_bytes +=
                     (entry.weight_height + entry.weight_width) as u64 * eb as u64;
                 spans[owner].record(arrive, t);
@@ -340,8 +220,7 @@ pub(crate) fn run(
                 if w == 0 {
                     ready
                 } else {
-                    let t = later(vfu_free[owner].max(ready), vfu_cycles[uid], "a VFU pass")?;
-                    vfu_free[owner] = t;
+                    let t = vfu[owner].acquire(ready, costs[uid].vfu_pass, VFU)?;
                     counted.vfu_elems += w as u64;
                     counted.local_bytes += (2 * u.elems_per_window * eb) as u64;
                     spans[owner].record(ready, t);
@@ -385,7 +264,10 @@ pub(crate) fn run(
                 // Forwarding latency applies once per wake; the
                 // transfers of subsequent ready windows overlap with
                 // compute (wormhole pipelining).
-                queue.push(later(t_done, dep_delay[wu], "a NoC transfer")?, (wu, wk));
+                queue.push(
+                    later(t_done, costs[wu].forward_cycles, "a NoC transfer")?,
+                    (wu, wk),
+                );
             }
         }
 

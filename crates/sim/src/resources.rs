@@ -118,24 +118,22 @@ fn bucket(time: u64, now: u64) -> usize {
     (u64::BITS - 1 - (time ^ now).leading_zeros()) as usize
 }
 
-/// A serially-shared bandwidth resource (global memory port, bus): FCFS
-/// service, one request at a time.
+/// What a VFU pass is called when it overflows the clock.
+pub(crate) const VFU: &str = "a VFU pass";
+
+/// A serially-shared unit (a chip's global-memory port, a core's VFU
+/// array): FCFS service, one request at a time.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct BandwidthServer {
+pub(crate) struct Server {
     free_at: u64,
 }
 
-impl BandwidthServer {
-    /// Creates an idle server.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
+impl Server {
     /// Requests `cycles` of service no earlier than `now`; returns the
-    /// completion time.
-    pub(crate) fn acquire(&mut self, now: u64, cycles: u64) -> Result<u64, SimError> {
+    /// completion time. `what` names the request if the clock overflows.
+    pub(crate) fn acquire(&mut self, now: u64, cycles: u64, what: &str) -> Result<u64, SimError> {
         let start = self.free_at.max(now);
-        self.free_at = later(start, cycles, "a global-memory transfer")?;
+        self.free_at = later(start, cycles, what)?;
         Ok(self.free_at)
     }
 }
@@ -151,10 +149,7 @@ pub(crate) struct ActivitySpan {
 impl ActivitySpan {
     /// Records activity over `[start, end)`.
     pub(crate) fn record(&mut self, start: u64, end: u64) {
-        if self.first.is_none() {
-            self.first = Some(start);
-        }
-        self.first = Some(self.first.unwrap().min(start));
+        self.first = Some(self.first.map_or(start, |f| f.min(start)));
         self.last = self.last.max(end);
         self.busy = self.busy.saturating_add(end.saturating_sub(start));
     }
@@ -166,10 +161,7 @@ impl ActivitySpan {
 
     /// First-activity to last-activity span (0 when idle).
     pub(crate) fn span(&self) -> u64 {
-        match self.first {
-            Some(f) => self.last.saturating_sub(f),
-            None => 0,
-        }
+        self.first.map_or(0, |f| self.last.saturating_sub(f))
     }
 
     /// End of the last recorded activity.
@@ -191,16 +183,16 @@ mod tests {
     use std::collections::BinaryHeap;
 
     #[test]
-    fn bandwidth_server_serializes_fcfs() {
-        let mut s = BandwidthServer::new();
-        assert_eq!(s.acquire(0, 10), Ok(10));
+    fn server_serializes_fcfs() {
+        let mut s = Server::default();
+        assert_eq!(s.acquire(0, 10, "x"), Ok(10));
         // Second request waits for the first.
-        assert_eq!(s.acquire(5, 10), Ok(20));
+        assert_eq!(s.acquire(5, 10, "x"), Ok(20));
         // Idle gap: starts at `now`.
-        assert_eq!(s.acquire(100, 5), Ok(105));
+        assert_eq!(s.acquire(100, 5, "x"), Ok(105));
         // A completion time the clock cannot hold is an error.
         assert!(matches!(
-            s.acquire(106, u64::MAX - 106),
+            s.acquire(106, u64::MAX - 106, "x"),
             Err(SimError::Diverged { .. })
         ));
     }

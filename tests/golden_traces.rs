@@ -354,8 +354,59 @@ fn report_line(key: &str, hw: &HardwareConfig, model: &CompiledModel) -> String 
     let report = Simulator::new(hw.clone())
         .run(model)
         .unwrap_or_else(|e| panic!("{key}: simulation failed: {e}"));
+    let counted = (report.mvm_ops, report.vfu_elems, report.noc_bytes);
+    assert_eq!(
+        counted,
+        schedule_counters(key, model),
+        "{key}: (mvm_ops, vfu_elems, noc_bytes) differ from the schedule's"
+    );
     let json = serde_json::to_string(&report).expect("report serializes");
     format!("\"{key}\": {json}")
+}
+
+/// The MVM issues, VFU element-operations and NoC bytes a simulation of
+/// `model` must count, in closed form from its schedule alone (not from
+/// the cost tables the engines read).
+fn schedule_counters(key: &str, model: &CompiledModel) -> (u64, u64, u64) {
+    let (mvm, vfu, noc): (usize, usize, usize) = match &model.schedule {
+        Schedule::HighThroughput(s) => {
+            let programs = || s.programs.iter();
+            // Every round issues a full `batch` of MVMs per AG, the last
+            // one too: a node whose windows are not a multiple of the
+            // batch runs MVMs for windows it does not have in its padded
+            // last round, so the count bounds the work from above.
+            let mvm = programs()
+                .map(|p| p.rounds * s.batch * p.ag_instances.len())
+                .sum();
+            let work: usize = programs().map(|p| p.windows * p.ag_instances.len()).sum();
+            assert!(mvm >= work, "{key}: {mvm} MVMs issued for {work} of work");
+            let vfu = programs()
+                .map(|p| p.rounds * p.vec_elems_per_round)
+                .chain(s.vec_tasks.iter().map(|t| t.elems))
+                .sum();
+            let sends =
+                programs().flat_map(|p| p.sends_per_round.iter().map(|m| p.rounds * m.bytes));
+            (mvm, vfu, sends.sum())
+        }
+        Schedule::LowLatency(s) => {
+            let eb = model.hw.input_bytes_per_element();
+            let units = || s.units.iter();
+            // Each window, every core of a replica but its owner sends
+            // the owner one partial row.
+            let partials = units().flat_map(|u| {
+                u.replicas.iter().map(|r| {
+                    let senders = r.ags_per_core.iter().filter(|&&(c, _)| c != r.owner);
+                    r.windows * senders.count() * u.elems_per_window * eb
+                })
+            });
+            (
+                units().map(|u| u.windows * u.ags_per_replica).sum(),
+                units().map(|u| u.windows * u.vfu_elems_per_window).sum(),
+                partials.sum(),
+            )
+        }
+    };
+    (mvm as u64, vfu as u64, noc as u64)
 }
 
 /// Every report of one model in `mode`: GA seeds {1, 7, 42} x `batches`
