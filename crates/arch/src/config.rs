@@ -245,26 +245,6 @@ impl HardwareConfig {
         self.total_cores() * self.crossbars_per_core
     }
 
-    /// The MVM issue interval `T_interval` in cycles: consecutive MVM
-    /// launches within one core are spaced by at least this much, which
-    /// realizes the parallelism degree `T_MVM / T_interval`
-    /// (paper Fig. 5: `f(n) = n*T_interval` when issue-bound).
-    pub fn issue_interval(&self) -> u64 {
-        (self.mvm_latency as f64 / self.parallelism as f64)
-            .ceil()
-            .max(1.0) as u64
-    }
-
-    /// Cost in cycles of one *operation cycle* (one sliding window
-    /// across `n` concurrently-active AGs in a core): the paper's
-    /// `f(n) = max(n*T_interval, T_MVM)`, saturating at `u64::MAX` (a
-    /// latency near `u64::MAX` validates).
-    pub fn operation_cycle_cost(&self, n_ags: usize) -> u64 {
-        (n_ags as u64)
-            .saturating_mul(self.issue_interval())
-            .max(self.mvm_latency)
-    }
-
     /// Bytes occupied by one activation element.
     pub fn input_bytes_per_element(&self) -> usize {
         (self.input_bits as usize).div_ceil(8)
@@ -273,28 +253,6 @@ impl HardwareConfig {
     /// Element-operations per cycle of a core's VFU array.
     pub fn vfu_rate(&self) -> f64 {
         self.vfu_per_core as f64 * self.vfu_lane_throughput
-    }
-
-    /// Cycles for the VFU array of a core to process `elements`
-    /// element-operations, saturating at `u64::MAX` (the float-to-integer
-    /// `as` saturates; a throughput near zero validates).
-    pub fn vfu_cycles(&self, elements: usize) -> u64 {
-        (elements as f64 / self.vfu_rate()).ceil() as u64
-    }
-
-    /// Cycles to move `bytes` through the global memory port (bandwidth
-    /// only; contention is the simulator's job), saturating at
-    /// `u64::MAX` like [`HardwareConfig::vfu_cycles`].
-    pub fn global_memory_cycles(&self, bytes: usize) -> u64 {
-        (bytes as f64 / self.global_memory_bw).ceil() as u64
-    }
-
-    /// Cycles to rewrite an array-group slice covering `rows` weight
-    /// rows: programming is row-serial but cell- and crossbar-parallel,
-    /// so only the row count matters. Saturates at `u64::MAX` like
-    /// [`HardwareConfig::operation_cycle_cost`].
-    pub fn xbar_write_cycles(&self, rows: usize) -> u64 {
-        (rows as u64).saturating_mul(self.xbar_write_row_cycles)
     }
 
     /// Validates parameter domains. The total core count is at most
@@ -437,27 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn issue_interval_matches_parallelism() {
-        let hw = HardwareConfig::puma().with_parallelism(20);
-        assert_eq!(hw.issue_interval(), 100);
-        let hw1 = hw.clone().with_parallelism(1);
-        assert_eq!(hw1.issue_interval(), 2000);
-        let hw2000 = hw.with_parallelism(2000);
-        assert_eq!(hw2000.issue_interval(), 1);
-    }
-
-    #[test]
-    fn operation_cycle_cost_is_max_of_issue_and_latency() {
-        let hw = HardwareConfig::puma().with_parallelism(20);
-        // Few AGs: latency-bound.
-        assert_eq!(hw.operation_cycle_cost(3), 2000);
-        // Many AGs: issue-bound (n * 100 > 2000 for n > 20).
-        assert_eq!(hw.operation_cycle_cost(30), 3000);
-        // Break-even at exactly the parallelism degree.
-        assert_eq!(hw.operation_cycle_cost(20), 2000);
-    }
-
-    #[test]
     fn invalid_configs_are_rejected() {
         let mut hw = HardwareConfig::puma();
         hw.crossbar_rows = 0;
@@ -486,18 +423,6 @@ mod tests {
         let mut hw = HardwareConfig::puma();
         hw.xbar_write_pj_per_cell = -1.0;
         assert!(hw.validate().is_err());
-    }
-
-    #[test]
-    fn near_zero_rates_saturate_the_cycle_counts() {
-        let mut hw = HardwareConfig::puma();
-        hw.global_memory_bw = 1e-300;
-        hw.vfu_lane_throughput = 1e-300;
-        hw.validate().unwrap();
-        assert_eq!(hw.global_memory_cycles(64), u64::MAX);
-        assert_eq!(hw.vfu_cycles(64), u64::MAX);
-        assert_eq!(hw.global_memory_cycles(0), 0);
-        assert_eq!(hw.vfu_cycles(0), 0);
     }
 
     #[test]

@@ -4,15 +4,18 @@
 //! each core holds a PIM matrix unit (PIMMU, a bundle of NVM crossbars),
 //! a vector functional unit (VFU), a local scratchpad and a control unit.
 //! Cores run asynchronously and synchronize on inter-core transfers.
-//! This crate captures:
+//! This crate describes what the hardware *is*; what work costs on it
+//! (`T_interval`, operation cycles, VFU, port and rewrite cycles) is
+//! priced in `pimcomp-core`'s cost module alone. It captures:
 //!
 //! * [`HardwareConfig`] — the user-input knobs of paper Fig. 3 (crossbar
 //!   size, core/chip counts, connection method, bit widths, bandwidths,
-//!   MVM latency, parallelism degree).
+//!   MVM latency, parallelism degree) and their validation.
 //! * [`ComponentLibrary`] — the Table I power/area numbers, with
 //!   crate-private SRAM and router models standing in for CACTI 7 and
 //!   Orion 3.0 (calibrated to reproduce the published constants).
-//! * [`NocModel`] — 2-D mesh transfer latency/energy.
+//! * [`NocModel`] — the NoC topology: hop counts and per-transfer
+//!   latency/energy, built only by the cost module.
 //! * [`EnergyModel`] — per-operation dynamic energies and per-component
 //!   leakage powers derived from the library.
 //!

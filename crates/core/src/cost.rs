@@ -1,7 +1,9 @@
 //! The one place schedule work becomes durations.
 //!
-//! Three things price a compiled accelerator, and all of them read this
-//! module:
+//! Every cycle formula of the model is defined here, and nowhere else:
+//! `pimcomp-arch` describes what the hardware *is* (its knobs, the
+//! Table I energy library and the NoC topology), and this module alone
+//! prices work on it. Four things read it:
 //!
 //! * the HT event engine, through [`HtCosts`]: per program, one round's
 //!   global-memory load (with the core's spill share) and store, the
@@ -11,19 +13,65 @@
 //!   window's VFU pass, each replica's partial-sum traffic to its owner,
 //!   the inbound forwarding delay and the provider edges;
 //! * the GA's HT fitness and the reload packer, through the Fig. 5
-//!   per-core busy time [`ht_core_time`].
+//!   per-core busy time [`ht_core_time`]; the GA's LL fitness, through
+//!   the Fig. 6 chain terms ([`ll_window_cycles`], [`vfu_elems_per_cycle`])
+//!   and the LL issue floor ([`issue_floor`]);
+//! * the reload packer's write barrier and write energy, through
+//!   [`slice_rewrite`].
 //!
 //! The tables are built once per run from a schedule and hold only
-//! constants; the engines keep state, queues and the clock. The
-//! hardware's own primitives (`vfu_cycles`, `global_memory_cycles`,
-//! `NocModel`, `operation_cycle_cost`, `issue_interval`) are called
-//! here and in the estimator, never by an engine.
+//! constants; the engines keep state, queues and the clock. The timing
+//! primitives (`issue_interval`, `operation_cycle_cost`, `vfu_cycles`,
+//! `global_memory_cycles`, `xbar_write_cycles`) are private to this
+//! module, and it alone builds a `NocModel`.
 
 use crate::partition::Partitioning;
 use crate::schedule::{HtSchedule, LlReplica, LlSchedule, LlUnitKind};
 use crate::waiting::{required_windows, DepInfo, DepRule};
 use pimcomp_arch::{HardwareConfig, NocModel};
 use pimcomp_ir::{Graph, NodeId};
+
+/// The MVM issue interval `T_interval` in cycles: consecutive MVM
+/// launches within one core are spaced by at least this much, which
+/// realizes the parallelism degree `T_MVM / T_interval`
+/// (paper Fig. 5: `f(n) = n*T_interval` when issue-bound).
+fn issue_interval(hw: &HardwareConfig) -> u64 {
+    (hw.mvm_latency as f64 / hw.parallelism as f64)
+        .ceil()
+        .max(1.0) as u64
+}
+
+/// Cost in cycles of one *operation cycle* (one sliding window
+/// across `n` concurrently-active AGs in a core): the paper's
+/// `f(n) = max(n*T_interval, T_MVM)`, saturating at `u64::MAX` (a
+/// latency near `u64::MAX` validates).
+fn operation_cycle_cost(hw: &HardwareConfig, n_ags: usize) -> u64 {
+    (n_ags as u64)
+        .saturating_mul(issue_interval(hw))
+        .max(hw.mvm_latency)
+}
+
+/// Cycles for the VFU array of a core to process `elements`
+/// element-operations, saturating at `u64::MAX` (the float-to-integer
+/// `as` saturates; a throughput near zero validates).
+fn vfu_cycles(hw: &HardwareConfig, elements: usize) -> u64 {
+    (elements as f64 / hw.vfu_rate()).ceil() as u64
+}
+
+/// Cycles to move `bytes` through the global memory port (bandwidth
+/// only; contention is the simulator's job), saturating at
+/// `u64::MAX` like [`vfu_cycles`].
+fn global_memory_cycles(hw: &HardwareConfig, bytes: usize) -> u64 {
+    (bytes as f64 / hw.global_memory_bw).ceil() as u64
+}
+
+/// Cycles to rewrite an array-group slice covering `rows` weight
+/// rows: programming is row-serial but cell- and crossbar-parallel,
+/// so only the row count matters. Saturates at `u64::MAX` like
+/// [`operation_cycle_cost`].
+fn xbar_write_cycles(hw: &HardwareConfig, rows: usize) -> u64 {
+    (rows as u64).saturating_mul(hw.xbar_write_row_cycles)
+}
 
 /// Estimated busy time of one core in HT mode (paper Fig. 5).
 ///
@@ -54,12 +102,41 @@ pub(crate) fn ht_core_time_in_place(hw: &HardwareConfig, items: &mut Vec<(usize,
     for &(ags, cycles) in items.iter() {
         let span = (cycles - done_cycles) as u64;
         if span > 0 {
-            time = time.saturating_add(span.saturating_mul(hw.operation_cycle_cost(live)));
+            time = time.saturating_add(span.saturating_mul(operation_cycle_cost(hw, live)));
             done_cycles = cycles;
         }
         live -= ags;
     }
     time
+}
+
+/// One window of an MVM column group in the Fig. 6 LL chain, as the
+/// chain's `f64`: an operation cycle over the `ags_per_replica` AGs of
+/// one replica. The node's `U_x` is `⌈windows / R⌉` of these.
+pub(crate) fn ll_window_cycles(hw: &HardwareConfig, ags_per_replica: usize) -> f64 {
+    operation_cycle_cost(hw, ags_per_replica) as f64
+}
+
+/// Element-operations per cycle of one core's VFU array: a vector
+/// node's Fig. 6 `U_x` is its work over this rate times the `R_pred`
+/// cores it spreads over.
+pub(crate) fn vfu_elems_per_cycle(hw: &HardwareConfig) -> f64 {
+    hw.vfu_rate()
+}
+
+/// The LL issue floor: the busiest core's issue load (its AGs times
+/// their node's windows per replica) scaled by `T_interval`.
+pub(crate) fn issue_floor(hw: &HardwareConfig, worst_load: u64) -> f64 {
+    worst_load as f64 * issue_interval(hw) as f64
+}
+
+/// The price of rewriting an AG slice of `rows` weight rows and `cols`
+/// weight columns: `(cycles, cells, pJ)` — the cycles its core spends
+/// programming it, the NVM cells written and their energy.
+pub(crate) fn slice_rewrite(hw: &HardwareConfig, rows: usize, cols: usize) -> (u64, u64, f64) {
+    let cells = (rows * cols * hw.cells_per_weight()) as u64;
+    let pj = cells as f64 * hw.xbar_write_pj_per_cell;
+    (xbar_write_cycles(hw, rows), cells, pj)
 }
 
 /// The bytes of one global-memory transfer and the port cycles they take.
@@ -132,6 +209,8 @@ pub struct HtVecCost {
 pub struct HtCosts {
     /// `T_interval`: the spacing of MVM issues within a core.
     pub t_interval: u64,
+    /// `T_MVM`: the latency of one MVM.
+    pub t_mvm: u64,
     /// Per program: one round's costs.
     pub rounds: Vec<HtRoundCost>,
     /// Per vec task.
@@ -152,7 +231,7 @@ impl HtCosts {
         let noc = NocModel::new(hw);
         let transfer = |bytes| Transfer {
             bytes,
-            cycles: hw.global_memory_cycles(bytes),
+            cycles: global_memory_cycles(hw, bytes),
         };
         let batch = schedule.batch as u64;
         // The program on `core` running node `mvm` (a core runs one per node).
@@ -162,7 +241,8 @@ impl HtCosts {
         };
 
         HtCosts {
-            t_interval: hw.issue_interval(),
+            t_interval: issue_interval(hw),
+            t_mvm: hw.mvm_latency,
             rounds: schedule
                 .programs
                 .iter()
@@ -182,12 +262,12 @@ impl HtCosts {
                         store: transfer(p.store_bytes_per_round),
                         crossbars_per_ag: entry.crossbars_per_ag as u64,
                         mvm_span: (batch.saturating_mul(p.ag_instances.len() as u64))
-                            .saturating_mul(hw.issue_interval())
+                            .saturating_mul(issue_interval(hw))
                             .saturating_add(batch.saturating_mul(hw.mvm_latency)),
                         remote_add_elems,
-                        remote_add_cycles: hw.vfu_cycles(remote_add_elems),
+                        remote_add_cycles: vfu_cycles(hw, remote_add_elems),
                         local_add_elems,
-                        local_add_cycles: hw.vfu_cycles(local_add_elems),
+                        local_add_cycles: vfu_cycles(hw, local_add_elems),
                         sends: p
                             .sends_per_round
                             .iter()
@@ -208,7 +288,7 @@ impl HtCosts {
                 .map(|t| HtVecCost {
                     load: transfer(t.load_bytes),
                     store: transfer(t.store_bytes),
-                    vfu_pass: hw.vfu_cycles(t.elems),
+                    vfu_pass: vfu_cycles(hw, t.elems),
                 })
                 .collect(),
         }
@@ -274,6 +354,8 @@ pub struct LlUnitCost {
 pub struct LlCosts {
     /// `T_interval`: the spacing of MVM issues within a core.
     pub t_interval: u64,
+    /// `T_MVM`: the latency of one MVM.
+    pub t_mvm: u64,
     /// Per unit.
     pub units: Vec<LlUnitCost>,
 }
@@ -295,7 +377,8 @@ impl LlCosts {
             (shape.height(), shape.width())
         };
         LlCosts {
-            t_interval: hw.issue_interval(),
+            t_interval: issue_interval(hw),
+            t_mvm: hw.mvm_latency,
             units: units
                 .iter()
                 .map(|u| {
@@ -344,7 +427,7 @@ impl LlCosts {
                         LlUnitKind::Vector => Vec::new(),
                     };
                     LlUnitCost {
-                        vfu_pass: hw.vfu_cycles(u.vfu_elems_per_window),
+                        vfu_pass: vfu_cycles(hw, u.vfu_elems_per_window),
                         forward_cycles,
                         edges: edges.collect(),
                         remotes,
@@ -369,6 +452,59 @@ mod tests {
     fn hw() -> HardwareConfig {
         // T_MVM = 2000, parallelism 20 -> T_interval = 100.
         HardwareConfig::puma()
+    }
+
+    #[test]
+    fn issue_interval_matches_parallelism() {
+        let hw = HardwareConfig::puma().with_parallelism(20);
+        assert_eq!(issue_interval(&hw), 100);
+        let hw1 = hw.clone().with_parallelism(1);
+        assert_eq!(issue_interval(&hw1), 2000);
+        let hw2000 = hw.with_parallelism(2000);
+        assert_eq!(issue_interval(&hw2000), 1);
+    }
+
+    #[test]
+    fn operation_cycle_cost_is_max_of_issue_and_latency() {
+        let hw = HardwareConfig::puma().with_parallelism(20);
+        // Few AGs: latency-bound.
+        assert_eq!(operation_cycle_cost(&hw, 3), 2000);
+        // Many AGs: issue-bound (n * 100 > 2000 for n > 20).
+        assert_eq!(operation_cycle_cost(&hw, 30), 3000);
+        // Break-even at exactly the parallelism degree.
+        assert_eq!(operation_cycle_cost(&hw, 20), 2000);
+    }
+
+    #[test]
+    fn near_zero_rates_saturate_the_cycle_counts() {
+        let mut hw = HardwareConfig::puma();
+        hw.global_memory_bw = 1e-300;
+        hw.vfu_lane_throughput = 1e-300;
+        hw.validate().unwrap();
+        assert_eq!(global_memory_cycles(&hw, 64), u64::MAX);
+        assert_eq!(vfu_cycles(&hw, 64), u64::MAX);
+        assert_eq!(global_memory_cycles(&hw, 0), 0);
+        assert_eq!(vfu_cycles(&hw, 0), 0);
+    }
+
+    #[test]
+    fn huge_timing_knobs_saturate_the_cycle_counts() {
+        let mut hw = HardwareConfig::puma();
+        hw.mvm_latency = u64::MAX;
+        hw.xbar_write_row_cycles = u64::MAX / 2;
+        hw.validate().unwrap();
+        assert_eq!(operation_cycle_cost(&hw, 1), u64::MAX);
+        assert_eq!(operation_cycle_cost(&hw, usize::MAX), u64::MAX);
+        assert_eq!(xbar_write_cycles(&hw, 3), u64::MAX);
+        assert_eq!(xbar_write_cycles(&hw, 0), 0);
+    }
+
+    /// One 128-row slice of a 64-column node on `puma`: 8 cells a
+    /// weight, 100 cycles a row, 10 pJ a cell.
+    #[test]
+    fn slice_rewrite_is_hand_computed() {
+        let cells = 128 * 64 * 8;
+        assert_eq!(slice_rewrite(&hw(), 128, 64), (128 * 100, cells, 655_360.0));
     }
 
     #[test]
@@ -412,7 +548,7 @@ mod tests {
         let mut spill = vec![0; hw.total_cores()];
         spill[0] = 100;
         let costs = HtCosts::new(&hw, &part, &s, &spill);
-        assert_eq!(costs.t_interval, 100);
+        assert_eq!((costs.t_interval, costs.t_mvm), (100, 2000));
         let (owner, sender) = (s.per_core[0][0], s.per_core[1][0]);
 
         // The owner holds slices 0-2 (3 × 128 rows) and accumulates.
@@ -525,7 +661,7 @@ mod tests {
         let dep = DepInfo::analyze(&g);
         let s = LlSchedule::build(&g, &part, &mapping, &dep);
         let costs = LlCosts::new(&hw, &g, &part, &dep, &s);
-        assert_eq!(costs.t_interval, 100);
+        assert_eq!((costs.t_interval, costs.t_mvm), (100, 2000));
         let [c1, relu, c2] = [0, 1, 2].map(|u| &costs.units[u]);
         // A partial row is 64 columns × 2 B = 16 flits, 16 link cycles.
         let hop = |hops: u64| 4 * hops + 16;

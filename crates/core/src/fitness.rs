@@ -35,7 +35,7 @@
 //! builds with debug assertions, every LL evaluation checks its issue
 //! floor against [`ll_issue_floor`] from scratch).
 
-use crate::cost::ht_core_time_in_place;
+use crate::cost::{self, ht_core_time_in_place};
 use crate::ga::GaContext;
 use crate::mapping::{Chromosome, CORE_BLOCK};
 use crate::partition::{MvmIdx, Partitioning};
@@ -245,7 +245,7 @@ pub(crate) fn ll_issue_floor(
         let load = &mut loads[chromosome.core_of_slot(slot)];
         *load = load.saturating_add(gene_issue_load(gene.ag_count, windows[gene.mvm]));
     }
-    issue_floor_of(hw, TermFold::of(&loads, false))
+    cost::issue_floor(hw, TermFold::of(&loads, false).worst)
 }
 
 /// One gene's issue load: its AGs times the node's windows per replica.
@@ -265,15 +265,9 @@ fn ll_core_load(chromosome: &Chromosome, windows_per_replica: &[usize], core: us
     })
 }
 
-/// The issue floor of per-core loads from their fold: the largest,
-/// scaled by the issue interval.
-fn issue_floor_of(hw: &HardwareConfig, loads: TermFold) -> f64 {
-    loads.worst as f64 * hw.issue_interval() as f64
-}
-
 /// Everything the LL chain estimate reads that does *not* depend on
 /// the replication plan — graph, partitioning, dependency analysis and
-/// the hardware's cost primitives — flattened into dense per-node
+/// the hardware terms [`cost`] prices — flattened into dense per-node
 /// tables so the GA's hottest LL loop does no hash lookups, no
 /// topological sorting and no per-node allocation. Built once per
 /// evaluation context, i.e. once per GA run (the tables are only valid
@@ -284,14 +278,14 @@ pub(crate) struct LlStatic {
     topo: Vec<usize>,
     /// Dense by node id.
     nodes: Vec<LlStaticNode>,
-    /// `HardwareConfig::vfu_rate`.
-    vfu_rate: f64,
+    /// [`cost::vfu_elems_per_cycle`].
+    vfu_elems_per_cycle: f64,
 }
 
 struct LlStaticNode {
     is_input: bool,
     is_mvm: bool,
-    /// MVM nodes: `(index, windows, operation_cycle_cost(ags_per_replica))`
+    /// MVM nodes: `(index, windows, cost::ll_window_cycles(ags_per_replica))`
     /// per partition entry, in `Partitioning::indices_of` order.
     mvm_indices: Vec<(MvmIdx, usize, f64)>,
     /// Non-MVM nodes: partition indices of the nearest MVM providers.
@@ -327,8 +321,8 @@ impl LlStatic {
                             .into_iter()
                             .map(|idx| {
                                 let e = partitioning.entry(idx);
-                                let per_window = hw.operation_cycle_cost(e.ags_per_replica);
-                                (idx, e.windows, per_window as f64)
+                                let per_window = cost::ll_window_cycles(hw, e.ags_per_replica);
+                                (idx, e.windows, per_window)
                             })
                             .collect()
                     } else {
@@ -355,7 +349,7 @@ impl LlStatic {
         LlStatic {
             topo: graph.topo_order().into_iter().map(|id| id.0).collect(),
             nodes,
-            vfu_rate: hw.vfu_rate(),
+            vfu_elems_per_cycle: cost::vfu_elems_per_cycle(hw),
         }
     }
 }
@@ -431,7 +425,7 @@ fn static_node_uninterrupted_time(
             .map(|&idx| replication.count(idx))
             .max()
             .unwrap_or(1);
-        node.elems as f64 / (tables.vfu_rate * r_pred as f64)
+        node.elems as f64 / (tables.vfu_elems_per_cycle * r_pred as f64)
     }
 }
 
@@ -862,7 +856,7 @@ pub(crate) fn compute_fitness(
                     )
                 }
             };
-            let floor = issue_floor_of(ctx.hw, terms.fold());
+            let floor = cost::issue_floor(ctx.hw, terms.fold().worst);
             debug_assert_eq!(
                 floor.to_bits(),
                 ll_issue_floor(ctx.hw, ctx.partitioning, chromosome, &plan).to_bits(),

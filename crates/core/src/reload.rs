@@ -252,7 +252,7 @@ impl EpochPlan {
     /// compilation.
     ///
     /// Per AG, programming is row-serial but cell- and
-    /// crossbar-parallel ([`HardwareConfig::xbar_write_cycles`]); cores
+    /// crossbar-parallel ([`cost::slice_rewrite`]); cores
     /// write serially within themselves but in parallel with each
     /// other, so an epoch's stall is the maximum per-core write-cycle
     /// sum, and the plan total is the sum over epochs.
@@ -295,12 +295,11 @@ impl EpochPlan {
                 windows_on[a.core].push((1, e.windows));
                 if core_epochs[a.core] > 1 {
                     let rows = slice_rows(e.weight_height, hw.crossbar_rows, a.slice);
-                    let cells = (rows * e.weight_width * hw.cells_per_weight()) as u64;
+                    let (cycles, cells, pj) = cost::slice_rewrite(hw, rows, e.weight_width);
                     plan.total_ags_written += 1;
                     plan.total_cells_written += cells;
-                    write_pj += cells as f64 * hw.xbar_write_pj_per_cell;
-                    write_cycles_on[a.core] =
-                        write_cycles_on[a.core].saturating_add(hw.xbar_write_cycles(rows));
+                    write_pj += pj;
+                    write_cycles_on[a.core] = write_cycles_on[a.core].saturating_add(cycles);
                 }
             }
             let barrier = write_cycles_on.into_iter().max().unwrap_or(0);
@@ -436,7 +435,7 @@ mod tests {
                     *nodes[a.core].entry(a.mvm).or_default() += 1;
                     if shared[a.core] {
                         let rows = slice_rows(e.weight_height, hw.crossbar_rows, a.slice);
-                        write[a.core] += hw.xbar_write_cycles(rows);
+                        write[a.core] += rows as u64 * hw.xbar_write_row_cycles;
                         cells += (rows * e.weight_width * hw.cells_per_weight()) as u64;
                     }
                 }

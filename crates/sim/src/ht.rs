@@ -64,7 +64,7 @@
 //! [`later`], so a time that would pass `u64::MAX` is
 //! [`SimError::Diverged`], never a wrap.
 
-use crate::report::{Counters, SimReport};
+use crate::report::{core_leak_mw, global_memory_leak_mw, Counters, SimReport};
 use crate::resources::{later, ActivitySpan, EventQueue, Server, VFU};
 use crate::SimError;
 use pimcomp_arch::{EnergyModel, HardwareConfig};
@@ -179,7 +179,7 @@ pub(crate) fn run(
     let cores = hw.total_cores();
     let spill = &compiled.memory.spill_bytes_per_round;
     let costs = HtCosts::new(hw, &compiled.partitioning, schedule, spill);
-    let (t_int, t_mvm) = (costs.t_interval, hw.mvm_latency);
+    let (t_int, t_mvm) = (costs.t_interval, costs.t_mvm);
     let mut scan = scan_lists(schedule, cores);
     let attempt_budget = attempt_budget(schedule, cores);
 
@@ -490,18 +490,10 @@ pub(crate) fn run(
     // an early-finishing core powers down); global memory and routers
     // leak over the whole makespan.
     let mut leak = 0.0;
-    for s in &spans {
-        if s.is_active() {
-            leak += energy_model.leakage_pj(
-                energy_model.leakage.core_mw + energy_model.leakage.router_mw,
-                s.span(),
-            );
-        }
+    for s in spans.iter().filter(|s| s.is_active()) {
+        leak += energy_model.leakage_pj(core_leak_mw(energy_model), s.span());
     }
-    leak += energy_model.leakage_pj(
-        energy_model.leakage.global_memory_mw * hw.chips as f64,
-        interval,
-    );
+    leak += energy_model.leakage_pj(global_memory_leak_mw(energy_model, hw), interval);
 
     counted.global_bytes = mem.global_bytes;
     counted.local_bytes = mem.local_bytes;

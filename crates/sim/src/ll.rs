@@ -67,7 +67,7 @@ pub(crate) fn run(
     let eb = hw.input_bytes_per_element();
     let graph = &compiled.graph;
     let costs = LlCosts::new(hw, graph, &compiled.partitioning, &compiled.dep, schedule);
-    let (t_int, t_mvm, costs) = (costs.t_interval, hw.mvm_latency, costs.units);
+    let (t_int, t_mvm, costs) = (costs.t_interval, costs.t_mvm, costs.units);
     let units = &schedule.units;
 
     // Runtime state.

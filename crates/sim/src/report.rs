@@ -113,6 +113,16 @@ pub(crate) struct Counters {
     pub local_bytes: u64,
 }
 
+/// Leak power of one active core with its router, in mW.
+pub(crate) fn core_leak_mw(energy_model: &EnergyModel) -> f64 {
+    energy_model.leakage.core_mw + energy_model.leakage.router_mw
+}
+
+/// Leak power of every chip's global memory, in mW.
+pub(crate) fn global_memory_leak_mw(energy_model: &EnergyModel, hw: &HardwareConfig) -> f64 {
+    energy_model.leakage.global_memory_mw * hw.chips as f64
+}
+
 /// Leakage of `active_cores` cores (with their routers) and every
 /// chip's global memory, all powered for `cycles`.
 pub(crate) fn makespan_leakage_pj(
@@ -122,8 +132,7 @@ pub(crate) fn makespan_leakage_pj(
     cycles: u64,
 ) -> f64 {
     energy_model.leakage_pj(
-        (energy_model.leakage.core_mw + energy_model.leakage.router_mw) * active_cores as f64
-            + energy_model.leakage.global_memory_mw * hw.chips as f64,
+        core_leak_mw(energy_model) * active_cores as f64 + global_memory_leak_mw(energy_model, hw),
         cycles,
     )
 }
