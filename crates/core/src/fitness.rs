@@ -616,51 +616,6 @@ impl CoreTerms {
     }
 }
 
-#[cfg(test)]
-impl CoreTerms {
-    /// Every core's term, in core order.
-    pub(crate) fn flat(&self) -> Vec<u64> {
-        (0..self.cores).map(|core| self.get(core)).collect()
-    }
-
-    /// Each block's fold, as the block keeps it.
-    pub(crate) fn block_folds(&self) -> Vec<TermFold> {
-        self.blocks.iter().map(|block| block.fold).collect()
-    }
-
-    /// Whether `self` and `other` hold block `block` in one shared
-    /// allocation.
-    pub(crate) fn shares_block(&self, other: &Self, block: usize) -> bool {
-        Arc::ptr_eq(&self.blocks[block], &other.blocks[block])
-    }
-}
-
-#[cfg(test)]
-impl EvalBasis {
-    /// The per-core terms of the evaluation.
-    pub(crate) fn terms(&self) -> &CoreTerms {
-        match &self.detail {
-            EvalDetail::Ht { core_times } => core_times,
-            EvalDetail::Ll { loads, .. } => loads,
-        }
-    }
-}
-
-/// The mode's per-core terms of `chromosome` under `plan`, computed core
-/// by core into one flat vector: the oracle of the block storage.
-#[cfg(test)]
-pub(crate) fn flat_core_terms(
-    ctx: &GaContext<'_>,
-    chromosome: &Chromosome,
-    plan: &ReplicationPlan,
-) -> Vec<u64> {
-    let (mut windows, mut items) = (Vec::new(), Vec::new());
-    fill_windows_per_replica(ctx.partitioning, plan, &mut windows);
-    (0..chromosome.cores())
-        .map(|core| core_term(ctx, chromosome, &windows, core, &mut items))
-        .collect()
-}
-
 /// Reusable buffers for the evaluation engine, owned per GA worker for
 /// a whole run (see `run_indexed_on`) or per [`FitnessMemo`].
 /// Everything in here is overwritten before being read, so reuse across
@@ -1131,6 +1086,51 @@ impl<'a> FitnessMemo<'a> {
     pub(crate) fn incremental_evals(&self) -> usize {
         self.incremental
     }
+}
+
+#[cfg(test)]
+impl CoreTerms {
+    /// Every core's term, in core order.
+    pub(crate) fn flat(&self) -> Vec<u64> {
+        (0..self.cores).map(|core| self.get(core)).collect()
+    }
+
+    /// Each block's fold, as the block keeps it.
+    pub(crate) fn block_folds(&self) -> Vec<TermFold> {
+        self.blocks.iter().map(|block| block.fold).collect()
+    }
+
+    /// Whether `self` and `other` hold block `block` in one shared
+    /// allocation.
+    pub(crate) fn shares_block(&self, other: &Self, block: usize) -> bool {
+        Arc::ptr_eq(&self.blocks[block], &other.blocks[block])
+    }
+}
+
+#[cfg(test)]
+impl EvalBasis {
+    /// The per-core terms of the evaluation.
+    pub(crate) fn terms(&self) -> &CoreTerms {
+        match &self.detail {
+            EvalDetail::Ht { core_times } => core_times,
+            EvalDetail::Ll { loads, .. } => loads,
+        }
+    }
+}
+
+/// The mode's per-core terms of `chromosome` under `plan`, computed core
+/// by core into one flat vector: the oracle of the block storage.
+#[cfg(test)]
+pub(crate) fn flat_core_terms(
+    ctx: &GaContext<'_>,
+    chromosome: &Chromosome,
+    plan: &ReplicationPlan,
+) -> Vec<u64> {
+    let (mut windows, mut items) = (Vec::new(), Vec::new());
+    fill_windows_per_replica(ctx.partitioning, plan, &mut windows);
+    (0..chromosome.cores())
+        .map(|core| core_term(ctx, chromosome, &windows, core, &mut items))
+        .collect()
 }
 
 #[cfg(test)]

@@ -7,9 +7,11 @@
 //! attention, normalization, data movement — runs on the VFU or in
 //! local memory in both worlds and therefore executes through the exact
 //! same kernel code here. The MVM strategy is injected as an
-//! [`MvmBackend`], which receives the unfolded weight matrix and the
-//! im2col'd input panels and returns the pre-bias output, computing it
-//! through calls into the one kernel ([`MvmJob::gemm`]). This construction
+//! [`MvmBackend`], which receives the node as an [`MvmJob`] and returns
+//! the pre-bias output, computing it tile pair by tile pair — a column
+//! tile of the synthesized weight matrix against a window tile of the
+//! im2col'd input panels — through calls into the one kernel
+//! ([`MvmTile::gemm`]). This construction
 //! guarantees that any differential disagreement between the two
 //! executors is attributable to the compiled layout.
 
@@ -19,20 +21,91 @@ use crate::tensor::Tensor;
 use pimcomp_ir::{infer_output_shape, synth, Activation, Conv2d, Graph, Node, Op, PoolKind, Shape};
 use std::ops::Range;
 
-/// The unfolded stationary weight matrix of one MVM node, stored
-/// column-major so a crossbar column (a row range of one output
+/// A column tile of one MVM node's unfolded stationary weight matrix,
+/// stored column-major so a crossbar column (a row range of one output
 /// column) is a contiguous slice.
 pub struct WeightMatrix {
     /// Matrix height (contraction length).
     pub height: usize,
-    /// Matrix width (output columns).
-    pub width: usize,
-    /// Column-major elements: column `c` is `cols[c*height..(c+1)*height]`.
+    /// The node's output columns this tile holds.
+    pub columns: Range<usize>,
+    /// Column-major elements: node column `c` is
+    /// `cols[(c - columns.start) * height..][..height]`.
     pub cols: Vec<f32>,
 }
 
-/// One MVM computation handed to a backend: input panels (per
-/// convolution group) times a stationary weight matrix.
+/// How an MVM node is cut into tiles: weight tiles of whole columns, at
+/// most `weights` elements each (at least one column), and panel tiles
+/// of whole 32-window blocks across every group, at most `panels`
+/// elements each (at least one block).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Tiling {
+    weights: usize,
+    panels: usize,
+}
+
+impl Tiling {
+    /// The executor's tiles: a weight tile of at most 1 MiB, which stays
+    /// in a 2 MiB L2 beside one panel block of resnet18's widest layer
+    /// (4608 rows, 576 KiB), and a panel tile of at most 2 MiB, which
+    /// holds every window of that layer and of the layer before, so
+    /// their panels are unfolded once however many weight tiles they
+    /// have.
+    pub(crate) const L2: Tiling = Tiling {
+        weights: 1 << 18,
+        panels: 1 << 19,
+    };
+
+    /// One column and one block a tile: every tile boundary there is.
+    #[cfg(test)]
+    pub(crate) const SMALLEST: Tiling = Tiling {
+        weights: 1,
+        panels: 1,
+    };
+
+    /// One tile a node.
+    #[cfg(test)]
+    pub(crate) const WHOLE: Tiling = Tiling {
+        weights: usize::MAX,
+        panels: usize::MAX,
+    };
+
+    /// The weight tiles of a `height × width` matrix.
+    fn columns(self, height: usize, width: usize) -> impl DoubleEndedIterator<Item = Range<usize>> {
+        let step = (self.weights / height.max(1)).max(1);
+        (0..width)
+            .step_by(step)
+            .map(move |c| c..width.min(c + step))
+    }
+
+    /// The panel tiles of `windows` windows in blocks of `block`
+    /// elements.
+    fn windows(self, block: usize, windows: usize) -> impl Iterator<Item = Range<usize>> {
+        let step = (self.panels / block.max(1)).max(1).saturating_mul(NR);
+        (0..windows)
+            .step_by(step)
+            .map(move |w| w..windows.min(w + step))
+    }
+}
+
+/// Where an MVM job's panels come from.
+enum Unfold<'a> {
+    /// A convolution's CHW input, `ih × iw` per channel, and its
+    /// `oh × ow` output: [`im2col`].
+    Conv {
+        conv: &'a Conv2d,
+        input: &'a [f32],
+        in_hw: (usize, usize),
+        out_hw: (usize, usize),
+    },
+    /// Row-major `[windows × height]` input rows: [`pack_rows`].
+    Rows(&'a [f32]),
+}
+
+/// One MVM node handed to a backend: its seed-synthesized weight
+/// matrix times its unfolded input, which the backend computes one
+/// tile pair at a time ([`MvmJob::for_each_tile`]), so that no more
+/// than one weight tile and one panel tile of the node exist at once.
 pub struct MvmJob<'a> {
     /// The node being computed.
     pub node: &'a Node,
@@ -43,26 +116,157 @@ pub struct MvmJob<'a> {
     pub height: usize,
     /// Weight-matrix width (total output columns across groups).
     pub width: usize,
-    /// Convolution groups (1 for everything else). Output column `c`
-    /// contracts against the panels of group `c / (width / groups)`.
+    /// Convolution groups (1 for everything else).
     pub groups: usize,
-    /// The im2col'd input, `[group][window-block][k][32]`: per group
-    /// one [`pack_rows`]-layout panel set (32 windows a block, the last
-    /// block zero-padded).
-    pub panels: &'a [f32],
-    /// The unfolded weight matrix, synthesized for this one job: a
-    /// backend that models weight storage rewrites it in place.
-    pub weights: WeightMatrix,
+    input: Unfold<'a>,
+    seed: u64,
+    tiling: Tiling,
+    /// The weight tile, and whether it still holds its columns as
+    /// synthesized (no backend has rewritten it yet).
+    weights: WeightMatrix,
+    fresh: bool,
+    /// The panel tile, and the windows it holds.
+    panels: Vec<f32>,
+    panel_windows: Range<usize>,
 }
 
 impl MvmJob<'_> {
-    /// The kernel over this job: `out[c][w] (= | +=)` the contraction of
-    /// window `w` against weight column `c` over the rows `k`, for
-    /// every column in `cols` (split at convolution group boundaries,
-    /// each piece against its group's panels).
+    /// Synthesizes weight columns `columns` into the weight tile:
+    /// element `(r, c)` has synthesis index `c*height + r` under tag
+    /// `"<node>/w"`, scaled by `1/sqrt(height)` so activations stay O(1)
+    /// through deep networks.
+    fn synthesize(&mut self, columns: Range<usize>) {
+        let height = self.height;
+        let scale = 1.0 / (height.max(1) as f32).sqrt();
+        let tag = format!("{}/w", self.node.name);
+        let len = columns.len() * height;
+        // Exactly: the pre-pass grows the buffer from the smaller last
+        // tile, which an amortized growth would double.
+        let grow = len.saturating_sub(self.weights.cols.len());
+        self.weights.cols.reserve_exact(grow);
+        self.weights.cols.resize(len, 0.0);
+        let start = columns.start * height;
+        synth_fill(
+            Tier::widest(),
+            self.seed,
+            &tag,
+            scale,
+            start,
+            &mut self.weights.cols,
+        );
+        self.weights.columns = columns;
+        self.fresh = true;
+    }
+
+    /// Unfolds the input of `windows` into the panel tile.
+    fn unfold(&mut self, windows: Range<usize>) {
+        let height = self.height;
+        let len = self.groups * windows.len().div_ceil(NR) * height * NR;
+        self.panels.resize(len, 0.0);
+        match self.input {
+            Unfold::Conv {
+                conv,
+                input,
+                in_hw,
+                out_hw,
+            } => im2col(
+                conv,
+                input,
+                in_hw,
+                out_hw,
+                windows.clone(),
+                &mut self.panels,
+            ),
+            Unfold::Rows(rows) => pack_rows(
+                &rows[windows.start * height..windows.end * height],
+                windows.len(),
+                height,
+                &mut self.panels,
+            ),
+        }
+        self.panel_windows = windows;
+    }
+
+    /// The largest weight magnitude of the node, from a pre-pass that
+    /// synthesizes every weight tile. It runs backwards and leaves the
+    /// first tile as synthesized for the tile loop, so a node of one
+    /// tile is synthesized once.
+    pub(crate) fn max_abs_weight(&mut self) -> f32 {
+        // The bits of a magnitude order as its value does, so they fold
+        // with an integer maximum, which vectorises.
+        let mut max_abs = 0u32;
+        for columns in self.tiling.columns(self.height, self.width).rev() {
+            self.synthesize(columns);
+            let magnitudes = self.weights.cols.iter().map(|w| w.to_bits() & !(1 << 31));
+            max_abs = magnitudes.fold(max_abs, u32::max);
+        }
+        f32::from_bits(max_abs)
+    }
+
+    /// Runs `each` on every tile pair of the node: weight tiles outer,
+    /// each passed to `rewrite` once, right after it is synthesized (a
+    /// backend that models weight storage rewrites it in place), and
+    /// panel tiles inner (a node of one panel tile is unfolded once).
+    /// Every output cell belongs to exactly one tile pair.
+    pub fn for_each_tile(
+        &mut self,
+        mut rewrite: impl FnMut(&mut [f32]),
+        mut each: impl FnMut(&MvmTile<'_>),
+    ) {
+        let block = self.groups * self.height * NR;
+        for columns in self.tiling.columns(self.height, self.width) {
+            if !(self.fresh && self.weights.columns == columns) {
+                self.synthesize(columns);
+            }
+            rewrite(&mut self.weights.cols);
+            self.fresh = false;
+            for windows in self.tiling.windows(block, self.windows) {
+                if self.panel_windows != windows {
+                    self.unfold(windows.clone());
+                }
+                each(&MvmTile {
+                    width: self.width,
+                    groups: self.groups,
+                    stride: self.windows,
+                    windows,
+                    panels: &self.panels,
+                    weights: &self.weights,
+                });
+            }
+        }
+    }
+}
+
+/// One tile pair of an [`MvmJob`]: a weight tile against a panel tile.
+pub struct MvmTile<'a> {
+    /// Weight-matrix width (the node's output columns across groups).
+    pub width: usize,
+    /// Convolution groups (1 for everything else). Output column `c`
+    /// contracts against the panels of group `c / (width / groups)`.
+    pub groups: usize,
+    /// The node's windows: the length of one column of its
+    /// `[column][window]` output.
+    pub stride: usize,
+    /// The windows the panels hold.
+    pub windows: Range<usize>,
+    /// The unfolded input of `windows`, `[group][window-block][k][32]`:
+    /// per group one [`pack_rows`]-layout panel set (32 windows a block,
+    /// the last block zero-padded).
+    pub panels: &'a [f32],
+    /// The weight tile.
+    pub weights: &'a WeightMatrix,
+}
+
+impl MvmTile<'_> {
+    /// The kernel over this tile pair: `out[c][w] (= | +=)` the
+    /// contraction of window `w` against weight column `c` over the rows
+    /// `k`, for every column in `cols` (which lie in the weight tile;
+    /// split at convolution group boundaries, each piece against its
+    /// group's panels) and every window of the panel tile. `out` is the
+    /// node's `[column][window]` output.
     pub fn gemm(&self, cols: Range<usize>, k: Range<usize>, out: &mut [f32], accumulate: bool) {
         let per_group = self.width / self.groups;
-        let group_len = self.windows.div_ceil(NR) * self.height * NR;
+        let group_len = self.windows.len().div_ceil(NR) * self.weights.height * NR;
         let tier = Tier::widest();
         let mut c = cols.start;
         while c < cols.end {
@@ -72,12 +276,13 @@ impl MvmJob<'_> {
             let panels = &self.panels[g * group_len..(g + 1) * group_len];
             gemm(
                 tier,
-                &self.weights,
+                self.weights,
                 piece,
                 panels,
-                self.windows,
+                self.windows.len(),
                 k.clone(),
                 out,
+                (self.windows.start, self.stride),
                 accumulate,
             );
         }
@@ -89,23 +294,8 @@ impl MvmJob<'_> {
 pub trait MvmBackend {
     /// Computes the pre-bias output, `[width × windows]`: one
     /// contiguous row of windows per output column (CHW for a
-    /// convolution).
+    /// convolution), through kernel calls on the job's tile pairs.
     fn mvm(&mut self, job: &mut MvmJob) -> Result<Vec<f32>, ExecError>;
-}
-
-/// Synthesizes the unfolded weight matrix of an MVM node
-/// (column-major; element `(r, c)` has synthesis index `c*height + r`
-/// under tag `"<node>/w"`), scaled by `1/sqrt(height)` so activations
-/// stay O(1) through deep networks.
-pub(crate) fn synth_weights(seed: u64, name: &str, height: usize, width: usize) -> WeightMatrix {
-    let scale = 1.0 / (height.max(1) as f32).sqrt();
-    let mut cols = vec![0.0; height * width];
-    synth_fill(Tier::widest(), seed, &format!("{name}/w"), scale, &mut cols);
-    WeightMatrix {
-        height,
-        width,
-        cols,
-    }
 }
 
 /// [`synth::fill`] run on `tier` (or the widest narrower tier the CPU
@@ -113,37 +303,37 @@ pub(crate) fn synth_weights(seed: u64, name: &str, height: usize, width: usize) 
 /// brings the 64-bit vector multiply the hash is made of; AVX2
 /// emulates it from 32-bit ones.
 #[allow(unsafe_code)]
-fn synth_fill(tier: Tier, seed: u64, tag: &str, scale: f32, out: &mut [f32]) {
+fn synth_fill(tier: Tier, seed: u64, tag: &str, scale: f32, start: usize, out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if tier == Tier::Avx512
         && std::is_x86_feature_detected!("avx512f")
         && std::is_x86_feature_detected!("avx512dq")
     {
         // SAFETY: the running CPU supports AVX-512F and AVX-512DQ, checked above.
-        return unsafe { synth_fill_avx512(seed, tag, scale, out) };
+        return unsafe { synth_fill_avx512(seed, tag, scale, start, out) };
     }
     #[cfg(target_arch = "x86_64")]
     if tier >= Tier::Avx2 && std::is_x86_feature_detected!("avx2") {
         // SAFETY: the running CPU supports AVX2, checked on the line above.
-        return unsafe { synth_fill_avx2(seed, tag, scale, out) };
+        return unsafe { synth_fill_avx2(seed, tag, scale, start, out) };
     }
-    synth::fill(seed, tag, scale, out)
+    synth::fill(seed, tag, scale, start, out)
 }
 
 /// [`synth::fill`] with AVX-512F and AVX-512DQ enabled: call it only on a
 /// CPU that has both.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq")]
-fn synth_fill_avx512(seed: u64, tag: &str, scale: f32, out: &mut [f32]) {
-    synth::fill(seed, tag, scale, out)
+fn synth_fill_avx512(seed: u64, tag: &str, scale: f32, start: usize, out: &mut [f32]) {
+    synth::fill(seed, tag, scale, start, out)
 }
 
 /// [`synth::fill`] with AVX2 enabled: call it only on a CPU that has
 /// AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn synth_fill_avx2(seed: u64, tag: &str, scale: f32, out: &mut [f32]) {
-    synth::fill(seed, tag, scale, out)
+fn synth_fill_avx2(seed: u64, tag: &str, scale: f32, start: usize, out: &mut [f32]) {
+    synth::fill(seed, tag, scale, start, out)
 }
 
 /// Synthesizes an MVM node's bias vector (tag `"<node>/b"`).
@@ -257,9 +447,12 @@ fn validate_for_execution(graph: &Graph) -> Result<Vec<usize>, ExecError> {
             _ => 1,
         };
         if let Some((height, width)) = node.op.weight_matrix() {
-            // One product bounds the weight matrix, the im2col panels
-            // (windows padded to a block, per group) and the mapped
-            // backend's per-slice partials.
+            // An MVM node allocates its output (`numel`), at 8 bits the
+            // mapped backend's per-slice partials (at most `height`
+            // outputs' worth, of which the output is the first), one
+            // weight tile (at most the whole matrix) and one panel tile
+            // (at most every group's panels, windows padded to a
+            // block). One product bounds them all.
             (numel / width.max(1))
                 .checked_add(NR)
                 .and_then(|w| w.checked_mul(height)?.checked_mul(width.max(groups)))
@@ -313,6 +506,16 @@ pub fn run_graph(
     seed: u64,
     backend: &mut dyn MvmBackend,
 ) -> Result<Vec<(String, Tensor)>, ExecError> {
+    run_tiled(graph, seed, Tiling::L2, backend)
+}
+
+/// [`run_graph`] with every MVM node cut into `tiling`'s tiles.
+pub(crate) fn run_tiled(
+    graph: &Graph,
+    seed: u64,
+    tiling: Tiling,
+    backend: &mut dyn MvmBackend,
+) -> Result<Vec<(String, Tensor)>, ExecError> {
     let order = validate_for_execution(graph)?;
     let nodes = graph.nodes();
     let n = nodes.len();
@@ -344,7 +547,7 @@ pub fn run_graph(
                     })
             })
             .collect::<Result<_, _>>()?;
-        let out = eval_node(node, &inputs, seed, backend)?;
+        let out = eval_node(node, &inputs, seed, tiling, backend)?;
         let out_dims = fixed_dims(&node.name, &node.output_shape)?;
         if out.dims != out_dims {
             return Err(ExecError::ShapeMismatch {
@@ -376,6 +579,7 @@ fn eval_node(
     node: &Node,
     inputs: &[&Tensor],
     seed: u64,
+    tiling: Tiling,
     backend: &mut dyn MvmBackend,
 ) -> Result<Tensor, ExecError> {
     let out_dims = fixed_dims(&node.name, &node.output_shape)?;
@@ -388,7 +592,9 @@ fn eval_node(
             let len = out_dims.iter().product();
             Ok(Tensor::new(out_dims, synth_input(seed, &node.name, len)))
         }
-        Op::Conv2d(_) | Op::Linear(_) | Op::MatMul(_) => eval_mvm(node, inputs[0], seed, backend),
+        Op::Conv2d(_) | Op::Linear(_) | Op::MatMul(_) => {
+            eval_mvm(node, inputs[0], seed, tiling, backend)
+        }
         Op::Pool(p) => {
             let x = inputs[0];
             let (c, ih, iw) = chw(x).map_err(shape_err)?;
@@ -442,16 +648,19 @@ fn eval_node(
             Ok(Tensor::new(out_dims, data))
         }
         Op::Activation(a) => {
-            let f: fn(f32) -> f32 = match a {
-                Activation::Relu => |v| v.max(0.0),
-                Activation::Sigmoid => |v| 1.0 / (1.0 + (-v).exp()),
-                Activation::Tanh => |v| v.tanh(),
-                Activation::Gelu => gelu,
+            // One loop per function, so that each inlines its function
+            // instead of calling it through a pointer per element.
+            fn map(x: &[f32], f: impl Fn(f32) -> f32) -> Vec<f32> {
+                x.iter().map(|&v| f(v)).collect()
+            }
+            let x = &inputs[0].data;
+            let data = match a {
+                Activation::Relu => map(x, |v| v.max(0.0)),
+                Activation::Sigmoid => map(x, |v| 1.0 / (1.0 + (-v).exp())),
+                Activation::Tanh => map(x, f32::tanh),
+                Activation::Gelu => map(x, gelu),
             };
-            Ok(Tensor::new(
-                out_dims,
-                inputs[0].data.iter().map(|&v| f(v)).collect(),
-            ))
+            Ok(Tensor::new(out_dims, data))
         }
         Op::Concat => {
             // Channel-wise concatenation of equal-extent CHW maps.
@@ -637,14 +846,16 @@ fn eval_node(
     }
 }
 
-/// Evaluates an MVM node through the backend: unfold the input into
-/// panels, synthesize the weight matrix, multiply, add bias. The
-/// backend's `[column][window]` output is the CHW (or flat) output
-/// layout already; only a token stream needs transposing back.
+/// Evaluates an MVM node through the backend, which multiplies the
+/// synthesized weights into the unfolded input one tile pair at a time
+/// (see [`MvmJob`]), then adds the bias. The backend's
+/// `[column][window]` output is the CHW (or flat) output layout already;
+/// only a token stream needs transposing back.
 fn eval_mvm(
     node: &Node,
     input: &Tensor,
     seed: u64,
+    tiling: Tiling,
     backend: &mut dyn MvmBackend,
 ) -> Result<Tensor, ExecError> {
     let shape_err = |detail: String| ExecError::ShapeMismatch {
@@ -656,22 +867,20 @@ fn eval_mvm(
         .op
         .weight_matrix()
         .ok_or_else(|| shape_err("not an MVM operator".into()))?;
-    let has_bias = node.op.has_bias().unwrap_or(false);
-    let weights = synth_weights(seed, &node.name, height, width);
-    let bias = if has_bias {
-        synth_bias(seed, &node.name, width)
-    } else {
-        vec![0.0; width]
-    };
     // Sliding windows for a convolution, sequence positions for a
     // matmul, 1 for fully connected.
     let windows = out_dims.iter().product::<usize>() / width.max(1);
 
-    let (groups, panels) = match &node.op {
-        Op::Conv2d(c) => {
+    let (groups, unfold) = match &node.op {
+        Op::Conv2d(conv) => {
             let (_, ih, iw) = chw(input).map_err(&shape_err)?;
-            let panels = im2col(c, &input.data, (ih, iw), (out_dims[1], out_dims[2]));
-            (c.groups, panels)
+            let unfold = Unfold::Conv {
+                conv,
+                input: &input.data,
+                in_hw: (ih, iw),
+                out_hw: (out_dims[1], out_dims[2]),
+            };
+            (conv.groups, unfold)
         }
         Op::Linear(_) | Op::MatMul(_) => {
             if input.data.len() != windows * height {
@@ -680,7 +889,7 @@ fn eval_mvm(
                     input.data.len()
                 )));
             }
-            (1, pack_rows(&input.data, windows, height))
+            (1, Unfold::Rows(&input.data))
         }
         _ => unreachable!("eval_mvm called on non-MVM op"),
     };
@@ -690,10 +899,26 @@ fn eval_mvm(
         height,
         width,
         groups,
-        panels: &panels,
-        weights,
+        input: unfold,
+        seed,
+        tiling,
+        weights: WeightMatrix {
+            height,
+            columns: 0..0,
+            cols: Vec::new(),
+        },
+        fresh: false,
+        panels: Vec::new(),
+        panel_windows: 0..0,
     };
     let mut out = backend.mvm(&mut job)?;
+    drop(job);
+    // A node without a bias adds zeros, which turn every -0.0 into +0.0.
+    let bias = if node.op.has_bias().unwrap_or(false) {
+        synth_bias(seed, &node.name, width)
+    } else {
+        vec![0.0; width]
+    };
     for (row, b) in out.chunks_exact_mut(windows.max(1)).zip(&bias) {
         for v in row {
             *v += b;
@@ -711,11 +936,13 @@ fn eval_mvm(
     Ok(Tensor::new(out_dims, out))
 }
 
-/// Unfolds the CHW `input` (`ih × iw` per channel) of convolution
-/// `conv` with an `oh × ow` output into the kernel's panels,
-/// `[group][window-block][k][NR]`: row `k = (channel, ky, kx)` of window
+/// Unfolds windows `windows` (which start at a multiple of `NR`) of the
+/// CHW `input` (`ih × iw` per channel) of convolution `conv` with an
+/// `oh × ow` output into the kernel's panels, `[group][window-block][k][NR]`
+/// over those windows' blocks: the first `groups · blocks · height · NR`
+/// elements of `panels`. Row `k = (channel, ky, kx)` of window
 /// `(oy, ox)` holds `input[channel][oy·sy + ky − py][ox·sx + kx − px]`,
-/// or stays 0 where that lies in the padding.
+/// or 0 where that lies in the padding.
 ///
 /// It fills one panel row at a time. Per `kx` the in-bounds `ox` are
 /// one range, so an output row's share of a panel row is one strided
@@ -725,12 +952,20 @@ fn im2col(
     input: &[f32],
     (ih, iw): (usize, usize),
     (oh, ow): (usize, usize),
-) -> Vec<f32> {
+    windows: Range<usize>,
+    panels: &mut [f32],
+) {
     let ((kh, kw), (sy, sx), (py, px)) = (conv.kernel, conv.stride, conv.padding);
     let cpg = conv.in_channels / conv.groups;
     let height = conv.weight_matrix_height();
-    let group_len = (oh * ow).div_ceil(NR) * height * NR;
-    let mut panels = vec![0.0f32; conv.groups * group_len];
+    let group_len = windows.len().div_ceil(NR) * height * NR;
+    let panels = &mut panels[..conv.groups * group_len];
+    panels.fill(0.0);
+    if windows.is_empty() {
+        return;
+    }
+    // The output rows the windows touch.
+    let rows = windows.start / ow..windows.end.div_ceil(ow).min(oh);
     for (g, group) in panels.chunks_exact_mut(group_len.max(1)).enumerate() {
         for cl in 0..cpg {
             let plane = &input[(g * cpg + cl) * ih * iw..][..ih * iw];
@@ -740,17 +975,20 @@ fn im2col(
                     // `0 <= ox·sx + kx − px < iw` for `ox` in `lo..hi`.
                     let lo = px.saturating_sub(kx).div_ceil(sx);
                     let hi = (iw + px).saturating_sub(kx).div_ceil(sx).min(ow);
-                    for oy in 0..oh {
+                    for oy in rows.clone() {
                         // A row in the top padding wraps past `ih`.
                         let y = (oy * sy + ky).wrapping_sub(py);
                         if y >= ih {
                             continue;
                         }
                         let src = &plane[y * iw..(y + 1) * iw];
-                        let mut ox = lo;
-                        while ox < hi {
-                            let w = oy * ow + ox;
-                            let n = (hi - ox).min(NR - w % NR);
+                        // The row's windows inside the tile, as `ox`.
+                        let row = oy * ow;
+                        let mut ox = lo.max(windows.start.saturating_sub(row));
+                        let end = hi.min(windows.end - row);
+                        while ox < end {
+                            let w = row + ox - windows.start;
+                            let n = (end - ox).min(NR - w % NR);
                             let dst = &mut group[(w / NR * height + r) * NR + w % NR..][..n];
                             let x = ox * sx + kx - px;
                             if sx == 1 {
@@ -767,7 +1005,6 @@ fn im2col(
             }
         }
     }
-    panels
 }
 
 /// GELU, tanh approximation (the form PIM VFU libraries implement).
@@ -829,8 +1066,17 @@ mod tests {
             assert_eq!(bits(&synth::values(seed, tag, len, scale)), bits(&scalar));
             for tier in Tier::available() {
                 let mut out = vec![f32::NAN; len];
-                synth_fill(tier, seed, tag, scale, &mut out);
+                synth_fill(tier, seed, tag, scale, 0, &mut out);
                 assert_eq!(bits(&out), bits(&scalar), "{tier:?}: {tag} x {len}");
+                // A tile from index `start` on: the same elements.
+                let start = len / 3;
+                let mut tile = vec![f32::NAN; len - start];
+                synth_fill(tier, seed, tag, scale, start, &mut tile);
+                assert_eq!(
+                    bits(&tile),
+                    bits(&scalar[start..]),
+                    "{tier:?}: {tag} from {start}"
+                );
             }
         }
     }
@@ -868,21 +1114,24 @@ mod tests {
                     }
                 }
             }
-            panels.extend(pack_rows(&rows, oh * ow, height));
+            let start = panels.len();
+            panels.resize(start + (oh * ow).div_ceil(NR) * height * NR, f32::NAN);
+            pack_rows(&rows, oh * ow, height, &mut panels[start..]);
         }
         panels
     }
 
     #[test]
-    fn im2col_matches_a_per_element_unfold() {
+    fn im2col_matches_a_per_element_unfold_tile_by_tile() {
         for stride in [1, 2] {
             for padding in [0, 1, 3] {
                 for kernel in [1, 3, 7] {
                     for groups in [1, 2] {
-                        // Output widths 7, 14 and 33 make runs that end
-                        // mid-block and cross block boundaries; 3 × 7 is
-                        // a layer of fewer than 32 windows.
-                        for (oh, ow) in [(3, 7), (2, 14), (3, 33), (1, 33)] {
+                        // Output widths 7, 11, 14 and 33 make runs that
+                        // end mid-block and cross block boundaries, and
+                        // put block boundaries mid output row; 3 × 7 and
+                        // 2 × 14 are layers of fewer than 32 windows.
+                        for (oh, ow) in [(3, 7), (2, 14), (3, 33), (1, 33), (12, 11)] {
                             // The input extent that gives `o` outputs, or
                             // one pixel where the padding alone covers
                             // the kernel (its output is then taller).
@@ -905,12 +1154,29 @@ mod tests {
                             };
                             let input: Vec<f32> =
                                 (0..2 * groups * ih * iw).map(|i| i as f32 + 1.0).collect();
-                            assert_eq!(
-                                im2col(&conv, &input, (ih, iw), (oh, ow)),
-                                naive_im2col(&conv, &input, ih, iw, oh, ow),
-                                "stride {stride} padding {padding} kernel {kernel} groups {groups} \
-                                 input {ih}x{iw} output {oh}x{ow}"
+                            let what = format!(
+                                "stride {stride} padding {padding} kernel {kernel} \
+                                 groups {groups} input {ih}x{iw} output {oh}x{ow}"
                             );
+                            let windows = oh * ow;
+                            let whole = naive_im2col(&conv, &input, ih, iw, oh, ow);
+                            // Every tile length in blocks, from one block
+                            // to all of them, through one reused buffer.
+                            let mut panels = vec![f32::NAN; whole.len()];
+                            let blocks = windows.div_ceil(NR);
+                            let group_len = whole.len() / groups;
+                            for step in 1..=blocks {
+                                let mut tiled = vec![Vec::new(); groups];
+                                for b in (0..blocks).step_by(step) {
+                                    let tile = b * NR..windows.min((b + step) * NR);
+                                    im2col(&conv, &input, (ih, iw), (oh, ow), tile, &mut panels);
+                                    let len = (step.min(blocks - b)) * group_len / blocks;
+                                    for (g, t) in tiled.iter_mut().enumerate() {
+                                        t.extend_from_slice(&panels[g * len..(g + 1) * len]);
+                                    }
+                                }
+                                assert_eq!(tiled.concat(), whole, "{what}, tiles of {step} blocks");
+                            }
                         }
                     }
                 }

@@ -70,28 +70,32 @@ impl Tier {
 
 /// Packs row-major `[windows × height]` input rows into the kernel's
 /// `[window-block][k][NR]` panels (`NR` = 32 windows a block), so one
-/// `k` step of a tile is one contiguous load. The last block is
-/// zero-padded.
-pub fn pack_rows(rows: &[f32], windows: usize, height: usize) -> Vec<f32> {
-    let mut panels = vec![0.0f32; windows.div_ceil(NR) * height * NR];
+/// `k` step of a tile is one contiguous load: the first
+/// `windows.div_ceil(NR) * height * NR` elements of `panels`, the last
+/// block zero-padded.
+pub fn pack_rows(rows: &[f32], windows: usize, height: usize, panels: &mut [f32]) {
+    let panels = &mut panels[..windows.div_ceil(NR) * height * NR];
+    panels.fill(0.0);
     for (w, row) in rows.chunks_exact(height.max(1)).take(windows).enumerate() {
         let lane = w / NR * height * NR + w % NR;
         for (k, &v) in row.iter().enumerate() {
             panels[lane + k * NR] = v;
         }
     }
-    panels
 }
 
-/// `out[c][w] (= | +=) Σ_{k ∈ k} panels[w][k] · weights[c][k]` for every
-/// column `c` in `cols` and every window, run on `tier` (or the widest
-/// narrower tier the CPU has).
+/// `out[c·stride + offset + w] (= | +=) Σ_{k ∈ k} panels[w][k] ·
+/// weights[c][k]` for every column `c` in `cols` and every window `w`
+/// in `0..windows`, run on `tier` (or the widest narrower tier the CPU
+/// has).
 ///
 /// `panels` is one [`pack_rows`]-layout panel set over the height of
-/// `weights`, and `out` is `[column][window]` with `windows` cells per
-/// column (only the rows of `cols` are touched). Each cell's sum starts
-/// at `0.0` and ascends through `k`; `accumulate` adds that sum to
-/// `out` instead of storing it.
+/// `weights`, `cols` lies in `weights.columns`, and `out` is
+/// `[column][window]` with `stride` cells per column, of which the
+/// panels' windows start at `offset` (only their cells in the rows of
+/// `cols` are touched). Each cell's sum starts at `0.0` and ascends
+/// through `k`; `accumulate` adds that sum to `out` instead of storing
+/// it.
 #[allow(unsafe_code)]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm(
@@ -102,25 +106,28 @@ pub(crate) fn gemm(
     windows: usize,
     k: Range<usize>,
     out: &mut [f32],
+    (offset, stride): (usize, usize),
     accumulate: bool,
 ) {
+    let at = (offset, stride);
     #[cfg(target_arch = "x86_64")]
     if tier == Tier::Avx512 && std::is_x86_feature_detected!("avx512f") {
         // SAFETY: the running CPU supports AVX-512F, checked on the line above.
-        return unsafe { gemm_avx512(weights, cols, panels, windows, k, out, accumulate) };
+        return unsafe { gemm_avx512(weights, cols, panels, windows, k, out, at, accumulate) };
     }
     #[cfg(target_arch = "x86_64")]
     if tier >= Tier::Avx2 && std::is_x86_feature_detected!("avx2") {
         // SAFETY: the running CPU supports AVX2, checked on the line above.
-        return unsafe { gemm_avx2(weights, cols, panels, windows, k, out, accumulate) };
+        return unsafe { gemm_avx2(weights, cols, panels, windows, k, out, at, accumulate) };
     }
-    gemm_body::<1>(weights, cols, panels, windows, k, out, accumulate)
+    gemm_body::<1>(weights, cols, panels, windows, k, out, at, accumulate)
 }
 
 /// [`gemm_body`] with AVX-512F enabled, four columns a tile: call it
 /// only on a CPU that has AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
 fn gemm_avx512(
     weights: &WeightMatrix,
     cols: Range<usize>,
@@ -128,15 +135,17 @@ fn gemm_avx512(
     windows: usize,
     k: Range<usize>,
     out: &mut [f32],
+    at: (usize, usize),
     accumulate: bool,
 ) {
-    gemm_body::<4>(weights, cols, panels, windows, k, out, accumulate)
+    gemm_body::<4>(weights, cols, panels, windows, k, out, at, accumulate)
 }
 
 /// [`gemm_body`] with AVX2 enabled, two columns a tile: call it only on
 /// a CPU that has AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
 fn gemm_avx2(
     weights: &WeightMatrix,
     cols: Range<usize>,
@@ -144,9 +153,10 @@ fn gemm_avx2(
     windows: usize,
     k: Range<usize>,
     out: &mut [f32],
+    at: (usize, usize),
     accumulate: bool,
 ) {
-    gemm_body::<2>(weights, cols, panels, windows, k, out, accumulate)
+    gemm_body::<2>(weights, cols, panels, windows, k, out, at, accumulate)
 }
 
 /// The pattern of one step of [`tile!`]'s zip, `((xk, &a), &b)…`.
@@ -175,6 +185,7 @@ macro_rules! tile {
 /// The kernel itself at `MR` columns a tile, inlined into each of its
 /// callers so that it is compiled at each caller's target features.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn gemm_body<const MR: usize>(
     weights: &WeightMatrix,
     cols: Range<usize>,
@@ -182,6 +193,7 @@ fn gemm_body<const MR: usize>(
     windows: usize,
     k: Range<usize>,
     out: &mut [f32],
+    (offset, stride): (usize, usize),
     accumulate: bool,
 ) {
     const { assert!(MR == 1 || MR == 2 || MR == 4) };
@@ -196,7 +208,7 @@ fn gemm_body<const MR: usize>(
             // A ragged last tile recomputes the last column in its
             // spare rows; only `cols.end - c` rows are stored.
             let col = |i: usize| {
-                let c = (c + i).min(last);
+                let c = (c + i).min(last) - weights.columns.start;
                 &weights.cols[c * height + k.start..c * height + k.end]
             };
             // Steps are `[f32; NR]` arrays, so both tile extents are
@@ -209,7 +221,8 @@ fn gemm_body<const MR: usize>(
                 _ => tile!(acc, steps; a = col(0), b = col(1), cc = col(2), d = col(3)),
             }
             for (i, tile) in acc.iter().enumerate().take(cols.end - c) {
-                let row = &mut out[(c + i) * windows + w0..(c + i + 1) * windows];
+                let row = (c + i) * stride + offset;
+                let row = &mut out[row + w0..row + windows];
                 for (o, a) in row.iter_mut().zip(tile) {
                     *o = if accumulate { *o + a } else { *a };
                 }
@@ -250,7 +263,9 @@ mod tests {
         let mut state = 7u64;
         // Windows ragged against NR (1 for Linear, 31, 33, 65), widths
         // ragged against every tier's MR, heights below a crossbar
-        // slice, and empty / partial / full k ranges.
+        // slice, and empty / partial / full k ranges; each against a
+        // tile whose columns start at 0 or 3, written into output rows
+        // of exactly its windows or into rows with cells on both sides.
         for (windows, height, width) in [
             (1, 5, 1),
             (1, 300, 7),
@@ -261,44 +276,53 @@ mod tests {
             (65, 40, 3),
         ] {
             let rows = values(windows * height, &mut state);
-            let weights = WeightMatrix {
-                height,
-                width,
-                cols: values(width * height, &mut state),
-            };
-            let panels = pack_rows(&rows, windows, height);
-            for (cols, k) in [
-                (0..width, 0..height),
-                (0..width, height / 2..height / 2),
-                (width / 2..width, 1.min(height)..height),
-                (0..width.min(3), 0..height.min(128)),
-                (1.min(width)..width, height / 3..height - height / 4),
-            ] {
-                let seed = values(width * windows, &mut state);
-                for &tier in &tiers {
-                    for accumulate in [false, true] {
-                        let mut out = seed.clone();
-                        let (c2, k2) = (cols.clone(), k.clone());
-                        gemm(
-                            tier, &weights, c2, &panels, windows, k2, &mut out, accumulate,
-                        );
-                        for c in 0..width {
-                            for w in 0..windows {
-                                let cell = c * windows + w;
-                                let p = dot(
-                                    &rows[w * height..][k.clone()],
-                                    &weights.cols[c * height..][k.clone()],
-                                );
-                                let want = match (cols.contains(&c), accumulate) {
-                                    (false, _) => seed[cell],
-                                    (true, false) => p,
-                                    (true, true) => seed[cell] + p,
+            let mut panels = vec![f32::NAN; windows.div_ceil(NR) * height * NR];
+            pack_rows(&rows, windows, height, &mut panels);
+            for (first, offset, stride) in [(0, 0, windows), (3, 2, windows + 7)] {
+                let weights = WeightMatrix {
+                    height,
+                    columns: first..first + width,
+                    cols: values(width * height, &mut state),
+                };
+                for (cols, k) in [
+                    (0..width, 0..height),
+                    (0..width, height / 2..height / 2),
+                    (width / 2..width, 1.min(height)..height),
+                    (0..width.min(3), 0..height.min(128)),
+                    (1.min(width)..width, height / 3..height - height / 4),
+                ] {
+                    let cols = first + cols.start..first + cols.end;
+                    let seed = values((first + width) * stride, &mut state);
+                    for &tier in &tiers {
+                        for accumulate in [false, true] {
+                            let mut out = seed.clone();
+                            let (c2, k2) = (cols.clone(), k.clone());
+                            let at = (offset, stride);
+                            gemm(
+                                tier, &weights, c2, &panels, windows, k2, &mut out, at, accumulate,
+                            );
+                            for (cell, &was) in seed.iter().enumerate() {
+                                let (c, w) = (cell / stride, (cell % stride).wrapping_sub(offset));
+                                let want = match cols.contains(&c) && w < windows {
+                                    false => was,
+                                    true => {
+                                        let col = (c - first) * height;
+                                        let p = dot(
+                                            &rows[w * height..][k.clone()],
+                                            &weights.cols[col..][k.clone()],
+                                        );
+                                        if accumulate {
+                                            was + p
+                                        } else {
+                                            p
+                                        }
+                                    }
                                 };
                                 assert_eq!(
                                     out[cell].to_bits(),
                                     want.to_bits(),
                                     "{tier:?}: {windows}x{height}x{width} cols {cols:?} k {k:?} \
-                                     cell ({c},{w})"
+                                     at {offset}/{stride} cell ({c},{w})"
                                 );
                             }
                         }
@@ -310,18 +334,40 @@ mod tests {
 
     #[test]
     fn degenerate_extents_do_nothing() {
-        assert!(pack_rows(&[], 0, 5).is_empty());
-        assert!(pack_rows(&[], 3, 0).is_empty());
+        let mut panels = [f32::NAN; 1];
+        pack_rows(&[], 0, 5, &mut panels);
+        pack_rows(&[], 3, 0, &mut panels);
+        assert!(panels[0].is_nan());
         let matrix = |height, width| WeightMatrix {
             height,
-            width,
+            columns: 0..width,
             cols: vec![1.0; height * width],
         };
         for tier in Tier::available() {
             let mut out = [1.0f32; 3];
-            gemm(tier, &matrix(0, 3), 0..3, &[], 1, 0..0, &mut out, true);
+            gemm(
+                tier,
+                &matrix(0, 3),
+                0..3,
+                &[],
+                1,
+                0..0,
+                &mut out,
+                (0, 1),
+                true,
+            );
             assert_eq!(out, [1.0; 3]);
-            gemm(tier, &matrix(0, 3), 0..3, &[], 1, 0..0, &mut out, false);
+            gemm(
+                tier,
+                &matrix(0, 3),
+                0..3,
+                &[],
+                1,
+                0..0,
+                &mut out,
+                (0, 1),
+                false,
+            );
             assert_eq!(out, [0.0; 3]);
             gemm(
                 tier,
@@ -331,6 +377,7 @@ mod tests {
                 1,
                 0..4,
                 &mut out,
+                (0, 1),
                 true,
             );
             assert_eq!(out, [0.0; 3]);

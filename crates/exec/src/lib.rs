@@ -15,9 +15,11 @@
 //!   accumulated per the core mapping.
 //!
 //! Both run the graph with [`run_graph`] and multiply through the one
-//! register-tiled kernel behind [`MvmJob::gemm`] — the reference over
-//! the whole contraction, the mapped executor one crossbar-height slice
-//! at a time; [`verify_model`] differentially compares them. Inputs,
+//! register-tiled kernel behind [`MvmTile::gemm`], one tile pair of a
+//! node at a time (a column tile of its weights against a window tile
+//! of its unfolded input) — the reference over the whole contraction,
+//! the mapped executor one crossbar-height slice at a time;
+//! [`verify_model`] differentially compares them. Inputs,
 //! weights and biases are synthesized deterministically from a seed
 //! ([`pimcomp_ir::synth`]), so a `(graph, seed)` pair fully determines
 //! every tensor — goldens are reproducible bytes.
@@ -52,7 +54,7 @@ mod mapped;
 mod reference;
 mod tensor;
 
-pub use engine::{run_graph, synth_input, MvmBackend, MvmJob, WeightMatrix};
+pub use engine::{run_graph, synth_input, MvmBackend, MvmJob, MvmTile, WeightMatrix};
 pub use error::ExecError;
 pub use gemm::pack_rows;
 pub use mapped::{slice_cells, MappedBackend};
@@ -209,6 +211,75 @@ pub fn top1(v: &[f32]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use engine::{run_tiled, Tiling};
+    use pimcomp_arch::{HardwareConfig, PipelineMode};
+    use pimcomp_core::{CompileOptions, CompileSession, GaParams};
+    use pimcomp_ir::{Conv2d, GraphBuilder, Op};
+
+    /// tiny_cnn, and a grouped convolution (2 groups of 288 rows, five
+    /// 64-row slices each, over 144 windows: four blocks and a ragged
+    /// one), compiled for the small test target.
+    fn models() -> Vec<CompiledModel> {
+        let mut b = GraphBuilder::new("grouped");
+        let x = b.input("input", [64, 12, 12]);
+        let conv = Conv2d {
+            in_channels: 64,
+            out_channels: 8,
+            kernel: (3, 3),
+            stride: (1, 1),
+            padding: (1, 1),
+            groups: 2,
+            bias: true,
+        };
+        b.add("conv", Op::Conv2d(conv), vec![x]).unwrap();
+        [pimcomp_ir::models::tiny_cnn(), b.finish().unwrap()]
+            .iter()
+            .map(|graph| {
+                let opts =
+                    CompileOptions::new(PipelineMode::HighThroughput).with_ga(GaParams::fast(3));
+                CompileSession::new(HardwareConfig::small_test(), graph, opts)
+                    .and_then(CompileSession::run)
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    /// Tiles change only the order in which output cells are visited:
+    /// one column and one block a tile, the executor's tiles and one tile
+    /// a node compute the same bits, in both backends, unquantized and at
+    /// 8 bits (whose weight scale then comes from a pre-pass over the
+    /// node's tiles).
+    #[test]
+    fn every_tiling_computes_the_same_bits() {
+        let bits = |outputs: Vec<(String, Tensor)>| -> Vec<(String, Vec<u32>)> {
+            outputs
+                .into_iter()
+                .map(|(name, t)| (name, t.data.iter().map(|v| v.to_bits()).collect()))
+                .collect()
+        };
+        for model in models() {
+            let q8 = QuantConfig::for_hardware(&model.hw, 8).unwrap();
+            for seed in [1, 9] {
+                let run = |tiling, backend: &mut dyn MvmBackend| {
+                    bits(run_tiled(&model.graph, seed, tiling, backend).unwrap())
+                };
+                let what = format!("{} seed {seed}", model.graph.name());
+                let whole = run(Tiling::WHOLE, &mut ReferenceBackend);
+                for tiling in [Tiling::SMALLEST, Tiling::L2] {
+                    let tiled = run(tiling, &mut ReferenceBackend);
+                    assert!(tiled == whole, "{what}: reference, {tiling:?}");
+                }
+                for quant in [None, Some(q8)] {
+                    let mapped = || MappedBackend::new(&model, quant).unwrap();
+                    let whole = run(Tiling::WHOLE, &mut mapped());
+                    for tiling in [Tiling::SMALLEST, Tiling::L2] {
+                        let tiled = run(tiling, &mut mapped());
+                        assert!(tiled == whole, "{what}: mapped {quant:?}, {tiling:?}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn rmse_basics() {

@@ -6,18 +6,19 @@
 //! Groups (crossbar-height row slices), each AG's columns living on
 //! physical crossbars; replicas hold the same weights and share the
 //! windows, so they compute nothing different. Every `(column group,
-//! slice)` is one call into the kernel ([`MvmJob::gemm`]) over that
-//! slice's row range, and a window's output element is the sum of its
-//! per-slice partial sums, accumulated in ascending slice order at the
-//! replica's owner core — so a wrong row range or column offset shows
-//! as a wrong tensor a differential test catches. The model is trusted:
+//! slice)` is one call into the kernel ([`MvmTile::gemm`]) per tile
+//! pair over that slice's row range, and a window's output element is
+//! the sum of its per-slice partial sums, accumulated in ascending
+//! slice order at the replica's owner core — so a wrong row range or
+//! column offset shows as a wrong tensor a differential test catches. The model is trusted:
 //! only [`Scheduled::finish`](pimcomp_core::Scheduled::finish) builds
 //! one, and a loaded artifact is checked where it enters
 //! ([`CompiledArtifact::from_json`](pimcomp_core::CompiledArtifact::from_json)).
 //!
 //! With a [`QuantConfig`], the executor additionally models the analog
 //! datapath: weights are rounded to `weight_bits`-bit integers under a
-//! per-node symmetric scale (their base-`2^cell_bits` bit-slice
+//! per-node symmetric scale, taken over every weight tile of the node
+//! before the first is rounded (their base-`2^cell_bits` bit-slice
 //! decomposition is value-exact, see [`slice_cells`]), and every
 //! per-crossbar column sum passes through an ADC that rounds and clips
 //! to a `2^adc_bits`-level grid over a per-node calibrated full scale
@@ -26,7 +27,7 @@
 //! per-partial error — and with it the single-layer output RMSE — is
 //! monotone non-increasing in ADC resolution.
 
-use crate::engine::{MvmBackend, MvmJob};
+use crate::engine::{MvmBackend, MvmJob, MvmTile};
 use crate::error::ExecError;
 use crate::gemm::Tier;
 use pimcomp_arch::QuantConfig;
@@ -80,25 +81,30 @@ impl<'a> MappedBackend<'a> {
         Ok(indices)
     }
 
-    /// Runs the layout: one kernel call per `(column group, slice)`
-    /// over that slice's rows. Each call either adds its partial sums
-    /// into the one `[width × windows]` tile `out` is, or — with
-    /// `store_slices` — stores them into tile `s` of the
-    /// `[slice][width × windows]` tiles `out` then holds.
-    fn replay(&self, job: &MvmJob, indices: &[usize], out: &mut [f32], store_slices: bool) {
+    /// Runs the layout over one tile pair: one kernel call per
+    /// `(column group, slice)` over the group's columns in the weight
+    /// tile and the slice's rows. Each call either adds its partial sums
+    /// into the one `[width × windows]` output `out` is, or — with
+    /// `store_slices` — stores them into output `s` of the
+    /// `[slice][width × windows]` outputs `out` then holds.
+    fn replay(&self, tile: &MvmTile, indices: &[usize], out: &mut [f32], store_slices: bool) {
         let entries = self.model.partitioning.entries();
         let hx = self.model.hw.crossbar_rows;
-        let cells = job.width * job.windows;
+        let cells = tile.width * tile.stride;
+        let columns = &tile.weights.columns;
         let mut col_base = 0usize;
         for &idx in indices {
             let e = &entries[idx];
-            let cols = col_base..col_base + e.weight_width;
+            let cols = col_base.max(columns.start)..columns.end.min(col_base + e.weight_width);
+            col_base += e.weight_width;
+            if cols.is_empty() {
+                continue;
+            }
             for s in 0..e.ags_per_replica {
                 let k = s * hx..s * hx + slice_rows(e.weight_height, hx, s);
-                let tile = if store_slices { s * cells } else { 0 };
-                job.gemm(cols.clone(), k, &mut out[tile..tile + cells], !store_slices);
+                let at = if store_slices { s * cells } else { 0 };
+                tile.gemm(cols.clone(), k, &mut out[at..at + cells], !store_slices);
             }
-            col_base += e.weight_width;
         }
     }
 }
@@ -106,26 +112,46 @@ impl<'a> MappedBackend<'a> {
 impl MvmBackend for MappedBackend<'_> {
     fn mvm(&mut self, job: &mut MvmJob) -> Result<Vec<f32>, ExecError> {
         let indices = self.node_entries(job)?;
-        let mut out = vec![0.0f32; job.width * job.windows];
+        let cells = job.width * job.windows;
         let tier = Tier::widest();
-        if let Some(q) = &self.quant {
-            quantize_weights(tier, &mut job.weights.cols, q.weight_qmax() as f32);
-        }
+        // One scale for the whole node, so it is taken before the first
+        // tile is rounded.
+        let quantize = self
+            .quant
+            .map(|q| (job.max_abs_weight(), q.weight_qmax() as f32));
+        let rewrite = |cols: &mut [f32]| {
+            if let Some((max_abs, qmax)) = quantize {
+                quantize_weights(tier, cols, max_abs, qmax);
+            }
+        };
         match self.quant.filter(|q| !q.is_ideal_adc()) {
             // Unquantized, or an ideal converter: weight quantization
             // is then the only accuracy effect — the ADC-monotonicity
             // baseline.
-            None => self.replay(job, &indices, &mut out, false),
+            None => {
+                let mut out = vec![0.0f32; cells];
+                job.for_each_tile(rewrite, |tile| self.replay(tile, &indices, &mut out, false));
+                Ok(out)
+            }
             Some(q) => {
                 // Every per-crossbar partial is computed once and
-                // stored, then converted and summed.
+                // stored, then converted and summed in place into slice
+                // 0's output, which is the node's.
                 let slices = job.height.div_ceil(self.model.hw.crossbar_rows);
-                let mut partials = vec![0.0f32; slices * out.len()];
-                self.replay(job, &indices, &mut partials, true);
-                adc_accumulate(tier, &partials, &mut out, q.adc_half_levels());
+                let mut partials = vec![0.0f32; slices.max(1) * cells];
+                job.for_each_tile(rewrite, |tile| {
+                    self.replay(tile, &indices, &mut partials, true)
+                });
+                adc_accumulate(tier, &mut partials, cells, q.adc_half_levels());
+                // Truncated, not shrunk: a shrink would hand back the
+                // tail in place, so no block this large would ever be
+                // freed, and glibc's malloc would map fresh,
+                // page-faulting memory for every node's partials (about
+                // 16 k faults a resnet18 run) instead of reusing it.
+                partials.truncate(cells);
+                Ok(partials)
             }
         }
-        Ok(out)
     }
 }
 
@@ -135,33 +161,33 @@ impl MvmBackend for MappedBackend<'_> {
 // Under AVX2, `f32::round` is inline vector code instead of a `roundf`
 // call per element, with the same round-half-away-from-zero result.
 
-/// Rounds the column-major weights `cols` in place to signed integers
-/// in `[-qmax, qmax]` under a symmetric per-matrix scale, leaving the
+/// Rounds the column-major weights `cols` (a tile of a matrix whose
+/// largest magnitude is `max_abs`) in place to signed integers in
+/// `[-qmax, qmax]` under the matrix's symmetric scale, leaving the
 /// dequantized values. The physical bit-slice storage
 /// (base-`2^cell_bits` cells) reconstructs these values exactly, so
 /// computing with the dequantized matrix is the cell-accurate result —
 /// see [`slice_cells`].
 #[allow(unsafe_code)]
-fn quantize_weights(tier: Tier, cols: &mut [f32], qmax: f32) {
+fn quantize_weights(tier: Tier, cols: &mut [f32], max_abs: f32, qmax: f32) {
     #[cfg(target_arch = "x86_64")]
     if tier >= Tier::Avx2 && std::is_x86_feature_detected!("avx2") {
         // SAFETY: the running CPU supports AVX2, checked on the line above.
-        return unsafe { quantize_weights_avx2(cols, qmax) };
+        return unsafe { quantize_weights_avx2(cols, max_abs, qmax) };
     }
-    quantize_weights_body(cols, qmax)
+    quantize_weights_body(cols, max_abs, qmax)
 }
 
 /// [`quantize_weights_body`] compiled with AVX2 enabled: call it only on
 /// a CPU that has AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn quantize_weights_avx2(cols: &mut [f32], qmax: f32) {
-    quantize_weights_body(cols, qmax)
+fn quantize_weights_avx2(cols: &mut [f32], max_abs: f32, qmax: f32) {
+    quantize_weights_body(cols, max_abs, qmax)
 }
 
 #[inline(always)]
-fn quantize_weights_body(cols: &mut [f32], qmax: f32) {
-    let max_abs = cols.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+fn quantize_weights_body(cols: &mut [f32], max_abs: f32, qmax: f32) {
     if max_abs == 0.0 {
         return;
     }
@@ -171,34 +197,41 @@ fn quantize_weights_body(cols: &mut [f32], qmax: f32) {
     }
 }
 
-/// Passes the stored per-crossbar partials, `[slice][out.len()]`,
-/// through the ADC and adds them into `out` in ascending slice order.
-/// The full scale is the largest partial magnitude of the node — a
-/// function of the quantized weights and the input only, NOT of
-/// `adc_bits`, so grids of different resolutions nest.
+/// Passes the stored per-crossbar partials, `[slice][cells]` (at least
+/// one slice), through the ADC and sums them in ascending slice order
+/// into slice 0's cells, in place. The full scale is the largest partial
+/// magnitude of the node — a function of the quantized weights and the
+/// input only, NOT of `adc_bits`, so grids of different resolutions
+/// nest.
 #[allow(unsafe_code)]
-fn adc_accumulate(tier: Tier, partials: &[f32], out: &mut [f32], half_levels: i64) {
+fn adc_accumulate(tier: Tier, partials: &mut [f32], cells: usize, half_levels: i64) {
     #[cfg(target_arch = "x86_64")]
     if tier >= Tier::Avx2 && std::is_x86_feature_detected!("avx2") {
         // SAFETY: the running CPU supports AVX2, checked on the line above.
-        return unsafe { adc_accumulate_avx2(partials, out, half_levels) };
+        return unsafe { adc_accumulate_avx2(partials, cells, half_levels) };
     }
-    adc_accumulate_body(partials, out, half_levels)
+    adc_accumulate_body(partials, cells, half_levels)
 }
 
 /// [`adc_accumulate_body`] compiled with AVX2 enabled: call it only on a
 /// CPU that has AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn adc_accumulate_avx2(partials: &[f32], out: &mut [f32], half_levels: i64) {
-    adc_accumulate_body(partials, out, half_levels)
+fn adc_accumulate_avx2(partials: &mut [f32], cells: usize, half_levels: i64) {
+    adc_accumulate_body(partials, cells, half_levels)
 }
 
 #[inline(always)]
-fn adc_accumulate_body(partials: &[f32], out: &mut [f32], half_levels: i64) {
+fn adc_accumulate_body(partials: &mut [f32], cells: usize, half_levels: i64) {
     let full_scale = partials.iter().fold(0.0f32, |m, p| m.max(p.abs()));
-    for tile in partials.chunks_exact(out.len().max(1)) {
-        for (o, &p) in out.iter_mut().zip(tile) {
+    let (sum, rest) = partials.split_at_mut(cells);
+    // `0.0 +`: the sum starts from +0.0 as a zeroed output would, so a
+    // -0.0 conversion sums to +0.0.
+    for o in sum.iter_mut() {
+        *o = 0.0 + adc_quantize(*o, full_scale, half_levels);
+    }
+    for tile in rest.chunks_exact(cells.max(1)) {
+        for (o, &p) in sum.iter_mut().zip(tile) {
             *o += adc_quantize(p, full_scale, half_levels);
         }
     }
@@ -304,6 +337,7 @@ mod tests {
             pattern.iter().copied().cycle().take(n).collect()
         };
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let max_abs = |v: &[f32]| v.iter().fold(0.0f32, |m, w| m.max(w.abs()));
 
         // A max |w| of qmax makes the scale 1, so `k + 0.5` are exact
         // ties, which round away from zero.
@@ -315,15 +349,21 @@ mod tests {
             (cycle(&[0.0, -0.0], 37), 127.0), // an all-zero matrix stays as it is
         ] {
             let mut portable = cols.clone();
-            quantize_weights_body(&mut portable, qmax);
+            quantize_weights_body(&mut portable, max_abs(&cols), qmax);
             for &tier in &tiers {
                 let mut dispatched = cols.clone();
-                quantize_weights(tier, &mut dispatched, qmax);
+                quantize_weights(tier, &mut dispatched, max_abs(&cols), qmax);
                 assert_eq!(bits(&portable), bits(&dispatched), "{tier:?}: {cols:?}");
+                // Tile by tile under the matrix's scale: the same bits.
+                let mut tiled = cols.clone();
+                for tile in tiled.chunks_mut(10) {
+                    quantize_weights(tier, tile, max_abs(&cols), qmax);
+                }
+                assert_eq!(bits(&portable), bits(&tiled), "{tier:?} tiled: {cols:?}");
             }
         }
         let mut rounded = signed.clone();
-        quantize_weights(Tier::widest(), &mut rounded, 127.0);
+        quantize_weights(Tier::widest(), &mut rounded, 127.0, 127.0);
         assert_eq!(rounded[..4], [-6.0, -5.0, -4.0, -3.0]);
         assert_eq!(rounded[8..12], [3.0, 4.0, 5.0, 6.0]);
         assert_eq!(rounded[15].to_bits(), (-0.0f32).to_bits());
@@ -337,18 +377,32 @@ mod tests {
         let adc = [&adc_ties[..], &[4.0, -4.0, 0.0, -0.0, 3.99, -3.99]].concat();
         let ulp = f32::from_bits(1);
         let tiny = [3.0 * ulp, -2.0 * ulp, ulp, -3.0 * ulp];
-        for (partials, half) in [
-            (cycle(&adc, 2 * 67), 128),
-            (cycle(&adc, 2 * 67), 1),
-            (cycle(&[0.0, -0.0, -0.0], 2 * 19), 128), // full scale 0
-            (cycle(&tiny, 2 * 19), 128),
+        for (partials, cells, half) in [
+            (cycle(&adc, 2 * 67), 67, 128),
+            (cycle(&adc, 3 * 67), 67, 1),
+            (cycle(&[0.0, -0.0, -0.0], 2 * 19), 19, 128), // full scale 0
+            (cycle(&tiny, 2 * 19), 19, 128),
+            (cycle(&adc, 23), 23, 128), // one slice
         ] {
-            let seed = cycle(&[1.5, -0.0, 0.0, -2.25, 0.1], partials.len() / 2);
-            let mut portable = seed.clone();
-            adc_accumulate_body(&partials, &mut portable, half);
+            // What the conversion replaces: the slices converted and
+            // added in ascending order into a zeroed output.
+            let full_scale = max_abs(&partials);
+            let mut zeroed = vec![0.0f32; cells];
+            for tile in partials.chunks_exact(cells) {
+                for (o, &p) in zeroed.iter_mut().zip(tile) {
+                    *o += adc_quantize(p, full_scale, half);
+                }
+            }
+            let mut portable = partials.clone();
+            adc_accumulate_body(&mut portable, cells, half);
+            assert_eq!(
+                bits(&portable[..cells]),
+                bits(&zeroed),
+                "half {half}: {partials:?}"
+            );
             for &tier in &tiers {
-                let mut dispatched = seed.clone();
-                adc_accumulate(tier, &partials, &mut dispatched, half);
+                let mut dispatched = partials.clone();
+                adc_accumulate(tier, &mut dispatched, cells, half);
                 assert_eq!(
                     bits(&portable),
                     bits(&dispatched),
@@ -356,9 +410,10 @@ mod tests {
                 );
             }
         }
-        let mut out = vec![0.0; adc.len()];
-        adc_accumulate(Tier::widest(), &adc, &mut out, 128);
+        let mut out = adc.clone();
+        adc_accumulate(Tier::widest(), &mut out, adc.len(), 128);
         assert_eq!(out[..2], [-9.0 / 32.0, -8.0 / 32.0]);
         assert_eq!(out[16..20], [8.0 / 32.0, 9.0 / 32.0, 127.0 / 32.0, -4.0]);
+        assert_eq!(out[21].to_bits(), 0.0f32.to_bits(), "-0.0 converts to +0.0");
     }
 }

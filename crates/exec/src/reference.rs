@@ -13,7 +13,13 @@ pub struct ReferenceBackend;
 impl MvmBackend for ReferenceBackend {
     fn mvm(&mut self, job: &mut MvmJob) -> Result<Vec<f32>, ExecError> {
         let mut out = vec![0.0f32; job.width * job.windows];
-        job.gemm(0..job.width, 0..job.height, &mut out, false);
+        job.for_each_tile(
+            |_| {},
+            |tile| {
+                let (cols, k) = (tile.weights.columns.clone(), 0..tile.weights.height);
+                tile.gemm(cols, k, &mut out, false)
+            },
+        );
         Ok(out)
     }
 }

@@ -52,11 +52,13 @@ fn unit_hashed(seed: u64, tag: u64, index: usize) -> f32 {
 /// A synthesized tensor of `len` elements in `[-scale, scale)`.
 pub fn values(seed: u64, tag: &str, len: usize, scale: f32) -> Vec<f32> {
     let mut out = vec![0.0; len];
-    fill(seed, tag, scale, &mut out);
+    fill(seed, tag, scale, 0, &mut out);
     out
 }
 
-/// Writes elements `0..out.len()` of the tensor [`values`] synthesizes.
+/// Writes elements `start..start + out.len()` of the tensor [`values`]
+/// synthesizes, so a caller can synthesize one tile of a tensor at a
+/// time.
 ///
 /// The one synthesis loop: integer arithmetic per element and one
 /// exact conversion, with no dependence between elements, so a caller
@@ -64,10 +66,10 @@ pub fn values(seed: u64, tag: &str, len: usize, scale: f32) -> Vec<f32> {
 /// AVX-512 copies) vectorises it to the same bits. `#[inline(always)]`
 /// so that it is compiled at each caller's target features.
 #[inline(always)]
-pub fn fill(seed: u64, tag: &str, scale: f32, out: &mut [f32]) {
+pub fn fill(seed: u64, tag: &str, scale: f32, start: usize, out: &mut [f32]) {
     let h = tag_hash(tag);
     for (i, v) in out.iter_mut().enumerate() {
-        *v = scale * unit_hashed(seed, h, i);
+        *v = scale * unit_hashed(seed, h, start + i);
     }
 }
 
@@ -92,6 +94,9 @@ mod tests {
         let short = values(7, "x", 10, 1.0);
         assert_eq!(&long[..10], &short[..]);
         assert_eq!(long[42], unit(7, "x", 42));
+        let mut tile = [0.0; 7];
+        fill(7, "x", 1.0, 40, &mut tile);
+        assert_eq!(&long[40..47], &tile[..]);
     }
 
     #[test]

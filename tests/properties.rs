@@ -571,23 +571,35 @@ proptest! {
     /// The one GEMM kernel under both backends: for any geometry —
     /// ragged against the tile, a single window (Linear), contractions
     /// shorter than a crossbar slice, grouped columns, empty `k` ranges,
-    /// signed zeros in both operands — every output cell is, by
-    /// `to_bits`, the scalar ascending-index dot product it replaces,
-    /// stored or accumulated.
+    /// signed zeros in both operands, a tile pair of any weight columns
+    /// and any block-aligned windows of a node — every output cell of
+    /// the tile pair is, by `to_bits`, the scalar ascending-index dot
+    /// product it replaces, stored or accumulated, and every other cell
+    /// of the node's output is left as it was.
     #[test]
     fn gemm_kernel_equals_the_scalar_dot_bit_for_bit(
-        windows in 1usize..40,
+        windows in 1usize..80,
         height in 1usize..200,
         per_group in 1usize..12,
         groups in 1usize..4,
         bounds in (0usize..1000, 0usize..1000, 0usize..1000, 0usize..1000),
+        tile in (0usize..1000, 0usize..1000, 0usize..1000, 0usize..1000),
         seed in 0u64..1000,
         accumulate in any::<bool>(),
     ) {
-        use pimcomp_exec::{pack_rows, MvmJob, WeightMatrix};
+        use pimcomp_exec::{pack_rows, MvmTile, WeightMatrix};
         let width = per_group * groups;
+        // The tile pair: weight columns `columns`, windows `tile_windows`
+        // (from a block boundary), and the kernel call's `cols` in
+        // `columns`.
+        let (t0, t1) = (tile.0 % (width + 1), tile.1 % (width + 1));
+        let columns = t0.min(t1)..t0.max(t1);
+        let blocks = windows.div_ceil(32);
+        let (b0, b1) = (tile.2 % blocks, tile.3 % blocks);
+        let tile_windows = b0.min(b1) * 32..windows.min((b0.max(b1) + 1) * 32);
         let (k0, k1) = (bounds.0 % (height + 1), bounds.1 % (height + 1));
-        let (c0, c1) = (bounds.2 % (width + 1), bounds.3 % (width + 1));
+        let span = columns.len() + 1;
+        let (c0, c1) = (columns.start + bounds.2 % span, columns.start + bounds.3 % span);
         let (k, cols) = (k0.min(k1)..k0.max(k1), c0.min(c1)..c0.max(c1));
         let signed_zeros = |mut v: Vec<f32>| {
             for (i, x) in v.iter_mut().enumerate() {
@@ -604,41 +616,45 @@ proptest! {
             .collect();
         let weights = WeightMatrix {
             height,
-            width,
-            cols: signed_zeros(pimcomp_exec::synth_input(seed, "w", width * height)),
+            columns: columns.clone(),
+            cols: signed_zeros(pimcomp_exec::synth_input(seed, "w", columns.len() * height)),
         };
-        let panels: Vec<f32> = rows.iter().flat_map(|r| pack_rows(r, windows, height)).collect();
-        let graph = pimcomp_ir::models::tiny_mlp();
+        let group_len = tile_windows.len().div_ceil(32) * height * 32;
+        let mut panels = vec![f32::NAN; groups * group_len];
+        for (g, r) in rows.iter().enumerate() {
+            let r = &r[tile_windows.start * height..tile_windows.end * height];
+            pack_rows(r, tile_windows.len(), height, &mut panels[g * group_len..]);
+        }
         let before = pimcomp_exec::synth_input(seed, "out", width * windows);
         let mut out = before.clone();
-        let job = MvmJob {
-            node: &graph.nodes()[0],
-            windows,
-            height,
+        let job = MvmTile {
             width,
             groups,
+            stride: windows,
+            windows: tile_windows.clone(),
             panels: &panels,
-            weights,
+            weights: &weights,
         };
         job.gemm(cols.clone(), k.clone(), &mut out, accumulate);
         for c in 0..width {
             for w in 0..windows {
-                let row = &rows[c / per_group][w * height..][k.clone()];
-                let mut dot = 0.0f32;
-                for (x, y) in row.iter().zip(&job.weights.cols[c * height..][k.clone()]) {
-                    dot += x * y;
-                }
                 let cell = c * windows + w;
-                let want = match (cols.contains(&c), accumulate) {
-                    (false, _) => before[cell],
-                    (true, false) => dot,
-                    (true, true) => before[cell] + dot,
+                let want = if cols.contains(&c) && tile_windows.contains(&w) {
+                    let row = &rows[c / per_group][w * height..][k.clone()];
+                    let col = &weights.cols[(c - columns.start) * height..][k.clone()];
+                    let mut dot = 0.0f32;
+                    for (x, y) in row.iter().zip(col) {
+                        dot += x * y;
+                    }
+                    if accumulate { before[cell] + dot } else { dot }
+                } else {
+                    before[cell]
                 };
                 prop_assert_eq!(
                     out[cell].to_bits(),
                     want.to_bits(),
-                    "cell ({}, {}) of {}x{}x{} groups {} cols {:?} k {:?}",
-                    c, w, windows, height, width, groups, cols, k
+                    "cell ({}, {}) of {}x{}x{} groups {} columns {:?} windows {:?} cols {:?} k {:?}",
+                    c, w, windows, height, width, groups, columns, tile_windows, cols, k
                 );
             }
         }
