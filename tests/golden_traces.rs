@@ -461,12 +461,18 @@ fn report_lines(
 /// With `full` off only the small models are checked (debug builds;
 /// the release test job checks the zoo).
 ///
-/// The zoo runs at the default parallelism, then the `sweep_zoo` models
+/// The zoo runs at the default parallelism, then the `spread` models
 /// again at parallelism 1 and 200: at 1 an MVM issue takes the whole
 /// `T_MVM`, so event times run more than 2^14 cycles ahead of the clock
 /// (the event queue's high buckets); at 200 many events share one time
 /// (its current-time ordering).
-fn check_sim_reports(file: &str, mode: PipelineMode, batches: &[usize], full: bool) {
+fn check_sim_reports(
+    file: &str,
+    mode: PipelineMode,
+    batches: &[usize],
+    spread: &[&str],
+    full: bool,
+) {
     let small = HardwareConfig::small_test();
     let mut cases: Vec<(String, pimcomp_ir::Graph, HardwareConfig)> = vec![
         ("tiny_cnn".into(), models::tiny_cnn(), small.clone()),
@@ -481,7 +487,7 @@ fn check_sim_reports(file: &str, mode: PipelineMode, batches: &[usize], full: bo
             let hw = sized_puma(&graph);
             cases.push((name.into(), graph, hw));
         }
-        for name in ["squeezenet", "resnet18", "googlenet"] {
+        for &name in spread {
             for parallelism in [1, 200] {
                 let graph = models::by_name(name).expect("zoo model resolves");
                 let hw = sized_puma(&graph).with_parallelism(parallelism);
@@ -530,11 +536,20 @@ fn ht_sim_reports_match_golden() {
     check_ht_sim_reports(!cfg!(debug_assertions));
 }
 
+/// The `sweep_zoo` models, then the two whose HT runs hold the most
+/// tokens parked on blocked cores.
 fn check_ht_sim_reports(full: bool) {
     check_sim_reports(
         "ht_sim_reports.json",
         PipelineMode::HighThroughput,
         &[1, 2],
+        &[
+            "squeezenet",
+            "resnet18",
+            "googlenet",
+            "vgg16",
+            "inception_v3",
+        ],
         full,
     );
 }
@@ -547,7 +562,13 @@ fn ll_sim_reports_match_golden() {
 }
 
 fn check_ll_sim_reports(full: bool) {
-    check_sim_reports("ll_sim_reports.json", PipelineMode::LowLatency, &[], full);
+    check_sim_reports(
+        "ll_sim_reports.json",
+        PipelineMode::LowLatency,
+        &[],
+        &["squeezenet", "resnet18", "googlenet"],
+        full,
+    );
 }
 
 /// Every zoo mapping whatever the build: CI's `test-release` job asks
