@@ -121,10 +121,8 @@ pub struct MvmJob<'a> {
     input: Unfold<'a>,
     seed: u64,
     tiling: Tiling,
-    /// The weight tile, and whether it still holds its columns as
-    /// synthesized (no backend has rewritten it yet).
+    /// The weight tile.
     weights: WeightMatrix,
-    fresh: bool,
     /// The panel tile, and the windows it holds.
     panels: Vec<f32>,
     panel_windows: Range<usize>,
@@ -137,13 +135,8 @@ impl MvmJob<'_> {
     /// through deep networks.
     fn synthesize(&mut self, columns: Range<usize>) {
         let height = self.height;
-        let scale = 1.0 / (height.max(1) as f32).sqrt();
-        let tag = format!("{}/w", self.node.name);
+        let (tag, scale) = self.weight_tensor();
         let len = columns.len() * height;
-        // Exactly: the pre-pass grows the buffer from the smaller last
-        // tile, which an amortized growth would double.
-        let grow = len.saturating_sub(self.weights.cols.len());
-        self.weights.cols.reserve_exact(grow);
         self.weights.cols.resize(len, 0.0);
         let start = columns.start * height;
         synth_fill(
@@ -155,7 +148,12 @@ impl MvmJob<'_> {
             &mut self.weights.cols,
         );
         self.weights.columns = columns;
-        self.fresh = true;
+    }
+
+    /// The synthesis tag and scale of the node's weights.
+    fn weight_tensor(&self) -> (String, f32) {
+        let scale = 1.0 / (self.height.max(1) as f32).sqrt();
+        (format!("{}/w", self.node.name), scale)
     }
 
     /// Unfolds the input of `windows` into the panel tile.
@@ -187,20 +185,17 @@ impl MvmJob<'_> {
         self.panel_windows = windows;
     }
 
-    /// The largest weight magnitude of the node, from a pre-pass that
-    /// synthesizes every weight tile. It runs backwards and leaves the
-    /// first tile as synthesized for the tile loop, so a node of one
-    /// tile is synthesized once.
-    pub(crate) fn max_abs_weight(&mut self) -> f32 {
-        // The bits of a magnitude order as its value does, so they fold
-        // with an integer maximum, which vectorises.
-        let mut max_abs = 0u32;
-        for columns in self.tiling.columns(self.height, self.width).rev() {
-            self.synthesize(columns);
-            let magnitudes = self.weights.cols.iter().map(|w| w.to_bits() & !(1 << 31));
-            max_abs = magnitudes.fold(max_abs, u32::max);
-        }
-        f32::from_bits(max_abs)
+    /// The largest weight magnitude of the node, from the weights'
+    /// draws alone: no weight is synthesized ([`synth::max_abs`]).
+    pub(crate) fn max_abs_weight(&self) -> f32 {
+        let (tag, scale) = self.weight_tensor();
+        synth_max_abs(
+            Tier::widest(),
+            self.seed,
+            &tag,
+            scale,
+            self.height * self.width,
+        )
     }
 
     /// Runs `each` on every tile pair of the node: weight tiles outer,
@@ -215,11 +210,8 @@ impl MvmJob<'_> {
     ) {
         let block = self.groups * self.height * NR;
         for columns in self.tiling.columns(self.height, self.width) {
-            if !(self.fresh && self.weights.columns == columns) {
-                self.synthesize(columns);
-            }
+            self.synthesize(columns);
             rewrite(&mut self.weights.cols);
-            self.fresh = false;
             for windows in self.tiling.windows(block, self.windows) {
                 if self.panel_windows != windows {
                     self.unfold(windows.clone());
@@ -334,6 +326,42 @@ fn synth_fill_avx512(seed: u64, tag: &str, scale: f32, start: usize, out: &mut [
 #[target_feature(enable = "avx2")]
 fn synth_fill_avx2(seed: u64, tag: &str, scale: f32, start: usize, out: &mut [f32]) {
     synth::fill(seed, tag, scale, start, out)
+}
+
+/// [`synth::max_abs`] at the widest vector tier `tier` allows on this
+/// CPU, like [`synth_fill`].
+#[allow(unsafe_code)]
+fn synth_max_abs(tier: Tier, seed: u64, tag: &str, scale: f32, len: usize) -> f32 {
+    #[cfg(target_arch = "x86_64")]
+    if tier == Tier::Avx512
+        && std::is_x86_feature_detected!("avx512f")
+        && std::is_x86_feature_detected!("avx512dq")
+    {
+        // SAFETY: the running CPU supports AVX-512F and AVX-512DQ, checked above.
+        return unsafe { synth_max_abs_avx512(seed, tag, scale, len) };
+    }
+    #[cfg(target_arch = "x86_64")]
+    if tier >= Tier::Avx2 && std::is_x86_feature_detected!("avx2") {
+        // SAFETY: the running CPU supports AVX2, checked on the line above.
+        return unsafe { synth_max_abs_avx2(seed, tag, scale, len) };
+    }
+    synth::max_abs(seed, tag, scale, len)
+}
+
+/// [`synth::max_abs`] with AVX-512F and AVX-512DQ enabled: call it only
+/// on a CPU that has both.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+fn synth_max_abs_avx512(seed: u64, tag: &str, scale: f32, len: usize) -> f32 {
+    synth::max_abs(seed, tag, scale, len)
+}
+
+/// [`synth::max_abs`] with AVX2 enabled: call it only on a CPU that has
+/// AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn synth_max_abs_avx2(seed: u64, tag: &str, scale: f32, len: usize) -> f32 {
+    synth::max_abs(seed, tag, scale, len)
 }
 
 /// Synthesizes an MVM node's bias vector (tag `"<node>/b"`).
@@ -907,7 +935,6 @@ fn eval_mvm(
             columns: 0..0,
             cols: Vec::new(),
         },
-        fresh: false,
         panels: Vec::new(),
         panel_windows: 0..0,
     };
@@ -1077,6 +1104,10 @@ mod tests {
                     bits(&scalar[start..]),
                     "{tier:?}: {tag} from {start}"
                 );
+                // The largest magnitude, folded over the floats.
+                let fold = scalar.iter().map(|x| x.to_bits() & !(1 << 31)).max();
+                let max_abs = synth_max_abs(tier, seed, tag, scale, len);
+                assert_eq!(Some(max_abs.to_bits()), fold, "{tier:?}: max of {tag}");
             }
         }
     }

@@ -31,8 +31,9 @@
 //! the number of output cells per instruction (and the kernel's tile
 //! shape) changes; every cell's chain of separately rounded operations
 //! is the same (see the `gemm` module), and synthesis is integer
-//! arithmetic with one exact conversion. Those six dispatch calls are
-//! the crate's only `unsafe` code, each under its feature check.
+//! arithmetic with one exact conversion. Those dispatch calls, eight
+//! with weight synthesis's maximum fold, are the crate's only `unsafe`
+//! code, each under its feature check.
 //!
 //! With a [`QuantConfig`] the mapped executor also models the analog
 //! datapath (weight bit-slicing, ADC clipping); [`verify_model`] then

@@ -42,10 +42,21 @@ pub fn unit(seed: u64, tag: &str, index: usize) -> f32 {
 
 #[inline(always)]
 fn unit_hashed(seed: u64, tag: u64, index: usize) -> f32 {
+    unit_of(draw(seed, tag, index))
+}
+
+/// The 24 high bits of an element's hash: the element's draw.
+#[inline(always)]
+fn draw(seed: u64, tag: u64, index: usize) -> u32 {
     let word =
         mix64(seed ^ tag.rotate_left(17) ^ (index as u64).wrapping_mul(0x2545_f491_4f6c_dd1d));
-    // 24 high bits -> [0, 1) exactly representable in f32 -> [-1, 1).
-    let frac = (word >> 40) as f32 / (1u64 << 24) as f32;
+    (word >> 40) as u32
+}
+
+/// A draw mapped onto `[-1, 1)`: `2 * draw / 2^24 - 1`, exact in f32.
+#[inline(always)]
+fn unit_of(draw: u32) -> f32 {
+    let frac = draw as f32 / (1u64 << 24) as f32;
     2.0 * frac - 1.0
 }
 
@@ -71,6 +82,29 @@ pub fn fill(seed: u64, tag: &str, scale: f32, start: usize, out: &mut [f32]) {
     for (i, v) in out.iter_mut().enumerate() {
         *v = scale * unit_hashed(seed, h, start + i);
     }
+}
+
+/// The largest magnitude among the `len` elements [`values`]
+/// synthesizes, `0.0` for none, without synthesizing them: it folds the
+/// least and greatest draws and converts those two. That is exact: an
+/// element's unit value is exact, so `|unit|` peaks at one of the two
+/// extreme draws, and rounding `scale × unit` to nearest is monotone and
+/// odd-symmetric, so the largest `|scale × unit|` is the one at that
+/// draw. `#[inline(always)]` for the same reason as [`fill`].
+#[inline(always)]
+pub fn max_abs(seed: u64, tag: &str, scale: f32, len: usize) -> f32 {
+    let h = tag_hash(tag);
+    let (mut least, mut most) = (u32::MAX, 0);
+    for i in 0..len {
+        let d = draw(seed, h, i);
+        least = least.min(d);
+        most = most.max(d);
+    }
+    if len == 0 {
+        return 0.0;
+    }
+    let magnitude = |d| (scale * unit_of(d)).abs();
+    magnitude(least).max(magnitude(most))
 }
 
 #[cfg(test)]
@@ -106,6 +140,41 @@ mod tests {
         let mean: f32 = v.iter().sum::<f32>() / v.len() as f32;
         assert!(mean.abs() < 0.05, "mean {mean} suspiciously far from 0");
         assert!(v.iter().any(|x| *x > 0.5) && v.iter().any(|x| *x < -0.5));
+    }
+
+    /// The float fold the integer one replaces: the largest `|value|`
+    /// over a synthesized tensor, as bits.
+    #[test]
+    fn max_abs_equals_the_fold_over_synthesized_values() {
+        let lengths = [0, 1, 2, 3, 7, 64, 1000, 4099];
+        let scales = [
+            1.0,
+            0.25,
+            1.0 / 3f32.sqrt(),
+            1.0 / 4608f32.sqrt(),
+            3.7e-3,
+            1e30,
+        ];
+        for seed in [0, 1, 7, 42, u64::MAX] {
+            for tag in ["conv1/w", "fc/w", "layer4_0_conv2/w", ""] {
+                for scale in scales {
+                    for len in lengths {
+                        let fold = values(seed, tag, len, scale)
+                            .iter()
+                            .map(|v| v.to_bits() & !(1 << 31))
+                            .fold(0, u32::max);
+                        let got = max_abs(seed, tag, scale, len);
+                        assert_eq!(got.to_bits(), fold, "{seed} {tag:?} {scale} {len}");
+                    }
+                }
+            }
+        }
+        // Length 1 is one value's magnitude, of either sign.
+        let firsts: Vec<f32> = (0..32).map(|seed| values(seed, "w", 1, 0.5)[0]).collect();
+        assert!(firsts.iter().any(|v| *v < 0.0) && firsts.iter().any(|v| *v > 0.0));
+        for (seed, v) in (0..32).zip(&firsts) {
+            assert_eq!(max_abs(seed, "w", 0.5, 1), v.abs());
+        }
     }
 
     #[test]

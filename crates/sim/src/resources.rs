@@ -81,13 +81,6 @@ impl<S: Ord + Copy> EventQueue<S> {
         self.filled |= 1 << i;
     }
 
-    /// The least event left at the time last popped. It never looks
-    /// further: moving `now` ahead to the next pending time would file a
-    /// later push that falls before that time in the wrong bucket.
-    pub(crate) fn peek(&self) -> Option<S> {
-        self.current.front().copied()
-    }
-
     /// Removes and returns the least `(time, S)` event.
     pub(crate) fn pop(&mut self) -> Option<(u64, S)> {
         if self.current.is_empty() {
@@ -227,8 +220,7 @@ mod tests {
     }
 
     /// The queue next to the heap both engines used to pop from, driven
-    /// through the same operations: every pop and every HT-style merge
-    /// must see the same events.
+    /// through the same operations: every pop must see the same event.
     struct Twin {
         queue: EventQueue<(usize, u64)>,
         heap: BinaryHeap<Reverse<(u64, (usize, u64))>>,
@@ -267,27 +259,9 @@ mod tests {
             got
         }
 
-        /// The HT engine's coalescing step: pop one group and fold in
-        /// every event of the same time and core.
-        fn pop_group(&mut self) -> Option<(u64, usize, u64)> {
-            let (now, (core, mut tokens)) = self.pop()?;
-            loop {
-                let next = self.queue.peek();
-                assert_eq!(next, self.heap_peek_now(), "peek at {now}");
-                match next {
-                    Some((c, n)) if c == core => {
-                        tokens += n;
-                        self.pop();
-                    }
-                    _ => return Some((now, core, tokens)),
-                }
-            }
-        }
-
         /// Pops everything left, checking order against the heap.
         fn drain(&mut self) {
             while self.pop().is_some() {}
-            assert!(self.queue.peek().is_none());
             assert!(self.popped.windows(2).all(|w| w[0].0 <= w[1].0));
         }
     }
@@ -318,17 +292,14 @@ mod tests {
                     4 | 5 => twin.push(now.saturating_add(r >> 54), s),
                     6 => twin.push(now.saturating_add(r >> 20), s),
                     7 => twin.push(u64::MAX, s),
-                    // Between now and the next pending time, after a
-                    // peek that found nothing left at now.
+                    // Between now and the next pending time, with
+                    // nothing left at now.
                     8 => {
                         if let Some(&Reverse((next, _))) = twin.heap.peek() {
-                            if twin.queue.peek().is_none() && next - now > 1 {
+                            if twin.heap_peek_now().is_none() && next - now > 1 {
                                 twin.push(now + 1 + (r >> 8) % (next - now - 1), s);
                             }
                         }
-                    }
-                    9..=12 => {
-                        twin.pop_group();
                     }
                     _ => {
                         twin.pop();
@@ -340,16 +311,16 @@ mod tests {
     }
 
     #[test]
-    fn a_peek_that_finds_nothing_at_now_does_not_advance_it() {
+    fn a_push_before_the_next_pending_time_pops_first() {
         let mut twin = Twin::new();
         twin.push(4, (0, 1));
         twin.push(4, (1, 1));
         twin.push(100, (0, 1));
-        assert_eq!(twin.pop_group(), Some((4, 0, 1)));
-        assert_eq!(twin.pop_group(), Some((4, 1, 1)));
+        assert_eq!(twin.pop(), Some((4, (0, 1))));
+        assert_eq!(twin.pop(), Some((4, (1, 1))));
         // Nothing is left at 4; the next event waits at 100. A push in
         // between must still come out first.
-        assert_eq!(twin.queue.peek(), None);
+        assert_eq!(twin.heap_peek_now(), None);
         twin.push(9, (3, 1));
         twin.push(5, (2, 1));
         twin.drain();
@@ -377,9 +348,9 @@ mod tests {
         twin.push(3, (5, 0));
         assert_eq!(twin.pop(), Some((3, (1, 0))));
         assert_eq!(twin.pop(), Some((3, (5, 0))));
-        // HT's groups: equal cores merge whatever their counts.
         twin.push(3, (6, 2));
-        assert_eq!(twin.pop_group(), Some((3, 6, 2)));
+        assert_eq!(twin.pop(), Some((3, (6, 0))));
+        assert_eq!(twin.pop(), Some((3, (6, 2))));
         twin.drain();
     }
 
