@@ -4,15 +4,15 @@
 //! A [`CompiledArtifact`] stores what a compilation *decided* and
 //! nothing derivable from it: the compiled (normalized, sequence-bound)
 //! graph, the hardware, the pipeline mode, HT batch and memory policy,
-//! the `weight_reload` budget, the AG placement, and what the mapping
-//! strategy reported (compiler name, GA trace). Loading checks those
-//! facts and re-runs partitioning, dependency analysis, scheduling and
-//! memory planning on them — the code compilation runs — so a loaded
-//! model is one a compile could have produced, and the simulator and
-//! executor need not re-validate it. Artifacts serialize to JSON,
-//! survive a round trip bit-for-bit (every float of the rebuilt model
-//! included), and refuse to load from another format version or to
-//! execute against mismatched hardware.
+//! the `weight_reload` budget, the AG placement (one core per AG), and
+//! what the mapping strategy reported (compiler name, GA trace). Loading
+//! checks those facts and re-runs partitioning, dependency analysis,
+//! scheduling and memory planning on them — the code compilation runs —
+//! so a loaded model is one a compile could have produced, and the
+//! simulator and executor need not re-validate it. Artifacts serialize
+//! to JSON, survive a round trip bit-for-bit (every float of the rebuilt
+//! model included), and refuse to load from another format version or
+//! to execute against mismatched hardware.
 //!
 //! # Example
 //!
@@ -41,6 +41,7 @@ use crate::compiler::{CompileOptions, CompiledModel};
 use crate::ga::GaStats;
 use crate::mapping::AgInstance;
 use crate::memory::ReusePolicy;
+use crate::partition::Partitioning;
 use crate::session::CompileSession;
 use crate::CompileError;
 use pimcomp_arch::{HardwareConfig, PipelineMode};
@@ -122,7 +123,10 @@ struct Facts {
     memory_policy: ReusePolicy,
     /// The `weight_reload` crossbar budget, if the compile had one.
     reload_budget: Option<usize>,
-    instances: Vec<AgInstance>,
+    /// The core of every AG instance: one list per MVM node in
+    /// partitioning order, the node's instances in (replica, slice)
+    /// order, so a list holds a whole number of replicas.
+    placement: Vec<Vec<usize>>,
     compiler: String,
     ga: Option<GaStats>,
 }
@@ -140,12 +144,49 @@ impl Facts {
             reload_budget: self.reload_budget,
             ..CompileOptions::new(self.mode)
         };
-        Ok(CompileSession::reopen(self.hw, self.graph, opts)?
-            .partition()?
-            .adopt(self.instances, self.compiler, self.ga)?
+        let partitioned = CompileSession::reopen(self.hw, self.graph, opts)?.partition()?;
+        let instances = expand(&self.placement, partitioned.partitioning())?;
+        Ok(partitioned
+            .adopt(instances, self.compiler, self.ga)?
             .schedule()?
             .finish())
     }
+}
+
+/// The AG instances a placement names, by position: core `i` of node
+/// `mvm`'s list is replica `i / a`, slice `i % a` for the node's `a` AGs
+/// per replica. Only the list shape is checked here; the cores are
+/// checked where every mapping is, by `CoreMapping::from_instances`.
+fn expand(
+    placement: &[Vec<usize>],
+    partitioning: &Partitioning,
+) -> Result<Vec<AgInstance>, CompileError> {
+    let fail = |detail: String| Err(CompileError::MappingInvariant { detail });
+    let entries = partitioning.entries();
+    if placement.len() != entries.len() {
+        return fail(format!(
+            "the placement lists {} nodes; the partitioning has {}",
+            placement.len(),
+            entries.len()
+        ));
+    }
+    let mut instances = Vec::with_capacity(placement.iter().map(Vec::len).sum());
+    for (mvm, (cores, entry)) in placement.iter().zip(entries).enumerate() {
+        let per_replica = entry.ags_per_replica;
+        if cores.is_empty() || cores.len().checked_rem(per_replica) != Some(0) {
+            return fail(format!(
+                "node {mvm} places {} AGs, not one or more whole replicas of {per_replica}",
+                cores.len()
+            ));
+        }
+        instances.extend(cores.iter().enumerate().map(|(i, &core)| AgInstance {
+            mvm,
+            replica: i / per_replica,
+            slice: i % per_replica,
+            core,
+        }));
+    }
+    Ok(instances)
 }
 
 impl CompiledArtifact {
@@ -176,7 +217,12 @@ impl CompiledArtifact {
     /// partitioning, dependency analysis, schedule, memory and reload
     /// plans, the mapping's derived tables, the estimated fitness and
     /// the hardware fingerprint are rebuilt on load.
-    pub const FORMAT_VERSION: u32 = 6;
+    ///
+    /// v7: the AG instances became `placement`, one core per AG: a list
+    /// per MVM node in partitioning order, its cores in (replica, slice)
+    /// order. The node, replica and slice of each instance follow from
+    /// its position, so they are no longer written.
+    pub const FORMAT_VERSION: u32 = 7;
 
     /// Packages a compiled model.
     #[must_use]
@@ -241,7 +287,14 @@ impl CompiledArtifact {
             batch: m.schedule.as_ht().map_or(1, |s| s.batch),
             memory_policy: m.memory.policy,
             reload_budget: m.reload.as_ref().map(|plan| plan.budget),
-            instances: m.mapping.instances.clone(),
+            // The instances are grouped node → replica → slice, and
+            // every node has at least one.
+            placement: m
+                .mapping
+                .instances
+                .chunk_by(|a, b| a.mvm == b.mvm)
+                .map(|node| node.iter().map(|inst| inst.core).collect())
+                .collect(),
             compiler: m.report.compiler.clone(),
             ga: m.report.ga.clone(),
         };
@@ -404,11 +457,54 @@ mod tests {
                 "batch",
                 "memory_policy",
                 "reload_budget",
-                "instances",
+                "placement",
                 "compiler",
                 "ga"
             ]
         );
+    }
+
+    /// HT, LL and multi-epoch reload artifacts reload to the same bytes,
+    /// and their placement holds one core per AG instance.
+    #[test]
+    fn placements_round_trip_one_core_per_instance() {
+        let options = [
+            CompileOptions::new(PipelineMode::HighThroughput),
+            CompileOptions::new(PipelineMode::LowLatency),
+            CompileOptions::new(PipelineMode::HighThroughput).with_weight_reload(Some(32)),
+        ];
+        for opts in options {
+            let m = CompileSession::new(
+                HardwareConfig::small_test(),
+                &models::tiny_cnn(),
+                opts.with_fast_ga(5),
+            )
+            .unwrap()
+            .run()
+            .unwrap();
+            if let Some(plan) = &m.reload {
+                assert!(!plan.is_single_epoch(), "budget 32 splits tiny_cnn");
+            }
+            let json = CompiledArtifact::new(m.clone()).to_json().unwrap();
+            let back = CompiledArtifact::from_json(&json).unwrap();
+            assert_eq!(back.to_json().unwrap(), json);
+            let value = serde_json::parse_value(&json).unwrap();
+            let Some(serde::Value::Seq(lists)) = value.get("placement") else {
+                panic!("the placement is a JSON array");
+            };
+            let cores: usize = lists
+                .iter()
+                .map(|list| match list {
+                    serde::Value::Seq(cores) => {
+                        assert!(cores.iter().all(|c| matches!(c, serde::Value::Int(_))));
+                        cores.len()
+                    }
+                    other => panic!("a node's placement is a JSON array, not {other:?}"),
+                })
+                .sum();
+            assert_eq!(cores, m.mapping.instances.len());
+            assert_eq!(lists.len(), m.partitioning.entries().len());
+        }
     }
 
     #[test]

@@ -75,8 +75,8 @@
 //!   [`GaStats`].
 //! * **Memoization + incrementality** — results are cached by
 //!   [chromosome fingerprint](Chromosome::fingerprint)
-//!   ([`FitnessMemo`](crate::FitnessMemo)), and offspring that differ
-//!   from their parent in a few genes are re-evaluated incrementally
+//!   ([`FitnessMemo`]), and offspring that differ from their parent in
+//!   a few genes are re-evaluated incrementally
 //!   (per-core recomputation in both modes, chain-estimate reuse in LL
 //!   mode) — exactly, not approximately. The memo keeps every fitness
 //!   but only a weak pointer to each evaluation basis, so the bases
@@ -316,8 +316,8 @@ impl GaContext<'_> {
 
     /// Evaluates the mode's fitness for a chromosome from scratch
     /// (lower is better). This is the reference implementation the
-    /// memoized/incremental engine ([`FitnessMemo`](crate::FitnessMemo))
-    /// must match bit-for-bit.
+    /// memoized/incremental engine ([`FitnessMemo`]) must match
+    /// bit-for-bit.
     ///
     /// # Errors
     ///

@@ -11,7 +11,6 @@
 use crate::partition::{MvmIdx, Partitioning};
 use crate::replication::ReplicationPlan;
 use crate::CompileError;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -941,7 +940,7 @@ pub(crate) fn replication_of_totals(
 /// core. `slice` is the AG's position along the weight-matrix height;
 /// partial sums of all slices of one replica accumulate at the replica's
 /// owner core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AgInstance {
     /// Which partitioned node.
     pub mvm: MvmIdx,

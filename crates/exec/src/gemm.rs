@@ -159,7 +159,7 @@ fn gemm_avx2(
     gemm_body::<2>(weights, cols, panels, windows, k, out, at, accumulate)
 }
 
-/// The pattern of one step of [`tile!`]'s zip, `((xk, &a), &b)…`.
+/// The pattern of one step of `tile!`'s zip, `((xk, &a), &b)…`.
 macro_rules! zipped {
     ($p:pat) => { $p };
     ($p:pat, $w:ident $(, $rest:ident)*) => { zipped!(($p, &$w) $(, $rest)*) };

@@ -52,7 +52,7 @@ pub struct Node {
 pub struct Graph {
     name: String,
     nodes: Vec<Node>,
-    /// successors[i] lists nodes consuming the output of node i.
+    /// `successors[i]` lists nodes consuming the output of node `i`.
     successors: Vec<Vec<NodeId>>,
 }
 

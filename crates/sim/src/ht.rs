@@ -1,7 +1,7 @@
 //! Event-driven high-throughput simulator.
 //!
 //! Executes the per-core round programs of an
-//! [`HtSchedule`](pimcomp_core::HtSchedule), modelling:
+//! [`HtSchedule`], modelling:
 //!
 //! * **structural conflicts** — consecutive MVMs on the same AG
 //!   serialize on its crossbars;

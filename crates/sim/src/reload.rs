@@ -8,7 +8,7 @@
 //! both mismodel that and blow their event budgets on the
 //! over-committed placements reload mode produces. This module instead
 //! assembles the report analytically from the compiled
-//! [`ReloadPlan`](pimcomp_core::ReloadPlan):
+//! [`ReloadPlan`]:
 //!
 //! * **cycles** — the plan's per-epoch Fig. 5 compute estimates plus
 //!   the reload write barriers (the HT batch is windows per

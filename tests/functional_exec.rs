@@ -322,15 +322,18 @@ fn field<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
     &mut found.unwrap_or_else(|| panic!("no field `{key}`")).1
 }
 
-/// `model`'s artifact JSON with `edit` applied to its AG instances,
-/// loaded again: the error it is refused with.
+/// `model`'s artifact JSON with `edit` applied to the core list of its
+/// first MVM node, loaded again: the error it is refused with.
 fn refused(model: CompiledModel, edit: impl FnOnce(&mut Vec<Value>)) -> String {
     let json = CompiledArtifact::new(model).to_json().unwrap();
     let mut value = serde_json::parse_value(&json).unwrap();
-    let Value::Seq(instances) = field(&mut value, "instances") else {
-        panic!("instances are a JSON array");
+    let Value::Seq(lists) = field(&mut value, "placement") else {
+        panic!("the placement is a JSON array");
     };
-    edit(instances);
+    let Value::Seq(cores) = &mut lists[0] else {
+        panic!("a node's placement is a JSON array");
+    };
+    edit(cores);
     let tampered = serde_json::to_string(&value).unwrap();
     match CompiledArtifact::from_json(&tampered) {
         Err(ArtifactError::Invalid(detail)) => detail,
@@ -338,6 +341,7 @@ fn refused(model: CompiledModel, edit: impl FnOnce(&mut Vec<Value>)) -> String {
     }
 }
 
+/// On `small_test`, tiny_mlp's first MVM node holds 4 AGs per replica.
 fn tiny_mlp_ht() -> CompiledModel {
     let graph = pimcomp_ir::models::tiny_mlp();
     let hw = HardwareConfig::small_test();
@@ -346,40 +350,39 @@ fn tiny_mlp_ht() -> CompiledModel {
 
 #[test]
 fn truncated_mapping_instances_yield_structured_error() {
-    let detail = refused(tiny_mlp_ht(), |instances| {
-        instances.pop();
+    let detail = refused(tiny_mlp_ht(), |cores| {
+        cores.pop();
     });
-    assert!(detail.contains("no AG instance for node"), "{detail}");
+    assert!(
+        detail.contains("node 0 places 3 AGs, not one or more whole replicas of 4"),
+        "{detail}"
+    );
 }
 
 #[test]
 fn out_of_range_core_yields_structured_error() {
-    let detail = refused(tiny_mlp_ht(), |instances| {
-        *field(&mut instances[0], "core") = Value::Int(1_000_000);
-    });
+    let detail = refused(tiny_mlp_ht(), |cores| cores[0] = Value::Int(1_000_000));
     assert!(detail.contains("on core 1000000 of 16"), "{detail}");
 }
 
+/// A copy of an AG's core is one AG more: a partial replica.
 #[test]
 fn duplicate_ag_instance_yields_structured_error() {
-    let detail = refused(tiny_mlp_ht(), |instances| {
-        instances.push(instances[0].clone());
-    });
+    let detail = refused(tiny_mlp_ht(), |cores| cores.push(cores[0].clone()));
     assert!(
-        detail.contains("repeats node 0, replica 0, slice 0"),
+        detail.contains("node 0 places 5 AGs, not one or more whole replicas of 4"),
         "{detail}"
     );
 }
 
 /// Owners are derived: each replica accumulates on its slice-0 core, so
-/// a replica whose slice 0 is gone has no owner and is refused.
+/// a node whose core list is empty has no replica and no owner, and is
+/// refused.
 #[test]
 fn truncated_owner_table_yields_structured_error() {
-    let detail = refused(tiny_mlp_ht(), |instances| {
-        instances.remove(0);
-    });
+    let detail = refused(tiny_mlp_ht(), Vec::clear);
     assert!(
-        detail.contains("skips node 0, replica 0, slice 0"),
+        detail.contains("node 0 places 0 AGs, not one or more whole replicas of 4"),
         "{detail}"
     );
 }

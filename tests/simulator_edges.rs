@@ -186,9 +186,20 @@ fn item(value: &mut Value, index: usize) -> &mut Value {
     &mut items[index]
 }
 
-/// Field `key` of the artifact's first AG instance.
-fn first_instance<'a>(artifact: &'a mut Value, key: &str) -> &'a mut Value {
-    field(item(field(artifact, "instances"), 0), key)
+/// The artifact's placement: one JSON array of cores per MVM node.
+fn placement(artifact: &mut Value) -> &mut Vec<Value> {
+    let Value::Seq(lists) = field(artifact, "placement") else {
+        panic!("the placement is an array");
+    };
+    lists
+}
+
+/// The core list of the artifact's MVM node `node`.
+fn node_cores(artifact: &mut Value, node: usize) -> &mut Vec<Value> {
+    let Value::Seq(cores) = &mut placement(artifact)[node] else {
+        panic!("a node's placement is an array");
+    };
+    cores
 }
 
 #[test]
@@ -196,8 +207,10 @@ fn hostile_schedules_are_rejected_not_indexed() {
     // An artifact stores decisions and derives its schedule again on
     // load, so no hostile schedule reaches an engine: each edit of the
     // artifact JSON below must fail `from_json` with a structured
-    // `ArtifactError::Invalid`, never a panic. The compile each edit
-    // applies to is its second column.
+    // `ArtifactError::Invalid` carrying the detail in its third column,
+    // never a panic. The compile each edit applies to is its second
+    // column. tiny_cnn's four MVM nodes hold 1, 3, 32 and 2 AGs per
+    // replica on `small_test`.
     #[derive(Clone, Copy, PartialEq, Debug)]
     enum Compile {
         Ht,
@@ -207,53 +220,99 @@ fn hostile_schedules_are_rejected_not_indexed() {
     }
     use Compile::{Ht, Ll, Reload};
     type Tamper = fn(&mut Value);
-    let tampers: [(&str, Compile, Tamper); 13] = [
-        ("a foreign node", Ht, |v| {
-            *first_instance(v, "mvm") = Value::Int(99);
+    let tampers: [(&str, Compile, &str, Tamper); 13] = [
+        (
+            "one node list too many",
+            Ht,
+            "the placement lists 5 nodes; the partitioning has 4",
+            |v| placement(v).push(Value::Seq(vec![Value::Int(0)])),
+        ),
+        (
+            "one node list too few",
+            Ht,
+            "the placement lists 3 nodes; the partitioning has 4",
+            |v| {
+                placement(v).pop();
+            },
+        ),
+        (
+            "an empty node list",
+            Ht,
+            "node 0 places 0 AGs, not one or more whole replicas of 1",
+            |v| node_cores(v, 0).clear(),
+        ),
+        ("a core past the last", Ll, "on core 16 of 16", |v| {
+            node_cores(v, 0)[0] = Value::Int(16)
         }),
-        ("a foreign replica", Ht, |v| {
-            *first_instance(v, "replica") = Value::Int(99);
+        (
+            "a node list one core short",
+            Ll,
+            "not one or more whole replicas of 3",
+            |v| {
+                node_cores(v, 1).pop();
+            },
+        ),
+        (
+            "a dangling graph predecessor",
+            Ht,
+            "unknown node id 999",
+            |v| {
+                let node = item(field(field(v, "graph"), "nodes"), 1);
+                *field(node, "inputs") = Value::Seq(vec![Value::Int(999)]);
+            },
+        ),
+        (
+            "invalid hardware",
+            Ht,
+            "`parallelism`: must be positive",
+            |v| {
+                *field(field(v, "hw"), "parallelism") = Value::Int(0);
+            },
+        ),
+        ("batch 0", Ht, "`batch` must be at least 1", |v| {
+            *field(v, "batch") = Value::Int(0)
         }),
-        ("a foreign slice", Ht, |v| {
-            *first_instance(v, "slice") = Value::Int(99);
-        }),
-        ("a core past the last", Ll, |v| {
-            *first_instance(v, "core") = Value::Int(16);
-        }),
-        ("a missing slice", Ll, |v| {
-            let Value::Seq(instances) = field(v, "instances") else {
-                panic!("instances are an array");
-            };
-            instances.pop();
-        }),
-        ("a dangling graph predecessor", Ht, |v| {
-            let node = item(field(field(v, "graph"), "nodes"), 1);
-            *field(node, "inputs") = Value::Seq(vec![Value::Int(999)]);
-        }),
-        ("invalid hardware", Ht, |v| {
-            *field(field(v, "hw"), "parallelism") = Value::Int(0);
-        }),
-        ("batch 0", Ht, |v| *field(v, "batch") = Value::Int(0)),
         // A trillion MVMs per array group and round: the HT engine ran
         // for hours.
-        ("a batch past the bound", Ht, |v| {
-            *field(v, "batch") = Value::Int(1_000_000_000_000)
-        }),
+        (
+            "a batch past the bound",
+            Ht,
+            "`batch` must be at most 65536",
+            |v| *field(v, "batch") = Value::Int(1_000_000_000_000),
+        ),
         // 3.6e8 cores: per-core tables of gigabytes aborted the process.
-        ("a chip count past the bound", Ht, |v| {
-            *field(field(v, "hw"), "chips") = Value::Int(10_000_000);
-        }),
-        ("LL with batch 2", Ll, |v| {
-            *field(v, "batch") = Value::Int(2)
-        }),
-        ("reload budget 0", Reload, |v| {
-            *field(v, "reload_budget") = Value::Int(0);
-        }),
-        ("instances the epoch packer did not place", Reload, |v| {
-            let core = first_instance(v, "core");
-            let moved = if *core == Value::Int(0) { 1 } else { 0 };
-            *core = Value::Int(moved);
-        }),
+        (
+            "a chip count past the bound",
+            Ht,
+            "at most 65536 are supported",
+            |v| {
+                *field(field(v, "hw"), "chips") = Value::Int(10_000_000);
+            },
+        ),
+        (
+            "LL with batch 2",
+            Ll,
+            "`batch` only applies to high-throughput mode",
+            |v| *field(v, "batch") = Value::Int(2),
+        ),
+        (
+            "reload budget 0",
+            Reload,
+            "`reload_budget` must be at least 1 crossbar",
+            |v| {
+                *field(v, "reload_budget") = Value::Int(0);
+            },
+        ),
+        (
+            "a first core the epoch packer did not place",
+            Reload,
+            "are not the epoch packer's",
+            |v| {
+                let core = &mut node_cores(v, 0)[0];
+                let moved = if *core == Value::Int(0) { 1 } else { 0 };
+                *core = Value::Int(moved);
+            },
+        ),
     ];
     let hw = HardwareConfig::small_test();
     let compile = |kind| {
@@ -276,12 +335,12 @@ fn hostile_schedules_are_rejected_not_indexed() {
         .as_ref()
         .is_some_and(|p| !p.is_single_epoch());
     assert!(multi_epoch, "budget 32 must split tiny_cnn into epochs");
-    for (what, kind, tamper) in tampers {
+    for (what, kind, detail, tamper) in tampers {
         let mut value = serde_json::parse_value(&artifacts[kind as usize]).unwrap();
         tamper(&mut value);
         let result = CompiledArtifact::from_json(&serde_json::to_string(&value).unwrap());
         assert!(
-            matches!(result, Err(ArtifactError::Invalid(_))),
+            matches!(&result, Err(ArtifactError::Invalid(d)) if d.contains(detail)),
             "{kind:?}, {what}: {result:?}"
         );
     }
