@@ -1,17 +1,23 @@
 //! The paper's sweep as one value ([`evaluate`]) and its views: Fig. 8,
 //! Fig. 9, Fig. 10, Table II and the paper-vs-ours [`Claim`]s.
 
-use crate::{hardware_for, load_network, HarnessError, HarnessOptions};
+use crate::HarnessOptions;
 use pimcomp_arch::PipelineMode;
-use pimcomp_core::{CompileOptions, CompileSession, MemoryPlan, ReusePolicy, StageTimings};
-use pimcomp_sim::SimReport;
+use pimcomp_core::{run_indexed, CompiledArtifact, MemoryPlan, ReusePolicy, StageTimings};
+use pimcomp_dse::{ExploreError, HardwareAxis, PointRecord, SweepPlan, SweepSpec};
 use serde::{Deserialize, Serialize};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Both compilation modes, in the paper's order.
 const MODES: [PipelineMode; 2] = [PipelineMode::HighThroughput, PipelineMode::LowLatency];
 
 /// The parallelism degree Fig. 9, Fig. 10 and Table II are taken at.
 const DETAIL_PARALLELISM: usize = 20;
+
+/// The paper's protocol: what [`evaluate`] runs at paper scale, bar the
+/// GA seed.
+const PAPER_SPEC: &str = include_str!("../fixtures/paper.json");
 
 /// What the simulator reported for one compiled mapping.
 #[derive(Debug, Clone, Serialize)]
@@ -25,12 +31,17 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    fn from_sim(r: &SimReport) -> Self {
-        RunResult {
-            cycles: r.total_cycles,
-            dynamic_uj: r.energy.dynamic_pj() / 1e6,
-            leakage_uj: r.energy.leakage_pj / 1e6,
-        }
+    /// What the point measured, or its failure.
+    fn of(record: &PointRecord) -> Result<Self, ExploreError> {
+        let Some(m) = &record.metrics else {
+            let (key, detail) = (record.key(), record.error.clone().unwrap_or_default());
+            return Err(ExploreError::PointFailed { key, detail });
+        };
+        Ok(RunResult {
+            cycles: m.cycles,
+            dynamic_uj: m.dynamic_uj,
+            leakage_uj: m.leakage_uj,
+        })
     }
 
     fn total_uj(&self) -> f64 {
@@ -167,57 +178,109 @@ pub struct Evaluation {
     pub points: Vec<Point>,
 }
 
-/// Runs the sweep `opts` selects with GA seed `seed`: hardware sized
-/// once per network; per (network, mode, parallelism) one PIMCOMP and
-/// one PUMA-like compile, each simulated; at parallelism 20 also the
-/// three memory plans of PIMCOMP's mapping. The HT compiles follow the
+/// The sweep `opts` selects with GA seed `seed`: `fixtures/paper.json`
+/// with its seed list replaced and, for `--fast` / `--only`, its
+/// networks, parallelism list and GA budget.
+pub(crate) fn paper_spec(opts: &HarnessOptions, seed: u64) -> Result<SweepSpec, ExploreError> {
+    let mut spec = SweepSpec::from_json(PAPER_SPEC)?;
+    spec.seeds = vec![seed];
+    if opts.fast {
+        spec.models = ["resnet18", "squeezenet"].map(String::from).to_vec();
+        (spec.ga_population, spec.ga_iterations) = (20, 30);
+        if let HardwareAxis::Auto(auto) = &mut spec.hardware {
+            auto.parallelism = vec![1, DETAIL_PARALLELISM, 2000];
+        }
+    }
+    if let Some(only) = &opts.only {
+        spec.models = vec![only.clone()];
+    }
+    Ok(spec)
+}
+
+/// A directory removed when dropped: [`evaluate`]'s cache.
+struct ScratchDir(PathBuf);
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Runs the sweep `opts` selects with GA seed `seed` — the committed
+/// `fixtures/paper.json`, which `--fast` and `--only` narrow — through
+/// the sweep plan, one point per worker thread: hardware sized once per
+/// network; per (network, mode, parallelism) one PIMCOMP and one
+/// PUMA-like compile, each simulated; at parallelism 20 also the three
+/// memory plans of PIMCOMP's mapping, re-planned from its artifact in a
+/// cache directory of this call's own. The HT compiles follow the
 /// paper's protocol (results move to global memory after each AG
 /// performs 2 MVMs: the default batch).
 ///
 /// # Errors
 ///
-/// [`HarnessError`] naming the step that failed.
-pub fn evaluate(opts: &HarnessOptions, seed: u64) -> Result<Evaluation, HarnessError> {
-    use pimcomp_core::PumaCompiler;
-    use pimcomp_sim::Simulator;
-    let ga = opts.ga(seed);
-    let mut local_memory_bytes = 0;
-    let mut points = Vec::new();
-    for network in opts.networks() {
-        let graph = load_network(network)?;
-        let sized = hardware_for(&graph, DETAIL_PARALLELISM)?;
-        local_memory_bytes = sized.local_memory_bytes;
-        for mode in MODES {
-            let compile = CompileOptions::new(mode).with_ga(ga.clone());
-            for &parallelism in opts.parallelisms() {
-                let hw = sized.clone().with_parallelism(parallelism);
-                let mut timings = StageTimings::default();
-                let ours = CompileSession::new(hw.clone(), &graph, compile.clone())?
-                    .run_observed(&mut timings)?;
-                let base = PumaCompiler::new(hw.clone()).compile(&graph, &compile)?;
-                let sim = Simulator::new(hw);
-                let plan = |policy| PlanSummary::of(&ours.replan_memory(policy));
-                points.push(Point {
-                    network: network.to_string(),
-                    mode,
-                    parallelism,
-                    ours: RunResult::from_sim(&sim.run(&ours)?),
-                    base: RunResult::from_sim(&sim.run(&base)?),
-                    detail: (parallelism == DETAIL_PARALLELISM).then(|| Detail {
-                        naive: plan(ReusePolicy::Naive),
-                        add_reuse: plan(ReusePolicy::AddReuse),
-                        ag_reuse: plan(ReusePolicy::AgReuse),
-                        timings,
-                    }),
-                });
-            }
-        }
+/// The [`ExploreError`] of planning the spec or of the cache directory,
+/// or [`ExploreError::PointFailed`] naming a point that failed.
+pub fn evaluate(opts: &HarnessOptions, seed: u64) -> Result<Evaluation, ExploreError> {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let spec = paper_spec(opts, seed)?;
+    let plan = SweepPlan::new(&spec)?;
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let name = format!("pimcomp-paper-{}-{call}", std::process::id());
+    let cache = ScratchDir(std::env::temp_dir().join(name));
+    std::fs::create_dir_all(&cache.0).map_err(|e| ExploreError::Io {
+        detail: format!("creating {}: {e}", cache.0.display()),
+    })?;
+
+    // `mappings` is the spec's innermost axis: each GA point (an even
+    // index) is followed by the PUMA-like point of the same
+    // configuration. `run_indexed` deals tasks to its workers in turn,
+    // so the GA points, which cost nearly all the time, run as the
+    // first half of the tasks: each worker gets its share of them.
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    let half = plan.len() / 2;
+    let outcomes = run_indexed(threads, plan.len(), |task| {
+        let i = 2 * (task % half) + task / half;
+        let mut timings = StageTimings::default();
+        let outcome = plan.evaluate_final_observed(i, Some(&cache.0), &mut timings)?;
+        Ok((outcome, timings))
+    });
+    let outcomes = outcomes
+        .into_iter()
+        .collect::<Result<Vec<_>, ExploreError>>()?;
+    let (ga, puma) = outcomes.split_at(half);
+
+    let mut points = Vec::with_capacity(half);
+    let pairs = plan.points().iter().step_by(2).zip(ga).zip(puma);
+    for ((point, (ours, timings)), (base, _)) in pairs {
+        let detail = (point.hw.parallelism == DETAIL_PARALLELISM).then(|| {
+            let file = ours.cache_file.as_deref().unwrap_or_default();
+            let artifact = CompiledArtifact::load(cache.0.join(file)).map_err(|e| {
+                let detail = format!("reloading {file}: {e}");
+                ExploreError::Io { detail }
+            })?;
+            let model = artifact.into_model_unchecked();
+            let plan = |policy| PlanSummary::of(&model.replan_memory(policy));
+            Ok(Detail {
+                naive: plan(ReusePolicy::Naive),
+                add_reuse: plan(ReusePolicy::AddReuse),
+                ag_reuse: plan(ReusePolicy::AgReuse),
+                timings: *timings,
+            })
+        });
+        points.push(Point {
+            network: point.model.clone(),
+            mode: point.mode,
+            parallelism: point.hw.parallelism,
+            ours: RunResult::of(&ours.record)?,
+            base: RunResult::of(&base.record)?,
+            detail: detail.transpose()?,
+        });
     }
     Ok(Evaluation {
         seed,
-        ga_population: ga.population,
-        ga_iterations: ga.iterations,
-        local_memory_bytes,
+        ga_population: spec.ga_population,
+        ga_iterations: spec.ga_iterations,
+        local_memory_bytes: plan.points().last().map_or(0, |p| p.hw.local_memory_bytes),
         points,
     })
 }
@@ -465,6 +528,57 @@ impl Evaluation {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_paper_protocol_is_one_committed_spec() {
+        use pimcomp_dse::Mapping::{Ga, Puma};
+        let paper = SweepSpec::from_json(PAPER_SPEC).unwrap();
+        assert_eq!(paper.models, pimcomp_ir::models::PAPER_BENCHMARKS);
+        let HardwareAxis::Auto(auto) = &paper.hardware else {
+            panic!("the paper sizes its targets");
+        };
+        assert_eq!((auto.base.as_str(), auto.headroom), ("puma", 2.0));
+        assert_eq!((paper.ga_population, paper.ga_iterations), (100, 200));
+        assert_eq!(
+            (paper.seeds.as_slice(), paper.batches.as_slice()),
+            ([1].as_slice(), [2].as_slice())
+        );
+
+        // 5 networks x 2 modes x 5 parallelism degrees x 2 mappings,
+        // each GA point followed by its PUMA-like twin, on the target
+        // `hardware_for` sizes.
+        let points = paper.points().unwrap();
+        assert_eq!(points.len(), 5 * 2 * 5 * 2);
+        for pair in points.chunks(2) {
+            let (ours, base) = (&pair[0], &pair[1]);
+            assert_eq!((ours.knobs.mapping, base.knobs.mapping), (Ga, Puma));
+            let twin = pimcomp_dse::Knobs {
+                mapping: Puma,
+                ..ours.knobs
+            };
+            assert_eq!(
+                (&ours.model, ours.mode, &ours.hw, twin),
+                (&base.model, base.mode, &base.hw, base.knobs)
+            );
+            let graph = pimcomp_ir::models::by_name(&ours.model).unwrap();
+            let graph = pimcomp_ir::transform::normalize(&graph).unwrap();
+            assert_eq!(
+                ours.hw,
+                crate::hardware_for(&graph, ours.hw.parallelism).unwrap()
+            );
+        }
+
+        // At paper scale, `evaluate` runs the committed spec, bar the seed.
+        let opts = HarnessOptions {
+            fast: false,
+            json_path: None,
+            only: None,
+        };
+        let mut ran = paper_spec(&opts, 42).unwrap();
+        assert_eq!(ran.seeds, [42]);
+        ran.seeds = paper.seeds.clone();
+        assert_eq!(ran, paper);
+    }
 
     #[test]
     fn one_evaluation_feeds_every_view() {

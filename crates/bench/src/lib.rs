@@ -1,15 +1,17 @@
 //! Reproduces the paper's evaluation: one sweep, four views.
 //!
-//! [`evaluate`] compiles and simulates every (network, mode,
-//! parallelism) point of the paper's sweep once — PIMCOMP and the
-//! PUMA-like baseline on the same sized hardware — and Fig. 8, Fig. 9,
-//! Fig. 10, Table II and the paper-vs-ours [`Claim`]s are functions of
-//! the resulting [`Evaluation`] (`docs/BENCHMARKS.md`, "The paper
-//! scoreboard", maps each to the paper's experiment). The one binary,
-//! `paper`, prints Table I, the four sections in paper order and the
-//! claims. `--json PATH` writes the evaluation and its claims, `--fast`
-//! shrinks the GA and the benchmark set for smoke runs, `--only NAME`
-//! runs one network.
+//! The paper's protocol (§V-A/§V-B) is a committed sweep spec,
+//! `fixtures/paper.json`: the five benchmark networks × both modes ×
+//! parallelism {1, 20, 40, 200, 2000}, each target auto-sized, each
+//! point mapped by PIMCOMP's GA and by the PUMA-like baseline.
+//! [`evaluate`] runs that spec through `pimcomp-dse`'s sweep plan, and
+//! Fig. 8, Fig. 9, Fig. 10, Table II and the paper-vs-ours [`Claim`]s
+//! are functions of the resulting [`Evaluation`] (`docs/BENCHMARKS.md`,
+//! "The paper scoreboard", maps each to the paper's experiment). The
+//! one binary, `paper`, prints Table I, the four sections in paper
+//! order and the claims. `--json PATH` writes the evaluation and its
+//! claims, `--fast` shrinks the GA, the benchmark set and the
+//! parallelism list for smoke runs, `--only NAME` runs one network.
 //!
 //! Nothing here times code: the layered ledger (`BENCHMARK.json`,
 //! `ledger/`) measures and `scripts/perf_ab.sh` compares two commits.
@@ -24,16 +26,14 @@ mod evaluation;
 pub use evaluation::{evaluate, Better, Claim, Detail, Evaluation, PlanSummary, Point, RunResult};
 
 use pimcomp_arch::HardwareConfig;
-use pimcomp_core::{CompileError, GaParams};
-use pimcomp_ir::transform::normalize;
+use pimcomp_core::CompileError;
 use pimcomp_ir::Graph;
-use pimcomp_sim::SimError;
 use serde::Serialize;
 
 /// Harness-wide options parsed from the binary's command line.
 #[derive(Debug, Clone)]
 pub struct HarnessOptions {
-    /// Shrink GA and benchmark set for a smoke run.
+    /// Shrink GA, benchmark set and parallelism list for a smoke run.
     pub fast: bool,
     /// Write machine-readable results here.
     pub json_path: Option<String>,
@@ -53,6 +53,9 @@ impl HarnessOptions {
         })
     }
 
+    /// `--only` selects any zoo model the harness can compile — wider
+    /// than the paper set — and is checked against that list here, so a
+    /// parsed value always names one, in its canonical spelling.
     fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut opts = HarnessOptions {
             fast: false,
@@ -64,56 +67,22 @@ impl HarnessOptions {
             match a.as_str() {
                 "--fast" => opts.fast = true,
                 "--json" => opts.json_path = Some(value()?),
-                "--only" => opts.only = Some(value()?),
+                "--only" => {
+                    let name = value()?;
+                    let found = available_networks().find(|n| n.eq_ignore_ascii_case(&name));
+                    let found = found.ok_or_else(|| {
+                        let known: Vec<_> = available_networks().collect();
+                        format!(
+                            "unknown benchmark `{name}`; available networks: {}",
+                            known.join(", ")
+                        )
+                    })?;
+                    opts.only = Some(found.to_string());
+                }
                 other => return Err(format!("unknown argument `{other}`")),
             }
         }
-        match &opts.only {
-            Some(only) if opts.networks().is_empty() => {
-                Err(HarnessError::UnknownNetwork(only.clone()).to_string())
-            }
-            _ => Ok(opts),
-        }
-    }
-
-    /// The benchmark set under these options. Default: the five paper
-    /// benchmarks (fast mode keeps the two cheapest). `--only` selects
-    /// any zoo model the harness can compile — wider than the paper
-    /// set — and is validated against that list at parse time, so a
-    /// parsed value never selects an empty set.
-    pub fn networks(&self) -> Vec<&'static str> {
-        if let Some(only) = &self.only {
-            return available_networks()
-                .filter(|n| n.eq_ignore_ascii_case(only))
-                .collect();
-        }
-        if self.fast {
-            vec!["resnet18", "squeezenet"]
-        } else {
-            pimcomp_ir::models::PAPER_BENCHMARKS.to_vec()
-        }
-    }
-
-    /// GA parameters under these options (the paper's population 100 ×
-    /// 200 generations, or 20 × 30 for smoke runs) with the given seed.
-    fn ga(&self, seed: u64) -> GaParams {
-        let (population, iterations) = if self.fast { (20, 30) } else { (100, 200) };
-        GaParams {
-            population,
-            iterations,
-            seed,
-            ..GaParams::default()
-        }
-    }
-
-    /// The parallelism degrees of the Fig. 8 sweep (fast mode: the
-    /// endpoints and the paper's default).
-    fn parallelisms(&self) -> &'static [usize] {
-        if self.fast {
-            &[1, 20, 2000]
-        } else {
-            &[1, 20, 40, 200, 2000]
-        }
+        Ok(opts)
     }
 
     /// Writes `value` as pretty JSON when `--json` was given.
@@ -135,85 +104,19 @@ impl HarnessOptions {
     }
 }
 
-/// The zoo model `name` if the harness can compile it as it stands: a
-/// model with a symbolic dimension (`tiny_bert`'s sequence length) needs
-/// a binding the harness has no argument for.
-fn compilable(name: &str) -> Option<Graph> {
-    pimcomp_ir::models::by_name(name).filter(|g| !g.has_symbolic_dims())
-}
-
-/// The names [`load_network`] accepts.
+/// The zoo models the harness can compile as they stand: a model with a
+/// symbolic dimension (`tiny_bert`'s sequence length) needs a binding
+/// the harness has no argument for.
 fn available_networks() -> impl Iterator<Item = &'static str> {
     let zoo = pimcomp_ir::models::ZOO.into_iter();
-    zoo.filter(|name| compilable(name).is_some())
-}
-
-/// Loads and normalizes one of [`available_networks`] by name.
-///
-/// # Errors
-///
-/// [`HarnessError::UnknownNetwork`] (listing every valid name) instead
-/// of a panic; [`CompileError::InvalidGraph`], like the compiler's own
-/// normalization step, if the model is malformed (impossible for the
-/// committed zoo).
-fn load_network(name: &str) -> Result<Graph, HarnessError> {
-    let graph = compilable(name).ok_or_else(|| HarnessError::UnknownNetwork(name.to_string()))?;
-    normalize(&graph).map_err(|e| {
-        HarnessError::Compile(CompileError::InvalidGraph {
-            detail: e.to_string(),
-        })
-    })
-}
-
-/// Why [`evaluate`] stopped. The five committed paper benchmarks always
-/// succeed, but `--only` reaches the rest of the zoo, so per the
-/// standing panic-free policy the library surfaces errors and lets the
-/// binary decide how to die.
-#[derive(Debug)]
-pub enum HarnessError {
-    /// The name is not one of the networks the harness can compile.
-    UnknownNetwork(String),
-    /// Compilation (or hardware sizing, which partitions the graph)
-    /// failed.
-    Compile(CompileError),
-    /// Simulation of a compiled model failed.
-    Simulate(SimError),
-}
-
-impl std::fmt::Display for HarnessError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            HarnessError::UnknownNetwork(name) => write!(
-                f,
-                "unknown benchmark `{name}`; available networks: {}",
-                available_networks().collect::<Vec<_>>().join(", ")
-            ),
-            HarnessError::Compile(e) => write!(f, "compile: {e}"),
-            HarnessError::Simulate(e) => write!(f, "simulate: {e}"),
-        }
-    }
-}
-
-// No `source()`: `Display` already prints the wrapped error.
-impl std::error::Error for HarnessError {}
-
-impl From<CompileError> for HarnessError {
-    fn from(e: CompileError) -> Self {
-        HarnessError::Compile(e)
-    }
-}
-
-impl From<SimError> for HarnessError {
-    fn from(e: SimError) -> Self {
-        HarnessError::Simulate(e)
-    }
+    zoo.filter(|name| pimcomp_ir::models::by_name(name).is_some_and(|g| !g.has_symbolic_dims()))
 }
 
 /// Sizes a PUMA-like target for `graph`: enough chips for
 /// [`DEFAULT_HEADROOM`](pimcomp_core::DEFAULT_HEADROOM)× the
 /// single-replica crossbar demand. The heuristic itself lives in core
-/// ([`pimcomp_core::sized_chips`]) so the sweep engine's `hardware:
-/// "auto"` option and this harness size targets identically.
+/// ([`pimcomp_core::sized_chips`]); the sweep engine's `hardware:
+/// "auto"`, which sizes the scoreboard's targets, calls the same one.
 ///
 /// # Errors
 ///
@@ -234,49 +137,52 @@ mod tests {
     // The committed sweep fixtures (`crates/bench/fixtures/`) the CLI
     // smoke jobs and `tests/explore_determinism.rs` run from disk.
     const SMOKE_SWEEP_SPEC: &str = include_str!("../fixtures/smoke_sweep.json");
-    const PAPER_SWEEP_SPEC: &str = include_str!("../fixtures/paper_sweep.json");
+    const TOY_SWEEP_SPEC: &str = include_str!("../fixtures/toy_sweep.json");
     const SMOKE_SWEEP_HALVING_SPEC: &str = include_str!("../fixtures/smoke_sweep_halving.json");
-    const PAPER_SWEEP_HALVING_SPEC: &str = include_str!("../fixtures/paper_sweep_halving.json");
+    const TOY_SWEEP_HALVING_SPEC: &str = include_str!("../fixtures/toy_sweep_halving.json");
     const SMOKE_SWEEP_AXES_SPEC: &str = include_str!("../fixtures/smoke_sweep_axes.json");
     const SMOKE_SWEEP_RELOAD_SPEC: &str = include_str!("../fixtures/smoke_sweep_reload.json");
+    const SMOKE_SWEEP_MAPPING_SPEC: &str = include_str!("../fixtures/smoke_sweep_mapping.json");
 
-    fn only(name: &str) -> HarnessOptions {
-        HarnessOptions {
-            fast: true,
-            json_path: None,
-            only: Some(name.to_string()),
-        }
+    fn parse(args: &[&str]) -> Result<HarnessOptions, String> {
+        HarnessOptions::parse(args.iter().map(|a| a.to_string()))
     }
 
     #[test]
-    fn only_selects_any_loadable_network() {
-        // Every name that passes `--only` validation must also select a
-        // non-empty benchmark set, load, and size a target, so a
-        // validated run can never do nothing or die on its first step.
+    fn only_selects_any_compilable_network() {
+        // Every name that passes `--only` validation must select itself
+        // and plan (load, size a target), so a validated run can never
+        // do nothing or die on its first step.
         let available: Vec<_> = available_networks().collect();
         assert!(available.contains(&"resnet50") && !available.contains(&"tiny_bert"));
         for name in available {
-            assert_eq!(only(name).networks(), vec![name]);
-            hardware_for(&load_network(name).unwrap(), 20).unwrap();
+            let opts = parse(&["--fast", "--only", name]).unwrap();
+            assert_eq!(opts.only.as_deref(), Some(name));
+            let spec = evaluation::paper_spec(&opts, 1).unwrap();
+            assert_eq!(spec.models, [name]);
+            pimcomp_dse::SweepPlan::new(&spec).unwrap();
         }
     }
 
     #[test]
-    fn unknown_network_error_lists_available_names() {
+    fn unknown_or_symbolic_networks_are_refused_listing_the_compilable_ones() {
         for name in ["alexnet", "tiny_bert"] {
-            let err = load_network(name).unwrap_err();
-            assert!(matches!(&err, HarnessError::UnknownNetwork(n) if n == name));
-            let msg = err.to_string();
-            for name in available_networks() {
-                assert!(msg.contains(name), "`{msg}` should list `{name}`");
-            }
-            assert!(!msg.contains("seq-len"), "{msg}");
+            let problem = parse(&["--only", name]).unwrap_err();
+            assert!(
+                problem.starts_with(&format!("unknown benchmark `{name}`; available networks: ")),
+                "{problem}"
+            );
+            let (_, listed) = problem.split_once("available networks: ").unwrap();
+            let listed: Vec<&str> = listed.split(", ").collect();
+            assert_eq!(listed, available_networks().collect::<Vec<_>>());
+            assert!(!listed.contains(&"tiny_bert"), "{problem}");
         }
     }
 
     #[test]
     fn hardware_sizing_gives_headroom() {
-        let g = load_network("squeezenet").unwrap();
+        let g = pimcomp_ir::models::by_name("squeezenet").unwrap();
+        let g = pimcomp_ir::transform::normalize(&g).unwrap();
         let hw = hardware_for(&g, 20).unwrap();
         let p = Partitioning::new(&g, &hw).unwrap();
         assert!(hw.total_crossbars() >= 2 * p.min_crossbars() - hw.crossbars_per_core);
@@ -297,25 +203,20 @@ mod tests {
 
     #[test]
     fn mistyped_arguments_are_errors_not_a_full_sweep() {
-        let parse = |args: &[&str]| HarnessOptions::parse(args.iter().map(|a| a.to_string()));
         let opts = parse(&["--fast", "--json", "out.json", "--only", "VGG16"]).unwrap();
         assert!(opts.fast);
         assert_eq!(opts.json_path.as_deref(), Some("out.json"));
-        assert_eq!(opts.networks(), vec!["vgg16"]);
+        assert_eq!(opts.only.as_deref(), Some("vgg16"));
         assert!(parse(&["--fsat"]).unwrap_err().contains("`--fsat`"));
         assert!(parse(&["--json"]).unwrap_err().contains("needs a value"));
         assert!(parse(&["--fast", "--only"])
             .unwrap_err()
             .contains("needs a value"));
-        for uncompilable in ["alexnet", "tiny_bert"] {
-            let problem = parse(&["--only", uncompilable]).unwrap_err();
-            assert!(problem.contains("available networks"), "{problem}");
-        }
     }
 
     #[test]
     fn an_unwritable_json_path_is_an_error_naming_the_path() {
-        let mut opts = only("squeezenet");
+        let mut opts = parse(&["--only", "squeezenet"]).unwrap();
         assert!(opts.write_json(&1).is_ok(), "no --json: nothing to write");
         opts.json_path = Some("/nonexistent/dir/x.json".to_string());
         let problem = opts.write_json(&1).unwrap_err().to_string();
@@ -327,8 +228,8 @@ mod tests {
     fn committed_sweep_fixtures_parse() {
         let smoke = pimcomp_dse::SweepSpec::from_json(SMOKE_SWEEP_SPEC).unwrap();
         assert_eq!(smoke.points().unwrap().len(), 4);
-        let paper = pimcomp_dse::SweepSpec::from_json(PAPER_SWEEP_SPEC).unwrap();
-        assert_eq!(paper.points().unwrap().len(), 3 * 2 * 6);
+        let toy = pimcomp_dse::SweepSpec::from_json(TOY_SWEEP_SPEC).unwrap();
+        assert_eq!(toy.points().unwrap().len(), 3 * 2 * 6);
         // The new-axes spec parses and counts without touching the
         // filesystem (its .onnx path is relative to the repo root, not
         // this crate, so only `len` is checked here — CI runs it end
@@ -351,6 +252,11 @@ mod tests {
             ]
         );
         assert_eq!(reload.points().unwrap().len(), 3);
+        // The mapping spec: both modes, each mapped by both compilers.
+        let mapping = pimcomp_dse::SweepSpec::from_json(SMOKE_SWEEP_MAPPING_SPEC).unwrap();
+        use pimcomp_dse::Mapping::{Ga, Puma};
+        assert_eq!(mapping.mappings, [Ga, Puma]);
+        assert_eq!(mapping.points().unwrap().len(), 2 * 2);
     }
 
     #[test]
@@ -360,7 +266,7 @@ mod tests {
         // differing only in the search section.
         for (exhaustive, halving) in [
             (SMOKE_SWEEP_SPEC, SMOKE_SWEEP_HALVING_SPEC),
-            (PAPER_SWEEP_SPEC, PAPER_SWEEP_HALVING_SPEC),
+            (TOY_SWEEP_SPEC, TOY_SWEEP_HALVING_SPEC),
         ] {
             let e = pimcomp_dse::SweepSpec::from_json(exhaustive).unwrap();
             let h = pimcomp_dse::SweepSpec::from_json(halving).unwrap();

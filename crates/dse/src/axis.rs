@@ -60,6 +60,27 @@ impl ReloadSetting {
     }
 }
 
+/// One value of the `mappings` sweep axis: the compiler that replicates
+/// a point's nodes and places their AGs on cores.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mapping {
+    /// PIMCOMP's genetic algorithm (the default axis value).
+    Ga,
+    /// The PUMA-like baseline ([`pimcomp_core::PumaCompiler`]), the
+    /// paper's point of comparison.
+    Puma,
+}
+
+impl Mapping {
+    /// The value's spec, report and CSV spelling: `ga` or `puma`.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            Mapping::Ga => "ga",
+            Mapping::Puma => "puma",
+        }
+    }
+}
+
 /// One point's value of every per-point sweep knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Knobs {
@@ -76,6 +97,8 @@ pub struct Knobs {
     /// Quantization setting (`None` = no functional verification,
     /// `Some(0)` = unquantized check, `Some(b)` = `b`-bit ADC model).
     pub quant: Option<u32>,
+    /// The compiler that maps the point.
+    pub mapping: Mapping,
 }
 
 impl Knobs {
@@ -88,6 +111,7 @@ impl Knobs {
         reload: ReloadSetting::Off,
         seq: None,
         quant: None,
+        mapping: Mapping::Ga,
     };
 
     /// The value HT-only knobs collapse to on low-latency points (LL
@@ -124,7 +148,7 @@ pub(crate) struct Axis {
 }
 
 /// The knobs, in nesting order.
-pub(crate) static AXES: [Axis; 6] = [
+pub(crate) static AXES: [Axis; 7] = [
     Axis {
         field: "memory_policies",
         column: "policy",
@@ -209,6 +233,23 @@ pub(crate) static AXES: [Axis; 6] = [
             Ok(())
         },
         values: |spec, k| each(&spec.quantization, |quant| Knobs { quant, ..k }),
+        apply: |_, opts| opts,
+    },
+    // Neither does the mapping: the engine picks the compiler from it.
+    // Innermost, so a configuration's GA and PUMA points sit side by
+    // side and specs without the field expand as they always did.
+    Axis {
+        field: "mappings",
+        column: "mapping",
+        noun: "mappings",
+        always_shown: false,
+        ht_only: false,
+        parse: |f, v, spec| {
+            let entry = |e: &Value, ctx: &str| parse_mapping(&as_string(e, ctx)?).map(Some);
+            let label = |m: &Mapping| m.label().to_string();
+            list(f, v, "mapping names (ga | puma)", entry, label).map(|l| spec.mappings = l)
+        },
+        values: |spec, k| each(&spec.mappings, |mapping| Knobs { mapping, ..k }),
         apply: |_, opts| opts,
     },
 ];
@@ -375,6 +416,7 @@ impl SweepPoint {
             weight_reload: self.knobs.reload.label(),
             seq_len: self.knobs.seq.map(|s| s as u64),
             quantization: self.knobs.quant.map(u64::from),
+            mapping: self.knobs.mapping.label().to_string(),
             rung: 0,
             budget: 0,
             pruned_at: None,
@@ -396,6 +438,13 @@ fn parse_policy(s: &str) -> Result<ReusePolicy, ExploreError> {
                 policy_names().join(" | ")
             ))
         })
+}
+
+fn parse_mapping(s: &str) -> Result<Mapping, ExploreError> {
+    [Mapping::Ga, Mapping::Puma]
+        .into_iter()
+        .find(|m| m.label() == s)
+        .ok_or_else(|| invalid(format!("unknown mapping `{s}` (ga | puma)")))
 }
 
 fn parse_reload(field: &str, v: &Value) -> Result<Vec<ReloadSetting>, ExploreError> {
@@ -441,13 +490,14 @@ mod tests {
 
     /// A two-value JSON sample per knob, by spec field: a new row in
     /// [`AXES`] fails the test below until it gets one.
-    const TWO_VALUES: [(&str, &str); 6] = [
+    const TWO_VALUES: [(&str, &str); 7] = [
         ("memory_policies", r#"["naive","ag"]"#),
         ("ht_batches", "[1,4]"),
         ("seeds", "[1,2]"),
         ("weight_reload", r#"{"budgets":[32,64]}"#),
         ("seq_lens", "[64,128]"),
         ("quantization", "[0,8]"),
+        ("mappings", r#"["ga","puma"]"#),
     ];
 
     fn spec_with(extra: &str) -> SweepSpec {
@@ -481,7 +531,8 @@ mod tests {
             assert_eq!(spec.len(), 2, "{field}");
 
             // The two points differ in this knob alone, and their keys
-            // in exactly one segment.
+            // in exactly one segment (a knob whose default value adds
+            // none, like the GA mapping, appends it).
             let points = spec.points().unwrap();
             assert_eq!(points.len(), 2, "{field}");
             for other in AXES.iter().filter(|a| a.field != axis.field) {
@@ -491,9 +542,8 @@ mod tests {
             let keys: Vec<String> = points.iter().map(SweepPoint::key).collect();
             let (a, b): (Vec<&str>, Vec<&str>) =
                 (keys[0].split('/').collect(), keys[1].split('/').collect());
-            assert_eq!(a.len(), b.len(), "{keys:?}");
             let differing = a.iter().zip(&b).filter(|(x, y)| x != y).count();
-            assert_eq!(differing, 1, "{keys:?}");
+            assert_eq!(differing + a.len().abs_diff(b.len()), 1, "{keys:?}");
 
             // The record carries the value under the knob's CSV column.
             let records = points.iter().map(SweepPoint::record).collect();
@@ -597,7 +647,8 @@ mod tests {
     fn options_carry_every_knob() {
         let spec = spec_with(
             r#","memory_policies":["naive"],"ht_batches":[4],"seeds":[9],
-               "weight_reload":{"budgets":[32]},"seq_lens":[64],"quantization":[8]"#,
+               "weight_reload":{"budgets":[32]},"seq_lens":[64],"quantization":[8],
+               "mappings":["puma"]"#,
         );
         let point = &spec.points().unwrap()[0];
         let opts = AXES
@@ -609,9 +660,10 @@ mod tests {
         assert_eq!((opts.batch, opts.ga.seed), (4, 9));
         assert_eq!((opts.weight_reload, opts.reload_budget), (true, Some(32)));
         assert_eq!(opts.seq_len, Some(64));
+        assert_eq!(point.knobs.mapping, Mapping::Puma);
         assert_eq!(
             point.key(),
-            "tiny_mlp/HT/small_test/naive/b4/seed9/reload-32/seq64/q8"
+            "tiny_mlp/HT/small_test/naive/b4/seed9/reload-32/seq64/q8/puma"
         );
     }
 }

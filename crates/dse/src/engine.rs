@@ -2,7 +2,7 @@
 //! the core worker pool, with per-point artifact caching and an
 //! optional guided (successive-halving) search mode.
 
-use crate::axis::AXES;
+use crate::axis::{Mapping, AXES};
 use crate::cache::{self, EvictionStats};
 use crate::report::{PointMetrics, PointRecord, SweepReport};
 use crate::spec::{invalid, HalvingSpec, SearchStrategy, SweepPoint, SweepSpec};
@@ -11,6 +11,7 @@ use pimcomp_arch::PipelineMode;
 use pimcomp_core::{
     graph_fingerprint, hardware_fingerprint, options_fingerprint, run_indexed, CompileObserver,
     CompileOptions, CompileSession, CompiledArtifact, CompiledModel, GaParams, NullObserver,
+    PumaCompiler,
 };
 use pimcomp_ir::Graph;
 use pimcomp_sim::Simulator;
@@ -276,7 +277,8 @@ impl SweepPlan {
     /// [`ExploreEngine::run`] writes, byte for byte. Per-point
     /// compile/simulate failures are recorded in the record, not
     /// raised; compile-stage progress reaches `observer` (cache hits
-    /// replay without compiling, so a hit observes nothing).
+    /// replay without compiling, so a hit observes nothing; nor does a
+    /// PUMA-like point, which runs no GA).
     ///
     /// # Errors
     ///
@@ -814,7 +816,10 @@ fn point_options(point: &SweepPoint, spec: &SweepSpec, iterations: usize) -> Com
 /// model tag, and the artifact format version. Distinct rung budgets,
 /// policies, and batches therefore key distinct entries; knobs the
 /// compiler never sees (`quantization`) do not, and tell the point's
-/// metrics sidecars apart instead ([`cache::metrics_path`]). The version
+/// metrics sidecars apart instead ([`cache::metrics_path`]). The
+/// mapping picks the compiler, not an option, so a PUMA-like point's
+/// name ends in a `-puma` tag after the fingerprints, where a GA
+/// point's ends in hex: the two never share a file. The version
 /// component rejects entries whose *serialized shape* predates this
 /// build; it cannot detect a changed GA or epoch packer, whose stored
 /// placement a replay reuses — clear the cache directory after changing
@@ -831,7 +836,11 @@ fn cache_path(dir: &Path, point: &SweepPoint, opts: &CompileOptions, graph_fp: u
         hardware_fingerprint(&point.hw),
         options_fingerprint(opts),
     );
-    dir.join(format!("{key}.pimc.json"))
+    let mapper = match point.knobs.mapping {
+        Mapping::Ga => "",
+        Mapping::Puma => "-puma",
+    };
+    dir.join(format!("{key}{mapper}.pimc.json"))
 }
 
 impl SweepPlan {
@@ -839,7 +848,8 @@ impl SweepPlan {
     /// budget. Returns the record plus the cache/compile bookkeeping
     /// ([`PointOutcome`]); compile failures never ran the GA, so their
     /// rung budget must not be charged. Stage callbacks reach `observer`
-    /// only when the point actually compiles — cache hits replay silently.
+    /// only when the point's GA runs — cache hits replay silently, and
+    /// the PUMA-like baseline reports no stages.
     fn evaluate_point(
         &self,
         index: usize,
@@ -905,8 +915,11 @@ impl SweepPlan {
         let model = match cached {
             Some(model) => model,
             None => {
-                let compiled = CompileSession::new(point.hw.clone(), graph, opts)
-                    .and_then(|session| session.run_observed(observer));
+                let compiled = match point.knobs.mapping {
+                    Mapping::Ga => CompileSession::new(point.hw.clone(), graph, opts)
+                        .and_then(|session| session.run_observed(observer)),
+                    Mapping::Puma => PumaCompiler::new(point.hw.clone()).compile(graph, &opts),
+                };
                 match (compiled, &path) {
                     (Ok(model), Some(p)) => {
                         // Best-effort: a failed cache write costs a
@@ -1261,6 +1274,66 @@ mod tests {
             warm.report.to_json().unwrap()
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn puma_points_measure_the_baseline_and_cache_apart_from_ga_points() {
+        let dir =
+            std::env::temp_dir().join(format!("pimcomp-dse-mapping-cache-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = SweepSpec::from_json(
+            r#"{"models":["tiny_cnn"],"modes":["ht","ll"],
+                "hardware":{"base":"small_test"},"seeds":[1],
+                "ga":{"population":4,"iterations":2},"mappings":["ga","puma"]}"#,
+        )
+        .unwrap();
+        let engine = ExploreEngine::new().with_cache_dir(&dir);
+        let cold = engine.run(&spec).unwrap();
+        let mut artifacts: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.ends_with(".pimc.json"))
+            .collect();
+        artifacts.sort();
+        let warm = engine.with_threads(3).run(&spec).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        // A configuration's GA and PUMA points write one artifact each,
+        // and both replay.
+        assert_eq!(artifacts.len(), 4, "{artifacts:?}");
+        let puma = artifacts.iter().filter(|a| a.ends_with("-puma.pimc.json"));
+        assert_eq!(puma.count(), 2, "{artifacts:?}");
+        assert_eq!((warm.cache_hits, warm.cache_misses), (4, 0));
+        assert_eq!(
+            cold.report.to_json().unwrap(),
+            warm.report.to_json().unwrap()
+        );
+
+        // A PUMA point reads what the baseline compiler and the
+        // simulator give, bit for bit, and is charged its GA budget.
+        let graph = resolve_model("tiny_cnn").unwrap();
+        let plan = SweepPlan::new(&spec).unwrap();
+        let mappings = plan.points().iter().map(|p| p.knobs.mapping);
+        let expected = [Mapping::Ga, Mapping::Puma, Mapping::Ga, Mapping::Puma];
+        assert!(mappings.eq(expected));
+        for (point, record) in plan.points().iter().zip(&cold.report.points) {
+            assert_eq!(record.budget, 2);
+            if point.knobs.mapping == Mapping::Ga {
+                assert!(!record.key().ends_with("/puma"), "{}", record.key());
+                continue;
+            }
+            assert!(record.key().ends_with("/puma"), "{}", record.key());
+            let opts = CompileOptions::new(point.mode);
+            let model = PumaCompiler::new(point.hw.clone())
+                .compile(&graph, &opts)
+                .unwrap();
+            let sim = Simulator::new(point.hw.clone()).run(&model).unwrap();
+            let m = record.metrics.as_ref().unwrap();
+            assert_eq!(m.cycles, sim.total_cycles);
+            let bits = |uj: f64| uj.to_bits();
+            assert_eq!(bits(m.dynamic_uj), bits(sim.energy.dynamic_pj() / 1e6));
+            assert_eq!(bits(m.leakage_uj), bits(sim.energy.leakage_pj / 1e6));
+            assert_eq!(m.crossbars_used, model.crossbars_used());
+        }
     }
 
     #[test]

@@ -39,7 +39,10 @@
 //!   master seed;
 //! * **weight_reload**, **seq_lens**, **quantization** — crossbar
 //!   budgets, sequence-length bindings, and functional verification,
-//!   each off unless the spec names it.
+//!   each off unless the spec names it;
+//! * **mappings** — PIMCOMP's GA (the default) and/or the PUMA-like
+//!   baseline ([`pimcomp_core::PumaCompiler`]), the paper's Fig. 8
+//!   comparison as one axis.
 //!
 //! `docs/SWEEP_SPEC.md` in the repository documents every
 //! spec field, default, and validation rule. The per-point knobs
@@ -127,7 +130,7 @@ mod engine;
 mod report;
 mod spec;
 
-pub use axis::{policy_names, policy_spec_name, Knobs, ReloadSetting};
+pub use axis::{policy_names, policy_spec_name, Knobs, Mapping, ReloadSetting};
 pub use cache::EvictionStats;
 pub use engine::{
     BudgetSummary, ExploreEngine, ExploreOutcome, PointEvent, PointOutcome, ProgressSink,
@@ -142,7 +145,9 @@ use std::fmt;
 ///
 /// Per-point compilation or simulation failures are **not** errors:
 /// a batch sweep must survive one bad point, so those are recorded in
-/// the report ([`PointRecord::error`]) and the sweep continues.
+/// the report ([`PointRecord::error`]) and the sweep continues. A
+/// caller that needs every point (the paper scoreboard) turns such a
+/// record into [`ExploreError::PointFailed`].
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ExploreError {
@@ -177,6 +182,13 @@ pub enum ExploreError {
         /// Underlying description.
         detail: String,
     },
+    /// A point the caller needs failed; its record's error.
+    PointFailed {
+        /// The point's key ([`PointRecord::key`]).
+        key: String,
+        /// What failed.
+        detail: String,
+    },
     /// A report was written by an incompatible format version.
     UnsupportedVersion {
         /// Version found in the report.
@@ -202,6 +214,9 @@ impl fmt::Display for ExploreError {
             ExploreError::Io { detail } => write!(f, "sweep I/O failed: {detail}"),
             ExploreError::Serialization { detail } => {
                 write!(f, "sweep report serialization failed: {detail}")
+            }
+            ExploreError::PointFailed { key, detail } => {
+                write!(f, "sweep point `{key}` failed: {detail}")
             }
             ExploreError::UnsupportedVersion { found, supported } => write!(
                 f,

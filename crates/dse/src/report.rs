@@ -27,7 +27,10 @@ use std::fmt;
 /// point key for quantized points and the CSV columns) and
 /// [`PointMetrics`] gained the functional-verification accuracy
 /// metrics `output_rmse` / `top1_match`.
-pub const SWEEP_FORMAT_VERSION: u32 = 6;
+///
+/// v7: [`PointRecord`] gained the `mappings` axis (`mapping`, entering
+/// the point key for PUMA-like points and the CSV columns).
+pub const SWEEP_FORMAT_VERSION: u32 = 7;
 
 /// Deterministic metrics of one successfully compiled and simulated
 /// sweep point. Everything here is a pure function of (model, mode,
@@ -149,6 +152,10 @@ pub struct PointRecord {
     /// `quantization` axis; `0` = unquantized check; otherwise the ADC
     /// bit-width).
     pub quantization: Option<u64>,
+    /// The compiler that mapped this point: `ga` (PIMCOMP's, the only
+    /// possibility for specs without a `mappings` axis) or `puma` (the
+    /// PUMA-like baseline).
+    pub mapping: String,
     /// Highest search rung this point was evaluated at (0-based).
     /// Exhaustive sweeps have a single rung, so this is always 0 there;
     /// under successive halving a value below the final rung means the
@@ -181,10 +188,11 @@ impl PointRecord {
     /// [`SweepPoint::key`](crate::SweepPoint::key), the one place the
     /// format is written down. Reload-on points append a
     /// `/reload-BUDGET` segment (`full` for the full-capacity budget),
-    /// sequence-bound points a `/seqN` segment, and quantized points a
-    /// final `/qB` segment; points that leave those knobs at their
-    /// defaults keep the historical six-segment form, so keys from
-    /// older reports still line up in diffs.
+    /// sequence-bound points a `/seqN` segment, quantized points a
+    /// `/qB` segment, and PUMA-like points a final `/puma`; points that
+    /// leave those knobs at their defaults keep the historical
+    /// six-segment form, so keys from older reports still line up in
+    /// diffs.
     pub fn key(&self) -> String {
         let mut key = format!(
             "{}/{}/{}/{}/b{}/seed{}",
@@ -199,6 +207,10 @@ impl PointRecord {
         }
         if let Some(q) = self.quantization {
             key.push_str(&format!("/q{q}"));
+        }
+        if self.mapping != "ga" {
+            key.push('/');
+            key.push_str(&self.mapping);
         }
         key
     }
@@ -551,6 +563,7 @@ mod tests {
             weight_reload: "off".into(),
             seq_len: None,
             quantization: None,
+            mapping: "ga".into(),
             rung: 0,
             budget: 4,
             pruned_at: None,
@@ -713,13 +726,13 @@ mod tests {
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[0].starts_with(
-            "model,mode,hardware,policy,batch,seed,weight_reload,seq_len,quantization,rung,\
-             budget,pruned_at,ok,pareto"
+            "model,mode,hardware,policy,batch,seed,weight_reload,seq_len,quantization,mapping,\
+             rung,budget,pruned_at,ok,pareto"
         ));
         // policy ag, batch 2, seed 1, reload off, empty seq_len, empty
-        // quantization, rung 0, budget 4, empty pruned_at, ok, pareto,
-        // cycles.
-        assert!(lines[1].contains("ag,2,1,off,,,0,4,,true,true,100"));
+        // quantization, mapping ga, rung 0, budget 4, empty pruned_at,
+        // ok, pareto, cycles.
+        assert!(lines[1].contains("ag,2,1,off,,,ga,0,4,,true,true,100"));
         assert!(lines[2].contains("\"bad, \"\"quoted\"\"\""));
     }
 

@@ -6,7 +6,7 @@
 //! validation rule, and the exact error each malformed shape produces)
 //! lives in `docs/SWEEP_SPEC.md` at the repository root.
 
-use crate::axis::{hardware_grid, knob_grid, Axis, Knobs, ReloadSetting, AXES, HW_AXES};
+use crate::axis::{hardware_grid, knob_grid, Axis, Knobs, Mapping, ReloadSetting, AXES, HW_AXES};
 use crate::ExploreError;
 use pimcomp_arch::{HardwareConfig, PipelineMode};
 use pimcomp_core::{split_stream_seed, ReusePolicy};
@@ -210,6 +210,11 @@ pub struct SweepSpec {
     /// analog datapath with a `b`-bit ADC (`b = 32` is the ideal
     /// converter — weight quantization only).
     pub quantization: Vec<Option<u32>>,
+    /// Mappings, one sweep axis (default `[Ga]` — PIMCOMP's GA maps
+    /// every point). `Puma` compiles the point with the PUMA-like
+    /// baseline instead, so `["ga", "puma"]` puts the paper's
+    /// comparison side by side in one report.
+    pub mappings: Vec<Mapping>,
     /// How the engine walks the grid (default: exhaustive).
     pub search: SearchStrategy,
 }
@@ -381,6 +386,7 @@ impl SweepSpec {
             weight_reload: vec![Knobs::DEFAULT.reload],
             seq_lens: vec![Knobs::DEFAULT.seq],
             quantization: vec![Knobs::DEFAULT.quant],
+            mappings: vec![Knobs::DEFAULT.mapping],
             search: SearchStrategy::Exhaustive,
         };
         for axis in &AXES {
@@ -442,7 +448,7 @@ impl SweepSpec {
     /// Expands the cross-product into points, in the fixed axis order
     /// models → modes → hardware → the per-point knobs in table order
     /// (policies → batches → seeds → weight_reload → seq_lens →
-    /// quantization). The order is part of the determinism contract:
+    /// quantization → mappings). The order is part of the determinism contract:
     /// point index, and hence any master-seed derived quantity,
     /// depends only on the spec.
     ///
@@ -1151,6 +1157,22 @@ mod tests {
                 r#"{"models":["tiny_mlp"],"hardware":{},"quantization":[8,8]}"#,
                 "duplicate entry `8` in quantization",
             ),
+            (
+                r#"{"models":["tiny_mlp"],"hardware":{},"mappings":[]}"#,
+                "`mappings` must be a non-empty array of mapping names (ga | puma)",
+            ),
+            (
+                r#"{"models":["tiny_mlp"],"hardware":{},"mappings":"puma"}"#,
+                "`mappings` must be a non-empty array of mapping names (ga | puma)",
+            ),
+            (
+                r#"{"models":["tiny_mlp"],"hardware":{},"mappings":["isaac"]}"#,
+                "unknown mapping `isaac` (ga | puma)",
+            ),
+            (
+                r#"{"models":["tiny_mlp"],"hardware":{},"mappings":["ga","ga"]}"#,
+                "duplicate entry `ga` in mappings",
+            ),
         ] {
             let err = SweepSpec::from_json(json).unwrap_err();
             let msg = err.to_string();
@@ -1287,7 +1309,7 @@ mod tests {
                 format!(
                     "invalid sweep spec: unknown field `{name}` (known fields: master_seed, \
                      models, modes, hardware, seeds, num_seeds, ga, memory_policies, \
-                     ht_batches, weight_reload, seq_lens, quantization, search)"
+                     ht_batches, weight_reload, seq_lens, quantization, mappings, search)"
                 )
             );
         }

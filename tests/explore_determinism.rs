@@ -88,7 +88,7 @@ fn fixtures_dir() -> PathBuf {
 /// The three `(exhaustive, halving)` pairs the gates below run on, each
 /// pair the same axes under both strategies: the inline 12-point spec,
 /// the committed 4-point smoke fixtures (what CI's `explore` steps run)
-/// and the committed 36-point paper-style fixtures.
+/// and the committed 36-point toy-model fixtures.
 fn spec_pairs() -> [(SweepSpec, SweepSpec); 3] {
     let fixture = |name: &str| {
         let json = std::fs::read_to_string(fixtures_dir().join(name)).unwrap();
@@ -100,10 +100,7 @@ fn spec_pairs() -> [(SweepSpec, SweepSpec); 3] {
             fixture("smoke_sweep.json"),
             fixture("smoke_sweep_halving.json"),
         ),
-        (
-            fixture("paper_sweep.json"),
-            fixture("paper_sweep_halving.json"),
-        ),
+        (fixture("toy_sweep.json"), fixture("toy_sweep_halving.json")),
     ]
 }
 
@@ -245,9 +242,9 @@ fn new_axes_sweep_is_thread_invariant_and_replays_from_cache() {
         four.report.to_json().unwrap(),
         "new-axes sweep must emit identical bytes at 1 and 4 threads"
     );
-    // v6 report: the compiler-knob, weight-reload, seq_len, and
-    // quantization axes are in every record.
-    assert_eq!(cold.report.format_version, 6);
+    // v7 report: the compiler-knob, weight-reload, seq_len,
+    // quantization and mapping axes are in every record.
+    assert_eq!(cold.report.format_version, 7);
     assert_eq!(cold.report.points.len(), 24);
     assert_eq!(cold.report.failures(), 0);
     assert!(cold
@@ -308,6 +305,12 @@ const QUANT_SPEC: &str = r#"{
   "quantization": [0, 6, 32]
 }"#;
 
+/// The committed GA-vs-PUMA fixture: one configuration per mode, each
+/// mapped by both compilers.
+fn mapping_spec() -> String {
+    std::fs::read_to_string(fixtures_dir().join("smoke_sweep_mapping.json")).unwrap()
+}
+
 #[test]
 fn empty_artifact_only_and_full_caches_give_one_report() {
     let dir = temp_dir("states");
@@ -318,6 +321,7 @@ fn empty_artifact_only_and_full_caches_give_one_report() {
         ("reload", RELOAD_SPEC.to_string()),
         ("auto-hardware", axes_spec(&onnx)),
         ("quantization", QUANT_SPEC.to_string()),
+        ("mapping", mapping_spec()),
     ];
     for (name, json) in specs {
         let spec = SweepSpec::from_json(&json).unwrap();
