@@ -150,6 +150,8 @@ pub(crate) fn run(
 
     while let Some((now, (uid, k))) = queue.pop() {
         pops += 1;
+        #[cfg(test)]
+        tests::POPS.with(|n| n.set(n.get() + 1));
         if pops > pop_budget {
             return Err(SimError::Diverged {
                 detail: format!("LL event budget of {pop_budget} pops exceeded"),
@@ -332,5 +334,67 @@ fn node_prefix_of(
         0
     } else {
         prefix
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::Simulator;
+    use pimcomp_arch::{HardwareConfig, PipelineMode};
+    use pimcomp_core::{sized_chips, CompileOptions, CompileSession, GaParams, DEFAULT_HEADROOM};
+    use pimcomp_ir::{models, transform::normalize};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Queue entries this thread's LL runs popped: windows run,
+        /// tokens parked on a provider, and finished tokens.
+        pub(crate) static POPS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// The five `simulate_paper` LL mappings (GA 20×30, seed 1, the
+    /// paper targets): their pops and windows. An engine change that
+    /// keeps every pop in its `(time, unit, replica)` order keeps both
+    /// counts; `--nocapture` prints them.
+    #[test]
+    #[ignore = "paper scale: run in release"]
+    fn paper_mappings_pop_the_pinned_event_counts() {
+        let ga = GaParams {
+            population: 20,
+            iterations: 30,
+            seed: 1,
+            ..GaParams::default()
+        };
+        let mut counts = Vec::new();
+        for name in models::PAPER_BENCHMARKS {
+            let graph = models::by_name(name).and_then(|g| normalize(&g).ok());
+            let graph = graph.expect("paper benchmark resolves");
+            let chips = sized_chips(&graph, &HardwareConfig::puma(), DEFAULT_HEADROOM).unwrap();
+            let hw = HardwareConfig::puma_with_chips(chips).with_parallelism(20);
+            let opts = CompileOptions::new(PipelineMode::LowLatency).with_ga(ga.clone());
+            let compiled = CompileSession::new(hw.clone(), &graph, opts)
+                .and_then(CompileSession::run)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let units = &compiled.schedule.as_ll().expect("an LL schedule").units;
+            let windows: usize = units
+                .iter()
+                .filter(|u| !u.replicas.is_empty())
+                .map(|u| u.windows)
+                .sum();
+            POPS.with(|n| n.set(0));
+            Simulator::new(hw).run(&compiled).unwrap();
+            let pops = POPS.with(Cell::get);
+            println!("{name}: {pops} pops, {windows} windows");
+            counts.push((name, pops, windows));
+        }
+        assert_eq!(
+            counts,
+            [
+                ("vgg16", 350_146, 292_298),
+                ("resnet18", 95_232, 70_906),
+                ("googlenet", 107_701, 85_116),
+                ("inception_v3", 332_822, 254_513),
+                ("squeezenet", 141_925, 110_747),
+            ]
+        );
     }
 }

@@ -561,12 +561,20 @@ fn ll_sim_reports_match_golden() {
     check_ll_sim_reports(!cfg!(debug_assertions));
 }
 
+/// The `sweep_zoo` models, then the two whose LL runs pop the most
+/// windows.
 fn check_ll_sim_reports(full: bool) {
     check_sim_reports(
         "ll_sim_reports.json",
         PipelineMode::LowLatency,
         &[],
-        &["squeezenet", "resnet18", "googlenet"],
+        &[
+            "squeezenet",
+            "resnet18",
+            "googlenet",
+            "vgg16",
+            "inception_v3",
+        ],
         full,
     );
 }
