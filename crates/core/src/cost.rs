@@ -27,9 +27,10 @@
 
 use crate::partition::Partitioning;
 use crate::schedule::{HtSchedule, LlReplica, LlSchedule, LlUnitKind};
-use crate::waiting::{required_windows, DepInfo, DepRule};
+use crate::waiting::{required_windows_at, DepInfo, DepRule};
 use pimcomp_arch::{HardwareConfig, NocModel};
 use pimcomp_ir::{Graph, NodeId};
+use std::ops::Range;
 
 /// The MVM issue interval `T_interval` in cycles: consecutive MVM
 /// launches within one core are spaced by at least this much, which
@@ -310,11 +311,12 @@ pub struct LlEdge {
 }
 
 impl LlEdge {
-    /// Provider windows (prefix length) consumer window `j` needs.
-    pub fn required(&self, j: usize) -> usize {
-        required_windows(
+    /// Provider windows (prefix length) the consumer window at output
+    /// `(row, col)` needs.
+    pub fn required(&self, row: usize, col: usize) -> usize {
+        required_windows_at(
             self.rule,
-            j,
+            (row, col),
             self.consumer_dims,
             self.consumer_windows,
             self.provider_dims,
@@ -329,9 +331,8 @@ impl LlEdge {
 pub struct LlRemote {
     /// The slowest of those transfers (0 when the owner holds every AG).
     pub cycles: u64,
-    /// Energy of each, in `ags_per_core` order: they are added to the
-    /// run's `f64` total one by one, and the total depends on the order.
-    pub pj: Vec<f64>,
+    /// Where the energy of each lies in [`LlCosts::partial_pj`].
+    pub pj: Range<usize>,
 }
 
 /// The per-window costs of one LL pipeline unit.
@@ -358,6 +359,11 @@ pub struct LlCosts {
     pub t_mvm: u64,
     /// Per unit.
     pub units: Vec<LlUnitCost>,
+    /// Every replica's partial-sum transfer energies, one flat array in
+    /// (unit, replica, `ags_per_core`) order: a window adds its
+    /// replica's to the run's `f64` total one by one, and the total
+    /// depends on the order.
+    pub partial_pj: Vec<f64>,
 }
 
 impl LlCosts {
@@ -376,64 +382,67 @@ impl LlCosts {
             let shape = &graph.node(id).output_shape;
             (shape.height(), shape.width())
         };
-        LlCosts {
-            t_interval: issue_interval(hw),
-            t_mvm: hw.mvm_latency,
-            units: units
-                .iter()
-                .map(|u| {
-                    // Provider owner -> consumer owner, one window's payload.
-                    let dst = u.replicas.first().map_or(0, |r| r.owner);
-                    let forward_cycles = u
-                        .providers
-                        .iter()
-                        .map(|p| {
-                            let first = schedule.units_of(p.node).first().map(|&pu| &units[pu]);
-                            let src = first.and_then(|pu| pu.replicas.first());
-                            let bytes = first.map_or(0, |pu| pu.elems_per_window * eb);
-                            noc.transfer_cycles(src.map_or(dst, |r| r.owner), dst, bytes)
-                        })
-                        .max()
-                        .unwrap_or(0);
-                    let edges = u.providers.iter().map(|p| LlEdge {
-                        provider: p.node.index(),
-                        rule: p.rule,
-                        consumer_dims: dims(u.node),
-                        consumer_windows: dep.windows_of(u.node),
-                        provider_dims: dims(p.node),
-                        provider_windows: dep.windows_of(p.node),
-                    });
-                    let remotes = match u.kind {
-                        LlUnitKind::Mvm { mvm } => {
-                            let bytes = partitioning.entry(mvm).weight_width * eb;
-                            let remote = |r: &LlReplica| {
+        let mut partial_pj = Vec::new();
+        let units = units
+            .iter()
+            .map(|u| {
+                // Provider owner -> consumer owner, one window's payload.
+                let dst = u.replicas.first().map_or(0, |r| r.owner);
+                let forward_cycles = u
+                    .providers
+                    .iter()
+                    .map(|p| {
+                        let first = schedule.units_of(p.node).first().map(|&pu| &units[pu]);
+                        let src = first.and_then(|pu| pu.replicas.first());
+                        let bytes = first.map_or(0, |pu| pu.elems_per_window * eb);
+                        noc.transfer_cycles(src.map_or(dst, |r| r.owner), dst, bytes)
+                    })
+                    .max()
+                    .unwrap_or(0);
+                let edges = u.providers.iter().map(|p| LlEdge {
+                    provider: p.node.index(),
+                    rule: p.rule,
+                    consumer_dims: dims(u.node),
+                    consumer_windows: dep.windows_of(u.node),
+                    provider_dims: dims(p.node),
+                    provider_windows: dep.windows_of(p.node),
+                });
+                let remotes = match u.kind {
+                    LlUnitKind::Mvm { mvm } => {
+                        let bytes = partitioning.entry(mvm).weight_width * eb;
+                        let mut remote =
+                            |r: &LlReplica| {
                                 let senders =
                                     r.ags_per_core.iter().filter(|&&(core, _)| core != r.owner);
+                                let start = partial_pj.len();
+                                partial_pj.extend(senders.clone().map(|&(core, _)| {
+                                    noc.transfer_energy_pj(core, r.owner, bytes)
+                                }));
                                 LlRemote {
                                     cycles: senders
-                                        .clone()
                                         .map(|&(core, _)| noc.transfer_cycles(core, r.owner, bytes))
                                         .max()
                                         .unwrap_or(0),
-                                    pj: senders
-                                        .map(|&(core, _)| {
-                                            noc.transfer_energy_pj(core, r.owner, bytes)
-                                        })
-                                        .collect(),
+                                    pj: start..partial_pj.len(),
                                 }
                             };
-                            u.replicas.iter().map(remote).collect()
-                        }
-                        LlUnitKind::Vector => Vec::new(),
-                    };
-                    LlUnitCost {
-                        vfu_pass: vfu_cycles(hw, u.vfu_elems_per_window),
-                        forward_cycles,
-                        edges: edges.collect(),
-                        remotes,
+                        u.replicas.iter().map(&mut remote).collect()
                     }
-                })
-                .collect(),
+                    LlUnitKind::Vector => Vec::new(),
+                };
+                LlUnitCost {
+                    vfu_pass: vfu_cycles(hw, u.vfu_elems_per_window),
+                    forward_cycles,
+                    edges: edges.collect(),
+                    remotes,
+                }
+            })
+            .collect();
+        LlCosts {
+            t_interval: issue_interval(hw),
+            t_mvm: hw.mvm_latency,
+            units,
+            partial_pj,
         }
     }
 }
@@ -671,7 +680,7 @@ mod tests {
             c1.remotes,
             [LlRemote {
                 cycles: hop(1),
-                pj: vec![16.0 * FLIT_PJ]
+                pj: 0..1
             }]
         );
         assert_eq!((c1.vfu_pass, c1.forward_cycles), (27, 0)); // ⌈320 / 12⌉
@@ -686,9 +695,16 @@ mod tests {
         // stay in core order. A ReLU window (64 elements) comes two hops
         // from core 0, and c2's first window needs the ReLU's first
         // 8 + 2 = 10 windows (3 × 3 kernel, padding 1).
-        let pj = vec![16.0 * FLIT_PJ, 16.0 * 3.0 * FLIT_PJ];
-        assert_eq!(c2.remotes, [LlRemote { cycles: hop(3), pj }]);
+        assert_eq!(
+            c2.remotes,
+            [LlRemote {
+                cycles: hop(3),
+                pj: 1..3
+            }]
+        );
+        let pj = [16.0 * FLIT_PJ, 16.0 * FLIT_PJ, 16.0 * 3.0 * FLIT_PJ];
+        assert_eq!(costs.partial_pj, pj);
         assert_eq!((c2.vfu_pass, c2.forward_cycles), (27, hop(2)));
-        assert_eq!((c2.edges[0].provider, c2.edges[0].required(0)), (2, 10));
+        assert_eq!((c2.edges[0].provider, c2.edges[0].required(0, 0)), (2, 10));
     }
 }

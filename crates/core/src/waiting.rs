@@ -204,13 +204,41 @@ pub fn required_windows(
     provider_dims: (usize, usize),
     provider_windows: usize,
 ) -> usize {
+    let wo = consumer_dims.1.max(1);
+    required_windows_at(
+        rule,
+        (j / wo, j % wo),
+        consumer_dims,
+        consumer_windows,
+        provider_dims,
+        provider_windows,
+    )
+}
+
+/// [`required_windows`] of the consumer window at output `(row, col)`
+/// (0-based; window `row · W + col` for a consumer `W` columns wide), so
+/// a caller that steps through windows needs no division for them.
+pub(crate) fn required_windows_at(
+    rule: DepRule,
+    (row, col): (usize, usize),
+    consumer_dims: (usize, usize),
+    consumer_windows: usize,
+    provider_dims: (usize, usize),
+    provider_windows: usize,
+) -> usize {
     match rule {
         DepRule::Full => provider_windows,
         DepRule::PassThrough => {
-            // ceil((j+1) * Np / Nc), clamped.
-            ((j + 1) * provider_windows)
-                .div_ceil(consumer_windows.max(1))
-                .min(provider_windows)
+            let j = row * consumer_dims.1.max(1) + col;
+            if consumer_windows == provider_windows {
+                // The general form below, with its division cancelled.
+                (j + 1).min(provider_windows)
+            } else {
+                // ceil((j+1) * Np / Nc), clamped.
+                ((j + 1) * provider_windows)
+                    .div_ceil(consumer_windows.max(1))
+                    .min(provider_windows)
+            }
         }
         DepRule::SlidingWindow {
             kernel,
@@ -218,10 +246,12 @@ pub fn required_windows(
             padding,
         } => {
             let (hi, wi) = provider_dims;
-            let wo = consumer_dims.1.max(1);
-            let (r, c) = (j / wo, j % wo); // 0-based output coords
-            let rd = (kernel.0 + stride.0 * r).saturating_sub(padding.0).min(hi);
-            let cd = (kernel.1 + stride.1 * c).saturating_sub(padding.1).min(wi);
+            let rd = (kernel.0 + stride.0 * row)
+                .saturating_sub(padding.0)
+                .min(hi);
+            let cd = (kernel.1 + stride.1 * col)
+                .saturating_sub(padding.1)
+                .min(wi);
             if rd == 0 {
                 0
             } else {

@@ -1,10 +1,9 @@
 //! Event-driven low-latency simulator.
 //!
-//! Executes the streaming pipeline of an
-//! [`LlSchedule`](pimcomp_core::LlSchedule) at sliding-window
-//! granularity: a consumer window starts once the receptive-window
-//! prefix `(rd, cd)` of every provider is complete (paper §IV-D.2).
-//! Modelled effects:
+//! Executes the streaming pipeline of an [`LlSchedule`] at
+//! sliding-window granularity: a consumer window starts once the
+//! receptive-window prefix `(rd, cd)` of every provider is complete
+//! (paper §IV-D.2). Modelled effects:
 //!
 //! * per-core MVM issue spacing (`T_interval`, the parallelism degree);
 //! * per-replica crossbar occupancy (a replica's next window cannot
@@ -21,36 +20,187 @@
 //! forwarding delay and the provider edges — and keeps only state,
 //! queues and the clock.
 //!
-//! Replica tokens `(time, unit, replica)` wait in the monotone radix
-//! heap both engines share ([`EventQueue`]), keyed by time with
-//! `(unit, replica)` breaking ties — the order of a min-heap of the
-//! triples, because no push is earlier than the time just popped: a
+//! Before the run it lays the schedule and that table out flat
+//! ([`Tables`]): one replica table indexed by a global id, `u32` in the
+//! queue, whose order is `(unit, replica)` order; per unit, what every
+//! window of it adds; one array of `(core, count)` pairs and one of
+//! partial-sum energies, which each replica indexes by range. Each
+//! replica carries the output `(row, col)` of its next window and steps
+//! it by the unit's replica count, so neither the dependency check nor
+//! the prefix advance divides per window.
+//!
+//! Replica tokens `(time, id)` wait in the queue both engines share
+//! ([`EventQueue`]), with its near tier sized from the cost table, keyed
+//! by time with the id breaking ties — the order of a min-heap of the
+//! pairs, because no push is earlier than the time just popped: a
 //! window popped at `now` completes at `t_done ≥ now`, and its replica
 //! and its woken waiters are queued at `t_done` and `t_done` plus a
-//! forwarding delay. A push at `now` may carry a smaller `(unit,
-//! replica)` than the one just popped; it pops next. Every duration
-//! reaches the clock through [`later`], so a time that would pass
-//! `u64::MAX` is [`SimError::Diverged`], never a wrap.
+//! forwarding delay. A push at `now` may carry a smaller id than the one
+//! just popped; it pops next. Every duration reaches the clock through
+//! [`later`], so a time that would pass `u64::MAX` is
+//! [`SimError::Diverged`], never a wrap.
 
 use crate::report::{makespan_leakage_pj, Counters, SimReport};
 use crate::resources::{later, ActivitySpan, EventQueue, Server, VFU};
 use crate::SimError;
 use pimcomp_arch::EnergyModel;
-use pimcomp_core::{CompiledModel, LlCosts, LlUnitKind};
+use pimcomp_core::{CompiledModel, LlCosts, LlEdge, LlSchedule, LlUnitKind};
 use pimcomp_ir::NodeId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
-/// Per-replica runtime state.
+/// One replica in the engine's flat table, at its global id: its unit's
+/// first id plus its index in the unit, so id order is `(unit, replica)`
+/// order.
 #[derive(Debug, Clone)]
-struct ReplicaRt {
-    /// Windows completed by this replica.
+struct Replica {
+    /// Windows completed.
     done: usize,
-    /// Base time of the previous window's MVM issue group, aligned by
-    /// position with the replica's `ags_per_core` list (cores are
-    /// unique within a replica); `u64::MAX` = no previous window.
-    /// Crossbar pipelining: next window's MVMs start ≥ prev + T_MVM.
+    /// Windows assigned: `k, k + R, k + 2R, …` for replica `k` of `R`.
+    windows: usize,
+    /// Output `(row, col)` of the next window, `k + done · R`: stepped by
+    /// `R` windows as each completes, never divided out of the index.
+    row: usize,
+    col: usize,
+    unit: usize,
+    owner: usize,
+    /// The slowest partial-sum transfer to the owner (MVM units).
+    remote_cycles: u64,
+    /// Its `(core, count)` pairs in [`Tables::ags`] (MVM units).
+    ags: Range<usize>,
+    /// Its partial-sum energies in [`LlCosts::partial_pj`] (MVM units).
+    pj: Range<usize>,
+}
+
+/// One unit, resolved once from the schedule, the partitioning and the
+/// cost table.
+#[derive(Debug, Clone)]
+struct Unit {
+    /// Global id of replica 0.
+    first: usize,
+    /// Replica count `R`.
+    replicas: usize,
+    windows: usize,
+    node: usize,
+    /// Output columns (at least 1), and `R` windows as `(rows, cols)`.
+    width: usize,
+    step: (usize, usize),
+    /// Crossbars per AG; `None` for a vector unit.
+    crossbars_per_ag: Option<u64>,
+    /// NoC bytes of one partial sum, per sending core.
+    partial_bytes: u64,
+    local_bytes: u64,
+    vfu_elems: u64,
+    vfu_pass: u64,
+    forward_cycles: u64,
+    /// Its provider edges in [`Tables::edges`].
+    edges: Range<usize>,
+}
+
+/// The schedule and its [`LlCosts`], laid out flat for the event loop.
+struct Tables {
+    units: Vec<Unit>,
+    replicas: Vec<Replica>,
+    /// Every MVM replica's `(core, count)` pairs, in `ags_per_core`
+    /// order (cores are unique within a replica).
+    ags: Vec<(usize, u64)>,
+    /// Beside each of `ags`: the base time of the replica's previous
+    /// issue group on that core (`u64::MAX`: none yet). Crossbar
+    /// pipelining: the next window's MVMs start ≥ prev + T_MVM.
     prev_base: Vec<u64>,
+    edges: Vec<LlEdge>,
+    partial_pj: Vec<f64>,
+}
+
+impl Tables {
+    fn new(compiled: &CompiledModel, schedule: &LlSchedule, costs: LlCosts) -> Self {
+        let eb = compiled.hw.input_bytes_per_element();
+        let graph = &compiled.graph;
+        let mut t = Tables {
+            units: Vec::with_capacity(schedule.units.len()),
+            replicas: Vec::new(),
+            ags: Vec::new(),
+            prev_base: Vec::new(),
+            edges: Vec::new(),
+            partial_pj: costs.partial_pj,
+        };
+        for (uid, (u, c)) in schedule.units.iter().zip(costs.units).enumerate() {
+            let r_count = u.replicas.len();
+            let width = graph.node(u.node).output_shape.width().max(1);
+            let (crossbars_per_ag, partial_bytes, local_bytes) = match u.kind {
+                LlUnitKind::Mvm { mvm } => {
+                    let entry = compiled.partitioning.entry(mvm);
+                    (
+                        Some(entry.crossbars_per_ag as u64),
+                        (entry.weight_width * eb) as u64,
+                        (entry.weight_height + entry.weight_width) as u64 * eb as u64,
+                    )
+                }
+                LlUnitKind::Vector => (None, 0, (2 * u.elems_per_window * eb) as u64),
+            };
+            let edges = t.edges.len()..t.edges.len() + c.edges.len();
+            t.edges.extend(c.edges);
+            t.units.push(Unit {
+                first: t.replicas.len(),
+                replicas: r_count,
+                windows: u.windows,
+                node: u.node.index(),
+                width,
+                step: (r_count / width, r_count % width),
+                crossbars_per_ag,
+                partial_bytes,
+                local_bytes,
+                vfu_elems: u.vfu_elems_per_window as u64,
+                vfu_pass: c.vfu_pass,
+                forward_cycles: c.forward_cycles,
+                edges,
+            });
+            for (k, r) in u.replicas.iter().enumerate() {
+                let remote = c.remotes.get(k);
+                let ags = t.ags.len()..t.ags.len() + r.ags_per_core.len();
+                if crossbars_per_ag.is_some() {
+                    let pairs = r.ags_per_core.iter().map(|&(core, n)| (core, n as u64));
+                    t.ags.extend(pairs);
+                }
+                t.replicas.push(Replica {
+                    done: 0,
+                    windows: r.windows,
+                    row: k / width,
+                    col: k % width,
+                    unit: uid,
+                    owner: r.owner,
+                    remote_cycles: remote.map_or(0, |m| m.cycles),
+                    ags: if crossbars_per_ag.is_some() {
+                        ags
+                    } else {
+                        0..0
+                    },
+                    pj: remote.map_or(0..0, |m| m.pj.clone()),
+                });
+            }
+        }
+        t.prev_base = vec![u64::MAX; t.ags.len()];
+        t
+    }
+
+    /// The near-tier span of the event queue: above the longest single
+    /// window — its largest issue group's `count × T_interval + T_MVM`,
+    /// the partial-sum transfer, the VFU pass and the forwarding delay —
+    /// so that a replica's next window and the waiters it wakes are
+    /// usually filed in the wheel; at most 2^16 slots.
+    fn near_span(&self, t_int: u64, t_mvm: u64) -> u64 {
+        let longest = self.replicas.iter().map(|r| {
+            let u = &self.units[r.unit];
+            let group = self.ags[r.ags.clone()].iter().map(|&(_, n)| n).max();
+            let mvm = group.map_or(0, |n| n.saturating_mul(t_int).saturating_add(t_mvm));
+            [r.remote_cycles, u.vfu_pass, u.forward_cycles]
+                .into_iter()
+                .fold(mvm, u64::saturating_add)
+        });
+        let longest = longest.max().unwrap_or(0).min(1 << 16);
+        (longest + 1).next_power_of_two().min(1 << 16)
+    }
 }
 
 /// Runs the LL simulation for a compiled model.
@@ -64,25 +214,23 @@ pub(crate) fn run(
         .ok_or(SimError::WrongScheduleKind)?;
     let hw = &compiled.hw;
     let cores = hw.total_cores();
-    let eb = hw.input_bytes_per_element();
     let graph = &compiled.graph;
     let costs = LlCosts::new(hw, graph, &compiled.partitioning, &compiled.dep, schedule);
-    let (t_int, t_mvm, costs) = (costs.t_interval, costs.t_mvm, costs.units);
-    let units = &schedule.units;
+    let (t_int, t_mvm) = (costs.t_interval, costs.t_mvm);
+    let tables = Tables::new(compiled, schedule, costs);
+    let near_span = tables.near_span(t_int, t_mvm);
+    let Tables {
+        units,
+        mut replicas,
+        ags,
+        mut prev_base,
+        edges,
+        partial_pj,
+    } = tables;
+    let ids = u32::try_from(replicas.len()).map_err(|_| SimError::Diverged {
+        detail: format!("{} LL replicas overflow a u32 id", replicas.len()),
+    })?;
 
-    // Runtime state.
-    let mut reps: Vec<Vec<ReplicaRt>> = units
-        .iter()
-        .map(|u| {
-            u.replicas
-                .iter()
-                .map(|r| ReplicaRt {
-                    done: 0,
-                    prev_base: vec![u64::MAX; r.ags_per_core.len()],
-                })
-                .collect()
-        })
-        .collect();
     let mut issue_free = vec![0u64; cores];
     let mut vfu = vec![Server::default(); cores];
     let mut spans: Vec<ActivitySpan> = vec![ActivitySpan::default(); cores];
@@ -100,14 +248,13 @@ pub(crate) fn run(
     // and counts as complete.)
     let mut unit_prefix: Vec<usize> = units
         .iter()
-        .map(|u| if u.replicas.is_empty() { u.windows } else { 0 })
+        .map(|u| if u.replicas == 0 { u.windows } else { 0 })
         .collect();
-    // Waiters: node index -> a min-heap of (threshold, unit, replica), so
-    // a prefix advance pops exactly the waiters it satisfies. The order
+    // Waiters: node index -> a min-heap of (threshold, replica id), so a
+    // prefix advance pops exactly the waiters it satisfies. The order
     // they are re-queued in cannot matter: each replica owns one token,
-    // so no two queued events share a `(unit, replica)` key.
-    let mut waiters: Vec<BinaryHeap<Reverse<(usize, usize, usize)>>> =
-        vec![BinaryHeap::new(); node_count];
+    // so no two queued events share an id.
+    let mut waiters: Vec<BinaryHeap<Reverse<(usize, u32)>>> = vec![BinaryHeap::new(); node_count];
     // Dense view of the schedule's units-of-node map, resolved once.
     let units_by_node: Vec<&[usize]> = (0..node_count)
         .map(|i| schedule.units_of(NodeId(i)))
@@ -127,28 +274,24 @@ pub(crate) fn run(
     // provider:
     //   pops <= sum over replicas of windows * (1 + providers),
     // plus one per replica for a token popped with nothing left to do.
-    let work = units.iter().fold(0u64, |work, u| {
-        let per_window = 1 + u.providers.len() as u64;
-        u.replicas.iter().fold(work, |work, r| {
-            work.saturating_add((r.windows as u64).saturating_mul(per_window))
-                .saturating_add(1)
-        })
+    let work = replicas.iter().fold(0u64, |work, r| {
+        let per_window = 1 + units[r.unit].edges.len() as u64;
+        work.saturating_add((r.windows as u64).saturating_mul(per_window))
+            .saturating_add(1)
     });
     let pop_budget = work.saturating_mul(2);
 
-    let mut queue: EventQueue<(usize, usize)> = EventQueue::new();
-    for (uid, u) in units.iter().enumerate() {
-        for (k, r) in u.replicas.iter().enumerate() {
-            if r.windows > 0 {
-                queue.push(0, (uid, k));
-            }
+    let mut queue: EventQueue<u32> = EventQueue::with_near_span(near_span);
+    for id in 0..ids {
+        if replicas[id as usize].windows > 0 {
+            queue.push(0, id);
         }
     }
 
     let mut last_done: u64 = 0;
     let mut pops: u64 = 0;
 
-    while let Some((now, (uid, k))) = queue.pop() {
+    while let Some((now, id)) = queue.pop() {
         pops += 1;
         #[cfg(test)]
         tests::POPS.with(|n| n.set(n.get() + 1));
@@ -157,39 +300,43 @@ pub(crate) fn run(
                 detail: format!("LL event budget of {pop_budget} pops exceeded"),
             });
         }
+        let rep = &replicas[id as usize];
+        let uid = rep.unit;
         let u = &units[uid];
-        let rep_spec = &u.replicas[k];
-        let r_count = u.replicas.len();
-        let done = reps[uid][k].done;
-        if done >= rep_spec.windows {
+        let done = rep.done;
+        if done >= rep.windows {
             continue;
         }
-        let j = k + done * r_count; // global window index (strided)
+        let k = id as usize - u.first;
+        let j = k + done * u.replicas; // global window index (strided)
+        let (row, col) = (rep.row, rep.col);
+        debug_assert_eq!((row, col), (j / u.width, j % u.width), "unit {uid}");
 
         // Dependency check.
         let ready = now;
-        let edges = costs[uid].edges.iter();
-        let mut needs = edges.map(|e| (e.provider, e.required(j)));
+        let mut needs = edges[u.edges.clone()]
+            .iter()
+            .map(|e| (e.provider, e.required(row, col)));
         if let Some((provider, req)) = needs.find(|&(p, req)| node_prefix[p] < req) {
-            waiters[provider].push(Reverse((req, uid, k)));
+            waiters[provider].push(Reverse((req, id)));
             continue;
         }
 
         // Execute the window.
-        let t_done = match u.kind {
-            LlUnitKind::Mvm { mvm } => {
-                let entry = compiled.partitioning.entry(mvm);
+        let owner = rep.owner;
+        let t_done = match u.crossbars_per_ag {
+            Some(crossbars_per_ag) => {
                 let mut mvm_end = ready;
-                for (pos, &(core, count)) in rep_spec.ags_per_core.iter().enumerate() {
-                    let prev = reps[uid][k].prev_base[pos];
+                for pos in rep.ags.clone() {
+                    let (core, count) = ags[pos];
+                    let prev = prev_base[pos];
                     let mut base = ready.max(issue_free[core]);
                     if prev != u64::MAX {
                         // At most that window's checked `end`.
                         base = base.max(prev + t_mvm);
                     }
-                    let count = count as u64;
                     issue_free[core] = later(base, count.saturating_mul(t_int), "an MVM window")?;
-                    reps[uid][k].prev_base[pos] = base;
+                    prev_base[pos] = base;
                     let end = later(
                         base,
                         (count - 1).saturating_mul(t_int).saturating_add(t_mvm),
@@ -198,52 +345,58 @@ pub(crate) fn run(
                     mvm_end = mvm_end.max(end);
                     spans[core].record(base, end);
                     counted.mvm_ops += count;
-                    counted.crossbar_mvms += count * entry.crossbars_per_ag as u64;
+                    counted.crossbar_mvms += count * crossbars_per_ag;
                 }
                 // Partial sums from remote cores to the owner.
-                let owner = rep_spec.owner;
-                let remote = &costs[uid].remotes[k];
-                let arrive = later(mvm_end, remote.cycles, "a NoC transfer")?;
-                counted.noc_bytes += (entry.weight_width * eb * remote.pj.len()) as u64;
-                for pj in &remote.pj {
+                let arrive = later(mvm_end, rep.remote_cycles, "a NoC transfer")?;
+                counted.noc_bytes += u.partial_bytes * rep.pj.len() as u64;
+                for pj in &partial_pj[rep.pj.clone()] {
                     counted.noc_pj += pj;
                 }
                 // Accumulate + activate on the owner's VFU.
-                let t = vfu[owner].acquire(arrive, costs[uid].vfu_pass, VFU)?;
-                counted.vfu_elems += u.vfu_elems_per_window as u64;
-                counted.local_bytes +=
-                    (entry.weight_height + entry.weight_width) as u64 * eb as u64;
+                let t = vfu[owner].acquire(arrive, u.vfu_pass, VFU)?;
+                counted.vfu_elems += u.vfu_elems;
+                counted.local_bytes += u.local_bytes;
                 spans[owner].record(arrive, t);
                 t
             }
-            LlUnitKind::Vector => {
-                let owner = rep_spec.owner;
-                let w = u.vfu_elems_per_window;
-                if w == 0 {
-                    ready
-                } else {
-                    let t = vfu[owner].acquire(ready, costs[uid].vfu_pass, VFU)?;
-                    counted.vfu_elems += w as u64;
-                    counted.local_bytes += (2 * u.elems_per_window * eb) as u64;
-                    spans[owner].record(ready, t);
-                    t
-                }
+            None if u.vfu_elems == 0 => ready,
+            None => {
+                let t = vfu[owner].acquire(ready, u.vfu_pass, VFU)?;
+                counted.vfu_elems += u.vfu_elems;
+                counted.local_bytes += u.local_bytes;
+                spans[owner].record(ready, t);
+                t
             }
         };
 
-        reps[uid][k].done += 1;
+        let rep = &mut replicas[id as usize];
+        rep.done += 1;
+        rep.col += u.step.1;
+        rep.row += u.step.0;
+        if rep.col >= u.width {
+            rep.col -= u.width;
+            rep.row += 1;
+        }
+        let more = rep.done < rep.windows;
         last_done = last_done.max(t_done);
 
         // Update the node's production prefix and wake waiters. The
         // unit's prefix moves only when the window that just finished
         // was the prefix window; it then runs past every later window
-        // already complete — one step per window over the whole run.
-        let node = u.node.index();
+        // already complete — one step per window over the whole run,
+        // walking (replica, round) in step with the window.
+        let node = u.node;
         let old = node_prefix[node];
         if j == unit_prefix[uid] {
-            let mut p = j;
-            while p < u.windows && reps[uid][p % r_count].done > p / r_count {
+            let (mut p, mut kk, mut round) = (j, k, done);
+            while p < u.windows && replicas[u.first + kk].done > round {
                 p += 1;
+                kk += 1;
+                if kk == u.replicas {
+                    kk = 0;
+                    round += 1;
+                }
             }
             unit_prefix[uid] = p;
             let node_units = units_by_node[node].iter();
@@ -252,13 +405,13 @@ pub(crate) fn run(
         #[cfg(debug_assertions)]
         assert_eq!(
             node_prefix[node],
-            node_prefix_of(units, units_by_node[node], &reps),
+            node_prefix_of(&units, units_by_node[node], &replicas),
             "unit {uid} window {j}"
         );
         let prefix = node_prefix[node];
         if prefix > old {
             let heap = &mut waiters[node];
-            while let Some(&Reverse((thr, wu, wk))) = heap.peek() {
+            while let Some(&Reverse((thr, waiter))) = heap.peek() {
                 if thr > prefix {
                     break;
                 }
@@ -266,27 +419,28 @@ pub(crate) fn run(
                 // Forwarding latency applies once per wake; the
                 // transfers of subsequent ready windows overlap with
                 // compute (wormhole pipelining).
-                queue.push(
-                    later(t_done, costs[wu].forward_cycles, "a NoC transfer")?,
-                    (wu, wk),
-                );
+                let forward = units[replicas[waiter as usize].unit].forward_cycles;
+                queue.push(later(t_done, forward, "a NoC transfer")?, waiter);
             }
         }
 
         // Next window of this replica.
-        if reps[uid][k].done < rep_spec.windows {
-            queue.push(t_done, (uid, k));
+        if more {
+            queue.push(t_done, id);
         }
     }
 
     // Completion check.
-    for (uid, u) in units.iter().enumerate() {
-        for (k, r) in u.replicas.iter().enumerate() {
-            if reps[uid][k].done < r.windows {
+    for (uid, u) in schedule.units.iter().enumerate() {
+        for (k, r) in replicas[units[uid].first..][..u.replicas.len()]
+            .iter()
+            .enumerate()
+        {
+            if r.done < r.windows {
                 return Err(SimError::Deadlock {
                     detail: format!(
                         "unit {uid} ({}) replica {k}: {}/{} windows",
-                        u.name, reps[uid][k].done, r.windows
+                        u.name, r.done, r.windows
                     ),
                 });
             }
@@ -308,22 +462,16 @@ pub(crate) fn run(
 /// the node's column-group units. The oracle debug builds hold the
 /// incremental `unit_prefix` bookkeeping to after every window.
 #[cfg(debug_assertions)]
-fn node_prefix_of(
-    units: &[pimcomp_core::LlUnit],
-    unit_ids: &[usize],
-    reps: &[Vec<ReplicaRt>],
-) -> usize {
+fn node_prefix_of(units: &[Unit], unit_ids: &[usize], replicas: &[Replica]) -> usize {
     if unit_ids.is_empty() {
         return 0;
     }
     let mut prefix = usize::MAX;
     for &uid in unit_ids {
         let u = &units[uid];
-        let r = u.replicas.len();
         let mut up = u.windows;
-        for (k, _) in u.replicas.iter().enumerate() {
-            let done = reps[uid][k].done;
-            let frontier = k + done * r;
+        for (k, r) in replicas[u.first..][..u.replicas].iter().enumerate() {
+            let frontier = k + r.done * u.replicas;
             if frontier < u.windows {
                 up = up.min(frontier);
             }

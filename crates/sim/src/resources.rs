@@ -18,26 +18,44 @@ pub(crate) fn later(time: u64, cycles: u64, what: &str) -> Result<u64, SimError>
     }
 }
 
-/// The event queue of both engines: a radix heap of `(time, S)` events.
+/// The event queue of both engines: a radix heap of `(time, S)` events,
+/// with an optional slot wheel in front of it for the near future.
 ///
 /// It pops in exactly the `(time, S)` order of a min-heap, provided no
 /// push is earlier than the time last popped — which holds because both
 /// engines only schedule forward. An event at the time last popped
-/// (`now`) waits in `current`, sorted by `S`; a later one waits in the
-/// bucket of the highest bit in which its time differs from `now`. That
-/// bit is set in the event's time and clear in `now`, so every time in a
-/// bucket is below every time in the buckets above it. A pop with
-/// `current` empty takes the lowest non-empty bucket, makes its least
-/// time `now` and files each of its events again — into `current`, or
-/// into a strictly lower bucket — so an event moves at most 64 times.
-/// Each bucket's least time and a mask of the non-empty buckets are kept
-/// as events are filed, so that pop reads both instead of scanning.
+/// (`now`) waits in `current`, sorted by `S`.
+///
+/// **Near tier.** Built [`with_near_span`](Self::with_near_span), an
+/// event less than `span` (a power of two) after `now` waits in the
+/// wheel's slot `time mod span`. Every wheel event lies in `(now, now +
+/// span)`, so one slot holds one time; a pop finds the next occupied
+/// slot after `now` from a two-level occupancy bitmap (one bit per slot,
+/// one summary bit per 64 slots), makes its time `now`, moves its
+/// events into `current` and sorts them. Built with [`new`](Self::new),
+/// the span is 0 and every later event takes the radix tier.
+///
+/// **Radix tier.** A later event waits in the bucket of the highest bit
+/// in which its time differs from `base`, the time of the last radix
+/// refill (at most `now`, and equal to it without a wheel). That bit is
+/// set in the event's time and clear in `base`, so every time in a
+/// bucket is below every time in the buckets above it. Each bucket's
+/// least time and a mask of the non-empty buckets are kept as events are
+/// filed. When the lowest bucket holds the least pending time, a pop
+/// makes that time `now` and `base` and files each of the bucket's
+/// events again — into `current`, into the wheel once it is within the
+/// span, or into a strictly lower bucket — so an event moves at most 64
+/// times. A time in both tiers pops as one sorted group.
 #[derive(Debug)]
 pub(crate) struct EventQueue<S> {
     now: u64,
     /// Events at `now`, in ascending `S` order.
     current: VecDeque<S>,
-    /// `buckets[i]`: events whose time first differs from `now` in bit `i`.
+    /// The near tier; `None` without a span.
+    wheel: Option<Wheel<S>>,
+    /// The reference time of the radix buckets.
+    base: u64,
+    /// `buckets[i]`: events whose time first differs from `base` in bit `i`.
     buckets: [Vec<(u64, S)>; 64],
     /// `least[i]`: the least time in `buckets[i]`; `u64::MAX` when empty.
     least: [u64; 64],
@@ -46,14 +64,27 @@ pub(crate) struct EventQueue<S> {
 }
 
 impl<S: Ord + Copy> EventQueue<S> {
-    /// An empty queue at time 0.
+    /// An empty queue at time 0 with no near tier.
     pub(crate) fn new() -> Self {
         Self {
             now: 0,
             current: VecDeque::new(),
+            wheel: None,
+            base: 0,
             buckets: std::array::from_fn(|_| Vec::new()),
             least: [u64::MAX; 64],
             filled: 0,
+        }
+    }
+
+    /// An empty queue at time 0 whose events less than `span` cycles
+    /// after the time last popped wait in a slot wheel. `span` is
+    /// rounded up to a power of two from 64 to 2^20.
+    pub(crate) fn with_near_span(span: u64) -> Self {
+        let slots = span.clamp(64, 1 << 20).next_power_of_two() as usize;
+        Self {
+            wheel: Some(Wheel::new(slots)),
+            ..Self::new()
         }
     }
 
@@ -73,9 +104,15 @@ impl<S: Ord + Copy> EventQueue<S> {
         }
     }
 
-    /// Files an event later than `now` into its bucket.
+    /// Files an event later than `now` into the wheel or its bucket.
     fn file(&mut self, time: u64, s: S) {
-        let i = bucket(time, self.now);
+        if let Some(wheel) = &mut self.wheel {
+            if time - self.now < wheel.span() {
+                wheel.push(time, s);
+                return;
+            }
+        }
+        let i = bucket(time, self.base);
         self.buckets[i].push((time, s));
         self.least[i] = self.least[i].min(time);
         self.filled |= 1 << i;
@@ -84,31 +121,174 @@ impl<S: Ord + Copy> EventQueue<S> {
     /// Removes and returns the least `(time, S)` event.
     pub(crate) fn pop(&mut self) -> Option<(u64, S)> {
         if self.current.is_empty() {
-            if self.filled == 0 {
-                return None;
-            }
-            let i = self.filled.trailing_zeros() as usize;
-            self.filled &= !(1 << i);
-            let mut events = std::mem::take(&mut self.buckets[i]);
-            self.now = std::mem::replace(&mut self.least[i], u64::MAX);
-            for (time, s) in events.drain(..) {
-                if time == self.now {
-                    self.current.push_back(s);
-                } else {
-                    self.file(time, s);
+            let far = if self.filled == 0 {
+                u64::MAX
+            } else {
+                self.least[self.filled.trailing_zeros() as usize]
+            };
+            let near = self.wheel.as_ref().and_then(|w| w.next_after(self.now));
+            match near {
+                Some(time) if time <= far => {
+                    self.now = time;
+                    if let Some(wheel) = &mut self.wheel {
+                        wheel.take(time, &mut self.current);
+                    }
+                    if far == time {
+                        self.refill();
+                    }
                 }
+                _ if self.filled != 0 => {
+                    self.now = far;
+                    self.refill();
+                }
+                _ => return None,
             }
-            // Hand the emptied bucket back, so it keeps its capacity.
-            self.buckets[i] = events;
-            self.current.make_contiguous().sort_unstable();
+            if self.current.len() > 1 {
+                self.current.make_contiguous().sort_unstable();
+            }
         }
         self.current.pop_front().map(|s| (self.now, s))
     }
+
+    /// Empties the lowest bucket, whose least time is `now`: its events
+    /// at `now` join `current` and the rest are filed again from `now`.
+    fn refill(&mut self) {
+        let i = self.filled.trailing_zeros() as usize;
+        self.filled &= !(1 << i);
+        self.least[i] = u64::MAX;
+        self.base = self.now;
+        let mut events = std::mem::take(&mut self.buckets[i]);
+        for (time, s) in events.drain(..) {
+            if time == self.now {
+                self.current.push_back(s);
+            } else {
+                self.file(time, s);
+            }
+        }
+        // Hand the emptied bucket back, so it keeps its capacity.
+        self.buckets[i] = events;
+    }
 }
 
-/// The bucket of an event at `time > now`: the highest differing bit.
-fn bucket(time: u64, now: u64) -> usize {
-    (u64::BITS - 1 - (time ^ now).leading_zeros()) as usize
+/// The bucket of an event at `time > base`: the highest differing bit.
+fn bucket(time: u64, base: u64) -> usize {
+    (u64::BITS - 1 - (time ^ base).leading_zeros()) as usize
+}
+
+/// No node: the end of a slot's list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// The near tier of [`EventQueue`]: `heads.len()` slots (a power of
+/// two), each the head of a list of events through `nodes`. A slot's
+/// events share one time, so a node holds only the event and the next
+/// node; nodes of drained slots are reused through a free list.
+#[derive(Debug)]
+struct Wheel<S> {
+    heads: Vec<u32>,
+    nodes: Vec<(S, u32)>,
+    /// The first reusable node, or [`NIL`].
+    free: u32,
+    /// Bit `q % 64` of `occupied[q / 64]` is set exactly when slot `q`
+    /// holds an event.
+    occupied: Vec<u64>,
+    /// Bit `w % 64` of `summary[w / 64]` is set exactly when
+    /// `occupied[w]` is non-zero.
+    summary: Vec<u64>,
+    len: usize,
+}
+
+impl<S: Copy> Wheel<S> {
+    fn new(slots: usize) -> Self {
+        let words = slots.div_ceil(64);
+        Self {
+            heads: vec![NIL; slots],
+            nodes: Vec::new(),
+            free: NIL,
+            occupied: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
+            len: 0,
+        }
+    }
+
+    fn span(&self) -> u64 {
+        self.heads.len() as u64
+    }
+
+    fn slot(&self, time: u64) -> usize {
+        (time & (self.span() - 1)) as usize
+    }
+
+    fn push(&mut self, time: u64, s: S) {
+        let q = self.slot(time);
+        let node = (s, self.heads[q]);
+        self.heads[q] = if self.free == NIL {
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        } else {
+            let at = self.free;
+            self.free = self.nodes[at as usize].1;
+            self.nodes[at as usize] = node;
+            at
+        };
+        let w = q / 64;
+        self.occupied[w] |= 1 << (q % 64);
+        self.summary[w / 64] |= 1 << (w % 64);
+        self.len += 1;
+    }
+
+    /// Moves every event of `time`'s slot to the back of `out`.
+    fn take(&mut self, time: u64, out: &mut VecDeque<S>) {
+        let q = self.slot(time);
+        let mut at = std::mem::replace(&mut self.heads[q], NIL);
+        while at != NIL {
+            let (s, next) = self.nodes[at as usize];
+            out.push_back(s);
+            self.nodes[at as usize].1 = self.free;
+            self.free = at;
+            at = next;
+            self.len -= 1;
+        }
+        let w = q / 64;
+        self.occupied[w] &= !(1 << (q % 64));
+        if self.occupied[w] == 0 {
+            self.summary[w / 64] &= !(1 << (w % 64));
+        }
+    }
+
+    /// The least time held, given that every one lies in `(now, now +
+    /// span)`: the first occupied slot after `now`'s, circularly.
+    fn next_after(&self, now: u64) -> Option<u64> {
+        if self.len == 0 {
+            return None;
+        }
+        let from = self.slot(now + 1);
+        let w = from / 64;
+        let bits = self.occupied[w] & (u64::MAX << (from % 64));
+        let q = if bits != 0 {
+            w * 64 + bits.trailing_zeros() as usize
+        } else {
+            // Past the end, the scan wraps to slot 0; `len > 0`, so
+            // some word is occupied.
+            let w = self
+                .first_word_from(w + 1)
+                .or_else(|| self.first_word_from(0))?;
+            w * 64 + self.occupied[w].trailing_zeros() as usize
+        };
+        Some(now + (q.wrapping_sub(self.slot(now)) as u64 & (self.span() - 1)))
+    }
+
+    /// The first occupied word at or after `w`.
+    fn first_word_from(&self, w: usize) -> Option<usize> {
+        let mut i = w / 64;
+        let mut bits = self.summary.get(i)? & (u64::MAX << (w % 64));
+        loop {
+            if bits != 0 {
+                return Some(i * 64 + bits.trailing_zeros() as usize);
+            }
+            i += 1;
+            bits = *self.summary.get(i)?;
+        }
+    }
 }
 
 /// What a VFU pass is called when it overflows the clock.
@@ -238,6 +418,15 @@ mod tests {
             }
         }
 
+        /// A twin whose queue files events less than `span` ahead in
+        /// its near tier.
+        fn with_near_span(span: u64) -> Self {
+            Self {
+                queue: EventQueue::with_near_span(span),
+                ..Self::new()
+            }
+        }
+
         fn push(&mut self, time: u64, s: (usize, u64)) {
             self.queue.push(time, s);
             self.heap.push(Reverse((time, s)));
@@ -275,16 +464,22 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    #[test]
-    fn pops_in_the_heaps_order_under_random_monotone_pushes() {
+    /// 64 seeded runs of random pushes and pops against the heap, on a
+    /// queue with near span `span` (0: the radix tier alone).
+    fn random_monotone_pushes(span: u64) {
         for seed in 0..64u64 {
             let mut rng = seed;
-            let mut twin = Twin::new();
+            let mut twin = if span == 0 {
+                Twin::new()
+            } else {
+                Twin::with_near_span(span)
+            };
             for _ in 0..2_000 {
                 let r = splitmix(&mut rng);
                 let now = twin.now;
                 let s = ((r >> 8) as usize % 6, (r >> 16) % 3);
-                match r % 16 {
+                // Cases 16-18 only with a near tier.
+                match r % if span == 0 { 16 } else { 19 } {
                     // At the current time, the secondary key possibly
                     // below the one just popped.
                     0 | 1 => twin.push(now, s),
@@ -301,6 +496,13 @@ mod tests {
                             }
                         }
                     }
+                    // The last time the near tier holds, the first it
+                    // does not, and a few spans ahead: far events that
+                    // move into the wheel as the clock comes within its
+                    // span, at slots that wrap past the end.
+                    16 => twin.push(now.saturating_add(span - 1), s),
+                    17 => twin.push(now.saturating_add(span), s),
+                    18 => twin.push(now.saturating_add((r >> 40) % (4 * span)), s),
                     _ => {
                         twin.pop();
                     }
@@ -308,6 +510,61 @@ mod tests {
             }
             twin.drain();
         }
+    }
+
+    #[test]
+    fn pops_in_the_heaps_order_under_random_monotone_pushes() {
+        random_monotone_pushes(0);
+    }
+
+    /// 256 slots, and 8192: more than one summary word of 64 × 64 slots.
+    #[test]
+    fn the_near_tier_pops_in_the_heaps_order() {
+        for span in [256, 8192] {
+            random_monotone_pushes(span);
+        }
+    }
+
+    #[test]
+    fn a_time_in_both_tiers_pops_as_one_sorted_group() {
+        let mut twin = Twin::with_near_span(64);
+        assert_eq!(twin.queue.wheel.as_ref().map(Wheel::span), Some(64));
+        // 100 is beyond the span at 0: it waits in a radix bucket.
+        twin.push(100, (5, 0));
+        twin.push(40, (0, 0));
+        assert_eq!(twin.pop(), Some((40, (0, 0))));
+        // At 40, 100 is within the span: these wait in the wheel, at
+        // slots 36 (100 mod 64) and 39 (103 mod 64), below 40's slot.
+        twin.push(100, (3, 0));
+        twin.push(103, (1, 0));
+        twin.push(100, (7, 0));
+        twin.drain();
+        assert_eq!(
+            twin.popped,
+            [
+                (40, (0, 0)),
+                (100, (3, 0)),
+                (100, (5, 0)),
+                (100, (7, 0)),
+                (103, (1, 0))
+            ]
+        );
+    }
+
+    #[test]
+    fn the_wheel_finds_its_next_slot_across_summary_words() {
+        // 2^13 slots: 128 occupancy words, two summary words.
+        let mut twin = Twin::with_near_span(8192);
+        twin.push(5000, (0, 0));
+        assert_eq!(twin.pop(), Some((5000, (0, 0))));
+        // Slots 13000 mod 8192 = 4808 and 5001: the scan from 5001 finds
+        // 5001 first, then wraps through both summary words to 4808.
+        twin.push(13000, (1, 0));
+        twin.push(5001, (2, 0));
+        twin.push(13191, (3, 0));
+        twin.drain();
+        let times: Vec<u64> = twin.popped.iter().map(|&(time, _)| time).collect();
+        assert_eq!(times, [5000, 5001, 13000, 13191]);
     }
 
     #[test]
