@@ -233,13 +233,9 @@ pub fn evaluate(opts: &HarnessOptions, seed: u64) -> Result<Evaluation, ExploreE
 
     // `mappings` is the spec's innermost axis: each GA point (an even
     // index) is followed by the PUMA-like point of the same
-    // configuration. `run_indexed` deals tasks to its workers in turn,
-    // so the GA points, which cost nearly all the time, run as the
-    // first half of the tasks: each worker gets its share of them.
+    // configuration.
     let threads = std::thread::available_parallelism().map_or(1, usize::from);
-    let half = plan.len() / 2;
-    let outcomes = run_indexed(threads, plan.len(), |task| {
-        let i = 2 * (task % half) + task / half;
+    let outcomes = run_indexed(threads, plan.len(), |i| {
         let mut timings = StageTimings::default();
         let outcome = plan.evaluate_final_observed(i, Some(&cache.0), &mut timings)?;
         Ok((outcome, timings))
@@ -247,11 +243,10 @@ pub fn evaluate(opts: &HarnessOptions, seed: u64) -> Result<Evaluation, ExploreE
     let outcomes = outcomes
         .into_iter()
         .collect::<Result<Vec<_>, ExploreError>>()?;
-    let (ga, puma) = outcomes.split_at(half);
 
-    let mut points = Vec::with_capacity(half);
-    let pairs = plan.points().iter().step_by(2).zip(ga).zip(puma);
-    for ((point, (ours, timings)), (base, _)) in pairs {
+    let mut points = Vec::with_capacity(plan.len() / 2);
+    let pairs = plan.points().iter().step_by(2).zip(outcomes.as_chunks().0);
+    for (point, [(ours, timings), (base, _)]) in pairs {
         let detail = (point.hw.parallelism == DETAIL_PARALLELISM).then(|| {
             let file = ours.cache_file.as_deref().unwrap_or_default();
             let artifact = CompiledArtifact::load(cache.0.join(file)).map_err(|e| {

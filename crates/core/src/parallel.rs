@@ -3,14 +3,17 @@
 //!
 //! [`run_indexed`] evaluates a pure task function over `0..count` and
 //! returns the results **in index order**, regardless of how many
-//! worker threads execute them. Work is distributed by static striding
-//! (worker `w` of `t` takes indices `w, w+t, w+2t, …`), each worker
-//! returns `(index, result)` pairs, and the caller-side merge places
-//! them back by index — so the only thing parallelism changes is
-//! wall-clock time, never the result. With one thread (or one task) no
+//! worker threads execute them. Each worker takes the next index from
+//! one shared counter when it finishes its last, so tasks of uneven cost
+//! spread over the workers whatever their order; each worker returns
+//! `(index, result)` pairs, and the caller-side merge places them back
+//! by index — so the only thing parallelism changes is wall-clock time,
+//! never the result. With one thread (or one task) no
 //! threads are spawned at all; the exact same task function runs
 //! inline, which is what makes the GA's serial and parallel paths
 //! bit-identical by construction rather than by testing luck.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Runs `task(0..count)` over at most `threads` workers, returning
 /// results in index order.
@@ -61,20 +64,21 @@ where
             .collect();
     }
     let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
+    let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        let task = &task;
+        let (task, next) = (&task, &next);
         let handles: Vec<_> = scratch[..workers]
             .iter_mut()
-            .enumerate()
-            .map(|(w, scratch)| {
+            .map(|scratch| {
                 scope.spawn(move || {
-                    let mut out = Vec::with_capacity(count.div_ceil(workers));
-                    let mut index = w;
-                    while index < count {
+                    let mut out = Vec::new();
+                    loop {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        if index >= count {
+                            return out;
+                        }
                         out.push((index, task(scratch, index)));
-                        index += workers;
                     }
-                    out
                 })
             })
             .collect();
@@ -117,12 +121,14 @@ mod tests {
     fn scratch_variant_matches_plain_for_any_thread_count() {
         for threads in [1, 2, 5, 32] {
             // The scratches outlive a call: the second one reuses them.
-            let mut scratch = vec![Vec::new(); threads];
+            // Each is a buffer and the log of the indices it served.
+            let mut scratch = vec![(Vec::new(), Vec::new()); threads];
             for _ in 0..2 {
-                let out = run_indexed_on(&mut scratch, 41, |buf: &mut Vec<usize>, i| {
+                let out = run_indexed_on(&mut scratch, 41, |(buf, log), i| {
                     // Use the scratch as a buffer; result depends only on i.
                     buf.clear();
                     buf.extend(0..i);
+                    log.push(i);
                     buf.iter().sum::<usize>()
                 });
                 assert_eq!(
@@ -130,11 +136,19 @@ mod tests {
                     (0..41).map(|i| i * (i.max(1) - 1) / 2).collect::<Vec<_>>()
                 );
             }
-            // Worker `w` was lent `scratch[w]`: its last index is the
-            // largest one congruent to `w`.
-            for (w, buf) in scratch.iter().enumerate().take(41) {
-                assert_eq!(buf.len(), (40 - w) / threads * threads + w);
+            // Every index ran exactly once per call, each with the
+            // scratch of the worker that ran it, and no worker beyond
+            // the index count was lent one.
+            let mut served: Vec<usize> = scratch.iter().flat_map(|(_, log)| log.clone()).collect();
+            served.sort_unstable();
+            let want: Vec<usize> = (0..41).flat_map(|i| [i, i]).collect();
+            assert_eq!(served, want, "{threads} threads");
+            for (buf, log) in &scratch {
+                assert_eq!(buf.len(), log.last().copied().unwrap_or(0));
             }
+            assert!(scratch[41.min(threads)..]
+                .iter()
+                .all(|(_, log)| log.is_empty()));
         }
     }
 }
