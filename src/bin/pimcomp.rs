@@ -35,7 +35,7 @@
 //! `--chips`/`--parallelism` to `simulate` to pin the serving target —
 //! the artifact's hardware fingerprint is then checked against it.
 
-use pimcomp::dse::SweepReport;
+use pimcomp::dse::{PointRecord, SweepReport};
 use pimcomp::prelude::*;
 use pimcomp_core::{GaParams, GaStats, ReloadPlan, ReusePolicy, StageTimings, DEFAULT_HEADROOM};
 use pimcomp_ir::transform::normalize;
@@ -48,6 +48,38 @@ use std::time::Duration;
 
 /// Every library error (and a plain message) behind one `?`.
 type CliResult<T = ()> = Result<T, Box<dyn std::error::Error>>;
+
+/// A write of command output that failed. [`main`] ends a command whose
+/// reader closed the pipe (`pimcomp explore … | head -4`) quietly with
+/// exit 0: the reader took what it wanted.
+#[derive(Debug)]
+struct Output(std::io::Error);
+
+impl std::fmt::Display for Output {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "writing output: {}", self.0)
+    }
+}
+
+impl std::error::Error for Output {}
+
+/// Command output, written to stdout: the one writer every command
+/// prints through. A failed write returns [`Output`] from the command.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        std::io::Write::write_fmt(&mut std::io::stdout(), format_args!($($arg)*)).map_err(Output)?
+    };
+}
+
+/// [`out!`] with a newline.
+macro_rules! outln {
+    () => {
+        out!("\n")
+    };
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
 
 /// A flag is its own help line: `--name VALUE`, two spaces, the help
 /// text; a switch has no `VALUE`. The parser reads the first half, the
@@ -176,10 +208,7 @@ fn main() -> ExitCode {
     };
     let result = match COMMANDS.iter().find(|c| c.name == cmd) {
         Some(command) => parse_args(command, rest).and_then(|args| (command.run)(&args)),
-        None if matches!(cmd.as_str(), "help" | "--help" | "-h") => {
-            println!("{}", usage());
-            Ok(())
-        }
+        None if matches!(cmd.as_str(), "help" | "--help" | "-h") => print_usage(),
         None => {
             let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
             Err(format!(
@@ -191,11 +220,22 @@ fn main() -> ExitCode {
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
+        Err(e)
+            if e.downcast_ref::<Output>()
+                .is_some_and(|Output(e)| e.kind() == std::io::ErrorKind::BrokenPipe) =>
+        {
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
+}
+
+fn print_usage() -> CliResult {
+    outln!("{}", usage());
+    Ok(())
 }
 
 /// The help text, rendered from [`COMMANDS`].
@@ -394,18 +434,20 @@ fn reload_summary(plan: &ReloadPlan) -> String {
     )
 }
 
-fn print_simulation(mode: PipelineMode, report: &SimReport) {
+fn print_simulation(mode: PipelineMode, report: &SimReport) -> CliResult {
     match mode {
-        PipelineMode::HighThroughput => println!(
+        PipelineMode::HighThroughput => outln!(
             "  simulated: {} cycles/inference -> {:.0} inf/s",
-            report.total_cycles, report.throughput_inf_per_s
+            report.total_cycles,
+            report.throughput_inf_per_s
         ),
-        PipelineMode::LowLatency => println!(
+        PipelineMode::LowLatency => outln!(
             "  simulated: {} cycles latency ({:.1} us)",
-            report.total_cycles, report.latency_us
+            report.total_cycles,
+            report.latency_us
         ),
     }
-    println!(
+    outln!(
         "  energy {:.1} uJ (dyn {:.1} + leak {:.1}), avg local mem {:.1} kB",
         report.energy.total_pj() / 1e6,
         report.energy.dynamic_pj() / 1e6,
@@ -413,7 +455,7 @@ fn print_simulation(mode: PipelineMode, report: &SimReport) {
         report.memory.avg_local_bytes / 1024.0
     );
     if report.reload_stall_cycles > 0 {
-        println!(
+        outln!(
             "  reload: {} epochs, {} AGs rewritten, {} stall cycles, {:.1} uJ write energy",
             report.reload_epochs,
             report.reload_ags_rewritten,
@@ -421,6 +463,7 @@ fn print_simulation(mode: PipelineMode, report: &SimReport) {
             report.energy.reload_pj / 1e6
         );
     }
+    Ok(())
 }
 
 fn write_file(path: &str, bytes: impl AsRef<[u8]>) -> CliResult {
@@ -432,7 +475,7 @@ fn write_json_report(args: &Args, payload: &impl serde::Serialize) -> CliResult 
     if let Some(path) = args.get("--report") {
         let json = serde_json::to_string_pretty(payload)?;
         write_file(path, json)?;
-        println!("  wrote {path}");
+        outln!("  wrote {path}");
     }
     Ok(())
 }
@@ -441,11 +484,11 @@ fn write_json_report(args: &Args, payload: &impl serde::Serialize) -> CliResult 
 fn write_sweep_report(args: &Args, report: &SweepReport) -> CliResult {
     if let Some(path) = args.get("--out") {
         write_file(path, report.to_json()? + "\n")?;
-        println!("wrote {path} (report format v{})", report.format_version);
+        outln!("wrote {path} (report format v{})", report.format_version);
     }
     if let Some(path) = args.get("--csv") {
         write_file(path, report.to_csv())?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     Ok(())
 }
@@ -510,7 +553,7 @@ fn cmd_compile(args: &Args) -> CliResult {
     }
     // Every option is checked before anything is printed.
     let session = CompileSession::new(hw.clone(), &graph, compile_opts)?;
-    println!(
+    outln!(
         "compiling {} for {} chips x {} cores (parallelism {}, {mode} mode)...",
         graph.name(),
         hw.chips,
@@ -524,13 +567,15 @@ fn cmd_compile(args: &Args) -> CliResult {
         session.run_observed(&mut timings)
     }?;
 
-    println!(
+    outln!(
         "  stages: partition {:?}, replicate+map {:?}, schedule {:?}",
-        timings.node_partitioning, timings.replicating_mapping, timings.dataflow_scheduling
+        timings.node_partitioning,
+        timings.replicating_mapping,
+        timings.dataflow_scheduling
     );
     let summary = CompileSummary::of(&compiled);
-    println!("  replication: {:?}", summary.replication);
-    println!(
+    outln!("  replication: {:?}", summary.replication);
+    outln!(
         "  {} active cores, {} / {} crossbars, estimated {} = {:.0} cycles",
         summary.active_cores,
         summary.crossbars_used,
@@ -543,12 +588,12 @@ fn cmd_compile(args: &Args) -> CliResult {
         summary.estimated_fitness
     );
     if let Some(plan) = &compiled.reload {
-        println!("  {}", reload_summary(plan));
+        outln!("  {}", reload_summary(plan));
     }
 
     let sim_report = if args.has("--simulate") {
         let report = Simulator::new(hw).run(&compiled)?;
-        print_simulation(mode, &report);
+        print_simulation(mode, &report)?;
         Some(report)
     } else {
         None
@@ -572,7 +617,7 @@ fn cmd_compile(args: &Args) -> CliResult {
     if let Some(path) = args.get("--artifact") {
         let artifact = CompiledArtifact::new(compiled);
         artifact.save(path)?;
-        println!("  wrote artifact {path} ({})", stamp(&artifact));
+        outln!("  wrote artifact {path} ({})", stamp(&artifact));
     }
     Ok(())
 }
@@ -656,8 +701,8 @@ fn cmd_simulate(args: &Args) -> CliResult {
         model.hw.clone()
     };
     let report = Simulator::new(target).run_artifact(&artifact)?;
-    println!("{loaded}");
-    print_simulation(model.mode, &report);
+    outln!("{loaded}");
+    print_simulation(model.mode, &report)?;
     write_json_report(args, &report)
 }
 
@@ -670,13 +715,13 @@ fn cmd_verify(args: &Args) -> CliResult {
         .unwrap_or(1e-4);
     let adc_bits: u32 = args.number("--adc-bits")?.unwrap_or(8);
     let (artifact, loaded) = open_artifact(args)?;
-    println!("{loaded}");
+    outln!("{loaded}");
     let model = artifact.model();
     let reference = pimcomp::exec::reference_outputs(&model.graph, seed)?;
     let verify = |quant| pimcomp::exec::verify_against(&reference, model, seed, quant);
     let top1 = |matched| if matched { "match" } else { "MISMATCH" };
     let exact = verify(None)?;
-    println!(
+    outln!(
         "  unquantized: RMSE {:.3e} over {} output values, top-1 {} (seed {seed})",
         exact.output_rmse,
         exact.output_len,
@@ -701,7 +746,7 @@ fn cmd_verify(args: &Args) -> CliResult {
     if args.has("--quantized") {
         let quant = pimcomp_arch::QuantConfig::for_hardware(&model.hw, adc_bits)?;
         let q = verify(Some(quant))?;
-        println!(
+        outln!(
             "  quantized ({}b cells, {}b weights, {}b ADC): RMSE {:.3e}, top-1 {}",
             model.hw.cell_bits,
             model.hw.weight_bits,
@@ -718,7 +763,7 @@ fn cmd_verify(args: &Args) -> CliResult {
             .into());
         }
     }
-    println!("  verification passed");
+    outln!("  verification passed");
     Ok(())
 }
 
@@ -726,25 +771,29 @@ fn inspect_artifact(path: &str) -> CliResult {
     let artifact = CompiledArtifact::load(path)?;
     let m = artifact.model();
     let s = CompileSummary::of(m);
-    println!("artifact {path} ({})", stamp(&artifact));
-    println!(
+    outln!("artifact {path} ({})", stamp(&artifact));
+    outln!(
         "model: {} compiled by {} in {} mode",
-        s.model, s.compiler, s.mode
+        s.model,
+        s.compiler,
+        s.mode
     );
-    println!(
+    outln!(
         "hardware: {} chips x {} cores, parallelism {}",
-        m.hw.chips, m.hw.cores_per_chip, m.hw.parallelism
+        m.hw.chips,
+        m.hw.cores_per_chip,
+        m.hw.parallelism
     );
-    println!("stages:");
-    println!("  partitioning : {} MVM nodes", m.partitioning.len());
-    print!(
+    outln!("stages:");
+    outln!("  partitioning : {} MVM nodes", m.partitioning.len());
+    out!(
         "  replicate+map: {} AG instances ({} active cores, {} crossbars",
         m.mapping.instances.len(),
         s.active_cores,
         s.crossbars_used
     );
     match s.ga {
-        Some(ga) => println!(
+        Some(ga) => outln!(
             "; GA {:.0} -> {:.0} over {} generations, {} evals ({} incremental), {} cache hits)",
             ga.initial_fitness,
             ga.final_fitness,
@@ -753,19 +802,19 @@ fn inspect_artifact(path: &str) -> CliResult {
             ga.incremental_evals,
             ga.cache_hits
         ),
-        None => println!(")"),
+        None => outln!(")"),
     }
-    println!(
+    outln!(
         "  scheduling   : {} schedule, {} policy, peak local {:.1} kB",
         m.mode,
         m.memory.policy.label(),
         m.memory.peak_bytes as f64 / 1024.0
     );
-    println!("replication: {:?}", s.replication);
+    outln!("replication: {:?}", s.replication);
     if let Some(plan) = &m.reload {
-        println!("{}", reload_summary(plan));
+        outln!("{}", reload_summary(plan));
     }
-    println!("estimated fitness: {:.0} cycles", s.estimated_fitness);
+    outln!("estimated fitness: {:.0} cycles", s.estimated_fitness);
     Ok(())
 }
 
@@ -775,22 +824,26 @@ fn cmd_inspect(args: &Args) -> CliResult {
     }
     let graph = load_model(args)?;
     let stats = GraphStats::of(&graph);
-    println!("model: {} ({} nodes)", stats.model, stats.nodes);
-    println!(
+    outln!("model: {} ({} nodes)", stats.model, stats.nodes);
+    outln!(
         "totals: {} conv/fc nodes, {:.2}M params, {:.2}G MACs",
         stats.mvm_nodes,
         stats.params as f64 / 1e6,
         stats.macs as f64 / 1e9
     );
     // Padded to the column widths of the rows below.
-    println!("\nnode                         op               params           MACs    windows");
+    outln!("\nnode                         op               params           MACs    windows");
     for n in &stats.per_node {
         if n.macs == 0 && n.params == 0 {
             continue;
         }
-        println!(
+        outln!(
             "{:<28} {:<10} {:>12} {:>14} {:>10}",
-            n.name, n.op, n.params, n.macs, n.windows
+            n.name,
+            n.op,
+            n.params,
+            n.macs,
+            n.windows
         );
     }
     Ok(())
@@ -801,7 +854,7 @@ fn cmd_export(args: &Args) -> CliResult {
     let out = args.require("--out")?;
     let bytes = pimcomp_onnx::export_graph(&graph).encode();
     write_file(out, &bytes)?;
-    println!("wrote {out} ({} bytes)", bytes.len());
+    outln!("wrote {out} ({} bytes)", bytes.len());
     Ok(())
 }
 
@@ -828,7 +881,7 @@ fn cmd_explore(args: &Args) -> CliResult {
         let new = args.require("--against")?;
         let old_report = SweepReport::load(old)?;
         let new_report = SweepReport::load(new)?;
-        print!("{}", old_report.diff(&new_report));
+        out!("{}", old_report.diff(&new_report));
         return Ok(());
     }
     if args.has("--against") {
@@ -872,10 +925,10 @@ fn cmd_explore(args: &Args) -> CliResult {
         }));
     }
 
-    println!("{}", spec.banner(threads));
+    outln!("{}", spec.banner(threads));
     let outcome = engine.run(&spec)?;
     let report = &outcome.report;
-    println!(
+    outln!(
         "  evaluated {} points: {} ok, {} failed, {} cache hits / {} compiled \
          (hits: {} from metrics, {} from artifacts)",
         report.points.len(),
@@ -887,7 +940,7 @@ fn cmd_explore(args: &Args) -> CliResult {
         outcome.cache_hits - outcome.metrics_hits
     );
     if let Some(ev) = outcome.eviction.iter().find(|ev| ev.evicted_files > 0) {
-        println!(
+        outln!(
             "  cache bound: evicted {} artifact(s) ({:.1} MB), kept {} ({:.1} MB)",
             ev.evicted_files,
             ev.evicted_bytes as f64 / (1024.0 * 1024.0),
@@ -896,27 +949,53 @@ fn cmd_explore(args: &Args) -> CliResult {
         );
     }
     if args.has("--budget-summary") {
-        println!();
-        print!("{}", outcome.budget);
+        outln!();
+        out!("{}", outcome.budget);
     }
 
-    println!(
+    outln!(
         "\nPareto frontier ({} of {} points, per model x mode):",
         report.frontier.len(),
         report.points.len()
     );
+    // `mapping` always; the other knobs a record carries only when some
+    // point moved them off their default, which a spec that does not
+    // sweep them never does.
+    let points = &report.points;
+    let reload = points.iter().any(|p| p.weight_reload != "off");
+    let seq_len = points.iter().any(|p| p.seq_len.is_some());
+    let quantization = points.iter().any(|p| p.quantization.is_some());
+    let optional = |p: Option<&PointRecord>| {
+        let cell = |v: Option<u64>| v.map_or("-".to_string(), |v| v.to_string());
+        let mut cells = String::new();
+        if reload {
+            cells += &format!(" {:<8}", p.map_or("reload", |p| &p.weight_reload));
+        }
+        if seq_len {
+            cells += &format!(" {:>7}", p.map_or("seq_len".into(), |p| cell(p.seq_len)));
+        }
+        if quantization {
+            cells += &format!(" {:>5}", p.map_or("quant".into(), |p| cell(p.quantization)));
+        }
+        cells
+    };
     // Padded to the column widths of the rows below.
-    println!("  model      mode hardware                     policy batch                 seed       cycles   energy(uJ)       inf/s  xbar%");
+    outln!(
+        "  model      mode hardware                     policy mapping batch                 seed{}       cycles   energy(uJ)       inf/s  xbar%",
+        optional(None)
+    );
     for p in report.frontier_records() {
         let m = p.metrics.as_ref().expect("frontier points succeeded");
-        println!(
-            "  {:<10} {:<4} {:<28} {:<6} {:>5} {:>20} {:>12} {:>12.2} {:>11.0} {:>5.1}%",
+        outln!(
+            "  {:<10} {:<4} {:<28} {:<6} {:<7} {:>5} {:>20}{} {:>12} {:>12.2} {:>11.0} {:>5.1}%",
             p.model,
             p.mode,
             p.hardware,
             p.policy,
+            p.mapping,
             p.batch,
             p.seed,
+            optional(Some(p)),
             m.cycles,
             m.energy_uj,
             m.throughput_inf_per_s,
@@ -932,7 +1011,7 @@ fn cmd_explore(args: &Args) -> CliResult {
     }
 
     if args.has("--out") {
-        println!();
+        outln!();
     }
     write_sweep_report(args, report)
 }
@@ -940,26 +1019,28 @@ fn cmd_explore(args: &Args) -> CliResult {
 fn cmd_models(_: &Args) -> CliResult {
     use pimcomp::ir::models::{by_name, PAPER_BENCHMARKS, TEST_MODELS, ZOO};
 
-    let row = |m: &&str| {
+    let row = |m: &&str| -> CliResult {
         let g = by_name(m).expect("zoo model");
         let s = GraphStats::of(&g);
-        print!(
+        out!(
             "  {:<14} {:>3} nodes {:>7.2}M params ",
             m,
             s.nodes,
             s.params as f64 / 1e6
         );
         if g.has_symbolic_dims() {
-            println!("  symbolic seq (bind with --seq-len)");
+            outln!("  symbolic seq (bind with --seq-len)");
         } else {
-            println!("{:>6.2}G MACs", s.macs as f64 / 1e9);
+            outln!("{:>6.2}G MACs", s.macs as f64 / 1e9);
         }
+        Ok(())
     };
-    println!("paper benchmarks:");
-    PAPER_BENCHMARKS.iter().for_each(row);
-    println!("other zoo models:");
-    let others = ZOO.iter().filter(|m| !PAPER_BENCHMARKS.contains(m));
-    others.for_each(row);
-    println!("test models: {}", TEST_MODELS.join(", "));
+    outln!("paper benchmarks:");
+    PAPER_BENCHMARKS.iter().try_for_each(row)?;
+    outln!("other zoo models:");
+    ZOO.iter()
+        .filter(|m| !PAPER_BENCHMARKS.contains(m))
+        .try_for_each(row)?;
+    outln!("test models: {}", TEST_MODELS.join(", "));
     Ok(())
 }

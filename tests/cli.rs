@@ -516,3 +516,69 @@ fn artifact_workflow_prints_the_recorded_numbers() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A reader that closed the pipe took what it wanted
+/// (`pimcomp explore … | head -4`): the command ends quietly with exit
+/// 0, never a `failed printing to stdout` panic (exit 101).
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    let spec = "crates/bench/fixtures/smoke_sweep_mapping.json";
+    for args in [
+        &["models"][..],
+        &["help"][..],
+        &["explore", spec, "--cache", "off"][..],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_pimcomp"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("spawn pimcomp");
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert_eq!(err, "", "{args:?}");
+    }
+}
+
+/// The frontier table names each point's mapping, and each knob a
+/// point moved off its default: no two rows read alike.
+#[test]
+fn frontier_rows_name_the_knobs_they_differ_in() {
+    let frontier = |spec: &str| {
+        let out = pimcomp(&["explore", spec, "--cache", "off", "--threads", "2"]);
+        assert!(out.status.success(), "{spec}: {}", stderr(&out));
+        let text = stdout(&out);
+        let table: Vec<String> = text
+            .lines()
+            .skip_while(|l| !l.starts_with("Pareto frontier"))
+            .skip(1)
+            .take_while(|l| !l.is_empty())
+            .map(|l| l.split_whitespace().collect::<Vec<_>>().join(" "))
+            .collect();
+        let mut rows = table[1..].to_vec();
+        rows.sort();
+        rows.dedup();
+        assert_eq!(rows.len(), table.len() - 1, "{spec}: rows alike in\n{text}");
+        table
+    };
+    // Both LL points of tiny_cnn on small_test are on the frontier; only
+    // their mapping tells them apart.
+    let mapping = frontier("crates/bench/fixtures/smoke_sweep_mapping.json");
+    assert_eq!(
+        mapping[0],
+        "model mode hardware policy mapping batch seed cycles energy(uJ) inf/s xbar%"
+    );
+    let ll: Vec<&str> = mapping[1..]
+        .iter()
+        .filter(|r| r.starts_with("tiny_cnn LL small_test ag "))
+        .map(|r| r.split(' ').nth(4).unwrap())
+        .collect();
+    assert_eq!(ll, ["ga", "puma"]);
+    let reload = frontier("crates/bench/fixtures/smoke_sweep_reload.json");
+    assert_eq!(
+        reload[0],
+        "model mode hardware policy mapping batch seed reload cycles energy(uJ) inf/s xbar%"
+    );
+}
