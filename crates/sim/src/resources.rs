@@ -121,27 +121,22 @@ impl<S: Ord + Copy> EventQueue<S> {
     /// Removes and returns the least `(time, S)` event.
     pub(crate) fn pop(&mut self) -> Option<(u64, S)> {
         if self.current.is_empty() {
-            let far = if self.filled == 0 {
-                u64::MAX
-            } else {
-                self.least[self.filled.trailing_zeros() as usize]
-            };
-            let near = self.wheel.as_ref().and_then(|w| w.next_after(self.now));
+            let near = self.wheel.as_mut();
+            let near = near.and_then(|w| Some((w.next_after(self.now)?, w)));
+            // The least time in the buckets.
+            let far = (self.filled != 0).then(|| self.least[self.filled.trailing_zeros() as usize]);
             match near {
-                Some(time) if time <= far => {
+                Some((time, wheel)) if far.is_none_or(|far| time <= far) => {
                     self.now = time;
-                    if let Some(wheel) = &mut self.wheel {
-                        wheel.take(time, &mut self.current);
-                    }
-                    if far == time {
+                    wheel.take(time, &mut self.current);
+                    if far == Some(time) {
                         self.refill();
                     }
                 }
-                _ if self.filled != 0 => {
-                    self.now = far;
+                _ => {
+                    self.now = far?;
                     self.refill();
                 }
-                _ => return None,
             }
             if self.current.len() > 1 {
                 self.current.make_contiguous().sort_unstable();
@@ -152,6 +147,7 @@ impl<S: Ord + Copy> EventQueue<S> {
 
     /// Empties the lowest bucket, whose least time is `now`: its events
     /// at `now` join `current` and the rest are filed again from `now`.
+    #[inline]
     fn refill(&mut self) {
         let i = self.filled.trailing_zeros() as usize;
         self.filled &= !(1 << i);
