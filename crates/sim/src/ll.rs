@@ -158,7 +158,7 @@ impl Tables {
             });
             for (k, r) in u.replicas.iter().enumerate() {
                 let remote = c.remotes.get(k);
-                let ags = t.ags.len()..t.ags.len() + r.ags_per_core.len();
+                let first_ag = t.ags.len();
                 if crossbars_per_ag.is_some() {
                     let pairs = r.ags_per_core.iter().map(|&(core, n)| (core, n as u64));
                     t.ags.extend(pairs);
@@ -171,11 +171,7 @@ impl Tables {
                     unit: uid,
                     owner: r.owner,
                     remote_cycles: remote.map_or(0, |m| m.cycles),
-                    ags: if crossbars_per_ag.is_some() {
-                        ags
-                    } else {
-                        0..0
-                    },
+                    ags: first_ag..t.ags.len(),
                     pj: remote.map_or(0..0, |m| m.pj.clone()),
                 });
             }
