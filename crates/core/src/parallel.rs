@@ -73,6 +73,8 @@ where
                 scope.spawn(move || {
                     let mut out = Vec::new();
                     loop {
+                        // The counter hands out indices and publishes no
+                        // data: results reach the caller through `join`.
                         let index = next.fetch_add(1, Ordering::Relaxed);
                         if index >= count {
                             return out;

@@ -219,7 +219,10 @@ impl<S: Copy> Wheel<S> {
         let node = (s, self.heads[q]);
         self.heads[q] = if self.free == NIL {
             self.nodes.push(node);
-            (self.nodes.len() - 1) as u32
+            u32::try_from(self.nodes.len() - 1)
+                .ok()
+                .filter(|&at| at != NIL)
+                .expect("fewer than 2^32 - 1 events in the wheel")
         } else {
             let at = self.free;
             self.free = self.nodes[at as usize].1;
