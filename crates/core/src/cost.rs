@@ -383,35 +383,37 @@ impl LlCosts {
             (shape.height(), shape.width())
         };
         let mut partial_pj = Vec::new();
-        let units = units
-            .iter()
-            .map(|u| {
-                // Provider owner -> consumer owner, one window's payload.
-                let dst = u.replicas.first().map_or(0, |r| r.owner);
-                let forward_cycles = u
-                    .providers
-                    .iter()
-                    .map(|p| {
-                        let first = schedule.units_of(p.node).first().map(|&pu| &units[pu]);
-                        let src = first.and_then(|pu| pu.replicas.first());
-                        let bytes = first.map_or(0, |pu| pu.elems_per_window * eb);
-                        noc.transfer_cycles(src.map_or(dst, |r| r.owner), dst, bytes)
-                    })
-                    .max()
-                    .unwrap_or(0);
-                let edges = u.providers.iter().map(|p| LlEdge {
-                    provider: p.node.index(),
-                    rule: p.rule,
-                    consumer_dims: dims(u.node),
-                    consumer_windows: dep.windows_of(u.node),
-                    provider_dims: dims(p.node),
-                    provider_windows: dep.windows_of(p.node),
-                });
-                let remotes = match u.kind {
-                    LlUnitKind::Mvm { mvm } => {
-                        let bytes = partitioning.entry(mvm).weight_width * eb;
-                        let mut remote =
-                            |r: &LlReplica| {
+        LlCosts {
+            t_interval: issue_interval(hw),
+            t_mvm: hw.mvm_latency,
+            units: units
+                .iter()
+                .map(|u| {
+                    // Provider owner -> consumer owner, one window's payload.
+                    let dst = u.replicas.first().map_or(0, |r| r.owner);
+                    let forward_cycles = u
+                        .providers
+                        .iter()
+                        .map(|p| {
+                            let first = schedule.units_of(p.node).first().map(|&pu| &units[pu]);
+                            let src = first.and_then(|pu| pu.replicas.first());
+                            let bytes = first.map_or(0, |pu| pu.elems_per_window * eb);
+                            noc.transfer_cycles(src.map_or(dst, |r| r.owner), dst, bytes)
+                        })
+                        .max()
+                        .unwrap_or(0);
+                    let edges = u.providers.iter().map(|p| LlEdge {
+                        provider: p.node.index(),
+                        rule: p.rule,
+                        consumer_dims: dims(u.node),
+                        consumer_windows: dep.windows_of(u.node),
+                        provider_dims: dims(p.node),
+                        provider_windows: dep.windows_of(p.node),
+                    });
+                    let remotes = match u.kind {
+                        LlUnitKind::Mvm { mvm } => {
+                            let bytes = partitioning.entry(mvm).weight_width * eb;
+                            let mut remote = |r: &LlReplica| {
                                 let senders =
                                     r.ags_per_core.iter().filter(|&&(core, _)| core != r.owner);
                                 let start = partial_pj.len();
@@ -426,22 +428,18 @@ impl LlCosts {
                                     pj: start..partial_pj.len(),
                                 }
                             };
-                        u.replicas.iter().map(&mut remote).collect()
+                            u.replicas.iter().map(&mut remote).collect()
+                        }
+                        LlUnitKind::Vector => Vec::new(),
+                    };
+                    LlUnitCost {
+                        vfu_pass: vfu_cycles(hw, u.vfu_elems_per_window),
+                        forward_cycles,
+                        edges: edges.collect(),
+                        remotes,
                     }
-                    LlUnitKind::Vector => Vec::new(),
-                };
-                LlUnitCost {
-                    vfu_pass: vfu_cycles(hw, u.vfu_elems_per_window),
-                    forward_cycles,
-                    edges: edges.collect(),
-                    remotes,
-                }
-            })
-            .collect();
-        LlCosts {
-            t_interval: issue_interval(hw),
-            t_mvm: hw.mvm_latency,
-            units,
+                })
+                .collect(),
             partial_pj,
         }
     }
