@@ -38,9 +38,16 @@ while (($#)); do
     esac
 done
 
-rm -rf "$ab/base"
-mkdir -p "$ab/base"
-git archive "$base_ref" | tar -x -C "$ab/base"
+# Extract a new base only when the ref moved. `tar -m` stamps the files
+# with the extraction time: with the commit's own time, cargo would take
+# the previous base's build in base-target for fresh.
+rev=$(git rev-parse --verify "$base_ref^{commit}")
+if [[ $(cat "$ab/base.rev" 2>/dev/null) != "$rev" ]]; then
+    rm -rf "$ab/base" "$ab/base.rev"
+    mkdir -p "$ab/base"
+    git archive "$rev" | tar -x -m -C "$ab/base"
+    echo "$rev" >"$ab/base.rev"
+fi
 
 if ((pairs == 0)); then
     [[ -z $seed ]] || flags+=(--seed "$seed")
