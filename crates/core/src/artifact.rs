@@ -112,11 +112,14 @@ pub struct CompiledArtifact {
 }
 
 /// The serialized shape of an artifact: the facts no other field can
-/// recompute.
+/// recompute. Written with the graph (`G` is `&Graph`), read with `G`
+/// `()`, which only requires the field: `rebuild` decodes the graph, so
+/// that one [`Graph::validate`] refuses makes the artifact invalid, not
+/// unparseable.
 #[derive(Serialize, Deserialize)]
-struct Facts {
+struct Facts<G> {
     format_version: u32,
-    graph: Graph,
+    graph: G,
     hw: HardwareConfig,
     mode: PipelineMode,
     batch: usize,
@@ -131,12 +134,13 @@ struct Facts {
     ga: Option<GaStats>,
 }
 
-impl Facts {
-    /// Runs the compile pipeline's own stages on the stored decisions:
-    /// partitioning, dependency analysis, the reload rule, scheduling,
-    /// memory planning and the report — not normalization, which the
-    /// stored graph has been through.
-    fn rebuild(self) -> Result<CompiledModel, CompileError> {
+impl Facts<()> {
+    /// Decodes the artifact's `graph` and runs the compile pipeline's
+    /// own stages on the stored decisions: partitioning, dependency
+    /// analysis, the reload rule, scheduling, memory planning and the
+    /// report — not normalization, which the stored graph has been
+    /// through.
+    fn rebuild(self, graph: &serde::Value) -> Result<CompiledModel, CompileError> {
         let opts = CompileOptions {
             batch: self.batch,
             memory_policy: self.memory_policy,
@@ -144,7 +148,10 @@ impl Facts {
             reload_budget: self.reload_budget,
             ..CompileOptions::new(self.mode)
         };
-        let partitioned = CompileSession::reopen(self.hw, self.graph, opts)?.partition()?;
+        let graph = Graph::from_value(graph).map_err(|e| CompileError::InvalidGraph {
+            detail: e.to_string(),
+        })?;
+        let partitioned = CompileSession::reopen(self.hw, graph, opts)?.partition()?;
         let instances = expand(&self.placement, partitioned.partitioning())?;
         Ok(partitioned
             .adopt(instances, self.compiler, self.ga)?
@@ -281,7 +288,7 @@ impl CompiledArtifact {
         let m = &self.model;
         let facts = Facts {
             format_version: Self::FORMAT_VERSION,
-            graph: m.graph.clone(),
+            graph: &m.graph,
             hw: m.hw.clone(),
             mode: m.mode,
             batch: m.schedule.as_ht().map_or(1, |s| s.batch),
@@ -327,10 +334,12 @@ impl CompiledArtifact {
                 supported: Self::FORMAT_VERSION,
             });
         }
-        let facts =
-            Facts::from_value(&value).map_err(|e| ArtifactError::Serialization(e.to_string()))?;
+        let facts = Facts::<()>::from_value(&value)
+            .map_err(|e| ArtifactError::Serialization(e.to_string()))?;
+        // Present: `Facts` requires the field.
+        let graph = value.get("graph").unwrap_or(&serde::Value::Null);
         let model = facts
-            .rebuild()
+            .rebuild(graph)
             .map_err(|e| ArtifactError::Invalid(e.to_string()))?;
         Ok(CompiledArtifact { model })
     }

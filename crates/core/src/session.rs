@@ -212,7 +212,8 @@ impl CompileSession {
         Self::open(hw, opts, |_| Ok(graph))
     }
 
-    /// Validates `hw` and `opts`, then builds the graph and validates it.
+    /// Validates `hw` and `opts`, then builds the graph (which every
+    /// `Graph` constructor has validated).
     fn open(
         hw: HardwareConfig,
         opts: CompileOptions,
@@ -223,9 +224,6 @@ impl CompileSession {
         })?;
         opts.validate()?;
         let graph = graph(&opts)?;
-        graph.validate().map_err(|e| CompileError::InvalidGraph {
-            detail: e.to_string(),
-        })?;
         Ok(CompileSession { hw, graph, opts })
     }
 

@@ -1,5 +1,6 @@
-//! The shared execution engine: graph validation, topological
-//! traversal, and the functional kernels for every non-MVM operator.
+//! The shared execution engine: the executor's own graph checks,
+//! topological traversal, and the functional kernels for every non-MVM
+//! operator.
 //!
 //! The reference interpreter and the mapped executor differ *only* in
 //! how they compute the MVM operators (convolution, fully connected,
@@ -18,7 +19,7 @@
 use crate::error::ExecError;
 use crate::gemm::{gemm, pack_rows, Tier, NR};
 use crate::tensor::Tensor;
-use pimcomp_ir::{infer_output_shape, synth, Activation, Conv2d, Graph, Node, Op, PoolKind, Shape};
+use pimcomp_ir::{synth, Activation, Conv2d, Graph, Node, Op, PoolKind, Shape};
 use std::ops::Range;
 
 /// A column tile of one MVM node's unfolded stationary weight matrix,
@@ -390,139 +391,39 @@ fn fixed_dims(node: &str, shape: &Shape) -> Result<Vec<usize>, ExecError> {
         .collect()
 }
 
-/// Validates an (artifact-loaded, therefore untrusted) graph for
-/// execution: concrete shapes, in-range node ids, correct arities, an
-/// acyclic topology, and recorded output shapes that agree with shape
-/// inference. Returns a deterministic topological order.
-fn validate_for_execution(graph: &Graph) -> Result<Vec<usize>, ExecError> {
+/// What the executor checks beyond the [`Graph`] invariants: concrete
+/// shapes, and an allocation bound of its own. Every graph is validated
+/// where it is built or deserialized — structure, recorded shapes,
+/// extents — so this is all that is left to refuse.
+fn validate_for_execution(graph: &Graph) -> Result<(), ExecError> {
     if graph.has_symbolic_dims() {
         return Err(ExecError::SymbolicShape {
             model: graph.name().to_string(),
         });
     }
-    let nodes = graph.nodes();
-    let n = nodes.len();
-    for (i, node) in nodes.iter().enumerate() {
-        if node.id.0 != i {
-            return Err(ExecError::InvalidGraph {
-                detail: format!("node `{}` has id {} at position {i}", node.name, node.id.0),
-            });
-        }
-        for input in &node.inputs {
-            if input.0 >= n {
-                return Err(ExecError::NodeOutOfRange {
-                    node: node.name.clone(),
-                    id: input.0,
-                    count: n,
-                });
-            }
-        }
-        match node.op.arity() {
-            Some(a) if node.inputs.len() != a => {
-                return Err(ExecError::InvalidGraph {
-                    detail: format!(
-                        "node `{}` ({}) needs {a} inputs, has {}",
-                        node.name,
-                        node.op.mnemonic(),
-                        node.inputs.len()
-                    ),
-                })
-            }
-            None if node.inputs.len() < 2 => {
-                return Err(ExecError::InvalidGraph {
-                    detail: format!("variadic node `{}` has fewer than 2 inputs", node.name),
-                })
-            }
-            _ => {}
-        }
-        // Recorded shapes must agree with what the operator computes on
-        // its inputs' recorded shapes — a tampered artifact cannot
-        // smuggle an inconsistent tensor size past this.
-        let input_shapes: Vec<&Shape> = node
-            .inputs
-            .iter()
-            .map(|i| &nodes[i.0].output_shape)
-            .collect();
-        let inferred = infer_output_shape(&node.name, &node.op, &input_shapes).map_err(|e| {
-            ExecError::ShapeMismatch {
-                node: node.name.clone(),
-                detail: e.to_string(),
-            }
-        })?;
-        if inferred != node.output_shape {
-            return Err(ExecError::ShapeMismatch {
-                node: node.name.clone(),
-                detail: format!(
-                    "recorded output shape {:?} but operator computes {:?}",
-                    node.output_shape, inferred
-                ),
-            });
-        }
-        // Every element count execution allocates, multiplied out
-        // checked: artifact-controlled extents must not wrap a size.
-        let overflow = || ExecError::ShapeMismatch {
-            node: node.name.clone(),
-            detail: "element count overflows usize".to_string(),
+    for node in graph.nodes() {
+        let Some((height, width)) = node.op.weight_matrix() else {
+            continue;
         };
-        let numel = node.output_shape.try_numel().ok_or_else(overflow)?;
         let groups = match &node.op {
-            Op::Conv2d(c) => {
-                let taps = c.kernel.0.checked_mul(c.kernel.1);
-                taps.and_then(|t| t.checked_mul(c.in_channels))
-                    .ok_or_else(overflow)?;
-                c.groups
-            }
+            Op::Conv2d(c) => c.groups,
             _ => 1,
         };
-        if let Some((height, width)) = node.op.weight_matrix() {
-            // An MVM node allocates its output (`numel`), at 8 bits the
-            // mapped backend's per-slice partials (at most `height`
-            // outputs' worth, of which the output is the first), one
-            // weight tile (at most the whole matrix) and one panel tile
-            // (at most every group's panels, windows padded to a
-            // block). One product bounds them all.
-            (numel / width.max(1))
-                .checked_add(NR)
-                .and_then(|w| w.checked_mul(height)?.checked_mul(width.max(groups)))
-                .ok_or_else(overflow)?;
-        }
+        // An MVM node allocates its output, at 8 bits the mapped
+        // backend's per-slice partials (at most `height` outputs' worth,
+        // of which the output is the first), one weight tile (at most
+        // the whole matrix) and one panel tile (at most every group's
+        // panels, windows padded to a block). One product bounds them
+        // all; the graph bounds the output's element count.
+        (node.output_shape.numel() / width.max(1))
+            .checked_add(NR)
+            .and_then(|w| w.checked_mul(height)?.checked_mul(width.max(groups)))
+            .ok_or_else(|| ExecError::ShapeMismatch {
+                node: node.name.clone(),
+                detail: "the tile allocation overflows usize".to_string(),
+            })?;
     }
-
-    // Kahn's algorithm, smallest-id-first among ready nodes: a
-    // deterministic order, with cycle detection (graph.topo_order()
-    // assumes a validated graph; this path cannot).
-    let mut indegree = vec![0usize; n];
-    for node in nodes {
-        for _ in &node.inputs {
-            indegree[node.id.0] += 1;
-        }
-    }
-    let mut ready: std::collections::BinaryHeap<std::cmp::Reverse<usize>> = (0..n)
-        .filter(|&i| indegree[i] == 0)
-        .map(std::cmp::Reverse)
-        .collect();
-    let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for node in nodes {
-        for input in &node.inputs {
-            successors[input.0].push(node.id.0);
-        }
-    }
-    let mut order = Vec::with_capacity(n);
-    while let Some(std::cmp::Reverse(i)) = ready.pop() {
-        order.push(i);
-        for &s in &successors[i] {
-            indegree[s] -= 1;
-            if indegree[s] == 0 {
-                ready.push(std::cmp::Reverse(s));
-            }
-        }
-    }
-    if order.len() != n {
-        return Err(ExecError::InvalidGraph {
-            detail: "graph contains a cycle".to_string(),
-        });
-    }
-    Ok(order)
+    Ok(())
 }
 
 /// Executes a graph with deterministically synthesized inputs and
@@ -544,7 +445,7 @@ pub(crate) fn run_tiled(
     tiling: Tiling,
     backend: &mut dyn MvmBackend,
 ) -> Result<Vec<(String, Tensor)>, ExecError> {
-    let order = validate_for_execution(graph)?;
+    validate_for_execution(graph)?;
     let nodes = graph.nodes();
     let n = nodes.len();
 
@@ -562,19 +463,13 @@ pub(crate) fn run_tiled(
     }
 
     let mut values: Vec<Option<Tensor>> = (0..n).map(|_| None).collect();
-    for &i in &order {
-        let node = &nodes[i];
+    for id in graph.topo_order() {
+        let (i, node) = (id.0, graph.node(id));
         let inputs: Vec<&Tensor> = node
             .inputs
             .iter()
-            .map(|id| {
-                values[id.0]
-                    .as_ref()
-                    .ok_or_else(|| ExecError::InvalidGraph {
-                        detail: format!("node `{}` consumed before production", nodes[id.0].name),
-                    })
-            })
-            .collect::<Result<_, _>>()?;
+            .map(|id| values[id.0].as_ref().expect("inputs run first"))
+            .collect();
         let out = eval_node(node, &inputs, seed, tiling, backend)?;
         let out_dims = fixed_dims(&node.name, &node.output_shape)?;
         if out.dims != out_dims {

@@ -1,9 +1,11 @@
 //! Structured functional-execution errors.
 //!
-//! The executor runs graphs that may come from disk or the network;
-//! per the repo's panic policy it never indexes such data raw. Every
-//! defect of a graph it is handed surfaces as an [`ExecError`]. A
-//! compiled model's partitioning and mapping are derived from its own
+//! The executor runs graphs that may come from disk or the network, but
+//! every [`Graph`](pimcomp_ir::Graph) is validated where it is built or
+//! deserialized: structure, recorded shapes and extents. What a valid
+//! graph can still hold that the executor cannot run — a symbolic
+//! dimension, tiles it cannot allocate — surfaces as an [`ExecError`].
+//! A compiled model's partitioning and mapping are derived from its own
 //! graph (a loaded artifact re-derives them), so they are trusted.
 
 use std::fmt;
@@ -12,22 +14,6 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ExecError {
-    /// A node references an input node id outside the graph (foreign
-    /// node id in an artifact-loaded graph).
-    NodeOutOfRange {
-        /// The referencing node's name.
-        node: String,
-        /// The out-of-range id.
-        id: usize,
-        /// Number of nodes in the graph.
-        count: usize,
-    },
-    /// The graph is not executable: cycle, duplicate/misnumbered node
-    /// ids, or an arity violation.
-    InvalidGraph {
-        /// Description of the defect.
-        detail: String,
-    },
     /// The graph still carries a symbolic `seq` dimension; bind a
     /// sequence length before executing.
     SymbolicShape {
@@ -65,11 +51,6 @@ pub enum ExecError {
 impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExecError::NodeOutOfRange { node, id, count } => write!(
-                f,
-                "node `{node}` references node id {id} but the graph has {count} nodes"
-            ),
-            ExecError::InvalidGraph { detail } => write!(f, "graph is not executable: {detail}"),
             ExecError::SymbolicShape { model } => write!(
                 f,
                 "model `{model}` has a symbolic sequence dimension; bind it before executing"

@@ -72,7 +72,11 @@ use pimcomp_ir::Graph;
 ///
 /// # Errors
 ///
-/// Any [`ExecError`] a malformed or symbolic graph produces.
+/// [`ExecError::SymbolicShape`] while the graph has a symbolic `seq`
+/// dimension, and [`ExecError::ShapeMismatch`] for an MVM node whose
+/// tiles the executor cannot allocate. Nothing else about the graph is
+/// checked here: a [`Graph`] is validated where it is built or
+/// deserialized.
 pub fn reference_outputs(graph: &Graph, seed: u64) -> Result<Vec<(String, Tensor)>, ExecError> {
     let mut backend = ReferenceBackend;
     run_graph(graph, seed, &mut backend)

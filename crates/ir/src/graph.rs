@@ -1,7 +1,8 @@
 //! The DNN graph: a DAG of operator nodes with resolved shapes.
 
+use crate::shape_infer::infer_output_shape;
 use crate::{IrError, Op, Shape};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
 
@@ -44,11 +45,14 @@ pub struct Node {
 
 /// A directed acyclic graph of DNN operators with resolved shapes.
 ///
-/// Construct via [`GraphBuilder`](crate::GraphBuilder); the builder
-/// performs shape inference and validation so that every `Graph` in
-/// circulation satisfies the invariants checked by [`Graph::validate`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(from = "GraphData", into = "GraphData")]
+/// Construct via [`GraphBuilder`](crate::GraphBuilder), a transform
+/// pass or deserialization; each ends in [`Graph::validate`], so every
+/// `Graph` in circulation satisfies its invariants: the structure, the
+/// recorded shapes shape inference computes, and extents whose products
+/// fit `usize`. Deserialization is where outside bytes become a graph
+/// (an artifact's, say), and it refuses any that break them.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+#[serde(into = "GraphData")]
 pub struct Graph {
     name: String,
     nodes: Vec<Node>,
@@ -64,15 +68,10 @@ struct GraphData {
     nodes: Vec<Node>,
 }
 
-impl From<GraphData> for Graph {
-    fn from(d: GraphData) -> Self {
-        let mut g = Graph {
-            name: d.name,
-            nodes: d.nodes,
-            successors: Vec::new(),
-        };
-        g.rebuild_successors();
-        g
+impl Deserialize for Graph {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let d = GraphData::from_value(v)?;
+        Graph::from_nodes(d.name, d.nodes).map_err(DeError::new)
     }
 }
 
@@ -86,14 +85,12 @@ impl From<Graph> for GraphData {
 }
 
 impl Graph {
-    /// Assembles a graph from parts, validating structure and rebuilding
-    /// the successor index.
+    /// Assembles a graph from parts, rebuilding the successor index and
+    /// validating the result.
     ///
     /// # Errors
     ///
-    /// Returns an error if node ids are not dense insertion-order ids, if
-    /// names are duplicated, if any input reference is out of range, or
-    /// if the graph is cyclic or lacks an input node.
+    /// As [`Graph::validate`].
     pub(crate) fn from_nodes(name: impl Into<String>, nodes: Vec<Node>) -> Result<Self, IrError> {
         let mut g = Graph {
             name: name.into(),
@@ -190,7 +187,8 @@ impl Graph {
         order
     }
 
-    /// Checks all structural invariants.
+    /// Checks every invariant: the structure, then each node's recorded
+    /// shape and extents, inputs before consumers.
     ///
     /// # Errors
     ///
@@ -200,6 +198,13 @@ impl Graph {
     /// * [`IrError::ArityMismatch`] — operator input count is wrong.
     /// * [`IrError::CyclicGraph`] — a cycle exists.
     /// * [`IrError::MissingInput`] — no [`Op::Input`] node.
+    /// * [`IrError::ShapeMismatch`] / [`IrError::InvalidAttribute`] —
+    ///   shape inference refuses a node, or computes another output
+    ///   shape than the one it records.
+    /// * [`IrError::InvalidAttribute`] — an extent product the later
+    ///   stages multiply out overflows `usize`: a node's element count,
+    ///   a convolution's `kh × kw × Cin`, or an MVM node's unfolded
+    ///   weight matrix, `height × width × groups`.
     pub fn validate(&self) -> Result<(), IrError> {
         let mut names = HashSet::new();
         for (i, n) in self.nodes.iter().enumerate() {
@@ -234,11 +239,31 @@ impl Graph {
                 _ => {}
             }
         }
-        if self.topo_order().len() != self.nodes.len() {
+        let order = self.topo_order();
+        if order.len() != self.nodes.len() {
             return Err(IrError::CyclicGraph);
         }
         if self.inputs().next().is_none() {
             return Err(IrError::MissingInput);
+        }
+        // In topological order, so inference only reads input shapes
+        // whose extents already passed.
+        let mut inputs: Vec<&Shape> = Vec::new();
+        for id in order {
+            let n = self.node(id);
+            inputs.clear();
+            inputs.extend(n.inputs.iter().map(|&i| &self.node(i).output_shape));
+            let inferred = infer_output_shape(&n.name, &n.op, &inputs)?;
+            if inferred != n.output_shape {
+                return Err(IrError::ShapeMismatch {
+                    node: n.name.clone(),
+                    detail: format!(
+                        "recorded output shape {} but the operator computes {inferred}",
+                        n.output_shape
+                    ),
+                });
+            }
+            check_extents(n)?;
         }
         Ok(())
     }
@@ -285,9 +310,9 @@ impl Graph {
         providers
     }
 
-    /// Rebuilds the successor adjacency (called after deserialization and
-    /// by `from_nodes`).
-    pub(crate) fn rebuild_successors(&mut self) {
+    /// Rebuilds the successor adjacency (called by `from_nodes`, before
+    /// the input references are checked).
+    fn rebuild_successors(&mut self) {
         let mut succ = vec![Vec::new(); self.nodes.len()];
         for n in &self.nodes {
             for &inp in &n.inputs {
@@ -297,6 +322,42 @@ impl Graph {
             }
         }
         self.successors = succ;
+    }
+}
+
+/// Refuses a node whose extent products overflow `usize`: its element
+/// count (over the fixed dims; binding the sequence length validates
+/// again), a convolution's `kh × kw × Cin`, and an MVM node's
+/// `height × width × groups`. Every later stage multiplies them
+/// unchecked.
+fn check_extents(n: &Node) -> Result<(), IrError> {
+    fn fits(dims: impl IntoIterator<Item = usize>) -> bool {
+        dims.into_iter().try_fold(1, usize::checked_mul).is_some()
+    }
+    let overflow = |what: String| {
+        Err(IrError::InvalidAttribute {
+            node: n.name.clone(),
+            detail: format!("{what} overflows usize"),
+        })
+    };
+    if !fits(n.output_shape.dims().iter().filter_map(|d| d.fixed())) {
+        return overflow(format!("the element count of {}", n.output_shape));
+    }
+    let groups = match &n.op {
+        Op::Conv2d(c) => {
+            let (kh, kw) = c.kernel;
+            if !fits([kh, kw, c.in_channels]) {
+                return overflow(format!("kernel {kh}x{kw} over {} channels", c.in_channels));
+            }
+            c.groups
+        }
+        _ => 1,
+    };
+    match n.op.weight_matrix() {
+        Some((height, width)) if !fits([height, width, groups]) => overflow(format!(
+            "a {height}x{width} weight matrix in {groups} group(s)"
+        )),
+        _ => Ok(()),
     }
 }
 
@@ -406,5 +467,48 @@ mod tests {
         assert_eq!(g, g2);
         // Derived successor index must have been rebuilt.
         assert_eq!(g2.successors(NodeId(1)).len(), 2);
+    }
+
+    #[test]
+    fn deserialization_refuses_a_recorded_shape_inference_disagrees_with() {
+        let mut value = diamond().to_value();
+        let Some(Value::Seq(nodes)) = value_field(&mut value, "nodes") else {
+            panic!("a graph's nodes are an array")
+        };
+        // Conv `b` computes [8, 16, 16]; record one column short.
+        let short = Shape::chw(8, 16, 15).to_value();
+        *value_field(&mut nodes[2], "output_shape").unwrap() = short;
+        let err = Graph::from_value(&value).unwrap_err().to_string();
+        assert_eq!(
+            err,
+            "shape mismatch at node `b`: recorded output shape 8x16x15 \
+             but the operator computes 8x16x16"
+        );
+    }
+
+    #[test]
+    fn validate_refuses_extents_whose_products_overflow() {
+        let mut b = GraphBuilder::new("g");
+        let x = b.input("x", [1, 1, 1]);
+        b.conv2d("c", x, 1, (1, 1), (1, 1), (0, 0)).unwrap();
+        let mut nodes = b.finish().unwrap().nodes().to_vec();
+        // Padding admits the 2^32 x 2^32 kernel: the output shape still
+        // agrees with inference, and only `kh × kw` overflows.
+        let Op::Conv2d(c) = &mut nodes[1].op else {
+            panic!("node 1 is the conv")
+        };
+        (c.kernel, c.padding) = ((1 << 32, 1 << 32), (1 << 31, 1 << 31));
+        nodes[1].output_shape = Shape::chw(1, 2, 2);
+        let err = Graph::from_nodes("g", nodes).unwrap_err().to_string();
+        assert_eq!(
+            err,
+            "invalid attribute at node `c`: kernel 4294967296x4294967296 over 1 channels \
+             overflows usize"
+        );
+    }
+
+    fn value_field<'a>(v: &'a mut Value, key: &str) -> Option<&'a mut Value> {
+        let Value::Map(fields) = v else { return None };
+        fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 }

@@ -58,6 +58,5 @@ pub use graph::{Graph, Node, NodeId};
 pub use op::{
     Activation, Attention, Bmm, Conv2d, EltwiseKind, Linear, Lrn, MatMul, Op, Pad2d, Pool, PoolKind,
 };
-pub use shape_infer::infer_output_shape;
 pub use stats::{GraphStats, NodeStats};
 pub use tensor::{Dim, Shape};

@@ -38,7 +38,7 @@ pub(crate) fn window_extent(
 /// supplied, [`IrError::ShapeMismatch`] when an input shape is not
 /// acceptable for the operator, and [`IrError::InvalidAttribute`] when an
 /// attribute is out of domain (e.g. zero stride).
-pub fn infer_output_shape(node: &str, op: &Op, inputs: &[&Shape]) -> Result<Shape, IrError> {
+pub(crate) fn infer_output_shape(node: &str, op: &Op, inputs: &[&Shape]) -> Result<Shape, IrError> {
     let arity_err = |expected: usize| IrError::ArityMismatch {
         node: node.to_string(),
         expected,
@@ -197,8 +197,12 @@ pub fn infer_output_shape(node: &str, op: &Op, inputs: &[&Shape]) -> Result<Shap
         Op::Reshape { shape } => {
             let x = single(inputs).ok_or_else(|| arity_err(1))?;
             let seq_count = |s: &Shape| s.dims().iter().filter(|d| matches!(d, Dim::Seq)).count();
-            let fixed_product =
-                |s: &Shape| -> usize { s.dims().iter().filter_map(|d| d.fixed()).product() };
+            // Checked: the target shape is an attribute, unchecked
+            // until its node's extents are.
+            let fixed_product = |s: &Shape| {
+                let mut fixed = s.dims().iter().filter_map(|d| d.fixed());
+                fixed.try_fold(1usize, usize::checked_mul)
+            };
             if seq_count(x) != seq_count(shape) || fixed_product(x) != fixed_product(shape) {
                 return Err(shape_err(format!(
                     "reshape must preserve the element count: {x} -> {shape}"

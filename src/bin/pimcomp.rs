@@ -714,9 +714,17 @@ fn cmd_verify(args: &Args) -> CliResult {
         })?
         .unwrap_or(1e-4);
     let adc_bits: u32 = args.number("--adc-bits")?.unwrap_or(8);
+    if args.has("--adc-bits") && !args.has("--quantized") {
+        return Err("--adc-bits requires --quantized".into());
+    }
     let (artifact, loaded) = open_artifact(args)?;
-    outln!("{loaded}");
     let model = artifact.model();
+    // Every option is checked before anything is printed or run.
+    let quant = args
+        .has("--quantized")
+        .then(|| pimcomp_arch::QuantConfig::for_hardware(&model.hw, adc_bits))
+        .transpose()?;
+    outln!("{loaded}");
     let reference = pimcomp::exec::reference_outputs(&model.graph, seed)?;
     let verify = |quant| pimcomp::exec::verify_against(&reference, model, seed, quant);
     let top1 = |matched| if matched { "match" } else { "MISMATCH" };
@@ -743,8 +751,7 @@ fn cmd_verify(args: &Args) -> CliResult {
         )
         .into());
     }
-    if args.has("--quantized") {
-        let quant = pimcomp_arch::QuantConfig::for_hardware(&model.hw, adc_bits)?;
+    if let Some(quant) = quant {
         let q = verify(Some(quant))?;
         outln!(
             "  quantized ({}b cells, {}b weights, {}b ADC): RMSE {:.3e}, top-1 {}",
@@ -820,6 +827,9 @@ fn inspect_artifact(path: &str) -> CliResult {
 
 fn cmd_inspect(args: &Args) -> CliResult {
     if let Some(path) = args.get("--artifact") {
+        if args.has("--model") {
+            return Err("inspect reads `--model` or `--artifact`, not both".into());
+        }
         return inspect_artifact(path);
     }
     let graph = load_model(args)?;

@@ -253,6 +253,16 @@ fn malformed_command_lines_stay_rejected() {
             &["verify", "--artifact", "a.json", "--tolerance", "-1"][..],
             "--tolerance expects a finite non-negative number, got `-1`",
         ),
+        // An ADC resolution with no quantized run to read it used to be
+        // ignored, and an `inspect` model beside an artifact dropped.
+        (
+            &["verify", "--artifact", "a.json", "--adc-bits", "0"][..],
+            "--adc-bits requires --quantized",
+        ),
+        (
+            &["inspect", "--model", "tiny_cnn", "--artifact", "a.json"][..],
+            "inspect reads `--model` or `--artifact`, not both",
+        ),
     ] {
         let out = pimcomp(args);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
@@ -390,6 +400,22 @@ fn artifact_workflow_prints_the_recorded_numbers() {
         "  quantized (2b cells, 16b weights, 8b ADC): RMSE 8.719e-4, top-1 match",
     );
     has_line(&verify, "  verification passed");
+    // An ADC resolution out of range is refused before the reference
+    // runs, where it used to fail after two lines of output.
+    let out = pimcomp(&[
+        "verify",
+        "--artifact",
+        artifact,
+        "--quantized",
+        "--adc-bits",
+        "99",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert_eq!(stdout(&out), "");
+    assert_eq!(
+        stderr(&out),
+        "error: invalid hardware parameter `adc_bits`: must be in 1..=32, got 99\n"
+    );
 
     // Pinning a different serving target is a fingerprint error, not a
     // simulation with mixed hardware.
@@ -513,6 +539,28 @@ fn artifact_workflow_prints_the_recorded_numbers() {
         assert_eq!(out.status.code(), Some(1), "{field}: {}", stderr(&out));
         assert_eq!(stdout(&out), "", "{field}");
         assert_eq!(stderr(&out), format!("{refusal}\n"), "{field}");
+    }
+    // The first conv's 3x3 kernel made 2^32 + 1 square, padded so the
+    // recorded output shape still agrees with inference: `kh × kw`
+    // overflows, which a debug build hit as a panic (exit 101) while
+    // partitioning the loaded graph.
+    let json = std::fs::read_to_string(artifact).unwrap();
+    let conv = r#""kernel":[3,3],"stride":[1,1],"padding":[1,1]"#;
+    let hostile =
+        r#""kernel":[4294967297,4294967297],"stride":[1,1],"padding":[2147483648,2147483648]"#;
+    assert!(json.contains(conv), "fixture assumption: a 3x3 conv");
+    let tampered = dir.join("kernel.pimc.json");
+    std::fs::write(&tampered, json.replacen(conv, hostile, 1)).unwrap();
+    for command in ["inspect", "simulate", "verify"] {
+        let out = pimcomp(&[command, "--artifact", tampered.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{command}: {}", stderr(&out));
+        assert_eq!(stdout(&out), "", "{command}");
+        assert_eq!(
+            stderr(&out),
+            "error: invalid artifact: invalid graph: invalid attribute at node `conv1`: \
+             kernel 4294967297x4294967297 over 3 channels overflows usize\n",
+            "{command}"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }

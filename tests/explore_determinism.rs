@@ -450,55 +450,47 @@ fn damaged_or_foreign_sidecars_and_missing_artifacts_fall_back() {
 
 #[test]
 fn failed_measurement_is_attempted_again_not_memoised() {
-    use serde::Value;
     let dir = temp_dir("failed-measure");
     let _ = std::fs::remove_dir_all(&dir);
+    // Two points that compile and cache alike: the second's NoC is too
+    // slow for any simulated clock, so its measurement fails every time.
     let spec = SweepSpec::from_json(
-        r#"{"models":["tiny_cnn"],"modes":["ll"],"hardware":{"base":"small_test"},
+        r#"{"models":["tiny_cnn"],"modes":["ll"],
+            "hardware":{"base":"small_test","noc_link_bw":[8, 1e-300]},
             "seeds":[1],"ga":{"population":4,"iterations":3},"quantization":[0]}"#,
     )
     .unwrap();
     let engine = ExploreEngine::new().with_cache_dir(&dir);
-    let json = engine.run(&spec).unwrap().report.to_json().unwrap();
+    let cold = engine.run(&spec).unwrap();
+    assert_eq!((cold.cache_hits, cold.cache_misses), (0, 2));
+    assert_eq!(cache_files(&dir, ARTIFACTS).len(), 2);
+    assert_eq!(cache_files(&dir, SIDECARS).len(), 1);
+    let json = cold.report.to_json().unwrap();
+    assert!(cold.report.points[0].error.is_none());
+    let error = cold.report.points[1].error.as_deref().unwrap();
+    assert!(error.starts_with("simulate: "), "{error}");
 
-    // A loaded artifact derives its schedule again, so no edit makes the
-    // simulation of one fail; the executor checks every recorded shape,
-    // though, and the compiler takes them as given. Record a width one
-    // short for the first ReLU: the artifact still loads and simulates,
-    // and its verification fails.
-    let artifact = cache_files(&dir, ARTIFACTS).pop().unwrap();
-    let intact = std::fs::read_to_string(&artifact).unwrap();
-    let mut value = serde_json::parse_value(&intact).unwrap();
-    fn field<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
-        let Value::Map(fields) = v else {
-            panic!("expected a JSON object")
-        };
-        &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1
-    }
-    let Value::Seq(nodes) = field(field(&mut value, "graph"), "nodes") else {
-        panic!("graph nodes are an array")
-    };
-    *field(&mut nodes[2], "output_shape") = Value::Seq([16, 32, 31].map(Value::Int).to_vec());
-    std::fs::write(&artifact, serde_json::to_string(&value).unwrap()).unwrap();
-    std::fs::remove_file(&cache_files(&dir, SIDECARS)[0]).unwrap();
-
+    // Each rerun loads both artifacts. The good point answers from its
+    // sidecar; the failed one has none, so it is measured again, fails
+    // again, and still writes none.
     for attempt in ["first", "second"] {
-        let failed = engine.run(&spec).unwrap();
+        let rerun = engine.run(&spec).unwrap();
         assert_eq!(
-            (failed.cache_hits, failed.metrics_hits),
-            (1, 0),
+            (rerun.cache_hits, rerun.metrics_hits, rerun.cache_misses),
+            (2, 1, 0),
             "{attempt}"
         );
-        let error = failed.report.points[0].error.as_deref().unwrap();
-        assert!(error.starts_with("verify: "), "{attempt}: {error}");
-        assert!(cache_files(&dir, SIDECARS).is_empty(), "{attempt}");
+        assert_eq!(json, rerun.report.to_json().unwrap(), "{attempt}");
+        assert_eq!(cache_files(&dir, SIDECARS).len(), 1, "{attempt}");
     }
 
-    // With the artifact repaired the very next run measures again.
-    std::fs::write(&artifact, intact).unwrap();
-    let repaired = engine.run(&spec).unwrap();
-    assert_eq!((repaired.cache_hits, repaired.metrics_hits), (1, 0));
-    assert_eq!(json, repaired.report.to_json().unwrap());
+    // With its sidecar gone the good point is measured again from the
+    // artifact, and the success is memoised afterwards.
+    std::fs::remove_file(&cache_files(&dir, SIDECARS)[0]).unwrap();
+    let remeasured = engine.run(&spec).unwrap();
+    assert_eq!((remeasured.cache_hits, remeasured.metrics_hits), (2, 0));
+    assert_eq!(json, remeasured.report.to_json().unwrap());
+    assert_eq!(cache_files(&dir, SIDECARS).len(), 1);
     assert_eq!(engine.run(&spec).unwrap().metrics_hits, 1);
     std::fs::remove_dir_all(&dir).ok();
 }

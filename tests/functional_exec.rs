@@ -428,25 +428,22 @@ fn tampered_reload_budget_yields_structured_error() {
 
 #[test]
 fn foreign_node_id_in_loaded_graph_yields_structured_error() {
-    // Graph deserialization rebuilds derived indices without
-    // re-validating input references, so an artifact-loaded graph can
-    // carry a foreign node id — the executor must refuse it.
+    // An artifact-loaded graph can carry a foreign node id; it is
+    // refused where it deserializes, before anything indexes by it.
     let graph = pimcomp_ir::models::tiny_mlp();
     let json = serde_json::to_string(&graph).unwrap();
     let tampered = json.replacen("\"inputs\":[0]", "\"inputs\":[999]", 1);
     assert_ne!(json, tampered, "fixture assumption: node with inputs [0]");
-    let hostile: Graph = serde_json::from_str(&tampered).unwrap();
-    match reference_outputs(&hostile, 1) {
-        Err(ExecError::NodeOutOfRange { id: 999, .. }) => {}
-        other => panic!("expected NodeOutOfRange, got {other:?}"),
-    }
+    let err = serde_json::from_str::<Graph>(&tampered).unwrap_err();
+    assert!(err.to_string().contains("unknown node id 999"), "{err}");
 }
 
 #[test]
 fn overflowing_element_counts_in_loaded_graph_yield_structured_error() {
     // Extents are artifact-controlled: a tensor or im2col element count
-    // that multiplies past usize::MAX must be refused, never wrapped
-    // into a small allocation (release) or a panic (debug).
+    // that multiplies past usize::MAX must be refused where the graph
+    // deserializes, never wrapped into a small allocation (release) or
+    // a panic (debug).
     let input = |dims: &str| {
         format!(
             r#"{{"id":0,"name":"input","op":{{"Input":{{"shape":{dims}}}}},"inputs":[],"output_shape":{dims}}}"#
@@ -464,14 +461,13 @@ fn overflowing_element_counts_in_loaded_graph_yield_structured_error() {
         input("[1,1,1]")
     );
     for (json, node) in [(huge_input, "input"), (huge_kernel, "conv")] {
-        let hostile: Graph = serde_json::from_str(&json).expect("hostile graph parses");
-        match reference_outputs(&hostile, 1) {
-            Err(ExecError::ShapeMismatch { node: n, detail }) => {
-                assert_eq!(n, node);
-                assert!(detail.contains("overflows"), "{detail}");
-            }
-            other => panic!("expected ShapeMismatch, got {other:?}"),
-        }
+        let err = serde_json::from_str::<Graph>(&json)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains(&format!("at node `{node}`")) && err.contains("overflows usize"),
+            "{node}: {err}"
+        );
     }
 }
 
