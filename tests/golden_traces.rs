@@ -762,3 +762,156 @@ fn check_ga_results(full: bool) {
         );
     }
 }
+
+/// A graph whose node ids are not a topological order (`x` is node 6,
+/// `d1` node 0): a `BatchNorm` and a `Dropout` inside the chain, a
+/// trailing `Dropout` after `fc`, a side branch nothing reads (`side`,
+/// an output, kept) and an input read only by a dropout (`aux`, which
+/// the splice orphans and pruning drops).
+const SHUFFLED_GRAPH: &str = r#"{"name":"shuffled","nodes":[
+{"id":0,"name":"d1","op":"Dropout","inputs":[9],"output_shape":[8,8,8]},
+{"id":1,"name":"aux","op":{"Input":{"shape":[1,1,1]}},"inputs":[],"output_shape":[1,1,1]},
+{"id":2,"name":"bn1","op":"BatchNorm","inputs":[11],"output_shape":[8,8,8]},
+{"id":3,"name":"flat","op":"Flatten","inputs":[4],"output_shape":[512]},
+{"id":4,"name":"c2","op":{"Conv2d":{"in_channels":8,"out_channels":8,"kernel":[1,1],"stride":[1,1],"padding":[0,0],"groups":1,"bias":true}},"inputs":[0],"output_shape":[8,8,8]},
+{"id":5,"name":"d2","op":"Dropout","inputs":[8],"output_shape":[10]},
+{"id":6,"name":"x","op":{"Input":{"shape":[4,8,8]}},"inputs":[],"output_shape":[4,8,8]},
+{"id":7,"name":"aux_drop","op":"Dropout","inputs":[1],"output_shape":[1,1,1]},
+{"id":8,"name":"fc","op":{"Linear":{"in_features":512,"out_features":10,"bias":true}},"inputs":[3],"output_shape":[10]},
+{"id":9,"name":"r1","op":{"Activation":"Relu"},"inputs":[2],"output_shape":[8,8,8]},
+{"id":10,"name":"side","op":{"Conv2d":{"in_channels":4,"out_channels":2,"kernel":[1,1],"stride":[1,1],"padding":[0,0],"groups":1,"bias":true}},"inputs":[6],"output_shape":[2,8,8]},
+{"id":11,"name":"c1","op":{"Conv2d":{"in_channels":4,"out_channels":8,"kernel":[3,3],"stride":[1,1],"padding":[1,1],"groups":1,"bias":true}},"inputs":[6],"output_shape":[8,8,8]}
+]}"#;
+
+/// An attention block with a `Dropout` between the `Softmax` and the
+/// context `Bmm`; splicing the dropout out first lets the block fuse.
+fn dropout_attention() -> pimcomp_ir::Graph {
+    let mut b = pimcomp_ir::GraphBuilder::new("dropout_attention");
+    let x = b.input_seq("x", 64);
+    let q = b.matmul("q", x, 64).unwrap();
+    let k = b.matmul("k", x, 64).unwrap();
+    let v = b.matmul("v", x, 64).unwrap();
+    let s = b.bmm("scores", q, k, true, true).unwrap();
+    let sm = b.softmax("probs", s).unwrap();
+    let d = b.dropout("probs_drop", sm).unwrap();
+    let ctx = b.bmm("ctx", d, v, false, false).unwrap();
+    let _out = b.matmul("out", ctx, 64).unwrap();
+    b.finish().unwrap()
+}
+
+/// `graph` deserialized with its node ids reversed, so the inputs carry
+/// the highest ids and no id order is a topological one.
+fn with_reversed_ids(graph: &pimcomp_ir::Graph) -> pimcomp_ir::Graph {
+    use pimcomp_ir::{Node, NodeId};
+    #[derive(Serialize)]
+    struct Parts {
+        name: String,
+        nodes: Vec<Node>,
+    }
+    let last = graph.node_count() - 1;
+    let flip = |id: NodeId| NodeId(last - id.0);
+    let nodes = graph
+        .nodes()
+        .iter()
+        .rev()
+        .map(|n| Node {
+            id: flip(n.id),
+            inputs: n.inputs.iter().map(|&i| flip(i)).collect(),
+            ..n.clone()
+        })
+        .collect();
+    let parts = Parts {
+        name: graph.name().to_string(),
+        nodes,
+    };
+    serde_json::from_str(&serde_json::to_string(&parts).unwrap()).unwrap()
+}
+
+/// Every graph `NORMALIZED` pins, by row name: the zoo and the test
+/// models, tiny_bert also bound at 16, seven of them with reversed ids,
+/// and the two hand-built graphs above.
+fn normalize_cases() -> Vec<(String, pimcomp_ir::Graph)> {
+    let mut cases: Vec<(String, pimcomp_ir::Graph)> = models::ZOO
+        .iter()
+        .map(|&m| (m.to_string(), models::by_name(m).unwrap()))
+        .chain(
+            models::TEST_MODELS
+                .iter()
+                .map(|&m| (m.to_string(), models::test_model(m).unwrap())),
+        )
+        .collect();
+    let bert16 = pimcomp_ir::transform::bind_seq_len(&models::tiny_bert(), 16).unwrap();
+    cases.push(("tiny_bert@16".into(), bert16));
+    for name in [
+        "vgg16",
+        "resnet18",
+        "googlenet",
+        "inception_v3",
+        "squeezenet",
+        "two_branch",
+        "tiny_bert@16",
+    ] {
+        let graph = &cases.iter().find(|(n, _)| n == name).unwrap().1;
+        let reversed = with_reversed_ids(graph);
+        cases.push((format!("reversed/{name}"), reversed));
+    }
+    cases.push((
+        "shuffled".into(),
+        serde_json::from_str(SHUFFLED_GRAPH).unwrap(),
+    ));
+    cases.push(("dropout_attention".into(), dropout_attention()));
+    cases
+}
+
+/// `transform::normalize`'s output on every `normalize_cases` graph:
+/// (row, node count, `graph_fingerprint`). A rewrite of the passes must
+/// leave every row as it is.
+const NORMALIZED: [(&str, usize, u64); 22] = [
+    ("vgg16", 39, 0xc2d0ece1a8cf1e33),
+    ("resnet18", 50, 0xa8c99d19f491c419),
+    ("resnet34", 90, 0xda0109c95b41d9ae),
+    ("resnet50", 123, 0xfeb78de019228c9f),
+    ("googlenet", 142, 0xec67ae067613c57a),
+    ("inception_v3", 220, 0x3b9f7dd691caa89e),
+    ("squeezenet", 66, 0x63ed971dcd57472c),
+    ("tiny_bert", 25, 0x67e24a217cf78d77),
+    ("tiny_cnn", 11, 0xe4d349d6b18fda75),
+    ("tiny_mlp", 4, 0x57235229823473be),
+    ("two_branch", 10, 0xccca60334708c8af),
+    ("linear_chain", 5, 0x92308dbf0afb86b0),
+    ("tiny_bert@16", 25, 0x9735c6b150022479),
+    ("reversed/vgg16", 39, 0xc2d0ece1a8cf1e33),
+    ("reversed/resnet18", 50, 0xaf22151559366da1),
+    ("reversed/googlenet", 142, 0xab852bec8ce0cdfe),
+    ("reversed/inception_v3", 220, 0x0ba1c65e1e0ac5e2),
+    ("reversed/squeezenet", 66, 0xa11a90a71586fafc),
+    ("reversed/two_branch", 10, 0xf5c4173e51a5267f),
+    ("reversed/tiny_bert@16", 25, 0xd114fd2359c46f05),
+    ("shuffled", 7, 0xe9ffdee9fed7e913),
+    ("dropout_attention", 6, 0x2f191720aa0e6a8b),
+];
+
+#[test]
+fn normalized_graphs_match_golden() {
+    let actual: Vec<(String, usize, u64)> = normalize_cases()
+        .into_iter()
+        .map(|(name, graph)| {
+            let n =
+                pimcomp_ir::transform::normalize(&graph).unwrap_or_else(|e| panic!("{name}: {e}"));
+            (name, n.node_count(), pimcomp_core::graph_fingerprint(&n))
+        })
+        .collect();
+    let rows: Vec<String> = actual
+        .iter()
+        .map(|(name, n, fp)| format!("    (\"{name}\", {n}, 0x{fp:016x}),"))
+        .collect();
+    let want: Vec<(String, usize, u64)> = NORMALIZED
+        .iter()
+        .map(|&(name, n, fp)| (name.to_string(), n, fp))
+        .collect();
+    assert!(
+        actual == want,
+        "normalize drifted; rows now:\n{}",
+        rows.join("\n")
+    );
+}
