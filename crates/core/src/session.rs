@@ -159,7 +159,8 @@ impl CompileSession {
     /// Validates inputs and opens a session.
     ///
     /// The graph is normalized here (batch-norm folding, dropout
-    /// elimination) when `opts.normalize` is set.
+    /// elimination, attention fusion, dead-node pruning) when
+    /// `opts.normalize` is set.
     ///
     /// # Errors
     ///

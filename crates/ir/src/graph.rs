@@ -92,6 +92,8 @@ impl Graph {
     ///
     /// As [`Graph::validate`].
     pub(crate) fn from_nodes(name: impl Into<String>, nodes: Vec<Node>) -> Result<Self, IrError> {
+        #[cfg(test)]
+        tests::FROM_NODES.with(|n| n.set(n.get() + 1));
         let mut g = Graph {
             name: name.into(),
             nodes,
@@ -376,10 +378,16 @@ impl fmt::Display for Graph {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::GraphBuilder;
+    use std::cell::Cell;
     use std::collections::HashMap;
+
+    thread_local! {
+        /// Graphs this thread's `Graph::from_nodes` calls assembled.
+        pub(crate) static FROM_NODES: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn diamond() -> Graph {
         // input -> conv_a -> {conv_b, conv_c} -> add -> out

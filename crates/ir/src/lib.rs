@@ -15,8 +15,9 @@
 //! * [`models`] — the five benchmark networks of the paper (vgg16,
 //!   resnet18, googlenet, inception-v3, squeezenet) plus small synthetic
 //!   networks used by tests.
-//! * [`transform`] — graph normalization passes (batch-norm folding,
-//!   dropout elimination, dead-node elimination) run before compilation.
+//! * [`transform`] — graph normalization (batch-norm folding, dropout
+//!   elimination, attention fusion, dead-node elimination) and
+//!   sequence-length binding, run before compilation.
 //!
 //! # Example
 //!

@@ -4,9 +4,9 @@
 //! per block a q/k/v projection triple, the raw
 //! `Bmm(transpose) → Softmax → Bmm` scaled-dot-product pattern (fused
 //! into one [`Op::Attention`](crate::Op::Attention) node by
-//! [`transform::fuse_attention`](crate::transform::fuse_attention)
-//! during normalization), an output projection, and a GELU feed-forward
-//! pair, each sub-block closed by a residual add and layer norm.
+//! [`transform::normalize`](crate::transform::normalize)), an output
+//! projection, and a GELU feed-forward pair, each sub-block closed by a
+//! residual add and layer norm.
 //!
 //! The input is `[seq, 128]` with `seq` symbolic: the graph only becomes
 //! compilable after the session binds a sequence length

@@ -121,9 +121,9 @@ pub struct Bmm {
 
 /// Fused scaled-dot-product attention over `(Q, K, V)` token streams.
 ///
-/// Built by the `fuse_attention` transform pass from the
-/// `Bmm(transpose_b) → Softmax → Bmm` subgraph; executed by the VFU with
-/// cost `2·s·d + s` multiply-accumulates per query row.
+/// Built by [`transform::normalize`](crate::transform::normalize) from
+/// the `Bmm(transpose_b) → Softmax → Bmm` subgraph; executed by the VFU
+/// with cost `2·s·d + s` multiply-accumulates per query row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Attention {
     /// Number of attention heads (`hidden % heads == 0`).

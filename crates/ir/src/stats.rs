@@ -28,7 +28,8 @@ pub struct GraphStats {
     pub model: String,
     /// Node count.
     pub nodes: usize,
-    /// Conv + FC node count.
+    /// MVM node count: conv, FC and matmul, symbolic shapes included
+    /// (the nodes [`Graph::mvm_nodes`] lists).
     pub mvm_nodes: usize,
     /// Total parameters.
     pub params: usize,
@@ -88,7 +89,7 @@ impl GraphStats {
         GraphStats {
             model: graph.name().to_string(),
             nodes: graph.node_count(),
-            mvm_nodes: per_node.iter().filter(|s| s.windows > 0).count(),
+            mvm_nodes: graph.nodes().iter().filter(|n| n.op.is_mvm()).count(),
             params: per_node.iter().map(|s| s.params).sum(),
             macs: per_node.iter().map(|s| s.macs).sum(),
             per_node,
@@ -157,5 +158,16 @@ mod tests {
         assert_eq!(s.nodes, 5);
         assert_eq!(s.mvm_nodes, 2);
         assert!(s.macs > 0 && s.params > 0);
+    }
+
+    /// tiny_bert's matmuls are MVM nodes before its sequence is bound,
+    /// while their window counts still read 0.
+    #[test]
+    fn symbolic_matmuls_count_as_mvm_nodes() {
+        let g = crate::models::tiny_bert();
+        let s = GraphStats::of(&g);
+        assert!(s.per_node.iter().all(|n| n.windows == 0));
+        assert_eq!(s.mvm_nodes, g.mvm_nodes().len());
+        assert_eq!(s.mvm_nodes, 12);
     }
 }

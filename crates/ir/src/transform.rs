@@ -1,153 +1,17 @@
-//! Graph normalization passes executed before compilation.
+//! Graph normalization, run before compilation.
 //!
 //! The paper's front end parses ONNX and hands the backend a clean node
-//! list; these passes perform the cleanup a real front end does:
+//! list; [`normalize`] performs the cleanup a real front end does —
 //! batch-norm folding (resnet/inception export BN separately), dropout
-//! elimination, and dead-node elimination.
+//! elimination, attention fusion and dead-node elimination — as one
+//! rewrite of the node list that builds one graph. [`bind_seq_len`]
+//! binds a symbolic sequence length before it.
 
 use crate::graph::{Graph, Node, NodeId};
 use crate::op::Attention;
 use crate::shape_infer::infer_output_shape;
 use crate::{IrError, Op, Shape};
-use std::collections::{HashMap, HashSet};
-
-/// Removes `Dropout` nodes (identity at inference), rewiring consumers to
-/// the dropout's producer.
-///
-/// # Errors
-///
-/// Returns [`IrError`] when the spliced graph no longer forms a valid
-/// model — e.g. [`IrError::MissingInput`] when removal leaves no nodes.
-/// Every error here is reachable from an imported graph, never from a
-/// well-formed model zoo network.
-pub(crate) fn eliminate_dropout(graph: &Graph) -> Result<Graph, IrError> {
-    remove_identity_nodes(graph, |n| matches!(n.op, Op::Dropout))
-}
-
-/// Folds `BatchNorm` nodes into the scale/shift of their producer; for
-/// compilation purposes this means deleting the node, since affine
-/// parameters ride along with the convolution weights on the crossbars.
-///
-/// # Errors
-///
-/// Returns [`IrError`] when the spliced graph no longer forms a valid
-/// model (see [`eliminate_dropout`]).
-pub(crate) fn fold_batch_norm(graph: &Graph) -> Result<Graph, IrError> {
-    remove_identity_nodes(graph, |n| matches!(n.op, Op::BatchNorm))
-}
-
-/// Removes nodes whose output is never consumed and which are not graph
-/// outputs of interest (conservatively: keeps every sink that is not an
-/// orphaned `Input`).
-///
-/// # Errors
-///
-/// Returns [`IrError::MissingInput`] when nothing survives — an imported
-/// graph whose only compute is dropout/BN collapses to bare inputs,
-/// which are then orphaned sinks and pruned here.
-pub(crate) fn eliminate_dead_nodes(graph: &Graph) -> Result<Graph, IrError> {
-    // Mark everything reachable walking backwards from sinks.
-    let mut live: HashSet<NodeId> = HashSet::new();
-    let mut stack: Vec<NodeId> = graph
-        .outputs()
-        .filter(|&id| !matches!(graph.node(id).op, Op::Input { .. }))
-        .collect();
-    while let Some(id) = stack.pop() {
-        if live.insert(id) {
-            stack.extend(graph.predecessors(id).iter().copied());
-        }
-    }
-    rebuild_subset(graph, |id| live.contains(&id))
-}
-
-/// Fuses the `Bmm(transpose_b) → Softmax → Bmm` attention subgraph into a
-/// single [`Op::Attention`] node.
-///
-/// The pattern is matched structurally: a scaled score product
-/// `Q·Kᵀ` whose *only* consumer is a softmax, whose *only* consumer is
-/// the context product against `V`, with `Q`, `K` and `V` sharing one
-/// `[seq, hidden]` shape. The fused node keeps the context product's
-/// name (it produces the same tensor) and is created single-headed —
-/// the VFU cost model depends only on `seq` and `hidden`, not the head
-/// split. Graphs without the pattern are returned unchanged.
-///
-/// # Errors
-///
-/// Returns [`IrError`] when the rebuilt graph fails validation — only
-/// reachable from a malformed input graph.
-pub fn fuse_attention(graph: &Graph) -> Result<Graph, IrError> {
-    // ctx id -> (scores id, softmax id, q, k, v)
-    let mut fused: HashMap<NodeId, (NodeId, NodeId, NodeId, NodeId, NodeId)> = HashMap::new();
-    let mut consumed: HashSet<NodeId> = HashSet::new();
-    for id in graph.topo_order() {
-        let scores = graph.node(id);
-        let Op::Bmm(b) = &scores.op else { continue };
-        if !b.transpose_b || graph.successors(id).len() != 1 {
-            continue;
-        }
-        let sm_id = graph.successors(id)[0];
-        if !matches!(graph.node(sm_id).op, Op::Softmax) || graph.successors(sm_id).len() != 1 {
-            continue;
-        }
-        let ctx_id = graph.successors(sm_id)[0];
-        let ctx = graph.node(ctx_id);
-        let Op::Bmm(cb) = &ctx.op else { continue };
-        if cb.transpose_b || ctx.inputs[0] != sm_id {
-            continue;
-        }
-        let (q, k, v) = (scores.inputs[0], scores.inputs[1], ctx.inputs[1]);
-        // Attention requires one shared [seq, hidden] shape; skip the
-        // pattern (leave it unfused) when V disagrees with Q/K.
-        if graph.node(v).output_shape != graph.node(q).output_shape {
-            continue;
-        }
-        if consumed.contains(&q) || consumed.contains(&k) || consumed.contains(&v) {
-            continue;
-        }
-        fused.insert(ctx_id, (id, sm_id, q, k, v));
-        consumed.insert(id);
-        consumed.insert(sm_id);
-    }
-    if fused.is_empty() {
-        return Ok(graph.clone());
-    }
-
-    let mut remap: HashMap<NodeId, NodeId> = HashMap::new();
-    let mut nodes = Vec::new();
-    for id in graph.topo_order() {
-        if consumed.contains(&id) {
-            continue;
-        }
-        let old = graph.node(id);
-        let new_id = NodeId(nodes.len());
-        remap.insert(id, new_id);
-        let map_inputs = |ins: &[NodeId]| -> Result<Vec<NodeId>, IrError> {
-            ins.iter()
-                .map(|i| {
-                    remap
-                        .get(i)
-                        .copied()
-                        .ok_or(IrError::UnknownNode { id: i.0 })
-                })
-                .collect()
-        };
-        let (op, inputs) = match fused.get(&id) {
-            Some(&(_, _, q, k, v)) => (
-                Op::Attention(Attention { heads: 1 }),
-                map_inputs(&[q, k, v])?,
-            ),
-            None => (old.op.clone(), map_inputs(&old.inputs)?),
-        };
-        nodes.push(Node {
-            id: new_id,
-            name: old.name.clone(),
-            op,
-            inputs,
-            output_shape: old.output_shape.clone(),
-        });
-    }
-    Graph::from_nodes(graph.name(), nodes)
-}
+use std::collections::HashMap;
 
 /// Binds the symbolic sequence length to `len`, re-running shape
 /// inference over the whole graph.
@@ -193,98 +57,128 @@ pub fn bind_seq_len(graph: &Graph, len: usize) -> Result<Graph, IrError> {
     Graph::from_nodes(graph.name(), nodes)
 }
 
-/// Runs the standard pre-compilation pipeline:
-/// dropout elimination → batch-norm folding → attention fusion →
-/// dead-node elimination.
+/// Runs the pre-compilation cleanup and validates the result once.
+///
+/// In the input's topological order, `Dropout` and `BatchNorm` nodes
+/// (identities at inference: dropout is off, and batch-norm's affine
+/// parameters ride along with the producer's weights on the crossbars)
+/// are spliced out, each consumer rewired to the identity's producer.
+/// Then each `Bmm(transpose_b) → Softmax → Bmm` attention subgraph is
+/// fused into one [`Op::Attention`] node, and every input nothing reads
+/// is pruned. The survivors keep their topological order, renumbered
+/// densely.
 ///
 /// # Errors
 ///
-/// Returns [`IrError`] when a pass reduces the graph to something that
-/// is not a valid model (typically [`IrError::MissingInput`] for a
-/// graph with no compute nodes left). Callers importing untrusted
-/// `.onnx` graphs should surface this instead of assuming success.
+/// Returns [`IrError`] when the cleanup leaves something that is not a
+/// valid model (typically [`IrError::MissingInput`] for a graph with no
+/// compute nodes left). Callers importing untrusted `.onnx` graphs
+/// should surface this instead of assuming success.
 pub fn normalize(graph: &Graph) -> Result<Graph, IrError> {
-    eliminate_dead_nodes(&fuse_attention(&fold_batch_norm(&eliminate_dropout(
-        graph,
-    )?)?)?)
-}
-
-/// Removes all single-input nodes matching `pred`, splicing consumers to
-/// the removed node's producer.
-fn remove_identity_nodes(graph: &Graph, pred: impl Fn(&Node) -> bool) -> Result<Graph, IrError> {
-    // Resolve each removed node to its surviving ancestor.
-    let mut forward: HashMap<NodeId, NodeId> = HashMap::new();
-    for id in graph.topo_order() {
-        let n = graph.node(id);
-        if pred(n) && n.inputs.len() == 1 {
-            let src = n.inputs[0];
-            let resolved = *forward.get(&src).unwrap_or(&src);
-            forward.insert(id, resolved);
+    let order = graph.topo_order();
+    let mut nodes = graph.nodes().to_vec();
+    let mut keep = vec![true; nodes.len()];
+    // Where an edge into each node lands: in topological order an
+    // identity's producer is already resolved, so chains splice too.
+    let mut target: Vec<NodeId> = (0..nodes.len()).map(NodeId).collect();
+    for &id in &order {
+        let n = &mut nodes[id.0];
+        for i in &mut n.inputs {
+            *i = target[i.0];
+        }
+        if matches!(n.op, Op::Dropout | Op::BatchNorm) {
+            target[id.0] = n.inputs[0];
+            keep[id.0] = false;
         }
     }
-    rebuild_with_remap(graph, &forward)
+    let mut consumers = vec![Vec::new(); nodes.len()];
+    for &id in order.iter().filter(|id| keep[id.0]) {
+        for &i in &nodes[id.0].inputs {
+            consumers[i.0].push(id);
+        }
+    }
+    fuse_attention(&mut nodes, &order, &consumers, &mut keep);
+    // Every node but an input is an output or feeds one, and fusion
+    // moves `Q` and `K` to the fused node, so the dead nodes are the
+    // inputs nothing reads once the identities are spliced out.
+    for (n, read) in nodes.iter().zip(&consumers) {
+        if matches!(n.op, Op::Input { .. }) && read.is_empty() {
+            keep[n.id.0] = false;
+        }
+    }
+    let survivors: Vec<NodeId> = order.into_iter().filter(|id| keep[id.0]).collect();
+    Graph::from_nodes(graph.name(), renumber(nodes, &survivors))
 }
 
-/// Rebuilds the graph keeping only nodes for which `keep` holds,
-/// renumbering ids densely.
-fn rebuild_subset(graph: &Graph, keep: impl Fn(NodeId) -> bool) -> Result<Graph, IrError> {
-    let mut remap: HashMap<NodeId, NodeId> = HashMap::new();
-    let mut nodes = Vec::new();
-    for id in graph.topo_order() {
-        if !keep(id) {
+/// Fuses each `Bmm(transpose_b) → Softmax → Bmm` attention subgraph of
+/// the spliced node list into a single [`Op::Attention`] node, taking
+/// the score product and the softmax out of `keep`.
+///
+/// The pattern is matched structurally, in topological `order`: a
+/// scaled score product `Q·Kᵀ` whose *only* consumer is a softmax,
+/// whose *only* consumer is the context product against `V`, with `Q`,
+/// `K` and `V` sharing one `[seq, hidden]` shape and none of them taken
+/// by an earlier fusion. The fused node is the context product's
+/// (it produces the same tensor) and is single-headed — the VFU cost
+/// model depends only on `seq` and `hidden`, not the head split.
+fn fuse_attention(
+    nodes: &mut [Node],
+    order: &[NodeId],
+    consumers: &[Vec<NodeId>],
+    keep: &mut [bool],
+) {
+    for &id in order {
+        let Op::Bmm(b) = &nodes[id.0].op else {
+            continue;
+        };
+        let [sm] = consumers[id.0][..] else { continue };
+        if !b.transpose_b || !matches!(nodes[sm.0].op, Op::Softmax) {
             continue;
         }
-        let old = graph.node(id);
-        let new_id = NodeId(nodes.len());
-        remap.insert(id, new_id);
-        let mut inputs = Vec::with_capacity(old.inputs.len());
-        for i in &old.inputs {
-            // A kept node referencing a dropped one means the keep set
-            // is not closed under predecessors — a malformed graph, not
-            // a programming error worth a panic.
-            inputs.push(*remap.get(i).ok_or(IrError::UnknownNode { id: i.0 })?);
-        }
-        nodes.push(Node {
-            id: new_id,
-            name: old.name.clone(),
-            op: old.op.clone(),
-            inputs,
-            output_shape: old.output_shape.clone(),
-        });
-    }
-    Graph::from_nodes(graph.name(), nodes)
-}
-
-/// Rebuilds the graph dropping the keys of `forward`, rewiring any edge
-/// into a dropped node to its resolved ancestor.
-fn rebuild_with_remap(graph: &Graph, forward: &HashMap<NodeId, NodeId>) -> Result<Graph, IrError> {
-    let mut remap: HashMap<NodeId, NodeId> = HashMap::new();
-    let mut nodes = Vec::new();
-    for id in graph.topo_order() {
-        if forward.contains_key(&id) {
+        let [ctx] = consumers[sm.0][..] else { continue };
+        let Op::Bmm(cb) = &nodes[ctx.0].op else {
+            continue;
+        };
+        if cb.transpose_b || nodes[ctx.0].inputs[0] != sm {
             continue;
         }
-        let old = graph.node(id);
-        let new_id = NodeId(nodes.len());
-        remap.insert(id, new_id);
-        let mut inputs = Vec::with_capacity(old.inputs.len());
-        for i in &old.inputs {
-            let resolved = forward.get(i).unwrap_or(i);
-            inputs.push(
-                *remap
-                    .get(resolved)
-                    .ok_or(IrError::UnknownNode { id: resolved.0 })?,
-            );
+        let qkv = vec![
+            nodes[id.0].inputs[0],
+            nodes[id.0].inputs[1],
+            nodes[ctx.0].inputs[1],
+        ];
+        if nodes[qkv[2].0].output_shape != nodes[qkv[0].0].output_shape
+            || qkv.iter().any(|i| !keep[i.0])
+        {
+            continue;
         }
-        nodes.push(Node {
-            id: new_id,
-            name: old.name.clone(),
-            op: old.op.clone(),
-            inputs,
-            output_shape: old.output_shape.clone(),
-        });
+        nodes[ctx.0].op = Op::Attention(Attention { heads: 1 });
+        nodes[ctx.0].inputs = qkv;
+        keep[id.0] = false;
+        keep[sm.0] = false;
     }
-    Graph::from_nodes(graph.name(), nodes)
+}
+
+/// Keeps the nodes `order` lists, renumbered densely in that order. An
+/// input naming a node left out maps out of range, which
+/// [`Graph::from_nodes`] refuses.
+fn renumber(nodes: Vec<Node>, order: &[NodeId]) -> Vec<Node> {
+    let mut new_id = vec![NodeId(order.len()); nodes.len()];
+    for (i, id) in order.iter().enumerate() {
+        new_id[id.0] = NodeId(i);
+    }
+    let mut kept: Vec<Node> = nodes
+        .into_iter()
+        .filter(|n| new_id[n.id.0].0 < order.len())
+        .collect();
+    for n in &mut kept {
+        n.id = new_id[n.id.0];
+        for i in &mut n.inputs {
+            *i = new_id[i.0];
+        }
+    }
+    kept.sort_unstable_by_key(|n| n.id);
+    kept
 }
 
 #[cfg(test)]
@@ -300,7 +194,7 @@ mod tests {
         let d = b.dropout("drop", c).unwrap();
         let _r = b.relu("r", d).unwrap();
         let g = b.finish().unwrap();
-        let g2 = eliminate_dropout(&g).unwrap();
+        let g2 = normalize(&g).unwrap();
         assert_eq!(g2.node_count(), 3);
         let r = g2.node_by_name("r").unwrap();
         let c = g2.node_by_name("c").unwrap();
@@ -316,7 +210,7 @@ mod tests {
         let d2 = b.dropout("d2", d1).unwrap();
         let _r = b.relu("r", d2).unwrap();
         let g = b.finish().unwrap();
-        let g2 = eliminate_dropout(&g).unwrap();
+        let g2 = normalize(&g).unwrap();
         assert_eq!(g2.node_count(), 3);
         assert!(g2.validate().is_ok());
     }
@@ -329,7 +223,7 @@ mod tests {
         let bn = b.batch_norm("bn", c).unwrap();
         let _r = b.relu("r", bn).unwrap();
         let g = b.finish().unwrap();
-        let g2 = fold_batch_norm(&g).unwrap();
+        let g2 = normalize(&g).unwrap();
         assert!(g2.node_by_name("bn").is_none());
         assert_eq!(g2.node_count(), 3);
     }
@@ -345,7 +239,7 @@ mod tests {
         let g = b.finish().unwrap();
         // Both `dead` and `r` are sinks; dead-node elimination keeps all
         // non-input sinks, so nothing is removed here...
-        let g2 = eliminate_dead_nodes(&g).unwrap();
+        let g2 = normalize(&g).unwrap();
         assert_eq!(g2.node_count(), 4);
         // ...but an orphaned input disappears.
         let mut b = GraphBuilder::new("t2");
@@ -353,7 +247,7 @@ mod tests {
         let x = b.input("x", [4, 8, 8]);
         let _c = b.conv2d("c", x, 4, (3, 3), (1, 1), (1, 1)).unwrap();
         let g = b.finish().unwrap();
-        let g2 = eliminate_dead_nodes(&g).unwrap();
+        let g2 = normalize(&g).unwrap();
         assert_eq!(g2.node_count(), 2);
         assert!(g2.node_by_name("unused").is_none());
     }
@@ -389,7 +283,7 @@ mod tests {
     #[test]
     fn attention_pattern_is_fused() {
         let g = raw_attention_graph();
-        let fused = fuse_attention(&g).unwrap();
+        let fused = normalize(&g).unwrap();
         // scores + softmax disappear, ctx becomes the fused node.
         assert_eq!(fused.node_count(), g.node_count() - 2);
         let ctx = fused.node_by_name("ctx").unwrap();
@@ -405,13 +299,13 @@ mod tests {
     }
 
     #[test]
-    fn fuse_attention_is_identity_without_the_pattern() {
+    fn normalize_is_identity_without_the_pattern() {
         let mut b = GraphBuilder::new("cnn");
         let x = b.input("x", [4, 8, 8]);
         let c = b.conv2d("c", x, 4, (3, 3), (1, 1), (1, 1)).unwrap();
         let _r = b.relu("r", c).unwrap();
         let g = b.finish().unwrap();
-        assert_eq!(fuse_attention(&g).unwrap(), g);
+        assert_eq!(normalize(&g).unwrap(), g);
     }
 
     #[test]
@@ -427,7 +321,7 @@ mod tests {
         // Second consumer of the softmax: pattern must not fuse.
         let _ln = b.layer_norm("tap", sm).unwrap();
         let g = b.finish().unwrap();
-        let out = fuse_attention(&g).unwrap();
+        let out = normalize(&g).unwrap();
         assert_eq!(out, g);
     }
 
@@ -475,12 +369,25 @@ mod tests {
         let x = b.input("x", [4, 8, 8]);
         let _d = b.dropout("drop", x).unwrap();
         let g = b.finish().unwrap();
-        // Dropout removal leaves only the input...
-        let spliced = eliminate_dropout(&g).unwrap();
-        assert_eq!(spliced.node_count(), 1);
-        // ...which dead-node elimination prunes as an orphaned sink,
-        // leaving nothing to compile. That is an error, not a panic.
+        // Dropout removal leaves only the input, which dead-node
+        // elimination prunes as an orphaned sink, leaving nothing to
+        // compile. That is an error, not a panic.
         let err = normalize(&g).unwrap_err();
         assert_eq!(err, crate::IrError::MissingInput);
+    }
+
+    /// `normalize` builds one graph whatever it rewrites: vgg16 splices
+    /// dropouts, resnet18 folds batch norms, and tiny_bert bound at 16
+    /// fuses attention (one graph each pass used to be built: 3, 3, 4).
+    #[test]
+    fn normalize_validates_once() {
+        use crate::graph::tests::FROM_NODES;
+        use crate::models;
+        let bert = bind_seq_len(&models::tiny_bert(), 16).unwrap();
+        for g in [models::vgg16(), models::resnet18(), bert] {
+            FROM_NODES.with(|n| n.set(0));
+            normalize(&g).unwrap();
+            assert_eq!(FROM_NODES.with(std::cell::Cell::get), 1, "{}", g.name());
+        }
     }
 }

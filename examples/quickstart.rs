@@ -15,7 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("model: {} ({} nodes)", graph.name(), graph.node_count());
     let stats = pimcomp::ir::GraphStats::of(&graph);
     println!(
-        "  {} conv/fc nodes, {:.1}M MACs, {:.1}k parameters",
+        "  {} MVM nodes, {:.1}M MACs, {:.1}k parameters",
         stats.mvm_nodes,
         stats.macs as f64 / 1e6,
         stats.params as f64 / 1e3

@@ -18,9 +18,12 @@
 # Pairs (the second form) runs N pairs of `ledger --workload W --trace
 # 0`, pair i on seed S+i (S defaults to 1000), the base first in odd
 # pairs and this tree first in even ones. It prints every end-to-end
-# metric's ratio this tree / base per pair, then each metric's median
-# ratio, and exits 2 if a run failed. Each run's result line stays in
-# target/perf_ab/pairs/.
+# metric's ratio this tree / base per pair, then per metric what the
+# acceptance rule of docs/BENCHMARKS.md reads: the median ratio, the
+# pairs in which this tree was lower and higher (ties in neither), and
+# the base runs' own interquartile spread as a share of their median,
+# which a median move must exceed to tell from host noise. It exits 2
+# if a run failed. Each run's result line stays in target/perf_ab/pairs/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 base_ref=${1:-HEAD}
@@ -95,8 +98,22 @@ for ((i = 1; i <= pairs; i++)); do
     ratios "$i" >>"$ab/pairs/ratios.txt"
     echo "pair $i (seed $s, ${sides[0]} first):" $(ratios "$i")
 done
+for ((i = 1; i <= pairs; i++)); do metrics "$ab/pairs/base-$i.json"; done |
+    sort -k1,1 -k2,2g >"$ab/pairs/base.txt"
 sort -k1,1 -k2,2g "$ab/pairs/ratios.txt" | awk '
-    function report() { printf "median %-12s %.3f over %d pairs\n", m, n % 2 ? r[(n + 1) / 2] : (r[n / 2] + r[n / 2 + 1]) / 2, n }
-    $1 != m { if (n) report(); m = $1; n = 0 }
-    { r[++n] = $2 }
-    END { if (n) report() }'
+    # The p-quantile of x[m, 1..n] (sorted), interpolated between ranks.
+    function q(x, m, n, p,   h, l) {
+        h = 1 + (n - 1) * p; l = int(h)
+        return l < n ? x[m, l] + (h - l) * (x[m, l + 1] - x[m, l]) : x[m, n]
+    }
+    NR == FNR { base[$1, ++nb[$1]] = $2; next }
+    !($1 in nr) { names[++k] = $1 }
+    { r[$1, ++nr[$1]] = $2; lower[$1] += $2 < 1; higher[$1] += $2 > 1 }
+    END {
+        for (j = 1; j <= k; j++) {
+            m = names[j]; med = q(base, m, nb[m], 0.5)
+            iqr = med > 0 ? (q(base, m, nb[m], 0.75) - q(base, m, nb[m], 0.25)) / med : 0
+            printf "median %-12s %.3f over %d pairs; lower in %d, higher in %d; base IQR %.1f%% of its median\n",
+                m, q(r, m, nr[m], 0.5), nr[m], lower[m], higher[m], 100 * iqr
+        }
+    }' "$ab/pairs/base.txt" -

@@ -836,7 +836,7 @@ fn cmd_inspect(args: &Args) -> CliResult {
     let stats = GraphStats::of(&graph);
     outln!("model: {} ({} nodes)", stats.model, stats.nodes);
     outln!(
-        "totals: {} conv/fc nodes, {:.2}M params, {:.2}G MACs",
+        "totals: {} MVM nodes, {:.2}M params, {:.2}G MACs",
         stats.mvm_nodes,
         stats.params as f64 / 1e6,
         stats.macs as f64 / 1e9

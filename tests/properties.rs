@@ -31,6 +31,38 @@ fn arb_chain_graph() -> impl Strategy<Value = Graph> {
         })
 }
 
+/// An `arb_chain_graph` rebuilt with identities spliced in: after node
+/// `i`, a `Dropout` when bit 0 of `splices[i]` is set and a `BatchNorm`
+/// when bit 1 is; with `dead`, an extra input read only by a dropout.
+fn arb_spliced_chain_graph() -> impl Strategy<Value = (Graph, Graph)> {
+    (
+        arb_chain_graph(),
+        proptest::collection::vec(0u8..4, 1..10),
+        any::<bool>(),
+    )
+        .prop_map(|(chain, splices, dead)| {
+            let mut b = GraphBuilder::new("spliced");
+            // The id standing for each chain node: its last identity.
+            let mut at = Vec::new();
+            for (n, bits) in chain.nodes().iter().zip(splices.iter().cycle()) {
+                let inputs = n.inputs.iter().map(|i| at[i.0]).collect();
+                let mut id = b.add(n.name.clone(), n.op.clone(), inputs).expect("copied");
+                if bits & 1 != 0 {
+                    id = b.dropout(format!("{}_drop", n.name), id).expect("dropout");
+                }
+                if bits & 2 != 0 {
+                    id = b.batch_norm(format!("{}_bn", n.name), id).expect("bn");
+                }
+                at.push(id);
+            }
+            if dead {
+                let aux = b.input("aux", [1, 1, 1]);
+                b.dropout("aux_drop", aux).expect("dropout");
+            }
+            (chain, b.finish().expect("spliced graph is valid"))
+        })
+}
+
 /// A deterministic feasible chromosome: one replica per node, striped
 /// over the cores first-fit (the seed state the edit sequences of
 /// `memoized_and_incremental_fitness_match_scratch` start from).
@@ -170,6 +202,35 @@ fn apply_edit(
             }
             false
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `normalize` leaves no identity and no input nothing reads (so
+    /// exactly the chain's node count), keeps the MVM nodes in their
+    /// order, and changes nothing the second time.
+    #[test]
+    fn normalize_splices_identities_and_is_idempotent(
+        pair in arb_spliced_chain_graph(),
+    ) {
+        use pimcomp_ir::{transform::normalize, Op};
+        let (chain, graph) = pair;
+        let once = normalize(&graph).unwrap();
+        prop_assert_eq!(&normalize(&once).unwrap(), &once);
+        prop_assert!(once
+            .nodes()
+            .iter()
+            .all(|n| !matches!(n.op, Op::Dropout | Op::BatchNorm)));
+        prop_assert!(once
+            .outputs()
+            .all(|id| !matches!(once.node(id).op, Op::Input { .. })));
+        let mvm_names = |g: &Graph| -> Vec<String> {
+            g.mvm_nodes().into_iter().map(|id| g.node(id).name.clone()).collect()
+        };
+        prop_assert_eq!(mvm_names(&once), mvm_names(&graph));
+        prop_assert_eq!(once.node_count(), chain.node_count());
     }
 }
 
