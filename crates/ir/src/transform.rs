@@ -378,7 +378,7 @@ mod tests {
 
     /// `normalize` builds one graph whatever it rewrites: vgg16 splices
     /// dropouts, resnet18 folds batch norms, and tiny_bert bound at 16
-    /// fuses attention (one graph each pass used to be built: 3, 3, 4).
+    /// fuses attention.
     #[test]
     fn normalize_validates_once() {
         use crate::graph::tests::FROM_NODES;

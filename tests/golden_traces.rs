@@ -799,8 +799,8 @@ fn dropout_attention() -> pimcomp_ir::Graph {
     b.finish().unwrap()
 }
 
-/// `graph` deserialized with its node ids reversed, so the inputs carry
-/// the highest ids and no id order is a topological one.
+/// `graph` deserialized with its node ids reversed: every edge runs
+/// from a higher id to a lower one.
 fn with_reversed_ids(graph: &pimcomp_ir::Graph) -> pimcomp_ir::Graph {
     use pimcomp_ir::{Node, NodeId};
     #[derive(Serialize)]
