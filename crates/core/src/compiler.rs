@@ -32,9 +32,6 @@ pub struct CompileOptions {
     pub batch: usize,
     /// Local-memory allocation policy.
     pub memory_policy: ReusePolicy,
-    /// Run `pimcomp_ir::transform::normalize` before compiling
-    /// (batch-norm folding, dropout elimination). On by default.
-    pub normalize: bool,
     /// Resource-constrained compilation: when the model does not fit
     /// the crossbar budget, split it into *mapping epochs* and rewrite
     /// crossbar contents between them (COMPASS-style weight reloading)
@@ -66,7 +63,6 @@ impl CompileOptions {
                 PipelineMode::LowLatency => 1,
             },
             memory_policy: ReusePolicy::AgReuse,
-            normalize: true,
             weight_reload: false,
             reload_budget: None,
             seq_len: None,
@@ -86,9 +82,6 @@ impl CompileOptions {
     ///   simulator would issue `batch` MVMs per array group each round
     ///   and run for hours,
     /// * the GA population or generation count is zero,
-    /// * the GA tournament size is zero or the elite fraction is
-    ///   outside `[0, 1]`,
-    /// * the GA `max_mutations_per_child` is zero,
     /// * `max_nodes_per_core` is pinned to zero,
     /// * a batch larger than 1 is combined with low-latency mode
     ///   (batching is a high-throughput transfer concept),
@@ -113,15 +106,6 @@ impl CompileOptions {
         }
         if self.ga.iterations == 0 {
             return invalid("GA generation count must be at least 1");
-        }
-        if self.ga.tournament == 0 {
-            return invalid("GA tournament size must be at least 1");
-        }
-        if !self.ga.elite_fraction.is_finite() || !(0.0..=1.0).contains(&self.ga.elite_fraction) {
-            return invalid("GA elite fraction must be within [0, 1]");
-        }
-        if self.ga.max_mutations_per_child == 0 {
-            return invalid("GA `max_mutations_per_child` must be at least 1");
         }
         if self.ga.max_nodes_per_core == Some(0) {
             return invalid("`max_nodes_per_core` cannot be pinned to 0");

@@ -109,7 +109,11 @@ use std::sync::Arc;
 /// Genetic-algorithm hyper-parameters.
 ///
 /// Defaults follow the paper's evaluation: population 100, 200
-/// iterations.
+/// iterations. The selection and mutation rates are fixed, not
+/// parameters: the best 20% of a generation (`ELITE_FRACTION`, rounded
+/// up, at least one) carries over unchanged, each parent is the fittest
+/// of a 3-way tournament (`TOURNAMENT`), and each child takes 1 to 3
+/// mutation operators (`MAX_MUTATIONS_PER_CHILD`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GaParams {
     /// Population size (paper: 100).
@@ -118,15 +122,6 @@ pub struct GaParams {
     pub iterations: usize,
     /// RNG seed for reproducible compilations.
     pub seed: u64,
-    /// Fraction of the population carried over unchanged each
-    /// generation.
-    pub elite_fraction: f64,
-    /// Tournament size for parent selection.
-    pub tournament: usize,
-    /// Maximum mutation operators applied to one child. At least 1:
-    /// [`CompileOptions::validate`](crate::CompileOptions::validate)
-    /// rejects 0, and a direct [`optimize`] call treats it as 1.
-    pub max_mutations_per_child: usize,
     /// Per-core distinct-node limit (`max_node_num_in_core`); `None`
     /// selects a heuristic based on node and core counts. A pin past the
     /// partitioned node count acts as the node count (a core holds at
@@ -161,9 +156,6 @@ impl Default for GaParams {
             population: 100,
             iterations: 200,
             seed: 0xC0FFEE,
-            elite_fraction: 0.2,
-            tournament: 3,
-            max_mutations_per_child: 3,
             max_nodes_per_core: None,
             parallelism: None,
         }
@@ -182,6 +174,13 @@ impl GaParams {
         }
     }
 }
+
+/// Fraction of the population carried over unchanged each generation.
+const ELITE_FRACTION: f64 = 0.2;
+/// Tournament size for parent selection.
+const TOURNAMENT: usize = 3;
+/// Most mutation operators applied to one child (at least one always is).
+const MAX_MUTATIONS_PER_CHILD: usize = 3;
 
 /// The worker-thread count a run will actually use:
 /// [`GaParams::parallelism`] when explicitly set, else the
@@ -492,7 +491,9 @@ pub(crate) fn default_max_nodes_per_core(nodes: usize, cores: usize) -> usize {
     ((2 * nodes).div_ceil(cores) + 2).clamp(4, nodes.max(4))
 }
 
-/// Runs the GA and returns the best chromosome with its trace.
+/// Runs the GA and returns the best chromosome with its trace,
+/// invoking `on_generation` after every generation with a
+/// [`GaGeneration`] progress snapshot (pass `&mut |_| {}` to ignore it).
 ///
 /// # Errors
 ///
@@ -503,19 +504,6 @@ pub(crate) fn default_max_nodes_per_core(nodes: usize, cores: usize) -> usize {
 /// [`CompileError::InvalidHardware`] when a gene could outgrow a
 /// [`Chromosome`] slot (see [`Chromosome::set_gene`]).
 pub fn optimize(
-    ctx: &GaContext<'_>,
-    params: &GaParams,
-) -> Result<(Chromosome, GaStats), CompileError> {
-    optimize_observed(ctx, params, &mut |_| {})
-}
-
-/// Runs the GA like [`optimize`], invoking `on_generation` after every
-/// generation with a [`GaGeneration`] progress snapshot.
-///
-/// # Errors
-///
-/// As [`optimize`].
-pub(crate) fn optimize_observed(
     ctx: &GaContext<'_>,
     params: &GaParams,
     on_generation: &mut dyn FnMut(GaGeneration),
@@ -606,8 +594,7 @@ pub(crate) fn optimize_observed(
     let mut grow_successes = 0usize;
     let mut grow_failures = 0usize;
 
-    let elite =
-        ((params.population as f64 * params.elite_fraction).ceil() as usize).clamp(1, pop_n);
+    let elite = ((params.population as f64 * ELITE_FRACTION).ceil() as usize).clamp(1, pop_n);
 
     for gen in 0..params.iterations {
         let offspring_n = pop_n - elite;
@@ -618,10 +605,10 @@ pub(crate) fn optimize_observed(
         let results = run_indexed_on(&mut workers, offspring_n, |ws, slot| {
             let mut rng =
                 StdRng::seed_from_u64(stream_seed(params.seed, gen as u64 + 1, slot as u64));
-            let parent = tournament(&population, params.tournament, &mut rng);
+            let parent = tournament(&population, &mut rng);
             // Copied from the parent by the first operator that writes.
             let mut draft = Cow::Borrowed(&*parent.draft);
-            let n_mut = rng.gen_range(1..=params.max_mutations_per_child.max(1));
+            let n_mut = rng.gen_range(1..=MAX_MUTATIONS_PER_CHILD);
             let mut changed = false;
             let mut tally = MutationTally::default();
             for _ in 0..n_mut {
@@ -745,7 +732,7 @@ pub(crate) fn optimize_observed(
 }
 
 /// What every initial individual of a run shares — pure functions of
-/// the context, computed once per [`optimize_observed`] call instead of
+/// the context, computed once per [`optimize`] call instead of
 /// once per individual.
 struct InitPlan {
     /// The gene grid: cores the search may use, slots per core.
@@ -845,10 +832,10 @@ fn initial_draft(
     Ok(ind)
 }
 
-/// Tournament selection.
-fn tournament<'a>(population: &'a [Individual], k: usize, rng: &mut StdRng) -> &'a Individual {
+/// Tournament selection: the fittest of [`TOURNAMENT`] uniform draws.
+fn tournament<'a>(population: &'a [Individual], rng: &mut StdRng) -> &'a Individual {
     let mut best = &population[rng.gen_range(0..population.len())];
-    for _ in 1..k.max(1) {
+    for _ in 1..TOURNAMENT {
         let cand = &population[rng.gen_range(0..population.len())];
         if cand.fitness < best.fitness {
             best = cand;
@@ -1304,7 +1291,7 @@ mod tests {
             parallelism,
             ..GaParams::fast(seed)
         };
-        let (best, stats) = optimize(&ctx, &params).unwrap();
+        let (best, stats) = optimize(&ctx, &params, &mut |_| {}).unwrap();
         (best, stats, p)
     }
 
@@ -1394,7 +1381,7 @@ mod tests {
             core_limit: None,
         };
         assert!(matches!(
-            optimize(&ctx, &GaParams::fast(1)),
+            optimize(&ctx, &GaParams::fast(1), &mut |_| {}),
             Err(CompileError::InsufficientCapacity { .. })
         ));
     }
@@ -1436,8 +1423,8 @@ mod tests {
             iterations: 4,
             ..full.clone()
         };
-        let (_, full_stats) = optimize(&ctx, &full).unwrap();
-        let (_, short_stats) = optimize(&ctx, &short).unwrap();
+        let (_, full_stats) = optimize(&ctx, &full, &mut |_| {}).unwrap();
+        let (_, short_stats) = optimize(&ctx, &short, &mut |_| {}).unwrap();
         assert_eq!(short_stats.history[..], full_stats.history[..4]);
         assert_eq!(
             short_stats.evals_per_generation[..],
@@ -2150,7 +2137,7 @@ mod tests {
                 max_nodes_per_core: Some(pin),
                 ..GaParams::fast(3)
             };
-            match optimize(&ctx, &params) {
+            match optimize(&ctx, &params, &mut |_| {}) {
                 Err(CompileError::InvalidOptions { detail }) => {
                     assert!(detail.contains(wording), "{detail}")
                 }
@@ -2179,7 +2166,7 @@ mod tests {
                 max_nodes_per_core: Some(pin),
                 ..GaParams::fast(1)
             };
-            let (best, stats) = optimize(&ctx, &params).unwrap();
+            let (best, stats) = optimize(&ctx, &params, &mut |_| {}).unwrap();
             let plan = best.replication(&p).unwrap();
             let mapping = crate::mapping::CoreMapping::from_chromosome(&best, &p).unwrap();
             (plan, mapping, stats)
@@ -2213,7 +2200,8 @@ mod tests {
                 mode: PipelineMode::HighThroughput,
                 core_limit: None,
             };
-            let searched = optimize(&ctx, &GaParams::fast(3)).map(|(_, stats)| stats.evaluations);
+            let searched =
+                optimize(&ctx, &GaParams::fast(3), &mut |_| {}).map(|(_, stats)| stats.evaluations);
             let greedy = crate::baseline::puma_mapping(&p, &hw).map(|m| m.active_cores());
             if fits {
                 assert!(
@@ -2265,7 +2253,7 @@ mod tests {
             core_limit: None,
         };
         assert!(ctx.cores() >= 65);
-        let (best, stats) = optimize(&ctx, &GaParams::fast(5)).unwrap();
+        let (best, stats) = optimize(&ctx, &GaParams::fast(5), &mut |_| {}).unwrap();
         assert!(
             stats.grow_successes > 0 && stats.incremental_evals > 0,
             "{stats:?}"
@@ -2325,35 +2313,6 @@ mod tests {
         assert!(
             picks > 500 && empties > 100,
             "{picks} picks, {empties} empty"
-        );
-    }
-
-    #[test]
-    fn zero_mutations_per_child_does_not_panic() {
-        // `CompileOptions::validate` rejects 0; a direct caller gets the
-        // smallest legal value instead of an empty-range panic.
-        let (g, hw) = setup(PipelineMode::HighThroughput);
-        let p = Partitioning::new(&g, &hw).unwrap();
-        let dep = DepInfo::analyze(&g);
-        let ctx = GaContext {
-            hw: &hw,
-            graph: &g,
-            partitioning: &p,
-            dep: &dep,
-            mode: PipelineMode::HighThroughput,
-            core_limit: None,
-        };
-        let zero = GaParams {
-            max_mutations_per_child: 0,
-            ..GaParams::fast(3)
-        };
-        let one = GaParams {
-            max_mutations_per_child: 1,
-            ..GaParams::fast(3)
-        };
-        assert_eq!(
-            optimize(&ctx, &zero).unwrap(),
-            optimize(&ctx, &one).unwrap()
         );
     }
 

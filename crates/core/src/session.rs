@@ -13,10 +13,9 @@
 //!                CompiledModel ◄──finish()── Scheduled
 //! ```
 //!
-//! so that every intermediate result is inspectable and the pipeline is
-//! *re-enterable*: swap GA parameters on a [`Partitioned`] or
-//! re-optimize an [`Optimized`] without repeating partitioning, replan
-//! memory or rebatch a [`Scheduled`] without re-running the GA.
+//! so that every intermediate result is inspectable and the last stage
+//! is *re-enterable*: replan memory or rebatch a [`Scheduled`] without
+//! re-running the GA.
 //! [`CompileSession::run_observed`] streams stage and GA progress
 //! through a [`CompileObserver`]; a mapping built by something other
 //! than the GA (the PUMA-like baseline) enters the same pipeline through
@@ -51,7 +50,7 @@
 //! ```
 
 use crate::compiler::{CompileOptions, CompileReport, CompiledModel};
-use crate::ga::{optimize_observed, GaContext, GaGeneration, GaParams, GaStats};
+use crate::ga::{self, GaContext, GaGeneration, GaStats};
 use crate::mapping::{AgInstance, CoreMapping};
 use crate::memory::{MemoryPlan, ReusePolicy};
 use crate::partition::Partitioning;
@@ -158,9 +157,9 @@ pub struct CompileSession {
 impl CompileSession {
     /// Validates inputs and opens a session.
     ///
-    /// The graph is normalized here (batch-norm folding, dropout
-    /// elimination, attention fusion, dead-node pruning) when
-    /// `opts.normalize` is set.
+    /// The graph is bound to `opts.seq_len` and then normalized here
+    /// (`pimcomp_ir::transform::normalize`: dropout elimination,
+    /// batch-norm folding, attention fusion, dead-node pruning).
     ///
     /// # Errors
     ///
@@ -191,11 +190,7 @@ impl CompileSession {
                 }
                 None => graph.clone(),
             };
-            if opts.normalize {
-                pimcomp_ir::transform::normalize(&graph).map_err(invalid)
-            } else {
-                Ok(graph)
-            }
+            pimcomp_ir::transform::normalize(&graph).map_err(invalid)
         })
     }
 
@@ -293,39 +288,6 @@ impl Partitioned {
     /// The node partitioning (one entry per MVM node).
     pub fn partitioning(&self) -> &Partitioning {
         &self.partitioning
-    }
-
-    /// Re-enters this stage with different options — e.g. new GA
-    /// parameters or a different pipeline mode — keeping the
-    /// partitioning (which depends only on graph + hardware).
-    ///
-    /// # Errors
-    ///
-    /// [`CompileError::InvalidOptions`] when the new options are
-    /// malformed or change `normalize` (normalization already happened
-    /// at session creation, so it cannot be revised here).
-    pub(crate) fn with_options(mut self, opts: CompileOptions) -> Result<Self, CompileError> {
-        opts.validate()?;
-        if opts.normalize != self.session.opts.normalize {
-            return Err(CompileError::InvalidOptions {
-                detail: "cannot change `normalize` after partitioning; \
-                         open a new session"
-                    .to_string(),
-            });
-        }
-        self.session.opts = opts;
-        Ok(self)
-    }
-
-    /// Shorthand for [`Partitioned::with_options`] swapping only the GA
-    /// parameters.
-    ///
-    /// # Errors
-    ///
-    /// [`CompileError::InvalidOptions`] when the parameters are malformed.
-    pub(crate) fn with_ga(self, ga: GaParams) -> Result<Self, CompileError> {
-        let opts = self.session.opts.clone().with_ga(ga);
-        self.with_options(opts)
     }
 
     /// Stages 2+3 (§IV-C): joint weight replication + core mapping via
@@ -455,10 +417,9 @@ impl Partitioned {
                     mode: self.session.opts.mode,
                     core_limit,
                 };
-                let (chromosome, stats) =
-                    optimize_observed(&ctx, &self.session.opts.ga, &mut |p| {
-                        observer.on_ga_generation(p);
-                    })?;
+                let (chromosome, stats) = ga::optimize(&ctx, &self.session.opts.ga, &mut |p| {
+                    observer.on_ga_generation(p);
+                })?;
                 let mapping = CoreMapping::from_chromosome(&chromosome, &self.partitioning)?;
                 (mapping, Some(stats))
             }
@@ -499,30 +460,6 @@ impl Optimized {
     /// the GA entirely).
     pub fn ga_stats(&self) -> Option<&GaStats> {
         self.ga_stats.as_ref()
-    }
-
-    /// The upstream partitioning artifact.
-    pub fn partitioned(&self) -> &Partitioned {
-        &self.partitioned
-    }
-
-    /// Discards this mapping and steps back to the partitioning
-    /// artifact (e.g. to change the pipeline mode, which invalidates
-    /// the GA's objective).
-    pub(crate) fn into_partitioned(self) -> Partitioned {
-        self.partitioned
-    }
-
-    /// Re-runs the GA with different parameters, reusing the
-    /// partitioning. Equivalent to
-    /// `self.into_partitioned().with_ga(ga)?.optimize()`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Partitioned::optimize`], plus
-    /// [`CompileError::InvalidOptions`] for malformed parameters.
-    pub fn reoptimize(self, ga: GaParams) -> Result<Optimized, CompileError> {
-        self.into_partitioned().with_ga(ga)?.optimize()
     }
 
     /// Stage 4 (§IV-D): dataflow scheduling + memory planning.
@@ -599,11 +536,6 @@ impl Scheduled {
     /// The local-memory plan under the session's policy.
     pub fn memory(&self) -> &MemoryPlan {
         &self.memory
-    }
-
-    /// Discards the schedule and steps back to the mapping artifact.
-    pub fn into_optimized(self) -> Optimized {
-        self.optimized
     }
 
     /// Re-plans local memory under a different policy without touching
@@ -713,6 +645,7 @@ impl Scheduled {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GaParams;
     use pimcomp_ir::models;
 
     fn session(mode: PipelineMode) -> CompileSession {
@@ -800,23 +733,6 @@ mod tests {
     }
 
     #[test]
-    fn reoptimize_reuses_partitioning() {
-        let o = session(PipelineMode::HighThroughput)
-            .partition()
-            .unwrap()
-            .optimize()
-            .unwrap();
-        let partitioning = o.partitioned().partitioning().clone();
-        let o2 = o.reoptimize(GaParams::fast(99)).unwrap();
-        assert_eq!(o2.partitioned().partitioning(), &partitioning);
-        // Different seed explores differently but stays a mapping.
-        let cores = HardwareConfig::small_test().total_cores();
-        let instances = o2.mapping().instances.clone();
-        let rebuilt = CoreMapping::from_instances(instances, &partitioning, cores).unwrap();
-        assert_eq!(&rebuilt, o2.mapping());
-    }
-
-    #[test]
     fn replan_memory_keeps_schedule() {
         let s = session(PipelineMode::HighThroughput)
             .partition()
@@ -838,10 +754,11 @@ mod tests {
         // (`CompileOptions::with_ga_budget`) must walk exactly the
         // first 5 generations of that trajectory.
         let budgeted = |iterations| {
-            let partitioned = session(PipelineMode::HighThroughput).partition().unwrap();
-            let opts = partitioned.session.opts.clone();
-            partitioned
-                .with_options(opts.with_ga_budget(iterations))
+            let opts = CompileOptions::new(PipelineMode::HighThroughput)
+                .with_fast_ga(11)
+                .with_ga_budget(iterations);
+            CompileSession::new(HardwareConfig::small_test(), &models::tiny_cnn(), opts)
+                .and_then(CompileSession::partition)
                 .and_then(Partitioned::optimize)
         };
         let full = session(PipelineMode::HighThroughput)

@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Import: decode the wire format and rebuild the IR.
     let loaded = import_bytes(&std::fs::read(&path)?)?;
     println!(
-        "imported back: {} nodes, {} conv/fc layers",
+        "imported back: {} nodes, {} MVM nodes",
         loaded.node_count(),
         loaded.mvm_nodes().len()
     );

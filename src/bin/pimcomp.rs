@@ -162,7 +162,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "inspect",
         positional: None,
-        about: "print a model's graph statistics or a saved artifact's stages",
+        about: "print a model's normalized graph statistics or a saved artifact's stages",
         flags: &[MODEL, ARTIFACT],
         run: cmd_inspect,
     },
@@ -392,6 +392,11 @@ fn load_model(args: &Args) -> CliResult<Graph> {
     Ok(pimcomp::dse::resolve_model(args.require("--model")?)?)
 }
 
+/// `--model`, normalized: the graph a compile of it sees.
+fn load_normalized(args: &Args) -> CliResult<Graph> {
+    Ok(normalize(&load_model(args)?).map_err(|e| format!("model failed normalization: {e}"))?)
+}
+
 /// `--artifact`, loaded, with the `loaded …` line `simulate` and
 /// `verify` open with; each prints it once it has something to report.
 fn open_artifact(args: &Args) -> CliResult<(CompiledArtifact, String)> {
@@ -494,8 +499,7 @@ fn write_sweep_report(args: &Args, report: &SweepReport) -> CliResult {
 }
 
 fn cmd_compile(args: &Args) -> CliResult {
-    let graph =
-        normalize(&load_model(args)?).map_err(|e| format!("model failed normalization: {e}"))?;
+    let graph = load_normalized(args)?;
     let seq_len = args.positive::<usize>("--seq-len")?;
     // Hardware sizing needs fixed shapes; the session re-binds (a
     // no-op on the already-bound graph) through the same options path
@@ -832,7 +836,7 @@ fn cmd_inspect(args: &Args) -> CliResult {
         }
         return inspect_artifact(path);
     }
-    let graph = load_model(args)?;
+    let graph = load_normalized(args)?;
     let stats = GraphStats::of(&graph);
     outln!("model: {} ({} nodes)", stats.model, stats.nodes);
     outln!(

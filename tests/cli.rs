@@ -323,6 +323,22 @@ fn overflowing_chip_count_is_an_error_not_a_panic() {
     );
 }
 
+/// `inspect --model` reports the graph a compile sees: normalized, so
+/// resnet18's batch norms are folded (70 nodes as built) and
+/// tiny_bert's attention is fused and its dropouts gone (29 as built).
+#[test]
+fn inspect_reports_the_normalized_graph() {
+    for (model, header) in [
+        ("resnet18", "model: resnet18 (50 nodes)"),
+        ("tiny_bert", "model: tiny_bert (25 nodes)"),
+    ] {
+        let out = pimcomp(&["inspect", "--model", model]);
+        assert!(out.status.success(), "{model}: {}", stderr(&out));
+        let text = stdout(&out);
+        assert_eq!(text.lines().next(), Some(header), "{text}");
+    }
+}
+
 /// The values below were recorded from the binary of the commit before
 /// the command table existed.
 #[test]

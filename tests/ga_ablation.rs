@@ -41,6 +41,7 @@ fn evolution_beats_random_initialization() {
                 iterations: 40,
                 ..GaParams::fast(5)
             },
+            &mut |_| {},
         )
         .unwrap();
         let (_, random_only) = optimize(
@@ -50,6 +51,7 @@ fn evolution_beats_random_initialization() {
                 iterations: 0,
                 ..GaParams::fast(5)
             },
+            &mut |_| {},
         )
         .unwrap();
         assert!(
@@ -88,6 +90,7 @@ fn ga_matches_the_balanced_heuristic_on_its_home_turf() {
             iterations: 80,
             ..GaParams::fast(9)
         },
+        &mut |_| {},
     )
     .unwrap();
     let ga_fit = ht_fitness_from_mapping(
@@ -117,7 +120,7 @@ fn ga_history_is_monotonically_non_increasing() {
         &dep,
         PipelineMode::HighThroughput,
     );
-    let (_, stats) = optimize(&ctx, &GaParams::fast(33)).unwrap();
+    let (_, stats) = optimize(&ctx, &GaParams::fast(33), &mut |_| {}).unwrap();
     for w in stats.history.windows(2) {
         assert!(w[1] <= w[0], "history regressed: {} -> {}", w[0], w[1]);
     }
@@ -151,6 +154,7 @@ fn max_nodes_per_core_bounds_scattering_without_breaking_feasibility() {
                 max_nodes_per_core: Some(max_nodes),
                 ..GaParams::fast(17)
             },
+            &mut |_| {},
         )
         .unwrap();
         // Every configuration must yield a mapping (every replica whole,

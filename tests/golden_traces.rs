@@ -614,7 +614,7 @@ fn ga_result_line(
         seed,
         ..GaParams::default()
     };
-    let (best, s) = pimcomp_core::optimize(ctx, &params)
+    let (best, s) = pimcomp_core::optimize(ctx, &params, &mut |_| {})
         .unwrap_or_else(|e| panic!("{name}/{}/{target}/seed {seed}: {e}", ctx.mode));
     format!(
         "{name}\t{}\t{target}\t{seed}\t{:032x}\t{:016x}\t{:016x}\t{}\t{}\t{}\t{}\t{}\t{}",

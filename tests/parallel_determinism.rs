@@ -29,7 +29,7 @@ fn run(mode: PipelineMode, seed: u64, threads: Option<usize>) -> (Chromosome, Ga
         parallelism: threads.and_then(NonZeroUsize::new),
         ..GaParams::default()
     };
-    optimize(&ctx, &params).unwrap()
+    optimize(&ctx, &params, &mut |_| {}).unwrap()
 }
 
 #[test]
