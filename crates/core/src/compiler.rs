@@ -204,7 +204,9 @@ pub struct CompileReport {
     pub compiler: String,
     /// GA trace (absent for the baseline).
     pub ga: Option<GaStats>,
-    /// The mode's analytic fitness of the final mapping (cycles).
+    /// The mode's analytic fitness of the final mapping (cycles): HT's
+    /// `F_HT` without the GA's tie-breaker, LL's `max(chain, issue
+    /// floor)`, the value the GA minimised.
     pub estimated_fitness: f64,
 }
 

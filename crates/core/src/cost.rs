@@ -614,25 +614,15 @@ mod tests {
         };
         assert_eq!(r.sends, [send]);
 
-        // The ReLU (64 windows of 64 elements) and the pool (16 of 64)
-        // run on core 0, the conv's owner: load the whole input, one
-        // VFU pass, store the output.
+        // The ReLU runs inside the conv's owner program (the activation
+        // term above), so only the pool (16 windows of 64 elements)
+        // is a vec task, on core 0, the conv's owner: load the whole
+        // input, one VFU pass, store the output.
         let named = |name: &str| {
             let vid = s.vec_tasks.iter().position(|t| g.node(t.node).name == name);
-            costs.vec_tasks[vid.expect("a vec task")]
+            vid.map(|vid| costs.vec_tasks[vid])
         };
-        let relu = HtVecCost {
-            load: Transfer {
-                bytes: 8192,
-                cycles: 128,
-            },
-            store: Transfer {
-                bytes: 8192,
-                cycles: 128,
-            },
-            vfu_pass: 342, // ⌈4096 / 12⌉
-        };
-        assert_eq!(named("r"), relu);
+        assert_eq!(named("r"), None);
         let pool = HtVecCost {
             load: Transfer {
                 bytes: 8192,
@@ -644,12 +634,12 @@ mod tests {
             },
             vfu_pass: 86, // ⌈1024 / 12⌉
         };
-        assert_eq!(named("p"), pool);
+        assert_eq!(named("p"), Some(pool));
     }
 
-    /// A conv split over cores 0 and 1 feeds a ReLU on core 0, which
-    /// feeds a conv split over cores 2 (the owner, slices 0-1), 3 and 5
-    /// — one and three hops from it on `puma`'s 6 × 6 mesh.
+    /// A conv split over cores 0 and 1 feeds, through a ReLU folded
+    /// into it, a conv split over cores 2 (the owner, slices 0-1), 3 and
+    /// 5 — one and three hops from it on `puma`'s 6 × 6 mesh.
     #[test]
     fn ll_unit_terms_are_hand_computed() {
         let mut b = GraphBuilder::new("t");
@@ -669,7 +659,8 @@ mod tests {
         let s = LlSchedule::build(&g, &part, &mapping, &dep);
         let costs = LlCosts::new(&hw, &g, &part, &dep, &s);
         assert_eq!((costs.t_interval, costs.t_mvm), (100, 2000));
-        let [c1, relu, c2] = [0, 1, 2].map(|u| &costs.units[u]);
+        assert_eq!(costs.units.len(), 2);
+        let [c1, c2] = [0, 1].map(|u| &costs.units[u]);
         // A partial row is 64 columns × 2 B = 16 flits, 16 link cycles.
         let hop = |hops: u64| 4 * hops + 16;
 
@@ -684,15 +675,11 @@ mod tests {
         assert_eq!((c1.vfu_pass, c1.forward_cycles), (27, 0)); // ⌈320 / 12⌉
         assert!(c1.edges.is_empty());
 
-        // The ReLU runs where c1 accumulates: nothing to forward.
-        assert!(relu.remotes.is_empty());
-        assert_eq!((relu.vfu_pass, relu.forward_cycles), (6, 0)); // ⌈64 / 12⌉
-        assert_eq!(relu.edges[0].provider, 1);
-
         // c2: the slowest partial is core 5's, three hops; the energies
-        // stay in core order. A ReLU window (64 elements) comes two hops
-        // from core 0, and c2's first window needs the ReLU's first
-        // 8 + 2 = 10 windows (3 × 3 kernel, padding 1).
+        // stay in core order. The ReLU has no unit: an activated c1
+        // window (64 elements) comes two hops from core 0, c1's owner,
+        // and c2's first window needs c1's first 8 + 2 = 10 windows
+        // (3 × 3 kernel, padding 1).
         assert_eq!(
             c2.remotes,
             [LlRemote {
@@ -703,6 +690,6 @@ mod tests {
         let pj = [16.0 * FLIT_PJ, 16.0 * FLIT_PJ, 16.0 * 3.0 * FLIT_PJ];
         assert_eq!(costs.partial_pj, pj);
         assert_eq!((c2.vfu_pass, c2.forward_cycles), (27, hop(2)));
-        assert_eq!((c2.edges[0].provider, c2.edges[0].required(0, 0)), (2, 10));
+        assert_eq!((c2.edges[0].provider, c2.edges[0].required(0, 0)), (1, 10));
     }
 }

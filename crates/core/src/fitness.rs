@@ -40,6 +40,7 @@ use crate::ga::GaContext;
 use crate::mapping::{Chromosome, CORE_BLOCK};
 use crate::partition::{MvmIdx, Partitioning};
 use crate::replication::ReplicationPlan;
+use crate::schedule::folded_activations;
 use crate::waiting::DepInfo;
 use crate::CompileError;
 use pimcomp_arch::{HardwareConfig, PipelineMode};
@@ -225,6 +226,33 @@ pub(crate) fn ll_fitness_with_issue_floor(
     chain.max(ll_issue_floor(hw, partitioning, chromosome, replication))
 }
 
+/// [`ll_fitness_with_issue_floor`] computed from a materialized
+/// [`CoreMapping`]: the value the GA minimised for its own mappings,
+/// and the same objective for a mapping built without it. Each instance
+/// is one AG, so a core's issue load is its instances' windows per
+/// replica summed.
+///
+/// [`CoreMapping`]: crate::mapping::CoreMapping
+pub(crate) fn ll_fitness_from_mapping(
+    hw: &HardwareConfig,
+    graph: &Graph,
+    partitioning: &Partitioning,
+    dep: &DepInfo,
+    mapping: &crate::mapping::CoreMapping,
+) -> f64 {
+    let chain = ll_fitness(hw, graph, partitioning, dep, &mapping.replication);
+    let windows = |id: usize| {
+        let mvm = mapping.instances[id].mvm;
+        mapping.replication.windows_per_replica(partitioning, mvm) as u64
+    };
+    let load = |ids: &Vec<usize>| {
+        ids.iter()
+            .fold(0u64, |l, &id| l.saturating_add(windows(id)))
+    };
+    let worst = mapping.per_core.iter().map(load).max().unwrap_or(0);
+    chain.max(cost::issue_floor(hw, worst))
+}
+
 /// The per-core issue-capacity floor of
 /// [`ll_fitness_with_issue_floor`]: `max_core Σ windows-per-AG` scaled
 /// by the issue interval. The only placement-dependent part of the LL
@@ -274,7 +302,9 @@ fn ll_core_load(chromosome: &Chromosome, windows_per_replica: &[usize], core: us
 /// for the `(hw, graph, partitioning, dep)` they were built from).
 pub(crate) struct LlStatic {
     /// Node ids in the same topological order `Graph::topo_order`
-    /// yields, paired with each node's static record.
+    /// yields, paired with each node's static record; an activation that
+    /// folds into its MVM node is no stage of its own, as in the
+    /// schedules, and its consumers read that node.
     topo: Vec<usize>,
     /// Dense by node id.
     nodes: Vec<LlStaticNode>,
@@ -294,7 +324,8 @@ struct LlStaticNode {
     /// equal to the plain element count for streaming operators.
     elems: usize,
     /// Predecessors in `Graph::predecessors` order with the edge's
-    /// waiting fraction (0 when the dependency edge is untracked).
+    /// waiting fraction (0 when the dependency edge is untracked); a
+    /// folded activation stands for its MVM node.
     preds: Vec<(usize, f64)>,
 }
 
@@ -307,6 +338,7 @@ impl LlStatic {
     ) -> Self {
         #[cfg(test)]
         tests::LL_STATIC_BUILDS.with(|n| n.set(n.get() + 1));
+        let folded = folded_activations(graph);
         let nodes = (0..graph.node_count())
             .map(|raw| {
                 let id = NodeId(raw);
@@ -341,13 +373,22 @@ impl LlStatic {
                     preds: graph
                         .predecessors(id)
                         .iter()
-                        .map(|&p| (p.0, dep.edge(id, p).map_or(0.0, |e| e.waiting)))
+                        .map(|&p| {
+                            let w = dep.edge(id, p).map_or(0.0, |e| e.waiting);
+                            let stage = if folded[p.0] {
+                                graph.predecessors(p)[0]
+                            } else {
+                                p
+                            };
+                            (stage.0, w)
+                        })
                         .collect(),
                 }
             })
             .collect();
+        let topo = graph.topo_order().into_iter().filter(|id| !folded[id.0]);
         LlStatic {
-            topo: graph.topo_order().into_iter().map(|id| id.0).collect(),
+            topo: topo.map(|id| id.0).collect(),
             nodes,
             vfu_elems_per_cycle: cost::vfu_elems_per_cycle(hw),
         }

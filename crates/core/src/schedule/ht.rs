@@ -6,8 +6,11 @@
 //! applies the activation and stores results back to global memory.
 //! Non-MVM operations (POOL/CONCAT/ELTWISE/…) are distributed among
 //! cores as independent load→VFU→store tasks (Algorithm 1, line 10).
+//! An activation that is its MVM node's only reader
+//! ([`folded_activations`]) is the one the owner applies: it runs inside
+//! that node's programs and gets no task of its own.
 
-use super::{is_costed_vec, spread_cores};
+use super::{folded_activations, is_costed_vec, spread_cores};
 use crate::mapping::CoreMapping;
 use crate::partition::Partitioning;
 use crate::waiting::{vfu_window_work, DepInfo};
@@ -179,8 +182,9 @@ impl HtSchedule {
         // owner cores of their nearest MVM providers' replicas.
         let mut vec_tasks: Vec<HtVecTask> = Vec::new();
         let mut vec_per_core: Vec<Vec<usize>> = vec![Vec::new(); cores];
+        let folded = folded_activations(graph);
         for node in graph.nodes() {
-            if node.op.is_mvm() || !is_costed_vec(&node.op) {
+            if node.op.is_mvm() || !is_costed_vec(&node.op) || folded[node.id.index()] {
                 continue;
             }
             // VFU time prices the per-window *work* (contraction length
@@ -334,24 +338,46 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn vec_tasks_cover_non_mvm_nodes() {
+    fn vec_tasks_cover_every_non_mvm_node_but_a_folded_activation() {
         let (g, part, mapping, dep, hw) = setup();
         let s = HtSchedule::build(&g, &part, &mapping, &dep, &hw, 2);
-        // relu (64*64 elems) and pool (64*16 elems) both present.
+        // The pool (64*16 elems) is present; the relu runs inside c1's
+        // owner program: (3 − 1) local adds, 1 remote add and the
+        // activation, each 64 columns × batch 2.
         let names: Vec<&str> = s
             .vec_tasks
             .iter()
             .map(|t| g.node(t.node).name.as_str())
             .collect();
-        assert!(names.contains(&"r"));
+        assert!(!names.contains(&"r"));
         assert!(names.contains(&"p"));
-        let relu_total: usize = s
-            .vec_tasks
-            .iter()
-            .filter(|t| g.node(t.node).name == "r")
-            .map(|t| t.elems)
-            .sum();
-        assert_eq!(relu_total, 64 * 64);
+        let pool_total: usize = s.vec_tasks.iter().map(|t| t.elems).sum();
+        assert_eq!(pool_total, 64 * 16);
+        let owner = &s.programs[s.per_core[0][0]];
+        assert_eq!(owner.vec_elems_per_round, (2 + 1 + 1) * 64 * 2);
+    }
+
+    fn vec_task_nodes(kind: &str) -> (Graph, Vec<NodeId>) {
+        let (g, part, mapping, dep, hw) = crate::schedule::tests::fold_fixture(kind);
+        let s = HtSchedule::build(&g, &part, &mapping, &dep, &hw, 2);
+        let nodes = s.vec_tasks.iter().map(|t| t.node).collect();
+        (g, nodes)
+    }
+
+    #[test]
+    fn a_sole_activation_gets_no_vec_task() {
+        let (_, nodes) = vec_task_nodes("sole");
+        assert!(nodes.is_empty(), "{nodes:?}");
+    }
+
+    #[test]
+    fn an_activation_after_an_add_or_on_a_shared_output_keeps_its_vec_tasks() {
+        for kind in ["after_add", "shared"] {
+            let (g, nodes) = vec_task_nodes(kind);
+            let [r, a] = ["r", "a"].map(|n| g.node_by_name(n).unwrap().id);
+            assert!(nodes.contains(&r), "{kind}: {nodes:?}");
+            assert!(nodes.contains(&a), "{kind}: {nodes:?}");
+        }
     }
 
     #[test]

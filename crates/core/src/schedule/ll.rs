@@ -4,9 +4,13 @@
 //! forwards it to its consumers, and a consumer window starts once its
 //! receptive-window prefix `(rd, cd)` of every provider is available.
 //! Non-MVM operations are divided among cores according to the
-//! replication of their predecessor convolutional layer.
+//! replication of their predecessor convolutional layer. An activation
+//! that is its MVM node's only reader ([`folded_activations`]) runs
+//! inside that node's units, whose per-window VFU pass accumulates and
+//! activates: it has no unit, and its consumers read the MVM node's
+//! output prefix under the rule of their edge to the activation.
 
-use super::{is_costed_vec, spread_cores};
+use super::{folded_activations, is_costed_vec, spread_cores};
 use crate::mapping::CoreMapping;
 use crate::partition::{MvmIdx, Partitioning};
 use crate::waiting::{vfu_window_work, DepInfo, DepRule};
@@ -95,18 +99,25 @@ impl LlSchedule {
     ) -> Self {
         let mut units: Vec<LlUnit> = Vec::new();
         let mut units_of_node: HashMap<usize, Vec<usize>> = HashMap::new();
+        let folded = folded_activations(graph);
 
         for id in graph.topo_order() {
             let node = graph.node(id);
-            if matches!(node.op, Op::Input { .. }) {
+            if matches!(node.op, Op::Input { .. }) || folded[id.index()] {
                 continue;
             }
+            // A folded activation's consumers read its MVM node, under
+            // the rule of their edge to the activation.
             let providers: Vec<LlProviderRef> = graph
                 .predecessors(id)
                 .iter()
                 .filter(|&&p| !matches!(graph.node(p).op, Op::Input { .. }))
                 .map(|&p| LlProviderRef {
-                    node: p,
+                    node: if folded[p.index()] {
+                        graph.predecessors(p)[0]
+                    } else {
+                        p
+                    },
                     rule: dep.edge(id, p).expect("edge analyzed").rule,
                 })
                 .collect();
@@ -140,7 +151,8 @@ impl LlSchedule {
                         providers: providers.clone(),
                         ags_per_replica: entry.ags_per_replica,
                         // Accumulate (A-1 adds per output element, spread
-                        // over slices) plus the activation that follows.
+                        // over slices) plus the activation that follows
+                        // (a folded one's only charge).
                         vfu_elems_per_window: entry.weight_width
                             * entry.ags_per_replica.saturating_sub(1)
                             + entry.weight_width,
@@ -256,11 +268,49 @@ mod tests {
     }
 
     #[test]
-    fn units_cover_all_non_input_nodes() {
+    fn units_cover_every_node_but_a_folded_activation() {
         let (g, part, mapping, dep) = setup();
         let s = LlSchedule::build(&g, &part, &mapping, &dep);
-        // conv1, relu, conv2, gap.
-        assert_eq!(s.units.len(), 4);
+        // conv1, conv2, gap: the relu runs inside conv1's unit.
+        assert_eq!(s.units.len(), 3);
+        let folded = folded_activations(&g);
+        for node in g
+            .nodes()
+            .iter()
+            .filter(|n| !matches!(n.op, Op::Input { .. }))
+        {
+            assert_eq!(s.units_of(node.id).is_empty(), folded[node.id.index()]);
+        }
+    }
+
+    fn build(kind: &str) -> (Graph, LlSchedule) {
+        let (g, part, mapping, dep, _) = crate::schedule::tests::fold_fixture(kind);
+        let s = LlSchedule::build(&g, &part, &mapping, &dep);
+        (g, s)
+    }
+
+    #[test]
+    fn a_sole_activation_runs_inside_its_mvm_unit() {
+        let (g, s) = build("sole");
+        let [c1, r, c2] = ["c1", "r", "c2"].map(|n| g.node_by_name(n).unwrap().id);
+        assert!(s.units_of(r).is_empty());
+        assert_eq!(s.units.len(), 2);
+        let consumer = &s.units[s.units_of(c2)[0]];
+        let rule = DepInfo::analyze(&g).edge(c2, r).unwrap().rule;
+        assert_eq!(consumer.providers, [LlProviderRef { node: c1, rule }]);
+    }
+
+    #[test]
+    fn an_activation_after_an_add_or_on_a_shared_output_keeps_its_unit() {
+        for kind in ["after_add", "shared"] {
+            let (g, s) = build(kind);
+            let r = g.node_by_name("r").unwrap().id;
+            let units = s.units_of(r);
+            assert_eq!(units.len(), 1, "{kind}");
+            assert_eq!(s.units[units[0]].kind, LlUnitKind::Vector, "{kind}");
+            let provider = g.predecessors(r)[0];
+            assert_eq!(s.units[units[0]].providers[0].node, provider, "{kind}");
+        }
     }
 
     #[test]
@@ -286,15 +336,13 @@ mod tests {
 
     #[test]
     fn vector_units_follow_predecessor_owners() {
-        let (g, part, mapping, dep) = setup();
-        let s = LlSchedule::build(&g, &part, &mapping, &dep);
+        // The relu after the add spreads over c1's and c2's owners,
+        // cores 0 and 1.
+        let (_, s) = build("after_add");
         let relu = s.units.iter().find(|u| u.name == "r").expect("relu unit");
-        // c1 has 2 replicas, both owned by core 0 -> one distinct owner.
         assert!(matches!(relu.kind, LlUnitKind::Vector));
-        for rep in &relu.replicas {
-            assert_eq!(rep.owner, 0);
-        }
-        let _ = g;
+        let owners: Vec<usize> = relu.replicas.iter().map(|rep| rep.owner).collect();
+        assert_eq!(owners, [0, 1]);
     }
 
     #[test]
@@ -302,7 +350,7 @@ mod tests {
         let (g, part, mapping, dep) = setup();
         let s = LlSchedule::build(&g, &part, &mapping, &dep);
         assert!(s.units[0].providers.is_empty()); // c1 fed by input only
-        assert_eq!(s.units[1].providers.len(), 1); // relu <- c1
+        assert_eq!(s.units[1].providers.len(), 1); // c2 <- relu, folded into c1
         let _ = g;
     }
 

@@ -612,12 +612,12 @@ impl Scheduled {
             PipelineMode::HighThroughput => {
                 fitness::ht_fitness_from_mapping(&session.hw, &partitioning, &mapping)
             }
-            PipelineMode::LowLatency => fitness::ll_fitness(
+            PipelineMode::LowLatency => fitness::ll_fitness_from_mapping(
                 &session.hw,
                 &session.graph,
                 &partitioning,
                 &dep,
-                &mapping.replication,
+                &mapping,
             ),
         });
 
@@ -675,6 +675,25 @@ mod tests {
             staged.report.estimated_fitness,
             legacy.report.estimated_fitness
         );
+    }
+
+    #[test]
+    fn ll_estimate_is_the_value_the_ga_minimised() {
+        for parallelism in [1, 20] {
+            let compiled = CompileSession::new(
+                HardwareConfig::small_test().with_parallelism(parallelism),
+                &models::tiny_cnn(),
+                CompileOptions::new(PipelineMode::LowLatency).with_fast_ga(11),
+            )
+            .and_then(CompileSession::run)
+            .unwrap();
+            let ga = compiled.report.ga.as_ref().unwrap();
+            assert_eq!(
+                compiled.report.estimated_fitness.to_bits(),
+                ga.final_fitness.to_bits(),
+                "parallelism {parallelism}"
+            );
+        }
     }
 
     #[test]

@@ -964,7 +964,7 @@ impl SweepPlan {
 /// whenever a simulator or executor golden is re-blessed (any change
 /// that makes the same artifact measure differently), so the metrics
 /// sidecars the old behaviour wrote stop answering.
-pub(crate) const MEASURE_VERSION: u32 = 2;
+pub(crate) const MEASURE_VERSION: u32 = 3;
 
 /// Simulates a compiled point and, when the quantization axis asks for
 /// it, runs the mapping through the functional executor for accuracy

@@ -770,14 +770,15 @@ pub(crate) mod tests {
 
     /// The parent engine's report of [`partial_count_completes_at_a_parked_token`]
     /// with the owner on core 1 and the sender on core 0; on cores 0
-    /// and 1 only `per_core_busy` swaps.
+    /// and 1 only `per_core_busy` swaps. Its `memory` is the compiled
+    /// `tiny_mlp`'s plan, whose folded activations have no vec task.
     const TIED_REPORT: &str = concat!(
         r#"{"model":"tiny_mlp","compiler":"PIMCOMP","mode":"HighThroughput","#,
         r#""total_cycles":259,"throughput_inf_per_s":3861003.861003861,"latency_us":0.259,"#,
         r#""mvm_ops":6,"crossbar_mvms":6,"vfu_elems":640,"noc_bytes":128,"global_bytes":256,"#,
         r#""energy":{"mvm_pj":17593.343999999997,"vfu_pj":2188.8,"memory_pj":1152,"#,
         r#""noc_pj":414.048,"reload_pj":0,"leakage_pj":251078.04400000002},"#,
-        r#""memory":{"avg_local_bytes":261.5,"peak_local_bytes":449,"#,
+        r#""memory":{"avg_local_bytes":197,"peak_local_bytes":320,"#,
         r#""global_traffic_bytes":256},"reload_epochs":0,"reload_ags_rewritten":0,"#,
         r#""reload_cells_rewritten":0,"reload_stall_cycles":0,"active_cores":2,"#,
         r#""per_core_busy":[168,259,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}"#

@@ -533,11 +533,11 @@ mod tests {
         assert_eq!(
             counts,
             [
-                ("vgg16", 350_146, 292_298),
-                ("resnet18", 95_232, 70_906),
-                ("googlenet", 107_701, 85_116),
-                ("inception_v3", 332_822, 254_513),
-                ("squeezenet", 141_925, 110_747),
+                ("vgg16", 176_552, 154_508),
+                ("resnet18", 62_979, 50_032),
+                ("googlenet", 60_335, 50_424),
+                ("inception_v3", 175_053, 135_975),
+                ("squeezenet", 80_592, 63_198),
             ]
         );
     }

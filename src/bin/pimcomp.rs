@@ -10,7 +10,7 @@
 //!                  [--report out.json]
 //! pimcomp verify   --artifact model.pimc.json [--seed S] [--tolerance T]
 //!                  [--quantized [--adc-bits B]]
-//! pimcomp inspect  --model model.onnx           # graph + workload stats
+//! pimcomp inspect  --model model.onnx [--seq-len N]  # graph + workload stats
 //! pimcomp inspect  --artifact model.pimc.json   # compiled-stage summary
 //! pimcomp export   --model vgg16 --out vgg16.onnx
 //! pimcomp models                                # list the zoo
@@ -113,6 +113,7 @@ const SEED: Flag = "--seed S  GA seed (compile) or synthetic-data seed (verify);
 const THREADS: Flag = "--threads N|auto  worker threads; results never depend on the count";
 const REPORT: Flag = "--report FILE.json  write a JSON report";
 const OUT: Flag = "--out FILE  write the ONNX file (export) or the JSON sweep report";
+const SEQ_LEN: Flag = "--seq-len N  bind symbolic sequence dimensions to N tokens (tiny_bert)";
 const PROGRESS: Flag = "--progress  stream progress to stderr; stdout is unchanged";
 
 const COMMANDS: &[Command] = &[
@@ -129,7 +130,7 @@ const COMMANDS: &[Command] = &[
             "--ga POPxITERS  GA size (default: 100x200)",
             SEED,
             "--weight-reload  time-multiplex the crossbars: oversized models compile into epochs",
-            "--seq-len N  bind symbolic sequence dimensions to N tokens (tiny_bert)",
+            SEQ_LEN,
             "--reload-budget N  cap the resident crossbars (requires --weight-reload)",
             THREADS,
             ARTIFACT,
@@ -163,7 +164,7 @@ const COMMANDS: &[Command] = &[
         name: "inspect",
         positional: None,
         about: "print a model's normalized graph statistics or a saved artifact's stages",
-        flags: &[MODEL, ARTIFACT],
+        flags: &[MODEL, SEQ_LEN, ARTIFACT],
         run: cmd_inspect,
     },
     Command {
@@ -392,9 +393,14 @@ fn load_model(args: &Args) -> CliResult<Graph> {
     Ok(pimcomp::dse::resolve_model(args.require("--model")?)?)
 }
 
-/// `--model`, normalized: the graph a compile of it sees.
+/// `--model`, bound to `--seq-len` if given, then normalized: the graph
+/// a compile of it sees.
 fn load_normalized(args: &Args) -> CliResult<Graph> {
-    Ok(normalize(&load_model(args)?).map_err(|e| format!("model failed normalization: {e}"))?)
+    let mut graph = load_model(args)?;
+    if let Some(n) = args.positive::<usize>("--seq-len")? {
+        graph = pimcomp::ir::transform::bind_seq_len(&graph, n)?;
+    }
+    Ok(normalize(&graph).map_err(|e| format!("model failed normalization: {e}"))?)
 }
 
 /// `--artifact`, loaded, with the `loaded …` line `simulate` and
@@ -499,25 +505,15 @@ fn write_sweep_report(args: &Args, report: &SweepReport) -> CliResult {
 }
 
 fn cmd_compile(args: &Args) -> CliResult {
+    // Hardware sizing needs fixed shapes, so the graph is bound; the
+    // session re-binds (a no-op on the bound graph) through the same
+    // options path API users take.
     let graph = load_normalized(args)?;
     let seq_len = args.positive::<usize>("--seq-len")?;
-    // Hardware sizing needs fixed shapes; the session re-binds (a
-    // no-op on the already-bound graph) through the same options path
-    // API users take.
-    let sizing_graph = match seq_len {
-        Some(n) => pimcomp::ir::transform::bind_seq_len(&graph, n)?,
-        None => graph.clone(),
-    };
     // The shared headroom heuristic (also behind `hardware: "auto"` in
     // sweep specs and the bench harness's sizing).
     let puma = HardwareConfig::puma();
-    let sized = || {
-        Ok(pimcomp_core::sized_chips(
-            &sizing_graph,
-            &puma,
-            DEFAULT_HEADROOM,
-        )?)
-    };
+    let sized = || Ok(pimcomp_core::sized_chips(&graph, &puma, DEFAULT_HEADROOM)?);
     let hw = args.puma(sized, puma.parallelism)?;
     hw.validate()?;
     let mode = match args.get("--mode").unwrap_or("ht") {
@@ -833,6 +829,9 @@ fn cmd_inspect(args: &Args) -> CliResult {
     if let Some(path) = args.get("--artifact") {
         if args.has("--model") {
             return Err("inspect reads `--model` or `--artifact`, not both".into());
+        }
+        if args.has("--seq-len") {
+            return Err("`--seq-len` binds a `--model`; an artifact's graph is bound".into());
         }
         return inspect_artifact(path);
     }

@@ -57,7 +57,7 @@ const CONTRACT: [(&str, &[&str]); 7] = [
             "--adc-bits",
         ],
     ),
-    ("inspect", &["--model", "--artifact"]),
+    ("inspect", &["--model", "--seq-len", "--artifact"]),
     ("export", &["--model", "--out"]),
     ("models", &[]),
     (
@@ -263,6 +263,10 @@ fn malformed_command_lines_stay_rejected() {
             &["inspect", "--model", "tiny_cnn", "--artifact", "a.json"][..],
             "inspect reads `--model` or `--artifact`, not both",
         ),
+        (
+            &["inspect", "--artifact", "a.json", "--seq-len", "16"][..],
+            "`--seq-len` binds a `--model`; an artifact's graph is bound",
+        ),
     ] {
         let out = pimcomp(args);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
@@ -337,10 +341,17 @@ fn inspect_reports_the_normalized_graph() {
         let text = stdout(&out);
         assert_eq!(text.lines().next(), Some(header), "{text}");
     }
+    // A bound transformer's matmuls carry their MACs and windows.
+    let out = pimcomp(&["inspect", "--model", "tiny_bert", "--seq-len", "16"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    let row = "b0_ff1                       matmul            32768         524288         16";
+    assert!(text.lines().any(|l| l == row), "{text}");
 }
 
 /// The values below were recorded from the binary of the commit before
-/// the command table existed.
+/// the command table existed; the energy line was re-recorded when a
+/// sole activation stopped being a vec task of its own.
 #[test]
 fn artifact_workflow_prints_the_recorded_numbers() {
     let dir = std::env::temp_dir().join(format!("pimcomp-cli-{}", std::process::id()));
@@ -403,7 +414,7 @@ fn artifact_workflow_prints_the_recorded_numbers() {
     );
     has_line(
         &simulate,
-        "  energy 358.4 uJ (dyn 104.9 + leak 253.6), avg local mem 13.4 kB",
+        "  energy 356.7 uJ (dyn 103.9 + leak 252.7), avg local mem 11.5 kB",
     );
 
     let verify = run(&["verify", "--artifact", artifact, "--quantized"]);

@@ -411,7 +411,7 @@ fn damaged_or_foreign_sidecars_and_missing_artifacts_fall_back() {
     let artifacts = cache_files(&dir, ARTIFACTS);
     assert_eq!((sidecars.len(), artifacts.len()), (12, 12));
     let intact = std::fs::read_to_string(&sidecars[0]).unwrap();
-    assert!(intact.contains("\"measure_version\":2,"), "{intact}");
+    assert!(intact.contains("\"measure_version\":3,"), "{intact}");
 
     // (hits, answered from metrics, misses) of a rerun, which must
     // reproduce the report and heal whatever was damaged.
@@ -431,7 +431,7 @@ fn damaged_or_foreign_sidecars_and_missing_artifacts_fall_back() {
     assert_eq!(rerun("truncated sidecar"), (12, 11, 0));
 
     // Measured by another simulator/executor version: likewise.
-    let foreign = intact.replace("\"measure_version\":2,", "\"measure_version\":999,");
+    let foreign = intact.replace("\"measure_version\":3,", "\"measure_version\":999,");
     std::fs::write(&sidecars[0], foreign).unwrap();
     assert_eq!(rerun("foreign MEASURE_VERSION"), (12, 11, 0));
 
